@@ -18,7 +18,7 @@ from __future__ import annotations
 import sys
 
 from repro.harness.experiment import ExperimentConfig, run_experiment
-from repro.harness.report import format_series
+from repro.metrics.report import format_series
 from repro.sim.topology import EC2_SHORT_LABELS, EC2_SITES
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.figures import throughput_cost_model
-from repro.harness.report import format_series
+from repro.metrics.report import format_series
 from repro.sim.topology import EC2_SITES
 
 CONFLICT_RATES = (0.0, 0.10, 0.30)

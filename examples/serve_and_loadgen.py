@@ -29,16 +29,8 @@ def main() -> None:
             endpoints=cluster.peers, clients=3, commands_per_client=10,
             conflict_rate=0.1, seed=11))
 
-        print(f"\ncompleted {report.completed}/{report.submitted} commands "
-              f"in {report.wall_seconds:.1f}s "
-              f"({report.throughput_per_second:.1f}/s)")
-        if report.mean_latency_ms is not None:
-            print(f"latency: mean {report.mean_latency_ms:.2f} ms, "
-                  f"p99 {report.p99_latency_ms:.2f} ms")
-        for node_id, stats in sorted(report.per_replica.items()):
-            print(f"replica {node_id}: executed {stats['commands_executed']}, "
-                  f"handled {stats['messages_handled']} messages")
-        print("result:", "ok" if report.ok else "FAILED " + "; ".join(report.failures))
+        print()
+        print(report.describe())
 
 
 if __name__ == "__main__":

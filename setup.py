@@ -17,10 +17,6 @@ setup(
     entry_points={
         "console_scripts": [
             "repro = repro.cli:main",
-            # Historical alias from before the CLI gained the sweep
-            # orchestrator; prints a deprecation notice, then behaves
-            # identically.
-            "caesar-repro = repro.cli:main_deprecated",
         ],
     },
 )

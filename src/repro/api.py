@@ -36,18 +36,15 @@ just argparse + these constructors.
 from __future__ import annotations
 
 from repro.consensus.command import Command, CommandResult
-# The baseline protocols register themselves on import; pulling the module
-# in here means ``api.PROTOCOLS`` is fully populated for facade users.
-from repro.harness import protocols as _protocols  # noqa: F401
 from repro.harness.chaos import ChaosConfig, ChaosResult, run_chaos
-from repro.harness.cluster import (PROTOCOLS, Cluster, ClusterConfig,
-                                   build_cluster, register_protocol)
+from repro.harness.cluster import Cluster, ClusterConfig, build_cluster
 from repro.harness.experiment import (ExperimentConfig, ExperimentResult,
                                       run_experiment)
 from repro.harness.overload import (LoadPoint, OverloadConfig, OverloadResult,
                                     run_overload_sweep, store_overload_result)
-from repro.harness.shard import (CrossShardCoordinator, ShardedConfig,
-                                 ShardedResult, ShardRouter, run_sharded)
+from repro.harness.protocols import PROTOCOLS, register_protocol
+from repro.harness.shard import (ShardedConfig, ShardedResult, ShardRouter,
+                                 run_sharded)
 from repro.harness.sweep import SweepCell, SweepResult, run_sweep, sweep_cell
 from repro.metrics.report import render_report
 from repro.metrics.store import ResultsStore, RunRecord, current_git_commit
@@ -96,7 +93,6 @@ __all__ = [
     "Cluster",
     "ShardedResult",
     "ShardRouter",
-    "CrossShardCoordinator",
     "Topology",
     "ec2_five_sites",
     "custom_topology",

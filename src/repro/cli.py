@@ -1,7 +1,6 @@
 """Command-line interface for running experiments and regenerating figures.
 
-Installed as the ``repro`` console script (``caesar-repro`` is kept as a
-deprecated alias)::
+Installed as the ``repro`` console script::
 
     repro run --protocol caesar --conflicts 30 --clients 10
     repro compare --conflicts 0 10 30
@@ -22,29 +21,29 @@ deprecated alias)::
 The CLI is a thin wrapper over :mod:`repro.api`: argument parsing lives here,
 every config is built through its ``from_args`` classmethod, and everything
 the CLI prints can also be produced programmatically (see ``examples/``).
-Flags shared by several subcommands (``--protocol``, ``--seed``,
-``--clients``, ``--conflicts``, ``--duration``) are declared once in
-:func:`shared_flags` parent parsers, with per-subcommand defaults.
+Each subcommand is one ``handler(args) -> (text, exit_code)`` attached to its
+subparser, so :func:`main` is parse → call → print.  Flags used by several
+subcommands are declared once in :data:`SHARED_FLAGS`; a subcommand picks the
+ones it takes (and their defaults) through :func:`shared_flags`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import sys
-import time
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
+from repro.chaos.nemesis import CONFORMANCE_SCHEDULES, NEMESIS_SCHEDULES
 from repro.harness import figures
-from repro.harness.experiment import ExperimentConfig, run_experiment
-from repro.harness.report import format_protocol_stats, format_series
-from repro.metrics.perf import TIMING_EXTRA_KEY, PerfRecord, write_record
+from repro.harness.experiment import ExperimentConfig, run_experiment, summarize_experiment
+from repro.harness.protocols import PROTOCOLS
+from repro.metrics.perf import write_record
+from repro.metrics.report import format_protocol_stats, format_series, render_report
+from repro.metrics.store import DEFAULT_STORE_PATH, ResultsStore
+from repro.runtime.admission import admission_policy
 from repro.sim.topology import EC2_SHORT_LABELS, EC2_SITES, ec2_five_sites
-
-#: Every registered protocol name, in CLI display order.
-PROTOCOL_CHOICES = ["caesar", "epaxos", "multipaxos", "mencius", "m2paxos"]
 
 #: Maps ``figure <n>`` / ``sweep <n>`` to the driver that regenerates it.
 FIGURE_DRIVERS = {
@@ -81,73 +80,113 @@ QUICK_OVERRIDES = {
                   clients=4, commands_per_client=3, key_space=64, hot_keys=4),
 }
 
+#: A subcommand's outcome: the text to print and the process exit code.
+Outcome = Tuple[str, int]
+
 
 def _figure_order(key: str):
     """Sort figure keys numerically, with non-numeric suffixes/names last."""
     return (0, int(key), "") if key.isdigit() else (1, 0, key)
 
 
-def shared_flags(protocol: Optional[str] = None, seed: int = 1,
-                 clients: Optional[int] = None,
-                 conflicts: Optional[object] = None,
-                 duration: Optional[float] = None) -> argparse.ArgumentParser:
-    """Build a parent parser with the flags shared across subcommands.
+def _driver(number: str, quick: bool) -> Tuple[Callable, dict]:
+    """The figure driver for ``number`` and its ``--quick`` keyword overrides."""
+    return FIGURE_DRIVERS[number], dict(QUICK_OVERRIDES[number]) if quick else {}
 
-    Each subcommand passes the defaults it wants (and ``None`` to omit a
-    flag entirely), so the flag *vocabulary* — names, types, help strings —
-    is declared exactly once.  ``conflicts`` may be a float (single rate) or
-    a list (``nargs='+'``, as ``compare`` uses).
+
+def _validated(parse: Callable[[str], object]) -> Callable[[str], str]:
+    """An argparse ``type=`` that checks a spec with ``parse`` but keeps the string.
+
+    Specs travel through configs as text and are parsed where they are used;
+    checking them here turns a late traceback into a one-line usage error.
+    """
+    def check(text: str) -> str:
+        try:
+            parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return text
+    return check
+
+
+def _peer_entry(spec: str) -> None:
+    from repro.net.cluster import parse_peers
+
+    parse_peers([spec])
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+_PEER_ENTRY = dict(action="append", default=None, metavar="ID=HOST:PORT",
+                   type=_validated(_peer_entry))
+
+#: Flags used by two or more subcommands, declared once: flag name ->
+#: ``add_argument`` keywords.  Defaults are per-subcommand (see shared_flags).
+SHARED_FLAGS = {
+    # The live table, not a copy: a protocol registered later is accepted too.
+    "protocol": dict(choices=PROTOCOLS),
+    "seed": dict(type=int),
+    "clients": dict(type=int, help="number of clients (per site on the simulator)"),
+    "conflicts": dict(type=float, help="percentage of conflicting commands (0-100)"),
+    "duration": dict(type=float,
+                     help="measured duration in ms (simulated; real over TCP)"),
+    "warmup-ms": dict(type=float, help="discard latency samples from the first MS "
+                                        "of a run (or of each load point)"),
+    "quick": dict(action="store_true",
+                  help="use scaled-down parameters (fast, coarser numbers)"),
+    "workers": dict(default=None,
+                    help="worker processes: a count, or 'auto' for one per CPU "
+                         "(default: $REPRO_SWEEP_WORKERS, else serial)"),
+    "serial": dict(action="store_true",
+                   help="force serial in-process execution (same output bytes as "
+                        "any --workers value)"),
+    "cells": dict(nargs="+", default=None, metavar="PATTERN",
+                  help="only run cells whose key matches one of these globs, e.g. "
+                       "'fig9/caesar/*' (unmatched cells report '-')"),
+    "json": dict(action="store_true", help="print the result as JSON"),
+    "replicas": dict(type=int, help="cluster size (single-host TCP clusters)"),
+    "recovery": dict(action="store_true",
+                     help="run failure detectors / recovery machinery"),
+    "no-retransmit": dict(action="store_true",
+                          help="disable the runtime retransmission + catch-up layer "
+                               "(safe but not live under loss; keep it on over TCP)"),
+    "admission": dict(default=None, metavar="SPEC", type=_validated(admission_policy),
+                      help="admission-control policy on every replica's submit "
+                           "path: 'none' (counting baseline), 'inflight:K', "
+                           "'deadline:MS' (default: no admission hook)"),
+    "history-gc": dict(type=_positive_float, default=None, metavar="MS",
+                       help="collect history entries delivered by every replica "
+                            "on this virtual-ms cadence (off by default; changes "
+                            "wire bytes, so never used for figure reproduction)"),
+    "store": dict(nargs="?", const=str(DEFAULT_STORE_PATH), default=None, metavar="DB",
+                  help="append this run to the SQLite results store "
+                       "(default path: %(const)s)"),
+    "label": dict(help="label the stored run is grouped under in 'repro report' "
+                       "(default: %(default)s)"),
+}
+
+
+def shared_flags(*flags: str, **defaults) -> argparse.ArgumentParser:
+    """Build a parent parser carrying a subcommand's share of SHARED_FLAGS.
+
+    Positional names take the flag as declared; keyword names (``clients=10``)
+    take it with that subcommand's default.  A list default (``compare``'s
+    ``conflicts=[...]``) makes the flag accept several values.
     """
     parent = argparse.ArgumentParser(add_help=False)
-    if protocol is not None:
-        parent.add_argument("--protocol", default=protocol, choices=PROTOCOL_CHOICES)
-    parent.add_argument("--seed", type=int, default=seed)
-    if clients is not None:
-        parent.add_argument("--clients", type=int, default=clients,
-                            help="clients per site")
-    if conflicts is not None:
-        if isinstance(conflicts, (list, tuple)):
-            parent.add_argument("--conflicts", type=float, nargs="+",
-                                default=list(conflicts),
-                                help="percentages of conflicting commands (0-100)")
-        else:
-            parent.add_argument("--conflicts", type=float, default=conflicts,
-                                help="percentage of conflicting commands (0-100)")
-    if duration is not None:
-        parent.add_argument("--duration", type=float, default=duration,
-                            help="measured duration in simulated ms")
+    for name in flags:
+        parent.add_argument(f"--{name}", **SHARED_FLAGS[name])
+    for name, default in defaults.items():
+        spec = dict(SHARED_FLAGS[name.replace("_", "-")], default=default)
+        if isinstance(default, list):
+            spec["nargs"] = "+"
+        parent.add_argument("--" + name.replace("_", "-"), **spec)
     return parent
-
-
-def add_admission_flag(parser: argparse.ArgumentParser) -> None:
-    """Add the admission-control flag (same spec syntax on every subcommand)."""
-    parser.add_argument("--admission", default=None, metavar="SPEC",
-                        help="admission-control policy on every replica's submit "
-                             "path: 'none' (counting baseline), 'inflight:K', "
-                             "'deadline:MS' (default: no admission hook)")
-
-
-def add_history_gc_flag(parser: argparse.ArgumentParser) -> None:
-    """Add the history-GC flag (same semantics on every subcommand)."""
-    parser.add_argument("--history-gc", type=float, default=None, metavar="MS",
-                        help="collect history entries delivered by every replica "
-                             "on this virtual-ms cadence (off by default; changes "
-                             "wire bytes, so never used for figure reproduction)")
-
-
-def add_store_flags(parser: argparse.ArgumentParser,
-                    label: Optional[str] = None) -> None:
-    """Add the results-store flags (``--store`` appends the run to SQLite)."""
-    from repro.metrics.store import DEFAULT_STORE_PATH
-
-    parser.add_argument("--store", nargs="?", const=str(DEFAULT_STORE_PATH),
-                        default=None, metavar="DB",
-                        help="append this run to the SQLite results store "
-                             "(default path: %(const)s)")
-    if label is not None:
-        parser.add_argument("--label", default=label,
-                            help="label the stored run is grouped under in "
-                                 "'repro report' (default: %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,52 +197,45 @@ def build_parser() -> argparse.ArgumentParser:
                     "Decisions, DSN 2017) on a simulated geo-replicated substrate "
                     "and over real TCP sockets.")
     subparsers = parser.add_subparsers(dest="command", required=True)
+    figure_choices = sorted(FIGURE_DRIVERS, key=_figure_order)
 
-    run_parser = subparsers.add_parser(
-        "run", help="run one protocol on one workload",
-        parents=[shared_flags(protocol="caesar", seed=1, clients=10,
-                              conflicts=0.0, duration=8000.0)])
+    def command(name: str, handler: Callable[[argparse.Namespace], Outcome],
+                help: str, flags: Optional[argparse.ArgumentParser] = None):
+        sub = subparsers.add_parser(name, help=help, parents=[flags] if flags else [])
+        # ``fail`` lets a handler report a cross-flag usage error the same way
+        # argparse reports a bad flag: "repro <cmd>: error: ...", exit code 2.
+        sub.set_defaults(handler=handler, fail=sub.error)
+        return sub
+
+    run_parser = command(
+        "run", _run, "run one protocol on one workload",
+        shared_flags("admission", "history-gc", "store", protocol="caesar", seed=1,
+                     clients=10, conflicts=0.0, duration=8000.0, label="run"))
     run_parser.add_argument("--batching", action="store_true",
                             help="enable network message batching")
     run_parser.add_argument("--throughput", action="store_true",
                             help="use the saturation CPU cost model (throughput study)")
-    add_admission_flag(run_parser)
-    add_history_gc_flag(run_parser)
-    add_store_flags(run_parser, label="run")
 
-    subparsers.add_parser(
-        "compare", help="compare all protocols at given conflict rates",
-        parents=[shared_flags(seed=1, clients=10, conflicts=[0.0, 10.0, 30.0],
-                              duration=6000.0)])
+    command("compare", _compare, "compare all protocols at given conflict rates",
+            shared_flags(seed=1, clients=10, conflicts=[0.0, 10.0, 30.0],
+                         duration=6000.0))
 
-    figure_parser = subparsers.add_parser("figure", help="regenerate one figure of the paper")
-    figure_parser.add_argument("number", choices=sorted(FIGURE_DRIVERS, key=_figure_order),
+    figure_parser = command("figure", _figure, "regenerate one figure of the paper",
+                            shared_flags("quick"))
+    figure_parser.add_argument("number", choices=figure_choices,
                                help="paper figure number")
-    figure_parser.add_argument("--quick", action="store_true",
-                               help="use scaled-down parameters (fast, coarser numbers)")
 
-    sweep_parser = subparsers.add_parser(
-        "sweep",
-        help="run figure sweeps through the parallel orchestrator and write "
-             "figure tables + BENCH perf records")
-    sweep_parser.add_argument("figures", nargs="+",
-                              choices=sorted(FIGURE_DRIVERS, key=_figure_order) + ["all"],
+    sweep_parser = command(
+        "sweep", _sweep,
+        "run figure sweeps through the parallel orchestrator and write figure "
+        "tables + BENCH perf records",
+        shared_flags("workers", "serial", "cells", "quick", "store"))
+    sweep_parser.add_argument("figures", nargs="+", choices=figure_choices + ["all"],
                               metavar="figure",
                               help="figure sweeps to run (%(choices)s)")
-    sweep_parser.add_argument("--workers", default=None,
-                              help="worker processes per sweep: a count, or 'auto' for one "
-                                   "per CPU (default: $REPRO_SWEEP_WORKERS, else serial)")
-    sweep_parser.add_argument("--serial", action="store_true",
-                              help="force serial in-process execution (same output bytes "
-                                   "as any --workers value)")
-    sweep_parser.add_argument("--cells", nargs="+", default=None, metavar="PATTERN",
-                              help="only run cells whose key matches one of these globs, "
-                                   "e.g. 'fig9/caesar/*' (unmatched cells report '-')")
     sweep_parser.add_argument("--list-cells", action="store_true",
                               help="print the resolved cell grid (with --cells matches "
                                    "marked) and exit without running anything")
-    sweep_parser.add_argument("--quick", action="store_true",
-                              help="use scaled-down parameters (fast, coarser numbers)")
     sweep_parser.add_argument("--out", type=pathlib.Path,
                               default=pathlib.Path("benchmarks/results"),
                               help="directory for sweep_<name>.txt tables and "
@@ -211,14 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--stable-records", action="store_true",
                               help="omit wall-clock fields from BENCH records so identical "
                                    "sweeps serialize byte-identically")
-    add_store_flags(sweep_parser)
 
-    shard_parser = subparsers.add_parser(
-        "shard",
-        help="run the sharded-keyspace study: protocol x shards x zipf skew "
-             "over independent consensus groups (exit code 1 unless every "
-             "command decided with 0 conflict-order violations)",
-        parents=[shared_flags(protocol="caesar", seed=21)])
+    shard_parser = command(
+        "shard", _shard,
+        "run the sharded-keyspace study: protocol x shards x zipf skew over "
+        "independent consensus groups (exit code 1 unless every command decided "
+        "with 0 conflict-order violations)",
+        shared_flags("workers", "serial", "store", protocol="caesar", seed=21,
+                     clients=8, label="shard"))
     shard_parser.add_argument("--shards", type=int, nargs="+", default=[1, 2, 4],
                               metavar="N", help="shard counts to sweep")
     shard_parser.add_argument("--skew", type=float, nargs="+", default=[0.0, 0.99],
@@ -229,29 +261,21 @@ def build_parser() -> argparse.ArgumentParser:
     shard_parser.add_argument("--replicas-per-site", type=int, default=1,
                               help="co-located replicas per site (group size = "
                                    "sites x this)")
-    shard_parser.add_argument("--clients", type=int, default=8,
-                              help="clients whose streams are split across shards")
     shard_parser.add_argument("--commands", type=int, default=4,
                               help="commands per client stream")
     shard_parser.add_argument("--key-space", type=int, default=1000,
                               help="distinct keys in the zipf key space")
     shard_parser.add_argument("--hot-keys", type=int, default=10,
                               help="size of the hot-key pool (reporting only)")
-    shard_parser.add_argument("--workers", default=None,
-                              help="worker processes for the sweep grid: a count, or "
-                                   "'auto' (default: $REPRO_SWEEP_WORKERS, else serial)")
-    shard_parser.add_argument("--serial", action="store_true",
-                              help="force serial execution (same output bytes as any "
-                                   "--workers value)")
-    add_store_flags(shard_parser, label="shard")
 
-    chaos_parser = subparsers.add_parser(
-        "chaos",
-        help="run a protocol under a nemesis fault schedule and check the "
-             "client history for linearizability",
-        parents=[shared_flags(protocol="caesar", seed=1, clients=2,
-                              conflicts=50.0)])
-    chaos_parser.add_argument("--nemesis", default="minority-partition",
+    chaos_parser = command(
+        "chaos", _chaos,
+        "run a protocol under a nemesis fault schedule and check the client "
+        "history for linearizability",
+        shared_flags("recovery", "no-retransmit", "quick", protocol="caesar", seed=1,
+                     clients=2, conflicts=50.0))
+    chaos_parser.add_argument("--nemesis", default="minority-partition", metavar="NAME",
+                              choices=sorted(NEMESIS_SCHEDULES),
                               help="named nemesis schedule (see --list-schedules)")
     chaos_parser.add_argument("--fault-at", type=float, default=None,
                               help="virtual ms at which the faults begin "
@@ -259,18 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument("--hold", type=float, default=None,
                               help="virtual ms until the schedule has fully healed "
                                    "(default: 2000, or 1000 with --quick)")
-    chaos_parser.add_argument("--recovery", action="store_true",
-                              help="run failure detectors / recovery machinery")
-    chaos_parser.add_argument("--no-retransmit", action="store_true",
-                              help="disable the runtime retransmission + catch-up layer "
-                                   "(reproduces the pre-retransmission safe-but-not-live "
-                                   "split under lossy schedules)")
     chaos_parser.add_argument("--matrix", action="store_true",
                               help="run the protocols x schedules conformance matrix "
                                    "(exit code 1 when any cell fails)")
     chaos_parser.add_argument("--protocols", nargs="+", default=None, metavar="PROTO",
-                              help="protocols for --matrix (default: all five)")
+                              choices=PROTOCOLS,
+                              help="protocols for --matrix (default: all of them)")
     chaos_parser.add_argument("--schedules", nargs="+", default=None, metavar="NAME",
+                              choices=sorted(NEMESIS_SCHEDULES),
                               help="schedules for --matrix (default: the full "
                                    "conformance library, lossy schedules included)")
     chaos_parser.add_argument("--random", type=int, default=None, metavar="N",
@@ -280,38 +300,27 @@ def build_parser() -> argparse.ArgumentParser:
                               help="let --random draw message-loss and crash faults")
     chaos_parser.add_argument("--list-schedules", action="store_true",
                               help="print the named schedule library and exit")
-    chaos_parser.add_argument("--quick", action="store_true",
-                              help="scaled-down fault window (fast smoke run)")
 
-    serve_parser = subparsers.add_parser(
-        "serve",
-        help="run replicas as real processes speaking the wire format over TCP",
-        parents=[shared_flags(protocol="caesar", seed=0)])
-    serve_parser.add_argument("--replicas", type=int, default=3,
-                              help="cluster size for single-host mode")
+    serve_parser = command(
+        "serve", _serve,
+        "run replicas as real processes speaking the wire format over TCP",
+        shared_flags("recovery", "no-retransmit", "admission", protocol="caesar",
+                     seed=0, replicas=3))
     serve_parser.add_argument("--host", default="127.0.0.1",
                               help="bind address for auto-allocated ports")
-    serve_parser.add_argument("--peer", action="append", default=None,
-                              metavar="ID=HOST:PORT",
+    serve_parser.add_argument("--peer", **_PEER_ENTRY,
                               help="explicit peer map entry (repeat per replica; "
                                    "required for multi-host mode)")
     serve_parser.add_argument("--node-id", type=int, default=None,
                               help="run only this replica in the foreground "
                                    "(multi-host mode; requires --peer entries)")
-    serve_parser.add_argument("--recovery", action="store_true",
-                              help="run failure detectors / recovery machinery")
-    serve_parser.add_argument("--no-retransmit", action="store_true",
-                              help="disable the runtime retransmission + catch-up "
-                                   "layer (not recommended over real sockets)")
-    add_admission_flag(serve_parser)
 
-    loadgen_parser = subparsers.add_parser(
-        "loadgen",
-        help="drive a live cluster with the seeded workload over TCP",
-        parents=[shared_flags(protocol="caesar", seed=0, clients=3,
-                              conflicts=2.0)])
-    loadgen_parser.add_argument("--endpoint", action="append", default=None,
-                                metavar="ID=HOST:PORT",
+    loadgen_parser = command(
+        "loadgen", _loadgen, "drive a live cluster with the seeded workload over TCP",
+        shared_flags("json", "admission", "store", protocol="caesar", seed=0,
+                     clients=3, conflicts=2.0, duration=2000.0, warmup_ms=0.0,
+                     label="loadgen"))
+    loadgen_parser.add_argument("--endpoint", **_PEER_ENTRY,
                                 help="replica endpoint (repeat per replica)")
     loadgen_parser.add_argument("--launch", type=int, default=None, metavar="N",
                                 help="launch an N-replica local cluster first, "
@@ -323,69 +332,40 @@ def build_parser() -> argparse.ArgumentParser:
                                      "closed loop")
     loadgen_parser.add_argument("--rate", type=float, default=50.0,
                                 help="open-loop rate per client (commands/s)")
-    loadgen_parser.add_argument("--duration", type=float, default=2000.0,
-                                help="open-loop injection window (real ms)")
-    loadgen_parser.add_argument("--warmup-ms", type=float, default=0.0,
-                                help="discard latency samples completing within "
-                                     "this many real ms after start")
     loadgen_parser.add_argument("--timeout", type=float, default=60.0,
                                 help="overall wall-clock budget (seconds)")
-    loadgen_parser.add_argument("--json", action="store_true",
-                                help="print the report as JSON")
-    add_admission_flag(loadgen_parser)
-    add_store_flags(loadgen_parser, label="loadgen")
 
-    overload_parser = subparsers.add_parser(
-        "overload",
-        help="sweep open-loop offered load past the saturation knee and "
-             "report goodput + latency tail per point",
-        parents=[shared_flags(protocol="caesar", seed=1, clients=4,
-                              conflicts=2.0, duration=4000.0)])
-    overload_parser.add_argument("--offered", type=float, nargs="+", default=None,
-                                 metavar="RATE",
+    overload_parser = command(
+        "overload", _overload,
+        "sweep open-loop offered load past the saturation knee and report "
+        "goodput + latency tail per point",
+        shared_flags("workers", "json", "admission", "history-gc", "store",
+                     protocol="caesar", seed=1, clients=4, conflicts=2.0,
+                     duration=4000.0, warmup_ms=1000.0, replicas=3, label="overload"))
+    overload_parser.add_argument("--offered", type=_positive_float, nargs="+",
+                                 default=None, metavar="RATE",
                                  help="total offered loads to sweep, in commands/s "
                                       "across the cluster (default: 200 400 800 1600)")
     overload_parser.add_argument("--substrate", choices=["sim", "tcp"], default="sim",
                                  help="run on the simulator or over real sockets")
-    overload_parser.add_argument("--warmup-ms", type=float, default=1000.0,
-                                 help="per-point warm-up window (samples discarded)")
-    overload_parser.add_argument("--replicas", type=int, default=3,
-                                 help="tcp-substrate cluster size")
-    overload_parser.add_argument("--workers", default=None,
-                                 help="sweep worker processes for the sim substrate "
-                                      "(a count or 'auto')")
-    overload_parser.add_argument("--json", action="store_true",
-                                 help="print the sweep as JSON")
-    add_admission_flag(overload_parser)
-    add_history_gc_flag(overload_parser)
-    add_store_flags(overload_parser, label="overload")
 
-    profile_parser = subparsers.add_parser(
-        "profile",
-        help="profile a figure sweep under cProfile and summarize where the "
-             "simulator spends its time")
-    profile_parser.add_argument("number", nargs="?", default="9",
-                                choices=sorted(FIGURE_DRIVERS, key=_figure_order),
+    profile_parser = command(
+        "profile", _profile,
+        "profile a figure sweep under cProfile and summarize where the simulator "
+        "spends its time",
+        shared_flags("quick", "cells", "store", label="profile"))
+    profile_parser.add_argument("number", nargs="?", default="9", choices=figure_choices,
                                 help="figure sweep to profile (default: %(default)s)")
-    profile_parser.add_argument("--quick", action="store_true",
-                                help="use scaled-down parameters (fast, coarser numbers)")
-    profile_parser.add_argument("--cells", nargs="+", default=None, metavar="PATTERN",
-                                help="only run cells whose key matches one of these "
-                                     "globs, e.g. 'fig9/caesar/*'")
     profile_parser.add_argument("--top", type=int, default=20,
                                 help="functions to show in the hot-spot table "
                                      "(default: %(default)s)")
     profile_parser.add_argument("--sort", default="cumulative",
                                 choices=["cumulative", "tottime", "calls"],
                                 help="pstats sort order (default: %(default)s)")
-    add_store_flags(profile_parser, label="profile")
 
-    report_parser = subparsers.add_parser(
-        "report",
-        help="render run listings and cross-commit trend tables from the "
-             "results store")
-    from repro.metrics.store import DEFAULT_STORE_PATH
-
+    report_parser = command(
+        "report", _report,
+        "render run listings and cross-commit trend tables from the results store")
     report_parser.add_argument("--store", default=str(DEFAULT_STORE_PATH), metavar="DB",
                                help="results store to read (default: %(default)s)")
     report_parser.add_argument("--kind", default=None,
@@ -399,21 +379,38 @@ def build_parser() -> argparse.ArgumentParser:
                                help="also render each overload run's per-load-point "
                                     "saturation curve")
 
-    subparsers.add_parser("topology", help="print the simulated five-site EC2 topology")
+    command("topology", lambda args: (ec2_five_sites().describe(), 0),
+            "print the simulated five-site EC2 topology")
     return parser
 
 
-def _open_store(args: argparse.Namespace):
-    """Open the results store when ``--store`` was given (``None`` otherwise)."""
-    path = getattr(args, "store", None)
-    if path is None:
-        return None
-    from repro.metrics.store import ResultsStore
+def _with_store(args: argparse.Namespace, write: Callable[[ResultsStore], int]) -> str:
+    """Run ``write(store) -> run_id`` against the ``--store`` results store.
 
-    return ResultsStore(pathlib.Path(path))
+    Returns the ``[stored as run N in DB]`` note, or ``""`` without
+    ``--store``.  The store is closed even when ``write`` raises.
+    """
+    if args.store is None:
+        return ""
+    with ResultsStore(pathlib.Path(args.store)) as store:
+        run_id = write(store)
+    return f"[stored as run {run_id} in {args.store}]"
 
 
-def _run(args: argparse.Namespace) -> str:
+def _store_run(args: argparse.Namespace, kind: str, label: Optional[str] = None,
+               **fields) -> str:
+    """Append this invocation as one run row (see :func:`_with_store`)."""
+    return _with_store(args, lambda store: store.record_run(
+        kind, label or args.label, **fields))
+
+
+def _series_json(series) -> dict:
+    """A figure's series with JSON-safe (string) x keys."""
+    return {label: {str(x): y for x, y in points.items()}
+            for label, points in series.items()}
+
+
+def _run(args: argparse.Namespace) -> Outcome:
     result = run_experiment(ExperimentConfig.from_args(args))
     lines = [f"protocol:           {args.protocol}",
              f"conflict rate:      {args.conflicts:.0f}%",
@@ -442,26 +439,21 @@ def _run(args: argparse.Namespace) -> str:
     counters = format_protocol_stats([replica.stats for replica in result.cluster.replicas])
     if counters:
         lines.append(counters)
-    store = _open_store(args)
-    if store is not None:
-        from repro.harness.experiment import summarize_experiment
-
-        with store:
-            run_id = store.record_run(
-                "experiment", args.label, protocol=args.protocol, substrate="sim",
-                seed=args.seed,
-                config={"conflicts": args.conflicts, "clients": args.clients,
-                        "duration_ms": args.duration, "admission": args.admission,
-                        "batching": args.batching, "throughput": args.throughput},
-                metrics=summarize_experiment(result))
-        lines.append(f"[stored as run {run_id} in {args.store}]")
-    return "\n".join(lines)
+    stored = _store_run(
+        args, "experiment", protocol=args.protocol, substrate="sim", seed=args.seed,
+        config={"conflicts": args.conflicts, "clients": args.clients,
+                "duration_ms": args.duration, "admission": args.admission,
+                "batching": args.batching, "throughput": args.throughput},
+        metrics=summarize_experiment(result))
+    if stored:
+        lines.append(stored)
+    return "\n".join(lines), 0
 
 
-def _compare(args: argparse.Namespace) -> str:
+def _compare(args: argparse.Namespace) -> Outcome:
     latency = {}
     slow = {}
-    for protocol in ("caesar", "epaxos", "m2paxos", "mencius", "multipaxos"):
+    for protocol in PROTOCOLS:
         latency[protocol] = {}
         slow[protocol] = {}
         for conflicts in args.conflicts:
@@ -474,50 +466,12 @@ def _compare(args: argparse.Namespace) -> str:
             slow[protocol][key] = ratio * 100.0 if ratio is not None else None
     return (format_series("Mean latency (ms) across sites", latency, "conflict")
             + "\n\n"
-            + format_series("Slow-path share (%)", slow, "conflict"))
+            + format_series("Slow-path share (%)", slow, "conflict")), 0
 
 
-def _figure(args: argparse.Namespace) -> str:
-    driver = FIGURE_DRIVERS[args.number]
-    overrides = QUICK_OVERRIDES[args.number] if args.quick else {}
-    result = driver(**overrides)
-    return result.table
-
-
-def _sweeps_behind(result) -> list:
-    """The SweepResults behind one FigureResult (two for Figure 9b)."""
-    if "sweep" in result.extra:
-        return [result.extra["sweep"]]
-    return [result.extra[key].extra["sweep"]
-            for key in ("without", "with_batching") if key in result.extra]
-
-
-def _combined_record(name: str, sweeps, wall_seconds: float) -> PerfRecord:
-    """One BENCH record aggregating every sweep a figure driver ran.
-
-    ``wall_seconds`` is the observed wall time across all of them, so the
-    merged events/second and speedup estimate describe the whole figure
-    regeneration, not just the first sub-sweep.
-    """
-    events = sum(sweep.events_executed for sweep in sweeps)
-    cells = sum(len(sweep.outcomes) for sweep in sweeps)
-    cell_wall = sum(sweep.cell_wall_seconds for sweep in sweeps)
-    skipped = sum(sweep.skipped for sweep in sweeps)
-    timing = {
-        "parts": cells,
-        "cell_wall_seconds": round(cell_wall, 3),
-        "workers": max(sweep.workers for sweep in sweeps),
-        "cpus": os.cpu_count(),
-    }
-    if wall_seconds > 0:
-        timing["parallel_speedup_estimate"] = round(cell_wall / wall_seconds, 2)
-    extra = {"cells": cells, TIMING_EXTRA_KEY: timing}
-    if skipped:
-        extra["cells_skipped"] = skipped
-    return PerfRecord(
-        name=name, wall_seconds=wall_seconds, events_executed=events,
-        events_per_second=(events / wall_seconds) if wall_seconds > 0 else 0.0,
-        extra=extra)
+def _figure(args: argparse.Namespace) -> Outcome:
+    driver, overrides = _driver(args.number, args.quick)
+    return driver(**overrides).table, 0
 
 
 def _list_cells(args: argparse.Namespace, targets: list) -> str:
@@ -526,8 +480,7 @@ def _list_cells(args: argparse.Namespace, targets: list) -> str:
 
     outputs = []
     for target in targets:
-        driver = FIGURE_DRIVERS[target]
-        overrides = dict(QUICK_OVERRIDES[target]) if args.quick else {}
+        driver, overrides = _driver(target, args.quick)
         with planning_sweeps() as plan:
             driver(serial=True, cell_filter=args.cells, **overrides)
         selected = len(plan.selected)
@@ -538,52 +491,41 @@ def _list_cells(args: argparse.Namespace, targets: list) -> str:
     return "\n\n".join(outputs)
 
 
-def _sweep(args: argparse.Namespace) -> str:
+def _sweep(args: argparse.Namespace) -> Outcome:
     targets = list(FIGURE_DRIVERS) if "all" in args.figures else list(args.figures)
     # Preserve figure order, drop duplicates.
     targets = sorted(set(targets), key=_figure_order)
     if args.list_cells:
-        return _list_cells(args, targets)
-    store = _open_store(args)
+        return _list_cells(args, targets), 0
     outputs = []
     for target in targets:
-        driver = FIGURE_DRIVERS[target]
-        overrides = dict(QUICK_OVERRIDES[target]) if args.quick else {}
-        started = time.perf_counter()
+        driver, overrides = _driver(target, args.quick)
         result = driver(workers=args.workers, serial=args.serial,
                         cell_filter=args.cells, **overrides)
-        wall = time.perf_counter() - started
         name = driver.__name__
-
-        record = _combined_record(f"sweep_{name}", _sweeps_behind(result), wall)
-        record.series = {label: {str(x): y for x, y in points.items()}
-                         for label, points in result.series.items()}
+        record = result.extra["sweep"].perf_record(f"sweep_{name}")
+        record.series = _series_json(result.series)
 
         args.out.mkdir(parents=True, exist_ok=True)
         table_path = args.out / f"sweep_{name}.txt"
         table_path.write_text(result.table + "\n")
         record_path = write_record(record, args.out, stable=args.stable_records)
-        stored = ""
-        if store is not None:
-            # The store row carries the same payload as the BENCH file and is
-            # keyed by its exact name, so the perf gate can use the latest
-            # stored row per record as its baseline.
-            run_id = store.record_run(
-                "bench", record_path.name, substrate="sim",
-                config={"figure": target, "quick": args.quick},
-                metrics=record.to_json())
-            stored = f"; stored as run {run_id}"
+        # The store row carries the same payload as the BENCH file and is
+        # keyed by its exact name, so the perf gate can use the latest
+        # stored row per record as its baseline.
+        stored = _store_run(args, "bench", label=record_path.name, substrate="sim",
+                            config={"figure": target, "quick": args.quick},
+                            metrics=record.to_json())
         outputs.append(f"{result.table}\n\n"
                        f"[sweep {target}: {len(record.series)} series, "
-                       f"{record.extra['cells']} cells, wall {wall:.1f}s; "
-                       f"wrote {table_path} and {record_path}{stored}]")
-    if store is not None:
-        store.close()
-    return "\n\n".join(outputs)
+                       f"{record.extra['cells']} cells, wall {record.wall_seconds:.1f}s; "
+                       f"wrote {table_path} and {record_path}]"
+                       + (f"\n{stored}" if stored else ""))
+    return "\n\n".join(outputs), 0
 
 
-def _shard(args: argparse.Namespace) -> tuple:
-    """Run the sharded-keyspace study; returns ``(output, exit_code)``.
+def _shard(args: argparse.Namespace) -> Outcome:
+    """Run the sharded-keyspace study.
 
     Exit code 1 unless every submitted command was decided on every live
     replica of its shard and no shard saw a conflict-order violation — the
@@ -601,60 +543,27 @@ def _shard(args: argparse.Namespace) -> tuple:
     lines = [result.table, "",
              f"conflict-order violations: {violations}",
              f"undecided commands:        {undecided}"]
-    store = _open_store(args)
-    if store is not None:
-        with store:
-            run_id = store.record_run(
-                "sweep", args.label, protocol=args.protocol, substrate="sim",
-                seed=args.seed,
-                config={"shards": list(args.shards), "skew": list(args.skew),
-                        "sites": args.sites,
-                        "replicas_per_site": args.replicas_per_site,
-                        "clients": args.clients, "commands": args.commands},
-                metrics={"series": {label: {str(x): y for x, y in points.items()}
-                                    for label, points in result.series.items()},
-                         "total_violations": violations,
-                         "total_undecided": undecided})
-        lines.append(f"[stored as run {run_id} in {args.store}]")
+    stored = _store_run(
+        args, "sweep", protocol=args.protocol, substrate="sim", seed=args.seed,
+        config={"shards": list(args.shards), "skew": list(args.skew),
+                "sites": args.sites, "replicas_per_site": args.replicas_per_site,
+                "clients": args.clients, "commands": args.commands},
+        metrics={"series": _series_json(result.series),
+                 "total_violations": violations, "total_undecided": undecided})
+    if stored:
+        lines.append(stored)
     ok = violations == 0 and undecided == 0
     lines.append(f"verdict: {'PASS' if ok else 'FAIL'}")
     return "\n".join(lines), 0 if ok else 1
 
 
-def _chaos_single(result) -> str:
-    """Render one ChaosResult in full detail."""
-    lines = [result.plan.describe(), ""]
-    lines.append("nemesis log:")
-    lines.extend(f"  t={when:>7.0f}ms  {what}" for when, what in result.nemesis_log)
-    stats = result.client_stats
-    lines.append("")
-    lines.append(f"client operations:  {stats.total} taped, {stats.completed} completed, "
-                 f"{stats.pending} pending, {stats.keys} keys")
-    lines.append(f"decisions:          {result.fast_decisions} fast, "
-                 f"{result.slow_decisions} slow, {result.recoveries} recoveries")
-    if result.fault_stats:
-        lines.append("fault plane:        "
-                     + ", ".join(f"{k}={v}" for k, v in sorted(result.fault_stats.items())))
-    lines.append(f"progress after heal: {result.probes_completed}/{result.probes_submitted}"
-                 f" probes completed")
-    lines.append(f"linearizability:    {result.report.describe()}")
-    if result.internal_violations:
-        lines.append(f"internal divergence: {len(result.internal_violations)} violations")
-    lines.append("")
-    lines.append(f"verdict: {result.verdict()}")
-    return "\n".join(lines)
-
-
-def _chaos(args: argparse.Namespace) -> tuple:
-    """Run the chaos subcommand; returns ``(output, exit_code)``."""
-    from repro.chaos.nemesis import NEMESIS_SCHEDULES, random_plan
-    from repro.harness.chaos import (ChaosConfig, default_conformance_schedules,
-                                     format_matrix, run_chaos, run_conformance_matrix)
+def _chaos(args: argparse.Namespace) -> Outcome:
+    from repro.chaos.nemesis import random_plan
+    from repro.harness.chaos import (ChaosConfig, format_matrix, format_result,
+                                     run_chaos, run_conformance_matrix)
     from repro.sim.random import DeterministicRandom
 
     if args.list_schedules:
-        from repro.chaos.nemesis import CONFORMANCE_SCHEDULES
-
         lines = ["named nemesis schedules ('*' = in the conformance set):"]
         for name, builder in sorted(NEMESIS_SCHEDULES.items()):
             marker = "*" if name in CONFORMANCE_SCHEDULES else " "
@@ -663,10 +572,9 @@ def _chaos(args: argparse.Namespace) -> tuple:
 
     kwargs = ChaosConfig.kwargs_from_args(args)
     if args.matrix:
-        protocols = args.protocols or ["caesar", "epaxos", "m2paxos", "mencius",
-                                       "multipaxos"]
-        schedules = args.schedules or default_conformance_schedules()
-        results = run_conformance_matrix(protocols, schedules, **kwargs)
+        results = run_conformance_matrix(args.protocols or list(PROTOCOLS),
+                                         args.schedules or list(CONFORMANCE_SCHEDULES),
+                                         **kwargs)
         ok = all(result.ok for result in results)
         return format_matrix(results), 0 if ok else 1
 
@@ -688,50 +596,49 @@ def _chaos(args: argparse.Namespace) -> tuple:
         return "\n".join(outputs), 0 if failures == 0 else 1
 
     result = run_chaos(ChaosConfig.from_args(args))
-    return _chaos_single(result), 0 if result.ok else 1
+    return format_result(result), 0 if result.ok else 1
 
 
-def _serve(args: argparse.Namespace) -> int:
-    """Run the serve subcommand; blocks until interrupted."""
+def _serve(args: argparse.Namespace) -> Outcome:
+    """Run the serve subcommand; prints as it goes and blocks until interrupted."""
     from repro.net.cluster import ServeConfig, serve_cluster
-    from repro.net.replica import ReplicaConfig, serve_replica
+    from repro.net.replica import serve_replica
 
     config = ServeConfig.from_args(args)
     if args.node_id is not None:
         # Multi-host mode: one replica in the foreground of this process.
         if config.peers is None:
-            print("serve --node-id requires an explicit --peer map", file=sys.stderr)
-            return 2
+            args.fail("--node-id requires an explicit --peer map")
+        if args.node_id not in config.peers:
+            args.fail(f"--node-id {args.node_id} is not in the --peer map "
+                      f"(ids: {sorted(config.peers)})")
         import asyncio
 
-        replica_config = ReplicaConfig(
-            node_id=args.node_id, peers=config.peers, protocol=config.protocol,
-            seed=config.seed, retransmit=config.retransmit, recovery=config.recovery,
-            admission=config.admission)
         host, port = config.peers[args.node_id]
-        print(f"replica {args.node_id} ({config.protocol}) listening on {host}:{port}")
+        print(f"replica {args.node_id} ({config.protocol}) listening on {host}:{port}",
+              flush=True)
         try:
-            asyncio.run(serve_replica(replica_config))
+            asyncio.run(serve_replica(config.replica_config(args.node_id, config.peers)))
         except KeyboardInterrupt:
             pass
-        return 0
+        return "", 0
 
     cluster = serve_cluster(config)
     try:
         print(f"{config.protocol} cluster up — {len(cluster.peers)} replicas:")
         for node_id, (host, port) in sorted(cluster.peers.items()):
             print(f"  --endpoint {node_id}={host}:{port}")
-        print("press Ctrl-C to stop")
+        print("press Ctrl-C to stop", flush=True)
         for process in cluster.processes.values():
             process.join()
-        return 0
     except KeyboardInterrupt:
-        return 0
+        pass
     finally:
         cluster.stop()
+    return "", 0
 
 
-def _loadgen(args: argparse.Namespace) -> int:
+def _loadgen(args: argparse.Namespace) -> Outcome:
     """Run the loadgen subcommand; exit code 1 on missing decisions."""
     from repro.net.client import LoadgenConfig, run_loadgen
     from repro.net.cluster import ServeConfig, parse_peers, serve_cluster
@@ -744,47 +651,28 @@ def _loadgen(args: argparse.Namespace) -> int:
     else:
         endpoints = parse_peers(args.endpoint or [])
         if not endpoints:
-            print("loadgen needs --endpoint entries or --launch N", file=sys.stderr)
-            return 2
+            args.fail("needs --endpoint entries or --launch N")
     try:
         report = run_loadgen(LoadgenConfig.from_args(args, endpoints))
     finally:
         if cluster is not None:
             cluster.stop()
-    store = _open_store(args)
-    if store is not None:
-        metrics = {key: value for key, value in report.as_dict().items()
-                   if key != "per_replica"}
-        with store:
-            run_id = store.record_run(
-                "loadgen", args.label, protocol=args.protocol, substrate="tcp",
-                seed=args.seed,
-                config={"clients": args.clients, "commands": args.commands,
-                        "open_loop": args.open_loop, "rate": args.rate,
-                        "duration_ms": args.duration, "warmup_ms": args.warmup_ms,
-                        "admission": args.admission},
-                metrics=metrics)
-        print(f"[stored as run {run_id} in {args.store}]", file=sys.stderr)
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2))
-    else:
-        lines = [f"completed:  {report.completed}/{report.submitted} commands "
-                 f"in {report.wall_seconds:.1f}s "
-                 f"({report.throughput_per_second:.1f}/s)"]
-        if report.mean_latency_ms is not None:
-            lines.append(f"latency:    mean {report.mean_latency_ms:.1f} ms, "
-                         f"p99 {report.p99_latency_ms:.1f} ms")
-        for node_id, stats in sorted(report.per_replica.items()):
-            executed = stats.get("commands_executed", "n/a")
-            lines.append(f"replica {node_id}:  executed {executed}, "
-                         f"handled {stats.get('messages_handled', 'n/a')} messages")
-        lines.append("result:     " + ("ok" if report.ok else "FAILED"))
-        lines.extend(f"  - {failure}" for failure in report.failures)
-        print("\n".join(lines))
-    return 0 if report.ok else 1
+    stored = _store_run(
+        args, "loadgen", protocol=args.protocol, substrate="tcp", seed=args.seed,
+        config={"clients": args.clients, "commands": args.commands,
+                "open_loop": args.open_loop, "rate": args.rate,
+                "duration_ms": args.duration, "warmup_ms": args.warmup_ms,
+                "admission": args.admission},
+        metrics={key: value for key, value in report.as_dict().items()
+                 if key != "per_replica"})
+    if stored:
+        # Not part of the report: --json output must stay parseable.
+        print(stored, file=sys.stderr)
+    text = json.dumps(report.as_dict(), indent=2) if args.json else report.describe()
+    return text, 0 if report.ok else 1
 
 
-def _overload(args: argparse.Namespace) -> str:
+def _overload(args: argparse.Namespace) -> Outcome:
     """Run the overload subcommand (offered-load sweep + optional store)."""
     from repro.harness.overload import (OverloadConfig, run_overload_sweep,
                                         store_overload_result)
@@ -801,12 +689,9 @@ def _overload(args: argparse.Namespace) -> str:
                             indent=2)
     else:
         output = result.table()
-    store = _open_store(args)
-    if store is not None:
-        with store:
-            run_id = store_overload_result(store, result, label=args.label)
-        output += f"\n[stored as run {run_id} in {args.store}]"
-    return output
+    stored = _with_store(args, lambda store: store_overload_result(
+        store, result, label=args.label))
+    return output + (f"\n{stored}" if stored else ""), 0
 
 
 #: Decision-path modules summarized by ``repro profile`` (path fragments
@@ -815,7 +700,7 @@ DECISION_PATH_MODULES = ("repro/core/history", "repro/core/predecessors",
                          "repro/core/delivery", "repro/core/caesar")
 
 
-def _profile(args: argparse.Namespace) -> str:
+def _profile(args: argparse.Namespace) -> Outcome:
     """Run the profile subcommand: cProfile one figure sweep and summarize it.
 
     Prints the pstats top-N table plus a decision-path section (call counts
@@ -829,8 +714,7 @@ def _profile(args: argparse.Namespace) -> str:
 
     from repro.metrics.perf import PerfTracker
 
-    driver = FIGURE_DRIVERS[args.number]
-    overrides = dict(QUICK_OVERRIDES[args.number]) if args.quick else {}
+    driver, overrides = _driver(args.number, args.quick)
     profiler = cProfile.Profile()
     with PerfTracker(f"profile_{driver.__name__}") as tracker:
         profiler.enable()
@@ -877,79 +761,36 @@ def _profile(args: argparse.Namespace) -> str:
             "calls": calls, "ops_per_second": round(ops, 1),
             "tottime_s": round(tottime, 3), "cumtime_s": round(cumtime, 3)}
 
-    store = _open_store(args)
-    if store is not None:
-        with store:
-            run_id = store.record_run(
-                "bench", args.label, substrate="sim",
-                config={"figure": args.number, "quick": args.quick,
-                        "cells": args.cells},
-                metrics={"wall_seconds": round(wall, 3),
-                         "events_executed": record.events_executed,
-                         "events_per_second": round(record.events_per_second, 1),
-                         "decision_path": decision_path_metrics})
-        lines.append(f"\n[stored as run {run_id} in {args.store}]")
-    return "\n".join(lines)
+    stored = _store_run(
+        args, "bench", substrate="sim",
+        config={"figure": args.number, "quick": args.quick, "cells": args.cells},
+        metrics={"wall_seconds": round(wall, 3),
+                 "events_executed": record.events_executed,
+                 "events_per_second": round(record.events_per_second, 1),
+                 "decision_path": decision_path_metrics})
+    if stored:
+        lines.append(f"\n{stored}")
+    return "\n".join(lines), 0
 
 
-def _report(args: argparse.Namespace) -> str:
+def _report(args: argparse.Namespace) -> Outcome:
     """Run the report subcommand (read-only over the results store)."""
-    from repro.metrics.report import render_report
-    from repro.metrics.store import ResultsStore
-
     path = pathlib.Path(args.store)
     if not path.exists():
         return (f"no results store at {path} — run a subcommand with --store "
-                "first (e.g. 'repro overload --store')")
+                "first (e.g. 'repro overload --store')"), 0
     with ResultsStore(path) as store:
         return render_report(store, kind=args.kind, label=args.label,
-                             limit=args.limit, points=args.points)
+                             limit=args.limit, points=args.points), 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        output = _run(args)
-    elif args.command == "compare":
-        output = _compare(args)
-    elif args.command == "figure":
-        output = _figure(args)
-    elif args.command == "sweep":
-        output = _sweep(args)
-    elif args.command == "shard":
-        output, code = _shard(args)
-        print(output)
-        return code
-    elif args.command == "chaos":
-        output, code = _chaos(args)
-        print(output)
-        return code
-    elif args.command == "serve":
-        return _serve(args)
-    elif args.command == "loadgen":
-        return _loadgen(args)
-    elif args.command == "overload":
-        output = _overload(args)
-    elif args.command == "profile":
-        output = _profile(args)
-    elif args.command == "report":
-        output = _report(args)
-    elif args.command == "topology":
-        output = ec2_five_sites().describe()
-    else:  # pragma: no cover - argparse enforces the choices
-        parser.error(f"unknown command {args.command!r}")
-        return 2
-    print(output)
-    return 0
-
-
-def main_deprecated(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point of the deprecated ``caesar-repro`` alias."""
-    print("caesar-repro is deprecated; use the 'repro' command instead",
-          file=sys.stderr)
-    return main(argv)
+    args = build_parser().parse_args(argv)
+    text, code = args.handler(args)
+    if text:
+        print(text)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

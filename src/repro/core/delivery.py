@@ -213,6 +213,10 @@ class HistoryCompactor:
 
     def __init__(self, replicas: Sequence[object], set_timer: Callable,
                  interval_ms: float) -> None:
+        if interval_ms <= 0:
+            # A zero interval would re-arm the timer at the same virtual
+            # instant forever and the simulation would never advance.
+            raise ValueError(f"history GC interval must be > 0 ms, got {interval_ms}")
         self._replicas = [r for r in replicas
                           if hasattr(r, "history") and hasattr(r, "delivery")]
         self._set_timer = set_timer

@@ -210,10 +210,6 @@ class CommandHistory:
         """Index of an already-interned id, ``None`` if never seen."""
         return self._index_of.get(command_id)
 
-    def id_at(self, index: int) -> CommandId:
-        """The command id interned at ``index``."""
-        return self._id_of[index]
-
     def entry_at(self, index: int) -> Optional[HistoryEntry]:
         """The live entry for an interned index, ``None`` when absent."""
         return self._entry_by_index[index]
@@ -347,11 +343,6 @@ class CommandHistory:
         if entry is None:
             return _EMPTY_IDS
         return entry.predecessors
-
-    def predecessor_mask_of(self, command_id: CommandId) -> int:
-        """Bitmask variant of :meth:`predecessors_of` (no allocation at all)."""
-        entry = self._entries.get(command_id)
-        return entry.pred_mask if entry is not None else 0
 
     def status_of(self, command_id: CommandId) -> Optional[CommandStatus]:
         """Status of a command, or ``None`` if unknown."""

@@ -1,34 +1,1 @@
 """Experiment harness: cluster construction, workload drivers and figure reproduction."""
-
-from repro.harness.cluster import PROTOCOLS, Cluster, ClusterConfig, build_cluster
-from repro.harness.experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    run_experiment,
-    summarize_experiment,
-)
-from repro.harness.report import format_table
-from repro.harness.sweep import (
-    SweepCell,
-    SweepError,
-    SweepResult,
-    run_sweep,
-    sweep_cell,
-)
-
-__all__ = [
-    "Cluster",
-    "ClusterConfig",
-    "build_cluster",
-    "PROTOCOLS",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "run_experiment",
-    "summarize_experiment",
-    "format_table",
-    "SweepCell",
-    "SweepError",
-    "SweepResult",
-    "run_sweep",
-    "sweep_cell",
-]

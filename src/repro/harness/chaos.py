@@ -26,18 +26,14 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.chaos.checker import DEFAULT_MAX_STATES, LinearizabilityReport, check_history
 from repro.chaos.history import HistoryTape, TapedClientStats
-from repro.chaos.nemesis import (
-    CONFORMANCE_SCHEDULES,
-    Nemesis,
-    NemesisPlan,
-    build_schedule,
-)
+from repro.chaos.nemesis import Nemesis, NemesisPlan, build_schedule
 from repro.consensus.command import Command
-from repro.consensus.interface import DecisionKind
 from repro.core.invariants import check_execution_consistency
 from repro.harness.cluster import ClusterConfig, build_cluster
+from repro.harness.experiment import count_decisions
+from repro.harness.protocols import constructor_options
 from repro.metrics.collector import MetricsCollector
-from repro.sim.network import NetworkConfig
+from repro.sim.network import NetworkConfig, flags_to_fields
 from repro.sim.topology import Topology
 from repro.workload.clients import ClientPool, ClosedLoopClient
 from repro.workload.generator import ConflictWorkload, WorkloadConfig
@@ -116,13 +112,11 @@ class ChaosConfig:
         hold = getattr(args, "hold", None)
         if hold is None:
             hold = 1000.0 if quick else 2000.0
-        kwargs: Dict[str, object] = dict(
-            seed=getattr(args, "seed", cls.seed),
-            clients_per_site=getattr(args, "clients", cls.clients_per_site),
-            conflict_rate=getattr(args, "conflicts", 50.0) / 100.0,
-            fault_at_ms=fault_at, fault_hold_ms=hold,
-            recovery=getattr(args, "recovery", False),
-            retransmit_enabled=not getattr(args, "no_retransmit", False))
+        kwargs = flags_to_fields(args, "seed", "recovery", clients="clients_per_site")
+        kwargs.update(fault_at_ms=fault_at, fault_hold_ms=hold,
+                      retransmit_enabled=not getattr(args, "no_retransmit", False))
+        if hasattr(args, "conflicts"):
+            kwargs["conflict_rate"] = args.conflicts / 100.0
         if quick:
             kwargs["settle_ms"] = 800.0
         return kwargs
@@ -131,10 +125,7 @@ class ChaosConfig:
     def from_args(cls, args, **overrides) -> "ChaosConfig":
         """Build a config from CLI-style args; keyword ``overrides`` win."""
         kwargs = cls.kwargs_from_args(args)
-        kwargs["protocol"] = getattr(args, "protocol", cls.protocol)
-        schedule = getattr(args, "nemesis", None)
-        if schedule is not None:
-            kwargs["schedule"] = schedule
+        kwargs.update(flags_to_fields(args, "protocol", nemesis="schedule"))
         kwargs.update(overrides)
         return cls(**kwargs)
 
@@ -187,7 +178,7 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
     cluster_config = ClusterConfig(
         protocol=config.protocol, topology=config.topology, seed=config.seed,
         network=config.network, retransmit=config.retransmit_enabled,
-        protocol_options=_chaos_protocol_options(config))
+        protocol_options=constructor_options(config.protocol, config.recovery))
     cluster = build_cluster(cluster_config)
     sim = cluster.sim
     tape = HistoryTape(sim)
@@ -248,13 +239,9 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
     report = check_history(tape, max_states_per_key=config.max_states_per_key)
     internal = check_execution_consistency(cluster.replicas)
 
-    fast = slow = recoveries = 0
+    fast, slow = count_decisions(cluster.replicas)
+    recoveries = 0
     for replica in cluster.replicas:
-        for decision in replica.completed_decisions():
-            if decision.kind is DecisionKind.FAST:
-                fast += 1
-            elif decision.kind is not None:
-                slow += 1
         stats = getattr(replica, "stats", None)
         if stats is not None:
             recoveries += (stats.recoveries + stats.recoveries_completed + stats.elections)
@@ -270,17 +257,6 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
         nemesis_log=list(nemesis.log), events_executed=sim.steps_executed)
 
 
-def _chaos_protocol_options(config: ChaosConfig) -> Dict[str, object]:
-    """Per-protocol constructor options for a chaos run."""
-    if config.protocol == "caesar":
-        from repro.core.config import CaesarConfig
-
-        return {"config": CaesarConfig(recovery_enabled=config.recovery)}
-    if config.protocol in ("epaxos", "multipaxos"):
-        return {"recovery_enabled": config.recovery}
-    return {}
-
-
 def run_conformance_matrix(protocols: Sequence[str], schedules: Sequence[str],
                            seed: int = 1, **overrides) -> List[ChaosResult]:
     """Run every protocol under every named schedule (the conformance matrix).
@@ -294,6 +270,30 @@ def run_conformance_matrix(protocols: Sequence[str], schedules: Sequence[str],
             results.append(run_chaos(ChaosConfig(protocol=protocol, schedule=schedule,
                                                  seed=seed, **overrides)))
     return results
+
+
+def format_result(result: ChaosResult) -> str:
+    """Render one ChaosResult in full detail."""
+    lines = [result.plan.describe(), ""]
+    lines.append("nemesis log:")
+    lines.extend(f"  t={when:>7.0f}ms  {what}" for when, what in result.nemesis_log)
+    stats = result.client_stats
+    lines.append("")
+    lines.append(f"client operations:  {stats.total} taped, {stats.completed} completed, "
+                 f"{stats.pending} pending, {stats.keys} keys")
+    lines.append(f"decisions:          {result.fast_decisions} fast, "
+                 f"{result.slow_decisions} slow, {result.recoveries} recoveries")
+    if result.fault_stats:
+        lines.append("fault plane:        "
+                     + ", ".join(f"{k}={v}" for k, v in sorted(result.fault_stats.items())))
+    lines.append(f"progress after heal: {result.probes_completed}/{result.probes_submitted}"
+                 f" probes completed")
+    lines.append(f"linearizability:    {result.report.describe()}")
+    if result.internal_violations:
+        lines.append(f"internal divergence: {len(result.internal_violations)} violations")
+    lines.append("")
+    lines.append(f"verdict: {result.verdict()}")
+    return "\n".join(lines)
 
 
 def format_matrix(results: Sequence[ChaosResult]) -> str:
@@ -319,8 +319,3 @@ def format_matrix(results: Sequence[ChaosResult]) -> str:
                      f"(probes {result.probes_completed}/{result.probes_submitted}; "
                      f"{result.report.describe()})")
     return "\n".join(lines)
-
-
-def default_conformance_schedules() -> List[str]:
-    """The named schedules every protocol is expected to pass (lossy included)."""
-    return list(CONFORMANCE_SCHEDULES)

@@ -9,17 +9,17 @@ exactly one way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.consensus.interface import ConsensusReplica
 from repro.consensus.quorums import QuorumSystem
-from repro.core.caesar import CaesarReplica
-from repro.core.config import CaesarConfig
-from repro.kvstore.store import KeyValueStore
+from repro.core.delivery import HistoryCompactor
+from repro.harness.protocols import build_replica
+from repro.runtime.admission import aggregate_admission
 from repro.sim.batching import BatchingConfig
 from repro.sim.costs import CostModel
 from repro.sim.failures import CrashInjector
-from repro.sim.network import Network, NetworkConfig
+from repro.sim.network import Network, NetworkConfig, flags_to_fields
 from repro.sim.simulator import Simulator
 from repro.sim.topology import Topology, ec2_five_sites
 
@@ -29,8 +29,7 @@ class ClusterConfig:
     """Everything needed to build a protocol cluster.
 
     Attributes:
-        protocol: registered protocol name (``caesar``, ``epaxos``,
-            ``multipaxos``, ``mencius``, ``m2paxos``).
+        protocol: a name in :data:`repro.harness.protocols.PROTOCOLS`.
         topology: latency topology; defaults to the paper's five EC2 sites.
         seed: simulation seed.
         network: jitter / loss configuration.
@@ -74,14 +73,10 @@ class ClusterConfig:
         ``--no-retransmit``) and delegates network flags to
         :meth:`NetworkConfig.from_args`.
         """
-        kwargs: Dict[str, object] = {
-            "protocol": getattr(args, "protocol", cls.protocol),
-            "seed": getattr(args, "seed", cls.seed),
-            "retransmit": not getattr(args, "no_retransmit", False),
-            "admission": getattr(args, "admission", None),
-            "history_gc_ms": getattr(args, "history_gc", None),
-            "network": NetworkConfig.from_args(args),
-        }
+        kwargs = flags_to_fields(args, "protocol", "seed", "admission",
+                                 history_gc="history_gc_ms")
+        kwargs["retransmit"] = not getattr(args, "no_retransmit", False)
+        kwargs["network"] = NetworkConfig.from_args(args)
         kwargs.update(overrides)
         return cls(**kwargs)
 
@@ -135,18 +130,11 @@ class Cluster:
     def start(self) -> None:
         """Start per-replica background machinery (failure detectors etc.)."""
         for replica in self.replicas:
-            start = getattr(replica, "start", None)
-            if callable(start):
-                start()
+            replica.start()
 
     def run(self, duration_ms: float) -> None:
         """Advance the simulation by ``duration_ms`` of virtual time."""
         self.sim.run(until=self.sim.now + duration_ms)
-
-    def run_until_quiescent(self, max_ms: Optional[float] = None) -> None:
-        """Run until no events remain (or until the optional time bound)."""
-        until = None if max_ms is None else self.sim.now + max_ms
-        self.sim.run(until=until)
 
     def all_executed(self, command_ids) -> bool:
         """Whether every live replica has executed every given command."""
@@ -209,61 +197,25 @@ class Cluster:
 
     def admission_snapshot(self):
         """Aggregated admission counters across all replicas (``None`` if unset)."""
-        from repro.runtime.admission import aggregate_admission
-
         return aggregate_admission(r.admission for r in self.replicas)
-
-
-def _build_caesar(node_id: int, sim: Simulator, network: Network, quorums: QuorumSystem,
-                  options: Dict[str, object], cost_model: Optional[CostModel]) -> ConsensusReplica:
-    return CaesarReplica(node_id, sim, network, quorums, KeyValueStore(),
-                         config=options.get("config", CaesarConfig()), cost_model=cost_model)
-
-
-#: Registry of protocol builders; the baseline protocols register themselves
-#: at import time in :mod:`repro.harness.protocols`.
-PROTOCOLS: Dict[str, Callable] = {"caesar": _build_caesar}
-
-
-def register_protocol(name: str, builder: Callable) -> None:
-    """Add a protocol builder to the registry (used by the baselines)."""
-    PROTOCOLS[name] = builder
 
 
 def build_cluster(config: Optional[ClusterConfig] = None) -> Cluster:
     """Construct a cluster for the configured protocol on the configured topology."""
-    # Importing the baseline registrations lazily avoids a circular import
-    # between the harness and the protocol packages.
-    from repro.harness import protocols as _protocols  # noqa: F401
-
     config = config or ClusterConfig()
-    if config.protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {config.protocol!r}; known: {sorted(PROTOCOLS)}")
     topology = config.topology or ec2_five_sites()
     sim = Simulator(seed=config.seed)
     network = Network(sim, topology, config.network)
     quorums = QuorumSystem.for_cluster(topology.size)
-    builder = PROTOCOLS[config.protocol]
-    replicas = [builder(node_id, sim, network, quorums, dict(config.protocol_options),
-                        config.cost_model)
+    replicas = [build_replica(config.protocol, node_id, sim, network, quorums,
+                              config.protocol_options, cost_model=config.cost_model,
+                              retransmit=config.retransmit, admission=config.admission)
                 for node_id in range(topology.size)]
     if config.batching is not None:
         for replica in replicas:
             replica.enable_batching(config.batching)
-    if not config.retransmit:
-        for replica in replicas:
-            configure = getattr(replica, "configure_retransmit", None)
-            if callable(configure):
-                configure(enabled=False)
-    if config.admission is not None:
-        from repro.runtime.admission import admission_policy
-
-        for replica in replicas:
-            replica.admission = admission_policy(config.admission)
     cluster = Cluster(config, sim, network, topology, replicas)
     if config.history_gc_ms is not None:
-        from repro.core.delivery import HistoryCompactor
-
         # The compactor is a cluster-level oracle (it needs every replica's
         # delivered_order), so its timer lives on the simulator rather than on
         # any one replica — a replica crash must not stop collection.

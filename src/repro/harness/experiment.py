@@ -10,16 +10,16 @@ counts, wait times, per-phase breakdowns) and a consistency check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.consensus.interface import DecisionKind
-from repro.core.config import CaesarConfig
 from repro.harness.cluster import Cluster, ClusterConfig, build_cluster
+from repro.harness.protocols import constructor_options
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.stats import LatencySummary, summarize_latencies
 from repro.sim.batching import BatchingConfig
 from repro.sim.costs import CostModel
-from repro.sim.network import NetworkConfig
+from repro.sim.network import NetworkConfig, flags_to_fields
 from repro.sim.topology import Topology
 from repro.workload.clients import ClientPool, ClosedLoopClient, OpenLoopClient
 from repro.workload.generator import WorkloadConfig, build_workload
@@ -30,8 +30,7 @@ class ExperimentConfig:
     """Description of one experiment run.
 
     Attributes:
-        protocol: protocol name (``caesar``, ``epaxos``, ``multipaxos``,
-            ``mencius``, ``m2paxos``).
+        protocol: a name in :data:`repro.harness.protocols.PROTOCOLS`.
         conflict_rate: fraction of commands drawn from the shared key pool.
         clients_per_site: number of clients co-located with each replica.
         open_loop: ``False`` = closed-loop clients (latency experiments),
@@ -93,15 +92,9 @@ class ExperimentConfig:
         :class:`ExperimentConfig`.  Warm-up defaults to a quarter of the
         duration, capped at 2 s, as the figure experiments use.
         """
-        kwargs: Dict[str, object] = {
-            "protocol": getattr(args, "protocol", cls.protocol),
-            "seed": getattr(args, "seed", cls.seed),
-            "clients_per_site": getattr(args, "clients", cls.clients_per_site),
-            "recovery": getattr(args, "recovery", False),
-            "retransmit": not getattr(args, "no_retransmit", False),
-            "admission": getattr(args, "admission", None),
-            "history_gc_ms": getattr(args, "history_gc", None),
-        }
+        kwargs = flags_to_fields(args, "protocol", "seed", "recovery", "admission",
+                                 clients="clients_per_site", history_gc="history_gc_ms")
+        kwargs["retransmit"] = not getattr(args, "no_retransmit", False)
         conflicts = getattr(args, "conflicts", None)
         if isinstance(conflicts, (int, float)):
             kwargs["conflict_rate"] = conflicts / 100.0
@@ -148,19 +141,6 @@ class ExperimentResult:
         return summary.mean if summary is not None else None
 
 
-def _protocol_options(config: ExperimentConfig) -> Dict[str, object]:
-    """Translate the generic experiment settings into per-protocol kwargs."""
-    options = dict(config.protocol_options)
-    if config.protocol == "caesar":
-        caesar_config = options.get("config")
-        if caesar_config is None:
-            caesar_config = CaesarConfig(recovery_enabled=config.recovery)
-            options["config"] = caesar_config
-    elif config.protocol in ("epaxos", "multipaxos"):
-        options.setdefault("recovery_enabled", config.recovery)
-    return options
-
-
 def build_experiment_cluster(config: ExperimentConfig) -> Cluster:
     """Build (but do not run) the cluster an experiment will use."""
     cluster_config = ClusterConfig(protocol=config.protocol, topology=config.topology,
@@ -169,7 +149,9 @@ def build_experiment_cluster(config: ExperimentConfig) -> Cluster:
                                    retransmit=config.retransmit,
                                    admission=config.admission,
                                    history_gc_ms=config.history_gc_ms,
-                                   protocol_options=_protocol_options(config))
+                                   protocol_options=constructor_options(
+                                       config.protocol, config.recovery,
+                                       config.protocol_options))
     return build_cluster(cluster_config)
 
 
@@ -243,6 +225,18 @@ def summarize_experiment(result: ExperimentResult) -> Dict[str, object]:
     }
 
 
+def count_decisions(replicas) -> Tuple[int, int]:
+    """Completed decisions across ``replicas`` as ``(fast, slow)`` counts."""
+    fast = slow = 0
+    for replica in replicas:
+        for decision in replica.completed_decisions():
+            if decision.kind is DecisionKind.FAST:
+                fast += 1
+            elif decision.kind is not None:
+                slow += 1
+    return fast, slow
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one experiment end to end and return its measurements."""
     cluster = build_experiment_cluster(config)
@@ -257,16 +251,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         cluster.run(config.drain_ms)
 
     per_site = per_site_latency_summaries(cluster.topology, metrics)
-
-    fast = 0
-    slow = 0
-    for replica in cluster.replicas:
-        for decision in replica.completed_decisions():
-            if decision.kind is DecisionKind.FAST:
-                fast += 1
-            elif decision.kind is not None:
-                slow += 1
-
+    fast, slow = count_decisions(cluster.replicas)
     return ExperimentResult(
         config=config,
         cluster=cluster,

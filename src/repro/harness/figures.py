@@ -30,9 +30,9 @@ from repro.harness.experiment import (
     attach_clients,
     build_experiment_cluster,
 )
-from repro.harness.report import format_series
 from repro.harness.sweep import run_sweep, sweep_cell
 from repro.metrics.collector import MetricsCollector
+from repro.metrics.report import format_series
 from repro.sim.batching import BatchingConfig
 from repro.sim.costs import CostModel
 from repro.sim.failures import ScheduledCrash
@@ -314,7 +314,8 @@ def figure9_throughput_batching(conflict_rates: Sequence[float] = PAPER_CONFLICT
                         description="Throughput vs conflict percentage, batching on vs off",
                         series=series,
                         table=without.table + "\n\n" + with_batching.table,
-                        extra={"without": without, "with_batching": with_batching})
+                        extra={"without": without, "with_batching": with_batching,
+                               "sweep": without.extra["sweep"] + with_batching.extra["sweep"]})
 
 
 # --------------------------------------------------------------------------

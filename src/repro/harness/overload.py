@@ -22,14 +22,15 @@ with admission control the p99 stays bounded at a small goodput cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.experiment import ExperimentConfig, ExperimentResult, run_experiment
-from repro.harness.report import format_table
 from repro.harness.sweep import run_sweep, sweep_cell
+from repro.metrics.report import format_table
 from repro.metrics.stats import summarize_latencies
 from repro.sim.costs import CostModel
+from repro.sim.network import flags_to_fields
 from repro.sim.topology import ec2_five_sites
 
 #: Goodput below this fraction of offered load marks a point as saturated
@@ -90,25 +91,17 @@ class OverloadConfig:
     @classmethod
     def from_args(cls, args, **overrides) -> "OverloadConfig":
         """Build a config from CLI args (single place flags become a config)."""
-        kwargs = dict(protocol=getattr(args, "protocol", "caesar"),
-                      substrate=getattr(args, "substrate", "sim"),
-                      seed=getattr(args, "seed", 1),
-                      clients_per_site=getattr(args, "clients", 4),
-                      clients=getattr(args, "clients", 4),
-                      replicas=getattr(args, "replicas", 3),
-                      duration_ms=getattr(args, "duration", 4000.0),
-                      admission=getattr(args, "admission", None),
-                      workers=getattr(args, "workers", None),
-                      history_gc_ms=getattr(args, "history_gc", None))
+        kwargs = flags_to_fields(
+            args, "protocol", "substrate", "seed", "clients", "replicas", "warmup_ms",
+            "admission", "workers", duration="duration_ms", history_gc="history_gc_ms")
+        if "clients" in kwargs:
+            kwargs["clients_per_site"] = kwargs["clients"]
         loads = getattr(args, "offered", None)
         if loads:
             kwargs["offered_loads"] = tuple(float(load) for load in loads)
         conflicts = getattr(args, "conflicts", None)
         if isinstance(conflicts, (int, float)):
             kwargs["conflict_rate"] = conflicts / 100.0
-        warmup = getattr(args, "warmup_ms", None)
-        if warmup is not None:
-            kwargs["warmup_ms"] = warmup
         kwargs.update(overrides)
         return cls(**kwargs)
 
@@ -135,15 +128,7 @@ class LoadPoint:
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-friendly view of the point."""
-        return {"offered_per_second": self.offered_per_second,
-                "submitted": self.submitted, "completed": self.completed,
-                "rejected": self.rejected,
-                "goodput_per_second": self.goodput_per_second,
-                "mean_latency_ms": self.mean_latency_ms,
-                "p50_latency_ms": self.p50_latency_ms,
-                "p99_latency_ms": self.p99_latency_ms,
-                "p999_latency_ms": self.p999_latency_ms,
-                "admission": self.admission}
+        return asdict(self)
 
 
 @dataclass
@@ -211,7 +196,7 @@ class OverloadResult:
 
 
 def collect_overload_point(result: ExperimentResult) -> Dict[str, object]:
-    """Reduce one sim experiment to an overload point payload.
+    """Reduce one sim experiment to :class:`LoadPoint`'s measured fields.
 
     Module-level so sweep workers can pickle it by reference.  Submitted /
     rejected counts come from the cluster's admission snapshot (the driver
@@ -268,16 +253,7 @@ def _sim_points(config: OverloadConfig) -> List[LoadPoint]:
     points = []
     for offered, cell in zip(config.offered_loads, cells):
         payload = sweep.payload(cell.key)
-        points.append(LoadPoint(offered_per_second=offered,
-                                submitted=payload["submitted"],
-                                completed=payload["completed"],
-                                rejected=payload["rejected"],
-                                goodput_per_second=payload["goodput_per_second"],
-                                mean_latency_ms=payload["mean_latency_ms"],
-                                p50_latency_ms=payload["p50_latency_ms"],
-                                p99_latency_ms=payload["p99_latency_ms"],
-                                p999_latency_ms=payload["p999_latency_ms"],
-                                admission=payload["admission"]))
+        points.append(LoadPoint(offered_per_second=offered, **payload))
     return points
 
 

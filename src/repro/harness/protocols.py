@@ -1,12 +1,17 @@
-"""Protocol registry glue: register every baseline with the cluster builder.
+"""The protocol table: the one module that knows which protocols exist.
 
-Importing this module makes all protocols available to
-:func:`repro.harness.cluster.build_cluster` under their canonical names.
+Everything that needs "the protocols" derives it from :data:`PROTOCOLS` —
+the CLI's ``--protocol`` choices, ``repro compare``'s rows, the chaos
+matrix default — and every replica, on either substrate, is constructed by
+:func:`build_replica`: the simulator's ``build_cluster`` and the TCP
+``ReplicaServer.start`` both call it, so a baseline cannot end up configured
+differently from CAESAR without this module saying so.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Mapping, Optional
 
 from repro.baselines.epaxos import EPaxosReplica
 from repro.baselines.m2paxos import M2PaxosReplica
@@ -14,41 +19,92 @@ from repro.baselines.mencius import MenciusReplica
 from repro.baselines.multipaxos import MultiPaxosReplica
 from repro.consensus.interface import ConsensusReplica
 from repro.consensus.quorums import QuorumSystem
-from repro.harness.cluster import register_protocol
+from repro.core.caesar import CaesarReplica
+from repro.core.config import CaesarConfig
 from repro.kvstore.store import KeyValueStore
+from repro.runtime.admission import admission_policy
 from repro.sim.costs import CostModel
-from repro.sim.network import Network
-from repro.sim.simulator import Simulator
 
 
-def _build_epaxos(node_id: int, sim: Simulator, network: Network, quorums: QuorumSystem,
-                  options: Dict[str, object], cost_model: Optional[CostModel]) -> ConsensusReplica:
-    return EPaxosReplica(node_id, sim, network, quorums, KeyValueStore(),
-                         cost_model=cost_model, **options)
+@dataclass(frozen=True)
+class Protocol:
+    """One row of the protocol table.
+
+    Attributes:
+        replica_class: the replica constructor, called as
+            ``replica_class(node_id, clock, network, quorums, state_machine,
+            cost_model=..., **options)``.
+        recovery_options: how the generic ``recovery`` on/off switch reaches
+            that constructor, as ``on -> options``; ``None`` for protocols
+            without recovery machinery.
+    """
+
+    replica_class: Callable[..., ConsensusReplica]
+    recovery_options: Optional[Callable[[bool], Dict[str, object]]] = None
 
 
-def _build_multipaxos(node_id: int, sim: Simulator, network: Network, quorums: QuorumSystem,
-                      options: Dict[str, object],
-                      cost_model: Optional[CostModel]) -> ConsensusReplica:
-    return MultiPaxosReplica(node_id, sim, network, quorums, KeyValueStore(),
-                             cost_model=cost_model, **options)
+def _recovery_flag(on: bool) -> Dict[str, object]:
+    return {"recovery_enabled": on}
 
 
-def _build_mencius(node_id: int, sim: Simulator, network: Network, quorums: QuorumSystem,
-                   options: Dict[str, object],
-                   cost_model: Optional[CostModel]) -> ConsensusReplica:
-    return MenciusReplica(node_id, sim, network, quorums, KeyValueStore(),
-                          cost_model=cost_model, **options)
+#: Every protocol, in display order (CLI choices, compare rows, chaos matrix).
+PROTOCOLS: Dict[str, Protocol] = {
+    "caesar": Protocol(CaesarReplica,
+                       lambda on: {"config": CaesarConfig(recovery_enabled=on)}),
+    "epaxos": Protocol(EPaxosReplica, _recovery_flag),
+    "m2paxos": Protocol(M2PaxosReplica),
+    "mencius": Protocol(MenciusReplica),
+    "multipaxos": Protocol(MultiPaxosReplica, _recovery_flag),
+}
 
 
-def _build_m2paxos(node_id: int, sim: Simulator, network: Network, quorums: QuorumSystem,
-                   options: Dict[str, object],
-                   cost_model: Optional[CostModel]) -> ConsensusReplica:
-    return M2PaxosReplica(node_id, sim, network, quorums, KeyValueStore(),
-                          cost_model=cost_model, **options)
+def register_protocol(name: str, replica_class: Callable[..., ConsensusReplica],
+                      recovery_options: Optional[Callable[[bool], Dict[str, object]]] = None
+                      ) -> None:
+    """Add a protocol to the table (the extension point for new protocols)."""
+    PROTOCOLS[name] = Protocol(replica_class, recovery_options)
 
 
-register_protocol("epaxos", _build_epaxos)
-register_protocol("multipaxos", _build_multipaxos)
-register_protocol("mencius", _build_mencius)
-register_protocol("m2paxos", _build_m2paxos)
+def _protocol(name: str) -> Protocol:
+    if name not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {name!r}; known: {sorted(PROTOCOLS)}")
+    return PROTOCOLS[name]
+
+
+def constructor_options(protocol: str, recovery: bool,
+                        overrides: Optional[Mapping[str, object]] = None) -> Dict[str, object]:
+    """Translate the generic ``recovery`` setting into constructor options.
+
+    ``overrides`` are explicit constructor options (``ExperimentConfig`` /
+    ``ReplicaConfig.protocol_options``); they win over the translation.
+    """
+    translate = _protocol(protocol).recovery_options
+    options = translate(recovery) if translate is not None else {}
+    options.update(overrides or {})
+    return options
+
+
+def build_replica(protocol: str, node_id: int, clock, network, quorums: QuorumSystem,
+                  options: Mapping[str, object],
+                  cost_model: Optional[CostModel] = None, retransmit: bool = True,
+                  admission: Optional[str] = None) -> ConsensusReplica:
+    """Construct one replica of ``protocol`` on either substrate.
+
+    Args:
+        clock: the substrate's clock (``Simulator`` or ``WallClock``).
+        network: the substrate's transport factory (``Network`` or
+            ``PeerNetwork``).
+        options: protocol-specific constructor options.
+        retransmit: ``False`` disables the runtime retransmission and
+            catch-up layer.
+        admission: admission-control spec for the submit path (see
+            :mod:`repro.runtime.admission`); ``None`` leaves it hook-free.
+    """
+    replica = _protocol(protocol).replica_class(
+        node_id, clock, network, quorums, KeyValueStore(), cost_model=cost_model,
+        **options)
+    if not retransmit:
+        replica.configure_retransmit(enabled=False)
+    if admission is not None:
+        replica.admission = admission_policy(admission)
+    return replica

@@ -18,9 +18,6 @@ This module builds that layer on top of the existing harness:
   via ``DeterministicRandom.fork_cell(("shard", index))``.  Shards run
   through the sweep orchestrator, so a shard-parallel run is byte-identical
   to the serial one and scales with the hardware.
-* :class:`CrossShardCoordinator` — the stretch goal's stub interface:
-  commands spanning shards need an atomic-commit round (2PC over group
-  decisions); the interface is pinned here, unimplemented.
 
 Determinism is end to end: the command streams are generated from CRC32-
 derived client streams before any shard runs, routing is stable across
@@ -223,11 +220,7 @@ def run_shard_task(task: ShardTask) -> Dict[str, object]:
 
     cluster.start()
     pool.start_all()
-    decided_everywhere = cluster.run_until_executed(all_ids, deadline_ms=task.deadline_ms)
-    undecided = 0
-    if not decided_everywhere:
-        undecided = sum(1 for command_id in all_ids
-                        if not cluster.all_executed([command_id]))
+    cluster.run_until_executed(all_ids, deadline_ms=task.deadline_ms)
     violations = len(cluster.check_consistency())
     makespan_ms = cluster.sim.now
     summary = metrics.summary()
@@ -241,7 +234,7 @@ def run_shard_task(task: ShardTask) -> Dict[str, object]:
         "replicas": cluster.size,
         "submitted": len(all_ids),
         "completed": pool.total_completed,
-        "undecided": undecided,
+        "undecided": len(all_ids) - len(decided_ids),
         "decided_set_crc32": decided_crc,
         "violations": violations,
         "conflict_rate": round(metrics.conflict_rate(), 6),
@@ -355,28 +348,3 @@ def run_sharded_payload(config: ShardedConfig) -> Dict[str, object]:
     """
     return run_sharded(config, serial=True).as_dict()
 
-
-class CrossShardCoordinator:
-    """Stub interface for commands spanning several shards (stretch goal).
-
-    A multi-key command whose keys route to different shards needs atomic
-    commit across the owning groups: each group decides a *prepare* for its
-    share, and the coordinator drives a two-phase commit over those
-    decisions.  Only the interface is pinned for now — calling it raises
-    ``NotImplementedError`` so nothing silently pretends cross-shard commands
-    are atomic.
-    """
-
-    def __init__(self, router: ShardRouter) -> None:
-        self.router = router
-
-    def shards_for(self, keys: Sequence[str]) -> List[int]:
-        """The distinct shards a multi-key command touches, ascending."""
-        return sorted({self.router.shard_of(key) for key in keys})
-
-    def submit(self, command: Command, keys: Sequence[str]) -> None:
-        """Atomically submit a command touching every key in ``keys``."""
-        raise NotImplementedError(
-            "cross-shard commands need a 2PC round over the owning groups' "
-            "decisions; only single-shard commands are supported so far "
-            f"(this command touches shards {self.shards_for(keys)})")

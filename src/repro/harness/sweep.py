@@ -193,6 +193,17 @@ class SweepResult:
     def __post_init__(self) -> None:
         self._by_key = {outcome.key: outcome for outcome in self.outcomes}
 
+    def __add__(self, other: "SweepResult") -> "SweepResult":
+        """Two sweeps run back to back, accounted as one (Figure 9b runs two).
+
+        The sum exists for :meth:`perf_record`; where both sweeps ran a cell
+        with the same key, :meth:`payload` answers with ``other``'s.
+        """
+        return SweepResult(outcomes=self.outcomes + other.outcomes,
+                           workers=max(self.workers, other.workers),
+                           wall_seconds=self.wall_seconds + other.wall_seconds,
+                           skipped=self.skipped + other.skipped)
+
     def payload(self, key: Sequence[object]) -> object:
         """The collected payload of cell ``key`` (``None`` if filtered out)."""
         outcome = self._by_key.get(tuple(key))
@@ -210,13 +221,7 @@ class SweepResult:
 
     def perf_record(self, name: str) -> PerfRecord:
         """Merge the per-cell measurements into one BENCH-able record."""
-        partials = [PerfRecord(name=key_string(outcome.key),
-                               wall_seconds=outcome.wall_seconds,
-                               events_executed=outcome.events_executed,
-                               events_per_second=(outcome.events_executed / outcome.wall_seconds
-                                                  if outcome.wall_seconds > 0 else 0.0))
-                    for outcome in self.outcomes]
-        record = merge_partial_records(name, partials, wall_seconds=self.wall_seconds)
+        record = merge_partial_records(name, self.outcomes, wall_seconds=self.wall_seconds)
         timing = record.extra[TIMING_EXTRA_KEY]
         timing["workers"] = self.workers
         timing["cpus"] = os.cpu_count()

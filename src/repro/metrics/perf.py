@@ -80,9 +80,12 @@ class PerfRecord:
         return record
 
 
-def merge_partial_records(name: str, partials: Sequence[PerfRecord],
+def merge_partial_records(name: str, partials: Sequence[object],
                           wall_seconds: Optional[float] = None) -> PerfRecord:
     """Combine per-cell partial records into one aggregate record.
+
+    A partial is anything with ``events_executed`` and ``wall_seconds``
+    (a :class:`PerfRecord`, or a sweep's ``CellOutcome``).
 
     A parallel sweep measures each cell inside its worker process and hands
     the partial records back to the coordinator.  The merged record sums the
@@ -144,8 +147,3 @@ def write_record(record: PerfRecord, results_dir: Path, stable: bool = False) ->
     path = results_dir / f"BENCH_{record.name}.json"
     path.write_text(json.dumps(record.to_json(stable=stable), indent=2, sort_keys=True) + "\n")
     return path
-
-
-def read_record(path: Path) -> Dict[str, object]:
-    """Load a previously written BENCH_*.json record."""
-    return json.loads(path.read_text())

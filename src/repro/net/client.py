@@ -33,6 +33,7 @@ from repro.net.framing import FrameDecoder, encode_frame
 from repro.net.wire import (ROLE_CLIENT, ROLE_CONTROL, ClientReply,
                             ClientRequest, Hello, StatsReply, StatsRequest)
 from repro.runtime.registry import WIRE
+from repro.sim.network import flags_to_fields
 from repro.sim.random import DeterministicRandom
 from repro.workload.clients import ClientPool, ClosedLoopClient, OpenLoopClient
 from repro.workload.generator import ConflictWorkload, WorkloadConfig
@@ -187,16 +188,13 @@ class LoadgenConfig:
         the flag vocabulary (``--endpoint`` entries or a ``--launch``-ed
         cluster's live peer map).
         """
-        kwargs = dict(endpoints=endpoints,
-                      clients=getattr(args, "clients", 3),
-                      commands_per_client=getattr(args, "commands", 10),
-                      open_loop=getattr(args, "open_loop", False),
-                      rate_per_client=getattr(args, "rate", 50.0),
-                      duration_ms=getattr(args, "duration", 2000.0),
-                      conflict_rate=getattr(args, "conflicts", 2.0) / 100.0,
-                      seed=getattr(args, "seed", 0),
-                      warmup_ms=getattr(args, "warmup_ms", 0.0),
-                      timeout_s=getattr(args, "timeout", 60.0))
+        kwargs = flags_to_fields(
+            args, "clients", "open_loop", "seed", "warmup_ms",
+            commands="commands_per_client", rate="rate_per_client",
+            duration="duration_ms", timeout="timeout_s")
+        kwargs["endpoints"] = endpoints
+        if hasattr(args, "conflicts"):
+            kwargs["conflict_rate"] = args.conflicts / 100.0
         kwargs.update(overrides)
         return cls(**kwargs)
 
@@ -226,6 +224,21 @@ class LoadgenReport:
     def ok(self) -> bool:
         """Whether the run completed its workload with no failures."""
         return not self.failures
+
+    def describe(self) -> str:
+        """Human-readable summary (what ``repro loadgen`` prints)."""
+        lines = [f"completed:  {self.completed}/{self.submitted} commands "
+                 f"in {self.wall_seconds:.1f}s ({self.throughput_per_second:.1f}/s)"]
+        if self.mean_latency_ms is not None:
+            lines.append(f"latency:    mean {self.mean_latency_ms:.1f} ms, "
+                         f"p99 {self.p99_latency_ms:.1f} ms")
+        for node_id, stats in sorted(self.per_replica.items()):
+            lines.append(f"replica {node_id}:  executed "
+                         f"{stats.get('commands_executed', 'n/a')}, "
+                         f"handled {stats.get('messages_handled', 'n/a')} messages")
+        lines.append("result:     " + ("ok" if self.ok else "FAILED"))
+        lines.extend(f"  - {failure}" for failure in self.failures)
+        return "\n".join(lines)
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-friendly view (CLI output / CI artifacts)."""

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.replica import ReplicaConfig
+from repro.sim.network import flags_to_fields
 
 
 @dataclass
@@ -54,18 +55,21 @@ class ServeConfig:
     @classmethod
     def from_args(cls, args, **overrides) -> "ServeConfig":
         """Build a config from CLI args (single place flags become a config)."""
-        kwargs = dict(protocol=getattr(args, "protocol", "caesar"),
-                      replicas=getattr(args, "replicas", 3),
-                      seed=getattr(args, "seed", 0),
-                      host=getattr(args, "host", "127.0.0.1"),
-                      peers=parse_peers(getattr(args, "peer", None) or []),
-                      retransmit=not getattr(args, "no_retransmit", False),
-                      recovery=getattr(args, "recovery", False),
-                      admission=getattr(args, "admission", None))
-        if kwargs["peers"] is not None:
-            kwargs["replicas"] = len(kwargs["peers"])
+        kwargs = flags_to_fields(args, "protocol", "replicas", "seed", "host",
+                                 "recovery", "admission")
+        kwargs["retransmit"] = not getattr(args, "no_retransmit", False)
+        peers = parse_peers(getattr(args, "peer", None) or [])
+        if peers is not None:
+            kwargs.update(peers=peers, replicas=len(peers))
         kwargs.update(overrides)
         return cls(**kwargs)
+
+    def replica_config(self, node_id: int,
+                       peers: Dict[int, Tuple[str, int]]) -> ReplicaConfig:
+        """The config of replica ``node_id`` in a cluster with this peer map."""
+        return ReplicaConfig(node_id=node_id, peers=peers, protocol=self.protocol,
+                             seed=self.seed, retransmit=self.retransmit,
+                             recovery=self.recovery, admission=self.admission)
 
 
 def parse_peers(specs: List[str]) -> Optional[Dict[int, Tuple[str, int]]]:
@@ -79,7 +83,7 @@ def parse_peers(specs: List[str]) -> Optional[Dict[int, Tuple[str, int]]]:
             host, port_part = addr.rsplit(":", 1)
             peers[int(node_part)] = (host, int(port_part))
         except ValueError:
-            raise ValueError(f"bad --peer {spec!r}; expected ID=HOST:PORT") from None
+            raise ValueError(f"bad peer entry {spec!r}; expected ID=HOST:PORT") from None
     return peers
 
 
@@ -133,22 +137,24 @@ class LocalCluster:
         """All replica ids, ascending."""
         return sorted(self.peers)
 
+    def _spawn(self, node_id: int) -> None:
+        process = multiprocessing.get_context("spawn").Process(
+            target=_replica_process_main, args=(self.replica_configs[node_id],),
+            name=f"repro-replica-{node_id}", daemon=True)
+        process.start()
+        self.processes[node_id] = process
+
     def start(self) -> None:
         """Spawn every replica process (idempotent per replica)."""
-        ctx = multiprocessing.get_context("spawn")
         for node_id in self.node_ids:
-            if node_id in self.processes and self.processes[node_id].is_alive():
-                continue
-            process = ctx.Process(target=_replica_process_main,
-                                  args=(self.replica_configs[node_id],),
-                                  name=f"repro-replica-{node_id}", daemon=True)
-            process.start()
-            self.processes[node_id] = process
+            if node_id not in self.processes or not self.processes[node_id].is_alive():
+                self._spawn(node_id)
 
-    def wait_ready(self, timeout_s: float = 30.0) -> None:
-        """Block until every replica accepts TCP connections."""
+    def wait_ready(self, timeout_s: float = 30.0,
+                   node_ids: Optional[List[int]] = None) -> None:
+        """Block until every replica (or each of ``node_ids``) accepts connections."""
         deadline = time.monotonic() + timeout_s
-        for node_id in self.node_ids:
+        for node_id in node_ids or self.node_ids:
             host, port = self.peers[node_id]
             while True:
                 try:
@@ -179,25 +185,9 @@ class LocalCluster:
         replays decided commands from its peers, just as in the simulator's
         crash/restart chaos schedules.
         """
-        ctx = multiprocessing.get_context("spawn")
-        process = ctx.Process(target=_replica_process_main,
-                              args=(self.replica_configs[node_id],),
-                              name=f"repro-replica-{node_id}", daemon=True)
-        process.start()
-        self.processes[node_id] = process
+        self._spawn(node_id)
         if wait_ready_s > 0:
-            host, port = self.peers[node_id]
-            deadline = time.monotonic() + wait_ready_s
-            while True:
-                try:
-                    socket.create_connection((host, port), timeout=1.0).close()
-                    return
-                except OSError:
-                    if time.monotonic() >= deadline:
-                        raise TimeoutError(
-                            f"restarted replica {node_id} not accepting "
-                            f"connections within {wait_ready_s:.0f}s") from None
-                    time.sleep(0.05)
+            self.wait_ready(timeout_s=wait_ready_s, node_ids=[node_id])
 
     def stop(self, timeout_s: float = 10.0) -> None:
         """Terminate every replica process (idempotent)."""
@@ -225,13 +215,8 @@ def build_local_cluster(config: ServeConfig) -> LocalCluster:
     else:
         ports = allocate_ports(config.host, config.replicas)
         peers = {i: (config.host, port) for i, port in enumerate(ports)}
-    replica_configs = {
-        node_id: ReplicaConfig(node_id=node_id, peers=peers,
-                               protocol=config.protocol, seed=config.seed,
-                               retransmit=config.retransmit,
-                               recovery=config.recovery,
-                               admission=config.admission)
-        for node_id in peers}
+    replica_configs = {node_id: config.replica_config(node_id, peers)
+                       for node_id in peers}
     return LocalCluster(config=config, peers=peers, replica_configs=replica_configs)
 
 

@@ -1,7 +1,7 @@
 """One consensus replica behind a TCP listener.
 
 :class:`ReplicaServer` hosts exactly the replica objects the simulator
-harness builds — same :data:`~repro.harness.cluster.PROTOCOLS` builders,
+harness builds — same :func:`~repro.harness.protocols.build_replica`,
 same kernel, same retransmission/catch-up machinery — wired to a
 :class:`~repro.net.clock.WallClock` and an
 :class:`~repro.net.transport.AsyncioTransport` instead of the discrete-event
@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.consensus.quorums import QuorumSystem
+from repro.harness.protocols import build_replica, constructor_options
 from repro.net.clock import WallClock
 from repro.net.framing import FrameDecoder, FramingError, encode_frame
 from repro.net.transport import PeerNetwork, ReconnectPolicy
@@ -47,7 +48,7 @@ class ReplicaConfig:
         node_id: this replica's id (must be a key of ``peers``).
         peers: replica id -> ``(host, port)`` listen address for the whole
             cluster, this replica included.
-        protocol: name in :data:`~repro.harness.cluster.PROTOCOLS`.
+        protocol: name in :data:`~repro.harness.protocols.PROTOCOLS`.
         seed: seed for the replica's deterministic RNG forks (same labels as
             the simulator, so stochastic choices match across substrates).
         retransmit: master switch for the kernel retransmission layer; keep
@@ -71,18 +72,6 @@ class ReplicaConfig:
     recovery: bool = False
     admission: Optional[str] = None
     protocol_options: Dict[str, object] = field(default_factory=dict)
-
-    def protocol_builder_options(self) -> Dict[str, object]:
-        """Translate generic settings into per-protocol builder options."""
-        options = dict(self.protocol_options)
-        if self.protocol == "caesar":
-            if options.get("config") is None:
-                from repro.core.caesar import CaesarConfig
-
-                options["config"] = CaesarConfig(recovery_enabled=self.recovery)
-        elif self.protocol in ("epaxos", "multipaxos"):
-            options.setdefault("recovery_enabled", self.recovery)
-        return options
 
 
 class ReplicaServer:
@@ -115,30 +104,17 @@ class ReplicaServer:
         if self._started:
             return
         self._started = True
-        # Baseline protocol builders register themselves at import time.
-        from repro.harness import protocols as _protocols  # noqa: F401
-        from repro.harness.cluster import PROTOCOLS
-
         config = self.config
-        if config.protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {config.protocol!r}; "
-                             f"known: {sorted(PROTOCOLS)}")
         loop = asyncio.get_running_loop()
         self.clock = WallClock(seed=config.seed, loop=loop)
         self.network = PeerNetwork(self.clock, config.node_id, config.peers,
                                    reconnect=self._reconnect)
-        quorums = QuorumSystem.for_cluster(len(config.peers))
-        builder = PROTOCOLS[config.protocol]
-        self.replica = builder(config.node_id, self.clock, self.network, quorums,
-                               config.protocol_builder_options(), zero_cost_model())
-        if not config.retransmit:
-            configure = getattr(self.replica, "configure_retransmit", None)
-            if configure is not None:
-                configure(enabled=False)
-        if config.admission is not None:
-            from repro.runtime.admission import admission_policy
-
-            self.replica.admission = admission_policy(config.admission)
+        self.replica = build_replica(
+            config.protocol, config.node_id, self.clock, self.network,
+            QuorumSystem.for_cluster(len(config.peers)),
+            constructor_options(config.protocol, config.recovery, config.protocol_options),
+            cost_model=zero_cost_model(), retransmit=config.retransmit,
+            admission=config.admission)
         if self._server_socket is not None:
             self._server = await asyncio.start_server(
                 self._on_connection, sock=self._server_socket)

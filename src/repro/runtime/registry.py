@@ -66,10 +66,6 @@ class MessageRegistry:
         self._codecs[cls] = StructCodec(factory or cls, list(field_codecs.items()))
         return cls
 
-    def is_registered(self, cls: Type) -> bool:
-        """Whether ``cls`` has been registered."""
-        return cls in self._codecs
-
     def types(self) -> List[Type]:
         """Every registered message class, in registration order."""
         return list(self._by_id)

@@ -178,11 +178,6 @@ class SimulatorTransport(Transport):
         self._buffer = BatchBuffer(config)
         self._refresh_send_direct()
 
-    @property
-    def batch_buffer(self) -> Optional[BatchBuffer]:
-        """The outgoing batch buffer, ``None`` when batching is off."""
-        return self._buffer
-
     def install_fault_filter(self, faults) -> None:
         """Install (or remove, with ``None``) the nemesis link-fault filter.
 

@@ -16,6 +16,19 @@ from repro.sim.simulator import Simulator
 from repro.sim.topology import Topology
 
 
+def flags_to_fields(args, *same_name: str, **renamed: str) -> Dict[str, object]:
+    """Config keyword arguments for the CLI flags ``args`` actually carries.
+
+    Positional names are argparse dests that set the config field of the same
+    name; ``dest="field"`` keywords set a differently named field.  A flag the
+    namespace lacks is left out, so the dataclass default applies — every
+    ``from_args`` states its defaults once, in the dataclass.
+    """
+    renamed.update(zip(same_name, same_name))
+    return {field_name: getattr(args, flag) for flag, field_name in renamed.items()
+            if hasattr(args, flag)}
+
+
 @dataclass
 class NetworkConfig:
     """Tunables for the simulated network.
@@ -150,10 +163,6 @@ class Network:
     def heal_partitions(self) -> None:
         """Restore full connectivity."""
         self._partitions.clear()
-
-    def is_partitioned(self, src: int, dst: int) -> bool:
-        """True if messages from ``src`` to ``dst`` are currently blocked."""
-        return (src, dst) in self._partitions
 
     def _nominal(self, src: int, dst: int) -> float:
         """Nominal (cached) one-way delay from ``src`` to ``dst``."""

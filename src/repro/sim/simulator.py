@@ -74,11 +74,6 @@ class Simulator:
         return self._now
 
     @property
-    def pending_events(self) -> int:
-        """Number of events still waiting to fire (upper bound, includes cancelled)."""
-        return len(self._queue)
-
-    @property
     def steps_executed(self) -> int:
         """Number of events executed so far."""
         return self._steps

@@ -1,10 +1,33 @@
-"""Tests for the ``caesar-repro`` command-line interface."""
+"""Tests for the ``repro`` command-line interface."""
 
 from __future__ import annotations
+
+import argparse
+import json
+import pathlib
 
 import pytest
 
 from repro.cli import FIGURE_DRIVERS, QUICK_OVERRIDES, build_parser, main
+from repro.metrics.store import ResultsStore
+
+SURFACE_FILE = pathlib.Path(__file__).parent / "data" / "cli_parser_surface.json"
+
+
+def parser_surface(parser: argparse.ArgumentParser) -> dict:
+    """Per subcommand, the sorted ``[option strings, dest, default]`` triples."""
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    surface = {}
+    for name, sub in subparsers.choices.items():
+        triples = []
+        for action in sub._actions:
+            default = action.default
+            if isinstance(default, pathlib.PurePath):
+                default = str(default)
+            triples.append([sorted(action.option_strings), action.dest, default])
+        surface[name] = sorted(triples, key=lambda triple: (triple[0], triple[1]))
+    return surface
 
 
 class TestParser:
@@ -29,6 +52,35 @@ class TestParser:
 
     def test_every_figure_has_a_quick_profile(self):
         assert set(FIGURE_DRIVERS) == set(QUICK_OVERRIDES)
+
+    def test_parser_surface_matches_the_golden_capture(self):
+        # tests/data/cli_parser_surface.json was captured at the commit before
+        # the table-driven rebuild: no flag may be added, dropped or re-defaulted.
+        golden = json.loads(SURFACE_FILE.read_text())
+        surface = parser_surface(build_parser())
+        assert sorted(surface) == sorted(golden)
+        for command, triples in golden.items():
+            assert surface[command] == triples, command
+
+    @pytest.mark.parametrize("argv, complaint", [
+        (["chaos", "--nemesis", "bogus"], "invalid choice: 'bogus'"),
+        (["chaos", "--matrix", "--protocols", "bogus"], "invalid choice: 'bogus'"),
+        (["run", "--admission", "bogus:1"], "unknown admission policy"),
+        (["run", "--history-gc", "0"], "must be > 0"),
+        (["loadgen", "--endpoint", "junk"], "expected ID=HOST:PORT"),
+        (["loadgen"], "--endpoint"),
+        (["serve", "--node-id", "0"], "--peer"),
+        (["serve", "--node-id", "7", "--peer", "0=h:1", "--peer", "1=h:2",
+          "--peer", "2=h:3"], "--node-id 7 is not in the --peer map"),
+        (["overload", "--offered", "-5"], "must be > 0"),
+    ])
+    def test_bad_input_is_a_one_line_usage_error(self, argv, complaint, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        error_line = capsys.readouterr().err.strip().splitlines()[-1]
+        assert error_line.startswith(f"repro {argv[0]}: error: ")
+        assert complaint in error_line
 
 
 class TestCommands:
@@ -142,10 +194,6 @@ class TestServeLoadgenParser:
         assert args.node_id == 1
         assert args.peer == ["0=10.0.0.1:7000", "1=10.0.0.2:7000"]
 
-    def test_serve_node_id_without_peer_map_is_a_usage_error(self, capsys):
-        assert main(["serve", "--node-id", "0"]) == 2
-        assert "--peer" in capsys.readouterr().err
-
     def test_loadgen_defaults(self):
         args = build_parser().parse_args(["loadgen"])
         assert args.protocol == "caesar"
@@ -154,10 +202,6 @@ class TestServeLoadgenParser:
         assert not args.open_loop
         assert args.endpoint is None
         assert args.launch is None
-
-    def test_loadgen_without_endpoints_is_a_usage_error(self, capsys):
-        assert main(["loadgen"]) == 2
-        assert "--endpoint" in capsys.readouterr().err
 
     def test_parse_peers_roundtrip(self):
         from repro.net.cluster import parse_peers
@@ -263,8 +307,6 @@ class TestOverloadReportCommands:
         code = main(["overload", "--offered", "120", "--duration", "400",
                      "--warmup-ms", "100", "--clients", "2", "--json"])
         assert code == 0
-        import json
-
         payload = json.loads(capsys.readouterr().out)
         assert payload["config"]["protocol"] == "caesar"
         assert payload["summary"]["points"] == 1
@@ -272,11 +314,22 @@ class TestOverloadReportCommands:
         assert payload["points"][0]["offered_per_second"] == 120.0
 
 
-class TestDeprecatedAlias:
-    def test_caesar_repro_warns_then_delegates(self, capsys):
-        from repro.cli import main_deprecated
+    def test_store_is_closed_when_recording_fails(self, tmp_path, monkeypatch):
+        # Regression: ``sweep --store`` closed the store only on the success
+        # path, so a failure mid-command left store.db open.
+        opened = []
+        original_init = ResultsStore.__init__
 
-        assert main_deprecated(["topology"]) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "virginia" in captured.out
+        def tracking_init(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
+            opened.append(self)
+
+        def failing_record_run(self, *args, **kwargs):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(ResultsStore, "__init__", tracking_init)
+        monkeypatch.setattr(ResultsStore, "record_run", failing_record_run)
+        with pytest.raises(RuntimeError, match="disk full"):
+            main(["sweep", "7", "--quick", "--serial", "--out", str(tmp_path),
+                  "--store", str(tmp_path / "store.db")])
+        assert opened and all(store._connection is None for store in opened)

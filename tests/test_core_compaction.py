@@ -9,6 +9,8 @@ plumbing (``ClusterConfig.history_gc_ms`` / ``--history-gc``).
 
 from __future__ import annotations
 
+import pytest
+
 from repro.consensus.ballots import Ballot
 from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.delivery import DeliveryManager, HistoryCompactor
@@ -157,3 +159,10 @@ class TestClusterPlumbing:
         assert result.cluster.compactor is not None
         assert result.cluster.compactor.commands_removed > 0
         assert result.consistency_violations == 0
+
+    @pytest.mark.parametrize("interval_ms", [0.0, -50.0])
+    def test_non_positive_interval_is_rejected_not_spun_on(self, interval_ms):
+        # Regression: a 0 ms interval re-armed the collection timer at the
+        # same virtual instant forever, so `repro run --history-gc 0` hung.
+        with pytest.raises(ValueError, match="history GC interval must be > 0"):
+            build_cluster(ClusterConfig(history_gc_ms=interval_ms))

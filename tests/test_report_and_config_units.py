@@ -13,8 +13,8 @@ from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.config import CaesarConfig
 from repro.core.messages import FastPropose, FastProposeReply, Stable
 from repro.harness.experiment import ExperimentConfig, ExperimentResult
-from repro.harness.report import format_series, format_table
 from repro.metrics.collector import MetricsCollector
+from repro.metrics.report import format_series, format_table
 from repro.sim.batching import BatchingConfig
 from repro.sim.costs import CostModel, zero_cost_model
 from tests.conftest import make_command

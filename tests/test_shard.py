@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.harness.cluster import ClusterConfig, build_cluster
 from repro.harness.experiment import per_site_latency_summaries
 from repro.harness.shard import (
-    CrossShardCoordinator,
     ScriptedWorkload,
     ShardedConfig,
     ShardRouter,
@@ -163,18 +162,6 @@ class TestShardedAcceptance:
         result = run_sharded(config, serial=True)
         assert result.shards[0]["submitted"] == 6
         assert result.shards[1]["submitted"] == 0
-
-
-class TestCrossShardStub:
-    def test_shards_for_lists_distinct_owners(self):
-        coordinator = CrossShardCoordinator(ShardRouter(4, overrides={"a": 1, "b": 3,
-                                                                      "c": 1}))
-        assert coordinator.shards_for(["a", "b", "c"]) == [1, 3]
-
-    def test_submit_is_not_implemented(self):
-        coordinator = CrossShardCoordinator(ShardRouter(2, overrides={"a": 0, "b": 1}))
-        with pytest.raises(NotImplementedError, match="2PC"):
-            coordinator.submit(None, ["a", "b"])
 
 
 class TestPerSiteAggregation:
