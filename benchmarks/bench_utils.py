@@ -18,10 +18,10 @@ def run_once(benchmark, fn, *args, perf_name=None, perf_series=None, perf_extra=
     wall-clock cost of regenerating the figure.
 
     Besides the human-oriented pytest-benchmark numbers, the run also writes
-    a machine-readable ``BENCH_<name>.json`` perf record (wall seconds,
-    simulator events executed, events/second, and the figure's series) under
-    ``benchmarks/results/``, so the simulator's performance trajectory stays
-    comparable across PRs.
+    a machine-readable ``BENCH_<name>.json`` record (simulator events
+    executed and the figure's series — nothing wall-clock) under
+    ``benchmarks/results/``, so a rerun rewrites it byte-identically unless
+    the simulation's behaviour changed.
 
     Args:
         perf_name: overrides the record name (defaults to ``fn.__name__``);
@@ -30,7 +30,8 @@ def run_once(benchmark, fn, *args, perf_name=None, perf_series=None, perf_extra=
             that return something other than a single FigureResult (e.g. a
             tuple of series), so their records still carry the figure data.
         perf_extra: optional ``result -> dict`` extractor merged into the
-            record's ``extra`` field (e.g. sweep timing detail).
+            record's ``extra`` field; deterministic values only (e.g. codec
+            bytes per decision).
     """
     name = perf_name or fn.__name__
     captured = {}

@@ -9,10 +9,9 @@ and the naive reference implementations kept in :mod:`repro.core.reference`.
 
 Because both variants run interleaved in the same process on the same data,
 the reported speedups are meaningful even on noisy shared hosts (each
-sample is a best-of-``REPS`` minimum).  The optimized ops/second land in
-``BENCH_micro_decision_path.json`` and are regression-gated by
-``compare_perf.py`` alongside the sweep benchmark; the per-size speedup
-table is written to ``benchmarks/results/micro_decision_path.txt``.
+sample is a best-of-``REPS`` minimum).  Every number here is wall-clock, so
+the per-size speedup table is printed (``pytest -s``), not written to a
+tracked file; the optimized-vs-reference ratios are asserted.
 """
 
 from __future__ import annotations
@@ -29,9 +28,6 @@ from repro.core.history import CommandHistory, CommandStatus
 from repro.core.predecessors import WaitManager, compute_predecessor_mask
 from repro.core.reference import (ReferenceCommandHistory, ReferenceWaitManager,
                                   reference_compute_predecessors)
-from repro.metrics.perf import PerfRecord, write_record
-
-from bench_utils import RESULTS_DIR
 
 #: Per-key bucket sizes the operations are timed at.
 BUCKET_SIZES = (64, 256, 1024)
@@ -102,8 +98,7 @@ def time_compute_predecessors(size: int) -> Dict[str, float]:
 
     ops, seconds = best_of(run_optimized)
     ref_ops, ref_seconds = best_of(run_reference)
-    return {"optimized": ops / seconds, "reference": ref_ops / ref_seconds,
-            "ops": ops, "seconds": seconds}
+    return {"optimized": ops / seconds, "reference": ref_ops / ref_seconds}
 
 
 def time_history_update(size: int) -> Dict[str, float]:
@@ -122,8 +117,7 @@ def time_history_update(size: int) -> Dict[str, float]:
 
     ops, seconds = best_of(run_optimized)
     ref_ops, ref_seconds = best_of(run_reference)
-    return {"optimized": ops / seconds, "reference": ref_ops / ref_seconds,
-            "ops": ops, "seconds": seconds}
+    return {"optimized": ops / seconds, "reference": ref_ops / ref_seconds}
 
 
 def time_wait_notify(size: int) -> Dict[str, float]:
@@ -167,8 +161,7 @@ def time_wait_notify(size: int) -> Dict[str, float]:
 
     ops, seconds = best_of(run_optimized)
     ref_ops, ref_seconds = best_of(run_reference)
-    return {"optimized": ops / seconds, "reference": ref_ops / ref_seconds,
-            "ops": ops, "seconds": seconds}
+    return {"optimized": ops / seconds, "reference": ref_ops / ref_seconds}
 
 
 OPERATIONS = {
@@ -179,7 +172,7 @@ OPERATIONS = {
 
 
 @pytest.mark.benchmark(group="micro")
-def test_decision_path_microbench(benchmark, save_result):
+def test_decision_path_microbench(benchmark):
     """Ops/second of the decision-path operations, optimized vs reference."""
 
     def run_all():
@@ -190,28 +183,6 @@ def test_decision_path_microbench(benchmark, save_result):
 
     samples = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
-    total_ops = sum(cell["ops"] for sizes in samples.values()
-                    for cell in sizes.values())
-    total_seconds = sum(cell["seconds"] for sizes in samples.values()
-                        for cell in sizes.values())
-    record = PerfRecord(
-        name="micro_decision_path",
-        wall_seconds=total_seconds,
-        events_executed=int(total_ops),
-        events_per_second=(total_ops / total_seconds) if total_seconds else 0.0,
-        extra={
-            "bucket_sizes": list(BUCKET_SIZES),
-            "ops_per_second": {
-                name: {str(size): round(cell["optimized"], 1)
-                       for size, cell in sizes.items()}
-                for name, sizes in samples.items()},
-            "reference_ops_per_second": {
-                name: {str(size): round(cell["reference"], 1)
-                       for size, cell in sizes.items()}
-                for name, sizes in samples.items()},
-        })
-    write_record(record, RESULTS_DIR)
-
     lines = [f"{'operation':<24} {'bucket':>6} {'optimized/s':>14} "
              f"{'reference/s':>14} {'speedup':>8}"]
     for name, sizes in samples.items():
@@ -219,7 +190,7 @@ def test_decision_path_microbench(benchmark, save_result):
             speedup = cell["optimized"] / cell["reference"]
             lines.append(f"{name:<24} {size:>6} {cell['optimized']:>14,.0f} "
                          f"{cell['reference']:>14,.0f} {speedup:>7.1f}x")
-    save_result("micro_decision_path", "\n".join(lines))
+    print("\n" + "\n".join(lines))
 
     # The algorithmic wins must show at the largest bucket size: predecessor
     # computation is O(suffix) instead of O(bucket), and a wait notification

@@ -95,8 +95,8 @@ def test_message_footprint_per_command(benchmark, save_result):
 
     Byte counts come from the runtime registry's codec (the canonical wire
     encoding of every message actually sent), not from per-protocol size
-    estimates.  The per-protocol bytes-per-decision land in the BENCH record
-    and are regression-gated by ``compare_perf.py --max-bytes-growth``.
+    estimates.  The per-protocol bytes-per-decision land in the committed
+    BENCH record, so a wire-format change shows up as a diff of that file.
     """
 
     def footprint():

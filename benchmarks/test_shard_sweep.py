@@ -1,9 +1,9 @@
 """Sharded-keyspace benchmark: shard scaling under zipfian skew.
 
 Runs the ``shard_scaling`` study grid (protocol x skew x shard count, each
-cell a full sharded run over generator-built WAN groups) and records it as
-``BENCH_shard_scaling.json``, so the sharding layer's performance trajectory
-is gated by ``benchmarks/compare_perf.py`` like every other figure sweep.
+cell a full sharded run over generator-built WAN groups) and records its
+series and event count as ``BENCH_shard_scaling.json``, committed like every
+other figure sweep's record.
 
 The correctness contract is asserted unconditionally: every submitted
 command decides with zero conflict-order violations, and running the same

@@ -240,9 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
                               default=pathlib.Path("benchmarks/results"),
                               help="directory for sweep_<name>.txt tables and "
                                    "BENCH_sweep_<name>.json records (default: %(default)s)")
-    sweep_parser.add_argument("--stable-records", action="store_true",
-                              help="omit wall-clock fields from BENCH records so identical "
-                                   "sweeps serialize byte-identically")
 
     shard_parser = command(
         "shard", _shard,
@@ -509,13 +506,12 @@ def _sweep(args: argparse.Namespace) -> Outcome:
         args.out.mkdir(parents=True, exist_ok=True)
         table_path = args.out / f"sweep_{name}.txt"
         table_path.write_text(result.table + "\n")
-        record_path = write_record(record, args.out, stable=args.stable_records)
-        # The store row carries the same payload as the BENCH file and is
-        # keyed by its exact name, so the perf gate can use the latest
-        # stored row per record as its baseline.
+        record_path = write_record(record, args.out)
+        # The BENCH file holds only what the simulation determines; the
+        # wall-clock side of the run goes to the store row alone.
         stored = _store_run(args, "bench", label=record_path.name, substrate="sim",
                             config={"figure": target, "quick": args.quick},
-                            metrics=record.to_json())
+                            metrics={**record.to_json(), **record.timing()})
         outputs.append(f"{result.table}\n\n"
                        f"[sweep {target}: {len(record.series)} series, "
                        f"{record.extra['cells']} cells, wall {record.wall_seconds:.1f}s; "
@@ -764,9 +760,7 @@ def _profile(args: argparse.Namespace) -> Outcome:
     stored = _store_run(
         args, "bench", substrate="sim",
         config={"figure": args.number, "quick": args.quick, "cells": args.cells},
-        metrics={"wall_seconds": round(wall, 3),
-                 "events_executed": record.events_executed,
-                 "events_per_second": round(record.events_per_second, 1),
+        metrics={"events_executed": record.events_executed, **record.timing(),
                  "decision_path": decision_path_metrics})
     if stored:
         lines.append(f"\n{stored}")

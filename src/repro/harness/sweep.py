@@ -37,7 +37,7 @@ from repro.harness.experiment import (
     run_experiment,
     summarize_experiment,
 )
-from repro.metrics.perf import TIMING_EXTRA_KEY, PerfRecord, merge_partial_records
+from repro.metrics.perf import PerfRecord, merge_partial_records
 from repro.sim.random import DeterministicRandom, stable_label
 from repro.sim.simulator import credit_external_events, total_events_executed
 
@@ -222,7 +222,7 @@ class SweepResult:
     def perf_record(self, name: str) -> PerfRecord:
         """Merge the per-cell measurements into one BENCH-able record."""
         record = merge_partial_records(name, self.outcomes, wall_seconds=self.wall_seconds)
-        timing = record.extra[TIMING_EXTRA_KEY]
+        timing = record.timing_detail
         timing["workers"] = self.workers
         timing["cpus"] = os.cpu_count()
         if self.wall_seconds > 0:

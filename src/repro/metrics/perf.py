@@ -1,12 +1,18 @@
 """Machine-readable performance records for benchmark runs.
 
 Every benchmark that regenerates a paper figure also emits a
-``BENCH_<name>.json`` file under ``benchmarks/results/`` containing the
-wall-clock time of the run, the number of simulation events executed and the
-resulting events/second, plus the figure's latency/throughput series.  The
-records are what makes the simulator's performance trajectory visible across
-PRs: regressions show up as a drop in ``events_per_second`` between two
-checked-in records, without anyone having to eyeball pytest-benchmark output.
+``BENCH_<name>.json`` file under ``benchmarks/results/`` holding what the
+simulation alone determines: the number of simulation events executed, the
+figure's latency/throughput series and deterministic extras such as codec
+bytes per decision.  A record therefore changes in git exactly when a PR
+changes a series, an event count or a wire byte, and rerunning a benchmark
+rewrites its record byte-identically.
+
+Wall-clock numbers (wall seconds, events/second, interpreter, worker and CPU
+counts) live on the in-memory :class:`PerfRecord` for printing and
+assertions; :meth:`PerfRecord.timing` hands them to the results store
+(``repro sweep --store``), never to a tracked file.  Timing regressions are
+``bench/run.py --compare``'s job.
 
 The event counts come from :func:`repro.sim.simulator.total_events_executed`,
 a process-wide monotonic counter, so the tracker works even though the figure
@@ -25,59 +31,48 @@ from typing import Callable, Dict, Optional, Sequence
 from repro.sim.simulator import total_events_executed
 
 #: Schema version of the emitted JSON records.
-PERF_RECORD_VERSION = 1
-
-#: Record fields that vary run-to-run even when the simulation is identical.
-#: ``PerfRecord.to_json(stable=True)`` omits them (plus the ``timing`` extra)
-#: so that two runs of the same deterministic sweep serialize byte-identically
-#: regardless of machine speed or worker count.
-VOLATILE_FIELDS = ("wall_seconds", "events_per_second")
-
-#: Key under ``PerfRecord.extra`` where merged records keep their volatile
-#: timing detail (per-part walls, speedups); stripped in stable mode.
-TIMING_EXTRA_KEY = "timing"
+PERF_RECORD_VERSION = 2
 
 
 @dataclass
 class PerfRecord:
-    """One measured benchmark run."""
+    """One measured benchmark run.
+
+    ``series`` and ``extra`` hold what the simulation determines and are
+    serialized; ``wall_seconds`` and ``timing_detail`` (per-part walls,
+    worker/CPU counts, speedups) vary run to run and are not.
+    """
 
     name: str
     wall_seconds: float
     events_executed: int
-    events_per_second: float
     series: Dict[str, Dict[str, Optional[float]]] = field(default_factory=dict)
     extra: Dict[str, object] = field(default_factory=dict)
+    timing_detail: Dict[str, object] = field(default_factory=dict)
 
-    def to_json(self, stable: bool = False) -> Dict[str, object]:
-        """JSON-serializable form of the record.
+    @property
+    def events_per_second(self) -> float:
+        """Simulator events per wall-clock second (0.0 for a zero-length run)."""
+        return self.events_executed / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
-        Args:
-            stable: omit wall-clock-derived fields so the serialized record
-                depends only on the (deterministic) simulation outputs.
-        """
-        record = {
+    def to_json(self) -> Dict[str, object]:
+        """The on-disk form: only what the (deterministic) simulation produced."""
+        return {
             "version": PERF_RECORD_VERSION,
             "name": self.name,
-            "wall_seconds": round(self.wall_seconds, 3),
             "events_executed": self.events_executed,
-            "events_per_second": round(self.events_per_second, 1),
-            "python": platform.python_version(),
             "series": self.series,
             **({"extra": self.extra} if self.extra else {}),
         }
-        if stable:
-            for volatile in VOLATILE_FIELDS:
-                record.pop(volatile, None)
-            extra = record.get("extra")
-            if isinstance(extra, dict) and TIMING_EXTRA_KEY in extra:
-                extra = {key: value for key, value in extra.items()
-                         if key != TIMING_EXTRA_KEY}
-                if extra:
-                    record["extra"] = extra
-                else:
-                    record.pop("extra")
-        return record
+
+    def timing(self) -> Dict[str, object]:
+        """The wall-clock side of the run, for results-store rows."""
+        return {
+            "wall_seconds": round(self.wall_seconds, 3),
+            "events_per_second": round(self.events_per_second, 1),
+            "python": platform.python_version(),
+            **self.timing_detail,
+        }
 
 
 def merge_partial_records(name: str, partials: Sequence[object],
@@ -92,20 +87,15 @@ def merge_partial_records(name: str, partials: Sequence[object],
     cells' event counts, takes ``wall_seconds`` as the *observed* wall time of
     the whole sweep (summing the partials instead when it is not given, i.e.
     the serial-equivalent cost), and keeps the per-part walls under
-    ``extra["timing"]`` so parallel efficiency stays inspectable.
+    ``timing_detail`` so parallel efficiency stays inspectable.
     """
-    events = sum(partial.events_executed for partial in partials)
     cell_wall = sum(partial.wall_seconds for partial in partials)
-    wall = cell_wall if wall_seconds is None else wall_seconds
     return PerfRecord(
         name=name,
-        wall_seconds=wall,
-        events_executed=events,
-        events_per_second=(events / wall) if wall > 0 else 0.0,
-        extra={TIMING_EXTRA_KEY: {
-            "parts": len(partials),
-            "cell_wall_seconds": round(cell_wall, 3),
-        }},
+        wall_seconds=cell_wall if wall_seconds is None else wall_seconds,
+        events_executed=sum(partial.events_executed for partial in partials),
+        timing_detail={"parts": len(partials),
+                       "cell_wall_seconds": round(cell_wall, 3)},
     )
 
 
@@ -124,13 +114,10 @@ class PerfTracker:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        wall = time.perf_counter() - self._started_wall
-        events = total_events_executed() - self._started_events
         self.record = PerfRecord(
             name=self.name,
-            wall_seconds=wall,
-            events_executed=events,
-            events_per_second=(events / wall) if wall > 0 else 0.0,
+            wall_seconds=time.perf_counter() - self._started_wall,
+            events_executed=total_events_executed() - self._started_events,
         )
 
 
@@ -141,9 +128,9 @@ def measure(name: str, fn: Callable, *args, **kwargs):
     return result, tracker.record
 
 
-def write_record(record: PerfRecord, results_dir: Path, stable: bool = False) -> Path:
+def write_record(record: PerfRecord, results_dir: Path) -> Path:
     """Persist ``record`` as ``BENCH_<name>.json`` under ``results_dir``."""
     results_dir.mkdir(parents=True, exist_ok=True)
     path = results_dir / f"BENCH_{record.name}.json"
-    path.write_text(json.dumps(record.to_json(stable=stable), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(record.to_json(), indent=2, sort_keys=True) + "\n")
     return path

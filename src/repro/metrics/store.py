@@ -1,8 +1,10 @@
 """Persistent, queryable results store for experiment and loadgen runs.
 
-The BENCH_*.json records under ``benchmarks/results/`` capture one snapshot
-per figure per commit — good for the CI perf gate, useless for questions
-like "how did caesar's p99 at 2x the knee move over the last five commits".
+The BENCH_*.json records under ``benchmarks/results/`` capture one
+deterministic snapshot per figure per commit (series and event counts, no
+wall clock) — useless for questions like "how did caesar's p99 at 2x the
+knee move over the last five commits" or "did this commit make the sweep
+faster on this machine".
 :class:`ResultsStore` answers those: an append-only SQLite database (stdlib
 ``sqlite3``, no new dependencies) that every ``repro run`` / ``sweep`` /
 ``loadgen`` / ``overload`` invocation can append to, keyed by git commit.
@@ -18,8 +20,9 @@ Two tables:
   percentiles), so saturation curves are queryable without re-parsing JSON.
 
 ``repro report`` (:mod:`repro.metrics.report`) renders both as trend tables.
-The store is additive: nothing else reads it unless it exists, and the BENCH
-records keep being written alongside.
+The store is the only place a ``bench`` run's wall-clock numbers are kept
+(:meth:`repro.metrics.perf.PerfRecord.timing`); it is a local, untracked
+file, and nothing else reads it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import subprocess
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-#: Default on-disk location, shared by the CLI and CI (repo-relative).
+#: Default on-disk location (repo-relative, gitignored).
 DEFAULT_STORE_PATH = pathlib.Path("benchmarks/results/store.db")
 
 #: Environment variable overriding the commit recorded with each run — CI

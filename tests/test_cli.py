@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -73,13 +74,16 @@ class TestParser:
         (["serve", "--node-id", "7", "--peer", "0=h:1", "--peer", "1=h:2",
           "--peer", "2=h:3"], "--node-id 7 is not in the --peer map"),
         (["overload", "--offered", "-5"], "must be > 0"),
+        # Removed flag: BENCH records are always deterministic now.
+        (["sweep", "6", "--stable-records"], "unrecognized arguments: --stable-records"),
     ])
     def test_bad_input_is_a_one_line_usage_error(self, argv, complaint, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         error_line = capsys.readouterr().err.strip().splitlines()[-1]
-        assert error_line.startswith(f"repro {argv[0]}: error: ")
+        # argparse reports unknown flags from the top-level parser.
+        assert re.match(rf"repro( {argv[0]})?: error: ", error_line)
         assert complaint in error_line
 
 
@@ -120,6 +124,23 @@ class TestCommands:
         # Filtered grid: caesar cells selected, others listed but skipped.
         assert "* fig9/caesar/0.0" in output
         assert "- fig9/multipaxos" in output
+
+    def test_sweep_store_row_gets_the_timing_the_bench_file_omits(self, tmp_path, capsys):
+        store_path = tmp_path / "store.db"
+        assert main(["sweep", "7", "--quick", "--serial", "--out", str(tmp_path),
+                     "--store", str(store_path)]) == 0
+        name = "BENCH_sweep_figure7_single_leader_comparison.json"
+        on_disk = json.loads((tmp_path / name).read_text())
+        with ResultsStore(store_path) as store:
+            row = store.latest_run(kind="bench")
+        assert row.label == name
+        timing_keys = {"wall_seconds", "events_per_second", "python", "workers", "cpus"}
+        assert timing_keys <= set(row.metrics)
+        assert not timing_keys & set(on_disk)
+        # Everything the file holds is in the row too, unchanged.
+        assert {key: row.metrics[key] for key in on_disk} == on_disk
+        assert main(["report", "--store", str(store_path), "--kind", "bench"]) == 0
+        assert "events/s" in capsys.readouterr().out
 
     def test_sweep_list_cells_full_grid(self, capsys):
         code = main(["sweep", "7", "--list-cells"])

@@ -1,10 +1,6 @@
-"""Tests for the persistent results store, its report renderer, and the
-store-backed perf-gate baseline lookup."""
+"""Tests for the persistent results store and its report renderer."""
 
 from __future__ import annotations
-
-import importlib.util
-import pathlib
 
 from repro.metrics.report import render_report
 from repro.metrics.store import (GIT_COMMIT_ENV_VAR, ResultsStore,
@@ -133,57 +129,3 @@ class TestRenderReport:
             text = render_report(store, label="wanted")
             assert "aaa1111" in text
             assert "bbb2222" not in text
-
-
-def load_compare_perf():
-    """Import benchmarks/compare_perf.py by path (it is not a package)."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "compare_perf.py"
-    spec = importlib.util.spec_from_file_location("compare_perf", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestPerfGateStoreBaselines:
-    def test_latest_bench_row_per_label_wins(self, tmp_path):
-        compare_perf = load_compare_perf()
-        path = tmp_path / "store.db"
-        with ResultsStore(path) as store:
-            store.record_run("bench", "BENCH_fig7.json",
-                             metrics={"events_per_second": 100.0})
-            store.record_run("bench", "BENCH_fig7.json",
-                             metrics={"events_per_second": 200.0})
-            store.record_run("overload", "knee", metrics={"events_per_second": 1.0})
-        records = compare_perf.store_baseline_records(path)
-        assert set(records) == {"BENCH_fig7.json"}
-        assert records["BENCH_fig7.json"]["events_per_second"] == 200.0
-
-    def test_missing_store_yields_no_baselines(self, tmp_path):
-        compare_perf = load_compare_perf()
-        assert compare_perf.store_baseline_records(None) == {}
-        assert compare_perf.store_baseline_records(tmp_path / "absent.db") == {}
-
-    def test_store_overrides_the_baseline_directory(self, tmp_path, capsys):
-        import json
-
-        compare_perf = load_compare_perf()
-        baseline_dir = tmp_path / "baseline"
-        current_dir = tmp_path / "current"
-        baseline_dir.mkdir()
-        current_dir.mkdir()
-        # File baseline says 1000 ev/s (current's 90 would fail the gate);
-        # the store's fresher 100 ev/s baseline must win and pass it.
-        (baseline_dir / "BENCH_fig7.json").write_text(
-            json.dumps({"events_per_second": 1000.0}))
-        (current_dir / "BENCH_fig7.json").write_text(
-            json.dumps({"events_per_second": 90.0}))
-        store_path = tmp_path / "store.db"
-        with ResultsStore(store_path) as store:
-            store.record_run("bench", "BENCH_fig7.json",
-                             metrics={"events_per_second": 100.0})
-        exit_code = compare_perf.compare_records(
-            baseline_dir, current_dir, max_drop=0.30, store=store_path)
-        assert exit_code == 0
-        without_store = compare_perf.compare_records(
-            baseline_dir, current_dir, max_drop=0.30)
-        assert without_store == 1
