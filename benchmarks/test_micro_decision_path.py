@@ -12,6 +12,11 @@ the reported speedups are meaningful even on noisy shared hosts (each
 sample is a best-of-``REPS`` minimum).  Every number here is wall-clock, so
 the per-size speedup table is printed (``pytest -s``), not written to a
 tracked file; the optimized-vs-reference ratios are asserted.
+
+A fourth row, ``delivery_on_stable``, has no reference column (the scan it
+replaced lives in ``tests/test_delivery_differential.py``): it times one
+stable event at several pending depths and asserts only the shape — the
+blocker index makes the cost independent of how many commands are waiting.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import pytest
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command
 from repro.consensus.timestamps import LogicalTimestamp
+from repro.core.delivery import DeliveryManager
 from repro.core.history import CommandHistory, CommandStatus
 from repro.core.predecessors import WaitManager, compute_predecessor_mask
 from repro.core.reference import (ReferenceCommandHistory, ReferenceWaitManager,
@@ -31,6 +37,10 @@ from repro.core.reference import (ReferenceCommandHistory, ReferenceWaitManager,
 
 #: Per-key bucket sizes the operations are timed at.
 BUCKET_SIZES = (64, 256, 1024)
+
+#: Pending depths the delivery row is timed at, and stable events per sample.
+PENDING_DEPTHS = (16, 64, 256)
+DELIVERY_EVENTS = 2000
 
 #: Best-of-N repetitions per sample (defends against scheduler noise).
 REPS = 3
@@ -164,6 +174,35 @@ def time_wait_notify(size: int) -> Dict[str, float]:
     return {"optimized": ops / seconds, "reference": ref_ops / ref_seconds}
 
 
+def time_delivery_on_stable(depth: int) -> float:
+    """Stable events per second while ``depth`` stable commands wait on a
+    predecessor that never arrives: each event is a command on another key
+    with nothing to wait for, so all it should pay is its own delivery."""
+    blocker = Command(command_id=(9, 0), key="hot", operation="put", value="b", origin=0)
+    waiting = make_commands(depth)
+    arrivals = [Command(command_id=(3, seq), key="cold", operation="put", value="a", origin=0)
+                for seq in range(DELIVERY_EVENTS)]
+
+    def run() -> float:
+        history = CommandHistory()
+        manager = DeliveryManager(history, lambda command: None)
+        for offset, command in enumerate(waiting):
+            history.update(command, ts(offset + 1), {blocker.command_id},
+                           CommandStatus.STABLE, BALLOT)
+            manager.on_stable(command)
+        assert manager.pending_count() == depth
+        for offset, command in enumerate(arrivals):
+            history.update(command, ts(offset + 1, 1), set(), CommandStatus.STABLE, BALLOT)
+        started = time.perf_counter()
+        for command in arrivals:
+            manager.on_stable(command)
+        elapsed = time.perf_counter() - started
+        assert manager.delivered_count == DELIVERY_EVENTS
+        return elapsed
+
+    return DELIVERY_EVENTS / min(run() for _ in range(REPS))
+
+
 OPERATIONS = {
     "compute_predecessors": time_compute_predecessors,
     "history_update": time_history_update,
@@ -179,9 +218,9 @@ def test_decision_path_microbench(benchmark):
         samples: Dict[str, Dict[int, Dict[str, float]]] = {}
         for name, timer in OPERATIONS.items():
             samples[name] = {size: timer(size) for size in BUCKET_SIZES}
-        return samples
+        return samples, {depth: time_delivery_on_stable(depth) for depth in PENDING_DEPTHS}
 
-    samples = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    samples, delivery = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     lines = [f"{'operation':<24} {'bucket':>6} {'optimized/s':>14} "
              f"{'reference/s':>14} {'speedup':>8}"]
@@ -190,6 +229,9 @@ def test_decision_path_microbench(benchmark):
             speedup = cell["optimized"] / cell["reference"]
             lines.append(f"{name:<24} {size:>6} {cell['optimized']:>14,.0f} "
                          f"{cell['reference']:>14,.0f} {speedup:>7.1f}x")
+    lines.append(f"{'operation':<24} {'depth':>6} {'events/s':>14}")
+    for depth, rate in delivery.items():
+        lines.append(f"{'delivery_on_stable':<24} {depth:>6} {rate:>14,.0f}")
     print("\n" + "\n".join(lines))
 
     # The algorithmic wins must show at the largest bucket size: predecessor
@@ -205,3 +247,10 @@ def test_decision_path_microbench(benchmark):
     # (not speedup) is the requirement against the naive dict/set insert.
     update = samples["history_update"][largest]
     assert update["optimized"] > 0.3 * update["reference"]
+    # A stable event wakes only the commands filed under its bit, so 16x the
+    # pending depth must not cost anywhere near 16x (the rescan it replaced did:
+    # 59k, 10k and 3.6k events/s at these depths).
+    shallow, deep = delivery[PENDING_DEPTHS[0]], delivery[PENDING_DEPTHS[-1]]
+    assert deep > shallow / 3.0, (
+        f"delivery_on_stable: {deep:,.0f} events/s at depth {PENDING_DEPTHS[-1]} vs "
+        f"{shallow:,.0f} at depth {PENDING_DEPTHS[0]}")

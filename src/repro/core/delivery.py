@@ -8,9 +8,13 @@ contradicts the final timestamp order, so the remaining precedence graph is
 acyclic and delivery always makes progress.
 
 The delivered set is an interned bitmask drawn from the history's id
-interner, so DELIVERABLE is a single mask test and BREAKLOOP touches only
-the pending commands whose predecessor mask actually references the newly
-stable command — not every pending command on every stable event.
+interner, so DELIVERABLE is a single mask test.  A stable command that cannot
+be delivered yet is filed under the interner index of each predecessor still
+blocking it, so a stable event re-reconciles only the commands filed under
+the new command's bit, and a delivery re-tests only the commands filed under
+the delivered one — never every pending command.  Nothing else can make a
+pending command deliverable: once an entry is STABLE only this class writes
+its ``pred_mask``.
 
 :class:`HistoryCompactor` is the (opt-in) garbage collector: once a command
 has been delivered by *every* replica it can never influence another
@@ -22,10 +26,17 @@ therefore driven from the harness, not from the protocol.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.consensus.command import Command, CommandId
 from repro.core.history import CommandHistory, CommandStatus, HistoryEntry
+
+
+#: A pending command as filed and queued: ``(ts_key, filing sequence, command,
+#: entry)``.  A round delivers in timestamp order; equal timestamps (which the
+#: protocol never issues) fall back to the order the commands became pending in.
+_Waiter = Tuple[Tuple[int, int], int, Command, HistoryEntry]
+_ROUND_ORDER = itemgetter(0, 1)
 
 
 class DeliveryManager:
@@ -45,6 +56,13 @@ class DeliveryManager:
         self._on_delivered = on_delivered
         self._delivered_mask = 0
         self._pending: Dict[CommandId, Command] = {}
+        #: Blocker index: interner index of an undelivered predecessor -> the
+        #: pending commands that waited on it when they were filed.  BREAKLOOP
+        #: may since have released one from that bit (and it may have been
+        #: delivered), so readers re-test.  A list is popped when its blocker
+        #: is delivered: the index is empty whenever ``_pending`` is.
+        self._waiters: Dict[int, List[_Waiter]] = {}
+        self._filed = 0
         self.delivered_order: List[CommandId] = []
 
     @property
@@ -68,18 +86,18 @@ class DeliveryManager:
         (lost, or decided while it was crashed/partitioned) — exactly what a
         catch-up request should ask peers for.  Predecessors that are stable
         locally but undelivered are excluded: delivery will reach them.
+
+        Read off the blocker index: BREAKLOOP only ever releases the bit of a
+        stable command, so every command filed under a blocker that is not
+        stable is still waiting on it.
         """
-        missing: Set[CommandId] = set()
         history = self._history
-        for command_id in self._pending:
-            entry = history.get(command_id)
-            if entry is None:
-                continue
-            for pred in history.iter_mask(entry.pred_mask & ~self._delivered_mask):
-                pred_entry = history.get(pred)
-                if pred_entry is None or pred_entry.status is not CommandStatus.STABLE:
-                    missing.add(pred)
-        return missing
+        missing = 0
+        for index in self._waiters:
+            entry = history.entry_at(index)
+            if entry is None or entry.status is not CommandStatus.STABLE:
+                missing |= 1 << index
+        return set(history.iter_mask(missing))
 
     # --------------------------------------------------------------- helpers
 
@@ -110,12 +128,31 @@ class DeliveryManager:
         if remove:
             entry.pred_mask = mask & ~remove
 
+    def _is_ready(self, entry: HistoryEntry) -> bool:
+        """DELIVERABLE, for an entry that may have been delivered since it was filed."""
+        delivered = self._delivered_mask
+        return entry.pred_mask & ~delivered == 0 and not (delivered >> entry.index) & 1
+
+    def _file(self, command: Command, entry: HistoryEntry, ready: List[_Waiter]) -> None:
+        """Queue a pending command in ``ready``, or file it under every blocker."""
+        self._filed += 1
+        waiter = (entry.ts_key(), self._filed, command, entry)
+        blocked = entry.pred_mask & ~self._delivered_mask
+        if not blocked:
+            ready.append(waiter)
+        while blocked:
+            low = blocked & -blocked
+            blocked ^= low
+            self._waiters.setdefault(low.bit_length() - 1, []).append(waiter)
+
     # -------------------------------------------------------------- main API
 
     def on_stable(self, command: Command) -> List[Command]:
         """Register a newly stable command and deliver everything now possible.
 
-        Returns the list of commands delivered as a result (in order).
+        The caller has recorded the command as STABLE in the history first (one
+        that is not is held back until :meth:`retry_pending`).  Returns the
+        list of commands delivered as a result (in order).
         """
         command_id = command.command_id
         history = self._history
@@ -123,36 +160,36 @@ class DeliveryManager:
         if index is not None and (self._delivered_mask >> index) & 1:
             return []
         entry = history.get(command_id)
-        if not self._pending:
+        if entry is None or entry.status is not CommandStatus.STABLE:
+            self._pending[command_id] = command
+            return []
+        if not self._pending and entry.pred_mask & ~self._delivered_mask == 0:
             # Fast path for the overwhelmingly common case: nothing else is
             # waiting and every predecessor has already been delivered, so
             # the command can be executed without the loop-breaking or
             # ready-list machinery (which would reach the same conclusion).
-            if (entry is not None and entry.status is CommandStatus.STABLE
-                    and entry.pred_mask & ~self._delivered_mask == 0):
-                self._deliver(command, entry.index)
-                return [command]
+            self._deliver(command, entry.index)
+            return [command]
         self._pending[command_id] = command
-        if entry is not None and entry.status is CommandStatus.STABLE:
-            self._break_loop(entry)
-            # The new command may also unblock older stable commands whose
-            # predecessor sets reference it; exactly those pairs are
-            # re-reconciled (every other pending pair is unchanged since the
-            # stable event that last reconciled it).
-            bit = 1 << entry.index
-            my_key = entry.ts_key()
-            for other_id in list(self._pending.keys()):
-                if other_id == command_id:
-                    continue
-                other = history.get(other_id)
-                if (other is None or other.status is not CommandStatus.STABLE
-                        or not other.pred_mask & bit):
-                    continue
-                if my_key < other.ts_key():
-                    entry.pred_mask &= ~(1 << other.index)
-                else:
-                    other.pred_mask &= ~bit
-        return self._drain()
+        self._break_loop(entry)
+        # The new command may also unblock older stable commands whose
+        # predecessor sets reference it: exactly the ones filed under its bit
+        # (every other pending pair is unchanged since the stable event that
+        # last reconciled it).  No other mask is edited, so these and the new
+        # command are the only candidates for the first round.
+        bit = 1 << entry.index
+        my_key = entry.ts_key()
+        ready: List[_Waiter] = []
+        for waiter in self._waiters.get(entry.index, ()):
+            other = waiter[3]
+            if my_key < waiter[0]:
+                entry.pred_mask &= ~(1 << other.index)
+            else:
+                other.pred_mask &= ~bit
+                if self._is_ready(other):
+                    ready.append(waiter)
+        self._file(command, entry, ready)
+        return self._drain(ready)
 
     def _deliver(self, command: Command, index: int) -> None:
         self._delivered_mask |= 1 << index
@@ -161,36 +198,47 @@ class DeliveryManager:
         if self._on_delivered is not None:
             self._on_delivered(command)
 
-    def _drain(self) -> List[Command]:
-        """Deliver pending stable commands until no more are deliverable."""
+    def _drain(self, ready: List[_Waiter]) -> List[Command]:
+        """Deliver ``ready`` and, round by round, everything that unblocks.
+
+        A round delivers what was deliverable when it started, in timestamp
+        order so conflicting commands follow the agreed order (non-conflicting
+        ties are broken deterministically).  A command unblocked in mid-round
+        waits for the next round even if its timestamp is smaller: the order
+        a rescan of all pending commands per round would give, found by
+        looking only under the bits just delivered.
+        """
         delivered_now: List[Command] = []
-        history = self._history
-        progress = True
-        while progress:
-            progress = False
-            # Deliver in timestamp order so conflicting commands follow the
-            # agreed order; non-conflicting ties are broken deterministically.
-            ready: List[tuple] = []
-            delivered_mask = self._delivered_mask
-            for command_id, command in self._pending.items():
-                entry = history.get(command_id)
-                if entry is None:
+        while ready:
+            ready.sort(key=_ROUND_ORDER)
+            unblocked: List[_Waiter] = []
+            for _, _, command, entry in ready:
+                # Queued twice when a list BREAKLOOP had released it from is
+                # popped while it is already waiting for its turn.
+                if self._pending.pop(command.command_id, None) is None:
                     continue
-                if entry.pred_mask & ~delivered_mask == 0:
-                    ready.append((entry.ts_key(), command_id, command, entry))
-            ready.sort(key=itemgetter(0))
-            for _, command_id, command, entry in ready:
-                if command_id not in self._pending:
-                    continue
-                del self._pending[command_id]
                 self._deliver(command, entry.index)
                 delivered_now.append(command)
-                progress = True
+                for waiter in self._waiters.pop(entry.index, ()):
+                    if self._is_ready(waiter[3]):
+                        unblocked.append(waiter)
+            ready = unblocked
         return delivered_now
 
     def retry_pending(self) -> List[Command]:
-        """Re-attempt delivery (used after external history mutations)."""
-        return self._drain()
+        """Rebuild the blocker index from the history and deliver what is ready.
+
+        The one cold path, and the only walk over every pending command: for a
+        caller that changed a pending entry's mask or status behind this
+        class's back.  Nothing in ``src/`` does, so nothing in ``src/`` calls it.
+        """
+        self._waiters.clear()
+        ready: List[_Waiter] = []
+        for command_id, command in self._pending.items():
+            entry = self._history.get(command_id)
+            if entry is not None and entry.status is CommandStatus.STABLE:
+                self._file(command, entry, ready)
+        return self._drain(ready)
 
 
 class HistoryCompactor:

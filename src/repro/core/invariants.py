@@ -16,6 +16,8 @@ simulations can check them continuously:
   property of Generalized Consensus).
 * :func:`check_timestamp_order` — on every replica, conflicting commands are
   executed in increasing final-timestamp order.
+* :func:`check_delivery_quiescent` — no replica sits on a stable command whose
+  predecessors have all been executed (a lost wake-up in the delivery index).
 
 Each checker returns a list of human-readable violation descriptions; an
 empty list means the invariant holds.
@@ -128,6 +130,31 @@ def check_timestamp_order(replicas: Sequence[CaesarReplica]) -> List[str]:
     return violations
 
 
+def check_delivery_quiescent(replicas: Sequence) -> List[str]:
+    """Every stable, undelivered command still waits on an undelivered predecessor.
+
+    Handlers run to completion, so between events a deliverable command must
+    already have been delivered; one left behind means the delivery manager
+    lost its wake-up (filed it under the wrong bit, dropped a list too early)
+    and it would otherwise only show as a run that never drains.  Replicas of
+    protocols without a delivery manager are skipped, so the chaos driver can
+    run this on any cluster.
+    """
+    violations: List[str] = []
+    for replica in replicas:
+        delivery = getattr(replica, "delivery", None)
+        if replica.crashed or delivery is None:
+            continue
+        is_delivered = delivery.is_delivered
+        for entry in replica.history.stable_entries():
+            if (not is_delivered(entry.command_id)
+                    and all(is_delivered(pred) for pred in entry.predecessors)):
+                violations.append(
+                    f"node {replica.node_id}: stable {entry.command_id} "
+                    f"(ts {entry.timestamp}) is deliverable but was never delivered")
+    return violations
+
+
 def check_all(replicas: Sequence[CaesarReplica]) -> List[str]:
     """Run every CAESAR invariant checker and concatenate the violations."""
     violations: List[str] = []
@@ -135,4 +162,5 @@ def check_all(replicas: Sequence[CaesarReplica]) -> List[str]:
     violations.extend(check_graph_invariant(replicas))
     violations.extend(check_execution_consistency(replicas))
     violations.extend(check_timestamp_order(replicas))
+    violations.extend(check_delivery_quiescent(replicas))
     return violations

@@ -10,7 +10,8 @@ the per-key linearizability checker.  The verdict combines three oracles:
   effect late or never);
 * **internal consistency** — live replicas' execution logs must agree on
   the order of conflicting commands (the Generalized Consensus invariant the
-  repository already checks elsewhere);
+  repository already checks elsewhere), and no CAESAR replica may sit on a
+  stable command that is deliverable (a lost wake-up in delivery);
 * **progress after heal** — once the fabric is healed, fresh probe commands
   submitted at every healthy replica must complete within a deadline.
 
@@ -28,7 +29,8 @@ from repro.chaos.checker import DEFAULT_MAX_STATES, LinearizabilityReport, check
 from repro.chaos.history import HistoryTape, TapedClientStats
 from repro.chaos.nemesis import Nemesis, NemesisPlan, build_schedule
 from repro.consensus.command import Command
-from repro.core.invariants import check_execution_consistency
+from repro.core.invariants import (check_delivery_quiescent,
+                                   check_execution_consistency)
 from repro.harness.cluster import ClusterConfig, build_cluster
 from repro.harness.experiment import count_decisions
 from repro.harness.protocols import constructor_options
@@ -237,7 +239,8 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
 
     # ------------------------------------------------------------- verdicts
     report = check_history(tape, max_states_per_key=config.max_states_per_key)
-    internal = check_execution_consistency(cluster.replicas)
+    internal = (check_execution_consistency(cluster.replicas)
+                + check_delivery_quiescent(cluster.replicas))
 
     fast, slow = count_decisions(cluster.replicas)
     recoveries = 0

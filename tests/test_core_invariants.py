@@ -10,6 +10,7 @@ from repro.core.history import CommandStatus
 from repro.core.invariants import (
     check_agreement,
     check_all,
+    check_delivery_quiescent,
     check_execution_consistency,
     check_graph_invariant,
     check_timestamp_order,
@@ -115,6 +116,23 @@ class TestCheckersDetectViolations:
         replica.execution_log.append(late)
         violations = check_timestamp_order([replica])
         assert len(violations) == 1
+
+    def test_lost_delivery_wakeup_detected(self):
+        """A stable command whose last blocker went away without waking it."""
+        _, _, replicas = build_caesar_cluster()
+        replica = replicas[0]
+        blocker = make_command(0, 0, key="x")
+        waiting = make_command(1, 0, key="x")
+        entry = replica.history.update(waiting, LogicalTimestamp(5, 1), {blocker.command_id},
+                                       CommandStatus.STABLE, Ballot.initial(1))
+        assert replica.delivery.on_stable(waiting) == []
+        assert check_delivery_quiescent(replicas) == []  # legitimately blocked
+        entry.pred_mask = 0  # what a mis-filed index entry amounts to
+        violations = check_all(replicas)
+        assert len(violations) == 1
+        assert "deliverable but was never delivered" in violations[0]
+        replica.delivery.retry_pending()
+        assert check_delivery_quiescent(replicas) == []
 
     def test_crashed_replicas_are_skipped(self):
         _, _, replicas = build_caesar_cluster()
