@@ -17,6 +17,10 @@ A fourth row, ``delivery_on_stable``, has no reference column (the scan it
 replaced lives in ``tests/test_delivery_differential.py``): it times one
 stable event at several pending depths and asserts only the shape — the
 blocker index makes the cost independent of how many commands are waiting.
+
+``codec_roundtrip`` (its own test below) times the compiled wire codec
+against the interpreted tree it replaced (``tests/interpreted_codec.py``) on
+the three messages a fast decision sends, at several predecessor counts.
 """
 
 from __future__ import annotations
@@ -31,9 +35,12 @@ from repro.consensus.command import Command
 from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.delivery import DeliveryManager
 from repro.core.history import CommandHistory, CommandStatus
+from repro.core.messages import FastPropose, FastProposeReply, Stable
 from repro.core.predecessors import WaitManager, compute_predecessor_mask
 from repro.core.reference import (ReferenceCommandHistory, ReferenceWaitManager,
                                   reference_compute_predecessors)
+from repro.runtime.registry import WIRE
+from tests.interpreted_codec import interpreted_registry
 
 #: Per-key bucket sizes the operations are timed at.
 BUCKET_SIZES = (64, 256, 1024)
@@ -41,6 +48,11 @@ BUCKET_SIZES = (64, 256, 1024)
 #: Pending depths the delivery row is timed at, and stable events per sample.
 PENDING_DEPTHS = (16, 64, 256)
 DELIVERY_EVENTS = 2000
+
+#: Predecessor-set sizes the codec row is timed at; calls per sample; samples.
+PREDECESSOR_COUNTS = (0, 16, 64)
+CODEC_ITERATIONS = 2000
+CODEC_REPS = 5
 
 #: Best-of-N repetitions per sample (defends against scheduler noise).
 REPS = 3
@@ -254,3 +266,72 @@ def test_decision_path_microbench(benchmark):
     assert deep > shallow / 3.0, (
         f"delivery_on_stable: {deep:,.0f} events/s at depth {PENDING_DEPTHS[-1]} vs "
         f"{shallow:,.0f} at depth {PENDING_DEPTHS[0]}")
+
+
+# ------------------------------------------------------------- the wire codec
+
+def codec_messages(count: int) -> Dict[str, object]:
+    """The messages of one fast decision, each carrying ``count`` predecessor ids."""
+    command = Command(command_id=(3, 1041), key="key-17", operation="put",
+                      value="value-1041", origin=2)
+    ids = frozenset((seq % 3, 1000 + seq) for seq in range(count))
+    return {
+        "FastPropose": FastPropose(command=command, ballot=BALLOT, timestamp=ts(1300, 2),
+                                   whitelist=ids or None),
+        "FastProposeReply": FastProposeReply(command_id=command.command_id, ballot=BALLOT,
+                                             timestamp=ts(1300, 2), predecessors=ids, ok=True),
+        "Stable": Stable(command=command, ballot=BALLOT, timestamp=ts(1300, 2),
+                         predecessors=ids),
+    }
+
+
+def time_codec(message: object, interpreted) -> Dict[str, float]:
+    """Microseconds per encode and per decode, compiled and interpreted.
+
+    The four loops take turns, best of ``CODEC_REPS`` each, so a noisy
+    stretch of the host cannot land on one side of a ratio only.
+    """
+    payload = WIRE.encode(message)
+    assert payload == interpreted.encode(message)
+    assert WIRE.decode_one(payload) == interpreted.decode_one(payload) == message
+    calls = {"encode": (WIRE.encode, message),
+             "encode_interpreted": (interpreted.encode, message),
+             "decode": (WIRE.decode_one, payload),
+             "decode_interpreted": (interpreted.decode_one, payload)}
+    best = dict.fromkeys(calls, float("inf"))
+    for _ in range(CODEC_REPS):
+        for name, (fn, argument) in calls.items():
+            started = time.perf_counter()
+            for _ in range(CODEC_ITERATIONS):
+                fn(argument)
+            best[name] = min(best[name], time.perf_counter() - started)
+    return {name: seconds / CODEC_ITERATIONS * 1e6 for name, seconds in best.items()}
+
+
+@pytest.mark.benchmark(group="micro")
+def test_codec_roundtrip_microbench(benchmark):
+    """Compiled vs interpreted codec, microseconds per call (printed, not written)."""
+    interpreted = interpreted_registry(WIRE)
+
+    def run_all():
+        return {(name, count): time_codec(message, interpreted)
+                for count in PREDECESSOR_COUNTS
+                for name, message in codec_messages(count).items()}
+
+    samples = benchmark.pedantic(run_all, rounds=1, iterations=1)
+
+    lines = [f"{'codec_roundtrip':<18} {'preds':>5} {'encode us':>10} {'interp us':>10} "
+             f"{'speedup':>8} {'decode us':>10} {'interp us':>10} {'speedup':>8}"]
+    for (name, count), cell in samples.items():
+        lines.append(
+            f"{name:<18} {count:>5} {cell['encode']:>10.2f} {cell['encode_interpreted']:>10.2f} "
+            f"{cell['encode_interpreted'] / cell['encode']:>7.1f}x "
+            f"{cell['decode']:>10.2f} {cell['decode_interpreted']:>10.2f} "
+            f"{cell['decode_interpreted'] / cell['decode']:>7.1f}x")
+    print("\n" + "\n".join(lines))
+
+    # One flat function instead of ~75 method calls.  Decoding gains less: its
+    # floor is the four frozen-dataclass constructors, which both sides pay.
+    cell = samples[("Stable", 16)]
+    assert cell["encode_interpreted"] >= 1.5 * cell["encode"], cell
+    assert cell["decode_interpreted"] >= 1.2 * cell["decode"], cell

@@ -29,10 +29,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.consensus.command import Command, CommandResult
 from repro.metrics.collector import MetricsCollector
 from repro.net.clock import WallClock
-from repro.net.framing import FrameDecoder, encode_frame
+from repro.net.framing import FrameDecoder, FramingError, encode_frame
 from repro.net.wire import (ROLE_CLIENT, ROLE_CONTROL, ClientReply,
                             ClientRequest, Hello, StatsReply, StatsRequest)
-from repro.runtime.registry import WIRE
+from repro.runtime.registry import WIRE, WireDecodeError
 from repro.sim.network import flags_to_fields
 from repro.sim.random import DeterministicRandom
 from repro.workload.clients import ClientPool, ClosedLoopClient, OpenLoopClient
@@ -85,7 +85,7 @@ class RemoteReplica:
                             callback(CommandResult(command_id=message.command_id,
                                                    value=message.value,
                                                    rejected=bool(message.rejected)))
-        except (ConnectionError, asyncio.CancelledError):
+        except (ConnectionError, FramingError, WireDecodeError, asyncio.CancelledError):
             pass
         finally:
             self.crashed = True

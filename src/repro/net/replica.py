@@ -36,7 +36,7 @@ from repro.net.transport import PeerNetwork, ReconnectPolicy
 from repro.net.wire import (ROLE_CLIENT, ROLE_CONTROL, ROLE_NAMES, ROLE_REPLICA,
                             ClientReply, ClientRequest, Hello, StatsReply,
                             StatsRequest)
-from repro.runtime.registry import WIRE
+from repro.runtime.registry import WIRE, WireDecodeError
 from repro.sim.costs import zero_cost_model
 
 
@@ -144,8 +144,10 @@ class ReplicaServer:
                         hello = message
                         continue
                     self._dispatch(hello, message, writer)
-        except (ConnectionError, FramingError, asyncio.IncompleteReadError,
-                asyncio.CancelledError):
+        except (ConnectionError, FramingError, WireDecodeError,
+                asyncio.IncompleteReadError, asyncio.CancelledError):
+            # A peer that breaks the framing or sends undecodable bytes loses
+            # this connection; the replica keeps serving every other one.
             pass
         finally:
             self._accepted.discard(writer)

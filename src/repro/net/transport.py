@@ -234,32 +234,42 @@ class AsyncioTransport(Transport):
         if self._closed:
             return
         payload = WIRE.encode(message)
-        self._transmit(dst, message, payload, encode_frame(payload))
+        frame = encode_frame(payload)
+        self._account(message, len(payload), len(frame), 1)
+        self._transmit(dst, message, frame)
 
     def broadcast(self, message: object, include_self: bool = True,
                   size_bytes: int = 64) -> None:
-        """Send to every peer, encoding the message exactly once."""
+        """Send to every peer, encoding and accounting the message exactly once."""
         if self._closed:
             return
         payload = WIRE.encode(message)
         frame = encode_frame(payload)
         local = self._node_id
-        for dst in self.network.node_ids:
-            if dst == local and not include_self:
-                continue
-            self._transmit(dst, message, payload, frame)
+        destinations = [dst for dst in self.network.node_ids
+                        if include_self or dst != local]
+        self._account(message, len(payload), len(frame), len(destinations))
+        for dst in destinations:
+            self._transmit(dst, message, frame)
 
-    def _transmit(self, dst: int, message: object, payload: bytes, frame: bytes) -> None:
+    def _account(self, message: object, payload_bytes: int, frame_bytes: int,
+                 copies: int) -> None:
+        """Count ``copies`` transmissions of one encoded message.
+
+        The socket backend encodes every message anyway, so real codec bytes
+        are always accounted — same counters the footprint benchmark reads
+        from simulator runs with wire_accounting enabled.
+        """
         stats = self.network.stats
-        stats.messages_sent += 1
-        stats.bytes_sent += len(frame)
-        # The socket backend encodes every message anyway, so real codec
-        # bytes are always accounted — same counters the footprint benchmark
-        # reads from simulator runs with wire_accounting enabled.
-        stats.codec_bytes_sent += len(payload)
+        stats.messages_sent += copies
+        stats.bytes_sent += frame_bytes * copies
+        codec_bytes = payload_bytes * copies
+        stats.codec_bytes_sent += codec_bytes
         type_name = type(message).__name__
         per_type = stats.per_type_codec_bytes
-        per_type[type_name] = per_type.get(type_name, 0) + len(payload)
+        per_type[type_name] = per_type.get(type_name, 0) + codec_bytes
+
+    def _transmit(self, dst: int, message: object, frame: bytes) -> None:
         if dst == self._node_id:
             # Self-sends never cross the wire: straight into the local
             # receive path (which defers dispatch through the clock).
@@ -267,7 +277,7 @@ class AsyncioTransport(Transport):
             return
         connection = self._connections.get(dst)
         if connection is None or not connection.send_frame(frame):
-            stats.messages_dropped += 1
+            self.network.stats.messages_dropped += 1
 
     def set_timer(self, delay_ms: float, callback) -> Timer:
         """Arm a timer on the wall clock (asyncio event loop)."""

@@ -64,3 +64,28 @@ class TestCrashRecoveryOverSockets:
         for node_id in (0, 2):
             assert len(run.executed[node_id]) >= run.expected
         assert run.violations == 0
+
+
+class TestWireAccounting:
+    def test_counters_equal_the_snapshot_recorded_before_accounting_was_hoisted(self):
+        """``broadcast`` accounts a message once for all its destinations.
+
+        One closed-loop client keeps a single command in flight, so the
+        message sequence — and every counter — is the same in every run.
+        The numbers below were recorded at commit 3a13b3e, where
+        ``_transmit`` did the accounting once per destination.
+        """
+        run = run_loopback("caesar", replicas=3, clients=1, commands_per_client=10,
+                           conflict_rate=0.0, seed=7, timeout_s=30.0)
+        assert run.completed == 10
+        follower = {"messages_sent": 10, "messages_delivered": 20, "messages_dropped": 0,
+                    "bytes_sent": 134, "codec_bytes_sent": 94,
+                    "per_type_codec_bytes": {"FastProposeReply": 94}}
+        assert {node: stats["network"] for node, stats in run.stats.items()} == {
+            0: {"messages_sent": 70, "messages_delivered": 50, "messages_dropped": 0,
+                "bytes_sent": 2330, "codec_bytes_sent": 2050,
+                "per_type_codec_bytes": {"FastPropose": 972, "FastProposeReply": 94,
+                                         "Stable": 984}},
+            1: follower,
+            2: follower,
+        }

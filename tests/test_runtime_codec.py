@@ -11,12 +11,22 @@ are covered automatically):
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
+import traceback
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 import repro.harness.protocols  # noqa: F401  (registers every protocol's messages)
+from repro.net.wire import StatsReply
 from repro.runtime.codec import (
     BoolCodec,
+    Codec,
     FrozenSetCodec,
     OptionalCodec,
     SeqCodec,
@@ -25,8 +35,10 @@ from repro.runtime.codec import (
     StructCodec,
     TupleCodec,
     UintCodec,
+    decode_uvarint,
+    encode_uvarint,
 )
-from repro.runtime.registry import WIRE, MessageCodec
+from repro.runtime.registry import WIRE, MessageCodec, MessageRegistry
 from repro.sim.batching import MessageBatch
 from repro.sim.failures import Heartbeat
 
@@ -123,3 +135,76 @@ def test_unregistered_type_is_rejected():
 
     with pytest.raises(KeyError):
         WIRE.encode(NotWire())
+
+
+# ------------------------------------------------------- compiled-codec contract
+
+def test_importing_the_package_compiles_no_codec():
+    """Compilation is lazy: import compiles nothing, one encode compiles one type.
+
+    Generated modules are registered with ``linecache`` under ``<wire codec
+    NAME>``, which is also how this test counts them.
+    """
+    script = (
+        "import linecache, repro.api, repro.net, repro.harness.protocols\n"
+        "from repro.runtime.registry import WIRE\n"
+        "from repro.sim.failures import Heartbeat\n"
+        "compiled = lambda: sorted(k for k in linecache.cache if k.startswith('<wire codec'))\n"
+        "assert len(WIRE.types()) >= 40\n"
+        "print(compiled())\n"
+        "WIRE.decode_one(WIRE.encode(Heartbeat(sender=1, sequence=2)))\n"
+        "print(compiled())\n")
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.splitlines() == ["[]", "['<wire codec Heartbeat>']"]
+
+
+def test_traceback_from_generated_code_shows_the_generated_line():
+    with pytest.raises(AttributeError) as caught:
+        WIRE.encode(StatsReply(sender=1, payload=12345))   # payload must be a str
+    frame = traceback.extract_tb(caught.value.__traceback__)[-1]
+    assert frame.filename == "<wire codec StatsReply>"
+    assert "payload" in frame.line and frame.line.endswith(".encode('utf-8')")
+    assert frame.line in "".join(traceback.format_exception(caught.value))
+
+
+def test_codec_defining_only_encode_and_decode_works_inside_a_message():
+    """A third-party codec without emitters is called as an opaque field codec."""
+
+    class FixedWidth(Codec):
+        def encode(self, value, out):
+            out += value.to_bytes(4, "big")
+
+        def decode(self, data, offset):
+            return int.from_bytes(data[offset:offset + 4], "big"), offset + 4
+
+    @dataclasses.dataclass(frozen=True)
+    class Reading:
+        sensor: int
+        samples: tuple
+
+    registry = MessageRegistry()
+    registry.register(Reading, {"sensor": UintCodec(), "samples": SeqCodec(FixedWidth())})
+    reading = Reading(sensor=300, samples=(1, 2**31, 7))
+    encoded = registry.encode(reading)
+    assert encoded == b"\x00\xac\x02\x03" + b"".join(s.to_bytes(4, "big") for s in reading.samples)
+    assert registry.decode_one(encoded) == reading
+
+    class Nothing(Codec):
+        pass
+
+    with pytest.raises(NotImplementedError):
+        Nothing().encode(1, bytearray())
+
+
+def test_varints_stop_at_ten_bytes_in_both_directions():
+    out = bytearray()
+    encode_uvarint(2**70 - 1, out)
+    assert len(out) == 10 and decode_uvarint(bytes(out), 0) == (2**70 - 1, 10)
+    with pytest.raises(ValueError):
+        encode_uvarint(2**70, bytearray())
+    with pytest.raises(ValueError):
+        encode_uvarint(-1, bytearray())
+    with pytest.raises(ValueError):
+        decode_uvarint(b"\xff" * 10 + b"\x01", 0)

@@ -1,0 +1,190 @@
+"""Hostile payloads fail once, loudly and boundedly.
+
+Whatever is wrong with the bytes — garbage, a truncated message, a byte too
+many, an unknown type id, a varint that never ends, batches nested past the
+recursion limit — :meth:`MessageRegistry.decode_one` answers with one
+:class:`WireDecodeError`, and a replica that receives such a frame drops that
+connection and keeps serving the others.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import socket
+import sys
+import time
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.harness.protocols  # noqa: F401  (registers every protocol's messages)
+from repro.consensus.command import Command
+from repro.net.client import RemoteReplica
+from repro.net.framing import encode_frame
+from repro.net.loopback import LoopbackCluster
+from repro.net.wire import ROLE_CLIENT, ROLE_REPLICA, Hello, StatsReply
+from repro.runtime.registry import WIRE, WireDecodeError
+from repro.sim.batching import MessageBatch
+from repro.sim.failures import Heartbeat
+from tests.test_runtime_codec import message_strategy
+
+_ANY_MESSAGE = st.sampled_from(WIRE.types()).flatmap(message_strategy)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=st.binary(max_size=96))
+def test_random_bytes_decode_or_raise_wire_decode_error(payload):
+    try:
+        message = WIRE.decode_one(payload)
+    except WireDecodeError:
+        return
+    # The rare garbage that *is* a message re-encodes to an equal message.
+    assert WIRE.decode_one(WIRE.encode(message)) == message
+
+
+@settings(max_examples=150, deadline=None)
+@given(message=_ANY_MESSAGE, extra=st.binary(min_size=1, max_size=3))
+def test_prefixes_and_trailing_bytes_are_rejected(message, extra):
+    encoded = WIRE.encode(message)
+    for cut in range(len(encoded)):
+        with pytest.raises(WireDecodeError):
+            WIRE.decode_one(encoded[:cut])
+    with pytest.raises(WireDecodeError):
+        WIRE.decode_one(encoded + extra)
+    assert WIRE.decode_one(encoded) == message
+
+
+def test_wire_decode_error_is_a_value_error_naming_the_cause():
+    assert issubclass(WireDecodeError, ValueError)
+    with pytest.raises(WireDecodeError, match="unknown message type id 16383"):
+        WIRE.decode_one(b"\xff\x7f")
+    with pytest.raises(WireDecodeError, match="IndexError"):
+        WIRE.decode_one(b"")
+    with pytest.raises(WireDecodeError, match="UnicodeDecodeError"):
+        WIRE.decode_one(WIRE.encode(StatsReply(sender=1, payload="ab")).replace(b"ab", b"\xff\xfe"))
+
+
+def test_an_endless_varint_is_cut_off_not_accumulated():
+    """A frame of 0xff bytes must not build a megabyte integer quadratically."""
+    payload = WIRE.encode(Heartbeat(sender=0, sequence=0))[:1] + b"\xff" * (1 << 20)
+    started = time.perf_counter()
+    with pytest.raises(WireDecodeError, match="varint longer than 10 bytes"):
+        WIRE.decode_one(payload)
+    assert time.perf_counter() - started < 0.5
+
+
+def test_batches_nested_past_the_recursion_limit_raise_wire_decode_error():
+    one_level = WIRE.encode(MessageBatch(messages=(Heartbeat(sender=0, sequence=0),)))
+    envelope = one_level[:-len(WIRE.encode(Heartbeat(sender=0, sequence=0)))]
+    payload = envelope * (sys.getrecursionlimit() * 2) + WIRE.encode(Heartbeat(0, 0))
+    with pytest.raises(WireDecodeError, match="RecursionError"):
+        WIRE.decode_one(payload)
+
+
+# --------------------------------------------------------- against a live replica
+
+def _hostile_streams():
+    hello = encode_frame(WIRE.encode(Hello(sender=1, role=ROLE_REPLICA)))
+    heartbeat = WIRE.encode(Heartbeat(sender=1, sequence=9))
+    return {
+        "garbage-first-frame": encode_frame(b"\xde\xad\xbe\xef" * 8),
+        "garbage-after-hello": hello + encode_frame(b"\xff" * 64),
+        "truncated-message": hello + encode_frame(heartbeat[:-1]),
+        "trailing-byte": hello + encode_frame(heartbeat + b"\x00"),
+        "empty-payload": hello + encode_frame(b""),
+        "unknown-type-id": hello + encode_frame(b"\xff\x7f"),
+        # Well-formed bytes in the wrong place end the same way.
+        "oversized-frame": hello + b"\xff\xff\xff\xff",
+        "replica-message-on-a-client-link":
+            encode_frame(WIRE.encode(Hello(sender=1, role=ROLE_CLIENT))) + encode_frame(heartbeat),
+    }
+
+
+def _read_until_closed(sock: socket.socket) -> bytes:
+    sock.settimeout(5.0)
+    received = b""
+    while True:
+        chunk = sock.recv(4096)   # socket.timeout here fails the test: never hang
+        if not chunk:
+            return received
+        received += chunk
+
+
+async def _attack_then_commit():
+    loop = asyncio.get_running_loop()
+    unhandled = []
+    loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
+    cluster = LoopbackCluster("caesar", replicas=3, seed=5)
+    await cluster.start()
+    try:
+        host, port = cluster.peers[0]
+        for name, stream in _hostile_streams().items():
+            with socket.create_connection((host, port), timeout=5.0) as sock:
+                sock.sendall(stream)
+                # The replica closes the connection; it sends nothing back.
+                received = await loop.run_in_executor(None, _read_until_closed, sock)
+                assert received == b"", name
+
+        # The replica that was attacked still orders and executes a command.
+        remote = RemoteReplica(0, host, port, client_id=7)
+        await remote.connect()
+        try:
+            done = loop.create_future()
+            command = Command(command_id=(7, 0), key="k", operation="put",
+                              value="still-serving", origin=0)
+            remote.submit(command, callback=done.set_result)
+            result = await asyncio.wait_for(done, timeout=10.0)
+        finally:
+            await remote.close()
+        executed = cluster.servers[0].replica.commands_executed
+    finally:
+        await cluster.stop()
+    return result, executed, unhandled
+
+
+def test_a_replica_survives_hostile_frames_and_still_commits():
+    result, executed, unhandled = asyncio.run(_attack_then_commit())
+    assert result.command_id == (7, 0) and not result.rejected
+    assert executed == 1
+    # No connection task died with "Task exception was never retrieved".
+    assert unhandled == []
+
+
+async def _client_reads(stream: bytes) -> RemoteReplica:
+    """A fake replica that answers the client's Hello with ``stream``."""
+
+    async def serve(reader, writer):
+        await reader.read(1024)
+        writer.write(stream)
+        await writer.drain()
+        await reader.read(1024)     # hold the socket open until the client leaves
+        writer.close()
+
+    server = await asyncio.start_server(serve, "127.0.0.1", 0)
+    host, port = server.sockets[0].getsockname()
+    remote = RemoteReplica(0, host, port, client_id=1)
+    try:
+        await remote.connect()
+        for _ in range(200):
+            if remote.crashed:
+                break
+            await asyncio.sleep(0.01)
+    finally:
+        # A reader that died of an uncaught exception re-raises it here.
+        reader_task = remote._reader_task
+        await remote.close()
+        if reader_task.done() and not reader_task.cancelled():
+            reader_task.result()
+        server.close()
+        await server.wait_closed()
+    return remote
+
+
+@pytest.mark.parametrize("stream", [
+    encode_frame(b"\xff" * 32),
+    encode_frame(WIRE.encode(Hello(sender=0, role=ROLE_CLIENT)) + b"\x01"),
+    b"\xff\xff\xff\xff",    # a frame length past MAX_FRAME_BYTES
+], ids=["garbage", "trailing-byte", "oversized-frame"])
+def test_the_client_reader_marks_the_replica_crashed_on_a_bad_reply(stream):
+    remote = asyncio.run(_client_reads(stream))
+    assert remote.crashed
