@@ -1,9 +1,12 @@
-"""Shared helpers for the benchmark suite.
+"""Shared helpers for the figure suite.
 
-Every benchmark regenerates one table or figure of the paper.  Besides being
-timed by pytest-benchmark, each benchmark writes its result table to
-``benchmarks/results/<name>.txt`` so the numbers quoted in ``EXPERIMENTS.md``
-can be re-checked after a run.
+Every module here regenerates one figure of the paper by calling its driver
+with no arguments — the driver's defaults are the committed parameters — and
+writes the table and BENCH record over the committed files under
+``benchmarks/results/`` (the same files ``repro figure N --out
+benchmarks/results`` writes), so ``git status`` stays clean exactly when the
+figure is reproduced byte for byte.  What is left in the modules is the
+figure's shape assertions.
 """
 
 from __future__ import annotations
@@ -12,18 +15,8 @@ import pathlib
 
 import pytest
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
 
 @pytest.fixture
-def save_result():
-    """Persist a figure's text table under ``benchmarks/results/``."""
-
-    def _save(name: str, table: str) -> None:
-        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        path = RESULTS_DIR / f"{name}.txt"
-        path.write_text(table + "\n")
-        print(f"\n{table}\n[saved to {path}]")
-
-    return _save
-
+def results_dir() -> pathlib.Path:
+    """Where the committed tables and BENCH records live."""
+    return pathlib.Path(__file__).parent / "results"

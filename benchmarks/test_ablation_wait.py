@@ -11,22 +11,12 @@ proposal) and measures the effect on the slow-path share and on latency.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.harness.figures import ablation_wait_condition
 
-from bench_utils import run_once
 
-CONFLICT_RATES = (0.10, 0.30, 0.50)
-
-
-@pytest.mark.benchmark(group="ablation")
-def test_wait_condition_ablation(benchmark, save_result):
-    result = run_once(benchmark, ablation_wait_condition,
-                      perf_name="ablation_wait_condition",
-                      conflict_rates=CONFLICT_RATES, clients_per_site=20,
-                      duration_ms=4000.0, warmup_ms=1000.0)
-    save_result("ablation_wait_condition", result.table)
+def test_wait_condition_ablation(results_dir):
+    result = ablation_wait_condition()
+    result.write(results_dir)
 
     slow_series = result.extra["slow"]
     assert result.extra["consistency_violations"] == 0

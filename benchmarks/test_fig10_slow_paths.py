@@ -8,21 +8,12 @@ a proposal when its timestamp is genuinely invalid.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.harness.figures import figure10_slow_paths
 
-from bench_utils import run_once
 
-CONFLICT_RATES = (0.0, 0.02, 0.10, 0.30, 0.50)
-
-
-@pytest.mark.benchmark(group="figure10")
-def test_figure10_slow_paths(benchmark, save_result):
-    result = run_once(benchmark, figure10_slow_paths,
-                      conflict_rates=CONFLICT_RATES, clients_per_site=25,
-                      duration_ms=4000.0, warmup_ms=1000.0)
-    save_result("figure10_slow_paths", result.table)
+def test_figure10_slow_paths(results_dir):
+    result = figure10_slow_paths()
+    result.write(results_dir)
 
     caesar = result.series["caesar"]
     epaxos = result.series["epaxos"]

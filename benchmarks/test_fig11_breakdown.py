@@ -13,17 +13,10 @@ import pytest
 
 from repro.harness.figures import figure11_breakdown
 
-from bench_utils import run_once
 
-CONFLICT_RATES = (0.0, 0.02, 0.10, 0.30, 0.50)
-
-
-@pytest.mark.benchmark(group="figure11")
-def test_figure11_breakdown_and_wait_times(benchmark, save_result):
-    result = run_once(benchmark, figure11_breakdown,
-                      conflict_rates=CONFLICT_RATES, clients_per_site=10,
-                      duration_ms=5000.0, warmup_ms=1500.0)
-    save_result("figure11_breakdown", result.table)
+def test_figure11_breakdown_and_wait_times(results_dir):
+    result = figure11_breakdown()
+    result.write(results_dir)
 
     propose = result.series["propose"]
     deliver = result.series["deliver"]

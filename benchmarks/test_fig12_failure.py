@@ -8,19 +8,12 @@ beyond the client-reconnection dip).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.harness.figures import figure12_failure_timeline
 
-from bench_utils import run_once
 
-
-@pytest.mark.benchmark(group="figure12")
-def test_figure12_failure_timeline(benchmark, save_result):
-    result = run_once(benchmark, figure12_failure_timeline,
-                      protocols=("caesar", "epaxos"), clients_per_site=20,
-                      crash_at_ms=8000.0, total_ms=20000.0)
-    save_result("figure12_failure_timeline", result.table)
+def test_figure12_failure_timeline(results_dir):
+    result = figure12_failure_timeline()
+    result.write(results_dir)
 
     for protocol in ("caesar", "epaxos"):
         series = result.series[protocol]

@@ -7,20 +7,12 @@ EPaxos (one extra fast-quorum node) and ~50% slower from Mumbai.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.harness.figures import PAPER_CONFLICT_RATES, figure6_latency_vs_conflicts
-
-from bench_utils import run_once
+from repro.harness.figures import figure6_latency_vs_conflicts
 
 
-@pytest.mark.benchmark(group="figure6")
-def test_figure6_latency_vs_conflicts(benchmark, save_result):
-    result = run_once(benchmark, figure6_latency_vs_conflicts,
-                      conflict_rates=PAPER_CONFLICT_RATES,
-                      protocols=("caesar", "epaxos", "m2paxos"),
-                      clients_per_site=10, duration_ms=5000.0, warmup_ms=1500.0)
-    save_result("figure6_latency_vs_conflicts", result.table)
+def test_figure6_latency_vs_conflicts(results_dir):
+    result = figure6_latency_vs_conflicts()
+    result.write(results_dir)
 
     caesar = result.series["caesar"]
     epaxos = result.series["epaxos"]

@@ -8,18 +8,12 @@ fastest of the group at every site except the leader's own.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.harness.figures import figure7_single_leader_comparison
 
-from bench_utils import run_once
 
-
-@pytest.mark.benchmark(group="figure7")
-def test_figure7_single_leader_comparison(benchmark, save_result):
-    result = run_once(benchmark, figure7_single_leader_comparison,
-                      clients_per_site=10, duration_ms=5000.0, warmup_ms=1500.0)
-    save_result("figure7_single_leader", result.table)
+def test_figure7_single_leader_comparison(results_dir):
+    result = figure7_single_leader_comparison()
+    result.write(results_dir)
 
     caesar = result.series["caesar-0%"]
     mencius = result.series["mencius"]

@@ -8,22 +8,12 @@ of its forwarding mechanism.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.harness.figures import figure8_client_scaling
 
-from bench_utils import run_once
 
-CLIENT_COUNTS = (5, 50, 250, 500)
-
-
-@pytest.mark.benchmark(group="figure8")
-def test_figure8_client_scaling(benchmark, save_result):
-    result = run_once(benchmark, figure8_client_scaling,
-                      client_counts=CLIENT_COUNTS,
-                      protocols=("caesar", "epaxos", "m2paxos"),
-                      duration_ms=4000.0, warmup_ms=1500.0)
-    save_result("figure8_client_scaling", result.table)
+def test_figure8_client_scaling(results_dir):
+    result = figure8_client_scaling()
+    result.write(results_dir)
 
     caesar = result.series["caesar"]
     epaxos = result.series["epaxos"]

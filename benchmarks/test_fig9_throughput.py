@@ -9,22 +9,12 @@ the conflict rate.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.harness.figures import figure9_throughput
 
-from bench_utils import run_once
 
-CONFLICT_RATES = (0.0, 0.02, 0.10, 0.30, 0.50)
-
-
-@pytest.mark.benchmark(group="figure9")
-def test_figure9_throughput(benchmark, save_result):
-    result = run_once(benchmark, figure9_throughput,
-                      conflict_rates=CONFLICT_RATES,
-                      protocols=("caesar", "epaxos", "m2paxos", "multipaxos", "mencius"),
-                      clients_per_site=60, duration_ms=4000.0, warmup_ms=1500.0)
-    save_result("figure9_throughput", result.table)
+def test_figure9_throughput(results_dir):
+    result = figure9_throughput()
+    result.write(results_dir)
 
     caesar = result.series["caesar"]
     epaxos = result.series["epaxos"]

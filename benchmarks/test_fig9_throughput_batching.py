@@ -10,26 +10,12 @@ because the authors' Mencius implementation does not support batching.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.harness.figures import figure9_throughput_batching
-from repro.sim.batching import BatchingConfig
-
-from bench_utils import run_once
-
-CONFLICT_RATES = (0.0, 0.10, 0.30)
 
 
-@pytest.mark.benchmark(group="figure9")
-def test_figure9_throughput_with_batching(benchmark, save_result):
-    batching = BatchingConfig(window_ms=2.0, max_messages=32, marginal_cost_factor=0.25)
-    result = run_once(benchmark, figure9_throughput_batching,
-                      perf_name="figure9_throughput_batching",
-                      conflict_rates=CONFLICT_RATES,
-                      protocols=("caesar", "epaxos", "multipaxos"),
-                      clients_per_site=60, duration_ms=4000.0,
-                      warmup_ms=1500.0, batching=batching)
-    save_result("figure9_throughput_batching", result.table)
+def test_figure9_throughput_with_batching(results_dir):
+    result = figure9_throughput_batching()
+    result.write(results_dir)
 
     without = result.extra["without"]
     with_batching = result.extra["with_batching"]

@@ -5,22 +5,17 @@ predecessor computation, wait-condition evaluation/notification, and the
 history UPDATE — at several per-key bucket sizes, for both the optimized
 implementations (interned bitsets, timestamp-sorted buckets, incremental
 wait bookkeeping; :mod:`repro.core.history` / :mod:`repro.core.predecessors`)
-and the naive reference implementations kept in :mod:`repro.core.reference`.
+and the naive reference implementations kept in
+``tests/reference_decision_path.py``.
 
 Because both variants run interleaved in the same process on the same data,
 the reported speedups are meaningful even on noisy shared hosts (each
 sample is a best-of-``REPS`` minimum).  Every number here is wall-clock, so
 the per-size speedup table is printed (``pytest -s``), not written to a
-tracked file; the optimized-vs-reference ratios are asserted.
-
-A fourth row, ``delivery_on_stable``, has no reference column (the scan it
-replaced lives in ``tests/test_delivery_differential.py``): it times one
-stable event at several pending depths and asserts only the shape — the
-blocker index makes the cost independent of how many commands are waiting.
-
-``codec_roundtrip`` (its own test below) times the compiled wire codec
-against the interpreted tree it replaced (``tests/interpreted_codec.py``) on
-the three messages a fast decision sends, at several predecessor counts.
+tracked file; the optimized-vs-reference ratios are asserted — the ratchet
+that reverting the bitsets trips.  (Delivery and the wire codec have no row
+here: their end-to-end cost is gated by CI's two layer-share gates on
+``bench/run.py --trace 1``.)
 """
 
 from __future__ import annotations
@@ -28,31 +23,16 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict
 
-import pytest
-
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command
 from repro.consensus.timestamps import LogicalTimestamp
-from repro.core.delivery import DeliveryManager
 from repro.core.history import CommandHistory, CommandStatus
-from repro.core.messages import FastPropose, FastProposeReply, Stable
 from repro.core.predecessors import WaitManager, compute_predecessor_mask
-from repro.core.reference import (ReferenceCommandHistory, ReferenceWaitManager,
-                                  reference_compute_predecessors)
-from repro.runtime.registry import WIRE
-from tests.interpreted_codec import interpreted_registry
+from tests.reference_decision_path import (ReferenceCommandHistory, ReferenceWaitManager,
+                                           reference_compute_predecessors)
 
 #: Per-key bucket sizes the operations are timed at.
 BUCKET_SIZES = (64, 256, 1024)
-
-#: Pending depths the delivery row is timed at, and stable events per sample.
-PENDING_DEPTHS = (16, 64, 256)
-DELIVERY_EVENTS = 2000
-
-#: Predecessor-set sizes the codec row is timed at; calls per sample; samples.
-PREDECESSOR_COUNTS = (0, 16, 64)
-CODEC_ITERATIONS = 2000
-CODEC_REPS = 5
 
 #: Best-of-N repetitions per sample (defends against scheduler noise).
 REPS = 3
@@ -186,35 +166,6 @@ def time_wait_notify(size: int) -> Dict[str, float]:
     return {"optimized": ops / seconds, "reference": ref_ops / ref_seconds}
 
 
-def time_delivery_on_stable(depth: int) -> float:
-    """Stable events per second while ``depth`` stable commands wait on a
-    predecessor that never arrives: each event is a command on another key
-    with nothing to wait for, so all it should pay is its own delivery."""
-    blocker = Command(command_id=(9, 0), key="hot", operation="put", value="b", origin=0)
-    waiting = make_commands(depth)
-    arrivals = [Command(command_id=(3, seq), key="cold", operation="put", value="a", origin=0)
-                for seq in range(DELIVERY_EVENTS)]
-
-    def run() -> float:
-        history = CommandHistory()
-        manager = DeliveryManager(history, lambda command: None)
-        for offset, command in enumerate(waiting):
-            history.update(command, ts(offset + 1), {blocker.command_id},
-                           CommandStatus.STABLE, BALLOT)
-            manager.on_stable(command)
-        assert manager.pending_count() == depth
-        for offset, command in enumerate(arrivals):
-            history.update(command, ts(offset + 1, 1), set(), CommandStatus.STABLE, BALLOT)
-        started = time.perf_counter()
-        for command in arrivals:
-            manager.on_stable(command)
-        elapsed = time.perf_counter() - started
-        assert manager.delivered_count == DELIVERY_EVENTS
-        return elapsed
-
-    return DELIVERY_EVENTS / min(run() for _ in range(REPS))
-
-
 OPERATIONS = {
     "compute_predecessors": time_compute_predecessors,
     "history_update": time_history_update,
@@ -222,17 +173,11 @@ OPERATIONS = {
 }
 
 
-@pytest.mark.benchmark(group="micro")
-def test_decision_path_microbench(benchmark):
+def test_decision_path_microbench():
     """Ops/second of the decision-path operations, optimized vs reference."""
-
-    def run_all():
-        samples: Dict[str, Dict[int, Dict[str, float]]] = {}
-        for name, timer in OPERATIONS.items():
-            samples[name] = {size: timer(size) for size in BUCKET_SIZES}
-        return samples, {depth: time_delivery_on_stable(depth) for depth in PENDING_DEPTHS}
-
-    samples, delivery = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    samples: Dict[str, Dict[int, Dict[str, float]]] = {}
+    for name, timer in OPERATIONS.items():
+        samples[name] = {size: timer(size) for size in BUCKET_SIZES}
 
     lines = [f"{'operation':<24} {'bucket':>6} {'optimized/s':>14} "
              f"{'reference/s':>14} {'speedup':>8}"]
@@ -241,9 +186,6 @@ def test_decision_path_microbench(benchmark):
             speedup = cell["optimized"] / cell["reference"]
             lines.append(f"{name:<24} {size:>6} {cell['optimized']:>14,.0f} "
                          f"{cell['reference']:>14,.0f} {speedup:>7.1f}x")
-    lines.append(f"{'operation':<24} {'depth':>6} {'events/s':>14}")
-    for depth, rate in delivery.items():
-        lines.append(f"{'delivery_on_stable':<24} {depth:>6} {rate:>14,.0f}")
     print("\n" + "\n".join(lines))
 
     # The algorithmic wins must show at the largest bucket size: predecessor
@@ -259,79 +201,3 @@ def test_decision_path_microbench(benchmark):
     # (not speedup) is the requirement against the naive dict/set insert.
     update = samples["history_update"][largest]
     assert update["optimized"] > 0.3 * update["reference"]
-    # A stable event wakes only the commands filed under its bit, so 16x the
-    # pending depth must not cost anywhere near 16x (the rescan it replaced did:
-    # 59k, 10k and 3.6k events/s at these depths).
-    shallow, deep = delivery[PENDING_DEPTHS[0]], delivery[PENDING_DEPTHS[-1]]
-    assert deep > shallow / 3.0, (
-        f"delivery_on_stable: {deep:,.0f} events/s at depth {PENDING_DEPTHS[-1]} vs "
-        f"{shallow:,.0f} at depth {PENDING_DEPTHS[0]}")
-
-
-# ------------------------------------------------------------- the wire codec
-
-def codec_messages(count: int) -> Dict[str, object]:
-    """The messages of one fast decision, each carrying ``count`` predecessor ids."""
-    command = Command(command_id=(3, 1041), key="key-17", operation="put",
-                      value="value-1041", origin=2)
-    ids = frozenset((seq % 3, 1000 + seq) for seq in range(count))
-    return {
-        "FastPropose": FastPropose(command=command, ballot=BALLOT, timestamp=ts(1300, 2),
-                                   whitelist=ids or None),
-        "FastProposeReply": FastProposeReply(command_id=command.command_id, ballot=BALLOT,
-                                             timestamp=ts(1300, 2), predecessors=ids, ok=True),
-        "Stable": Stable(command=command, ballot=BALLOT, timestamp=ts(1300, 2),
-                         predecessors=ids),
-    }
-
-
-def time_codec(message: object, interpreted) -> Dict[str, float]:
-    """Microseconds per encode and per decode, compiled and interpreted.
-
-    The four loops take turns, best of ``CODEC_REPS`` each, so a noisy
-    stretch of the host cannot land on one side of a ratio only.
-    """
-    payload = WIRE.encode(message)
-    assert payload == interpreted.encode(message)
-    assert WIRE.decode_one(payload) == interpreted.decode_one(payload) == message
-    calls = {"encode": (WIRE.encode, message),
-             "encode_interpreted": (interpreted.encode, message),
-             "decode": (WIRE.decode_one, payload),
-             "decode_interpreted": (interpreted.decode_one, payload)}
-    best = dict.fromkeys(calls, float("inf"))
-    for _ in range(CODEC_REPS):
-        for name, (fn, argument) in calls.items():
-            started = time.perf_counter()
-            for _ in range(CODEC_ITERATIONS):
-                fn(argument)
-            best[name] = min(best[name], time.perf_counter() - started)
-    return {name: seconds / CODEC_ITERATIONS * 1e6 for name, seconds in best.items()}
-
-
-@pytest.mark.benchmark(group="micro")
-def test_codec_roundtrip_microbench(benchmark):
-    """Compiled vs interpreted codec, microseconds per call (printed, not written)."""
-    interpreted = interpreted_registry(WIRE)
-
-    def run_all():
-        return {(name, count): time_codec(message, interpreted)
-                for count in PREDECESSOR_COUNTS
-                for name, message in codec_messages(count).items()}
-
-    samples = benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    lines = [f"{'codec_roundtrip':<18} {'preds':>5} {'encode us':>10} {'interp us':>10} "
-             f"{'speedup':>8} {'decode us':>10} {'interp us':>10} {'speedup':>8}"]
-    for (name, count), cell in samples.items():
-        lines.append(
-            f"{name:<18} {count:>5} {cell['encode']:>10.2f} {cell['encode_interpreted']:>10.2f} "
-            f"{cell['encode_interpreted'] / cell['encode']:>7.1f}x "
-            f"{cell['decode']:>10.2f} {cell['decode_interpreted']:>10.2f} "
-            f"{cell['decode_interpreted'] / cell['decode']:>7.1f}x")
-    print("\n" + "\n".join(lines))
-
-    # One flat function instead of ~75 method calls.  Decoding gains less: its
-    # floor is the four frozen-dataclass constructors, which both sides pay.
-    cell = samples[("Stable", 16)]
-    assert cell["encode_interpreted"] >= 1.5 * cell["encode"], cell
-    assert cell["decode_interpreted"] >= 1.2 * cell["decode"], cell

@@ -14,10 +14,9 @@ from repro.consensus.command import Command
 from repro.consensus.quorums import QuorumSystem, epaxos_fast_quorum_size
 from repro.core.config import CaesarConfig
 from repro.harness.cluster import ClusterConfig, build_cluster
+from repro.metrics.perf import PerfRecord, write_record
 from repro.sim.network import NetworkConfig
 from repro.sim.topology import ec2_five_sites
-
-from bench_utils import run_once
 
 
 def order_single_command(protocol: str, origin: int = 0, **options):
@@ -38,23 +37,20 @@ def order_single_command(protocol: str, origin: int = 0, **options):
     return latency, cluster
 
 
-@pytest.mark.benchmark(group="micro")
-def test_quorum_sizes_for_paper_deployment(benchmark):
-    quorums = run_once(benchmark, QuorumSystem.for_cluster, 5)
+def test_quorum_sizes_for_paper_deployment():
+    quorums = QuorumSystem.for_cluster(5)
     assert (quorums.classic, quorums.fast, quorums.f) == (3, 4, 2)
     assert epaxos_fast_quorum_size(5) == 3
 
 
-@pytest.mark.benchmark(group="micro")
-def test_caesar_fast_decision_is_two_delays(benchmark):
+def test_caesar_fast_decision_is_two_delays():
     """A CAESAR fast decision costs one round trip to the fast quorum (2 delays)."""
-    latency, _ = run_once(benchmark, order_single_command, "caesar")
+    latency, _ = order_single_command("caesar")
     topology = ec2_five_sites()
     assert latency == pytest.approx(topology.quorum_latency(0, 4), rel=0.2)
 
 
-@pytest.mark.benchmark(group="micro")
-def test_caesar_slow_decision_is_four_delays(benchmark):
+def test_caesar_slow_decision_is_four_delays():
     """With the wait condition disabled, a rejected command needs two more delays."""
 
     def run():
@@ -72,7 +68,7 @@ def test_caesar_slow_decision_is_four_delays(benchmark):
                                    deadline_ms=30000)
         return cluster
 
-    cluster = run_once(benchmark, run)
+    cluster = run()
     slow = sum(r.stats.slow_decisions for r in cluster.replicas)
     fast = sum(r.stats.fast_decisions for r in cluster.replicas)
     assert slow + fast == 2
@@ -81,16 +77,14 @@ def test_caesar_slow_decision_is_four_delays(benchmark):
         assert retries >= 1
 
 
-@pytest.mark.benchmark(group="micro")
-def test_epaxos_fast_path_cheaper_quorum_than_caesar(benchmark):
+def test_epaxos_fast_path_cheaper_quorum_than_caesar():
     """EPaxos contacts one node fewer, so its unloaded fast path is faster."""
     caesar_latency, _ = order_single_command("caesar")
-    epaxos_latency, _ = run_once(benchmark, order_single_command, "epaxos")
+    epaxos_latency, _ = order_single_command("epaxos")
     assert epaxos_latency < caesar_latency
 
 
-@pytest.mark.benchmark(group="micro")
-def test_message_footprint_per_command(benchmark, save_result):
+def test_message_footprint_per_command(results_dir):
     """Messages and codec-measured bytes to order a single command, per protocol.
 
     Byte counts come from the runtime registry's codec (the canonical wire
@@ -98,23 +92,23 @@ def test_message_footprint_per_command(benchmark, save_result):
     estimates.  The per-protocol bytes-per-decision land in the committed
     BENCH record, so a wire-format change shows up as a diff of that file.
     """
+    counts = {}
+    events = 0
+    for protocol in ("caesar", "epaxos", "multipaxos", "mencius", "m2paxos"):
+        _, cluster = order_single_command(protocol)
+        stats = cluster.network.stats
+        counts[protocol] = (stats.messages_sent, stats.codec_bytes_sent)
+        events += cluster.sim.steps_executed
 
-    def footprint():
-        counts = {}
-        for protocol in ("caesar", "epaxos", "multipaxos", "mencius", "m2paxos"):
-            _, cluster = order_single_command(protocol)
-            stats = cluster.network.stats
-            counts[protocol] = (stats.messages_sent, stats.codec_bytes_sent)
-        return counts
-
-    counts = run_once(
-        benchmark, footprint, perf_name="micro_message_footprint",
-        perf_extra=lambda result: {
-            "codec_bytes_per_decision": {name: result[name][1] for name in result}})
     table = "\n".join(
         f"{name:>12}: {messages:3d} messages, {wire_bytes:5d} wire bytes for one command"
         for name, (messages, wire_bytes) in sorted(counts.items()))
-    save_result("micro_message_footprint", table)
+    # The one record that is not a figure sweep: its event count is the five
+    # clusters' own, and it goes through the same writer as the figures.
+    record = PerfRecord(
+        name="micro_message_footprint", wall_seconds=0.0, events_executed=events,
+        extra={"codec_bytes_per_decision": {name: pair[1] for name, pair in counts.items()}})
+    write_record(record, table, results_dir)
     messages = {name: pair[0] for name, pair in counts.items()}
     wire_bytes = {name: pair[1] for name, pair in counts.items()}
     # Multi-leader quorum protocols broadcast to everyone: at least 3N messages.

@@ -7,30 +7,17 @@ other figure sweep's record.
 
 The correctness contract is asserted unconditionally: every submitted
 command decides with zero conflict-order violations, and running the same
-study serially must reproduce the swept tables bit-for-bit.
+study again must reproduce the swept tables bit-for-bit.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.harness.figures import shard_scaling
 
-from bench_utils import run_once
 
-GRID = dict(protocols=("caesar",), shard_counts=(1, 2, 4), skews=(0.0, 0.99),
-            sites=10, replicas_per_site=2, clients=8, commands_per_client=4,
-            key_space=200, hot_keys=8, seed=23)
-
-
-def _run_grid():
-    return shard_scaling(serial=True, **GRID)
-
-
-@pytest.mark.benchmark(group="shard")
-def test_shard_scaling_grid_decides_and_records(benchmark, save_result):
-    result = run_once(benchmark, _run_grid, perf_name="shard_scaling")
-    save_result("shard_scaling", result.table)
+def test_shard_scaling_grid_decides_and_records(results_dir):
+    result = shard_scaling()
+    result.write(results_dir)
 
     assert result.extra["total_violations"] == 0
     assert result.extra["total_undecided"] == 0
@@ -41,6 +28,6 @@ def test_shard_scaling_grid_decides_and_records(benchmark, save_result):
     assert result.extra["per_shard_conflicts"]
 
     # Determinism: the identical grid reproduces the identical tables.
-    again = shard_scaling(serial=True, **GRID)
+    again = shard_scaling()
     assert again.table == result.table
     assert again.series == result.series

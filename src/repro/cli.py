@@ -5,16 +5,14 @@ Installed as the ``repro`` console script::
     repro run --protocol caesar --conflicts 30 --clients 10
     repro compare --conflicts 0 10 30
     repro figure 6
-    repro figure 9 --quick
-    repro sweep 9 --workers 4
-    repro sweep all --workers auto --quick
+    repro figure 9 --quick --workers 4
+    repro figure all --workers auto --out benchmarks/results
     repro shard --shards 1 2 4 --skew 0 0.99 --sites 20
     repro chaos --protocol caesar --nemesis minority-partition --seed 3
     repro chaos --matrix --quick
     repro serve --protocol caesar --replicas 3
     repro loadgen --launch 3 --clients 3 --commands 10
     repro overload --offered 200 600 1200 --admission deadline:200 --store
-    repro profile 9 --quick --cells 'fig9/caesar/*'
     repro report --label overload
     repro topology
 
@@ -36,62 +34,17 @@ import sys
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.chaos.nemesis import CONFORMANCE_SCHEDULES, NEMESIS_SCHEDULES
-from repro.harness import figures
 from repro.harness.experiment import ExperimentConfig, run_experiment, summarize_experiment
+from repro.harness.figures import FIGURES, shard_scaling
 from repro.harness.protocols import PROTOCOLS
-from repro.metrics.perf import write_record
+from repro.harness.sweep import planning_sweeps
 from repro.metrics.report import format_protocol_stats, format_series, render_report
 from repro.metrics.store import DEFAULT_STORE_PATH, ResultsStore
 from repro.runtime.admission import admission_policy
 from repro.sim.topology import EC2_SHORT_LABELS, EC2_SITES, ec2_five_sites
 
-#: Maps ``figure <n>`` / ``sweep <n>`` to the driver that regenerates it.
-FIGURE_DRIVERS = {
-    "6": figures.figure6_latency_vs_conflicts,
-    "7": figures.figure7_single_leader_comparison,
-    "8": figures.figure8_client_scaling,
-    "9": figures.figure9_throughput,
-    "9b": figures.figure9_throughput_batching,
-    "10": figures.figure10_slow_paths,
-    "11": figures.figure11_breakdown,
-    "12": figures.figure12_failure_timeline,
-    "ablation": figures.ablation_wait_condition,
-    "shard": figures.shard_scaling,
-}
-
-#: Scaled-down parameters used with ``--quick`` so every figure finishes fast.
-QUICK_OVERRIDES = {
-    "6": dict(conflict_rates=(0.0, 0.1, 0.3), clients_per_site=5, duration_ms=4000.0,
-              warmup_ms=1000.0),
-    "7": dict(clients_per_site=5, duration_ms=4000.0, warmup_ms=1000.0),
-    "8": dict(client_counts=(5, 50, 250), duration_ms=3000.0, warmup_ms=1000.0),
-    "9": dict(conflict_rates=(0.0, 0.1, 0.3), clients_per_site=40, duration_ms=3000.0,
-              warmup_ms=1000.0),
-    "9b": dict(conflict_rates=(0.0, 0.1, 0.3), clients_per_site=40, duration_ms=2500.0,
-               warmup_ms=1000.0),
-    "10": dict(conflict_rates=(0.0, 0.1, 0.3), clients_per_site=15, duration_ms=3000.0,
-               warmup_ms=1000.0),
-    "11": dict(conflict_rates=(0.0, 0.1, 0.3), clients_per_site=5, duration_ms=4000.0,
-               warmup_ms=1000.0),
-    "12": dict(clients_per_site=10, crash_at_ms=5000.0, total_ms=12000.0),
-    "ablation": dict(conflict_rates=(0.1, 0.3), clients_per_site=10, duration_ms=2500.0,
-                     warmup_ms=500.0),
-    "shard": dict(shard_counts=(1, 2), skews=(0.0, 1.2), sites=6, replicas_per_site=1,
-                  clients=4, commands_per_client=3, key_space=64, hot_keys=4),
-}
-
 #: A subcommand's outcome: the text to print and the process exit code.
 Outcome = Tuple[str, int]
-
-
-def _figure_order(key: str):
-    """Sort figure keys numerically, with non-numeric suffixes/names last."""
-    return (0, int(key), "") if key.isdigit() else (1, 0, key)
-
-
-def _driver(number: str, quick: bool) -> Tuple[Callable, dict]:
-    """The figure driver for ``number`` and its ``--quick`` keyword overrides."""
-    return FIGURE_DRIVERS[number], dict(QUICK_OVERRIDES[number]) if quick else {}
 
 
 def _validated(parse: Callable[[str], object]) -> Callable[[str], str]:
@@ -197,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "Decisions, DSN 2017) on a simulated geo-replicated substrate "
                     "and over real TCP sockets.")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    figure_choices = sorted(FIGURE_DRIVERS, key=_figure_order)
 
     def command(name: str, handler: Callable[[argparse.Namespace], Outcome],
                 help: str, flags: Optional[argparse.ArgumentParser] = None):
@@ -220,26 +172,23 @@ def build_parser() -> argparse.ArgumentParser:
             shared_flags(seed=1, clients=10, conflicts=[0.0, 10.0, 30.0],
                          duration=6000.0))
 
-    figure_parser = command("figure", _figure, "regenerate one figure of the paper",
-                            shared_flags("quick"))
-    figure_parser.add_argument("number", choices=figure_choices,
-                               help="paper figure number")
-
-    sweep_parser = command(
-        "sweep", _sweep,
-        "run figure sweeps through the parallel orchestrator and write figure "
-        "tables + BENCH perf records",
-        shared_flags("workers", "serial", "cells", "quick", "store"))
-    sweep_parser.add_argument("figures", nargs="+", choices=figure_choices + ["all"],
-                              metavar="figure",
-                              help="figure sweeps to run (%(choices)s)")
-    sweep_parser.add_argument("--list-cells", action="store_true",
-                              help="print the resolved cell grid (with --cells matches "
-                                   "marked) and exit without running anything")
-    sweep_parser.add_argument("--out", type=pathlib.Path,
-                              default=pathlib.Path("benchmarks/results"),
-                              help="directory for sweep_<name>.txt tables and "
-                                   "BENCH_sweep_<name>.json records (default: %(default)s)")
+    figure_parser = command(
+        "figure", _figure,
+        "regenerate figures of the paper through the parallel sweep orchestrator; "
+        "with no flags the printed table is the committed one",
+        shared_flags("quick", "workers", "serial", "cells", "store"))
+    figure_parser.add_argument("figures", nargs="+", choices=[*FIGURES, "all"],
+                               metavar="figure",
+                               help="figures to regenerate (%(choices)s)")
+    figure_parser.add_argument("--list-cells", action="store_true",
+                               help="print the resolved cell grid (with --cells matches "
+                                    "marked) and exit without running anything")
+    figure_parser.add_argument("--out", type=pathlib.Path, default=None, metavar="DIR",
+                               help="also write each figure's <stem>.txt table and "
+                                    "BENCH_<stem>.json record into DIR (the committed "
+                                    "ones live in benchmarks/results; refused with "
+                                    "--quick or --cells, which would overwrite a "
+                                    "record with a partial run)")
 
     shard_parser = command(
         "shard", _shard,
@@ -346,20 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     overload_parser.add_argument("--substrate", choices=["sim", "tcp"], default="sim",
                                  help="run on the simulator or over real sockets")
 
-    profile_parser = command(
-        "profile", _profile,
-        "profile a figure sweep under cProfile and summarize where the simulator "
-        "spends its time",
-        shared_flags("quick", "cells", "store", label="profile"))
-    profile_parser.add_argument("number", nargs="?", default="9", choices=figure_choices,
-                                help="figure sweep to profile (default: %(default)s)")
-    profile_parser.add_argument("--top", type=int, default=20,
-                                help="functions to show in the hot-spot table "
-                                     "(default: %(default)s)")
-    profile_parser.add_argument("--sort", default="cumulative",
-                                choices=["cumulative", "tottime", "calls"],
-                                help="pstats sort order (default: %(default)s)")
-
     report_parser = command(
         "report", _report,
         "render run listings and cross-commit trend tables from the results store")
@@ -399,12 +334,6 @@ def _store_run(args: argparse.Namespace, kind: str, label: Optional[str] = None,
     """Append this invocation as one run row (see :func:`_with_store`)."""
     return _with_store(args, lambda store: store.record_run(
         kind, label or args.label, **fields))
-
-
-def _series_json(series) -> dict:
-    """A figure's series with JSON-safe (string) x keys."""
-    return {label: {str(x): y for x, y in points.items()}
-            for label, points in series.items()}
 
 
 def _run(args: argparse.Namespace) -> Outcome:
@@ -467,56 +396,40 @@ def _compare(args: argparse.Namespace) -> Outcome:
 
 
 def _figure(args: argparse.Namespace) -> Outcome:
-    driver, overrides = _driver(args.number, args.quick)
-    return driver(**overrides).table, 0
-
-
-def _list_cells(args: argparse.Namespace, targets: list) -> str:
-    """Resolve every target's cell grid without running any experiment."""
-    from repro.harness.sweep import planning_sweeps
-
+    if args.out is not None and (args.quick or args.cells):
+        args.fail("--out writes a figure's full table and record; it cannot be "
+                  "combined with --quick or --cells")
     outputs = []
-    for target in targets:
-        driver, overrides = _driver(target, args.quick)
-        with planning_sweeps() as plan:
-            driver(serial=True, cell_filter=args.cells, **overrides)
-        selected = len(plan.selected)
-        lines = [f"sweep {target} — {len(plan.cells)} cells, "
-                 f"{selected} selected, {len(plan.cells) - selected} filtered out"]
-        lines.extend(f"  {'*' if chosen else '-'} {key}" for key, chosen in plan.cells)
-        outputs.append("\n".join(lines))
-    return "\n\n".join(outputs)
-
-
-def _sweep(args: argparse.Namespace) -> Outcome:
-    targets = list(FIGURE_DRIVERS) if "all" in args.figures else list(args.figures)
-    # Preserve figure order, drop duplicates.
-    targets = sorted(set(targets), key=_figure_order)
-    if args.list_cells:
-        return _list_cells(args, targets), 0
-    outputs = []
-    for target in targets:
-        driver, overrides = _driver(target, args.quick)
-        result = driver(workers=args.workers, serial=args.serial,
-                        cell_filter=args.cells, **overrides)
-        name = driver.__name__
-        record = result.extra["sweep"].perf_record(f"sweep_{name}")
-        record.series = _series_json(result.series)
-
-        args.out.mkdir(parents=True, exist_ok=True)
-        table_path = args.out / f"sweep_{name}.txt"
-        table_path.write_text(result.table + "\n")
-        record_path = write_record(record, args.out)
+    # Figure order, duplicates dropped.
+    for target in (key for key in FIGURES if key in args.figures or "all" in args.figures):
+        figure = FIGURES[target]
+        overrides = figure.quick if args.quick else {}
+        if args.list_cells:
+            # Resolve the cell grid without running any experiment.
+            with planning_sweeps() as plan:
+                figure.driver(serial=True, cell_filter=args.cells, **overrides)
+            selected = sum(chosen for _, chosen in plan.cells)
+            lines = [f"figure {target} — {len(plan.cells)} cells, "
+                     f"{selected} selected, {len(plan.cells) - selected} filtered out"]
+            lines.extend(f"  {'*' if chosen else '-'} {key}" for key, chosen in plan.cells)
+            outputs.append("\n".join(lines))
+            continue
+        result = figure.driver(workers=args.workers, serial=args.serial,
+                               cell_filter=args.cells, **overrides)
+        lines = [result.table]
+        if args.out is not None:
+            record_path = result.write(args.out)
+            lines.append(f"\n[figure {target}: wrote {args.out / figure.stem}.txt "
+                         f"and {record_path}]")
         # The BENCH file holds only what the simulation determines; the
         # wall-clock side of the run goes to the store row alone.
-        stored = _store_run(args, "bench", label=record_path.name, substrate="sim",
+        record = result.record()
+        stored = _store_run(args, "bench", label=figure.stem, substrate="sim",
                             config={"figure": target, "quick": args.quick},
                             metrics={**record.to_json(), **record.timing()})
-        outputs.append(f"{result.table}\n\n"
-                       f"[sweep {target}: {len(record.series)} series, "
-                       f"{record.extra['cells']} cells, wall {record.wall_seconds:.1f}s; "
-                       f"wrote {table_path} and {record_path}]"
-                       + (f"\n{stored}" if stored else ""))
+        if stored:
+            lines.append(stored)
+        outputs.append("\n".join(lines))
     return "\n\n".join(outputs), 0
 
 
@@ -527,7 +440,7 @@ def _shard(args: argparse.Namespace) -> Outcome:
     replica of its shard and no shard saw a conflict-order violation — the
     same hard gate the sharded CI smoke relies on.
     """
-    result = figures.shard_scaling(
+    result = shard_scaling(
         protocols=(args.protocol,), shard_counts=tuple(args.shards),
         skews=tuple(args.skew), sites=args.sites,
         replicas_per_site=args.replicas_per_site, clients=args.clients,
@@ -544,7 +457,7 @@ def _shard(args: argparse.Namespace) -> Outcome:
         config={"shards": list(args.shards), "skew": list(args.skew),
                 "sites": args.sites, "replicas_per_site": args.replicas_per_site,
                 "clients": args.clients, "commands": args.commands},
-        metrics={"series": _series_json(result.series),
+        metrics={"series": result.record().series,
                  "total_violations": violations, "total_undecided": undecided})
     if stored:
         lines.append(stored)
@@ -688,83 +601,6 @@ def _overload(args: argparse.Namespace) -> Outcome:
     stored = _with_store(args, lambda store: store_overload_result(
         store, result, label=args.label))
     return output + (f"\n{stored}" if stored else ""), 0
-
-
-#: Decision-path modules summarized by ``repro profile`` (path fragments
-#: matched against pstats entries).
-DECISION_PATH_MODULES = ("repro/core/history", "repro/core/predecessors",
-                         "repro/core/delivery", "repro/core/caesar")
-
-
-def _profile(args: argparse.Namespace) -> Outcome:
-    """Run the profile subcommand: cProfile one figure sweep and summarize it.
-
-    Prints the pstats top-N table plus a decision-path section (call counts
-    and ops/second for the history / predecessor / wait / delivery layers).
-    Wall-clock numbers are measured *under the profiler*, which inflates
-    call-heavy code — use them to compare shapes, not as absolute throughput.
-    """
-    import cProfile
-    import io
-    import pstats
-
-    from repro.metrics.perf import PerfTracker
-
-    driver, overrides = _driver(args.number, args.quick)
-    profiler = cProfile.Profile()
-    with PerfTracker(f"profile_{driver.__name__}") as tracker:
-        profiler.enable()
-        try:
-            driver(serial=True, cell_filter=args.cells, **overrides)
-        finally:
-            profiler.disable()
-    record = tracker.record
-
-    stream = io.StringIO()
-    stats = pstats.Stats(profiler, stream=stream)
-    stats.sort_stats(args.sort).print_stats(args.top)
-
-    # Decision-path summary: every profiled function in the core modules,
-    # by cumulative time.  pstats keys are (file, line, function) and values
-    # start with (primitive_calls, total_calls, tottime, cumtime, ...).
-    wall = record.wall_seconds
-    decision_rows = []
-    for (filename, _line, function), row in stats.stats.items():
-        normalized = filename.replace("\\", "/")
-        if any(fragment in normalized for fragment in DECISION_PATH_MODULES):
-            calls, tottime, cumtime = row[1], row[2], row[3]
-            decision_rows.append((cumtime, calls, tottime, normalized, function))
-    decision_rows.sort(reverse=True)
-
-    lines = [f"profiled {driver.__name__}"
-             + (f" (cells: {' '.join(args.cells)})" if args.cells else "")
-             + (" [--quick]" if args.quick else ""),
-             f"wall {wall:.2f}s under cProfile, "
-             f"{record.events_executed:,} simulator events "
-             f"({record.events_per_second:,.0f} events/s profiled)",
-             "",
-             f"top {args.top} by {args.sort}:",
-             stream.getvalue().rstrip(),
-             "",
-             "decision path (repro/core/*), by cumulative time:"]
-    decision_path_metrics = {}
-    for cumtime, calls, tottime, filename, function in decision_rows[:15]:
-        module = filename.rsplit("/", 1)[-1]
-        ops = calls / wall if wall > 0 else 0.0
-        lines.append(f"  {module + ':' + function:<44} {calls:>9,} calls "
-                     f"{ops:>12,.0f} ops/s  tot {tottime:6.2f}s  cum {cumtime:6.2f}s")
-        decision_path_metrics[f"{module}:{function}"] = {
-            "calls": calls, "ops_per_second": round(ops, 1),
-            "tottime_s": round(tottime, 3), "cumtime_s": round(cumtime, 3)}
-
-    stored = _store_run(
-        args, "bench", substrate="sim",
-        config={"figure": args.number, "quick": args.quick, "cells": args.cells},
-        metrics={"events_executed": record.events_executed, **record.timing(),
-                 "decision_path": decision_path_metrics})
-    if stored:
-        lines.append(f"\n{stored}")
-    return "\n".join(lines), 0
 
 
 def _report(args: argparse.Namespace) -> Outcome:

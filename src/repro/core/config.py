@@ -16,9 +16,6 @@ class CaesarConfig:
         wait_condition_enabled: when ``False`` an acceptor immediately rejects
             a proposal that would otherwise have to wait (ablation of the
             paper's key mechanism; see ``benchmarks/test_ablation_wait.py``).
-        recovery_delay_ms: grace period between suspecting a node and starting
-            recovery of its pending commands, staggered per node to avoid
-            dueling recoveries.
         recovery_enabled: whether replicas react to failure-detector suspicions.
         heartbeat_every_ms: failure-detector heartbeat period.
         suspect_after_ms: failure-detector silence threshold.
@@ -26,7 +23,6 @@ class CaesarConfig:
 
     fast_proposal_timeout_ms: float = 1500.0
     wait_condition_enabled: bool = True
-    recovery_delay_ms: float = 50.0
     recovery_enabled: bool = True
     heartbeat_every_ms: float = 100.0
     suspect_after_ms: float = 600.0

@@ -24,6 +24,10 @@ from repro.runtime.kernel import QuorumTracker
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.caesar import CaesarReplica
 
+#: Grace period between suspecting a node and starting recovery of its pending
+#: commands, staggered per node to avoid dueling recoveries.
+RECOVERY_DELAY_MS = 50.0
+
 
 @dataclass
 class RecoveryAttempt:
@@ -58,7 +62,7 @@ class RecoveryManager:
         """Delay recovery by this node's rank among live nodes to avoid duels."""
         alive_lower = sum(1 for node_id in self.replica.network.node_ids
                           if node_id < self.replica.node_id and node_id not in self._suspected)
-        return self.replica.config.recovery_delay_ms * (1 + alive_lower)
+        return RECOVERY_DELAY_MS * (1 + alive_lower)
 
     def _recover_commands_of(self, peer: int) -> None:
         """Start recovery for every non-stable command currently led by ``peer``."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.chaos.checker import DEFAULT_MAX_STATES, LinearizabilityReport, check_history
+from repro.chaos.checker import LinearizabilityReport, check_history
 from repro.chaos.history import HistoryTape, TapedClientStats
 from repro.chaos.nemesis import Nemesis, NemesisPlan, build_schedule
 from repro.consensus.command import Command
@@ -43,6 +43,12 @@ from repro.workload.generator import ConflictWorkload, WorkloadConfig
 #: Client ids from this value upwards are progress probes, so their command
 #: ids can never collide with the workload clients'.
 PROBE_CLIENT_BASE = 10_000
+
+#: Fresh-key probe commands submitted per healthy replica after the heal.
+PROBE_COMMANDS_PER_SITE = 2
+
+#: Virtual-time budget for every probe to complete.
+PROBE_DEADLINE_MS = 60000.0
 
 
 @dataclass
@@ -65,9 +71,6 @@ class ChaosConfig:
             stops and the progress probe starts.
         reconnect_timeout_ms: closed-loop client give-up time; abandoned
             commands stay *pending* on the tape.
-        probe_commands_per_site: fresh-key probe commands submitted per
-            healthy replica after the heal.
-        probe_deadline_ms: virtual-time budget for every probe to complete.
         recovery: run failure detectors / recovery machinery where the
             protocol supports it.
         retransmit_enabled: run the runtime retransmission + catch-up layer
@@ -77,7 +80,6 @@ class ChaosConfig:
         network: network configuration (mild jitter by default, like the
             figure experiments).
         workload: key-pool configuration override.
-        max_states_per_key: linearizability search budget per key.
     """
 
     protocol: str = "caesar"
@@ -90,14 +92,11 @@ class ChaosConfig:
     fault_hold_ms: float = 2000.0
     settle_ms: float = 1500.0
     reconnect_timeout_ms: float = 1500.0
-    probe_commands_per_site: int = 2
-    probe_deadline_ms: float = 60000.0
     recovery: bool = False
     retransmit_enabled: bool = True
     topology: Optional[Topology] = None
     network: NetworkConfig = field(default_factory=lambda: NetworkConfig(jitter_ms=2.0))
     workload: Optional[WorkloadConfig] = None
-    max_states_per_key: int = DEFAULT_MAX_STATES
 
     @classmethod
     def kwargs_from_args(cls, args) -> Dict[str, object]:
@@ -219,7 +218,7 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
         if replica.crashed or replica.node_id in dead:
             continue
         probe_client = PROBE_CLIENT_BASE + replica.node_id
-        for i in range(config.probe_commands_per_site):
+        for i in range(PROBE_COMMANDS_PER_SITE):
             key = f"probe-{replica.node_id}-{i}"
             command = Command(command_id=(probe_client, i), key=key, operation="put",
                               value=f"probe{replica.node_id}.{i}", origin=replica.node_id)
@@ -233,12 +232,12 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
 
             replica.submit(command, callback=on_probe)
     progress = sim.run_until(lambda: outstanding["count"] == 0,
-                             deadline=sim.now + config.probe_deadline_ms,
+                             deadline=sim.now + PROBE_DEADLINE_MS,
                              check_every=16)
     probes_completed = probes_submitted - outstanding["count"]
 
     # ------------------------------------------------------------- verdicts
-    report = check_history(tape, max_states_per_key=config.max_states_per_key)
+    report = check_history(tape)
     internal = (check_execution_consistency(cluster.replicas)
                 + check_delivery_quiescent(cluster.replicas))
 

@@ -1,10 +1,12 @@
-"""Per-figure experiment drivers.
+"""Per-figure experiment drivers and the one table that names them.
 
 Each ``figure*`` function reproduces one figure of the paper's evaluation
 (Section VI) and returns a :class:`FigureResult` containing the raw series
-and a formatted text table.  The benchmark suite calls these drivers with
-scaled-down durations/loads (documented in ``EXPERIMENTS.md``); examples and
-users can call them with larger budgets for tighter numbers.
+and a formatted text table.  A driver's defaults *are* the figure: called
+with no arguments it produces the table and BENCH record committed under
+``benchmarks/results/`` byte for byte.  :data:`FIGURES` maps the CLI's
+figure keys to the drivers and holds each one's scaled-down ``--quick``
+parameters, so a figure is parameterised in this module and nowhere else.
 
 The drivers intentionally report *shape* rather than absolute numbers: the
 simulated substrate reproduces message delays, quorum sizes and CPU queuing,
@@ -21,7 +23,8 @@ byte-identical to a serial run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Union
+from pathlib import Path
+from typing import Callable, Dict, Mapping, Optional, Sequence, Union
 
 from repro.core.config import CaesarConfig
 from repro.harness.experiment import (
@@ -32,6 +35,7 @@ from repro.harness.experiment import (
 )
 from repro.harness.sweep import run_sweep, sweep_cell
 from repro.metrics.collector import MetricsCollector
+from repro.metrics.perf import PerfRecord, write_record
 from repro.metrics.report import format_series
 from repro.sim.batching import BatchingConfig
 from repro.sim.costs import CostModel
@@ -40,6 +44,10 @@ from repro.sim.topology import EC2_SHORT_LABELS, EC2_SITES
 
 #: Conflict percentages used across the paper's x-axes.
 PAPER_CONFLICT_RATES = (0.0, 0.02, 0.10, 0.30, 0.50, 1.00)
+
+#: The same axis without total order (100%), where the throughput-bound and
+#: slow-path figures stop.
+CONFLICT_RATES_TO_50 = PAPER_CONFLICT_RATES[:-1]
 
 #: Protocols whose ordering logic never inspects command keys: the paper
 #: reports them under every conflict rate with one configuration, so their
@@ -78,6 +86,18 @@ class FigureResult:
     def __str__(self) -> str:
         return self.table
 
+    def record(self) -> PerfRecord:
+        """The figure's BENCH record: its sweep's event count plus the series
+        with JSON-safe (string) x keys, named by the figure's stem."""
+        record = self.extra["sweep"].perf_record(FIGURES[self.figure].stem)
+        record.series = {label: {str(x): y for x, y in points.items()}
+                         for label, points in self.series.items()}
+        return record
+
+    def write(self, results_dir: Path) -> Path:
+        """Write ``<stem>.txt`` and ``BENCH_<stem>.json`` under ``results_dir``."""
+        return write_record(self.record(), self.table, results_dir)
+
 
 def _conflict_label(rate: float) -> str:
     return f"{int(round(rate * 100))}%"
@@ -100,8 +120,8 @@ def _site_mean(payload: Optional[dict], site: str) -> Optional[float]:
 
 def figure6_latency_vs_conflicts(conflict_rates: Sequence[float] = PAPER_CONFLICT_RATES,
                                  protocols: Sequence[str] = ("caesar", "epaxos", "m2paxos"),
-                                 clients_per_site: int = 10, duration_ms: float = 8000.0,
-                                 warmup_ms: float = 2000.0, seed: int = 11,
+                                 clients_per_site: int = 10, duration_ms: float = 5000.0,
+                                 warmup_ms: float = 1500.0, seed: int = 11,
                                  workers: Workers = None, serial: bool = False,
                                  cell_filter: Optional[Sequence[str]] = None) -> FigureResult:
     """Figure 6: per-site average latency while varying the conflict percentage."""
@@ -141,8 +161,8 @@ def figure6_latency_vs_conflicts(conflict_rates: Sequence[float] = PAPER_CONFLIC
 # Figure 7: Multi-Paxos (near/far leader), Mencius, CAESAR per-site latency
 # --------------------------------------------------------------------------
 
-def figure7_single_leader_comparison(clients_per_site: int = 10, duration_ms: float = 8000.0,
-                                     warmup_ms: float = 2000.0, seed: int = 12,
+def figure7_single_leader_comparison(clients_per_site: int = 10, duration_ms: float = 5000.0,
+                                     warmup_ms: float = 1500.0, seed: int = 12,
                                      workers: Workers = None, serial: bool = False,
                                      cell_filter: Optional[Sequence[str]] = None
                                      ) -> FigureResult:
@@ -177,9 +197,9 @@ def figure7_single_leader_comparison(clients_per_site: int = 10, duration_ms: fl
 # Figure 8: latency per site vs number of connected clients (10% conflicts)
 # --------------------------------------------------------------------------
 
-def figure8_client_scaling(client_counts: Sequence[int] = (5, 50, 250, 500, 1000),
+def figure8_client_scaling(client_counts: Sequence[int] = (5, 50, 250, 500),
                            protocols: Sequence[str] = ("caesar", "epaxos", "m2paxos"),
-                           duration_ms: float = 6000.0, warmup_ms: float = 2000.0,
+                           duration_ms: float = 4000.0, warmup_ms: float = 1500.0,
                            seed: int = 13, workers: Workers = None, serial: bool = False,
                            cell_filter: Optional[Sequence[str]] = None) -> FigureResult:
     """Figure 8: latency as the number of connected closed-loop clients grows."""
@@ -217,26 +237,23 @@ def figure8_client_scaling(client_counts: Sequence[int] = (5, 50, 250, 500, 1000
 # Figure 9: throughput vs conflict rate for all protocols
 # --------------------------------------------------------------------------
 
-def figure9_throughput(conflict_rates: Sequence[float] = PAPER_CONFLICT_RATES,
+def figure9_throughput(conflict_rates: Sequence[float] = CONFLICT_RATES_TO_50,
                        protocols: Sequence[str] = ("caesar", "epaxos", "m2paxos",
                                                    "multipaxos", "mencius"),
-                       clients_per_site: int = 80, duration_ms: float = 5000.0,
+                       clients_per_site: int = 60, duration_ms: float = 4000.0,
                        warmup_ms: float = 1500.0, seed: int = 14,
-                       open_loop: bool = False,
-                       arrival_rate_per_client: float = 5.0,
                        batching: Optional[BatchingConfig] = None,
                        workers: Workers = None, serial: bool = False,
                        cell_filter: Optional[Sequence[str]] = None) -> FigureResult:
     """Figure 9 (no batching): peak throughput while varying the conflict rate.
 
-    The paper drives the systems to saturation with open-loop clients.  By
-    default this driver reaches saturation with a large closed-loop client
-    population instead (``clients_per_site`` clients per site, each with one
+    The paper drives the systems to saturation with open-loop clients.  This
+    driver reaches saturation with a large closed-loop client population
+    instead (``clients_per_site`` clients per site, each with one
     outstanding command): the offered load then always exceeds the CPU
     capacity defined by :func:`throughput_cost_model`, so the measured
     completion rate is the system's peak throughput, while the simulation's
-    event count stays bounded.  Pass ``open_loop=True`` to reproduce the
-    paper's injection model literally (slower to simulate).
+    event count stays bounded.  (``repro overload`` is the open-loop study.)
 
     Multi-Paxos and Mencius never inspect command keys, so — as in the paper
     — each runs a single cell whose result is reported under every conflict
@@ -247,7 +264,6 @@ def figure9_throughput(conflict_rates: Sequence[float] = PAPER_CONFLICT_RATES,
     def config_for(protocol: str, rate: float) -> ExperimentConfig:
         return ExperimentConfig(
             protocol=protocol, conflict_rate=rate, clients_per_site=clients_per_site,
-            open_loop=open_loop, arrival_rate_per_client=arrival_rate_per_client,
             duration_ms=duration_ms, warmup_ms=warmup_ms,
             cost_model=cost_model, batching=batching)
 
@@ -284,11 +300,10 @@ def figure9_throughput(conflict_rates: Sequence[float] = PAPER_CONFLICT_RATES,
                         extra={"slow_ratios": slow_ratios, "sweep": sweep})
 
 
-def figure9_throughput_batching(conflict_rates: Sequence[float] = PAPER_CONFLICT_RATES,
+def figure9_throughput_batching(conflict_rates: Sequence[float] = (0.0, 0.10, 0.30),
                                 protocols: Sequence[str] = ("caesar", "epaxos", "multipaxos"),
-                                clients_per_site: int = 80, duration_ms: float = 5000.0,
+                                clients_per_site: int = 60, duration_ms: float = 4000.0,
                                 warmup_ms: float = 1500.0, seed: int = 14,
-                                batching: Optional[BatchingConfig] = None,
                                 workers: Workers = None, serial: bool = False,
                                 cell_filter: Optional[Sequence[str]] = None) -> FigureResult:
     """Figure 9 (bottom): the batching-enabled sweep next to the baseline.
@@ -298,8 +313,7 @@ def figure9_throughput_batching(conflict_rates: Sequence[float] = PAPER_CONFLICT
     support batching) — and reports both as one figure with series prefixed
     ``no-batching``/``batching``.
     """
-    if batching is None:
-        batching = BatchingConfig(window_ms=2.0, max_messages=32, marginal_cost_factor=0.25)
+    batching = BatchingConfig(window_ms=2.0, max_messages=32, marginal_cost_factor=0.25)
     shared = dict(conflict_rates=conflict_rates, protocols=protocols,
                   clients_per_site=clients_per_site, duration_ms=duration_ms,
                   warmup_ms=warmup_ms, seed=seed, workers=workers, serial=serial,
@@ -322,8 +336,8 @@ def figure9_throughput_batching(conflict_rates: Sequence[float] = PAPER_CONFLICT
 # Figure 10: % of slow-path decisions vs conflict rate (CAESAR vs EPaxos)
 # --------------------------------------------------------------------------
 
-def figure10_slow_paths(conflict_rates: Sequence[float] = PAPER_CONFLICT_RATES,
-                        clients_per_site: int = 30, duration_ms: float = 5000.0,
+def figure10_slow_paths(conflict_rates: Sequence[float] = CONFLICT_RATES_TO_50,
+                        clients_per_site: int = 25, duration_ms: float = 4000.0,
                         warmup_ms: float = 1000.0, seed: int = 15,
                         workers: Workers = None, serial: bool = False,
                         cell_filter: Optional[Sequence[str]] = None) -> FigureResult:
@@ -371,9 +385,9 @@ def _collect_caesar_breakdown(result: ExperimentResult) -> Dict[str, object]:
     return {"phase_totals": totals, "wait_ms_by_site": wait_ms}
 
 
-def figure11_breakdown(conflict_rates: Sequence[float] = PAPER_CONFLICT_RATES,
-                       clients_per_site: int = 10, duration_ms: float = 8000.0,
-                       warmup_ms: float = 2000.0, seed: int = 16,
+def figure11_breakdown(conflict_rates: Sequence[float] = CONFLICT_RATES_TO_50,
+                       clients_per_site: int = 10, duration_ms: float = 5000.0,
+                       warmup_ms: float = 1500.0, seed: int = 16,
                        workers: Workers = None, serial: bool = False,
                        cell_filter: Optional[Sequence[str]] = None) -> FigureResult:
     """Figure 11: (a) proportion of latency per ordering phase, (b) wait time per site."""
@@ -414,8 +428,8 @@ def figure11_breakdown(conflict_rates: Sequence[float] = PAPER_CONFLICT_RATES,
 # Figure 12: throughput timeline when one node crashes
 # --------------------------------------------------------------------------
 
-def _run_crash_timeline(config: ExperimentConfig, crash_at_ms: float = 10000.0,
-                        bucket_ms: float = 1000.0) -> Dict[str, object]:
+def _run_crash_timeline(config: ExperimentConfig, crash_at_ms: float,
+                        bucket_ms: float) -> Dict[str, object]:
     """Sweep runner for Figure 12: one run with a mid-experiment crash.
 
     Clients of the crashed replica time out and reconnect to the remaining
@@ -448,8 +462,8 @@ def _run_crash_timeline(config: ExperimentConfig, crash_at_ms: float = 10000.0,
 
 
 def figure12_failure_timeline(protocols: Sequence[str] = ("caesar", "epaxos"),
-                              clients_per_site: int = 25, crash_at_ms: float = 10000.0,
-                              total_ms: float = 25000.0, bucket_ms: float = 1000.0,
+                              clients_per_site: int = 20, crash_at_ms: float = 8000.0,
+                              total_ms: float = 20000.0, bucket_ms: float = 1000.0,
                               seed: int = 17, workers: Workers = None, serial: bool = False,
                               cell_filter: Optional[Sequence[str]] = None) -> FigureResult:
     """Figure 12: cluster throughput over time with one replica crashing mid-run."""
@@ -538,12 +552,12 @@ def ablation_wait_condition(conflict_rates: Sequence[float] = (0.10, 0.30, 0.50)
 # --------------------------------------------------------------------------
 
 def shard_scaling(protocols: Sequence[str] = ("caesar",),
-                  shard_counts: Sequence[int] = (1, 2, 4, 8),
+                  shard_counts: Sequence[int] = (1, 2, 4),
                   skews: Sequence[float] = (0.0, 0.99),
-                  sites: int = 20, replicas_per_site: int = 5,
-                  clients: int = 12, commands_per_client: int = 4,
-                  key_space: int = 1000, hot_keys: int = 10,
-                  seed: int = 21, workers: Workers = None, serial: bool = False,
+                  sites: int = 10, replicas_per_site: int = 2,
+                  clients: int = 8, commands_per_client: int = 4,
+                  key_space: int = 200, hot_keys: int = 8,
+                  seed: int = 23, workers: Workers = None, serial: bool = False,
                   cell_filter: Optional[Sequence[str]] = None) -> FigureResult:
     """Sharded keyspace: throughput vs shard count, per-shard conflict rates.
 
@@ -599,3 +613,56 @@ def shard_scaling(protocols: Sequence[str] = ("caesar",),
                         extra={"per_shard_conflicts": conflict_series,
                                "total_violations": violations,
                                "total_undecided": undecided, "sweep": sweep})
+
+
+# --------------------------------------------------------------------------
+# The figure table
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Figure:
+    """One regenerable figure: its driver and its ``--quick`` parameters."""
+
+    driver: Callable[..., FigureResult]
+    #: Scaled-down keyword overrides so the figure finishes fast (coarser
+    #: numbers, never written over a committed record).
+    quick: Mapping[str, object]
+
+    @property
+    def stem(self) -> str:
+        """File stem of the figure's table (``<stem>.txt``) and record
+        (``BENCH_<stem>.json``)."""
+        return self.driver.__name__
+
+
+#: ``repro figure <key>`` -> figure, in presentation order.  Each key is also
+#: the ``figure`` field of the :class:`FigureResult` its driver returns.
+FIGURES: Dict[str, Figure] = {
+    "6": Figure(figure6_latency_vs_conflicts,
+                dict(conflict_rates=(0.0, 0.1, 0.3), clients_per_site=5, duration_ms=4000.0,
+                     warmup_ms=1000.0)),
+    "7": Figure(figure7_single_leader_comparison,
+                dict(clients_per_site=5, duration_ms=4000.0, warmup_ms=1000.0)),
+    "8": Figure(figure8_client_scaling,
+                dict(client_counts=(5, 50, 250), duration_ms=3000.0, warmup_ms=1000.0)),
+    "9": Figure(figure9_throughput,
+                dict(conflict_rates=(0.0, 0.1, 0.3), clients_per_site=40, duration_ms=3000.0,
+                     warmup_ms=1000.0)),
+    "9b": Figure(figure9_throughput_batching,
+                 dict(conflict_rates=(0.0, 0.1, 0.3), clients_per_site=40, duration_ms=2500.0,
+                      warmup_ms=1000.0)),
+    "10": Figure(figure10_slow_paths,
+                 dict(conflict_rates=(0.0, 0.1, 0.3), clients_per_site=15, duration_ms=3000.0,
+                      warmup_ms=1000.0)),
+    "11": Figure(figure11_breakdown,
+                 dict(conflict_rates=(0.0, 0.1, 0.3), clients_per_site=5, duration_ms=4000.0,
+                      warmup_ms=1000.0)),
+    "12": Figure(figure12_failure_timeline,
+                 dict(clients_per_site=10, crash_at_ms=5000.0, total_ms=12000.0)),
+    "ablation": Figure(ablation_wait_condition,
+                       dict(conflict_rates=(0.1, 0.3), clients_per_site=10,
+                            duration_ms=2500.0, warmup_ms=500.0)),
+    "shard": Figure(shard_scaling,
+                    dict(shard_counts=(1, 2), skews=(0.0, 1.2), sites=6, replicas_per_site=1,
+                         clients=4, commands_per_client=3, key_space=64, hot_keys=4)),
+}

@@ -29,7 +29,6 @@ from repro.harness.experiment import ExperimentConfig, ExperimentResult, run_exp
 from repro.harness.sweep import run_sweep, sweep_cell
 from repro.metrics.report import format_table
 from repro.metrics.stats import summarize_latencies
-from repro.sim.costs import CostModel
 from repro.sim.network import flags_to_fields
 from repro.sim.topology import ec2_five_sites
 
@@ -57,9 +56,6 @@ class OverloadConfig:
         seed: base seed; per-point streams are forked from it.
         admission: admission-control spec (``"none"`` when omitted, so the
             per-replica submitted/rejected counters still run).
-        use_cost_model: install the saturation CPU cost model in sim mode
-            (default on — without a CPU cost the simulator has no knee).
-        cost_model: explicit cost model override for sim mode.
         workers: sweep worker processes for sim mode (``None`` = serial).
         timeout_s: per-point wall-clock budget for TCP mode.
         endpoints: existing TCP cluster to drive; when ``None``, TCP mode
@@ -78,8 +74,6 @@ class OverloadConfig:
     warmup_ms: float = 1000.0
     seed: int = 1
     admission: Optional[str] = None
-    use_cost_model: bool = True
-    cost_model: Optional[CostModel] = None
     workers: Optional[object] = None
     timeout_s: float = 60.0
     endpoints: Optional[Dict[int, Tuple[str, int]]] = None
@@ -231,9 +225,8 @@ def _sim_points(config: OverloadConfig) -> List[LoadPoint]:
     """Run the sweep on the simulator substrate (one cell per load point)."""
     from repro.harness.figures import throughput_cost_model
 
-    cost_model = config.cost_model
-    if cost_model is None and config.use_cost_model:
-        cost_model = throughput_cost_model()
+    # Without a CPU cost the simulator has no knee to sweep past.
+    cost_model = throughput_cost_model()
     n_clients = ec2_five_sites().size * config.clients_per_site
     cells = []
     for offered in config.offered_loads:

@@ -22,7 +22,6 @@ naming the failing cell.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 import time
@@ -37,9 +36,9 @@ from repro.harness.experiment import (
     run_experiment,
     summarize_experiment,
 )
-from repro.metrics.perf import PerfRecord, merge_partial_records
+from repro.metrics.perf import PerfRecord
 from repro.sim.random import DeterministicRandom, stable_label
-from repro.sim.simulator import credit_external_events, total_events_executed
+from repro.sim.simulator import total_events_executed
 
 #: Environment variable consulted when ``run_sweep`` is called without an
 #: explicit worker count: figure drivers default to serial, but CI and the
@@ -119,18 +118,6 @@ def sweep_cell(key: Sequence[object], config: ExperimentConfig,
                      options=dict(options or {}))
 
 
-def product_grid(axes: Mapping[str, Sequence[object]]):
-    """Iterate the cartesian product of named axes as dicts, in axis order.
-
-    ``product_grid({"protocol": ("caesar", "epaxos"), "rate": (0.0, 0.3)})``
-    yields ``{"protocol": "caesar", "rate": 0.0}`` first and varies the last
-    axis fastest, mirroring the nested-loop order the serial drivers used.
-    """
-    names = list(axes)
-    for values in itertools.product(*(axes[name] for name in names)):
-        yield dict(zip(names, values))
-
-
 @dataclass
 class SweepPlan:
     """The resolved grid of one (or more) sweeps, recorded without running.
@@ -141,11 +128,6 @@ class SweepPlan:
     """
 
     cells: List[Tuple[str, bool]] = field(default_factory=list)
-
-    @property
-    def selected(self) -> List[str]:
-        """Keys of the cells that would run."""
-        return [key for key, chosen in self.cells if chosen]
 
 
 #: Active plan collector; when set, :func:`run_sweep` records the grid into
@@ -160,7 +142,7 @@ def planning_sweeps():
     Inside the block every ``run_sweep`` call records its resolved cell grid
     (with filter outcomes) into the yielded :class:`SweepPlan` and executes
     nothing; figure drivers still return well-formed (all-``None``) results.
-    Used by ``repro sweep --list-cells``.
+    Used by ``repro figure --list-cells``.
     """
     global _ACTIVE_PLAN
     plan = SweepPlan()
@@ -220,18 +202,24 @@ class SweepResult:
         return sum(outcome.wall_seconds for outcome in self.outcomes)
 
     def perf_record(self, name: str) -> PerfRecord:
-        """Merge the per-cell measurements into one BENCH-able record."""
-        record = merge_partial_records(name, self.outcomes, wall_seconds=self.wall_seconds)
-        timing = record.timing_detail
-        timing["workers"] = self.workers
-        timing["cpus"] = os.cpu_count()
+        """Sum the per-cell measurements into one BENCH-able record.
+
+        Each cell was measured where it ran (in-process or in its worker), so
+        the event count is the same for any worker count.  ``wall_seconds`` is
+        the *observed* wall time of the whole sweep; how it ran — cell and
+        worker counts, the per-cell wall sum — goes to ``timing_detail`` (never
+        serialized), so parallel efficiency stays inspectable.
+        """
+        timing = {"cells": len(self.outcomes),
+                  "cell_wall_seconds": round(self.cell_wall_seconds, 3),
+                  "workers": self.workers, "cpus": os.cpu_count()}
+        if self.skipped:
+            timing["cells_skipped"] = self.skipped
         if self.wall_seconds > 0:
             timing["parallel_speedup_estimate"] = round(
                 self.cell_wall_seconds / self.wall_seconds, 2)
-        record.extra["cells"] = len(self.outcomes)
-        if self.skipped:
-            record.extra["cells_skipped"] = self.skipped
-        return record
+        return PerfRecord(name=name, wall_seconds=self.wall_seconds,
+                          events_executed=self.events_executed, timing_detail=timing)
 
 
 def resolve_workers(workers: Union[int, str, None], cell_count: int) -> int:
@@ -334,9 +322,5 @@ def run_sweep(cells: Sequence[SweepCell], workers: Union[int, str, None] = None,
             # already-running cells finish (bounded work), queued ones don't.
             pool.shutdown(wait=True, cancel_futures=True)
 
-    # Workers incremented their own interpreters' event counters; credit the
-    # per-cell counts back so this process's perf records stay comparable
-    # with serial runs.
-    credit_external_events(sum(outcome.events_executed for outcome in outcomes))
     return SweepResult(outcomes=outcomes, workers=worker_count,
                        wall_seconds=time.perf_counter() - started, skipped=skipped)

@@ -1,34 +1,31 @@
-"""Machine-readable performance records for benchmark runs.
+"""Machine-readable performance records for figure runs.
 
-Every benchmark that regenerates a paper figure also emits a
-``BENCH_<name>.json`` file under ``benchmarks/results/`` holding what the
+Regenerating a paper figure writes its text table ``<name>.txt`` and a
+``BENCH_<name>.json`` record under ``benchmarks/results/`` holding what the
 simulation alone determines: the number of simulation events executed, the
 figure's latency/throughput series and deterministic extras such as codec
 bytes per decision.  A record therefore changes in git exactly when a PR
-changes a series, an event count or a wire byte, and rerunning a benchmark
-rewrites its record byte-identically.
+changes a series, an event count or a wire byte, and regenerating a figure
+rewrites both files byte-identically.
 
-Wall-clock numbers (wall seconds, events/second, interpreter, worker and CPU
-counts) live on the in-memory :class:`PerfRecord` for printing and
+Wall-clock numbers (wall seconds, events/second, interpreter, worker, CPU
+and cell counts) live on the in-memory :class:`PerfRecord` for printing and
 assertions; :meth:`PerfRecord.timing` hands them to the results store
-(``repro sweep --store``), never to a tracked file.  Timing regressions are
+(``repro figure --store``), never to a tracked file.  Timing regressions are
 ``bench/run.py --compare``'s job.
 
-The event counts come from :func:`repro.sim.simulator.total_events_executed`,
-a process-wide monotonic counter, so the tracker works even though the figure
-drivers build their simulators internally.
+A figure's event count is the sum over its sweep cells
+(:meth:`repro.harness.sweep.SweepResult.perf_record`), each measured where
+the cell ran, so serial and parallel runs record the same number.
 """
 
 from __future__ import annotations
 
 import json
 import platform
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence
-
-from repro.sim.simulator import total_events_executed
+from typing import Dict, Optional
 
 #: Schema version of the emitted JSON records.
 PERF_RECORD_VERSION = 2
@@ -75,62 +72,11 @@ class PerfRecord:
         }
 
 
-def merge_partial_records(name: str, partials: Sequence[object],
-                          wall_seconds: Optional[float] = None) -> PerfRecord:
-    """Combine per-cell partial records into one aggregate record.
-
-    A partial is anything with ``events_executed`` and ``wall_seconds``
-    (a :class:`PerfRecord`, or a sweep's ``CellOutcome``).
-
-    A parallel sweep measures each cell inside its worker process and hands
-    the partial records back to the coordinator.  The merged record sums the
-    cells' event counts, takes ``wall_seconds`` as the *observed* wall time of
-    the whole sweep (summing the partials instead when it is not given, i.e.
-    the serial-equivalent cost), and keeps the per-part walls under
-    ``timing_detail`` so parallel efficiency stays inspectable.
-    """
-    cell_wall = sum(partial.wall_seconds for partial in partials)
-    return PerfRecord(
-        name=name,
-        wall_seconds=cell_wall if wall_seconds is None else wall_seconds,
-        events_executed=sum(partial.events_executed for partial in partials),
-        timing_detail={"parts": len(partials),
-                       "cell_wall_seconds": round(cell_wall, 3)},
-    )
-
-
-class PerfTracker:
-    """Measures wall time and simulator events across a benchmark body."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._started_wall = 0.0
-        self._started_events = 0
-        self.record: Optional[PerfRecord] = None
-
-    def __enter__(self) -> "PerfTracker":
-        self._started_events = total_events_executed()
-        self._started_wall = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.record = PerfRecord(
-            name=self.name,
-            wall_seconds=time.perf_counter() - self._started_wall,
-            events_executed=total_events_executed() - self._started_events,
-        )
-
-
-def measure(name: str, fn: Callable, *args, **kwargs):
-    """Run ``fn`` under a :class:`PerfTracker`; returns ``(result, record)``."""
-    with PerfTracker(name) as tracker:
-        result = fn(*args, **kwargs)
-    return result, tracker.record
-
-
-def write_record(record: PerfRecord, results_dir: Path) -> Path:
-    """Persist ``record`` as ``BENCH_<name>.json`` under ``results_dir``."""
+def write_record(record: PerfRecord, table: str, results_dir: Path) -> Path:
+    """Persist ``table`` as ``<name>.txt`` and ``record`` as
+    ``BENCH_<name>.json`` under ``results_dir``; returns the record's path."""
     results_dir.mkdir(parents=True, exist_ok=True)
+    (results_dir / f"{record.name}.txt").write_text(table + "\n")
     path = results_dir / f"BENCH_{record.name}.json"
     path.write_text(json.dumps(record.to_json(), indent=2, sort_keys=True) + "\n")
     return path

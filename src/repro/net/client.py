@@ -163,7 +163,6 @@ class LoadgenConfig:
             commands still count toward closed-loop budgets).
         workload: full workload override (wins over ``conflict_rate``).
         timeout_s: overall wall-clock budget for the run.
-        drain_s: extra budget for full replication after clients finish.
     """
 
     endpoints: Dict[int, Tuple[str, int]]
@@ -177,7 +176,6 @@ class LoadgenConfig:
     warmup_ms: float = 0.0
     workload: Optional[WorkloadConfig] = None
     timeout_s: float = 60.0
-    drain_s: float = 10.0
 
     @classmethod
     def from_args(cls, args, endpoints: Dict[int, Tuple[str, int]],
@@ -349,11 +347,15 @@ async def _loadgen(config: LoadgenConfig) -> LoadgenReport:
         per_replica=per_replica, failures=failures)
 
 
+#: Extra wall-clock budget for full replication after the clients finish.
+DRAIN_S = 10.0
+
+
 async def _drain_and_collect(config: LoadgenConfig, completed: int,
                              failures: List[str]) -> Dict[int, Dict[str, object]]:
     """Wait until every replica executed every completed command; gather stats."""
     loop = asyncio.get_running_loop()
-    deadline = loop.time() + config.drain_s
+    deadline = loop.time() + DRAIN_S
     per_replica: Dict[int, Dict[str, object]] = {}
     lagging = dict(config.endpoints)
     while lagging:
@@ -372,6 +374,6 @@ async def _drain_and_collect(config: LoadgenConfig, completed: int,
         got = per_replica.get(replica_id, {})
         failures.append(
             f"replica {replica_id} executed {got.get('commands_executed', 'n/a')} "
-            f"of {completed} commands within the {config.drain_s:.0f}s drain window"
+            f"of {completed} commands within the {DRAIN_S:.0f}s drain window"
             + (f" ({got['error']})" if "error" in got else ""))
     return per_replica

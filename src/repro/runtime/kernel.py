@@ -44,7 +44,7 @@ Protocol subclasses implement only their actual protocol logic: the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Type
 
 from repro.consensus.ballots import Ballot
@@ -153,51 +153,41 @@ class BallotRegister(dict):
             self[key] = ballot
 
 
-@dataclass(frozen=True)
-class RetransmitPolicy:
-    """Tuning knobs for the kernel's retransmission and catch-up layer.
+# Tuning of the retransmission and catch-up layer.  The values are
+# deliberately conservative relative to clean-run quorum latencies (a
+# wide-area quorum gathers in ~300 ms): the first resend only happens after
+# RETRANSMIT_INITIAL_TIMEOUT_MS with *no* new votes, so loss-free runs never
+# retransmit and their metric series stay byte-identical.
 
-    The defaults are deliberately conservative relative to clean-run quorum
-    latencies (a wide-area quorum gathers in ~300 ms): the first resend only
-    happens after ``initial_timeout_ms`` with *no* new votes, so loss-free
-    runs never retransmit and their metric series stay byte-identical.
-
-    Attributes:
-        enabled: master switch; disabling restores the PR-5 behaviour
-            (safe-but-not-live under message loss).
-        scan_every_ms: how often the buffer looks for overdue rounds (armed
-            lazily — no pending rounds, no timer).
-        initial_timeout_ms: quiet time before the first resend of a round.
-        backoff_factor: per-attempt timeout multiplier (capped below).
-        max_timeout_ms: backoff ceiling.
-        jitter_ms: uniform jitter added to each backoff deadline, drawn from
-            a dedicated RNG fork only when a resend actually happened.
-        max_attempts: resend budget per round before the buffer gives up
-            (recovery / catch-up then owns the round's fate).
-        backlog_defer_ms: if the node's CPU backlog exceeds this, the scan
-            (and the catch-up probe) defers wholesale — votes are queued,
-            not lost.
-        catchup_check_ms: quiet time before a noted execution gap triggers a
-            :class:`CatchUpRequest` (also the re-check interval).
-        catchup_backoff_factor: per-attempt catch-up interval multiplier.
-        catchup_max_interval_ms: catch-up backoff ceiling.
-        catchup_max_attempts: catch-up probes per unchanged gap signature.
-        catchup_reply_limit: max replayed messages per reply.
-    """
-
-    enabled: bool = True
-    scan_every_ms: float = 250.0
-    initial_timeout_ms: float = 1500.0
-    backoff_factor: float = 2.0
-    max_timeout_ms: float = 6000.0
-    jitter_ms: float = 50.0
-    max_attempts: int = 12
-    backlog_defer_ms: float = 200.0
-    catchup_check_ms: float = 600.0
-    catchup_backoff_factor: float = 2.0
-    catchup_max_interval_ms: float = 4800.0
-    catchup_max_attempts: int = 10
-    catchup_reply_limit: int = 128
+#: How often the buffer looks for overdue rounds (armed lazily — no pending
+#: rounds, no timer).
+RETRANSMIT_SCAN_EVERY_MS = 250.0
+#: Quiet time before the first resend of a round.
+RETRANSMIT_INITIAL_TIMEOUT_MS = 1500.0
+#: Per-attempt timeout multiplier (capped below).
+RETRANSMIT_BACKOFF_FACTOR = 2.0
+#: Backoff ceiling.
+RETRANSMIT_MAX_TIMEOUT_MS = 6000.0
+#: Uniform jitter added to each backoff deadline, drawn from a dedicated RNG
+#: fork only when a resend actually happened.
+RETRANSMIT_JITTER_MS = 50.0
+#: Resend budget per round before the buffer gives up (recovery / catch-up
+#: then owns the round's fate).
+RETRANSMIT_MAX_ATTEMPTS = 12
+#: If the node's CPU backlog exceeds this, the scan (and the catch-up probe)
+#: defers wholesale — votes are queued, not lost.
+BACKLOG_DEFER_MS = 200.0
+#: Quiet time before a noted execution gap triggers a :class:`CatchUpRequest`
+#: (also the re-check interval).
+CATCHUP_CHECK_MS = 600.0
+#: Per-attempt catch-up interval multiplier.
+CATCHUP_BACKOFF_FACTOR = 2.0
+#: Catch-up backoff ceiling.
+CATCHUP_MAX_INTERVAL_MS = 4800.0
+#: Catch-up probes per unchanged gap signature.
+CATCHUP_MAX_ATTEMPTS = 10
+#: Max replayed messages per reply.
+CATCHUP_REPLY_LIMIT = 128
 
 
 @register_message(sender=UINT, cursor=UINT, want=SeqCodec(STRING))
@@ -234,15 +224,14 @@ class _RetransmitEntry:
     def __init__(self, message: object, size_bytes: int,
                  tracker: Optional[QuorumTracker],
                  done: Optional[Callable[[], bool]],
-                 voters: Optional[Callable[[], List[int]]],
-                 now: float, timeout: float) -> None:
+                 voters: Optional[Callable[[], List[int]]], now: float) -> None:
         self.message = message
         self.size_bytes = size_bytes
         self.tracker = tracker
         self.done = done
         self.voters = voters
-        self.timeout = timeout
-        self.deadline = now + timeout
+        self.timeout = RETRANSMIT_INITIAL_TIMEOUT_MS
+        self.deadline = now + self.timeout
         self.attempts = 0
         self.last_count = tracker.count if tracker is not None else 0
 
@@ -261,9 +250,11 @@ class RetransmitBuffer:
     a finished run drains and the simulator's event queue empties.
     """
 
-    def __init__(self, kernel: "ProtocolKernel", policy: RetransmitPolicy) -> None:
+    def __init__(self, kernel: "ProtocolKernel") -> None:
         self.kernel = kernel
-        self.policy = policy
+        #: master switch of the retransmission *and* catch-up layer; off
+        #: restores the PR-5 behaviour (safe-but-not-live under message loss).
+        self.enabled = True
         self._entries: Dict[object, _RetransmitEntry] = {}
         self._timer: Optional[Timer] = None
         #: jitter stream, forked per node; drawn from only on actual resends
@@ -292,11 +283,10 @@ class RetransmitBuffer:
                 predicate (e.g. committed flags that outlive the tracker).
             voters: overrides the tracker's voter list as the skip set.
         """
-        if not self.policy.enabled:
+        if not self.enabled:
             return
         self._entries[key] = _RetransmitEntry(
-            message, size_bytes, tracker, done, voters,
-            self.kernel.sim.now, self.policy.initial_timeout_ms)
+            message, size_bytes, tracker, done, voters, self.kernel.sim.now)
         self._arm()
 
     def resolve(self, key: object) -> None:
@@ -326,7 +316,7 @@ class RetransmitBuffer:
 
     def _arm(self) -> None:
         if self._timer is None and self._entries:
-            self._timer = self.kernel.set_timer(self.policy.scan_every_ms, self._scan)
+            self._timer = self.kernel.set_timer(RETRANSMIT_SCAN_EVERY_MS, self._scan)
 
     @staticmethod
     def _is_done(entry: _RetransmitEntry) -> bool:
@@ -349,8 +339,7 @@ class RetransmitBuffer:
         if not self._entries:
             return
         kernel = self.kernel
-        policy = self.policy
-        if kernel.cpu_backlog_ms > policy.backlog_defer_ms:
+        if kernel.cpu_backlog_ms > BACKLOG_DEFER_MS:
             # Votes may simply be queued behind CPU work; resending now
             # would be noise (and would perturb saturated loss-free runs).
             self._arm()
@@ -371,7 +360,7 @@ class RetransmitBuffer:
                 entry.deadline = now + entry.timeout
                 continue
             entry.attempts += 1
-            if entry.attempts > policy.max_attempts:
+            if entry.attempts > RETRANSMIT_MAX_ATTEMPTS:
                 del self._entries[key]
                 continue
             skip = set(self._voters(entry))
@@ -381,10 +370,10 @@ class RetransmitBuffer:
                     continue
                 kernel.send(dst, entry.message, size_bytes=entry.size_bytes)
                 kernel.stats.retransmissions_sent += 1
-            entry.timeout = min(entry.timeout * policy.backoff_factor,
-                                policy.max_timeout_ms)
+            entry.timeout = min(entry.timeout * RETRANSMIT_BACKOFF_FACTOR,
+                                RETRANSMIT_MAX_TIMEOUT_MS)
             entry.deadline = now + entry.timeout + self._jitter.uniform(
-                0.0, policy.jitter_ms)
+                0.0, RETRANSMIT_JITTER_MS)
         self._arm()
 
 
@@ -414,7 +403,7 @@ class ProtocolKernel(ConsensusReplica):
         self.stats = ProtocolStats()
         self.failure_detector: Optional[FailureDetector] = None
         self._fd_setup: Optional[Dict[str, object]] = None
-        self.retransmit = RetransmitBuffer(self, RetransmitPolicy())
+        self.retransmit = RetransmitBuffer(self)
         self._catchup_timer: Optional[Timer] = None
         self._catchup_attempts = 0
         self._catchup_signature: Optional[tuple] = None
@@ -470,19 +459,15 @@ class ProtocolKernel(ConsensusReplica):
         """Stop retransmitting the round ``key``."""
         self.retransmit.resolve(key)
 
-    def configure_retransmit(self, *, enabled: Optional[bool] = None,
-                             policy: Optional[RetransmitPolicy] = None) -> None:
-        """Replace the retransmission policy or flip the master switch.
+    def configure_retransmit(self, *, enabled: bool) -> None:
+        """Flip the retransmission + catch-up master switch.
 
         Disabling clears all pending rounds and stops the catch-up probe —
         this restores the pre-retransmission behaviour (safe but not live
         under message loss), which the negative-control tests rely on.
         """
-        if policy is not None:
-            self.retransmit.policy = policy
-        if enabled is not None:
-            self.retransmit.policy = replace(self.retransmit.policy, enabled=enabled)
-        if not self.retransmit.policy.enabled:
+        self.retransmit.enabled = enabled
+        if not enabled:
             self.retransmit.clear()
             if self._catchup_timer is not None:
                 self._catchup_timer.cancel()
@@ -515,11 +500,11 @@ class ProtocolKernel(ConsensusReplica):
 
         Protocols call this wherever execution order is (re)evaluated.  If a
         gap exists and no probe is armed, a one-shot check fires after
-        ``catchup_check_ms``; only a gap whose *signature* (executed count +
+        ``CATCHUP_CHECK_MS``; only a gap whose *signature* (executed count +
         the gap description) is unchanged for the whole interval triggers a
         :class:`CatchUpRequest` — a live clean run never does.
         """
-        if (not self.retransmit.policy.enabled or self.crashed
+        if (not self.retransmit.enabled or self.crashed
                 or self._catchup_timer is not None):
             return
         need = self.catchup_need()
@@ -527,17 +512,14 @@ class ProtocolKernel(ConsensusReplica):
             return
         self._catchup_signature = (self.commands_executed,) + tuple(need)
         self._catchup_attempts = 0
-        self._catchup_timer = self.set_timer(
-            self.retransmit.policy.catchup_check_ms, self._catchup_check)
+        self._catchup_timer = self.set_timer(CATCHUP_CHECK_MS, self._catchup_check)
 
     def _catchup_check(self) -> None:
         self._catchup_timer = None
-        policy = self.retransmit.policy
-        if not policy.enabled:
+        if not self.retransmit.enabled:
             return
-        if self.cpu_backlog_ms > policy.backlog_defer_ms:
-            self._catchup_timer = self.set_timer(policy.catchup_check_ms,
-                                                 self._catchup_check)
+        if self.cpu_backlog_ms > BACKLOG_DEFER_MS:
+            self._catchup_timer = self.set_timer(CATCHUP_CHECK_MS, self._catchup_check)
             return
         need = self.catchup_need()
         if need is None:
@@ -549,31 +531,28 @@ class ProtocolKernel(ConsensusReplica):
             # Something moved (or the gap changed shape): restart the clock.
             self._catchup_signature = signature
             self._catchup_attempts = 0
-            self._catchup_timer = self.set_timer(policy.catchup_check_ms,
-                                                 self._catchup_check)
+            self._catchup_timer = self.set_timer(CATCHUP_CHECK_MS, self._catchup_check)
             return
         self._catchup_attempts += 1
-        if self._catchup_attempts > policy.catchup_max_attempts:
+        if self._catchup_attempts > CATCHUP_MAX_ATTEMPTS:
             return
         cursor, want = need
         self.stats.catchup_requests += 1
         self.broadcast(CatchUpRequest(sender=self.node_id, cursor=cursor,
                                       want=tuple(want)), include_self=False)
         interval = min(
-            policy.catchup_check_ms
-            * policy.catchup_backoff_factor ** self._catchup_attempts,
-            policy.catchup_max_interval_ms)
+            CATCHUP_CHECK_MS * CATCHUP_BACKOFF_FACTOR ** self._catchup_attempts,
+            CATCHUP_MAX_INTERVAL_MS)
         self._catchup_timer = self.set_timer(interval, self._catchup_check)
 
     @handles(CatchUpRequest)
     def _on_catchup_request(self, src: int, message: CatchUpRequest) -> None:
-        policy = self.retransmit.policy
-        if not policy.enabled:
+        if not self.retransmit.enabled:
             return
         supplies = list(self.catchup_supply(message.cursor, message.want))
         if not supplies:
             return
-        supplies = supplies[:policy.catchup_reply_limit]
+        supplies = supplies[:CATCHUP_REPLY_LIMIT]
         self.stats.catchup_replies += 1
         self.send(src, CatchUpReply(sender=self.node_id, messages=tuple(supplies)),
                   size_bytes=64 * (1 + len(supplies)))

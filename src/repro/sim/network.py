@@ -29,6 +29,10 @@ def flags_to_fields(args, *same_name: str, **renamed: str) -> Dict[str, object]:
             if hasattr(args, flag)}
 
 
+#: Hard floor for any one-way delay.
+MIN_DELAY_MS = 0.01
+
+
 @dataclass
 class NetworkConfig:
     """Tunables for the simulated network.
@@ -37,7 +41,6 @@ class NetworkConfig:
         jitter_ms: standard deviation of gaussian jitter added to each one-way
             delay (clamped so delays never go below 5% of the nominal value).
         drop_probability: independent probability that a message is lost.
-        min_delay_ms: hard floor for any one-way delay.
         wire_accounting: when ``True`` the transports also measure every
             transmitted message through the registry codec and accumulate
             the byte counts into :class:`NetworkStats` (off by default: the
@@ -46,7 +49,6 @@ class NetworkConfig:
 
     jitter_ms: float = 0.0
     drop_probability: float = 0.0
-    min_delay_ms: float = 0.01
     wire_accounting: bool = False
 
     @classmethod
@@ -184,8 +186,7 @@ class Network:
         jitter = self.config.jitter_ms
         if jitter > 0 and src != dst:
             nominal += self._gauss(0.0, jitter)
-        min_delay = self.config.min_delay_ms
-        return min_delay if nominal < min_delay else nominal
+        return MIN_DELAY_MS if nominal < MIN_DELAY_MS else nominal
 
     def send(self, src: int, dst: int, message: object, size_bytes: int = 64) -> None:
         """Send ``message`` from node ``src`` to node ``dst``.

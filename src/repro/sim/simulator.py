@@ -19,30 +19,14 @@ from repro.sim.events import Event, EventQueue
 from repro.sim.random import DeterministicRandom
 
 #: Process-wide count of executed simulation events, across every Simulator
-#: instance.  The perf tracker (:mod:`repro.metrics.perf`) samples this to
-#: compute events/second for benchmark runs that build simulators internally.
+#: instance.  The sweep orchestrator (:mod:`repro.harness.sweep`) samples it
+#: around each cell, whose runner builds its simulators internally.
 _TOTAL_EVENTS_EXECUTED = 0
 
 
 def total_events_executed() -> int:
     """Events executed by all simulators in this process (monotonic)."""
     return _TOTAL_EVENTS_EXECUTED
-
-
-def credit_external_events(count: int) -> None:
-    """Fold events executed on this process's behalf into the global counter.
-
-    The sweep orchestrator (:mod:`repro.harness.sweep`) runs cells in worker
-    processes whose simulators increment their *own* interpreter's counter.
-    Crediting the workers' per-cell event counts back to the coordinating
-    process keeps :func:`total_events_executed` — and therefore every
-    ``BENCH_*.json`` events/second figure — comparable between serial and
-    parallel runs.
-    """
-    global _TOTAL_EVENTS_EXECUTED
-    if count < 0:
-        raise ValueError(f"cannot credit a negative event count: {count}")
-    _TOTAL_EVENTS_EXECUTED += count
 
 
 class SimulationError(RuntimeError):

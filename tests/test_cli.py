@@ -3,16 +3,28 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import pathlib
 import re
+import sys
 
 import pytest
 
-from repro.cli import FIGURE_DRIVERS, QUICK_OVERRIDES, build_parser, main
+from repro.cli import build_parser, main
+from repro.harness.figures import FIGURES
+from repro.harness.sweep import planning_sweeps
 from repro.metrics.store import ResultsStore
 
 SURFACE_FILE = pathlib.Path(__file__).parent / "data" / "cli_parser_surface.json"
+
+#: The committed figure tables and BENCH records.
+RESULTS_DIR = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
+
+#: ``sweep``'s parser surface at the parent of the commit that folded it into
+#: ``figure`` (``--out`` defaulted to ``benchmarks/results`` there).
+PARENT_SWEEP_FLAGS = {"--cells", "--help", "-h", "--list-cells", "--out", "--quick",
+                      "--serial", "--store", "--workers"}
 
 
 def parser_surface(parser: argparse.ArgumentParser) -> dict:
@@ -51,17 +63,45 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "99"])
 
-    def test_every_figure_has_a_quick_profile(self):
-        assert set(FIGURE_DRIVERS) == set(QUICK_OVERRIDES)
+    def test_every_figure_has_exactly_one_committed_table_and_record(self):
+        stems = {figure.stem for figure in FIGURES.values()}
+        assert len(stems) == len(FIGURES)
+        # The one record that is not a figure sweep (benchmarks/
+        # test_protocol_microbench.py writes it through the same writer).
+        stems.add("micro_message_footprint")
+        assert {path.stem for path in RESULTS_DIR.glob("*.txt")} == stems
+        assert {path.stem for path in RESULTS_DIR.glob("BENCH_*.json")} == {
+            f"BENCH_{stem}" for stem in stems}
+
+    @pytest.mark.parametrize("key", FIGURES)
+    def test_figure_table_row_is_consistent_with_its_driver(self, key):
+        figure = FIGURES[key]
+        # --quick may only override parameters the driver actually takes.
+        assert set(figure.quick) <= set(inspect.signature(figure.driver).parameters)
+        # The result names its own row, which is how it finds its file stem.
+        with planning_sweeps():
+            result = figure.driver(**figure.quick)
+        assert result.figure == key
+        assert result.record().name == figure.stem
 
     def test_parser_surface_matches_the_golden_capture(self):
-        # tests/data/cli_parser_surface.json was captured at the commit before
-        # the table-driven rebuild: no flag may be added, dropped or re-defaulted.
+        # tests/data/cli_parser_surface.json was regenerated once, when
+        # ``sweep`` and ``profile`` were folded into ``figure``: no flag may be
+        # added, dropped or re-defaulted since.
         golden = json.loads(SURFACE_FILE.read_text())
         surface = parser_surface(build_parser())
         assert sorted(surface) == sorted(golden)
         for command, triples in golden.items():
             assert surface[command] == triples, command
+
+    def test_figure_absorbed_sweep_without_growing_the_cli(self):
+        surface = parser_surface(build_parser())
+        assert set(surface) == {"run", "compare", "figure", "shard", "chaos", "serve",
+                                "loadgen", "overload", "report", "topology"}
+        figure_flags = {flag for options, _, _ in surface["figure"] for flag in options}
+        assert figure_flags <= PARENT_SWEEP_FLAGS
+        # Files are written only on request.
+        assert build_parser().parse_args(["figure", "7"]).out is None
 
     @pytest.mark.parametrize("argv, complaint", [
         (["chaos", "--nemesis", "bogus"], "invalid choice: 'bogus'"),
@@ -74,8 +114,13 @@ class TestParser:
         (["serve", "--node-id", "7", "--peer", "0=h:1", "--peer", "1=h:2",
           "--peer", "2=h:3"], "--node-id 7 is not in the --peer map"),
         (["overload", "--offered", "-5"], "must be > 0"),
-        # Removed flag: BENCH records are always deterministic now.
-        (["sweep", "6", "--stable-records"], "unrecognized arguments: --stable-records"),
+        # Folded into ``figure`` / replaced by ``bench/run.py --trace 1``.
+        (["sweep", "6"], "invalid choice: 'sweep'"),
+        (["profile", "6"], "invalid choice: 'profile'"),
+        # A partial run must not overwrite a committed record.
+        (["figure", "7", "--quick", "--out", "results"], "--quick or --cells"),
+        (["figure", "7", "--cells", "fig7/mencius", "--out", "results"],
+         "--quick or --cells"),
     ])
     def test_bad_input_is_a_one_line_usage_error(self, argv, complaint, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -116,38 +161,58 @@ class TestCommands:
         assert "Figure 7" in output
         assert "IN" in output
 
-    def test_sweep_list_cells_runs_nothing(self, capsys):
-        code = main(["sweep", "9", "--list-cells", "--cells", "fig9/caesar/*"])
+    def test_figure_list_cells_runs_nothing(self, capsys):
+        code = main(["figure", "9", "--list-cells", "--cells", "fig9/caesar/*"])
         assert code == 0
         output = capsys.readouterr().out
-        assert "sweep 9" in output
+        assert "figure 9" in output
         # Filtered grid: caesar cells selected, others listed but skipped.
         assert "* fig9/caesar/0.0" in output
         assert "- fig9/multipaxos" in output
 
-    def test_sweep_store_row_gets_the_timing_the_bench_file_omits(self, tmp_path, capsys):
+    def test_figure_all_expands_to_every_figure_in_table_order(self, capsys):
+        # Duplicates and the order on the command line do not matter.
+        assert main(["figure", "9", "all", "6", "--list-cells"]) == 0
+        headers = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("figure ")]
+        assert headers == list(FIGURES)
+
+    def test_figure_list_cells_full_grid(self, capsys):
+        code = main(["figure", "7", "--list-cells"])
+        assert code == 0
+        output = capsys.readouterr().out
+        for name in ("multipaxos-IR", "multipaxos-IN", "mencius", "caesar-0%"):
+            assert f"* fig7/{name}" in output
+
+    def test_figure_out_reproduces_the_committed_files_byte_for_byte(self, tmp_path, capsys):
+        # The in-tier-1 proof that the CLI path *is* the record path: no flags
+        # but --out, and the two committed Figure 7 files come back.  The
+        # store row of the same run gets the timing the BENCH file omits.
         store_path = tmp_path / "store.db"
-        assert main(["sweep", "7", "--quick", "--serial", "--out", str(tmp_path),
+        assert main(["figure", "7", "--serial", "--out", str(tmp_path),
                      "--store", str(store_path)]) == 0
-        name = "BENCH_sweep_figure7_single_leader_comparison.json"
+        table = "figure7_single_leader_comparison.txt"
+        name = "BENCH_figure7_single_leader_comparison.json"
+        assert (tmp_path / table).read_bytes() == (RESULTS_DIR / table).read_bytes()
+        assert (tmp_path / table).read_text() in capsys.readouterr().out
+        if sys.version_info < (3, 12):
+            # 3.12 made sum() of floats compensated, which moves the series'
+            # last digits (the table rounds them away); records are committed
+            # from 3.11.
+            assert (tmp_path / name).read_bytes() == (RESULTS_DIR / name).read_bytes()
+
         on_disk = json.loads((tmp_path / name).read_text())
         with ResultsStore(store_path) as store:
             row = store.latest_run(kind="bench")
-        assert row.label == name
-        timing_keys = {"wall_seconds", "events_per_second", "python", "workers", "cpus"}
+        assert row.label == "figure7_single_leader_comparison"
+        timing_keys = {"wall_seconds", "events_per_second", "python", "workers", "cpus",
+                       "cells"}
         assert timing_keys <= set(row.metrics)
         assert not timing_keys & set(on_disk)
         # Everything the file holds is in the row too, unchanged.
         assert {key: row.metrics[key] for key in on_disk} == on_disk
         assert main(["report", "--store", str(store_path), "--kind", "bench"]) == 0
         assert "events/s" in capsys.readouterr().out
-
-    def test_sweep_list_cells_full_grid(self, capsys):
-        code = main(["sweep", "7", "--list-cells"])
-        assert code == 0
-        output = capsys.readouterr().out
-        for name in ("multipaxos-IR", "multipaxos-IN", "mencius", "caesar-0%"):
-            assert f"* fig7/{name}" in output
 
 
 class TestChaosCommand:
@@ -294,26 +359,6 @@ class TestOverloadReportCommands:
         assert "smoke" in report
         assert "offered/s" in report
 
-    def test_profile_defaults(self):
-        args = build_parser().parse_args(["profile"])
-        assert args.number == "9"
-        assert args.top == 20
-        assert args.sort == "cumulative"
-        assert args.cells is None
-
-    def test_profile_quick_single_cell(self, tmp_path, capsys):
-        store = tmp_path / "store.db"
-        code = main(["profile", "6", "--quick", "--cells", "fig6/caesar/*",
-                     "--top", "5", "--store", str(store)])
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "profiled figure6_latency_vs_conflicts" in output
-        assert "simulator events" in output
-        assert "decision path (repro/core/*)" in output
-        assert "history.py:update" in output
-        assert "[stored as run 1" in output
-        assert store.exists()
-
     def test_history_gc_flag_parses_and_runs(self, capsys):
         args = build_parser().parse_args(["run", "--history-gc", "250"])
         assert args.history_gc == 250.0
@@ -336,7 +381,7 @@ class TestOverloadReportCommands:
 
 
     def test_store_is_closed_when_recording_fails(self, tmp_path, monkeypatch):
-        # Regression: ``sweep --store`` closed the store only on the success
+        # Regression: ``figure --store`` closed the store only on the success
         # path, so a failure mid-command left store.db open.
         opened = []
         original_init = ResultsStore.__init__
@@ -351,6 +396,6 @@ class TestOverloadReportCommands:
         monkeypatch.setattr(ResultsStore, "__init__", tracking_init)
         monkeypatch.setattr(ResultsStore, "record_run", failing_record_run)
         with pytest.raises(RuntimeError, match="disk full"):
-            main(["sweep", "7", "--quick", "--serial", "--out", str(tmp_path),
+            main(["figure", "7", "--quick", "--serial",
                   "--store", str(tmp_path / "store.db")])
         assert opened and all(store._connection is None for store in opened)

@@ -5,7 +5,7 @@ changes, garbage collection) and drives the optimized stack
 (:class:`~repro.core.history.CommandHistory` + bitset
 ``compute_predecessor_mask`` + incremental
 :class:`~repro.core.predecessors.WaitManager`) and the naive reference stack
-(:mod:`repro.core.reference`) through the *same* sequence, the way a CAESAR
+(``tests/reference_decision_path.py``) through the *same* sequence, the way a CAESAR
 acceptor would: compute predecessors, UPDATE, notify the wait condition,
 evaluate proposals.  At every step both stacks must agree on
 
@@ -27,8 +27,8 @@ from repro.consensus.command import Command
 from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.history import CommandHistory, CommandStatus
 from repro.core.predecessors import WaitManager, compute_predecessors
-from repro.core.reference import (ReferenceCommandHistory, ReferenceWaitManager,
-                                  reference_compute_predecessors)
+from tests.reference_decision_path import (ReferenceCommandHistory, ReferenceWaitManager,
+                                           reference_compute_predecessors)
 
 BALLOT = Ballot.initial(0)
 

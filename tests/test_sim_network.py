@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.network import Network, NetworkConfig
+from repro.sim.network import MIN_DELAY_MS, Network, NetworkConfig
 from repro.sim.simulator import Simulator
 from repro.sim.topology import uniform_topology
 
@@ -132,4 +132,4 @@ class TestImpairments:
     def test_delay_never_below_floor(self):
         sim, network, _ = build_network(rtt=20.0)
         network.set_delay_override(lambda src, dst, nominal: -5.0)
-        assert network.delay(0, 1) >= network.config.min_delay_ms
+        assert network.delay(0, 1) >= MIN_DELAY_MS

@@ -23,16 +23,17 @@ import pytest
 from repro.harness.experiment import ExperimentConfig
 from repro.harness.figures import figure6_latency_vs_conflicts
 from repro.harness.sweep import (
+    CellOutcome,
     SweepCell,
     SweepError,
+    SweepResult,
     key_string,
     matches_any,
-    product_grid,
     resolve_workers,
     run_sweep,
     sweep_cell,
 )
-from repro.metrics.perf import PerfRecord, merge_partial_records, write_record
+from repro.metrics.perf import PerfRecord, write_record
 from repro.sim.random import DeterministicRandom, derive_seed, stable_label
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -98,11 +99,6 @@ class TestStableCellKeying:
 
 
 class TestGridHelpers:
-    def test_product_grid_varies_last_axis_fastest(self):
-        combos = list(product_grid({"p": ("a", "b"), "r": (1, 2)}))
-        assert combos == [{"p": "a", "r": 1}, {"p": "a", "r": 2},
-                          {"p": "b", "r": 1}, {"p": "b", "r": 2}]
-
     def test_key_string_and_matching(self):
         key = ("fig9", "caesar", 0.1)
         assert key_string(key) == "fig9/caesar/0.1"
@@ -134,25 +130,23 @@ class TestSweepDeterminism:
 
         # The figure table and the BENCH record serialize to the very same
         # bytes regardless of worker count.
-        paths = {}
-        for label, result in (("serial", serial), ("parallel", parallel)):
-            out = tmp_path / label
-            out.mkdir()
-            (out / "figure6.txt").write_text(result.table + "\n")
-            record = result.extra["sweep"].perf_record("figure6")
-            record.series = {name: {str(x): y for x, y in points.items()}
-                             for name, points in result.series.items()}
-            write_record(record, out)
-            paths[label] = out
-        for name in ("figure6.txt", "BENCH_figure6.json"):
-            assert ((paths["serial"] / name).read_bytes()
-                    == (paths["parallel"] / name).read_bytes()), name
+        serial_record = serial.write(tmp_path / "serial")
+        parallel_record = parallel.write(tmp_path / "parallel")
+        assert serial_record.name == "BENCH_figure6_latency_vs_conflicts.json"
+        assert serial_record.read_bytes() == parallel_record.read_bytes()
+        table = "figure6_latency_vs_conflicts.txt"
+        assert ((tmp_path / "serial" / table).read_bytes()
+                == (tmp_path / "parallel" / table).read_bytes())
+        # How the sweep ran is timing detail, never part of the record.
+        assert parallel.record().timing_detail["cells"] == 4
+        assert "extra" not in parallel.record().to_json()
 
     def test_filtered_cells_report_none_payloads(self):
         result = figure6_latency_vs_conflicts(cell_filter=["fig6/caesar/*"], **SMALL_GRID)
         assert all(value is not None for value in result.series["caesar"].values())
         assert all(value is None for value in result.series["epaxos"].values())
         assert result.extra["sweep"].skipped == 2
+        assert result.record().timing_detail["cells_skipped"] == 2
 
     def test_cells_are_order_independent(self):
         cells = [sweep_cell(("t", protocol, rate), tiny_config(protocol=protocol,
@@ -191,13 +185,17 @@ class TestSweepFailures:
 
 
 class TestPerfRecord:
-    def test_merge_partial_records_sums_events(self):
-        parts = [PerfRecord(name="a", wall_seconds=1.0, events_executed=100),
-                 PerfRecord(name="b", wall_seconds=3.0, events_executed=300)]
-        merged = merge_partial_records("sweep", parts, wall_seconds=2.0)
+    def test_sweep_record_sums_the_cells(self):
+        outcomes = [CellOutcome(key=("a",), payload=None, wall_seconds=1.0,
+                                events_executed=100),
+                    CellOutcome(key=("b",), payload=None, wall_seconds=3.0,
+                                events_executed=300)]
+        merged = SweepResult(outcomes=outcomes, workers=2,
+                             wall_seconds=2.0).perf_record("sweep")
         assert merged.events_executed == 400
         assert merged.events_per_second == pytest.approx(200.0)
         assert merged.timing_detail["cell_wall_seconds"] == pytest.approx(4.0)
+        assert merged.timing_detail["cells"] == 2
 
     def test_events_per_second_is_derived(self):
         record = PerfRecord(name="x", wall_seconds=2.0, events_executed=10)
@@ -211,8 +209,9 @@ class TestPerfRecord:
                           extra={"cells": 2}, timing_detail={"workers": 4, "cpus": 8})
         slow = PerfRecord(name="x", wall_seconds=45.6, events_executed=10, series=series,
                           extra={"cells": 2}, timing_detail={"workers": 1, "cpus": 2})
-        fast_bytes = write_record(fast, tmp_path / "fast").read_bytes()
-        assert fast_bytes == write_record(slow, tmp_path / "slow").read_bytes()
+        fast_bytes = write_record(fast, "table", tmp_path / "fast").read_bytes()
+        assert fast_bytes == write_record(slow, "table", tmp_path / "slow").read_bytes()
+        assert (tmp_path / "fast" / "x.txt").read_text() == "table\n"
         assert json.loads(fast_bytes) == {
             "version": 2, "name": "x", "events_executed": 10, "series": series,
             "extra": {"cells": 2}}
