@@ -255,10 +255,8 @@ class EPaxosReplica(ProtocolKernel):
         self._leader_states[instance_id] = state
         pre_accept = PreAccept(instance_id=instance_id, command=command, seq=seq,
                                deps=frozenset(deps), ballot=instance.ballot)
-        self.broadcast(pre_accept, include_self=False,
-                       size_bytes=64 + command.payload_size)
+        self.broadcast(pre_accept, include_self=False)
         self.track_retransmit(("lead", instance_id), pre_accept,
-                              size_bytes=64 + command.payload_size,
                               tracker=state.votes,
                               done=lambda s=state: s.phase == "done")
 
@@ -350,11 +348,9 @@ class EPaxosReplica(ProtocolKernel):
             accept = Accept(instance_id=state.instance_id, command=state.command,
                             seq=merged_seq, deps=frozenset(merged_deps),
                             ballot=state.ballot)
-            self.broadcast(accept, include_self=False,
-                           size_bytes=64 + state.command.payload_size)
+            self.broadcast(accept, include_self=False)
             # Supersede the PreAccept round: resends now carry the Accept.
             self.track_retransmit(("lead", state.instance_id), accept,
-                                  size_bytes=64 + state.command.payload_size,
                                   tracker=state.votes,
                                   done=lambda s=state: s.phase == "done")
 
@@ -408,7 +404,7 @@ class EPaxosReplica(ProtocolKernel):
         self.resolve_retransmit(("lead", state.instance_id))
         self.broadcast(Commit(instance_id=state.instance_id, command=state.command,
                               seq=seq, deps=frozenset(deps)),
-                       include_self=False, size_bytes=64 + state.command.payload_size)
+                       include_self=False)
         self._try_execute()
 
     @handles(Commit)

@@ -259,8 +259,7 @@ class M2PaxosReplica(ProtocolKernel):
             self._acquire_then_lead(command)
         else:
             self.stats.commands_forwarded += 1
-            self.send(owner, ForwardCommand(command=command),
-                      size_bytes=64 + command.payload_size)
+            self.send(owner, ForwardCommand(command=command))
 
     def _next_index_hint(self, key: str) -> int:
         """First per-key position this replica believes to be unused."""
@@ -303,10 +302,8 @@ class M2PaxosReplica(ProtocolKernel):
             self._acked_index[key] = index
         accept = AcceptCommand(key=key, index=index, command=command,
                                owner=self.node_id, epoch=epoch)
-        self.broadcast(accept, include_self=False,
-                       size_bytes=64 + command.payload_size)
+        self.broadcast(accept, include_self=False)
         self.track_retransmit(("accept", key, index), accept,
-                              size_bytes=64 + command.payload_size,
                               tracker=pending.acks,
                               done=lambda p=pending: p.decided)
 
@@ -409,8 +406,7 @@ class M2PaxosReplica(ProtocolKernel):
                     self._acquire_attempts.pop(key, None)
                     for command in pending.queued:
                         self.stats.commands_forwarded += 1
-                        self.send(owner, ForwardCommand(command=command),
-                                  size_bytes=64 + command.payload_size)
+                        self.send(owner, ForwardCommand(command=command))
                 else:
                     self._schedule_acquire_retry(key, list(pending.queued))
                 return
@@ -432,8 +428,7 @@ class M2PaxosReplica(ProtocolKernel):
                 self._acquire_attempts.pop(key, None)
                 for command in pending.queued:
                     self.stats.commands_forwarded += 1
-                    self.send(owner, ForwardCommand(command=command),
-                              size_bytes=64 + command.payload_size)
+                    self.send(owner, ForwardCommand(command=command))
                 return
             # No owner known (symmetric contention): retry after a backoff
             # that is strictly longer for higher node ids, so exactly one
@@ -545,8 +540,7 @@ class M2PaxosReplica(ProtocolKernel):
             self._acquire_then_lead(message.command)
         else:
             self.send(owner, ForwardCommand(command=message.command,
-                                            hops=message.hops + 1),
-                      size_bytes=64 + message.command.payload_size)
+                                            hops=message.hops + 1))
 
     # ordering ----------------------------------------------------------------
 
@@ -639,8 +633,7 @@ class M2PaxosReplica(ProtocolKernel):
         self.record_decided(pending.command.command_id, DecisionKind.FAST)
         self.broadcast(DecideCommand(key=pending.key, index=pending.index,
                                      command=pending.command, owner=self.node_id,
-                                     epoch=pending.epoch),
-                       size_bytes=64 + pending.command.payload_size)
+                                     epoch=pending.epoch))
 
     @handles(DecideCommand)
     def _on_decide(self, src: int, message: DecideCommand) -> None:

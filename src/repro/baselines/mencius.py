@@ -109,10 +109,8 @@ class MenciusReplica(ProtocolKernel):
         self._used_own_slots.add(slot)
         self._max_seen_slot = max(self._max_seen_slot, slot)
         proposal = SlotPropose(slot=slot, command=command)
-        self.broadcast(proposal, include_self=False,
-                       size_bytes=64 + command.payload_size)
+        self.broadcast(proposal, include_self=False)
         self.track_retransmit(("slot", slot), proposal,
-                              size_bytes=64 + command.payload_size,
                               tracker=self._acks[slot])
 
     def _allocate_slot(self) -> int:
@@ -157,8 +155,7 @@ class MenciusReplica(ProtocolKernel):
         self.resolve_retransmit(("slot", message.slot))
         self.stats.slots_committed += 1
         self.record_decided(command.command_id, DecisionKind.SLOW)
-        self.broadcast(SlotCommit(slot=message.slot, command=command),
-                       size_bytes=64 + command.payload_size)
+        self.broadcast(SlotCommit(slot=message.slot, command=command))
 
     @handles(SlotCommit)
     def _on_commit(self, src: int, message: SlotCommit) -> None:

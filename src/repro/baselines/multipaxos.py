@@ -154,8 +154,7 @@ class MultiPaxosReplica(ProtocolKernel):
             self._lead(command)
         else:
             self.stats.commands_forwarded += 1
-            self.send(self.leader_id, ClientForward(command=command),
-                      size_bytes=64 + command.payload_size)
+            self.send(self.leader_id, ClientForward(command=command))
 
     def _lead(self, command: Command) -> None:
         """Assign the next log slot and run the accept round."""
@@ -170,9 +169,8 @@ class MultiPaxosReplica(ProtocolKernel):
         self._slot_states[slot] = state
         self.log[slot] = command
         accept = AcceptSlot(slot=slot, command=command, ballot=self.ballot)
-        self.broadcast(accept, include_self=False, size_bytes=64 + command.payload_size)
+        self.broadcast(accept, include_self=False)
         self.track_retransmit(("slot", slot), accept,
-                              size_bytes=64 + command.payload_size,
                               tracker=state.votes, done=lambda s=state: s.committed)
 
     # ------------------------------------------------------ message handling
@@ -208,8 +206,7 @@ class MultiPaxosReplica(ProtocolKernel):
         self.resolve_retransmit(("slot", state.slot))
         self.stats.slots_committed += 1
         self.record_decided(state.command.command_id, DecisionKind.SLOW)
-        self.broadcast(CommitSlot(slot=state.slot, command=state.command),
-                       size_bytes=64 + state.command.payload_size)
+        self.broadcast(CommitSlot(slot=state.slot, command=state.command))
 
     @handles(CommitSlot)
     def _on_commit(self, src: int, message: CommitSlot) -> None:

@@ -3,9 +3,9 @@
 One :class:`LinkFaults` instance is shared by every replica's transport in a
 chaos run (installed through
 :meth:`~repro.runtime.transport.SimulatorTransport.install_fault_filter`).
-The transport offers it every outgoing wire message; the filter either lets
-the message through untouched or applies the faults configured for that
-directed link:
+The transport offers it every outgoing wire message — unicast or broadcast,
+there is one way out of a replica — and the filter either lets the message
+through untouched or applies the faults configured for that directed link:
 
 * **blocking** — the link is cut.  In ``"queue"`` mode (the default used by
   the partition primitives) messages are held and released in order when the
@@ -15,6 +15,9 @@ directed link:
 * **duplication** — each message is independently delivered twice;
 * **delay spikes** — each message is delayed by an extra base + uniform
   jitter before entering the network (large jitter also reorders).
+
+This is the only fault plane: the simulated network itself knows uniform loss
+and crashed receivers, nothing about partitions.
 
 All sampling draws from a dedicated deterministic stream, so enabling a
 fault schedule never perturbs the draws of the network, the workload or any
@@ -69,7 +72,7 @@ class LinkFaults:
         #: directed link -> blocking mode ("queue" | "drop").
         self._blocked: Dict[Link, str] = {}
         #: messages held on queue-blocked links, in send order.
-        self._held: Dict[Link, List[Tuple[object, int]]] = {}
+        self._held: Dict[Link, List[object]] = {}
         self._loss: Dict[Link, float] = {}
         self._dup: Dict[Link, float] = {}
         #: directed link -> (extra base delay ms, uniform jitter ms).
@@ -77,7 +80,7 @@ class LinkFaults:
 
     # ------------------------------------------------------------- transport
 
-    def intercept(self, src: int, dst: int, message: object, size_bytes: int) -> bool:
+    def intercept(self, src: int, dst: int, message: object) -> bool:
         """Apply link faults to one outgoing message.
 
         Returns ``True`` when the message was consumed (blocked, dropped or
@@ -90,7 +93,7 @@ class LinkFaults:
         mode = self._blocked.get(link)
         if mode is not None:
             if mode == "queue":
-                self._hold(link, message, size_bytes)
+                self._hold(link, message)
             else:
                 self.stats.messages_dropped_on_block += 1
             return True
@@ -105,40 +108,38 @@ class LinkFaults:
         spike = self._delay.get(link)
         if spike is not None:
             # Each copy samples its own spike, so duplicates reorder too.
-            self._delay_send(link, spike, message, size_bytes)
+            self._delay_send(link, spike, message)
             if duplicated:
-                self._delay_send(link, spike, message, size_bytes)
+                self._delay_send(link, spike, message)
             return True
         if duplicated:
-            self.network.send(src, dst, message, size_bytes=size_bytes)
+            self.network.send(src, dst, message)
         return False
 
-    def _delay_send(self, link: Link, spike: Tuple[float, float], message: object,
-                    size_bytes: int) -> None:
+    def _delay_send(self, link: Link, spike: Tuple[float, float], message: object) -> None:
         """Schedule one copy of a message past its sampled extra delay."""
         base, jitter = spike
         extra = base + (self._rng.uniform(0.0, jitter) if jitter > 0 else 0.0)
         self.stats.messages_delayed += 1
-        self.sim.schedule(extra, self._forward, args=(link[0], link[1], message,
-                                                      size_bytes))
+        self.sim.schedule(extra, self._forward, args=(link[0], link[1], message))
 
-    def _hold(self, link: Link, message: object, size_bytes: int) -> None:
+    def _hold(self, link: Link, message: object) -> None:
         """Park one message on a queue-blocked link."""
-        self._held.setdefault(link, []).append((message, size_bytes))
+        self._held.setdefault(link, []).append(message)
         self.stats.messages_held += 1
         per_link = self.stats.per_link_held
         per_link[link] = per_link.get(link, 0) + 1
 
-    def _forward(self, src: int, dst: int, message: object, size_bytes: int) -> None:
+    def _forward(self, src: int, dst: int, message: object) -> None:
         """Enter the network after a delay spike, honouring blocks installed since."""
         mode = self._blocked.get((src, dst))
         if mode is not None:
             if mode == "queue":
-                self._hold((src, dst), message, size_bytes)
+                self._hold((src, dst), message)
             else:
                 self.stats.messages_dropped_on_block += 1
             return
-        self.network.send(src, dst, message, size_bytes=size_bytes)
+        self.network.send(src, dst, message)
 
     # ---------------------------------------------------------- fault control
 
@@ -156,9 +157,9 @@ class LinkFaults:
             held = self._held.pop(link, None)
             if held:
                 src, dst = link
-                for message, size_bytes in held:
+                for message in held:
                     self.stats.messages_released += 1
-                    self.network.send(src, dst, message, size_bytes=size_bytes)
+                    self.network.send(src, dst, message)
 
     def unblock_all(self) -> None:
         """Heal every blocked link."""

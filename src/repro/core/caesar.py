@@ -145,9 +145,8 @@ class CaesarReplica(ProtocolKernel):
                                      lambda: self._on_fast_proposal_timeout(command.command_id))
         proposal = FastPropose(command=command, ballot=ballot, timestamp=timestamp,
                                whitelist=whitelist)
-        self.broadcast(proposal, size_bytes=64 + command.payload_size)
+        self.broadcast(proposal)
         self.track_retransmit(("lead", command.command_id), proposal,
-                              size_bytes=64 + command.payload_size,
                               tracker=state.votes,
                               done=lambda s=state: s.phase == PHASE_DONE)
 
@@ -161,9 +160,8 @@ class CaesarReplica(ProtocolKernel):
         proposal = SlowPropose(command=state.command, ballot=state.ballot,
                                timestamp=state.timestamp,
                                predecessors=_freeze(state.predecessors))
-        self.broadcast(proposal, size_bytes=64 + state.command.payload_size)
+        self.broadcast(proposal)
         self.track_retransmit(("lead", state.command.command_id), proposal,
-                              size_bytes=64 + state.command.payload_size,
                               tracker=state.votes,
                               done=lambda s=state: s.phase == PHASE_DONE)
 
@@ -179,9 +177,8 @@ class CaesarReplica(ProtocolKernel):
         retry = Retry(command=state.command, ballot=state.ballot,
                       timestamp=state.timestamp,
                       predecessors=_freeze(state.predecessors))
-        self.broadcast(retry, size_bytes=64 + state.command.payload_size)
+        self.broadcast(retry)
         self.track_retransmit(("lead", command_id), retry,
-                              size_bytes=64 + state.command.payload_size,
                               tracker=state.votes,
                               done=lambda s=state: s.phase == PHASE_DONE)
 
@@ -211,8 +208,7 @@ class CaesarReplica(ProtocolKernel):
         self.decisions.get(command_id)  # ensure record exists for local proposals
         self.broadcast(Stable(command=state.command, ballot=state.ballot,
                               timestamp=state.timestamp,
-                              predecessors=_freeze(state.predecessors)),
-                       size_bytes=64 + state.command.payload_size)
+                              predecessors=_freeze(state.predecessors)))
 
     def _on_fast_proposal_timeout(self, command_id: CommandId) -> None:
         """Fall back to the slow proposal phase when a fast quorum is unavailable."""

@@ -67,15 +67,12 @@ class PeerNetwork:
         self.clock = clock
         self.local_id = local_id
         self.peers = dict(peers)
+        #: all replica ids in the peer map, ascending (fixed at construction).
+        self.node_ids: List[int] = sorted(self.peers)
         self.reconnect = reconnect or ReconnectPolicy()
         self.stats = NetworkStats()
         self.config = NetworkConfig()
         self._nodes: Dict[int, object] = {}
-
-    @property
-    def node_ids(self) -> List[int]:
-        """All replica ids in the peer map, ascending."""
-        return sorted(self.peers)
 
     def register(self, node) -> None:
         """Attach the locally hosted replica (the only node in this process)."""
@@ -86,14 +83,8 @@ class PeerNetwork:
             raise ValueError(f"node {node.node_id} already registered")
         self._nodes[node.node_id] = node
 
-    def node(self, node_id: int):
-        """The locally registered replica (raises for remote ids)."""
-        return self._nodes[node_id]
-
-    def create_transport(self, node, batching=None) -> "AsyncioTransport":
+    def create_transport(self, node) -> "AsyncioTransport":
         """Transport-factory hook used by :class:`~repro.sim.node.Node`."""
-        if batching is not None:
-            raise NotImplementedError("outgoing batching is not supported over TCP yet")
         return AsyncioTransport(node, self)
 
     def deliver_local(self, src: int, message: object) -> None:
@@ -229,7 +220,7 @@ class AsyncioTransport(Transport):
         """The outgoing connection towards ``dst`` (``None`` before start)."""
         return self._connections.get(dst)
 
-    def send(self, dst: int, message: object, size_bytes: int = 64) -> None:
+    def send(self, dst: int, message: object) -> None:
         """Encode, frame and transmit one message (drop when unreachable)."""
         if self._closed:
             return
@@ -238,8 +229,7 @@ class AsyncioTransport(Transport):
         self._account(message, len(payload), len(frame), 1)
         self._transmit(dst, message, frame)
 
-    def broadcast(self, message: object, include_self: bool = True,
-                  size_bytes: int = 64) -> None:
+    def broadcast(self, message: object, include_self: bool = True) -> None:
         """Send to every peer, encoding and accounting the message exactly once."""
         if self._closed:
             return

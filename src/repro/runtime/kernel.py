@@ -218,15 +218,13 @@ class CatchUpReply:
 class _RetransmitEntry:
     """One quorum-pending broadcast round tracked by the buffer."""
 
-    __slots__ = ("message", "size_bytes", "tracker", "done", "voters",
+    __slots__ = ("message", "tracker", "done", "voters",
                  "deadline", "timeout", "attempts", "last_count")
 
-    def __init__(self, message: object, size_bytes: int,
-                 tracker: Optional[QuorumTracker],
+    def __init__(self, message: object, tracker: Optional[QuorumTracker],
                  done: Optional[Callable[[], bool]],
                  voters: Optional[Callable[[], List[int]]], now: float) -> None:
         self.message = message
-        self.size_bytes = size_bytes
         self.tracker = tracker
         self.done = done
         self.voters = voters
@@ -264,7 +262,7 @@ class RetransmitBuffer:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def track(self, key: object, message: object, *, size_bytes: int = 64,
+    def track(self, key: object, message: object, *,
               tracker: Optional[QuorumTracker] = None,
               done: Optional[Callable[[], bool]] = None,
               voters: Optional[Callable[[], List[int]]] = None) -> None:
@@ -275,7 +273,6 @@ class RetransmitBuffer:
                 key replaces the previous message (slow path supersedes fast
                 path).
             message: the broadcast to re-send while the round is pending.
-            size_bytes: wire size charged per resend.
             tracker: the round's vote collector; by default the round
                 resolves once it is quorate and voters are skipped on
                 resend.
@@ -286,7 +283,7 @@ class RetransmitBuffer:
         if not self.enabled:
             return
         self._entries[key] = _RetransmitEntry(
-            message, size_bytes, tracker, done, voters, self.kernel.sim.now)
+            message, tracker, done, voters, self.kernel.sim.now)
         self._arm()
 
     def resolve(self, key: object) -> None:
@@ -368,7 +365,7 @@ class RetransmitBuffer:
             for dst in kernel.network.node_ids:
                 if dst in skip:
                     continue
-                kernel.send(dst, entry.message, size_bytes=entry.size_bytes)
+                kernel.send(dst, entry.message)
                 kernel.stats.retransmissions_sent += 1
             entry.timeout = min(entry.timeout * RETRANSMIT_BACKOFF_FACTOR,
                                 RETRANSMIT_MAX_TIMEOUT_MS)
@@ -446,14 +443,13 @@ class ProtocolKernel(ConsensusReplica):
 
     # --------------------------------------------------------- retransmission
 
-    def track_retransmit(self, key: object, message: object, *, size_bytes: int = 64,
+    def track_retransmit(self, key: object, message: object, *,
                          tracker: Optional[QuorumTracker] = None,
                          done: Optional[Callable[[], bool]] = None,
                          voters: Optional[Callable[[], List[int]]] = None) -> None:
         """Track a quorum-pending broadcast for resend (see
         :meth:`RetransmitBuffer.track`)."""
-        self.retransmit.track(key, message, size_bytes=size_bytes,
-                              tracker=tracker, done=done, voters=voters)
+        self.retransmit.track(key, message, tracker=tracker, done=done, voters=voters)
 
     def resolve_retransmit(self, key: object) -> None:
         """Stop retransmitting the round ``key``."""
@@ -554,8 +550,7 @@ class ProtocolKernel(ConsensusReplica):
             return
         supplies = supplies[:CATCHUP_REPLY_LIMIT]
         self.stats.catchup_replies += 1
-        self.send(src, CatchUpReply(sender=self.node_id, messages=tuple(supplies)),
-                  size_bytes=64 * (1 + len(supplies)))
+        self.send(src, CatchUpReply(sender=self.node_id, messages=tuple(supplies)))
 
     @handles(CatchUpReply)
     def _on_catchup_reply(self, src: int, message: CatchUpReply) -> None:

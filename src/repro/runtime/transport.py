@@ -2,8 +2,11 @@
 
 Replicas talk to a :class:`Transport`, never to the network directly: the
 transport owns outgoing I/O, batching, and the replica's timer service, and
-can be swapped for a different backend without touching protocol code.  Two
-backends implement the contract:
+can be swapped for a different backend without touching protocol code.
+:meth:`Transport.send` and :meth:`Transport.broadcast` are the only way a
+message leaves a replica (``Node.send`` / ``Node.broadcast`` are a crash gate
+in front of them), so a batch, a fault filter or a closed transport governs
+every message.  Two backends implement the contract:
 
 * :class:`SimulatorTransport` — messages and timers go through the shared
   discrete-event :class:`~repro.sim.network.Network` / simulator (the
@@ -37,7 +40,7 @@ Timer service
 -------------
 
 ``set_timer(delay_ms, callback)`` returns a :class:`~repro.runtime.clock.Timer`
-and ``cancel_timer(timer)`` cancels one; the owning node applies clock skew
+(cancelled with ``timer.cancel()``); the owning node applies clock skew
 and crash-gating *before* delegating here, so transports only translate a
 plain delay onto their clock (event heap or event loop).  Timers are how the
 kernel's retransmission scans and catch-up probes run identically on both
@@ -46,14 +49,15 @@ substrates.
 Wire accounting
 ---------------
 
-When the network's :attr:`~repro.sim.network.NetworkConfig.wire_accounting`
-flag is set, every transmitted message (or batch envelope) is also measured
-through the message registry's codec and accumulated into the network's
-``codec_bytes_sent`` / ``per_type_codec_bytes`` counters.  This is what the
-message-footprint benchmark reports: bytes as they would appear on a real
-wire, not per-field estimates.  The flag defaults to off so the measurement
-never taxes the simulation hot path.  (The socket backend encodes every
-message anyway, so it always accounts real bytes.)
+The only byte counts are the codec's and, on TCP, framed socket bytes; no
+layer carries a size estimate.  When the network's
+:attr:`~repro.sim.network.NetworkConfig.wire_accounting` flag is set, every
+transmitted message (or batch envelope) is measured through the message
+registry's codec and accumulated into the network's ``codec_bytes_sent`` /
+``per_type_codec_bytes`` counters — what the message-footprint benchmark
+reports.  The flag defaults to off so the measurement never taxes the
+simulation hot path.  The socket backend encodes every message anyway, so it
+always accounts codec bytes, plus ``bytes_sent``: the frames it wrote.
 """
 
 from __future__ import annotations
@@ -84,21 +88,16 @@ class Transport(abc.ABC):
         """Begin delivering messages (idempotent; no-op for always-live backends)."""
 
     @abc.abstractmethod
-    def send(self, dst: int, message: object, size_bytes: int = 64) -> None:
+    def send(self, dst: int, message: object) -> None:
         """Queue ``message`` for delivery to ``dst`` (silently dropped after close)."""
 
     @abc.abstractmethod
-    def broadcast(self, message: object, include_self: bool = True,
-                  size_bytes: int = 64) -> None:
+    def broadcast(self, message: object, include_self: bool = True) -> None:
         """Send ``message`` to every peer (optionally excluding the local node)."""
 
     @abc.abstractmethod
     def set_timer(self, delay_ms: float, callback) -> Timer:
         """Run ``callback`` after ``delay_ms`` on this transport's clock."""
-
-    def cancel_timer(self, timer: Timer) -> None:
-        """Cancel a timer returned by :meth:`set_timer` (idempotent)."""
-        timer.cancel()
 
     def configure_batching(self, config: BatchingConfig) -> None:
         """Install (or replace) an outgoing batching policy.
@@ -112,15 +111,11 @@ class Transport(abc.ABC):
     def flush_all(self) -> None:
         """Transmit anything held back by batching (no-op without batching)."""
 
+    def drop_unsent(self) -> None:
+        """Forget anything held back by batching: the owning process crashed."""
+
     def close(self) -> None:
         """Release transport-owned resources (idempotent; sends become no-ops)."""
-
-    #: When not ``None``, a bound ``(src, dst, message, size_bytes)`` callable
-    #: that is exactly equivalent to :meth:`send` — the owning node may call
-    #: it to skip the per-message transport frame.  Backends that can prove
-    #: the equivalence (no batching, no fault filter, no wire accounting)
-    #: publish it; everything else leaves it ``None``.
-    send_direct = None
 
 
 class SimulatorTransport(Transport):
@@ -133,14 +128,14 @@ class SimulatorTransport(Transport):
     Args:
         node: the owning node (supplies ``node_id`` and the simulator clock).
         network: the shared simulated network.
-        batching: optional batching policy; ``None`` sends eagerly.
     """
 
-    def __init__(self, node, network, batching: Optional[BatchingConfig] = None) -> None:
+    def __init__(self, node, network) -> None:
         self.node = node
         self.network = network
-        self.batching = batching
-        self._buffer = BatchBuffer(batching) if batching is not None else None
+        #: batching policy; ``None`` (until :meth:`configure_batching`) sends eagerly.
+        self.batching: Optional[BatchingConfig] = None
+        self._buffer: Optional[BatchBuffer] = None
         self._flush_scheduled: Dict[int, bool] = {}
         self.measure_wire = bool(getattr(network.config, "wire_accounting", False))
         self._closed = False
@@ -153,20 +148,6 @@ class SimulatorTransport(Transport):
         #: (both immutable for the node's lifetime).
         self._node_id = node.node_id
         self._network_send = network.send
-        self._refresh_send_direct()
-
-    def _refresh_send_direct(self) -> None:
-        """Publish (or retract) the frame-skipping send path.
-
-        Only valid while :meth:`send` would take its eager branch with no
-        side channels: no batch buffer, no fault filter, no wire accounting,
-        not closed.  Every state change that affects those re-derives it.
-        """
-        if (self._buffer is None and self._fault_filter is None
-                and not self.measure_wire and not self._closed):
-            self.send_direct = self._network_send
-        else:
-            self.send_direct = None
 
     @property
     def node_ids(self) -> List[int]:
@@ -176,54 +157,41 @@ class SimulatorTransport(Transport):
         """Turn on (or replace) the per-destination batching policy."""
         self.batching = config
         self._buffer = BatchBuffer(config)
-        self._refresh_send_direct()
 
     def install_fault_filter(self, faults) -> None:
         """Install (or remove, with ``None``) the nemesis link-fault filter.
 
-        The filter object must expose ``intercept(src, dst, message,
-        size_bytes) -> bool`` returning ``True`` when it consumed the message
-        (blocked, dropped, or rescheduled it itself).  Installed on every
-        replica's transport by :class:`repro.chaos.nemesis.Nemesis`, so all
-        protocols inherit every fault primitive through this one seam.
+        The filter object must expose ``intercept(src, dst, message) -> bool``
+        returning ``True`` when it consumed the message (blocked, dropped, or
+        rescheduled it itself).  Installed on every replica's transport by
+        :class:`repro.chaos.nemesis.Nemesis`, so all protocols inherit every
+        fault primitive through this one seam.
         """
         self._fault_filter = faults
-        self._refresh_send_direct()
 
     def set_timer(self, delay_ms: float, callback) -> Timer:
         """Schedule ``callback`` on the shared simulator's virtual clock."""
         return Timer(self.node.sim.schedule(delay_ms, callback))
 
-    def send(self, dst: int, message: object, size_bytes: int = 64) -> None:
+    def send(self, dst: int, message: object) -> None:
         """Send or buffer one message (self-sends are never delayed)."""
         if self._closed:
             return
         if self._buffer is None or dst == self._node_id:
-            # Eager path, inlined: this is every message of every non-batched
-            # experiment.
-            faults = self._fault_filter
-            if faults is not None and faults.intercept(self._node_id, dst, message,
-                                                       size_bytes):
-                return
-            if self.measure_wire:
-                self._record_wire(message)
-            self._network_send(self._node_id, dst, message, size_bytes=size_bytes)
-            return
-        if self._buffer.add(dst, message, size_bytes):
+            self._transmit(dst, message)
+        elif self._buffer.add(dst, message):
             self._flush_destination(dst)
         elif not self._flush_scheduled.get(dst):
             self._flush_scheduled[dst] = True
             self.node.set_timer(self.batching.window_ms,
                                 lambda: self._flush_destination(dst))
 
-    def broadcast(self, message: object, include_self: bool = True,
-                  size_bytes: int = 64) -> None:
+    def broadcast(self, message: object, include_self: bool = True) -> None:
         """Send ``message`` to every registered node."""
-        local = self.node.node_id
+        local = self._node_id
         for dst in self.network.node_ids:
-            if dst == local and not include_self:
-                continue
-            self.send(dst, message, size_bytes=size_bytes)
+            if include_self or dst != local:
+                self.send(dst, message)
 
     def flush_all(self) -> None:
         """Flush every destination's buffered batch immediately."""
@@ -238,24 +206,33 @@ class SimulatorTransport(Transport):
             return
         self.flush_all()
         self._closed = True
-        self._refresh_send_direct()
+
+    def drop_unsent(self) -> None:
+        """Discard buffered batches and their flush flags (the node crashed).
+
+        The flush timers armed before the crash are crash-gated and will not
+        run; without this a restarted node would find the flag still set and
+        never arm another, and would resurrect the pre-crash messages.
+        """
+        if self._buffer is not None:
+            self._buffer = BatchBuffer(self.batching)
+        self._flush_scheduled.clear()
 
     def _flush_destination(self, dst: int) -> None:
         """Send the buffered batch for ``dst`` (if any) as one wire message."""
         self._flush_scheduled[dst] = False
         if self._buffer is None or not self._buffer.has_pending(dst):
             return
-        batch, size_bytes = self._buffer.drain(dst)
-        self._transmit(dst, batch, size_bytes)
+        self._transmit(dst, self._buffer.drain(dst))
 
-    def _transmit(self, dst: int, message: object, size_bytes: int) -> None:
+    def _transmit(self, dst: int, message: object) -> None:
         """Hand one wire message to the network, measuring it when enabled."""
         faults = self._fault_filter
-        if faults is not None and faults.intercept(self._node_id, dst, message, size_bytes):
+        if faults is not None and faults.intercept(self._node_id, dst, message):
             return
         if self.measure_wire:
             self._record_wire(message)
-        self._network_send(self._node_id, dst, message, size_bytes=size_bytes)
+        self._network_send(self._node_id, dst, message)
 
     def _record_wire(self, message: object) -> None:
         """Accumulate the codec-measured size of one transmitted message."""

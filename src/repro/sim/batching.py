@@ -6,11 +6,12 @@ same destination within a short window into one wire message, which amortizes
 the per-message CPU cost (serialization, syscalls) and raises the saturation
 throughput at the price of a small added latency.
 
-Batching is implemented at the :class:`~repro.sim.node.Node` layer: outgoing
-messages are buffered per destination and flushed either when the window
-expires or when the batch reaches its maximum size.  The receiver charges one
-full message cost for the batch itself plus a discounted marginal cost for
-every message inside it.
+Batching is decided in the transport
+(:class:`~repro.runtime.transport.SimulatorTransport`): outgoing messages are
+buffered per destination and flushed either when the window expires or when
+the batch reaches its maximum size.  The receiver charges one full message
+cost for the batch itself plus a discounted marginal cost for every message
+inside it.
 """
 
 from __future__ import annotations
@@ -69,18 +70,15 @@ class BatchBuffer:
     def __init__(self, config: BatchingConfig) -> None:
         self.config = config
         self._pending: dict = {}
-        self.batches_flushed = 0
-        self.messages_batched = 0
 
-    def add(self, dst: int, message: object, size_bytes: int) -> bool:
+    def add(self, dst: int, message: object) -> bool:
         """Buffer a message for ``dst``.
 
         Returns ``True`` when the destination's buffer just reached the
         maximum batch size and must be flushed immediately.
         """
         bucket = self._pending.setdefault(dst, [])
-        bucket.append((message, size_bytes))
-        self.messages_batched += 1
+        bucket.append(message)
         return len(bucket) >= self.config.max_messages
 
     def has_pending(self, dst: int) -> bool:
@@ -91,9 +89,6 @@ class BatchBuffer:
         """Destinations that currently have buffered messages."""
         return [dst for dst, bucket in self._pending.items() if bucket]
 
-    def drain(self, dst: int) -> Tuple[MessageBatch, int]:
-        """Remove and return the batch for ``dst`` plus its total byte size."""
-        bucket = self._pending.pop(dst, [])
-        self.batches_flushed += 1
-        total_bytes = sum(size for _, size in bucket) + 16  # envelope overhead
-        return MessageBatch(messages=tuple(message for message, _ in bucket)), total_bytes
+    def drain(self, dst: int) -> MessageBatch:
+        """Remove and return the batch for ``dst``."""
+        return MessageBatch(messages=tuple(self._pending.pop(dst, ())))

@@ -2,15 +2,17 @@
 
 The network delivers messages between registered nodes with per-pair one-way
 delays derived from a :class:`repro.sim.topology.Topology`, optional gaussian
-jitter, optional message loss, and optional partitions.  Crashed destination
-nodes silently drop messages, exactly like a dead TCP peer would from the
-sender's point of view (the sender never gets an error).
+jitter and optional message loss.  Crashed destination nodes silently drop
+messages, exactly like a dead TCP peer would from the sender's point of view
+(the sender never gets an error).  Partitions, duplication and delay spikes
+are not the network's business: the nemesis applies them per directed link in
+:class:`repro.chaos.faults.LinkFaults`, before a message gets here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.sim.simulator import Simulator
 from repro.sim.topology import Topology
@@ -78,9 +80,8 @@ class NetworkStats:
     #: between send and delivery — the connection died with the process, so
     #: they are never delivered, even if the node is back up.
     messages_dead_in_flight: int = 0
-    messages_partitioned: int = 0
+    #: framed bytes written to sockets (TCP only; the simulator has no frames).
     bytes_sent: int = 0
-    per_type_sent: Dict[str, int] = field(default_factory=dict)
     #: codec-measured bytes (filled only with ``wire_accounting`` enabled).
     codec_bytes_sent: int = 0
     per_type_codec_bytes: Dict[str, int] = field(default_factory=dict)
@@ -102,8 +103,6 @@ class Network:
         self.stats = NetworkStats()
         self._nodes: Dict[int, "NodeLike"] = {}
         self._rng = sim.rng.fork("network")
-        self._partitions: Set[Tuple[int, int]] = set()
-        self._delay_override: Optional[Callable[[int, int, float], float]] = None
         #: cache of nominal per-pair one-way delays; topology latencies are
         #: immutable during a run, so the string-keyed RTT lookups are paid
         #: once per (src, dst) pair instead of once per message.
@@ -121,7 +120,7 @@ class Network:
         self._nodes[node.node_id] = node
         self._node_ids_cache = None
 
-    def create_transport(self, node: "NodeLike", batching=None):
+    def create_transport(self, node: "NodeLike"):
         """Build the transport a node hosted on this network should use.
 
         The network is the transport factory (see
@@ -133,11 +132,7 @@ class Network:
         """
         from repro.runtime.transport import SimulatorTransport
 
-        return SimulatorTransport(node, self, batching)
-
-    def node(self, node_id: int) -> "NodeLike":
-        """Return the registered node with the given id."""
-        return self._nodes[node_id]
+        return SimulatorTransport(node, self)
 
     @property
     def node_ids(self) -> list:
@@ -150,21 +145,6 @@ class Network:
         if ids is None:
             ids = self._node_ids_cache = list(self._nodes.keys())
         return ids
-
-    def set_delay_override(self, fn: Optional[Callable[[int, int, float], float]]) -> None:
-        """Install a hook ``(src, dst, nominal_delay) -> delay`` for experiments."""
-        self._delay_override = fn
-
-    def partition(self, group_a: Set[int], group_b: Set[int]) -> None:
-        """Cut connectivity between every node in ``group_a`` and every node in ``group_b``."""
-        for a in group_a:
-            for b in group_b:
-                self._partitions.add((a, b))
-                self._partitions.add((b, a))
-
-    def heal_partitions(self) -> None:
-        """Restore full connectivity."""
-        self._partitions.clear()
 
     def _nominal(self, src: int, dst: int) -> float:
         """Nominal (cached) one-way delay from ``src`` to ``dst``."""
@@ -181,29 +161,19 @@ class Network:
         nominal = self._nominal_delay.get((src, dst))
         if nominal is None:
             nominal = self._nominal(src, dst)
-        if self._delay_override is not None:
-            nominal = self._delay_override(src, dst, nominal)
         jitter = self.config.jitter_ms
         if jitter > 0 and src != dst:
             nominal += self._gauss(0.0, jitter)
         return MIN_DELAY_MS if nominal < MIN_DELAY_MS else nominal
 
-    def send(self, src: int, dst: int, message: object, size_bytes: int = 64) -> None:
+    def send(self, src: int, dst: int, message: object) -> None:
         """Send ``message`` from node ``src`` to node ``dst``.
 
-        Delivery is asynchronous; loss, partitions and crashed receivers all
-        result in the message silently disappearing.
+        Delivery is asynchronous; loss and crashed receivers both result in
+        the message silently disappearing.
         """
         stats = self.stats
         stats.messages_sent += 1
-        stats.bytes_sent += size_bytes
-        per_type = stats.per_type_sent
-        type_name = type(message).__name__
-        per_type[type_name] = per_type.get(type_name, 0) + 1
-
-        if self._partitions and (src, dst) in self._partitions:
-            stats.messages_partitioned += 1
-            return
         drop = self.config.drop_probability
         if drop > 0 and self._random() < drop:
             stats.messages_dropped += 1
@@ -221,10 +191,9 @@ class Network:
     def _deliver(self, src: int, dst: int, message: object, sent_at: float) -> None:
         """Hand a message that survived the network to its destination node.
 
-        A message is dead on arrival when the destination is down, when it
+        A message is dead on arrival when the destination is down or when it
         crashed at any point after the send (a restart does not resurrect
-        in-flight traffic: the connection died with the process), or when the
-        link was partitioned while the message was in flight.
+        in-flight traffic: the connection died with the process).
         """
         node = self._nodes.get(dst)
         if node is None or node.crashed:
@@ -236,18 +205,8 @@ class Network:
         if node.last_crashed_at > sent_at:
             self.stats.messages_dead_in_flight += 1
             return
-        if self._partitions and (src, dst) in self._partitions:
-            self.stats.messages_partitioned += 1
-            return
         self.stats.messages_delivered += 1
         node.receive(src, message)
-
-    def broadcast(self, src: int, message: object, include_self: bool = True, size_bytes: int = 64) -> None:
-        """Send ``message`` from ``src`` to every registered node."""
-        for dst in self._nodes:
-            if dst == src and not include_self:
-                continue
-            self.send(src, dst, message, size_bytes=size_bytes)
 
 
 class NodeLike:

@@ -2,9 +2,10 @@
 
 A :class:`Node` is one replica of a protocol.  It provides:
 
-* message sending/broadcast through a :class:`~repro.runtime.transport.Transport`
-  (by default the :class:`~repro.runtime.transport.SimulatorTransport` over the
-  shared :class:`~repro.sim.network.Network`);
+* message sending/broadcast through the one
+  :class:`~repro.runtime.transport.Transport` its network hands it — every
+  message leaves through ``transport.send`` / ``transport.broadcast``, which is
+  where batching, the fault filter and wire accounting are decided;
 * a serial CPU: incoming messages are processed one at a time, each charging
   the cost given by the node's :class:`~repro.sim.costs.CostModel`, so that a
   node under load builds a queue and saturates (this is what bounds
@@ -21,7 +22,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.runtime.clock import Timer
-from repro.runtime.transport import SimulatorTransport, Transport
 from repro.sim.batching import BatchingConfig, MessageBatch
 from repro.sim.costs import CostModel
 from repro.sim.network import Network
@@ -41,9 +41,7 @@ class Node:
     """
 
     def __init__(self, node_id: int, sim: Simulator, network: Network,
-                 cost_model: Optional[CostModel] = None,
-                 batching: Optional[BatchingConfig] = None,
-                 transport: Optional[Transport] = None) -> None:
+                 cost_model: Optional[CostModel] = None) -> None:
         self.node_id = node_id
         self.sim = sim
         self.network = network
@@ -63,15 +61,10 @@ class Node:
         # the handle-free dispatch push; other Clock backends (WallClock)
         # dispatch through the portable schedule() path.
         self._dispatch_queue = getattr(sim, "_queue", None)
-        if transport is None:
-            # The network acts as the transport factory: the simulated
-            # Network hands out SimulatorTransports, a socket-world peer map
-            # hands out AsyncioTransports — so protocol constructors never
-            # name a backend.
-            factory = getattr(network, "create_transport", None)
-            transport = (factory(self, batching) if factory is not None
-                         else SimulatorTransport(self, network, batching))
-        self.transport = transport
+        # The network acts as the transport factory: the simulated Network
+        # hands out SimulatorTransports, a socket-world peer map hands out
+        # AsyncioTransports — so protocol constructors never name a backend.
+        self.transport = network.create_transport(self)
         network.register(self)
 
     @property
@@ -81,7 +74,7 @@ class Node:
 
     # ------------------------------------------------------------------ I/O
 
-    def send(self, dst: int, message: object, size_bytes: int = 64) -> None:
+    def send(self, dst: int, message: object) -> None:
         """Send a message to another node through the transport.
 
         With batching enabled, the transport buffers the message per
@@ -90,37 +83,17 @@ class Node:
         """
         if self.crashed:
             return
-        transport = self.transport
-        direct = transport.send_direct
-        if direct is not None:
-            direct(self.node_id, dst, message, size_bytes=size_bytes)
-            return
-        transport.send(dst, message, size_bytes=size_bytes)
+        self.transport.send(dst, message)
 
     def enable_batching(self, config: BatchingConfig) -> None:
         """Turn on per-destination batching for this node's outgoing messages."""
         self.transport.configure_batching(config)
 
-    def flush_all_batches(self) -> None:
-        """Flush every destination's buffered batch immediately."""
-        self.transport.flush_all()
-
-    def broadcast(self, message: object, include_self: bool = True, size_bytes: int = 64) -> None:
+    def broadcast(self, message: object, include_self: bool = True) -> None:
         """Send a message to every node in the cluster."""
         if self.crashed:
             return
-        me = self.node_id
-        direct = self.transport.send_direct
-        if direct is not None:
-            for dst in self.network.node_ids:
-                if dst == me and not include_self:
-                    continue
-                direct(me, dst, message, size_bytes=size_bytes)
-            return
-        for dst in self.network.node_ids:
-            if dst == me and not include_self:
-                continue
-            self.send(dst, message, size_bytes=size_bytes)
+        self.transport.broadcast(message, include_self)
 
     def receive(self, src: int, message: object) -> None:
         """Entry point used by the network when a message arrives.
@@ -217,10 +190,12 @@ class Node:
 
         Messages already in flight towards this node are lost for good: the
         network compares its ``last_crashed_at`` against each message's send
-        time, so a later restart never resurrects pre-crash traffic.
+        time, so a later restart never resurrects pre-crash traffic.  The
+        same goes for what the node had batched but not yet sent.
         """
         self.crashed = True
         self.last_crashed_at = self.sim.now
+        self.transport.drop_unsent()
         self.on_crash()
 
     def restart(self) -> None:

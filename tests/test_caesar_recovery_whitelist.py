@@ -187,7 +187,7 @@ class TestRecoveryMessageSide:
         acceptor.history.update(command, ts(4), {(6, 6)}, CommandStatus.FAST_PENDING,
                                 Ballot.initial(0))
         sent = []
-        acceptor.send = lambda dst, msg, size_bytes=64: sent.append((dst, msg))
+        acceptor.send = lambda dst, msg: sent.append((dst, msg))
         acceptor.recovery.on_recovery_message(1, Recovery(command=command,
                                                           ballot=Ballot(3, 1)))
         assert len(sent) == 1
@@ -201,7 +201,7 @@ class TestRecoveryMessageSide:
         harness = RecoveryHarness()
         acceptor = harness.replicas[3]
         sent = []
-        acceptor.send = lambda dst, msg, size_bytes=64: sent.append((dst, msg))
+        acceptor.send = lambda dst, msg: sent.append((dst, msg))
         acceptor.recovery.on_recovery_message(1, Recovery(command=harness.command,
                                                           ballot=Ballot(3, 1)))
         assert len(sent) == 1

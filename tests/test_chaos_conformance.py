@@ -16,12 +16,16 @@ keep the oracle honest:
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.baselines.multipaxos import MultiPaxosReplica
 from repro.chaos.checker import check_history
 from repro.chaos.history import HistoryTape
-from repro.chaos.nemesis import CONFORMANCE_SCHEDULES, random_plan
+from repro.chaos.nemesis import (CONFORMANCE_SCHEDULES, DuplicationFault, LossFault,
+                                 NemesisPlan, random_plan)
 from repro.consensus.command import Command, CommandResult
 from repro.consensus.quorums import QuorumSystem
 from repro.harness.chaos import ChaosConfig, run_chaos, run_conformance_matrix
@@ -32,6 +36,32 @@ from repro.sim.simulator import Simulator
 from repro.sim.topology import ec2_five_sites
 
 PROTOCOLS = ("caesar", "epaxos", "m2paxos", "mencius", "multipaxos")
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "chaos_golden.json"
+
+#: ``repro chaos --matrix --quick --seed 7``: the windows and seed of the CI job.
+GOLDEN_CELL = dict(seed=7, fault_at_ms=500.0, fault_hold_ms=1000.0, settle_ms=800.0)
+
+#: No named schedule puts loss and duplication on the same link, so without
+#: this tenth column the order of their two draws in ``LinkFaults.intercept``
+#: would be pinned by nothing.
+LOSS_AND_DUP = NemesisPlan("loss-and-dup", (
+    LossFault(at_ms=500.0, until_ms=1500.0, probability=0.15),
+    DuplicationFault(at_ms=500.0, until_ms=1500.0, probability=0.25)))
+
+GOLDEN_SCHEDULES = CONFORMANCE_SCHEDULES + (LOSS_AND_DUP.name,)
+
+
+def golden_cell(protocol: str, schedule: str) -> dict:
+    """Everything one quick chaos cell determines besides its verdict string."""
+    plan = LOSS_AND_DUP if schedule == LOSS_AND_DUP.name else None
+    result = run_chaos(ChaosConfig(protocol=protocol, schedule=schedule, plan=plan,
+                                   **GOLDEN_CELL))
+    return {"verdict": result.verdict(), "events_executed": result.events_executed,
+            "fault_stats": result.fault_stats,
+            "taped": result.client_stats.total, "completed": result.client_stats.completed,
+            "fast_decisions": result.fast_decisions,
+            "slow_decisions": result.slow_decisions, "recoveries": result.recoveries}
 
 
 class TestConformanceMatrix:
@@ -71,6 +101,30 @@ class TestConformanceMatrix:
                                5, 1000.0, 2000.0)
             result = run_chaos(ChaosConfig(protocol="caesar", plan=plan, seed=21))
             assert result.ok, f"random plan {index}: {result.verdict()}"
+
+
+class TestFaultedPathGolden:
+    """A chaos cell is only PASS/FAIL, so a change to the fault plane or the
+    network's send path that reorders, loses or double-counts traffic can keep
+    all 45 verdicts green.  This pins what each quick cell *did*: events
+    executed, fault-plane counters, taped/completed operations, decisions and
+    recoveries — for the 5 x 9 matrix plus one hand-built loss-and-duplication
+    plan per protocol.
+
+    ``tests/data/chaos_golden.json`` was written by commit 720628e, before
+    ``chaos/faults.py`` or ``sim/network.py`` lost ``size_bytes`` and the
+    second fault plane (``PYTHONPATH=<720628e checkout>/src python
+    tests/test_chaos_conformance.py > tests/data/chaos_golden.json``); running
+    the module as a script prints the cells of whatever ``src`` is on the path.
+    """
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_quick_matrix_reproduces_golden(self, protocol):
+        golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))[protocol]
+        assert sorted(golden) == sorted(GOLDEN_SCHEDULES)
+        assert any(cell["fault_stats"].get("messages_held") for cell in golden.values())
+        for schedule in GOLDEN_SCHEDULES:
+            assert golden_cell(protocol, schedule) == golden[schedule], (protocol, schedule)
 
 
 class TestSafetyWithoutLiveness:
@@ -171,3 +225,9 @@ class TestOracleHasTeeth:
 
         report = check_history(tape)
         assert report.ok, report.describe()
+
+
+if __name__ == "__main__":
+    print(json.dumps({protocol: {schedule: golden_cell(protocol, schedule)
+                                 for schedule in GOLDEN_SCHEDULES}
+                      for protocol in PROTOCOLS}, indent=1, sort_keys=True))

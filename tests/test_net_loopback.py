@@ -9,9 +9,17 @@ retransmission + catch-up layer recovering over real sockets.
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
-from repro.net.loopback import run_loopback, run_sim_oracle
+import repro.net.transport as net_transport
+from repro.consensus.ballots import Ballot
+from repro.consensus.command import Command
+from repro.consensus.timestamps import LogicalTimestamp
+from repro.core.messages import Stable
+from repro.net.loopback import LoopbackCluster, run_loopback, run_sim_oracle
+from repro.runtime.registry import MessageRegistry
 
 PROTOCOLS = ["caesar", "epaxos", "multipaxos", "mencius", "m2paxos"]
 
@@ -89,3 +97,53 @@ class TestWireAccounting:
             1: follower,
             2: follower,
         }
+
+
+async def _broadcast_one_stable(monkeypatch) -> dict:
+    """Broadcast one ``Stable`` from replica 0 of a live 3-replica cluster;
+    count the encodes and framings it cost and what every replica executed."""
+    cluster = LoopbackCluster("caesar", replicas=3, seed=3)
+    await cluster.start()
+    try:
+        replicas = [cluster.servers[i].replica for i in range(3)]
+        while not all(replica.transport.connection(dst).connected
+                      for replica in replicas for dst in range(3)
+                      if dst != replica.node_id):
+            await asyncio.sleep(0.005)
+        calls = {"encode": 0, "encode_frame": 0}
+        encode, encode_frame = MessageRegistry.encode, net_transport.encode_frame
+
+        def counted_encode(self, message):
+            calls["encode"] += 1
+            return encode(self, message)
+
+        def counted_frame(payload):
+            calls["encode_frame"] += 1
+            return encode_frame(payload)
+
+        command = Command(command_id=(9, 0), key="k", operation="put", value="v", origin=0)
+        with monkeypatch.context() as counting:
+            counting.setattr(MessageRegistry, "encode", counted_encode)
+            counting.setattr(net_transport, "encode_frame", counted_frame)
+            replicas[0].broadcast(Stable(command=command, ballot=Ballot(0, 0),
+                                         timestamp=LogicalTimestamp(1, 0),
+                                         predecessors=frozenset()))
+        for _ in range(400):
+            if all(replica.commands_executed == 1 for replica in replicas):
+                break
+            await asyncio.sleep(0.005)
+        calls["executed"] = [replica.commands_executed for replica in replicas]
+        calls["sent"] = cluster.servers[0].network.stats.messages_sent
+    finally:
+        await cluster.stop()
+    return calls
+
+
+class TestBroadcastIsEncodedOnce:
+    def test_one_kernel_broadcast_is_one_encode_and_one_frame(self, monkeypatch):
+        """``Node.broadcast`` is ``AsyncioTransport.broadcast``: one encode,
+        one frame, three destinations.  (It used to fan out through
+        ``Node.send``, encoding and framing once per destination — three
+        times here, the self-send that never reaches a socket included.)"""
+        calls = asyncio.run(_broadcast_one_stable(monkeypatch))
+        assert calls == {"encode": 1, "encode_frame": 1, "executed": [1, 1, 1], "sent": 3}

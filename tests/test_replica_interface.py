@@ -110,7 +110,7 @@ class TestEPaxosAttributes:
         # The acceptor already knows a conflicting local instance.
         replica.propose(make_command(0, 0, key="x", origin=0))
         sent = []
-        replica.send = lambda dst, msg, size_bytes=64: sent.append((dst, msg))
+        replica.send = lambda dst, msg: sent.append((dst, msg))
         remote = make_command(1, 0, key="x", origin=1)
         replica._on_pre_accept(1, PreAccept(instance_id=(1, 0), command=remote, seq=1,
                                             deps=frozenset(), ballot=Ballot.initial(1)))
@@ -122,7 +122,7 @@ class TestEPaxosAttributes:
     def test_pre_accept_reply_unchanged_when_no_local_conflicts(self):
         replica, _ = self.build_replica()
         sent = []
-        replica.send = lambda dst, msg, size_bytes=64: sent.append((dst, msg))
+        replica.send = lambda dst, msg: sent.append((dst, msg))
         remote = make_command(1, 0, key="fresh", origin=1)
         replica._on_pre_accept(1, PreAccept(instance_id=(1, 0), command=remote, seq=1,
                                             deps=frozenset(), ballot=Ballot.initial(1)))

@@ -27,23 +27,21 @@ class TestBatchingConfig:
 class TestBatchBuffer:
     def test_add_and_drain(self):
         buffer = BatchBuffer(BatchingConfig(max_messages=3))
-        assert not buffer.add(1, "a", 10)
-        assert not buffer.add(1, "b", 10)
+        assert not buffer.add(1, "a")
+        assert not buffer.add(1, "b")
         assert buffer.has_pending(1)
-        batch, size = buffer.drain(1)
-        assert batch.messages == ("a", "b")
-        assert size > 20
+        assert buffer.drain(1).messages == ("a", "b")
         assert not buffer.has_pending(1)
 
     def test_full_signal_at_max(self):
         buffer = BatchBuffer(BatchingConfig(max_messages=2))
-        assert not buffer.add(1, "a", 10)
-        assert buffer.add(1, "b", 10)
+        assert not buffer.add(1, "a")
+        assert buffer.add(1, "b")
 
     def test_destinations_tracked_independently(self):
         buffer = BatchBuffer(BatchingConfig())
-        buffer.add(1, "a", 10)
-        buffer.add(2, "b", 10)
+        buffer.add(1, "a")
+        buffer.add(2, "b")
         assert set(buffer.destinations()) == {1, 2}
         buffer.drain(1)
         assert buffer.destinations() == [2]
@@ -75,7 +73,7 @@ class TestNodeBatching:
             sender.send(1, f"m{i}")
         sim.run()
         # One wire message (the batch), four protocol messages handled.
-        assert network.stats.per_type_sent.get("MessageBatch", 0) == 1
+        assert network.stats.messages_sent == 1
         assert receiver.seen == ["m0", "m1", "m2", "m3"]
 
     def test_batch_flushes_when_full(self):
@@ -97,9 +95,27 @@ class TestNodeBatching:
     def test_flush_all_batches(self):
         sim, network, sender, receiver = self.build(window_ms=10000.0)
         sender.send(1, "late")
-        sender.flush_all_batches()
+        sender.transport.flush_all()
         sim.run(until=50.0)
         assert receiver.seen == ["late"]
+
+    def test_crash_discards_the_open_batch_and_restart_batches_again(self):
+        """A crash while the window is open used to strand the destination:
+        the crash-gated flush timer fired as a no-op, the scheduled flag stayed
+        set, and nothing went out after the restart until ``max_messages``
+        piled up — the pre-crash message resurrected among them."""
+        sim, network, sender, receiver = self.build(window_ms=2.0, max_messages=32)
+        arrivals = []
+        receiver.handle_message = lambda src, message: arrivals.append((message, sim.now))
+        sender.send(1, "pre")
+        sim.schedule(1.0, sender.crash)
+        sim.schedule(5.0, sender.restart)
+        sim.schedule(6.0, lambda: sender.send(1, "post"))
+        sim.run(until=1000.0)
+        # Sent at 6 ms + one 2 ms window + 5 ms one-way delay (+ receive cost).
+        assert [message for message, _ in arrivals] == ["post"]
+        assert arrivals[0][1] == pytest.approx(13.0, abs=0.5)
+        assert sender.transport._buffer.destinations() == []
 
     def test_batched_cpu_cost_is_discounted(self):
         sim = Simulator(seed=1)

@@ -46,20 +46,6 @@ class TestDelivery:
         assert nodes[2].received == [(2, "loopback")]
         assert sim.now < 1.0
 
-    def test_broadcast_reaches_everyone(self):
-        sim, network, nodes = build_network()
-        network.broadcast(0, "announce")
-        sim.run()
-        for node in nodes:
-            assert node.received == [(0, "announce")]
-
-    def test_broadcast_can_exclude_sender(self):
-        sim, network, nodes = build_network()
-        network.broadcast(0, "announce", include_self=False)
-        sim.run()
-        assert nodes[0].received == []
-        assert nodes[1].received == [(0, "announce")]
-
     def test_duplicate_registration_rejected(self):
         _, network, nodes = build_network()
         with pytest.raises(ValueError):
@@ -67,11 +53,13 @@ class TestDelivery:
 
     def test_stats_count_messages(self):
         sim, network, _ = build_network()
-        network.broadcast(0, "m")
+        for dst in range(3):
+            network.send(0, dst, "m")
+        assert network.stats.messages_sent == 3
+        assert network.stats.messages_delivered == 0
         sim.run()
         assert network.stats.messages_sent == 3
         assert network.stats.messages_delivered == 3
-        assert network.stats.per_type_sent["str"] == 3
 
     def test_crashed_destination_drops_message(self):
         sim, network, nodes = build_network()
@@ -83,31 +71,6 @@ class TestDelivery:
 
 
 class TestImpairments:
-    def test_partition_blocks_both_directions(self):
-        sim, network, nodes = build_network()
-        network.partition({0}, {1})
-        network.send(0, 1, "a")
-        network.send(1, 0, "b")
-        sim.run()
-        assert nodes[0].received == []
-        assert nodes[1].received == []
-        assert network.stats.messages_partitioned == 2
-
-    def test_partition_leaves_other_pairs_alone(self):
-        sim, network, nodes = build_network()
-        network.partition({0}, {1})
-        network.send(0, 2, "ok")
-        sim.run()
-        assert nodes[2].received == [(0, "ok")]
-
-    def test_heal_partitions_restores_connectivity(self):
-        sim, network, nodes = build_network()
-        network.partition({0}, {1})
-        network.heal_partitions()
-        network.send(0, 1, "after-heal")
-        sim.run()
-        assert nodes[1].received == [(0, "after-heal")]
-
     def test_message_loss(self):
         sim, network, nodes = build_network(drop_probability=1.0)
         network.send(0, 1, "lost")
@@ -122,14 +85,16 @@ class TestImpairments:
         assert len(nodes[1].received) == 1
         assert sim.now != pytest.approx(10.0) or True  # delay sampled, just ensure delivery
 
-    def test_delay_override_hook(self):
-        sim, network, nodes = build_network(rtt=20.0)
-        network.set_delay_override(lambda src, dst, nominal: 1.0)
-        network.send(0, 1, "fast")
-        sim.run()
-        assert sim.now == pytest.approx(1.0)
-
     def test_delay_never_below_floor(self):
-        sim, network, _ = build_network(rtt=20.0)
-        network.set_delay_override(lambda src, dst, nominal: -5.0)
-        assert network.delay(0, 1) >= MIN_DELAY_MS
+        sim, network, nodes = build_network(rtt=0.0)
+        assert network.delay(0, 1) == MIN_DELAY_MS
+        network.send(0, 1, "zero-latency")
+        sim.run()
+        assert nodes[1].received == [(0, "zero-latency")]
+        assert sim.now == MIN_DELAY_MS
+
+    def test_jitter_cannot_push_delay_below_floor(self):
+        _, network, _ = build_network(rtt=0.1, jitter_ms=5.0)
+        samples = [network.delay(0, 1) for _ in range(200)]
+        assert min(samples) == MIN_DELAY_MS
+        assert max(samples) > MIN_DELAY_MS

@@ -49,6 +49,13 @@ class TestMessaging:
         assert any(m == "hello" for _, m, _ in a.handled)
         assert any(m == "hello" for _, m, _ in b.handled)
 
+    def test_broadcast_can_exclude_self(self):
+        sim, a, b = build_pair()
+        a.broadcast("hello", include_self=False)
+        sim.run()
+        assert not any(m == "hello" for _, m, _ in a.handled)
+        assert [m for _, m, _ in b.handled] == ["hello"]
+
     def test_messages_handled_counter(self):
         sim, a, b = build_pair()
         a.send(1, "one")

@@ -5,6 +5,10 @@ Every behaviour asserted here is part of the documented lifecycle in
 the simulator backend (:class:`SimulatorTransport` on a discrete-event
 network) and the socket backend (:class:`AsyncioTransport` on a wall-clock
 peer network), so the two substrates cannot drift apart silently.
+
+Messages are sent the way protocols send them — ``node.send`` /
+``node.broadcast`` — because that is a crash gate plus one call into the
+node's transport: there is no other way out of a replica to test.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import pytest
 from repro.net.clock import WallClock
 from repro.net.transport import PeerNetwork
 from repro.net.wire import Hello
+from repro.sim.batching import BatchingConfig
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.simulator import Simulator
@@ -118,7 +123,7 @@ class TestTransportContract:
         timer = backend.call(
             lambda: transport.set_timer(5.0, lambda: fired.append(True)))
         assert not timer.cancelled
-        backend.call(lambda: transport.cancel_timer(timer))
+        backend.call(timer.cancel)
         assert timer.cancelled
         backend.advance(50.0)
         assert fired == []
@@ -127,24 +132,28 @@ class TestTransportContract:
         node = backend.nodes[0]
         backend.call(lambda: node.transport.start())
         sent = message()
-        backend.call(lambda: node.transport.send(0, sent))
+        backend.call(lambda: node.send(0, sent))
         backend.advance(50.0)
         assert node.handled == [(0, sent)]
 
     def test_broadcast_without_self_skips_the_local_node(self, backend):
         node = backend.nodes[0]
         backend.call(lambda: node.transport.start())
-        backend.call(lambda: node.transport.broadcast(message(), include_self=False))
+        before = backend.network.stats.messages_sent
+        backend.call(lambda: node.broadcast(message(), include_self=False))
         backend.advance(50.0)
         assert node.handled == []
+        assert backend.network.stats.messages_sent == before + 2
 
     def test_broadcast_counts_a_send_per_destination(self, backend):
         node = backend.nodes[0]
         backend.call(lambda: node.transport.start())
         before = backend.network.stats.messages_sent
-        backend.call(lambda: node.transport.broadcast(message()))
+        sent = message()
+        backend.call(lambda: node.broadcast(sent))
         backend.advance(50.0)
         assert backend.network.stats.messages_sent == before + 3
+        assert node.handled == [(0, sent)]
 
     def test_start_is_idempotent(self, backend):
         transport = backend.nodes[0].transport
@@ -157,10 +166,90 @@ class TestTransportContract:
         backend.call(lambda: node.transport.close())
         backend.call(lambda: node.transport.close())  # idempotent
         before = backend.network.stats.messages_sent
-        backend.call(lambda: node.transport.send(0, message()))
+        backend.call(lambda: node.send(0, message()))
+        backend.call(lambda: node.broadcast(message()))
         backend.advance(50.0)
         assert node.handled == []
         assert backend.network.stats.messages_sent == before
+
+    def test_a_crashed_node_sends_nothing(self, backend):
+        node = backend.nodes[0]
+        backend.call(lambda: node.transport.start())
+        backend.call(node.crash)
+        backend.call(lambda: node.send(0, message()))
+        backend.call(lambda: node.broadcast(message()))
+        backend.advance(50.0)
+        assert backend.network.stats.messages_sent == 0
+
+
+class AbsorbingFilter:
+    """Fault-filter double: swallows everything that is not self-addressed."""
+
+    def __init__(self) -> None:
+        self.offered = []
+
+    def intercept(self, src: int, dst: int, message: object) -> bool:
+        self.offered.append((src, dst, message))
+        return src != dst
+
+
+class TestOnePathOutOfASimulatedReplica:
+    """A filter, a batching policy or a close() that arrives *after* traffic
+    has flowed governs the very next ``node.send`` and ``node.broadcast``.
+
+    These are the state changes at which any shortcut around
+    ``Transport.send`` cached by the node would go stale; with one path out
+    of a replica the invariant is structural, and this pins it.
+    """
+
+    def warmed_up(self):
+        backend = SimulatorBackend()
+        backend.nodes[0].send(1, "warm-up")
+        backend.nodes[0].broadcast("warm-up")
+        backend.advance(50.0)
+        assert [m for _, m in backend.nodes[1].handled] == ["warm-up", "warm-up"]
+        for node in backend.nodes:
+            node.handled.clear()
+        return backend
+
+    def test_fault_filter_installed_after_traffic(self):
+        backend = self.warmed_up()
+        sender = backend.nodes[0]
+        faults = AbsorbingFilter()
+        sender.transport.install_fault_filter(faults)
+        sender.send(1, "unicast")
+        sender.broadcast("fan-out")
+        backend.advance(50.0)
+        assert faults.offered == [(0, 1, "unicast"), (0, 0, "fan-out"),
+                                  (0, 1, "fan-out"), (0, 2, "fan-out")]
+        assert sender.handled == [(0, "fan-out")]
+        assert backend.nodes[1].handled == backend.nodes[2].handled == []
+
+    def test_batching_enabled_after_traffic(self):
+        backend = self.warmed_up()
+        sender = backend.nodes[0]
+        sender.enable_batching(BatchingConfig(window_ms=5.0))
+        before = backend.network.stats.messages_sent
+        sender.send(1, "unicast")
+        sender.broadcast("fan-out")
+        # Only the self-addressed copy went out; the rest wait for the window.
+        assert backend.network.stats.messages_sent == before + 1
+        backend.advance(50.0)
+        # One batch per remote destination.
+        assert backend.network.stats.messages_sent == before + 3
+        assert backend.nodes[1].handled == [(0, "unicast"), (0, "fan-out")]
+        assert backend.nodes[2].handled == [(0, "fan-out")]
+
+    def test_close_after_traffic(self):
+        backend = self.warmed_up()
+        sender = backend.nodes[0]
+        sender.transport.close()
+        before = backend.network.stats.messages_sent
+        sender.send(1, "unicast")
+        sender.broadcast("fan-out")
+        backend.advance(50.0)
+        assert backend.network.stats.messages_sent == before
+        assert all(node.handled == [] for node in backend.nodes)
 
 
 class TestAsyncioSpecifics:
@@ -192,6 +281,6 @@ class TestAsyncioSpecifics:
         backend = AsyncioBackend()
         try:
             with pytest.raises(NotImplementedError):
-                backend.network.create_transport(backend.nodes[0], batching=object())
+                backend.nodes[0].enable_batching(BatchingConfig())
         finally:
             backend.close()
