@@ -6,7 +6,10 @@ workload clients care (``node_id`` / ``crashed`` / ``submit``), so the
 *same* :class:`~repro.workload.clients.ClosedLoopClient` and
 :class:`~repro.workload.clients.OpenLoopClient` that drive simulator runs
 drive real clusters — running on a :class:`~repro.net.clock.WallClock`
-instead of the simulator, with latencies measured in real milliseconds.
+instead of the simulator, with latencies measured in real milliseconds.  It
+is its connection's :class:`asyncio.Protocol`: a reply's callback runs in the
+event-loop callback that read the reply, and ``connection_lost`` is the one
+place a dead connection is seen (``crashed`` set, nothing left outstanding).
 
 :func:`run_loadgen` is the engine behind ``repro loadgen``: it connects the
 configured clients, replays the seeded workload (identical command streams
@@ -39,7 +42,7 @@ from repro.workload.clients import ClientPool, ClosedLoopClient, OpenLoopClient
 from repro.workload.generator import ConflictWorkload, WorkloadConfig
 
 
-class RemoteReplica:
+class RemoteReplica(asyncio.Protocol):
     """A replica reached over TCP, presenting the local-replica surface.
 
     Args:
@@ -56,53 +59,49 @@ class RemoteReplica:
         #: mirrors the local-replica surface: flips when the connection dies,
         #: so closed-loop reconnect logic behaves as it does in-sim.
         self.crashed = False
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._reader_task: Optional[asyncio.Task] = None
+        self._transport: Optional[asyncio.Transport] = None
+        self._decoder = FrameDecoder()
         self._pending: Dict[Tuple[int, int], Callable[[CommandResult], None]] = {}
 
     async def connect(self) -> None:
         """Dial the replica and start dispatching replies."""
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        writer.write(encode_frame(WIRE.encode(
-            Hello(sender=self.client_id, role=ROLE_CLIENT))))
-        await writer.drain()
-        self._writer = writer
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_replies(reader), name=f"client-{self.client_id}->{self.node_id}")
+        await asyncio.get_running_loop().create_connection(
+            lambda: self, self.host, self.port)
 
-    async def _read_replies(self, reader: asyncio.StreamReader) -> None:
-        decoder = FrameDecoder()
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        transport.write(encode_frame(WIRE.encode(
+            Hello(sender=self.client_id, role=ROLE_CLIENT))))
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
         try:
-            while True:
-                data = await reader.read(64 * 1024)
-                if not data:
-                    break
-                for payload in decoder.feed(data):
-                    message = WIRE.decode_one(payload)
-                    if isinstance(message, ClientReply):
-                        callback = self._pending.pop(message.command_id, None)
-                        if callback is not None:
-                            callback(CommandResult(command_id=message.command_id,
-                                                   value=message.value,
-                                                   rejected=bool(message.rejected)))
-        except (ConnectionError, FramingError, WireDecodeError, asyncio.CancelledError):
-            pass
-        finally:
-            self.crashed = True
+            for payload in self._decoder.feed(data):
+                message = WIRE.decode_one(payload)
+                if isinstance(message, ClientReply):
+                    callback = self._pending.pop(message.command_id, None)
+                    if callback is not None:
+                        callback(CommandResult(command_id=message.command_id,
+                                               value=message.value,
+                                               rejected=bool(message.rejected)))
+        except (FramingError, WireDecodeError):
+            self._transport.close()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        # No reply can arrive on a dead connection: nothing stays outstanding
+        # (the clients' failover re-submits).
+        self.crashed = True
+        self._pending.clear()
 
     def submit(self, command: Command,
                callback: Optional[Callable[[CommandResult], None]] = None) -> None:
         """Send a command for ordering; ``callback`` fires on its reply."""
-        if callback is not None:
-            self._pending[command.command_id] = callback
-        writer = self._writer
-        if writer is None or writer.is_closing():
+        transport = self._transport
+        if transport is None or transport.is_closing():
             self.crashed = True
             return
-        try:
-            writer.write(encode_frame(WIRE.encode(ClientRequest(command=command))))
-        except (ConnectionError, RuntimeError):
-            self.crashed = True
+        if callback is not None:
+            self._pending[command.command_id] = callback
+        transport.write(encode_frame(WIRE.encode(ClientRequest(command=command))))
 
     @property
     def outstanding(self) -> int:
@@ -111,15 +110,8 @@ class RemoteReplica:
 
     async def close(self) -> None:
         """Drop the connection (idempotent)."""
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            self._reader_task = None
-        if self._writer is not None:
-            try:
-                self._writer.close()
-            except RuntimeError:
-                pass
-            self._writer = None
+        if self._transport is not None:
+            self._transport.close()
 
 
 def fetch_stats(host: str, port: int, include_executed: bool = False,

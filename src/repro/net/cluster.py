@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.net.client import fetch_stats
 from repro.net.replica import ReplicaConfig
 from repro.sim.network import flags_to_fields
 
@@ -147,30 +148,45 @@ class LocalCluster:
     def start(self) -> None:
         """Spawn every replica process (idempotent per replica)."""
         for node_id in self.node_ids:
-            if node_id not in self.processes or not self.processes[node_id].is_alive():
+            if not self._alive(node_id):
                 self._spawn(node_id)
+
+    def _alive(self, node_id: int) -> bool:
+        process = self.processes.get(node_id)
+        return process is not None and process.is_alive()
 
     def wait_ready(self, timeout_s: float = 30.0,
                    node_ids: Optional[List[int]] = None) -> None:
-        """Block until every replica (or each of ``node_ids``) accepts connections."""
+        """Block until every replica (or each of ``node_ids``) answers a stats
+        request and reports its link to every live peer up.
+
+        A replica drops what it sends to a peer it has not dialed yet, so a
+        client let in before the mesh is up pays a retransmission timeout
+        for its first command.
+        """
         deadline = time.monotonic() + timeout_s
         for node_id in node_ids or self.node_ids:
             host, port = self.peers[node_id]
             while True:
                 try:
-                    socket.create_connection((host, port), timeout=1.0).close()
-                    break
+                    links = fetch_stats(host, port, timeout_s=1.0)["links"]
                 except OSError:
-                    process = self.processes.get(node_id)
-                    if process is not None and not process.is_alive():
-                        raise RuntimeError(
-                            f"replica {node_id} exited during startup "
-                            f"(exitcode {process.exitcode})") from None
-                    if time.monotonic() >= deadline:
-                        raise TimeoutError(
-                            f"replica {node_id} not accepting connections on "
-                            f"{host}:{port} after {timeout_s:.0f}s") from None
-                    time.sleep(0.05)
+                    links = None
+                if links is not None and all(
+                        links.get(str(peer)) for peer in self.node_ids
+                        if peer != node_id and self._alive(peer)):
+                    break
+                if node_id in self.processes and not self._alive(node_id):
+                    raise RuntimeError(
+                        f"replica {node_id} exited during startup "
+                        f"(exitcode {self.processes[node_id].exitcode})")
+                if time.monotonic() >= deadline:
+                    raise TimeoutError(
+                        f"replica {node_id} on {host}:{port} is "
+                        + ("not accepting connections" if links is None
+                           else f"not linked to every live peer ({links})")
+                        + f" after {timeout_s:.0f}s")
+                time.sleep(0.05)
 
     def kill(self, node_id: int) -> None:
         """Kill one replica process abruptly (SIGKILL — a real crash)."""
@@ -187,7 +203,10 @@ class LocalCluster:
         """
         self._spawn(node_id)
         if wait_ready_s > 0:
-            self.wait_ready(timeout_s=wait_ready_s, node_ids=[node_id])
+            # The live peers' re-dials count too: until they land, what the
+            # peers send to the restarted replica is dropped.
+            self.wait_ready(timeout_s=wait_ready_s,
+                            node_ids=[peer for peer in self.node_ids if self._alive(peer)])
 
     def stop(self, timeout_s: float = 10.0) -> None:
         """Terminate every replica process (idempotent)."""

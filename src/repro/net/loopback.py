@@ -5,7 +5,8 @@ ONE event loop in ONE process, on real localhost TCP sockets (pre-bound to
 port 0, so no fixed ports and no port races).  It exists for tests: real
 framing, real partial reads, real asyncio scheduling — but fast to start,
 easy to fault-inject (``crash`` flips the hosted replica in place) and with
-direct access to every replica's execution log.
+direct access to every replica's execution log.  ``start()`` returns once
+every replica has dialed every other, so the first command finds the mesh up.
 
 :func:`run_loopback` and :func:`run_sim_oracle` replay the *same* seeded
 workload — identical RNG fork labels, identical client-to-replica
@@ -79,9 +80,16 @@ class LoopbackCluster:
             for i, sock in enumerate(sockets)}
 
     async def start(self) -> None:
-        """Start every replica server."""
+        """Start every replica server; return once the full mesh is dialed.
+
+        A send to a peer whose dial has not landed is dropped, so a client
+        that beat the mesh would pay a retransmission for its first command.
+        """
         for server in self.servers.values():
             await server.start()
+        while not all(all(server.replica.transport.links().values())
+                      for server in self.servers.values()):
+            await asyncio.sleep(0.005)
 
     async def stop(self) -> None:
         """Stop every replica server."""

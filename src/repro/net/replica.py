@@ -16,6 +16,11 @@ mandatory :class:`~repro.net.wire.Hello` first frame:
 * **control** — :class:`~repro.net.wire.StatsRequest` frames are answered
   with a JSON statistics snapshot (also honoured on client connections).
 
+Every accepted connection is an :class:`asyncio.Protocol` object: the event
+loop hands it the bytes it read, and the frames in them are decoded and
+routed — a peer's message all the way into its kernel handler — inside that
+one callback.  No task, stream reader or deferred hop sits in between.
+
 The CPU cost model defaults to :func:`~repro.sim.costs.zero_cost_model`:
 over real sockets the process burns *actual* CPU, so simulating it on top
 would double-count.
@@ -116,48 +121,28 @@ class ReplicaServer:
             cost_model=zero_cost_model(), retransmit=config.retransmit,
             admission=config.admission)
         if self._server_socket is not None:
-            self._server = await asyncio.start_server(
-                self._on_connection, sock=self._server_socket)
+            self._server = await loop.create_server(
+                lambda: _AcceptedConnection(self), sock=self._server_socket)
         else:
             host, port = config.peers[config.node_id]
-            self._server = await asyncio.start_server(self._on_connection, host, port)
+            self._server = await loop.create_server(
+                lambda: _AcceptedConnection(self), host, port)
         self.replica.transport.start()
         self.replica.start()
 
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        """Serve one accepted connection until EOF / error."""
-        decoder = FrameDecoder()
-        hello: Optional[Hello] = None
-        self._accepted.add(writer)
-        try:
-            while True:
-                data = await reader.read(64 * 1024)
-                if not data:
-                    break
-                for payload in decoder.feed(data):
-                    message = WIRE.decode_one(payload)
-                    if hello is None:
-                        if not isinstance(message, Hello):
-                            raise FramingError(
-                                f"first frame must be Hello, got {type(message).__name__}")
-                        hello = message
-                        continue
-                    self._dispatch(hello, message, writer)
-        except (ConnectionError, FramingError, WireDecodeError,
-                asyncio.IncompleteReadError, asyncio.CancelledError):
-            # A peer that breaks the framing or sends undecodable bytes loses
-            # this connection; the replica keeps serving every other one.
-            pass
-        finally:
-            self._accepted.discard(writer)
-            try:
-                writer.close()
-            except RuntimeError:
-                pass
+    def _handshake(self, message: object) -> Hello:
+        """Check a connection's first frame; a violation closes it like bad framing."""
+        if not isinstance(message, Hello):
+            raise FramingError(f"first frame must be Hello, got {type(message).__name__}")
+        if message.role == ROLE_REPLICA and (message.sender == self.config.node_id
+                                             or message.sender not in self.config.peers):
+            # ``deliver_local`` tells a self-send from a peer's message by
+            # ``src``, so a connection may not claim the local id.
+            raise FramingError(f"replica hello from {message.sender}, which is not a peer")
+        return message
 
     def _dispatch(self, hello: Hello, message: object,
-                  writer: asyncio.StreamWriter) -> None:
+                  writer: asyncio.Transport) -> None:
         """Route one decoded frame according to the connection's role."""
         if isinstance(message, StatsRequest):
             reply = StatsReply(sender=self.config.node_id,
@@ -174,7 +159,7 @@ class ReplicaServer:
         raise FramingError(f"unexpected {type(message).__name__} on a "
                            f"{ROLE_NAMES.get(hello.role, hello.role)} connection")
 
-    def _submit(self, command, writer: asyncio.StreamWriter) -> None:
+    def _submit(self, command, writer: asyncio.Transport) -> None:
         """Submit a client command; answer on ``writer`` once executed."""
 
         def on_executed(result) -> None:
@@ -182,10 +167,7 @@ class ReplicaServer:
                 return
             reply = ClientReply(command_id=command.command_id, value=result.value,
                                 rejected=int(result.rejected))
-            try:
-                writer.write(encode_frame(WIRE.encode(reply)))
-            except (ConnectionError, RuntimeError):
-                pass
+            writer.write(encode_frame(WIRE.encode(reply)))
 
         self.replica.submit(command, callback=on_executed)
 
@@ -203,6 +185,7 @@ class ReplicaServer:
             "admission": (replica.admission.stats.as_dict()
                           | {"policy": replica.admission.describe()}
                           if replica.admission is not None else None),
+            "links": replica.transport.links(),
             "network": {
                 "messages_sent": stats.messages_sent,
                 "messages_delivered": stats.messages_delivered,
@@ -232,15 +215,47 @@ class ReplicaServer:
         self._closed = True
         if self._server is not None:
             self._server.close()
+            # Since Python 3.12.1 ``wait_closed`` waits for every accepted
+            # connection to end, so they are closed before it is awaited.
+            for transport in self._accepted:
+                transport.close()
             await self._server.wait_closed()
-        for writer in list(self._accepted):
-            try:
-                writer.close()
-            except RuntimeError:
-                pass
-        self._accepted.clear()
         if self.replica is not None:
             self.replica.transport.close()
+
+
+class _AcceptedConnection(asyncio.Protocol):
+    """One accepted connection: each frame is decoded and routed in the
+    event-loop callback that read it, until EOF / error.
+
+    A peer that breaks the framing or sends undecodable bytes loses this
+    connection; the replica keeps serving every other one.
+    """
+
+    def __init__(self, server: ReplicaServer) -> None:
+        self.server = server
+        self.decoder = FrameDecoder()
+        self.hello: Optional[Hello] = None
+        self.transport: Optional[asyncio.Transport] = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.server._accepted.add(transport)
+
+    def data_received(self, data: bytes) -> None:
+        server = self.server
+        try:
+            for payload in self.decoder.feed(data):
+                message = WIRE.decode_one(payload)
+                if self.hello is None:
+                    self.hello = server._handshake(message)
+                else:
+                    server._dispatch(self.hello, message, self.transport)
+        except (FramingError, WireDecodeError):
+            self.transport.close()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.server._accepted.discard(self.transport)
 
 
 async def serve_replica(config: ReplicaConfig,

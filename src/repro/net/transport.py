@@ -5,7 +5,9 @@ uses one TCP connection per destination peer, dialed by this side and
 re-dialed with capped exponential backoff whenever it drops; incoming
 traffic arrives on connections the *peer* dialed (accepted by the replica
 server), so every directed link ``A -> B`` is its own connection, exactly
-like the directed links of the simulated network.
+like the directed links of the simulated network.  A link is an
+:class:`asyncio.Protocol` writing straight to its socket transport; the peer
+never sends on it, so the only event it waits for is ``connection_lost``.
 
 Messages are encoded once through the canonical registry codec
 (:data:`repro.runtime.registry.WIRE`) and framed with a 4-byte length prefix
@@ -17,7 +19,9 @@ into latency, over sockets exactly as it does under the nemesis loss faults.
 :class:`PeerNetwork` is the socket-world counterpart of the simulated
 :class:`~repro.sim.network.Network`: the same ``node_ids`` / ``register`` /
 ``stats`` surface (so the kernel runs unchanged) plus the transport-factory
-hook that hands replicas an :class:`AsyncioTransport`.
+hook that hands replicas an :class:`AsyncioTransport`.  Its
+``deliver_local`` dispatches a peer's message inline (a socket callback is
+never inside a handler) and defers only self-sends.
 """
 
 from __future__ import annotations
@@ -88,16 +92,26 @@ class PeerNetwork:
         return AsyncioTransport(node, self)
 
     def deliver_local(self, src: int, message: object) -> None:
-        """Hand an inbound (or self-addressed) message to the hosted replica."""
+        """Hand an inbound (or self-addressed) message to the hosted replica.
+
+        A message from a peer arrives in a socket callback, which is never
+        inside a handler, and there is no simulated CPU to queue on: it is
+        dispatched before this returns.  A self-send is issued from inside a
+        handler, so it takes ``Node.receive``'s deferred path and the handler
+        is never re-entered.
+        """
         node = self._nodes.get(self.local_id)
         if node is None or node.crashed:
             self.stats.messages_to_crashed += 1
             return
         self.stats.messages_delivered += 1
-        node.receive(src, message)
+        if src == self.local_id:
+            node.receive(src, message)
+        else:
+            node._dispatch_one(src, message)
 
 
-class PeerConnection:
+class PeerConnection(asyncio.Protocol):
     """One outgoing directed link: dial, hello, keep alive, re-dial on loss."""
 
     def __init__(self, network: PeerNetwork, dst: int) -> None:
@@ -105,8 +119,9 @@ class PeerConnection:
         self.dst = dst
         self.host, self.port = network.peers[dst]
         self.policy = network.reconnect
-        self.writer: Optional[asyncio.StreamWriter] = None
+        self.transport: Optional[asyncio.Transport] = None
         self.connects = 0
+        self._lost = asyncio.Event()
         self._task: Optional[asyncio.Task] = None
         self._closed = False
 
@@ -119,67 +134,54 @@ class PeerConnection:
     @property
     def connected(self) -> bool:
         """Whether a live socket to the peer currently exists."""
-        return self.writer is not None
+        return self.transport is not None
 
     def send_frame(self, frame: bytes) -> bool:
         """Write one frame if connected and not stalled; ``False`` = dropped."""
-        writer = self.writer
-        if writer is None:
+        transport = self.transport
+        if transport is None or transport.get_write_buffer_size() > WRITE_BUFFER_LIMIT:
             return False
-        if writer.transport.get_write_buffer_size() > WRITE_BUFFER_LIMIT:
-            return False
-        try:
-            writer.write(frame)
-        except (ConnectionError, RuntimeError):
-            self.writer = None
-            return False
+        transport.write(frame)
         return True
 
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        transport.write(encode_frame(WIRE.encode(
+            Hello(sender=self.network.local_id, role=ROLE_REPLICA))))
+        self.transport = transport
+        self.connects += 1
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.transport = None
+        self._lost.set()
+
     async def _run(self) -> None:
+        loop = asyncio.get_running_loop()
         backoff_ms = self.policy.initial_ms
-        while not self._closed:
-            reader = None
+        while True:
+            self._lost.clear()
             try:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(self.host, self.port),
+                await asyncio.wait_for(
+                    loop.create_connection(lambda: self, self.host, self.port),
                     timeout=self.policy.connect_timeout_s)
-                writer.write(encode_frame(WIRE.encode(
-                    Hello(sender=self.network.local_id, role=ROLE_REPLICA))))
-                await writer.drain()
-                self.writer = writer
-                self.connects += 1
                 backoff_ms = self.policy.initial_ms
-                # The peer never sends on this directed link; a read only
-                # returns at EOF / reset, i.e. when the link died.
-                while True:
-                    data = await reader.read(4096)
-                    if not data:
-                        break
-            except asyncio.CancelledError:
-                break
+                await self._lost.wait()
             except (ConnectionError, OSError, asyncio.TimeoutError):
                 pass
-            finally:
-                self._teardown_writer()
             if self._closed:
+                # close() cancels this task, but ``wait_for`` swallows the
+                # cancellation when the dial has failed in the same loop turn.
                 break
             await asyncio.sleep(backoff_ms / 1000.0)
             backoff_ms = min(backoff_ms * self.policy.factor, self.policy.max_ms)
-
-    def _teardown_writer(self) -> None:
-        writer, self.writer = self.writer, None
-        if writer is not None:
-            try:
-                writer.close()
-            except RuntimeError:
-                pass
 
     def close(self) -> None:
         """Stop reconnecting and drop the live socket (idempotent)."""
         self._closed = True
         if self._task is not None:
             self._task.cancel()
-        self._teardown_writer()
+        transport, self.transport = self.transport, None
+        if transport is not None:
+            transport.close()
 
 
 class AsyncioTransport(Transport):
@@ -219,6 +221,11 @@ class AsyncioTransport(Transport):
     def connection(self, dst: int) -> Optional[PeerConnection]:
         """The outgoing connection towards ``dst`` (``None`` before start)."""
         return self._connections.get(dst)
+
+    def links(self) -> Dict[int, bool]:
+        """Peer id -> whether the outgoing link towards it is up right now."""
+        return {dst: connection.connected
+                for dst, connection in self._connections.items()}
 
     def send(self, dst: int, message: object) -> None:
         """Encode, frame and transmit one message (drop when unreachable)."""

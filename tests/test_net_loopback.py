@@ -17,9 +17,14 @@ import repro.net.transport as net_transport
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command
 from repro.consensus.timestamps import LogicalTimestamp
+from repro.core.config import CaesarConfig
 from repro.core.messages import Stable
+from repro.net.client import LoadgenConfig, RemoteReplica, fetch_stats, run_loadgen
+from repro.net.cluster import ServeConfig, serve_cluster
+from repro.net.framing import encode_frame
 from repro.net.loopback import LoopbackCluster, run_loopback, run_sim_oracle
-from repro.runtime.registry import MessageRegistry
+from repro.net.wire import ROLE_CLIENT, ClientRequest, Hello
+from repro.runtime.registry import WIRE, MessageRegistry
 
 PROTOCOLS = ["caesar", "epaxos", "multipaxos", "mencius", "m2paxos"]
 
@@ -106,10 +111,6 @@ async def _broadcast_one_stable(monkeypatch) -> dict:
     await cluster.start()
     try:
         replicas = [cluster.servers[i].replica for i in range(3)]
-        while not all(replica.transport.connection(dst).connected
-                      for replica in replicas for dst in range(3)
-                      if dst != replica.node_id):
-            await asyncio.sleep(0.005)
         calls = {"encode": 0, "encode_frame": 0}
         encode, encode_frame = MessageRegistry.encode, net_transport.encode_frame
 
@@ -147,3 +148,146 @@ class TestBroadcastIsEncodedOnce:
         times here, the self-send that never reaches a socket included.)"""
         calls = asyncio.run(_broadcast_one_stable(monkeypatch))
         assert calls == {"encode": 1, "encode_frame": 1, "executed": [1, 1, 1], "sent": 3}
+
+
+def _command(sequence: int) -> Command:
+    return Command(command_id=(9, sequence), key="k", operation="put", value="v", origin=0)
+
+
+async def _started_cluster_with_a_client() -> dict:
+    """What a just-started cluster looks like, and what its first command cost."""
+    loop = asyncio.get_running_loop()
+    cluster = LoopbackCluster("caesar", replicas=3, seed=4)
+    await cluster.start()
+    seen = {"links_up_when_start_returned": [
+        server.replica.transport.connection(dst).connected
+        for node_id, server in cluster.servers.items()
+        for dst in cluster.peers if dst != node_id]}
+    remote = RemoteReplica(0, *cluster.peers[0], client_id=9)
+    try:
+        await remote.connect()
+        seen["tasks"] = sorted(task.get_name() for task in asyncio.all_tasks()
+                               if task is not asyncio.current_task())
+        done = loop.create_future()
+        started = loop.time()
+        remote.submit(_command(0), callback=done.set_result)
+        await asyncio.wait_for(done, timeout=10.0)
+        seen["first_command_ms"] = (loop.time() - started) * 1000.0
+        seen["dropped"] = [server.network.stats.messages_dropped
+                           for server in cluster.servers.values()]
+        seen["links"] = cluster.servers[0].stats_payload().get("links")
+    finally:
+        await remote.close()
+        await cluster.stop()
+    return seen
+
+
+class TestStartedCluster:
+    def test_start_returns_with_the_mesh_up_and_the_first_command_drops_nothing(self):
+        """A send to an undialed peer is dropped, and the first broadcast used
+        to race the dials: retransmission paid for it with a 1.5 s timeout."""
+        seen = asyncio.run(_started_cluster_with_a_client())
+        assert seen["links_up_when_start_returned"] == [True] * 6
+        assert seen["links"] == {1: True, 2: True}
+        assert seen["dropped"] == [0, 0, 0]
+        assert seen["first_command_ms"] < CaesarConfig().fast_proposal_timeout_ms / 3
+
+    def test_no_task_per_accepted_connection_and_none_per_client(self):
+        """Connections are ``asyncio.Protocol`` objects fed by the loop itself;
+        the only tasks are the six dialers that re-dial a lost link."""
+        seen = asyncio.run(_started_cluster_with_a_client())
+        assert seen["tasks"] == sorted(f"peer-{src}->{dst}" for src in range(3)
+                                       for dst in range(3) if dst != src)
+
+
+async def _stop_one_server() -> list:
+    cluster = LoopbackCluster("caesar", replicas=3, seed=3)
+    await cluster.start()
+    try:
+        server = cluster.servers[0]
+        for _ in range(400):
+            if len(server._accepted) == 2:
+                break
+            await asyncio.sleep(0.005)
+        accepted = list(server._accepted)
+        closing_when_awaited = []
+        wait_closed = server._server.wait_closed
+
+        async def spy():
+            closing_when_awaited.extend(c.is_closing() for c in accepted)
+            await wait_closed()
+
+        server._server.wait_closed = spy
+        await asyncio.wait_for(server.stop(), timeout=10.0)
+    finally:
+        await cluster.stop()
+    return closing_when_awaited
+
+
+class TestStopOrder:
+    def test_accepted_connections_are_closed_before_wait_closed_is_awaited(self):
+        """Since Python 3.12.1 ``Server.wait_closed`` waits for every accepted
+        connection to end; the peers holding them are stopped later in the
+        same loop, so awaiting it first never returned there."""
+        assert asyncio.run(_stop_one_server()) == [True, True]
+
+
+async def _replica_hangs_up_after_one_request() -> dict:
+    hello_and_request = (
+        encode_frame(WIRE.encode(Hello(sender=9, role=ROLE_CLIENT)))
+        + encode_frame(WIRE.encode(ClientRequest(command=_command(0)))))
+
+    async def serve(reader, writer):
+        await reader.readexactly(len(hello_and_request))
+        writer.close()
+
+    server = await asyncio.start_server(serve, "127.0.0.1", 0)
+    remote = RemoteReplica(0, *server.sockets[0].getsockname(), client_id=9)
+    answered = []
+    try:
+        await remote.connect()
+        remote.submit(_command(0), callback=answered.append)
+        seen = {"outstanding_in_flight": remote.outstanding}
+        for _ in range(400):
+            if remote.crashed:
+                break
+            await asyncio.sleep(0.005)
+        seen["crashed"] = remote.crashed
+        seen["outstanding_after_loss"] = remote.outstanding
+        remote.submit(_command(1), callback=answered.append)
+        seen["outstanding_after_late_submit"] = remote.outstanding
+        seen["answered"] = answered
+    finally:
+        await remote.close()
+        server.close()
+        await server.wait_closed()
+    return seen
+
+
+class TestClientConnectionLoss:
+    def test_a_dead_connection_leaves_nothing_outstanding(self):
+        """No reply can arrive on a dead connection; commands left pending
+        there kept ``repro loadgen``'s open-loop drain spinning to its timeout."""
+        seen = asyncio.run(_replica_hangs_up_after_one_request())
+        assert seen == {"outstanding_in_flight": 1, "crashed": True,
+                        "outstanding_after_loss": 0,
+                        "outstanding_after_late_submit": 0, "answered": []}
+
+
+@pytest.mark.slow
+class TestLocalClusterReadiness:
+    def test_wait_ready_returns_with_every_link_up(self):
+        """``serve_cluster`` used to return once every listener accepted, with
+        the replicas' dials to each other still in flight."""
+        with serve_cluster(ServeConfig(protocol="caesar", replicas=3, seed=4)) as cluster:
+            links = {node_id: fetch_stats(host, port)["links"]
+                     for node_id, (host, port) in cluster.peers.items()}
+            report = run_loadgen(LoadgenConfig(endpoints=cluster.peers, clients=3,
+                                               commands_per_client=2, seed=4,
+                                               timeout_s=30.0))
+        assert links == {0: {"1": True, "2": True}, 1: {"0": True, "2": True},
+                         2: {"0": True, "1": True}}
+        assert report.ok and report.completed == 6
+        assert [stats["network"]["messages_dropped"]
+                for stats in report.per_replica.values()] == [0, 0, 0]
+        assert report.p99_latency_ms < CaesarConfig().fast_proposal_timeout_ms / 3

@@ -284,3 +284,64 @@ class TestAsyncioSpecifics:
                 backend.nodes[0].enable_batching(BatchingConfig())
         finally:
             backend.close()
+
+    def test_a_peers_message_is_handled_inline_and_a_self_send_one_turn_later(self):
+        """A socket callback is never inside a handler and TCP has no simulated
+        CPU to queue on, so a peer's message is dispatched before
+        ``deliver_local`` returns; a self-send is issued from inside a handler
+        and stays deferred."""
+        backend = AsyncioBackend()
+        try:
+            node = backend.nodes[0]
+            handled_on_return = []
+
+            def deliver(src):
+                backend.network.deliver_local(src, message())
+                handled_on_return.append(list(node.handled))
+
+            backend.call(lambda: deliver(1))
+            assert handled_on_return == [[(1, message())]]
+            backend.call(lambda: deliver(0))
+            assert handled_on_return[1] == [(1, message())]
+            backend.advance(0.0)
+            assert node.handled == [(1, message()), (0, message())]
+            assert node.messages_handled == 2
+            assert backend.network.stats.messages_delivered == 2
+        finally:
+            backend.close()
+
+    def test_a_handler_that_broadcasts_to_itself_is_never_re_entered(self):
+        backend = AsyncioBackend()
+        try:
+            node = backend.nodes[0]
+            depths = []
+
+            def handle(src, received):
+                depths.append(node.depth)
+                node.depth += 1
+                if len(depths) < 4:
+                    node.broadcast(received, include_self=True)
+                node.depth -= 1
+
+            node.depth = 0
+            node.handle_message = handle
+            backend.call(lambda: node.transport.start())
+            backend.call(lambda: backend.network.deliver_local(1, message()))
+            backend.advance(20.0)
+            assert depths == [0, 0, 0, 0]
+        finally:
+            backend.close()
+
+    def test_a_crashed_node_handles_nothing_from_a_peer_or_from_itself(self):
+        backend = AsyncioBackend()
+        try:
+            node = backend.nodes[0]
+            backend.call(node.crash)
+            backend.call(lambda: backend.network.deliver_local(1, message()))
+            backend.call(lambda: backend.network.deliver_local(0, message()))
+            backend.advance(20.0)
+            assert node.handled == [] and node.messages_handled == 0
+            assert backend.network.stats.messages_to_crashed == 2
+            assert backend.network.stats.messages_delivered == 0
+        finally:
+            backend.close()

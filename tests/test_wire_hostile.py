@@ -97,6 +97,13 @@ def _hostile_streams():
         "oversized-frame": hello + b"\xff\xff\xff\xff",
         "replica-message-on-a-client-link":
             encode_frame(WIRE.encode(Hello(sender=1, role=ROLE_CLIENT))) + encode_frame(heartbeat),
+        # ``deliver_local`` tells a self-send from a peer's message by ``src``:
+        # the handshake alone (no frame follows it) closes a replica link
+        # that claims the attacked replica's own id, or an id outside the map.
+        "replica-hello-claiming-the-local-id":
+            encode_frame(WIRE.encode(Hello(sender=0, role=ROLE_REPLICA))),
+        "replica-hello-from-outside-the-peer-map":
+            encode_frame(WIRE.encode(Hello(sender=9, role=ROLE_REPLICA))),
     }
 
 
@@ -150,8 +157,11 @@ def test_a_replica_survives_hostile_frames_and_still_commits():
     assert unhandled == []
 
 
-async def _client_reads(stream: bytes) -> RemoteReplica:
+async def _client_reads(stream: bytes):
     """A fake replica that answers the client's Hello with ``stream``."""
+    unhandled = []
+    asyncio.get_running_loop().set_exception_handler(
+        lambda _loop, context: unhandled.append(context))
 
     async def serve(reader, writer):
         await reader.read(1024)
@@ -169,15 +179,13 @@ async def _client_reads(stream: bytes) -> RemoteReplica:
             if remote.crashed:
                 break
             await asyncio.sleep(0.01)
+        # The client itself hung up: the fake replica is still holding on.
+        closed_by_client = remote._transport.is_closing()
     finally:
-        # A reader that died of an uncaught exception re-raises it here.
-        reader_task = remote._reader_task
         await remote.close()
-        if reader_task.done() and not reader_task.cancelled():
-            reader_task.result()
         server.close()
         await server.wait_closed()
-    return remote
+    return remote, closed_by_client, unhandled
 
 
 @pytest.mark.parametrize("stream", [
@@ -186,5 +194,72 @@ async def _client_reads(stream: bytes) -> RemoteReplica:
     b"\xff\xff\xff\xff",    # a frame length past MAX_FRAME_BYTES
 ], ids=["garbage", "trailing-byte", "oversized-frame"])
 def test_the_client_reader_marks_the_replica_crashed_on_a_bad_reply(stream):
-    remote = asyncio.run(_client_reads(stream))
+    remote, closed_by_client, unhandled = asyncio.run(_client_reads(stream))
     assert remote.crashed
+    assert closed_by_client
+    # The bad reply ended the connection, not the callback that read it.
+    assert unhandled == []
+
+
+# ------------------------------------------------- a handler that raises inline
+
+class _Boom(Exception):
+    pass
+
+
+async def _commit(remote: RemoteReplica, sequence: int):
+    done = asyncio.get_running_loop().create_future()
+    remote.submit(Command(command_id=(7, sequence), key="k", operation="put",
+                          value=f"v{sequence}", origin=0), callback=done.set_result)
+    return await asyncio.wait_for(done, timeout=15.0)
+
+
+async def _handler_raises_once():
+    loop = asyncio.get_running_loop()
+    unhandled = []
+    loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
+    cluster = LoopbackCluster("caesar", replicas=3, seed=5)
+    await cluster.start()
+    try:
+        victim = cluster.servers[1].replica
+        handle_message = victim.handle_message
+
+        def raise_once(src, message):
+            if src != 0:
+                return handle_message(src, message)
+            victim.handle_message = handle_message
+            raise _Boom(type(message).__name__)
+
+        victim.handle_message = raise_once
+        remote = RemoteReplica(0, *cluster.peers[0], client_id=7)
+        await remote.connect()
+        try:
+            results = [await _commit(remote, 0), await _commit(remote, 1)]
+        finally:
+            await remote.close()
+        for _ in range(500):
+            if all(server.replica.commands_executed == 2
+                   for server in cluster.servers.values()):
+                break
+            await asyncio.sleep(0.01)
+        executed = [server.replica.commands_executed for server in cluster.servers.values()]
+        connects = {(src, dst): server.replica.transport.connection(dst).connects
+                    for src, server in cluster.servers.items()
+                    for dst in cluster.peers if dst != src}
+    finally:
+        await cluster.stop()
+    return results, executed, connects, unhandled
+
+
+def test_a_handler_that_raises_inline_costs_one_connection_and_is_reported_once():
+    """Inline dispatch runs the handler inside ``data_received``: asyncio
+    reports what it raises to the loop's exception handler and drops that
+    one connection; the sender re-dials, retransmission recovers the frames
+    and the cluster commits the command in flight and the next one."""
+    results, executed, connects, unhandled = asyncio.run(_handler_raises_once())
+    assert [(r.command_id, r.rejected) for r in results] == [((7, 0), False), ((7, 1), False)]
+    assert executed == [2, 2, 2]
+    assert [type(context.get("exception")) for context in unhandled] == [_Boom]
+    # The raise came from a message of replica 0: only that link was re-dialed.
+    assert connects.pop((0, 1)) == 2
+    assert set(connects.values()) == {1}
