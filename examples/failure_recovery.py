@@ -29,13 +29,9 @@ def main() -> None:
                               duration_ms=TOTAL_MS, warmup_ms=0.0, seed=33, recovery=True)
     cluster = build_experiment_cluster(config)
     metrics = MetricsCollector(warmup_ms=0.0)
-    pool = attach_clients(cluster, config, metrics)
+    pool = attach_clients(cluster, config, metrics, reconnect_timeout_ms=2000.0)
 
     crashed_node = cluster.topology.index_of(CRASHED_SITE)
-    for client in pool.clients:
-        client.reconnect_timeout_ms = 2000.0
-        client.fallback_replicas = [replica for replica in cluster.replicas
-                                    if replica.node_id != client.replica.node_id]
     cluster.crash_injector.schedule(ScheduledCrash(node_id=crashed_node,
                                                    crash_at_ms=CRASH_AT_MS))
 

@@ -10,7 +10,7 @@ package layout::
     chaos = api.run_chaos(api.ChaosConfig(schedule="minority-partition"))
     cluster = api.serve_cluster(api.ServeConfig(protocol="caesar", replicas=3))
 
-The four entry points:
+The entry points:
 
 * :func:`run_experiment` — one protocol, one workload, on the simulator;
 * :func:`run_sweep` — many experiment cells, optionally in parallel;

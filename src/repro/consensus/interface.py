@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.consensus.command import Command, CommandId, CommandResult
 from repro.consensus.quorums import QuorumSystem
@@ -136,6 +136,19 @@ class ExecutionLog:
                     if first_pos > second_pos and first.conflicts_with(second):
                         violations.append((first.command_id, second.command_id))
         return violations
+
+
+def order_violations(replicas: Sequence["ConsensusReplica"]) -> List[tuple]:
+    """Conflicting pairs that two live replicas executed in opposite orders.
+
+    One ``(node a, node b, command id, command id)`` per pair; empty when the
+    run satisfies Generalized Consensus consistency.
+    """
+    live = [replica for replica in replicas if not replica.crashed]
+    return [(first.node_id, second.node_id, *pair)
+            for i, first in enumerate(live) for second in live[i + 1:]
+            for pair in first.execution_log.conflicting_order_violations(
+                second.execution_log)]
 
 
 class ConsensusReplica(Node):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+from repro.consensus.interface import order_violations
 from repro.core.caesar import CaesarReplica
 from repro.core.history import CommandStatus
 
@@ -94,15 +95,8 @@ def check_execution_consistency(replicas: Sequence) -> List[str]:
     Works for any protocol (it only relies on the execution logs), so the
     baselines are checked with the same function as CAESAR.
     """
-    violations: List[str] = []
-    live = [replica for replica in replicas if not replica.crashed]
-    for i, first in enumerate(live):
-        for second in live[i + 1:]:
-            for pair in first.execution_log.conflicting_order_violations(second.execution_log):
-                violations.append(
-                    f"nodes {first.node_id}/{second.node_id} disagree on the order of "
-                    f"{pair[0]} and {pair[1]}")
-    return violations
+    return [f"nodes {a}/{b} disagree on the order of {first} and {second}"
+            for a, b, first, second in order_violations(replicas)]
 
 
 def check_timestamp_order(replicas: Sequence[CaesarReplica]) -> List[str]:

@@ -37,8 +37,8 @@ from repro.harness.protocols import constructor_options
 from repro.metrics.collector import MetricsCollector
 from repro.sim.network import NetworkConfig, flags_to_fields
 from repro.sim.topology import Topology
-from repro.workload.clients import ClientPool, ClosedLoopClient
-from repro.workload.generator import ConflictWorkload, WorkloadConfig
+from repro.workload.clients import build_pool
+from repro.workload.generator import WorkloadConfig
 
 #: Client ids from this value upwards are progress probes, so their command
 #: ids can never collide with the workload clients'.
@@ -187,20 +187,12 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
                                          config.fault_at_ms, config.fault_hold_ms)
     nemesis = Nemesis(cluster, plan)
 
-    metrics = MetricsCollector()
-    workload_config = config.workload or WorkloadConfig(conflict_rate=config.conflict_rate)
-    pool = ClientPool()
-    client_id = 0
-    for replica in cluster.replicas:
-        for _ in range(config.clients_per_site):
-            rng = sim.rng.fork(f"chaos-client-{client_id}")
-            workload = ConflictWorkload(client_id=client_id, origin=replica.node_id,
-                                        config=workload_config, rng=rng)
-            pool.add(ClosedLoopClient(
-                client_id=client_id, replica=replica, workload=workload, sim=sim,
-                metrics=metrics, reconnect_timeout_ms=config.reconnect_timeout_ms,
-                fallback_replicas=list(cluster.replicas), history=tape))
-            client_id += 1
+    # The label keeps the streams the golden file's bytes were recorded on.
+    pool = build_pool(
+        [replica for replica in cluster.replicas for _ in range(config.clients_per_site)],
+        config.workload or WorkloadConfig(conflict_rate=config.conflict_rate),
+        sim, MetricsCollector(), label="chaos-client", failover=cluster.replicas,
+        reconnect_timeout_ms=config.reconnect_timeout_ms, history=tape)
 
     cluster.start()
     pool.start_all()
@@ -242,11 +234,8 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
                 + check_delivery_quiescent(cluster.replicas))
 
     fast, slow = count_decisions(cluster.replicas)
-    recoveries = 0
-    for replica in cluster.replicas:
-        stats = getattr(replica, "stats", None)
-        if stats is not None:
-            recoveries += (stats.recoveries + stats.recoveries_completed + stats.elections)
+    recoveries = sum(replica.stats.recoveries + replica.stats.recoveries_completed
+                     + replica.stats.elections for replica in cluster.replicas)
 
     fault_stats = {name: value for name, value in vars(nemesis.faults.stats).items()
                    if isinstance(value, int) and value}

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.consensus.interface import ConsensusReplica
+from repro.consensus.interface import ConsensusReplica, order_violations
 from repro.consensus.quorums import QuorumSystem
 from repro.core.delivery import HistoryCompactor
 from repro.harness.protocols import build_replica
@@ -183,13 +183,7 @@ class Cluster:
         Returns the list of conflicting-order violations (empty when the run
         satisfies Generalized Consensus consistency).
         """
-        violations: List[tuple] = []
-        live = [r for r in self.replicas if not r.crashed]
-        for i, first in enumerate(live):
-            for second in live[i + 1:]:
-                violations.extend(first.execution_log.conflicting_order_violations(
-                    second.execution_log))
-        return violations
+        return order_violations(self.replicas)
 
     def total_executed(self) -> int:
         """Total number of command executions across live replicas."""

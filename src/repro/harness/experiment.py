@@ -1,8 +1,9 @@
 """Experiment runner: one protocol, one workload, one measurement window.
 
 This is the single entry point every benchmark and example uses to run a
-system: it builds the cluster, attaches closed-loop or open-loop clients at
-every site, runs the simulation for the configured duration, and returns the
+system: it builds the cluster, attaches the seeded client pool
+(:func:`~repro.workload.clients.build_pool`, closed or open loop, at every
+site), runs the simulation for the configured duration, and returns the
 collected metrics together with protocol-internal statistics (fast/slow path
 counts, wait times, per-phase breakdowns) and a consistency check.
 """
@@ -21,8 +22,8 @@ from repro.sim.batching import BatchingConfig
 from repro.sim.costs import CostModel
 from repro.sim.network import NetworkConfig, flags_to_fields
 from repro.sim.topology import Topology
-from repro.workload.clients import ClientPool, ClosedLoopClient, OpenLoopClient
-from repro.workload.generator import WorkloadConfig, build_workload
+from repro.workload.clients import ClientPool, build_pool
+from repro.workload.generator import WorkloadConfig
 
 
 @dataclass
@@ -155,31 +156,19 @@ def build_experiment_cluster(config: ExperimentConfig) -> Cluster:
     return build_cluster(cluster_config)
 
 
-def attach_clients(cluster: Cluster, config: ExperimentConfig,
-                   metrics: MetricsCollector) -> ClientPool:
-    """Create the configured clients at every site of the cluster."""
-    workload_config = config.workload or WorkloadConfig(conflict_rate=config.conflict_rate)
-    pool = ClientPool()
-    client_id = 0
-    for replica in cluster.replicas:
-        for _ in range(config.clients_per_site):
-            rng = cluster.sim.rng.fork(f"client-{client_id}")
-            workload = build_workload(client_id=client_id, origin=replica.node_id,
-                                      config=workload_config, rng=rng)
-            if config.open_loop:
-                fallbacks = [other for other in cluster.replicas
-                             if other.node_id != replica.node_id]
-                client = OpenLoopClient(client_id=client_id, replica=replica,
-                                        workload=workload, sim=cluster.sim, metrics=metrics,
-                                        rate_per_second=config.arrival_rate_per_client,
-                                        rng=rng.fork("arrivals"),
-                                        fallback_replicas=fallbacks)
-            else:
-                client = ClosedLoopClient(client_id=client_id, replica=replica,
-                                          workload=workload, sim=cluster.sim, metrics=metrics)
-            pool.add(client)
-            client_id += 1
-    return pool
+def attach_clients(cluster: Cluster, config: ExperimentConfig, metrics: MetricsCollector,
+                   reconnect_timeout_ms: Optional[float] = None) -> ClientPool:
+    """Create the configured clients at every site of the cluster.
+
+    Any replica of the cluster is a failover candidate; closed-loop clients
+    only ever use one when ``reconnect_timeout_ms`` is given (Figure 12).
+    """
+    return build_pool(
+        [replica for replica in cluster.replicas for _ in range(config.clients_per_site)],
+        config.workload or WorkloadConfig(conflict_rate=config.conflict_rate),
+        cluster.sim, metrics,
+        open_loop_rate=config.arrival_rate_per_client if config.open_loop else None,
+        failover=cluster.replicas, reconnect_timeout_ms=reconnect_timeout_ms)
 
 
 def per_site_latency_summaries(topology: Topology,

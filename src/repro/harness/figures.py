@@ -440,13 +440,9 @@ def _run_crash_timeline(config: ExperimentConfig, crash_at_ms: float,
     total_ms = config.duration_ms
     cluster = build_experiment_cluster(config)
     metrics = MetricsCollector(warmup_ms=0.0)
-    pool = attach_clients(cluster, config, metrics)
-    # Give every client a reconnect timeout and fallback targets so the
-    # crash behaves like the paper's client re-connection.
-    for client in pool.clients:
-        client.reconnect_timeout_ms = 2000.0
-        client.fallback_replicas = [r for r in cluster.replicas
-                                    if r.node_id != client.replica.node_id]
+    # A reconnect timeout makes the crash behave like the paper's client
+    # re-connection.
+    pool = attach_clients(cluster, config, metrics, reconnect_timeout_ms=2000.0)
     crashed_node = cluster.size - 1
     cluster.crash_injector.schedule(ScheduledCrash(node_id=crashed_node,
                                                    crash_at_ms=crash_at_ms))

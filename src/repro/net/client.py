@@ -11,10 +11,13 @@ is its connection's :class:`asyncio.Protocol`: a reply's callback runs in the
 event-loop callback that read the reply, and ``connection_lost`` is the one
 place a dead connection is seen (``crashed`` set, nothing left outstanding).
 
+:func:`connect_pool` is how a pool of them is made: it dials the connections
+and hands them to :func:`~repro.workload.clients.build_pool` as targets, so a
+seed is the same workload here as on the simulator.
+
 :func:`run_loadgen` is the engine behind ``repro loadgen``: it connects the
-configured clients, replays the seeded workload (identical command streams
-to a simulator run with the same seed), waits for completion and full
-replication, and returns a :class:`LoadgenReport`.
+configured clients, replays the seeded workload, waits for completion and
+full replication, and returns a :class:`LoadgenReport`.
 
 :func:`fetch_stats` is a small *blocking* helper (plain sockets, no asyncio)
 for control-plane callers — the cluster launcher and the CLI — to pull a
@@ -37,9 +40,8 @@ from repro.net.wire import (ROLE_CLIENT, ROLE_CONTROL, ClientReply,
                             ClientRequest, Hello, StatsReply, StatsRequest)
 from repro.runtime.registry import WIRE, WireDecodeError
 from repro.sim.network import flags_to_fields
-from repro.sim.random import DeterministicRandom
-from repro.workload.clients import ClientPool, ClosedLoopClient, OpenLoopClient
-from repro.workload.generator import ConflictWorkload, WorkloadConfig
+from repro.workload.clients import ClientPool, build_pool
+from repro.workload.generator import WorkloadConfig, WorkloadSpec
 
 
 class RemoteReplica(asyncio.Protocol):
@@ -112,6 +114,40 @@ class RemoteReplica(asyncio.Protocol):
         """Drop the connection (idempotent)."""
         if self._transport is not None:
             self._transport.close()
+
+
+#: Closed-loop give-up time over sockets.  It must exceed the leader's
+#: fast-proposal timeout plus a slow round: a command proposed in the suspicion
+#: window pays that full fallback latency, and abandoning it a hair earlier
+#: discards the reply and restarts the cycle.
+RECONNECT_TIMEOUT_MS = 3000.0
+
+
+async def connect_pool(endpoints: Dict[int, Tuple[str, int]], clients: int,
+                       workload: WorkloadSpec, clock: WallClock, metrics: MetricsCollector,
+                       *, failover: bool = False,
+                       **pool_options) -> Tuple[ClientPool, List[RemoteReplica]]:
+    """Dial one connection per client, round-robin over ``endpoints``, and build the pool.
+
+    With ``failover`` and more than one endpoint, a client whose connection
+    died moves to one shared connection per replica (command ids are globally
+    unique, so a shared connection routes each reply to the right callback).
+    ``pool_options`` go to :func:`~repro.workload.clients.build_pool`.
+    Returns the pool and every connection opened, for the caller to close.
+    """
+    replica_ids = sorted(endpoints)
+
+    async def dial(replica_id: int, client_id: int) -> RemoteReplica:
+        remote = RemoteReplica(replica_id, *endpoints[replica_id], client_id=client_id)
+        await remote.connect()
+        return remote
+
+    shared = ([await dial(replica_id, clients + replica_id) for replica_id in replica_ids]
+              if failover and len(replica_ids) > 1 else [])
+    targets = [await dial(replica_ids[client_id % len(replica_ids)], client_id)
+               for client_id in range(clients)]
+    pool = build_pool(targets, workload, clock, metrics, failover=shared, **pool_options)
+    return pool, shared + targets
 
 
 def fetch_stats(host: str, port: int, include_executed: bool = False,
@@ -253,48 +289,15 @@ async def _loadgen(config: LoadgenConfig) -> LoadgenReport:
     loop = asyncio.get_running_loop()
     clock = WallClock(seed=config.seed, loop=loop)
     metrics = MetricsCollector(warmup_ms=config.warmup_ms)
-    workload_config = config.workload or WorkloadConfig(conflict_rate=config.conflict_rate)
-    replica_ids = sorted(config.endpoints)
     failures: List[str] = []
-
-    remotes: List[RemoteReplica] = []
-    # Open-loop failover targets: one shared connection per replica, handed
-    # to every client as its fallback set.  Command ids are globally unique,
-    # so a shared connection routes each reply to the right callback.
-    fallback_remotes: Dict[int, RemoteReplica] = {}
-    if config.open_loop and len(replica_ids) > 1:
-        for replica_id in replica_ids:
-            host, port = config.endpoints[replica_id]
-            fallback = RemoteReplica(replica_id, host, port,
-                                     client_id=config.clients + replica_id)
-            await fallback.connect()
-            fallback_remotes[replica_id] = fallback
-            remotes.append(fallback)
-    pool = ClientPool()
-    base_rng = DeterministicRandom(config.seed)
-    for client_id in range(config.clients):
-        replica_id = replica_ids[client_id % len(replica_ids)]
-        host, port = config.endpoints[replica_id]
-        remote = RemoteReplica(replica_id, host, port, client_id=client_id)
-        await remote.connect()
-        remotes.append(remote)
-        # Same fork labels as the simulator harness: identical command
-        # streams for identical seeds, which is what makes oracle
-        # comparisons across substrates possible.
-        workload = ConflictWorkload(client_id=client_id, origin=replica_id,
-                                    config=workload_config,
-                                    rng=base_rng.fork(f"client-{client_id}"))
-        if config.open_loop:
-            fallbacks = [fallback_remotes[other] for other in replica_ids
-                         if other != replica_id and other in fallback_remotes]
-            pool.add(OpenLoopClient(client_id, remote, workload, clock, metrics,
-                                    rate_per_second=config.rate_per_client,
-                                    rng=base_rng.fork(f"arrivals-{client_id}"),
-                                    stop_after_ms=config.duration_ms,
-                                    fallback_replicas=fallbacks))
-        else:
-            pool.add(ClosedLoopClient(client_id, remote, workload, clock, metrics,
-                                      max_commands=config.commands_per_client))
+    # Either loop leaves a dead replica when the endpoint map names another.
+    pool, remotes = await connect_pool(
+        config.endpoints, config.clients,
+        config.workload or WorkloadConfig(conflict_rate=config.conflict_rate),
+        clock, metrics, failover=True,
+        open_loop_rate=config.rate_per_client if config.open_loop else None,
+        stop_after_ms=config.duration_ms, max_commands=config.commands_per_client,
+        reconnect_timeout_ms=RECONNECT_TIMEOUT_MS)
 
     started_at = loop.time()
     deadline = started_at + config.timeout_s

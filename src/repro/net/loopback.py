@@ -9,10 +9,11 @@ direct access to every replica's execution log.  ``start()`` returns once
 every replica has dialed every other, so the first command finds the mesh up.
 
 :func:`run_loopback` and :func:`run_sim_oracle` replay the *same* seeded
-workload — identical RNG fork labels, identical client-to-replica
-assignment — over sockets and in the discrete-event simulator respectively,
-so their executed command sets must match exactly.  That is the oracle
-equivalence the tier-1 suite checks for every protocol.
+workload over sockets and in the discrete-event simulator respectively: both
+pools come from :func:`~repro.workload.clients.build_pool` with the same
+round-robin placement, so every replica must execute the same commands —
+ids, keys, operations and values — on both.  That is the oracle equivalence
+the tier-1 suite checks for every protocol.
 """
 
 from __future__ import annotations
@@ -20,16 +21,16 @@ from __future__ import annotations
 import asyncio
 import socket
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
+from repro.consensus.interface import ConsensusReplica, order_violations
 from repro.metrics.collector import MetricsCollector
-from repro.net.client import RemoteReplica
+from repro.net.client import RECONNECT_TIMEOUT_MS, connect_pool
 from repro.net.clock import WallClock
 from repro.net.replica import ReplicaConfig, ReplicaServer
 from repro.net.transport import ReconnectPolicy
-from repro.sim.random import DeterministicRandom
-from repro.workload.clients import ClientPool, ClosedLoopClient
-from repro.workload.generator import ConflictWorkload, WorkloadConfig
+from repro.workload.clients import build_pool
+from repro.workload.generator import WorkloadConfig
 
 #: Fast re-dial for single-host loops: crashes should heal in tens of ms.
 LOOPBACK_RECONNECT = ReconnectPolicy(initial_ms=20.0, factor=1.5, max_ms=200.0,
@@ -40,22 +41,28 @@ LOOPBACK_RECONNECT = ReconnectPolicy(initial_ms=20.0, factor=1.5, max_ms=200.0,
 class ClusterRun:
     """Executed state of one cluster run (either substrate).
 
-    ``executed`` maps replica id to its execution-log command ids in order;
-    ``violations`` counts pairwise conflicting-order violations between all
-    replica logs (must be 0 for a correct run).
+    ``executed`` maps each live replica's id to what it executed, in order,
+    as ``command id -> (key, operation, value)``; ``violations`` counts
+    pairwise conflicting-order violations between those replicas' logs (must
+    be 0 for a correct run).
     """
 
     protocol: str
     expected: int
     completed: int
-    executed: Dict[int, List[Tuple[int, int]]] = field(default_factory=dict)
-    violations: int = 0
+    executed: Dict[int, Dict[Tuple[int, int], tuple]]
+    violations: int
     stats: Dict[int, Dict[str, object]] = field(default_factory=dict)
 
-    @property
-    def executed_sets(self) -> Dict[int, frozenset]:
-        """Executed command ids per replica, as comparable sets."""
-        return {node_id: frozenset(ids) for node_id, ids in self.executed.items()}
+    @classmethod
+    def of(cls, protocol: str, expected: int, completed: int,
+           replicas: Sequence[ConsensusReplica]) -> "ClusterRun":
+        """Snapshot the live replicas' execution logs."""
+        return cls(protocol=protocol, expected=expected, completed=completed,
+                   executed={replica.node_id: {c.command_id: (c.key, c.operation, c.value)
+                                               for c in replica.execution_log}
+                             for replica in replicas if not replica.crashed},
+                   violations=len(order_violations(replicas)))
 
 
 class LoopbackCluster:
@@ -63,8 +70,6 @@ class LoopbackCluster:
 
     def __init__(self, protocol: str, replicas: int = 3, seed: int = 0,
                  recovery: bool = False) -> None:
-        self.protocol = protocol
-        self.seed = seed
         sockets = []
         for _ in range(replicas):
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -95,25 +100,6 @@ class LoopbackCluster:
         """Stop every replica server."""
         for server in self.servers.values():
             await server.stop()
-
-    def snapshot(self, completed: int) -> ClusterRun:
-        """Capture executed logs + stats into a :class:`ClusterRun`."""
-        run = ClusterRun(protocol=self.protocol, expected=completed, completed=completed)
-        logs = {}
-        for node_id, server in sorted(self.servers.items()):
-            log = server.replica.execution_log
-            logs[node_id] = log
-            run.executed[node_id] = [c.command_id for c in log]
-            run.stats[node_id] = server.stats_payload()
-        run.violations = _pairwise_violations(logs)
-        return run
-
-
-def _pairwise_violations(logs: Dict[int, object]) -> int:
-    """Total conflicting-order violations across all replica-log pairs."""
-    ids = sorted(logs)
-    return sum(len(logs[a].conflicting_order_violations(logs[b]))
-               for i, a in enumerate(ids) for b in ids[i + 1:])
 
 
 def run_loopback(protocol: str, replicas: int = 3, clients: int = 3,
@@ -151,80 +137,42 @@ async def _run_loopback(protocol: str, replicas: int, clients: int,
                               recovery=recovery)
     await cluster.start()
     clock = WallClock(seed=seed, loop=loop)
-    killed = False
+    hosted = [cluster.servers[i].replica for i in sorted(cluster.servers)]
 
     def _kill_now() -> None:
-        nonlocal killed
-        killed = True
         server = cluster.servers[kill_replica]
         server.crash()
         loop.create_task(server.stop())
 
-    if kill_replica is not None:
-        metrics: MetricsCollector = _KillAfter(kill_after_commands, _kill_now)
-    else:
-        metrics = MetricsCollector(warmup_ms=0.0)
-    workload_config = WorkloadConfig(conflict_rate=conflict_rate)
-    base_rng = DeterministicRandom(seed)
-    replica_ids = sorted(cluster.peers)
-    surviving_ids = [i for i in replica_ids if i != kill_replica]
-
-    pool = ClientPool()
-    remotes: List[RemoteReplica] = []
+    # In a kill run the clients of the doomed replica fail over to a survivor.
+    failover = kill_replica is not None
+    metrics = (_KillAfter(kill_after_commands, _kill_now) if failover
+               else MetricsCollector(warmup_ms=0.0))
+    connections = []
     try:
-        for client_id in range(clients):
-            replica_id = replica_ids[client_id % len(replica_ids)]
-            host, port = cluster.peers[replica_id]
-            remote = RemoteReplica(replica_id, host, port, client_id=client_id)
-            await remote.connect()
-            remotes.append(remote)
-            workload = ConflictWorkload(client_id=client_id, origin=replica_id,
-                                        config=workload_config,
-                                        rng=base_rng.fork(f"client-{client_id}"))
-            fallbacks = None
-            reconnect_ms = None
-            if kill_replica is not None:
-                # Clients of the doomed replica fail over to a survivor.  The
-                # retry timeout must exceed the leader's fast-proposal timeout
-                # plus a slow round: a command proposed in the suspicion
-                # window pays that full fallback latency, and abandoning it a
-                # hair earlier discards the reply and restarts the cycle.
-                fallbacks = [_Redialer(remotes, cluster, i) for i in surviving_ids]
-                reconnect_ms = 3000.0
-            pool.add(ClosedLoopClient(client_id, remote, workload, clock, metrics,
-                                      max_commands=commands_per_client,
-                                      reconnect_timeout_ms=reconnect_ms,
-                                      fallback_replicas=fallbacks))
+        pool, connections = await connect_pool(
+            cluster.peers, clients, WorkloadConfig(conflict_rate=conflict_rate), clock,
+            metrics, failover=failover, max_commands=commands_per_client,
+            reconnect_timeout_ms=RECONNECT_TIMEOUT_MS if failover else None)
 
         expected = clients * commands_per_client
         deadline = loop.time() + timeout_s
         pool.start_all()
-        while loop.time() < deadline:
-            if pool.total_completed >= expected:
-                break
+        while loop.time() < deadline and pool.total_completed < expected:
             await asyncio.sleep(0.02)
-
         # Drain: every *live* replica must execute every completed command.
-        live = surviving_ids if killed else replica_ids
-        while loop.time() < deadline:
-            if all(cluster.servers[i].replica.commands_executed >= pool.total_completed
-                   for i in live):
-                break
+        while loop.time() < deadline and any(
+                replica.commands_executed < pool.total_completed
+                for replica in hosted if not replica.crashed):
             await asyncio.sleep(0.02)
 
-        run = ClusterRun(protocol=protocol, expected=expected,
-                         completed=pool.total_completed)
-        logs = {}
-        for node_id in live:
-            log = cluster.servers[node_id].replica.execution_log
-            logs[node_id] = log
-            run.executed[node_id] = [c.command_id for c in log]
-            run.stats[node_id] = cluster.servers[node_id].stats_payload()
-        run.violations = _pairwise_violations(logs)
+        run = ClusterRun.of(protocol, expected, pool.total_completed, hosted)
+        run.stats = {node_id: cluster.servers[node_id].stats_payload()
+                     for node_id in run.executed}
         return run
     finally:
-        for remote in remotes:
-            await remote.close()
+        for connection in connections:
+            await connection.close()
         await cluster.stop()
 
 
@@ -255,43 +203,15 @@ class _KillAfter(MetricsCollector):
             self._on_threshold()
 
 
-class _Redialer:
-    """Lazy fallback target: dials the survivor only if a client fails over."""
-
-    def __init__(self, remotes: List[RemoteReplica], cluster: LoopbackCluster,
-                 node_id: int) -> None:
-        self._remotes = remotes
-        self._cluster = cluster
-        self.node_id = node_id
-        self._remote: Optional[RemoteReplica] = None
-
-    @property
-    def crashed(self) -> bool:
-        return self._remote.crashed if self._remote is not None else False
-
-    def submit(self, command, callback=None) -> None:
-        if self._remote is None or self._remote.crashed:
-            host, port = self._cluster.peers[self.node_id]
-            self._remote = RemoteReplica(self.node_id, host, port,
-                                         client_id=1000 + self.node_id)
-            self._remotes.append(self._remote)
-            task = asyncio.get_running_loop().create_task(self._remote.connect())
-            # Submit once the dial lands (commands are idempotent to retry
-            # from the client's point of view: closed-loop re-submission).
-            task.add_done_callback(
-                lambda _t: self._remote.submit(command, callback))
-            return
-        self._remote.submit(command, callback)
-
-
 def run_sim_oracle(protocol: str, replicas: int = 3, clients: int = 3,
                    commands_per_client: int = 8, conflict_rate: float = 0.3,
                    seed: int = 1, deadline_ms: float = 120_000.0) -> ClusterRun:
     """Replay the loopback workload in the discrete-event simulator.
 
-    Same seed, same fork labels, same client-to-replica assignment as
-    :func:`run_loopback` — the executed command sets of the two runs must be
-    identical, which is exactly what the oracle tests assert.
+    Same seed, same :func:`~repro.workload.clients.build_pool`, same
+    client-to-replica assignment as :func:`run_loopback` — every replica must
+    execute the same commands in both runs, which is exactly what the oracle
+    tests assert.
     """
     from repro.harness.cluster import ClusterConfig, build_cluster
     from repro.sim.topology import lan_topology
@@ -299,32 +219,15 @@ def run_sim_oracle(protocol: str, replicas: int = 3, clients: int = 3,
     cluster = build_cluster(ClusterConfig(protocol=protocol,
                                           topology=lan_topology(replicas),
                                           seed=seed))
-    metrics = MetricsCollector(warmup_ms=0.0)
-    workload_config = WorkloadConfig(conflict_rate=conflict_rate)
-    base_rng = DeterministicRandom(seed)
-    pool = ClientPool()
-    for client_id in range(clients):
-        replica = cluster.replicas[client_id % len(cluster.replicas)]
-        workload = ConflictWorkload(client_id=client_id, origin=replica.node_id,
-                                    config=workload_config,
-                                    rng=base_rng.fork(f"client-{client_id}"))
-        pool.add(ClosedLoopClient(client_id, replica, workload, cluster.sim, metrics,
-                                  max_commands=commands_per_client))
+    pool = build_pool([cluster.replicas[i % replicas] for i in range(clients)],
+                      WorkloadConfig(conflict_rate=conflict_rate), cluster.sim,
+                      MetricsCollector(warmup_ms=0.0), max_commands=commands_per_client)
 
     expected = clients * commands_per_client
-    for replica in cluster.replicas:
-        replica.start()
+    cluster.start()
     pool.start_all()
     cluster.sim.run_until(
         lambda: (pool.total_completed >= expected
                  and all(r.commands_executed >= expected for r in cluster.replicas)),
         deadline=deadline_ms)
-
-    run = ClusterRun(protocol=protocol, expected=expected,
-                     completed=pool.total_completed)
-    logs = {}
-    for replica in cluster.replicas:
-        logs[replica.node_id] = replica.execution_log
-        run.executed[replica.node_id] = [c.command_id for c in replica.execution_log]
-    run.violations = _pairwise_violations(logs)
-    return run
+    return ClusterRun.of(protocol, expected, pool.total_completed, cluster.replicas)

@@ -1,4 +1,4 @@
-"""Simulated clients driving the consensus replicas.
+"""Clients driving the consensus replicas, and the one place they are built.
 
 Two arrival models, matching the paper's methodology:
 
@@ -12,20 +12,25 @@ Both record completed-command latencies into a shared
 :class:`~repro.metrics.collector.MetricsCollector`, and both support
 re-targeting to another replica when the original one crashes (the Figure 12
 client-reconnection behaviour).
+
+:func:`build_pool` is the only constructor call site outside the shard
+replay: every figure cell, chaos cell, oracle run and ``repro loadgen`` is
+that pool on a seed, on the simulator (targets are replicas) and over TCP
+(targets are connections, see :func:`repro.net.client.connect_pool`) alike.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.consensus.command import Command, CommandResult
 from repro.consensus.interface import ConsensusReplica
 from repro.metrics.collector import MetricsCollector
 from repro.sim.random import DeterministicRandom
 from repro.sim.simulator import Simulator
-from repro.workload.generator import ConflictWorkload
+from repro.workload.generator import ConflictWorkload, WorkloadSpec, build_workload
 
 
 class ClosedLoopClient:
@@ -280,10 +285,43 @@ class ClientPool:
     @property
     def total_rejected(self) -> int:
         """Total commands shed by admission control across the pool."""
-        return sum(getattr(client, "rejected", 0) for client in self.clients)
+        return sum(client.rejected for client in self.clients)
 
-    @property
-    def total_submitted(self) -> int:
-        """Total commands submitted (open-loop clients only track this)."""
-        return sum(getattr(client, "submitted", client.completed)
-                   for client in self.clients)
+
+def build_pool(targets: Sequence[ConsensusReplica], workload: WorkloadSpec, clock: Simulator,
+               metrics: MetricsCollector, *, label: str = "client",
+               open_loop_rate: Optional[float] = None, stop_after_ms: Optional[float] = None,
+               failover: Sequence[ConsensusReplica] = (),
+               reconnect_timeout_ms: Optional[float] = None, history=None,
+               max_commands: Optional[int] = None) -> ClientPool:
+    """Build the seeded pool: client ``i`` submits to ``targets[i]``.
+
+    The caller states the placement (per site, round-robin) in ``targets`` —
+    replicas, or connections with their ``node_id`` / ``crashed`` / ``submit``
+    surface.  Client ``i`` draws its commands from
+    ``clock.rng.fork(f"{label}-{i}")`` and its open-loop arrivals from that
+    stream's ``fork("arrivals")``; a simulator and a wall clock built from one
+    seed carry the same ``rng``, so one seed is one workload on either
+    substrate.  ``open_loop_rate`` (commands per second per client) selects
+    open loop, injecting for ``stop_after_ms``; otherwise the loop is closed,
+    with a ``max_commands`` budget and a ``reconnect_timeout_ms`` give-up time
+    per command.  Every client gets the ``history`` tape and the ``failover``
+    candidates, of which it only ever picks a live one once its own target
+    has crashed.
+    """
+    pool = ClientPool()
+    fallbacks = list(failover)
+    for client_id, target in enumerate(targets):
+        rng = clock.rng.fork(f"{label}-{client_id}")
+        stream = build_workload(client_id, target.node_id, workload, rng)
+        if open_loop_rate is not None:
+            pool.add(OpenLoopClient(client_id, target, stream, clock, metrics,
+                                    rate_per_second=open_loop_rate, rng=rng.fork("arrivals"),
+                                    stop_after_ms=stop_after_ms, fallback_replicas=fallbacks,
+                                    history=history))
+        else:
+            pool.add(ClosedLoopClient(client_id, target, stream, clock, metrics,
+                                      reconnect_timeout_ms=reconnect_timeout_ms,
+                                      fallback_replicas=fallbacks, history=history,
+                                      max_commands=max_commands))
+    return pool

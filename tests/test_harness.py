@@ -99,6 +99,17 @@ class TestExperimentRunner:
         pool = attach_clients(cluster, config, metrics)
         assert len(pool.clients) == 9
 
+    def test_attach_clients_reconnect_timeout_reaches_every_client(self):
+        """Figure 12 and the failure example used to patch these two
+        attributes onto every client after the fact."""
+        config = ExperimentConfig(clients_per_site=2, topology=lan_topology(3))
+        cluster = build_experiment_cluster(config)
+        pool = attach_clients(cluster, config, MetricsCollector(),
+                              reconnect_timeout_ms=2000.0)
+        assert [client.reconnect_timeout_ms for client in pool.clients] == [2000.0] * 6
+        assert all(client.fallback_replicas == cluster.replicas for client in pool.clients)
+        assert [client.replica.node_id for client in pool.clients] == [0, 0, 1, 1, 2, 2]
+
     def test_recovery_flag_propagates_to_caesar(self):
         config = ExperimentConfig(protocol="caesar", recovery=True, topology=lan_topology(5))
         cluster = build_experiment_cluster(config)

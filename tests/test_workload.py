@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import ast
+import asyncio
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.consensus.quorums import QuorumSystem
 from repro.core.caesar import CaesarReplica
 from repro.core.config import CaesarConfig
+from repro.harness.experiment import ExperimentConfig, attach_clients, build_experiment_cluster
 from repro.kvstore.store import KeyValueStore
 from repro.metrics.collector import MetricsCollector
+from repro.net.clock import WallClock
 from repro.sim.network import Network
 from repro.sim.random import DeterministicRandom
 from repro.sim.simulator import Simulator
-from repro.sim.topology import uniform_topology
-from repro.workload.clients import ClientPool, ClosedLoopClient, OpenLoopClient
+from repro.sim.topology import lan_topology, uniform_topology
+from repro.workload.clients import ClientPool, ClosedLoopClient, OpenLoopClient, build_pool
 from repro.workload.generator import (
     ConflictWorkload,
     WorkloadConfig,
@@ -260,6 +266,104 @@ class TestClientPool:
         sim.run(until=400.0)
         assert pool.total_completed == sum(c.completed for c in pool.clients)
         assert pool.total_completed > 0
+
+
+class _StubTarget:
+    """What ``build_pool`` needs of a TCP connection: an id to stamp as origin."""
+
+    crashed = False
+
+    def __init__(self, node_id: int) -> None:
+        self.node_id = node_id
+
+
+def _first_draws(pool: ClientPool, count: int = 20) -> list:
+    """Per client: its first commands and, in open loop, inter-arrival draws."""
+    draws = []
+    for client in pool.clients:
+        commands = [client.workload.next_command() for _ in range(count)]
+        arrivals = ([client.rng.expovariate(0.05) for _ in range(count)]
+                    if isinstance(client, OpenLoopClient) else None)
+        draws.append(([(c.command_id, c.key, c.operation, c.value, c.origin)
+                       for c in commands], arrivals))
+    return draws
+
+
+class TestBuildPool:
+    """One seed is one workload, whichever substrate the pool is built on."""
+
+    SEED = 11
+    WORKLOAD = WorkloadConfig(conflict_rate=0.3, write_fraction=0.7)
+
+    def _on_wall_clock(self, placement, **options) -> list:
+        loop = asyncio.new_event_loop()
+        try:
+            clock = WallClock(seed=self.SEED, loop=loop)
+            stubs = {node_id: _StubTarget(node_id) for node_id in set(placement)}
+            return _first_draws(build_pool([stubs[node_id] for node_id in placement],
+                                           self.WORKLOAD, clock, MetricsCollector(),
+                                           **options))
+        finally:
+            loop.close()
+
+    @pytest.mark.parametrize("open_loop", [False, True])
+    def test_attach_clients_placement_draws_the_same_streams_on_both_substrates(self, open_loop):
+        config = ExperimentConfig(clients_per_site=2, topology=lan_topology(3),
+                                  seed=self.SEED, workload=self.WORKLOAD,
+                                  open_loop=open_loop, arrival_rate_per_client=50.0)
+        cluster = build_experiment_cluster(config)
+        simulated = _first_draws(attach_clients(cluster, config, MetricsCollector()))
+        over_tcp = self._on_wall_clock([0, 0, 1, 1, 2, 2],
+                                       open_loop_rate=50.0 if open_loop else None)
+        assert simulated == over_tcp
+        assert (simulated[0][1] is not None) == open_loop
+        # Streams are per client, not shared: no two clients draw the same keys.
+        assert len({tuple(c[1] for c in commands) for commands, _ in simulated}) == 6
+
+    @pytest.mark.parametrize("open_loop", [False, True])
+    def test_round_robin_placement_draws_the_same_streams_on_both_substrates(self, open_loop):
+        rate = 50.0 if open_loop else None
+        cluster = build_experiment_cluster(
+            ExperimentConfig(topology=lan_topology(3), seed=self.SEED))
+        placement = [i % 3 for i in range(5)]
+        simulated = _first_draws(build_pool([cluster.replicas[i] for i in placement],
+                                            self.WORKLOAD, cluster.sim, MetricsCollector(),
+                                            open_loop_rate=rate))
+        assert simulated == self._on_wall_clock(placement, open_loop_rate=rate)
+
+    def test_the_label_selects_the_streams(self):
+        base = self._on_wall_clock([0, 1])
+        assert self._on_wall_clock([0, 1]) == base
+        assert self._on_wall_clock([0, 1], label="chaos-client") != base
+
+
+class TestOneConstructionSite:
+    """Clients are constructed in ``build_pool`` (and the shard replay) only."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+    def _calls(self):
+        for path in sorted(self.SRC.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    yield path.relative_to(self.SRC).as_posix(), node
+
+    def test_client_constructors_are_called_in_two_modules(self):
+        sites = sorted((path, call.func.id) for path, call in self._calls()
+                       if isinstance(call.func, ast.Name)
+                       and call.func.id in ("ClosedLoopClient", "OpenLoopClient"))
+        assert sites == [("harness/shard.py", "ClosedLoopClient"),
+                         ("workload/clients.py", "ClosedLoopClient"),
+                         ("workload/clients.py", "OpenLoopClient")]
+
+    def test_client_streams_are_forked_in_one_place(self):
+        forks = sorted((path, ast.unparse(call.args[0])) for path, call in self._calls()
+                       if isinstance(call.func, ast.Attribute) and call.func.attr == "fork"
+                       and call.args)
+        assert [fork for fork in forks if "client" in fork[1] or "arrivals" in fork[1]] == [
+            ("workload/clients.py", "'arrivals'"),
+            ("workload/clients.py", "f'{label}-{client_id}'")]
 
 
 class TestZipfWorkload:
