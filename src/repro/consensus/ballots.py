@@ -10,11 +10,10 @@ complete the decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Ballot:
     """A ``(round, node_id)`` ballot, ordered lexicographically.
 
@@ -24,11 +23,6 @@ class Ballot:
 
     round: int
     node_id: int
-
-    def __lt__(self, other: "Ballot") -> bool:
-        if not isinstance(other, Ballot):
-            return NotImplemented
-        return (self.round, self.node_id) < (other.round, other.node_id)
 
     @classmethod
     @lru_cache(maxsize=None)

@@ -192,6 +192,7 @@ class CaesarReplica(ProtocolKernel):
         if state.timer is not None:
             state.timer.cancel()
         state.phase = PHASE_DONE
+        del self.leader_states[command_id]
         self.resolve_retransmit(("lead", command_id))
         if state.recovered:
             kind = DecisionKind.RECOVERED
@@ -260,7 +261,7 @@ class CaesarReplica(ProtocolKernel):
         self.ballots[command_id] = message.ballot
         self.timestamps.observe(message.timestamp)
         whitelist_mask = (None if message.whitelist is None
-                          else self.history.mask_from_ids(message.whitelist))
+                          else self.history.mask_from_ids(message.whitelist, command.key))
         predecessors = compute_predecessor_mask(self.history, command, message.timestamp,
                                                 whitelist_mask)
         self.consume_cpu(self.cost_model.dependency_cost(predecessors.bit_count()))
@@ -292,7 +293,7 @@ class CaesarReplica(ProtocolKernel):
         self.ballots[command_id] = message.ballot
         self.timestamps.observe(message.timestamp)
         predecessors = compute_predecessor_mask(self.history, command, message.timestamp)
-        predecessors |= self.history.mask_from_ids(message.predecessors)
+        predecessors |= self.history.mask_from_ids(message.predecessors, command.key)
         self_index = self.history.index_of(command_id)
         if self_index is not None:
             predecessors &= ~(1 << self_index)
@@ -331,19 +332,26 @@ class CaesarReplica(ProtocolKernel):
             reply_ts = timestamp
             reply_pred = predecessors
             status = CommandStatus.FAST_PENDING if fast else CommandStatus.SLOW_PENDING
-            entry = self.history.update(command, timestamp, reply_pred, status, ballot,
-                                        forced=entry.forced if entry is not None else False)
+            # An immediate OK finds the entry exactly as the proposal handler
+            # stored it one call earlier: nothing to write or re-announce.
+            unchanged = (entry is not None and entry.command is command
+                         and entry.timestamp == timestamp and entry.pred_mask == reply_pred
+                         and entry.status is status and entry.ballot == ballot)
+            if not unchanged:
+                entry = self.history.update(command, timestamp, reply_pred, status, ballot,
+                                            forced=entry.forced if entry is not None else False)
+                self.wait_manager.notify_entry(entry)
         else:
             self.stats.nacks_sent += 1
             reply_ts = self.timestamps.suggestion_greater_than(timestamp)
             reply_pred = compute_predecessor_mask(self.history, command, reply_ts)
             entry = self.history.update(command, reply_ts, reply_pred,
                                         CommandStatus.REJECTED, ballot)
-        self.wait_manager.notify_entry(entry)
+            self.wait_manager.notify_entry(entry)
         reply_cls = FastProposeReply if fast else SlowProposeReply
+        reply_ids = self.history.ids_from_mask(reply_pred, command.key)
         self.send(leader, reply_cls(command_id=command_id, ballot=ballot, timestamp=reply_ts,
-                                    predecessors=self.history.ids_from_mask(reply_pred),
-                                    ok=ok))
+                                    predecessors=reply_ids, ok=ok))
 
     # ------------------------------------------------------- leader: replies
 
@@ -412,7 +420,7 @@ class CaesarReplica(ProtocolKernel):
         self.ballots[command_id] = message.ballot
         self.timestamps.observe(message.timestamp)
         entry = self.history.update(command, message.timestamp,
-                                    self.history.mask_from_ids(message.predecessors),
+                                    self.history.mask_from_ids(message.predecessors, command.key),
                                     CommandStatus.ACCEPTED, message.ballot)
         extra = compute_predecessor_mask(self.history, command, message.timestamp)
         self.consume_cpu(self.cost_model.dependency_cost(extra.bit_count()))
@@ -420,7 +428,7 @@ class CaesarReplica(ProtocolKernel):
         self.wait_manager.notify_entry(entry)
         self.send(src, RetryReply(command_id=command_id, ballot=message.ballot,
                                   timestamp=message.timestamp,
-                                  predecessors=self.history.ids_from_mask(extra)))
+                                  predecessors=self.history.ids_from_mask(extra, command.key)))
 
     @handles(RetryReply)
     def _on_retry_reply(self, src: int, message: RetryReply) -> None:
@@ -447,7 +455,7 @@ class CaesarReplica(ProtocolKernel):
             return
         self.ballots.observe(command_id, message.ballot)
         self.timestamps.observe(message.timestamp)
-        predecessors = self.history.mask_from_ids(message.predecessors)
+        predecessors = self.history.mask_from_ids(message.predecessors, command.key)
         self_index = self.history.index_of(command_id)
         if self_index is not None:
             predecessors &= ~(1 << self_index)

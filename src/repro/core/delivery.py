@@ -16,6 +16,13 @@ the delivered one — never every pending command.  Nothing else can make a
 pending command deliverable: once an entry is STABLE only this class writes
 its ``pred_mask``.
 
+The delivered set is closed under predecessors (a command is delivered only
+once its mask is inside it, and masks of stable entries only lose bits), so
+BREAKLOOP has nothing to reconcile between a newly stable command and a
+predecessor delivered earlier on its key; it walks the rest of the mask —
+what is still undecided or undelivered — not the whole, never-collected past
+(:func:`repro.core.invariants.check_delivered_closed` checks the premise).
+
 :class:`HistoryCompactor` is the (opt-in) garbage collector: once a command
 has been delivered by *every* replica it can never influence another
 decision, so each replica's history entry for it is removed — long overload
@@ -70,6 +77,11 @@ class DeliveryManager:
         """Number of commands executed by this replica so far."""
         return len(self.delivered_order)
 
+    @property
+    def delivered_mask(self) -> int:
+        """The delivered set as an interned bitmask (read-only view)."""
+        return self._delivered_mask
+
     def is_delivered(self, command_id: CommandId) -> bool:
         """Whether the command has been executed locally."""
         index = self._history.index_of(command_id)
@@ -108,6 +120,12 @@ class DeliveryManager:
         its predecessor set: if ``c̄`` has a smaller final timestamp, ``c`` must
         not appear among ``c̄``'s predecessors; if ``c̄`` has a larger final
         timestamp, ``c̄`` must not appear among ``c``'s predecessors.
+
+        Predecessors already delivered, on ``c``'s key and strictly earlier
+        are not walked: such a ``c̄`` is stable with a smaller timestamp, so
+        the only edit would be ``c``'s bit out of its mask, and its mask was
+        inside the delivered set when it was delivered, has only lost bits
+        since, and ``c`` is not delivered.
         """
         history = self._history
         my_bit = 1 << entry.index
@@ -115,6 +133,10 @@ class DeliveryManager:
         mask = entry.pred_mask
         remove = 0
         remaining = mask
+        bucket = history.bucket(entry.command.key)
+        if bucket is not None:
+            remaining &= ~(self._delivered_mask
+                           & bucket.prefix_mask(entry.timestamp, writes_only=False))
         while remaining:
             low = remaining & -remaining
             remaining ^= low

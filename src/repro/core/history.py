@@ -17,18 +17,33 @@ the decision path cheap:
   timestamp`` prefix by binary search (as a precomputed bucket mask minus a
   usually-empty suffix) and the wait condition scans only the ``> timestamp``
   suffix.
+* **Bucket-relative translation.**  A predecessor set is its key's bucket
+  less a handful of ids (the command itself, whatever is proposed later or
+  not yet seen here), and the history is never collected by default, so
+  translating one id at a time costs the length of the history on every
+  message.  A bucket therefore keeps its entries' ids as a set beside its
+  mask, and a caller that passes ``key=`` to the two translations gets the
+  bucket's mask (or id set) patched by two C-level set differences and a
+  Python loop over only the ids that differ.  Without a key, without a
+  bucket, or when the set is smaller than what the bucket would have to
+  shed (reads among writes, a recovery whitelist), the per-id loop runs —
+  the result is the same either way.
 
 Interner indices are *never* recycled, even when :meth:`CommandHistory.remove`
 garbage-collects an entry — a late retransmission referencing a collected
 command must keep resolving to the same bit so delivered-set bitmasks stay
-valid.
+valid.  And they are assigned in a fixed order: ids a translation sees for
+the first time are interned in the iteration order of the collection it was
+handed, whichever way the translation goes about it, so the same messages
+in the same order give the same indices (``tests/data/delivery_golden.json``
+pins them).
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command, CommandId
@@ -61,14 +76,15 @@ class CommandStatus(enum.Enum):
 class HistoryEntry:
     """One row of ``H_i``: the node's knowledge about a single command.
 
-    ``pred_mask`` is the predecessor set as an interned bitmask; the
+    ``pred_mask`` is the predecessor set as an interned bitmask, a plain
+    attribute every reader and writer touches directly; the
     :attr:`predecessors` view materializes it to a ``frozenset`` of ids on
-    demand (cached until the mask changes) for cold-path readers such as
-    recovery, catch-up supply and the invariant checks.
+    demand (cached beside the mask it was built from) for cold-path readers
+    such as recovery, catch-up supply and the invariant checks.
     """
 
     __slots__ = ("command", "timestamp", "status", "ballot", "forced",
-                 "index", "_history", "_pred_mask", "_pred_ids")
+                 "index", "pred_mask", "_history", "_pred_ids")
 
     def __init__(self, command: Command, timestamp: LogicalTimestamp,
                  pred_mask: int, status: CommandStatus, ballot: Ballot,
@@ -80,9 +96,10 @@ class HistoryEntry:
         self.forced = forced
         #: This command's own interner index (``1 << index`` is its bit).
         self.index = index
+        self.pred_mask = pred_mask
         self._history = history
-        self._pred_mask = pred_mask
-        self._pred_ids: Optional[FrozenSet[CommandId]] = None
+        #: ``(mask, ids)`` of the last materialization, ``None`` before the first.
+        self._pred_ids: Optional[Tuple[int, FrozenSet[CommandId]]] = None
 
     @property
     def command_id(self) -> CommandId:
@@ -90,24 +107,14 @@ class HistoryEntry:
         return self.command.command_id
 
     @property
-    def pred_mask(self) -> int:
-        """Predecessor set as an interned bitmask."""
-        return self._pred_mask
-
-    @pred_mask.setter
-    def pred_mask(self, mask: int) -> None:
-        if mask != self._pred_mask:
-            self._pred_mask = mask
-            self._pred_ids = None
-
-    @property
     def predecessors(self) -> FrozenSet[CommandId]:
         """The predecessor set as command ids (cached until the mask changes)."""
-        ids = self._pred_ids
-        if ids is None:
-            ids = self._history.ids_from_mask(self._pred_mask)
-            self._pred_ids = ids
-        return ids
+        mask = self.pred_mask
+        cached = self._pred_ids
+        if cached is None or cached[0] != mask:
+            cached = self._pred_ids = (
+                mask, self._history.ids_from_mask(mask, self.command.key))
+        return cached[1]
 
     def ts_key(self) -> Tuple[int, int]:
         """Sort key equivalent to the timestamp's total order."""
@@ -124,16 +131,18 @@ class _KeyBucket:
     / ``write_mask`` are the bitmask of every entry / every *writing* entry in
     the bucket — the predecessor computation takes the whole-bucket mask and
     strips the (usually tiny) ``>= timestamp`` suffix instead of scanning the
-    prefix.
+    prefix.  ``ids`` is ``all_mask`` as command ids: what the id⇄mask
+    translations of a predecessor set on this key start from.
     """
 
-    __slots__ = ("keys", "entries", "all_mask", "write_mask")
+    __slots__ = ("keys", "entries", "all_mask", "write_mask", "ids")
 
     def __init__(self) -> None:
         self.keys: List[Tuple[int, int, int]] = []
         self.entries: List[HistoryEntry] = []
         self.all_mask = 0
         self.write_mask = 0
+        self.ids: Set[CommandId] = set()
 
     def insert(self, entry: HistoryEntry) -> None:
         timestamp = entry.timestamp
@@ -143,6 +152,7 @@ class _KeyBucket:
         self.entries.insert(position, entry)
         bit = 1 << entry.index
         self.all_mask |= bit
+        self.ids.add(entry.command.command_id)
         if entry.command.is_write:
             self.write_mask |= bit
 
@@ -156,6 +166,7 @@ class _KeyBucket:
             bit = 1 << entry.index
             self.all_mask &= ~bit
             self.write_mask &= ~bit
+            self.ids.discard(entry.command.command_id)
 
     def suffix_start(self, timestamp: LogicalTimestamp) -> int:
         """Index of the first entry with a timestamp strictly greater."""
@@ -214,17 +225,59 @@ class CommandHistory:
         """The live entry for an interned index, ``None`` when absent."""
         return self._entry_by_index[index]
 
-    def mask_from_ids(self, ids: Iterable[CommandId]) -> int:
-        """Bitmask for a collection of command ids (interning as needed)."""
+    def mask_from_ids(self, ids: Iterable[CommandId], key: Optional[str] = None) -> int:
+        """Bitmask for a collection of command ids (interning as needed).
+
+        With ``key`` — the key of the command whose predecessor set ``ids``
+        is — a set that is most of that key's bucket is translated as the
+        bucket's mask less the few ids it lacks, plus the few it adds.  Ids
+        never seen are interned in the iteration order of ``ids`` either way.
+        """
+        bucket = self._by_key.get(key)
+        # Worth it only when the bucket sheds fewer ids than the set holds,
+        # which a set under half the bucket cannot meet (and is not worth a
+        # difference over the whole bucket to find out).
+        if (bucket is not None and isinstance(ids, (set, frozenset))
+                and 2 * len(ids) > len(bucket.ids)):
+            bucket_ids = bucket.ids
+            shed = bucket_ids - ids
+            if len(shed) < len(ids):
+                index_of = self._index_of
+                mask = bucket.all_mask
+                for command_id in shed:
+                    mask &= ~(1 << index_of[command_id])
+                extra = ids - bucket_ids
+                if len(extra) > 1:
+                    # Index assignment follows the order ``ids`` iterates in.
+                    extra = [command_id for command_id in ids if command_id in extra]
+                for command_id in extra:
+                    mask |= 1 << self.intern(command_id)
+                return mask
         mask = 0
         for command_id in ids:
             mask |= 1 << self.intern(command_id)
         return mask
 
-    def ids_from_mask(self, mask: int) -> FrozenSet[CommandId]:
-        """The command ids whose bits are set in ``mask``."""
+    def ids_from_mask(self, mask: int, key: Optional[str] = None) -> FrozenSet[CommandId]:
+        """The command ids whose bits are set in ``mask``.
+
+        With ``key`` (as for :meth:`mask_from_ids`) a mask that is most of the
+        bucket's is the bucket's id set less the few it lacks, plus the few
+        it adds.
+        """
         if not mask:
             return _EMPTY_IDS
+        bucket = self._by_key.get(key)
+        if bucket is not None:
+            shed = bucket.all_mask & ~mask
+            if shed.bit_count() < mask.bit_count():
+                ids = bucket.ids
+                if shed:
+                    ids = ids.difference(self.iter_mask(shed))
+                extra = mask & ~bucket.all_mask
+                if extra:
+                    ids = ids.union(self.iter_mask(extra))
+                return frozenset(ids)
         id_of = self._id_of
         ids = []
         while mask:

@@ -18,6 +18,9 @@ simulations can check them continuously:
   executed in increasing final-timestamp order.
 * :func:`check_delivery_quiescent` — no replica sits on a stable command whose
   predecessors have all been executed (a lost wake-up in the delivery index).
+* :func:`check_delivered_closed` — the delivered set is closed under
+  predecessors: no delivered command lists an undelivered one (what lets
+  BREAKLOOP skip the delivered part of a new command's predecessor set).
 
 Each checker returns a list of human-readable violation descriptions; an
 empty list means the invariant holds.
@@ -149,6 +152,34 @@ def check_delivery_quiescent(replicas: Sequence) -> List[str]:
     return violations
 
 
+def check_delivered_closed(replicas: Sequence) -> List[str]:
+    """Every predecessor a delivered command still lists has been delivered.
+
+    A command is delivered only once its predecessor mask is inside the
+    delivered set, and afterwards the mask only loses bits, so the delivered
+    set stays closed under predecessors.  BREAKLOOP relies on it: clearing a
+    newly stable (undelivered) command's bit from a delivered predecessor's
+    mask would be a no-op, so it does not visit those predecessors at all.
+    Replicas without a delivery manager are skipped, as in
+    :func:`check_delivery_quiescent`.
+    """
+    violations: List[str] = []
+    for replica in replicas:
+        delivery = getattr(replica, "delivery", None)
+        if replica.crashed or delivery is None:
+            continue
+        delivered = delivery.delivered_mask
+        history = replica.history
+        for entry in history.entries():
+            stray = entry.pred_mask & ~delivered
+            if stray and (delivered >> entry.index) & 1:
+                violations.append(
+                    f"node {replica.node_id}: delivered {entry.command_id} "
+                    f"(ts {entry.timestamp}) lists undelivered predecessors "
+                    f"{sorted(history.iter_mask(stray))}")
+    return violations
+
+
 def check_all(replicas: Sequence[CaesarReplica]) -> List[str]:
     """Run every CAESAR invariant checker and concatenate the violations."""
     violations: List[str] = []
@@ -157,4 +188,5 @@ def check_all(replicas: Sequence[CaesarReplica]) -> List[str]:
     violations.extend(check_execution_consistency(replicas))
     violations.extend(check_timestamp_order(replicas))
     violations.extend(check_delivery_quiescent(replicas))
+    violations.extend(check_delivered_closed(replicas))
     return violations

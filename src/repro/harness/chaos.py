@@ -11,7 +11,8 @@ the per-key linearizability checker.  The verdict combines three oracles:
 * **internal consistency** — live replicas' execution logs must agree on
   the order of conflicting commands (the Generalized Consensus invariant the
   repository already checks elsewhere), and no CAESAR replica may sit on a
-  stable command that is deliverable (a lost wake-up in delivery);
+  stable command that is deliverable (a lost wake-up in delivery) or hold a
+  delivered command that lists an undelivered predecessor;
 * **progress after heal** — once the fabric is healed, fresh probe commands
   submitted at every healthy replica must complete within a deadline.
 
@@ -29,7 +30,8 @@ from repro.chaos.checker import LinearizabilityReport, check_history
 from repro.chaos.history import HistoryTape, TapedClientStats
 from repro.chaos.nemesis import Nemesis, NemesisPlan, build_schedule
 from repro.consensus.command import Command
-from repro.core.invariants import (check_delivery_quiescent,
+from repro.core.invariants import (check_delivered_closed,
+                                   check_delivery_quiescent,
                                    check_execution_consistency)
 from repro.harness.cluster import ClusterConfig, build_cluster
 from repro.harness.experiment import count_decisions
@@ -231,7 +233,8 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
     # ------------------------------------------------------------- verdicts
     report = check_history(tape)
     internal = (check_execution_consistency(cluster.replicas)
-                + check_delivery_quiescent(cluster.replicas))
+                + check_delivery_quiescent(cluster.replicas)
+                + check_delivered_closed(cluster.replicas))
 
     fast, slow = count_decisions(cluster.replicas)
     recoveries = sum(replica.stats.recoveries + replica.stats.recoveries_completed

@@ -165,6 +165,21 @@ class TestSlowPath:
         assert sum(r.stats.slow_decisions for r in replicas2) > 0
         assert sum(r.stats.retries for r in replicas2) > 0
 
+    def test_decided_commands_leave_no_leader_state(self):
+        """Fast or retried, a leader forgets a command once its STABLE is out."""
+        sim, _, replicas = build_caesar_cluster(wait_condition=False)
+        commands = [(i, make_command(i, k, key="hot" if k < 4 else f"own-{i}-{k}", origin=i))
+                    for i in range(5) for k in range(6)]
+        for origin, command in commands:
+            replicas[origin].submit(command)
+        ids = [c.command_id for _, c in commands]
+        assert sim.run_until(
+            lambda: all(r.has_executed(cid) for r in replicas for cid in ids),
+            deadline=120000)
+        assert sum(r.stats.retries for r in replicas) > 0
+        assert sum(r.stats.fast_decisions for r in replicas) > 0
+        assert [len(r.leader_states) for r in replicas] == [0] * 5
+
     def test_slow_decisions_preserve_consistency(self):
         sim, _, replicas = build_caesar_cluster(wait_condition=False)
         commands = [(i, make_command(i, k, key=f"hot-{k % 2}", origin=i))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.consensus.ballots import Ballot
 from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.history import CommandStatus
-from repro.core.messages import Recovery, RecoveryReply
+from repro.core.messages import Recovery, RecoveryReply, Stable
 from repro.core.recovery import RecoveryAttempt
 from repro.runtime.kernel import QuorumTracker
 from tests.conftest import build_caesar_cluster, make_command
@@ -56,11 +56,17 @@ class TestDispatchCases:
         harness = RecoveryHarness()
         reply = make_reply(harness.command.command_id, harness.ballot, CommandStatus.STABLE,
                            ts(5), predecessors={(9, 9)})
+        broadcasts = []
+        harness.replica.broadcast = broadcasts.append
         state = harness.dispatch([reply])
-        assert state is not None
-        assert state.phase == "done"
-        assert state.timestamp == ts(5)
-        assert state.predecessors == {(9, 9)}
+        # A decided command leaves no leader state behind: what the replica
+        # did is the STABLE it sent, at the recovery ballot.
+        assert state is None
+        [stable] = broadcasts
+        assert isinstance(stable, Stable)
+        assert stable.ballot == harness.ballot
+        assert stable.timestamp == ts(5)
+        assert stable.predecessors == {(9, 9)}
 
     def test_accepted_reply_resumes_via_retry(self):
         harness = RecoveryHarness()

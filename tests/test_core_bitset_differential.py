@@ -194,3 +194,92 @@ class TestBitsetDifferential:
         entry = stack.optimized.get((6, 0))
         assert entry is not None
         assert (0, 0) not in entry.predecessors
+
+
+# ------------------------------------------------ bucket-relative translation
+
+#: Commands live on the first three; ``"nowhere"`` never gets a bucket.
+TRANSLATION_KEYS = ("alpha", "beta", "gamma", "nowhere")
+
+TRANSLATION_SLOTS = 16
+
+#: One step: (kind, command slot, timestamp counter, slots dropped from the
+#: key's bucket, slots added to it, frozenset or set).  kind 0-1 = UPDATE the
+#: slot's command with that predecessor set (a repeat at another counter
+#: re-files the entry), 2 = remove it, 3 = translate only.  Dropping few slots
+#: takes the bucket-relative path, dropping many the per-id loop; added slots
+#: may be on other keys or never seen by the history at all.
+translation_steps = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, TRANSLATION_SLOTS - 1), st.integers(1, 6),
+              st.one_of(st.just(0), st.integers(0, (1 << TRANSLATION_SLOTS) - 1)),
+              st.one_of(st.just(0), st.integers(0, (1 << TRANSLATION_SLOTS) - 1)),
+              st.booleans()),
+    min_size=1, max_size=40)
+
+
+def translation_command(slot: int) -> Command:
+    return Command(command_id=(slot, 0), key=TRANSLATION_KEYS[slot % 3],
+                   operation="get" if slot % 4 == 3 else "put", value=f"v{slot}", origin=0)
+
+
+def slots_of(mask: int) -> set:
+    return {(slot, 0) for slot in range(TRANSLATION_SLOTS) if (mask >> slot) & 1}
+
+
+class CountingInternHistory(CommandHistory):
+    """Counts the ids a translation hands to the interner one by one."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.interns = 0
+
+    def intern(self, command_id):
+        self.interns += 1
+        return super().intern(command_id)
+
+
+class TestBucketRelativeTranslation:
+    @settings(max_examples=300, deadline=None)
+    @given(steps=translation_steps)
+    def test_keyed_translation_matches_plain_and_interns_in_the_same_order(self, steps):
+        # Fed identically, except that ``keyed`` is told the key every time.
+        keyed, plain = CommandHistory(), CommandHistory()
+        for kind, slot, counter, dropped, added, frozen in steps:
+            command = translation_command(slot)
+            if kind == 2:
+                keyed.remove(command.command_id)
+                plain.remove(command.command_id)
+                continue
+            bucket = keyed.bucket(command.key)
+            ids = (set(bucket.ids) if bucket is not None else set()) - slots_of(dropped)
+            ids |= slots_of(added)
+            ids = frozenset(ids) if frozen else ids
+            mask = keyed.mask_from_ids(ids, command.key)
+            assert mask == plain.mask_from_ids(ids)
+            for key in TRANSLATION_KEYS:
+                assert keyed.mask_from_ids(ids, key) == mask
+                assert keyed.ids_from_mask(mask, key) == plain.ids_from_mask(mask) == ids
+            if kind < 2:
+                timestamp = LogicalTimestamp(counter, slot)
+                entry = keyed.update(command, timestamp, mask, CommandStatus.FAST_PENDING, BALLOT)
+                plain.update(command, timestamp, mask, CommandStatus.FAST_PENDING, BALLOT)
+                assert entry.predecessors == ids
+        # The interning-order contract: same ids, same indices.
+        for slot in range(TRANSLATION_SLOTS):
+            assert keyed.index_of((slot, 0)) == plain.index_of((slot, 0))
+
+    def test_a_set_that_is_its_bucket_less_two_interns_a_handful(self):
+        history = CountingInternHistory()
+        for seq in range(258):
+            command = Command(command_id=(0, seq), key="k", operation="put", value="v", origin=0)
+            history.update(command, LogicalTimestamp(seq + 1, 0), 0,
+                           CommandStatus.FAST_PENDING, BALLOT)
+        ids = frozenset((0, seq) for seq in range(256))
+        history.interns = 0
+        mask = history.mask_from_ids(ids, "k")
+        keyed_interns = history.interns
+        assert keyed_interns <= 4
+        # The per-id loop, which is all there was before ``key=``: one each.
+        assert history.mask_from_ids(ids) == mask
+        assert history.interns - keyed_interns == 256
+        assert history.ids_from_mask(mask, "k") == ids

@@ -10,6 +10,7 @@ from repro.core.history import CommandStatus
 from repro.core.invariants import (
     check_agreement,
     check_all,
+    check_delivered_closed,
     check_delivery_quiescent,
     check_execution_consistency,
     check_graph_invariant,
@@ -133,6 +134,22 @@ class TestCheckersDetectViolations:
         assert "deliverable but was never delivered" in violations[0]
         replica.delivery.retry_pending()
         assert check_delivery_quiescent(replicas) == []
+
+    def test_undelivered_predecessor_of_a_delivered_command_detected(self):
+        """The delivered set stops being closed under predecessors."""
+        replicas = run_conflicting_workload(n_commands_per_node=2)
+        assert check_delivered_closed(replicas) == []
+        replica = replicas[3]
+        delivered = replica.history.get((0, 0))
+        assert replica.delivery.is_delivered(delivered.command_id)
+        late = make_command(7, 0, key="hot-0")
+        late_entry = replica.history.update(late, LogicalTimestamp(99, 0), set(),
+                                            CommandStatus.ACCEPTED, Ballot.initial(0))
+        delivered.pred_mask |= 1 << late_entry.index
+        violations = check_all(replicas)
+        assert len(violations) == 1
+        assert violations[0].startswith("node 3: delivered (0, 0) ")
+        assert violations[0].endswith("lists undelivered predecessors [(7, 0)]")
 
     def test_crashed_replicas_are_skipped(self):
         _, _, replicas = build_caesar_cluster()

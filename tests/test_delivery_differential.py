@@ -12,8 +12,9 @@ predecessor sets over a few keys, timestamps drawn from a range small enough
 to clash, predecessors that are merely accepted or never arrive — and after
 every event both must agree on everything.
 
-The scaling guard at the bottom pins *why* the index exists: the work one
-stable event does must not depend on how many commands are pending.
+The scaling guards at the bottom pin *why* the index exists — the work one
+stable event does must not depend on how many commands are pending — and why
+BREAKLOOP restricts its walk: nor on how many predecessors are long delivered.
 """
 
 from __future__ import annotations
@@ -246,9 +247,29 @@ TIE_ACROSS_BLOCKERS = [(True, 3, 4, 0, 1 << 2, False), (True, 4, 4, 0, 1 << 1, F
                        (True, 0, 1, 0, 0, False)]
 
 
+#: BREAKLOOP skips the predecessors that are delivered, on the new command's
+#: key *and* strictly earlier; dropping either qualifier is wrong on inputs the
+#: protocol never produces and this test does.  Slot 1 (key beta) is delivered
+#: at the very timestamp at which slot 0 (key alpha) then becomes stable,
+#: listing it (and slot 2, which never arrives, so BREAKLOOP runs): not
+#: earlier, so the scan takes it out of slot 0's mask and leaves 4 where
+#: ``mask & ~delivered`` leaves 6.
+DELIVERED_PREDECESSOR_NOT_EARLIER = [(False, 0, 1, 0, 0, False), (True, 1, 1, 0, 0, False),
+                                     (True, 0, 1, 0, 6, False)]
+#: The delivered predecessor has the *later* timestamp: on slot 0's own key
+#: (slot 3), and in another key's bucket (slot 1).  Slot 5 never arrives.
+DELIVERED_PREDECESSOR_LATER_SAME_KEY = [(True, 3, 4, 0, 0, False),
+                                        (True, 0, 2, 0, (1 << 3) | (1 << 5), False)]
+DELIVERED_PREDECESSOR_LATER_OTHER_KEY = [(True, 1, 4, 0, 0, False),
+                                         (True, 0, 2, 0, (1 << 1) | (1 << 5), False)]
+
+
 class TestIndexedDeliveryMatchesScan:
     @given(events_strategy)
     @example(TIE_ACROSS_BLOCKERS)
+    @example(DELIVERED_PREDECESSOR_NOT_EARLIER)
+    @example(DELIVERED_PREDECESSOR_LATER_SAME_KEY)
+    @example(DELIVERED_PREDECESSOR_LATER_OTHER_KEY)
     @settings(max_examples=400, deadline=None)
     def test_same_deliveries_masks_and_gaps_after_every_event(self, events):
         indexed, scan = Side(DeliveryManager), Side(ScanDeliveryManager)
@@ -318,6 +339,30 @@ def lookups_for_one_unrelated_event(manager_cls, depth: int) -> int:
     return history.lookups
 
 
+def lookups_for_one_event_behind_delivered(manager_cls, depth: int) -> int:
+    """History lookups of one stable event on key ``a`` whose predecessors are
+    ``depth`` delivered commands on that key, while one command on key ``b``
+    stays pending (so the nothing-pending shortcut is not taken)."""
+    history = CountingHistory()
+    manager = manager_cls(history, lambda c: None)
+    delivered_mask = 0
+    for seq in range(depth):
+        command = Command(command_id=(0, seq), key="a", operation="put", value="w", origin=0)
+        entry = history.update(command, LogicalTimestamp(seq + 1, 0), delivered_mask,
+                               CommandStatus.STABLE, BALLOT)
+        assert manager.on_stable(command) == [command]
+        delivered_mask |= 1 << entry.index
+    held = Command(command_id=(1, 0), key="b", operation="put", value="h", origin=0)
+    history.update(held, LogicalTimestamp(1, 1), {(99, 0)}, CommandStatus.STABLE, BALLOT)
+    assert manager.on_stable(held) == []
+    late = Command(command_id=(2, 0), key="a", operation="put", value="l", origin=0)
+    history.update(late, LogicalTimestamp(depth + 1, 2), delivered_mask,
+                   CommandStatus.STABLE, BALLOT)
+    history.lookups = 0
+    assert manager.on_stable(late) == [late]
+    return history.lookups
+
+
 DEPTHS = (8, 64, 512)
 
 
@@ -326,8 +371,15 @@ def test_stable_event_cost_is_independent_of_pending_depth():
     assert len(set(counts)) == 1, dict(zip(DEPTHS, counts))
 
 
+def test_stable_event_cost_is_independent_of_delivered_predecessors():
+    counts = [lookups_for_one_event_behind_delivered(DeliveryManager, depth) for depth in DEPTHS]
+    assert len(set(counts)) == 1, dict(zip(DEPTHS, counts))
+
+
 def test_the_guard_catches_the_scan():
-    """The same count grows linearly under the scan, so the guard above
-    would fail if the rescan ever came back."""
-    counts = [lookups_for_one_unrelated_event(ScanDeliveryManager, depth) for depth in DEPTHS]
-    assert counts[0] < counts[1] < counts[2] and counts[2] >= DEPTHS[2], counts
+    """The same counts grow linearly under the scan (its rescan of the pending
+    commands, its BREAKLOOP over every predecessor), so the guards above would
+    fail if either ever came back."""
+    for lookups in (lookups_for_one_unrelated_event, lookups_for_one_event_behind_delivered):
+        counts = [lookups(ScanDeliveryManager, depth) for depth in DEPTHS]
+        assert counts[0] < counts[1] < counts[2] and counts[2] >= DEPTHS[2], counts
