@@ -17,6 +17,12 @@ replica can lead commands; a command's *attributes* are a dependency set
   breaking ties inside a component by sequence number.  The graph analysis is
   the CPU cost the paper blames for EPaxos' degradation under high conflict
   rates; it is charged to the replica's simulated CPU here.
+
+The replica keeps what it knows instead of re-deriving it: a per-key index of
+write and read instances answers a conflict lookup with one set copy, a
+dependency set is one frozenset shared by the instance and the messages that
+carry it, and a committed instance whose dependencies are all executed skips
+the graph walk but is charged exactly what the walk charges for its one node.
 """
 
 from __future__ import annotations
@@ -66,17 +72,18 @@ class Instance:
     instance_id: InstanceId
     command: Optional[Command]
     seq: int
-    deps: Set[InstanceId]
+    deps: FrozenSet[InstanceId]
     status: InstanceStatus
     ballot: Ballot
     _sorted_deps: Optional[List[InstanceId]] = None
-    _sorted_for: Optional[Set[InstanceId]] = None
+    _sorted_for: Optional[FrozenSet[InstanceId]] = None
 
     def deps_sorted(self) -> List[InstanceId]:
         """Sorted view of ``deps``, cached until the set is reassigned.
 
-        ``deps`` is only ever replaced wholesale (never mutated in place), so
-        identity of the set object is a sound cache key.  The execution graph
+        ``deps`` is only ever replaced wholesale (it is the frozenset of the
+        message it came from or went out in), so identity of the set object is
+        a sound cache key.  The execution graph
         walk re-visits blocked instances many times; sorting their dependency
         lists once instead of per visit is a large constant-factor win.
         """
@@ -183,9 +190,9 @@ class _LeaderState:
     command: Command
     phase: str  # "preaccept" | "accept" | "done"
     seq: int
-    deps: Set[InstanceId]
+    deps: FrozenSet[InstanceId]
     original_seq: int
-    original_deps: Set[InstanceId]
+    original_deps: FrozenSet[InstanceId]
     ballot: Ballot
     votes: QuorumTracker = field(default_factory=QuorumTracker.unreachable)
     went_slow: bool = False
@@ -220,7 +227,8 @@ class EPaxosReplica(ProtocolKernel):
                  suspect_after_ms: float = 600.0) -> None:
         super().__init__(node_id, sim, network, quorums, state_machine, cost_model)
         self.instances: Dict[InstanceId, Instance] = {}
-        self._conflict_index: Dict[str, Set[InstanceId]] = {}
+        #: key -> (write instances, read instances); see ``_record_instance``.
+        self._conflict_index: Dict[str, Tuple[Set[InstanceId], Set[InstanceId]]] = {}
         self._leader_states: Dict[InstanceId, _LeaderState] = {}
         self._recoveries: Dict[InstanceId, _RecoveryState] = {}
         self._next_instance = 0
@@ -239,22 +247,22 @@ class EPaxosReplica(ProtocolKernel):
         """Lead a new instance for ``command`` (phase 1, PreAccept)."""
         instance_id = (self.node_id, self._next_instance)
         self._next_instance += 1
-        deps = self._interfering_instances(command, exclude=instance_id)
+        deps = frozenset(self._interfering_instances(command, exclude=instance_id))
         seq = self._next_seq(deps)
         self.consume_cpu(self.cost_model.dependency_cost(len(deps)))
         instance = Instance(instance_id=instance_id, command=command, seq=seq,
-                            deps=set(deps), status=InstanceStatus.PRE_ACCEPTED,
+                            deps=deps, status=InstanceStatus.PRE_ACCEPTED,
                             ballot=Ballot.initial(self.node_id))
         self._record_instance(instance)
         self._command_instance[command.command_id] = instance_id
         state = _LeaderState(instance_id=instance_id, command=command, phase="preaccept",
-                             seq=seq, deps=set(deps), original_seq=seq,
-                             original_deps=set(deps), ballot=instance.ballot,
+                             seq=seq, deps=deps, original_seq=seq,
+                             original_deps=deps, ballot=instance.ballot,
                              votes=QuorumTracker(self.fast_quorum, extra_votes=1),
                              started_at=self.sim.now)
         self._leader_states[instance_id] = state
         pre_accept = PreAccept(instance_id=instance_id, command=command, seq=seq,
-                               deps=frozenset(deps), ballot=instance.ballot)
+                               deps=deps, ballot=instance.ballot)
         self.broadcast(pre_accept, include_self=False)
         self.track_retransmit(("lead", instance_id), pre_accept,
                               tracker=state.votes,
@@ -263,17 +271,20 @@ class EPaxosReplica(ProtocolKernel):
     # --------------------------------------------------------------- helpers
 
     def _interfering_instances(self, command: Command, exclude: InstanceId) -> Set[InstanceId]:
-        """Instances known locally whose command conflicts with ``command``."""
-        result: Set[InstanceId] = set()
-        for instance_id in self._conflict_index.get(command.key, ()):  # same key
-            if instance_id == exclude:
-                continue
-            instance = self.instances[instance_id]
-            if instance.command is not None and instance.command.conflicts_with(command):
-                result.add(instance_id)
+        """Instances known locally whose command conflicts with ``command``.
+
+        :meth:`Command.conflicts_with` as one set copy: a ``get`` interferes
+        with its key's writes, anything else with its writes and reads.
+        """
+        index = self._conflict_index.get(command.key)
+        if index is None:
+            return set()
+        writes, reads = index
+        result = writes | reads if command.is_write else writes.copy()
+        result.discard(exclude)
         return result
 
-    def _next_seq(self, deps: Set[InstanceId]) -> int:
+    def _next_seq(self, deps: FrozenSet[InstanceId]) -> int:
         """1 + the maximum sequence number among the dependencies."""
         max_seq = 0
         for dep in deps:
@@ -283,11 +294,26 @@ class EPaxosReplica(ProtocolKernel):
         return max_seq + 1
 
     def _record_instance(self, instance: Instance) -> None:
-        """Store an instance and index it for conflict lookups."""
-        self.instances[instance.instance_id] = instance
-        if instance.command is not None:
-            self._conflict_index.setdefault(instance.command.key, set()).add(instance.instance_id)
-            self._command_instance.setdefault(instance.command.command_id, instance.instance_id)
+        """Store an instance and index it for conflict lookups.
+
+        ``_conflict_index[key]`` holds the instances recorded with a write on
+        ``key`` and those recorded with a read; an instance recorded without
+        a command (a recovery no-op) is in neither, and an id recorded again
+        first leaves the set its old command put it in.
+        """
+        instance_id = instance.instance_id
+        previous = self.instances.get(instance_id)
+        if previous is not None and previous.command is not None:
+            self._index_for(previous.command).discard(instance_id)
+        self.instances[instance_id] = instance
+        command = instance.command
+        if command is not None:
+            self._index_for(command).add(instance_id)
+            self._command_instance.setdefault(command.command_id, instance_id)
+
+    def _index_for(self, command: Command) -> Set[InstanceId]:
+        writes, reads = self._conflict_index.setdefault(command.key, (set(), set()))
+        return writes if command.is_write else reads
 
     # phase 1 -----------------------------------------------------------------
 
@@ -300,17 +326,17 @@ class EPaxosReplica(ProtocolKernel):
             return
         if existing is not None and existing.ballot > message.ballot:
             return
-        deps = set(message.deps) | self._interfering_instances(message.command,
-                                                               exclude=message.instance_id)
+        deps = message.deps | self._interfering_instances(message.command,
+                                                          exclude=message.instance_id)
         seq = max(message.seq, self._next_seq(deps))
         self.consume_cpu(self.cost_model.dependency_cost(len(deps)))
-        changed = deps != set(message.deps) or seq != message.seq
+        changed = deps != message.deps or seq != message.seq
         instance = Instance(instance_id=message.instance_id, command=message.command,
                             seq=seq, deps=deps, status=InstanceStatus.PRE_ACCEPTED,
                             ballot=message.ballot)
         self._record_instance(instance)
         self.send(src, PreAcceptReply(instance_id=message.instance_id, seq=seq,
-                                      deps=frozenset(deps), ballot=message.ballot,
+                                      deps=deps, ballot=message.ballot,
                                       changed=changed))
 
     @handles(PreAcceptReply)
@@ -325,16 +351,15 @@ class EPaxosReplica(ProtocolKernel):
             return
         replies = state.votes.payloads()
         unchanged = all(not reply.changed and
-                        set(reply.deps) == state.original_deps and
+                        reply.deps == state.original_deps and
                         reply.seq == state.original_seq
                         for reply in replies)
         if unchanged:
             self._commit_instance(state, state.original_seq, state.original_deps, fast=True)
         else:
-            merged_deps: Set[InstanceId] = set(state.original_deps)
+            merged_deps = state.original_deps.union(*[reply.deps for reply in replies])
             merged_seq = state.original_seq
             for reply in replies:
-                merged_deps |= set(reply.deps)
                 merged_seq = max(merged_seq, reply.seq)
             state.seq = merged_seq
             state.deps = merged_deps
@@ -343,11 +368,10 @@ class EPaxosReplica(ProtocolKernel):
             state.votes = QuorumTracker(self.quorums.classic, extra_votes=1)
             instance = self.instances[state.instance_id]
             instance.seq = merged_seq
-            instance.deps = set(merged_deps)
+            instance.deps = merged_deps
             instance.status = InstanceStatus.ACCEPTED
             accept = Accept(instance_id=state.instance_id, command=state.command,
-                            seq=merged_seq, deps=frozenset(merged_deps),
-                            ballot=state.ballot)
+                            seq=merged_seq, deps=merged_deps, ballot=state.ballot)
             self.broadcast(accept, include_self=False)
             # Supersede the PreAccept round: resends now carry the Accept.
             self.track_retransmit(("lead", state.instance_id), accept,
@@ -366,7 +390,7 @@ class EPaxosReplica(ProtocolKernel):
                                                         InstanceStatus.EXECUTED):
             return
         instance = Instance(instance_id=message.instance_id, command=message.command,
-                            seq=message.seq, deps=set(message.deps),
+                            seq=message.seq, deps=message.deps,
                             status=InstanceStatus.ACCEPTED, ballot=message.ballot)
         self._record_instance(instance)
         self.send(src, AcceptReply(instance_id=message.instance_id, ballot=message.ballot))
@@ -383,10 +407,11 @@ class EPaxosReplica(ProtocolKernel):
 
     # commit & execution ------------------------------------------------------
 
-    def _commit_instance(self, state: _LeaderState, seq: int, deps: Set[InstanceId],
+    def _commit_instance(self, state: _LeaderState, seq: int, deps: FrozenSet[InstanceId],
                          fast: bool) -> None:
         """Finalize an instance at the leader and broadcast the commit."""
-        state.phase = "done"
+        state.phase = "done"  # for the retransmit entry, which keeps its own reference
+        del self._leader_states[state.instance_id]  # a late reply finds no state: ignored
         if fast:
             self.stats.fast_decisions += 1
             kind = DecisionKind.FAST
@@ -398,12 +423,12 @@ class EPaxosReplica(ProtocolKernel):
         self.record_phase_time(command_id, "propose", self.sim.now - state.started_at)
         instance = self.instances[state.instance_id]
         instance.seq = seq
-        instance.deps = set(deps)
+        instance.deps = deps
         instance.status = InstanceStatus.COMMITTED
         self._unexecuted_committed.add(state.instance_id)
         self.resolve_retransmit(("lead", state.instance_id))
         self.broadcast(Commit(instance_id=state.instance_id, command=state.command,
-                              seq=seq, deps=frozenset(deps)),
+                              seq=seq, deps=deps),
                        include_self=False)
         self._try_execute()
 
@@ -413,7 +438,7 @@ class EPaxosReplica(ProtocolKernel):
         instance = self.instances.get(message.instance_id)
         if instance is None:
             instance = Instance(instance_id=message.instance_id, command=message.command,
-                                seq=message.seq, deps=set(message.deps),
+                                seq=message.seq, deps=message.deps,
                                 status=InstanceStatus.COMMITTED,
                                 ballot=Ballot.initial(message.instance_id[0]))
             self._record_instance(instance)
@@ -422,7 +447,7 @@ class EPaxosReplica(ProtocolKernel):
                 return
             instance.command = instance.command or message.command
             instance.seq = message.seq
-            instance.deps = set(message.deps)
+            instance.deps = message.deps
             instance.status = InstanceStatus.COMMITTED
         self._unexecuted_committed.add(message.instance_id)
         # A commit learned from elsewhere (recovery) supersedes a local round.
@@ -435,13 +460,16 @@ class EPaxosReplica(ProtocolKernel):
         Implements EPaxos' graph-based execution: strongly connected
         components of the committed dependency graph are executed in reverse
         topological order, commands inside a component by sequence number.
+        Each round asks :meth:`_execution_order` about every waiting instance
+        again (modelled CPU); only a round over nothing is skipped.
         """
+        pending = self._unexecuted_committed
         progress = True
-        while progress:
+        while progress and pending:
             progress = False
-            for instance_id in list(self._unexecuted_committed):
+            for instance_id in list(pending):
                 if instance_id in self._executed:
-                    self._unexecuted_committed.discard(instance_id)
+                    pending.discard(instance_id)
                     continue
                 component_order = self._execution_order(instance_id)
                 if component_order is None:
@@ -451,7 +479,7 @@ class EPaxosReplica(ProtocolKernel):
                     if ready_id in self._executed:
                         continue
                     self._executed.add(ready_id)
-                    self._unexecuted_committed.discard(ready_id)
+                    pending.discard(ready_id)
                     ready.status = InstanceStatus.EXECUTED
                     if ready.command is not None:
                         self.execute_command(ready.command)
@@ -502,7 +530,7 @@ class EPaxosReplica(ProtocolKernel):
                                                            InstanceStatus.EXECUTED):
                 continue
             supplies.append(Commit(instance_id=instance_id, command=instance.command,
-                                   seq=instance.seq, deps=frozenset(instance.deps)))
+                                   seq=instance.seq, deps=instance.deps))
         return supplies
 
     def _execution_order(self, root: InstanceId) -> Optional[List[InstanceId]]:
@@ -510,8 +538,23 @@ class EPaxosReplica(ProtocolKernel):
 
         Returns the execution order (dependencies first), or ``None`` when the
         closure still contains an uncommitted instance, in which case the root
-        cannot be executed yet.
+        cannot be executed yet.  ``root`` itself is not executed (the caller
+        checks).
+
+        For a committed root whose dependencies are all executed the walk
+        would visit that one node, skip every dependency and pop a one-member
+        component, so the answer is returned without building the walk, with
+        the count and the CPU charge of one visited node: the virtual clock
+        cannot tell the two apart.
         """
+        instances = self.instances
+        executed = self._executed
+        instance = instances.get(root)
+        if (instance is not None and instance.status is InstanceStatus.COMMITTED
+                and instance.deps <= executed):
+            self.stats.graph_nodes_visited += 1
+            self.consume_cpu(self.cost_model.dependency_cost(1))
+            return [root]
         order: List[InstanceId] = []
         index: Dict[InstanceId, int] = {}
         lowlink: Dict[InstanceId, int] = {}
@@ -519,8 +562,6 @@ class EPaxosReplica(ProtocolKernel):
         stack: List[InstanceId] = []
         counter = 0
         visited_count = 0
-        instances = self.instances
-        executed = self._executed
 
         # Each frame is (node, iterator over deps, last child visited).
         work: List[list] = [[root, None, None]]
@@ -617,7 +658,7 @@ class EPaxosReplica(ProtocolKernel):
             instance.ballot = message.ballot
             reply = PrepareReply(instance_id=message.instance_id, ballot=message.ballot,
                                  known=True, command=instance.command, seq=instance.seq,
-                                 deps=frozenset(instance.deps), status=instance.status.value)
+                                 deps=instance.deps, status=instance.status.value)
         self.send(src, reply)
 
     @handles(PrepareReply)
@@ -636,55 +677,53 @@ class EPaxosReplica(ProtocolKernel):
         pre_accepted = [r for r in known if r.status == InstanceStatus.PRE_ACCEPTED.value]
         if committed:
             chosen = committed[0]
-            self._adopt_commit(message.instance_id, chosen.command, chosen.seq, set(chosen.deps))
+            self._adopt_commit(message.instance_id, chosen.command, chosen.seq, chosen.deps)
         elif accepted or pre_accepted or (local is not None and local.command is not None):
             source = (accepted or pre_accepted)
             if source:
                 command = source[0].command
                 seq = max(r.seq for r in source)
-                deps: Set[InstanceId] = set()
-                for r in source:
-                    deps |= set(r.deps)
+                deps = frozenset().union(*[r.deps for r in source])
             else:
                 command = local.command
                 seq = local.seq
-                deps = set(local.deps)
+                deps = local.deps
             state = _LeaderState(instance_id=message.instance_id, command=command,
                                  phase="accept", seq=seq, deps=deps, original_seq=seq,
-                                 original_deps=set(deps), ballot=recovery.ballot,
+                                 original_deps=deps, ballot=recovery.ballot,
                                  votes=QuorumTracker(self.quorums.classic, extra_votes=1),
                                  went_slow=True, started_at=self.sim.now)
             self._leader_states[message.instance_id] = state
             instance = Instance(instance_id=message.instance_id, command=command, seq=seq,
-                                deps=set(deps), status=InstanceStatus.ACCEPTED,
+                                deps=deps, status=InstanceStatus.ACCEPTED,
                                 ballot=recovery.ballot)
             self._record_instance(instance)
             self.broadcast(Accept(instance_id=message.instance_id, command=command, seq=seq,
-                                  deps=frozenset(deps), ballot=recovery.ballot),
+                                  deps=deps, ballot=recovery.ballot),
                            include_self=False)
         else:
             # Nobody knows the command: commit a no-op so execution is never blocked.
-            self._adopt_commit(message.instance_id, None, 0, set())
+            self._adopt_commit(message.instance_id, None, 0, frozenset())
 
     def _adopt_commit(self, instance_id: InstanceId, command: Optional[Command], seq: int,
-                      deps: Set[InstanceId]) -> None:
+                      deps: FrozenSet[InstanceId]) -> None:
         """Record and re-broadcast a commit learned during recovery."""
         instance = self.instances.get(instance_id)
         if instance is None:
             instance = Instance(instance_id=instance_id, command=command, seq=seq,
-                                deps=set(deps), status=InstanceStatus.COMMITTED,
+                                deps=deps, status=InstanceStatus.COMMITTED,
                                 ballot=Ballot.initial(instance_id[0]))
             self._record_instance(instance)
         else:
             instance.command = instance.command or command
             instance.seq = seq
-            instance.deps = set(deps)
+            instance.deps = deps
             if instance.status is not InstanceStatus.EXECUTED:
                 instance.status = InstanceStatus.COMMITTED
         if instance.status is InstanceStatus.COMMITTED:
             self._unexecuted_committed.add(instance_id)
         self.broadcast(Commit(instance_id=instance_id, command=command, seq=seq,
-                              deps=frozenset(deps)), include_self=False)
+                              deps=deps), include_self=False)
         self._try_execute()
 
     # telemetry ---------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.baselines.epaxos import EPaxosReplica, InstanceStatus
 from repro.consensus.interface import DecisionKind
 from repro.consensus.quorums import QuorumSystem
+from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.kvstore.store import KeyValueStore
 from repro.sim.network import Network
 from repro.sim.simulator import Simulator
@@ -88,12 +91,49 @@ class TestSlowPath:
         snapshots = [r.state_machine.snapshot() for r in replicas]
         assert all(s == snapshots[0] for s in snapshots)
 
+    def test_decided_instances_leave_no_leader_state(self):
+        """Fast or slow, a leader forgets an instance once its Commit is out."""
+        sim, _, replicas = build_epaxos_cluster(seed=2)
+        commands = [(i, make_command(i, k, key="hot" if k < 4 else f"own-{i}-{k}", origin=i))
+                    for i in range(5) for k in range(6)]
+        assert submit_and_run(sim, replicas, commands, deadline_ms=120000)
+        assert sum(r.stats.slow_decisions for r in replicas) > 0
+        assert sum(r.stats.fast_decisions for r in replicas) > 0
+        sim.run(until=sim.now + 2000.0)  # late replies find no state and are ignored
+        assert [len(r._leader_states) for r in replicas] == [0] * 5
+        assert sum(r.stats.fast_decisions + r.stats.slow_decisions for r in replicas) == 30
+
     def test_graph_execution_visits_dependencies(self):
         sim, _, replicas = build_epaxos_cluster(seed=5)
         commands = [(i, make_command(i, k, key="hot", origin=i))
                     for i in range(3) for k in range(3)]
         assert submit_and_run(sim, replicas, commands, deadline_ms=120000)
         assert sum(r.stats.graph_nodes_visited for r in replicas) > 0
+
+
+class TestModelledCostGolden:
+    def test_seeded_run_charges_exactly_what_it_did(self):
+        """The dependency-graph walk is *modelled* CPU: pin what a seeded run charges.
+
+        ``graph_nodes_visited`` feeds ``consume_cpu`` and so the virtual clock,
+        the event count and the execution order of every EPaxos figure cell.
+        An "optimisation" that answers the same question while visiting (and
+        charging) fewer nodes moves all three; it fails here instead of in the
+        nightly record gate.  Values taken at the commit before PR 21.
+        """
+        result = run_experiment(ExperimentConfig(
+            protocol="epaxos", conflict_rate=0.5, clients_per_site=10, duration_ms=1500.0,
+            warmup_ms=250.0, drain_ms=2000.0, seed=21))
+        replicas = result.cluster.replicas
+        assert [r.stats.graph_nodes_visited for r in replicas] == [3031, 4761, 2737, 2792, 2555]
+        assert result.cluster.sim.steps_executed == 23615
+        assert (result.fast_decisions, result.slow_decisions) == (900, 49)
+        order = [command.command_id for command in replicas[0].execution_log]
+        assert len(order) == 949
+        assert order[:6] == [(3, 0), (2, 0), (7, 0), (1, 0), (0, 0), (6, 0)]
+        assert hashlib.sha256(repr(order).encode()).hexdigest() == (
+            "14d88e14d03b6292124c3c8993a23b65f81f8ae592d2beadddb20a70606b8dd4")
+        assert result.consistency_violations == 0
 
 
 class TestRecovery:
@@ -109,6 +149,12 @@ class TestRecovery:
             deadline=60000)
         assert done
         assert sum(r.stats.recoveries for r in replicas if not r.crashed) >= 1
+        # The recovery round that committed dropped the state it wrote; what is
+        # left belongs to rounds that lost to a higher ballot, one per recovery.
+        survivors = [r for r in replicas if not r.crashed]
+        assert all(state.phase == "accept"
+                   for r in survivors for state in r._leader_states.values())
+        assert any(r.stats.recoveries and not r._leader_states for r in survivors)
 
     def test_unknown_instance_recovered_as_noop(self):
         """If no live replica knows the command, recovery commits a no-op."""
