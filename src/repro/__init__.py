@@ -11,14 +11,10 @@ asyncio TCP deployment mode running the same protocol code over sockets
 (:mod:`repro.net`).
 
 Programmatic users should import :mod:`repro.api` — the one stable facade
-re-exporting every entry point and config dataclass.
+over every entry point and config dataclass.  Importing ``repro`` (or a
+subpackage) loads no code: names live in their defining modules
+(``repro.core.caesar.CaesarReplica``) and ``repro.api`` resolves its names on
+first use, so a process imports only what it runs.
 """
 
 __version__ = "1.0.0"
-
-from repro.consensus.command import Command
-from repro.consensus.quorums import QuorumSystem
-from repro.core.caesar import CaesarReplica
-from repro.core.config import CaesarConfig
-
-__all__ = ["Command", "QuorumSystem", "CaesarReplica", "CaesarConfig", "__version__"]

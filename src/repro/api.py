@@ -1,7 +1,7 @@
 """One public facade over the repro toolkit.
 
 Everything an external caller (a notebook, a script, the examples) needs is
-re-exported here, so user code imports one module instead of spelunking the
+reachable here, so user code imports one module instead of spelunking the
 package layout::
 
     from repro import api
@@ -31,90 +31,91 @@ Each entry point has a config dataclass (``ExperimentConfig``,
 ``ClusterConfig`` / ``NetworkConfig`` / ``WorkloadConfig``), and every config
 that maps onto CLI flags has a ``from_args`` classmethod — the CLI itself is
 just argparse + these constructors.
+
+Importing this module imports nothing else.  A name's defining module is
+loaded the first time the name is used (``api.X`` or ``from repro.api import
+X``) and the value is then an ordinary attribute of this module, so a process
+pays at start-up only for what it runs.
 """
 
 from __future__ import annotations
 
-from repro.consensus.command import Command, CommandResult
-from repro.harness.chaos import ChaosConfig, ChaosResult, run_chaos
-from repro.harness.cluster import Cluster, ClusterConfig, build_cluster
-from repro.harness.experiment import (ExperimentConfig, ExperimentResult,
-                                      run_experiment)
-from repro.harness.overload import (LoadPoint, OverloadConfig, OverloadResult,
-                                    run_overload_sweep, store_overload_result)
-from repro.harness.protocols import PROTOCOLS, register_protocol
-from repro.harness.shard import (ShardedConfig, ShardedResult, ShardRouter,
-                                 run_sharded)
-from repro.harness.sweep import SweepCell, SweepResult, run_sweep, sweep_cell
-from repro.metrics.report import render_report
-from repro.metrics.store import ResultsStore, RunRecord, current_git_commit
-from repro.net.client import (LoadgenConfig, LoadgenReport, fetch_stats,
-                              run_loadgen)
-from repro.net.cluster import LocalCluster, ServeConfig, serve_cluster
-from repro.net.replica import ReplicaConfig, ReplicaServer, serve_replica
-from repro.runtime.admission import (AdmissionPolicy, InflightLimit, NoAdmission,
-                                     QueueDeadline, admission_policy)
-from repro.sim.network import NetworkConfig
-from repro.sim.topology import (Topology, custom_topology, ec2_five_sites,
-                                wan_topology, with_replicas_per_site)
-from repro.workload.generator import WorkloadConfig, ZipfWorkloadConfig
+from importlib import import_module
 
-__all__ = [
+#: Every public name and the module that defines it.  Nothing is imported
+#: until a name is first used, so a simulator run never loads ``repro.net``
+#: (and with it ``asyncio``), nor a CAESAR run the four baselines.
+_EXPORTS = {
     # entry points
-    "run_experiment",
-    "run_sweep",
-    "run_chaos",
-    "serve_cluster",
-    "run_loadgen",
-    "serve_replica",
-    "run_overload_sweep",
-    "run_sharded",
+    "run_experiment": "repro.harness.experiment",
+    "run_sweep": "repro.harness.sweep",
+    "run_chaos": "repro.harness.chaos",
+    "serve_cluster": "repro.net.cluster",
+    "run_loadgen": "repro.net.client",
+    "serve_replica": "repro.net.replica",
+    "run_overload_sweep": "repro.harness.overload",
+    "run_sharded": "repro.harness.shard",
     # configs
-    "ExperimentConfig",
-    "ChaosConfig",
-    "ClusterConfig",
-    "NetworkConfig",
-    "WorkloadConfig",
-    "ZipfWorkloadConfig",
-    "ShardedConfig",
-    "ServeConfig",
-    "LoadgenConfig",
-    "ReplicaConfig",
-    "OverloadConfig",
+    "ExperimentConfig": "repro.harness.experiment",
+    "ChaosConfig": "repro.harness.chaos",
+    "ClusterConfig": "repro.harness.cluster",
+    "NetworkConfig": "repro.sim.network",
+    "WorkloadConfig": "repro.workload.generator",
+    "ZipfWorkloadConfig": "repro.workload.generator",
+    "ShardedConfig": "repro.harness.shard",
+    "ServeConfig": "repro.net.cluster",
+    "LoadgenConfig": "repro.net.client",
+    "ReplicaConfig": "repro.net.replica",
+    "OverloadConfig": "repro.harness.overload",
     # results / building blocks
-    "ExperimentResult",
-    "ChaosResult",
-    "SweepCell",
-    "SweepResult",
-    "sweep_cell",
-    "LoadgenReport",
-    "LocalCluster",
-    "ReplicaServer",
-    "Cluster",
-    "ShardedResult",
-    "ShardRouter",
-    "Topology",
-    "ec2_five_sites",
-    "custom_topology",
-    "wan_topology",
-    "with_replicas_per_site",
-    "Command",
-    "CommandResult",
-    "PROTOCOLS",
-    "build_cluster",
-    "register_protocol",
-    "fetch_stats",
+    "ExperimentResult": "repro.harness.experiment",
+    "ChaosResult": "repro.harness.chaos",
+    "SweepCell": "repro.harness.sweep",
+    "SweepResult": "repro.harness.sweep",
+    "sweep_cell": "repro.harness.sweep",
+    "LoadgenReport": "repro.net.client",
+    "LocalCluster": "repro.net.cluster",
+    "ReplicaServer": "repro.net.replica",
+    "Cluster": "repro.harness.cluster",
+    "ShardedResult": "repro.harness.shard",
+    "ShardRouter": "repro.harness.shard",
+    "Topology": "repro.sim.topology",
+    "ec2_five_sites": "repro.sim.topology",
+    "custom_topology": "repro.sim.topology",
+    "wan_topology": "repro.sim.topology",
+    "with_replicas_per_site": "repro.sim.topology",
+    "Command": "repro.consensus.command",
+    "CommandResult": "repro.consensus.command",
+    "PROTOCOLS": "repro.harness.protocols",
+    "build_cluster": "repro.harness.cluster",
+    "register_protocol": "repro.harness.protocols",
+    "fetch_stats": "repro.net.client",
     # overload / admission / results store
-    "OverloadResult",
-    "LoadPoint",
-    "store_overload_result",
-    "AdmissionPolicy",
-    "NoAdmission",
-    "InflightLimit",
-    "QueueDeadline",
-    "admission_policy",
-    "ResultsStore",
-    "RunRecord",
-    "render_report",
-    "current_git_commit",
-]
+    "OverloadResult": "repro.harness.overload",
+    "LoadPoint": "repro.harness.overload",
+    "store_overload_result": "repro.harness.overload",
+    "AdmissionPolicy": "repro.runtime.admission",
+    "NoAdmission": "repro.runtime.admission",
+    "InflightLimit": "repro.runtime.admission",
+    "QueueDeadline": "repro.runtime.admission",
+    "admission_policy": "repro.runtime.admission",
+    "ResultsStore": "repro.metrics.store",
+    "RunRecord": "repro.metrics.store",
+    "render_report": "repro.metrics.report",
+    "current_git_commit": "repro.metrics.store",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import the module behind ``name`` on first use and keep the value (PEP 562)."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(module), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -13,10 +13,3 @@ All four run on the same simulated substrate and expose the same
 :class:`~repro.consensus.interface.ConsensusReplica` interface as CAESAR, so
 every experiment can swap protocols by name.
 """
-
-from repro.baselines.epaxos import EPaxosReplica
-from repro.baselines.m2paxos import M2PaxosReplica
-from repro.baselines.mencius import MenciusReplica
-from repro.baselines.multipaxos import MultiPaxosReplica
-
-__all__ = ["EPaxosReplica", "MultiPaxosReplica", "MenciusReplica", "M2PaxosReplica"]

@@ -15,22 +15,3 @@ The package adds adversity beyond the scheduled crash of Figure 12:
 Everything is seeded through the simulator's deterministic RNG, so a chaos
 run replays exactly from ``(protocol, schedule, seed)``.
 """
-
-from repro.chaos.checker import LinearizabilityReport, check_history, check_operations
-from repro.chaos.faults import FaultStats, LinkFaults
-from repro.chaos.history import HistoryTape, Operation
-from repro.chaos.nemesis import NEMESIS_SCHEDULES, Nemesis, NemesisPlan, random_plan
-
-__all__ = [
-    "FaultStats",
-    "HistoryTape",
-    "LinearizabilityReport",
-    "LinkFaults",
-    "NEMESIS_SCHEDULES",
-    "Nemesis",
-    "NemesisPlan",
-    "Operation",
-    "check_history",
-    "check_operations",
-    "random_plan",
-]

@@ -4,31 +4,3 @@ These are the pieces every protocol in the repository (CAESAR and all four
 baselines) builds on: the command model and its conflict relation, logical
 timestamps, ballots, quorum-size math, and the replica/decision interfaces.
 """
-
-from repro.consensus.ballots import Ballot
-from repro.consensus.command import Command, CommandId, commands_conflict
-from repro.consensus.interface import (
-    ConsensusReplica,
-    Decision,
-    DecisionKind,
-    ExecutionLog,
-)
-from repro.consensus.quorums import QuorumSystem, classic_quorum_size, fast_quorum_size, max_failures
-from repro.consensus.timestamps import LogicalTimestamp, TimestampGenerator
-
-__all__ = [
-    "Command",
-    "CommandId",
-    "commands_conflict",
-    "LogicalTimestamp",
-    "TimestampGenerator",
-    "Ballot",
-    "QuorumSystem",
-    "classic_quorum_size",
-    "fast_quorum_size",
-    "max_failures",
-    "ConsensusReplica",
-    "Decision",
-    "DecisionKind",
-    "ExecutionLog",
-]

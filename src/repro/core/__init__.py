@@ -11,9 +11,3 @@ The protocol is split across focused modules:
 * :mod:`repro.core.recovery` -- the ballot-based recovery phase (Section V-E).
 * :mod:`repro.core.caesar` -- the replica tying everything together.
 """
-
-from repro.core.caesar import CaesarReplica
-from repro.core.config import CaesarConfig
-from repro.core.history import CommandHistory, CommandStatus, HistoryEntry
-
-__all__ = ["CaesarReplica", "CaesarConfig", "CommandHistory", "CommandStatus", "HistoryEntry"]

@@ -206,7 +206,6 @@ class CaesarReplica(ProtocolKernel):
             self.stats.slow_decisions += 1
         self.record_decided(command_id, kind)
         self.record_phase_time(command_id, "deliver_start", 0.0)
-        self.decisions.get(command_id)  # ensure record exists for local proposals
         self.broadcast(Stable(command=state.command, ballot=state.ballot,
                               timestamp=state.timestamp,
                               predecessors=_freeze(state.predecessors)))

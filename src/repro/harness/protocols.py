@@ -11,15 +11,11 @@ differently from CAESAR without this module saying so.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 from typing import Callable, Dict, Mapping, Optional
 
-from repro.baselines.epaxos import EPaxosReplica
-from repro.baselines.m2paxos import M2PaxosReplica
-from repro.baselines.mencius import MenciusReplica
-from repro.baselines.multipaxos import MultiPaxosReplica
 from repro.consensus.interface import ConsensusReplica
 from repro.consensus.quorums import QuorumSystem
-from repro.core.caesar import CaesarReplica
 from repro.core.config import CaesarConfig
 from repro.kvstore.store import KeyValueStore
 from repro.runtime.admission import admission_policy
@@ -47,14 +43,29 @@ def _recovery_flag(on: bool) -> Dict[str, object]:
     return {"recovery_enabled": on}
 
 
+def _in_module(module: str, name: str) -> Callable[..., ConsensusReplica]:
+    """The constructor ``module.name``, imported when the first replica is built.
+
+    A process loads the protocol it runs and no other; what a protocol's
+    messages are numbered on the wire does not depend on which are loaded
+    (:data:`repro.runtime.registry.TYPE_IDS`).
+    """
+    def construct(*args, **options) -> ConsensusReplica:
+        return getattr(import_module(module), name)(*args, **options)
+
+    return construct
+
+
 #: Every protocol, in display order (CLI choices, compare rows, chaos matrix).
 PROTOCOLS: Dict[str, Protocol] = {
-    "caesar": Protocol(CaesarReplica,
+    "caesar": Protocol(_in_module("repro.core.caesar", "CaesarReplica"),
                        lambda on: {"config": CaesarConfig(recovery_enabled=on)}),
-    "epaxos": Protocol(EPaxosReplica, _recovery_flag),
-    "m2paxos": Protocol(M2PaxosReplica),
-    "mencius": Protocol(MenciusReplica),
-    "multipaxos": Protocol(MultiPaxosReplica, _recovery_flag),
+    "epaxos": Protocol(_in_module("repro.baselines.epaxos", "EPaxosReplica"),
+                       _recovery_flag),
+    "m2paxos": Protocol(_in_module("repro.baselines.m2paxos", "M2PaxosReplica")),
+    "mencius": Protocol(_in_module("repro.baselines.mencius", "MenciusReplica")),
+    "multipaxos": Protocol(_in_module("repro.baselines.multipaxos", "MultiPaxosReplica"),
+                           _recovery_flag),
 }
 
 

@@ -6,8 +6,3 @@ key.  :class:`~repro.kvstore.store.KeyValueStore` is that state machine, and
 :class:`~repro.kvstore.state_machine.StateMachine` is the interface consensus
 replicas program against (so other state machines can be plugged in).
 """
-
-from repro.kvstore.state_machine import StateMachine
-from repro.kvstore.store import KeyValueStore
-
-__all__ = ["StateMachine", "KeyValueStore"]

@@ -1,20 +1,1 @@
 """Metrics collection, summary statistics, and the persistent results store."""
-
-from repro.metrics.collector import CommandSample, MetricsCollector
-from repro.metrics.stats import LatencySummary, percentile, summarize_latencies, throughput_timeline
-from repro.metrics.store import (DEFAULT_STORE_PATH, LoadPointRecord, ResultsStore,
-                                 RunRecord, current_git_commit)
-
-__all__ = [
-    "MetricsCollector",
-    "CommandSample",
-    "LatencySummary",
-    "summarize_latencies",
-    "percentile",
-    "throughput_timeline",
-    "ResultsStore",
-    "RunRecord",
-    "LoadPointRecord",
-    "DEFAULT_STORE_PATH",
-    "current_git_commit",
-]

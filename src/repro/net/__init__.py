@@ -21,35 +21,3 @@ over real sockets:
 * :mod:`repro.net.loopback` — in-process localhost clusters + the simulator
   oracle used by the equivalence tests.
 """
-
-from repro.net.client import (LoadgenConfig, LoadgenReport, RemoteReplica,
-                              fetch_stats, run_loadgen)
-from repro.net.clock import WallClock
-from repro.net.cluster import (LocalCluster, ServeConfig, build_local_cluster,
-                               parse_peers, serve_cluster)
-from repro.net.framing import FrameDecoder, FramingError, encode_frame
-from repro.net.replica import ReplicaConfig, ReplicaServer, serve_replica
-from repro.net.transport import AsyncioTransport, PeerNetwork, ReconnectPolicy
-
-__all__ = [
-    "AsyncioTransport",
-    "FrameDecoder",
-    "FramingError",
-    "LoadgenConfig",
-    "LoadgenReport",
-    "LocalCluster",
-    "PeerNetwork",
-    "ReconnectPolicy",
-    "RemoteReplica",
-    "ReplicaConfig",
-    "ReplicaServer",
-    "ServeConfig",
-    "WallClock",
-    "build_local_cluster",
-    "encode_frame",
-    "fetch_stats",
-    "parse_peers",
-    "run_loadgen",
-    "serve_cluster",
-    "serve_replica",
-]

@@ -28,11 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-# Type ids are assigned in registration order and both ends of a socket must
-# agree on them, so the envelope registers after every protocol's messages in
-# every process — whichever of the CLI, ``repro.api`` or ``repro.net`` it
-# entered through.
-import repro.harness.protocols  # noqa: F401
 from repro.consensus.command import Command
 from repro.runtime.codec import STRING, UINT, OptionalCodec
 from repro.runtime.fields import COMMAND, COMMAND_ID

@@ -22,39 +22,9 @@ The :mod:`repro.runtime` package is the common substrate the five protocols
   :class:`~repro.runtime.stats.ProtocolStats` record.
 
 Adding a new protocol means: declare its messages with
-:func:`~repro.runtime.registry.register_message`, subclass ``ProtocolKernel``,
-mark handlers with ``@handles(MessageType)``, and register a builder with the
-harness — the kernel supplies dispatch, stats, quorum tracking, timers,
+:func:`~repro.runtime.registry.register_message` and give each a row in
+:data:`~repro.runtime.registry.TYPE_IDS`, subclass ``ProtocolKernel``,
+mark handlers with ``@handles(MessageType)``, and add the class to the
+protocol table — the kernel supplies dispatch, stats, quorum tracking, timers,
 transport and failure detection.  See README.md for a worked example.
 """
-
-from repro.runtime.registry import WIRE, MessageRegistry, register_message
-from repro.runtime.stats import ProtocolStats
-from repro.runtime.transport import SimulatorTransport, Transport
-
-#: Kernel names are re-exported lazily: the kernel depends on the replica
-#: interface, which depends on the simulated node, which imports the
-#: transport from this package — an eager import here would close that loop.
-_KERNEL_EXPORTS = ("BallotRegister", "ProtocolKernel", "QuorumTracker", "handles")
-
-
-def __getattr__(name: str):
-    if name in _KERNEL_EXPORTS:
-        from repro.runtime import kernel
-
-        return getattr(kernel, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "BallotRegister",
-    "MessageRegistry",
-    "ProtocolKernel",
-    "ProtocolStats",
-    "QuorumTracker",
-    "SimulatorTransport",
-    "Transport",
-    "WIRE",
-    "handles",
-    "register_message",
-]

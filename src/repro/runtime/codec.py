@@ -115,15 +115,19 @@ class SourceWriter:
         return name
 
     def encode_uvarint(self, name: str) -> None:
-        """Append the local ``name`` as a varint; one byte needs no call."""
+        """Append the local ``name`` as a varint; one or two bytes need no call."""
         self.line(f"if {name} < 128: ap({name})")
+        self.line(f"elif {name} < 16384: ap({name} & 127 | 128); ap({name} >> 7)")
         self.line(f"else: _uv({name}, out)")
 
     def decode_uvarint(self) -> str:
-        """Read a varint into a fresh local; one byte needs no call."""
-        name = self.var()
+        """Read a varint into a fresh local; one or two bytes need no call."""
+        name, second = self.var(), self.var()
         self.line(f"{name} = data[o]; o += 1")
-        self.line(f"if {name} > 127: {name}, o = _duv(data, o - 1)")
+        with self.block(f"if {name} > 127:"):
+            self.line(f"{second} = data[o]")
+            self.line(f"if {second} < 128: {name} = {name} & 127 | {second} << 7; o += 1")
+            self.line(f"else: {name}, o = _duv(data, o - 1)")
         return name
 
     def compile(self, label: str) -> Dict[str, object]:

@@ -10,7 +10,9 @@ once, with one :class:`~repro.runtime.codec.Codec` per field::
         ballot: Ballot
         timestamp: LogicalTimestamp
 
-Registration buys three things:
+A message type's wire id is its row in :data:`TYPE_IDS`, so it is the same
+in every process whichever modules that process imports, and in whatever
+order.  Registration buys three things:
 
 * **one canonical wire form** — :meth:`MessageRegistry.encode` is what the
   TCP substrate puts in every frame and what the simulator's wire accounting
@@ -20,9 +22,9 @@ Registration buys three things:
   from its bytes, with encode→decode identity enforced by property tests, and
   answers anything that is not a valid encoding with one
   :class:`WireDecodeError`;
-* **an enumerable message universe** — the Hypothesis round-trip suite and
-  the docs iterate :meth:`MessageRegistry.types` instead of hand-listing
-  per-protocol messages.
+* **an enumerable message universe** — the Hypothesis round-trip suite
+  imports every module :data:`TYPE_IDS` names and iterates
+  :meth:`MessageRegistry.types` instead of hand-listing per-protocol messages.
 
 Registration itself only records the layout.  The first ``encode`` or
 ``decode`` of a type compiles its field codecs' emitters
@@ -48,12 +50,74 @@ class WireDecodeError(ValueError):
     """Raised when bytes handed to the registry are not a valid encoding."""
 
 
-class MessageRegistry:
-    """Maps registered message classes to type ids and compiled codecs."""
+#: The wire type id of every message class, by ``module.qualname``.  Both ends
+#: of a socket must agree on these, and a process registers only the classes
+#: of the modules it imports, in whatever order it imports them: the id is
+#: therefore read from this table, never counted.  A new message type takes
+#: the next free id; an id, once released, is not reused.
+TYPE_IDS: Dict[str, int] = {
+    "repro.sim.batching.MessageBatch": 0,
+    "repro.sim.failures.Heartbeat": 1,
+    "repro.core.messages.FastPropose": 2,
+    "repro.core.messages.FastProposeReply": 3,
+    "repro.core.messages.SlowPropose": 4,
+    "repro.core.messages.SlowProposeReply": 5,
+    "repro.core.messages.Retry": 6,
+    "repro.core.messages.RetryReply": 7,
+    "repro.core.messages.Stable": 8,
+    "repro.core.messages.Recovery": 9,
+    "repro.core.messages.RecoveryReply": 10,
+    "repro.runtime.kernel.CatchUpRequest": 11,
+    "repro.runtime.kernel.CatchUpReply": 12,
+    "repro.baselines.epaxos.PreAccept": 13,
+    "repro.baselines.epaxos.PreAcceptReply": 14,
+    "repro.baselines.epaxos.Accept": 15,
+    "repro.baselines.epaxos.AcceptReply": 16,
+    "repro.baselines.epaxos.Commit": 17,
+    "repro.baselines.epaxos.Prepare": 18,
+    "repro.baselines.epaxos.PrepareReply": 19,
+    "repro.baselines.m2paxos.AcquireOwnership": 20,
+    "repro.baselines.m2paxos.AcquireReply": 21,
+    "repro.baselines.m2paxos.ForwardCommand": 22,
+    "repro.baselines.m2paxos.AcceptCommand": 23,
+    "repro.baselines.m2paxos.AcceptCommandReply": 24,
+    "repro.baselines.m2paxos.AcceptNack": 25,
+    "repro.baselines.m2paxos.DecideCommand": 26,
+    "repro.baselines.mencius.SlotPropose": 27,
+    "repro.baselines.mencius.SlotAck": 28,
+    "repro.baselines.mencius.SlotCommit": 29,
+    "repro.baselines.mencius.SkipAnnounce": 30,
+    "repro.baselines.multipaxos.ClientForward": 31,
+    "repro.baselines.multipaxos.AcceptSlot": 32,
+    "repro.baselines.multipaxos.AcceptSlotReply": 33,
+    "repro.baselines.multipaxos.CommitSlot": 34,
+    "repro.baselines.multipaxos.LeaderPrepare": 35,
+    "repro.baselines.multipaxos.LeaderPrepareReply": 36,
+    "repro.net.wire.Hello": 37,
+    "repro.net.wire.ClientRequest": 38,
+    "repro.net.wire.ClientReply": 39,
+    "repro.net.wire.StatsRequest": 40,
+    "repro.net.wire.StatsReply": 41,
+}
 
-    def __init__(self) -> None:
+
+def _table_name(cls: Type) -> str:
+    """The key of ``cls`` in a type-id table."""
+    return f"{cls.__module__}.{cls.__qualname__}"
+
+
+class MessageRegistry:
+    """Maps registered message classes to type ids and compiled codecs.
+
+    ``type_ids`` is the ``module.qualname -> id`` table the registry numbers
+    its classes from (:data:`TYPE_IDS` for :data:`WIRE`).
+    """
+
+    def __init__(self, type_ids: Dict[str, int]) -> None:
+        self._type_ids = type_ids
         self._codecs: Dict[Type, StructCodec] = {}
-        self._by_id: List[Type] = []
+        #: only the classes this process has imported; ids need not be dense.
+        self._by_id: Dict[int, Type] = {}
         #: compiled lazily, both directions of a type at once (see _compile).
         self._encoders: Dict[Type, Callable[[object], bytes]] = {}
         self._decoders: Dict[int, Callable[[bytes, int], Tuple[object, int]]] = {}
@@ -62,6 +126,10 @@ class MessageRegistry:
                  factory: Optional[Callable] = None) -> Type:
         """Register ``cls`` with one codec per field (in field order).
 
+        The class must have a row of its own in the type-id table: one that is
+        missing, or whose id another row also claims, is refused here, when
+        its module is imported, and not when a peer first fails to decode it.
+
         Every dataclass field must have a codec: a field silently missing
         from the registration would be dropped by encode and restored to its
         default by decode — invisible to round-trip tests, which derive
@@ -69,6 +137,14 @@ class MessageRegistry:
         """
         if cls in self._codecs:
             raise ValueError(f"message type {cls.__name__} already registered")
+        name = _table_name(cls)
+        type_id = self._type_ids.get(name)
+        if type_id is None:
+            raise ValueError(f"message type {name} has no row in the type-id table")
+        for other, other_id in self._type_ids.items():
+            if other_id == type_id and other != name:
+                raise ValueError(
+                    f"message type {name} shares type id {type_id} with {other}")
         if dataclasses.is_dataclass(cls):
             declared = {spec.name for spec in dataclasses.fields(cls)}
             registered = set(field_codecs)
@@ -77,13 +153,13 @@ class MessageRegistry:
                     f"{cls.__name__} registration does not match its fields: "
                     f"missing {sorted(declared - registered)}, "
                     f"unknown {sorted(registered - declared)}")
-        self._by_id.append(cls)
+        self._by_id[type_id] = cls
         self._codecs[cls] = StructCodec(factory or cls, list(field_codecs.items()))
         return cls
 
     def types(self) -> List[Type]:
-        """Every registered message class, in registration order."""
-        return list(self._by_id)
+        """Every message class registered in this process, in type-id order."""
+        return [self._by_id[type_id] for type_id in sorted(self._by_id)]
 
     def field_codecs(self, cls: Type) -> Dict[str, Codec]:
         """The per-field codecs ``cls`` was registered with."""
@@ -104,7 +180,7 @@ class MessageRegistry:
         if encoder is None:
             if cls not in self._codecs:
                 raise KeyError(f"message type {cls.__name__} is not registered")
-            self._compile(self._by_id.index(cls))
+            self._compile(self._type_ids[_table_name(cls)])
             encoder = self._encoders[cls]
         return encoder(message)
 
@@ -122,7 +198,9 @@ class MessageRegistry:
                 type_id, offset = decode_uvarint(data, offset - 1)
             decoder = self._decoders.get(type_id)
             if decoder is None:
-                if type_id >= len(self._by_id):
+                # Also an id of the table whose module this process never
+                # imported: nothing is loaded on a peer's say-so.
+                if type_id not in self._by_id:
                     raise WireDecodeError(f"unknown message type id {type_id}")
                 self._compile(type_id)
                 decoder = self._decoders[type_id]
@@ -150,7 +228,7 @@ class MessageRegistry:
 
 
 #: The process-wide registry every protocol registers its messages with.
-WIRE = MessageRegistry()
+WIRE = MessageRegistry(TYPE_IDS)
 
 
 def register_message(_registry: Optional[MessageRegistry] = None, **field_codecs: Codec):

@@ -15,24 +15,3 @@ process:
 * :mod:`repro.sim.failures` -- crash injection and an eventually-accurate
   failure detector.
 """
-
-from repro.sim.costs import CostModel
-from repro.sim.failures import CrashInjector, FailureDetector
-from repro.sim.network import Network, NetworkConfig
-from repro.sim.node import Node
-from repro.sim.simulator import Simulator
-from repro.sim.topology import Topology, ec2_five_sites, lan_topology, uniform_topology
-
-__all__ = [
-    "Simulator",
-    "Network",
-    "NetworkConfig",
-    "Node",
-    "Topology",
-    "ec2_five_sites",
-    "uniform_topology",
-    "lan_topology",
-    "CrashInjector",
-    "FailureDetector",
-    "CostModel",
-]

@@ -7,14 +7,3 @@ the client's private pool.  Closed-loop clients (one outstanding command
 each) drive the latency experiments; open-loop clients (Poisson arrivals at a
 target rate) drive the throughput experiments.
 """
-
-from repro.workload.clients import ClientPool, ClosedLoopClient, OpenLoopClient
-from repro.workload.generator import ConflictWorkload, WorkloadConfig
-
-__all__ = [
-    "ConflictWorkload",
-    "WorkloadConfig",
-    "ClosedLoopClient",
-    "OpenLoopClient",
-    "ClientPool",
-]

@@ -21,19 +21,19 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import repro.harness.protocols  # noqa: F401  (registers every protocol's messages)
-import repro.net.wire  # noqa: F401  (registers the TCP envelopes)
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command
 from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.messages import FastPropose, FastProposeReply, Stable
+from repro.runtime.codec import UINT, decode_uvarint, encode_uvarint
 from repro.runtime.fields import COMMAND_ID_SET
 from repro.runtime.registry import WIRE
 from repro.sim.batching import MessageBatch
 from repro.sim.failures import Heartbeat
 from tests.interpreted_codec import InterpretedRegistry, interpreted, interpreted_registry
-from tests.test_runtime_codec import message_strategy
+from tests.test_runtime_codec import all_wire_types, message_strategy
 
+ALL_TYPES = all_wire_types()
 INTERPRETED = interpreted_registry(WIRE)
 
 
@@ -48,7 +48,7 @@ def assert_same_wire(message) -> None:
     assert WIRE.decode(compiled_bytes) == INTERPRETED.decode(compiled_bytes)
 
 
-@pytest.mark.parametrize("cls", WIRE.types(), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", ALL_TYPES, ids=lambda cls: cls.__name__)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_every_registered_type_matches_the_interpreted_codec(cls, data):
@@ -75,10 +75,12 @@ _STABLE = st.builds(stable, predecessors=st.frozensets(_IDS, max_size=300))
 
 @settings(max_examples=60, deadline=None)
 @given(message=_STABLE)
-# uvarint: last one-byte value, first two-byte, last two-byte, first three-byte, wide.
+# uvarint: last one-byte value, first two-byte, last two-byte (the widest the
+# generated code writes inline), first three-byte, wide, widest.
 @example(Heartbeat(sender=127, sequence=128))
 @example(Heartbeat(sender=16383, sequence=16384))
 @example(Heartbeat(sender=0, sequence=2**48))
+@example(Heartbeat(sender=2**70 - 1, sequence=127))
 @example(stable(payload_size=128))
 # sint: zigzag maps -64 -> 127 (one byte) and -65 -> 129, 63 -> 126 and 64 -> 128.
 @example(stable(command_id=(-1, -64)))
@@ -123,3 +125,35 @@ def test_a_standalone_codec_compiles_the_same_layout(ids):
     reference.encode(ids, reference_out)
     assert compiled_out == reference_out
     assert COMMAND_ID_SET.decode(bytes(compiled_out), 1) == (ids, len(compiled_out))
+
+
+@pytest.mark.parametrize("value", [0, 127, 128, 16383, 16384, 2**70 - 1])
+def test_inline_varints_are_the_function_s_bytes_on_every_width_boundary(value):
+    """One and two bytes are written and read inline by generated code; from
+    three up it calls ``encode_uvarint`` / ``decode_uvarint``."""
+    compiled_out, function_out, reference_out = bytearray(), bytearray(), bytearray()
+    UINT.encode(value, compiled_out)
+    encode_uvarint(value, function_out)
+    interpreted(UINT, InterpretedRegistry()).encode(value, reference_out)
+    assert compiled_out == function_out == reference_out
+    assert UINT.decode(bytes(compiled_out) + b"\x7f", 0) == (value, len(compiled_out))
+
+
+@pytest.mark.parametrize("data", [
+    b"\x80\x00",          # zero, padded to two bytes
+    b"\xff\x00",          # 127, padded
+    b"\x80\x80\x00",      # zero, padded to three: the inline read falls through
+    b"\x81\x80\x80\x01",
+], ids=lambda data: data.hex())
+def test_a_non_canonical_varint_decodes_exactly_as_the_function_does(data):
+    assert UINT.decode(data, 0) == decode_uvarint(data, 0) \
+        == interpreted(UINT, InterpretedRegistry()).decode(data, 0)
+
+
+@pytest.mark.parametrize("data", [b"\x80", b"\xff\xff", b"\xff" * 11],
+                         ids=lambda data: data.hex()[:8])
+def test_a_varint_that_ends_early_or_never_raises_what_the_function_raises(data):
+    with pytest.raises((IndexError, ValueError)) as inline:
+        UINT.decode(data, 0)
+    with pytest.raises(inline.type):
+        decode_uvarint(data, 0)

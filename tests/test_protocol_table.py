@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from repro.harness import chaos as chaos_harness
 from repro.harness.experiment import ExperimentConfig, build_experiment_cluster
 from repro.harness.protocols import PROTOCOLS, constructor_options, register_protocol
 from repro.net.replica import ReplicaConfig, ReplicaServer
+from repro.runtime.registry import TYPE_IDS
 from repro.sim.topology import lan_topology
 
 
@@ -91,19 +93,36 @@ class TestOneTable:
 
 
 class TestWireTypeIds:
-    def test_every_entry_point_assigns_the_same_message_type_ids(self):
-        # Type ids follow registration (= import) order, and a client and a
-        # replica may enter the package through different modules: the CLI,
-        # the ``repro.api`` facade, or ``repro.net`` alone.
-        script = ("import importlib, sys; importlib.import_module(sys.argv[1]); "
-                  "import repro.net.wire; from repro.runtime.registry import WIRE; "
-                  "print([cls.__qualname__ for cls in WIRE.types()])")
+    """A client and a replica may enter the package through different modules
+    and load different protocols; both must number every message alike."""
+
+    #: Prints ``{module.qualname: id}`` for what the process has registered:
+    #: the ids its decoder dispatches on and its encoders are compiled with.
+    REPORT = ("import json; from repro.runtime.registry import WIRE; "
+              "print(json.dumps({f'{c.__module__}.{c.__qualname__}': type_id "
+              "for type_id, c in WIRE._by_id.items()}))")
+
+    def registered_after(self, statement: str) -> dict:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        tables = {entry: subprocess.run([sys.executable, "-c", script, entry], env=env,
-                                        capture_output=True, text=True, check=True).stdout
-                  for entry in ("repro.cli", "repro.api", "repro.net.client")}
-        assert "Hello" in tables["repro.cli"]
-        assert tables["repro.cli"] == tables["repro.api"] == tables["repro.net.client"]
+        out = subprocess.run([sys.executable, "-c", f"{statement}; {self.REPORT}"], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        return json.loads(out)
+
+    def test_type_ids_hold_whatever_is_imported_in_any_order(self):
+        tables = {entry: self.registered_after(statement) for entry, statement in {
+            "a baseline first": "import repro.baselines.multipaxos, repro.core.caesar",
+            "the envelope first": "import repro.net.wire, repro.baselines.epaxos",
+            "core messages alone": "import repro.core.messages",
+            "the CLI": "import repro.cli",
+        }.items()}
+        # Every report is part of the one table, so any two agree where they overlap ...
+        for entry, table in tables.items():
+            assert table.items() <= TYPE_IDS.items(), entry
+        # ... and each process registered what it imported, not the whole table.
+        assert set(tables["core messages alone"]) == {
+            name for name in TYPE_IDS if name.startswith("repro.core.messages.")}
+        assert "repro.net.wire.Hello" not in tables["a baseline first"]
+        assert "repro.baselines.multipaxos.AcceptSlot" not in tables["the envelope first"]
 
 
 @pytest.fixture

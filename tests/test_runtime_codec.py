@@ -12,6 +12,7 @@ are covered automatically):
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import os
 import pathlib
 import subprocess
@@ -22,7 +23,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-import repro.harness.protocols  # noqa: F401  (registers every protocol's messages)
 from repro.net.wire import StatsReply
 from repro.runtime.codec import (
     BoolCodec,
@@ -38,7 +38,8 @@ from repro.runtime.codec import (
     decode_uvarint,
     encode_uvarint,
 )
-from repro.runtime.registry import WIRE, MessageCodec, MessageRegistry
+from repro.runtime.registry import (TYPE_IDS, WIRE, MessageCodec, MessageRegistry,
+                                    register_message)
 from repro.sim.batching import MessageBatch
 from repro.sim.failures import Heartbeat
 
@@ -76,13 +77,30 @@ def strategy_for(codec) -> st.SearchStrategy:
     raise NotImplementedError(f"no strategy for codec {type(codec).__name__}")
 
 
+def row(cls) -> str:
+    """The key of ``cls`` in a type-id table."""
+    return f"{cls.__module__}.{cls.__qualname__}"
+
+
+def all_wire_types() -> list:
+    """Every message class of the type-id table, in id order.
+
+    A process registers only the modules it imports, so the suites that cover
+    "every type" import each module the table names instead of trusting
+    whatever happens to be loaded at collection time.
+    """
+    for name in TYPE_IDS:
+        importlib.import_module(name.rpartition(".")[0])
+    return WIRE.types()
+
+
 def message_strategy(cls) -> st.SearchStrategy:
     """Strategy over fully populated instances of a registered message type."""
     return st.builds(cls, **{name: strategy_for(codec)
                              for name, codec in WIRE.field_codecs(cls).items()})
 
 
-@pytest.mark.parametrize("cls", WIRE.types(), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", all_wire_types(), ids=lambda cls: cls.__name__)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_encode_decode_roundtrip_and_stable_size(cls, data):
@@ -96,7 +114,7 @@ def test_encode_decode_roundtrip_and_stable_size(cls, data):
 
 def test_every_protocol_message_universe_is_registered():
     """The registry covers all five protocols plus the substrate envelopes."""
-    names = {cls.__name__ for cls in WIRE.types()}
+    names = {cls.__name__ for cls in all_wire_types()}
     expected = {
         # substrate
         "MessageBatch", "Heartbeat",
@@ -116,6 +134,37 @@ def test_every_protocol_message_universe_is_registered():
         "AcceptCommandReply", "AcceptNack", "DecideCommand",
     }
     assert expected <= names
+
+
+def test_every_row_of_the_type_id_table_is_registered_under_its_id():
+    """The table is the golden file: 42 ids, 0 ``MessageBatch`` … 41 ``StatsReply``."""
+    assert list(TYPE_IDS.values()) == list(range(42))
+    # ``types()`` is in id order and the table is written in id order.
+    assert [row(cls) for cls in all_wire_types()] == list(TYPE_IDS)
+    assert WIRE.encode(MessageBatch(messages=()))[0] == 0
+    assert WIRE.encode(StatsReply(sender=1, payload=""))[0] == 41
+
+
+def test_a_class_without_a_row_or_with_a_shared_id_is_refused_at_registration():
+    """Registration runs at import: the error names the class, before any frame."""
+
+    @dataclasses.dataclass(frozen=True)
+    class Orphan:
+        value: int
+
+    @dataclasses.dataclass(frozen=True)
+    class Twin:
+        value: int
+
+    with pytest.raises(ValueError, match=r"Orphan has no row in the type-id table"):
+        MessageRegistry({}).register(Orphan, {"value": UintCodec()})
+    with pytest.raises(ValueError, match=r"Orphan shares type id 3 with .*Twin"):
+        MessageRegistry({row(Orphan): 3, row(Twin): 3}).register(
+            Orphan, {"value": UintCodec()})
+    # The process-wide registry refuses the same way, through the decorator.
+    with pytest.raises(ValueError, match=r"Orphan has no row"):
+        register_message(value=UintCodec())(Orphan)
+    assert Orphan not in WIRE.types()
 
 
 def test_batch_encoding_nests_registered_messages():
@@ -146,11 +195,12 @@ def test_importing_the_package_compiles_no_codec():
     NAME>``, which is also how this test counts them.
     """
     script = (
-        "import linecache, repro.api, repro.net, repro.harness.protocols\n"
-        "from repro.runtime.registry import WIRE\n"
+        "import importlib, linecache\n"
+        "from repro.runtime.registry import TYPE_IDS, WIRE\n"
+        "for name in TYPE_IDS: importlib.import_module(name.rpartition('.')[0])\n"
         "from repro.sim.failures import Heartbeat\n"
         "compiled = lambda: sorted(k for k in linecache.cache if k.startswith('<wire codec'))\n"
-        "assert len(WIRE.types()) >= 40\n"
+        "assert len(WIRE.types()) == len(TYPE_IDS)\n"
         "print(compiled())\n"
         "WIRE.decode_one(WIRE.encode(Heartbeat(sender=1, sequence=2)))\n"
         "print(compiled())\n")
@@ -184,7 +234,7 @@ def test_codec_defining_only_encode_and_decode_works_inside_a_message():
         sensor: int
         samples: tuple
 
-    registry = MessageRegistry()
+    registry = MessageRegistry({row(Reading): 0})
     registry.register(Reading, {"sensor": UintCodec(), "samples": SeqCodec(FixedWidth())})
     reading = Reading(sensor=300, samples=(1, 2**31, 7))
     encoded = registry.encode(reading)

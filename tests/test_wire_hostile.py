@@ -10,25 +10,30 @@ connection and keeps serving the others.
 from __future__ import annotations
 
 import asyncio
-import socket
+import json
+import os
+import pathlib
+import subprocess
 import sys
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.harness.protocols  # noqa: F401  (registers every protocol's messages)
+from repro.baselines.epaxos import PreAccept
+from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command
 from repro.net.client import RemoteReplica
 from repro.net.framing import encode_frame
 from repro.net.loopback import LoopbackCluster
 from repro.net.wire import ROLE_CLIENT, ROLE_REPLICA, Hello, StatsReply
-from repro.runtime.registry import WIRE, WireDecodeError
+from repro.runtime.registry import TYPE_IDS, WIRE, WireDecodeError
 from repro.sim.batching import MessageBatch
 from repro.sim.failures import Heartbeat
-from tests.test_runtime_codec import message_strategy
+from tests.hostile_replica import attack_then_commit
+from tests.test_runtime_codec import all_wire_types, message_strategy
 
-_ANY_MESSAGE = st.sampled_from(WIRE.types()).flatmap(message_strategy)
+_ANY_MESSAGE = st.sampled_from(all_wire_types()).flatmap(message_strategy)
 
 
 @settings(max_examples=300, deadline=None)
@@ -107,54 +112,41 @@ def _hostile_streams():
     }
 
 
-def _read_until_closed(sock: socket.socket) -> bytes:
-    sock.settimeout(5.0)
-    received = b""
-    while True:
-        chunk = sock.recv(4096)   # socket.timeout here fails the test: never hang
-        if not chunk:
-            return received
-        received += chunk
-
-
-async def _attack_then_commit():
-    loop = asyncio.get_running_loop()
-    unhandled = []
-    loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
-    cluster = LoopbackCluster("caesar", replicas=3, seed=5)
-    await cluster.start()
-    try:
-        host, port = cluster.peers[0]
-        for name, stream in _hostile_streams().items():
-            with socket.create_connection((host, port), timeout=5.0) as sock:
-                sock.sendall(stream)
-                # The replica closes the connection; it sends nothing back.
-                received = await loop.run_in_executor(None, _read_until_closed, sock)
-                assert received == b"", name
-
-        # The replica that was attacked still orders and executes a command.
-        remote = RemoteReplica(0, host, port, client_id=7)
-        await remote.connect()
-        try:
-            done = loop.create_future()
-            command = Command(command_id=(7, 0), key="k", operation="put",
-                              value="still-serving", origin=0)
-            remote.submit(command, callback=done.set_result)
-            result = await asyncio.wait_for(done, timeout=10.0)
-        finally:
-            await remote.close()
-        executed = cluster.servers[0].replica.commands_executed
-    finally:
-        await cluster.stop()
-    return result, executed, unhandled
-
-
 def test_a_replica_survives_hostile_frames_and_still_commits():
-    result, executed, unhandled = asyncio.run(_attack_then_commit())
-    assert result.command_id == (7, 0) and not result.rejected
-    assert executed == 1
+    streams = _hostile_streams()
+    outcome = asyncio.run(attack_then_commit(streams))
+    # The replica closes each connection; it sends nothing back.
+    assert outcome["received"] == dict.fromkeys(streams, b"")
+    assert outcome["result"].command_id == (7, 0) and not outcome["result"].rejected
+    assert outcome["executed"] == 1
     # No connection task died with "Task exception was never retrieved".
-    assert unhandled == []
+    assert outcome["unhandled"] == []
+
+
+def test_another_protocols_message_is_an_unknown_id_to_a_caesar_only_replica():
+    """A replica process imports the protocol it runs and no other, so a
+    well-formed EPaxos frame carries an id it has no class for: the frame is a
+    ``WireDecodeError`` like any unknown id, and the module is *not* imported
+    on the peer's behalf.  (In this process EPaxos is loaded, so the same
+    bytes would decode; hence the fresh interpreter.)"""
+    pre_accept = PreAccept(instance_id=(1, 0), command=Command(
+        command_id=(1, 0), key="k", operation="put", value="v", origin=1),
+        seq=1, deps=frozenset({(2, 3)}), ballot=Ballot(0, 1))
+    payload = WIRE.encode(pre_accept)
+    assert payload[0] == TYPE_IDS["repro.baselines.epaxos.PreAccept"] == 13
+    streams = _hostile_streams()
+    streams["another-protocols-message"] = (
+        encode_frame(WIRE.encode(Hello(sender=1, role=ROLE_REPLICA))) + encode_frame(payload))
+    child = subprocess.run(
+        [sys.executable, str(pathlib.Path(__file__).with_name("hostile_replica.py"))],
+        input=json.dumps({name: stream.hex() for name, stream in streams.items()}),
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        capture_output=True, text=True, timeout=60, check=True)
+    outcome = json.loads(child.stdout)
+    assert outcome["received"] == dict.fromkeys(streams, "")
+    assert outcome["unhandled"] == []
+    assert outcome["imported"] == [] and outcome["baselines_loaded"] == []
+    assert (outcome["committed"], outcome["rejected"], outcome["executed"]) == ([7, 0], False, 1)
 
 
 async def _client_reads(stream: bytes):
