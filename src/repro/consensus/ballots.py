@@ -13,16 +13,31 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Ballot:
     """A ``(round, node_id)`` ballot, ordered lexicographically.
 
     Using the node id as a tie breaker guarantees two different nodes never
     produce the same ballot, so concurrent recoveries always have a winner.
+
+    ``>`` and ``>=`` are written out as for ``LogicalTimestamp`` (``order=True`` builds
+    two tuples per comparison, two or three per message); ``<`` / ``<=`` are reflections.
     """
 
     round: int
     node_id: int
+
+    def __gt__(self, other: "Ballot") -> bool:
+        if other.__class__ is not Ballot:
+            return NotImplemented
+        return self.round > other.round or (
+            self.round == other.round and self.node_id > other.node_id)
+
+    def __ge__(self, other: "Ballot") -> bool:
+        if other.__class__ is not Ballot:
+            return NotImplemented
+        return self.round > other.round or (
+            self.round == other.round and self.node_id >= other.node_id)
 
     @classmethod
     @lru_cache(maxsize=None)

@@ -217,23 +217,23 @@ class ConsensusReplica(Node):
 
     # -------------------------------------------------------------- execution
 
-    def execute_command(self, command: Command) -> CommandResult:
+    def execute_command(self, command: Command) -> None:
         """Apply a decided command to the local state machine, exactly once."""
+        command_id = command.command_id
         value = self.state_machine.apply(command)
         self.execution_log.append(command)
         self.commands_executed += 1
         if self.execution_listener is not None:
             self.execution_listener()
-        result = CommandResult(command_id=command.command_id, value=value, executed_at=self.sim.now)
+        now = self.sim.now
         if self.admission is not None:
-            self.admission.release(command.command_id, self.sim.now)
-        decision = self.decisions.get(command.command_id)
+            self.admission.release(command_id, now)
+        decision = self.decisions.get(command_id)
         if decision is not None and decision.executed_at is None:
-            decision.executed_at = self.sim.now
-        callback = self._client_callbacks.pop(command.command_id, None)
+            decision.executed_at = now
+        callback = self._client_callbacks.pop(command_id, None)
         if callback is not None:
-            callback(result)
-        return result
+            callback(CommandResult(command_id=command_id, value=value, executed_at=now))
 
     def has_executed(self, command_id: CommandId) -> bool:
         """Whether this replica has already executed the command."""

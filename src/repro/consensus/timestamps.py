@@ -79,22 +79,25 @@ class TimestampGenerator:
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
-        self._current = LogicalTimestamp(0, node_id)
+        #: The clock is ``<_counter, node_id>``; only the counter ever changes.
+        self._counter = 0
 
     @property
     def current(self) -> LogicalTimestamp:
         """The latest value of the clock (already used or observed)."""
-        return self._current
+        return LogicalTimestamp(self._counter, self.node_id)
 
     def next_timestamp(self) -> LogicalTimestamp:
         """Return a fresh timestamp for a command proposed by this node."""
-        self._current = LogicalTimestamp(self._current.counter + 1, self.node_id)
-        return self._current
+        self._counter += 1
+        return LogicalTimestamp(self._counter, self.node_id)
 
     def observe(self, timestamp: LogicalTimestamp) -> None:
-        """Advance the clock past an externally observed timestamp."""
-        if timestamp >= self._current:
-            self._current = LogicalTimestamp(timestamp.counter + 1, self.node_id)
+        """Advance the clock past an externally observed timestamp (every message's)."""
+        counter = timestamp.counter
+        if counter > self._counter or (counter == self._counter
+                                       and timestamp.node_id >= self.node_id):
+            self._counter = counter + 1
 
     def suggestion_greater_than(self, timestamp: LogicalTimestamp) -> LogicalTimestamp:
         """A fresh local timestamp strictly greater than ``timestamp``.

@@ -14,6 +14,12 @@ of Figures 3-5 of the paper; the recovery phase lives in
 :mod:`repro.core.recovery`.  Dispatch, quorum tracking, ballot bookkeeping
 and the failure detector come from the runtime kernel
 (:mod:`repro.runtime.kernel`) — this module contains protocol logic only.
+
+An acceptor handler looks its command up once and hands the entry it found
+(or ``None``) down to COMPUTEPREDECESSORS, UPDATE, WAIT and delivery; the wait
+manager hears of a write only while something is parked.  A fast proposal
+that passes WAIT at once is answered in the handler; ``_answer_proposal`` runs
+for every other outcome: a NACK, a slow proposal, a parked one once it resolves.
 """
 
 from __future__ import annotations
@@ -108,8 +114,7 @@ class CaesarReplica(ProtocolKernel):
         self.history = CommandHistory()
         self.wait_manager = WaitManager(self.history, lambda: self.sim.now,
                                         enabled=self.config.wait_condition_enabled)
-        self.delivery = DeliveryManager(self.history, self._execute_stable,
-                                        on_delivered=self._after_delivery)
+        self.delivery = DeliveryManager(self.history, self._execute_stable)
         self.leader_states: Dict[CommandId, LeaderState] = {}
         self.ballots = BallotRegister()
         self.wait_time_samples: List[float] = []
@@ -185,27 +190,30 @@ class CaesarReplica(ProtocolKernel):
     def _start_stable(self, state: LeaderState) -> None:
         """STABLEPHASE (Figure 4, lines S1): broadcast the final decision."""
         command_id = state.command.command_id
-        if state.phase == PHASE_RETRY:
-            self.record_phase_time(command_id, "retry", self.sim.now - state.phase_started_at)
-        else:
-            self.record_phase_time(command_id, "propose", self.sim.now - state.phase_started_at)
-        if state.timer is not None:
-            state.timer.cancel()
-        state.phase = PHASE_DONE
-        del self.leader_states[command_id]
-        self.resolve_retransmit(("lead", command_id))
         if state.recovered:
             kind = DecisionKind.RECOVERED
         elif state.went_slow:
             kind = DecisionKind.SLOW
         else:
             kind = DecisionKind.FAST
+        decision = self.decisions.get(command_id)
+        if decision is not None:  # record_phase_time + record_decided: one lookup, one clock read
+            now = self.sim.now
+            phase = "retry" if state.phase == PHASE_RETRY else "propose"
+            decision.phase_times[phase] = (decision.phase_times.get(phase, 0.0)
+                                           + (now - state.phase_started_at))
+            if decision.decided_at is None:
+                decision.decided_at = now
+                decision.kind = kind
+        if state.timer is not None:
+            state.timer.cancel()
+        state.phase = PHASE_DONE
+        del self.leader_states[command_id]
+        self.resolve_retransmit(("lead", command_id))
         if kind is DecisionKind.FAST:
             self.stats.fast_decisions += 1
         else:
             self.stats.slow_decisions += 1
-        self.record_decided(command_id, kind)
-        self.record_phase_time(command_id, "deliver_start", 0.0)
         self.broadcast(Stable(command=state.command, ballot=state.ballot,
                               timestamp=state.timestamp,
                               predecessors=_freeze(state.predecessors)))
@@ -244,36 +252,42 @@ class CaesarReplica(ProtocolKernel):
     @handles(FastPropose)
     def _on_fast_propose(self, src: int, message: FastPropose) -> None:
         """Acceptor side of the fast proposal phase (Figure 4, lines P11-P20)."""
-        command = message.command
+        command, ballot, timestamp = message.command, message.ballot, message.timestamp
         command_id = command.command_id
-        if not self.ballots.allows(command_id, message.ballot):
+        if not self.ballots.allows(command_id, ballot):
             return
-        existing = self.history.get(command_id)
+        history = self.history
+        existing = history.get(command_id)
         if existing is not None and existing.status is CommandStatus.STABLE:
             # Already decided (e.g. a recovery finished first); nothing to do.
             return
         if (existing is not None and existing.status is CommandStatus.ACCEPTED
-                and not message.ballot > existing.ballot):
+                and not ballot > existing.ballot):
             # A retransmitted proposal at the same ballot must not downgrade
             # the entry a later retry already promoted to ACCEPTED.
             return
-        self.ballots[command_id] = message.ballot
-        self.timestamps.observe(message.timestamp)
+        self.ballots[command_id] = ballot
+        self.timestamps.observe(timestamp)
         whitelist_mask = (None if message.whitelist is None
-                          else self.history.mask_from_ids(message.whitelist, command.key))
-        predecessors = compute_predecessor_mask(self.history, command, message.timestamp,
-                                                whitelist_mask)
-        self.consume_cpu(self.cost_model.dependency_cost(predecessors.bit_count()))
-        entry = self.history.update(command, message.timestamp, predecessors,
-                                    CommandStatus.FAST_PENDING, message.ballot,
-                                    forced=message.whitelist is not None)
-        self.wait_manager.notify_entry(entry)
-
-        def resolved(ok: bool, waited_ms: float) -> None:
-            self._answer_proposal(src, command, message.ballot, message.timestamp,
-                                  predecessors, ok, waited_ms, fast=True)
-
-        self.wait_manager.evaluate(command, message.timestamp, resolved)
+                          else history.mask_from_ids(message.whitelist, command.key))
+        predecessors = compute_predecessor_mask(history, command, timestamp,
+                                                whitelist_mask, existing)
+        if predecessors:
+            self.consume_cpu(self.cost_model.dependency_cost(predecessors.bit_count()))
+        entry = history.update(command, timestamp, predecessors, CommandStatus.FAST_PENDING,
+                               ballot, forced=message.whitelist is not None, entry=existing)
+        if self.wait_manager.parked:
+            self.wait_manager.notify_entry(entry)
+        proposal = (src, command, ballot, timestamp, predecessors, True)
+        verdict = self.wait_manager.evaluate(command, timestamp, self._answer_proposal,
+                                             entry, proposal)
+        if verdict:
+            # Nothing ran since the entry was written: no re-validation needed.
+            self.send(src, FastProposeReply(
+                command_id=command_id, ballot=ballot, timestamp=timestamp,
+                predecessors=history.ids_from_mask(predecessors, command.key), ok=True))
+        elif verdict is not None:
+            self._answer_proposal(False, 0.0, *proposal)
 
     @handles(SlowPropose)
     def _on_slow_propose(self, src: int, message: SlowPropose) -> None:
@@ -282,7 +296,8 @@ class CaesarReplica(ProtocolKernel):
         command_id = command.command_id
         if not self.ballots.allows(command_id, message.ballot):
             return
-        existing = self.history.get(command_id)
+        history = self.history
+        existing = history.get(command_id)
         if existing is not None and existing.status is CommandStatus.STABLE:
             return
         if (existing is not None and existing.status is CommandStatus.ACCEPTED
@@ -291,26 +306,27 @@ class CaesarReplica(ProtocolKernel):
             return
         self.ballots[command_id] = message.ballot
         self.timestamps.observe(message.timestamp)
-        predecessors = compute_predecessor_mask(self.history, command, message.timestamp)
-        predecessors |= self.history.mask_from_ids(message.predecessors, command.key)
-        self_index = self.history.index_of(command_id)
+        predecessors = compute_predecessor_mask(history, command, message.timestamp,
+                                                entry=existing)
+        predecessors |= history.mask_from_ids(message.predecessors, command.key)
+        self_index = existing.index if existing is not None else history.index_of(command_id)
         if self_index is not None:
             predecessors &= ~(1 << self_index)
         self.consume_cpu(self.cost_model.dependency_cost(predecessors.bit_count()))
-        entry = self.history.update(command, message.timestamp, predecessors,
-                                    CommandStatus.SLOW_PENDING, message.ballot)
-        self.wait_manager.notify_entry(entry)
+        entry = history.update(command, message.timestamp, predecessors,
+                               CommandStatus.SLOW_PENDING, message.ballot, entry=existing)
+        if self.wait_manager.parked:
+            self.wait_manager.notify_entry(entry)
+        proposal = (src, command, message.ballot, message.timestamp, predecessors, False)
+        verdict = self.wait_manager.evaluate(command, message.timestamp, self._answer_proposal,
+                                             entry, proposal)
+        if verdict is not None:
+            self._answer_proposal(verdict, 0.0, *proposal)
 
-        def resolved(ok: bool, waited_ms: float) -> None:
-            self._answer_proposal(src, command, message.ballot, message.timestamp,
-                                  predecessors, ok, waited_ms, fast=False)
-
-        self.wait_manager.evaluate(command, message.timestamp, resolved)
-
-    def _answer_proposal(self, leader: int, command: Command, ballot: Ballot,
-                         timestamp: LogicalTimestamp, predecessors: int,
-                         ok: bool, waited_ms: float, fast: bool) -> None:
-        """Send the (possibly delayed) OK/NACK answer for a proposal.
+    def _answer_proposal(self, ok: bool, waited_ms: float, leader: int, command: Command,
+                         ballot: Ballot, timestamp: LogicalTimestamp, predecessors: int,
+                         fast: bool) -> None:
+        """Send the OK/NACK answer for a parked, rejected or slow proposal.
 
         ``predecessors`` is the interned bitmask computed when the proposal
         was evaluated; it is translated back to wire-format command ids only
@@ -322,33 +338,35 @@ class CaesarReplica(ProtocolKernel):
         if not self.ballots.allows(command_id, ballot):
             # A higher ballot took over while this proposal was parked.
             return
-        entry = self.history.get(command_id)
+        history = self.history
+        entry = history.get(command_id)
         if entry is not None and entry.status in (CommandStatus.ACCEPTED, CommandStatus.STABLE):
             # A retry or stable overtook the parked proposal; the leader no
             # longer needs this answer.
             return
         if ok:
-            reply_ts = timestamp
-            reply_pred = predecessors
+            reply_ts, reply_pred = timestamp, predecessors
             status = CommandStatus.FAST_PENDING if fast else CommandStatus.SLOW_PENDING
-            # An immediate OK finds the entry exactly as the proposal handler
-            # stored it one call earlier: nothing to write or re-announce.
+            # A proposal that never parked finds the entry exactly as its
+            # handler stored it one call earlier: nothing to write or re-announce.
             unchanged = (entry is not None and entry.command is command
                          and entry.timestamp == timestamp and entry.pred_mask == reply_pred
                          and entry.status is status and entry.ballot == ballot)
             if not unchanged:
-                entry = self.history.update(command, timestamp, reply_pred, status, ballot,
-                                            forced=entry.forced if entry is not None else False)
-                self.wait_manager.notify_entry(entry)
+                entry = history.update(command, timestamp, reply_pred, status, ballot,
+                                       forced=entry is not None and entry.forced, entry=entry)
+                if self.wait_manager.parked:
+                    self.wait_manager.notify_entry(entry)
         else:
             self.stats.nacks_sent += 1
             reply_ts = self.timestamps.suggestion_greater_than(timestamp)
-            reply_pred = compute_predecessor_mask(self.history, command, reply_ts)
-            entry = self.history.update(command, reply_ts, reply_pred,
-                                        CommandStatus.REJECTED, ballot)
-            self.wait_manager.notify_entry(entry)
+            reply_pred = compute_predecessor_mask(history, command, reply_ts, entry=entry)
+            entry = history.update(command, reply_ts, reply_pred,
+                                   CommandStatus.REJECTED, ballot, entry=entry)
+            if self.wait_manager.parked:
+                self.wait_manager.notify_entry(entry)
         reply_cls = FastProposeReply if fast else SlowProposeReply
-        reply_ids = self.history.ids_from_mask(reply_pred, command.key)
+        reply_ids = history.ids_from_mask(reply_pred, command.key)
         self.send(leader, reply_cls(command_id=command_id, ballot=ballot, timestamp=reply_ts,
                                     predecessors=reply_ids, ok=ok))
 
@@ -413,21 +431,23 @@ class CaesarReplica(ProtocolKernel):
         command_id = command.command_id
         if not self.ballots.allows(command_id, message.ballot):
             return
-        existing = self.history.get(command_id)
+        history = self.history
+        existing = history.get(command_id)
         if existing is not None and existing.status is CommandStatus.STABLE:
             return
         self.ballots[command_id] = message.ballot
         self.timestamps.observe(message.timestamp)
-        entry = self.history.update(command, message.timestamp,
-                                    self.history.mask_from_ids(message.predecessors, command.key),
-                                    CommandStatus.ACCEPTED, message.ballot)
-        extra = compute_predecessor_mask(self.history, command, message.timestamp)
+        entry = history.update(command, message.timestamp,
+                               history.mask_from_ids(message.predecessors, command.key),
+                               CommandStatus.ACCEPTED, message.ballot, entry=existing)
+        extra = compute_predecessor_mask(history, command, message.timestamp, entry=entry)
         self.consume_cpu(self.cost_model.dependency_cost(extra.bit_count()))
-        self.wait_manager.drop_command(command_id, command.key)
-        self.wait_manager.notify_entry(entry)
+        if self.wait_manager.parked:
+            self.wait_manager.drop_command(command_id, command.key)
+            self.wait_manager.notify_entry(entry)
         self.send(src, RetryReply(command_id=command_id, ballot=message.ballot,
                                   timestamp=message.timestamp,
-                                  predecessors=self.history.ids_from_mask(extra, command.key)))
+                                  predecessors=history.ids_from_mask(extra, command.key)))
 
     @handles(RetryReply)
     def _on_retry_reply(self, src: int, message: RetryReply) -> None:
@@ -449,22 +469,27 @@ class CaesarReplica(ProtocolKernel):
         """Acceptor side of the stable phase (Figure 4, lines S2-S7)."""
         command = message.command
         command_id = command.command_id
-        existing = self.history.get(command_id)
+        history = self.history
+        existing = history.get(command_id)
         if existing is not None and existing.status is CommandStatus.STABLE:
             return
         self.ballots.observe(command_id, message.ballot)
         self.timestamps.observe(message.timestamp)
-        predecessors = self.history.mask_from_ids(message.predecessors, command.key)
-        self_index = self.history.index_of(command_id)
+        predecessors = history.mask_from_ids(message.predecessors, command.key)
+        # With no entry yet, the translation above may just have interned the id.
+        self_index = existing.index if existing is not None else history.index_of(command_id)
         if self_index is not None:
             predecessors &= ~(1 << self_index)
-        entry = self.history.update(command, message.timestamp, predecessors,
-                                    CommandStatus.STABLE, message.ballot)
-        self.wait_manager.drop_command(command_id, command.key)
-        self.wait_manager.notify_entry(entry)
-        self.consume_cpu(self.cost_model.dependency_cost(predecessors.bit_count()))
-        self.delivery.on_stable(command)
-        self.note_progress_gap()
+        entry = history.update(command, message.timestamp, predecessors,
+                               CommandStatus.STABLE, message.ballot, entry=existing)
+        if self.wait_manager.parked:
+            self.wait_manager.drop_command(command_id, command.key)
+            self.wait_manager.notify_entry(entry)
+        if predecessors:
+            self.consume_cpu(self.cost_model.dependency_cost(predecessors.bit_count()))
+        self.delivery.on_stable(command, entry)
+        if self.delivery.pending_count():  # else catchup_need() has nothing to report
+            self.note_progress_gap()
 
     # --------------------------------------------------------------- catch-up
 
@@ -514,12 +539,8 @@ class CaesarReplica(ProtocolKernel):
         if decision is not None and decision.decided_at is not None:
             self.record_phase_time(command.command_id, "deliver",
                                    self.sim.now - decision.decided_at)
-
-    def _after_delivery(self, command: Command) -> None:
-        """Hook run after each delivery: waiting proposals may now resolve."""
-        entry = self.history.get(command.command_id)
-        if entry is not None:
-            self.wait_manager.notify_entry(entry)
+        if self.wait_manager.parked:  # BREAKLOOP may have edited the entry
+            self.wait_manager.notify_entry(self.history.get(command.command_id))
 
     # ------------------------------------------------------------- telemetry
 

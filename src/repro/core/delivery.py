@@ -14,7 +14,8 @@ blocking it, so a stable event re-reconciles only the commands filed under
 the new command's bit, and a delivery re-tests only the commands filed under
 the delivered one — never every pending command.  Nothing else can make a
 pending command deliverable: once an entry is STABLE only this class writes
-its ``pred_mask``.
+its ``pred_mask``.  :meth:`DeliveryManager.on_stable` is handed the entry the
+replica just wrote; it fetches the entry itself only for a caller without one.
 
 The delivered set is closed under predecessors (a command is delivered only
 once its mask is inside it, and masks of stable entries only lose bits), so
@@ -36,7 +37,7 @@ from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.consensus.command import Command, CommandId
-from repro.core.history import CommandHistory, CommandStatus, HistoryEntry
+from repro.core.history import LOOK_UP, CommandHistory, CommandStatus, HistoryEntry
 
 
 #: A pending command as filed and queued: ``(ts_key, filing sequence, command,
@@ -51,16 +52,13 @@ class DeliveryManager:
 
     Args:
         history: the replica's command history (shared, mutated by BREAKLOOP).
-        execute: callback that applies a command to the state machine.
-        on_delivered: optional hook invoked after each delivery (used by the
-            replica to unblock waiting proposals and record metrics).
+        execute: callback that applies a command to the state machine (the
+            replica's also tells proposals waiting on the command and records metrics).
     """
 
-    def __init__(self, history: CommandHistory, execute: Callable[[Command], None],
-                 on_delivered: Optional[Callable[[Command], None]] = None) -> None:
+    def __init__(self, history: CommandHistory, execute: Callable[[Command], None]) -> None:
         self._history = history
         self._execute = execute
-        self._on_delivered = on_delivered
         self._delivered_mask = 0
         self._pending: Dict[CommandId, Command] = {}
         #: Blocker index: interner index of an undelivered predecessor -> the
@@ -132,11 +130,8 @@ class DeliveryManager:
         my_key = entry.ts_key()
         mask = entry.pred_mask
         remove = 0
-        remaining = mask
-        bucket = history.bucket(entry.command.key)
-        if bucket is not None:
-            remaining &= ~(self._delivered_mask
-                           & bucket.prefix_mask(entry.timestamp, writes_only=False))
+        remaining = mask & ~(self._delivered_mask
+                             & entry.bucket.prefix_mask(entry.timestamp, writes_only=False))
         while remaining:
             low = remaining & -remaining
             remaining ^= low
@@ -169,19 +164,22 @@ class DeliveryManager:
 
     # -------------------------------------------------------------- main API
 
-    def on_stable(self, command: Command) -> List[Command]:
+    def on_stable(self, command: Command,
+                  entry: Optional[HistoryEntry] = LOOK_UP) -> List[Command]:
         """Register a newly stable command and deliver everything now possible.
 
         The caller has recorded the command as STABLE in the history first (one
-        that is not is held back until :meth:`retry_pending`).  Returns the
-        list of commands delivered as a result (in order).
+        that is not is held back until :meth:`retry_pending`) and passes the
+        entry it wrote when it holds it.  Returns the list of commands
+        delivered as a result (in order).
         """
         command_id = command.command_id
-        history = self._history
-        index = history.index_of(command_id)
+        if entry is LOOK_UP:
+            entry = self._history.get(command_id)
+        # A collected command has no entry, but its bit is still delivered.
+        index = entry.index if entry is not None else self._history.index_of(command_id)
         if index is not None and (self._delivered_mask >> index) & 1:
             return []
-        entry = history.get(command_id)
         if entry is None or entry.status is not CommandStatus.STABLE:
             self._pending[command_id] = command
             return []
@@ -217,8 +215,6 @@ class DeliveryManager:
         self._delivered_mask |= 1 << index
         self.delivered_order.append(command.command_id)
         self._execute(command)
-        if self._on_delivered is not None:
-            self._on_delivered(command)
 
     def _drain(self, ready: List[_Waiter]) -> List[Command]:
         """Deliver ``ready`` and, round by round, everything that unblocks.

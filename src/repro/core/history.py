@@ -29,6 +29,9 @@ the decision path cheap:
   shed (reads among writes, a recovery whitelist), the per-id loop runs —
   the result is the same either way.
 
+A :class:`HistoryEntry` carries its own index and bucket, so whoever holds a
+command's entry passes it on (``entry=``) and nothing is looked up twice.
+
 Interner indices are *never* recycled, even when :meth:`CommandHistory.remove`
 garbage-collects an entry — a late retransmission referencing a collected
 command must keep resolving to the same bit so delivered-set bitmasks stay
@@ -51,6 +54,9 @@ from repro.consensus.timestamps import LogicalTimestamp
 
 #: Shared empty frozenset returned whenever a mask materializes to nothing.
 _EMPTY_IDS: FrozenSet[CommandId] = frozenset()
+
+#: Default of an ``entry`` argument: look the command up (``None`` is an answer: not there).
+LOOK_UP = object()
 
 
 class CommandStatus(enum.Enum):
@@ -84,11 +90,11 @@ class HistoryEntry:
     """
 
     __slots__ = ("command", "timestamp", "status", "ballot", "forced",
-                 "index", "pred_mask", "_history", "_pred_ids")
+                 "index", "bucket", "pred_mask", "_history", "_pred_ids")
 
     def __init__(self, command: Command, timestamp: LogicalTimestamp,
-                 pred_mask: int, status: CommandStatus, ballot: Ballot,
-                 forced: bool, index: int, history: "CommandHistory") -> None:
+                 pred_mask: int, status: CommandStatus, ballot: Ballot, forced: bool,
+                 index: int, bucket: "_KeyBucket", history: "CommandHistory") -> None:
         self.command = command
         self.timestamp = timestamp
         self.status = status
@@ -96,6 +102,8 @@ class HistoryEntry:
         self.forced = forced
         #: This command's own interner index (``1 << index`` is its bit).
         self.index = index
+        #: The bucket of the command's key, where this entry is filed.
+        self.bucket = bucket
         self.pred_mask = pred_mask
         self._history = history
         #: ``(mask, ids)`` of the last materialization, ``None`` before the first.
@@ -312,34 +320,34 @@ class CommandHistory:
 
     def update(self, command: Command, timestamp: LogicalTimestamp,
                predecessors: Union[int, Iterable[CommandId]], status: CommandStatus,
-               ballot: Ballot, forced: bool = False) -> HistoryEntry:
+               ballot: Ballot, forced: bool = False,
+               entry: Optional[HistoryEntry] = LOOK_UP) -> HistoryEntry:
         """Insert or update the entry for ``command`` (the UPDATE of Section V-A).
 
         ``predecessors`` is either an interned bitmask (the hot path — stored
         as-is, no copy) or any iterable of command ids (interned on the way
         in).  An existing entry is mutated in place rather than replaced, so
         concurrent holders of the entry (e.g. the delivery manager's loop
-        breaking) always observe the node's latest knowledge.
+        breaking) always observe the node's latest knowledge.  ``entry`` is
+        what :meth:`get` returned to a caller that has written nothing since.
         """
-        if isinstance(predecessors, int):
-            mask = predecessors
-        else:
-            mask = self.mask_from_ids(predecessors)
-        entry = self._entries.get(command.command_id)
+        mask = predecessors if isinstance(predecessors, int) else self.mask_from_ids(predecessors)
+        if entry is LOOK_UP:
+            entry = self._entries.get(command.command_id)
         if entry is None:
             index = self.intern(command.command_id)
-            entry = HistoryEntry(command=command, timestamp=timestamp,
-                                 pred_mask=mask, status=status, ballot=ballot,
-                                 forced=forced, index=index, history=self)
-            self._entries[command.command_id] = entry
-            self._entry_by_index[index] = entry
             bucket = self._by_key.get(command.key)
             if bucket is None:
                 bucket = self._by_key[command.key] = _KeyBucket()
+            entry = HistoryEntry(command=command, timestamp=timestamp,
+                                 pred_mask=mask, status=status, ballot=ballot,
+                                 forced=forced, index=index, bucket=bucket, history=self)
+            self._entries[command.command_id] = entry
+            self._entry_by_index[index] = entry
             bucket.insert(entry)
         else:
             if entry.timestamp != timestamp:
-                bucket = self._by_key[command.key]
+                bucket = entry.bucket
                 bucket.discard(entry, entry.timestamp)
                 entry.timestamp = timestamp
                 bucket.insert(entry)

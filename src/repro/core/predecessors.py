@@ -8,14 +8,19 @@ These are the two auxiliary functions of Figure 3 in the paper:
   :mod:`repro.core.history`); :func:`compute_predecessors` is the
   id-set-returning wrapper kept for cold paths and tests.
 * :class:`WaitManager` — the WAIT function.  In the paper WAIT blocks the
-  acceptor thread; in the discrete-event simulation it is implemented as a
-  registry of *parked* proposals.  Each parked proposal carries the bitmask
-  of the conflicting entries currently blocking it and of the accepted/stable
-  *NACK witnesses*; :meth:`WaitManager.notify_entry` reclassifies exactly the
-  entry that changed instead of re-scanning every parked proposal's whole
-  bucket, so a history change costs O(parked-on-key) bit operations.  When
-  the blocker mask empties, the manager reports OK or NACK to a callback
-  supplied by the replica.
+  acceptor thread; here :meth:`WaitManager.evaluate` answers in the call when
+  it can — OK with no scan when nothing on the key is later than the
+  proposal, else from one pass over the later entries — and otherwise keeps a
+  *parked* proposal, with the bitmask of the conflicting entries blocking it
+  and of the accepted/stable *NACK witnesses*.
+  :meth:`WaitManager.notify_entry` reclassifies exactly the entry that
+  changed, so a history change costs O(parked-on-key) bit operations; when
+  the blocker mask empties, the manager reports OK or NACK to the callback
+  the replica supplied.
+
+Neither looks a command up that its caller already has: both take the
+command's :class:`~repro.core.history.HistoryEntry` (its index and bucket)
+as ``entry``, and fetch it themselves only when it is not given.
 """
 
 from __future__ import annotations
@@ -24,12 +29,13 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Set
 
 from repro.consensus.command import Command, CommandId
 from repro.consensus.timestamps import LogicalTimestamp
-from repro.core.history import CommandHistory, HistoryEntry
+from repro.core.history import LOOK_UP, CommandHistory, HistoryEntry
 
 
 def compute_predecessor_mask(history: CommandHistory, command: Command,
                              timestamp: LogicalTimestamp,
-                             whitelist_mask: Optional[int] = None) -> int:
+                             whitelist_mask: Optional[int] = None,
+                             entry: Optional[HistoryEntry] = LOOK_UP) -> int:
     """COMPUTEPREDECESSORS from Figure 3, as an interned bitmask.
 
     With no whitelist, the predecessors of ``command`` at ``timestamp`` are
@@ -39,13 +45,18 @@ def compute_predecessor_mask(history: CommandHistory, command: Command,
     With a whitelist (only used during recovery of a possibly fast-decided
     command), a conflicting command is a predecessor if it is in the
     whitelist, or if it has progressed past the proposal phases
-    (slow-pending / accepted / stable) with a smaller timestamp.
+    (slow-pending / accepted / stable) with a smaller timestamp.  ``entry`` is
+    the command's own entry when the caller holds it: only then is the command
+    in the bucket, with a bit of its own to leave out.
     """
-    bucket = history.bucket(command.key)
-    if bucket is None:
-        return 0
-    index = history.index_of(command.command_id)
-    self_bit = (1 << index) if index is not None else 0
+    if entry is LOOK_UP:
+        entry = history.get(command.command_id)
+    if entry is not None:
+        bucket, self_bit = entry.bucket, 1 << entry.index
+    else:
+        bucket, self_bit = history.bucket(command.key), 0
+        if bucket is None:
+            return 0
     if whitelist_mask is None:
         mask = bucket.prefix_mask(timestamp, writes_only=not command.is_write)
         return mask & ~self_bit
@@ -75,12 +86,12 @@ class _ParkedProposal:
     """A proposal whose reply is delayed by the wait condition."""
 
     __slots__ = ("command", "command_id", "is_write", "bit", "ts_counter",
-                 "ts_node", "timestamp", "on_resolved", "parked_at",
+                 "ts_node", "timestamp", "on_resolved", "args", "parked_at",
                  "blocker_mask", "witness_mask")
 
     def __init__(self, command: Command, bit: int, timestamp: LogicalTimestamp,
-                 on_resolved: Callable[[bool, float], None], parked_at: float,
-                 blocker_mask: int, witness_mask: int) -> None:
+                 on_resolved: Callable[..., None], parked_at: float,
+                 blocker_mask: int, witness_mask: int, args: tuple = ()) -> None:
         self.command = command
         self.command_id = command.command_id
         self.is_write = command.is_write
@@ -89,6 +100,7 @@ class _ParkedProposal:
         self.ts_node = timestamp.node_id
         self.timestamp = timestamp
         self.on_resolved = on_resolved
+        self.args = args
         self.parked_at = parked_at
         self.blocker_mask = blocker_mask
         self.witness_mask = witness_mask
@@ -97,17 +109,15 @@ class _ParkedProposal:
 class WaitManager:
     """Implements WAIT (Figure 3, lines 4-8) without blocking threads.
 
-    The manager is owned by a replica.  ``evaluate`` either resolves the
-    proposal immediately or parks it.  The replica notifies the manager on
-    every history change: :meth:`notify_entry` (hot path, after a
-    ``history.update``) reclassifies the single changed entry against each
-    proposal parked on its key; :meth:`notify_change` (compatibility API)
-    rebuilds every parked proposal's masks from the bucket.  Both resolve the
-    proposals whose blocker mask emptied, in parking order.
-
-    The resolution callback receives ``(ok, waited_ms)`` where ``ok`` is the
-    OK/NACK outcome of WAIT and ``waited_ms`` is how long the proposal was
-    parked (0 for immediate resolutions) — the latter feeds Figure 11(b).
+    The manager is owned by a replica.  ``evaluate`` either returns the
+    outcome or parks the proposal.  While anything is parked the replica
+    notifies the manager of every history change: :meth:`notify_entry` (hot
+    path, after a ``history.update``) reclassifies the single changed entry
+    against each proposal parked on its key; :meth:`notify_change`
+    (compatibility API) rebuilds every parked proposal's masks from the
+    bucket.  Both resolve the proposals whose blocker mask emptied, in
+    parking order: the callback receives ``(ok, waited_ms, *args)``, the OK/NACK
+    outcome of WAIT and how long the proposal was parked (Figure 11(b)).
     """
 
     def __init__(self, history: CommandHistory, now: Callable[[], float],
@@ -116,7 +126,8 @@ class WaitManager:
         self._now = now
         self._enabled = enabled
         self._parked_by_key: Dict[str, List[_ParkedProposal]] = {}
-        self._parked = 0
+        #: Proposals parked now, on any key; at 0 the replica skips the notify calls.
+        self.parked = 0
         self.total_waits = 0
         self.total_wait_ms = 0.0
 
@@ -159,30 +170,37 @@ class WaitManager:
     # -------------------------------------------------------------- main API
 
     def evaluate(self, command: Command, timestamp: LogicalTimestamp,
-                 on_resolved: Callable[[bool, float], None]) -> None:
-        """Run WAIT for a proposal, resolving now or parking it.
+                 on_resolved: Callable[..., None], entry: Optional[HistoryEntry] = LOOK_UP,
+                 args: tuple = ()) -> Optional[bool]:
+        """Run WAIT for ``command`` proposed at ``timestamp``: answer now, or park it.
 
-        Args:
-            command: the proposed command.
-            timestamp: the proposed timestamp.
-            on_resolved: called with ``(ok, waited_ms)`` once WAIT terminates.
+        Returns the OK/NACK outcome when WAIT terminates at once (``entry``, the
+        command's history entry, spares the lookups when the caller holds it);
+        ``None`` when the proposal was parked: ``on_resolved(ok, waited_ms, *args)``
+        then runs once WAIT terminates, never from inside this call.
         """
-        self_bit = 1 << self._history.intern(command.command_id)
+        history = self._history
+        if entry is LOOK_UP:
+            entry = history.get(command.command_id)
+        if entry is not None:
+            bucket, self_bit = entry.bucket, 1 << entry.index
+        else:
+            bucket, self_bit = history.bucket(command.key), 1 << history.intern(command.command_id)
+            if bucket is None:
+                return True
+        if bucket.keys[-1][:2] <= (timestamp.counter, timestamp.node_id):
+            return True  # nothing on the key is later: the scan would find an empty suffix
         blocker_mask, witness_mask = self._scan_masks(command, timestamp, self_bit)
-        if blocker_mask and self._enabled:
-            parked = _ParkedProposal(command=command, bit=self_bit,
-                                     timestamp=timestamp, on_resolved=on_resolved,
-                                     parked_at=self._now(),
-                                     blocker_mask=blocker_mask,
-                                     witness_mask=witness_mask)
-            self._parked_by_key.setdefault(command.key, []).append(parked)
-            self._parked += 1
-            return
-        if blocker_mask and not self._enabled:
+        if not blocker_mask:
+            return not witness_mask
+        if not self._enabled:
             # Ablation mode: a proposal that would have waited is rejected outright.
-            on_resolved(False, 0.0)
-            return
-        on_resolved(not witness_mask, 0.0)
+            return False
+        parked = _ParkedProposal(command, self_bit, timestamp, on_resolved, self._now(),
+                                 blocker_mask, witness_mask, args)
+        self._parked_by_key.setdefault(command.key, []).append(parked)
+        self.parked += 1
+        return None
 
     def notify_entry(self, entry: HistoryEntry) -> None:
         """Reclassify one changed entry against the proposals parked on its key.
@@ -263,21 +281,17 @@ class WaitManager:
         else:
             remaining = [p for p in parked_list if p.blocker_mask]
             self._parked_by_key[key] = remaining
-        self._parked -= len(resolved)
+        self.parked -= len(resolved)
         now = self._now()
         for parked in resolved:
             waited = now - parked.parked_at
             self.total_waits += 1
             self.total_wait_ms += waited
-            parked.on_resolved(not parked.witness_mask, waited)
+            parked.on_resolved(not parked.witness_mask, waited, *parked.args)
 
     def parked_count(self) -> int:
-        """Number of proposals currently delayed by the wait condition.
-
-        Maintained as a running counter — this is sampled per tick by the
-        overload stats, so it must not rescan the parked map.
-        """
-        return self._parked
+        """Number of proposals currently delayed by the wait condition (:attr:`parked`)."""
+        return self.parked
 
     def has_parked(self, key: str) -> bool:
         """Whether any proposal is parked on ``key`` (used by the history GC)."""
@@ -290,7 +304,7 @@ class WaitManager:
             return
         remaining = [p for p in parked_list if p.command_id != command_id]
         if len(remaining) != len(parked_list):
-            self._parked -= len(parked_list) - len(remaining)
+            self.parked -= len(parked_list) - len(remaining)
             if remaining:
                 self._parked_by_key[key] = remaining
             else:

@@ -144,12 +144,13 @@ class BallotRegister(dict):
     def allows(self, key, ballot: Ballot) -> bool:
         """Whether a message at ``ballot`` may be processed for ``key``."""
         current = self.get(key)
-        return current is None or ballot >= current
+        # Usually the very object: round-0 ballots are one instance per leader.
+        return current is None or current is ballot or ballot >= current
 
     def observe(self, key, ballot: Ballot) -> None:
         """Adopt ``ballot`` if it is at least as high as the current one."""
         current = self.get(key)
-        if current is None or ballot >= current:
+        if current is not ballot and (current is None or ballot >= current):
             self[key] = ballot
 
 

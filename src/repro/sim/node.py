@@ -135,7 +135,7 @@ class Node:
         if queue is not None:
             queue.push_transient(now + (finish - now), dispatch, args=(src, payload))
         else:
-            sim.schedule(finish - now, lambda: dispatch(src, payload))
+            sim.schedule(finish - now, dispatch, args=(src, payload))
 
     def _dispatch_one(self, src: int, message: object) -> None:
         """Run one queued message through the protocol handler."""
@@ -156,7 +156,8 @@ class Node:
         """Charge extra CPU time to this node (e.g. dependency-graph analysis)."""
         if milliseconds <= 0:
             return
-        self._cpu_free_at = max(self._cpu_free_at, self.sim.now) + milliseconds
+        now, free_at = self.sim.now, self._cpu_free_at
+        self._cpu_free_at = (free_at if free_at > now else now) + milliseconds
         self.cpu_busy_ms += milliseconds
 
     @property

@@ -113,10 +113,14 @@ def drive(steps) -> DualStack:
             predecessors = stack.compute_both(command, timestamp)
             stack.update_both(command, timestamp, predecessors,
                               CommandStatus.FAST_PENDING)
-            stack.opt_wait.evaluate(
+            # The optimized WAIT answers in the call when it can and calls
+            # back only after a park; the reference always calls back.
+            verdict = stack.opt_wait.evaluate(
                 command, timestamp,
                 lambda ok, waited, c=command: stack.opt_outcomes.append(
                     (c.command_id, ok, waited)))
+            if verdict is not None:
+                stack.opt_outcomes.append((command.command_id, verdict, 0.0))
             stack.ref_wait.evaluate(
                 command, timestamp,
                 lambda ok, waited, c=command: stack.ref_outcomes.append(

@@ -66,15 +66,27 @@ class TestBasicDelivery:
         harness.stable(blocker, ts(1))
         assert harness.executed == [blocker.command_id, early.command_id, late.command_id]
 
-    def test_on_delivered_hook_invoked(self):
+    def test_execute_callback_runs_once_the_command_counts_as_delivered(self):
+        """What a replica does after a delivery rides on ``execute``: there is no second hook."""
         history = CommandHistory()
-        hook_calls = []
-        manager = DeliveryManager(history, lambda c: None,
-                                  on_delivered=lambda c: hook_calls.append(c.command_id))
+        seen = []
+        manager = DeliveryManager(history, lambda c: seen.append(
+            (c.command_id, manager.is_delivered(c.command_id), list(manager.delivered_order))))
         command = make_command(0, 0, key="x")
         history.update(command, ts(1), set(), CommandStatus.STABLE, BALLOT)
         manager.on_stable(command)
-        assert hook_calls == [command.command_id]
+        assert seen == [(command.command_id, True, [command.command_id])]
+
+    def test_stable_again_after_collection_is_not_delivered_twice(self):
+        """A collected command has no entry, but its bit is still in the delivered set."""
+        harness = DeliveryHarness()
+        command = make_command(0, 0, key="x")
+        assert harness.stable(command, ts(1)) == [command]
+        harness.history.remove(command.command_id)
+        for entry in ((), (None,)):  # looked up here, or handed in as "not there"
+            assert harness.manager.on_stable(command, *entry) == []
+        assert harness.manager.pending_count() == 0
+        assert harness.executed == [command.command_id]
 
     def test_retry_pending_after_external_change(self):
         harness = DeliveryHarness()

@@ -74,6 +74,14 @@ class ManualClock:
         return self.value
 
 
+def run_wait(manager: WaitManager, command, timestamp, outcomes: list) -> None:
+    """WAIT as a handler drives it: the answer in the call, or a callback later."""
+    verdict = manager.evaluate(command, timestamp,
+                               lambda ok, waited: outcomes.append((ok, waited)))
+    if verdict is not None:
+        outcomes.append((verdict, 0.0))
+
+
 class TestWaitCondition:
     def make_manager(self, enabled: bool = True):
         history = CommandHistory()
@@ -83,8 +91,7 @@ class TestWaitCondition:
     def test_no_conflicts_resolves_ok_immediately(self):
         history, clock, manager = self.make_manager()
         outcomes = []
-        manager.evaluate(make_command(0, 0, key="x"), ts(3),
-                         lambda ok, waited: outcomes.append((ok, waited)))
+        run_wait(manager, make_command(0, 0, key="x"), ts(3), outcomes)
         assert outcomes == [(True, 0.0)]
 
     def test_pending_higher_timestamp_conflict_parks_proposal(self):
@@ -132,7 +139,7 @@ class TestWaitCondition:
         later = make_command(9, 0, key="x")
         history.update(later, ts(10), set(), CommandStatus.STABLE, BALLOT)
         outcomes = []
-        manager.evaluate(early, ts(3), lambda ok, waited: outcomes.append((ok, waited)))
+        run_wait(manager, early, ts(3), outcomes)
         assert outcomes == [(False, 0.0)]
 
     def test_lower_timestamp_conflict_does_not_block(self):
@@ -141,8 +148,7 @@ class TestWaitCondition:
         older = make_command(9, 0, key="x")
         history.update(older, ts(1), set(), CommandStatus.FAST_PENDING, BALLOT)
         outcomes = []
-        manager.evaluate(make_command(0, 0, key="x"), ts(3),
-                         lambda ok, waited: outcomes.append((ok, waited)))
+        run_wait(manager, make_command(0, 0, key="x"), ts(3), outcomes)
         assert outcomes == [(True, 0.0)]
 
     def test_disabled_wait_condition_rejects_instead_of_parking(self):
@@ -151,8 +157,7 @@ class TestWaitCondition:
         later = make_command(9, 0, key="x")
         history.update(later, ts(10), set(), CommandStatus.FAST_PENDING, BALLOT)
         outcomes = []
-        manager.evaluate(make_command(0, 0, key="x"), ts(3),
-                         lambda ok, waited: outcomes.append((ok, waited)))
+        run_wait(manager, make_command(0, 0, key="x"), ts(3), outcomes)
         assert outcomes == [(False, 0.0)]
 
     def test_notify_change_on_other_key_is_noop(self):
