@@ -36,7 +36,9 @@ from repro.consensus.command import Command, CommandId
 from repro.consensus.interface import DecisionKind
 from repro.consensus.quorums import QuorumSystem, epaxos_fast_quorum_size
 from repro.kvstore.state_machine import StateMachine
+from repro.runtime.clock import Clock
 from repro.runtime.codec import BOOL, UINT
+from repro.runtime.costs import CostModel
 from repro.runtime.fields import (
     BALLOT,
     COMMAND,
@@ -47,9 +49,6 @@ from repro.runtime.fields import (
 )
 from repro.runtime.kernel import ProtocolKernel, QuorumTracker, handles
 from repro.runtime.registry import register_message
-from repro.sim.costs import CostModel
-from repro.sim.network import Network
-from repro.sim.simulator import Simulator
 
 #: An EPaxos instance is identified by ``(leader_replica, instance_number)``.
 InstanceId = Tuple[int, int]
@@ -221,7 +220,7 @@ class EPaxosReplica(ProtocolKernel):
 
     protocol_name = "epaxos"
 
-    def __init__(self, node_id: int, sim: Simulator, network: Network, quorums: QuorumSystem,
+    def __init__(self, node_id: int, sim: Clock, network, quorums: QuorumSystem,
                  state_machine: StateMachine, cost_model: Optional[CostModel] = None,
                  recovery_enabled: bool = True, heartbeat_every_ms: float = 100.0,
                  suspect_after_ms: float = 600.0) -> None:

@@ -19,13 +19,12 @@ from repro.consensus.command import Command, CommandId
 from repro.consensus.interface import DecisionKind
 from repro.consensus.quorums import QuorumSystem
 from repro.kvstore.state_machine import StateMachine
+from repro.runtime.clock import Clock
 from repro.runtime.codec import BOOL, STRING, UINT, OptionalCodec, SeqCodec, TupleCodec
+from repro.runtime.costs import CostModel
 from repro.runtime.fields import COMMAND
 from repro.runtime.kernel import ProtocolKernel, QuorumTracker, handles
 from repro.runtime.registry import register_message
-from repro.sim.costs import CostModel
-from repro.sim.network import Network
-from repro.sim.simulator import Simulator
 
 #: A per-key log position is identified by ``(key, index)``.
 KeySlot = Tuple[str, int]
@@ -210,7 +209,7 @@ class M2PaxosReplica(ProtocolKernel):
 
     protocol_name = "m2paxos"
 
-    def __init__(self, node_id: int, sim: Simulator, network: Network, quorums: QuorumSystem,
+    def __init__(self, node_id: int, sim: Clock, network, quorums: QuorumSystem,
                  state_machine: StateMachine, cost_model: Optional[CostModel] = None) -> None:
         super().__init__(node_id, sim, network, quorums, state_machine, cost_model)
         self.owners: Dict[str, int] = {}

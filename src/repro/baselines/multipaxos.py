@@ -24,13 +24,12 @@ from repro.consensus.command import Command
 from repro.consensus.interface import DecisionKind
 from repro.consensus.quorums import QuorumSystem
 from repro.kvstore.state_machine import StateMachine
+from repro.runtime.clock import Clock
 from repro.runtime.codec import SINT, UINT, SeqCodec, TupleCodec
+from repro.runtime.costs import CostModel
 from repro.runtime.fields import BALLOT, COMMAND
 from repro.runtime.kernel import ProtocolKernel, QuorumTracker, handles
 from repro.runtime.registry import register_message
-from repro.sim.costs import CostModel
-from repro.sim.network import Network
-from repro.sim.simulator import Simulator
 
 
 # --------------------------------------------------------------------- wire
@@ -115,7 +114,7 @@ class MultiPaxosReplica(ProtocolKernel):
 
     protocol_name = "multipaxos"
 
-    def __init__(self, node_id: int, sim: Simulator, network: Network, quorums: QuorumSystem,
+    def __init__(self, node_id: int, sim: Clock, network, quorums: QuorumSystem,
                  state_machine: StateMachine, cost_model: Optional[CostModel] = None,
                  leader_id: int = 0, recovery_enabled: bool = True,
                  heartbeat_every_ms: float = 100.0, suspect_after_ms: float = 600.0) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.sim.simulator import Simulator
+from repro.runtime.clock import Clock
 
 
 @dataclass
@@ -64,7 +64,7 @@ class Operation:
 class HistoryTape:
     """Append-only record of every invocation/response a run's clients saw."""
 
-    def __init__(self, sim: Simulator) -> None:
+    def __init__(self, sim: Clock) -> None:
         self.sim = sim
         self.operations: List[Operation] = []
 

@@ -3,7 +3,7 @@
 Every protocol in this repository is implemented as a subclass of
 :class:`ConsensusReplica`.  The class wires three things together:
 
-* the simulated :class:`~repro.sim.node.Node` (network, timers, CPU model);
+* the :class:`~repro.sim.node.Node` process model (transport, timers, CPU model);
 * the replicated state machine the decided commands are applied to;
 * book-keeping the experiment harness relies on: per-command
   :class:`Decision` records (fast vs. slow path, phase timings) and the
@@ -19,10 +19,9 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.consensus.command import Command, CommandId, CommandResult
 from repro.consensus.quorums import QuorumSystem
 from repro.kvstore.state_machine import StateMachine
-from repro.sim.costs import CostModel
-from repro.sim.network import Network
+from repro.runtime.clock import Clock
+from repro.runtime.costs import CostModel
 from repro.sim.node import Node
-from repro.sim.simulator import Simulator
 
 
 class DecisionKind(enum.Enum):
@@ -156,8 +155,8 @@ class ConsensusReplica(Node):
 
     Args:
         node_id: index of this replica.
-        sim: shared simulator.
-        network: shared network.
+        sim: the substrate's clock (``Simulator`` or ``WallClock``).
+        network: its transport factory (``Network`` or ``PeerNetwork``).
         quorums: pre-computed quorum sizes for the cluster.
         state_machine: the local copy of the replicated state machine.
         cost_model: CPU model (``None`` for the default).
@@ -166,7 +165,7 @@ class ConsensusReplica(Node):
     #: human-readable protocol name, overridden by subclasses.
     protocol_name = "abstract"
 
-    def __init__(self, node_id: int, sim: Simulator, network: Network, quorums: QuorumSystem,
+    def __init__(self, node_id: int, sim: Clock, network, quorums: QuorumSystem,
                  state_machine: StateMachine, cost_model: Optional[CostModel] = None) -> None:
         super().__init__(node_id, sim, network, cost_model)
         self.quorums = quorums

@@ -49,11 +49,9 @@ from repro.core.messages import (
 from repro.core.predecessors import WaitManager, compute_predecessor_mask
 from repro.core.recovery import RecoveryManager
 from repro.kvstore.state_machine import StateMachine
+from repro.runtime.clock import Clock
+from repro.runtime.costs import CostModel
 from repro.runtime.kernel import BallotRegister, ProtocolKernel, QuorumTracker, handles
-from repro.sim.costs import CostModel
-from repro.sim.network import Network
-from repro.sim.node import Timer
-from repro.sim.simulator import Simulator
 
 #: Leader-side phases a command can be in.
 PHASE_FAST = "fast_proposal"
@@ -83,7 +81,8 @@ class LeaderState:
     whitelist: Optional[FrozenSet[CommandId]]
     votes: QuorumTracker = field(default_factory=QuorumTracker.unreachable)
     predecessors: Set[CommandId] = field(default_factory=set)
-    timer: Optional[Timer] = None
+    #: the pending proposal timeout: the clock's cancellable handle.
+    timer: Optional[object] = None
     started_at: float = 0.0
     phase_started_at: float = 0.0
     went_slow: bool = False
@@ -95,8 +94,8 @@ class CaesarReplica(ProtocolKernel):
 
     Args:
         node_id: index of this replica in the cluster.
-        sim: shared simulator.
-        network: shared network.
+        sim: the substrate's clock.
+        network: the substrate's transport factory.
         quorums: quorum sizes (classic and fast) for the cluster size.
         state_machine: local replicated state machine.
         config: protocol configuration.
@@ -105,7 +104,7 @@ class CaesarReplica(ProtocolKernel):
 
     protocol_name = "caesar"
 
-    def __init__(self, node_id: int, sim: Simulator, network: Network, quorums: QuorumSystem,
+    def __init__(self, node_id: int, sim: Clock, network, quorums: QuorumSystem,
                  state_machine: StateMachine, config: Optional[CaesarConfig] = None,
                  cost_model: Optional[CostModel] = None) -> None:
         super().__init__(node_id, sim, network, quorums, state_machine, cost_model)

@@ -35,9 +35,9 @@ from repro.core.invariants import (check_delivered_closed,
                                    check_execution_consistency)
 from repro.harness.cluster import ClusterConfig, build_cluster
 from repro.harness.experiment import count_decisions
-from repro.harness.protocols import constructor_options
+from repro.harness.protocols import constructor_options, flags_to_fields
 from repro.metrics.collector import MetricsCollector
-from repro.sim.network import NetworkConfig, flags_to_fields
+from repro.sim.network import NetworkConfig
 from repro.sim.topology import Topology
 from repro.workload.clients import build_pool
 from repro.workload.generator import WorkloadConfig

@@ -16,10 +16,10 @@ from repro.consensus.quorums import QuorumSystem
 from repro.core.delivery import HistoryCompactor
 from repro.harness.protocols import build_replica
 from repro.runtime.admission import aggregate_admission
-from repro.sim.batching import BatchingConfig
-from repro.sim.costs import CostModel
+from repro.runtime.batching import BatchingConfig
+from repro.runtime.costs import CostModel
 from repro.sim.failures import CrashInjector
-from repro.sim.network import Network, NetworkConfig, flags_to_fields
+from repro.sim.network import Network, NetworkConfig
 from repro.sim.simulator import Simulator
 from repro.sim.topology import Topology, ec2_five_sites
 
@@ -64,21 +64,6 @@ class ClusterConfig:
     admission: Optional[str] = None
     history_gc_ms: Optional[float] = None
     protocol_options: Dict[str, object] = field(default_factory=dict)
-
-    @classmethod
-    def from_args(cls, args, **overrides) -> "ClusterConfig":
-        """Build a config from CLI-style args; keyword ``overrides`` win.
-
-        Understands the shared vocabulary (``--protocol``, ``--seed``,
-        ``--no-retransmit``) and delegates network flags to
-        :meth:`NetworkConfig.from_args`.
-        """
-        kwargs = flags_to_fields(args, "protocol", "seed", "admission",
-                                 history_gc="history_gc_ms")
-        kwargs["retransmit"] = not getattr(args, "no_retransmit", False)
-        kwargs["network"] = NetworkConfig.from_args(args)
-        kwargs.update(overrides)
-        return cls(**kwargs)
 
 
 class Cluster:

@@ -15,12 +15,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.consensus.interface import DecisionKind
 from repro.harness.cluster import Cluster, ClusterConfig, build_cluster
-from repro.harness.protocols import constructor_options
+from repro.harness.protocols import constructor_options, flags_to_fields
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.stats import LatencySummary, summarize_latencies
-from repro.sim.batching import BatchingConfig
-from repro.sim.costs import CostModel
-from repro.sim.network import NetworkConfig, flags_to_fields
+from repro.runtime.batching import BatchingConfig
+from repro.runtime.costs import CostModel
+from repro.sim.network import NetworkConfig
 from repro.sim.topology import Topology
 from repro.workload.clients import ClientPool, build_pool
 from repro.workload.generator import WorkloadConfig

@@ -37,8 +37,8 @@ from repro.harness.sweep import run_sweep, sweep_cell
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.perf import PerfRecord, write_record
 from repro.metrics.report import format_series
-from repro.sim.batching import BatchingConfig
-from repro.sim.costs import CostModel
+from repro.runtime.batching import BatchingConfig
+from repro.runtime.costs import CostModel
 from repro.sim.failures import ScheduledCrash
 from repro.sim.topology import EC2_SHORT_LABELS, EC2_SITES
 

@@ -26,10 +26,10 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.experiment import ExperimentConfig, ExperimentResult, run_experiment
+from repro.harness.protocols import flags_to_fields
 from repro.harness.sweep import run_sweep, sweep_cell
 from repro.metrics.report import format_table
 from repro.metrics.stats import summarize_latencies
-from repro.sim.network import flags_to_fields
 from repro.sim.topology import ec2_five_sites
 
 #: Goodput below this fraction of offered load marks a point as saturated

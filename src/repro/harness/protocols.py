@@ -19,7 +19,7 @@ from repro.consensus.quorums import QuorumSystem
 from repro.core.config import CaesarConfig
 from repro.kvstore.store import KeyValueStore
 from repro.runtime.admission import admission_policy
-from repro.sim.costs import CostModel
+from repro.runtime.costs import CostModel
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,19 @@ def _protocol(name: str) -> Protocol:
     if name not in PROTOCOLS:
         raise ValueError(f"unknown protocol {name!r}; known: {sorted(PROTOCOLS)}")
     return PROTOCOLS[name]
+
+
+def flags_to_fields(args, *same_name: str, **renamed: str) -> Dict[str, object]:
+    """Config keyword arguments for the CLI flags ``args`` actually carries.
+
+    Positional names are argparse dests that set the config field of the same
+    name; ``dest="field"`` keywords set a differently named field.  A flag the
+    namespace lacks is left out, so the dataclass default applies — every
+    ``from_args`` states its defaults once, in the dataclass.
+    """
+    renamed.update(zip(same_name, same_name))
+    return {field_name: getattr(args, flag) for flag, field_name in renamed.items()
+            if hasattr(args, flag)}
 
 
 def constructor_options(protocol: str, recovery: bool,

@@ -33,13 +33,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.consensus.command import Command, CommandResult
+from repro.harness.protocols import flags_to_fields
 from repro.metrics.collector import MetricsCollector
 from repro.net.clock import WallClock
 from repro.net.framing import FrameDecoder, FramingError, encode_frame
 from repro.net.wire import (ROLE_CLIENT, ROLE_CONTROL, ClientReply,
                             ClientRequest, Hello, StatsReply, StatsRequest)
 from repro.runtime.registry import WIRE, WireDecodeError
-from repro.sim.network import flags_to_fields
 from repro.workload.clients import ClientPool, build_pool
 from repro.workload.generator import WorkloadConfig, WorkloadSpec
 

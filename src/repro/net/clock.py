@@ -53,11 +53,12 @@ class WallClock(Clock):
             forks (retransmission jitter, workload streams) derive from it
             with exactly the same labels as in the simulator, so stochastic
             *choices* stay reproducible even though timing is real.
-        loop: event loop to schedule on (default: the running loop).
+        loop: event loop to schedule on (default: the running loop; building
+            a clock with neither raises ``RuntimeError``).
     """
 
     def __init__(self, seed: int = 0, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
-        self._loop = loop or asyncio.get_event_loop()
+        self._loop = loop or asyncio.get_running_loop()
         self._t0 = self._loop.time()
         self.rng = DeterministicRandom(seed)
 

@@ -21,9 +21,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.harness.protocols import flags_to_fields
 from repro.net.client import fetch_stats
 from repro.net.replica import ReplicaConfig
-from repro.sim.network import flags_to_fields
 
 
 @dataclass

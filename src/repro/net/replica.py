@@ -21,7 +21,7 @@ loop hands it the bytes it read, and the frames in them are decoded and
 routed — a peer's message all the way into its kernel handler — inside that
 one callback.  No task, stream reader or deferred hop sits in between.
 
-The CPU cost model defaults to :func:`~repro.sim.costs.zero_cost_model`:
+The CPU cost model defaults to :func:`~repro.runtime.costs.zero_cost_model`:
 over real sockets the process burns *actual* CPU, so simulating it on top
 would double-count.
 """
@@ -41,8 +41,8 @@ from repro.net.transport import PeerNetwork, ReconnectPolicy
 from repro.net.wire import (ROLE_CLIENT, ROLE_CONTROL, ROLE_NAMES, ROLE_REPLICA,
                             ClientReply, ClientRequest, Hello, StatsReply,
                             StatsRequest)
+from repro.runtime.costs import zero_cost_model
 from repro.runtime.registry import WIRE, WireDecodeError
-from repro.sim.costs import zero_cost_model
 
 
 @dataclass

@@ -33,10 +33,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.net.clock import WallClock
 from repro.net.framing import encode_frame
 from repro.net.wire import ROLE_REPLICA, Hello
-from repro.runtime.clock import Timer
 from repro.runtime.registry import WIRE
-from repro.runtime.transport import Transport
-from repro.sim.network import NetworkConfig, NetworkStats
+from repro.runtime.transport import NetworkStats, Transport
 
 #: Per-connection outgoing buffer cap: above this many unsent bytes the
 #: destination is considered stalled and further messages are dropped
@@ -55,7 +53,9 @@ class ReconnectPolicy:
 
 
 class PeerNetwork:
-    """Socket-world peer map satisfying the kernel's network duck-type.
+    """Socket-world peer map: the network duck-type a replica is built on.
+
+    That is ``node_ids``, ``register``, ``create_transport`` and ``stats``.
 
     Args:
         clock: the replica's :class:`~repro.net.clock.WallClock`.
@@ -75,7 +75,6 @@ class PeerNetwork:
         self.node_ids: List[int] = sorted(self.peers)
         self.reconnect = reconnect or ReconnectPolicy()
         self.stats = NetworkStats()
-        self.config = NetworkConfig()
         self._nodes: Dict[int, object] = {}
 
     def register(self, node) -> None:
@@ -276,9 +275,9 @@ class AsyncioTransport(Transport):
         if connection is None or not connection.send_frame(frame):
             self.network.stats.messages_dropped += 1
 
-    def set_timer(self, delay_ms: float, callback) -> Timer:
+    def set_timer(self, delay_ms: float, callback):
         """Arm a timer on the wall clock (asyncio event loop)."""
-        return Timer(self.clock.schedule(delay_ms, callback))
+        return self.clock.schedule(delay_ms, callback)
 
     def close(self) -> None:
         """Tear down every dialed connection (idempotent)."""

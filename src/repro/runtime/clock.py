@@ -5,17 +5,17 @@ loop directly: it asks its *clock* for ``now`` (milliseconds as a float) and
 schedules callbacks with ``schedule(delay_ms, callback)``.  Two clocks exist:
 
 * :class:`~repro.sim.simulator.Simulator` — the discrete-event scheduler;
-  ``now`` is virtual time and ``schedule`` pushes onto the event heap.  It is
-  registered as a virtual subclass below so ``isinstance(x, Clock)`` holds
-  without giving the simulator an extra base class on its hot path.
+  ``now`` is virtual time and ``schedule`` pushes onto the event heap.  It
+  satisfies the interface structurally (no base class on its hot path, and
+  nothing here imports it).
 * :class:`~repro.net.clock.WallClock` — the asyncio-backed clock used by the
   real-socket transport; ``now`` is monotonic wall time relative to process
   start and ``schedule`` maps onto ``loop.call_later``.
 
-Both return cancellable handles exposing ``cancel()`` / ``cancelled``, which
-is all :class:`Timer` needs — so the kernel's timer bookkeeping (retransmit
-scans, catch-up probes, failure detectors, batching windows) runs unchanged
-on either substrate.
+Both return cancellable handles exposing ``cancel()`` / ``cancelled``, and
+that handle is the timer protocol code holds — so the kernel's timer
+bookkeeping (retransmit scans, catch-up probes, failure detectors, batching
+windows) runs unchanged on either substrate.
 """
 
 from __future__ import annotations
@@ -48,36 +48,3 @@ class Clock(abc.ABC):
 
         Returns a cancellable handle with ``cancel()`` and ``cancelled``.
         """
-
-
-class Timer:
-    """Handle for a scheduled timer, cancellable before it fires.
-
-    Wraps any clock handle exposing ``cancel()`` / ``cancelled`` — a
-    simulator :class:`~repro.sim.events.Event` or a wall-clock scheduled
-    call — so protocol code holds one timer type regardless of transport.
-    """
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event) -> None:
-        self._event = event
-
-    def cancel(self) -> None:
-        """Prevent the timer callback from running."""
-        self._event.cancel()
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called."""
-        return self._event.cancelled
-
-
-def _register_simulator() -> None:
-    """Register the discrete-event simulator as a virtual Clock subclass."""
-    from repro.sim.simulator import Simulator
-
-    Clock.register(Simulator)
-
-
-_register_simulator()

@@ -51,14 +51,12 @@ from repro.consensus.ballots import Ballot
 from repro.consensus.interface import ConsensusReplica
 from repro.consensus.quorums import QuorumSystem
 from repro.kvstore.state_machine import StateMachine
+from repro.runtime.clock import Clock
 from repro.runtime.codec import STRING, UINT, SeqCodec
+from repro.runtime.costs import CostModel
 from repro.runtime.registry import MessageCodec, register_message
 from repro.runtime.stats import ProtocolStats
-from repro.sim.costs import CostModel
 from repro.sim.failures import FailureDetector, Heartbeat
-from repro.sim.network import Network
-from repro.sim.node import Timer
-from repro.sim.simulator import Simulator
 
 #: Function attribute carrying the message classes a method handles.
 _HANDLES_ATTR = "_kernel_handles"
@@ -255,7 +253,7 @@ class RetransmitBuffer:
         #: restores the PR-5 behaviour (safe-but-not-live under message loss).
         self.enabled = True
         self._entries: Dict[object, _RetransmitEntry] = {}
-        self._timer: Optional[Timer] = None
+        self._timer = None
         #: jitter stream, forked per node; drawn from only on actual resends
         #: so loss-free runs consume no randomness from it.
         self._jitter = kernel.sim.rng.fork(f"retransmit-{kernel.node_id}")
@@ -395,14 +393,14 @@ class ProtocolKernel(ConsensusReplica):
                     specs[message_cls] = name
         cls._handler_specs = specs
 
-    def __init__(self, node_id: int, sim: Simulator, network: Network, quorums: QuorumSystem,
+    def __init__(self, node_id: int, sim: Clock, network, quorums: QuorumSystem,
                  state_machine: StateMachine, cost_model: Optional[CostModel] = None) -> None:
         super().__init__(node_id, sim, network, quorums, state_machine, cost_model)
         self.stats = ProtocolStats()
         self.failure_detector: Optional[FailureDetector] = None
         self._fd_setup: Optional[Dict[str, object]] = None
         self.retransmit = RetransmitBuffer(self)
-        self._catchup_timer: Optional[Timer] = None
+        self._catchup_timer = None
         self._catchup_attempts = 0
         self._catchup_signature: Optional[tuple] = None
         #: bound-method dispatch table (exact type -> handler), built once per

@@ -56,7 +56,7 @@ class WireDecodeError(ValueError):
 #: therefore read from this table, never counted.  A new message type takes
 #: the next free id; an id, once released, is not reused.
 TYPE_IDS: Dict[str, int] = {
-    "repro.sim.batching.MessageBatch": 0,
+    "repro.runtime.batching.MessageBatch": 0,
     "repro.sim.failures.Heartbeat": 1,
     "repro.core.messages.FastPropose": 2,
     "repro.core.messages.FastProposeReply": 3,

@@ -39,12 +39,12 @@ backends by one conformance suite (``tests/test_transport_contract.py``):
 Timer service
 -------------
 
-``set_timer(delay_ms, callback)`` returns a :class:`~repro.runtime.clock.Timer`
-(cancelled with ``timer.cancel()``); the owning node applies clock skew
-and crash-gating *before* delegating here, so transports only translate a
-plain delay onto their clock (event heap or event loop).  Timers are how the
-kernel's retransmission scans and catch-up probes run identically on both
-substrates.
+``set_timer(delay_ms, callback)`` returns the clock's own handle (cancelled
+with ``handle.cancel()``, queried with ``handle.cancelled``); the owning node
+applies clock skew and crash-gating *before* delegating here, so transports
+only translate a plain delay onto their clock (event heap or event loop).
+Timers are how the kernel's retransmission scans and catch-up probes run
+identically on both substrates.
 
 Wire accounting
 ---------------
@@ -53,21 +53,41 @@ The only byte counts are the codec's and, on TCP, framed socket bytes; no
 layer carries a size estimate.  When the network's
 :attr:`~repro.sim.network.NetworkConfig.wire_accounting` flag is set, every
 transmitted message (or batch envelope) is measured through the message
-registry's codec and accumulated into the network's ``codec_bytes_sent`` /
-``per_type_codec_bytes`` counters — what the message-footprint benchmark
-reports.  The flag defaults to off so the measurement never taxes the
-simulation hot path.  The socket backend encodes every message anyway, so it
-always accounts codec bytes, plus ``bytes_sent``: the frames it wrote.
+registry's codec and accumulated into the ``codec_bytes_sent`` /
+``per_type_codec_bytes`` counters of the network's :class:`NetworkStats` —
+what the message-footprint benchmark reports.  The flag defaults to off so
+the measurement never taxes the simulation hot path.  The socket backend
+encodes every message anyway, so it always accounts codec bytes, plus
+``bytes_sent``: the frames it wrote.
 """
 
 from __future__ import annotations
 
 import abc
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.runtime.clock import Timer
+from repro.runtime.batching import BatchBuffer, BatchingConfig
 from repro.runtime.registry import WIRE
-from repro.sim.batching import BatchBuffer, BatchingConfig
+
+
+@dataclass
+class NetworkStats:
+    """Counters describing everything a network's transports did during a run."""
+
+    messages_sent: int = 0
+    messages_delivered: int = 0
+    messages_dropped: int = 0
+    messages_to_crashed: int = 0
+    #: in-flight messages whose destination crashed (and possibly restarted)
+    #: between send and delivery — the connection died with the process, so
+    #: they are never delivered, even if the node is back up.
+    messages_dead_in_flight: int = 0
+    #: framed bytes written to sockets (TCP only; the simulator has no frames).
+    bytes_sent: int = 0
+    #: codec-measured bytes (filled only with ``wire_accounting`` enabled).
+    codec_bytes_sent: int = 0
+    per_type_codec_bytes: Dict[str, int] = field(default_factory=dict)
 
 
 class Transport(abc.ABC):
@@ -96,8 +116,11 @@ class Transport(abc.ABC):
         """Send ``message`` to every peer (optionally excluding the local node)."""
 
     @abc.abstractmethod
-    def set_timer(self, delay_ms: float, callback) -> Timer:
-        """Run ``callback`` after ``delay_ms`` on this transport's clock."""
+    def set_timer(self, delay_ms: float, callback):
+        """Run ``callback`` after ``delay_ms`` on this transport's clock.
+
+        Returns the clock's cancellable handle (``cancel()`` / ``cancelled``).
+        """
 
     def configure_batching(self, config: BatchingConfig) -> None:
         """Install (or replace) an outgoing batching policy.
@@ -169,9 +192,9 @@ class SimulatorTransport(Transport):
         """
         self._fault_filter = faults
 
-    def set_timer(self, delay_ms: float, callback) -> Timer:
+    def set_timer(self, delay_ms: float, callback):
         """Schedule ``callback`` on the shared simulator's virtual clock."""
-        return Timer(self.node.sim.schedule(delay_ms, callback))
+        return self.node.sim.schedule(delay_ms, callback)
 
     def send(self, dst: int, message: object) -> None:
         """Send or buffer one message (self-sends are never delayed)."""

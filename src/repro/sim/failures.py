@@ -19,7 +19,6 @@ from typing import Callable, Dict, List, Optional, Set
 
 from repro.runtime.codec import UINT
 from repro.runtime.registry import register_message
-from repro.sim.simulator import Simulator
 
 
 @register_message(sender=UINT, sequence=UINT)
@@ -44,11 +43,11 @@ class CrashInjector:
     """Schedules crash/restart events against a set of nodes.
 
     Args:
-        sim: the simulator.
+        sim: the clock crashes are scheduled on (needs ``schedule_at``).
         nodes: mapping ``node_id -> node`` for every node that can be crashed.
     """
 
-    def __init__(self, sim: Simulator, nodes: Dict[int, "NodeHandle"]) -> None:
+    def __init__(self, sim, nodes: Dict[int, "NodeHandle"]) -> None:
         self.sim = sim
         self._nodes = nodes
         self.crashes_performed: List[int] = []

@@ -11,25 +11,12 @@ are not the network's business: the nemesis applies them per directed link in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.runtime.transport import NetworkStats, SimulatorTransport
 from repro.sim.simulator import Simulator
 from repro.sim.topology import Topology
-
-
-def flags_to_fields(args, *same_name: str, **renamed: str) -> Dict[str, object]:
-    """Config keyword arguments for the CLI flags ``args`` actually carries.
-
-    Positional names are argparse dests that set the config field of the same
-    name; ``dest="field"`` keywords set a differently named field.  A flag the
-    namespace lacks is left out, so the dataclass default applies — every
-    ``from_args`` states its defaults once, in the dataclass.
-    """
-    renamed.update(zip(same_name, same_name))
-    return {field_name: getattr(args, flag) for flag, field_name in renamed.items()
-            if hasattr(args, flag)}
-
 
 #: Hard floor for any one-way delay.
 MIN_DELAY_MS = 0.01
@@ -45,46 +32,14 @@ class NetworkConfig:
         drop_probability: independent probability that a message is lost.
         wire_accounting: when ``True`` the transports also measure every
             transmitted message through the registry codec and accumulate
-            the byte counts into :class:`NetworkStats` (off by default: the
-            measurement is pure accounting but costs wall-clock time).
+            the byte counts into
+            :class:`~repro.runtime.transport.NetworkStats` (off by default:
+            the measurement is pure accounting but costs wall-clock time).
     """
 
     jitter_ms: float = 0.0
     drop_probability: float = 0.0
     wire_accounting: bool = False
-
-    @classmethod
-    def from_args(cls, args, **overrides) -> "NetworkConfig":
-        """Build a config from CLI-style args (``--jitter`` / ``--drop``).
-
-        ``args`` is any object with the optional attributes ``jitter``
-        (milliseconds) and ``drop`` (probability); keyword ``overrides`` win
-        over both.  This is the single place CLI flags become a
-        :class:`NetworkConfig`.
-        """
-        kwargs = {"jitter_ms": getattr(args, "jitter", 0.0) or 0.0,
-                  "drop_probability": getattr(args, "drop", 0.0) or 0.0}
-        kwargs.update(overrides)
-        return cls(**kwargs)
-
-
-@dataclass
-class NetworkStats:
-    """Counters describing everything the network did during a run."""
-
-    messages_sent: int = 0
-    messages_delivered: int = 0
-    messages_dropped: int = 0
-    messages_to_crashed: int = 0
-    #: in-flight messages whose destination crashed (and possibly restarted)
-    #: between send and delivery — the connection died with the process, so
-    #: they are never delivered, even if the node is back up.
-    messages_dead_in_flight: int = 0
-    #: framed bytes written to sockets (TCP only; the simulator has no frames).
-    bytes_sent: int = 0
-    #: codec-measured bytes (filled only with ``wire_accounting`` enabled).
-    codec_bytes_sent: int = 0
-    per_type_codec_bytes: Dict[str, int] = field(default_factory=dict)
 
 
 class Network:
@@ -130,8 +85,6 @@ class Network:
         against a socket-world peer map get an asyncio one — protocol code
         never chooses a backend.
         """
-        from repro.runtime.transport import SimulatorTransport
-
         return SimulatorTransport(node, self)
 
     @property

@@ -7,7 +7,7 @@ A :class:`Node` is one replica of a protocol.  It provides:
   message leaves through ``transport.send`` / ``transport.broadcast``, which is
   where batching, the fault filter and wire accounting are decided;
 * a serial CPU: incoming messages are processed one at a time, each charging
-  the cost given by the node's :class:`~repro.sim.costs.CostModel`, so that a
+  the cost given by the node's :class:`~repro.runtime.costs.CostModel`, so that a
   node under load builds a queue and saturates (this is what bounds
   throughput in the Figure 8/9 experiments);
 * timers (:meth:`set_timer`);
@@ -21,13 +21,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.runtime.clock import Timer
-from repro.sim.batching import BatchingConfig, MessageBatch
-from repro.sim.costs import CostModel
-from repro.sim.network import Network
-from repro.sim.simulator import Simulator
-
-__all__ = ["Node", "Timer"]
+from repro.runtime.batching import BatchingConfig, MessageBatch
+from repro.runtime.clock import Clock
+from repro.runtime.costs import CostModel
 
 
 class Node:
@@ -35,12 +31,13 @@ class Node:
 
     Args:
         node_id: index of this node within the cluster (also its network address).
-        sim: the shared simulator.
-        network: the shared network; the node registers itself on construction.
+        sim: the substrate's clock (``Simulator`` or ``WallClock``).
+        network: the substrate's transport factory (``Network`` or
+            ``PeerNetwork``); the node registers itself on construction.
         cost_model: CPU cost model; ``None`` means a default (cheap) model.
     """
 
-    def __init__(self, node_id: int, sim: Simulator, network: Network,
+    def __init__(self, node_id: int, sim: Clock, network,
                  cost_model: Optional[CostModel] = None) -> None:
         self.node_id = node_id
         self.sim = sim
@@ -167,7 +164,7 @@ class Node:
 
     # ---------------------------------------------------------------- timers
 
-    def set_timer(self, delay_ms: float, callback: Callable[[], None]) -> Timer:
+    def set_timer(self, delay_ms: float, callback: Callable[[], None]):
         """Run ``callback`` after ``delay_ms`` of local-clock time unless cancelled or crashed.
 
         The delay is measured on the node's *local* clock: with a skewed

@@ -28,8 +28,8 @@ from typing import List, Optional, Sequence
 from repro.consensus.command import Command, CommandResult
 from repro.consensus.interface import ConsensusReplica
 from repro.metrics.collector import MetricsCollector
+from repro.runtime.clock import Clock
 from repro.sim.random import DeterministicRandom
-from repro.sim.simulator import Simulator
 from repro.workload.generator import ConflictWorkload, WorkloadSpec, build_workload
 
 
@@ -40,7 +40,7 @@ class ClosedLoopClient:
         client_id: unique id (also used in command ids).
         replica: replica the client submits to (its "local" site).
         workload: command generator for this client.
-        sim: shared simulator.
+        sim: the substrate's clock.
         metrics: collector receiving per-command latency samples.
         think_time_ms: optional pause between completing one command and
             submitting the next (0 reproduces the paper's setup).
@@ -66,7 +66,7 @@ class ClosedLoopClient:
     rejection_backoff_ms = 1.0
 
     def __init__(self, client_id: int, replica: ConsensusReplica, workload: ConflictWorkload,
-                 sim: Simulator, metrics: MetricsCollector, think_time_ms: float = 0.0,
+                 sim: Clock, metrics: MetricsCollector, think_time_ms: float = 0.0,
                  reconnect_timeout_ms: Optional[float] = None,
                  fallback_replicas: Optional[List[ConsensusReplica]] = None,
                  history=None, max_commands: Optional[int] = None) -> None:
@@ -163,7 +163,7 @@ class OpenLoopClient:
         client_id: unique id.
         replica: replica the client submits to.
         workload: command generator.
-        sim: shared simulator.
+        sim: the substrate's clock.
         metrics: collector receiving latency samples.
         rate_per_second: average injection rate.
         rng: random stream for exponential inter-arrival times.
@@ -177,7 +177,7 @@ class OpenLoopClient:
     """
 
     def __init__(self, client_id: int, replica: ConsensusReplica, workload: ConflictWorkload,
-                 sim: Simulator, metrics: MetricsCollector, rate_per_second: float,
+                 sim: Clock, metrics: MetricsCollector, rate_per_second: float,
                  rng: DeterministicRandom, stop_after_ms: Optional[float] = None,
                  fallback_replicas: Optional[List[ConsensusReplica]] = None,
                  history=None) -> None:
@@ -288,7 +288,7 @@ class ClientPool:
         return sum(client.rejected for client in self.clients)
 
 
-def build_pool(targets: Sequence[ConsensusReplica], workload: WorkloadSpec, clock: Simulator,
+def build_pool(targets: Sequence[ConsensusReplica], workload: WorkloadSpec, clock: Clock,
                metrics: MetricsCollector, *, label: str = "client",
                open_loop_rate: Optional[float] = None, stop_after_ms: Optional[float] = None,
                failover: Sequence[ConsensusReplica] = (),

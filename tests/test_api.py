@@ -65,11 +65,6 @@ class TestFromArgs:
         assert config.host == "0.0.0.0"
         assert config.retransmit
 
-    def test_cluster_config_from_args(self):
-        config = api.ClusterConfig.from_args(self._namespace())
-        assert config.protocol == "caesar"
-        assert config.seed == 9
-
     def test_run_experiment_smoke_through_facade(self):
         result = api.run_experiment(api.ExperimentConfig(
             protocol="multipaxos", clients_per_site=2, duration_ms=1200,

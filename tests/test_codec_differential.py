@@ -25,10 +25,10 @@ from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command
 from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.messages import FastPropose, FastProposeReply, Stable
+from repro.runtime.batching import MessageBatch
 from repro.runtime.codec import UINT, decode_uvarint, encode_uvarint
 from repro.runtime.fields import COMMAND_ID_SET
 from repro.runtime.registry import WIRE
-from repro.sim.batching import MessageBatch
 from repro.sim.failures import Heartbeat
 from tests.interpreted_codec import InterpretedRegistry, interpreted, interpreted_registry
 from tests.test_runtime_codec import all_wire_types, message_strategy

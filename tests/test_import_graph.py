@@ -9,13 +9,16 @@ fresh interpreter: module names, never milliseconds.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import repro
 from repro.harness.protocols import PROTOCOLS
 
 #: What a simulator run of one protocol has no use for: the socket substrate
@@ -116,3 +119,65 @@ def test_an_unknown_facade_name_is_an_attribute_error_naming_the_module():
     with pytest.raises(ImportError):
         exec("from repro.api import nope")
     assert set(api.__all__) <= set(dir(api))
+
+
+#: What a TCP replica keeps of the simulator package: the process model every
+#: replica subclasses, the failure detector with its ``Heartbeat`` message, and
+#: the seeded random streams.  No event heap, no simulated network, no topology.
+SIM_MODULES_A_REPLICA_RUNS_ON = {"repro.sim.node", "repro.sim.failures", "repro.sim.random"}
+
+
+@pytest.mark.parametrize("protocol", list(PROTOCOLS))
+def test_a_started_replica_server_loads_three_simulator_modules(protocol):
+    loaded = in_fresh_interpreter(
+        "import asyncio, json, sys\n"
+        "from repro.net.replica import ReplicaConfig, ReplicaServer\n"
+        "async def main():\n"
+        "    peers = {node_id: ('127.0.0.1', 0) for node_id in range(3)}\n"
+        f"    server = ReplicaServer(ReplicaConfig(node_id=0, peers=peers, protocol={protocol!r},\n"
+        "                                         recovery=True))\n"
+        "    await server.start()\n"
+        "    await server.stop()\n"
+        "asyncio.run(main())\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('repro.sim.')]))\n")
+    assert set(loaded) == SIM_MODULES_A_REPLICA_RUNS_ON
+
+
+def simulator_imports(path: pathlib.Path):
+    """Every ``repro.sim`` module ``path`` imports, at any nesting, with its function."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                modules = [child.module or ""]
+            else:
+                inner = child.name if isinstance(child, (ast.FunctionDef,
+                                                         ast.AsyncFunctionDef)) else function
+                visit(child, inner)
+                continue
+            found.extend((module, function) for module in modules
+                         if module == "repro.sim" or module.startswith("repro.sim."))
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_below_the_harness_only_the_oracle_names_more_of_the_simulator():
+    """``runtime/``, the protocols and ``net/`` import the three modules a
+    replica runs on; ``net.loopback.run_sim_oracle`` *is* the simulator side
+    of the sim-vs-socket oracle and builds its topology."""
+    package = pathlib.Path(repro.__file__).parent
+    offenders = []
+    for layer in ("runtime", "consensus", "core", "baselines", "workload", "kvstore",
+                  "metrics", "net"):
+        for path in sorted((package / layer).glob("*.py")):
+            for module, function in simulator_imports(path):
+                if module in SIM_MODULES_A_REPLICA_RUNS_ON:
+                    continue
+                if (layer, path.name, function) == ("net", "loopback.py", "run_sim_oracle"):
+                    continue
+                offenders.append(f"{layer}/{path.name}: {module}")
+    assert offenders == []

@@ -15,8 +15,8 @@ from repro.core.messages import FastPropose, FastProposeReply, Stable
 from repro.harness.experiment import ExperimentConfig, ExperimentResult
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.report import format_series, format_table
-from repro.sim.batching import BatchingConfig
-from repro.sim.costs import CostModel, zero_cost_model
+from repro.runtime.batching import BatchingConfig
+from repro.runtime.costs import CostModel, zero_cost_model
 from tests.conftest import make_command
 
 

@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.net.wire import StatsReply
+from repro.runtime.batching import MessageBatch
 from repro.runtime.codec import (
     BoolCodec,
     Codec,
@@ -40,7 +41,6 @@ from repro.runtime.codec import (
 )
 from repro.runtime.registry import (TYPE_IDS, WIRE, MessageCodec, MessageRegistry,
                                     register_message)
-from repro.sim.batching import MessageBatch
 from repro.sim.failures import Heartbeat
 
 #: Keys/operations stay printable but include unicode to exercise UTF-8 paths.
@@ -136,11 +136,28 @@ def test_every_protocol_message_universe_is_registered():
     assert expected <= names
 
 
+#: Class names in wire-id order, as they have been since the table was written
+#: (PR 22).  A module may move; a class's id may not.
+WIRE_NAMES_BY_ID = """
+    MessageBatch Heartbeat
+    FastPropose FastProposeReply SlowPropose SlowProposeReply Retry RetryReply Stable
+    Recovery RecoveryReply
+    CatchUpRequest CatchUpReply
+    PreAccept PreAcceptReply Accept AcceptReply Commit Prepare PrepareReply
+    AcquireOwnership AcquireReply ForwardCommand AcceptCommand AcceptCommandReply AcceptNack
+    DecideCommand
+    SlotPropose SlotAck SlotCommit SkipAnnounce
+    ClientForward AcceptSlot AcceptSlotReply CommitSlot LeaderPrepare LeaderPrepareReply
+    Hello ClientRequest ClientReply StatsRequest StatsReply
+""".split()
+
+
 def test_every_row_of_the_type_id_table_is_registered_under_its_id():
     """The table is the golden file: 42 ids, 0 ``MessageBatch`` … 41 ``StatsReply``."""
     assert list(TYPE_IDS.values()) == list(range(42))
     # ``types()`` is in id order and the table is written in id order.
     assert [row(cls) for cls in all_wire_types()] == list(TYPE_IDS)
+    assert [name.rpartition(".")[2] for name in TYPE_IDS] == WIRE_NAMES_BY_ID
     assert WIRE.encode(MessageBatch(messages=()))[0] == 0
     assert WIRE.encode(StatsReply(sender=1, payload=""))[0] == 41
 

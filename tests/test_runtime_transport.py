@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.experiment import ExperimentConfig, run_experiment
+from repro.runtime.batching import BatchingConfig
 from repro.runtime.transport import SimulatorTransport
-from repro.sim.batching import BatchingConfig
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import Node
 from repro.sim.simulator import Simulator

@@ -6,8 +6,8 @@ import pytest
 
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.figures import throughput_cost_model
-from repro.sim.batching import BatchBuffer, BatchingConfig
-from repro.sim.costs import CostModel
+from repro.runtime.batching import BatchBuffer, BatchingConfig
+from repro.runtime.costs import CostModel
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.simulator import Simulator

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.costs import CostModel
+from repro.runtime.costs import CostModel
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.simulator import Simulator

@@ -20,7 +20,7 @@ import pytest
 from repro.net.clock import WallClock
 from repro.net.transport import PeerNetwork
 from repro.net.wire import Hello
-from repro.sim.batching import BatchingConfig
+from repro.runtime.batching import BatchingConfig
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.simulator import Simulator
@@ -276,6 +276,10 @@ class TestAsyncioSpecifics:
                 backend.network.register(Foreign())
         finally:
             backend.close()
+
+    def test_a_wall_clock_built_outside_a_running_loop_fails_at_construction(self):
+        with pytest.raises(RuntimeError, match="no running event loop"):
+            WallClock(seed=1)
 
     def test_batching_is_rejected(self):
         backend = AsyncioBackend()

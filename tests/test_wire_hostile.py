@@ -27,8 +27,8 @@ from repro.net.client import RemoteReplica
 from repro.net.framing import encode_frame
 from repro.net.loopback import LoopbackCluster
 from repro.net.wire import ROLE_CLIENT, ROLE_REPLICA, Hello, StatsReply
+from repro.runtime.batching import MessageBatch
 from repro.runtime.registry import TYPE_IDS, WIRE, WireDecodeError
-from repro.sim.batching import MessageBatch
 from repro.sim.failures import Heartbeat
 from tests.hostile_replica import attack_then_commit
 from tests.test_runtime_codec import all_wire_types, message_strategy
