@@ -83,7 +83,7 @@ def time_compute_predecessors(size: int) -> Dict[str, float]:
 
     optimized = CommandHistory()
     fill(optimized, commands)
-    optimized.intern(probe.command_id)
+    optimized.intern(probe.command_id, probe.key)
 
     def run_optimized() -> int:
         for _ in range(iterations):

@@ -15,6 +15,14 @@ from typing import Optional, Tuple
 CommandId = Tuple[int, int]
 
 
+class KeyBindingError(ValueError):
+    """A message named a command id on a key other than the one it was first seen on."""
+
+    def __init__(self, command_id: CommandId, bound_key: str, named_key: str) -> None:
+        super().__init__(f"command {command_id} is bound to key {bound_key!r}, "
+                         f"named on key {named_key!r}")
+
+
 @dataclass(frozen=True)
 class Command:
     """A client operation to be ordered by consensus.

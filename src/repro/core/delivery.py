@@ -7,15 +7,17 @@ stable commands can reference each other; BREAKLOOP removes the edge that
 contradicts the final timestamp order, so the remaining precedence graph is
 acyclic and delivery always makes progress.
 
-The delivered set is an interned bitmask drawn from the history's id
-interner, so DELIVERABLE is a single mask test.  A stable command that cannot
-be delivered yet is filed under the interner index of each predecessor still
-blocking it, so a stable event re-reconciles only the commands filed under
-the new command's bit, and a delivery re-tests only the commands filed under
-the delivered one — never every pending command.  Nothing else can make a
-pending command deliverable: once an entry is STABLE only this class writes
-its ``pred_mask``.  :meth:`DeliveryManager.on_stable` is handed the entry the
-replica just wrote; it fetches the entry itself only for a caller without one.
+A predecessor set only names commands of its own key, so the delivered set
+is kept per key, as a bitmask on the key's interner (``bucket.delivered``),
+and DELIVERABLE is a single mask test.  A stable command that cannot be
+delivered yet is filed in its bucket's ``waiters`` under the index of each
+predecessor still blocking it, so a stable event re-reconciles only the
+commands filed under the new command's bit, and a delivery re-tests only the
+commands filed under the delivered one — never every pending command.
+Nothing else can make a pending command deliverable: once an entry is STABLE
+only this class writes its ``pred_mask``.  :meth:`DeliveryManager.on_stable`
+is handed the entry the replica just wrote; it fetches the entry itself only
+for a caller without one.
 
 The delivered set is closed under predecessors (a command is delivered only
 once its mask is inside it, and masks of stable entries only lose bits), so
@@ -59,14 +61,11 @@ class DeliveryManager:
     def __init__(self, history: CommandHistory, execute: Callable[[Command], None]) -> None:
         self._history = history
         self._execute = execute
-        self._delivered_mask = 0
         self._pending: Dict[CommandId, Command] = {}
-        #: Blocker index: interner index of an undelivered predecessor -> the
-        #: pending commands that waited on it when they were filed.  BREAKLOOP
-        #: may since have released one from that bit (and it may have been
-        #: delivered), so readers re-test.  A list is popped when its blocker
-        #: is delivered: the index is empty whenever ``_pending`` is.
-        self._waiters: Dict[int, List[_Waiter]] = {}
+        # Blocker index, per bucket (``waiters``): index of an undelivered
+        # predecessor -> the pending commands filed under it.  BREAKLOOP may
+        # since have released one, so readers re-test.  A list is popped when
+        # its blocker is delivered: all are empty whenever ``_pending`` is.
         self._filed = 0
         self.delivered_order: List[CommandId] = []
 
@@ -75,15 +74,10 @@ class DeliveryManager:
         """Number of commands executed by this replica so far."""
         return len(self.delivered_order)
 
-    @property
-    def delivered_mask(self) -> int:
-        """The delivered set as an interned bitmask (read-only view)."""
-        return self._delivered_mask
-
     def is_delivered(self, command_id: CommandId) -> bool:
         """Whether the command has been executed locally."""
-        index = self._history.index_of(command_id)
-        return index is not None and (self._delivered_mask >> index) & 1 == 1
+        bucket = self._history.bucket_of(command_id)
+        return bucket is not None and (bucket.delivered >> bucket.index_of[command_id]) & 1 == 1
 
     def pending_count(self) -> int:
         """Stable commands still waiting for their predecessors."""
@@ -97,17 +91,18 @@ class DeliveryManager:
         catch-up request should ask peers for.  Predecessors that are stable
         locally but undelivered are excluded: delivery will reach them.
 
-        Read off the blocker index: BREAKLOOP only ever releases the bit of a
-        stable command, so every command filed under a blocker that is not
-        stable is still waiting on it.
+        Read off the blocker index of each pending command's key: BREAKLOOP
+        only ever releases the bit of a stable command, so every command filed
+        under a blocker that is not stable is still pending and waiting on it.
         """
-        history = self._history
-        missing = 0
-        for index in self._waiters:
-            entry = history.entry_at(index)
-            if entry is None or entry.status is not CommandStatus.STABLE:
-                missing |= 1 << index
-        return set(history.iter_mask(missing))
+        missing: Set[CommandId] = set()
+        for key in dict.fromkeys(command.key for command in self._pending.values()):
+            bucket = self._history.bucket(key)
+            for index in (bucket.waiters if bucket is not None else ()):
+                entry = bucket.entry_by_index[index]
+                if entry is None or entry.status is not CommandStatus.STABLE:
+                    missing.add(bucket.id_of[index])
+        return missing
 
     # --------------------------------------------------------------- helpers
 
@@ -125,17 +120,18 @@ class DeliveryManager:
         inside the delivered set when it was delivered, has only lost bits
         since, and ``c`` is not delivered.
         """
-        history = self._history
+        bucket = entry.bucket
+        entry_by_index = bucket.entry_by_index
         my_bit = 1 << entry.index
         my_key = entry.ts_key()
         mask = entry.pred_mask
         remove = 0
-        remaining = mask & ~(self._delivered_mask
-                             & entry.bucket.prefix_mask(entry.timestamp, writes_only=False))
+        remaining = mask & ~(bucket.delivered
+                             & bucket.prefix_mask(entry.timestamp, writes_only=False))
         while remaining:
             low = remaining & -remaining
             remaining ^= low
-            pred_entry = history.entry_at(low.bit_length() - 1)
+            pred_entry = entry_by_index[low.bit_length() - 1]
             if pred_entry is None or pred_entry.status is not CommandStatus.STABLE:
                 continue
             if pred_entry.ts_key() < my_key:
@@ -147,20 +143,21 @@ class DeliveryManager:
 
     def _is_ready(self, entry: HistoryEntry) -> bool:
         """DELIVERABLE, for an entry that may have been delivered since it was filed."""
-        delivered = self._delivered_mask
+        delivered = entry.bucket.delivered
         return entry.pred_mask & ~delivered == 0 and not (delivered >> entry.index) & 1
 
     def _file(self, command: Command, entry: HistoryEntry, ready: List[_Waiter]) -> None:
         """Queue a pending command in ``ready``, or file it under every blocker."""
         self._filed += 1
         waiter = (entry.ts_key(), self._filed, command, entry)
-        blocked = entry.pred_mask & ~self._delivered_mask
+        blocked = entry.pred_mask & ~entry.bucket.delivered
         if not blocked:
             ready.append(waiter)
+        waiters = entry.bucket.waiters
         while blocked:
             low = blocked & -blocked
             blocked ^= low
-            self._waiters.setdefault(low.bit_length() - 1, []).append(waiter)
+            waiters.setdefault(low.bit_length() - 1, []).append(waiter)
 
     # -------------------------------------------------------------- main API
 
@@ -176,19 +173,23 @@ class DeliveryManager:
         command_id = command.command_id
         if entry is LOOK_UP:
             entry = self._history.get(command_id)
-        # A collected command has no entry, but its bit is still delivered.
-        index = entry.index if entry is not None else self._history.index_of(command_id)
-        if index is not None and (self._delivered_mask >> index) & 1:
+        if entry is None:
+            # A collected command has no entry, but its bit is still delivered.
+            if not self.is_delivered(command_id):
+                self._pending[command_id] = command
             return []
-        if entry is None or entry.status is not CommandStatus.STABLE:
+        delivered = entry.bucket.delivered
+        if (delivered >> entry.index) & 1:
+            return []
+        if entry.status is not CommandStatus.STABLE:
             self._pending[command_id] = command
             return []
-        if not self._pending and entry.pred_mask & ~self._delivered_mask == 0:
+        if not self._pending and entry.pred_mask & ~delivered == 0:
             # Fast path for the overwhelmingly common case: nothing else is
             # waiting and every predecessor has already been delivered, so
             # the command can be executed without the loop-breaking or
             # ready-list machinery (which would reach the same conclusion).
-            self._deliver(command, entry.index)
+            self._deliver(command, entry)
             return [command]
         self._pending[command_id] = command
         self._break_loop(entry)
@@ -200,7 +201,7 @@ class DeliveryManager:
         bit = 1 << entry.index
         my_key = entry.ts_key()
         ready: List[_Waiter] = []
-        for waiter in self._waiters.get(entry.index, ()):
+        for waiter in entry.bucket.waiters.get(entry.index, ()):
             other = waiter[3]
             if my_key < waiter[0]:
                 entry.pred_mask &= ~(1 << other.index)
@@ -211,8 +212,8 @@ class DeliveryManager:
         self._file(command, entry, ready)
         return self._drain(ready)
 
-    def _deliver(self, command: Command, index: int) -> None:
-        self._delivered_mask |= 1 << index
+    def _deliver(self, command: Command, entry: HistoryEntry) -> None:
+        entry.bucket.delivered |= 1 << entry.index
         self.delivered_order.append(command.command_id)
         self._execute(command)
 
@@ -235,9 +236,9 @@ class DeliveryManager:
                 # popped while it is already waiting for its turn.
                 if self._pending.pop(command.command_id, None) is None:
                     continue
-                self._deliver(command, entry.index)
+                self._deliver(command, entry)
                 delivered_now.append(command)
-                for waiter in self._waiters.pop(entry.index, ()):
+                for waiter in entry.bucket.waiters.pop(entry.index, ()):
                     if self._is_ready(waiter[3]):
                         unblocked.append(waiter)
             ready = unblocked
@@ -250,7 +251,8 @@ class DeliveryManager:
         caller that changed a pending entry's mask or status behind this
         class's back.  Nothing in ``src/`` does, so nothing in ``src/`` calls it.
         """
-        self._waiters.clear()
+        for bucket in self._history._by_key.values():
+            bucket.waiters.clear()
         ready: List[_Waiter] = []
         for command_id, command in self._pending.items():
             entry = self._history.get(command_id)

@@ -4,14 +4,19 @@
 ``<c, T, Pred, status, ballot, forced>``.  Two representation choices make
 the decision path cheap:
 
-* **Interned ids.**  Every :data:`~repro.consensus.command.CommandId` the
-  node ever sees is assigned a dense integer index, and predecessor sets are
-  stored as Python int bitmasks (bit ``k`` set = the command with index ``k``
-  is a predecessor).  Set union/membership/difference on the hot path become
-  single C-level integer operations, and UPDATE stores a mask without
-  copying.  The wire format is untouched: messages still carry
-  ``FrozenSet[CommandId]``, translated at the codec boundary with
-  :meth:`CommandHistory.mask_from_ids` / :meth:`CommandHistory.ids_from_mask`.
+* **Interned ids, per key.**  Commands conflict only on the same key, so a
+  predecessor set only names commands of its command's key.  Each key's
+  bucket interns the ids seen on it to dense indices of its own, and
+  predecessor sets are Python int bitmasks in that space (bit ``k`` set =
+  the key's ``k``-th command is a predecessor): as wide as the key's
+  history, not the node's.  Set union/membership/difference on the hot path
+  are single C-level operations on small ints, and UPDATE stores a mask
+  without copying.  Messages still carry ``FrozenSet[CommandId]``, translated
+  with :meth:`CommandHistory.mask_from_ids` / :meth:`CommandHistory.ids_from_mask`.
+* **First-key binding.**  An id is bound to the key of the first message
+  naming it; one naming it on another key is refused (``KeyBindingError``)
+  before any entry, mask or delivered bit changes, so a bad ``Stable`` cannot
+  leave a phantom predecessor in one bucket that blocks delivery forever.
 * **Timestamp-ordered per-key buckets.**  The per-key index keeps entries
   sorted by timestamp, so the predecessor computation takes the ``<
   timestamp`` prefix by binary search (as a precomputed bucket mask minus a
@@ -22,24 +27,22 @@ the decision path cheap:
   not yet seen here), and the history is never collected by default, so
   translating one id at a time costs the length of the history on every
   message.  A bucket therefore keeps its entries' ids as a set beside its
-  mask, and a caller that passes ``key=`` to the two translations gets the
-  bucket's mask (or id set) patched by two C-level set differences and a
-  Python loop over only the ids that differ.  Without a key, without a
-  bucket, or when the set is smaller than what the bucket would have to
-  shed (reads among writes, a recovery whitelist), the per-id loop runs —
+  mask, and the two translations start from the bucket's mask (or id set)
+  patched by two C-level set differences and a Python loop over only the
+  ids that differ.  When the set is smaller than what the bucket would have
+  to shed (reads among writes, a recovery whitelist), the per-id loop runs —
   the result is the same either way.
 
 A :class:`HistoryEntry` carries its own index and bucket, so whoever holds a
 command's entry passes it on (``entry=``) and nothing is looked up twice.
 
-Interner indices are *never* recycled, even when :meth:`CommandHistory.remove`
-garbage-collects an entry — a late retransmission referencing a collected
-command must keep resolving to the same bit so delivered-set bitmasks stay
-valid.  And they are assigned in a fixed order: ids a translation sees for
+A key's indices are *never* recycled, and an emptied bucket is kept: when
+:meth:`CommandHistory.remove` garbage-collects an entry, a late
+retransmission referencing the command must keep resolving to the same bit
+so the key's delivered set stays valid.  And they are assigned in a fixed order: ids a translation sees for
 the first time are interned in the iteration order of the collection it was
 handed, whichever way the translation goes about it, so the same messages
-in the same order give the same indices (``tests/data/delivery_golden.json``
-pins them).
+in the same order give the same indices — on one key, first-seen order.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from bisect import bisect_left, bisect_right
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.consensus.ballots import Ballot
-from repro.consensus.command import Command, CommandId
+from repro.consensus.command import Command, CommandId, KeyBindingError
 from repro.consensus.timestamps import LogicalTimestamp
 
 #: Shared empty frozenset returned whenever a mask materializes to nothing.
@@ -82,8 +85,8 @@ class CommandStatus(enum.Enum):
 class HistoryEntry:
     """One row of ``H_i``: the node's knowledge about a single command.
 
-    ``pred_mask`` is the predecessor set as an interned bitmask, a plain
-    attribute every reader and writer touches directly; the
+    ``pred_mask`` is the predecessor set as a bitmask over its key's
+    interner, a plain attribute every reader and writer touches directly; the
     :attr:`predecessors` view materializes it to a ``frozenset`` of ids on
     demand (cached beside the mask it was built from) for cold-path readers
     such as recovery, catch-up supply and the invariant checks.
@@ -100,7 +103,7 @@ class HistoryEntry:
         self.status = status
         self.ballot = ballot
         self.forced = forced
-        #: This command's own interner index (``1 << index`` is its bit).
+        #: This command's index on its key (``1 << index`` is its bit).
         self.index = index
         #: The bucket of the command's key, where this entry is filed.
         self.bucket = bucket
@@ -140,17 +143,26 @@ class _KeyBucket:
     the bucket — the predecessor computation takes the whole-bucket mask and
     strips the (usually tiny) ``>= timestamp`` suffix instead of scanning the
     prefix.  ``ids`` is ``all_mask`` as command ids: what the id⇄mask
-    translations of a predecessor set on this key start from.
+    translations of a predecessor set on this key start from.  The key's
+    interner is ``index_of`` / ``id_of`` / ``entry_by_index`` (``None`` where
+    no live entry is); ``delivered`` / ``waiters`` are the delivery manager's.
     """
 
-    __slots__ = ("keys", "entries", "all_mask", "write_mask", "ids")
+    __slots__ = ("key", "keys", "entries", "all_mask", "write_mask", "ids",
+                 "index_of", "id_of", "entry_by_index", "delivered", "waiters")
 
-    def __init__(self) -> None:
+    def __init__(self, key: str) -> None:
+        self.key = key
         self.keys: List[Tuple[int, int, int]] = []
         self.entries: List[HistoryEntry] = []
         self.all_mask = 0
         self.write_mask = 0
         self.ids: Set[CommandId] = set()
+        self.index_of: Dict[CommandId, int] = {}
+        self.id_of: List[CommandId] = []
+        self.entry_by_index: List[Optional[HistoryEntry]] = []
+        self.delivered = 0
+        self.waiters: Dict[int, list] = {}
 
     def insert(self, entry: HistoryEntry) -> None:
         timestamp = entry.timestamp
@@ -200,47 +212,78 @@ class _KeyBucket:
 class CommandHistory:
     """Mutable map from command id to :class:`HistoryEntry`, with interning.
 
-    Besides the history proper, this object owns the node's
-    ``CommandId -> dense int`` interner used by the wait condition and the
-    delivery manager, so every bitmask on one node draws from the same index
-    space.
+    Besides the history proper, this object owns the ``CommandId -> bucket``
+    binding: the key whose interner gave an id its index (module docstring).
     """
 
     def __init__(self) -> None:
         self._entries: Dict[CommandId, HistoryEntry] = {}
         self._by_key: Dict[str, _KeyBucket] = {}
-        self._index_of: Dict[CommandId, int] = {}
-        self._id_of: List[CommandId] = []
-        self._entry_by_index: List[Optional[HistoryEntry]] = []
+        self._bucket_of: Dict[CommandId, _KeyBucket] = {}
 
     # ------------------------------------------------------------- interning
 
-    def intern(self, command_id: CommandId) -> int:
-        """Dense index for a command id, assigning one on first sight."""
-        index = self._index_of.get(command_id)
-        if index is None:
-            index = len(self._id_of)
-            self._index_of[command_id] = index
-            self._id_of.append(command_id)
-            self._entry_by_index.append(None)
+    def _new_bucket(self, key: str) -> _KeyBucket:
+        bucket = self._by_key[key] = _KeyBucket(key)
+        return bucket
+
+    def _bind(self, command_id: CommandId, bucket: _KeyBucket) -> int:
+        """Bind an unbound id to ``bucket`` at the key's next index."""
+        index = bucket.index_of[command_id] = len(bucket.id_of)
+        bucket.id_of.append(command_id)
+        bucket.entry_by_index.append(None)
+        self._bucket_of[command_id] = bucket
         return index
 
-    def index_of(self, command_id: CommandId) -> Optional[int]:
-        """Index of an already-interned id, ``None`` if never seen."""
-        return self._index_of.get(command_id)
+    def _mask_on(self, key: str, ids: Iterable[CommandId]) -> int:
+        """Bitmask of ``ids`` on ``key``, binding the unbound ones in the order given.
 
-    def entry_at(self, index: int) -> Optional[HistoryEntry]:
-        """The live entry for an interned index, ``None`` when absent."""
-        return self._entry_by_index[index]
-
-    def mask_from_ids(self, ids: Iterable[CommandId], key: Optional[str] = None) -> int:
-        """Bitmask for a collection of command ids (interning as needed).
-
-        With ``key`` — the key of the command whose predecessor set ``ids``
-        is — a set that is most of that key's bucket is translated as the
-        bucket's mask less the few ids it lacks, plus the few it adds.  Ids
-        never seen are interned in the iteration order of ``ids`` either way.
+        Every id is checked before any is bound (or the key's bucket made), so
+        one bound to another key raises :class:`KeyBindingError` with nothing changed.
         """
+        bucket = self._by_key.get(key)
+        index_of = bucket.index_of if bucket is not None else {}
+        bound = self._bucket_of
+        mask = 0
+        unseen = []
+        for command_id in ids:
+            index = index_of.get(command_id)
+            if index is not None:
+                mask |= 1 << index
+            elif command_id in bound:
+                raise KeyBindingError(command_id, bound[command_id].key, key)
+            else:
+                unseen.append(command_id)
+        if unseen:
+            bucket = bucket or self._new_bucket(key)
+            for command_id in unseen:
+                index = bucket.index_of.get(command_id)   # ``ids`` may repeat one
+                mask |= 1 << (self._bind(command_id, bucket) if index is None else index)
+        return mask
+
+    def intern(self, command_id: CommandId, key: str) -> int:
+        """Index of a command id on ``key``, binding it to ``key`` on first sight."""
+        return self._mask_on(key, (command_id,)).bit_length() - 1
+
+    def index_of(self, command_id: CommandId) -> Optional[int]:
+        """Index of an already-bound id on its key, ``None`` if never seen."""
+        bucket = self._bucket_of.get(command_id)
+        return None if bucket is None else bucket.index_of[command_id]
+
+    def bucket_of(self, command_id: CommandId) -> Optional[_KeyBucket]:
+        """The bucket of the key an id is bound to, ``None`` if never seen."""
+        return self._bucket_of.get(command_id)
+
+    def mask_from_ids(self, ids: Iterable[CommandId], key: str) -> int:
+        """Bitmask on ``key`` for a collection of command ids (interning as needed).
+
+        ``key`` is the key of the command whose predecessor set ``ids`` is.
+        A set that is most of that key's bucket is translated as the bucket's
+        mask less the few ids it lacks, plus the few it adds.  Ids never seen
+        are interned in the iteration order of ``ids`` either way.
+        """
+        if not ids:
+            return 0
         bucket = self._by_key.get(key)
         # Worth it only when the bucket sheds fewer ids than the set holds,
         # which a set under half the bucket cannot meet (and is not worth a
@@ -250,7 +293,7 @@ class CommandHistory:
             bucket_ids = bucket.ids
             shed = bucket_ids - ids
             if len(shed) < len(ids):
-                index_of = self._index_of
+                index_of = bucket.index_of
                 mask = bucket.all_mask
                 for command_id in shed:
                     mask &= ~(1 << index_of[command_id])
@@ -258,35 +301,28 @@ class CommandHistory:
                 if len(extra) > 1:
                     # Index assignment follows the order ``ids`` iterates in.
                     extra = [command_id for command_id in ids if command_id in extra]
-                for command_id in extra:
-                    mask |= 1 << self.intern(command_id)
-                return mask
-        mask = 0
-        for command_id in ids:
-            mask |= 1 << self.intern(command_id)
-        return mask
+                return (mask | self._mask_on(key, extra)) if extra else mask
+        return self._mask_on(key, ids)
 
-    def ids_from_mask(self, mask: int, key: Optional[str] = None) -> FrozenSet[CommandId]:
-        """The command ids whose bits are set in ``mask``.
+    def ids_from_mask(self, mask: int, key: str) -> FrozenSet[CommandId]:
+        """The command ids whose bits are set in ``mask``, a bitmask on ``key``.
 
-        With ``key`` (as for :meth:`mask_from_ids`) a mask that is most of the
-        bucket's is the bucket's id set less the few it lacks, plus the few
-        it adds.
+        A mask that is most of the bucket's is the bucket's id set less the
+        few it lacks, plus the few it adds.
         """
         if not mask:
             return _EMPTY_IDS
-        bucket = self._by_key.get(key)
-        if bucket is not None:
-            shed = bucket.all_mask & ~mask
-            if shed.bit_count() < mask.bit_count():
-                ids = bucket.ids
-                if shed:
-                    ids = ids.difference(self.iter_mask(shed))
-                extra = mask & ~bucket.all_mask
-                if extra:
-                    ids = ids.union(self.iter_mask(extra))
-                return frozenset(ids)
-        id_of = self._id_of
+        bucket = self._by_key[key]
+        shed = bucket.all_mask & ~mask
+        if shed.bit_count() < mask.bit_count():
+            ids = bucket.ids
+            if shed:
+                ids = ids.difference(self.iter_mask(shed, key))
+            extra = mask & ~bucket.all_mask
+            if extra:
+                ids = ids.union(self.iter_mask(extra, key))
+            return frozenset(ids)
+        id_of = bucket.id_of
         ids = []
         while mask:
             low = mask & -mask
@@ -294,9 +330,9 @@ class CommandHistory:
             mask ^= low
         return frozenset(ids)
 
-    def iter_mask(self, mask: int) -> Iterator[CommandId]:
-        """Iterate the command ids whose bits are set in ``mask``."""
-        id_of = self._id_of
+    def iter_mask(self, mask: int, key: str) -> Iterator[CommandId]:
+        """Iterate the command ids whose bits are set in ``mask``, a bitmask on ``key``."""
+        id_of = self._by_key[key].id_of if mask else ()
         while mask:
             low = mask & -mask
             yield id_of[low.bit_length() - 1]
@@ -315,7 +351,7 @@ class CommandHistory:
         return self._entries.get(command_id)
 
     def bucket(self, key: str) -> Optional[_KeyBucket]:
-        """The timestamp-sorted bucket for ``key`` (``None`` when empty)."""
+        """The timestamp-sorted bucket for ``key`` (``None`` before an id is bound to it)."""
         return self._by_key.get(key)
 
     def update(self, command: Command, timestamp: LogicalTimestamp,
@@ -324,30 +360,35 @@ class CommandHistory:
                entry: Optional[HistoryEntry] = LOOK_UP) -> HistoryEntry:
         """Insert or update the entry for ``command`` (the UPDATE of Section V-A).
 
-        ``predecessors`` is either an interned bitmask (the hot path — stored
-        as-is, no copy) or any iterable of command ids (interned on the way
-        in).  An existing entry is mutated in place rather than replaced, so
-        concurrent holders of the entry (e.g. the delivery manager's loop
-        breaking) always observe the node's latest knowledge.  ``entry`` is
-        what :meth:`get` returned to a caller that has written nothing since.
+        ``predecessors`` is either a bitmask on the command's key (the hot
+        path — stored as-is, no copy) or any iterable of command ids
+        (interned on the way in).  An existing entry is mutated in place
+        rather than replaced, so concurrent holders of the entry (e.g. the
+        delivery manager's loop breaking) always observe the node's latest
+        knowledge.  ``entry`` is what :meth:`get` returned to a caller that
+        has written nothing since.  An id bound to another key raises first.
         """
-        mask = predecessors if isinstance(predecessors, int) else self.mask_from_ids(predecessors)
+        command_id, key = command.command_id, command.key
         if entry is LOOK_UP:
-            entry = self._entries.get(command.command_id)
+            entry = self._entries.get(command_id)
+        bucket = entry.bucket if entry is not None else self._bucket_of.get(command_id)
+        if bucket is not None and bucket.key != key:
+            raise KeyBindingError(command_id, bucket.key, key)
+        mask = (predecessors if isinstance(predecessors, int)
+                else self.mask_from_ids(predecessors, key))
+        if bucket is None:
+            bucket = self._by_key.get(key) or self._new_bucket(key)
         if entry is None:
-            index = self.intern(command.command_id)
-            bucket = self._by_key.get(command.key)
-            if bucket is None:
-                bucket = self._by_key[command.key] = _KeyBucket()
+            index = bucket.index_of.get(command_id)
+            index = self._bind(command_id, bucket) if index is None else index
             entry = HistoryEntry(command=command, timestamp=timestamp,
                                  pred_mask=mask, status=status, ballot=ballot,
                                  forced=forced, index=index, bucket=bucket, history=self)
-            self._entries[command.command_id] = entry
-            self._entry_by_index[index] = entry
+            self._entries[command_id] = entry
+            bucket.entry_by_index[index] = entry
             bucket.insert(entry)
         else:
             if entry.timestamp != timestamp:
-                bucket = entry.bucket
                 bucket.discard(entry, entry.timestamp)
                 entry.timestamp = timestamp
                 bucket.insert(entry)
@@ -361,17 +402,14 @@ class CommandHistory:
     def remove(self, command_id: CommandId) -> None:
         """Forget a command (garbage collection once stable everywhere).
 
-        The interner mapping is kept so the command's bit stays valid in any
-        surviving bitmask (delivered sets, other entries' predecessors).
+        The bucket and its interner are kept, emptied or not, so the
+        command's bit stays valid in any surviving bitmask (the key's
+        delivered set, other entries' predecessors).
         """
         entry = self._entries.pop(command_id, None)
         if entry is not None:
-            self._entry_by_index[entry.index] = None
-            bucket = self._by_key.get(entry.command.key)
-            if bucket is not None:
-                bucket.discard(entry, entry.timestamp)
-                if not bucket.keys:
-                    del self._by_key[entry.command.key]
+            entry.bucket.entry_by_index[entry.index] = None
+            entry.bucket.discard(entry, entry.timestamp)
 
     def entries(self) -> Iterator[HistoryEntry]:
         """Iterate over every entry (order unspecified)."""

@@ -21,6 +21,8 @@ simulations can check them continuously:
 * :func:`check_delivered_closed` — the delivered set is closed under
   predecessors: no delivered command lists an undelivered one (what lets
   BREAKLOOP skip the delivered part of a new command's predecessor set).
+* :func:`check_mask_width` — every bitmask is drawn from its key's interner,
+  so no mask is wider than the number of ids seen on that key.
 
 Each checker returns a list of human-readable violation descriptions; an
 empty list means the invariant holds.
@@ -168,15 +170,41 @@ def check_delivered_closed(replicas: Sequence) -> List[str]:
         delivery = getattr(replica, "delivery", None)
         if replica.crashed or delivery is None:
             continue
-        delivered = delivery.delivered_mask
         history = replica.history
         for entry in history.entries():
+            delivered = entry.bucket.delivered
             stray = entry.pred_mask & ~delivered
             if stray and (delivered >> entry.index) & 1:
                 violations.append(
                     f"node {replica.node_id}: delivered {entry.command_id} "
                     f"(ts {entry.timestamp}) lists undelivered predecessors "
-                    f"{sorted(history.iter_mask(stray))}")
+                    f"{sorted(history.iter_mask(stray, entry.command.key))}")
+    return violations
+
+
+def check_mask_width(replicas: Sequence) -> List[str]:
+    """No entry, bucket or parked-proposal mask is wider than its key's interner.
+
+    A mask drawn from a node-wide index fails as soon as two keys are seen.
+    Replicas without a delivery manager are skipped.
+    """
+    violations: List[str] = []
+    for replica in replicas:
+        if getattr(replica, "delivery", None) is None:
+            continue
+        history = replica.history
+        masks = [(entry.command.key, f"pred_mask of {entry.command_id}", entry.pred_mask)
+                 for entry in history.entries()]
+        masks += [(key, name, getattr(bucket, name)) for key, bucket in history._by_key.items()
+                  for name in ("all_mask", "write_mask", "delivered")]
+        masks += [(key, f"{name} of {parked.command_id}", getattr(parked, name))
+                  for key, parked_list in replica.wait_manager._parked_by_key.items()
+                  for parked in parked_list for name in ("blocker_mask", "witness_mask")]
+        for key, what, mask in masks:
+            width = len(history.bucket(key).index_of)
+            if mask.bit_length() > width:
+                violations.append(f"node {replica.node_id}: {what} on key {key!r} is "
+                                  f"{mask.bit_length()} bits wide, {width} ids interned")
     return violations
 
 
@@ -189,4 +217,5 @@ def check_all(replicas: Sequence[CaesarReplica]) -> List[str]:
     violations.extend(check_timestamp_order(replicas))
     violations.extend(check_delivery_quiescent(replicas))
     violations.extend(check_delivered_closed(replicas))
+    violations.extend(check_mask_width(replicas))
     return violations

@@ -4,8 +4,8 @@ These are the two auxiliary functions of Figure 3 in the paper:
 
 * :func:`compute_predecessor_mask` — the set of conflicting commands that
   must be ordered before a command proposed at a given timestamp, optionally
-  constrained by a recovery whitelist.  Returns an interned bitmask (see
-  :mod:`repro.core.history`); :func:`compute_predecessors` is the
+  constrained by a recovery whitelist.  Returns a bitmask on the command's
+  key (see :mod:`repro.core.history`); :func:`compute_predecessors` is the
   id-set-returning wrapper kept for cold paths and tests.
 * :class:`WaitManager` — the WAIT function.  In the paper WAIT blocks the
   acceptor thread; here :meth:`WaitManager.evaluate` answers in the call when
@@ -36,7 +36,7 @@ def compute_predecessor_mask(history: CommandHistory, command: Command,
                              timestamp: LogicalTimestamp,
                              whitelist_mask: Optional[int] = None,
                              entry: Optional[HistoryEntry] = LOOK_UP) -> int:
-    """COMPUTEPREDECESSORS from Figure 3, as an interned bitmask.
+    """COMPUTEPREDECESSORS from Figure 3, as a bitmask on the command's key.
 
     With no whitelist, the predecessors of ``command`` at ``timestamp`` are
     every conflicting command the node has seen with a smaller timestamp —
@@ -77,9 +77,9 @@ def compute_predecessors(history: CommandHistory, command: Command,
                          timestamp: LogicalTimestamp,
                          whitelist: Optional[FrozenSet[CommandId]]) -> Set[CommandId]:
     """Id-set wrapper around :func:`compute_predecessor_mask`."""
-    whitelist_mask = None if whitelist is None else history.mask_from_ids(whitelist)
+    whitelist_mask = None if whitelist is None else history.mask_from_ids(whitelist, command.key)
     mask = compute_predecessor_mask(history, command, timestamp, whitelist_mask)
-    return set(history.ids_from_mask(mask))
+    return set(history.ids_from_mask(mask, command.key))
 
 
 class _ParkedProposal:
@@ -185,9 +185,10 @@ class WaitManager:
         if entry is not None:
             bucket, self_bit = entry.bucket, 1 << entry.index
         else:
-            bucket, self_bit = history.bucket(command.key), 1 << history.intern(command.command_id)
-            if bucket is None:
-                return True
+            self_bit = 1 << history.intern(command.command_id, command.key)
+            bucket = history.bucket(command.key)
+            if not bucket.keys:
+                return True  # a bucket with no entries (all collected) is no bucket
         if bucket.keys[-1][:2] <= (timestamp.counter, timestamp.node_id):
             return True  # nothing on the key is later: the scan would find an empty suffix
         blocker_mask, witness_mask = self._scan_masks(command, timestamp, self_bit)

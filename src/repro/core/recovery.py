@@ -54,7 +54,6 @@ class RecoveryManager:
         if not self.replica.config.recovery_enabled:
             return
         self._suspected.add(peer)
-        self.replica.stats.recoveries_started += 0  # counter bumped per command below
         delay = self._stagger_delay()
         self.replica.set_timer(delay, lambda: self._recover_commands_of(peer))
 

@@ -32,7 +32,7 @@ from repro.chaos.nemesis import Nemesis, NemesisPlan, build_schedule
 from repro.consensus.command import Command
 from repro.core.invariants import (check_delivered_closed,
                                    check_delivery_quiescent,
-                                   check_execution_consistency)
+                                   check_execution_consistency, check_mask_width)
 from repro.harness.cluster import ClusterConfig, build_cluster
 from repro.harness.experiment import count_decisions
 from repro.harness.protocols import constructor_options, flags_to_fields
@@ -234,7 +234,8 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
     report = check_history(tape)
     internal = (check_execution_consistency(cluster.replicas)
                 + check_delivery_quiescent(cluster.replicas)
-                + check_delivered_closed(cluster.replicas))
+                + check_delivered_closed(cluster.replicas)
+                + check_mask_width(cluster.replicas))
 
     fast, slow = count_decisions(cluster.replicas)
     recoveries = sum(replica.stats.recoveries + replica.stats.recoveries_completed

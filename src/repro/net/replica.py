@@ -33,6 +33,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.consensus.command import KeyBindingError
 from repro.consensus.quorums import QuorumSystem
 from repro.harness.protocols import build_replica, constructor_options
 from repro.net.clock import WallClock
@@ -228,8 +229,9 @@ class _AcceptedConnection(asyncio.Protocol):
     """One accepted connection: each frame is decoded and routed in the
     event-loop callback that read it, until EOF / error.
 
-    A peer that breaks the framing or sends undecodable bytes loses this
-    connection; the replica keeps serving every other one.
+    A peer that breaks the framing, sends undecodable bytes or names a
+    command on two keys loses this connection; the replica keeps serving
+    every other one.
     """
 
     def __init__(self, server: ReplicaServer) -> None:
@@ -251,7 +253,7 @@ class _AcceptedConnection(asyncio.Protocol):
                     self.hello = server._handshake(message)
                 else:
                     server._dispatch(self.hello, message, self.transport)
-        except (FramingError, WireDecodeError):
+        except (FramingError, WireDecodeError, KeyBindingError):
             self.transport.close()
 
     def connection_lost(self, exc: Optional[Exception]) -> None:

@@ -14,6 +14,11 @@ The only edits to the copied code: the wait manager's parked counter is the
 public ``parked`` now, where the parent wrote ``_parked``, and a new entry is
 told its bucket, which the parent fetched one statement later.  The delivery
 manager's ``on_delivered`` hook is gone; ``_execute_then_announce`` stands in.
+
+Underneath, the history, WAIT, delivery and COMPUTEPREDECESSORS are those of
+``tests/reference_history.py``: one node-wide interner, one delivered mask.
+So the differential also checks, message for message, that per-key indices
+change nothing a peer or a client can see.
 """
 
 from __future__ import annotations
@@ -24,8 +29,7 @@ from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command, CommandId
 from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.caesar import CaesarReplica
-from repro.core.delivery import DeliveryManager
-from repro.core.history import CommandHistory, CommandStatus, HistoryEntry, _KeyBucket
+from repro.core.history import CommandStatus, HistoryEntry
 from repro.core.messages import (
     FastPropose,
     FastProposeReply,
@@ -35,8 +39,10 @@ from repro.core.messages import (
     SlowProposeReply,
     Stable,
 )
-from repro.core.predecessors import WaitManager, _ParkedProposal, compute_predecessor_mask
+from repro.core.predecessors import _ParkedProposal
 from repro.runtime.kernel import handles
+from tests.reference_history import (CommandHistory, DeliveryManager, WaitManager, _KeyBucket,
+                                     compute_predecessor_mask)
 
 
 class ReferenceCommandHistory(CommandHistory):

@@ -2,12 +2,15 @@
 
 A :class:`~repro.core.caesar.CaesarReplica` and ``tests/reference_caesar.py``
 (the handlers, UPDATE and WAIT as they were before the entry found at the
-top of a handler was handed down, kept verbatim) each sit alone on an idle
+top of a handler was handed down, over the node-wide interner of
+``tests/reference_history.py``, kept verbatim) each sit alone on an idle
 simulator and are fed the same messages at the same virtual times.  After
 every message both must have sent the same messages (type, destination,
 every field) in the same order and hold the same history rows (timestamp,
-mask, status, ballot, forced, interner index), ballot register, logical
-clock, ``delivered_order``, ``wait_time_samples`` and ``stats``.
+predecessor ids, status, ballot, forced), delivered set, ballot register,
+logical clock, ``delivered_order``, ``wait_time_samples`` and ``stats``.
+Everything is compared as command ids: the two sides number them
+differently (per key here, per node in the reference).
 
 The schedules are seeded random streams over a dozen commands on two keys —
 duplicated and retransmitted proposals at the same ballot, ``Stable`` before
@@ -74,16 +77,18 @@ class Probe:
         self.replica.handle_message(src, message)
 
     def rows(self) -> list:
-        return sorted((entry.command_id, entry.command, entry.timestamp, entry.pred_mask,
-                       entry.status, entry.ballot, entry.forced, entry.index)
+        return sorted((entry.command_id, entry.command, entry.timestamp,
+                       sorted(entry.predecessors), entry.status, entry.ballot, entry.forced)
                       for entry in self.replica.history.entries())
 
     def observed(self) -> tuple:
         """Everything a peer, a client or a figure could tell the two replicas apart by."""
         replica = self.replica
-        return (self.sent, self.rows(), list(replica.history._id_of), dict(replica.ballots),
-                replica.timestamps.current, replica.delivery.delivered_order,
-                replica.delivery.pending_count(), replica.delivery.delivered_mask,
+        delivery = replica.delivery
+        known = [entry.command_id for entry in replica.history.entries()] + NAMEABLE
+        return (self.sent, self.rows(), sorted(filter(delivery.is_delivered, set(known))),
+                dict(replica.ballots), replica.timestamps.current, delivery.delivered_order,
+                delivery.pending_count(), delivery.missing_predecessors(),
                 replica.wait_manager.parked_count(), replica.wait_manager.total_waits,
                 replica.wait_manager.total_wait_ms, replica.wait_time_samples,
                 dataclasses.asdict(replica.stats), replica.commands_executed,
@@ -112,6 +117,12 @@ class Pair:
         new, reference = self.new.observed(), self.reference.observed()
         for position, (mine, theirs) in enumerate(zip(new, reference)):
             assert mine == theirs, (self.fed, message, position, mine, theirs)
+
+    def collect(self, command: Command) -> None:
+        """Garbage-collect ``command`` on both sides, as the history compactor would."""
+        self.new.replica.history.remove(command.command_id)
+        self.reference.replica.history.remove(command.command_id)
+        assert self.new.observed() == self.reference.observed()
 
     def settle(self, advance_ms: float) -> None:
         """Let armed timers (the catch-up probe) fire on both sides."""
@@ -158,8 +169,12 @@ def slow(cmd: Command, timestamp: LogicalTimestamp, predecessors: Sequence = (),
 COMMANDS = [command(client, sequence, key=KEYS[(client + sequence) % 2],
                     operation="get" if (client, sequence) in ((1, 1), (3, 0)) else "put")
             for client in range(4) for sequence in range(3)]
-#: Ids a predecessor set or whitelist may name: every command, and two nobody proposes.
-NAMEABLE = [cmd.command_id for cmd in COMMANDS] + [(8, 0), (8, 1)]
+#: Ids a predecessor set or whitelist may name: every command, and two nobody
+#: proposes per key — ``(8 + k, 0)`` and ``(8 + k, 1)`` on ``KEYS[k]`` (an id
+#: is bound to the first key it is named on, and a replica refuses it on
+#: another).
+GHOSTS = [(8 + k, n) for k in range(len(KEYS)) for n in range(2)]
+NAMEABLE = [cmd.command_id for cmd in COMMANDS] + GHOSTS
 
 
 def random_schedule(seed: int, length: int = 90) -> list:
@@ -174,9 +189,12 @@ def random_schedule(seed: int, length: int = 90) -> list:
         timestamp = ts(3 * rng.randint(1, 9) + sequence, client)
         ballot = (Ballot.initial(client) if rng.random() < 0.8
                   else Ballot(rng.randint(0, 2), rng.randrange(REPLICAS)))
-        same_key = [other for other in NAMEABLE if other[0] == 8
+        # The draw is over the key's commands and two ghosts, which are then
+        # the ghosts of this key.
+        same_key = [other for other in NAMEABLE[:len(COMMANDS) + 2] if other[0] == 8
                     or COMMANDS[other[0] * 3 + other[1]].key == cmd.key]
-        named = frozenset(rng.sample(same_key, rng.randint(0, min(4, len(same_key)))))
+        named = frozenset((other[0] + KEYS.index(cmd.key), other[1]) if other[0] == 8 else other
+                          for other in rng.sample(same_key, rng.randint(0, min(4, len(same_key)))))
         advance = rng.choice((0.0, 0.0, 0.0, 2.5, 40.0))
         src = ballot.node_id
         draw = rng.random()
@@ -287,6 +305,30 @@ class TestScenarios:
         assert not entry.pred_mask >> entry.index & 1
         pair.feed(1, stable(B, ts(2, 1)))
         assert pair.new.replica.delivery.delivered_order == [B.command_id, A.command_id]
+
+    def test_a_collected_predecessor_keeps_its_bit_and_stays_delivered(self):
+        """GC empties a key's bucket; a late message naming the collected command
+        must resolve to the bit it had, which the key's delivered set still holds."""
+        pair = Pair()
+        pair.feed(0, stable(A, ts(3, 0)))
+        history = pair.new.replica.history
+        bit = history.index_of(A.command_id)
+        pair.collect(A)
+        assert history.get(A.command_id) is None and not history.bucket("x").entries
+        # A stable command naming the collected one is delivered at once...
+        pair.feed(1, stable(B, ts(5, 1), [A.command_id]))
+        assert history.index_of(A.command_id) == bit
+        assert pair.new.replica.delivery.delivered_order == [A.command_id, B.command_id]
+        # ...and a retransmitted Stable of the collected command is not executed twice.
+        pair.feed(0, stable(A, ts(3, 0)))
+        assert history.get(A.command_id).index == bit
+        assert pair.new.replica.delivery.is_delivered(A.command_id)
+        assert pair.new.replica.commands_executed == 2
+        # A proposal on the key with every entry collected is answered at once.
+        pair.collect(A)
+        pair.collect(B)
+        pair.feed(2, fast(C, ts(1, 2)))
+        assert [answer.ok for answer in pair.new.answers(C)] == [True]
 
     def test_slow_propose_whose_predecessor_set_names_the_command_itself(self):
         pair = Pair()

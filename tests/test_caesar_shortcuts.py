@@ -112,6 +112,21 @@ class TestWaitShortcut:
         assert index == len(rows)
         assert answer is full_scan_answer(manager, newcomer, timestamp, 1 << index, enabled)
 
+    def test_a_bucket_without_entries_is_no_bucket(self):
+        """A key whose entries were all collected, or whose ids were only ever
+        named as predecessors, has a bucket with nothing in it: OK at once."""
+        history = CommandHistory()
+        manager = WaitManager(history, lambda: 0.0)
+        gone = command_for(0, False)
+        history.update(gone, LogicalTimestamp(5, 0), set(), CommandStatus.STABLE, BALLOT)
+        history.remove(gone.command_id)
+        history.mask_from_ids({(7, 0)}, "named-only")
+        for newcomer in (command_for(1, False),
+                         Command(command_id=(8, 0), key="named-only", origin=0)):
+            assert not history.bucket(newcomer.key).entries
+            assert manager.evaluate(newcomer, LogicalTimestamp(1, 1), None) is True
+        assert manager.parked_count() == 0
+
     def test_a_later_pending_conflict_is_not_skipped(self):
         """The teeth: an entry that is *not* the last key must be scanned."""
         rows = [(3, CommandStatus.FAST_PENDING, False, 0),

@@ -20,15 +20,17 @@ trustworthy: the reference is the executable specification.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.consensus.ballots import Ballot
-from repro.consensus.command import Command
+from repro.consensus.command import Command, KeyBindingError
 from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.history import CommandHistory, CommandStatus
 from repro.core.predecessors import WaitManager, compute_predecessors
 from tests.reference_decision_path import (ReferenceCommandHistory, ReferenceWaitManager,
                                            reference_compute_predecessors)
+from tests.reference_history import CommandHistory as ReferenceHistory
 
 BALLOT = Ballot.initial(0)
 
@@ -212,7 +214,8 @@ TRANSLATION_SLOTS = 16
 #: slot's command with that predecessor set (a repeat at another counter
 #: re-files the entry), 2 = remove it, 3 = translate only.  Dropping few slots
 #: takes the bucket-relative path, dropping many the per-id loop; added slots
-#: may be on other keys or never seen by the history at all.
+#: are those of the command's key (the only ones a predecessor set can name),
+#: seen by the history or not.
 translation_steps = st.lists(
     st.tuples(st.integers(0, 3), st.integers(0, TRANSLATION_SLOTS - 1), st.integers(1, 6),
               st.one_of(st.just(0), st.integers(0, (1 << TRANSLATION_SLOTS) - 1)),
@@ -226,28 +229,31 @@ def translation_command(slot: int) -> Command:
                    operation="get" if slot % 4 == 3 else "put", value=f"v{slot}", origin=0)
 
 
-def slots_of(mask: int) -> set:
-    return {(slot, 0) for slot in range(TRANSLATION_SLOTS) if (mask >> slot) & 1}
+def slots_of(mask: int, key: str) -> set:
+    return {(slot, 0) for slot in range(TRANSLATION_SLOTS)
+            if (mask >> slot) & 1 and translation_command(slot).key == key}
 
 
-class CountingInternHistory(CommandHistory):
-    """Counts the ids a translation hands to the interner one by one."""
+class CountingTranslationHistory(CommandHistory):
+    """Counts the ids a translation hands to the per-id loop."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.interns = 0
+        self.per_id = 0
 
-    def intern(self, command_id):
-        self.interns += 1
-        return super().intern(command_id)
+    def _mask_on(self, key, ids):
+        self.per_id += len(ids)
+        return super()._mask_on(key, ids)
 
 
 class TestBucketRelativeTranslation:
     @settings(max_examples=300, deadline=None)
     @given(steps=translation_steps)
     def test_keyed_translation_matches_plain_and_interns_in_the_same_order(self, steps):
-        # Fed identically, except that ``keyed`` is told the key every time.
-        keyed, plain = CommandHistory(), CommandHistory()
+        # Fed identically: ``keyed`` interns per key and translates
+        # bucket-relative, ``plain`` is the node-wide interner of
+        # tests/reference_history.py translating one id at a time.
+        keyed, plain = CommandHistory(), ReferenceHistory()
         for kind, slot, counter, dropped, added, frozen in steps:
             command = translation_command(slot)
             if kind == 2:
@@ -255,35 +261,49 @@ class TestBucketRelativeTranslation:
                 plain.remove(command.command_id)
                 continue
             bucket = keyed.bucket(command.key)
-            ids = (set(bucket.ids) if bucket is not None else set()) - slots_of(dropped)
-            ids |= slots_of(added)
+            ids = (set(bucket.ids) if bucket is not None else set()) - slots_of(dropped, command.key)
+            ids |= slots_of(added, command.key)
             ids = frozenset(ids) if frozen else ids
             mask = keyed.mask_from_ids(ids, command.key)
-            assert mask == plain.mask_from_ids(ids)
+            plain_mask = plain.mask_from_ids(ids)
+            assert keyed.ids_from_mask(mask, command.key) == plain.ids_from_mask(plain_mask) == ids
+            assert set(keyed.iter_mask(mask, command.key)) == ids
             for key in TRANSLATION_KEYS:
-                assert keyed.mask_from_ids(ids, key) == mask
-                assert keyed.ids_from_mask(mask, key) == plain.ids_from_mask(mask) == ids
+                # Naming the key's ids on any other key is refused, and changes nothing.
+                if key != command.key and ids:
+                    before = {name: list(keyed.bucket(name).id_of) for name in TRANSLATION_KEYS
+                              if keyed.bucket(name) is not None}
+                    with pytest.raises(KeyBindingError):
+                        keyed.mask_from_ids(ids, key)
+                    assert before == {name: list(keyed.bucket(name).id_of)
+                                      for name in TRANSLATION_KEYS
+                                      if keyed.bucket(name) is not None}
             if kind < 2:
                 timestamp = LogicalTimestamp(counter, slot)
                 entry = keyed.update(command, timestamp, mask, CommandStatus.FAST_PENDING, BALLOT)
-                plain.update(command, timestamp, mask, CommandStatus.FAST_PENDING, BALLOT)
-                assert entry.predecessors == ids
-        # The interning-order contract: same ids, same indices.
-        for slot in range(TRANSLATION_SLOTS):
-            assert keyed.index_of((slot, 0)) == plain.index_of((slot, 0))
+                plain.update(command, timestamp, plain_mask, CommandStatus.FAST_PENDING, BALLOT)
+                assert entry.predecessors == plain.get(command.command_id).predecessors == ids
+        # The interning-order contract: a key's indices are the node-wide
+        # first-seen order restricted to the key.
+        for key in TRANSLATION_KEYS:
+            bucket = keyed.bucket(key)
+            assert (bucket.id_of if bucket is not None else []) == [
+                command_id for command_id in plain._id_of
+                if translation_command(command_id[0]).key == key]
+            for command_id in (bucket.id_of if bucket is not None else ()):
+                assert bucket.id_of[keyed.index_of(command_id)] == command_id
 
     def test_a_set_that_is_its_bucket_less_two_interns_a_handful(self):
-        history = CountingInternHistory()
+        history = CountingTranslationHistory()
         for seq in range(258):
             command = Command(command_id=(0, seq), key="k", operation="put", value="v", origin=0)
             history.update(command, LogicalTimestamp(seq + 1, 0), 0,
                            CommandStatus.FAST_PENDING, BALLOT)
         ids = frozenset((0, seq) for seq in range(256))
-        history.interns = 0
+        history.per_id = 0
         mask = history.mask_from_ids(ids, "k")
-        keyed_interns = history.interns
-        assert keyed_interns <= 4
-        # The per-id loop, which is all there was before ``key=``: one each.
-        assert history.mask_from_ids(ids) == mask
-        assert history.interns - keyed_interns == 256
+        assert history.per_id <= 4
+        # The per-id loop, which is what a set under half its bucket gets: one each.
+        assert history._mask_on("k", ids) == mask
+        assert history.per_id == 256
         assert history.ids_from_mask(mask, "k") == ids

@@ -58,8 +58,8 @@ class TestBasicDelivery:
     def test_delivery_respects_timestamp_order_among_ready(self):
         harness = DeliveryHarness()
         late = make_command(0, 0, key="x")
-        early = make_command(1, 0, key="y")
-        blocker = make_command(2, 0, key="z")
+        early = make_command(1, 0, key="x")
+        blocker = make_command(2, 0, key="x")
         # Make both late and early wait on the same predecessor, then release it.
         harness.stable(late, ts(9), predecessors={blocker.command_id})
         harness.stable(early, ts(2), predecessors={blocker.command_id})

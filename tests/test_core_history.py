@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.consensus.ballots import Ballot
+from repro.consensus.command import KeyBindingError
 from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.history import CommandHistory, CommandStatus
 from tests.conftest import make_command
@@ -57,6 +58,62 @@ class TestUpdateAndLookup:
         history.remove(command.command_id)
         assert command.command_id not in history
         assert list(history.conflicting_with(other)) == []
+
+
+    def test_remove_keeps_the_emptied_bucket_and_its_indices(self):
+        """A key's interner outlives its entries: the collected id keeps its bit."""
+        history = CommandHistory()
+        command = make_command(0, 0, key="x")
+        entry = history.update(command, ts(1), set(), CommandStatus.STABLE, Ballot.initial(0))
+        history.remove(command.command_id)
+        bucket = history.bucket("x")
+        assert bucket is entry.bucket and bucket.entries == [] and bucket.all_mask == 0
+        assert bucket.id_of == [command.command_id] and bucket.entry_by_index == [None]
+        assert history.index_of(command.command_id) == entry.index
+        assert history.mask_from_ids({command.command_id}, "x") == 1 << entry.index
+
+
+class TestFirstKeyBinding:
+    """An id is bound to the first key a message names it on, and refused on any other."""
+
+    def test_an_id_named_on_a_second_key_is_refused_before_anything_changes(self):
+        history = CommandHistory()
+        ballot = Ballot.initial(0)
+        named = make_command(0, 0, key="a")
+        history.update(make_command(1, 0, key="a"), ts(2), {named.command_id},
+                       CommandStatus.STABLE, ballot)
+        bucket = history.bucket("a")
+        before = (list(bucket.id_of), bucket.all_mask, bucket.delivered, len(history))
+        with pytest.raises(KeyBindingError,
+                           match=r"command \(0, 0\) is bound to key 'a', named on key 'b'"):
+            history.update(make_command(0, 0, key="b"), ts(1), {(5, 5)},
+                           CommandStatus.STABLE, ballot)
+        # Not even the new predecessor was bound, nor a bucket made for "b".
+        assert history.get(named.command_id) is None and history.bucket("b") is None
+        assert history.index_of((5, 5)) is None
+        assert (list(bucket.id_of), bucket.all_mask, bucket.delivered, len(history)) == before
+        # Naming it as a predecessor on another key: checked before any id is bound.
+        with pytest.raises(KeyBindingError, match="named on key 'c'"):
+            history.mask_from_ids([(7, 7), named.command_id], "c")
+        with pytest.raises(KeyBindingError):
+            history.intern(named.command_id, "c")
+        assert history.bucket("c") is None and history.index_of((7, 7)) is None
+        # On its own key the command arrives at the index it was named with.
+        index = history.index_of(named.command_id)
+        entry = history.update(named, ts(1), set(), CommandStatus.STABLE, ballot)
+        assert (entry.bucket, entry.index) == (bucket, index)
+
+    def test_a_command_with_an_entry_is_refused_on_another_key(self):
+        history = CommandHistory()
+        ballot = Ballot.initial(0)
+        command = make_command(0, 0, key="a")
+        entry = history.update(command, ts(1), set(), CommandStatus.FAST_PENDING, ballot)
+        with pytest.raises(KeyBindingError, match="bound to key 'a', named on key 'b'"):
+            history.update(make_command(0, 0, key="b"), ts(3), set(), CommandStatus.STABLE,
+                           ballot, entry=entry)
+        assert (entry.command, entry.timestamp, entry.status) == (
+            command, ts(1), CommandStatus.FAST_PENDING)
+        assert history.bucket("b") is None
 
 
 class TestConflictIndex:

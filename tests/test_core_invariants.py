@@ -14,8 +14,12 @@ from repro.core.invariants import (
     check_delivery_quiescent,
     check_execution_consistency,
     check_graph_invariant,
+    check_mask_width,
     check_timestamp_order,
 )
+from repro.harness.experiment import ExperimentConfig, attach_clients, build_experiment_cluster
+from repro.metrics.collector import MetricsCollector
+from repro.sim.network import NetworkConfig
 from tests.conftest import build_caesar_cluster, make_command
 
 
@@ -160,3 +164,44 @@ class TestCheckersDetectViolations:
                                    CommandStatus.STABLE, Ballot.initial(0))
         replicas[1].crashed = True
         assert check_agreement(replicas) == []
+
+
+def run_ci_call_count_shape():
+    """The seeded run CI's call-count step profiles: 0 % conflicts, 1,235 commits."""
+    config = ExperimentConfig(protocol="caesar", conflict_rate=0.0, clients_per_site=10,
+                              duration_ms=2000.0, warmup_ms=500.0, drain_ms=1000.0, seed=7001,
+                              network=NetworkConfig(jitter_ms=3.0))
+    cluster = build_experiment_cluster(config)
+    pool = attach_clients(cluster, config, MetricsCollector(warmup_ms=config.warmup_ms))
+    cluster.start()
+    pool.start_all()
+    cluster.run(config.warmup_ms + config.duration_ms)
+    pool.stop_all()
+    cluster.run(config.drain_ms)
+    assert cluster.replicas[0].commands_executed == 1235
+    return cluster.replicas
+
+
+class TestMaskWidth:
+    def test_every_mask_is_as_wide_as_its_key_on_the_seeded_ci_run(self):
+        """Over 1,000 keys and ~4,400 commands per replica, the widest predecessor
+        mask is a handful of bits (1,175 with one node-wide interner)."""
+        replicas = run_ci_call_count_shape()
+        assert check_mask_width(replicas) == []
+        widest = max(entry.pred_mask.bit_length()
+                     for replica in replicas for entry in replica.history.entries())
+        assert 0 < widest <= 64
+
+    def test_a_mask_wider_than_its_key_is_detected(self):
+        replicas = run_conflicting_workload(n_commands_per_node=2)
+        assert check_mask_width(replicas) == []
+        replica = replicas[2]
+        entry = replica.history.get((0, 0))
+        width = len(entry.bucket.index_of)
+        entry.bucket.delivered |= 1 << (width + 3)
+        assert check_all(replicas) == [
+            f"node 2: delivered on key 'hot-0' is {width + 4} bits wide, {width} ids interned"]
+        entry.pred_mask |= 1 << width
+        assert check_mask_width(replicas)[0] == (
+            f"node 2: pred_mask of (0, 0) on key 'hot-0' is {width + 1} bits wide, "
+            f"{width} ids interned")

@@ -6,13 +6,18 @@ clears edges on entries that are already delivered; ``RecoveryReply`` and
 :class:`~repro.core.delivery.DeliveryManager` that reorders two independent
 commands, or skips an edit nobody executes on, changes observable state
 without failing any consistency check.  This test pins both: a sha256 over
-every replica's execution log and every history entry's ``(index, pred_mask,
-timestamp)`` for one small 100 %-conflict run and one crash+recovery run.
+every replica's execution log and every history entry's ``(command id,
+sorted predecessor ids, timestamp)`` for one small 100 %-conflict run and one
+crash+recovery run.  Nothing in it depends on how ids are numbered, so the
+digest holds across a change of interner (node-wide or per key).
 
-``tests/data/delivery_golden.json`` was written by the scan-based manager of
-commit d1ad494 (``PYTHONPATH=<d1ad494 checkout>/src python
-tests/test_delivery_golden.py``), before delivery was indexed; running the
-module as a script prints the digests of whatever ``src`` is on the path.
+``tests/data/delivery_golden.json`` was written by the node-wide-interner
+history, before each key got its own interner (``PYTHONPATH=<that
+checkout>/src python tests/test_delivery_golden.py``, this file copied into
+the checkout); the index-based digest it replaced had been written by the
+scan-based manager of commit d1ad494, before delivery was indexed, and both
+trees agreed on it.  Running the module as a script prints the digests of
+whatever ``src`` is on the path.
 """
 
 from __future__ import annotations
@@ -63,8 +68,8 @@ def run_digest(name: str) -> dict:
         digest.update(f"replica {replica.node_id}\n".encode())
         for command in replica.execution_log:
             digest.update(f"x {command.command_id}\n".encode())
-        for entry in sorted(replica.history.entries(), key=lambda e: e.index):
-            digest.update(f"h {entry.index} {entry.pred_mask:x} "
+        for entry in sorted(replica.history.entries(), key=lambda e: e.command_id):
+            digest.update(f"h {entry.command_id} {sorted(entry.predecessors)} "
                           f"{entry.timestamp.counter}.{entry.timestamp.node_id}\n".encode())
     return {"sha256": digest.hexdigest(),
             "executed": [len(replica.execution_log) for replica in cluster.replicas],

@@ -23,6 +23,8 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines.epaxos import PreAccept
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command
+from repro.consensus.timestamps import LogicalTimestamp
+from repro.core.messages import Stable
 from repro.net.client import RemoteReplica
 from repro.net.framing import encode_frame
 from repro.net.loopback import LoopbackCluster
@@ -88,6 +90,13 @@ def test_batches_nested_past_the_recursion_limit_raise_wire_decode_error():
 
 # --------------------------------------------------------- against a live replica
 
+def _stable(command_id, key: str, predecessors=()) -> bytes:
+    return encode_frame(WIRE.encode(Stable(
+        command=Command(command_id=command_id, key=key, operation="put", value="v", origin=1),
+        ballot=Ballot(0, 1), timestamp=LogicalTimestamp(3, 1),
+        predecessors=frozenset(predecessors))))
+
+
 def _hostile_streams():
     hello = encode_frame(WIRE.encode(Hello(sender=1, role=ROLE_REPLICA)))
     heartbeat = WIRE.encode(Heartbeat(sender=1, sequence=9))
@@ -109,6 +118,11 @@ def _hostile_streams():
             encode_frame(WIRE.encode(Hello(sender=0, role=ROLE_REPLICA))),
         "replica-hello-from-outside-the-peer-map":
             encode_frame(WIRE.encode(Hello(sender=9, role=ROLE_REPLICA))),
+        # Well-formed CAESAR messages that name command (91, 0) on key "a" (as
+        # a predecessor) and then on key "b": the history refuses the second
+        # with a ``KeyBindingError``, which closes the link like bad framing.
+        "command-named-on-two-keys":
+            hello + _stable((90, 0), "a", [(91, 0)]) + _stable((91, 0), "b"),
     }
 
 
