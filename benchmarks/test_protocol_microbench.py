@@ -106,7 +106,7 @@ def test_message_footprint_per_command(results_dir):
     # The one record that is not a figure sweep: its event count is the five
     # clusters' own, and it goes through the same writer as the figures.
     record = PerfRecord(
-        name="micro_message_footprint", wall_seconds=0.0, events_executed=events,
+        name="micro_message_footprint", events_executed=events,
         extra={"codec_bytes_per_decision": {name: pair[1] for name, pair in counts.items()}})
     write_record(record, table, results_dir)
     messages = {name: pair[0] for name, pair in counts.items()}

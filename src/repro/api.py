@@ -20,7 +20,7 @@ The entry points:
   (paired with :func:`run_loadgen` to drive it);
 * :func:`run_overload_sweep` — offered load swept past the saturation knee
   on either substrate, with optional admission control
-  (:func:`admission_policy`) and persistence into a :class:`ResultsStore`;
+  (:func:`admission_policy`);
 * :func:`run_sharded` — a hash-partitioned keyspace over S independent
   consensus groups (:class:`ShardedConfig`), on generator-built WAN
   topologies (:func:`wan_topology`), optionally under zipfian skew
@@ -90,19 +90,14 @@ _EXPORTS = {
     "build_cluster": "repro.harness.cluster",
     "register_protocol": "repro.harness.protocols",
     "fetch_stats": "repro.net.client",
-    # overload / admission / results store
+    # overload / admission
     "OverloadResult": "repro.harness.overload",
     "LoadPoint": "repro.harness.overload",
-    "store_overload_result": "repro.harness.overload",
     "AdmissionPolicy": "repro.runtime.admission",
     "NoAdmission": "repro.runtime.admission",
     "InflightLimit": "repro.runtime.admission",
     "QueueDeadline": "repro.runtime.admission",
     "admission_policy": "repro.runtime.admission",
-    "ResultsStore": "repro.metrics.store",
-    "RunRecord": "repro.metrics.store",
-    "render_report": "repro.metrics.report",
-    "current_git_commit": "repro.metrics.store",
 }
 
 __all__ = list(_EXPORTS)

@@ -205,7 +205,6 @@ class _RecoveryState:
     instance_id: InstanceId
     ballot: Ballot
     votes: QuorumTracker = field(default_factory=QuorumTracker.unreachable)
-    dispatched: bool = False
 
 
 class EPaxosReplica(ProtocolKernel):
@@ -450,6 +449,9 @@ class EPaxosReplica(ProtocolKernel):
             instance.status = InstanceStatus.COMMITTED
         self._unexecuted_committed.add(message.instance_id)
         # A commit learned from elsewhere (recovery) supersedes a local round.
+        # A recovery still collecting PrepareReplies is kept: it runs its round
+        # once its quorum is in, and cutting it short changes the message flow.
+        self._leader_states.pop(message.instance_id, None)
         self.resolve_retransmit(("lead", message.instance_id))
         self._try_execute()
 
@@ -663,11 +665,11 @@ class EPaxosReplica(ProtocolKernel):
     @handles(PrepareReply)
     def _on_prepare_reply(self, src: int, message: PrepareReply) -> None:
         recovery = self._recoveries.get(message.instance_id)
-        if recovery is None or recovery.dispatched or recovery.ballot != message.ballot:
+        if recovery is None or recovery.ballot != message.ballot:
             return
         if not recovery.votes.vote(src, message):
             return
-        recovery.dispatched = True
+        del self._recoveries[message.instance_id]  # later replies find no state
         known = [reply for reply in recovery.votes.payloads() if reply.known]
         local = self.instances.get(message.instance_id)
         committed = [r for r in known if r.status in (InstanceStatus.COMMITTED.value,
@@ -721,6 +723,7 @@ class EPaxosReplica(ProtocolKernel):
                 instance.status = InstanceStatus.COMMITTED
         if instance.status is InstanceStatus.COMMITTED:
             self._unexecuted_committed.add(instance_id)
+        self._leader_states.pop(instance_id, None)  # supersedes this replica's own round
         self.broadcast(Commit(instance_id=instance_id, command=command, seq=seq,
                               deps=deps), include_self=False)
         self._try_execute()

@@ -12,8 +12,7 @@ Installed as the ``repro`` console script::
     repro chaos --matrix --quick
     repro serve --protocol caesar --replicas 3
     repro loadgen --launch 3 --clients 3 --commands 10
-    repro overload --offered 200 600 1200 --admission deadline:200 --store
-    repro report --label overload
+    repro overload --offered 200 600 1200 --admission deadline:200
     repro topology
 
 The CLI is a thin wrapper over :mod:`repro.api`: argument parsing lives here,
@@ -34,12 +33,11 @@ import sys
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.chaos.nemesis import CONFORMANCE_SCHEDULES, NEMESIS_SCHEDULES
-from repro.harness.experiment import ExperimentConfig, run_experiment, summarize_experiment
+from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.figures import FIGURES, shard_scaling
 from repro.harness.protocols import PROTOCOLS
 from repro.harness.sweep import planning_sweeps
-from repro.metrics.report import format_protocol_stats, format_series, render_report
-from repro.metrics.store import DEFAULT_STORE_PATH, ResultsStore
+from repro.metrics.report import format_protocol_stats, format_series
 from repro.runtime.admission import admission_policy
 from repro.sim.topology import EC2_SHORT_LABELS, EC2_SITES, ec2_five_sites
 
@@ -116,11 +114,6 @@ SHARED_FLAGS = {
                        help="collect history entries delivered by every replica "
                             "on this virtual-ms cadence (off by default; changes "
                             "wire bytes, so never used for figure reproduction)"),
-    "store": dict(nargs="?", const=str(DEFAULT_STORE_PATH), default=None, metavar="DB",
-                  help="append this run to the SQLite results store "
-                       "(default path: %(const)s)"),
-    "label": dict(help="label the stored run is grouped under in 'repro report' "
-                       "(default: %(default)s)"),
 }
 
 
@@ -161,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = command(
         "run", _run, "run one protocol on one workload",
-        shared_flags("admission", "history-gc", "store", protocol="caesar", seed=1,
-                     clients=10, conflicts=0.0, duration=8000.0, label="run"))
+        shared_flags("admission", "history-gc", protocol="caesar", seed=1,
+                     clients=10, conflicts=0.0, duration=8000.0))
     run_parser.add_argument("--batching", action="store_true",
                             help="enable network message batching")
     run_parser.add_argument("--throughput", action="store_true",
@@ -176,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         "figure", _figure,
         "regenerate figures of the paper through the parallel sweep orchestrator; "
         "with no flags the printed table is the committed one",
-        shared_flags("quick", "workers", "serial", "cells", "store"))
+        shared_flags("quick", "workers", "serial", "cells"))
     figure_parser.add_argument("figures", nargs="+", choices=[*FIGURES, "all"],
                                metavar="figure",
                                help="figures to regenerate (%(choices)s)")
@@ -195,8 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run the sharded-keyspace study: protocol x shards x zipf skew over "
         "independent consensus groups (exit code 1 unless every command decided "
         "with 0 conflict-order violations)",
-        shared_flags("workers", "serial", "store", protocol="caesar", seed=21,
-                     clients=8, label="shard"))
+        shared_flags("workers", "serial", protocol="caesar", seed=21, clients=8))
     shard_parser.add_argument("--shards", type=int, nargs="+", default=[1, 2, 4],
                               metavar="N", help="shard counts to sweep")
     shard_parser.add_argument("--skew", type=float, nargs="+", default=[0.0, 0.99],
@@ -263,9 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     loadgen_parser = command(
         "loadgen", _loadgen, "drive a live cluster with the seeded workload over TCP",
-        shared_flags("json", "admission", "store", protocol="caesar", seed=0,
-                     clients=3, conflicts=2.0, duration=2000.0, warmup_ms=0.0,
-                     label="loadgen"))
+        shared_flags("json", "admission", protocol="caesar", seed=0,
+                     clients=3, conflicts=2.0, duration=2000.0, warmup_ms=0.0))
     loadgen_parser.add_argument("--endpoint", **_PEER_ENTRY,
                                 help="replica endpoint (repeat per replica)")
     loadgen_parser.add_argument("--launch", type=int, default=None, metavar="N",
@@ -285,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
         "overload", _overload,
         "sweep open-loop offered load past the saturation knee and report "
         "goodput + latency tail per point",
-        shared_flags("workers", "json", "admission", "history-gc", "store",
+        shared_flags("workers", "json", "admission", "history-gc",
                      protocol="caesar", seed=1, clients=4, conflicts=2.0,
-                     duration=4000.0, warmup_ms=1000.0, replicas=3, label="overload"))
+                     duration=4000.0, warmup_ms=1000.0, replicas=3))
     overload_parser.add_argument("--offered", type=_positive_float, nargs="+",
                                  default=None, metavar="RATE",
                                  help="total offered loads to sweep, in commands/s "
@@ -295,45 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     overload_parser.add_argument("--substrate", choices=["sim", "tcp"], default="sim",
                                  help="run on the simulator or over real sockets")
 
-    report_parser = command(
-        "report", _report,
-        "render run listings and cross-commit trend tables from the results store")
-    report_parser.add_argument("--store", default=str(DEFAULT_STORE_PATH), metavar="DB",
-                               help="results store to read (default: %(default)s)")
-    report_parser.add_argument("--kind", default=None,
-                               help="only runs of this kind (experiment, sweep, "
-                                    "loadgen, overload, bench)")
-    report_parser.add_argument("--label", default=None,
-                               help="only runs with this label")
-    report_parser.add_argument("--limit", type=int, default=20,
-                               help="newest runs per label to include")
-    report_parser.add_argument("--points", action="store_true",
-                               help="also render each overload run's per-load-point "
-                                    "saturation curve")
-
     command("topology", lambda args: (ec2_five_sites().describe(), 0),
             "print the simulated five-site EC2 topology")
     return parser
-
-
-def _with_store(args: argparse.Namespace, write: Callable[[ResultsStore], int]) -> str:
-    """Run ``write(store) -> run_id`` against the ``--store`` results store.
-
-    Returns the ``[stored as run N in DB]`` note, or ``""`` without
-    ``--store``.  The store is closed even when ``write`` raises.
-    """
-    if args.store is None:
-        return ""
-    with ResultsStore(pathlib.Path(args.store)) as store:
-        run_id = write(store)
-    return f"[stored as run {run_id} in {args.store}]"
-
-
-def _store_run(args: argparse.Namespace, kind: str, label: Optional[str] = None,
-               **fields) -> str:
-    """Append this invocation as one run row (see :func:`_with_store`)."""
-    return _with_store(args, lambda store: store.record_run(
-        kind, label or args.label, **fields))
 
 
 def _run(args: argparse.Namespace) -> Outcome:
@@ -365,14 +320,6 @@ def _run(args: argparse.Namespace) -> Outcome:
     counters = format_protocol_stats([replica.stats for replica in result.cluster.replicas])
     if counters:
         lines.append(counters)
-    stored = _store_run(
-        args, "experiment", protocol=args.protocol, substrate="sim", seed=args.seed,
-        config={"conflicts": args.conflicts, "clients": args.clients,
-                "duration_ms": args.duration, "admission": args.admission,
-                "batching": args.batching, "throughput": args.throughput},
-        metrics=summarize_experiment(result))
-    if stored:
-        lines.append(stored)
     return "\n".join(lines), 0
 
 
@@ -421,14 +368,6 @@ def _figure(args: argparse.Namespace) -> Outcome:
             record_path = result.write(args.out)
             lines.append(f"\n[figure {target}: wrote {args.out / figure.stem}.txt "
                          f"and {record_path}]")
-        # The BENCH file holds only what the simulation determines; the
-        # wall-clock side of the run goes to the store row alone.
-        record = result.record()
-        stored = _store_run(args, "bench", label=figure.stem, substrate="sim",
-                            config={"figure": target, "quick": args.quick},
-                            metrics={**record.to_json(), **record.timing()})
-        if stored:
-            lines.append(stored)
         outputs.append("\n".join(lines))
     return "\n\n".join(outputs), 0
 
@@ -452,15 +391,6 @@ def _shard(args: argparse.Namespace) -> Outcome:
     lines = [result.table, "",
              f"conflict-order violations: {violations}",
              f"undecided commands:        {undecided}"]
-    stored = _store_run(
-        args, "sweep", protocol=args.protocol, substrate="sim", seed=args.seed,
-        config={"shards": list(args.shards), "skew": list(args.skew),
-                "sites": args.sites, "replicas_per_site": args.replicas_per_site,
-                "clients": args.clients, "commands": args.commands},
-        metrics={"series": result.record().series,
-                 "total_violations": violations, "total_undecided": undecided})
-    if stored:
-        lines.append(stored)
     ok = violations == 0 and undecided == 0
     lines.append(f"verdict: {'PASS' if ok else 'FAIL'}")
     return "\n".join(lines), 0 if ok else 1
@@ -566,52 +496,25 @@ def _loadgen(args: argparse.Namespace) -> Outcome:
     finally:
         if cluster is not None:
             cluster.stop()
-    stored = _store_run(
-        args, "loadgen", protocol=args.protocol, substrate="tcp", seed=args.seed,
-        config={"clients": args.clients, "commands": args.commands,
-                "open_loop": args.open_loop, "rate": args.rate,
-                "duration_ms": args.duration, "warmup_ms": args.warmup_ms,
-                "admission": args.admission},
-        metrics={key: value for key, value in report.as_dict().items()
-                 if key != "per_replica"})
-    if stored:
-        # Not part of the report: --json output must stay parseable.
-        print(stored, file=sys.stderr)
     text = json.dumps(report.as_dict(), indent=2) if args.json else report.describe()
     return text, 0 if report.ok else 1
 
 
 def _overload(args: argparse.Namespace) -> Outcome:
-    """Run the overload subcommand (offered-load sweep + optional store)."""
-    from repro.harness.overload import (OverloadConfig, run_overload_sweep,
-                                        store_overload_result)
+    """Run the overload subcommand (offered-load sweep)."""
+    from repro.harness.overload import OverloadConfig, run_overload_sweep
 
     config = OverloadConfig.from_args(args)
     result = run_overload_sweep(config)
-    if args.json:
-        output = json.dumps({"config": {"protocol": config.protocol,
-                                        "substrate": config.substrate,
-                                        "admission": config.admission,
-                                        "offered_loads": list(config.offered_loads)},
-                             "summary": result.summary_metrics(),
-                             "points": [point.as_dict() for point in result.points]},
-                            indent=2)
-    else:
-        output = result.table()
-    stored = _with_store(args, lambda store: store_overload_result(
-        store, result, label=args.label))
-    return output + (f"\n{stored}" if stored else ""), 0
-
-
-def _report(args: argparse.Namespace) -> Outcome:
-    """Run the report subcommand (read-only over the results store)."""
-    path = pathlib.Path(args.store)
-    if not path.exists():
-        return (f"no results store at {path} — run a subcommand with --store "
-                "first (e.g. 'repro overload --store')"), 0
-    with ResultsStore(path) as store:
-        return render_report(store, kind=args.kind, label=args.label,
-                             limit=args.limit, points=args.points), 0
+    if not args.json:
+        return result.table(), 0
+    return json.dumps({"config": {"protocol": config.protocol,
+                                  "substrate": config.substrate,
+                                  "admission": config.admission,
+                                  "offered_loads": list(config.offered_loads)},
+                       "summary": result.summary_metrics(),
+                       "points": [point.as_dict() for point in result.points]},
+                      indent=2), 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -275,18 +275,23 @@ class CaesarReplica(ProtocolKernel):
             self.consume_cpu(self.cost_model.dependency_cost(predecessors.bit_count()))
         entry = history.update(command, timestamp, predecessors, CommandStatus.FAST_PENDING,
                                ballot, forced=message.whitelist is not None, entry=existing)
-        if self.wait_manager.parked:
+        parked = self.wait_manager.parked and self.wait_manager.has_parked(command.key)
+        if parked:
             self.wait_manager.notify_entry(entry)
         proposal = (src, command, ballot, timestamp, predecessors, True)
         verdict = self.wait_manager.evaluate(command, timestamp, self._answer_proposal,
                                              entry, proposal)
-        if verdict:
-            # Nothing ran since the entry was written: no re-validation needed.
+        if verdict and not parked:
+            # Nothing was parked on the key, so nothing ran since the entry was
+            # written: no re-validation needed.
             self.send(src, FastProposeReply(
                 command_id=command_id, ballot=ballot, timestamp=timestamp,
                 predecessors=history.ids_from_mask(predecessors, command.key), ok=True))
         elif verdict is not None:
-            self._answer_proposal(False, 0.0, *proposal)
+            # The notify cascade may have answered an older copy of this
+            # proposal (a NACK rewrites the entry REJECTED): _answer_proposal
+            # writes the entry back before answering.
+            self._answer_proposal(verdict, 0.0, *proposal)
 
     @handles(SlowPropose)
     def _on_slow_propose(self, src: int, message: SlowPropose) -> None:

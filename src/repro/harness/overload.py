@@ -175,7 +175,8 @@ class OverloadResult:
         return table + "\n" + footer
 
     def summary_metrics(self) -> Dict[str, object]:
-        """Headline numbers for the results store's trend tables."""
+        """Headline numbers of the sweep: peak goodput, the knee and the
+        heaviest point's tail (the ``summary`` of ``repro overload --json``)."""
         worst = self.points[-1] if self.points else None
         return {"peak_goodput": self.peak_goodput,
                 "knee_offered_per_second": self.knee_offered_per_second,
@@ -308,30 +309,3 @@ def run_overload_sweep(config: OverloadConfig) -> OverloadResult:
                          "expected 'sim' or 'tcp'")
     return OverloadResult(config=config, points=points)
 
-
-def store_overload_result(store, result: OverloadResult,
-                          label: str = "overload") -> int:
-    """Persist a sweep into a :class:`~repro.metrics.store.ResultsStore`.
-
-    One ``runs`` row carries the headline metrics; each load point becomes a
-    ``load_points`` row.  Returns the new ``run_id``.
-    """
-    config = result.config
-    run_id = store.record_run(
-        "overload", label, protocol=config.protocol, substrate=config.substrate,
-        seed=config.seed,
-        config={"offered_loads": list(config.offered_loads),
-                "admission": config.admission, "duration_ms": config.duration_ms,
-                "warmup_ms": config.warmup_ms,
-                "conflict_rate": config.conflict_rate},
-        metrics=result.summary_metrics())
-    for index, point in enumerate(result.points):
-        store.record_load_point(
-            run_id, index, offered_per_second=point.offered_per_second,
-            submitted=point.submitted, completed=point.completed,
-            rejected=point.rejected,
-            goodput_per_second=point.goodput_per_second,
-            mean_ms=point.mean_latency_ms, p50_ms=point.p50_latency_ms,
-            p99_ms=point.p99_latency_ms, p999_ms=point.p999_latency_ms,
-            extra={"admission": point.admission})
-    return run_id

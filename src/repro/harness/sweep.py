@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor, process
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -159,7 +158,6 @@ class CellOutcome:
 
     key: CellKey
     payload: object
-    wall_seconds: float
     events_executed: int
 
 
@@ -168,8 +166,6 @@ class SweepResult:
     """Aggregated outcome of one sweep run."""
 
     outcomes: List[CellOutcome]
-    workers: int
-    wall_seconds: float
     skipped: int = 0
 
     def __post_init__(self) -> None:
@@ -182,8 +178,6 @@ class SweepResult:
         with the same key, :meth:`payload` answers with ``other``'s.
         """
         return SweepResult(outcomes=self.outcomes + other.outcomes,
-                           workers=max(self.workers, other.workers),
-                           wall_seconds=self.wall_seconds + other.wall_seconds,
                            skipped=self.skipped + other.skipped)
 
     def payload(self, key: Sequence[object]) -> object:
@@ -196,30 +190,13 @@ class SweepResult:
         """Simulation events executed across every cell."""
         return sum(outcome.events_executed for outcome in self.outcomes)
 
-    @property
-    def cell_wall_seconds(self) -> float:
-        """Sum of per-cell wall times — the sweep's serial-equivalent cost."""
-        return sum(outcome.wall_seconds for outcome in self.outcomes)
-
     def perf_record(self, name: str) -> PerfRecord:
-        """Sum the per-cell measurements into one BENCH-able record.
+        """Sum the per-cell event counts into one BENCH-able record.
 
         Each cell was measured where it ran (in-process or in its worker), so
-        the event count is the same for any worker count.  ``wall_seconds`` is
-        the *observed* wall time of the whole sweep; how it ran — cell and
-        worker counts, the per-cell wall sum — goes to ``timing_detail`` (never
-        serialized), so parallel efficiency stays inspectable.
+        the event count is the same for any worker count.
         """
-        timing = {"cells": len(self.outcomes),
-                  "cell_wall_seconds": round(self.cell_wall_seconds, 3),
-                  "workers": self.workers, "cpus": os.cpu_count()}
-        if self.skipped:
-            timing["cells_skipped"] = self.skipped
-        if self.wall_seconds > 0:
-            timing["parallel_speedup_estimate"] = round(
-                self.cell_wall_seconds / self.wall_seconds, 2)
-        return PerfRecord(name=name, wall_seconds=self.wall_seconds,
-                          events_executed=self.events_executed, timing_detail=timing)
+        return PerfRecord(name=name, events_executed=self.events_executed)
 
 
 def resolve_workers(workers: Union[int, str, None], cell_count: int) -> int:
@@ -243,13 +220,10 @@ def resolve_workers(workers: Union[int, str, None], cell_count: int) -> int:
 def _execute_cell(cell: SweepCell) -> CellOutcome:
     """Run one cell and reduce it to its payload (runs inside the worker)."""
     events_before = total_events_executed()
-    started = time.perf_counter()
     result = cell.runner(cell.config, **cell.options)
     payload = cell.collect(result) if cell.collect is not None else result
-    wall = time.perf_counter() - started
-    events = total_events_executed() - events_before
-    return CellOutcome(key=cell.key, payload=payload, wall_seconds=wall,
-                       events_executed=events)
+    return CellOutcome(key=cell.key, payload=payload,
+                       events_executed=total_events_executed() - events_before)
 
 
 def _mp_context():
@@ -288,10 +262,9 @@ def run_sweep(cells: Sequence[SweepCell], workers: Union[int, str, None] = None,
         chosen = {id(cell) for cell in selected}
         _ACTIVE_PLAN.cells.extend((key_string(cell.key), id(cell) in chosen)
                                   for cell in cells)
-        return SweepResult(outcomes=[], workers=0, wall_seconds=0.0, skipped=skipped)
+        return SweepResult(outcomes=[], skipped=skipped)
     worker_count = 1 if serial else resolve_workers(workers, len(selected))
 
-    started = time.perf_counter()
     if worker_count <= 1 or len(selected) <= 1:
         outcomes = []
         for cell in selected:
@@ -300,8 +273,7 @@ def run_sweep(cells: Sequence[SweepCell], workers: Union[int, str, None] = None,
             except Exception as exc:
                 raise SweepError(
                     f"sweep cell {key_string(cell.key)!r} failed: {exc}") from exc
-        return SweepResult(outcomes=outcomes, workers=1,
-                           wall_seconds=time.perf_counter() - started, skipped=skipped)
+        return SweepResult(outcomes=outcomes, skipped=skipped)
 
     outcomes = []
     with ProcessPoolExecutor(max_workers=worker_count, mp_context=_mp_context()) as pool:
@@ -322,5 +294,4 @@ def run_sweep(cells: Sequence[SweepCell], workers: Union[int, str, None] = None,
             # already-running cells finish (bounded work), queued ones don't.
             pool.shutdown(wait=True, cancel_futures=True)
 
-    return SweepResult(outcomes=outcomes, workers=worker_count,
-                       wall_seconds=time.perf_counter() - started, skipped=skipped)
+    return SweepResult(outcomes=outcomes, skipped=skipped)

@@ -1,1 +1,1 @@
-"""Metrics collection, summary statistics, and the persistent results store."""
+"""Metrics collection, summary statistics, text tables and figure records."""

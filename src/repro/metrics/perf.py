@@ -8,11 +8,8 @@ bytes per decision.  A record therefore changes in git exactly when a PR
 changes a series, an event count or a wire byte, and regenerating a figure
 rewrites both files byte-identically.
 
-Wall-clock numbers (wall seconds, events/second, interpreter, worker, CPU
-and cell counts) live on the in-memory :class:`PerfRecord` for printing and
-assertions; :meth:`PerfRecord.timing` hands them to the results store
-(``repro figure --store``), never to a tracked file.  Timing regressions are
-``bench/run.py --compare``'s job.
+A record holds no wall-clock number: host time is measured by ``bench/``
+(``python3 bench/run.py --compare``), not by the figure runs.
 
 A figure's event count is the sum over its sweep cells
 (:meth:`repro.harness.sweep.SweepResult.perf_record`), each measured where
@@ -22,7 +19,6 @@ the cell ran, so serial and parallel runs record the same number.
 from __future__ import annotations
 
 import json
-import platform
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional
@@ -33,42 +29,21 @@ PERF_RECORD_VERSION = 2
 
 @dataclass
 class PerfRecord:
-    """One measured benchmark run.
-
-    ``series`` and ``extra`` hold what the simulation determines and are
-    serialized; ``wall_seconds`` and ``timing_detail`` (per-part walls,
-    worker/CPU counts, speedups) vary run to run and are not.
-    """
+    """One figure run: everything here is what the simulation determined."""
 
     name: str
-    wall_seconds: float
     events_executed: int
     series: Dict[str, Dict[str, Optional[float]]] = field(default_factory=dict)
     extra: Dict[str, object] = field(default_factory=dict)
-    timing_detail: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def events_per_second(self) -> float:
-        """Simulator events per wall-clock second (0.0 for a zero-length run)."""
-        return self.events_executed / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
     def to_json(self) -> Dict[str, object]:
-        """The on-disk form: only what the (deterministic) simulation produced."""
+        """The on-disk form of the record."""
         return {
             "version": PERF_RECORD_VERSION,
             "name": self.name,
             "events_executed": self.events_executed,
             "series": self.series,
             **({"extra": self.extra} if self.extra else {}),
-        }
-
-    def timing(self) -> Dict[str, object]:
-        """The wall-clock side of the run, for results-store rows."""
-        return {
-            "wall_seconds": round(self.wall_seconds, 3),
-            "events_per_second": round(self.events_per_second, 1),
-            "python": platform.python_version(),
-            **self.timing_detail,
         }
 
 

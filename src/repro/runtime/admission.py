@@ -51,7 +51,7 @@ class AdmissionStats:
     max_inflight: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        """JSON-friendly snapshot (stats endpoints, results store)."""
+        """JSON-friendly snapshot (stats endpoints, overload load points)."""
         return {"admitted": self.admitted, "rejected": self.rejected,
                 "rejected_inflight": self.rejected_inflight,
                 "shed_deadline": self.shed_deadline,

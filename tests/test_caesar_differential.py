@@ -395,6 +395,39 @@ class TestScenarios:
             assert pair.new.replica.wait_manager.parked_count() == 0, release
             assert [answer.ok for answer in pair.new.answers(A)] == [True], release
 
+    def test_a_resent_proposal_whose_parked_first_copy_is_nacked_meanwhile(self):
+        """The second FastPropose of A, at the same ballot, releases a parked B
+        with a NACK; B's rejected entry releases A's parked first copy with a
+        NACK, which rewrites A's entry REJECTED.  WAIT then answers the second
+        copy OK at once, and the entry must be written back FAST_PENDING."""
+        pair = Pair()
+        E, W = C, command(3, 0)
+        pair.feed(2, fast(E, ts(10, 2)))
+        pair.feed(1, fast(B, ts(3, 1)))                  # parked behind E
+        pair.feed(1, fast(B, ts(12, 1)))                 # same ballot, answered at once
+        pair.feed(3, stable(W, ts(6, 3)))                # a NACK witness for A and B
+        pair.feed(0, fast(A, ts(5, 0)))                  # parked behind E and B
+        assert pair.new.replica.wait_manager.parked_count() == 2
+        pair.feed(2, stable(E, ts(10, 2), [A.command_id, B.command_id]))
+        pair.feed(0, fast(A, ts(14, 0)))
+        assert [answer.ok for answer in pair.new.answers(A)] == [False, True]
+        assert [answer.ok for answer in pair.new.answers(B)] == [True, False]
+        entry = pair.new.replica.history.get(A.command_id)
+        assert (entry.status, entry.timestamp) == (CommandStatus.FAST_PENDING, ts(14, 0))
+        assert entry.predecessors == {B.command_id, E.command_id, W.command_id}
+
+    def test_a_proposal_on_another_key_than_a_parked_one_is_answered_at_once(self):
+        """Something parked on one key leaves a proposal on another on the shortcut."""
+        pair = Pair()
+        self.park_a_behind_b(pair)
+        other = command(3, 0, key="y")
+        pair.feed(3, fast(other, ts(4, 3)))
+        assert pair.new.answers(other) == [FastProposeReply(
+            command_id=other.command_id, ballot=Ballot.initial(3), timestamp=ts(4, 3),
+            predecessors=frozenset(), ok=True)]
+        assert pair.new.replica.history.get(other.command_id).status is CommandStatus.FAST_PENDING
+        assert pair.new.replica.wait_manager.parked_count() == 1
+
     def test_higher_ballot_recovery_with_a_whitelist(self):
         pair = Pair()
         pair.feed(0, fast(A, ts(3, 0)))

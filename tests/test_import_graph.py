@@ -22,13 +22,13 @@ import repro
 from repro.harness.protocols import PROTOCOLS
 
 #: What a simulator run of one protocol has no use for: the socket substrate
-#: and everything asyncio drags in, the results store, the process pools of
-#: the sweep orchestrator, the fault library, every other protocol.
+#: and everything asyncio drags in, a database, the process pools of the
+#: sweep orchestrator, the fault library, every other protocol.
 DENIED_MODULES = ("asyncio", "ssl", "socket", "sqlite3", "multiprocessing",
                   "concurrent.futures")
 DENIED_PREFIXES = ("repro.net", "repro.chaos", "repro.baselines.",
                    "repro.harness.chaos", "repro.harness.overload", "repro.harness.sweep",
-                   "repro.harness.shard", "repro.harness.figures", "repro.metrics.store")
+                   "repro.harness.shard", "repro.harness.figures")
 
 
 def in_fresh_interpreter(script: str):
@@ -97,7 +97,7 @@ def test_nothing_is_imported_after_the_first_command_is_submitted(protocol):
 
 @pytest.mark.parametrize("name, module", [
     ("serve_cluster", "repro.net.cluster"),
-    ("ResultsStore", "repro.metrics.store"),
+    ("run_overload_sweep", "repro.harness.overload"),
     ("run_sweep", "repro.harness.sweep"),
 ])
 def test_a_facade_name_loads_its_module_on_first_use_and_is_then_an_attribute(name, module):
@@ -143,8 +143,16 @@ def test_a_started_replica_server_loads_three_simulator_modules(protocol):
     assert set(loaded) == SIM_MODULES_A_REPLICA_RUNS_ON
 
 
-def simulator_imports(path: pathlib.Path):
-    """Every ``repro.sim`` module ``path`` imports, at any nesting, with its function."""
+def test_the_cli_loads_no_database():
+    loaded = in_fresh_interpreter(
+        "import json, sys\n"
+        "import repro.cli\n"
+        "print(json.dumps('sqlite3' in sys.modules))\n")
+    assert loaded is False
+
+
+def module_imports(path: pathlib.Path):
+    """Every module ``path`` imports, at any nesting, with its function."""
     found = []
 
     def visit(node, function):
@@ -158,11 +166,16 @@ def simulator_imports(path: pathlib.Path):
                                                          ast.AsyncFunctionDef)) else function
                 visit(child, inner)
                 continue
-            found.extend((module, function) for module in modules
-                         if module == "repro.sim" or module.startswith("repro.sim."))
+            found.extend((module, function) for module in modules)
 
     visit(ast.parse(path.read_text(encoding="utf-8")), None)
     return found
+
+
+def simulator_imports(path: pathlib.Path):
+    """Every ``repro.sim`` module ``path`` imports, with its function."""
+    return [(module, function) for module, function in module_imports(path)
+            if module == "repro.sim" or module.startswith("repro.sim.")]
 
 
 def test_below_the_harness_only_the_oracle_names_more_of_the_simulator():
@@ -180,4 +193,12 @@ def test_below_the_harness_only_the_oracle_names_more_of_the_simulator():
                 if (layer, path.name, function) == ("net", "loopback.py", "run_sim_oracle"):
                     continue
                 offenders.append(f"{layer}/{path.name}: {module}")
+    assert offenders == []
+
+
+def test_no_module_under_src_imports_sqlite3():
+    package = pathlib.Path(repro.__file__).parent
+    offenders = [str(path.relative_to(package)) for path in sorted(package.rglob("*.py"))
+                 for module, _ in module_imports(path)
+                 if module == "sqlite3" or module.startswith("sqlite3.")]
     assert offenders == []

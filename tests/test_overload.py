@@ -1,10 +1,9 @@
 """Tests for the overload / saturation sweep driver.
 
 Covers the config plumbing, the knee estimate, the in-window goodput
-accounting, persistence into the results store, and the headline claim of
-the overload-to-SLO study: past the knee, admission control bounds the p99
-tail at a small (<10%) goodput cost relative to the unprotected baseline's
-peak.
+accounting, and the headline claim of the overload-to-SLO study: past the
+knee, admission control bounds the p99 tail at a small (<10%) goodput cost
+relative to the unprotected baseline's peak.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ import pytest
 
 from repro.harness.overload import (KNEE_GOODPUT_FRACTION, LoadPoint,
                                     OverloadConfig, OverloadResult,
-                                    run_overload_sweep, store_overload_result)
-from repro.metrics.store import ResultsStore
+                                    run_overload_sweep)
 
 
 def make_point(offered: float, goodput: float, **overrides) -> LoadPoint:
@@ -151,24 +149,3 @@ class TestOverloadToSlo:
         # ... while goodput stays within 10% of the baseline's peak.
         assert protected.goodput_per_second >= 0.9 * baseline.peak_goodput
 
-
-class TestStorePersistence:
-    def test_store_overload_result_roundtrip(self):
-        result = OverloadResult(
-            config=OverloadConfig(admission="inflight:4", seed=11),
-            points=[make_point(100.0, 99.0),
-                    make_point(400.0, 310.0, rejected=50,
-                               admission={"policy": "inflight:4"})])
-        with ResultsStore(":memory:") as store:
-            run_id = store_overload_result(store, result, label="knee-study")
-            run = store.latest_run(kind="overload")
-            assert run.run_id == run_id
-            assert run.label == "knee-study"
-            assert run.protocol == "caesar"
-            assert run.seed == 11
-            assert run.config["admission"] == "inflight:4"
-            assert run.metrics["knee_offered_per_second"] == 400.0
-            points = store.load_points(run_id)
-            assert [p.offered_per_second for p in points] == [100.0, 400.0]
-            assert points[1].rejected == 50
-            assert points[1].extra["admission"] == {"policy": "inflight:4"}

@@ -14,9 +14,10 @@ from repro.core.config import CaesarConfig
 from repro.core.messages import FastPropose, FastProposeReply, Stable
 from repro.harness.experiment import ExperimentConfig, ExperimentResult
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.report import format_series, format_table
+from repro.metrics.report import format_protocol_stats, format_series, format_table
 from repro.runtime.batching import BatchingConfig
 from repro.runtime.costs import CostModel, zero_cost_model
+from repro.runtime.stats import ProtocolStats
 from tests.conftest import make_command
 
 
@@ -41,6 +42,21 @@ class TestFormatTable:
         data_lines = lines[3:]
         first_column = [line.split("|")[0].strip() for line in data_lines]
         assert first_column == ["z", "y", "x"]
+
+
+class TestFormatProtocolStats:
+    def test_sums_the_replicas_and_prints_only_what_moved(self):
+        stats = [ProtocolStats(fast_decisions=3, nacks_sent=1),
+                 ProtocolStats(fast_decisions=2, retries=4)]
+        assert format_protocol_stats(stats, title="counters").splitlines() == [
+            "counters:",
+            f"  {'fast decisions':<24} 5",
+            f"  {'nacks sent':<24} 1",
+            f"  {'retries':<24} 4"]
+
+    def test_nothing_moved_renders_nothing(self):
+        assert format_protocol_stats([ProtocolStats(), ProtocolStats()]) == ""
+        assert format_protocol_stats([]) == ""
 
 
 class TestConfigs:

@@ -11,11 +11,11 @@ The two load-bearing properties:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
 import pathlib
-import platform
 import re
 
 import pytest
@@ -137,8 +137,6 @@ class TestSweepDeterminism:
         table = "figure6_latency_vs_conflicts.txt"
         assert ((tmp_path / "serial" / table).read_bytes()
                 == (tmp_path / "parallel" / table).read_bytes())
-        # How the sweep ran is timing detail, never part of the record.
-        assert parallel.record().timing_detail["cells"] == 4
         assert "extra" not in parallel.record().to_json()
 
     def test_filtered_cells_report_none_payloads(self):
@@ -146,7 +144,6 @@ class TestSweepDeterminism:
         assert all(value is not None for value in result.series["caesar"].values())
         assert all(value is None for value in result.series["epaxos"].values())
         assert result.extra["sweep"].skipped == 2
-        assert result.record().timing_detail["cells_skipped"] == 2
 
     def test_cells_are_order_independent(self):
         cells = [sweep_cell(("t", protocol, rate), tiny_config(protocol=protocol,
@@ -186,45 +183,30 @@ class TestSweepFailures:
 
 class TestPerfRecord:
     def test_sweep_record_sums_the_cells(self):
-        outcomes = [CellOutcome(key=("a",), payload=None, wall_seconds=1.0,
-                                events_executed=100),
-                    CellOutcome(key=("b",), payload=None, wall_seconds=3.0,
-                                events_executed=300)]
-        merged = SweepResult(outcomes=outcomes, workers=2,
-                             wall_seconds=2.0).perf_record("sweep")
+        outcomes = [CellOutcome(key=("a",), payload=None, events_executed=100),
+                    CellOutcome(key=("b",), payload=None, events_executed=300)]
+        merged = SweepResult(outcomes=outcomes).perf_record("sweep")
         assert merged.events_executed == 400
-        assert merged.events_per_second == pytest.approx(200.0)
-        assert merged.timing_detail["cell_wall_seconds"] == pytest.approx(4.0)
-        assert merged.timing_detail["cells"] == 2
+        assert merged.to_json() == {"version": 2, "name": "sweep",
+                                    "events_executed": 400, "series": {}}
 
-    def test_events_per_second_is_derived(self):
-        record = PerfRecord(name="x", wall_seconds=2.0, events_executed=10)
-        assert record.events_per_second == pytest.approx(5.0)
-        record.wall_seconds = 0.0
-        assert record.events_per_second == 0.0
-
-    def test_records_differing_only_in_wall_clock_serialize_identically(self, tmp_path):
+    def test_write_record_writes_the_table_and_the_json(self, tmp_path):
         series = {"caesar": {"0%": 1.5}}
-        fast = PerfRecord(name="x", wall_seconds=1.23, events_executed=10, series=series,
-                          extra={"cells": 2}, timing_detail={"workers": 4, "cpus": 8})
-        slow = PerfRecord(name="x", wall_seconds=45.6, events_executed=10, series=series,
-                          extra={"cells": 2}, timing_detail={"workers": 1, "cpus": 2})
-        fast_bytes = write_record(fast, "table", tmp_path / "fast").read_bytes()
-        assert fast_bytes == write_record(slow, "table", tmp_path / "slow").read_bytes()
-        assert (tmp_path / "fast" / "x.txt").read_text() == "table\n"
-        assert json.loads(fast_bytes) == {
+        record = PerfRecord(name="x", events_executed=10, series=series,
+                            extra={"cells": 2})
+        path = write_record(record, "table", tmp_path)
+        assert path == tmp_path / "BENCH_x.json"
+        assert (tmp_path / "x.txt").read_text() == "table\n"
+        assert json.loads(path.read_bytes()) == {
             "version": 2, "name": "x", "events_executed": 10, "series": series,
             "extra": {"cells": 2}}
 
-    def test_timing_carries_the_wall_clock_side(self):
-        record = PerfRecord(name="x", wall_seconds=2.0, events_executed=10,
-                            timing_detail={"workers": 4})
-        timing = record.timing()
-        assert timing["wall_seconds"] == 2.0
-        assert timing["events_per_second"] == 5.0
-        assert timing["python"] == platform.python_version()
-        assert timing["workers"] == 4
-        assert not set(timing) & set(record.to_json())
+    def test_a_record_holds_exactly_what_it_writes(self):
+        record = PerfRecord(name="x", events_executed=10, series={"caesar": {"0%": 1.5}},
+                            extra={"cells": 2})
+        assert ({spec.name for spec in dataclasses.fields(PerfRecord)}
+                == set(record.to_json()) - {"version"})
+        assert "extra" not in PerfRecord(name="x", events_executed=10).to_json()
 
 
 COMMITTED_RECORDS = sorted(
