@@ -23,7 +23,7 @@ class KeyBindingError(ValueError):
                          f"named on key {named_key!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Command:
     """A client operation to be ordered by consensus.
 

@@ -13,6 +13,7 @@ Every protocol in this repository is implemented as a subclass of
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -32,7 +33,7 @@ class DecisionKind(enum.Enum):
     RECOVERED = "recovered"
 
 
-@dataclass
+@dataclass(slots=True)
 class Decision:
     """Per-command record kept by the replica that proposed the command.
 
@@ -111,17 +112,22 @@ class ExecutionLog:
         """Pairs of conflicting commands ordered differently in ``self`` and ``other``.
 
         Conflicts only exist between commands on the same key, so the check
-        groups the common commands per key and first verifies that the
-        other log's positions are monotone within each group — an O(n) pass
-        that settles the overwhelmingly common no-violation case.  Only keys
-        whose position sequence is non-monotone fall back to the exact
-        pairwise comparison (which also accounts for commuting reads).
+        compares each key's command sequence in both logs: an equal one, the
+        overwhelmingly common case, costs one list comparison.  Only the other
+        keys group their common commands with their positions in the other
+        log, and only a non-monotone group takes the exact pairwise comparison
+        (which also accounts for commuting reads).
         """
+        mine, theirs = defaultdict(list), defaultdict(list)
+        for log, per_key in ((self, mine), (other, theirs)):
+            for c in log._entries:
+                per_key[c.key].append(c)
+        differing = {key for key, commands in mine.items() if theirs.get(key) != commands}
         violations: List[tuple] = []
         other_positions = other._positions
         by_key: Dict[str, List[tuple]] = {}
-        for c in self._entries:
-            position = other_positions.get(c.command_id)
+        for c in self._entries if differing else ():
+            position = other_positions.get(c.command_id) if c.key in differing else None
             if position is not None:
                 by_key.setdefault(c.key, []).append((c, position))
         for group in by_key.values():

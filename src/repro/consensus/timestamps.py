@@ -12,6 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+class TimestampRangeError(ValueError):
+    """A timestamp's node id does not fit in 32 bits (only a peer can send one)."""
+
+
 @dataclass(frozen=True, slots=True)
 class LogicalTimestamp:
     """A ``<k, node_id>`` logical timestamp.

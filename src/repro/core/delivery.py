@@ -10,10 +10,11 @@ acyclic and delivery always makes progress.
 A predecessor set only names commands of its own key, so the delivered set
 is kept per key, as a bitmask on the key's interner (``bucket.delivered``),
 and DELIVERABLE is a single mask test.  A stable command that cannot be
-delivered yet is filed in its bucket's ``waiters`` under the index of each
-predecessor still blocking it, so a stable event re-reconciles only the
-commands filed under the new command's bit, and a delivery re-tests only the
-commands filed under the delivered one — never every pending command.
+delivered yet is filed in its bucket's ``waiters`` (made on the key's first
+filing; most keys never have one) under the index of each predecessor still
+blocking it, so a stable event re-reconciles only the commands filed under
+the new command's bit, and a delivery re-tests only the commands filed under
+the delivered one — never every pending command.
 Nothing else can make a pending command deliverable: once an entry is STABLE
 only this class writes its ``pred_mask``.  :meth:`DeliveryManager.on_stable`
 is handed the entry the replica just wrote; it fetches the entry itself only
@@ -98,8 +99,8 @@ class DeliveryManager:
         missing: Set[CommandId] = set()
         for key in dict.fromkeys(command.key for command in self._pending.values()):
             bucket = self._history.bucket(key)
-            for index in (bucket.waiters if bucket is not None else ()):
-                entry = bucket.entry_by_index[index]
+            for index in (bucket.waiters if bucket is not None else None) or ():
+                entry = self._history.get(bucket.id_of[index])
                 if entry is None or entry.status is not CommandStatus.STABLE:
                     missing.add(bucket.id_of[index])
         return missing
@@ -121,7 +122,7 @@ class DeliveryManager:
         since, and ``c`` is not delivered.
         """
         bucket = entry.bucket
-        entry_by_index = bucket.entry_by_index
+        get, id_of = self._history.get, bucket.id_of
         my_bit = 1 << entry.index
         my_key = entry.ts_key()
         mask = entry.pred_mask
@@ -131,7 +132,7 @@ class DeliveryManager:
         while remaining:
             low = remaining & -remaining
             remaining ^= low
-            pred_entry = entry_by_index[low.bit_length() - 1]
+            pred_entry = get(id_of[low.bit_length() - 1])
             if pred_entry is None or pred_entry.status is not CommandStatus.STABLE:
                 continue
             if pred_entry.ts_key() < my_key:
@@ -153,6 +154,8 @@ class DeliveryManager:
         blocked = entry.pred_mask & ~entry.bucket.delivered
         if not blocked:
             ready.append(waiter)
+        elif entry.bucket.waiters is None:
+            entry.bucket.waiters = {}
         waiters = entry.bucket.waiters
         while blocked:
             low = blocked & -blocked
@@ -201,7 +204,7 @@ class DeliveryManager:
         bit = 1 << entry.index
         my_key = entry.ts_key()
         ready: List[_Waiter] = []
-        for waiter in entry.bucket.waiters.get(entry.index, ()):
+        for waiter in (entry.bucket.waiters or {}).get(entry.index, ()):
             other = waiter[3]
             if my_key < waiter[0]:
                 entry.pred_mask &= ~(1 << other.index)
@@ -238,7 +241,7 @@ class DeliveryManager:
                     continue
                 self._deliver(command, entry)
                 delivered_now.append(command)
-                for waiter in entry.bucket.waiters.pop(entry.index, ()):
+                for waiter in (entry.bucket.waiters or {}).pop(entry.index, ()):
                     if self._is_ready(waiter[3]):
                         unblocked.append(waiter)
             ready = unblocked
@@ -252,7 +255,7 @@ class DeliveryManager:
         class's back.  Nothing in ``src/`` does, so nothing in ``src/`` calls it.
         """
         for bucket in self._history._by_key.values():
-            bucket.waiters.clear()
+            bucket.waiters = None
         ready: List[_Waiter] = []
         for command_id, command in self._pending.items():
             entry = self._history.get(command_id)

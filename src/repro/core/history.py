@@ -26,34 +26,35 @@ the decision path cheap:
   less a handful of ids (the command itself, whatever is proposed later or
   not yet seen here), and the history is never collected by default, so
   translating one id at a time costs the length of the history on every
-  message.  A bucket therefore keeps its entries' ids as a set beside its
-  mask, and the two translations start from the bucket's mask (or id set)
-  patched by two C-level set differences and a Python loop over only the
-  ids that differ.  When the set is smaller than what the bucket would have
-  to shed (reads among writes, a recovery whitelist), the per-id loop runs —
-  the result is the same either way.
+  message.  The translations start from all the key has interned — the
+  ``index_of`` dict itself, whose stored hashes the C-level set operations
+  reuse (a ``.keys()`` view would hash every id again), and ``(1 <<
+  len(id_of)) - 1`` — and loop in Python over only the ids that differ.
+  When the set is smaller than what the key would shed (reads among writes,
+  a recovery whitelist), the per-id loop runs — the same result either way.
 
-A :class:`HistoryEntry` carries its own index and bucket, so whoever holds a
-command's entry passes it on (``entry=``) and nothing is looked up twice.
+Each fact about a command is kept once: a :class:`HistoryEntry` carries its
+index and bucket (whoever holds it passes it on as ``entry=``), and
+``CommandHistory._bucket_of`` binds only the ids that have no entry.
 
-A key's indices are *never* recycled, and an emptied bucket is kept: when
-:meth:`CommandHistory.remove` garbage-collects an entry, a late
-retransmission referencing the command must keep resolving to the same bit
-so the key's delivered set stays valid.  And they are assigned in a fixed order: ids a translation sees for
-the first time are interned in the iteration order of the collection it was
-handed, whichever way the translation goes about it, so the same messages
-in the same order give the same indices — on one key, first-seen order.
+A key's indices are *never* recycled, and an emptied bucket is kept: an id
+:meth:`CommandHistory.remove` collects goes back into ``_bucket_of``, so a
+late retransmission naming it resolves to the same bit and the key's
+delivered set stays valid.  Ids a translation sees for the first time are
+interned in the iteration order of the collection it was handed, whichever
+way it goes about it, so the same messages in the same order give the same
+indices — on one key, first-seen order.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, bisect_right
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from bisect import bisect_left
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command, CommandId, KeyBindingError
-from repro.consensus.timestamps import LogicalTimestamp
+from repro.consensus.timestamps import LogicalTimestamp, TimestampRangeError
 
 #: Shared empty frozenset returned whenever a mask materializes to nothing.
 _EMPTY_IDS: FrozenSet[CommandId] = frozenset()
@@ -87,17 +88,17 @@ class HistoryEntry:
 
     ``pred_mask`` is the predecessor set as a bitmask over its key's
     interner, a plain attribute every reader and writer touches directly; the
-    :attr:`predecessors` view materializes it to a ``frozenset`` of ids on
-    demand (cached beside the mask it was built from) for cold-path readers
-    such as recovery, catch-up supply and the invariant checks.
+    :attr:`predecessors` view decodes it to a ``frozenset`` of ids on every
+    read, for cold-path readers such as recovery, catch-up supply and the
+    invariant checks.
     """
 
     __slots__ = ("command", "timestamp", "status", "ballot", "forced",
-                 "index", "bucket", "pred_mask", "_history", "_pred_ids")
+                 "index", "bucket", "pred_mask")
 
     def __init__(self, command: Command, timestamp: LogicalTimestamp,
                  pred_mask: int, status: CommandStatus, ballot: Ballot, forced: bool,
-                 index: int, bucket: "_KeyBucket", history: "CommandHistory") -> None:
+                 index: int, bucket: "_KeyBucket") -> None:
         self.command = command
         self.timestamp = timestamp
         self.status = status
@@ -108,9 +109,6 @@ class HistoryEntry:
         #: The bucket of the command's key, where this entry is filed.
         self.bucket = bucket
         self.pred_mask = pred_mask
-        self._history = history
-        #: ``(mask, ids)`` of the last materialization, ``None`` before the first.
-        self._pred_ids: Optional[Tuple[int, FrozenSet[CommandId]]] = None
 
     @property
     def command_id(self) -> CommandId:
@@ -119,13 +117,9 @@ class HistoryEntry:
 
     @property
     def predecessors(self) -> FrozenSet[CommandId]:
-        """The predecessor set as command ids (cached until the mask changes)."""
-        mask = self.pred_mask
-        cached = self._pred_ids
-        if cached is None or cached[0] != mask:
-            cached = self._pred_ids = (
-                mask, self._history.ids_from_mask(mask, self.command.key))
-        return cached[1]
+        """The predecessor set as command ids (decoded from the mask on each read)."""
+        mask, id_of = self.pred_mask, self.bucket.id_of
+        return frozenset(id_of[i] for i in range(mask.bit_length()) if mask >> i & 1)
 
     def ts_key(self) -> Tuple[int, int]:
         """Sort key equivalent to the timestamp's total order."""
@@ -134,51 +128,47 @@ class HistoryEntry:
 
 
 class _KeyBucket:
-    """Entries for one key, kept sorted by timestamp.
+    """One key: its interner, and its entries sorted by timestamp.
 
-    ``keys`` and ``entries`` are parallel lists; ``keys[i]`` is
-    ``(counter, node_id, index)`` for ``entries[i]`` (the index component
-    makes keys unique, so removal never needs an equality scan).  ``all_mask``
-    / ``write_mask`` are the bitmask of every entry / every *writing* entry in
-    the bucket — the predecessor computation takes the whole-bucket mask and
-    strips the (usually tiny) ``>= timestamp`` suffix instead of scanning the
-    prefix.  ``ids`` is ``all_mask`` as command ids: what the id⇄mask
-    translations of a predecessor set on this key start from.  The key's
-    interner is ``index_of`` / ``id_of`` / ``entry_by_index`` (``None`` where
-    no live entry is); ``delivered`` / ``waiters`` are the delivery manager's.
+    The interner ``index_of`` / ``id_of`` holds every id bound to the key,
+    with an entry or not.  ``keys[i]`` is ``entries[i]``'s timestamp and index
+    packed into one int, ``(counter << 32 | node_id) << 32 | index``: ordered
+    as the timestamps, unique (removal needs no equality scan), and bisected
+    without a tuple per insert.  ``all_mask`` / ``write_mask`` are the bitmask
+    of every entry / every *writing* entry — the predecessor computation takes
+    the whole-bucket mask and strips the (usually tiny) ``>= timestamp``
+    suffix instead of scanning the prefix.  ``delivered`` / ``waiters`` are
+    the delivery manager's (``waiters`` is ``None`` until its first filing).
     """
 
-    __slots__ = ("key", "keys", "entries", "all_mask", "write_mask", "ids",
-                 "index_of", "id_of", "entry_by_index", "delivered", "waiters")
+    __slots__ = ("key", "keys", "entries", "all_mask", "write_mask",
+                 "index_of", "id_of", "delivered", "waiters")
 
     def __init__(self, key: str) -> None:
         self.key = key
-        self.keys: List[Tuple[int, int, int]] = []
+        self.keys: List[int] = []
         self.entries: List[HistoryEntry] = []
         self.all_mask = 0
         self.write_mask = 0
-        self.ids: Set[CommandId] = set()
         self.index_of: Dict[CommandId, int] = {}
         self.id_of: List[CommandId] = []
-        self.entry_by_index: List[Optional[HistoryEntry]] = []
         self.delivered = 0
-        self.waiters: Dict[int, list] = {}
+        self.waiters: Optional[Dict[int, list]] = None
 
     def insert(self, entry: HistoryEntry) -> None:
         timestamp = entry.timestamp
-        key = (timestamp.counter, timestamp.node_id, entry.index)
+        key = (timestamp.counter << 32 | timestamp.node_id) << 32 | entry.index
         position = bisect_left(self.keys, key)
         self.keys.insert(position, key)
         self.entries.insert(position, entry)
         bit = 1 << entry.index
         self.all_mask |= bit
-        self.ids.add(entry.command.command_id)
         if entry.command.is_write:
             self.write_mask |= bit
 
     def discard(self, entry: HistoryEntry, timestamp: LogicalTimestamp) -> None:
         """Remove ``entry``, which is currently filed under ``timestamp``."""
-        key = (timestamp.counter, timestamp.node_id, entry.index)
+        key = (timestamp.counter << 32 | timestamp.node_id) << 32 | entry.index
         position = bisect_left(self.keys, key)
         if position < len(self.keys) and self.keys[position] == key:
             del self.keys[position]
@@ -186,11 +176,10 @@ class _KeyBucket:
             bit = 1 << entry.index
             self.all_mask &= ~bit
             self.write_mask &= ~bit
-            self.ids.discard(entry.command.command_id)
 
     def suffix_start(self, timestamp: LogicalTimestamp) -> int:
         """Index of the first entry with a timestamp strictly greater."""
-        return bisect_right(self.keys, (timestamp.counter, timestamp.node_id, 1 << 62))
+        return bisect_left(self.keys, ((timestamp.counter << 32 | timestamp.node_id) + 1) << 32)
 
     def prefix_mask(self, timestamp: LogicalTimestamp, writes_only: bool) -> int:
         """Bitmask of entries with a timestamp strictly smaller.
@@ -201,7 +190,7 @@ class _KeyBucket:
         """
         mask = self.write_mask if writes_only else self.all_mask
         keys = self.keys
-        position = bisect_left(keys, (timestamp.counter, timestamp.node_id))
+        position = bisect_left(keys, (timestamp.counter << 32 | timestamp.node_id) << 32)
         if position < len(keys):
             entries = self.entries
             for i in range(position, len(keys)):
@@ -228,10 +217,9 @@ class CommandHistory:
         return bucket
 
     def _bind(self, command_id: CommandId, bucket: _KeyBucket) -> int:
-        """Bind an unbound id to ``bucket`` at the key's next index."""
+        """Bind an unbound id to ``bucket`` at the key's next index (no entry yet)."""
         index = bucket.index_of[command_id] = len(bucket.id_of)
         bucket.id_of.append(command_id)
-        bucket.entry_by_index.append(None)
         self._bucket_of[command_id] = bucket
         return index
 
@@ -250,8 +238,8 @@ class CommandHistory:
             index = index_of.get(command_id)
             if index is not None:
                 mask |= 1 << index
-            elif command_id in bound:
-                raise KeyBindingError(command_id, bound[command_id].key, key)
+            elif command_id in bound or command_id in self._entries:
+                raise KeyBindingError(command_id, self.bucket_of(command_id).key, key)
             else:
                 unseen.append(command_id)
         if unseen:
@@ -267,37 +255,37 @@ class CommandHistory:
 
     def index_of(self, command_id: CommandId) -> Optional[int]:
         """Index of an already-bound id on its key, ``None`` if never seen."""
-        bucket = self._bucket_of.get(command_id)
+        bucket = self.bucket_of(command_id)
         return None if bucket is None else bucket.index_of[command_id]
 
     def bucket_of(self, command_id: CommandId) -> Optional[_KeyBucket]:
         """The bucket of the key an id is bound to, ``None`` if never seen."""
-        return self._bucket_of.get(command_id)
+        entry = self._entries.get(command_id)
+        return entry.bucket if entry is not None else self._bucket_of.get(command_id)
 
     def mask_from_ids(self, ids: Iterable[CommandId], key: str) -> int:
         """Bitmask on ``key`` for a collection of command ids (interning as needed).
 
         ``key`` is the key of the command whose predecessor set ``ids`` is.
-        A set that is most of that key's bucket is translated as the bucket's
-        mask less the few ids it lacks, plus the few it adds.  Ids never seen
-        are interned in the iteration order of ``ids`` either way.
+        A set that is most of the ids the key has interned is translated as
+        the all-interned mask less the few ids it lacks, plus the few it adds.
+        Ids never seen are interned in the iteration order of ``ids`` either way.
         """
         if not ids:
             return 0
         bucket = self._by_key.get(key)
-        # Worth it only when the bucket sheds fewer ids than the set holds,
-        # which a set under half the bucket cannot meet (and is not worth a
-        # difference over the whole bucket to find out).
+        # Worth it only when the key sheds fewer ids than the set holds,
+        # which a set under half the key's ids cannot meet (and is not worth
+        # a difference over all of them to find out).
         if (bucket is not None and isinstance(ids, (set, frozenset))
-                and 2 * len(ids) > len(bucket.ids)):
-            bucket_ids = bucket.ids
-            shed = bucket_ids - ids
+                and 2 * len(ids) > len(bucket.id_of)):
+            index_of = bucket.index_of
+            shed = set(index_of).difference(ids)
             if len(shed) < len(ids):
-                index_of = bucket.index_of
-                mask = bucket.all_mask
+                mask = (1 << len(index_of)) - 1
                 for command_id in shed:
                     mask &= ~(1 << index_of[command_id])
-                extra = ids - bucket_ids
+                extra = ids.difference(index_of)
                 if len(extra) > 1:
                     # Index assignment follows the order ``ids`` iterates in.
                     extra = [command_id for command_id in ids if command_id in extra]
@@ -307,21 +295,16 @@ class CommandHistory:
     def ids_from_mask(self, mask: int, key: str) -> FrozenSet[CommandId]:
         """The command ids whose bits are set in ``mask``, a bitmask on ``key``.
 
-        A mask that is most of the bucket's is the bucket's id set less the
-        few it lacks, plus the few it adds.
+        A mask that is most of the all-interned mask is the key's ids less the
+        few it lacks.
         """
         if not mask:
             return _EMPTY_IDS
         bucket = self._by_key[key]
-        shed = bucket.all_mask & ~mask
+        shed = ((1 << len(bucket.id_of)) - 1) & ~mask
         if shed.bit_count() < mask.bit_count():
-            ids = bucket.ids
-            if shed:
-                ids = ids.difference(self.iter_mask(shed, key))
-            extra = mask & ~bucket.all_mask
-            if extra:
-                ids = ids.union(self.iter_mask(extra, key))
-            return frozenset(ids)
+            ids = frozenset(bucket.index_of)
+            return ids.difference(self.iter_mask(shed, key)) if shed else ids
         id_of = bucket.id_of
         ids = []
         while mask:
@@ -366,9 +349,12 @@ class CommandHistory:
         rather than replaced, so concurrent holders of the entry (e.g. the
         delivery manager's loop breaking) always observe the node's latest
         knowledge.  ``entry`` is what :meth:`get` returned to a caller that
-        has written nothing since.  An id bound to another key raises first.
+        has written nothing since.  An id bound to another key, or a node id
+        past the 32 bits of a sort key, raises first.
         """
         command_id, key = command.command_id, command.key
+        if timestamp.node_id >> 32:
+            raise TimestampRangeError(f"timestamp {timestamp} has a node id outside 0 .. 2**32 - 1")
         if entry is LOOK_UP:
             entry = self._entries.get(command_id)
         bucket = entry.bucket if entry is not None else self._bucket_of.get(command_id)
@@ -381,11 +367,11 @@ class CommandHistory:
         if entry is None:
             index = bucket.index_of.get(command_id)
             index = self._bind(command_id, bucket) if index is None else index
+            del self._bucket_of[command_id]   # bound through its entry from now on
             entry = HistoryEntry(command=command, timestamp=timestamp,
                                  pred_mask=mask, status=status, ballot=ballot,
-                                 forced=forced, index=index, bucket=bucket, history=self)
+                                 forced=forced, index=index, bucket=bucket)
             self._entries[command_id] = entry
-            bucket.entry_by_index[index] = entry
             bucket.insert(entry)
         else:
             if entry.timestamp != timestamp:
@@ -402,14 +388,14 @@ class CommandHistory:
     def remove(self, command_id: CommandId) -> None:
         """Forget a command (garbage collection once stable everywhere).
 
-        The bucket and its interner are kept, emptied or not, so the
-        command's bit stays valid in any surviving bitmask (the key's
-        delivered set, other entries' predecessors).
+        The bucket and its interner are kept, emptied or not, and the id is
+        bound to it in ``_bucket_of``, so its bit stays valid in any surviving
+        bitmask (the key's delivered set, other entries' predecessors).
         """
         entry = self._entries.pop(command_id, None)
         if entry is not None:
-            entry.bucket.entry_by_index[entry.index] = None
             entry.bucket.discard(entry, entry.timestamp)
+            self._bucket_of[command_id] = entry.bucket
 
     def entries(self) -> Iterator[HistoryEntry]:
         """Iterate over every entry (order unspecified)."""
@@ -434,9 +420,8 @@ class CommandHistory:
     def predecessors_of(self, command_id: CommandId) -> FrozenSet[CommandId]:
         """The GETPREDECESSORS accessor; empty set when the command is unknown.
 
-        Returns the entry's cached immutable view — callers must not expect
-        a private copy (none of them mutate it; the previous per-call
-        ``set()`` copy existed only to protect against that).
+        Returns the entry's :attr:`~HistoryEntry.predecessors` view, an
+        immutable set decoded from its mask.
         """
         entry = self._entries.get(command_id)
         if entry is None:

@@ -23,6 +23,8 @@ simulations can check them continuously:
   BREAKLOOP skip the delivered part of a new command's predecessor set).
 * :func:`check_mask_width` — every bitmask is drawn from its key's interner,
   so no mask is wider than the number of ids seen on that key.
+* :func:`check_bucket_index` — sort keys, interner, entries and masks of
+  every key bucket agree, and ``_bucket_of`` binds only ids without an entry.
 
 Each checker returns a list of human-readable violation descriptions; an
 empty list means the invariant holds.
@@ -208,6 +210,42 @@ def check_mask_width(replicas: Sequence) -> List[str]:
     return violations
 
 
+def check_bucket_index(replicas: Sequence) -> List[str]:
+    """Every key bucket agrees with its entries, and ``_bucket_of`` holds exactly
+    the bound ids that have no entry.  Sort keys are packed here again, not by
+    the code under check.  Replicas without a delivery manager are skipped.
+    """
+    violations: List[str] = []
+    for replica in replicas:
+        if getattr(replica, "delivery", None) is None:
+            continue
+        history, without_entry = replica.history, {}
+        for key, bucket in history._by_key.items():
+            keys, entries, id_of = bucket.keys, bucket.entries, bucket.id_of
+            bits = {1 << e.index: e.command.is_write for e in entries}
+            failed = [what for what, holds in (
+                ("sort keys are not its entries' packed keys", keys == [
+                    (e.timestamp.counter << 32 | e.timestamp.node_id) << 32 | e.index
+                    for e in entries]),
+                ("sort keys are not strictly increasing",
+                 all(a < b for a, b in zip(keys, keys[1:]))),
+                ("id_of and index_of are not inverse", len(id_of) == len(bucket.index_of)
+                 and bucket.index_of == {command_id: i for i, command_id in enumerate(id_of)}),
+                ("an entry is not the one its index names", all(
+                    e.bucket is bucket and e.index < len(id_of) and history.get(id_of[e.index]) is e
+                    for e in entries)),
+                ("all_mask / write_mask are not its entries' bits",
+                 (bucket.all_mask, bucket.write_mask)
+                 == (sum(bits), sum(bit for bit, write in bits.items() if write)))) if not holds]
+            violations += [f"node {replica.node_id}: key {key!r}: {what}" for what in failed]
+            without_entry.update((i, bucket) for i in id_of if i not in history)
+        if history._bucket_of != without_entry:   # buckets compare by identity
+            stray = sorted(history._bucket_of.keys() ^ without_entry.keys())
+            violations.append(f"node {replica.node_id}: _bucket_of is not the bound ids "
+                              f"without an entry: {stray}")
+    return violations
+
+
 def check_all(replicas: Sequence[CaesarReplica]) -> List[str]:
     """Run every CAESAR invariant checker and concatenate the violations."""
     violations: List[str] = []
@@ -218,4 +256,5 @@ def check_all(replicas: Sequence[CaesarReplica]) -> List[str]:
     violations.extend(check_delivery_quiescent(replicas))
     violations.extend(check_delivered_closed(replicas))
     violations.extend(check_mask_width(replicas))
+    violations.extend(check_bucket_index(replicas))
     return violations

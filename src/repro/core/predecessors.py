@@ -189,7 +189,7 @@ class WaitManager:
             bucket = history.bucket(command.key)
             if not bucket.keys:
                 return True  # a bucket with no entries (all collected) is no bucket
-        if bucket.keys[-1][:2] <= (timestamp.counter, timestamp.node_id):
+        if bucket.keys[-1] >> 32 <= (timestamp.counter << 32 | timestamp.node_id):
             return True  # nothing on the key is later: the scan would find an empty suffix
         blocker_mask, witness_mask = self._scan_masks(command, timestamp, self_bit)
         if not blocker_mask:

@@ -30,7 +30,7 @@ from repro.chaos.checker import LinearizabilityReport, check_history
 from repro.chaos.history import HistoryTape, TapedClientStats
 from repro.chaos.nemesis import Nemesis, NemesisPlan, build_schedule
 from repro.consensus.command import Command
-from repro.core.invariants import (check_delivered_closed,
+from repro.core.invariants import (check_bucket_index, check_delivered_closed,
                                    check_delivery_quiescent,
                                    check_execution_consistency, check_mask_width)
 from repro.harness.cluster import ClusterConfig, build_cluster
@@ -235,7 +235,8 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
     internal = (check_execution_consistency(cluster.replicas)
                 + check_delivery_quiescent(cluster.replicas)
                 + check_delivered_closed(cluster.replicas)
-                + check_mask_width(cluster.replicas))
+                + check_mask_width(cluster.replicas)
+                + check_bucket_index(cluster.replicas))
 
     fast, slow = count_decisions(cluster.replicas)
     recoveries = sum(replica.stats.recoveries + replica.stats.recoveries_completed

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 from repro.metrics.stats import LatencySummary, summarize_latencies, throughput_timeline
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommandSample:
     """One completed client command."""
 

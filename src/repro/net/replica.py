@@ -35,6 +35,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.consensus.command import KeyBindingError
 from repro.consensus.quorums import QuorumSystem
+from repro.consensus.timestamps import TimestampRangeError
 from repro.harness.protocols import build_replica, constructor_options
 from repro.net.clock import WallClock
 from repro.net.framing import FrameDecoder, FramingError, encode_frame
@@ -229,9 +230,9 @@ class _AcceptedConnection(asyncio.Protocol):
     """One accepted connection: each frame is decoded and routed in the
     event-loop callback that read it, until EOF / error.
 
-    A peer that breaks the framing, sends undecodable bytes or names a
-    command on two keys loses this connection; the replica keeps serving
-    every other one.
+    A peer that breaks the framing, sends undecodable bytes, names a
+    command on two keys or sends a timestamp whose node id does not fit in
+    32 bits loses this connection; the replica keeps serving every other one.
     """
 
     def __init__(self, server: ReplicaServer) -> None:
@@ -253,7 +254,7 @@ class _AcceptedConnection(asyncio.Protocol):
                     self.hello = server._handshake(message)
                 else:
                     server._dispatch(self.hello, message, self.transport)
-        except (FramingError, WireDecodeError, KeyBindingError):
+        except (FramingError, WireDecodeError, KeyBindingError, TimestampRangeError):
             self.transport.close()
 
     def connection_lost(self, exc: Optional[Exception]) -> None:

@@ -232,7 +232,7 @@ class AsyncioTransport(Transport):
             return
         payload = WIRE.encode(message)
         frame = encode_frame(payload)
-        self._account(message, len(payload), len(frame), 1)
+        self._account(message, len(payload), 1)
         self._transmit(dst, message, frame)
 
     def broadcast(self, message: object, include_self: bool = True) -> None:
@@ -244,21 +244,19 @@ class AsyncioTransport(Transport):
         local = self._node_id
         destinations = [dst for dst in self.network.node_ids
                         if include_self or dst != local]
-        self._account(message, len(payload), len(frame), len(destinations))
+        self._account(message, len(payload), len(destinations))
         for dst in destinations:
             self._transmit(dst, message, frame)
 
-    def _account(self, message: object, payload_bytes: int, frame_bytes: int,
-                 copies: int) -> None:
+    def _account(self, message: object, payload_bytes: int, copies: int) -> None:
         """Count ``copies`` transmissions of one encoded message.
 
         The socket backend encodes every message anyway, so real codec bytes
-        are always accounted — same counters the footprint benchmark reads
-        from simulator runs with wire_accounting enabled.
+        are always accounted, self-copies included — the counters the footprint
+        benchmark reads from simulator runs with wire_accounting enabled.
         """
         stats = self.network.stats
         stats.messages_sent += copies
-        stats.bytes_sent += frame_bytes * copies
         codec_bytes = payload_bytes * copies
         stats.codec_bytes_sent += codec_bytes
         type_name = type(message).__name__
@@ -272,7 +270,9 @@ class AsyncioTransport(Transport):
             self.network.deliver_local(dst, message)
             return
         connection = self._connections.get(dst)
-        if connection is None or not connection.send_frame(frame):
+        if connection is not None and connection.send_frame(frame):
+            self.network.stats.bytes_sent += len(frame)
+        else:
             self.network.stats.messages_dropped += 1
 
     def set_timer(self, delay_ms: float, callback):

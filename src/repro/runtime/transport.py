@@ -58,7 +58,7 @@ registry's codec and accumulated into the ``codec_bytes_sent`` /
 what the message-footprint benchmark reports.  The flag defaults to off so
 the measurement never taxes the simulation hot path.  The socket backend
 encodes every message anyway, so it always accounts codec bytes, plus
-``bytes_sent``: the frames it wrote.
+``bytes_sent``: the frames its sockets took (no self-send, no dropped frame).
 """
 
 from __future__ import annotations

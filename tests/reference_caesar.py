@@ -29,7 +29,7 @@ from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command, CommandId
 from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.caesar import CaesarReplica
-from repro.core.history import CommandStatus, HistoryEntry
+from repro.core.history import CommandStatus
 from repro.core.messages import (
     FastPropose,
     FastProposeReply,
@@ -41,8 +41,8 @@ from repro.core.messages import (
 )
 from repro.core.predecessors import _ParkedProposal
 from repro.runtime.kernel import handles
-from tests.reference_history import (CommandHistory, DeliveryManager, WaitManager, _KeyBucket,
-                                     compute_predecessor_mask)
+from tests.reference_history import (CommandHistory, DeliveryManager, HistoryEntry, WaitManager,
+                                     _KeyBucket, compute_predecessor_mask)
 
 
 class ReferenceCommandHistory(CommandHistory):

@@ -7,9 +7,11 @@ The parent commit's ``_KeyBucket``, ``CommandHistory`` (one node-wide
 executable specification the per-key design is compared against, at the
 level of command ids (``tests/test_caesar_differential.py``,
 ``tests/test_core_bitset_differential.py``,
-``tests/test_delivery_differential.py``).  ``HistoryEntry``, the status enum,
-the ``LOOK_UP`` sentinel and ``_ParkedProposal`` did not change and are
-imported.
+``tests/test_delivery_differential.py``).  ``HistoryEntry`` is the one the
+design it replaced carried (a reference to its history, and a cached
+materialization of its predecessor ids), copied too, so the reference never
+runs the class under test.  The status enum, the ``LOOK_UP`` sentinel and
+``_ParkedProposal`` did not change and are imported.
 """
 
 from __future__ import annotations
@@ -21,11 +23,62 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command, CommandId
 from repro.consensus.timestamps import LogicalTimestamp
-from repro.core.history import LOOK_UP, CommandStatus, HistoryEntry
+from repro.core.history import LOOK_UP, CommandStatus
 from repro.core.predecessors import _ParkedProposal
 
 #: Shared empty frozenset returned whenever a mask materializes to nothing.
 _EMPTY_IDS: FrozenSet[CommandId] = frozenset()
+
+
+class HistoryEntry:
+    """One row of ``H_i``: the node's knowledge about a single command.
+
+    ``pred_mask`` is the predecessor set as a bitmask over its key's
+    interner, a plain attribute every reader and writer touches directly; the
+    :attr:`predecessors` view materializes it to a ``frozenset`` of ids on
+    demand (cached beside the mask it was built from) for cold-path readers
+    such as recovery, catch-up supply and the invariant checks.
+    """
+
+    __slots__ = ("command", "timestamp", "status", "ballot", "forced",
+                 "index", "bucket", "pred_mask", "_history", "_pred_ids")
+
+    def __init__(self, command: Command, timestamp: LogicalTimestamp,
+                 pred_mask: int, status: CommandStatus, ballot: Ballot, forced: bool,
+                 index: int, bucket: "_KeyBucket", history: "CommandHistory") -> None:
+        self.command = command
+        self.timestamp = timestamp
+        self.status = status
+        self.ballot = ballot
+        self.forced = forced
+        #: This command's index on its key (``1 << index`` is its bit).
+        self.index = index
+        #: The bucket of the command's key, where this entry is filed.
+        self.bucket = bucket
+        self.pred_mask = pred_mask
+        self._history = history
+        #: ``(mask, ids)`` of the last materialization, ``None`` before the first.
+        self._pred_ids: Optional[Tuple[int, FrozenSet[CommandId]]] = None
+
+    @property
+    def command_id(self) -> CommandId:
+        """Id of the command this entry describes."""
+        return self.command.command_id
+
+    @property
+    def predecessors(self) -> FrozenSet[CommandId]:
+        """The predecessor set as command ids (cached until the mask changes)."""
+        mask = self.pred_mask
+        cached = self._pred_ids
+        if cached is None or cached[0] != mask:
+            cached = self._pred_ids = (
+                mask, self._history.ids_from_mask(mask, self.command.key))
+        return cached[1]
+
+    def ts_key(self) -> Tuple[int, int]:
+        """Sort key equivalent to the timestamp's total order."""
+        timestamp = self.timestamp
+        return (timestamp.counter, timestamp.node_id)
 
 
 class _KeyBucket:

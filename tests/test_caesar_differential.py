@@ -330,6 +330,33 @@ class TestScenarios:
         pair.feed(2, fast(C, ts(1, 2)))
         assert [answer.ok for answer in pair.new.answers(C)] == [True]
 
+    def test_a_set_naming_a_collected_command_translates_against_every_interned_id(self):
+        """After GC the key has interned ids without an entry, so its entries' mask
+        is not the all-interned mask: a set that is most of the key, naming one
+        collected command and not another, must keep the one and leave the other
+        out both ways — into a mask (SlowPropose) and back into ids (its reply) —
+        and a Stable naming it is delivered at once."""
+        pair = Pair()
+        g, d = command(4, 0), command(0, 1)
+        e = command(3, 0)
+        earlier = []
+        for counter, cmd in ((3, A), (5, B), (7, C), (9, e), (11, g)):
+            pair.feed(cmd.origin, stable(cmd, ts(counter, cmd.origin),
+                                         [other.command_id for other in earlier]))
+            earlier.append(cmd)
+        history = pair.new.replica.history
+        bit = history.index_of(A.command_id)
+        pair.collect(A)
+        pair.collect(g)
+        named = [A.command_id, B.command_id, C.command_id, e.command_id]
+        pair.feed(0, slow(d, ts(13, 0), named))
+        assert pair.new.answers(d)[0].predecessors == set(named)
+        pair.feed(0, stable(d, ts(13, 0), named))
+        assert history.index_of(A.command_id) == bit
+        assert history.get(d.command_id).predecessors == set(named)
+        assert pair.new.replica.delivery.delivered_order == [
+            cmd.command_id for cmd in (A, B, C, e, g, d)]
+
     def test_slow_propose_whose_predecessor_set_names_the_command_itself(self):
         pair = Pair()
         pair.feed(0, slow(A, ts(3, 0), [B.command_id, A.command_id]))

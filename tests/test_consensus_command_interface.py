@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.consensus.command import Command, commands_conflict
 from repro.consensus.interface import Decision, DecisionKind, ExecutionLog
@@ -61,6 +61,29 @@ class TestDecision:
         assert decision.is_complete
 
 
+def _grouped_violations(log: ExecutionLog, other: ExecutionLog) -> list:
+    """``ExecutionLog.conflicting_order_violations`` as it was before it compared
+    per-key sequences first: every common command grouped with its position."""
+    violations = []
+    other_positions = other._positions
+    by_key = {}
+    for c in log._entries:
+        position = other_positions.get(c.command_id)
+        if position is not None:
+            by_key.setdefault(c.key, []).append((c, position))
+    for group in by_key.values():
+        if len(group) < 2:
+            continue
+        positions = [position for _, position in group]
+        if all(positions[i] < positions[i + 1] for i in range(len(positions) - 1)):
+            continue
+        for i, (first, first_pos) in enumerate(group):
+            for second, second_pos in group[i + 1:]:
+                if first_pos > second_pos and first.conflicts_with(second):
+                    violations.append((first.command_id, second.command_id))
+    return violations
+
+
 class TestExecutionLog:
     def test_append_and_position(self):
         log = ExecutionLog()
@@ -109,6 +132,32 @@ class TestExecutionLog:
         log_b.append(second)
         log_b.append(first)
         assert log_a.conflicting_order_violations(log_b) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_violations_match_the_per_command_grouping_it_replaced(self, data):
+        """Same pairs in the same order as the check that grouped every common
+        command with its position, whichever keys are swapped, reads included,
+        and whichever commands only one log executed."""
+        commands = [Command(command_id=(client, 0), key=data.draw(st.sampled_from("abc")),
+                            operation=data.draw(st.sampled_from(("put", "put", "get"))))
+                    for client in range(data.draw(st.integers(0, 12)))]
+        other = list(commands)
+        for _ in range(data.draw(st.integers(0, 4))):
+            if len(other) > 1:
+                i = data.draw(st.integers(0, len(other) - 2))
+                j = data.draw(st.integers(i + 1, len(other) - 1))
+                other[i], other[j] = other[j], other[i]
+        logs = []
+        for sequence in (commands, other):
+            log = ExecutionLog()
+            for command in sequence:
+                if data.draw(st.integers(0, 9)):   # one in ten executed on one side only
+                    log.append(command)
+            logs.append(log)
+        first, second = logs
+        assert first.conflicting_order_violations(second) == _grouped_violations(first, second)
+        assert second.conflicting_order_violations(first) == _grouped_violations(second, first)
 
     def test_commands_copy_is_isolated(self):
         log = ExecutionLog()

@@ -261,7 +261,8 @@ class TestBucketRelativeTranslation:
                 plain.remove(command.command_id)
                 continue
             bucket = keyed.bucket(command.key)
-            ids = (set(bucket.ids) if bucket is not None else set()) - slots_of(dropped, command.key)
+            ids = ({entry.command_id for entry in bucket.entries} if bucket is not None
+                   else set()) - slots_of(dropped, command.key)
             ids |= slots_of(added, command.key)
             ids = frozenset(ids) if frozen else ids
             mask = keyed.mask_from_ids(ids, command.key)

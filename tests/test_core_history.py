@@ -6,7 +6,7 @@ import pytest
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import KeyBindingError
-from repro.consensus.timestamps import LogicalTimestamp
+from repro.consensus.timestamps import LogicalTimestamp, TimestampRangeError
 from repro.core.history import CommandHistory, CommandStatus
 from tests.conftest import make_command
 
@@ -68,9 +68,55 @@ class TestUpdateAndLookup:
         history.remove(command.command_id)
         bucket = history.bucket("x")
         assert bucket is entry.bucket and bucket.entries == [] and bucket.all_mask == 0
-        assert bucket.id_of == [command.command_id] and bucket.entry_by_index == [None]
+        assert bucket.id_of == [command.command_id]
+        # Bound without an entry again, so found through the binding map.
+        assert history._bucket_of == {command.command_id: bucket}
+        assert history.bucket_of(command.command_id) is bucket
         assert history.index_of(command.command_id) == entry.index
         assert history.mask_from_ids({command.command_id}, "x") == 1 << entry.index
+
+    def test_an_id_named_before_its_entry_is_bound_through_the_entry_once_it_has_one(self):
+        history = CommandHistory()
+        named = make_command(0, 0, key="x")
+        history.update(make_command(1, 0, key="x"), ts(2), {named.command_id},
+                       CommandStatus.STABLE, Ballot.initial(0))
+        bucket = history.bucket("x")
+        assert history._bucket_of == {named.command_id: bucket}
+        entry = history.update(named, ts(1), set(), CommandStatus.STABLE, Ballot.initial(0))
+        assert history._bucket_of == {}
+        assert (history.bucket_of(named.command_id), history.index_of(named.command_id)) == (
+            bucket, entry.index) == (bucket, 0)
+
+
+class TestSortKeys:
+    def test_a_node_id_past_32_bits_is_refused_before_anything_changes(self):
+        history = CommandHistory()
+        command = make_command(0, 0, key="x")
+        with pytest.raises(TimestampRangeError, match=r"<1,4294967296> has a node id outside"):
+            history.update(command, ts(1, 1 << 32), {(5, 5)}, CommandStatus.STABLE,
+                           Ballot.initial(0))
+        assert len(history) == 0 and history.bucket("x") is None
+        assert history.index_of((5, 5)) is None and history._bucket_of == {}
+        entry = history.update(command, ts(1, (1 << 32) - 1), set(), CommandStatus.STABLE,
+                               Ballot.initial(0))
+        # Counter 1, node id 2**32 - 1, index 0: (1 << 32 | 2**32 - 1) << 32 | 0.
+        assert history.bucket("x").keys == [(1 << 65) - (1 << 32)]
+        assert entry.bucket.entries == [entry]
+
+    def test_packed_keys_order_entries_as_their_timestamps(self):
+        """Counter first, then node id, then the index, whatever the magnitudes."""
+        history = CommandHistory()
+        stamps = [ts(2, 0), ts(1, (1 << 32) - 1), ts(1 << 40, 3), ts(1, 0), ts(2, 1)]
+        for seq, timestamp in enumerate(stamps):
+            history.update(make_command(seq, 0, key="x"), timestamp, set(),
+                           CommandStatus.FAST_PENDING, Ballot.initial(0))
+        bucket = history.bucket("x")
+        assert [entry.timestamp for entry in bucket.entries] == sorted(stamps)
+        assert bucket.keys == sorted(bucket.keys)
+        # The prefix / suffix searches split at a timestamp, never inside one.
+        assert bucket.suffix_start(ts(2, 0)) == 3 and bucket.suffix_start(ts(1, 5)) == 1
+        assert history.ids_from_mask(bucket.prefix_mask(ts(2, 1), writes_only=False), "x") == {
+            (0, 0), (1, 0), (3, 0)}
 
 
 class TestFirstKeyBinding:
@@ -114,6 +160,37 @@ class TestFirstKeyBinding:
         assert (entry.command, entry.timestamp, entry.status) == (
             command, ts(1), CommandStatus.FAST_PENDING)
         assert history.bucket("b") is None
+
+    @pytest.mark.parametrize("collected", [False, True], ids=["with-entry", "collected"])
+    def test_an_id_with_an_entry_or_collected_is_refused_on_another_key(self, collected):
+        """With an entry, an id is bound through it and is not in ``_bucket_of``;
+        collected, it is back in ``_bucket_of``.  Named on another key, as a
+        predecessor or as the command, it is refused with nothing changed."""
+        history = CommandHistory()
+        ballot = Ballot.initial(0)
+        command = make_command(0, 0, key="a")
+        entry = history.update(command, ts(1), set(), CommandStatus.STABLE, ballot)
+        assert history._bucket_of == {}
+        if collected:
+            history.remove(command.command_id)
+            assert history._bucket_of == {command.command_id: entry.bucket}
+        bound = dict(history._bucket_of)
+        named = command.command_id
+        attempts = [
+            lambda: history.mask_from_ids([(7, 7), named], "b"),
+            lambda: history.intern(named, "b"),
+            lambda: history.update(make_command(1, 0, key="b"), ts(2), {(7, 7), named},
+                                   CommandStatus.STABLE, ballot),
+            lambda: history.update(make_command(0, 0, key="b"), ts(2), set(),
+                                   CommandStatus.STABLE, ballot),
+        ]
+        for attempt in attempts:
+            with pytest.raises(KeyBindingError,
+                               match=r"command \(0, 0\) is bound to key 'a', named on key 'b'"):
+                attempt()
+        assert history.bucket("b") is None and history._bucket_of == bound
+        assert history.index_of((7, 7)) is None and history.index_of((1, 0)) is None
+        assert history.index_of(named) == entry.index
 
 
 class TestConflictIndex:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.consensus.ballots import Ballot
@@ -10,6 +11,7 @@ from repro.core.history import CommandStatus
 from repro.core.invariants import (
     check_agreement,
     check_all,
+    check_bucket_index,
     check_delivered_closed,
     check_delivery_quiescent,
     check_execution_consistency,
@@ -182,11 +184,16 @@ def run_ci_call_count_shape():
     return cluster.replicas
 
 
+@pytest.fixture(scope="module")
+def ci_run():
+    return run_ci_call_count_shape()
+
+
 class TestMaskWidth:
-    def test_every_mask_is_as_wide_as_its_key_on_the_seeded_ci_run(self):
+    def test_every_mask_is_as_wide_as_its_key_on_the_seeded_ci_run(self, ci_run):
         """Over 1,000 keys and ~4,400 commands per replica, the widest predecessor
         mask is a handful of bits (1,175 with one node-wide interner)."""
-        replicas = run_ci_call_count_shape()
+        replicas = ci_run
         assert check_mask_width(replicas) == []
         widest = max(entry.pred_mask.bit_length()
                      for replica in replicas for entry in replica.history.entries())
@@ -205,3 +212,47 @@ class TestMaskWidth:
         assert check_mask_width(replicas)[0] == (
             f"node 2: pred_mask of (0, 0) on key 'hot-0' is {width + 1} bits wide, "
             f"{width} ids interned")
+
+
+class TestBucketIndex:
+    def test_every_bucket_agrees_with_its_entries_on_the_seeded_ci_run(self, ci_run):
+        """Every id a message named got its entry by the end: ``_bucket_of`` is empty."""
+        assert check_bucket_index(ci_run) == []
+        assert [len(replica.history._bucket_of) for replica in ci_run] == [0] * 5
+        assert [len(replica.history) for replica in ci_run] == [1235] * 5
+
+    def test_an_id_left_in_the_binding_map_beside_its_entry_is_detected(self):
+        replicas = run_conflicting_workload(n_commands_per_node=2)
+        assert check_bucket_index(replicas) == []
+        history = replicas[1].history
+        entry = history.get((0, 0))
+        history._bucket_of[(0, 0)] = entry.bucket    # what an update that never pops leaves
+        assert check_all(replicas) == [
+            "node 1: _bucket_of is not the bound ids without an entry: [(0, 0)]"]
+
+    def test_a_collected_id_missing_from_the_binding_map_is_detected(self):
+        replicas = run_conflicting_workload(n_commands_per_node=2)
+        history = replicas[1].history
+        history.remove((0, 0))
+        assert check_bucket_index(replicas) == []
+        del history._bucket_of[(0, 0)]               # what a remove that never restores leaves
+        assert check_bucket_index(replicas) == [
+            "node 1: _bucket_of is not the bound ids without an entry: [(0, 0)]"]
+
+    @pytest.mark.parametrize("corrupt, violation", [
+        (lambda bucket: setattr(bucket, "keys", [key >> 32 for key in bucket.keys]),
+         "sort keys are not its entries' packed keys"),
+        (lambda bucket: bucket.keys.insert(1, bucket.keys[0]),
+         "sort keys are not strictly increasing"),
+        (lambda bucket: bucket.index_of.update({(9, 9): 0}),
+         "id_of and index_of are not inverse"),
+        (lambda bucket: setattr(bucket.entries[0], "index", bucket.entries[1].index),
+         "an entry is not the one its index names"),
+        (lambda bucket: setattr(bucket, "write_mask", bucket.all_mask << 1),
+         "all_mask / write_mask are not its entries' bits"),
+    ], ids=["index-not-packed", "equal-keys", "interner", "entry-index", "write-mask"])
+    def test_each_bucket_fact_is_checked(self, corrupt, violation):
+        replicas = run_conflicting_workload(n_commands_per_node=2)
+        corrupt(replicas[4].history.bucket("hot-1"))
+        assert any(found.startswith(f"node 4: key 'hot-1': {violation}")
+                   for found in check_bucket_index(replicas))

@@ -316,21 +316,9 @@ class TestIndexedDeliveryMatchesScan:
 # ------------------------------------------------------------ scaling guard
 
 
-class _CountingList(list):
-    """A bucket's ``entry_by_index`` that counts the reads through it."""
-
-    def __init__(self, history) -> None:
-        super().__init__()
-        self.history = history
-
-    def __getitem__(self, index):
-        self.history.lookups += 1
-        return super().__getitem__(index)
-
-
 class CountingHistory(CommandHistory):
-    """Counts the entry lookups the delivery manager performs: by id, and by
-    index through a bucket's interner."""
+    """Counts the entry lookups the delivery manager performs (every one is a
+    ``get`` by id; BREAKLOOP turns a bit into an id through the key's interner)."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -339,11 +327,6 @@ class CountingHistory(CommandHistory):
     def get(self, command_id):
         self.lookups += 1
         return super().get(command_id)
-
-    def _new_bucket(self, key):
-        bucket = super()._new_bucket(key)
-        bucket.entry_by_index = _CountingList(self)
-        return bucket
 
 
 class CountingReferenceHistory(ReferenceHistory):

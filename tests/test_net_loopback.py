@@ -11,6 +11,7 @@ real sockets; a third does the same under a closed-loop ``repro loadgen``.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -132,7 +133,10 @@ class TestWireAccounting:
         One closed-loop client keeps a single command in flight, so the
         message sequence — and every counter — is the same in every run.
         The numbers below were recorded at commit 3a13b3e, where
-        ``_transmit`` did the accounting once per destination.
+        ``_transmit`` did the accounting once per destination.  The leader's
+        ``bytes_sent`` was 2,330 there and until the self-copies (10 replies
+        and 20 proposals and stables to itself, 866 framed bytes) stopped
+        being counted as socket bytes.
         """
         run = run_loopback("caesar", replicas=3, clients=1, commands_per_client=10,
                            conflict_rate=0.0, seed=7, timeout_s=30.0)
@@ -142,12 +146,57 @@ class TestWireAccounting:
                     "per_type_codec_bytes": {"FastProposeReply": 94}}
         assert {node: stats["network"] for node, stats in run.stats.items()} == {
             0: {"messages_sent": 70, "messages_delivered": 50, "messages_dropped": 0,
-                "bytes_sent": 2330, "codec_bytes_sent": 2050,
+                "bytes_sent": 1464, "codec_bytes_sent": 2050,
                 "per_type_codec_bytes": {"FastPropose": 972, "FastProposeReply": 94,
                                          "Stable": 984}},
             1: follower,
             2: follower,
         }
+
+
+async def _bytes_written_per_replica(monkeypatch) -> tuple:
+    """Commit a few commands on a 3-replica cluster; per replica, a copy of its
+    network stats and the total length of the frames its ``send_frame`` wrote,
+    both taken at the same instant."""
+    written: dict = {}
+    send_frame = net_transport.PeerConnection.send_frame
+
+    def counted(self, frame):
+        took = send_frame(self, frame)
+        if took:
+            node_id = self.network.local_id
+            written[node_id] = written.get(node_id, 0) + len(frame)
+        return took
+
+    monkeypatch.setattr(net_transport.PeerConnection, "send_frame", counted)
+    cluster = LoopbackCluster("caesar", replicas=3, seed=6)
+    await cluster.start()
+    remote = RemoteReplica(0, *cluster.peers[0], client_id=9)
+    try:
+        await remote.connect()
+        for sequence in range(4):
+            done = asyncio.get_running_loop().create_future()
+            remote.submit(_command(sequence), callback=done.set_result)
+            await asyncio.wait_for(done, timeout=10.0)
+        stats = {node_id: dataclasses.asdict(server.network.stats)
+                 for node_id, server in cluster.servers.items()}
+        return stats, dict(written)
+    finally:
+        await remote.close()
+        await cluster.stop()
+
+
+class TestBytesSent:
+    def test_bytes_sent_is_what_the_sockets_took(self, monkeypatch):
+        """Self-copies never reach a socket, so they are not ``bytes_sent``; the
+        codec counters still count them, as the simulator does."""
+        stats, written = asyncio.run(_bytes_written_per_replica(monkeypatch))
+        assert {node_id: s["bytes_sent"] for node_id, s in stats.items()} == written
+        assert all(written[node_id] > 0 for node_id in range(3))
+        # Every copy framed, self-copies included, is 4 bytes of length prefix
+        # over its codec bytes: the leader's self-sends are the difference.
+        leader = stats[0]
+        assert leader["bytes_sent"] < leader["codec_bytes_sent"] + 4 * leader["messages_sent"]
 
 
 async def _broadcast_one_stable(monkeypatch) -> dict:

@@ -90,10 +90,10 @@ def test_batches_nested_past_the_recursion_limit_raise_wire_decode_error():
 
 # --------------------------------------------------------- against a live replica
 
-def _stable(command_id, key: str, predecessors=()) -> bytes:
+def _stable(command_id, key: str, predecessors=(), node_id: int = 1) -> bytes:
     return encode_frame(WIRE.encode(Stable(
         command=Command(command_id=command_id, key=key, operation="put", value="v", origin=1),
-        ballot=Ballot(0, 1), timestamp=LogicalTimestamp(3, 1),
+        ballot=Ballot(0, 1), timestamp=LogicalTimestamp(3, node_id),
         predecessors=frozenset(predecessors))))
 
 
@@ -123,6 +123,10 @@ def _hostile_streams():
         # with a ``KeyBindingError``, which closes the link like bad framing.
         "command-named-on-two-keys":
             hello + _stable((90, 0), "a", [(91, 0)]) + _stable((91, 0), "b"),
+        # A timestamp node id a history sort key cannot hold in its 32 bits:
+        # refused with a ``TimestampRangeError``, which closes the link too.
+        "timestamp-node-id-past-32-bits":
+            hello + _stable((92, 0), "c", node_id=1 << 32),
     }
 
 
