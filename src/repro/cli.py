@@ -36,7 +36,7 @@ from repro.chaos.nemesis import CONFORMANCE_SCHEDULES, NEMESIS_SCHEDULES
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.figures import FIGURES, shard_scaling
 from repro.harness.protocols import PROTOCOLS
-from repro.harness.sweep import planning_sweeps
+from repro.harness.sweep import planning_sweeps, resolve_workers
 from repro.metrics.report import format_protocol_stats, format_series
 from repro.runtime.admission import admission_policy
 from repro.sim.topology import EC2_SHORT_LABELS, EC2_SITES, ec2_five_sites
@@ -90,12 +90,10 @@ SHARED_FLAGS = {
                                         "of a run (or of each load point)"),
     "quick": dict(action="store_true",
                   help="use scaled-down parameters (fast, coarser numbers)"),
-    "workers": dict(default=None,
-                    help="worker processes: a count, or 'auto' for one per CPU "
-                         "(default: $REPRO_SWEEP_WORKERS, else serial)"),
-    "serial": dict(action="store_true",
-                   help="force serial in-process execution (same output bytes as "
-                        "any --workers value)"),
+    "workers": dict(default=1, type=_validated(lambda text: resolve_workers(text, 1)),
+                    help="worker processes: a positive count, or 'auto' for one per "
+                         "CPU (default: 1, in-process; every value prints the same "
+                         "bytes)"),
     "cells": dict(nargs="+", default=None, metavar="PATTERN",
                   help="only run cells whose key matches one of these globs, e.g. "
                        "'fig9/caesar/*' (unmatched cells report '-')"),
@@ -103,9 +101,6 @@ SHARED_FLAGS = {
     "replicas": dict(type=int, help="cluster size (single-host TCP clusters)"),
     "recovery": dict(action="store_true",
                      help="run failure detectors / recovery machinery"),
-    "no-retransmit": dict(action="store_true",
-                          help="disable the runtime retransmission + catch-up layer "
-                               "(safe but not live under loss; keep it on over TCP)"),
     "admission": dict(default=None, metavar="SPEC", type=_validated(admission_policy),
                       help="admission-control policy on every replica's submit "
                            "path: 'none' (counting baseline), 'inflight:K', "
@@ -169,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         "figure", _figure,
         "regenerate figures of the paper through the parallel sweep orchestrator; "
         "with no flags the printed table is the committed one",
-        shared_flags("quick", "workers", "serial", "cells"))
+        shared_flags("quick", "workers", "cells"))
     figure_parser.add_argument("figures", nargs="+", choices=[*FIGURES, "all"],
                                metavar="figure",
                                help="figures to regenerate (%(choices)s)")
@@ -188,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run the sharded-keyspace study: protocol x shards x zipf skew over "
         "independent consensus groups (exit code 1 unless every command decided "
         "with 0 conflict-order violations)",
-        shared_flags("workers", "serial", protocol="caesar", seed=21, clients=8))
+        shared_flags("workers", protocol="caesar", seed=21, clients=8))
     shard_parser.add_argument("--shards", type=int, nargs="+", default=[1, 2, 4],
                               metavar="N", help="shard counts to sweep")
     shard_parser.add_argument("--skew", type=float, nargs="+", default=[0.0, 0.99],
@@ -203,14 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
                               help="commands per client stream")
     shard_parser.add_argument("--key-space", type=int, default=1000,
                               help="distinct keys in the zipf key space")
-    shard_parser.add_argument("--hot-keys", type=int, default=10,
-                              help="size of the hot-key pool (reporting only)")
 
     chaos_parser = command(
         "chaos", _chaos,
         "run a protocol under a nemesis fault schedule and check the client "
         "history for linearizability",
-        shared_flags("recovery", "no-retransmit", "quick", protocol="caesar", seed=1,
+        shared_flags("recovery", "quick", protocol="caesar", seed=1,
                      clients=2, conflicts=50.0))
     chaos_parser.add_argument("--nemesis", default="minority-partition", metavar="NAME",
                               choices=sorted(NEMESIS_SCHEDULES),
@@ -242,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser = command(
         "serve", _serve,
         "run replicas as real processes speaking the wire format over TCP",
-        shared_flags("recovery", "no-retransmit", "admission", protocol="caesar",
+        shared_flags("recovery", "admission", protocol="caesar",
                      seed=0, replicas=3))
     serve_parser.add_argument("--host", default="127.0.0.1",
                               help="bind address for auto-allocated ports")
@@ -354,15 +347,14 @@ def _figure(args: argparse.Namespace) -> Outcome:
         if args.list_cells:
             # Resolve the cell grid without running any experiment.
             with planning_sweeps() as plan:
-                figure.driver(serial=True, cell_filter=args.cells, **overrides)
+                figure.driver(cell_filter=args.cells, **overrides)
             selected = sum(chosen for _, chosen in plan.cells)
             lines = [f"figure {target} — {len(plan.cells)} cells, "
                      f"{selected} selected, {len(plan.cells) - selected} filtered out"]
             lines.extend(f"  {'*' if chosen else '-'} {key}" for key, chosen in plan.cells)
             outputs.append("\n".join(lines))
             continue
-        result = figure.driver(workers=args.workers, serial=args.serial,
-                               cell_filter=args.cells, **overrides)
+        result = figure.driver(workers=args.workers, cell_filter=args.cells, **overrides)
         lines = [result.table]
         if args.out is not None:
             record_path = result.write(args.out)
@@ -384,8 +376,7 @@ def _shard(args: argparse.Namespace) -> Outcome:
         skews=tuple(args.skew), sites=args.sites,
         replicas_per_site=args.replicas_per_site, clients=args.clients,
         commands_per_client=args.commands, key_space=args.key_space,
-        hot_keys=args.hot_keys, seed=args.seed, workers=args.workers,
-        serial=args.serial)
+        seed=args.seed, workers=args.workers)
     violations = result.extra["total_violations"]
     undecided = result.extra["total_undecided"]
     lines = [result.table, "",
@@ -443,7 +434,10 @@ def _serve(args: argparse.Namespace) -> Outcome:
     from repro.net.cluster import ServeConfig, serve_cluster
     from repro.net.replica import serve_replica
 
-    config = ServeConfig.from_args(args)
+    try:
+        config = ServeConfig.from_args(args)
+    except ValueError as exc:  # a --peer map that names a replica twice
+        args.fail(str(exc))
     if args.node_id is not None:
         # Multi-host mode: one replica in the foreground of this process.
         if config.peers is None:
@@ -488,7 +482,10 @@ def _loadgen(args: argparse.Namespace) -> Outcome:
                                                       peers=None))
         endpoints = cluster.peers
     else:
-        endpoints = parse_peers(args.endpoint or [])
+        try:
+            endpoints = parse_peers(args.endpoint or [])
+        except ValueError as exc:  # an --endpoint map that names a replica twice
+            args.fail(str(exc))
         if not endpoints:
             args.fail("needs --endpoint entries or --launch N")
     try:

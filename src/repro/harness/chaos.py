@@ -23,7 +23,7 @@ executes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.chaos.checker import LinearizabilityReport, check_history
@@ -38,7 +38,6 @@ from repro.harness.experiment import count_decisions
 from repro.harness.protocols import constructor_options, flags_to_fields
 from repro.metrics.collector import MetricsCollector
 from repro.sim.network import NetworkConfig
-from repro.sim.topology import Topology
 from repro.workload.clients import build_pool
 from repro.workload.generator import WorkloadConfig
 
@@ -51,6 +50,10 @@ PROBE_COMMANDS_PER_SITE = 2
 
 #: Virtual-time budget for every probe to complete.
 PROBE_DEADLINE_MS = 60000.0
+
+#: Closed-loop client give-up time; an abandoned command stays *pending* on
+#: the tape.
+RECONNECT_TIMEOUT_MS = 1500.0
 
 
 @dataclass
@@ -71,17 +74,8 @@ class ChaosConfig:
         fault_hold_ms: how long until the named schedule has fully healed.
         settle_ms: extra virtual time after the heal before the workload
             stops and the progress probe starts.
-        reconnect_timeout_ms: closed-loop client give-up time; abandoned
-            commands stay *pending* on the tape.
         recovery: run failure detectors / recovery machinery where the
             protocol supports it.
-        retransmit_enabled: run the runtime retransmission + catch-up layer
-            (default); disable to reproduce the pre-retransmission
-            safe-but-not-live behaviour under lossy schedules.
-        topology: latency topology (defaults to the paper's five EC2 sites).
-        network: network configuration (mild jitter by default, like the
-            figure experiments).
-        workload: key-pool configuration override.
     """
 
     protocol: str = "caesar"
@@ -93,12 +87,7 @@ class ChaosConfig:
     fault_at_ms: float = 1000.0
     fault_hold_ms: float = 2000.0
     settle_ms: float = 1500.0
-    reconnect_timeout_ms: float = 1500.0
     recovery: bool = False
-    retransmit_enabled: bool = True
-    topology: Optional[Topology] = None
-    network: NetworkConfig = field(default_factory=lambda: NetworkConfig(jitter_ms=2.0))
-    workload: Optional[WorkloadConfig] = None
 
     @classmethod
     def kwargs_from_args(cls, args) -> Dict[str, object]:
@@ -116,8 +105,7 @@ class ChaosConfig:
         if hold is None:
             hold = 1000.0 if quick else 2000.0
         kwargs = flags_to_fields(args, "seed", "recovery", clients="clients_per_site")
-        kwargs.update(fault_at_ms=fault_at, fault_hold_ms=hold,
-                      retransmit_enabled=not getattr(args, "no_retransmit", False))
+        kwargs.update(fault_at_ms=fault_at, fault_hold_ms=hold)
         if hasattr(args, "conflicts"):
             kwargs["conflict_rate"] = args.conflicts / 100.0
         if quick:
@@ -179,8 +167,9 @@ class ChaosResult:
 def run_chaos(config: ChaosConfig) -> ChaosResult:
     """Run one protocol under one nemesis schedule and judge the outcome."""
     cluster_config = ClusterConfig(
-        protocol=config.protocol, topology=config.topology, seed=config.seed,
-        network=config.network, retransmit=config.retransmit_enabled,
+        protocol=config.protocol, seed=config.seed,
+        # Mild jitter, like the figure experiments, on the five EC2 sites.
+        network=NetworkConfig(jitter_ms=2.0),
         protocol_options=constructor_options(config.protocol, config.recovery))
     cluster = build_cluster(cluster_config)
     sim = cluster.sim
@@ -192,9 +181,9 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
     # The label keeps the streams the golden file's bytes were recorded on.
     pool = build_pool(
         [replica for replica in cluster.replicas for _ in range(config.clients_per_site)],
-        config.workload or WorkloadConfig(conflict_rate=config.conflict_rate),
+        WorkloadConfig(conflict_rate=config.conflict_rate),
         sim, MetricsCollector(), label="chaos-client", failover=cluster.replicas,
-        reconnect_timeout_ms=config.reconnect_timeout_ms, history=tape)
+        reconnect_timeout_ms=RECONNECT_TIMEOUT_MS, history=tape)
 
     cluster.start()
     pool.start_all()

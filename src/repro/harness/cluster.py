@@ -32,13 +32,10 @@ class ClusterConfig:
         protocol: a name in :data:`repro.harness.protocols.PROTOCOLS`.
         topology: latency topology; defaults to the paper's five EC2 sites.
         seed: simulation seed.
-        network: jitter / loss configuration.
+        network: jitter configuration.
         cost_model: per-message CPU cost model.
         batching: when set, every replica batches its outgoing messages with
             this policy (the paper's "batching enabled" configuration).
-        retransmit: when ``False``, disable the runtime retransmission and
-            catch-up layer on every replica (reproduces the pre-retransmission
-            safe-but-not-live behaviour under lossy schedules).
         admission: admission-control spec installed on every replica's submit
             path (``"none"``, ``"inflight:K"``, ``"deadline:MS"``; see
             :mod:`repro.runtime.admission`).  ``None`` leaves the submit path
@@ -60,7 +57,6 @@ class ClusterConfig:
     network: NetworkConfig = field(default_factory=NetworkConfig)
     cost_model: Optional[CostModel] = None
     batching: Optional[BatchingConfig] = None
-    retransmit: bool = True
     admission: Optional[str] = None
     history_gc_ms: Optional[float] = None
     protocol_options: Dict[str, object] = field(default_factory=dict)
@@ -188,7 +184,7 @@ def build_cluster(config: Optional[ClusterConfig] = None) -> Cluster:
     quorums = QuorumSystem.for_cluster(topology.size)
     replicas = [build_replica(config.protocol, node_id, sim, network, quorums,
                               config.protocol_options, cost_model=config.cost_model,
-                              retransmit=config.retransmit, admission=config.admission)
+                              admission=config.admission)
                 for node_id in range(topology.size)]
     if config.batching is not None:
         for replica in replicas:

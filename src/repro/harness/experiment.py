@@ -42,7 +42,7 @@ class ExperimentConfig:
         warmup_ms: virtual time during which samples are discarded.
         seed: simulation seed.
         topology: latency topology (defaults to the paper's 5 EC2 sites).
-        network: network jitter/loss configuration; the default adds a few
+        network: network jitter configuration; the default adds a few
             milliseconds of gaussian jitter, mirroring real WAN variability
             (without it, message arrival orders are unrealistically uniform
             across acceptors and dependency disagreements almost never occur).
@@ -50,8 +50,6 @@ class ExperimentConfig:
         batching: when set, replicas batch outgoing messages with this policy
             (the paper's "batching enabled" runs in Figure 9).
         recovery: whether failure detectors / recovery machinery run.
-        retransmit: run the runtime retransmission + catch-up layer (default);
-            disabling it reproduces the pre-retransmission behaviour.
         admission: admission-control spec installed on every replica
             (``"none"``, ``"inflight:K"``, ``"deadline:MS"``; ``None`` = no
             hook).  The overload driver uses it to bound tail latency past
@@ -75,7 +73,6 @@ class ExperimentConfig:
     cost_model: Optional[CostModel] = None
     batching: Optional[BatchingConfig] = None
     recovery: bool = False
-    retransmit: bool = True
     admission: Optional[str] = None
     history_gc_ms: Optional[float] = None
     protocol_options: Dict[str, object] = field(default_factory=dict)
@@ -88,14 +85,13 @@ class ExperimentConfig:
 
         Understands the shared CLI vocabulary (``--protocol``, ``--seed``,
         ``--clients``, ``--conflicts`` as a 0-100 percentage, ``--duration``)
-        plus ``--throughput`` / ``--batching`` / ``--recovery`` /
-        ``--no-retransmit``; this is the single place those flags become an
-        :class:`ExperimentConfig`.  Warm-up defaults to a quarter of the
-        duration, capped at 2 s, as the figure experiments use.
+        plus ``--throughput`` / ``--batching`` / ``--recovery``; this is the
+        single place those flags become an :class:`ExperimentConfig`.
+        Warm-up defaults to a quarter of the duration, capped at 2 s, as the
+        figure experiments use.
         """
         kwargs = flags_to_fields(args, "protocol", "seed", "recovery", "admission",
                                  clients="clients_per_site", history_gc="history_gc_ms")
-        kwargs["retransmit"] = not getattr(args, "no_retransmit", False)
         conflicts = getattr(args, "conflicts", None)
         if isinstance(conflicts, (int, float)):
             kwargs["conflict_rate"] = conflicts / 100.0
@@ -147,7 +143,6 @@ def build_experiment_cluster(config: ExperimentConfig) -> Cluster:
     cluster_config = ClusterConfig(protocol=config.protocol, topology=config.topology,
                                    seed=config.seed, network=config.network,
                                    cost_model=config.cost_model, batching=config.batching,
-                                   retransmit=config.retransmit,
                                    admission=config.admission,
                                    history_gc_ms=config.history_gc_ms,
                                    protocol_options=constructor_options(

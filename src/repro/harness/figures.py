@@ -17,14 +17,14 @@ Every driver runs its parameter grid through the sweep orchestrator
 (:mod:`repro.harness.sweep`): each cell draws from an RNG stream forked from
 the figure's base seed keyed on the cell coordinates, so cells are hermetic
 and the grid can fan out across worker processes (``workers=``) with output
-byte-identical to a serial run.
+byte-identical to a one-worker run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, Mapping, Optional, Sequence
 
 from repro.core.config import CaesarConfig
 from repro.harness.experiment import (
@@ -33,7 +33,7 @@ from repro.harness.experiment import (
     attach_clients,
     build_experiment_cluster,
 )
-from repro.harness.sweep import run_sweep, sweep_cell
+from repro.harness.sweep import Workers, run_sweep, sweep_cell
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.perf import PerfRecord, write_record
 from repro.metrics.report import format_series
@@ -54,13 +54,12 @@ CONFLICT_RATES_TO_50 = PAPER_CONFLICT_RATES[:-1]
 #: sweep runs a single cell and broadcasts it across the x-axis.
 CONFLICT_OBLIVIOUS_PROTOCOLS = frozenset({"multipaxos", "mencius"})
 
-#: Worker specification accepted by every driver: a process count, ``"auto"``
-#: for one per CPU, or ``None`` for the environment default (serial).
-Workers = Union[int, str, None]
-
 
 def throughput_cost_model() -> CostModel:
-    """CPU cost model used for throughput-bound experiments (Figures 8-10).
+    """CPU cost model used for throughput-bound experiments.
+
+    Its callers are Figures 8, 9 and 9b, ``repro overload`` and ``repro run
+    --throughput``; Figure 10 runs on the default model.
 
     The absolute costs are scaled up relative to real hardware so the
     simulated systems saturate at a few hundred commands per second, which
@@ -122,7 +121,7 @@ def figure6_latency_vs_conflicts(conflict_rates: Sequence[float] = PAPER_CONFLIC
                                  protocols: Sequence[str] = ("caesar", "epaxos", "m2paxos"),
                                  clients_per_site: int = 10, duration_ms: float = 5000.0,
                                  warmup_ms: float = 1500.0, seed: int = 11,
-                                 workers: Workers = None, serial: bool = False,
+                                 workers: Workers = 1,
                                  cell_filter: Optional[Sequence[str]] = None) -> FigureResult:
     """Figure 6: per-site average latency while varying the conflict percentage."""
     cells = [sweep_cell(
@@ -132,7 +131,7 @@ def figure6_latency_vs_conflicts(conflict_rates: Sequence[float] = PAPER_CONFLIC
                          warmup_ms=warmup_ms),
         base_seed=seed)
         for protocol in protocols for rate in conflict_rates]
-    sweep = run_sweep(cells, workers=workers, serial=serial, cell_filter=cell_filter)
+    sweep = run_sweep(cells, workers=workers, cell_filter=cell_filter)
 
     series: Dict[str, Dict[object, Optional[float]]] = {}
     per_site: Dict[str, Dict[str, Dict[object, Optional[float]]]] = {
@@ -163,7 +162,7 @@ def figure6_latency_vs_conflicts(conflict_rates: Sequence[float] = PAPER_CONFLIC
 
 def figure7_single_leader_comparison(clients_per_site: int = 10, duration_ms: float = 5000.0,
                                      warmup_ms: float = 1500.0, seed: int = 12,
-                                     workers: Workers = None, serial: bool = False,
+                                     workers: Workers = 1,
                                      cell_filter: Optional[Sequence[str]] = None
                                      ) -> FigureResult:
     """Figure 7: latency of Multi-Paxos (leader in Ireland vs Mumbai), Mencius, CAESAR 0%."""
@@ -181,7 +180,7 @@ def figure7_single_leader_comparison(clients_per_site: int = 10, duration_ms: fl
     }
     cells = [sweep_cell(("fig7", name), config, base_seed=seed)
              for name, config in systems.items()]
-    sweep = run_sweep(cells, workers=workers, serial=serial, cell_filter=cell_filter)
+    sweep = run_sweep(cells, workers=workers, cell_filter=cell_filter)
 
     series: Dict[str, Dict[object, Optional[float]]] = {}
     for name in systems:
@@ -200,7 +199,7 @@ def figure7_single_leader_comparison(clients_per_site: int = 10, duration_ms: fl
 def figure8_client_scaling(client_counts: Sequence[int] = (5, 50, 250, 500),
                            protocols: Sequence[str] = ("caesar", "epaxos", "m2paxos"),
                            duration_ms: float = 4000.0, warmup_ms: float = 1500.0,
-                           seed: int = 13, workers: Workers = None, serial: bool = False,
+                           seed: int = 13, workers: Workers = 1,
                            cell_filter: Optional[Sequence[str]] = None) -> FigureResult:
     """Figure 8: latency as the number of connected closed-loop clients grows."""
     cost_model = throughput_cost_model()
@@ -212,7 +211,7 @@ def figure8_client_scaling(client_counts: Sequence[int] = (5, 50, 250, 500),
                          cost_model=cost_model),
         base_seed=seed)
         for protocol in protocols for total_clients in client_counts]
-    sweep = run_sweep(cells, workers=workers, serial=serial, cell_filter=cell_filter)
+    sweep = run_sweep(cells, workers=workers, cell_filter=cell_filter)
 
     series: Dict[str, Dict[object, Optional[float]]] = {}
     per_site: Dict[str, Dict[str, Dict[object, Optional[float]]]] = {
@@ -243,7 +242,7 @@ def figure9_throughput(conflict_rates: Sequence[float] = CONFLICT_RATES_TO_50,
                        clients_per_site: int = 60, duration_ms: float = 4000.0,
                        warmup_ms: float = 1500.0, seed: int = 14,
                        batching: Optional[BatchingConfig] = None,
-                       workers: Workers = None, serial: bool = False,
+                       workers: Workers = 1,
                        cell_filter: Optional[Sequence[str]] = None) -> FigureResult:
     """Figure 9 (no batching): peak throughput while varying the conflict rate.
 
@@ -276,7 +275,7 @@ def figure9_throughput(conflict_rates: Sequence[float] = CONFLICT_RATES_TO_50,
             cells.extend(sweep_cell(("fig9", protocol, rate), config_for(protocol, rate),
                                     base_seed=seed)
                          for rate in conflict_rates)
-    sweep = run_sweep(cells, workers=workers, serial=serial, cell_filter=cell_filter)
+    sweep = run_sweep(cells, workers=workers, cell_filter=cell_filter)
 
     series: Dict[str, Dict[object, Optional[float]]] = {}
     slow_ratios: Dict[str, Dict[object, Optional[float]]] = {}
@@ -304,7 +303,7 @@ def figure9_throughput_batching(conflict_rates: Sequence[float] = (0.0, 0.10, 0.
                                 protocols: Sequence[str] = ("caesar", "epaxos", "multipaxos"),
                                 clients_per_site: int = 60, duration_ms: float = 4000.0,
                                 warmup_ms: float = 1500.0, seed: int = 14,
-                                workers: Workers = None, serial: bool = False,
+                                workers: Workers = 1,
                                 cell_filter: Optional[Sequence[str]] = None) -> FigureResult:
     """Figure 9 (bottom): the batching-enabled sweep next to the baseline.
 
@@ -316,8 +315,7 @@ def figure9_throughput_batching(conflict_rates: Sequence[float] = (0.0, 0.10, 0.
     batching = BatchingConfig(window_ms=2.0, max_messages=32, marginal_cost_factor=0.25)
     shared = dict(conflict_rates=conflict_rates, protocols=protocols,
                   clients_per_site=clients_per_site, duration_ms=duration_ms,
-                  warmup_ms=warmup_ms, seed=seed, workers=workers, serial=serial,
-                  cell_filter=cell_filter)
+                  warmup_ms=warmup_ms, seed=seed, workers=workers, cell_filter=cell_filter)
     without = figure9_throughput(**shared)
     with_batching = figure9_throughput(batching=batching, **shared)
     series = {
@@ -339,7 +337,7 @@ def figure9_throughput_batching(conflict_rates: Sequence[float] = (0.0, 0.10, 0.
 def figure10_slow_paths(conflict_rates: Sequence[float] = CONFLICT_RATES_TO_50,
                         clients_per_site: int = 25, duration_ms: float = 4000.0,
                         warmup_ms: float = 1000.0, seed: int = 15,
-                        workers: Workers = None, serial: bool = False,
+                        workers: Workers = 1,
                         cell_filter: Optional[Sequence[str]] = None) -> FigureResult:
     """Figure 10: fraction of commands decided via the slow path.
 
@@ -355,7 +353,7 @@ def figure10_slow_paths(conflict_rates: Sequence[float] = CONFLICT_RATES_TO_50,
                          warmup_ms=warmup_ms),
         base_seed=seed)
         for protocol in protocols for rate in conflict_rates]
-    sweep = run_sweep(cells, workers=workers, serial=serial, cell_filter=cell_filter)
+    sweep = run_sweep(cells, workers=workers, cell_filter=cell_filter)
 
     series: Dict[str, Dict[object, Optional[float]]] = {}
     for protocol in protocols:
@@ -388,7 +386,7 @@ def _collect_caesar_breakdown(result: ExperimentResult) -> Dict[str, object]:
 def figure11_breakdown(conflict_rates: Sequence[float] = CONFLICT_RATES_TO_50,
                        clients_per_site: int = 10, duration_ms: float = 5000.0,
                        warmup_ms: float = 1500.0, seed: int = 16,
-                       workers: Workers = None, serial: bool = False,
+                       workers: Workers = 1,
                        cell_filter: Optional[Sequence[str]] = None) -> FigureResult:
     """Figure 11: (a) proportion of latency per ordering phase, (b) wait time per site."""
     cells = [sweep_cell(
@@ -398,7 +396,7 @@ def figure11_breakdown(conflict_rates: Sequence[float] = CONFLICT_RATES_TO_50,
                          warmup_ms=warmup_ms),
         base_seed=seed, collect=_collect_caesar_breakdown)
         for rate in conflict_rates]
-    sweep = run_sweep(cells, workers=workers, serial=serial, cell_filter=cell_filter)
+    sweep = run_sweep(cells, workers=workers, cell_filter=cell_filter)
 
     phase_series: Dict[str, Dict[object, Optional[float]]] = {
         "propose": {}, "retry": {}, "deliver": {}}
@@ -460,7 +458,7 @@ def _run_crash_timeline(config: ExperimentConfig, crash_at_ms: float,
 def figure12_failure_timeline(protocols: Sequence[str] = ("caesar", "epaxos"),
                               clients_per_site: int = 20, crash_at_ms: float = 8000.0,
                               total_ms: float = 20000.0, bucket_ms: float = 1000.0,
-                              seed: int = 17, workers: Workers = None, serial: bool = False,
+                              seed: int = 17, workers: Workers = 1,
                               cell_filter: Optional[Sequence[str]] = None) -> FigureResult:
     """Figure 12: cluster throughput over time with one replica crashing mid-run."""
     cells = [sweep_cell(
@@ -471,7 +469,7 @@ def figure12_failure_timeline(protocols: Sequence[str] = ("caesar", "epaxos"),
         base_seed=seed, runner=_run_crash_timeline, collect=None,
         options={"crash_at_ms": crash_at_ms, "bucket_ms": bucket_ms})
         for protocol in protocols]
-    sweep = run_sweep(cells, workers=workers, serial=serial, cell_filter=cell_filter)
+    sweep = run_sweep(cells, workers=workers, cell_filter=cell_filter)
 
     series: Dict[str, Dict[object, Optional[float]]] = {}
     for protocol in protocols:
@@ -492,7 +490,7 @@ def figure12_failure_timeline(protocols: Sequence[str] = ("caesar", "epaxos"),
 def ablation_wait_condition(conflict_rates: Sequence[float] = (0.10, 0.30, 0.50),
                             clients_per_site: int = 20, duration_ms: float = 4000.0,
                             warmup_ms: float = 1000.0, seed: int = 19,
-                            workers: Workers = None, serial: bool = False,
+                            workers: Workers = 1,
                             cell_filter: Optional[Sequence[str]] = None) -> FigureResult:
     """Ablation of the paper's key mechanism (Section IV-A): the wait condition.
 
@@ -512,7 +510,7 @@ def ablation_wait_condition(conflict_rates: Sequence[float] = (0.10, 0.30, 0.50)
                              recovery_enabled=False, wait_condition_enabled=enabled)}),
         base_seed=seed)
         for enabled, label in variants for rate in conflict_rates]
-    sweep = run_sweep(cells, workers=workers, serial=serial, cell_filter=cell_filter)
+    sweep = run_sweep(cells, workers=workers, cell_filter=cell_filter)
 
     slow_series: Dict[str, Dict[object, Optional[float]]] = {}
     latency_series: Dict[str, Dict[object, Optional[float]]] = {}
@@ -552,8 +550,8 @@ def shard_scaling(protocols: Sequence[str] = ("caesar",),
                   skews: Sequence[float] = (0.0, 0.99),
                   sites: int = 10, replicas_per_site: int = 2,
                   clients: int = 8, commands_per_client: int = 4,
-                  key_space: int = 200, hot_keys: int = 8,
-                  seed: int = 23, workers: Workers = None, serial: bool = False,
+                  key_space: int = 200,
+                  seed: int = 23, workers: Workers = 1,
                   cell_filter: Optional[Sequence[str]] = None) -> FigureResult:
     """Sharded keyspace: throughput vs shard count, per-shard conflict rates.
 
@@ -572,11 +570,10 @@ def shard_scaling(protocols: Sequence[str] = ("caesar",),
         ShardedConfig(protocol=protocol, shards=count, sites=sites,
                       replicas_per_site=replicas_per_site, clients=clients,
                       commands_per_client=commands_per_client,
-                      workload=ZipfWorkloadConfig(s=skew, key_space=key_space,
-                                                  hot_keys=hot_keys)),
+                      workload=ZipfWorkloadConfig(s=skew, key_space=key_space)),
         base_seed=seed, runner=run_sharded_payload, collect=None)
         for protocol in protocols for skew in skews for count in shard_counts]
-    sweep = run_sweep(cells, workers=workers, serial=serial, cell_filter=cell_filter)
+    sweep = run_sweep(cells, workers=workers, cell_filter=cell_filter)
 
     throughput: Dict[str, Dict[object, Optional[float]]] = {}
     conflict_series: Dict[str, Dict[object, Optional[float]]] = {}
@@ -660,5 +657,5 @@ FIGURES: Dict[str, Figure] = {
                             duration_ms=2500.0, warmup_ms=500.0)),
     "shard": Figure(shard_scaling,
                     dict(shard_counts=(1, 2), skews=(0.0, 1.2), sites=6, replicas_per_site=1,
-                         clients=4, commands_per_client=3, key_space=64, hot_keys=4)),
+                         clients=4, commands_per_client=3, key_space=64)),
 }

@@ -23,11 +23,11 @@ with admission control the p99 stays bounded at a small goodput cost.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.harness.experiment import ExperimentConfig, ExperimentResult, run_experiment
 from repro.harness.protocols import flags_to_fields
-from repro.harness.sweep import run_sweep, sweep_cell
+from repro.harness.sweep import Workers, run_sweep, sweep_cell
 from repro.metrics.report import format_table
 from repro.metrics.stats import summarize_latencies
 from repro.sim.topology import ec2_five_sites
@@ -56,11 +56,7 @@ class OverloadConfig:
         seed: base seed; per-point streams are forked from it.
         admission: admission-control spec (``"none"`` when omitted, so the
             per-replica submitted/rejected counters still run).
-        workers: sweep worker processes for sim mode (``None`` = serial).
-        timeout_s: per-point wall-clock budget for TCP mode.
-        endpoints: existing TCP cluster to drive; when ``None``, TCP mode
-            launches (and tears down) a fresh local cluster per point so
-            points stay independent.
+        workers: sweep worker processes for sim mode (1 = in-process).
     """
 
     protocol: str = "caesar"
@@ -74,9 +70,7 @@ class OverloadConfig:
     warmup_ms: float = 1000.0
     seed: int = 1
     admission: Optional[str] = None
-    workers: Optional[object] = None
-    timeout_s: float = 60.0
-    endpoints: Optional[Dict[int, Tuple[str, int]]] = None
+    workers: Workers = 1
     #: periodic cluster-level history GC interval (sim substrate only);
     #: ``None`` = no collection.  Long saturation runs accumulate history
     #: entries forever without it.
@@ -252,30 +246,27 @@ def _sim_points(config: OverloadConfig) -> List[LoadPoint]:
 
 
 def _tcp_points(config: OverloadConfig) -> List[LoadPoint]:
-    """Run the sweep over real sockets (one loadgen run per load point)."""
+    """Run the sweep over real sockets (one loadgen run per load point).
+
+    Every point launches (and tears down) a fresh local cluster, so points
+    stay independent.
+    """
     from repro.net.client import LoadgenConfig, run_loadgen
     from repro.net.cluster import ServeConfig, serve_cluster
 
     points = []
     for index, offered in enumerate(config.offered_loads):
-        cluster = None
-        if config.endpoints is not None:
-            endpoints = config.endpoints
-        else:
-            cluster = serve_cluster(ServeConfig(
-                protocol=config.protocol, replicas=config.replicas,
-                seed=config.seed, admission=config.admission or "none"))
-            endpoints = cluster.peers
+        cluster = serve_cluster(ServeConfig(
+            protocol=config.protocol, replicas=config.replicas,
+            seed=config.seed, admission=config.admission or "none"))
         try:
             report = run_loadgen(LoadgenConfig(
-                endpoints=endpoints, clients=config.clients, open_loop=True,
+                endpoints=cluster.peers, clients=config.clients, open_loop=True,
                 rate_per_client=offered / max(1, config.clients),
                 duration_ms=config.duration_ms, warmup_ms=config.warmup_ms,
-                conflict_rate=config.conflict_rate,
-                seed=config.seed + index, timeout_s=config.timeout_s))
+                conflict_rate=config.conflict_rate, seed=config.seed + index))
         finally:
-            if cluster is not None:
-                cluster.stop()
+            cluster.stop()
         admissions = [stats.get("admission") for stats in report.per_replica.values()
                       if isinstance(stats, dict) and stats.get("admission")]
         merged: Optional[Dict[str, object]] = None

@@ -99,8 +99,8 @@ def constructor_options(protocol: str, recovery: bool,
                         overrides: Optional[Mapping[str, object]] = None) -> Dict[str, object]:
     """Translate the generic ``recovery`` setting into constructor options.
 
-    ``overrides`` are explicit constructor options (``ExperimentConfig`` /
-    ``ReplicaConfig.protocol_options``); they win over the translation.
+    ``overrides`` are explicit constructor options
+    (``ExperimentConfig.protocol_options``); they win over the translation.
     """
     translate = _protocol(protocol).recovery_options
     options = translate(recovery) if translate is not None else {}
@@ -110,7 +110,7 @@ def constructor_options(protocol: str, recovery: bool,
 
 def build_replica(protocol: str, node_id: int, clock, network, quorums: QuorumSystem,
                   options: Mapping[str, object],
-                  cost_model: Optional[CostModel] = None, retransmit: bool = True,
+                  cost_model: Optional[CostModel] = None,
                   admission: Optional[str] = None) -> ConsensusReplica:
     """Construct one replica of ``protocol`` on either substrate.
 
@@ -119,16 +119,12 @@ def build_replica(protocol: str, node_id: int, clock, network, quorums: QuorumSy
         network: the substrate's transport factory (``Network`` or
             ``PeerNetwork``).
         options: protocol-specific constructor options.
-        retransmit: ``False`` disables the runtime retransmission and
-            catch-up layer.
         admission: admission-control spec for the submit path (see
             :mod:`repro.runtime.admission`); ``None`` leaves it hook-free.
     """
     replica = _protocol(protocol).replica_class(
         node_id, clock, network, quorums, KeyValueStore(), cost_model=cost_model,
         **options)
-    if not retransmit:
-        replica.configure_retransmit(enabled=False)
     if admission is not None:
         replica.admission = admission_policy(admission)
     return replica

@@ -10,14 +10,13 @@ parallel with zero coordination.
 This module builds that layer on top of the existing harness:
 
 * :class:`ShardRouter` — routes a key to a shard with a process-stable hash
-  (CRC32, never Python's salted ``hash``), plus an explicit key→shard map
-  override for tests.
+  (CRC32, never Python's salted ``hash``).
 * :func:`run_sharded` — pre-generates every client's command stream from the
   configured workload, routes each command by key, and replays each shard's
   share on its own hermetic cluster (own simulator, network, replicas) seeded
   via ``DeterministicRandom.fork_cell(("shard", index))``.  Shards run
   through the sweep orchestrator, so a shard-parallel run is byte-identical
-  to the serial one and scales with the hardware.
+  to a one-worker run and scales with the hardware.
 
 Determinism is end to end: the command streams are generated from CRC32-
 derived client streams before any shard runs, routing is stable across
@@ -29,11 +28,11 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 from repro.consensus.command import Command
 from repro.harness.cluster import ClusterConfig, build_cluster
-from repro.harness.sweep import SweepCell, SweepResult, run_sweep
+from repro.harness.sweep import SweepCell, SweepResult, Workers, run_sweep
 from repro.metrics.collector import MetricsCollector
 from repro.sim.network import NetworkConfig
 from repro.sim.random import DeterministicRandom
@@ -49,27 +48,16 @@ class ShardRouter:
     The default route is ``crc32(key) % shards`` — CRC32 is stable across
     processes and Python versions, so a key routes to the same shard in every
     worker, every run, every machine (Python's builtin ``hash`` is salted per
-    process and must never leak into routing).  ``overrides`` pins chosen
-    keys to chosen shards, which tests use to construct known cross-shard
-    layouts.
+    process and must never leak into routing).
     """
 
-    def __init__(self, shards: int,
-                 overrides: Optional[Mapping[str, int]] = None) -> None:
+    def __init__(self, shards: int) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
         self.shards = shards
-        self.overrides = dict(overrides or {})
-        for key, shard in self.overrides.items():
-            if not 0 <= shard < shards:
-                raise ValueError(f"override for {key!r} routes to shard {shard}, "
-                                 f"but there are only {shards} shards")
 
     def shard_of(self, key: str) -> int:
         """The single shard responsible for ``key``."""
-        override = self.overrides.get(key)
-        if override is not None:
-            return override
         return zlib.crc32(key.encode("utf-8")) % self.shards
 
 
@@ -103,8 +91,7 @@ class ShardedConfig:
     Attributes:
         protocol: protocol name; every shard group runs the same protocol.
         shards: number of independent consensus groups.
-        sites: number of distinct WAN sites per group (ignored when
-            ``topology`` is given).
+        sites: number of distinct WAN sites per group.
         replicas_per_site: co-located replicas per site; each group has
             ``sites * replicas_per_site`` replicas.
         clients: number of clients.  Each client's stream is generated from
@@ -117,10 +104,6 @@ class ShardedConfig:
         seed: base seed; shard ``i`` runs on the stream
             ``DeterministicRandom(seed).fork_cell(("shard", i))`` and client
             ``c``'s commands come from ``fork_cell(("shard-client", c))``.
-        topology: explicit per-group topology override (all groups share it).
-        network: per-group network configuration.
-        deadline_ms: virtual-time bound for a shard to decide its commands.
-        router_overrides: explicit key→shard pins (tests only).
     """
 
     protocol: str = "caesar"
@@ -131,15 +114,9 @@ class ShardedConfig:
     commands_per_client: int = 5
     workload: WorkloadSpec = field(default_factory=lambda: ZipfWorkloadConfig())
     seed: int = 1
-    topology: Optional[Topology] = None
-    network: NetworkConfig = field(default_factory=lambda: NetworkConfig(jitter_ms=3.0))
-    deadline_ms: float = 600000.0
-    router_overrides: Optional[Dict[str, int]] = None
 
     def build_topology(self) -> Topology:
         """The per-group topology (shared by every shard group)."""
-        if self.topology is not None:
-            return self.topology
         return wan_topology(sites=self.sites, replicas_per_site=self.replicas_per_site,
                             seed=self.seed)
 
@@ -152,8 +129,6 @@ class ShardTask:
     protocol: str
     topology: Topology
     seed: int
-    network: NetworkConfig
-    deadline_ms: float
     #: ``(client_id, commands)`` pairs, in client order.
     streams: Tuple[Tuple[int, Tuple[Command, ...]], ...]
 
@@ -196,6 +171,10 @@ def route_streams(streams: Sequence[Tuple[int, Sequence[Command]]],
     return per_shard
 
 
+#: Virtual-time bound for a shard group to decide its commands.
+SHARD_DEADLINE_MS = 600000.0
+
+
 def run_shard_task(task: ShardTask) -> Dict[str, object]:
     """Run one shard group to completion and reduce it to a primitive payload.
 
@@ -205,7 +184,7 @@ def run_shard_task(task: ShardTask) -> Dict[str, object]:
     dict.
     """
     cluster_config = ClusterConfig(protocol=task.protocol, topology=task.topology,
-                                   seed=task.seed, network=task.network)
+                                   seed=task.seed, network=NetworkConfig(jitter_ms=3.0))
     cluster = build_cluster(cluster_config)
     metrics = MetricsCollector(warmup_ms=0.0)
     pool = ClientPool()
@@ -220,7 +199,7 @@ def run_shard_task(task: ShardTask) -> Dict[str, object]:
 
     cluster.start()
     pool.start_all()
-    cluster.run_until_executed(all_ids, deadline_ms=task.deadline_ms)
+    cluster.run_until_executed(all_ids, deadline_ms=SHARD_DEADLINE_MS)
     violations = len(cluster.check_consistency())
     makespan_ms = cluster.sim.now
     summary = metrics.summary()
@@ -305,17 +284,16 @@ class ShardedResult:
         }
 
 
-def run_sharded(config: ShardedConfig, workers: Union[int, str, None] = None,
-                serial: bool = False) -> ShardedResult:
+def run_sharded(config: ShardedConfig, workers: Workers = 1) -> ShardedResult:
     """Run one sharded experiment: S independent groups over one keyspace.
 
     The client streams are generated and routed up front; each shard then
     replays its share on its own cluster through the sweep orchestrator, so
     ``workers=N`` runs shard groups in parallel processes with byte-identical
-    results to ``serial=True``.
+    results to ``workers=1``.
     """
     topology = config.build_topology()
-    router = ShardRouter(config.shards, overrides=config.router_overrides)
+    router = ShardRouter(config.shards)
     per_shard = route_streams(generate_streams(config), router)
     base = DeterministicRandom(config.seed)
     cells = []
@@ -325,20 +303,18 @@ def run_sharded(config: ShardedConfig, workers: Union[int, str, None] = None,
             protocol=config.protocol,
             topology=topology,
             seed=base.fork_cell(("shard", shard)).seed,
-            network=config.network,
-            deadline_ms=config.deadline_ms,
             streams=tuple((client_id, tuple(commands))
                           for client_id, commands in streams),
         )
         cells.append(SweepCell(key=("shard", config.protocol, shard), config=task,
                                runner=run_shard_task, collect=None))
-    sweep = run_sweep(cells, workers=workers, serial=serial)
+    sweep = run_sweep(cells, workers=workers)
     payloads = [outcome.payload for outcome in sweep.outcomes]
     return ShardedResult(config=config, shards=payloads, sweep=sweep)
 
 
 def run_sharded_payload(config: ShardedConfig) -> Dict[str, object]:
-    """Run one sharded experiment serially and return its primitive payload.
+    """Run one sharded experiment in-process and return its primitive payload.
 
     Top-level so the *figure* sweep can use whole sharded runs as its cells
     (one cell per ``protocol x skew x shard-count`` point): the grid
@@ -346,5 +322,5 @@ def run_sharded_payload(config: ShardedConfig) -> Dict[str, object]:
     in-process — nested process pools would oversubscribe, and determinism
     does not care which level fans out.
     """
-    return run_sharded(config, serial=True).as_dict()
+    return run_sharded(config).as_dict()
 

@@ -39,11 +39,9 @@ from repro.metrics.perf import PerfRecord
 from repro.sim.random import DeterministicRandom, stable_label
 from repro.sim.simulator import total_events_executed
 
-#: Environment variable consulted when ``run_sweep`` is called without an
-#: explicit worker count: figure drivers default to serial, but CI and the
-#: nightly sweep can turn every driver parallel without threading a flag
-#: through each call site.
-WORKERS_ENV_VAR = "REPRO_SWEEP_WORKERS"
+#: Worker specification: a positive process count, or ``"auto"`` for one per
+#: CPU.  One worker runs every cell in-process.
+Workers = Union[int, str]
 
 #: Cell key type: a tuple of primitive coordinates (strings/numbers).
 CellKey = Tuple[object, ...]
@@ -199,22 +197,23 @@ class SweepResult:
         return PerfRecord(name=name, events_executed=self.events_executed)
 
 
-def resolve_workers(workers: Union[int, str, None], cell_count: int) -> int:
+def resolve_workers(workers: Workers, cell_count: int) -> int:
     """Turn a worker specification into a concrete process count.
 
-    ``None`` falls back to ``$REPRO_SWEEP_WORKERS`` and then to serial;
-    ``"auto"`` (or 0) means one worker per CPU.  The count is capped at the
-    number of cells — extra processes would only sit idle.
+    ``"auto"`` means one worker per CPU; anything else must be a positive
+    count (an int, or its decimal text as the CLI passes it).  The count is
+    capped at the number of cells — extra processes would only sit idle.
     """
-    if workers is None:
-        workers = os.environ.get(WORKERS_ENV_VAR) or 1
-    if isinstance(workers, str):
-        workers = os.cpu_count() or 1 if workers.strip().lower() == "auto" else int(workers)
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    if workers < 0:
-        raise ValueError(f"worker count must be >= 0, got {workers}")
-    return max(1, min(workers, max(cell_count, 1)))
+    if workers == "auto":
+        count = os.cpu_count() or 1
+    else:
+        try:
+            count = int(workers)
+        except (TypeError, ValueError):
+            count = 0
+        if count < 1:
+            raise ValueError(f"workers must be 'auto' or a positive count, got {workers!r}")
+    return min(count, max(cell_count, 1))
 
 
 def _execute_cell(cell: SweepCell) -> CellOutcome:
@@ -233,16 +232,14 @@ def _mp_context():
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def run_sweep(cells: Sequence[SweepCell], workers: Union[int, str, None] = None,
-              serial: bool = False,
+def run_sweep(cells: Sequence[SweepCell], workers: Workers = 1,
               cell_filter: Optional[Sequence[str]] = None) -> SweepResult:
     """Execute every cell and aggregate the payloads in cell order.
 
     Args:
         cells: the grid, in the order results should be aggregated.
-        workers: process count, ``"auto"`` for one per CPU, or ``None`` for
-            the ``$REPRO_SWEEP_WORKERS`` default (serial when unset).
-        serial: force in-process execution regardless of ``workers``.
+        workers: process count (1 runs in-process), or ``"auto"`` for one
+            per CPU.
         cell_filter: glob patterns over :func:`key_string`; when given, only
             matching cells run (the rest report ``None`` payloads).
 
@@ -263,9 +260,9 @@ def run_sweep(cells: Sequence[SweepCell], workers: Union[int, str, None] = None,
         _ACTIVE_PLAN.cells.extend((key_string(cell.key), id(cell) in chosen)
                                   for cell in cells)
         return SweepResult(outcomes=[], skipped=skipped)
-    worker_count = 1 if serial else resolve_workers(workers, len(selected))
+    worker_count = resolve_workers(workers, len(selected))
 
-    if worker_count <= 1 or len(selected) <= 1:
+    if worker_count == 1:
         outcomes = []
         for cell in selected:
             try:

@@ -189,7 +189,6 @@ class LoadgenConfig:
         warmup_ms: real milliseconds after start during which latency samples
             are discarded (mirrors the simulator's warm-up window; completed
             commands still count toward closed-loop budgets).
-        workload: full workload override (wins over ``conflict_rate``).
         timeout_s: overall wall-clock budget for the run.
     """
 
@@ -202,7 +201,6 @@ class LoadgenConfig:
     conflict_rate: float = 0.02
     seed: int = 0
     warmup_ms: float = 0.0
-    workload: Optional[WorkloadConfig] = None
     timeout_s: float = 60.0
 
     @classmethod
@@ -292,8 +290,7 @@ async def _loadgen(config: LoadgenConfig) -> LoadgenReport:
     failures: List[str] = []
     # Either loop leaves a dead replica when the endpoint map names another.
     pool, remotes = await connect_pool(
-        config.endpoints, config.clients,
-        config.workload or WorkloadConfig(conflict_rate=config.conflict_rate),
+        config.endpoints, config.clients, WorkloadConfig(conflict_rate=config.conflict_rate),
         clock, metrics, failover=True,
         open_loop_rate=config.rate_per_client if config.open_loop else None,
         stop_after_ms=config.duration_ms, max_commands=config.commands_per_client,

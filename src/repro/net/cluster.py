@@ -38,7 +38,6 @@ class ServeConfig:
         host: bind address for auto-allocated peer maps.
         peers: explicit peer map (multi-host mode); ``None`` allocates free
             localhost ports.
-        retransmit: kernel retransmission master switch.
         recovery: enable protocol recovery machinery.
         admission: admission-control spec installed on every replica
             (``"none"``, ``"inflight:K"``, ``"deadline:MS"``).
@@ -49,7 +48,6 @@ class ServeConfig:
     seed: int = 0
     host: str = "127.0.0.1"
     peers: Optional[Dict[int, Tuple[str, int]]] = None
-    retransmit: bool = True
     recovery: bool = False
     admission: Optional[str] = None
 
@@ -58,7 +56,6 @@ class ServeConfig:
         """Build a config from CLI args (single place flags become a config)."""
         kwargs = flags_to_fields(args, "protocol", "replicas", "seed", "host",
                                  "recovery", "admission")
-        kwargs["retransmit"] = not getattr(args, "no_retransmit", False)
         peers = parse_peers(getattr(args, "peer", None) or [])
         if peers is not None:
             kwargs.update(peers=peers, replicas=len(peers))
@@ -69,12 +66,17 @@ class ServeConfig:
                        peers: Dict[int, Tuple[str, int]]) -> ReplicaConfig:
         """The config of replica ``node_id`` in a cluster with this peer map."""
         return ReplicaConfig(node_id=node_id, peers=peers, protocol=self.protocol,
-                             seed=self.seed, retransmit=self.retransmit,
-                             recovery=self.recovery, admission=self.admission)
+                             seed=self.seed, recovery=self.recovery,
+                             admission=self.admission)
 
 
 def parse_peers(specs: List[str]) -> Optional[Dict[int, Tuple[str, int]]]:
-    """Parse ``ID=HOST:PORT`` specs into a peer map (``None`` when empty)."""
+    """Parse ``ID=HOST:PORT`` specs into a peer map (``None`` when empty).
+
+    A malformed entry, a port outside 1-65535 or an id named twice is a
+    ``ValueError``: a peer map that silently kept one of two entries would
+    start a cluster smaller than the one asked for.
+    """
     if not specs:
         return None
     peers: Dict[int, Tuple[str, int]] = {}
@@ -82,9 +84,16 @@ def parse_peers(specs: List[str]) -> Optional[Dict[int, Tuple[str, int]]]:
         try:
             node_part, addr = spec.split("=", 1)
             host, port_part = addr.rsplit(":", 1)
-            peers[int(node_part)] = (host, int(port_part))
+            node_id, port = int(node_part), int(port_part)
         except ValueError:
-            raise ValueError(f"bad peer entry {spec!r}; expected ID=HOST:PORT") from None
+            node_id = port = None
+        if node_id is None or not 0 < port < 65536:
+            raise ValueError(f"bad peer entry {spec!r}; expected ID=HOST:PORT "
+                             "with a port in 1-65535")
+        if node_id in peers:
+            raise ValueError(f"bad peer entry {spec!r}; replica {node_id} is already "
+                             f"at {peers[node_id][0]}:{peers[node_id][1]}")
+        peers[node_id] = (host, port)
     return peers
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.consensus.command import KeyBindingError
@@ -58,27 +58,19 @@ class ReplicaConfig:
         protocol: name in :data:`~repro.harness.protocols.PROTOCOLS`.
         seed: seed for the replica's deterministic RNG forks (same labels as
             the simulator, so stochastic choices match across substrates).
-        retransmit: master switch for the kernel retransmission layer; keep
-            it on — over TCP it is what recovers messages dropped while a
-            peer was down.
         recovery: enable the protocol's recovery machinery (failure detector
             + recovery proposals), as ``--recovery`` does in the simulator.
         admission: admission-control spec guarding the client submit path
             (``"none"``, ``"inflight:K"``, ``"deadline:MS"``; ``None`` = no
             hook) — same policies the simulator harness installs.
-        protocol_options: extra builder options, merged after the
-            ``recovery`` translation (same semantics as the experiment
-            harness).
     """
 
     node_id: int
     peers: Dict[int, Tuple[str, int]]
     protocol: str = "caesar"
     seed: int = 0
-    retransmit: bool = True
     recovery: bool = False
     admission: Optional[str] = None
-    protocol_options: Dict[str, object] = field(default_factory=dict)
 
 
 class ReplicaServer:
@@ -119,9 +111,8 @@ class ReplicaServer:
         self.replica = build_replica(
             config.protocol, config.node_id, self.clock, self.network,
             QuorumSystem.for_cluster(len(config.peers)),
-            constructor_options(config.protocol, config.recovery, config.protocol_options),
-            cost_model=zero_cost_model(), retransmit=config.retransmit,
-            admission=config.admission)
+            constructor_options(config.protocol, config.recovery),
+            cost_model=zero_cost_model(), admission=config.admission)
         if self._server_socket is not None:
             self._server = await loop.create_server(
                 lambda: _AcceptedConnection(self), sock=self._server_socket)

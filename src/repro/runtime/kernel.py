@@ -249,9 +249,6 @@ class RetransmitBuffer:
 
     def __init__(self, kernel: "ProtocolKernel") -> None:
         self.kernel = kernel
-        #: master switch of the retransmission *and* catch-up layer; off
-        #: restores the PR-5 behaviour (safe-but-not-live under message loss).
-        self.enabled = True
         self._entries: Dict[object, _RetransmitEntry] = {}
         self._timer = None
         #: jitter stream, forked per node; drawn from only on actual resends
@@ -279,8 +276,6 @@ class RetransmitBuffer:
                 predicate (e.g. committed flags that outlive the tracker).
             voters: overrides the tracker's voter list as the skip set.
         """
-        if not self.enabled:
-            return
         self._entries[key] = _RetransmitEntry(
             message, tracker, done, voters, self.kernel.sim.now)
         self._arm()
@@ -288,13 +283,6 @@ class RetransmitBuffer:
     def resolve(self, key: object) -> None:
         """Drop the pending round ``key`` (decided, superseded, or aborted)."""
         self._entries.pop(key, None)
-
-    def clear(self) -> None:
-        """Drop every pending round and stop the scan timer."""
-        self._entries.clear()
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
 
     def rearm_after_restart(self) -> None:
         """Re-establish the scan chain after a crash/restart cycle.
@@ -454,22 +442,6 @@ class ProtocolKernel(ConsensusReplica):
         """Stop retransmitting the round ``key``."""
         self.retransmit.resolve(key)
 
-    def configure_retransmit(self, *, enabled: bool) -> None:
-        """Flip the retransmission + catch-up master switch.
-
-        Disabling clears all pending rounds and stops the catch-up probe —
-        this restores the pre-retransmission behaviour (safe but not live
-        under message loss), which the negative-control tests rely on.
-        """
-        self.retransmit.enabled = enabled
-        if not enabled:
-            self.retransmit.clear()
-            if self._catchup_timer is not None:
-                self._catchup_timer.cancel()
-                self._catchup_timer = None
-            self._catchup_signature = None
-            self._catchup_attempts = 0
-
     # --------------------------------------------------------------- catch-up
 
     def catchup_need(self) -> Optional[Tuple[int, Tuple[str, ...]]]:
@@ -499,8 +471,7 @@ class ProtocolKernel(ConsensusReplica):
         the gap description) is unchanged for the whole interval triggers a
         :class:`CatchUpRequest` — a live clean run never does.
         """
-        if (not self.retransmit.enabled or self.crashed
-                or self._catchup_timer is not None):
+        if self.crashed or self._catchup_timer is not None:
             return
         need = self.catchup_need()
         if need is None:
@@ -511,8 +482,6 @@ class ProtocolKernel(ConsensusReplica):
 
     def _catchup_check(self) -> None:
         self._catchup_timer = None
-        if not self.retransmit.enabled:
-            return
         if self.cpu_backlog_ms > BACKLOG_DEFER_MS:
             self._catchup_timer = self.set_timer(CATCHUP_CHECK_MS, self._catchup_check)
             return
@@ -542,8 +511,6 @@ class ProtocolKernel(ConsensusReplica):
 
     @handles(CatchUpRequest)
     def _on_catchup_request(self, src: int, message: CatchUpRequest) -> None:
-        if not self.retransmit.enabled:
-            return
         supplies = list(self.catchup_supply(message.cursor, message.want))
         if not supplies:
             return

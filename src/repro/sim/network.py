@@ -1,11 +1,11 @@
 """Simulated wide-area network.
 
 The network delivers messages between registered nodes with per-pair one-way
-delays derived from a :class:`repro.sim.topology.Topology`, optional gaussian
-jitter and optional message loss.  Crashed destination nodes silently drop
-messages, exactly like a dead TCP peer would from the sender's point of view
-(the sender never gets an error).  Partitions, duplication and delay spikes
-are not the network's business: the nemesis applies them per directed link in
+delays derived from a :class:`repro.sim.topology.Topology` and optional
+gaussian jitter.  Crashed destination nodes silently drop messages, exactly
+like a dead TCP peer would from the sender's point of view (the sender never
+gets an error).  Loss, partitions, duplication and delay spikes are not the
+network's business: the nemesis applies them per directed link in
 :class:`repro.chaos.faults.LinkFaults`, before a message gets here.
 """
 
@@ -29,7 +29,6 @@ class NetworkConfig:
     Attributes:
         jitter_ms: standard deviation of gaussian jitter added to each one-way
             delay (clamped so delays never go below 5% of the nominal value).
-        drop_probability: independent probability that a message is lost.
         wire_accounting: when ``True`` the transports also measure every
             transmitted message through the registry codec and accumulate
             the byte counts into
@@ -38,7 +37,6 @@ class NetworkConfig:
     """
 
     jitter_ms: float = 0.0
-    drop_probability: float = 0.0
     wire_accounting: bool = False
 
 
@@ -48,7 +46,7 @@ class Network:
     Args:
         sim: the discrete-event simulator providing the clock.
         topology: per-pair latencies.
-        config: jitter/loss configuration.
+        config: jitter configuration.
     """
 
     def __init__(self, sim: Simulator, topology: Topology, config: Optional[NetworkConfig] = None) -> None:
@@ -62,10 +60,8 @@ class Network:
         #: immutable during a run, so the string-keyed RTT lookups are paid
         #: once per (src, dst) pair instead of once per message.
         self._nominal_delay: Dict[Tuple[int, int], float] = {}
-        # Bound samplers from the same underlying stream (skips a wrapper
-        # call per message on the jitter/loss path).
+        # Bound sampler (skips a wrapper call per message on the jitter path).
         self._gauss = self._rng.gauss
-        self._random = self._rng.random
         self._node_ids_cache: Optional[list] = None
 
     def register(self, node: "NodeLike") -> None:
@@ -122,16 +118,10 @@ class Network:
     def send(self, src: int, dst: int, message: object) -> None:
         """Send ``message`` from node ``src`` to node ``dst``.
 
-        Delivery is asynchronous; loss and crashed receivers both result in
-        the message silently disappearing.
+        Delivery is asynchronous; a crashed receiver makes the message
+        silently disappear.
         """
-        stats = self.stats
-        stats.messages_sent += 1
-        drop = self.config.drop_probability
-        if drop > 0 and self._random() < drop:
-            stats.messages_dropped += 1
-            return
-
+        self.stats.messages_sent += 1
         # The send time rides along so delivery can tell whether the
         # destination crashed while the message was in flight (sim._now and
         # the transient queue are used directly: this path runs once per

@@ -42,8 +42,6 @@ class ClosedLoopClient:
         workload: command generator for this client.
         sim: the substrate's clock.
         metrics: collector receiving per-command latency samples.
-        think_time_ms: optional pause between completing one command and
-            submitting the next (0 reproduces the paper's setup).
         reconnect_timeout_ms: if a command does not complete within this time
             (e.g. the replica crashed), the client re-submits a fresh command
             to another replica.
@@ -66,7 +64,7 @@ class ClosedLoopClient:
     rejection_backoff_ms = 1.0
 
     def __init__(self, client_id: int, replica: ConsensusReplica, workload: ConflictWorkload,
-                 sim: Clock, metrics: MetricsCollector, think_time_ms: float = 0.0,
+                 sim: Clock, metrics: MetricsCollector,
                  reconnect_timeout_ms: Optional[float] = None,
                  fallback_replicas: Optional[List[ConsensusReplica]] = None,
                  history=None, max_commands: Optional[int] = None) -> None:
@@ -75,7 +73,6 @@ class ClosedLoopClient:
         self.workload = workload
         self.sim = sim
         self.metrics = metrics
-        self.think_time_ms = think_time_ms
         self.reconnect_timeout_ms = reconnect_timeout_ms
         self.fallback_replicas = fallback_replicas or []
         self.history = history
@@ -131,10 +128,7 @@ class ClosedLoopClient:
                 self._running = False
                 return
             if result.rejected:
-                self.sim.schedule(max(self.think_time_ms, self.rejection_backoff_ms),
-                                  self._submit_next)
-            elif self.think_time_ms > 0:
-                self.sim.schedule(self.think_time_ms, self._submit_next)
+                self.sim.schedule(self.rejection_backoff_ms, self._submit_next)
             else:
                 self._submit_next()
 

@@ -114,15 +114,12 @@ class ZipfWorkloadConfig:
     Attributes:
         s: Zipf exponent (>= 0).
         key_space: number of distinct keys (ranks ``0 .. key_space - 1``).
-        hot_keys: size of the hot-key pool; the lowest-ranked ``hot_keys``
-            keys count as *hot* for reporting (``observed_hot_rate``).
         payload_size: nominal command size in bytes.
         write_fraction: fraction of commands that are writes.
     """
 
     s: float = 1.0
     key_space: int = 1000
-    hot_keys: int = 10
     payload_size: int = 15
     write_fraction: float = 1.0
 
@@ -131,8 +128,6 @@ class ZipfWorkloadConfig:
             raise ValueError("zipf exponent s must be >= 0")
         if self.key_space <= 0:
             raise ValueError("key_space must be positive")
-        if not 0 <= self.hot_keys <= self.key_space:
-            raise ValueError("hot_keys must be within [0, key_space]")
 
 
 #: Cached cumulative distributions keyed on ``(key_space, s)``: building the
@@ -159,8 +154,7 @@ class ZipfWorkload:
 
     Keys are named ``zipf-<rank>`` so the rank (and hence hotness) of any
     generated key can be recovered from its name.  The interface matches
-    :class:`ConflictWorkload` (``next_command`` plus observed-rate
-    properties), so clients accept either.
+    :class:`ConflictWorkload` (``next_command``), so clients accept either.
     """
 
     def __init__(self, client_id: int, origin: int, config: ZipfWorkloadConfig,
@@ -172,7 +166,6 @@ class ZipfWorkload:
         self._cdf = _zipf_cdf(config.key_space, config.s)
         self._sequence = 0
         self.generated = 0
-        self.hot_generated = 0
 
     def next_command(self) -> Command:
         """Generate the client's next command."""
@@ -181,8 +174,6 @@ class ZipfWorkload:
         self.generated += 1
         rank = bisect.bisect_left(self._cdf, self._rng.random())
         rank = min(rank, self.config.key_space - 1)
-        if rank < self.config.hot_keys:
-            self.hot_generated += 1
         if self._rng.random() < self.config.write_fraction:
             operation = "put"
             value = f"v{self.client_id}.{sequence}"
@@ -192,13 +183,6 @@ class ZipfWorkload:
         return Command(command_id=(self.client_id, sequence), key=f"zipf-{rank}",
                        operation=operation, value=value, origin=self.origin,
                        payload_size=self.config.payload_size)
-
-    @property
-    def observed_hot_rate(self) -> float:
-        """Fraction of generated commands that hit the hot-key pool."""
-        if self.generated == 0:
-            return 0.0
-        return self.hot_generated / self.generated
 
 
 #: Either workload configuration; :func:`build_workload` dispatches on type.

@@ -12,6 +12,7 @@ from repro.consensus.quorums import QuorumSystem
 from repro.core.caesar import CaesarReplica
 from repro.core.config import CaesarConfig
 from repro.kvstore.store import KeyValueStore
+from repro.runtime.kernel import ProtocolKernel, RetransmitBuffer
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.simulator import Simulator
 from repro.sim.topology import ec2_five_sites, uniform_topology
@@ -57,6 +58,23 @@ def _test_deadline(request):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def disable_retransmission(monkeypatch):
+    """A call that switches the kernel's retransmission + catch-up layer off
+    for the rest of the test.
+
+    No round is ever tracked for resending and no execution gap is ever
+    probed, so a lost message stays lost: the behaviour before the layer
+    existed, which the negative controls compare against.  Nothing in
+    ``src/`` can switch the layer off.
+    """
+    def disable() -> None:
+        monkeypatch.setattr(RetransmitBuffer, "track", lambda self, *args, **kwargs: None)
+        monkeypatch.setattr(ProtocolKernel, "note_progress_gap", lambda self: None)
+
+    return disable
 
 
 @pytest.fixture

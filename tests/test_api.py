@@ -32,7 +32,7 @@ class TestFromArgs:
 
     def _namespace(self, **extra):
         base = dict(protocol="caesar", seed=9, clients=4, conflicts=25.0,
-                    duration=4000.0, recovery=False, no_retransmit=False)
+                    duration=4000.0, recovery=False)
         base.update(extra)
         return argparse.Namespace(**base)
 
@@ -56,14 +56,12 @@ class TestFromArgs:
         config = api.ChaosConfig.from_args(args)
         assert config.schedule == "minority-partition"
         assert config.seed == 9
-        assert config.retransmit_enabled
 
     def test_serve_config_from_args(self):
         args = self._namespace(replicas=5, host="0.0.0.0", peer=None)
         config = api.ServeConfig.from_args(args)
         assert config.replicas == 5
         assert config.host == "0.0.0.0"
-        assert config.retransmit
 
     def test_run_experiment_smoke_through_facade(self):
         result = api.run_experiment(api.ExperimentConfig(

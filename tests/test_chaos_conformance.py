@@ -8,10 +8,10 @@ keep the oracle honest:
 
 * a deliberately-broken protocol (dirty local reads before consensus) **is**
   flagged by the linearizability checker;
-* with retransmission *disabled* (``retransmit_enabled=False``), the
+* with retransmission patched out (the ``disable_retransmission`` fixture), the
   slot-contiguous protocols under probabilistic message loss stay safe
   (linearizable) but lose liveness — the checker must distinguish exactly
-  that, and the disable flag must reproduce the pre-retransmission split.
+  that, and the patch must reproduce the pre-retransmission split.
 """
 
 from __future__ import annotations
@@ -128,11 +128,11 @@ class TestFaultedPathGolden:
 
 
 class TestSafetyWithoutLiveness:
-    """Negative control, now behind the disable flag: without retransmission,
-    loss costs the slot-contiguous protocols liveness but never
-    linearizability — the two verdicts must separate cleanly.  With the
-    (default) retransmission + catch-up layer the same runs pass outright —
-    the historical split is reproducible via ``retransmit_enabled=False``.
+    """Negative control: without retransmission, loss costs the
+    slot-contiguous protocols liveness but never linearizability — the two
+    verdicts must separate cleanly.  With the retransmission + catch-up layer
+    the same runs pass outright; the historical split is reproduced by
+    patching the layer out inside the test.
     """
 
     @pytest.mark.parametrize("protocol", ["mencius", "multipaxos"])
@@ -143,9 +143,9 @@ class TestSafetyWithoutLiveness:
 
     @pytest.mark.parametrize("protocol", ["mencius", "multipaxos"])
     def test_without_retransmission_loss_blocks_progress_but_stays_linearizable(
-            self, protocol):
-        result = run_chaos(ChaosConfig(protocol=protocol, schedule="flaky-links", seed=3,
-                                       retransmit_enabled=False))
+            self, protocol, disable_retransmission):
+        disable_retransmission()
+        result = run_chaos(ChaosConfig(protocol=protocol, schedule="flaky-links", seed=3))
         assert not result.progress
         assert result.report.ok, result.report.describe()
         assert not result.internal_violations

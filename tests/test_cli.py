@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
 import pathlib
@@ -12,13 +13,27 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
+from repro.harness.chaos import ChaosConfig
+from repro.harness.cluster import ClusterConfig
+from repro.harness.experiment import ExperimentConfig
 from repro.harness.figures import FIGURES
+from repro.harness.overload import OverloadConfig
+from repro.harness.shard import ShardedConfig
 from repro.harness.sweep import planning_sweeps
+from repro.net.client import LoadgenConfig
+from repro.net.cluster import ServeConfig
+from repro.net.replica import ReplicaConfig
+from repro.sim.network import NetworkConfig
+from repro.workload.generator import ZipfWorkloadConfig
 
 SURFACE_FILE = pathlib.Path(__file__).parent / "data" / "cli_parser_surface.json"
 
 #: The committed figure tables and BENCH records.
 RESULTS_DIR = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
+
+#: Every config a CLI flag, a figure driver or the benchmark can fill in.
+CONFIGS = (ExperimentConfig, ClusterConfig, ChaosConfig, ServeConfig, ReplicaConfig,
+           LoadgenConfig, OverloadConfig, ShardedConfig, NetworkConfig, ZipfWorkloadConfig)
 
 #: ``sweep``'s parser surface at the parent of the commit that folded it into
 #: ``figure`` (``--out`` defaulted to ``benchmarks/results`` there).
@@ -39,6 +54,27 @@ def parser_surface(parser: argparse.ArgumentParser) -> dict:
                 default = str(default)
             triples.append([sorted(action.option_strings), action.dest, default])
         surface[name] = sorted(triples, key=lambda triple: (triple[0], triple[1]))
+    return surface
+
+
+def config_surface() -> dict:
+    """Per config class, its ``[field, default]`` pairs in declaration order.
+
+    A default is written as its ``repr`` (a factory's is that of what it
+    builds); a field the caller must always set reads ``"<required>"``.
+    """
+    surface = {}
+    for config in CONFIGS:
+        pairs = []
+        for spec in dataclasses.fields(config):
+            if spec.default is not dataclasses.MISSING:
+                default = repr(spec.default)
+            elif spec.default_factory is not dataclasses.MISSING:
+                default = repr(spec.default_factory())
+            else:
+                default = "<required>"
+            pairs.append([spec.name, default])
+        surface[config.__name__] = pairs
     return surface
 
 
@@ -84,11 +120,12 @@ class TestParser:
         assert result.record().name == figure.stem
 
     def test_parser_surface_matches_the_golden_capture(self):
-        # tests/data/cli_parser_surface.json was regenerated once, when
-        # ``sweep`` and ``profile`` were folded into ``figure``: no flag may be
-        # added, dropped or re-defaulted since.
+        # tests/data/cli_parser_surface.json pins every flag of every
+        # subcommand and every field of every config, with its default: a
+        # setting is added, dropped or re-defaulted only by a reviewed diff
+        # of that file.  Regenerate it with ``python tests/test_cli.py``.
         golden = json.loads(SURFACE_FILE.read_text())
-        surface = parser_surface(build_parser())
+        surface = parser_surface(build_parser()) | config_surface()
         assert sorted(surface) == sorted(golden)
         for command, triples in golden.items():
             assert surface[command] == triples, command
@@ -113,6 +150,15 @@ class TestParser:
         (["serve", "--node-id", "7", "--peer", "0=h:1", "--peer", "1=h:2",
           "--peer", "2=h:3"], "--node-id 7 is not in the --peer map"),
         (["overload", "--offered", "-5"], "must be > 0"),
+        (["figure", "7", "--quick", "--workers", "abc", "--cells", "nomatch"],
+         "'auto' or a positive count"),
+        (["figure", "7", "--workers", "-1"], "'auto' or a positive count"),
+        (["shard", "--workers", "0"], "'auto' or a positive count"),
+        (["serve", "--peer", "1=h:99999"], "port in 1-65535"),
+        (["serve", "--peer", "0=127.0.0.1:7000", "--peer", "0=127.0.0.1:7001"],
+         "replica 0 is already at 127.0.0.1:7000"),
+        (["loadgen", "--endpoint", "0=h:1", "--endpoint", "0=h:2"],
+         "replica 0 is already at h:1"),
         # Folded into ``figure`` / replaced by ``bench/run.py --trace 1``.
         (["sweep", "6"], "invalid choice: 'sweep'"),
         (["profile", "6"], "invalid choice: 'profile'"),
@@ -186,7 +232,7 @@ class TestCommands:
     def test_figure_out_reproduces_the_committed_files_byte_for_byte(self, tmp_path, capsys):
         # The in-tier-1 proof that the CLI path *is* the record path: no flags
         # but --out, and the two committed Figure 7 files come back.
-        assert main(["figure", "7", "--serial", "--out", str(tmp_path)]) == 0
+        assert main(["figure", "7", "--workers", "1", "--out", str(tmp_path)]) == 0
         table = "figure7_single_leader_comparison.txt"
         name = "BENCH_figure7_single_leader_comparison.json"
         assert (tmp_path / table).read_bytes() == (RESULTS_DIR / table).read_bytes()
@@ -222,10 +268,11 @@ class TestChaosCommand:
         output = capsys.readouterr().out
         assert "4/4 cells passed" in output
 
-    def test_matrix_failure_sets_exit_code(self, capsys):
-        # With retransmission disabled, message loss costs Mencius liveness —
-        # the historical split, now reproducible only behind --no-retransmit.
-        code = main(["chaos", "--matrix", "--quick", "--seed", "3", "--no-retransmit",
+    def test_matrix_failure_sets_exit_code(self, capsys, disable_retransmission):
+        # With retransmission patched out, message loss costs Mencius
+        # liveness — the historical split.
+        disable_retransmission()
+        code = main(["chaos", "--matrix", "--quick", "--seed", "3",
                      "--protocols", "mencius", "--schedules", "flaky-links"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
@@ -283,6 +330,21 @@ class TestServeLoadgenParser:
 
         with pytest.raises(ValueError):
             parse_peers(["0:127.0.0.1=7000"])
+
+    def test_parse_peers_refuses_a_replica_named_twice(self):
+        from repro.net.cluster import parse_peers
+
+        # Keeping the last entry would silently start a one-replica cluster.
+        with pytest.raises(ValueError, match="bad peer entry '0=127.0.0.1:7001'"):
+            parse_peers(["0=127.0.0.1:7000", "0=127.0.0.1:7001"])
+
+    @pytest.mark.parametrize("port", ["0", "65536", "99999", "-1"])
+    def test_parse_peers_refuses_ports_outside_the_tcp_range(self, port):
+        from repro.net.cluster import parse_peers
+
+        with pytest.raises(ValueError, match="bad peer entry"):
+            parse_peers([f"1=h:{port}"])
+        assert parse_peers(["1=h:1", "2=h:65535"]) == {1: ("h", 1), 2: ("h", 65535)}
 
     def test_loadgen_warmup_flag_reaches_the_config(self):
         # Regression: loadgen used to hardwire MetricsCollector(warmup_ms=0)
@@ -350,3 +412,14 @@ class TestOverloadReportCommands:
         assert [point["offered_per_second"] for point in payload["points"]] == [100.0, 200.0]
         assert all(point["completed"] > 0 for point in payload["points"])
         assert payload["summary"]["points"] == 2
+
+
+if __name__ == "__main__":
+    surface = parser_surface(build_parser()) | config_surface()
+    lines = ["{"]
+    for index, (name, rows) in enumerate(sorted(surface.items())):
+        lines.append(f" {json.dumps(name)}: [")
+        lines.append(",\n".join(f"  {json.dumps(row)}" for row in rows))
+        lines.append(" ]" + ("," if index < len(surface) - 1 else ""))
+    lines.append("}")
+    print("\n".join(lines))

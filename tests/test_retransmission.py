@@ -9,8 +9,9 @@ Three angles:
   twice) changes nothing: every replica executes every command exactly once
   and records the same decisions as a duplication-free run;
 * **byte-neutrality** — on loss-free runs the layer is pure bookkeeping:
-  every client-visible metric is identical with the layer enabled and
-  disabled, and the retransmission / catch-up counters stay at zero.
+  every client-visible metric is identical with the layer running and with
+  it patched out (the ``disable_retransmission`` fixture), and the
+  retransmission / catch-up counters stay at zero.
 """
 
 from __future__ import annotations
@@ -92,11 +93,13 @@ class TestByteNeutrality:
     """On loss-free runs the layer must not change a single client metric."""
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_loss_free_metrics_identical_and_counters_zero(self, protocol):
-        base = dict(protocol=protocol, conflict_rate=0.3, clients_per_site=3,
-                    duration_ms=2500.0, warmup_ms=500.0, seed=7)
-        enabled = run_experiment(ExperimentConfig(retransmit=True, **base))
-        disabled = run_experiment(ExperimentConfig(retransmit=False, **base))
+    def test_loss_free_metrics_identical_and_counters_zero(self, protocol,
+                                                           disable_retransmission):
+        config = ExperimentConfig(protocol=protocol, conflict_rate=0.3, clients_per_site=3,
+                                  duration_ms=2500.0, warmup_ms=500.0, seed=7)
+        enabled = run_experiment(config)
+        disable_retransmission()
+        disabled = run_experiment(config)
 
         assert enabled.metrics.count == disabled.metrics.count
         assert enabled.throughput_per_second == disabled.throughput_per_second

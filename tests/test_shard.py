@@ -46,13 +46,7 @@ class TestShardRouter:
         router = ShardRouter(1)
         assert all(router.shard_of(f"k{i}") == 0 for i in range(50))
 
-    def test_overrides_pin_keys(self):
-        router = ShardRouter(4, overrides={"hot": 2})
-        assert router.shard_of("hot") == 2
-
-    def test_invalid_override_raises(self):
-        with pytest.raises(ValueError):
-            ShardRouter(2, overrides={"k": 5})
+    def test_invalid_shard_count_raises(self):
         with pytest.raises(ValueError):
             ShardRouter(0)
 
@@ -102,7 +96,7 @@ class TestStreams:
 def _small_config(**overrides) -> ShardedConfig:
     defaults = dict(protocol="caesar", shards=2, sites=5, replicas_per_site=1,
                     clients=4, commands_per_client=3,
-                    workload=ZipfWorkloadConfig(s=0.8, key_space=40, hot_keys=4),
+                    workload=ZipfWorkloadConfig(s=0.8, key_space=40),
                     seed=7)
     defaults.update(overrides)
     return ShardedConfig(**defaults)
@@ -111,7 +105,7 @@ def _small_config(**overrides) -> ShardedConfig:
 class TestShardedDeterminism:
     def test_parallel_byte_identical_to_serial(self):
         config = _small_config()
-        serial = run_sharded(config, serial=True)
+        serial = run_sharded(config, workers=1)
         parallel = run_sharded(config, workers=2)
         as_json = lambda result: json.dumps(result.as_dict(), sort_keys=True)  # noqa: E731
         assert as_json(serial) == as_json(parallel)
@@ -121,8 +115,8 @@ class TestShardedDeterminism:
 
     def test_rerun_is_byte_identical(self):
         config = _small_config()
-        first = run_sharded(config, serial=True)
-        second = run_sharded(config, serial=True)
+        first = run_sharded(config)
+        second = run_sharded(config)
         assert json.dumps(first.as_dict(), sort_keys=True) == \
             json.dumps(second.as_dict(), sort_keys=True)
 
@@ -134,9 +128,8 @@ class TestShardedAcceptance:
         # replica of its shard with zero conflict-order violations.
         config = _small_config(shards=4, sites=20, clients=6,
                                commands_per_client=4,
-                               workload=ZipfWorkloadConfig(s=0.99, key_space=100,
-                                                           hot_keys=8))
-        result = run_sharded(config, serial=True)
+                               workload=ZipfWorkloadConfig(s=0.99, key_space=100))
+        result = run_sharded(config)
         assert result.total_submitted == 24
         assert result.all_decided
         assert result.total_undecided == 0
@@ -150,18 +143,21 @@ class TestShardedAcceptance:
     def test_replicas_per_site_scales_the_groups(self):
         config = _small_config(shards=2, sites=4, replicas_per_site=3,
                                clients=3, commands_per_client=2)
-        result = run_sharded(config, serial=True)
+        result = run_sharded(config)
         assert all(shard["replicas"] == 12 for shard in result.shards)
         assert result.all_decided and result.total_violations == 0
 
-    def test_router_overrides_reach_the_run(self):
-        # Pin every key to shard 0: shard 1 must stay empty.
-        config = _small_config(shards=2, clients=3, commands_per_client=2)
-        keys = {cmd.key for _, cmds in generate_streams(config) for cmd in cmds}
-        config.router_overrides = {key: 0 for key in keys}
-        result = run_sharded(config, serial=True)
-        assert result.shards[0]["submitted"] == 6
-        assert result.shards[1]["submitted"] == 0
+    def test_a_shard_no_key_routes_to_runs_empty(self):
+        # Every key of a four-key space routes to shard 1 by its CRC32, so
+        # shard 0 gets no commands: it still runs and reports zero submitted.
+        router = ShardRouter(2)
+        assert {router.shard_of(f"zipf-{rank}") for rank in range(4)} == {1}
+        config = _small_config(shards=2, clients=3, commands_per_client=2,
+                               workload=ZipfWorkloadConfig(s=0.8, key_space=4))
+        result = run_sharded(config)
+        assert result.shards[0]["submitted"] == 0
+        assert result.shards[1]["submitted"] == 6
+        assert result.all_decided and result.total_violations == 0
 
 
 class TestPerSiteAggregation:

@@ -71,13 +71,6 @@ class TestDelivery:
 
 
 class TestImpairments:
-    def test_message_loss(self):
-        sim, network, nodes = build_network(drop_probability=1.0)
-        network.send(0, 1, "lost")
-        sim.run()
-        assert nodes[1].received == []
-        assert network.stats.messages_dropped == 1
-
     def test_jitter_changes_delay_but_not_order_stats(self):
         sim, network, nodes = build_network(rtt=20.0, jitter_ms=2.0)
         network.send(0, 1, "jittered")

@@ -106,22 +106,21 @@ class TestGridHelpers:
         assert matches_any(key, ["*/0.1"])
         assert not matches_any(key, ["fig9/epaxos/*"])
 
-    def test_resolve_workers(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_WORKERS", raising=False)
-        assert resolve_workers(None, 8) == 1
+    def test_resolve_workers(self):
+        assert resolve_workers(1, 8) == 1
         assert resolve_workers(4, 8) == 4
+        assert resolve_workers("3", 8) == 3  # the CLI passes the flag's text
         assert resolve_workers(4, 2) == 2  # capped at the cell count
         assert resolve_workers("auto", 64) == min(os.cpu_count() or 1, 64)
-        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "3")
-        assert resolve_workers(None, 8) == 3
-        with pytest.raises(ValueError):
-            resolve_workers(-1, 8)
+        for bad in (0, -1, "0", "abc", None):
+            with pytest.raises(ValueError, match="'auto' or a positive count"):
+                resolve_workers(bad, 8)
 
 
 class TestSweepDeterminism:
     def test_parallel_matches_serial_byte_identically(self, tmp_path):
-        serial = figure6_latency_vs_conflicts(serial=True, **SMALL_GRID)
-        parallel = figure6_latency_vs_conflicts(workers=4, **SMALL_GRID)
+        serial = figure6_latency_vs_conflicts(workers=1, **SMALL_GRID)
+        parallel = figure6_latency_vs_conflicts(workers=2, **SMALL_GRID)
 
         assert parallel.series == serial.series
         assert parallel.table == serial.table
@@ -150,8 +149,8 @@ class TestSweepDeterminism:
                                                                conflict_rate=rate),
                             base_seed=5)
                  for protocol in ("caesar", "epaxos") for rate in (0.0, 0.5)]
-        forward = run_sweep(cells, serial=True)
-        backward = run_sweep(list(reversed(cells)), serial=True)
+        forward = run_sweep(cells)
+        backward = run_sweep(list(reversed(cells)))
         for cell in cells:
             assert forward.payload(cell.key) == backward.payload(cell.key)
 
@@ -178,7 +177,7 @@ class TestSweepFailures:
     def test_serial_failure_also_named(self):
         cells = [SweepCell(key=("t", "bad"), config=tiny_config(), runner=raising_runner)]
         with pytest.raises(SweepError, match="t/bad.*injected cell failure"):
-            run_sweep(cells, serial=True)
+            run_sweep(cells, workers=1)
 
 
 class TestPerfRecord:
