@@ -262,7 +262,7 @@ class EPaxosReplica(ProtocolKernel):
         pre_accept = PreAccept(instance_id=instance_id, command=command, seq=seq,
                                deps=deps, ballot=instance.ballot)
         self.broadcast(pre_accept, include_self=False)
-        self.track_retransmit(("lead", instance_id), pre_accept,
+        self.retransmit.track(("lead", instance_id), pre_accept,
                               tracker=state.votes,
                               done=lambda s=state: s.phase == "done")
 
@@ -372,7 +372,7 @@ class EPaxosReplica(ProtocolKernel):
                             seq=merged_seq, deps=merged_deps, ballot=state.ballot)
             self.broadcast(accept, include_self=False)
             # Supersede the PreAccept round: resends now carry the Accept.
-            self.track_retransmit(("lead", state.instance_id), accept,
+            self.retransmit.track(("lead", state.instance_id), accept,
                                   tracker=state.votes,
                                   done=lambda s=state: s.phase == "done")
 
@@ -424,7 +424,7 @@ class EPaxosReplica(ProtocolKernel):
         instance.deps = deps
         instance.status = InstanceStatus.COMMITTED
         self._unexecuted_committed.add(state.instance_id)
-        self.resolve_retransmit(("lead", state.instance_id))
+        self.retransmit.resolve(("lead", state.instance_id))
         self.broadcast(Commit(instance_id=state.instance_id, command=state.command,
                               seq=seq, deps=deps),
                        include_self=False)
@@ -452,7 +452,7 @@ class EPaxosReplica(ProtocolKernel):
         # A recovery still collecting PrepareReplies is kept: it runs its round
         # once its quorum is in, and cutting it short changes the message flow.
         self._leader_states.pop(message.instance_id, None)
-        self.resolve_retransmit(("lead", message.instance_id))
+        self.retransmit.resolve(("lead", message.instance_id))
         self._try_execute()
 
     def _try_execute(self) -> None:
@@ -631,7 +631,7 @@ class EPaxosReplica(ProtocolKernel):
         alive_lower = sum(1 for node_id in self.network.node_ids
                           if node_id < self.node_id and node_id != peer)
         delay = 50.0 * (1 + alive_lower)
-        self.set_timer(delay, lambda: self._recover_instances_of(peer))
+        self.set_timer(delay, self._recover_instances_of, peer)
 
     def _recover_instances_of(self, peer: int) -> None:
         for instance_id, instance in list(self.instances.items()):

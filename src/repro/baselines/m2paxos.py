@@ -302,7 +302,7 @@ class M2PaxosReplica(ProtocolKernel):
         accept = AcceptCommand(key=key, index=index, command=command,
                                owner=self.node_id, epoch=epoch)
         self.broadcast(accept, include_self=False)
-        self.track_retransmit(("accept", key, index), accept,
+        self.retransmit.track(("accept", key, index), accept,
                               tracker=pending.acks,
                               done=lambda p=pending: p.decided)
 
@@ -330,7 +330,7 @@ class M2PaxosReplica(ProtocolKernel):
         acquire = AcquireOwnership(key=key, epoch=epoch, requester=self.node_id,
                                    next_execute=self._next_execute.get(key, 0))
         self.broadcast(acquire, include_self=False)
-        self.track_retransmit(
+        self.retransmit.track(
             ("acquire", key), acquire, done=lambda p=pending: p.done,
             voters=lambda p=pending: p.grants.voters() + p.refusals.voters())
 
@@ -509,7 +509,7 @@ class M2PaxosReplica(ProtocolKernel):
         self._backoff_queue[key] = list(commands)
         stagger = ACQUIRE_BACKOFF_BASE_MS / (self.quorums.n + 1)
         delay = ACQUIRE_BACKOFF_BASE_MS * attempt + stagger * self.node_id
-        self.set_timer(delay, lambda: self._retry_after_backoff(key))
+        self.set_timer(delay, self._retry_after_backoff, key)
 
     def _retry_after_backoff(self, key: str) -> None:
         """Backoff expired: re-route the parked commands with fresh knowledge."""
@@ -577,7 +577,7 @@ class M2PaxosReplica(ProtocolKernel):
         if pending is None or pending.decided or pending.epoch != message.epoch:
             return
         del self._pending_accepts[(message.key, message.index)]
-        self.resolve_retransmit(("accept", message.key, message.index))
+        self.retransmit.resolve(("accept", message.key, message.index))
         self.stats.accepts_preempted += 1
         key = message.key
         if message.current_epoch > self.epochs.get(key, 0):
@@ -621,14 +621,14 @@ class M2PaxosReplica(ProtocolKernel):
             return
         if pending.epoch < self.epochs.get(message.key, 0):
             del self._pending_accepts[(message.key, message.index)]
-            self.resolve_retransmit(("accept", message.key, message.index))
+            self.retransmit.resolve(("accept", message.key, message.index))
             self.stats.accepts_preempted += 1
             self._reroute_preempted(message.key, message.index, pending.command)
             return
         if not pending.acks.vote(src):
             return
         pending.decided = True
-        self.resolve_retransmit(("accept", message.key, message.index))
+        self.retransmit.resolve(("accept", message.key, message.index))
         self.record_decided(pending.command.command_id, DecisionKind.FAST)
         self.broadcast(DecideCommand(key=pending.key, index=pending.index,
                                      command=pending.command, owner=self.node_id,

@@ -109,7 +109,7 @@ class MenciusReplica(ProtocolKernel):
         self._max_seen_slot = max(self._max_seen_slot, slot)
         proposal = SlotPropose(slot=slot, command=command)
         self.broadcast(proposal, include_self=False)
-        self.track_retransmit(("slot", slot), proposal,
+        self.retransmit.track(("slot", slot), proposal,
                               tracker=self._acks[slot])
 
     def _allocate_slot(self) -> int:
@@ -151,7 +151,7 @@ class MenciusReplica(ProtocolKernel):
             return
         command = self._pending.pop(message.slot)
         del self._acks[message.slot]
-        self.resolve_retransmit(("slot", message.slot))
+        self.retransmit.resolve(("slot", message.slot))
         self.stats.slots_committed += 1
         self.record_decided(command.command_id, DecisionKind.SLOW)
         self.broadcast(SlotCommit(slot=message.slot, command=command))

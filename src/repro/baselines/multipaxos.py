@@ -169,7 +169,7 @@ class MultiPaxosReplica(ProtocolKernel):
         self.log[slot] = command
         accept = AcceptSlot(slot=slot, command=command, ballot=self.ballot)
         self.broadcast(accept, include_self=False)
-        self.track_retransmit(("slot", slot), accept,
+        self.retransmit.track(("slot", slot), accept,
                               tracker=state.votes, done=lambda s=state: s.committed)
 
     # ------------------------------------------------------ message handling
@@ -202,7 +202,7 @@ class MultiPaxosReplica(ProtocolKernel):
         if not state.votes.vote(src):
             return
         state.committed = True
-        self.resolve_retransmit(("slot", state.slot))
+        self.retransmit.resolve(("slot", state.slot))
         self.stats.slots_committed += 1
         self.record_decided(state.command.command_id, DecisionKind.SLOW)
         self.broadcast(CommitSlot(slot=state.slot, command=state.command))
@@ -297,5 +297,5 @@ class MultiPaxosReplica(ProtocolKernel):
                 self.log[slot] = command
                 accept = AcceptSlot(slot=slot, command=command, ballot=self.ballot)
                 self.broadcast(accept, include_self=False)
-                self.track_retransmit(("slot", slot), accept, tracker=state.votes,
+                self.retransmit.track(("slot", slot), accept, tracker=state.votes,
                                       done=lambda s=state: s.committed)

@@ -222,8 +222,13 @@ class ConsensusReplica(Node):
 
     # -------------------------------------------------------------- execution
 
-    def execute_command(self, command: Command) -> None:
-        """Apply a decided command to the local state machine, exactly once."""
+    def execute_command(self, command: Command) -> Optional[Decision]:
+        """Apply a decided command to the local state machine, exactly once.
+
+        Returns the command's :class:`Decision` when it was proposed here
+        (``None`` elsewhere), so a caller timing the delivery need not look
+        it up again.
+        """
         command_id = command.command_id
         value = self.state_machine.apply(command)
         self.execution_log.append(command)
@@ -239,6 +244,7 @@ class ConsensusReplica(Node):
         callback = self._client_callbacks.pop(command_id, None)
         if callback is not None:
             callback(CommandResult(command_id=command_id, value=value, executed_at=now))
+        return decision
 
     def has_executed(self, command_id: CommandId) -> bool:
         """Whether this replica has already executed the command."""

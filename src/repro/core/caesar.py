@@ -24,7 +24,6 @@ for every other outcome: a NACK, a slow proposal, a parked one once it resolves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.consensus.ballots import Ballot
@@ -70,23 +69,35 @@ def _freeze(ids) -> FrozenSet:
     return frozenset(ids) if ids else _EMPTY_FROZENSET
 
 
-@dataclass
 class LeaderState:
-    """Book-keeping the command leader keeps while driving one command."""
+    """Book-keeping the command leader keeps while driving one command.
 
-    command: Command
-    ballot: Ballot
-    phase: str
-    timestamp: LogicalTimestamp
-    whitelist: Optional[FrozenSet[CommandId]]
-    votes: QuorumTracker = field(default_factory=QuorumTracker.unreachable)
-    predecessors: Set[CommandId] = field(default_factory=set)
-    #: the pending proposal timeout: the clock's cancellable handle.
-    timer: Optional[object] = None
-    started_at: float = 0.0
-    phase_started_at: float = 0.0
-    went_slow: bool = False
-    recovered: bool = False
+    Built with the vote collector of the phase it starts in; a state built by
+    recovery gets ``votes=None`` and the tracker of the phase it resumes.
+    """
+
+    __slots__ = ("command", "ballot", "phase", "timestamp", "whitelist", "votes",
+                 "predecessors", "timer", "started_at", "phase_started_at",
+                 "went_slow", "recovered")
+
+    def __init__(self, command: Command, ballot: Ballot, phase: str,
+                 timestamp: LogicalTimestamp, whitelist: Optional[FrozenSet[CommandId]],
+                 votes: Optional[QuorumTracker], now: float,
+                 predecessors: Optional[Set[CommandId]] = None,
+                 recovered: bool = False) -> None:
+        self.command = command
+        self.ballot = ballot
+        self.phase = phase
+        self.timestamp = timestamp
+        self.whitelist = whitelist
+        self.votes = votes
+        self.predecessors: Set[CommandId] = set() if predecessors is None else predecessors
+        #: the pending proposal timeout: the clock's cancellable handle.
+        self.timer: Optional[object] = None
+        self.started_at = now
+        self.phase_started_at = now
+        self.went_slow = False
+        self.recovered = recovered
 
 
 class CaesarReplica(ProtocolKernel):
@@ -138,21 +149,22 @@ class CaesarReplica(ProtocolKernel):
                              timestamp: LogicalTimestamp,
                              whitelist: Optional[FrozenSet[CommandId]],
                              recovered: bool = False) -> None:
-        """FASTPROPOSALPHASE (Figure 4, lines P1-P10)."""
-        state = LeaderState(command=command, ballot=ballot, phase=PHASE_FAST,
-                            timestamp=timestamp, whitelist=whitelist,
-                            votes=QuorumTracker(self.quorums.fast),
-                            started_at=self.sim.now, phase_started_at=self.sim.now,
-                            recovered=recovered)
-        self.leader_states[command.command_id] = state
+        """FASTPROPOSALPHASE (Figure 4, lines P1-P10).
+
+        The command's retransmit round is keyed by its id; every phase
+        replaces it, and it ends at its tracker's quorum or at ``_start_stable``.
+        """
+        command_id = command.command_id
+        votes = QuorumTracker(self.quorums.fast)
+        state = LeaderState(command, ballot, PHASE_FAST, timestamp, whitelist, votes,
+                            self.sim.now, recovered=recovered)
+        self.leader_states[command_id] = state
         state.timer = self.set_timer(self.config.fast_proposal_timeout_ms,
-                                     lambda: self._on_fast_proposal_timeout(command.command_id))
+                                     self._on_fast_proposal_timeout, command_id)
         proposal = FastPropose(command=command, ballot=ballot, timestamp=timestamp,
                                whitelist=whitelist)
         self.broadcast(proposal)
-        self.track_retransmit(("lead", command.command_id), proposal,
-                              tracker=state.votes,
-                              done=lambda s=state: s.phase == PHASE_DONE)
+        self.retransmit.track(command_id, proposal, tracker=votes)
 
     def _start_slow_proposal(self, state: LeaderState) -> None:
         """SLOWPROPOSALPHASE (Figure 4, lines P21-P30), after a fast-quorum timeout."""
@@ -165,9 +177,7 @@ class CaesarReplica(ProtocolKernel):
                                timestamp=state.timestamp,
                                predecessors=_freeze(state.predecessors))
         self.broadcast(proposal)
-        self.track_retransmit(("lead", state.command.command_id), proposal,
-                              tracker=state.votes,
-                              done=lambda s=state: s.phase == PHASE_DONE)
+        self.retransmit.track(state.command.command_id, proposal, tracker=state.votes)
 
     def _start_retry(self, state: LeaderState) -> None:
         """RETRYPHASE (Figure 4, lines R1-R4)."""
@@ -182,9 +192,7 @@ class CaesarReplica(ProtocolKernel):
                       timestamp=state.timestamp,
                       predecessors=_freeze(state.predecessors))
         self.broadcast(retry)
-        self.track_retransmit(("lead", command_id), retry,
-                              tracker=state.votes,
-                              done=lambda s=state: s.phase == PHASE_DONE)
+        self.retransmit.track(command_id, retry, tracker=state.votes)
 
     def _start_stable(self, state: LeaderState) -> None:
         """STABLEPHASE (Figure 4, lines S1): broadcast the final decision."""
@@ -208,7 +216,7 @@ class CaesarReplica(ProtocolKernel):
             state.timer.cancel()
         state.phase = PHASE_DONE
         del self.leader_states[command_id]
-        self.resolve_retransmit(("lead", command_id))
+        self.retransmit.resolve(command_id)
         if kind is DecisionKind.FAST:
             self.stats.fast_decisions += 1
         else:
@@ -222,29 +230,43 @@ class CaesarReplica(ProtocolKernel):
         state = self.leader_states.get(command_id)
         if state is None or state.phase != PHASE_FAST:
             return
-        replies = state.votes.payloads()
-        if len(replies) < self.quorums.classic:
+        if state.votes.count < self.quorums.classic:
             # Not even a classic quorum yet: keep waiting (the cluster may have
             # more than f slow/crashed nodes right now).
             state.timer = self.set_timer(self.config.fast_proposal_timeout_ms,
-                                         lambda: self._on_fast_proposal_timeout(command_id))
+                                         self._on_fast_proposal_timeout, command_id)
             return
-        self._merge_fast_replies(state)
-        if any(not reply.ok for reply in replies):
-            self._start_retry(state)
-        else:
+        if self._merge_replies(state):
             self._start_slow_proposal(state)
+        else:
+            self._start_retry(state)
 
-    def _merge_fast_replies(self, state: LeaderState) -> List[FastProposeReply]:
-        """Aggregate reply timestamps/predecessors (Figure 4, lines P3-P4)."""
-        replies = state.votes.payloads()
-        timestamps = [reply.timestamp for reply in replies]
-        if timestamps:
-            state.timestamp = max(timestamps + [state.timestamp])
-        for reply in replies:
-            state.predecessors.update(reply.predecessors)
-        state.predecessors.discard(state.command.command_id)
-        return replies
+    @staticmethod
+    def _merge_replies(state: LeaderState) -> bool:
+        """Aggregate proposal replies in one walk (Figure 4, lines P3-P4 and P23-P24).
+
+        The state's timestamp becomes the highest proposed (the first reply
+        holding it wins a tie; the leader's own only when strictly higher)
+        and its predecessors the union, less the command itself.  Returns
+        whether every reply was OK.
+        """
+        highest = None
+        predecessors = state.predecessors
+        all_ok = True
+        for reply in state.votes.payloads():
+            timestamp = reply.timestamp
+            # Usually the very object: an OK echoes the proposal's timestamp.
+            if highest is None or (timestamp is not highest and timestamp > highest):
+                highest = timestamp
+            if reply.predecessors:
+                predecessors.update(reply.predecessors)
+            if not reply.ok:
+                all_ok = False
+        current = state.timestamp
+        if highest is not None and highest is not current and not current > highest:
+            state.timestamp = highest
+        predecessors.discard(state.command.command_id)
+        return all_ok
 
     # -------------------------------------------------- acceptor: proposals
 
@@ -271,8 +293,8 @@ class CaesarReplica(ProtocolKernel):
                           else history.mask_from_ids(message.whitelist, command.key))
         predecessors = compute_predecessor_mask(history, command, timestamp,
                                                 whitelist_mask, existing)
-        if predecessors:
-            self.consume_cpu(self.cost_model.dependency_cost(predecessors.bit_count()))
+        if predecessors:  # CostModel.dependency_cost of a non-empty set
+            self.consume_cpu(self.cost_model.per_dependency_ms * predecessors.bit_count())
         entry = history.update(command, timestamp, predecessors, CommandStatus.FAST_PENDING,
                                ballot, forced=message.whitelist is not None, entry=existing)
         parked = self.wait_manager.parked and self.wait_manager.has_parked(command.key)
@@ -380,29 +402,31 @@ class CaesarReplica(ProtocolKernel):
     def _on_fast_propose_reply(self, src: int, message: FastProposeReply) -> None:
         """Leader side of fast-proposal reply aggregation (Figure 4, lines P2-P10)."""
         state = self.leader_states.get(message.command_id)
-        if state is None or state.phase != PHASE_FAST or state.ballot != message.ballot:
+        if state is None:
+            return
+        # Identity first: round-0 ballots are one instance per leader.
+        ballot = message.ballot
+        if state.phase != PHASE_FAST or (state.ballot is not ballot and state.ballot != ballot):
             return
         if not state.votes.vote(src, message):
-            if self._fast_quorum_unreachable(state):
+            detector = self.failure_detector
+            if (detector is not None and detector.suspected
+                    and self._fast_quorum_unreachable(state, detector)):
                 self._on_fast_proposal_timeout(message.command_id)
             return
-        replies = self._merge_fast_replies(state)
-        if any(not reply.ok for reply in replies):
-            self._start_retry(state)
-        else:
+        if self._merge_replies(state):
             self._start_stable(state)
+        else:
+            self._start_retry(state)
 
-    def _fast_quorum_unreachable(self, state: LeaderState) -> bool:
-        """True when every node the detector still trusts has already voted.
+    def _fast_quorum_unreachable(self, state: LeaderState, detector) -> bool:
+        """True when every node the (suspecting) ``detector`` still trusts has voted.
 
         The missing fast-quorum votes can then only come from suspected
         nodes, so waiting out the full proposal timer is pointless; the
         leader falls back immediately.  Requires a classic quorum of actual
         votes so the timeout handler can complete the slow fallback.
         """
-        detector = self.failure_detector
-        if detector is None or not detector.suspected:
-            return False
         if state.votes.count < self.quorums.classic:
             return False
         voters = set(state.votes.voters())
@@ -417,16 +441,10 @@ class CaesarReplica(ProtocolKernel):
             return
         if not state.votes.vote(src, message):
             return
-        replies = state.votes.payloads()
-        timestamps = [reply.timestamp for reply in replies]
-        state.timestamp = max(timestamps + [state.timestamp])
-        for reply in replies:
-            state.predecessors.update(reply.predecessors)
-        state.predecessors.discard(message.command_id)
-        if any(not reply.ok for reply in replies):
-            self._start_retry(state)
-        else:
+        if self._merge_replies(state):
             self._start_stable(state)
+        else:
+            self._start_retry(state)
 
     @handles(Retry)
     def _on_retry(self, src: int, message: Retry) -> None:
@@ -477,20 +495,24 @@ class CaesarReplica(ProtocolKernel):
         existing = history.get(command_id)
         if existing is not None and existing.status is CommandStatus.STABLE:
             return
-        self.ballots.observe(command_id, message.ballot)
+        ballot = message.ballot
+        if self.ballots.get(command_id) is not ballot:
+            self.ballots.observe(command_id, ballot)
         self.timestamps.observe(message.timestamp)
-        predecessors = history.mask_from_ids(message.predecessors, command.key)
-        # With no entry yet, the translation above may just have interned the id.
-        self_index = existing.index if existing is not None else history.index_of(command_id)
-        if self_index is not None:
-            predecessors &= ~(1 << self_index)
+        predecessors = 0
+        if message.predecessors:
+            predecessors = history.mask_from_ids(message.predecessors, command.key)
+            # With no entry yet, the translation may just have interned the id.
+            self_index = existing.index if existing is not None else history.index_of(command_id)
+            if self_index is not None:
+                predecessors &= ~(1 << self_index)
         entry = history.update(command, message.timestamp, predecessors,
-                               CommandStatus.STABLE, message.ballot, entry=existing)
+                               CommandStatus.STABLE, ballot, entry=existing)
         if self.wait_manager.parked:
             self.wait_manager.drop_command(command_id, command.key)
             self.wait_manager.notify_entry(entry)
-        if predecessors:
-            self.consume_cpu(self.cost_model.dependency_cost(predecessors.bit_count()))
+        if predecessors:  # CostModel.dependency_cost of a non-empty set
+            self.consume_cpu(self.cost_model.per_dependency_ms * predecessors.bit_count())
         self.delivery.on_stable(command, entry)
         if self.delivery.pending_count():  # else catchup_need() has nothing to report
             self.note_progress_gap()
@@ -538,13 +560,26 @@ class CaesarReplica(ProtocolKernel):
 
     def _execute_stable(self, command: Command) -> None:
         """Callback from the delivery manager: apply the command locally."""
-        decision = self.decisions.get(command.command_id)
-        self.execute_command(command)
+        decision = self.execute_command(command)
         if decision is not None and decision.decided_at is not None:
-            self.record_phase_time(command.command_id, "deliver",
-                                   self.sim.now - decision.decided_at)
+            phase_times = decision.phase_times
+            phase_times["deliver"] = (phase_times.get("deliver", 0.0)
+                                      + (self.sim.now - decision.decided_at))
         if self.wait_manager.parked:  # BREAKLOOP may have edited the entry
             self.wait_manager.notify_entry(self.history.get(command.command_id))
+
+    # ------------------------------------------------------------- life cycle
+
+    def on_restart(self) -> None:
+        """Re-arm what the crash silently killed, the kernel's timers and each
+        fast proposal's timeout (one that fired while down was skipped)."""
+        super().on_restart()
+        for command_id, state in self.leader_states.items():
+            if state.phase == PHASE_FAST:
+                if state.timer is not None:
+                    state.timer.cancel()
+                state.timer = self.set_timer(self.config.fast_proposal_timeout_ms,
+                                             self._on_fast_proposal_timeout, command_id)
 
     # ------------------------------------------------------------- telemetry
 

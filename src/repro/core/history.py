@@ -374,7 +374,8 @@ class CommandHistory:
             self._entries[command_id] = entry
             bucket.insert(entry)
         else:
-            if entry.timestamp != timestamp:
+            # Usually the very object (a Stable carries the proposal's).
+            if entry.timestamp is not timestamp and entry.timestamp != timestamp:
                 bucket.discard(entry, entry.timestamp)
                 entry.timestamp = timestamp
                 bucket.insert(entry)

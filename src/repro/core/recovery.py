@@ -55,7 +55,7 @@ class RecoveryManager:
             return
         self._suspected.add(peer)
         delay = self._stagger_delay()
-        self.replica.set_timer(delay, lambda: self._recover_commands_of(peer))
+        self.replica.set_timer(delay, self._recover_commands_of, peer)
 
     def _stagger_delay(self) -> float:
         """Delay recovery by this node's rank among live nodes to avoid duels."""
@@ -176,11 +176,8 @@ class RecoveryManager:
         from repro.core.caesar import PHASE_RETRY, LeaderState  # local import avoids a cycle
 
         replica = self.replica
-        state = LeaderState(command=attempt.command, ballot=attempt.ballot, phase=PHASE_RETRY,
-                            timestamp=reply.timestamp, whitelist=None,
-                            predecessors=set(reply.predecessors),
-                            started_at=replica.sim.now, phase_started_at=replica.sim.now,
-                            recovered=True)
+        state = LeaderState(attempt.command, attempt.ballot, PHASE_RETRY, reply.timestamp, None,
+                            None, replica.sim.now, set(reply.predecessors), recovered=True)
         replica.leader_states[attempt.command.command_id] = state
         replica._start_stable(state)
 
@@ -189,11 +186,8 @@ class RecoveryManager:
         from repro.core.caesar import PHASE_FAST, LeaderState
 
         replica = self.replica
-        state = LeaderState(command=attempt.command, ballot=attempt.ballot, phase=PHASE_FAST,
-                            timestamp=reply.timestamp, whitelist=None,
-                            predecessors=set(reply.predecessors),
-                            started_at=replica.sim.now, phase_started_at=replica.sim.now,
-                            recovered=True)
+        state = LeaderState(attempt.command, attempt.ballot, PHASE_FAST, reply.timestamp, None,
+                            None, replica.sim.now, set(reply.predecessors), recovered=True)
         replica.leader_states[attempt.command.command_id] = state
         replica._start_retry(state)
 
@@ -202,11 +196,8 @@ class RecoveryManager:
         from repro.core.caesar import PHASE_FAST, LeaderState
 
         replica = self.replica
-        state = LeaderState(command=attempt.command, ballot=attempt.ballot, phase=PHASE_FAST,
-                            timestamp=reply.timestamp, whitelist=None,
-                            predecessors=set(reply.predecessors),
-                            started_at=replica.sim.now, phase_started_at=replica.sim.now,
-                            recovered=True)
+        state = LeaderState(attempt.command, attempt.ballot, PHASE_FAST, reply.timestamp, None,
+                            None, replica.sim.now, set(reply.predecessors), recovered=True)
         replica.leader_states[attempt.command.command_id] = state
         replica._start_slow_proposal(state)
 

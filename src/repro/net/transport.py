@@ -275,9 +275,9 @@ class AsyncioTransport(Transport):
         else:
             self.network.stats.messages_dropped += 1
 
-    def set_timer(self, delay_ms: float, callback):
-        """Arm a timer on the wall clock (asyncio event loop)."""
-        return self.clock.schedule(delay_ms, callback)
+    def set_timer(self, delay_ms: float, callback, *args):
+        """Arm a timer running ``callback(*args)`` on the wall clock (asyncio event loop)."""
+        return self.clock.schedule(delay_ms, callback, args=args)
 
     def close(self) -> None:
         """Tear down every dialed connection (idempotent)."""

@@ -45,7 +45,7 @@ Protocol subclasses implement only their actual protocol logic: the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Type
+from typing import Callable, Dict, List, Optional, Tuple, Type, ValuesView
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.interface import ConsensusReplica
@@ -119,9 +119,13 @@ class QuorumTracker:
         """Whether the threshold has been met."""
         return len(self._votes) + self.extra_votes >= self.threshold
 
-    def payloads(self) -> List[object]:
-        """Recorded vote payloads, in arrival order (implicit votes excluded)."""
-        return list(self._votes.values())
+    def payloads(self) -> ValuesView:
+        """Recorded vote payloads, in arrival order (implicit votes excluded).
+
+        A live view, not a copy: a caller that votes while walking it must
+        copy it first.
+        """
+        return self._votes.values()
 
     def voters(self) -> List[int]:
         """Voter ids, in arrival order."""
@@ -289,11 +293,18 @@ class RetransmitBuffer:
 
         A timer armed before the crash either fired while crashed (silently
         skipped) or is still scheduled; cancelling it and re-arming keeps
-        exactly one scan chain alive.
+        exactly one scan chain alive.  Every pending round is due at once:
+        each answer addressed to the dead process was lost, so the votes its
+        tracker counted before the crash (the leader's own, at least) are no
+        progress to wait out a deadline for.
         """
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
+        now = self.kernel.sim.now
+        for entry in self._entries.values():
+            entry.deadline = now
+            entry.last_count = self._count(entry)
         self._arm()
 
     # ------------------------------------------------------------- internals
@@ -427,20 +438,6 @@ class ProtocolKernel(ConsensusReplica):
             self.failure_detector = FailureDetector(
                 owner=self, peer_ids=self.network.node_ids, **self._fd_setup)
             self.failure_detector.start()
-
-    # --------------------------------------------------------- retransmission
-
-    def track_retransmit(self, key: object, message: object, *,
-                         tracker: Optional[QuorumTracker] = None,
-                         done: Optional[Callable[[], bool]] = None,
-                         voters: Optional[Callable[[], List[int]]] = None) -> None:
-        """Track a quorum-pending broadcast for resend (see
-        :meth:`RetransmitBuffer.track`)."""
-        self.retransmit.track(key, message, tracker=tracker, done=done, voters=voters)
-
-    def resolve_retransmit(self, key: object) -> None:
-        """Stop retransmitting the round ``key``."""
-        self.retransmit.resolve(key)
 
     # --------------------------------------------------------------- catch-up
 

@@ -39,10 +39,13 @@ backends by one conformance suite (``tests/test_transport_contract.py``):
 Timer service
 -------------
 
-``set_timer(delay_ms, callback)`` returns the clock's own handle (cancelled
-with ``handle.cancel()``, queried with ``handle.cancelled``); the owning node
-applies clock skew and crash-gating *before* delegating here, so transports
-only translate a plain delay onto their clock (event heap or event loop).
+``set_timer(delay_ms, callback, *args)`` runs ``callback(*args)`` and returns
+the clock's own handle (cancelled with ``handle.cancel()``, queried with
+``handle.cancelled``).  The arguments ride in the clock's event (both clocks
+take ``args``), so a bound method plus its arguments needs no closure.  The
+owning node applies clock skew and crash-gating *before* delegating here, so
+transports only translate a plain delay onto their clock (event heap or event
+loop).
 Timers are how the kernel's retransmission scans and catch-up probes run
 identically on both substrates.
 
@@ -116,8 +119,8 @@ class Transport(abc.ABC):
         """Send ``message`` to every peer (optionally excluding the local node)."""
 
     @abc.abstractmethod
-    def set_timer(self, delay_ms: float, callback):
-        """Run ``callback`` after ``delay_ms`` on this transport's clock.
+    def set_timer(self, delay_ms: float, callback, *args):
+        """Run ``callback(*args)`` after ``delay_ms`` on this transport's clock.
 
         Returns the clock's cancellable handle (``cancel()`` / ``cancelled``).
         """
@@ -192,9 +195,9 @@ class SimulatorTransport(Transport):
         """
         self._fault_filter = faults
 
-    def set_timer(self, delay_ms: float, callback):
-        """Schedule ``callback`` on the shared simulator's virtual clock."""
-        return self.node.sim.schedule(delay_ms, callback)
+    def set_timer(self, delay_ms: float, callback, *args):
+        """Schedule ``callback(*args)`` on the shared simulator's virtual clock."""
+        return self.node.sim.schedule(delay_ms, callback, args=args)
 
     def send(self, dst: int, message: object) -> None:
         """Send or buffer one message (self-sends are never delayed)."""
@@ -206,8 +209,7 @@ class SimulatorTransport(Transport):
             self._flush_destination(dst)
         elif not self._flush_scheduled.get(dst):
             self._flush_scheduled[dst] = True
-            self.node.set_timer(self.batching.window_ms,
-                                lambda: self._flush_destination(dst))
+            self.node.set_timer(self.batching.window_ms, self._flush_destination, dst)
 
     def broadcast(self, message: object, include_self: bool = True) -> None:
         """Send ``message`` to every registered node."""

@@ -93,12 +93,15 @@ class Node:
         self.transport.broadcast(message, include_self)
 
     def receive(self, src: int, message: object) -> None:
-        """Entry point used by the network when a message arrives.
+        """Queue an arriving message behind the node's CPU, then dispatch it.
 
-        The message is queued behind any CPU work already in progress, then
-        dispatched to :meth:`handle_message`.  Message batches are unpacked
-        here: the envelope costs one full message, each inner message a
-        discounted marginal cost.
+        On the simulator every message enters here.  Over TCP only
+        self-sends do: a peer's message arrives in a socket callback, where
+        ``PeerNetwork.deliver_local`` hands it straight to
+        :meth:`_dispatch_one`.  The message is queued behind any CPU work
+        already in progress, then dispatched to :meth:`handle_message`.
+        Message batches are unpacked here: the envelope costs one full
+        message, each inner message a discounted marginal cost.
         """
         if self.crashed:
             return
@@ -164,22 +167,26 @@ class Node:
 
     # ---------------------------------------------------------------- timers
 
-    def set_timer(self, delay_ms: float, callback: Callable[[], None]):
-        """Run ``callback`` after ``delay_ms`` of local-clock time unless cancelled or crashed.
+    def set_timer(self, delay_ms: float, callback: Callable[..., None], *args):
+        """Run ``callback(*args)`` after ``delay_ms`` of local-clock time unless
+        cancelled or crashed.
 
         The delay is measured on the node's *local* clock: with a skewed
         ``timer_scale`` the timer fires earlier (fast clock) or later (slow
         clock) than the nominal delay.  ``timer_scale == 1.0`` multiplies
         exactly, so unskewed schedules are bit-identical.  Skew and
         crash-gating are applied here; the transport only maps the resulting
-        delay onto its clock (event heap or event loop).
+        delay onto its clock (event heap or event loop).  Passing a bound
+        method and its arguments, not a closure, is what keeps a timer from
+        allocating one.
         """
+        return self.transport.set_timer(delay_ms * self.timer_scale, self._fire_timer,
+                                        callback, args)
 
-        def fire() -> None:
-            if not self.crashed:
-                callback()
-
-        return self.transport.set_timer(delay_ms * self.timer_scale, fire)
+    def _fire_timer(self, callback: Callable[..., None], args: tuple) -> None:
+        """The crash gate every timer fires through."""
+        if not self.crashed:
+            callback(*args)
 
     # ----------------------------------------------------------- life cycle
 

@@ -19,16 +19,35 @@ Underneath, the history, WAIT, delivery and COMPUTEPREDECESSORS are those of
 ``tests/reference_history.py``: one node-wide interner, one delivered mask.
 So the differential also checks, message for message, that per-key indices
 change nothing a peer or a client can see.
+
+:class:`ReferenceLeaderReplica` is the other half: a :class:`CaesarReplica`
+with the leader code of the commit before the leader round was slimmed, put
+back verbatim — the :class:`LeaderState` dataclass, the ``_start_*`` phases,
+the ``_on_*_reply`` handlers with ``_merge_fast_replies`` and
+``_fast_quorum_unreachable``, ``_on_fast_proposal_timeout`` and
+``_execute_stable``.  It keeps the retransmit round under ``("lead", id)``
+with a ``done=`` predicate, arms its timers with closures and looks the
+decision up again around an execution.  Two things underneath moved:
+``QuorumTracker.payloads()`` is a live view now, where it was a list (the
+copied code only reads it, with no vote in between), and the kernel's
+``track_retransmit`` / ``resolve_retransmit`` wrappers are gone, so the
+copied calls name ``self.retransmit.track`` / ``.resolve``, the methods the
+wrappers forwarded to.  Recovery (shared) still
+builds the current, slotted ``LeaderState``; the reference phases work on it
+by attribute.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Union
+from dataclasses import dataclass, field
+from typing import Callable, FrozenSet, Iterable, List, Optional, Set, Union
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command, CommandId
+from repro.consensus.interface import DecisionKind
 from repro.consensus.timestamps import LogicalTimestamp
-from repro.core.caesar import CaesarReplica
+from repro.core.caesar import (PHASE_DONE, PHASE_FAST, PHASE_RETRY, PHASE_SLOW, CaesarReplica,
+                               _freeze)
 from repro.core.history import CommandStatus
 from repro.core.messages import (
     FastPropose,
@@ -40,7 +59,7 @@ from repro.core.messages import (
     Stable,
 )
 from repro.core.predecessors import _ParkedProposal
-from repro.runtime.kernel import handles
+from repro.runtime.kernel import QuorumTracker, handles
 from tests.reference_history import (CommandHistory, DeliveryManager, HistoryEntry, WaitManager,
                                      _KeyBucket, compute_predecessor_mask)
 
@@ -303,3 +322,213 @@ class ReferenceCaesarReplica(CaesarReplica):
         entry = self.history.get(command.command_id)
         if entry is not None:
             self.wait_manager.notify_entry(entry)
+
+
+@dataclass
+class LeaderState:
+    """Book-keeping the command leader keeps while driving one command."""
+
+    command: Command
+    ballot: Ballot
+    phase: str
+    timestamp: LogicalTimestamp
+    whitelist: Optional[FrozenSet[CommandId]]
+    votes: QuorumTracker = field(default_factory=QuorumTracker.unreachable)
+    predecessors: Set[CommandId] = field(default_factory=set)
+    #: the pending proposal timeout: the clock's cancellable handle.
+    timer: Optional[object] = None
+    started_at: float = 0.0
+    phase_started_at: float = 0.0
+    went_slow: bool = False
+    recovered: bool = False
+
+
+class ReferenceLeaderReplica(CaesarReplica):
+    """The leader half as it was before: the current acceptor, the previous leader."""
+
+    def _start_fast_proposal(self, command: Command, ballot: Ballot,
+                             timestamp: LogicalTimestamp,
+                             whitelist: Optional[FrozenSet[CommandId]],
+                             recovered: bool = False) -> None:
+        """FASTPROPOSALPHASE (Figure 4, lines P1-P10)."""
+        state = LeaderState(command=command, ballot=ballot, phase=PHASE_FAST,
+                            timestamp=timestamp, whitelist=whitelist,
+                            votes=QuorumTracker(self.quorums.fast),
+                            started_at=self.sim.now, phase_started_at=self.sim.now,
+                            recovered=recovered)
+        self.leader_states[command.command_id] = state
+        state.timer = self.set_timer(self.config.fast_proposal_timeout_ms,
+                                     lambda: self._on_fast_proposal_timeout(command.command_id))
+        proposal = FastPropose(command=command, ballot=ballot, timestamp=timestamp,
+                               whitelist=whitelist)
+        self.broadcast(proposal)
+        self.retransmit.track(("lead", command.command_id), proposal,
+                              tracker=state.votes,
+                              done=lambda s=state: s.phase == PHASE_DONE)
+
+    def _start_slow_proposal(self, state: LeaderState) -> None:
+        """SLOWPROPOSALPHASE (Figure 4, lines P21-P30), after a fast-quorum timeout."""
+        self.stats.slow_proposals += 1
+        state.phase = PHASE_SLOW
+        state.votes = QuorumTracker(self.quorums.classic)
+        state.phase_started_at = self.sim.now
+        state.went_slow = True
+        proposal = SlowPropose(command=state.command, ballot=state.ballot,
+                               timestamp=state.timestamp,
+                               predecessors=_freeze(state.predecessors))
+        self.broadcast(proposal)
+        self.retransmit.track(("lead", state.command.command_id), proposal,
+                              tracker=state.votes,
+                              done=lambda s=state: s.phase == PHASE_DONE)
+
+    def _start_retry(self, state: LeaderState) -> None:
+        """RETRYPHASE (Figure 4, lines R1-R4)."""
+        self.stats.retries += 1
+        state.phase = PHASE_RETRY
+        state.votes = QuorumTracker(self.quorums.classic)
+        state.went_slow = True
+        command_id = state.command.command_id
+        self.record_phase_time(command_id, "propose", self.sim.now - state.phase_started_at)
+        state.phase_started_at = self.sim.now
+        retry = Retry(command=state.command, ballot=state.ballot,
+                      timestamp=state.timestamp,
+                      predecessors=_freeze(state.predecessors))
+        self.broadcast(retry)
+        self.retransmit.track(("lead", command_id), retry,
+                              tracker=state.votes,
+                              done=lambda s=state: s.phase == PHASE_DONE)
+
+    def _start_stable(self, state: LeaderState) -> None:
+        """STABLEPHASE (Figure 4, lines S1): broadcast the final decision."""
+        command_id = state.command.command_id
+        if state.recovered:
+            kind = DecisionKind.RECOVERED
+        elif state.went_slow:
+            kind = DecisionKind.SLOW
+        else:
+            kind = DecisionKind.FAST
+        decision = self.decisions.get(command_id)
+        if decision is not None:  # record_phase_time + record_decided: one lookup, one clock read
+            now = self.sim.now
+            phase = "retry" if state.phase == PHASE_RETRY else "propose"
+            decision.phase_times[phase] = (decision.phase_times.get(phase, 0.0)
+                                           + (now - state.phase_started_at))
+            if decision.decided_at is None:
+                decision.decided_at = now
+                decision.kind = kind
+        if state.timer is not None:
+            state.timer.cancel()
+        state.phase = PHASE_DONE
+        del self.leader_states[command_id]
+        self.retransmit.resolve(("lead", command_id))
+        if kind is DecisionKind.FAST:
+            self.stats.fast_decisions += 1
+        else:
+            self.stats.slow_decisions += 1
+        self.broadcast(Stable(command=state.command, ballot=state.ballot,
+                              timestamp=state.timestamp,
+                              predecessors=_freeze(state.predecessors)))
+
+    def _on_fast_proposal_timeout(self, command_id: CommandId) -> None:
+        """Fall back to the slow proposal phase when a fast quorum is unavailable."""
+        state = self.leader_states.get(command_id)
+        if state is None or state.phase != PHASE_FAST:
+            return
+        replies = state.votes.payloads()
+        if len(replies) < self.quorums.classic:
+            # Not even a classic quorum yet: keep waiting (the cluster may have
+            # more than f slow/crashed nodes right now).
+            state.timer = self.set_timer(self.config.fast_proposal_timeout_ms,
+                                         lambda: self._on_fast_proposal_timeout(command_id))
+            return
+        self._merge_fast_replies(state)
+        if any(not reply.ok for reply in replies):
+            self._start_retry(state)
+        else:
+            self._start_slow_proposal(state)
+
+    def _merge_fast_replies(self, state: LeaderState) -> List[FastProposeReply]:
+        """Aggregate reply timestamps/predecessors (Figure 4, lines P3-P4)."""
+        replies = state.votes.payloads()
+        timestamps = [reply.timestamp for reply in replies]
+        if timestamps:
+            state.timestamp = max(timestamps + [state.timestamp])
+        for reply in replies:
+            state.predecessors.update(reply.predecessors)
+        state.predecessors.discard(state.command.command_id)
+        return replies
+
+    @handles(FastProposeReply)
+    def _on_fast_propose_reply(self, src: int, message: FastProposeReply) -> None:
+        """Leader side of fast-proposal reply aggregation (Figure 4, lines P2-P10)."""
+        state = self.leader_states.get(message.command_id)
+        if state is None or state.phase != PHASE_FAST or state.ballot != message.ballot:
+            return
+        if not state.votes.vote(src, message):
+            if self._fast_quorum_unreachable(state):
+                self._on_fast_proposal_timeout(message.command_id)
+            return
+        replies = self._merge_fast_replies(state)
+        if any(not reply.ok for reply in replies):
+            self._start_retry(state)
+        else:
+            self._start_stable(state)
+
+    def _fast_quorum_unreachable(self, state: LeaderState) -> bool:
+        """True when every node the detector still trusts has already voted.
+
+        The missing fast-quorum votes can then only come from suspected
+        nodes, so waiting out the full proposal timer is pointless; the
+        leader falls back immediately.  Requires a classic quorum of actual
+        votes so the timeout handler can complete the slow fallback.
+        """
+        detector = self.failure_detector
+        if detector is None or not detector.suspected:
+            return False
+        if state.votes.count < self.quorums.classic:
+            return False
+        voters = set(state.votes.voters())
+        return all(node_id in voters or node_id in detector.suspected
+                   for node_id in self.network.node_ids)
+
+    @handles(SlowProposeReply)
+    def _on_slow_propose_reply(self, src: int, message: SlowProposeReply) -> None:
+        """Leader side of slow-proposal reply aggregation (Figure 4, lines P22-P30)."""
+        state = self.leader_states.get(message.command_id)
+        if state is None or state.phase != PHASE_SLOW or state.ballot != message.ballot:
+            return
+        if not state.votes.vote(src, message):
+            return
+        replies = state.votes.payloads()
+        timestamps = [reply.timestamp for reply in replies]
+        state.timestamp = max(timestamps + [state.timestamp])
+        for reply in replies:
+            state.predecessors.update(reply.predecessors)
+        state.predecessors.discard(message.command_id)
+        if any(not reply.ok for reply in replies):
+            self._start_retry(state)
+        else:
+            self._start_stable(state)
+
+    @handles(RetryReply)
+    def _on_retry_reply(self, src: int, message: RetryReply) -> None:
+        """Leader side of retry aggregation (Figure 4, lines R2-R4)."""
+        state = self.leader_states.get(message.command_id)
+        if state is None or state.phase != PHASE_RETRY or state.ballot != message.ballot:
+            return
+        if not state.votes.vote(src, message):
+            return
+        for reply in state.votes.payloads():
+            state.predecessors.update(reply.predecessors)
+        state.predecessors.discard(message.command_id)
+        self._start_stable(state)
+
+    def _execute_stable(self, command: Command) -> None:
+        """Callback from the delivery manager: apply the command locally."""
+        decision = self.decisions.get(command.command_id)
+        self.execute_command(command)
+        if decision is not None and decision.decided_at is not None:
+            self.record_phase_time(command.command_id, "deliver",
+                                   self.sim.now - decision.decided_at)
+        if self.wait_manager.parked:  # BREAKLOOP may have edited the entry
+            self.wait_manager.notify_entry(self.history.get(command.command_id))

@@ -1,4 +1,4 @@
-"""Differential test: CAESAR's acceptor handlers vs the parent commit's.
+"""Differential tests: CAESAR's acceptor handlers, then its leader half, vs earlier code.
 
 A :class:`~repro.core.caesar.CaesarReplica` and ``tests/reference_caesar.py``
 (the handlers, UPDATE and WAIT as they were before the entry found at the
@@ -19,6 +19,10 @@ never seen, retries overtaking parked proposals, recoveries at a higher
 ballot with and without a whitelist, reads among writes, the wait condition
 off — plus each of those written out as a scenario, so that a handler that
 forgets one case fails a test that says which.
+
+The leader probe at the end does the same for the leader's side: replica 0
+submits commands and is fed seeded reply schedules, against
+``ReferenceLeaderReplica`` (see the comment above ``LeaderProbe``).
 """
 
 from __future__ import annotations
@@ -31,9 +35,10 @@ import pytest
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command
+from repro.consensus.interface import DecisionKind
 from repro.consensus.quorums import QuorumSystem
 from repro.consensus.timestamps import LogicalTimestamp
-from repro.core.caesar import CaesarReplica
+from repro.core.caesar import PHASE_FAST, PHASE_RETRY, PHASE_SLOW, CaesarReplica
 from repro.core.config import CaesarConfig
 from repro.core.history import CommandStatus
 from repro.core.messages import (
@@ -51,7 +56,7 @@ from repro.kvstore.store import KeyValueStore
 from repro.sim.network import Network
 from repro.sim.simulator import Simulator
 from repro.sim.topology import uniform_topology
-from tests.reference_caesar import ReferenceCaesarReplica
+from tests.reference_caesar import ReferenceCaesarReplica, ReferenceLeaderReplica
 
 REPLICAS = 5
 KEYS = ("x", "y")
@@ -169,12 +174,14 @@ def slow(cmd: Command, timestamp: LogicalTimestamp, predecessors: Sequence = (),
 COMMANDS = [command(client, sequence, key=KEYS[(client + sequence) % 2],
                     operation="get" if (client, sequence) in ((1, 1), (3, 0)) else "put")
             for client in range(4) for sequence in range(3)]
-#: Ids a predecessor set or whitelist may name: every command, and two nobody
-#: proposes per key — ``(8 + k, 0)`` and ``(8 + k, 1)`` on ``KEYS[k]`` (an id
-#: is bound to the first key it is named on, and a replica refuses it on
-#: another).
-GHOSTS = [(8 + k, n) for k in range(len(KEYS)) for n in range(2)]
-NAMEABLE = [cmd.command_id for cmd in COMMANDS] + GHOSTS
+#: Ids a predecessor set or whitelist on a key may name: the key's commands,
+#: and two nobody proposes — ``(8 + k, 0)`` and ``(8 + k, 1)`` on ``KEYS[k]``
+#: (an id is bound to the first key it is named on, and a replica refuses it
+#: on another).
+GHOSTS = {key: [(8 + k, n) for n in range(2)] for k, key in enumerate(KEYS)}
+NAMEABLE_ON = {key: [cmd.command_id for cmd in COMMANDS if cmd.key == key] + GHOSTS[key]
+               for key in KEYS}
+NAMEABLE = [command_id for key in KEYS for command_id in NAMEABLE_ON[key]]
 
 
 def random_schedule(seed: int, length: int = 90) -> list:
@@ -189,12 +196,8 @@ def random_schedule(seed: int, length: int = 90) -> list:
         timestamp = ts(3 * rng.randint(1, 9) + sequence, client)
         ballot = (Ballot.initial(client) if rng.random() < 0.8
                   else Ballot(rng.randint(0, 2), rng.randrange(REPLICAS)))
-        # The draw is over the key's commands and two ghosts, which are then
-        # the ghosts of this key.
-        same_key = [other for other in NAMEABLE[:len(COMMANDS) + 2] if other[0] == 8
-                    or COMMANDS[other[0] * 3 + other[1]].key == cmd.key]
-        named = frozenset((other[0] + KEYS.index(cmd.key), other[1]) if other[0] == 8 else other
-                          for other in rng.sample(same_key, rng.randint(0, min(4, len(same_key)))))
+        same_key = NAMEABLE_ON[cmd.key]
+        named = frozenset(rng.sample(same_key, rng.randint(0, 4)))
         advance = rng.choice((0.0, 0.0, 0.0, 2.5, 40.0))
         src = ballot.node_id
         draw = rng.random()
@@ -506,3 +509,389 @@ class TestScenarios:
         pair.feed(2, slow(C, ts(4, 2)))
         assert [reply.ok for reply in pair.new.answers(C)] == [False]
         assert isinstance(pair.new.sent[-1][1], SlowProposeReply)
+
+
+# ----------------------------------------------------------------- leader probe
+#
+# The leader half: ``CaesarReplica`` against ``ReferenceLeaderReplica`` (the
+# previous LeaderState, ``_start_*``, ``_on_*_reply``, ``_merge_fast_replies``,
+# ``_on_fast_proposal_timeout`` and ``_execute_stable``, verbatim).  Replica 0
+# leads commands of its own and is fed seeded reply schedules: replies in any
+# order, duplicated, at the round's ballot object, at an equal copy of it or
+# at a stale one, OK or NACK; timer firings with fewer and with more than a
+# classic quorum of votes; a detector that suspects the nodes yet to vote;
+# its own broadcasts delivered back (so it executes, and late replies find no
+# round); recoveries whose replies build leader states.
+
+
+class _Peer:
+    """A registered address with nothing behind it (the probe records the sends)."""
+
+    crashed = False
+    last_crashed_at = -1.0
+
+    def __init__(self, node_id: int) -> None:
+        self.node_id = node_id
+
+
+class _Detector:
+    """A failure detector that suspects whom the schedule says."""
+
+    def __init__(self) -> None:
+        self.suspected: set = set()
+
+    def observe_any_message(self, src: int) -> None:
+        pass
+
+    def observe_heartbeat(self, message) -> None:
+        pass
+
+
+#: The commands replica 0 leads, three per key.
+LED = [Command(command_id=(6, n), key=KEYS[n % 2], operation="put", value=f"l{n}", origin=0)
+       for n in range(6)]
+LED_BY_ID = {cmd.command_id: cmd for cmd in LED}
+#: What a reply's predecessor set may name on each key.
+LEADER_NAMEABLE_ON = {key: NAMEABLE_ON[key] + [cmd.command_id for cmd in LED if cmd.key == key]
+                      for key in KEYS}
+REPLY_TYPES = {PHASE_FAST: FastProposeReply, PHASE_SLOW: SlowProposeReply,
+               PHASE_RETRY: RetryReply}
+
+
+class LeaderProbe(Probe):
+    """Replica 0 with four peer addresses registered (resends and the fast-quorum
+    check see the whole cluster) and a detector the schedule controls."""
+
+    def __init__(self, replica_class) -> None:
+        super().__init__(replica_class)
+        for node_id in range(1, REPLICAS):
+            self.replica.network.register(_Peer(node_id))
+        self.replica.failure_detector = _Detector()
+
+    def observed(self) -> tuple:
+        replica = self.replica
+        states = {command_id: (
+            state.command, state.ballot, state.phase, state.timestamp, state.whitelist,
+            None if state.votes is None else (state.votes.threshold, state.votes.voters(),
+                                              list(state.votes.payloads())),
+            sorted(state.predecessors),
+            None if state.timer is None else (state.timer.time, state.timer.cancelled),
+            state.started_at, state.phase_started_at, state.went_slow, state.recovered)
+            for command_id, state in replica.leader_states.items()}
+        decisions = {command_id: (decision.kind, decision.decided_at, decision.executed_at,
+                                  decision.phase_times)
+                     for command_id, decision in replica.decisions.items()}
+        # The reference keys a round ("lead", id); the rewrite by the id alone.
+        rounds = [(key[1] if key[0] == "lead" else key, entry.message, entry.tracker.voters(),
+                   entry.deadline, entry.timeout, entry.attempts, entry.last_count)
+                  for key, entry in replica.retransmit._entries.items()]
+        timers = sorted(item[0] for item in self.sim._queue._heap
+                        if item[3] is None or not item[3].cancelled)
+        return super().observed() + (states, decisions, rounds, timers)
+
+
+class LeaderPair:
+    """The rewritten leader and the reference, acted on in lock step."""
+
+    def __init__(self) -> None:
+        self.new = LeaderProbe(CaesarReplica)
+        self.reference = LeaderProbe(ReferenceLeaderReplica)
+        self.steps = 0
+
+    def act(self, action, label: object = None) -> None:
+        """Apply ``action(probe)`` to both sides, then compare everything observable."""
+        action(self.new)
+        action(self.reference)
+        self.steps += 1
+        new, reference = self.new.observed(), self.reference.observed()
+        for position, (mine, theirs) in enumerate(zip(new, reference)):
+            assert mine == theirs, (self.steps, label, position, mine, theirs)
+
+    def submit(self, cmd: Command) -> None:
+        self.act(lambda probe: probe.replica.submit(cmd), ("submit", cmd.command_id))
+
+    def feed(self, src: int, message: object) -> None:
+        self.act(lambda probe: probe.replica.handle_message(src, message), (src, message))
+
+    def advance(self, ms: float) -> None:
+        self.act(lambda probe: probe.sim.run(until=probe.sim.now + ms), ("advance", ms))
+
+    def suspect(self, nodes) -> None:
+        def apply(probe):
+            probe.replica.failure_detector.suspected = set(nodes)
+        self.act(apply, ("suspect", nodes))
+
+    def deliver_own(self, index: int) -> None:
+        """Hand the replica the ``index``-th message it sent, each side its own copy."""
+        def apply(probe):
+            probe.replica.handle_message(0, probe.sent[index][1])
+        self.act(apply, ("own", index, self.new.sent[index][1]))
+
+    def recover(self, cmd: Command) -> None:
+        self.act(lambda probe: probe.replica.recovery.start_recovery(cmd), ("recover", cmd))
+
+    def state(self, cmd: Command):
+        return self.new.replica.leader_states.get(cmd.command_id)
+
+    def reply(self, src: int, cmd: Command, *, ok: bool = True, timestamp=None,
+              predecessors=(), ballot=None, kind=None) -> None:
+        """Feed the answer ``src`` gives to the current round of ``cmd``."""
+        state = self.state(cmd)
+        phase = state.phase if state is not None else PHASE_FAST
+        kind = kind or REPLY_TYPES[phase]
+        fields = dict(command_id=cmd.command_id,
+                      ballot=ballot or (state.ballot if state else Ballot.initial(0)),
+                      timestamp=timestamp or (state.timestamp if state else ts(1, 0)),
+                      predecessors=frozenset(predecessors))
+        if kind is not RetryReply:
+            fields["ok"] = ok
+        self.feed(src, kind(**fields))
+
+
+def drive_leader(seed: int, steps: int = 120) -> LeaderPair:
+    """One seeded schedule of leader steps; every step is compared on both sides."""
+    rng = random.Random(seed)
+    pair = LeaderPair()
+    replies: list = []
+    for _ in range(steps):
+        replica = pair.new.replica
+        draw = rng.random()
+        fresh = [cmd for cmd in LED if cmd.command_id not in replica.decisions]
+        if draw < 0.10 and fresh:
+            pair.submit(rng.choice(fresh))
+        elif draw < 0.55 and (replica.decisions or replica.leader_states):
+            cmd = LED_BY_ID[rng.choice(sorted(set(replica.decisions) | set(replica.leader_states)))]
+            state = pair.state(cmd)
+            if state is not None and rng.random() < 0.85:
+                kind = REPLY_TYPES[state.phase]
+            else:
+                kind = rng.choice(list(REPLY_TYPES.values()))
+            ballot = state.ballot if state is not None else Ballot.initial(0)
+            pick = rng.random()
+            if pick < 0.25:
+                ballot = dataclasses.replace(ballot)    # equal, not identical
+            elif pick < 0.35:
+                ballot = Ballot(0, rng.randrange(1, REPLICAS))  # someone else's
+            base = state.timestamp if state is not None else ts(3, 0)
+            timestamp = (base if rng.random() < 0.5 else
+                         LogicalTimestamp(max(0, base.counter + rng.randint(-2, 4)),
+                                          rng.randrange(REPLICAS)))
+            named = set(rng.sample(LEADER_NAMEABLE_ON[cmd.key], rng.choice((0, 0, 0, 1, 2))))
+            if rng.random() < 0.2:
+                named.add(cmd.command_id)
+            fields = dict(command_id=cmd.command_id, ballot=ballot, timestamp=timestamp,
+                          predecessors=frozenset(named))
+            if kind is not RetryReply:
+                fields["ok"] = rng.random() < 0.8
+            src, message = rng.randrange(REPLICAS), kind(**fields)
+            replies.append((src, message))
+            pair.feed(src, message)
+        elif draw < 0.62 and replies:
+            src, message = rng.choice(replies)
+            if rng.random() < 0.5:
+                message = dataclasses.replace(message, ballot=dataclasses.replace(message.ballot))
+            pair.feed(src, message)
+        elif draw < 0.75:
+            pair.advance(rng.choice((3.0, 40.0, 260.0, 800.0, 1600.0)))
+        elif draw < 0.85 and pair.new.sent:
+            own = [index for index, (dst, message) in enumerate(pair.new.sent)
+                   if dst in ("all", 0) and not isinstance(message, Recovery)]
+            stables = [index for index in own if isinstance(pair.new.sent[index][1], Stable)]
+            if stables and rng.random() < 0.5:
+                pair.deliver_own(rng.choice(stables))
+            elif own:
+                pair.deliver_own(rng.choice(own))
+        elif draw < 0.90:
+            pair.suspect(rng.choice(((), (4,), (3, 4), (2, 3, 4))))
+        else:
+            attempts = replica.recovery._attempts
+            open_attempts = [cid for cid, attempt in attempts.items() if not attempt.dispatched]
+            if open_attempts and rng.random() < 0.8:
+                command_id = rng.choice(open_attempts)
+                attempt = attempts[command_id]
+                known = rng.random() < 0.8
+                status = rng.choice(list(CommandStatus))
+                fields = dict(command_id=command_id, ballot=attempt.ballot, known=known)
+                if known:
+                    fields.update(entry_ballot=rng.choice((Ballot.initial(0), attempt.ballot)),
+                                  timestamp=ts(rng.randint(1, 9), rng.randrange(REPLICAS)),
+                                  predecessors=frozenset(rng.sample(
+                                      LEADER_NAMEABLE_ON[attempt.command.key],
+                                      rng.randint(0, 3))),
+                                  status=status.value, forced=rng.random() < 0.3)
+                pair.feed(rng.randrange(1, REPLICAS), RecoveryReply(**fields))
+            else:
+                pair.recover(rng.choice(LED))
+    return pair
+
+
+class TestLeaderRandomSchedules:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_seeded_leader_schedule_agrees(self, seed):
+        drive_leader(seed).advance(10000.0)
+
+    def test_the_leader_schedules_reach_every_case(self):
+        """Fast, slow and recovered decisions, retries, re-armed timeouts, resends,
+        executions and replies that find no round must all occur."""
+        totals: dict = {}
+        for seed in range(60):
+            pair = drive_leader(seed)
+            stats = dataclasses.asdict(pair.new.replica.stats)
+            for name in ("fast_decisions", "slow_decisions", "slow_proposals", "retries",
+                         "recoveries_completed", "retransmissions_sent"):
+                totals[name] = totals.get(name, 0) + stats[name]
+            decisions = pair.new.replica.decisions.values()
+            totals["executed"] = totals.get("executed", 0) + sum(
+                decision.executed_at is not None for decision in decisions)
+            totals["recovered"] = totals.get("recovered", 0) + sum(
+                decision.kind is DecisionKind.RECOVERED for decision in decisions)
+        assert all(count >= 10 for count in totals.values()), totals
+
+
+L0, L1 = LED[0], LED[2]
+
+
+class TestLeaderScenarios:
+    def submitted(self, *commands: Command) -> LeaderPair:
+        pair = LeaderPair()
+        for cmd in commands or (L0,):
+            pair.submit(cmd)
+        return pair
+
+    def stables(self, pair: LeaderPair) -> list:
+        return [message for dst, message in pair.new.sent if isinstance(message, Stable)]
+
+    def test_a_fast_quorum_of_oks_decides_on_the_fast_path(self):
+        pair = self.submitted()
+        for src in (0, 1, 2):
+            pair.reply(src, L0)
+        assert self.stables(pair) == []
+        pair.reply(3, L0)
+        (decided,) = self.stables(pair)
+        assert decided.timestamp == ts(1, 0) and decided.predecessors == frozenset()
+        assert pair.new.replica.decisions[L0.command_id].kind is DecisionKind.FAST
+        assert pair.new.replica.leader_states == {} and len(pair.new.replica.retransmit) == 0
+
+    def test_the_highest_timestamp_and_the_union_of_predecessors_less_the_command_win(self):
+        pair = self.submitted()
+        pair.reply(1, L0, timestamp=ts(7, 1), predecessors=[(0, 0), L0.command_id])
+        pair.reply(2, L0, timestamp=ts(9, 2), predecessors=[(2, 0)])
+        pair.reply(3, L0, timestamp=ts(9, 2))           # an equal copy of the highest
+        pair.reply(4, L0, timestamp=ts(8, 4))
+        (decided,) = self.stables(pair)
+        assert decided.timestamp == ts(9, 2)
+        assert decided.predecessors == {(0, 0), (2, 0)}
+
+    def test_a_nack_sends_the_round_to_retry_and_a_classic_quorum_of_retry_replies_decides(self):
+        pair = self.submitted()
+        for src, ok in ((0, True), (1, False), (2, True), (3, True)):
+            pair.reply(src, L0, ok=ok, timestamp=ts(4, src))
+        assert pair.state(L0).phase == PHASE_RETRY
+        assert isinstance(pair.new.sent[-1][1], Retry)
+        for src in (1, 2, 3):
+            pair.reply(src, L0, predecessors=[(0, 0)] if src == 2 else ())
+        (decided,) = self.stables(pair)
+        assert decided.timestamp == ts(4, 3) and decided.predecessors == {(0, 0)}
+        assert pair.new.replica.decisions[L0.command_id].kind is DecisionKind.SLOW
+
+    def test_an_equal_ballot_counts_and_a_stale_or_foreign_one_does_not(self):
+        pair = self.submitted()
+        ballot = pair.state(L0).ballot
+        pair.reply(1, L0, ballot=dataclasses.replace(ballot))
+        pair.reply(2, L0, ballot=Ballot(0, 3))
+        pair.reply(3, L0, kind=SlowProposeReply)        # a reply for another phase
+        assert pair.state(L0).votes.voters() == [1]
+
+    def test_a_timeout_short_of_a_classic_quorum_rearms_and_one_past_it_goes_slow(self):
+        pair = self.submitted()
+        pair.reply(0, L0)
+        pair.reply(1, L0)
+        pair.advance(1600.0)
+        assert pair.state(L0).phase == PHASE_FAST and pair.new.replica.stats.slow_proposals == 0
+        pair.reply(2, L0, timestamp=ts(5, 2))
+        pair.advance(1600.0)
+        assert pair.state(L0).phase == PHASE_SLOW
+        assert pair.new.sent[-1][1] == SlowPropose(command=L0, ballot=Ballot.initial(0),
+                                                   timestamp=ts(5, 2),
+                                                   predecessors=frozenset())
+
+    def test_a_suspecting_detector_falls_back_once_every_trusted_node_voted(self):
+        pair = self.submitted()
+        pair.suspect((3, 4))
+        pair.reply(0, L0)
+        pair.reply(1, L0)
+        assert pair.state(L0).phase == PHASE_FAST
+        pair.reply(2, L0)
+        assert pair.state(L0).phase == PHASE_SLOW
+
+    def test_replies_after_the_stable_change_nothing(self):
+        pair = self.submitted()
+        for src in range(4):
+            pair.reply(src, L0)
+        sent = len(pair.new.sent)
+        pair.reply(4, L0)
+        pair.reply(1, L0, kind=RetryReply)
+        assert len(pair.new.sent) == sent
+
+    def test_the_leader_executes_its_own_stable_and_times_the_delivery_once(self):
+        pair = self.submitted()
+        for src in range(4):
+            pair.reply(src, L0)
+        stable_at = next(index for index, (_, message) in enumerate(pair.new.sent)
+                         if isinstance(message, Stable))
+        pair.advance(12.5)
+        pair.deliver_own(stable_at)
+        pair.deliver_own(stable_at)
+        decision = pair.new.replica.decisions[L0.command_id]
+        assert decision.executed_at == decision.decided_at + 12.5
+        assert decision.phase_times["deliver"] == 12.5
+
+    def test_recovery_built_states_resume_each_phase(self):
+        for status in ("accepted", "slow-pending", "stable", "fast-pending", "rejected"):
+            pair = self.submitted()
+            pair.recover(L1)
+            ballot = pair.new.replica.recovery._attempts[L1.command_id].ballot
+            for src in (1, 2):
+                pair.feed(src, RecoveryReply(command_id=L1.command_id, ballot=ballot, known=True,
+                                             entry_ballot=Ballot.initial(0), timestamp=ts(4, 1),
+                                             predecessors=frozenset([L0.command_id]),
+                                             status=status))
+            state = pair.state(L1)
+            if status == "stable":
+                assert state is None and self.stables(pair)[-1].command == L1
+                continue
+            assert state.recovered and state.ballot == ballot
+            for src in (1, 2, 3, 4):
+                pair.reply(src, L1, timestamp=ts(6, src))
+            assert pair.new.replica.decisions.get(L1.command_id) is None
+            assert self.stables(pair)[-1].command == L1, status
+
+
+def _first_timestamp_wins(state) -> bool:
+    """``_merge_replies`` with the timestamp of the first reply kept."""
+    replies = list(state.votes.payloads())
+    if replies:
+        state.timestamp = replies[0].timestamp
+    for reply in replies:
+        state.predecessors.update(reply.predecessors)
+    state.predecessors.discard(state.command.command_id)
+    return all(reply.ok for reply in replies)
+
+
+def _own_id_kept(state) -> bool:
+    """``_merge_replies`` without ``predecessors.discard(own id)``."""
+    replies = list(state.votes.payloads())
+    if replies:
+        state.timestamp = max([reply.timestamp for reply in replies] + [state.timestamp])
+    for reply in replies:
+        state.predecessors.update(reply.predecessors)
+    return all(reply.ok for reply in replies)
+
+
+class TestLeaderProbeTeeth:
+    @pytest.mark.parametrize("mutant", [_first_timestamp_wins, _own_id_kept])
+    def test_a_broken_reply_merge_is_caught(self, monkeypatch, mutant):
+        monkeypatch.setattr(CaesarReplica, "_merge_replies", staticmethod(mutant))
+        with pytest.raises(AssertionError):
+            for seed in range(60):
+                drive_leader(seed)

@@ -182,7 +182,7 @@ class TestWhitelistReconstruction:
                               entry_ballot=Ballot.initial(0), timestamp=ts(5),
                               predecessors=frozenset(), status="fast-pending")
         harness.manager.on_recovery_reply(2, stale)
-        assert harness.attempt.votes.payloads() == []
+        assert not harness.attempt.votes.payloads()
 
 
 class TestRecoveryMessageSide:

@@ -116,6 +116,21 @@ class TestFaultedPathGolden:
     second fault plane (``PYTHONPATH=<720628e checkout>/src python
     tests/test_chaos_conformance.py > tests/data/chaos_golden.json``); running
     the module as a script prints the cells of whatever ``src`` is on the path.
+
+    The ``crash-restart`` cells were rewritten once since, when a restart
+    began to re-arm what the crash killed: every pending retransmit round is
+    due at once, and CAESAR re-arms each fast proposal's timeout.  Old → new
+    (the other 41 cells are byte-identical):
+
+    - caesar: ``events_executed`` 6329 → 6345, ``taped`` and ``completed``
+      218 → 219, ``fast_decisions`` 216 → 219, ``slow_decisions`` 2 → 0
+      (with the retransmit half alone: 6379 events, 219 completed, 217 fast,
+      2 slow);
+    - epaxos: ``events_executed`` 5568 → 5648, ``taped`` and ``completed``
+      240 → 243, ``fast_decisions`` 232 → 235;
+    - m2paxos: ``events_executed`` 5251 → 5259;
+    - mencius: ``events_executed`` 1595 → 1609;
+    - multipaxos: unchanged.
     """
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)

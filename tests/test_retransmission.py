@@ -22,9 +22,11 @@ from hypothesis import strategies as st
 
 from repro.chaos.nemesis import DuplicationFault, Nemesis, NemesisPlan, random_plan
 from repro.consensus.command import Command
+from repro.core.config import CaesarConfig
 from repro.harness.chaos import ChaosConfig, run_chaos
 from repro.harness.cluster import ClusterConfig, build_cluster
 from repro.harness.experiment import ExperimentConfig, run_experiment
+from repro.runtime.kernel import RETRANSMIT_SCAN_EVERY_MS
 from repro.sim.random import DeterministicRandom
 
 PROTOCOLS = ("caesar", "epaxos", "m2paxos", "mencius", "multipaxos")
@@ -117,3 +119,54 @@ class TestByteNeutrality:
             assert replica.stats.retransmissions_sent == 0
             assert replica.stats.catchup_requests == 0
             assert replica.stats.catchup_replies == 0
+
+
+class TestRestartRearms:
+    """A restart re-arms what the crash silently killed.
+
+    Recovery is off, as in the chaos matrix: only the leader's own timers can
+    finish its rounds.  Every answer to a proposal broadcast just before the
+    crash reaches a dead process and is lost.
+    """
+
+    COMMAND = Command(command_id=(950, 0), key="k", operation="put", value="v", origin=4)
+
+    def cluster(self):
+        cluster = build_cluster(ClusterConfig(
+            protocol="caesar", seed=3,
+            protocol_options={"config": CaesarConfig(recovery_enabled=False)}))
+        cluster.start()
+        return cluster
+
+    def test_a_round_broadcast_before_a_crash_is_resent_at_the_first_scan_after_the_restart(self):
+        """The leader's own vote, counted before the crash, is no progress to wait out."""
+        cluster = self.cluster()
+        sim, leader = cluster.sim, cluster.replica(4)
+        leader.submit(self.COMMAND)
+        sim.run(until=sim.now + 1.0)        # the leader has voted for itself; no peer has
+        assert leader.leader_states[self.COMMAND.command_id].votes.count == 1
+        leader.crash()
+        sim.run(until=sim.now + 2000.0)     # every answer lands on the dead process
+        leader.restart()
+        restarted_at = sim.now
+        sim.run(until=restarted_at + RETRANSMIT_SCAN_EVERY_MS)
+        assert leader.stats.retransmissions_sent == 4
+        # One wide-area round trip later the command is decided and executed
+        # everywhere, not a backed-off deadline later.
+        assert cluster.run_until_executed([self.COMMAND.command_id], deadline_ms=1000.0)
+        assert leader.stats.fast_decisions == 1
+
+    def test_a_fast_round_short_of_its_fast_quorum_times_out_into_the_slow_path(self):
+        """With a second peer dead, three votes are a classic quorum but never a
+        fast one: only the proposal timeout, which fired while the leader was
+        down, can move the round on."""
+        cluster = self.cluster()
+        sim, leader = cluster.sim, cluster.replica(4)
+        cluster.replica(3).crash()
+        leader.submit(self.COMMAND)
+        leader.crash()                      # before even its own vote arrives
+        sim.run(until=sim.now + 2000.0)     # past the 1.5 s proposal timeout
+        leader.restart()
+        assert cluster.run_until_executed([self.COMMAND.command_id], deadline_ms=5000.0)
+        assert leader.stats.slow_proposals == 1 and leader.stats.slow_decisions == 1
+        assert leader.leader_states == {}

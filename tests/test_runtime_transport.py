@@ -144,13 +144,13 @@ class TestTransportSeam:
         assert not tracker.vote(1, "a")
         assert tracker.vote(2, "b")
         assert tracker.reached
-        assert tracker.payloads() == ["a", "b"]
+        assert list(tracker.payloads()) == ["a", "b"]
         assert tracker.voters() == [1, 2]
         # Re-votes replace, never double count.
         tracker2 = QuorumTracker(3)
         tracker2.vote(1, "x")
         assert not tracker2.vote(1, "y")
-        assert tracker2.payloads() == ["y"]
+        assert list(tracker2.payloads()) == ["y"]
 
     def test_kernel_rejects_unknown_message_types(self):
         from repro.harness.cluster import build_cluster

@@ -128,6 +128,49 @@ class TestTransportContract:
         backend.advance(50.0)
         assert fired == []
 
+    def test_timer_args_reach_the_callback(self, backend):
+        """``set_timer(delay, callback, *args)`` on the transport and on the node:
+        the arguments ride in the clock's event, so no closure is needed."""
+        fired = []
+
+        def record(*args):
+            fired.append(args)
+
+        node = backend.nodes[0]
+        backend.call(lambda: node.transport.set_timer(5.0, record, "transport"))
+        backend.call(lambda: node.set_timer(5.0, record, "node", 2))
+        backend.call(lambda: node.set_timer(5.0, record))
+        backend.advance(50.0)
+        assert sorted(fired) == [(), ("node", 2), ("transport",)]
+
+    def test_a_node_timer_with_args_is_crash_gated(self, backend):
+        fired = []
+        node = backend.nodes[0]
+        backend.call(lambda: node.set_timer(5.0, fired.append, "late"))
+        backend.call(node.crash)
+        backend.advance(50.0)
+        assert fired == []
+
+    def test_a_node_timer_with_args_runs_on_the_skewed_local_clock(self, backend):
+        """A slow local clock (``timer_scale`` 40) turns 5 ms into 200 ms."""
+        fired = []
+        node = backend.nodes[0]
+        node.timer_scale = 40.0
+        backend.call(lambda: node.set_timer(5.0, fired.append, "skewed"))
+        backend.advance(20.0)
+        assert fired == []
+        backend.advance(300.0)
+        assert fired == ["skewed"]
+
+    def test_a_node_timer_with_args_can_be_cancelled(self, backend):
+        fired = []
+        node = backend.nodes[0]
+        timer = backend.call(lambda: node.set_timer(5.0, fired.append, "cancelled"))
+        backend.call(timer.cancel)
+        assert timer.cancelled
+        backend.advance(50.0)
+        assert fired == []
+
     def test_self_send_is_delivered_exactly_once(self, backend):
         node = backend.nodes[0]
         backend.call(lambda: node.transport.start())
