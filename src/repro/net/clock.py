@@ -2,7 +2,7 @@
 
 :class:`WallClock` is the real-time counterpart of the discrete-event
 :class:`~repro.sim.simulator.Simulator`: the same ``now`` (milliseconds,
-float) and ``schedule(delay_ms, callback, priority, args)`` surface, backed
+float) and ``schedule(delay_ms, callback, args)`` surface, backed
 by the asyncio event loop's monotonic clock instead of an event heap.  The
 protocol kernel, the retransmission buffer, the catch-up probes and the
 closed/open-loop clients all run unchanged against it.
@@ -67,14 +67,13 @@ class WallClock(Clock):
         """Milliseconds of monotonic time since the clock was created."""
         return (self._loop.time() - self._t0) * 1000.0
 
-    def schedule(self, delay: float, callback: Callable[..., None], priority: int = 0,
+    def schedule(self, delay: float, callback: Callable[..., None],
                  args: Tuple = ()) -> ScheduledCall:
         """Run ``callback(*args)`` after ``delay`` milliseconds of wall time.
 
-        ``priority`` is accepted for interface compatibility with the
-        simulator and ignored: the event loop fires same-deadline callbacks
-        in scheduling order, which is the only ordering protocol code relies
-        on in real time.
+        The event loop fires same-deadline callbacks in scheduling order, as
+        the simulator does, and that is the only ordering protocol code
+        relies on in real time.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule an event in the past (delay={delay})")
@@ -86,7 +85,7 @@ class WallClock(Clock):
             handle = self._loop.call_later(delay / 1000.0, callback, *args)
         return ScheduledCall(handle)
 
-    def schedule_at(self, time: float, callback: Callable[..., None], priority: int = 0,
+    def schedule_at(self, time: float, callback: Callable[..., None],
                     args: Tuple = ()) -> ScheduledCall:
         """Schedule ``callback`` at an absolute clock reading (ms since start)."""
-        return self.schedule(max(0.0, time - self.now), callback, priority, args)
+        return self.schedule(max(0.0, time - self.now), callback, args)

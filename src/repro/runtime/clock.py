@@ -42,8 +42,7 @@ class Clock(abc.ABC):
         """Current time in milliseconds (virtual or monotonic wall time)."""
 
     @abc.abstractmethod
-    def schedule(self, delay: float, callback: Callable[..., None],
-                 priority: int = 0, args: Tuple = ()):
+    def schedule(self, delay: float, callback: Callable[..., None], args: Tuple = ()):
         """Run ``callback(*args)`` after ``delay`` milliseconds.
 
         Returns a cancellable handle with ``cancel()`` and ``cancelled``.

@@ -12,6 +12,7 @@ network's business: the nemesis applies them per directed link in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Dict, Optional, Tuple
 
 from repro.runtime.transport import NetworkStats, SimulatorTransport
@@ -28,7 +29,7 @@ class NetworkConfig:
 
     Attributes:
         jitter_ms: standard deviation of gaussian jitter added to each one-way
-            delay (clamped so delays never go below 5% of the nominal value).
+            delay (a sampled delay is clamped at :data:`MIN_DELAY_MS`).
         wire_accounting: when ``True`` the transports also measure every
             transmitted message through the registry codec and accumulate
             the byte counts into
@@ -51,6 +52,7 @@ class Network:
 
     def __init__(self, sim: Simulator, topology: Topology, config: Optional[NetworkConfig] = None) -> None:
         self.sim = sim
+        self._queue = sim._queue
         self.topology = topology
         self.config = config or NetworkConfig()
         self.stats = NetworkStats()
@@ -104,32 +106,32 @@ class Network:
             self._nominal_delay[pair] = nominal
         return nominal
 
-    def delay(self, src: int, dst: int) -> float:
-        """Sample the one-way delay for a message from ``src`` to ``dst``."""
-        # _nominal inlined (one call per message).
+    def send(self, src: int, dst: int, message: object) -> None:
+        """Send ``message`` from node ``src`` to node ``dst``.
+
+        The one-way delay is the pair's nominal delay plus gaussian jitter
+        (none on a self-send), never below :data:`MIN_DELAY_MS`.  Delivery is
+        asynchronous; a crashed receiver makes the message silently
+        disappear.
+        """
+        self.stats.messages_sent += 1
         nominal = self._nominal_delay.get((src, dst))
         if nominal is None:
             nominal = self._nominal(src, dst)
         jitter = self.config.jitter_ms
         if jitter > 0 and src != dst:
             nominal += self._gauss(0.0, jitter)
-        return MIN_DELAY_MS if nominal < MIN_DELAY_MS else nominal
-
-    def send(self, src: int, dst: int, message: object) -> None:
-        """Send ``message`` from node ``src`` to node ``dst``.
-
-        Delivery is asynchronous; a crashed receiver makes the message
-        silently disappear.
-        """
-        self.stats.messages_sent += 1
+        delay = MIN_DELAY_MS if nominal < MIN_DELAY_MS else nominal
         # The send time rides along so delivery can tell whether the
-        # destination crashed while the message was in flight (sim._now and
-        # the transient queue are used directly: this path runs once per
-        # message, and delivery events are never cancelled).
-        sim = self.sim
-        now = sim._now
-        sim._queue.push_transient(now + self.delay(src, dst), self._deliver,
-                                  args=(src, dst, message, now))
+        # destination crashed while the message was in flight.  This path
+        # runs once per message, so it reads sim._now and pushes a transient
+        # (never cancelled) entry onto the heap itself: a delivery is rarely
+        # the next event, which is what the queue's slot is for.
+        now = self.sim._now
+        queue = self._queue
+        seq = queue._seq
+        queue._seq = seq + 1
+        heappush(queue._heap, (now + delay, seq, self._deliver, (src, dst, message, now), None))
 
     def _deliver(self, src: int, dst: int, message: object, sent_at: float) -> None:
         """Hand a message that survived the network to its destination node.

@@ -54,9 +54,9 @@ class Node:
         self._cpu_free_at = 0.0
         self.cpu_busy_ms = 0.0
         self.messages_handled = 0
-        # Resolved once: only the simulator clock exposes an event queue for
-        # the handle-free dispatch push; other Clock backends (WallClock)
-        # dispatch through the portable schedule() path.
+        # Resolved once: only the simulator clock exposes an event queue (and
+        # its ``_now``) for the handle-free dispatch push; other Clock
+        # backends (WallClock) dispatch through the portable schedule() path.
         self._dispatch_queue = getattr(sim, "_queue", None)
         # The network acts as the transport factory: the simulated Network
         # hands out SimulatorTransports, a socket-world peer map hands out
@@ -105,37 +105,37 @@ class Node:
         """
         if self.crashed:
             return
-        sim = self.sim
-        local = src == self.node_id
-        if isinstance(message, MessageBatch):
+        cost_model = self.cost_model
+        kind = type(message)
+        if kind is MessageBatch:
+            local = src == self.node_id
             factor = (self.batching.marginal_cost_factor
                       if self.batching is not None else 1.0)
-            cost = self.cost_model.message_cost(message, local=local)
-            cost += sum(self.cost_model.message_cost(inner, local=local) * factor
+            cost = cost_model.message_cost(message, local=local)
+            cost += sum(cost_model.message_cost(inner, local=local) * factor
                         for inner in message.messages)
             dispatch, payload = self._dispatch_batch, message.messages
         else:
             # message_cost inlined: this branch runs once per simulated
             # message, and the model is three attribute reads.
-            cost_model = self.cost_model
-            cost = cost_model.per_type_ms.get(type(message).__name__,
-                                              cost_model.default_cost_ms)
-            if local:
+            cost = cost_model.per_type_ms.get(kind.__name__, cost_model.default_cost_ms)
+            if src == self.node_id:
                 cost *= cost_model.self_message_factor
             dispatch, payload = self._dispatch_one, message
-        now = sim.now
-        start = now if now > self._cpu_free_at else self._cpu_free_at
-        finish = start + cost
+        queue = self._dispatch_queue
+        now = self.sim.now if queue is None else self.sim._now
+        free_at = self._cpu_free_at
+        finish = (now if now > free_at else free_at) + cost
         self._cpu_free_at = finish
         self.cpu_busy_ms += cost
         # Dispatch events are never cancelled; the handle-free push skips an
-        # Event allocation per message.  ``now + (finish - now)`` preserves
-        # the exact float the delay-based schedule() produced.
-        queue = self._dispatch_queue
-        if queue is not None:
-            queue.push_transient(now + (finish - now), dispatch, args=(src, payload))
+        # Event allocation per message and, when the dispatch is the next
+        # event, the heap as well.  ``now + (finish - now)`` preserves the
+        # exact float the delay-based schedule() produced.
+        if queue is None:
+            self.sim.schedule(finish - now, dispatch, args=(src, payload))
         else:
-            sim.schedule(finish - now, dispatch, args=(src, payload))
+            queue.push_transient(now + (finish - now), dispatch, (src, payload))
 
     def _dispatch_one(self, src: int, message: object) -> None:
         """Run one queued message through the protocol handler."""

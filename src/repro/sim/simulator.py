@@ -2,17 +2,21 @@
 
 Virtual time is expressed in **milliseconds** as floats.  The simulator is
 purely deterministic: given the same seed and the same sequence of
-``schedule`` calls, every run produces the same interleaving.
+``schedule`` calls, every run produces the same interleaving.  Events fire in
+``(time, seq)`` order: by time, then in the order they were scheduled.
 
 The :meth:`Simulator.run` / :meth:`Simulator.run_until` loops are the hottest
 code in the repository (every simulated message passes through them twice:
 network delivery and CPU dispatch), so they operate directly on the event
-queue's heap instead of going through per-event method calls.
+queue's slot and heap instead of going through per-event method calls: each
+iteration takes the smaller of the slot entry and the heap head (see
+:mod:`repro.sim.events`).  They count executed events once per call.
 """
 
 from __future__ import annotations
 
 from heapq import heappop
+from math import inf
 from typing import Callable, Optional, Tuple
 
 from repro.sim.events import Event, EventQueue
@@ -50,7 +54,6 @@ class Simulator:
         self._now = 0.0
         self.rng = DeterministicRandom(seed)
         self._steps = 0
-        self._max_steps: Optional[int] = None
 
     @property
     def now(self) -> float:
@@ -59,17 +62,15 @@ class Simulator:
 
     @property
     def steps_executed(self) -> int:
-        """Number of events executed so far."""
+        """Number of events executed by completed run calls."""
         return self._steps
 
-    def schedule(self, delay: float, callback: Callable[..., None], priority: int = 0,
-                 args: Tuple = ()) -> Event:
+    def schedule(self, delay: float, callback: Callable[..., None], args: Tuple = ()) -> Event:
         """Schedule ``callback`` to run ``delay`` milliseconds from now.
 
         Args:
             delay: non-negative delay in virtual milliseconds.
             callback: callable invoked with ``args`` when the event fires.
-            priority: lower priorities fire earlier among simultaneous events.
             args: positional arguments pre-bound to the callback (lets hot
                 paths schedule bound methods instead of allocating closures).
 
@@ -78,37 +79,13 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
-        return self._queue.push(self._now + delay, callback, priority, args)
+        return self._queue.push(self._now + delay, callback, args)
 
-    def schedule_at(self, time: float, callback: Callable[..., None], priority: int = 0,
-                    args: Tuple = ()) -> Event:
+    def schedule_at(self, time: float, callback: Callable[..., None], args: Tuple = ()) -> Event:
         """Schedule ``callback`` at absolute virtual time ``time``."""
         if time < self._now:
             raise SimulationError(f"cannot schedule at {time} < now {self._now}")
-        return self._queue.push(time, callback, priority, args)
-
-    def set_max_steps(self, max_steps: Optional[int]) -> None:
-        """Abort a run after ``max_steps`` events (safety valve for tests)."""
-        self._max_steps = max_steps
-
-    def _check_max_steps(self) -> None:
-        if self._max_steps is not None and self._steps > self._max_steps:
-            raise SimulationError(f"exceeded max_steps={self._max_steps}")
-
-    def step(self) -> bool:
-        """Execute the next event.  Returns ``False`` if the queue is empty."""
-        global _TOTAL_EVENTS_EXECUTED
-        event = self._queue.pop()
-        if event is None:
-            return False
-        if event.time < self._now:
-            raise SimulationError("event time moved backwards")
-        self._now = event.time
-        self._steps += 1
-        _TOTAL_EVENTS_EXECUTED += 1
-        event.callback(*event.args)
-        self._check_max_steps()
-        return True
+        return self._queue.push(time, callback, args)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or virtual time reaches ``until``.
@@ -117,35 +94,33 @@ class Simulator:
         the end of the run, even if the last event fired earlier.
         """
         global _TOTAL_EVENTS_EXECUTED
-        heap = self._queue._heap
         queue = self._queue
+        heap = queue._heap
+        limit = inf if until is None else until
         executed = 0
         try:
-            while heap:
-                entry = heap[0]
-                time = entry[0]
-                if until is not None and time > until:
-                    break
-                heappop(heap)
-                queue._live -= 1
-                event = entry[3]
-                if event is None:
-                    callback = entry[4]
-                    args = entry[5]
+            while True:
+                entry = queue._slot
+                if entry is not None and (not heap or entry < heap[0]):
+                    if entry[0] > limit:
+                        break
+                    queue._slot = None
+                elif heap:
+                    if heap[0][0] > limit:
+                        break
+                    entry = heappop(heap)
                 else:
-                    if event.cancelled:
-                        continue
-                    callback = event.callback
-                    args = event.args
+                    break
+                time, _, callback, args, event = entry
+                if event is not None and event.cancelled:
+                    continue
                 self._now = time
-                self._steps += 1
                 executed += 1
                 callback(*args)
-                if self._max_steps is not None:
-                    self._check_max_steps()
         finally:
-            # The process-wide counter is flushed per run() call: perf
-            # trackers sample it between runs, never from inside callbacks.
+            # Both counters are flushed per run() call: perf trackers sample
+            # them between runs, never from inside callbacks.
+            self._steps += executed
             _TOTAL_EVENTS_EXECUTED += executed
         if until is not None and until > self._now:
             self._now = until
@@ -158,7 +133,8 @@ class Simulator:
             predicate: completion condition.  With ``check_every == 1``
                 (default) it is evaluated after every event; larger cadences
                 amortize expensive predicates over many events.
-            deadline: optional absolute virtual-time bound.
+            deadline: optional absolute virtual-time bound, not before ``now``
+                (a past deadline raises :class:`SimulationError`).
             check_every: evaluate the predicate every N executed events.  With
                 a cadence above 1 up to ``check_every - 1`` extra events may
                 run after the predicate first becomes true; the event
@@ -172,41 +148,41 @@ class Simulator:
         global _TOTAL_EVENTS_EXECUTED
         if check_every < 1:
             raise ValueError("check_every must be >= 1")
+        if deadline is not None and deadline < self._now:
+            raise SimulationError(f"deadline {deadline} < now {self._now}")
         if predicate():
             return True
-        heap = self._queue._heap
         queue = self._queue
+        heap = queue._heap
+        limit = inf if deadline is None else deadline
         executed = 0
         since_check = 0
         try:
-            while heap:
-                entry = heap[0]
-                time = entry[0]
-                if deadline is not None and time > deadline:
-                    self._now = deadline
-                    return predicate()
-                heappop(heap)
-                queue._live -= 1
-                event = entry[3]
-                if event is None:
-                    callback = entry[4]
-                    args = entry[5]
+            while True:
+                entry = queue._slot
+                if entry is not None and (not heap or entry < heap[0]):
+                    if entry[0] > limit:
+                        break
+                    queue._slot = None
+                elif heap:
+                    if heap[0][0] > limit:
+                        break
+                    entry = heappop(heap)
                 else:
-                    if event.cancelled:
-                        continue
-                    callback = event.callback
-                    args = event.args
+                    return predicate()
+                time, _, callback, args, event = entry
+                if event is not None and event.cancelled:
+                    continue
                 self._now = time
-                self._steps += 1
                 executed += 1
                 callback(*args)
-                if self._max_steps is not None:
-                    self._check_max_steps()
                 since_check += 1
                 if since_check >= check_every:
                     since_check = 0
                     if predicate():
                         return True
+            self._now = deadline
             return predicate()
         finally:
+            self._steps += executed
             _TOTAL_EVENTS_EXECUTED += executed

@@ -57,6 +57,7 @@ from repro.sim.network import Network
 from repro.sim.simulator import Simulator
 from repro.sim.topology import uniform_topology
 from tests.reference_caesar import ReferenceCaesarReplica, ReferenceLeaderReplica
+from tests.reference_simulator import pending_times
 
 REPLICAS = 5
 KEYS = ("x", "y")
@@ -585,9 +586,7 @@ class LeaderProbe(Probe):
         rounds = [(key[1] if key[0] == "lead" else key, entry.message, entry.tracker.voters(),
                    entry.deadline, entry.timeout, entry.attempts, entry.last_count)
                   for key, entry in replica.retransmit._entries.items()]
-        timers = sorted(item[0] for item in self.sim._queue._heap
-                        if item[3] is None or not item[3].cancelled)
-        return super().observed() + (states, decisions, rounds, timers)
+        return super().observed() + (states, decisions, rounds, pending_times(self.sim))
 
 
 class LeaderPair:

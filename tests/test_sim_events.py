@@ -28,14 +28,25 @@ class TestEventOrdering:
             event.callback()
         assert fired == ["first", "second", "third"]
 
-    def test_priority_breaks_ties_before_sequence(self):
+    def test_same_time_fifo_across_slot_and_heap(self):
+        """Same-time entries fire in push order, wherever each one is kept."""
         queue = EventQueue()
         fired = []
-        queue.push(3.0, lambda: fired.append("low-priority"), priority=5)
-        queue.push(3.0, lambda: fired.append("high-priority"), priority=0)
+        queue.push_transient(3.0, fired.append, args=("first",))
+        queue.push(3.0, fired.append, args=("second",))
+        queue.push_transient(3.0, fired.append, args=("third",))
+        queue.push_transient(1.0, fired.append, args=("earlier",))
         while (event := queue.pop()) is not None:
-            event.callback()
-        assert fired == ["high-priority", "low-priority"]
+            event.callback(*event.args)
+        assert fired == ["earlier", "first", "second", "third"]
+
+    def test_transient_push_keeps_the_first_entry_in_the_slot(self):
+        queue = EventQueue()
+        queue.push_transient(5.0, print)
+        queue.push_transient(2.0, print)
+        queue.push_transient(2.0, print)
+        assert queue._slot[:2] == (2.0, 1)
+        assert sorted(entry[:2] for entry in queue._heap) == [(2.0, 2), (5.0, 0)]
 
     def test_peek_time_returns_earliest(self):
         queue = EventQueue()
@@ -45,6 +56,12 @@ class TestEventOrdering:
 
     def test_peek_time_empty_queue(self):
         assert EventQueue().peek_time() is None
+
+    def test_peek_time_sees_the_slot(self):
+        queue = EventQueue()
+        queue.push(7.0, lambda: None)
+        queue.push_transient(3.0, lambda: None)
+        assert queue.peek_time() == 3.0
 
 
 class TestCancellation:
@@ -76,14 +93,7 @@ class TestCancellation:
         queue = EventQueue()
         queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)
+        queue.push_transient(0.5, lambda: None)
         queue.clear()
         assert queue.pop() is None
-        assert len(queue) == 0
-
-    def test_len_counts_pushed_events(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        assert len(queue) == 2
-        queue.pop()
-        assert len(queue) == 1
+        assert queue.peek_time() is None

@@ -80,14 +80,18 @@ class TestImpairments:
 
     def test_delay_never_below_floor(self):
         sim, network, nodes = build_network(rtt=0.0)
-        assert network.delay(0, 1) == MIN_DELAY_MS
         network.send(0, 1, "zero-latency")
         sim.run()
         assert nodes[1].received == [(0, "zero-latency")]
         assert sim.now == MIN_DELAY_MS
 
     def test_jitter_cannot_push_delay_below_floor(self):
-        _, network, _ = build_network(rtt=0.1, jitter_ms=5.0)
-        samples = [network.delay(0, 1) for _ in range(200)]
+        sim, network, nodes = build_network(rtt=0.1, jitter_ms=5.0)
+        samples = []
+        nodes[1].receive = lambda src, message: samples.append(sim.now)
+        for _ in range(200):
+            network.send(0, 1, "jittered")
+        sim.run()
+        assert len(samples) == 200
         assert min(samples) == MIN_DELAY_MS
         assert max(samples) > MIN_DELAY_MS

@@ -96,16 +96,26 @@ class TestRunBounds:
         sim = Simulator()
         assert sim.run_until(lambda: True)
 
-    def test_max_steps_guard(self):
+    def test_run_until_refuses_a_past_deadline(self):
+        """A deadline before ``now`` must not set the virtual clock back."""
         sim = Simulator()
-
-        def reschedule():
-            sim.schedule(1.0, reschedule)
-
-        sim.schedule(1.0, reschedule)
-        sim.set_max_steps(50)
+        sim.schedule(60.0, lambda: None)
+        sim.run(until=55.0)
         with pytest.raises(SimulationError):
-            sim.run()
+            sim.run_until(lambda: False, deadline=10.0)
+        assert sim.now == 55.0
+        fired = []
+        sim.schedule(0.0, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [55.0]
+        assert sim.now == 60.0
+
+    def test_run_until_accepts_a_deadline_at_now(self):
+        sim = Simulator()
+        sim.schedule(5.0, lambda: None)
+        sim.run(until=5.0)
+        assert not sim.run_until(lambda: False, deadline=5.0)
+        assert sim.now == 5.0
 
     def test_steps_executed_counts(self):
         sim = Simulator()
