@@ -32,7 +32,8 @@ def order_single_command(protocol: str, origin: int = 0, **options):
                       origin=origin)
     cluster.replica(origin).submit(command)
     # check_every=1: stop on the exact event so message counts stay comparable.
-    cluster.run_until_executed([command.command_id], deadline_ms=30000, check_every=1)
+    cluster.sim.run_until(lambda: cluster.all_executed([command.command_id]),
+                          deadline=cluster.sim.now + 30000, check_every=1)
     latency = cluster.replica(origin).decisions[command.command_id].latency_ms
     return latency, cluster
 

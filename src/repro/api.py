@@ -20,11 +20,7 @@ The entry points:
   (paired with :func:`run_loadgen` to drive it);
 * :func:`run_overload_sweep` — offered load swept past the saturation knee
   on either substrate, with optional admission control
-  (:func:`admission_policy`);
-* :func:`run_sharded` — a hash-partitioned keyspace over S independent
-  consensus groups (:class:`ShardedConfig`), on generator-built WAN
-  topologies (:func:`wan_topology`), optionally under zipfian skew
-  (:class:`ZipfWorkloadConfig`).
+  (:func:`admission_policy`).
 
 Each entry point has a config dataclass (``ExperimentConfig``,
 ``ChaosConfig``, ``ServeConfig``, ``LoadgenConfig``, plus the underlying
@@ -54,15 +50,12 @@ _EXPORTS = {
     "run_loadgen": "repro.net.client",
     "serve_replica": "repro.net.replica",
     "run_overload_sweep": "repro.harness.overload",
-    "run_sharded": "repro.harness.shard",
     # configs
     "ExperimentConfig": "repro.harness.experiment",
     "ChaosConfig": "repro.harness.chaos",
     "ClusterConfig": "repro.harness.cluster",
     "NetworkConfig": "repro.sim.network",
     "WorkloadConfig": "repro.workload.generator",
-    "ZipfWorkloadConfig": "repro.workload.generator",
-    "ShardedConfig": "repro.harness.shard",
     "ServeConfig": "repro.net.cluster",
     "LoadgenConfig": "repro.net.client",
     "ReplicaConfig": "repro.net.replica",
@@ -77,13 +70,9 @@ _EXPORTS = {
     "LocalCluster": "repro.net.cluster",
     "ReplicaServer": "repro.net.replica",
     "Cluster": "repro.harness.cluster",
-    "ShardedResult": "repro.harness.shard",
-    "ShardRouter": "repro.harness.shard",
     "Topology": "repro.sim.topology",
     "ec2_five_sites": "repro.sim.topology",
     "custom_topology": "repro.sim.topology",
-    "wan_topology": "repro.sim.topology",
-    "with_replicas_per_site": "repro.sim.topology",
     "Command": "repro.consensus.command",
     "CommandResult": "repro.consensus.command",
     "PROTOCOLS": "repro.harness.protocols",

@@ -7,7 +7,6 @@ Installed as the ``repro`` console script::
     repro figure 6
     repro figure 9 --quick --workers 4
     repro figure all --workers auto --out benchmarks/results
-    repro shard --shards 1 2 4 --skew 0 0.99 --sites 20
     repro chaos --protocol caesar --nemesis minority-partition --seed 3
     repro chaos --matrix --quick
     repro serve --protocol caesar --replicas 3
@@ -34,7 +33,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from repro.chaos.nemesis import CONFORMANCE_SCHEDULES, NEMESIS_SCHEDULES
 from repro.harness.experiment import ExperimentConfig, run_experiment
-from repro.harness.figures import FIGURES, shard_scaling
+from repro.harness.figures import FIGURES
 from repro.harness.protocols import PROTOCOLS
 from repro.harness.sweep import planning_sweeps, resolve_workers
 from repro.metrics.report import format_protocol_stats, format_series
@@ -177,27 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "ones live in benchmarks/results; refused with "
                                     "--quick or --cells, which would overwrite a "
                                     "record with a partial run)")
-
-    shard_parser = command(
-        "shard", _shard,
-        "run the sharded-keyspace study: protocol x shards x zipf skew over "
-        "independent consensus groups (exit code 1 unless every command decided "
-        "with 0 conflict-order violations)",
-        shared_flags("workers", protocol="caesar", seed=21, clients=8))
-    shard_parser.add_argument("--shards", type=int, nargs="+", default=[1, 2, 4],
-                              metavar="N", help="shard counts to sweep")
-    shard_parser.add_argument("--skew", type=float, nargs="+", default=[0.0, 0.99],
-                              metavar="S",
-                              help="zipf exponents to sweep (0 = uniform)")
-    shard_parser.add_argument("--sites", type=int, default=20,
-                              help="WAN sites per consensus group")
-    shard_parser.add_argument("--replicas-per-site", type=int, default=1,
-                              help="co-located replicas per site (group size = "
-                                   "sites x this)")
-    shard_parser.add_argument("--commands", type=int, default=4,
-                              help="commands per client stream")
-    shard_parser.add_argument("--key-space", type=int, default=1000,
-                              help="distinct keys in the zipf key space")
 
     chaos_parser = command(
         "chaos", _chaos,
@@ -362,29 +340,6 @@ def _figure(args: argparse.Namespace) -> Outcome:
                          f"and {record_path}]")
         outputs.append("\n".join(lines))
     return "\n\n".join(outputs), 0
-
-
-def _shard(args: argparse.Namespace) -> Outcome:
-    """Run the sharded-keyspace study.
-
-    Exit code 1 unless every submitted command was decided on every live
-    replica of its shard and no shard saw a conflict-order violation — the
-    same hard gate the sharded CI smoke relies on.
-    """
-    result = shard_scaling(
-        protocols=(args.protocol,), shard_counts=tuple(args.shards),
-        skews=tuple(args.skew), sites=args.sites,
-        replicas_per_site=args.replicas_per_site, clients=args.clients,
-        commands_per_client=args.commands, key_space=args.key_space,
-        seed=args.seed, workers=args.workers)
-    violations = result.extra["total_violations"]
-    undecided = result.extra["total_undecided"]
-    lines = [result.table, "",
-             f"conflict-order violations: {violations}",
-             f"undecided commands:        {undecided}"]
-    ok = violations == 0 and undecided == 0
-    lines.append(f"verdict: {'PASS' if ok else 'FAIL'}")
-    return "\n".join(lines), 0 if ok else 1
 
 
 def _chaos(args: argparse.Namespace) -> Outcome:

@@ -23,6 +23,10 @@ from repro.sim.network import Network, NetworkConfig
 from repro.sim.simulator import Simulator
 from repro.sim.topology import Topology, ec2_five_sites
 
+#: Executed events between two checks of :meth:`Cluster.run_until_executed`'s
+#: completion predicate; up to this many minus one extra events may run.
+EXECUTED_CHECK_EVERY = 32
+
 
 @dataclass
 class ClusterConfig:
@@ -97,16 +101,8 @@ class Cluster:
         return self.replicas[node_id]
 
     def replica_at(self, site: str) -> ConsensusReplica:
-        """The single replica hosted at the named site.
-
-        Raises ``ValueError`` when the site hosts several replicas (see
-        :meth:`Topology.index_of`); use :meth:`replicas_at` in that case.
-        """
+        """The replica hosted at the named site."""
         return self.replicas[self.topology.index_of(site)]
-
-    def replicas_at(self, site: str) -> List[ConsensusReplica]:
-        """All replicas hosted at the named site (empty when unknown)."""
-        return [self.replicas[index] for index in self.topology.indices_of(site)]
 
     def start(self) -> None:
         """Start per-replica background machinery (failure detectors etc.)."""
@@ -127,19 +123,17 @@ class Cluster:
                     return False
         return True
 
-    def run_until_executed(self, command_ids, deadline_ms: Optional[float] = None,
-                           check_every: int = 32) -> bool:
+    def run_until_executed(self, command_ids, deadline_ms: Optional[float] = None) -> bool:
         """Run until every live replica has executed every given command.
 
         Uses the O(1) execution counter as a cheap gate in front of the exact
         (per-replica, per-command) membership check, and evaluates the
-        predicate on a cadence rather than after every event, so the hot loop
-        never pays the full rescan.
+        predicate every :data:`EXECUTED_CHECK_EVERY` events rather than after
+        every event, so the hot loop never pays the full rescan.
 
         Args:
             command_ids: commands that must be executed everywhere.
             deadline_ms: optional bound, relative to the current virtual time.
-            check_every: predicate cadence forwarded to ``Simulator.run_until``.
 
         Returns:
             ``True`` when all commands executed everywhere, ``False`` on
@@ -156,7 +150,7 @@ class Cluster:
 
         deadline = None if deadline_ms is None else self.sim.now + deadline_ms
         return self.sim.run_until(executed_everywhere, deadline=deadline,
-                                  check_every=check_every)
+                                  check_every=EXECUTED_CHECK_EVERY)
 
     def check_consistency(self) -> List[tuple]:
         """Cross-check execution logs of all live replicas.

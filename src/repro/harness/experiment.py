@@ -11,13 +11,13 @@ counts, wait times, per-phase breakdowns) and a consistency check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.consensus.interface import DecisionKind
 from repro.harness.cluster import Cluster, ClusterConfig, build_cluster
 from repro.harness.protocols import constructor_options, flags_to_fields
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.stats import LatencySummary, summarize_latencies
+from repro.metrics.stats import LatencySummary
 from repro.runtime.batching import BatchingConfig
 from repro.runtime.costs import CostModel
 from repro.sim.network import NetworkConfig
@@ -168,17 +168,9 @@ def attach_clients(cluster: Cluster, config: ExperimentConfig, metrics: MetricsC
 
 def per_site_latency_summaries(topology: Topology,
                                metrics: MetricsCollector) -> Dict[str, LatencySummary]:
-    """Latency summary per *site*, aggregating all nodes hosted there.
-
-    With ``replicas_per_site > 1`` several origins map to one site; their
-    samples are pooled (in node-id order, so the result is deterministic)
-    before summarizing — a per-origin summary per site would silently keep
-    only the last node's numbers.
-    """
-    by_site: Dict[str, List[float]] = {}
-    for node_id in sorted({sample.origin for sample in metrics.samples}):
-        by_site.setdefault(topology.site_of(node_id), []).extend(metrics.latencies(node_id))
-    return {site: summarize_latencies(values) for site, values in by_site.items()}
+    """Latency summary per origin replica, keyed by the site hosting it."""
+    return {topology.site_of(origin): summary
+            for origin, summary in metrics.per_origin_summaries().items()}
 
 
 def summarize_experiment(result: ExperimentResult) -> Dict[str, object]:

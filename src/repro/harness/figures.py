@@ -542,73 +542,6 @@ def ablation_wait_condition(conflict_rates: Sequence[float] = (0.10, 0.30, 0.50)
 
 
 # --------------------------------------------------------------------------
-# Sharded keyspace: aggregate throughput vs shard count under zipfian skew
-# --------------------------------------------------------------------------
-
-def shard_scaling(protocols: Sequence[str] = ("caesar",),
-                  shard_counts: Sequence[int] = (1, 2, 4),
-                  skews: Sequence[float] = (0.0, 0.99),
-                  sites: int = 10, replicas_per_site: int = 2,
-                  clients: int = 8, commands_per_client: int = 4,
-                  key_space: int = 200,
-                  seed: int = 23, workers: Workers = 1,
-                  cell_filter: Optional[Sequence[str]] = None) -> FigureResult:
-    """Sharded keyspace: throughput vs shard count, per-shard conflict rates.
-
-    Not a paper figure — the paper evaluates one five-site group — but the
-    scale-out axis the ROADMAP asks for: S independent consensus groups over
-    a hash-partitioned keyspace, on generator-built WAN topologies
-    (``sites x replicas_per_site`` replicas per group), under zipfian skew.
-    Each cell is one full sharded run (its shards execute serially inside
-    the cell; the grid parallelizes across cells).
-    """
-    from repro.harness.shard import ShardedConfig, run_sharded_payload
-    from repro.workload.generator import ZipfWorkloadConfig
-
-    cells = [sweep_cell(
-        ("shard", protocol, skew, count),
-        ShardedConfig(protocol=protocol, shards=count, sites=sites,
-                      replicas_per_site=replicas_per_site, clients=clients,
-                      commands_per_client=commands_per_client,
-                      workload=ZipfWorkloadConfig(s=skew, key_space=key_space)),
-        base_seed=seed, runner=run_sharded_payload, collect=None)
-        for protocol in protocols for skew in skews for count in shard_counts]
-    sweep = run_sweep(cells, workers=workers, cell_filter=cell_filter)
-
-    throughput: Dict[str, Dict[object, Optional[float]]] = {}
-    conflict_series: Dict[str, Dict[object, Optional[float]]] = {}
-    violations = 0
-    undecided = 0
-    for protocol in protocols:
-        for skew in skews:
-            label = f"{protocol} s={skew:g}"
-            throughput[label] = {}
-            for count in shard_counts:
-                payload = sweep.payload(("shard", protocol, skew, count))
-                throughput[label][count] = _get(payload, "aggregate_throughput")
-                violations += _get(payload, "total_violations") or 0
-                undecided += _get(payload, "total_undecided") or 0
-                if payload is not None and count == max(shard_counts):
-                    conflict_series[label] = {
-                        shard["shard"]: shard["conflict_rate"]
-                        for shard in payload["shards"]}
-    tables = [format_series(
-        f"Sharded keyspace — aggregate throughput (cmds/s), "
-        f"{sites} sites x {replicas_per_site} replicas per group",
-        throughput, "shards")]
-    if conflict_series:
-        tables.append(format_series(
-            f"Sharded keyspace — measured conflict rate per shard "
-            f"({max(shard_counts)} shards)", conflict_series, "shard"))
-    return FigureResult(figure="shard",
-                        description="Aggregate throughput vs shard count under zipfian skew",
-                        series=throughput, table="\n\n".join(tables),
-                        extra={"per_shard_conflicts": conflict_series,
-                               "total_violations": violations,
-                               "total_undecided": undecided, "sweep": sweep})
-
-
-# --------------------------------------------------------------------------
 # The figure table
 # --------------------------------------------------------------------------
 
@@ -655,7 +588,4 @@ FIGURES: Dict[str, Figure] = {
     "ablation": Figure(ablation_wait_condition,
                        dict(conflict_rates=(0.1, 0.3), clients_per_site=10,
                             duration_ms=2500.0, warmup_ms=500.0)),
-    "shard": Figure(shard_scaling,
-                    dict(shard_counts=(1, 2), skews=(0.0, 1.2), sites=6, replicas_per_site=1,
-                         clients=4, commands_per_client=3, key_space=64)),
 }

@@ -94,22 +94,19 @@ class SweepCell:
 
 def sweep_cell(key: Sequence[object], config: ExperimentConfig,
                base_seed: Optional[int] = None,
-               seed_key: Optional[Sequence[object]] = None,
                runner: Callable = run_experiment,
                collect: Optional[Callable] = summarize_experiment,
                options: Optional[Mapping[str, object]] = None) -> SweepCell:
     """Build a cell whose RNG stream is forked from ``base_seed``.
 
-    The cell's seed is ``DeterministicRandom(base_seed).fork_cell(seed_key or
-    key)``: every cell of a sweep draws from an independent stream, keyed on
+    The cell's seed is ``DeterministicRandom(base_seed).fork_cell(key)``:
+    every cell of a sweep draws from an independent stream, keyed on
     coordinates rather than on position, so inserting or filtering cells
-    never perturbs its neighbours.  ``seed_key`` overrides the stream key for
-    cells whose results are deliberately shared across coordinates (e.g. a
-    conflict-oblivious protocol reported under every conflict rate).
+    never perturbs its neighbours.
     """
     key = tuple(key)
     if base_seed is not None:
-        derived = DeterministicRandom(base_seed).fork_cell(tuple(seed_key) if seed_key else key)
+        derived = DeterministicRandom(base_seed).fork_cell(key)
         config = replace(config, seed=derived.seed)
     return SweepCell(key=key, config=config, runner=runner, collect=collect,
                      options=dict(options or {}))

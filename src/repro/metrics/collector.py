@@ -2,8 +2,9 @@
 
 Clients push one :class:`CommandSample` per completed command; the collector
 aggregates them per origin replica and over time so the figure drivers can
-report per-site latency, total throughput and throughput timelines exactly as
-the paper's plots do.
+report per-site latency (every topology hosts one replica per site, so a
+site's latency is its origin's), total throughput and throughput timelines
+exactly as the paper's plots do.
 """
 
 from __future__ import annotations
@@ -77,27 +78,6 @@ class MetricsCollector:
             if summary is not None:
                 result[origin] = summary
         return result
-
-    def per_key_counts(self) -> Dict[str, int]:
-        """Number of recorded commands per key, in first-appearance order."""
-        counts: Dict[str, int] = {}
-        for sample in self.samples:
-            counts[sample.key] = counts.get(sample.key, 0) + 1
-        return counts
-
-    def conflict_rate(self) -> float:
-        """Fraction of recorded commands whose key was touched more than once.
-
-        The workloads are write-heavy, so two commands on the same key
-        conflict regardless of which client issued them; this measures how
-        contended the keyspace a collector observed actually was (the
-        sharding study reports it per shard).
-        """
-        if not self.samples:
-            return 0.0
-        counts = self.per_key_counts()
-        contended = sum(count for count in counts.values() if count > 1)
-        return contended / len(self.samples)
 
     def throughput(self, duration_ms: float) -> float:
         """Commands per second completed over ``duration_ms`` of measured time."""

@@ -41,7 +41,7 @@ from repro.net.wire import (ROLE_CLIENT, ROLE_CONTROL, ClientReply,
                             ClientRequest, Hello, StatsReply, StatsRequest)
 from repro.runtime.registry import WIRE, WireDecodeError
 from repro.workload.clients import ClientPool, build_pool
-from repro.workload.generator import WorkloadConfig, WorkloadSpec
+from repro.workload.generator import WorkloadConfig
 
 
 class RemoteReplica(asyncio.Protocol):
@@ -124,7 +124,7 @@ RECONNECT_TIMEOUT_MS = 3000.0
 
 
 async def connect_pool(endpoints: Dict[int, Tuple[str, int]], clients: int,
-                       workload: WorkloadSpec, clock: WallClock, metrics: MetricsCollector,
+                       workload: WorkloadConfig, clock: WallClock, metrics: MetricsCollector,
                        *, failover: bool = False,
                        **pool_options) -> Tuple[ClientPool, List[RemoteReplica]]:
     """Dial one connection per client, round-robin over ``endpoints``, and build the pool.

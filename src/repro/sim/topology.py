@@ -5,13 +5,8 @@ The paper deploys five Amazon EC2 sites: Virginia (US), Ohio (US), Frankfurt
 times between EU and US nodes are all below 100 ms and that Mumbai sees
 186 ms to Virginia, 301 ms to Ohio, 112 ms to Frankfurt and 122 ms to
 Ireland.  :func:`ec2_five_sites` encodes that matrix (with typical values for
-the pairs the paper only bounds).
-
-Beyond the paper's matrix, :func:`wan_topology` generates WAN-scale
-topologies (tens of sites grouped into regions) and
-:func:`with_replicas_per_site` expands any topology to several co-located
-replicas per site, so clusters can grow to 100+ nodes without hand-writing
-RTT matrices.
+the pairs the paper only bounds).  Every topology hosts one replica per
+site, so a site name and a node index name the same replica.
 """
 
 from __future__ import annotations
@@ -19,23 +14,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.sim.random import DeterministicRandom, derive_seed
-
 
 @dataclass
 class Topology:
     """A set of named sites and the round-trip times between them.
 
     Attributes:
-        sites: ordered site names; node ``i`` of a cluster lives at
-            ``sites[i]``.  A site name may appear several times when multiple
-            replicas are co-located (see :func:`with_replicas_per_site`).
+        sites: ordered, distinct site names; node ``i`` of a cluster lives
+            at ``sites[i]``.  A repeated name raises ``ValueError``: the RTT
+            map is keyed by site, so two nodes at one site could not have
+            their own RTTs.
         rtt_ms: symmetric map ``(site_a, site_b) -> round-trip time`` in
             milliseconds.  The one-way delay used by the network is half the
             round trip.  The mapping is copied defensively: the caller's dict
             is never mutated with mirrored keys or self-RTT defaults.
-        local_delivery_ms: delay for a node sending a message to itself, and
-            the one-way delay between distinct replicas of the same site.
+        local_delivery_ms: delay for a node sending a message to itself.
     """
 
     sites: List[str]
@@ -43,6 +36,12 @@ class Topology:
     local_delivery_ms: float = 0.05
 
     def __post_init__(self) -> None:
+        seen = set()
+        for site in self.sites:
+            if site in seen:
+                raise ValueError(f"site {site!r} appears more than once; "
+                                 f"a topology hosts one replica per site")
+            seen.add(site)
         # Never mutate the mapping the caller handed in: mirror keys and
         # self-RTT defaults belong to this instance only.
         rtt = dict(self.rtt_ms)
@@ -61,11 +60,6 @@ class Topology:
         """Number of nodes (one per entry of ``sites``)."""
         return len(self.sites)
 
-    @property
-    def site_names(self) -> List[str]:
-        """Distinct site names, in first-appearance order."""
-        return list(dict.fromkeys(self.sites))
-
     def rtt(self, a: int, b: int) -> float:
         """Round-trip time in ms between node indices ``a`` and ``b``."""
         return self.rtt_ms[(self.sites[a], self.sites[b])]
@@ -80,25 +74,9 @@ class Topology:
         """Name of the site hosting the given node index."""
         return self.sites[node_id]
 
-    def indices_of(self, site: str) -> List[int]:
-        """All node indices hosted at the named site (empty when unknown)."""
-        return [index for index, name in enumerate(self.sites) if name == site]
-
     def index_of(self, site: str) -> int:
-        """Node index of a named site hosting exactly one replica.
-
-        Raises ``ValueError`` for an unknown site, and also when the site
-        hosts more than one replica — silently returning the first index
-        would misattribute work once ``replicas_per_site > 1``; use
-        :meth:`indices_of` for multi-replica sites.
-        """
-        indices = self.indices_of(site)
-        if not indices:
-            raise ValueError(f"{site!r} is not in the topology")
-        if len(indices) > 1:
-            raise ValueError(f"site {site!r} hosts {len(indices)} replicas "
-                             f"(nodes {indices}); use indices_of()")
-        return indices[0]
+        """Node index of the named site (``ValueError`` when it is unknown)."""
+        return self.sites.index(site)
 
     def quorum_latency(self, origin: int, quorum_size: int) -> float:
         """Round-trip time needed for ``origin`` to hear from a quorum.
@@ -106,8 +84,12 @@ class Topology:
         This is the RTT to the ``quorum_size``-th closest node, counting the
         origin itself as distance zero (its vote needs no network round
         trip).  It is the analytic lower bound used in tests to sanity-check
-        simulated latencies.
+        simulated latencies.  ``quorum_size`` must lie in ``1..size``
+        (``ValueError`` otherwise).
         """
+        if not 1 <= quorum_size <= self.size:
+            raise ValueError(f"quorum_size must be within 1..{self.size}, "
+                             f"got {quorum_size}")
         rtts = sorted(0.0 if other == origin else self.rtt(origin, other)
                       for other in range(self.size))
         return rtts[quorum_size - 1]
@@ -200,73 +182,3 @@ def custom_topology(site_names: Sequence[str], rtt_matrix: Iterable[Iterable[flo
         for j in range(i + 1, len(names)):
             rtt[(names[i], names[j])] = float(matrix[i][j])
     return Topology(sites=names, rtt_ms=rtt, local_delivery_ms=local_delivery_ms)
-
-
-def with_replicas_per_site(topology: Topology, replicas_per_site: int) -> Topology:
-    """Expand a topology to several co-located replicas per site.
-
-    Node ordering is round-robin over the sites (``s0 s1 ... s0 s1 ...``), so
-    any prefix of the node list still spans every geography.  Replicas of the
-    same site talk to each other at ``2 x local_delivery_ms`` round trip —
-    the same self-RTT every topology already defines.
-    """
-    if replicas_per_site < 1:
-        raise ValueError("replicas_per_site must be >= 1")
-    if replicas_per_site == 1:
-        return topology
-    base = topology.site_names
-    if len(base) != len(topology.sites):
-        raise ValueError("topology already has multiple replicas per site")
-    sites = [site for _ in range(replicas_per_site) for site in base]
-    return Topology(sites=sites, rtt_ms=dict(topology.rtt_ms),
-                    local_delivery_ms=topology.local_delivery_ms)
-
-
-def wan_topology(sites: int = 20, regions: int = 5, replicas_per_site: int = 1,
-                 intra_region_rtt_ms: float = 4.0, inter_region_base_ms: float = 40.0,
-                 inter_region_step_ms: float = 45.0, jitter_ms: float = 8.0,
-                 seed: int = 0, local_delivery_ms: float = 0.05) -> Topology:
-    """Generate a WAN-scale topology: ``sites`` sites grouped into ``regions``.
-
-    Regions sit on a ring (think continents around the globe); the RTT
-    between two sites is a base plus a step per ring hop between their
-    regions, plus a deterministic per-pair wobble so no two links are
-    exactly alike.  Same-region pairs get ``intra_region_rtt_ms``.  The
-    wobble is drawn from a :class:`DeterministicRandom` stream derived from
-    ``seed`` with CRC32, so the same arguments produce byte-identical
-    topologies in every process.
-
-    Args:
-        sites: number of distinct sites (site ``i`` lives in region
-            ``i % regions``).
-        regions: number of regions on the ring.
-        replicas_per_site: co-located replicas per site; the returned
-            topology has ``sites * replicas_per_site`` nodes (see
-            :func:`with_replicas_per_site`).
-        intra_region_rtt_ms: RTT between distinct sites of one region.
-        inter_region_base_ms: RTT floor between sites in different regions.
-        inter_region_step_ms: RTT added per ring hop between the regions.
-        jitter_ms: half-width of the deterministic per-pair wobble.
-        seed: stream seed for the wobble.
-        local_delivery_ms: self-delivery delay.
-    """
-    if sites < 2:
-        raise ValueError("a WAN topology needs at least 2 sites")
-    if regions < 1:
-        raise ValueError("regions must be >= 1")
-    regions = min(regions, sites)
-    names = [f"r{i % regions}-site{i // regions}" for i in range(sites)]
-    rng = DeterministicRandom(derive_seed(seed, ("wan-topology", sites, regions)))
-    rtt: Dict[Tuple[str, str], float] = {}
-    for i in range(sites):
-        for j in range(i + 1, sites):
-            hops = abs(i % regions - j % regions)
-            hops = min(hops, regions - hops)
-            if hops == 0:
-                nominal = intra_region_rtt_ms
-            else:
-                nominal = inter_region_base_ms + inter_region_step_ms * hops
-            wobble = rng.uniform(-jitter_ms, jitter_ms)
-            rtt[(names[i], names[j])] = round(max(nominal + wobble, 1.0), 3)
-    topology = Topology(sites=names, rtt_ms=rtt, local_delivery_ms=local_delivery_ms)
-    return with_replicas_per_site(topology, replicas_per_site)

@@ -13,10 +13,10 @@ Both record completed-command latencies into a shared
 re-targeting to another replica when the original one crashes (the Figure 12
 client-reconnection behaviour).
 
-:func:`build_pool` is the only constructor call site outside the shard
-replay: every figure cell, chaos cell, oracle run and ``repro loadgen`` is
-that pool on a seed, on the simulator (targets are replicas) and over TCP
-(targets are connections, see :func:`repro.net.client.connect_pool`) alike.
+:func:`build_pool` is the only constructor call site: every figure cell,
+chaos cell, oracle run and ``repro loadgen`` is that pool on a seed, on the
+simulator (targets are replicas) and over TCP (targets are connections, see
+:func:`repro.net.client.connect_pool`) alike.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.consensus.interface import ConsensusReplica
 from repro.metrics.collector import MetricsCollector
 from repro.runtime.clock import Clock
 from repro.sim.random import DeterministicRandom
-from repro.workload.generator import ConflictWorkload, WorkloadSpec, build_workload
+from repro.workload.generator import ConflictWorkload, WorkloadConfig
 
 
 class ClosedLoopClient:
@@ -282,7 +282,7 @@ class ClientPool:
         return sum(client.rejected for client in self.clients)
 
 
-def build_pool(targets: Sequence[ConsensusReplica], workload: WorkloadSpec, clock: Clock,
+def build_pool(targets: Sequence[ConsensusReplica], workload: WorkloadConfig, clock: Clock,
                metrics: MetricsCollector, *, label: str = "client",
                open_loop_rate: Optional[float] = None, stop_after_ms: Optional[float] = None,
                failover: Sequence[ConsensusReplica] = (),
@@ -307,7 +307,7 @@ def build_pool(targets: Sequence[ConsensusReplica], workload: WorkloadSpec, cloc
     fallbacks = list(failover)
     for client_id, target in enumerate(targets):
         rng = clock.rng.fork(f"{label}-{client_id}")
-        stream = build_workload(client_id, target.node_id, workload, rng)
+        stream = ConflictWorkload(client_id, target.node_id, workload, rng)
         if open_loop_rate is not None:
             pool.add(OpenLoopClient(client_id, target, stream, clock, metrics,
                                     rate_per_second=open_loop_rate, rng=rng.fork("arrivals"),

@@ -18,13 +18,11 @@ from repro.harness.cluster import ClusterConfig
 from repro.harness.experiment import ExperimentConfig
 from repro.harness.figures import FIGURES
 from repro.harness.overload import OverloadConfig
-from repro.harness.shard import ShardedConfig
 from repro.harness.sweep import planning_sweeps
 from repro.net.client import LoadgenConfig
 from repro.net.cluster import ServeConfig
 from repro.net.replica import ReplicaConfig
 from repro.sim.network import NetworkConfig
-from repro.workload.generator import ZipfWorkloadConfig
 
 SURFACE_FILE = pathlib.Path(__file__).parent / "data" / "cli_parser_surface.json"
 
@@ -33,7 +31,7 @@ RESULTS_DIR = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
 
 #: Every config a CLI flag, a figure driver or the benchmark can fill in.
 CONFIGS = (ExperimentConfig, ClusterConfig, ChaosConfig, ServeConfig, ReplicaConfig,
-           LoadgenConfig, OverloadConfig, ShardedConfig, NetworkConfig, ZipfWorkloadConfig)
+           LoadgenConfig, OverloadConfig, NetworkConfig)
 
 #: ``sweep``'s parser surface at the parent of the commit that folded it into
 #: ``figure`` (``--out`` defaulted to ``benchmarks/results`` there).
@@ -132,8 +130,8 @@ class TestParser:
 
     def test_figure_absorbed_sweep_without_growing_the_cli(self):
         surface = parser_surface(build_parser())
-        assert set(surface) == {"run", "compare", "figure", "shard", "chaos", "serve",
-                                "loadgen", "overload", "topology"}
+        assert set(surface) == {"run", "compare", "figure", "chaos", "serve", "loadgen",
+                                "overload", "topology"}
         figure_flags = {flag for options, _, _ in surface["figure"] for flag in options}
         assert figure_flags <= PARENT_SWEEP_FLAGS
         # Files are written only on request.
@@ -153,7 +151,6 @@ class TestParser:
         (["figure", "7", "--quick", "--workers", "abc", "--cells", "nomatch"],
          "'auto' or a positive count"),
         (["figure", "7", "--workers", "-1"], "'auto' or a positive count"),
-        (["shard", "--workers", "0"], "'auto' or a positive count"),
         (["serve", "--peer", "1=h:99999"], "port in 1-65535"),
         (["serve", "--peer", "0=127.0.0.1:7000", "--peer", "0=127.0.0.1:7001"],
          "replica 0 is already at 127.0.0.1:7000"),

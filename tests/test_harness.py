@@ -4,17 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.cluster import ClusterConfig, build_cluster
+from repro.consensus.command import Command
+from repro.harness.cluster import EXECUTED_CHECK_EVERY, ClusterConfig, build_cluster
 from repro.harness.experiment import (
     ExperimentConfig,
     attach_clients,
     build_experiment_cluster,
+    per_site_latency_summaries,
     run_experiment,
 )
 from repro.harness.protocols import PROTOCOLS
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.report import format_series, format_table
-from repro.sim.topology import lan_topology, uniform_topology
+from repro.sim.simulator import total_events_executed
+from repro.sim.topology import EC2_SITES, ec2_five_sites, lan_topology, uniform_topology
 from repro.workload.generator import WorkloadConfig
 
 
@@ -43,6 +46,14 @@ class TestClusterBuilder:
         cluster = build_cluster()
         assert cluster.replica_at("mumbai").node_id == 4
 
+    def test_replica_at_names_the_replica_at_the_sites_node_index(self):
+        cluster = build_cluster()
+        assert [cluster.replica_at(site).node_id for site in EC2_SITES] == [0, 1, 2, 3, 4]
+
+    def test_replica_at_unknown_site_raises(self):
+        with pytest.raises(ValueError):
+            build_cluster().replica_at("nowhere")
+
     def test_protocol_options_forwarded(self):
         cluster = build_cluster(ClusterConfig(protocol="multipaxos",
                                               protocol_options={"leader_id": 2}))
@@ -52,6 +63,58 @@ class TestClusterBuilder:
         cluster = build_cluster()
         assert cluster.check_consistency() == []
         assert cluster.total_executed() == 0
+
+
+class TestRunUntilExecuted:
+    def test_no_commands_is_done_without_running_an_event(self):
+        cluster = build_cluster(ClusterConfig(topology=lan_topology(3)))
+        assert cluster.run_until_executed([]) is True
+        assert cluster.sim.now == 0.0
+
+    def test_overshoots_the_exact_stop_by_less_than_one_cadence(self):
+        def events_to_execute(run) -> int:
+            cluster = build_cluster(ClusterConfig(topology=lan_topology(3)))
+            command = Command(command_id=(0, 0), key="k", value="v")
+            cluster.replicas[0].submit(command, callback=lambda result: None)
+            before = total_events_executed()
+            assert run(cluster, [command.command_id]) is True
+            assert cluster.all_executed([command.command_id])
+            return total_events_executed() - before
+
+        exact = events_to_execute(lambda cluster, ids: cluster.sim.run_until(
+            lambda: cluster.all_executed(ids), check_every=1))
+        cadenced = events_to_execute(lambda cluster, ids: cluster.run_until_executed(ids))
+        assert exact <= cadenced < exact + EXECUTED_CHECK_EVERY
+
+    def test_an_unknown_command_times_out_at_the_deadline(self):
+        cluster = build_cluster(ClusterConfig(topology=lan_topology(3)))
+        cluster.start()
+        assert cluster.run_until_executed([(9, 9)], deadline_ms=50.0) is False
+        assert cluster.sim.now <= 50.0
+        assert not cluster.all_executed([(9, 9)])
+
+
+class TestPerSiteLatency:
+    def collector(self) -> MetricsCollector:
+        metrics = MetricsCollector()
+        for origin, latency in [(4, 30.0), (0, 10.0), (4, 50.0), (2, 20.0)]:
+            metrics.record_command(origin=origin, proposer=origin, latency_ms=latency,
+                                   completed_at=1000.0, key="k")
+        return metrics
+
+    def test_one_summary_per_origin_keyed_by_its_site(self):
+        summaries = per_site_latency_summaries(ec2_five_sites(), self.collector())
+        assert list(summaries) == ["virginia", "frankfurt", "mumbai"]
+
+    def test_a_sites_summary_is_its_origins_summary(self):
+        metrics = self.collector()
+        summaries = per_site_latency_summaries(ec2_five_sites(), metrics)
+        assert summaries["mumbai"] == metrics.summary(4)
+        assert summaries["mumbai"].mean == 40.0
+        assert summaries["virginia"].count == 1
+
+    def test_no_samples_no_sites(self):
+        assert per_site_latency_summaries(ec2_five_sites(), MetricsCollector()) == {}
 
 
 class TestExperimentRunner:

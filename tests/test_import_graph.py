@@ -28,7 +28,7 @@ DENIED_MODULES = ("asyncio", "ssl", "socket", "sqlite3", "multiprocessing",
                   "concurrent.futures")
 DENIED_PREFIXES = ("repro.net", "repro.chaos", "repro.baselines.",
                    "repro.harness.chaos", "repro.harness.overload", "repro.harness.sweep",
-                   "repro.harness.shard", "repro.harness.figures")
+                   "repro.harness.figures")
 
 
 def in_fresh_interpreter(script: str):

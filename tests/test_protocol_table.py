@@ -57,8 +57,8 @@ class TestOneTable:
                 if action.dest in ("protocol", "protocols"):
                     assert list(action.choices) == list(PROTOCOLS), name
                     seen += 1
-        # run, shard, chaos (x2: --protocol and --protocols), serve, loadgen, overload
-        assert seen == 7
+        # run, chaos (x2: --protocol and --protocols), serve, loadgen, overload
+        assert seen == 6
 
     def test_a_registered_protocol_becomes_a_cli_choice(self):
         argv = ["run", "--protocol", "primarycopy"]

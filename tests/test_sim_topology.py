@@ -11,8 +11,6 @@ from repro.sim.topology import (
     ec2_five_sites,
     lan_topology,
     uniform_topology,
-    wan_topology,
-    with_replicas_per_site,
 )
 
 
@@ -59,6 +57,8 @@ class TestEc2Topology:
         assert topology.quorum_latency(virginia, 3) == pytest.approx(76.0)
         # Fast quorum of 4 adds Frankfurt at 90ms.
         assert topology.quorum_latency(virginia, 4) == pytest.approx(90.0)
+        # The whole cluster waits for the farthest site, Mumbai at 186ms.
+        assert topology.quorum_latency(virginia, 5) == pytest.approx(186.0)
 
     def test_quorum_latency_origin_is_distance_zero(self):
         # Regression: the origin's own vote needs no network round trip, so a
@@ -67,6 +67,13 @@ class TestEc2Topology:
         topology = ec2_five_sites(local_delivery_ms=5.0)
         for origin in range(topology.size):
             assert topology.quorum_latency(origin, 1) == 0.0
+
+    @pytest.mark.parametrize("quorum_size", [0, -1, 6])
+    def test_quorum_latency_rejects_a_size_outside_the_cluster(self, quorum_size):
+        # Regression: size 0 read index -1 (the farthest RTT, 301 ms from
+        # Mumbai) and size 6 raised a bare IndexError.
+        with pytest.raises(ValueError, match="quorum_size"):
+            ec2_five_sites().quorum_latency(4, quorum_size)
 
     def test_describe_mentions_all_sites(self):
         text = ec2_five_sites().describe()
@@ -125,61 +132,67 @@ class TestTopologyConstruction:
         with pytest.raises(ValueError, match="asymmetric"):
             Topology(sites=["a", "b"], rtt_ms={("a", "b"): 10.0, ("b", "a"): 20.0})
 
-    def test_indices_of_lists_every_replica(self):
-        topology = Topology(sites=["a", "b", "a"], rtt_ms={("a", "b"): 10.0})
-        assert topology.indices_of("a") == [0, 2]
-        assert topology.indices_of("b") == [1]
-        assert topology.indices_of("nowhere") == []
+    @pytest.mark.parametrize("matrix", [
+        [[0, 10, 20], [10, 0, 30], [20, 30, 0]],
+        [[0, 10, 20], [10, 0, 10], [20, 10, 0]],
+    ])
+    def test_repeated_site_name_raises(self, matrix):
+        # Regression: a repeated site keyed two nodes' RTTs on one name, so a
+        # symmetric matrix raised "asymmetric rtt_ms", or the node-0/node-2
+        # RTT silently overwrote the site's self-RTT (rtt(0, 0) read 20.0).
+        with pytest.raises(ValueError, match="'a' appears more than once"):
+            custom_topology(["a", "b", "a"], matrix)
+        with pytest.raises(ValueError, match="'a' appears more than once"):
+            Topology(sites=["a", "b", "a"], rtt_ms={("a", "b"): 10.0})
 
-    def test_index_of_multi_replica_site_raises(self):
-        # Regression: index_of used to silently return the first replica.
-        topology = Topology(sites=["a", "b", "a"], rtt_ms={("a", "b"): 10.0})
-        with pytest.raises(ValueError, match="indices_of"):
-            topology.index_of("a")
-        assert topology.index_of("b") == 1
+
+#: Every topology constructor, each built with a non-default self-delay.
+TOPOLOGY_FACTORIES = {
+    "ec2": lambda: ec2_five_sites(local_delivery_ms=0.2),
+    "uniform": lambda: uniform_topology(4, rtt_ms=40.0, local_delivery_ms=0.2),
+    "lan": lambda: lan_topology(3),
+    "custom": lambda: custom_topology(["a", "b", "c"],
+                                      [[0, 10, 20], [10, 0, 30], [20, 30, 0]],
+                                      local_delivery_ms=0.2),
+}
 
 
-class TestWanTopology:
-    def test_site_and_node_counts(self):
-        topology = wan_topology(sites=20)
-        assert topology.size == 20
-        assert len(topology.site_names) == 20
+@pytest.mark.parametrize("factory", TOPOLOGY_FACTORIES.values(), ids=TOPOLOGY_FACTORIES.keys())
+class TestEveryTopology:
+    """Invariants every constructor's topology keeps: one replica per site,
+    a symmetric RTT matrix, and a quorum latency read off the sorted row."""
 
-    def test_symmetric_and_positive(self):
-        topology = wan_topology(sites=12, regions=4, seed=3)
-        for i in range(topology.size):
-            for j in range(topology.size):
-                assert topology.rtt(i, j) == topology.rtt(j, i)
-                if i != j:
-                    assert topology.rtt(i, j) >= 1.0
+    def test_site_and_node_index_name_the_same_replica(self, factory):
+        topology = factory()
+        assert len(set(topology.sites)) == topology.size
+        for node in range(topology.size):
+            assert topology.index_of(topology.site_of(node)) == node
 
-    def test_same_region_cheaper_than_cross_region(self):
-        topology = wan_topology(sites=10, regions=5, intra_region_rtt_ms=4.0,
-                                inter_region_base_ms=60.0, jitter_ms=2.0)
-        # Sites 0 and 5 share region 0; sites 0 and 1 are one hop apart.
-        assert topology.rtt(0, 5) < topology.rtt(0, 1)
+    def test_rtt_is_symmetric_and_positive_between_distinct_nodes(self, factory):
+        topology = factory()
+        for a in range(topology.size):
+            for b in range(topology.size):
+                assert topology.rtt(a, b) == topology.rtt(b, a)
+                if a != b:
+                    assert topology.rtt(a, b) > 0
+                    assert topology.one_way(a, b) == topology.rtt(a, b) / 2.0
 
-    def test_deterministic_across_calls(self):
-        first = wan_topology(sites=15, regions=4, seed=9)
-        second = wan_topology(sites=15, regions=4, seed=9)
-        assert first.sites == second.sites
-        assert first.rtt_ms == second.rtt_ms
+    def test_self_delay_comes_from_local_delivery(self, factory):
+        topology = factory()
+        for node in range(topology.size):
+            assert topology.one_way(node, node) == topology.local_delivery_ms
+            assert topology.rtt(node, node) == pytest.approx(2 * topology.local_delivery_ms)
 
-    def test_replicas_per_site_expands_round_robin(self):
-        topology = wan_topology(sites=4, regions=2, replicas_per_site=3)
-        assert topology.size == 12
-        base = topology.site_names
-        assert topology.sites == base * 3
-        # Replicas of one site talk at the local self-RTT.
-        first_site = topology.sites[0]
-        a, b = topology.indices_of(first_site)[:2]
-        assert topology.rtt(a, b) == pytest.approx(topology.local_delivery_ms * 2)
+    def test_quorum_latency_is_the_sorted_row(self, factory):
+        topology = factory()
+        for origin in range(topology.size):
+            row = sorted([0.0] + [topology.rtt(origin, other)
+                                  for other in range(topology.size) if other != origin])
+            assert [topology.quorum_latency(origin, size)
+                    for size in range(1, topology.size + 1)] == row
 
-    def test_with_replicas_per_site_rejects_double_expansion(self):
-        expanded = with_replicas_per_site(uniform_topology(3), 2)
-        with pytest.raises(ValueError):
-            with_replicas_per_site(expanded, 2)
-
-    def test_with_replicas_per_site_identity(self):
-        topology = uniform_topology(3)
-        assert with_replicas_per_site(topology, 1) is topology
+    def test_describe_prints_one_row_per_site(self, factory):
+        topology = factory()
+        lines = topology.describe().splitlines()
+        assert len(lines) == topology.size + 1
+        assert [line.split()[0] for line in lines[1:]] == topology.sites

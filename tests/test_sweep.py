@@ -93,9 +93,20 @@ class TestStableCellKeying:
     def test_sweep_cell_derives_config_seed_from_key(self):
         cell = sweep_cell(("fig", "caesar", 0.1), tiny_config(), base_seed=3)
         assert cell.config.seed == derive_seed(3, ("fig", "caesar", 0.1))
-        aliased = sweep_cell(("fig", "caesar", 0.3), tiny_config(), base_seed=3,
-                             seed_key=("fig", "caesar"))
-        assert aliased.config.seed == derive_seed(3, ("fig", "caesar"))
+
+    def test_sweep_cell_without_base_seed_keeps_the_config_seed(self):
+        cell = sweep_cell(("fig", "caesar"), tiny_config(seed=17))
+        assert cell.config.seed == 17
+
+    def test_cells_share_a_seed_exactly_when_they_share_a_key(self):
+        # A conflict-oblivious protocol reported under every conflict rate
+        # shares its seed by reusing one key, as figure 9 does.
+        first = sweep_cell(("fig9", "multipaxos"), tiny_config(conflict_rate=0.0), base_seed=3)
+        again = sweep_cell(("fig9", "multipaxos"), tiny_config(conflict_rate=0.3), base_seed=3)
+        other = sweep_cell(("fig9", "multipaxos", 0.3), tiny_config(conflict_rate=0.3),
+                           base_seed=3)
+        assert first.config.seed == again.config.seed
+        assert other.config.seed != first.config.seed
 
 
 class TestGridHelpers:

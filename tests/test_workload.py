@@ -21,13 +21,7 @@ from repro.sim.random import DeterministicRandom
 from repro.sim.simulator import Simulator
 from repro.sim.topology import lan_topology, uniform_topology
 from repro.workload.clients import ClientPool, ClosedLoopClient, OpenLoopClient, build_pool
-from repro.workload.generator import (
-    ConflictWorkload,
-    WorkloadConfig,
-    ZipfWorkload,
-    ZipfWorkloadConfig,
-    build_workload,
-)
+from repro.workload.generator import ConflictWorkload, WorkloadConfig
 
 
 class TestWorkloadConfig:
@@ -85,6 +79,29 @@ class TestConflictWorkload:
         second = self.make(0.4, seed=9)
         assert [first.next_command() for _ in range(20)] == \
                [second.next_command() for _ in range(20)]
+
+    def test_observed_conflict_rate_is_zero_before_any_command(self):
+        assert self.make(1.0).observed_conflict_rate == 0.0
+
+    def test_commands_carry_origin_payload_and_a_value_only_on_puts(self):
+        workload = ConflictWorkload(client_id=4, origin=2,
+                                    config=WorkloadConfig(payload_size=99, write_fraction=0.5),
+                                    rng=DeterministicRandom(6))
+        commands = [workload.next_command() for _ in range(50)]
+        assert {command.origin for command in commands} == {2}
+        assert {command.payload_size for command in commands} == {99}
+        assert {command.operation for command in commands} == {"put", "get"}
+        for command in commands:
+            sequence = command.command_id[1]
+            expected = f"v4.{sequence}" if command.operation == "put" else None
+            assert command.value == expected
+
+    def test_keys_stay_within_the_configured_pools(self):
+        config = WorkloadConfig(conflict_rate=0.5, shared_pool_size=3, private_pool_size=2)
+        workload = ConflictWorkload(client_id=5, origin=0, config=config,
+                                    rng=DeterministicRandom(2))
+        keys = {workload.next_command().key for _ in range(400)}
+        assert keys == {"shared-0", "shared-1", "shared-2", "private-5-0", "private-5-1"}
 
     def test_write_fraction_zero_generates_reads(self):
         workload = ConflictWorkload(client_id=0, origin=0,
@@ -325,7 +342,7 @@ class TestBuildPool:
 
 
 class TestOneConstructionSite:
-    """Clients are constructed in ``build_pool`` (and the shard replay) only."""
+    """Clients are constructed in ``build_pool`` only."""
 
     SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -336,12 +353,11 @@ class TestOneConstructionSite:
                 if isinstance(node, ast.Call):
                     yield path.relative_to(self.SRC).as_posix(), node
 
-    def test_client_constructors_are_called_in_two_modules(self):
+    def test_client_constructors_are_called_only_in_the_clients_module(self):
         sites = sorted((path, call.func.id) for path, call in self._calls()
                        if isinstance(call.func, ast.Name)
                        and call.func.id in ("ClosedLoopClient", "OpenLoopClient"))
-        assert sites == [("harness/shard.py", "ClosedLoopClient"),
-                         ("workload/clients.py", "ClosedLoopClient"),
+        assert sites == [("workload/clients.py", "ClosedLoopClient"),
                          ("workload/clients.py", "OpenLoopClient")]
 
     def test_client_streams_are_forked_in_one_place(self):
@@ -351,62 +367,3 @@ class TestOneConstructionSite:
         assert [fork for fork in forks if "client" in fork[1] or "arrivals" in fork[1]] == [
             ("workload/clients.py", "'arrivals'"),
             ("workload/clients.py", "f'{label}-{client_id}'")]
-
-
-class TestZipfWorkload:
-    def _workload(self, s: float, seed: int = 5, **config) -> ZipfWorkload:
-        defaults = dict(key_space=100)
-        defaults.update(config)
-        return ZipfWorkload(client_id=0, origin=0,
-                            config=ZipfWorkloadConfig(s=s, **defaults),
-                            rng=DeterministicRandom(seed))
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            ZipfWorkloadConfig(s=-0.1)
-        with pytest.raises(ValueError):
-            ZipfWorkloadConfig(key_space=0)
-
-    def test_keys_stay_within_key_space(self):
-        workload = self._workload(s=1.2, key_space=30)
-        for _ in range(200):
-            command = workload.next_command()
-            assert command.key.startswith("zipf-")
-            assert 0 <= int(command.key.split("-")[1]) < 30
-
-    def test_same_seed_same_stream(self):
-        first = [self._workload(s=0.9).next_command() for _ in range(1)]
-        a = self._workload(s=0.9, seed=11)
-        b = self._workload(s=0.9, seed=11)
-        assert ([a.next_command() for _ in range(50)]
-                == [b.next_command() for _ in range(50)])
-        assert first  # silence "unused" while keeping the smoke draw
-
-    def test_skew_concentrates_traffic_on_hot_keys(self):
-        def hot_rate(workload: ZipfWorkload) -> float:
-            """Share of 400 draws that hit the ten lowest ranks."""
-            keys = [workload.next_command().key for _ in range(400)]
-            return sum(int(key.split("-")[1]) < 10 for key in keys) / len(keys)
-
-        flat = hot_rate(self._workload(s=0.0))
-        skewed = hot_rate(self._workload(s=1.5))
-        # s=0 is uniform: ~10% of draws hit the 10-of-100 hot ranks; s=1.5
-        # concentrates most of the mass there.
-        assert skewed > flat + 0.3
-        assert flat < 0.3
-
-    def test_command_ids_are_sequential(self):
-        workload = self._workload(s=1.0)
-        ids = [workload.next_command().command_id for _ in range(5)]
-        assert ids == [(0, seq) for seq in range(5)]
-
-
-class TestBuildWorkload:
-    def test_dispatches_on_config_type(self):
-        rng = DeterministicRandom(1)
-        assert isinstance(build_workload(0, 0, WorkloadConfig(), rng), ConflictWorkload)
-        assert isinstance(build_workload(0, 0, ZipfWorkloadConfig(), rng), ZipfWorkload)
-
-    def test_rejects_unknown_config(self):
-        with pytest.raises(TypeError):
-            build_workload(0, 0, object(), DeterministicRandom(1))
