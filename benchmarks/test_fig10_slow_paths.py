@@ -1,22 +1,18 @@
-"""Figure 10: percentage of commands decided via the slow path.
+"""Figure 10: percentage of commands decided on the slow path, on the
+committed record.
 
-Paper reference: EPaxos' slow-path share tracks the conflict percentage,
-while CAESAR's grows far more slowly — more than 3x (up to 70%) fewer slow
-decisions at 30% conflicts — thanks to the wait condition, which only rejects
-a proposal when its timestamp is genuinely invalid.
+Checks PAPER.md's Figure 10 line: EPaxos' slow-path share grows with the
+conflict rate while CAESAR's stays several times lower, because the wait
+condition rejects a proposal only when its timestamp is really invalid.
 """
 
 from __future__ import annotations
 
-from repro.harness.figures import figure10_slow_paths
 
-
-def test_figure10_slow_paths(results_dir):
-    result = figure10_slow_paths()
-    result.write(results_dir)
-
-    caesar = result.series["caesar"]
-    epaxos = result.series["epaxos"]
+def test_figure10_slow_paths(committed_series):
+    series = committed_series("figure10_slow_paths")
+    caesar = series["caesar"]
+    epaxos = series["epaxos"]
 
     # No conflicts: neither protocol needs the slow path.
     assert epaxos["0%"] <= 1.0

@@ -1,26 +1,26 @@
-"""Figure 6: average latency per site vs. conflict percentage.
+"""Figure 6: average latency vs. conflict percentage, on the committed record.
 
-Paper reference: CAESAR's latency stays nearly constant from 0% to 50%
-conflicts while EPaxos and M2Paxos degrade; at 0% CAESAR is ~18% slower than
-EPaxos (one extra fast-quorum node) and ~50% slower from Mumbai.
+Checks PAPER.md's Figure 6 line: CAESAR pays one more fast-quorum node than
+EPaxos at 0 %, stays nearly flat as conflicts grow, and M2Paxos degrades.
+The record does not reproduce the line's crossover: EPaxos is below CAESAR
+at every rate, 100 % included (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
-from repro.harness.figures import figure6_latency_vs_conflicts
 
+def test_figure6_latency_vs_conflicts(committed_series):
+    series = committed_series("figure6_latency_vs_conflicts")
+    caesar = series["caesar"]
+    epaxos = series["epaxos"]
+    m2paxos = series["m2paxos"]
 
-def test_figure6_latency_vs_conflicts(results_dir):
-    result = figure6_latency_vs_conflicts()
-    result.write(results_dir)
-
-    caesar = result.series["caesar"]
-    epaxos = result.series["epaxos"]
-    m2paxos = result.series["m2paxos"]
-
-    # CAESAR pays one extra quorum node at 0% conflicts (paper: ~18% slower).
+    assert set(series) == {"caesar", "epaxos", "m2paxos"}
+    assert all(value > 0 for values in series.values() for value in values.values())
+    # CAESAR pays one extra quorum node at 0% conflicts.
     assert caesar["0%"] > epaxos["0%"]
-    # CAESAR's latency stays nearly flat up to 50% conflicts (paper's headline).
+    # CAESAR's latency stays nearly flat up to 50% conflicts.
+    assert caesar["30%"] <= caesar["0%"] * 1.35
     assert caesar["50%"] <= caesar["0%"] * 1.35
     # M2Paxos degrades with conflicts because of ownership forwarding.
     assert m2paxos["30%"] > m2paxos["0%"] * 1.15

@@ -8,6 +8,9 @@ protocols' message footprints.
 
 from __future__ import annotations
 
+import json
+import pathlib
+
 import pytest
 
 from repro.consensus.command import Command
@@ -85,13 +88,14 @@ def test_epaxos_fast_path_cheaper_quorum_than_caesar():
     assert epaxos_latency < caesar_latency
 
 
-def test_message_footprint_per_command(results_dir):
+def message_footprint():
     """Messages and codec-measured bytes to order a single command, per protocol.
 
     Byte counts come from the runtime registry's codec (the canonical wire
     encoding of every message actually sent), not from per-protocol size
-    estimates.  The per-protocol bytes-per-decision land in the committed
-    BENCH record, so a wire-format change shows up as a diff of that file.
+    estimates.  Returns ``(record, table, counts)``: the
+    ``micro_message_footprint`` record and table, and ``{protocol:
+    (messages, wire bytes)}``.
     """
     counts = {}
     events = 0
@@ -105,11 +109,24 @@ def test_message_footprint_per_command(results_dir):
         f"{name:>12}: {messages:3d} messages, {wire_bytes:5d} wire bytes for one command"
         for name, (messages, wire_bytes) in sorted(counts.items()))
     # The one record that is not a figure sweep: its event count is the five
-    # clusters' own, and it goes through the same writer as the figures.
+    # clusters' own.
     record = PerfRecord(
         name="micro_message_footprint", events_executed=events,
         extra={"codec_bytes_per_decision": {name: pair[1] for name, pair in counts.items()}})
-    write_record(record, table, results_dir)
+    return record, table, counts
+
+
+def test_message_footprint_per_command(results_dir):
+    """The committed footprint record and table, reproduced exactly in memory.
+
+    A wire-format change shows up here first; after reviewing it, rewrite
+    both files with ``PYTHONPATH=src python benchmarks/test_protocol_microbench.py``
+    (the same writer as the figures).
+    """
+    record, table, counts = message_footprint()
+    committed = json.loads((results_dir / "BENCH_micro_message_footprint.json").read_text())
+    assert record.to_json() == committed
+    assert (results_dir / "micro_message_footprint.txt").read_text() == table + "\n"
     messages = {name: pair[0] for name, pair in counts.items()}
     wire_bytes = {name: pair[1] for name, pair in counts.items()}
     # Multi-leader quorum protocols broadcast to everyone: at least 3N messages.
@@ -118,3 +135,8 @@ def test_message_footprint_per_command(results_dir):
     assert messages["multipaxos"] >= 9
     # Every sent message was measured through the codec.
     assert all(size > 0 for size in wire_bytes.values())
+
+
+if __name__ == "__main__":
+    footprint, footprint_table, _ = message_footprint()
+    print(write_record(footprint, footprint_table, pathlib.Path(__file__).parent / "results"))

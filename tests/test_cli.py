@@ -100,7 +100,8 @@ class TestParser:
         stems = {figure.stem for figure in FIGURES.values()}
         assert len(stems) == len(FIGURES)
         # The one record that is not a figure sweep (benchmarks/
-        # test_protocol_microbench.py writes it through the same writer).
+        # test_protocol_microbench.py checks it, and run as a script writes
+        # it through the same writer).
         stems.add("micro_message_footprint")
         assert {path.stem for path in RESULTS_DIR.glob("*.txt")} == stems
         assert {path.stem for path in RESULTS_DIR.glob("BENCH_*.json")} == {
