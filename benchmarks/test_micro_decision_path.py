@@ -5,8 +5,9 @@ predecessor computation, wait-condition evaluation/notification, and the
 history UPDATE — at several per-key bucket sizes, for both the optimized
 implementations (interned bitsets, timestamp-sorted buckets, incremental
 wait bookkeeping; :mod:`repro.core.history` / :mod:`repro.core.predecessors`)
-and the naive reference implementations kept in
-``tests/reference_decision_path.py``.
+and the paper's Figure 3 as ``tests/spec_caesar.py`` transcribes it (plain
+rows, sorted scans, every parked proposal re-scanned after every write), the
+reference column below.
 
 Because both variants run interleaved in the same process on the same data,
 the reported speedups are meaningful even on noisy shared hosts (each
@@ -28,8 +29,7 @@ from repro.consensus.command import Command
 from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.history import CommandHistory, CommandStatus
 from repro.core.predecessors import WaitManager, compute_predecessor_mask
-from tests.reference_decision_path import (ReferenceCommandHistory, ReferenceWaitManager,
-                                           reference_compute_predecessors)
+from tests.spec_caesar import SpecHistory, SpecWait, compute_predecessors
 
 #: Per-key bucket sizes the operations are timed at.
 BUCKET_SIZES = (64, 256, 1024)
@@ -90,12 +90,12 @@ def time_compute_predecessors(size: int) -> Dict[str, float]:
             compute_predecessor_mask(optimized, probe, probe_ts)
         return iterations
 
-    reference = ReferenceCommandHistory()
+    reference = SpecHistory()
     fill(reference, commands)
 
     def run_reference() -> int:
         for _ in range(iterations):
-            reference_compute_predecessors(reference, probe, probe_ts, None)
+            compute_predecessors(reference, probe, probe_ts)
         return iterations
 
     ops, seconds = best_of(run_optimized)
@@ -113,7 +113,7 @@ def time_history_update(size: int) -> Dict[str, float]:
         return size
 
     def run_reference() -> int:
-        history = ReferenceCommandHistory()
+        history = SpecHistory()
         fill(history, commands)
         return size
 
@@ -127,8 +127,8 @@ def time_wait_notify(size: int) -> Dict[str, float]:
     ``size`` blockers, then finalize NOTIFIES of them one by one.
 
     The optimized manager reclassifies just the changed entry per
-    notification; the reference manager re-scans every parked proposal's
-    whole bucket — the gap grows with the bucket size.
+    notification; the spec re-scans every parked proposal's conflicts after
+    every write — the gap grows with the bucket size.
     """
     commands = make_commands(size)
     proposals = [Command(command_id=(2, seq), key="hot", operation="put",
@@ -149,16 +149,16 @@ def time_wait_notify(size: int) -> Dict[str, float]:
         return PARKED + notifies
 
     def run_reference() -> int:
-        history = ReferenceCommandHistory()
+        history = SpecHistory()
         fill(history, commands)
-        manager = ReferenceWaitManager(history, lambda: 0.0)
+        manager = SpecWait(history, lambda: 0.0)
         for proposal in proposals:
             manager.evaluate(proposal, ts(0, 1), lambda ok, waited: None)
         assert manager.parked_count() == PARKED
         for command in commands[:notifies]:
             history.update(command, history.get(command.command_id).timestamp,
                            set(), CommandStatus.STABLE, BALLOT)
-            manager.notify_change(command.key)
+            manager.rescan()
         return PARKED + notifies
 
     ops, seconds = best_of(run_optimized)

@@ -1,16 +1,15 @@
-"""Differential tests: CAESAR's acceptor handlers, then its leader half, vs earlier code.
+"""Differential tests: CAESAR's acceptor handlers, then its leader half, vs the spec.
 
-A :class:`~repro.core.caesar.CaesarReplica` and ``tests/reference_caesar.py``
-(the handlers, UPDATE and WAIT as they were before the entry found at the
-top of a handler was handed down, over the node-wide interner of
-``tests/reference_history.py``, kept verbatim) each sit alone on an idle
-simulator and are fed the same messages at the same virtual times.  After
-every message both must have sent the same messages (type, destination,
-every field) in the same order and hold the same history rows (timestamp,
-predecessor ids, status, ballot, forced), delivered set, ballot register,
-logical clock, ``delivered_order``, ``wait_time_samples`` and ``stats``.
-Everything is compared as command ids: the two sides number them
-differently (per key here, per node in the reference).
+A :class:`~repro.core.caesar.CaesarReplica` and ``tests/spec_caesar.py``'s
+:class:`SpecCaesarReplica` (Figures 3 and 4 of the paper, transcribed over
+plain rows and scans) each sit alone on an idle simulator and are fed the
+same messages at the same virtual times.  After every message both must have
+sent the same messages (type, destination, every field; within one handler
+call as a multiset) and hold the same history rows (timestamp, predecessor
+ids, status, ballot, forced), delivered set, ballot register, logical clock,
+``delivered_order``, ``wait_time_samples`` and ``stats``.  Everything is
+compared as command ids; the spec's docstring lists where the two may
+legitimately differ and how these comparisons allow for it.
 
 The schedules are seeded random streams over a dozen commands on two keys —
 duplicated and retransmitted proposals at the same ballot, ``Stable`` before
@@ -21,14 +20,18 @@ off — plus each of those written out as a scenario, so that a handler that
 forgets one case fails a test that says which.
 
 The leader probe at the end does the same for the leader's side: replica 0
-submits commands and is fed seeded reply schedules, against
-``ReferenceLeaderReplica`` (see the comment above ``LeaderProbe``).
+submits commands and is fed seeded reply schedules.  ``TestSpecTeeth`` and
+``TestLeaderProbeTeeth`` put known mistakes into the product and require the
+differentials to notice.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import random
+import textwrap
+from collections import Counter
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
@@ -40,6 +43,7 @@ from repro.consensus.quorums import QuorumSystem
 from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.caesar import PHASE_FAST, PHASE_RETRY, PHASE_SLOW, CaesarReplica
 from repro.core.config import CaesarConfig
+from repro.core.delivery import DeliveryManager
 from repro.core.history import CommandStatus
 from repro.core.messages import (
     FastPropose,
@@ -52,12 +56,13 @@ from repro.core.messages import (
     SlowProposeReply,
     Stable,
 )
+from repro.core.predecessors import WaitManager
 from repro.kvstore.store import KeyValueStore
 from repro.sim.network import Network
 from repro.sim.simulator import Simulator
 from repro.sim.topology import uniform_topology
-from tests.reference_caesar import ReferenceCaesarReplica, ReferenceLeaderReplica
 from tests.reference_simulator import pending_times
+from tests.spec_caesar import SpecCaesarReplica, comparable_predecessors
 
 REPLICAS = 5
 KEYS = ("x", "y")
@@ -83,16 +88,19 @@ class Probe:
         self.replica.handle_message(src, message)
 
     def rows(self) -> list:
+        history, delivered = self.replica.history, self.replica.delivery.is_delivered
         return sorted((entry.command_id, entry.command, entry.timestamp,
-                       sorted(entry.predecessors), entry.status, entry.ballot, entry.forced)
-                      for entry in self.replica.history.entries())
+                       comparable_predecessors(history, entry, delivered(entry.command_id)),
+                       entry.status, entry.ballot, entry.forced)
+                      for entry in history.entries())
 
     def observed(self) -> tuple:
-        """Everything a peer, a client or a figure could tell the two replicas apart by."""
+        """Everything but the sends a peer, a client or a figure could tell the two
+        replicas apart by (the sends are compared per call, see :func:`agree`)."""
         replica = self.replica
         delivery = replica.delivery
         known = [entry.command_id for entry in replica.history.entries()] + NAMEABLE
-        return (self.sent, self.rows(), sorted(filter(delivery.is_delivered, set(known))),
+        return (self.rows(), sorted(filter(delivery.is_delivered, set(known))),
                 dict(replica.ballots), replica.timestamps.current, delivery.delivered_order,
                 delivery.pending_count(), delivery.missing_predecessors(),
                 replica.wait_manager.parked_count(), replica.wait_manager.total_waits,
@@ -108,33 +116,41 @@ class Probe:
                 and message.command_id == command.command_id]
 
 
+def agree(new: Probe, spec: Probe, sent_before: int, label: object) -> None:
+    """The sends since ``sent_before`` as a multiset, then everything else."""
+    mine, theirs = new.sent[sent_before:], spec.sent[sent_before:]
+    assert Counter(mine) == Counter(theirs), ("spec disagrees", label, mine, theirs)
+    for position, (mine, theirs) in enumerate(zip(new.observed(), spec.observed())):
+        assert mine == theirs, ("spec disagrees", label, position, mine, theirs)
+
+
 class Pair:
-    """The rewritten replica and the reference, fed in lock step."""
+    """The product and the spec, fed in lock step."""
 
     def __init__(self, wait_enabled: bool = True) -> None:
         self.new = Probe(CaesarReplica, wait_enabled)
-        self.reference = Probe(ReferenceCaesarReplica, wait_enabled)
+        self.spec = Probe(SpecCaesarReplica, wait_enabled)
         self.fed = 0
 
     def feed(self, src: int, message: object, advance_ms: float = 0.0) -> None:
+        before = len(self.new.sent)
         self.new.feed(src, message, advance_ms)
-        self.reference.feed(src, message, advance_ms)
+        self.spec.feed(src, message, advance_ms)
         self.fed += 1
-        new, reference = self.new.observed(), self.reference.observed()
-        for position, (mine, theirs) in enumerate(zip(new, reference)):
-            assert mine == theirs, (self.fed, message, position, mine, theirs)
+        agree(self.new, self.spec, before, (self.fed, message))
 
     def collect(self, command: Command) -> None:
         """Garbage-collect ``command`` on both sides, as the history compactor would."""
         self.new.replica.history.remove(command.command_id)
-        self.reference.replica.history.remove(command.command_id)
-        assert self.new.observed() == self.reference.observed()
+        self.spec.replica.history.remove(command.command_id)
+        agree(self.new, self.spec, len(self.new.sent), ("collect", command))
 
     def settle(self, advance_ms: float) -> None:
         """Let armed timers (the catch-up probe) fire on both sides."""
+        before = len(self.new.sent)
         self.new.sim.run(until=self.new.sim.now + advance_ms)
-        self.reference.sim.run(until=self.reference.sim.now + advance_ms)
-        assert self.new.observed() == self.reference.observed()
+        self.spec.sim.run(until=self.spec.sim.now + advance_ms)
+        agree(self.new, self.spec, before, ("settle", advance_ms))
 
 
 def ts(counter: int, node: int = 0) -> LogicalTimestamp:
@@ -514,10 +530,10 @@ class TestScenarios:
 
 # ----------------------------------------------------------------- leader probe
 #
-# The leader half: ``CaesarReplica`` against ``ReferenceLeaderReplica`` (the
-# previous LeaderState, ``_start_*``, ``_on_*_reply``, ``_merge_fast_replies``,
-# ``_on_fast_proposal_timeout`` and ``_execute_stable``, verbatim).  Replica 0
-# leads commands of its own and is fed seeded reply schedules: replies in any
+# The leader half: ``CaesarReplica`` against the spec's P1-P10, P21-P30, R1-R4
+# and S1 (the same kernel underneath, so the leader states, decision records,
+# retransmit rounds and timers are compared field by field).  Replica 0 leads
+# commands of its own and is fed seeded reply schedules: replies in any
 # order, duplicated, at the round's ballot object, at an equal copy of it or
 # at a stale one, OK or NACK; timer firings with fewer and with more than a
 # classic quorum of votes; a detector that suspects the nodes yet to vote;
@@ -582,29 +598,27 @@ class LeaderProbe(Probe):
         decisions = {command_id: (decision.kind, decision.decided_at, decision.executed_at,
                                   decision.phase_times)
                      for command_id, decision in replica.decisions.items()}
-        # The reference keys a round ("lead", id); the rewrite by the id alone.
-        rounds = [(key[1] if key[0] == "lead" else key, entry.message, entry.tracker.voters(),
+        rounds = [(key, entry.message, entry.tracker.voters(),
                    entry.deadline, entry.timeout, entry.attempts, entry.last_count)
                   for key, entry in replica.retransmit._entries.items()]
         return super().observed() + (states, decisions, rounds, pending_times(self.sim))
 
 
 class LeaderPair:
-    """The rewritten leader and the reference, acted on in lock step."""
+    """The product's leader and the spec's, acted on in lock step."""
 
     def __init__(self) -> None:
         self.new = LeaderProbe(CaesarReplica)
-        self.reference = LeaderProbe(ReferenceLeaderReplica)
+        self.spec = LeaderProbe(SpecCaesarReplica)
         self.steps = 0
 
     def act(self, action, label: object = None) -> None:
         """Apply ``action(probe)`` to both sides, then compare everything observable."""
+        before = len(self.new.sent)
         action(self.new)
-        action(self.reference)
+        action(self.spec)
         self.steps += 1
-        new, reference = self.new.observed(), self.reference.observed()
-        for position, (mine, theirs) in enumerate(zip(new, reference)):
-            assert mine == theirs, (self.steps, label, position, mine, theirs)
+        agree(self.new, self.spec, before, (self.steps, label))
 
     def submit(self, cmd: Command) -> None:
         self.act(lambda probe: probe.replica.submit(cmd), ("submit", cmd.command_id))
@@ -894,3 +908,73 @@ class TestLeaderProbeTeeth:
         with pytest.raises(AssertionError):
             for seed in range(60):
                 drive_leader(seed)
+
+
+def mutated(function, old: str, new: str):
+    """``function`` recompiled from its source (dedented to the left margin) with
+    ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, (function, old)
+    namespace = dict(function.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), namespace)
+    return namespace[function.__name__]
+
+
+def acceptor_differential() -> None:
+    """Every acceptor scenario, then every seeded schedule (wait condition on and
+    off), against the spec."""
+    scenarios = TestScenarios()
+    for name in sorted(vars(TestScenarios)):
+        if name.startswith("test_"):
+            getattr(scenarios, name)()
+    for seed, wait_enabled in [(seed, True) for seed in range(60)] + [
+            (seed, False) for seed in range(100, 120)]:
+        pair = Pair(wait_enabled)
+        for src, message, advance in random_schedule(seed):
+            pair.feed(src, message, advance)
+
+
+def delivery_examples() -> None:
+    """The delivery differential's written-out examples, against the spec."""
+    from tests import test_delivery_differential as delivery
+    for events in (delivery.TIE_ACROSS_BLOCKERS, delivery.DELIVERED_PREDECESSOR_NOT_EARLIER,
+                   delivery.DELIVERED_PREDECESSOR_LATER_SAME_KEY):
+        delivery.drive_deliveries(events)
+
+
+#: Known mistakes in the acceptor, WAIT and delivery: (product function, source
+#: text, its replacement, the differential that must catch it).
+SPEC_MUTANTS = {
+    "wait-immediate-ok-always": (
+        WaitManager.evaluate,
+        "if bucket.keys[-1] >> 32 <= (timestamp.counter << 32 | timestamp.node_id):",
+        "if True:", acceptor_differential),
+    "immediate-answer-ok-on-nack": (
+        CaesarReplica._on_fast_propose, "if verdict and not parked:",
+        "if verdict is not None and not parked:", acceptor_differential),
+    "breakloop-skips-every-delivered": (
+        DeliveryManager._break_loop,
+        "mask & ~(bucket.delivered\n                         & bucket.prefix_mask("
+        "entry.timestamp, writes_only=False))",
+        "mask & ~bucket.delivered", delivery_examples),
+    "6g-shortcut-with-a-parked-proposal": (
+        CaesarReplica._on_fast_propose, "if verdict and not parked:", "if verdict:",
+        acceptor_differential),
+    "nack-write-not-told-to-wait": (
+        CaesarReplica._answer_proposal,
+        "CommandStatus.REJECTED, ballot, entry=entry)\n"
+        "        if self.wait_manager.parked:\n"
+        "            self.wait_manager.notify_entry(entry)",
+        "CommandStatus.REJECTED, ballot, entry=entry)", acceptor_differential),
+}
+
+
+class TestSpecTeeth:
+    @pytest.mark.parametrize("name", sorted(SPEC_MUTANTS))
+    def test_a_broken_acceptor_wait_or_delivery_is_caught(self, monkeypatch, name):
+        function, old, new, differential = SPEC_MUTANTS[name]
+        owner = next(cls for cls in (WaitManager, CaesarReplica, DeliveryManager)
+                     if cls.__dict__.get(function.__name__) is function)
+        monkeypatch.setattr(owner, function.__name__, mutated(function, old, new))
+        with pytest.raises(AssertionError, match="spec disagrees"):
+            differential()

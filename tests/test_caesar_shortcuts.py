@@ -1,10 +1,10 @@
 """The shortcuts of the CAESAR decision path, each as the property it rests on.
 
 * WAIT answers OK without a scan when nothing on the key is later than the
-  proposal: over random buckets, an entry that is its bucket's last key has
-  an empty ``> timestamp`` suffix, and :meth:`WaitManager.evaluate`'s answer
-  equals what the full ``_scan_masks`` pass gives, with the wait condition on
-  and off, with the entry handed in and with the entry looked up.
+  proposal: over random buckets, :meth:`WaitManager.evaluate`'s answer for
+  the bucket's last entry is OK, and for every entry it equals what WAIT as
+  ``tests/spec_caesar.py`` states it answers on the same rows, with the wait
+  condition on and off, with the entry handed in and with the entry looked up.
 * :class:`Ballot`'s comparisons are written out: they must order ballots as
   ``(round, node_id)`` tuples do, and leave ``==`` / ``hash`` as the dataclass
   made them (a ballot is a dict value and a wire field).
@@ -29,6 +29,7 @@ from repro.consensus.timestamps import LogicalTimestamp, TimestampGenerator
 from repro.core.history import CommandHistory, CommandStatus
 from repro.core.predecessors import WaitManager
 from repro.runtime.kernel import BallotRegister
+from tests import spec_caesar as spec
 
 BALLOT = Ballot.initial(0)
 STATUSES = tuple(CommandStatus)
@@ -48,33 +49,32 @@ def command_for(slot: int, read: bool) -> Command:
 
 
 def build(rows, enabled: bool = True):
-    """A history holding ``rows`` on one key, and a wait manager over it."""
-    history = CommandHistory()
+    """``rows`` on one key in the product's history and the spec's, and the
+    product's wait manager."""
+    history, spec_history = CommandHistory(), spec.SpecHistory()
     commands = [command_for(slot, read) for slot, (_, _, read, _) in enumerate(rows)]
     for slot, (counter, status, _, named) in enumerate(rows):
         predecessors = {commands[other].command_id for other in range(len(rows))
                         if named >> other & 1 and other != slot}
-        history.update(commands[slot], LogicalTimestamp(counter, slot), predecessors,
-                       status, BALLOT)
-    return history, WaitManager(history, lambda: 0.0, enabled=enabled), commands
+        for target in (history, spec_history):
+            target.update(commands[slot], LogicalTimestamp(counter, slot), predecessors,
+                          status, BALLOT)
+    return history, WaitManager(history, lambda: 0.0, enabled=enabled), commands, spec_history
 
 
-def full_scan_answer(manager: WaitManager, command: Command, timestamp: LogicalTimestamp,
-                     self_bit: int, enabled: bool):
-    """WAIT's outcome from the unconditional suffix scan: the specification."""
-    blocker_mask, witness_mask = manager._scan_masks(command, timestamp, self_bit)
-    if blocker_mask:
-        return None if enabled else False
-    return not witness_mask
+def spec_answer(spec_history, command: Command, timestamp: LogicalTimestamp, enabled: bool):
+    """WAIT's outcome as the spec states it (``None``: the proposal waits)."""
+    wait = spec.SpecWait(spec_history, lambda: 0.0, enabled)
+    return wait.evaluate(command, timestamp, lambda ok, waited: None)
 
 
 class TestWaitShortcut:
     @settings(max_examples=300, deadline=None, database=None)
     @given(rows=bucket_strategy)
     def test_last_key_of_the_bucket_has_nothing_to_scan(self, rows):
-        history, manager, _ = build(rows)
+        history, manager, _, spec_history = build(rows)
         last = history.bucket("k").entries[-1]
-        assert manager._scan_masks(last.command, last.timestamp, 1 << last.index) == (0, 0)
+        assert spec_answer(spec_history, last.command, last.timestamp, True) is True
         assert manager.evaluate(last.command, last.timestamp, None, last) is True
         assert manager.parked_count() == 0
 
@@ -83,10 +83,9 @@ class TestWaitShortcut:
            handed=st.booleans())
     def test_every_entry_is_answered_as_the_full_scan_answers(self, rows, slot, enabled,
                                                               handed):
-        history, manager, commands = build(rows, enabled)
+        history, manager, commands, spec_history = build(rows, enabled)
         entry = history.get(commands[slot % len(rows)].command_id)
-        expected = full_scan_answer(manager, entry.command, entry.timestamp,
-                                    1 << entry.index, enabled)
+        expected = spec_answer(spec_history, entry.command, entry.timestamp, enabled)
         outcomes = []
         callback = lambda ok, waited: outcomes.append(ok)  # noqa: E731
         if handed:
@@ -102,7 +101,7 @@ class TestWaitShortcut:
            enabled=st.booleans())
     def test_a_command_never_seen_is_answered_as_the_full_scan_answers(self, rows, counter,
                                                                        read, enabled):
-        history, manager, _ = build(rows, enabled)
+        history, manager, _, spec_history = build(rows, enabled)
         newcomer = Command(command_id=(99, 0), key="k", operation="get" if read else "put",
                            origin=0)
         timestamp = LogicalTimestamp(counter, SLOTS)
@@ -110,7 +109,7 @@ class TestWaitShortcut:
         # WAIT interned the id on the way, as it always has.
         index = history.index_of(newcomer.command_id)
         assert index == len(rows)
-        assert answer is full_scan_answer(manager, newcomer, timestamp, 1 << index, enabled)
+        assert answer is spec_answer(spec_history, newcomer, timestamp, enabled)
 
     def test_a_bucket_without_entries_is_no_bucket(self):
         """A key whose entries were all collected, or whose ids were only ever
@@ -131,27 +130,27 @@ class TestWaitShortcut:
         """The teeth: an entry that is *not* the last key must be scanned."""
         rows = [(3, CommandStatus.FAST_PENDING, False, 0),
                 (9, CommandStatus.FAST_PENDING, False, 0)]
-        history, manager, commands = build(rows)
+        history, manager, commands, _ = build(rows)
         early = history.get(commands[0].command_id)
         assert manager.evaluate(early.command, early.timestamp, lambda ok, waited: None,
                                 early) is None
         assert manager.parked_count() == 1
-        history, manager, commands = build([rows[0], (9, CommandStatus.STABLE, False, 0)])
+        history, manager, commands, _ = build([rows[0], (9, CommandStatus.STABLE, False, 0)])
         early = history.get(commands[0].command_id)
         assert manager.evaluate(early.command, early.timestamp, None, early) is False
 
     def test_an_equal_timestamp_is_not_later(self):
         """The suffix is strictly greater: a tie (never issued) neither blocks nor rejects."""
-        history = CommandHistory()
+        history, spec_history = CommandHistory(), spec.SpecHistory()
         first, second = command_for(0, False), command_for(1, False)
         tie = LogicalTimestamp(5, 0)
-        history.update(first, tie, set(), CommandStatus.STABLE, BALLOT)
-        entry = history.update(second, tie, set(), CommandStatus.FAST_PENDING, BALLOT)
+        for target in (history, spec_history):
+            target.update(first, tie, set(), CommandStatus.STABLE, BALLOT)
+            target.update(second, tie, set(), CommandStatus.FAST_PENDING, BALLOT)
         manager = WaitManager(history, lambda: 0.0)
-        assert manager._scan_masks(second, tie, 1 << entry.index) == (0, 0)
-        assert manager.evaluate(second, tie, None, entry) is True
-        first_entry = history.get(first.command_id)
-        assert manager.evaluate(first, tie, None, first_entry) is True
+        for command in (first, second):
+            assert spec_answer(spec_history, command, tie, True) is True
+            assert manager.evaluate(command, tie, None, history.get(command.command_id)) is True
 
 
 GRID = [Ballot(round_, node) for round_ in range(3) for node in range(3)]

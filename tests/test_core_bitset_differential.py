@@ -1,13 +1,15 @@
-"""Differential test: optimized decision path vs the naive reference.
+"""Differential test: the product's decision-path structures vs the spec.
 
 Hypothesis generates random command streams (proposals, retries/status
-changes, garbage collection) and drives the optimized stack
+changes, garbage collection) and drives the product's stack
 (:class:`~repro.core.history.CommandHistory` + bitset
 ``compute_predecessor_mask`` + incremental
-:class:`~repro.core.predecessors.WaitManager`) and the naive reference stack
-(``tests/reference_decision_path.py``) through the *same* sequence, the way a CAESAR
-acceptor would: compute predecessors, UPDATE, notify the wait condition,
-evaluate proposals.  At every step both stacks must agree on
+:class:`~repro.core.predecessors.WaitManager`) and the spec's
+(``tests/spec_caesar.py``: plain rows, COMPUTEPREDECESSORS and WAIT as
+Figure 3 states them, every parked proposal re-scanned after every write)
+through the *same* sequence, the way a CAESAR acceptor would: compute
+predecessors, UPDATE, tell the wait condition, evaluate proposals.  At every
+step both stacks must agree on
 
 * the computed predecessor set of every proposal,
 * every WAIT outcome (park vs immediate, OK vs NACK, resolution order),
@@ -15,7 +17,7 @@ evaluate proposals.  At every step both stacks must agree on
 * GC behaviour (removal, and predecessor sets afterwards).
 
 This equivalence is what makes the interned-bitset representation
-trustworthy: the reference is the executable specification.
+trustworthy.
 """
 
 from __future__ import annotations
@@ -28,9 +30,7 @@ from repro.consensus.command import Command, KeyBindingError
 from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.history import CommandHistory, CommandStatus
 from repro.core.predecessors import WaitManager, compute_predecessors
-from tests.reference_decision_path import (ReferenceCommandHistory, ReferenceWaitManager,
-                                           reference_compute_predecessors)
-from tests.reference_history import CommandHistory as ReferenceHistory
+from tests import spec_caesar as spec
 
 BALLOT = Ballot.initial(0)
 
@@ -50,16 +50,16 @@ steps_strategy = st.lists(
 
 
 class DualStack:
-    """The optimized and reference stacks driven in lock step."""
+    """The product's and the spec's stacks driven in lock step."""
 
     def __init__(self) -> None:
         self.optimized = CommandHistory()
-        self.reference = ReferenceCommandHistory()
+        self.spec = spec.SpecHistory()
         self.opt_outcomes = []
-        self.ref_outcomes = []
+        self.spec_outcomes = []
         self.clock = 0.0
         self.opt_wait = WaitManager(self.optimized, lambda: self.clock)
-        self.ref_wait = ReferenceWaitManager(self.reference, lambda: self.clock)
+        self.spec_wait = spec.SpecWait(self.spec, lambda: self.clock)
         self.commands = {}
 
     def command_for(self, slot: int) -> Command:
@@ -75,32 +75,32 @@ class DualStack:
 
     def compute_both(self, command: Command, timestamp: LogicalTimestamp):
         opt = compute_predecessors(self.optimized, command, timestamp, None)
-        ref = reference_compute_predecessors(self.reference, command, timestamp, None)
-        assert opt == ref, (command, timestamp, opt, ref)
+        expected = spec.compute_predecessors(self.spec, command, timestamp)
+        assert opt == expected, (command, timestamp, opt, expected)
         return opt
 
     def update_both(self, command, timestamp, predecessors, status):
         entry = self.optimized.update(command, timestamp, predecessors, status, BALLOT)
-        self.reference.update(command, timestamp, predecessors, status, BALLOT)
+        self.spec.update(command, timestamp, predecessors, status, BALLOT)
         self.opt_wait.notify_entry(entry)
-        self.ref_wait.notify_change(command.key)
+        self.spec_wait.rescan()
 
     def check_agreement(self) -> None:
-        assert self.opt_outcomes == self.ref_outcomes
-        assert self.opt_wait.parked_count() == self.ref_wait.parked_count()
+        assert self.opt_outcomes == self.spec_outcomes
+        assert self.opt_wait.parked_count() == self.spec_wait.parked_count()
         for key in KEYS:
-            assert self.opt_wait.has_parked(key) == self.ref_wait.has_parked(key)
-        assert len(self.optimized) == len(self.reference)
+            assert self.opt_wait.has_parked(key) == self.spec_wait.has_parked(key)
+        assert len(self.optimized) == len(self.spec)
         for slot, command in self.commands.items():
             opt_entry = self.optimized.get(command.command_id)
-            ref_entry = self.reference.get(command.command_id)
-            assert (opt_entry is None) == (ref_entry is None)
+            spec_entry = self.spec.get(command.command_id)
+            assert (opt_entry is None) == (spec_entry is None)
             if opt_entry is not None:
-                assert set(opt_entry.predecessors) == set(ref_entry.predecessors)
-                assert opt_entry.timestamp == ref_entry.timestamp
-                assert opt_entry.status is ref_entry.status
-            assert (self.optimized.predecessors_of(command.command_id)
-                    == frozenset(self.reference.predecessors_of(command.command_id)))
+                assert opt_entry.predecessors == spec_entry.predecessors
+                assert opt_entry.timestamp == spec_entry.timestamp
+                assert opt_entry.status is spec_entry.status
+            assert self.optimized.predecessors_of(command.command_id) == (
+                spec_entry.predecessors if spec_entry is not None else frozenset())
 
 
 def drive(steps) -> DualStack:
@@ -115,18 +115,15 @@ def drive(steps) -> DualStack:
             predecessors = stack.compute_both(command, timestamp)
             stack.update_both(command, timestamp, predecessors,
                               CommandStatus.FAST_PENDING)
-            # The optimized WAIT answers in the call when it can and calls
-            # back only after a park; the reference always calls back.
-            verdict = stack.opt_wait.evaluate(
-                command, timestamp,
-                lambda ok, waited, c=command: stack.opt_outcomes.append(
-                    (c.command_id, ok, waited)))
-            if verdict is not None:
-                stack.opt_outcomes.append((command.command_id, verdict, 0.0))
-            stack.ref_wait.evaluate(
-                command, timestamp,
-                lambda ok, waited, c=command: stack.ref_outcomes.append(
-                    (c.command_id, ok, waited)))
+            # Both answer in the call when they can and call back after a park.
+            for wait, outcomes in ((stack.opt_wait, stack.opt_outcomes),
+                                   (stack.spec_wait, stack.spec_outcomes)):
+                verdict = wait.evaluate(
+                    command, timestamp,
+                    lambda ok, waited, c=command, outcomes=outcomes: outcomes.append(
+                        (c.command_id, ok, waited)))
+                if verdict is not None:
+                    outcomes.append((command.command_id, verdict, 0.0))
         elif kind == 1:
             # Status bump / retry of a command both histories already hold.
             if stack.optimized.get(command.command_id) is None:
@@ -134,7 +131,7 @@ def drive(steps) -> DualStack:
             status = BUMP_STATUSES[selector % len(BUMP_STATUSES)]
             predecessors = stack.compute_both(command, timestamp)
             stack.opt_wait.drop_command(command.command_id, command.key)
-            stack.ref_wait.drop_command(command.command_id, command.key)
+            stack.spec_wait.drop(command.command_id)
             stack.update_both(command, timestamp, predecessors, status)
         else:
             # GC: remove only when present and the key has nothing parked,
@@ -144,7 +141,7 @@ def drive(steps) -> DualStack:
             if stack.opt_wait.has_parked(command.key):
                 continue
             stack.optimized.remove(command.command_id)
-            stack.reference.remove(command.command_id)
+            stack.spec.remove(command.command_id)
         stack.clock += 1.0
         stack.check_agreement()
     return stack
@@ -160,7 +157,7 @@ class TestBitsetDifferential:
         # A deterministic stream that forces parking: a proposal behind two
         # pending conflicting writes, which then finalize one by one.  Each
         # finalize recomputes predecessors, so the stabilized blockers
-        # whitelist the parked proposal and it resolves OK.
+        # list the parked proposal and it resolves OK.
         steps = [
             (0, 0, 10, 0),   # write alpha @10
             (0, 2, 20, 0),   # write alpha @20
@@ -250,15 +247,15 @@ class TestBucketRelativeTranslation:
     @settings(max_examples=300, deadline=None)
     @given(steps=translation_steps)
     def test_keyed_translation_matches_plain_and_interns_in_the_same_order(self, steps):
-        # Fed identically: ``keyed`` interns per key and translates
-        # bucket-relative, ``plain`` is the node-wide interner of
-        # tests/reference_history.py translating one id at a time.
-        keyed, plain = CommandHistory(), ReferenceHistory()
+        # ``keyed`` translates bucket-relative where it can; ``first_seen`` is
+        # the order a translation one id at a time would intern in: each id
+        # the first time a set names it, in the set's iteration order, then
+        # the command's own id at its first UPDATE.
+        keyed, first_seen = CommandHistory(), {}
         for kind, slot, counter, dropped, added, frozen in steps:
             command = translation_command(slot)
             if kind == 2:
                 keyed.remove(command.command_id)
-                plain.remove(command.command_id)
                 continue
             bucket = keyed.bucket(command.key)
             ids = ({entry.command_id for entry in bucket.entries} if bucket is not None
@@ -266,8 +263,9 @@ class TestBucketRelativeTranslation:
             ids |= slots_of(added, command.key)
             ids = frozenset(ids) if frozen else ids
             mask = keyed.mask_from_ids(ids, command.key)
-            plain_mask = plain.mask_from_ids(ids)
-            assert keyed.ids_from_mask(mask, command.key) == plain.ids_from_mask(plain_mask) == ids
+            for command_id in ids:
+                first_seen.setdefault(command_id, None)
+            assert keyed.ids_from_mask(mask, command.key) == ids
             assert set(keyed.iter_mask(mask, command.key)) == ids
             for key in TRANSLATION_KEYS:
                 # Naming the key's ids on any other key is refused, and changes nothing.
@@ -282,14 +280,14 @@ class TestBucketRelativeTranslation:
             if kind < 2:
                 timestamp = LogicalTimestamp(counter, slot)
                 entry = keyed.update(command, timestamp, mask, CommandStatus.FAST_PENDING, BALLOT)
-                plain.update(command, timestamp, plain_mask, CommandStatus.FAST_PENDING, BALLOT)
-                assert entry.predecessors == plain.get(command.command_id).predecessors == ids
+                first_seen.setdefault(command.command_id, None)
+                assert entry.predecessors == ids
         # The interning-order contract: a key's indices are the node-wide
         # first-seen order restricted to the key.
         for key in TRANSLATION_KEYS:
             bucket = keyed.bucket(key)
             assert (bucket.id_of if bucket is not None else []) == [
-                command_id for command_id in plain._id_of
+                command_id for command_id in first_seen
                 if translation_command(command_id[0]).key == key]
             for command_id in (bucket.id_of if bucket is not None else ()):
                 assert bucket.id_of[keyed.index_of(command_id)] == command_id
