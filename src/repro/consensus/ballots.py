@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ballot:
     """A ``(round, node_id)`` ballot, ordered lexicographically.
 

@@ -58,14 +58,15 @@ class WallClock(Clock):
     """
 
     def __init__(self, seed: int = 0, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
-        self._loop = loop or asyncio.get_running_loop()
-        self._t0 = self._loop.time()
+        #: the event loop every call is scheduled on.
+        self.loop = loop or asyncio.get_running_loop()
+        self._t0 = self.loop.time()
         self.rng = DeterministicRandom(seed)
 
     @property
     def now(self) -> float:
         """Milliseconds of monotonic time since the clock was created."""
-        return (self._loop.time() - self._t0) * 1000.0
+        return (self.loop.time() - self._t0) * 1000.0
 
     def schedule(self, delay: float, callback: Callable[..., None],
                  args: Tuple = ()) -> ScheduledCall:
@@ -80,9 +81,9 @@ class WallClock(Clock):
         if delay <= 0:
             # call_soon keeps zero-delay dispatch (the per-message hot path)
             # off the heap-based timer queue.
-            handle = self._loop.call_soon(callback, *args)
+            handle = self.loop.call_soon(callback, *args)
         else:
-            handle = self._loop.call_later(delay / 1000.0, callback, *args)
+            handle = self.loop.call_later(delay / 1000.0, callback, *args)
         return ScheduledCall(handle)
 
     def schedule_at(self, time: float, callback: Callable[..., None],

@@ -43,49 +43,65 @@ def encode_frame(payload: bytes) -> bytes:
 class FrameDecoder:
     """Incremental decoder turning an arbitrary byte stream into payloads.
 
-    The decoder never copies more than once: chunks accumulate in a list and
-    are joined only when a frame boundary is known to be inside them.
+    The complete frames of a chunk are parsed in place, by offset, and each
+    payload is sliced out once.  Only an incomplete frame at the end of the
+    stream is kept, as the list of chunks it spans, and that list is joined
+    once, by the feed that completes the frame.
     """
 
     def __init__(self) -> None:
-        self._chunks: List[bytes] = []
-        self._buffered = 0
-        #: payload length of the frame currently being read (None = reading
-        #: the header).
-        self._need: int | None = None
+        #: the chunks of the incomplete frame at the end of the stream,
+        #: from its first header byte on.
+        self._tail: List[bytes] = []
+        self._tail_bytes = 0
+        #: the size the tail must reach before it is parsed again: its header,
+        #: or, once the header is in, the whole frame.
+        self._tail_end = 0
 
     @property
     def buffered_bytes(self) -> int:
-        """Bytes received but not yet emitted as part of a complete frame."""
-        return self._buffered
+        """Bytes received but not yet emitted as part of a complete frame.
+
+        The header of the incomplete frame no longer counts once it is whole.
+        """
+        buffered = self._tail_bytes
+        return buffered - HEADER.size if buffered >= HEADER.size else buffered
 
     def feed(self, data: bytes) -> Iterator[bytes]:
-        """Add ``data`` to the buffer and yield every completed payload."""
-        if data:
-            self._chunks.append(data)
-            self._buffered += len(data)
-        while True:
-            if self._need is None:
-                header = self._take(HEADER.size)
-                if header is None:
-                    return
-                (self._need,) = HEADER.unpack(header)
-                if self._need > MAX_FRAME_BYTES:
-                    raise FramingError(
-                        f"incoming frame of {self._need} bytes exceeds the "
-                        f"{MAX_FRAME_BYTES}-byte limit (corrupt stream?)")
-            payload = self._take(self._need)
-            if payload is None:
-                return
-            self._need = None
-            yield payload
+        """Add ``data`` to the stream and yield every completed payload.
 
-    def _take(self, count: int) -> bytes | None:
-        """Remove exactly ``count`` bytes from the buffer, or ``None`` if short."""
-        if self._buffered < count:
-            return None
-        buffer = b"".join(self._chunks) if len(self._chunks) != 1 else self._chunks[0]
-        taken, rest = buffer[:count], buffer[count:]
-        self._chunks = [rest] if rest else []
-        self._buffered = len(rest)
-        return taken
+        A consumer that stops iterating early leaves the frames it did not
+        take buffered for the next feed.
+        """
+        tail = self._tail
+        if tail:
+            tail.append(data)
+            self._tail_bytes += len(data)
+            if self._tail_bytes < self._tail_end:
+                return
+            data = b"".join(tail)
+            self._tail = []
+            self._tail_bytes = 0
+        header = HEADER.size
+        unpack = HEADER.unpack_from
+        end = len(data)
+        offset = 0
+        try:
+            while end - offset >= header:
+                (need,) = unpack(data, offset)
+                if need > MAX_FRAME_BYTES:
+                    raise FramingError(
+                        f"incoming frame of {need} bytes exceeds the "
+                        f"{MAX_FRAME_BYTES}-byte limit (corrupt stream?)")
+                stop = offset + header + need
+                if stop > end:
+                    break
+                start, offset = offset + header, stop
+                yield data[start:stop]
+        finally:
+            if offset < end:
+                rest = data[offset:] if offset else data
+                self._tail = [rest]
+                self._tail_bytes = end - offset
+                self._tail_end = (header + unpack(rest)[0] if end - offset >= header
+                                  else header)

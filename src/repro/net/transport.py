@@ -21,7 +21,8 @@ into latency, over sockets exactly as it does under the nemesis loss faults.
 ``stats`` surface (so the kernel runs unchanged) plus the transport-factory
 hook that hands replicas an :class:`AsyncioTransport`.  Its
 ``deliver_local`` dispatches a peer's message inline (a socket callback is
-never inside a handler) and defers only self-sends.
+never inside a handler) and defers only self-sends: they queue in order, and
+one event-loop callback delivers all that queued before it ran.
 """
 
 from __future__ import annotations
@@ -76,6 +77,9 @@ class PeerNetwork:
         self.reconnect = reconnect or ReconnectPolicy()
         self.stats = NetworkStats()
         self._nodes: Dict[int, object] = {}
+        #: self-sends not yet delivered, in send order; the first one into an
+        #: empty queue schedules :meth:`_deliver_self_sends`.
+        self._self_sends: List[object] = []
 
     def register(self, node) -> None:
         """Attach the locally hosted replica (the only node in this process)."""
@@ -96,18 +100,36 @@ class PeerNetwork:
         A message from a peer arrives in a socket callback, which is never
         inside a handler, and there is no simulated CPU to queue on: it is
         dispatched before this returns.  A self-send is issued from inside a
-        handler, so it takes ``Node.receive``'s deferred path and the handler
-        is never re-entered.
+        handler, so it is queued instead, behind the self-sends before it,
+        and the handler is never re-entered: the first self-send of a burst
+        schedules one event-loop callback, which delivers every self-send
+        queued by the time it runs.
         """
         node = self._nodes.get(self.local_id)
         if node is None or node.crashed:
             self.stats.messages_to_crashed += 1
             return
         self.stats.messages_delivered += 1
-        if src == self.local_id:
-            node.receive(src, message)
-        else:
+        if src != self.local_id:
             node._dispatch_one(src, message)
+            return
+        if not self._self_sends:
+            self.clock.loop.call_soon(self._deliver_self_sends)
+        self._self_sends.append(message)
+
+    def _deliver_self_sends(self) -> None:
+        """Dispatch the queued self-sends in order (the event-loop callback).
+
+        A self-send made by one of their handlers starts the next burst.
+        """
+        burst, self._self_sends = self._self_sends, []
+        node = self._nodes[self.local_id]
+        for message in burst:
+            node._dispatch_one(self.local_id, message)
+
+    def drop_self_sends(self) -> None:
+        """Forget the self-sends not yet delivered: the replica crashed or closed."""
+        self._self_sends = []
 
 
 class PeerConnection(asyncio.Protocol):
@@ -266,7 +288,7 @@ class AsyncioTransport(Transport):
     def _transmit(self, dst: int, message: object, frame: bytes) -> None:
         if dst == self._node_id:
             # Self-sends never cross the wire: straight into the local
-            # receive path (which defers dispatch through the clock).
+            # delivery queue.
             self.network.deliver_local(dst, message)
             return
         connection = self._connections.get(dst)
@@ -279,11 +301,17 @@ class AsyncioTransport(Transport):
         """Arm a timer running ``callback(*args)`` on the wall clock (asyncio event loop)."""
         return self.clock.schedule(delay_ms, callback, args=args)
 
+    def drop_unsent(self) -> None:
+        """Forget the queued self-sends: the replica crashed."""
+        self.network.drop_self_sends()
+
     def close(self) -> None:
-        """Tear down every dialed connection (idempotent)."""
+        """Tear down every dialed connection and forget the queued self-sends
+        (idempotent)."""
         if self._closed:
             return
         self._closed = True
+        self.network.drop_self_sends()
         for connection in self._connections.values():
             connection.close()
         self._connections.clear()

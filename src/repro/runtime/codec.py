@@ -28,8 +28,10 @@ byte *count*, which is what the wire accounting relies on).
 
 from __future__ import annotations
 
+import dataclasses
 import linecache
 from contextlib import contextmanager
+from types import MemberDescriptorType
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: Decoder result: (value, next_offset).
@@ -83,7 +85,7 @@ class SourceWriter:
         self._depth = 0
         self._locals = 0
         #: globals of the generated module: the varint slow paths plus every
-        #: object (factory, registry, opaque codec) an emitter bound.
+        #: object (class, slot setter, registry, opaque codec) an emitter bound.
         self.namespace: Dict[str, object] = {"_uv": encode_uvarint, "_duv": decode_uvarint}
         self._bound: Dict[int, str] = {}
 
@@ -351,16 +353,43 @@ class FrozenSetCodec(_CollectionCodec):
 
 
 class StructCodec(Codec):
-    """A fixed-field object (dataclass) encoded as its fields in order.
+    """A frozen slotted dataclass encoded as its fields in order.
+
+    Decoding builds the object without its ``__init__``: ``object.__new__``
+    and then each field's slot descriptor, which skips the frozen class's
+    per-field ``object.__setattr__`` calls.  That is only the same object the
+    constructor would build when the class is a frozen dataclass whose fields
+    all live in slots and which has no ``__post_init__``; any other class is
+    refused here.
 
     Args:
-        factory: callable rebuilding the object from keyword arguments.
-        fields: ``(name, codec)`` pairs, in encoding order.
+        cls: the class of the encoded objects.
+        fields: ``(name, codec)`` pairs, in encoding order, one per field.
     """
 
-    def __init__(self, factory: Callable, fields: Sequence[Tuple[str, Codec]]) -> None:
-        self.factory = factory
+    def __init__(self, cls: type, fields: Sequence[Tuple[str, Codec]]) -> None:
+        self.cls = cls
         self.fields = tuple(fields)
+        params = getattr(cls, "__dataclass_params__", None)
+        if params is None or not params.frozen:
+            raise TypeError(f"{cls.__name__} is not a frozen dataclass")
+        if hasattr(cls, "__post_init__"):
+            raise TypeError(f"{cls.__name__} defines __post_init__, which decoding "
+                            "would skip")
+        # A field without a codec would be dropped by encode and left unset
+        # by decode, invisibly to round-trip tests, whose strategies are
+        # derived from the codecs themselves.
+        declared = {spec.name for spec in dataclasses.fields(cls)}
+        registered = {name for name, _ in self.fields}
+        if declared != registered:
+            raise ValueError(
+                f"{cls.__name__} registration does not match its fields: "
+                f"missing {sorted(declared - registered)}, "
+                f"unknown {sorted(registered - declared)}")
+        for name, _ in self.fields:
+            if not isinstance(getattr(cls, name, None), MemberDescriptorType):
+                raise TypeError(f"{cls.__name__}.{name} is not a slot "
+                                "(declare the dataclass with slots=True)")
 
     def emit_encode(self, gen: SourceWriter, value: str) -> None:
         for name, codec in self.fields:
@@ -369,10 +398,12 @@ class StructCodec(Codec):
             codec.emit_encode(gen, field)
 
     def emit_decode(self, gen: SourceWriter) -> str:
-        arguments = ", ".join(f"{name}={codec.emit_decode(gen)}"
-                              for name, codec in self.fields)
+        values = [(name, codec.emit_decode(gen)) for name, codec in self.fields]
         result = gen.var()
-        gen.line(f"{result} = {gen.bind(self.factory)}({arguments})")
+        gen.line(f"{result} = {gen.bind(object.__new__)}({gen.bind(self.cls)})")
+        for name, value in values:
+            setter = gen.bind(getattr(self.cls, name).__set__)
+            gen.line(f"{setter}({result}, {value})")
         return result
 
 

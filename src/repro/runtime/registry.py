@@ -39,7 +39,6 @@ twice.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Dict, List, Optional, Tuple, Type
 
 from repro.runtime.codec import (Codec, SourceWriter, StructCodec, compile_codec,
@@ -122,18 +121,17 @@ class MessageRegistry:
         self._encoders: Dict[Type, Callable[[object], bytes]] = {}
         self._decoders: Dict[int, Callable[[bytes, int], Tuple[object, int]]] = {}
 
-    def register(self, cls: Type, field_codecs: Dict[str, Codec],
-                 factory: Optional[Callable] = None) -> Type:
+    def register(self, cls: Type, field_codecs: Dict[str, Codec]) -> Type:
         """Register ``cls`` with one codec per field (in field order).
 
         The class must have a row of its own in the type-id table: one that is
         missing, or whose id another row also claims, is refused here, when
         its module is imported, and not when a peer first fails to decode it.
 
-        Every dataclass field must have a codec: a field silently missing
-        from the registration would be dropped by encode and restored to its
-        default by decode — invisible to round-trip tests, which derive
-        their strategies from the registration itself.
+        The class must be a frozen slotted dataclass without
+        ``__post_init__``, and every field must have a codec
+        (:class:`~repro.runtime.codec.StructCodec` says why); anything else
+        is refused here too.
         """
         if cls in self._codecs:
             raise ValueError(f"message type {cls.__name__} already registered")
@@ -145,16 +143,9 @@ class MessageRegistry:
             if other_id == type_id and other != name:
                 raise ValueError(
                     f"message type {name} shares type id {type_id} with {other}")
-        if dataclasses.is_dataclass(cls):
-            declared = {spec.name for spec in dataclasses.fields(cls)}
-            registered = set(field_codecs)
-            if declared != registered:
-                raise ValueError(
-                    f"{cls.__name__} registration does not match its fields: "
-                    f"missing {sorted(declared - registered)}, "
-                    f"unknown {sorted(registered - declared)}")
+        codec = StructCodec(cls, list(field_codecs.items()))
         self._by_id[type_id] = cls
-        self._codecs[cls] = StructCodec(factory or cls, list(field_codecs.items()))
+        self._codecs[cls] = codec
         return cls
 
     def types(self) -> List[Type]:

@@ -95,11 +95,12 @@ class Node:
     def receive(self, src: int, message: object) -> None:
         """Queue an arriving message behind the node's CPU, then dispatch it.
 
-        On the simulator every message enters here.  Over TCP only
-        self-sends do: a peer's message arrives in a socket callback, where
-        ``PeerNetwork.deliver_local`` hands it straight to
-        :meth:`_dispatch_one`.  The message is queued behind any CPU work
-        already in progress, then dispatched to :meth:`handle_message`.
+        On the simulator every message enters here; over TCP none does:
+        ``PeerNetwork.deliver_local`` hands a peer's message, which arrives
+        in a socket callback, straight to :meth:`_dispatch_one`, and
+        dispatches self-sends the same way from one event-loop callback per
+        burst.  The message is queued behind any CPU work already in
+        progress, then dispatched to :meth:`handle_message`.
         Message batches are unpacked here: the envelope costs one full
         message, each inner message a discounted marginal cost.
         """

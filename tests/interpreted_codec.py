@@ -10,7 +10,7 @@ byte (``tests/test_codec_differential.py``) and timed against
 
 :func:`interpreted_registry` mirrors a live registry's declarations
 (``types()``, ``field_codecs()``, ``.inner`` / ``.element`` / ``.elements`` /
-``.fields`` / ``.factory``) into a tree of these classes.
+``.fields`` / ``.cls``) into a tree of these classes.
 """
 
 from __future__ import annotations
@@ -278,7 +278,7 @@ def interpreted(codec: compiled.Codec, registry: InterpretedRegistry) -> Interpr
         return InterpretedFrozenSetCodec(interpreted(codec.element, registry))
     if kind is compiled.StructCodec:
         return InterpretedStructCodec(
-            codec.factory, [(name, interpreted(field, registry))
+            codec.cls, [(name, interpreted(field, registry))
                             for name, field in codec.fields])
     if kind is MessageCodec:
         return InterpretedMessageCodec(registry)

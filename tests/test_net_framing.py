@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net.framing import (HEADER, MAX_FRAME_BYTES, FrameDecoder,
                                FramingError, encode_frame)
@@ -64,3 +67,73 @@ class TestFrameDecoder:
         decoder = FrameDecoder()
         decoded = [WIRE.decode_one(p) for p in decoder.feed(stream)]
         assert decoded == messages
+
+
+def spec_parse(stream: bytes):
+    """What a decoder fed ``stream`` so far has emitted and still buffers.
+
+    The frame format read straight off the bytes: a 4-byte big-endian length,
+    then that many payload bytes.  The buffered count leaves out the header
+    of the incomplete frame once all four of its bytes are in.
+    """
+    payloads = []
+    while len(stream) >= 4:
+        end = 4 + int.from_bytes(stream[:4], "big")
+        if len(stream) < end:
+            return payloads, len(stream) - 4
+        payloads.append(stream[4:end])
+        stream = stream[end:]
+    return payloads, len(stream)
+
+
+class TestFrameDecoderAgainstTheSpec:
+    @settings(max_examples=300, deadline=None)
+    @given(payloads=st.lists(st.binary(max_size=40), max_size=8),
+           cuts=st.lists(st.integers(0, 400), max_size=12))
+    def test_every_feed_matches_the_spec_of_the_stream_so_far(self, payloads, cuts):
+        stream = b"".join(encode_frame(payload) for payload in payloads)
+        bounds = sorted({0, len(stream), *(cut for cut in cuts if cut < len(stream))})
+        decoder = FrameDecoder()
+        out = []
+        for start, stop in zip(bounds, bounds[1:]):
+            out.extend(decoder.feed(stream[start:stop]))
+            expected, buffered = spec_parse(stream[:stop])
+            assert out == expected
+            assert decoder.buffered_bytes == buffered
+        assert out == payloads
+
+    def test_a_consumer_that_stops_early_gets_the_rest_on_the_next_feed(self):
+        stream = b"".join(encode_frame(p) for p in (b"one", b"two", b"three")) + b"\x00"
+        decoder = FrameDecoder()
+        for payload in decoder.feed(stream):
+            assert payload == b"one"
+            break
+        assert list(decoder.feed(b"\x00\x00\x01!")) == [b"two", b"three", b"!"]
+        assert decoder.buffered_bytes == 0
+
+
+def test_a_frame_fed_in_small_chunks_is_joined_once():
+    """Linear work, counted: a 4 MiB frame arriving as 1,024 chunks of 4 KiB
+    is assembled by one ``bytes.join``, in the feed that completes it, not by
+    one join (or one copy of the whole buffer) per chunk."""
+    size, step = 4 * 1024 * 1024, 4096
+    stream = encode_frame(bytes(size))
+    chunks = [stream[start:start + step] for start in range(0, len(stream), step)]
+    joins = []
+
+    def count_joins(frame, event, arg):
+        if (event == "c_call" and getattr(arg, "__name__", None) == "join"
+                and isinstance(getattr(arg, "__self__", None), bytes)):
+            joins.append(len(joins))
+
+    decoder = FrameDecoder()
+    out = []
+    sys.setprofile(count_joins)
+    try:
+        for chunk in chunks:
+            out.extend(decoder.feed(chunk))
+    finally:
+        sys.setprofile(None)
+    assert len(chunks) == 1025 and len(out) == 1 and len(out[0]) == size
+    assert len(joins) == 1
+    assert decoder.buffered_bytes == 0

@@ -11,6 +11,7 @@ are covered automatically):
 
 from __future__ import annotations
 
+import cProfile
 import dataclasses
 import importlib
 import os
@@ -23,6 +24,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro.consensus.ballots import Ballot
+from repro.consensus.command import Command
+from repro.consensus.timestamps import LogicalTimestamp
+from repro.core.messages import FastPropose, FastProposeReply, Stable
 from repro.net.wire import StatsReply
 from repro.runtime.batching import MessageBatch
 from repro.runtime.codec import (
@@ -70,7 +75,7 @@ def strategy_for(codec) -> st.SearchStrategy:
     if isinstance(codec, FrozenSetCodec):
         return st.frozensets(strategy_for(codec.element), max_size=4)
     if isinstance(codec, StructCodec):
-        return st.builds(codec.factory,
+        return st.builds(codec.cls,
                          **{name: strategy_for(field) for name, field in codec.fields})
     if isinstance(codec, MessageCodec):
         return _INNER_MESSAGE
@@ -165,11 +170,11 @@ def test_every_row_of_the_type_id_table_is_registered_under_its_id():
 def test_a_class_without_a_row_or_with_a_shared_id_is_refused_at_registration():
     """Registration runs at import: the error names the class, before any frame."""
 
-    @dataclasses.dataclass(frozen=True)
+    @dataclasses.dataclass(frozen=True, slots=True)
     class Orphan:
         value: int
 
-    @dataclasses.dataclass(frozen=True)
+    @dataclasses.dataclass(frozen=True, slots=True)
     class Twin:
         value: int
 
@@ -182,6 +187,120 @@ def test_a_class_without_a_row_or_with_a_shared_id_is_refused_at_registration():
     with pytest.raises(ValueError, match=r"Orphan has no row"):
         register_message(value=UintCodec())(Orphan)
     assert Orphan not in WIRE.types()
+
+
+# ------------------------------------------------ decoded values without __init__
+
+def structs_in(value, codec):
+    """``(value, class)`` for every struct ``value`` holds under ``codec``."""
+    if isinstance(codec, StructCodec):
+        yield value, codec.cls
+        for name, field in codec.fields:
+            yield from structs_in(getattr(value, name), field)
+    elif isinstance(codec, OptionalCodec) and value is not None:
+        yield from structs_in(value, codec.inner)
+
+
+def structs_of(message):
+    """``(value, class)`` for ``message`` and every struct nested in its fields."""
+    yield message, type(message)
+    for name, codec in WIRE.field_codecs(type(message)).items():
+        yield from structs_in(getattr(message, name), codec)
+
+
+@pytest.mark.parametrize("cls", all_wire_types(), ids=lambda cls: cls.__name__)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_a_decoded_message_is_the_value_its_constructor_builds(cls, data):
+    """Decoding skips ``__init__`` (``object.__new__`` plus the slot setters),
+    so the result is checked against the constructor-built message: equal,
+    the same hash, still frozen and of exactly the class — and so is every
+    command, ballot and timestamp inside it."""
+    built = data.draw(message_strategy(cls))
+    decoded = WIRE.decode_one(WIRE.encode(built))
+    for (value, kind), (original, _) in zip(structs_of(decoded), structs_of(built),
+                                            strict=True):
+        assert type(value) is kind
+        assert value == original and hash(value) == hash(original)
+        name = dataclasses.fields(kind)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+
+
+def test_registration_refuses_a_class_decoding_could_not_build_without_init():
+    """Only a frozen dataclass whose fields are all slots and which has no
+    ``__post_init__`` is the same object with or without its ``__init__``."""
+
+    class Plain:
+        value: int
+
+    @dataclasses.dataclass(slots=True)
+    class Mutable:
+        value: int
+
+    @dataclasses.dataclass(frozen=True)
+    class Unslotted:
+        value: int
+
+    @dataclasses.dataclass(frozen=True, slots=True)
+    class Checked:
+        value: int
+
+        def __post_init__(self):
+            if self.value < 0:
+                raise ValueError("negative")
+
+    for cls, reason in ((Plain, "not a frozen dataclass"),
+                        (Mutable, "not a frozen dataclass"),
+                        (Unslotted, "is not a slot"),
+                        (Checked, "__post_init__")):
+        with pytest.raises(TypeError, match=reason):
+            MessageRegistry({row(cls): 0}).register(cls, {"value": UintCodec()})
+        with pytest.raises(TypeError, match=reason):
+            StructCodec(cls, [("value", UintCodec())])
+
+
+def decode_calls(payload: bytes):
+    """``(all, Python-level)`` calls cProfile sees in one ``decode_one``."""
+    WIRE.decode_one(payload)  # compiled and warm
+    profile = cProfile.Profile()
+    profile.enable()
+    WIRE.decode_one(payload)
+    profile.disable()
+    entries = [entry for entry in profile.getstats()
+               if "_lsprof.Profiler" not in str(entry.code)]
+    return (sum(entry.callcount for entry in entries),
+            sum(entry.callcount for entry in entries if not isinstance(entry.code, str)))
+
+
+def test_decoding_a_fixed_frame_makes_a_pinned_number_of_calls():
+    """A decode is one generated function plus the builtins it calls.
+
+    Counted with cProfile, which sees Python functions and builtin functions
+    but not slot wrappers (``object.__setattr__``, a descriptor's
+    ``__set__``).  At the parent each struct cost one Python-level frozen
+    ``__init__``; now it costs one builtin ``object.__new__``, so the totals
+    stay 28 / 12 / 24 (``Stable`` / ``FastPropose`` / ``FastProposeReply``,
+    16 predecessors) while the Python-level calls fell from 7 / 7 / 6 to
+    3 / 3 / 3.  The limits are today's counts plus 3 %.
+    """
+    command = Command(command_id=(3, 41), key="k7", operation="put", value="v", origin=1)
+    predecessors = frozenset((client, sequence) for client in range(4) for sequence in range(4))
+    frames = {
+        Stable: Stable(command=command, ballot=Ballot(0, 1),
+                       timestamp=LogicalTimestamp(12, 1), predecessors=predecessors),
+        FastPropose: FastPropose(command=command, ballot=Ballot(0, 1),
+                                 timestamp=LogicalTimestamp(12, 1)),
+        FastProposeReply: FastProposeReply(
+            command_id=command.command_id, ballot=Ballot(0, 1),
+            timestamp=LogicalTimestamp(13, 2), predecessors=predecessors, ok=True),
+    }
+    limits = {Stable: (28, 3), FastPropose: (12, 3), FastProposeReply: (24, 3)}
+    for cls, message in frames.items():
+        total, python = decode_calls(WIRE.encode(message))
+        limit_total, limit_python = limits[cls]
+        assert total <= int(limit_total * 1.03), (cls.__name__, total)
+        assert python <= int(limit_python * 1.03), (cls.__name__, python)
 
 
 def test_batch_encoding_nests_registered_messages():
@@ -246,7 +365,7 @@ def test_codec_defining_only_encode_and_decode_works_inside_a_message():
         def decode(self, data, offset):
             return int.from_bytes(data[offset:offset + 4], "big"), offset + 4
 
-    @dataclasses.dataclass(frozen=True)
+    @dataclasses.dataclass(frozen=True, slots=True)
     class Reading:
         sensor: int
         samples: tuple

@@ -392,3 +392,101 @@ class TestAsyncioSpecifics:
             assert backend.network.stats.messages_delivered == 0
         finally:
             backend.close()
+
+
+class TestSelfSendBursts:
+    """Over sockets a replica's messages to itself queue in send order, and one
+    event-loop callback delivers every self-send queued before it runs."""
+
+    def test_self_sends_are_delivered_in_send_order(self):
+        backend = AsyncioBackend()
+        try:
+            node = backend.nodes[0]
+            sent = [Hello(sender=index, role=0) for index in range(5)]
+
+            def burst():
+                for message in sent:
+                    node.send(0, message)
+
+            backend.call(burst)
+            backend.advance(0.0)
+            assert node.handled == [(0, message) for message in sent]
+        finally:
+            backend.close()
+
+    def test_a_self_send_made_in_a_handler_runs_after_the_handler_returns(self):
+        backend = AsyncioBackend()
+        try:
+            node = backend.nodes[0]
+            events = []
+
+            def handle(src, received):
+                events.append(("enter", received.sender))
+                if received.sender < 3:
+                    node.send(0, Hello(sender=received.sender + 1, role=0))
+                    node.send(0, Hello(sender=received.sender + 10, role=0))
+                events.append(("return", received.sender))
+
+            node.handle_message = handle
+            backend.call(lambda: backend.network.deliver_local(1, Hello(sender=0, role=0)))
+            backend.advance(20.0)
+            assert events == [("enter", 0), ("return", 0),
+                              ("enter", 1), ("return", 1), ("enter", 10), ("return", 10),
+                              ("enter", 2), ("return", 2), ("enter", 11), ("return", 11),
+                              ("enter", 3), ("return", 3), ("enter", 12), ("return", 12)]
+        finally:
+            backend.close()
+
+    def test_a_burst_of_self_sends_costs_one_loop_callback(self):
+        backend = AsyncioBackend()
+        try:
+            node = backend.nodes[0]
+            scheduled = []
+            call_soon = backend.loop.call_soon
+
+            def spy(callback, *args, **kwargs):
+                scheduled.append(callback)
+                return call_soon(callback, *args, **kwargs)
+
+            def burst():
+                backend.loop.call_soon = spy
+                try:
+                    for _ in range(7):
+                        node.send(0, message())
+                    node.broadcast(message())
+                finally:
+                    del backend.loop.call_soon
+
+            backend.call(burst)
+            assert scheduled == [backend.network._deliver_self_sends]
+            backend.advance(0.0)
+            assert len(node.handled) == 8 and node.messages_handled == 8
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("stop", ["crash", "close"])
+    def test_crash_and_close_drop_the_queue_and_a_restart_does_not_bring_it_back(
+            self, stop):
+        backend = AsyncioBackend()
+        try:
+            node = backend.nodes[0]
+
+            def send_then_stop():
+                node.send(0, message())
+                node.broadcast(message())
+                if stop == "crash":
+                    node.crash()
+                    node.restart()
+                else:
+                    node.transport.close()
+
+            backend.call(send_then_stop)
+            backend.advance(20.0)
+            assert node.handled == [] and node.messages_handled == 0
+            if stop == "crash":
+                # The restarted replica's own next self-send is delivered, alone.
+                backend.call(lambda: node.send(0, Hello(sender=9, role=0)))
+                backend.advance(0.0)
+                assert node.handled == [(0, Hello(sender=9, role=0))]
+        finally:
+            backend.close()
