@@ -5,7 +5,7 @@ Checks PAPER.md's "Why it helps" line under the wait condition (Figure 3,
 lines 4–8): without the wait, an acceptor that already holds a conflicting
 higher-timestamp command must reject the proposal, which turns fast
 decisions into slow ones the way EPaxos' equal-dependencies rule does.  The
-:func:`repro.harness.figures.ablation_wait_condition` sweep runs CAESAR with
+``ablation`` row of :data:`repro.harness.figures.FIGURES` runs CAESAR with
 the wait condition on and off.  That the wait-off runs still order every
 conflicting pair consistently is checked in memory by
 ``test_figure_slice.py``: the record holds no violation count.

@@ -14,8 +14,8 @@ Run it with::
 from __future__ import annotations
 
 from repro.harness.experiment import ExperimentConfig, run_experiment
-from repro.harness.figures import throughput_cost_model
 from repro.metrics.report import format_series
+from repro.runtime.costs import throughput_cost_model
 from repro.sim.topology import EC2_SITES
 
 CONFLICT_RATES = (0.0, 0.10, 0.30)

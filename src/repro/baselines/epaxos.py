@@ -727,12 +727,3 @@ class EPaxosReplica(ProtocolKernel):
         self.broadcast(Commit(instance_id=instance_id, command=command, seq=seq,
                               deps=deps), include_self=False)
         self._try_execute()
-
-    # telemetry ---------------------------------------------------------------
-
-    def slow_path_ratio(self) -> Optional[float]:
-        """Fraction of locally proposed, completed commands decided on the slow path."""
-        ratio = self.fast_path_ratio()
-        if ratio is None:
-            return None
-        return 1.0 - ratio

@@ -33,9 +33,9 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from repro.chaos.nemesis import CONFORMANCE_SCHEDULES, NEMESIS_SCHEDULES
 from repro.harness.experiment import ExperimentConfig, run_experiment
-from repro.harness.figures import FIGURES
+from repro.harness.figures import FIGURES, run_figure
 from repro.harness.protocols import PROTOCOLS
-from repro.harness.sweep import planning_sweeps, resolve_workers
+from repro.harness.sweep import key_string, matches_any, resolve_workers
 from repro.metrics.report import format_protocol_stats, format_series
 from repro.runtime.admission import admission_policy
 from repro.sim.topology import EC2_SHORT_LABELS, EC2_SITES, ec2_five_sites
@@ -320,23 +320,22 @@ def _figure(args: argparse.Namespace) -> Outcome:
     outputs = []
     # Figure order, duplicates dropped.
     for target in (key for key in FIGURES if key in args.figures or "all" in args.figures):
-        figure = FIGURES[target]
-        overrides = figure.quick if args.quick else {}
+        overrides = FIGURES[target].quick if args.quick else {}
         if args.list_cells:
-            # Resolve the cell grid without running any experiment.
-            with planning_sweeps() as plan:
-                figure.driver(cell_filter=args.cells, **overrides)
-            selected = sum(chosen for _, chosen in plan.cells)
-            lines = [f"figure {target} — {len(plan.cells)} cells, "
-                     f"{selected} selected, {len(plan.cells) - selected} filtered out"]
-            lines.extend(f"  {'*' if chosen else '-'} {key}" for key, chosen in plan.cells)
+            # The grid's cells, built and never run.
+            chosen = [(key_string(cell.key), not args.cells or matches_any(cell.key, args.cells))
+                      for cell in FIGURES[target].cells(**overrides)]
+            selected = sum(picked for _, picked in chosen)
+            lines = [f"figure {target} — {len(chosen)} cells, "
+                     f"{selected} selected, {len(chosen) - selected} filtered out"]
+            lines.extend(f"  {'*' if picked else '-'} {key}" for key, picked in chosen)
             outputs.append("\n".join(lines))
             continue
-        result = figure.driver(workers=args.workers, cell_filter=args.cells, **overrides)
+        result = run_figure(target, workers=args.workers, cell_filter=args.cells, **overrides)
         lines = [result.table]
         if args.out is not None:
             record_path = result.write(args.out)
-            lines.append(f"\n[figure {target}: wrote {args.out / figure.stem}.txt "
+            lines.append(f"\n[figure {target}: wrote {args.out / result.record.name}.txt "
                          f"and {record_path}]")
         outputs.append("\n".join(lines))
     return "\n\n".join(outputs), 0

@@ -268,11 +268,3 @@ class ConsensusReplica(Node):
     def completed_decisions(self) -> List[Decision]:
         """All decisions for commands proposed here that have been executed."""
         return [d for d in self.decisions.values() if d.is_complete]
-
-    def fast_path_ratio(self) -> Optional[float]:
-        """Fraction of completed local decisions that used the fast path."""
-        done = [d for d in self.completed_decisions() if d.kind is not None]
-        if not done:
-            return None
-        fast = sum(1 for d in done if d.kind is DecisionKind.FAST)
-        return fast / len(done)

@@ -583,13 +583,6 @@ class CaesarReplica(ProtocolKernel):
 
     # ------------------------------------------------------------- telemetry
 
-    def slow_path_ratio(self) -> Optional[float]:
-        """Fraction of locally proposed, completed commands decided on the slow path."""
-        ratio = self.fast_path_ratio()
-        if ratio is None:
-            return None
-        return 1.0 - ratio
-
     def average_wait_ms(self) -> float:
         """Mean time proposals spent parked in the wait condition on this node."""
         if not self.wait_time_samples:

@@ -19,7 +19,7 @@ from repro.harness.protocols import constructor_options, flags_to_fields
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.stats import LatencySummary
 from repro.runtime.batching import BatchingConfig
-from repro.runtime.costs import CostModel
+from repro.runtime.costs import CostModel, throughput_cost_model
 from repro.sim.network import NetworkConfig
 from repro.sim.topology import Topology
 from repro.workload.clients import ClientPool, build_pool
@@ -100,8 +100,6 @@ class ExperimentConfig:
             kwargs["duration_ms"] = duration
             kwargs["warmup_ms"] = min(2000.0, duration / 4)
         if getattr(args, "throughput", False):
-            from repro.harness.figures import throughput_cost_model
-
             kwargs["cost_model"] = throughput_cost_model()
         if getattr(args, "batching", False):
             kwargs["batching"] = BatchingConfig()

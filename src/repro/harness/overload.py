@@ -30,6 +30,7 @@ from repro.harness.protocols import flags_to_fields
 from repro.harness.sweep import Workers, run_sweep, sweep_cell
 from repro.metrics.report import format_table
 from repro.metrics.stats import summarize_latencies
+from repro.runtime.costs import throughput_cost_model
 from repro.sim.topology import ec2_five_sites
 
 #: Goodput below this fraction of offered load marks a point as saturated
@@ -218,8 +219,6 @@ def collect_overload_point(result: ExperimentResult) -> Dict[str, object]:
 
 def _sim_points(config: OverloadConfig) -> List[LoadPoint]:
     """Run the sweep on the simulator substrate (one cell per load point)."""
-    from repro.harness.figures import throughput_cost_model
-
     # Without a CPU cost the simulator has no knee to sweep past.
     cost_model = throughput_cost_model()
     n_clients = ec2_five_sites().size * config.clients_per_site

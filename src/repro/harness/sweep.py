@@ -25,7 +25,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, process
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fnmatch import fnmatchcase
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -35,7 +34,6 @@ from repro.harness.experiment import (
     run_experiment,
     summarize_experiment,
 )
-from repro.metrics.perf import PerfRecord
 from repro.sim.random import DeterministicRandom, stable_label
 from repro.sim.simulator import total_events_executed
 
@@ -113,41 +111,6 @@ def sweep_cell(key: Sequence[object], config: ExperimentConfig,
 
 
 @dataclass
-class SweepPlan:
-    """The resolved grid of one (or more) sweeps, recorded without running.
-
-    Attributes:
-        cells: ``(key_string, selected)`` pairs in submission order, where
-            ``selected`` is whether the cell survives the active filter.
-    """
-
-    cells: List[Tuple[str, bool]] = field(default_factory=list)
-
-
-#: Active plan collector; when set, :func:`run_sweep` records the grid into
-#: it and returns an empty result instead of executing anything.
-_ACTIVE_PLAN: Optional[SweepPlan] = None
-
-
-@contextmanager
-def planning_sweeps():
-    """Context manager putting :func:`run_sweep` into list-only mode.
-
-    Inside the block every ``run_sweep`` call records its resolved cell grid
-    (with filter outcomes) into the yielded :class:`SweepPlan` and executes
-    nothing; figure drivers still return well-formed (all-``None``) results.
-    Used by ``repro figure --list-cells``.
-    """
-    global _ACTIVE_PLAN
-    plan = SweepPlan()
-    previous, _ACTIVE_PLAN = _ACTIVE_PLAN, plan
-    try:
-        yield plan
-    finally:
-        _ACTIVE_PLAN = previous
-
-
-@dataclass
 class CellOutcome:
     """What one executed cell reported back."""
 
@@ -166,15 +129,6 @@ class SweepResult:
     def __post_init__(self) -> None:
         self._by_key = {outcome.key: outcome for outcome in self.outcomes}
 
-    def __add__(self, other: "SweepResult") -> "SweepResult":
-        """Two sweeps run back to back, accounted as one (Figure 9b runs two).
-
-        The sum exists for :meth:`perf_record`; where both sweeps ran a cell
-        with the same key, :meth:`payload` answers with ``other``'s.
-        """
-        return SweepResult(outcomes=self.outcomes + other.outcomes,
-                           skipped=self.skipped + other.skipped)
-
     def payload(self, key: Sequence[object]) -> object:
         """The collected payload of cell ``key`` (``None`` if filtered out)."""
         outcome = self._by_key.get(tuple(key))
@@ -184,14 +138,6 @@ class SweepResult:
     def events_executed(self) -> int:
         """Simulation events executed across every cell."""
         return sum(outcome.events_executed for outcome in self.outcomes)
-
-    def perf_record(self, name: str) -> PerfRecord:
-        """Sum the per-cell event counts into one BENCH-able record.
-
-        Each cell was measured where it ran (in-process or in its worker), so
-        the event count is the same for any worker count.
-        """
-        return PerfRecord(name=name, events_executed=self.events_executed)
 
 
 def resolve_workers(workers: Workers, cell_count: int) -> int:
@@ -252,11 +198,6 @@ def run_sweep(cells: Sequence[SweepCell], workers: Workers = 1,
         kept = [cell for cell in selected if matches_any(cell.key, cell_filter)]
         skipped = len(selected) - len(kept)
         selected = kept
-    if _ACTIVE_PLAN is not None:
-        chosen = {id(cell) for cell in selected}
-        _ACTIVE_PLAN.cells.extend((key_string(cell.key), id(cell) in chosen)
-                                  for cell in cells)
-        return SweepResult(outcomes=[], skipped=skipped)
     worker_count = resolve_workers(workers, len(selected))
 
     if worker_count == 1:

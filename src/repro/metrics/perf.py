@@ -12,8 +12,8 @@ A record holds no wall-clock number: host time is measured by ``bench/``
 (``python3 bench/run.py --compare``), not by the figure runs.
 
 A figure's event count is the sum over its sweep cells
-(:meth:`repro.harness.sweep.SweepResult.perf_record`), each measured where
-the cell ran, so serial and parallel runs record the same number.
+(:func:`repro.harness.figures.run_figure`), each measured where the cell
+ran, so serial and parallel runs record the same number.
 """
 
 from __future__ import annotations

@@ -54,9 +54,9 @@ class Node:
         self._cpu_free_at = 0.0
         self.cpu_busy_ms = 0.0
         self.messages_handled = 0
-        # Resolved once: only the simulator clock exposes an event queue (and
-        # its ``_now``) for the handle-free dispatch push; other Clock
-        # backends (WallClock) dispatch through the portable schedule() path.
+        # Resolved once for :meth:`receive`'s handle-free dispatch push; only
+        # the simulator clock has an event queue (``None`` on a WallClock,
+        # whose messages never enter ``receive``).
         self._dispatch_queue = getattr(sim, "_queue", None)
         # The network acts as the transport factory: the simulated Network
         # hands out SimulatorTransports, a socket-world peer map hands out
@@ -95,11 +95,11 @@ class Node:
     def receive(self, src: int, message: object) -> None:
         """Queue an arriving message behind the node's CPU, then dispatch it.
 
-        On the simulator every message enters here; over TCP none does:
-        ``PeerNetwork.deliver_local`` hands a peer's message, which arrives
-        in a socket callback, straight to :meth:`_dispatch_one`, and
-        dispatches self-sends the same way from one event-loop callback per
-        burst.  The message is queued behind any CPU work already in
+        Simulator only: every simulated message enters here, and no TCP
+        message does (``PeerNetwork.deliver_local`` hands a peer's message,
+        which arrives in a socket callback, straight to :meth:`_dispatch_one`,
+        and dispatches self-sends the same way from one event-loop callback
+        per burst).  The message is queued behind any CPU work already in
         progress, then dispatched to :meth:`handle_message`.
         Message batches are unpacked here: the envelope costs one full
         message, each inner message a discounted marginal cost.
@@ -123,8 +123,7 @@ class Node:
             if src == self.node_id:
                 cost *= cost_model.self_message_factor
             dispatch, payload = self._dispatch_one, message
-        queue = self._dispatch_queue
-        now = self.sim.now if queue is None else self.sim._now
+        now = self.sim._now
         free_at = self._cpu_free_at
         finish = (now if now > free_at else free_at) + cost
         self._cpu_free_at = finish
@@ -133,10 +132,7 @@ class Node:
         # Event allocation per message and, when the dispatch is the next
         # event, the heap as well.  ``now + (finish - now)`` preserves the
         # exact float the delay-based schedule() produced.
-        if queue is None:
-            self.sim.schedule(finish - now, dispatch, args=(src, payload))
-        else:
-            queue.push_transient(now + (finish - now), dispatch, (src, payload))
+        self._dispatch_queue.push_transient(now + (finish - now), dispatch, (src, payload))
 
     def _dispatch_one(self, src: int, message: object) -> None:
         """Run one queued message through the protocol handler."""

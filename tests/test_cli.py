@@ -18,7 +18,6 @@ from repro.harness.cluster import ClusterConfig
 from repro.harness.experiment import ExperimentConfig
 from repro.harness.figures import FIGURES
 from repro.harness.overload import OverloadConfig
-from repro.harness.sweep import planning_sweeps
 from repro.net.client import LoadgenConfig
 from repro.net.cluster import ServeConfig
 from repro.net.replica import ReplicaConfig
@@ -29,7 +28,7 @@ SURFACE_FILE = pathlib.Path(__file__).parent / "data" / "cli_parser_surface.json
 #: The committed figure tables and BENCH records.
 RESULTS_DIR = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
 
-#: Every config a CLI flag, a figure driver or the benchmark can fill in.
+#: Every config a CLI flag, a figure grid or the benchmark can fill in.
 CONFIGS = (ExperimentConfig, ClusterConfig, ChaosConfig, ServeConfig, ReplicaConfig,
            LoadgenConfig, OverloadConfig, NetworkConfig)
 
@@ -108,15 +107,14 @@ class TestParser:
             f"BENCH_{stem}" for stem in stems}
 
     @pytest.mark.parametrize("key", FIGURES)
-    def test_figure_table_row_is_consistent_with_its_driver(self, key):
-        figure = FIGURES[key]
-        # --quick may only override parameters the driver actually takes.
-        assert set(figure.quick) <= set(inspect.signature(figure.driver).parameters)
-        # The result names its own row, which is how it finds its file stem.
-        with planning_sweeps():
-            result = figure.driver(**figure.quick)
-        assert result.figure == key
-        assert result.record().name == figure.stem
+    def test_figure_row_quick_overrides_exactly_its_grid_keywords(self, key):
+        # The grid takes the row's seed and then only keywords, and --quick
+        # scales every one of them: a keyword no --quick run overrides is a
+        # knob no product path sets.
+        parameters = list(inspect.signature(FIGURES[key].grid).parameters.values())
+        assert parameters[0].name == "seed"
+        assert all(p.kind is p.KEYWORD_ONLY for p in parameters[1:])
+        assert set(FIGURES[key].quick) == {p.name for p in parameters[1:]}
 
     def test_parser_surface_matches_the_golden_capture(self):
         # tests/data/cli_parser_surface.json pins every flag of every

@@ -202,3 +202,22 @@ def test_no_module_under_src_imports_sqlite3():
                  for module, _ in module_imports(path)
                  if module == "sqlite3" or module.startswith("sqlite3.")]
     assert offenders == []
+
+
+def test_the_experiment_harness_never_loads_the_figure_table():
+    """The throughput cost model lives in ``runtime/costs.py``, so building
+    an experiment (``repro run --throughput``, ``repro overload``) needs no
+    figure: no import of ``repro.harness.figures`` at any nesting, and none
+    at run time."""
+    package = pathlib.Path(repro.__file__).parent
+    for name in ("experiment.py", "overload.py"):
+        assert [module for module, _ in module_imports(package / "harness" / name)
+                if module == "repro.harness.figures"] == [], name
+    loaded = in_fresh_interpreter(
+        "import argparse, json, sys\n"
+        "from repro.harness.experiment import ExperimentConfig\n"
+        "config = ExperimentConfig.from_args(argparse.Namespace(throughput=True))\n"
+        "assert config.cost_model.default_cost_ms == 0.5\n"
+        "print(json.dumps(sorted(sys.modules)))\n")
+    assert "repro.harness.experiment" in loaded
+    assert "repro.harness.figures" not in loaded

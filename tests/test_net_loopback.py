@@ -28,6 +28,7 @@ from repro.net.framing import encode_frame
 from repro.net.loopback import LoopbackCluster, run_loopback, run_sim_oracle
 from repro.net.wire import ROLE_CLIENT, ClientRequest, Hello
 from repro.runtime.registry import WIRE, MessageRegistry
+from repro.sim.node import Node
 
 PROTOCOLS = ["caesar", "epaxos", "multipaxos", "mencius", "m2paxos"]
 
@@ -60,6 +61,28 @@ class TestOracleEquivalence:
         for node_id, stats in net.stats.items():
             assert stats["network"]["messages_sent"] > 0, node_id
             assert stats["network"]["codec_bytes_sent"] > 0, node_id
+
+
+class TestNodeReceiveIsSimulatorOnly:
+    def test_a_tcp_run_never_enters_node_receive(self, monkeypatch):
+        # Peer messages and self-sends go PeerNetwork.deliver_local ->
+        # Node._dispatch_one; only the simulator queues behind the CPU.
+        received = []
+        original = Node.receive
+
+        def spy(self, src, message):
+            received.append(type(message).__name__)
+            original(self, src, message)
+
+        monkeypatch.setattr(Node, "receive", spy)
+        net = run_loopback("caesar", replicas=3, clients=2, commands_per_client=5,
+                           seed=3, timeout_s=60.0)
+        assert net.completed == net.expected
+        assert received == []
+        # The spy sees the simulator's messages, so the zero above is real.
+        sim = run_sim_oracle("caesar", replicas=3, clients=2, commands_per_client=5, seed=3)
+        assert sim.completed == sim.expected
+        assert received
 
 
 @pytest.mark.slow

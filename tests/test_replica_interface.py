@@ -8,6 +8,7 @@ from repro.baselines.epaxos import EPaxosReplica, InstanceStatus, PreAccept
 from repro.consensus.ballots import Ballot
 from repro.consensus.interface import DecisionKind
 from repro.consensus.quorums import QuorumSystem
+from repro.harness.experiment import count_decisions
 from repro.kvstore.store import KeyValueStore
 from repro.sim.network import Network
 from repro.sim.simulator import Simulator
@@ -51,19 +52,21 @@ class TestConsensusReplicaBase:
         replicas[0].record_phase_time(command.command_id, "propose", 5.0)
         assert replicas[0].decisions[command.command_id].phase_times["propose"] == 15.0
 
-    def test_fast_path_ratio_none_without_decisions(self):
+    def test_count_decisions_empty_without_decisions(self):
         _, _, replicas = build_caesar_cluster()
-        assert replicas[0].fast_path_ratio() is None
+        replicas[0].submit(make_command(0, 0, key="x", origin=0))
+        # A submitted but undecided command is not counted.
+        assert count_decisions(replicas[:1]) == (0, 0)
 
-    def test_fast_path_ratio_after_run(self, caesar_cluster):
+    def test_count_decisions_after_run(self, caesar_cluster):
         sim, _, replicas = caesar_cluster()
         commands = [make_command(0, k, key=f"k{k}", origin=0) for k in range(4)]
         for command in commands:
             replicas[0].submit(command)
         sim.run_until(lambda: all(replicas[0].has_executed(c.command_id) for c in commands),
                       deadline=30000)
-        assert replicas[0].fast_path_ratio() == pytest.approx(1.0)
-        assert replicas[0].slow_path_ratio() == pytest.approx(0.0)
+        # Non-conflicting commands from one proposer all take the fast path.
+        assert count_decisions(replicas[:1]) == (4, 0)
 
     def test_execute_command_twice_rejected(self):
         _, _, replicas = build_caesar_cluster()

@@ -5,9 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.experiment import ExperimentConfig, run_experiment
-from repro.harness.figures import throughput_cost_model
 from repro.runtime.batching import BatchBuffer, BatchingConfig
-from repro.runtime.costs import CostModel
+from repro.runtime.costs import CostModel, throughput_cost_model
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.simulator import Simulator

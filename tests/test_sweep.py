@@ -21,7 +21,7 @@ import re
 import pytest
 
 from repro.harness.experiment import ExperimentConfig
-from repro.harness.figures import figure6_latency_vs_conflicts
+from repro.harness.figures import run_figure
 from repro.harness.sweep import (
     CellOutcome,
     SweepCell,
@@ -38,9 +38,11 @@ from repro.sim.random import DeterministicRandom, derive_seed, stable_label
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
-#: A grid small enough for the unit suite: 4 cells of ~0.2 s each.
-SMALL_GRID = dict(conflict_rates=(0.0, 0.3), protocols=("caesar", "epaxos"),
-                  clients_per_site=2, duration_ms=1200.0, warmup_ms=300.0)
+#: Figure 6 small enough for the unit suite: of its 6 cells, the 4 in
+#: ``SMALL_CELLS`` run, ~0.2 s each.
+SMALL_GRID = dict(conflict_rates=(0.0, 0.3), clients_per_site=2, duration_ms=1200.0,
+                  warmup_ms=300.0)
+SMALL_CELLS = ["fig6/caesar/*", "fig6/epaxos/*"]
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -130,13 +132,12 @@ class TestGridHelpers:
 
 class TestSweepDeterminism:
     def test_parallel_matches_serial_byte_identically(self, tmp_path):
-        serial = figure6_latency_vs_conflicts(workers=1, **SMALL_GRID)
-        parallel = figure6_latency_vs_conflicts(workers=2, **SMALL_GRID)
+        serial = run_figure("6", workers=1, cell_filter=SMALL_CELLS, **SMALL_GRID)
+        parallel = run_figure("6", workers=2, cell_filter=SMALL_CELLS, **SMALL_GRID)
 
-        assert parallel.series == serial.series
+        assert parallel.record.series == serial.record.series
         assert parallel.table == serial.table
-        assert (parallel.extra["sweep"].events_executed
-                == serial.extra["sweep"].events_executed)
+        assert parallel.record.events_executed == serial.record.events_executed > 0
 
         # The figure table and the BENCH record serialize to the very same
         # bytes regardless of worker count.
@@ -147,13 +148,15 @@ class TestSweepDeterminism:
         table = "figure6_latency_vs_conflicts.txt"
         assert ((tmp_path / "serial" / table).read_bytes()
                 == (tmp_path / "parallel" / table).read_bytes())
-        assert "extra" not in parallel.record().to_json()
+        assert "extra" not in parallel.record.to_json()
 
     def test_filtered_cells_report_none_payloads(self):
-        result = figure6_latency_vs_conflicts(cell_filter=["fig6/caesar/*"], **SMALL_GRID)
-        assert all(value is not None for value in result.series["caesar"].values())
-        assert all(value is None for value in result.series["epaxos"].values())
-        assert result.extra["sweep"].skipped == 2
+        result = run_figure("6", cell_filter=["fig6/caesar/*"], **SMALL_GRID)
+        series = result.record.series
+        assert all(value is not None for value in series["caesar"].values())
+        assert all(value is None for value in series["epaxos"].values())
+        assert all(value is None for value in series["m2paxos"].values())
+        assert result.sweeps[0].skipped == 4
 
     def test_cells_are_order_independent(self):
         cells = [sweep_cell(("t", protocol, rate), tiny_config(protocol=protocol,
@@ -195,9 +198,9 @@ class TestPerfRecord:
     def test_sweep_record_sums_the_cells(self):
         outcomes = [CellOutcome(key=("a",), payload=None, events_executed=100),
                     CellOutcome(key=("b",), payload=None, events_executed=300)]
-        merged = SweepResult(outcomes=outcomes).perf_record("sweep")
-        assert merged.events_executed == 400
-        assert merged.to_json() == {"version": 2, "name": "sweep",
+        assert SweepResult(outcomes=outcomes).events_executed == 400
+        record = PerfRecord(name="sweep", events_executed=400)
+        assert record.to_json() == {"version": 2, "name": "sweep",
                                     "events_executed": 400, "series": {}}
 
     def test_write_record_writes_the_table_and_the_json(self, tmp_path):
