@@ -3,7 +3,6 @@
 Installed as the ``repro`` console script::
 
     repro run --protocol caesar --conflicts 30 --clients 10
-    repro compare --conflicts 0 10 30
     repro figure 6
     repro figure 9 --quick --workers 4
     repro figure all --workers auto --out benchmarks/results
@@ -36,7 +35,7 @@ from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.figures import FIGURES, run_figure
 from repro.harness.protocols import PROTOCOLS
 from repro.harness.sweep import key_string, matches_any, resolve_workers
-from repro.metrics.report import format_protocol_stats, format_series
+from repro.metrics.report import format_protocol_stats
 from repro.runtime.admission import admission_policy
 from repro.sim.topology import EC2_SHORT_LABELS, EC2_SITES, ec2_five_sites
 
@@ -115,17 +114,14 @@ def shared_flags(*flags: str, **defaults) -> argparse.ArgumentParser:
     """Build a parent parser carrying a subcommand's share of SHARED_FLAGS.
 
     Positional names take the flag as declared; keyword names (``clients=10``)
-    take it with that subcommand's default.  A list default (``compare``'s
-    ``conflicts=[...]``) makes the flag accept several values.
+    take it with that subcommand's default.
     """
     parent = argparse.ArgumentParser(add_help=False)
     for name in flags:
         parent.add_argument(f"--{name}", **SHARED_FLAGS[name])
     for name, default in defaults.items():
-        spec = dict(SHARED_FLAGS[name.replace("_", "-")], default=default)
-        if isinstance(default, list):
-            spec["nargs"] = "+"
-        parent.add_argument("--" + name.replace("_", "-"), **spec)
+        parent.add_argument("--" + name.replace("_", "-"),
+                            **dict(SHARED_FLAGS[name.replace("_", "-")], default=default))
     return parent
 
 
@@ -154,10 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="enable network message batching")
     run_parser.add_argument("--throughput", action="store_true",
                             help="use the saturation CPU cost model (throughput study)")
-
-    command("compare", _compare, "compare all protocols at given conflict rates",
-            shared_flags(seed=1, clients=10, conflicts=[0.0, 10.0, 30.0],
-                         duration=6000.0))
 
     figure_parser = command(
         "figure", _figure,
@@ -292,25 +284,6 @@ def _run(args: argparse.Namespace) -> Outcome:
     if counters:
         lines.append(counters)
     return "\n".join(lines), 0
-
-
-def _compare(args: argparse.Namespace) -> Outcome:
-    latency = {}
-    slow = {}
-    for protocol in PROTOCOLS:
-        latency[protocol] = {}
-        slow[protocol] = {}
-        for conflicts in args.conflicts:
-            result = run_experiment(ExperimentConfig.from_args(
-                args, protocol=protocol, conflict_rate=conflicts / 100.0))
-            key = f"{conflicts:.0f}%"
-            overall = result.overall_latency
-            latency[protocol][key] = overall.mean if overall else None
-            ratio = result.slow_path_ratio
-            slow[protocol][key] = ratio * 100.0 if ratio is not None else None
-    return (format_series("Mean latency (ms) across sites", latency, "conflict")
-            + "\n\n"
-            + format_series("Slow-path share (%)", slow, "conflict")), 0
 
 
 def _figure(args: argparse.Namespace) -> Outcome:

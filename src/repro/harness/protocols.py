@@ -1,8 +1,8 @@
 """The protocol table: the one module that knows which protocols exist.
 
 Everything that needs "the protocols" derives it from :data:`PROTOCOLS` —
-the CLI's ``--protocol`` choices, ``repro compare``'s rows, the chaos
-matrix default — and every replica, on either substrate, is constructed by
+the CLI's ``--protocol`` choices and the chaos matrix default — and every
+replica, on either substrate, is constructed by
 :func:`build_replica`: the simulator's ``build_cluster`` and the TCP
 ``ReplicaServer.start`` both call it, so a baseline cannot end up configured
 differently from CAESAR without this module saying so.
@@ -56,7 +56,7 @@ def _in_module(module: str, name: str) -> Callable[..., ConsensusReplica]:
     return construct
 
 
-#: Every protocol, in display order (CLI choices, compare rows, chaos matrix).
+#: Every protocol, in display order (CLI choices, chaos matrix).
 PROTOCOLS: Dict[str, Protocol] = {
     "caesar": Protocol(_in_module("repro.core.caesar", "CaesarReplica"),
                        lambda on: {"config": CaesarConfig(recovery_enabled=on)}),

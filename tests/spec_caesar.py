@@ -1,24 +1,24 @@
-"""CAESAR's decision path as the paper's pseudocode states it: the executable spec.
+"""CAESAR as the paper's pseudocode states it: the executable spec.
 
 A direct, unoptimised transcription of Figure 3 (COMPUTEPREDECESSORS, WAIT,
-BREAKLOOP and delivery) and of Figure 4 (the fast, slow, retry and stable
-phases, leader and acceptor), which every decision-path differential under
-``tests/`` and ``benchmarks/`` checks the product against.  The history is a
-dict of plain rows ``<c, T, Pred, status, ballot, forced>`` with ``Pred`` a
-frozenset of ids; every question is a scan of those rows.
+BREAKLOOP and delivery), of Figure 4 (the fast, slow, retry and stable
+phases, leader and acceptor) and of Figure 5 (recovery), which every
+decision-path differential under ``tests/`` and ``benchmarks/`` checks the
+product against.  The history is a dict of plain rows ``<c, T, Pred, status,
+ballot, forced>`` with ``Pred`` a frozenset of ids; every question is a scan
+of those rows.
 No interner, bucket, bitmask, blocker index, slot or shortcut: WAIT re-scans
 every parked proposal after every history write, and delivery is BREAKLOOP
 by set edits, then a repeated scan of the pending commands in timestamp order.
 
-:class:`SpecCaesarReplica` takes two things from the product and nothing
-else: the runtime kernel (send, broadcast, timers, retransmission, the ballot
-register, the CPU charge, stats, decision records) and recovery (Figure 5,
-``core/recovery.py``, which builds the product's ``LeaderState`` record and
-calls the ``_start_*`` phases below by name).  It also uses the product's
-vocabulary: messages, ``CommandStatus``, ``LeaderState`` and the phase names.
-A restart is not part of the pseudocode: ``on_restart`` is the product's
-(no probe restarts a node; ``tests/test_retransmission.py::TestRestartRearms``
-pins it).
+:class:`SpecCaesarReplica` takes one thing from the product: the runtime
+kernel (send, broadcast, timers, retransmission, the failure detector, the
+ballot register, the CPU charge, stats, decision records).  It also uses the
+product's vocabulary: messages, ``CommandStatus``, ``LeaderState``, the phase
+names and ``CaesarConfig``.  ``tests/test_import_graph.py`` holds it to that.
+A restart is not part of the pseudocode, and the spec adds nothing to the
+kernel's ``on_restart`` (no spec run restarts a node;
+``tests/test_retransmission.py::TestRestartRearms`` pins the product's).
 
 Rules the pseudocode leaves implicit, kept here because the product keeps
 them and a network that duplicates and reorders messages needs them:
@@ -78,29 +78,28 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command, CommandId
 from repro.consensus.interface import DecisionKind
-from repro.consensus.timestamps import LogicalTimestamp
-from repro.core.caesar import (
-    PHASE_DONE,
-    PHASE_FAST,
-    PHASE_RETRY,
-    PHASE_SLOW,
-    CaesarReplica,
-    LeaderState,
-)
+from repro.consensus.timestamps import LogicalTimestamp, TimestampGenerator
+from repro.core.caesar import PHASE_DONE, PHASE_FAST, PHASE_RETRY, PHASE_SLOW, LeaderState
+from repro.core.config import CaesarConfig
 from repro.core.history import CommandStatus
 from repro.core.messages import (
     FastPropose,
     FastProposeReply,
+    Recovery,
+    RecoveryReply,
     Retry,
     RetryReply,
     SlowPropose,
     SlowProposeReply,
     Stable,
 )
-from repro.runtime.kernel import QuorumTracker, handles
+from repro.runtime.kernel import BallotRegister, ProtocolKernel, QuorumTracker, handles
 
 STABLE = CommandStatus.STABLE
 ACCEPTED = CommandStatus.ACCEPTED
+#: Figure 5: the grace period between suspecting a node and recovering the
+#: commands it leads, once per node of lower id still trusted (the product's).
+RECOVERY_DELAY_MS = 50.0
 
 
 @dataclass
@@ -331,15 +330,39 @@ def comparable_predecessors(history, row, delivered: bool) -> List[CommandId]:
     return sorted(kept)
 
 
-class SpecCaesarReplica(CaesarReplica):
-    """A CAESAR node, leader and acceptor, as Figures 3 and 4 state it."""
+@dataclass
+class SpecRecovery:
+    """A recovery this node leads: the command, its ballot, the RECOVERYR tuples."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    command: Command
+    ballot: Ballot
+    replies: QuorumTracker
+    done: bool = False
+
+
+class SpecCaesarReplica(ProtocolKernel):
+    """A CAESAR node, leader and acceptor, as Figures 3, 4 and 5 state it."""
+
+    protocol_name = "caesar"
+
+    def __init__(self, node_id: int, sim, network, quorums, state_machine,
+                 config: Optional[CaesarConfig] = None, cost_model=None) -> None:
+        super().__init__(node_id, sim, network, quorums, state_machine, cost_model)
+        self.config = config or CaesarConfig()
+        self.timestamps = TimestampGenerator(node_id)
         self.history = SpecHistory()
         self.wait_manager = SpecWait(self.history, lambda: self.sim.now,
                                      self.config.wait_condition_enabled)
         self.delivery = SpecDelivery(self.history, self._execute_stable)
+        self.leader_states: Dict[CommandId, LeaderState] = {}
+        self.ballots = BallotRegister()
+        self.wait_time_samples: List[float] = []
+        #: Figure 5: the recoveries this node leads, and the nodes it suspects.
+        self.recoveries: Dict[CommandId, SpecRecovery] = {}
+        self.suspected: Set[int] = set()
+        if self.config.recovery_enabled:
+            self.use_failure_detector(self.config.heartbeat_every_ms,
+                                      self.config.suspect_after_ms, self.on_suspect)
 
     def _write(self, command: Command, timestamp: LogicalTimestamp,
                predecessors: Iterable[CommandId], status: CommandStatus, ballot: Ballot,
@@ -605,6 +628,123 @@ class SpecCaesarReplica(CaesarReplica):
             self.record_phase_time(command.command_id, "deliver",
                                    self.sim.now - decision.decided_at)
         self.wait_manager.rescan()
+
+    # ------------------------------------------------------- recovery
+
+    def on_suspect(self, peer: int) -> None:
+        """Figure 5: suspecting ``peer``, recover the commands it leads after a delay
+        staggered by this node's rank among the nodes it still trusts."""
+        self.suspected.add(peer)
+        rank = sum(1 for node_id in self.network.node_ids
+                   if node_id < self.node_id and node_id not in self.suspected)
+        self.set_timer(RECOVERY_DELAY_MS * (1 + rank), self._recover_led_by, peer)
+
+    def _recover_led_by(self, peer: int) -> None:
+        """Recover every row not STABLE whose highest known ballot is ``peer``'s."""
+        for row in self.history.entries():
+            if (row.status is not STABLE
+                    and self.ballots.get(row.command_id, row.ballot).node_id == peer):
+                self.start_recovery(row.command)
+
+    def start_recovery(self, command: Command) -> None:
+        """RECOVERYPHASE (Figure 5, lines 1-4): prepare at the next ballot of this
+        node above the highest known for the command.  This node's own tuple is
+        a vote cast here: its ballot register already holds the new ballot, so
+        its copy of the RECOVERY is not fresh and is never answered."""
+        command_id = command.command_id
+        row = self.history.get(command_id)
+        if row is not None and row.status is STABLE:
+            return
+        ballot = self.ballots.get(command_id, Ballot.initial(command.origin)).next_for(
+            self.node_id)
+        self.ballots[command_id] = ballot
+        self.recoveries[command_id] = SpecRecovery(command, ballot,
+                                                   QuorumTracker(self.quorums.classic))
+        self.stats.recoveries_started += 1
+        self.broadcast(Recovery(command=command, ballot=ballot))
+        self._on_recovery_reply(self.node_id, self._tuple(command_id, ballot))
+
+    def _tuple(self, command_id: CommandId, ballot: Ballot) -> RecoveryReply:
+        """RECOVERYR: this node's row of the command, or that it has none."""
+        row = self.history.get(command_id)
+        if row is None:
+            return RecoveryReply(command_id=command_id, ballot=ballot, known=False)
+        return RecoveryReply(command_id=command_id, ballot=ballot, known=True,
+                             entry_ballot=row.ballot, timestamp=row.timestamp,
+                             predecessors=row.predecessors, status=row.status.value,
+                             forced=row.forced)
+
+    @handles(Recovery)
+    def _on_recovery(self, src: int, message: Recovery) -> None:
+        """Figure 5, lines 28-33: join a ballot above any joined for the command
+        and answer with the row."""
+        command_id = message.command.command_id
+        current = self.ballots.get(command_id)
+        if current is not None and message.ballot <= current:
+            return
+        self.ballots[command_id] = message.ballot
+        self.send(src, self._tuple(command_id, message.ballot))
+
+    @handles(RecoveryReply)
+    def _on_recovery_reply(self, src: int, message: RecoveryReply) -> None:
+        """Figure 5, line 5: a classic quorum of tuples at this recovery's ballot."""
+        recovery = self.recoveries.get(message.command_id)
+        if (recovery is None or recovery.done or message.ballot != recovery.ballot
+                or not recovery.replies.vote(src, message)):
+            return
+        recovery.done = True
+        self._resume(recovery.command, recovery.ballot,
+                     [reply for reply in recovery.replies.payloads() if reply.known])
+        self.stats.recoveries_completed += 1
+
+    def _resume(self, command: Command, ballot: Ballot, known: List[RecoveryReply]) -> None:
+        """Figure 5, lines 6-27: the recovery set is the tuples at the highest row
+        ballot; resume from its most advanced status, stable before accepted
+        before rejected before slow-pending before fast-pending.  No tuple: a
+        fresh fast proposal."""
+        top = max((reply.entry_ballot for reply in known), default=None)
+        recovery_set: Dict[CommandStatus, List[RecoveryReply]] = {}
+        for reply in known:
+            if reply.entry_ballot == top:
+                recovery_set.setdefault(CommandStatus(reply.status), []).append(reply)
+
+        def resume(phase: str, reply: RecoveryReply, start) -> None:
+            state = LeaderState(command, ballot, phase, reply.timestamp, None, None,
+                                self.sim.now, set(reply.predecessors), recovered=True)
+            self.leader_states[command.command_id] = state
+            start(state)
+
+        if STABLE in recovery_set:
+            resume(PHASE_RETRY, recovery_set[STABLE][0], self._start_stable)
+        elif ACCEPTED in recovery_set:
+            resume(PHASE_FAST, recovery_set[ACCEPTED][0], self._start_retry)
+        elif CommandStatus.REJECTED in recovery_set or not recovery_set:
+            self._start_fast_proposal(command, ballot, self.timestamps.next_timestamp(),
+                                      None, recovered=True)
+        elif CommandStatus.SLOW_PENDING in recovery_set:
+            resume(PHASE_FAST, recovery_set[CommandStatus.SLOW_PENDING][0],
+                   self._start_slow_proposal)
+        else:
+            fast_pending = recovery_set[CommandStatus.FAST_PENDING]
+            self._start_fast_proposal(command, ballot, fast_pending[0].timestamp,
+                                      self._whitelist(command, fast_pending), recovered=True)
+
+    def _whitelist(self, command: Command,
+                   fast_pending: List[RecoveryReply]) -> Optional[FrozenSet[CommandId]]:
+        """Figure 5, lines 16-25: what every fast quorum that may have decided the
+        command agreed on.  A forced tuple whitelists the union of the reported
+        predecessors; else, with at least ``recovery_majority`` tuples, a
+        predecessor that fewer than ``recovery_majority`` of them lack; else none."""
+        union = set().union(*(reply.predecessors for reply in fast_pending))
+        union.discard(command.command_id)
+        majority = self.quorums.recovery_majority
+        if any(reply.forced for reply in fast_pending):
+            return frozenset(union)
+        if len(fast_pending) < majority:
+            return None
+        return frozenset(predecessor for predecessor in union
+                         if sum(predecessor not in reply.predecessors
+                                for reply in fast_pending) < majority)
 
     # ------------------------------------------------------- liveness
 

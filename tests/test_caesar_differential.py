@@ -1,7 +1,7 @@
 """Differential tests: CAESAR's acceptor handlers, then its leader half, vs the spec.
 
 A :class:`~repro.core.caesar.CaesarReplica` and ``tests/spec_caesar.py``'s
-:class:`SpecCaesarReplica` (Figures 3 and 4 of the paper, transcribed over
+:class:`SpecCaesarReplica` (Figures 3, 4 and 5 of the paper, transcribed over
 plain rows and scans) each sit alone on an idle simulator and are fed the
 same messages at the same virtual times.  After every message both must have
 sent the same messages (type, destination, every field; within one handler
@@ -19,10 +19,12 @@ ballot with and without a whitelist, reads among writes, the wait condition
 off — plus each of those written out as a scenario, so that a handler that
 forgets one case fails a test that says which.
 
-The leader probe at the end does the same for the leader's side: replica 0
-submits commands and is fed seeded reply schedules.  ``TestSpecTeeth`` and
-``TestLeaderProbeTeeth`` put known mistakes into the product and require the
-differentials to notice.
+The leader probe does the same for the leader's side: replica 0 submits
+commands, starts recoveries and is fed seeded reply schedules.
+``TestSpecEndToEnd`` registers the spec as a protocol and runs it as a
+cluster next to the product.  ``TestSpecTeeth`` and ``TestLeaderProbeTeeth``
+put known mistakes into the product and require the differentials to
+notice.
 """
 
 from __future__ import annotations
@@ -57,12 +59,23 @@ from repro.core.messages import (
     Stable,
 )
 from repro.core.predecessors import WaitManager
+from repro.core.recovery import RecoveryManager
+from repro.harness.experiment import (
+    ExperimentConfig,
+    attach_clients,
+    build_experiment_cluster,
+    count_decisions,
+)
+from repro.harness.protocols import PROTOCOLS, register_protocol
 from repro.kvstore.store import KeyValueStore
+from repro.metrics.collector import MetricsCollector
+from repro.sim.failures import ScheduledCrash
 from repro.sim.network import Network
 from repro.sim.simulator import Simulator
 from repro.sim.topology import uniform_topology
-from tests.reference_simulator import pending_times
+from repro.workload.generator import WorkloadConfig
 from tests.spec_caesar import SpecCaesarReplica, comparable_predecessors
+from tests.test_sim_engine_differential import pending_times
 
 REPLICAS = 5
 KEYS = ("x", "y")
@@ -641,7 +654,10 @@ class LeaderPair:
         self.act(apply, ("own", index, self.new.sent[index][1]))
 
     def recover(self, cmd: Command) -> None:
-        self.act(lambda probe: probe.replica.recovery.start_recovery(cmd), ("recover", cmd))
+        """Figure 5's prepare: the product's ``RecoveryManager``, the spec's own."""
+        def apply(probe):
+            (probe.replica.recovery if probe is self.new else probe.replica).start_recovery(cmd)
+        self.act(apply, ("recover", cmd))
 
     def state(self, cmd: Command):
         return self.new.replica.leader_states.get(cmd.command_id)
@@ -879,6 +895,31 @@ class TestLeaderScenarios:
             assert pair.new.replica.decisions.get(L1.command_id) is None
             assert self.stables(pair)[-1].command == L1, status
 
+    def recovery_replies(self, pair: LeaderPair, *tuples) -> None:
+        """Feed RECOVERYR ``(src, status, predecessors)`` tuples at the initial row ballot."""
+        ballot = pair.new.replica.recovery._attempts[L1.command_id].ballot
+        for src, status, predecessors in tuples:
+            pair.feed(src, RecoveryReply(command_id=L1.command_id, ballot=ballot, known=True,
+                                         entry_ballot=Ballot.initial(0), timestamp=ts(4, src),
+                                         predecessors=frozenset(predecessors), status=status))
+
+    def test_a_stable_tuple_wins_over_an_accepted_one(self):
+        pair = self.submitted()
+        pair.recover(L1)
+        self.recovery_replies(pair, (1, "accepted", ()), (2, "stable", ()))
+        assert self.stables(pair)[-1].command == L1
+
+    def test_a_fast_pending_recovery_whitelists_what_fewer_than_a_majority_lack(self):
+        """Three fast-pending tuples, this node's own among them: a predecessor
+        reported once is missing from two, ``recovery_majority``, and is left out."""
+        pair = self.submitted(L1)
+        pair.deliver_own(0)
+        pair.recover(L1)
+        self.recovery_replies(pair, (1, "fast-pending", [L0.command_id, (0, 0)]),
+                              (2, "fast-pending", [(0, 0)]))
+        proposal = pair.new.sent[-1][1]
+        assert isinstance(proposal, FastPropose) and proposal.whitelist == {(0, 0)}
+
 
 def _first_timestamp_wins(state) -> bool:
     """``_merge_replies`` with the timestamp of the first reply kept."""
@@ -908,6 +949,78 @@ class TestLeaderProbeTeeth:
         with pytest.raises(AssertionError):
             for seed in range(60):
                 drive_leader(seed)
+
+
+# ------------------------------------------------------------- end to end
+#
+# The spec registered as a protocol and run as a cluster next to the product:
+# every handler, the timers, the failure detector, the kernel and the cost
+# charges at once, at figure scale.
+
+SPEC_PROTOCOL = "spec-caesar"
+
+
+def _cell(pool: int, conflicts: float, **config) -> dict:
+    return dict(conflict_rate=conflicts,
+                workload=WorkloadConfig(conflict_rate=conflicts, shared_pool_size=pool), **config)
+
+
+#: Small cells: one hot key with the wait condition on and off, a ten-key pool,
+#: and an open-loop run that crashes node 4 mid-run, so recovery decides.
+END_TO_END_CELLS = {
+    "pool-1-wait-on": _cell(1, 1.0, seed=7, protocol_options={"config": CaesarConfig()}),
+    "pool-1-wait-off": _cell(1, 1.0, seed=7, protocol_options={
+        "config": CaesarConfig(wait_condition_enabled=False)}),
+    "pool-10-conflicts-30": _cell(10, 0.3, seed=7, protocol_options={"config": CaesarConfig()}),
+    "crash-node-4": dict(conflict_rate=0.3, seed=11, open_loop=True, arrival_rate_per_client=20.0,
+                         duration_ms=3000.0, recovery=True, crash_at_ms=1500.0,
+                         protocol_options={"config": CaesarConfig(recovery_enabled=True)}),
+}
+
+
+def run_cell(protocol: str, crash_at_ms: Optional[float] = None, **fields) -> tuple:
+    """One run: its latency samples, ``(fast, slow)`` decisions, every replica's
+    execution order and the recoveries completed."""
+    config = ExperimentConfig(protocol=protocol, **{"clients_per_site": 2, "duration_ms": 2000.0,
+                                                   "warmup_ms": 0.0, **fields})
+    cluster = build_experiment_cluster(config)
+    metrics = MetricsCollector()
+    pool = attach_clients(cluster, config, metrics)
+    if crash_at_ms is not None:
+        cluster.crash_injector.schedule(ScheduledCrash(node_id=4, crash_at_ms=crash_at_ms))
+    cluster.start()
+    pool.start_all()
+    cluster.run(config.duration_ms)
+    pool.stop_all()
+    cluster.run(config.drain_ms)
+    return (metrics.samples, count_decisions(cluster.replicas),
+            [[command.command_id for command in replica.execution_log]
+             for replica in cluster.replicas],
+            sum(replica.stats.recoveries_completed for replica in cluster.replicas))
+
+
+def end_to_end(cells: Optional[dict] = None) -> dict:
+    """Run each cell on the product and on the spec, require the same run, and
+    return the product's."""
+    register_protocol(SPEC_PROTOCOL, SpecCaesarReplica)
+    try:
+        runs = {}
+        for name, cell in (cells or END_TO_END_CELLS).items():
+            product, spec = (run_cell(protocol, **cell) for protocol in ("caesar", SPEC_PROTOCOL))
+            for position, (mine, theirs) in enumerate(zip(product, spec)):
+                assert mine == theirs, ("spec disagrees", name, position)
+            runs[name] = product
+        return runs
+    finally:
+        del PROTOCOLS[SPEC_PROTOCOL]
+
+
+class TestSpecEndToEnd:
+    @pytest.mark.parametrize("name", sorted(END_TO_END_CELLS))
+    def test_the_spec_as_a_protocol_runs_the_cell_as_the_product_does(self, name):
+        samples, decisions, orders, recoveries = end_to_end({name: END_TO_END_CELLS[name]})[name]
+        assert len(samples) >= 40 and all(orders)
+        assert (recoveries > 0) is (name == "crash-node-4")
 
 
 def mutated(function, old: str, new: str):
@@ -942,8 +1055,18 @@ def delivery_examples() -> None:
         delivery.drive_deliveries(events)
 
 
-#: Known mistakes in the acceptor, WAIT and delivery: (product function, source
-#: text, its replacement, the differential that must catch it).
+def leader_differential() -> None:
+    """Every leader scenario, then every seeded leader schedule, against the spec."""
+    scenarios = TestLeaderScenarios()
+    for name in sorted(vars(TestLeaderScenarios)):
+        if name.startswith("test_"):
+            getattr(scenarios, name)()
+    for seed in range(60):
+        drive_leader(seed)
+
+
+#: Known mistakes in the acceptor, WAIT, delivery and recovery: (product
+#: function, source text, its replacement, the differential that must catch it).
 SPEC_MUTANTS = {
     "wait-immediate-ok-always": (
         WaitManager.evaluate,
@@ -966,6 +1089,20 @@ SPEC_MUTANTS = {
         "        if self.wait_manager.parked:\n"
         "            self.wait_manager.notify_entry(entry)",
         "CommandStatus.REJECTED, ballot, entry=entry)", acceptor_differential),
+    "wait-immediate-ok-always-end-to-end": (
+        WaitManager.evaluate,
+        "if bucket.keys[-1] >> 32 <= (timestamp.counter << 32 | timestamp.node_id):",
+        "if True:", end_to_end),
+    # PR 7's bug: the recovering node's own tuple never counted.
+    "recovery-without-the-local-vote": (
+        RecoveryManager.start_recovery,
+        "self.on_recovery_reply(self.replica.node_id, self._local_reply(command_id, ballot))",
+        "pass", leader_differential),
+    "recovery-whitelist-at-the-majority": (
+        RecoveryManager._resume_fast_pending, "< majority", "<= majority", leader_differential),
+    "recovery-accepted-before-stable": (
+        RecoveryManager._dispatch, "if stable:", "if stable and not accepted:",
+        leader_differential),
 }
 
 
@@ -973,7 +1110,7 @@ class TestSpecTeeth:
     @pytest.mark.parametrize("name", sorted(SPEC_MUTANTS))
     def test_a_broken_acceptor_wait_or_delivery_is_caught(self, monkeypatch, name):
         function, old, new, differential = SPEC_MUTANTS[name]
-        owner = next(cls for cls in (WaitManager, CaesarReplica, DeliveryManager)
+        owner = next(cls for cls in (WaitManager, CaesarReplica, DeliveryManager, RecoveryManager)
                      if cls.__dict__.get(function.__name__) is function)
         monkeypatch.setattr(owner, function.__name__, mutated(function, old, new))
         with pytest.raises(AssertionError, match="spec disagrees"):

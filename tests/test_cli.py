@@ -129,8 +129,8 @@ class TestParser:
 
     def test_figure_absorbed_sweep_without_growing_the_cli(self):
         surface = parser_surface(build_parser())
-        assert set(surface) == {"run", "compare", "figure", "chaos", "serve", "loadgen",
-                                "overload", "topology"}
+        assert set(surface) == {"run", "figure", "chaos", "serve", "loadgen", "overload",
+                                "topology"}
         figure_flags = {flag for options, _, _ in surface["figure"] for flag in options}
         assert figure_flags <= PARENT_SWEEP_FLAGS
         # Files are written only on request.

@@ -1,14 +1,13 @@
-"""Differential test: the compiled wire codec vs the interpreted tree it replaced.
+"""Differential test: the compiled wire codec vs the wire format's rules.
 
 :class:`~repro.runtime.registry.MessageRegistry` compiles each message type's
-field codecs into one flat function per direction.  That is only an
-optimisation if *not one byte* changes: the interpreted codec of the parent
-commit lives on in ``tests/interpreted_codec.py`` (a fixture, not package
-code), and for every registered message type Hypothesis draws messages and
-requires the compiled bytes to equal the interpreted bytes, and both decoders
-to give back the message — from either side's bytes.
+field codecs into one flat function per direction.  ``tests/spec_wire.py``
+states, one rule per codec kind, what the bytes must be; for every registered
+message type Hypothesis draws messages and requires the compiled bytes to
+equal the spec's bytes, and both decoders to give back the message and the
+same end offset, from either side's bytes.
 
-The pinned examples sit on the boundaries where generated code and the tree
+The pinned examples sit on the boundaries where generated code and the rules
 could plausibly part ways: the one-byte / multi-byte varint edge that the
 generated code inlines, zigzag around zero, a string whose *byte* length
 needs two length bytes, sets large enough for a two-byte count (where
@@ -28,30 +27,30 @@ from repro.core.messages import FastPropose, FastProposeReply, Stable
 from repro.runtime.batching import MessageBatch
 from repro.runtime.codec import UINT, decode_uvarint, encode_uvarint
 from repro.runtime.fields import COMMAND_ID_SET
-from repro.runtime.registry import WIRE
+from repro.runtime.registry import WIRE, MessageCodec
 from repro.sim.failures import Heartbeat
-from tests.interpreted_codec import InterpretedRegistry, interpreted, interpreted_registry
+from tests import spec_wire
 from tests.test_runtime_codec import all_wire_types, message_strategy
 
 ALL_TYPES = all_wire_types()
-INTERPRETED = interpreted_registry(WIRE)
+MESSAGE = MessageCodec(WIRE)
 
 
 def assert_same_wire(message) -> None:
-    """Compiled and interpreted codecs agree on ``message`` in both directions."""
+    """The compiled codec and the spec agree on ``message`` in both directions."""
     compiled_bytes = WIRE.encode(message)
-    assert compiled_bytes == INTERPRETED.encode(message)
-    assert WIRE.decode_one(compiled_bytes) == message
-    assert INTERPRETED.decode_one(compiled_bytes) == message
+    spec_bytes = spec_wire.encode(MESSAGE, message)
+    assert compiled_bytes == spec_bytes
     # Same end offset too: a decoder that over- or under-reads by a byte and
     # still builds an equal message would corrupt the next message of a batch.
-    assert WIRE.decode(compiled_bytes) == INTERPRETED.decode(compiled_bytes)
+    for data in (compiled_bytes, spec_bytes):
+        assert WIRE.decode(data) == spec_wire.decode(MESSAGE, data, 0) == (message, len(data))
 
 
 @pytest.mark.parametrize("cls", ALL_TYPES, ids=lambda cls: cls.__name__)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_every_registered_type_matches_the_interpreted_codec(cls, data):
+def test_every_registered_type_matches_the_wire_spec(cls, data):
     assert_same_wire(data.draw(message_strategy(cls)))
 
 
@@ -111,7 +110,7 @@ _STABLE = st.builds(stable, predecessors=st.frozensets(_IDS, max_size=300))
     MessageBatch(messages=(Heartbeat(sender=1, sequence=128), stable(predecessors=[(1, 1)]))),
     MessageBatch(messages=()),
     Heartbeat(sender=2, sequence=3))))
-def test_boundary_messages_match_the_interpreted_codec(message):
+def test_boundary_messages_match_the_wire_spec(message):
     assert_same_wire(message)
 
 
@@ -119,11 +118,9 @@ def test_boundary_messages_match_the_interpreted_codec(message):
 @given(ids=st.frozensets(_IDS, max_size=150))
 def test_a_standalone_codec_compiles_the_same_layout(ids):
     """``Codec.encode`` / ``.decode`` outside any message: same emitters, same bytes."""
-    reference = interpreted(COMMAND_ID_SET, InterpretedRegistry())
-    compiled_out, reference_out = bytearray(b"\xaa"), bytearray(b"\xaa")
+    compiled_out = bytearray(b"\xaa")
     COMMAND_ID_SET.encode(ids, compiled_out)
-    reference.encode(ids, reference_out)
-    assert compiled_out == reference_out
+    assert compiled_out == b"\xaa" + spec_wire.encode(COMMAND_ID_SET, ids)
     assert COMMAND_ID_SET.decode(bytes(compiled_out), 1) == (ids, len(compiled_out))
 
 
@@ -131,11 +128,10 @@ def test_a_standalone_codec_compiles_the_same_layout(ids):
 def test_inline_varints_are_the_function_s_bytes_on_every_width_boundary(value):
     """One and two bytes are written and read inline by generated code; from
     three up it calls ``encode_uvarint`` / ``decode_uvarint``."""
-    compiled_out, function_out, reference_out = bytearray(), bytearray(), bytearray()
+    compiled_out, function_out = bytearray(), bytearray()
     UINT.encode(value, compiled_out)
     encode_uvarint(value, function_out)
-    interpreted(UINT, InterpretedRegistry()).encode(value, reference_out)
-    assert compiled_out == function_out == reference_out
+    assert compiled_out == function_out == spec_wire.encode(UINT, value)
     assert UINT.decode(bytes(compiled_out) + b"\x7f", 0) == (value, len(compiled_out))
 
 
@@ -146,8 +142,7 @@ def test_inline_varints_are_the_function_s_bytes_on_every_width_boundary(value):
     b"\x81\x80\x80\x01",
 ], ids=lambda data: data.hex())
 def test_a_non_canonical_varint_decodes_exactly_as_the_function_does(data):
-    assert UINT.decode(data, 0) == decode_uvarint(data, 0) \
-        == interpreted(UINT, InterpretedRegistry()).decode(data, 0)
+    assert UINT.decode(data, 0) == decode_uvarint(data, 0) == spec_wire.decode(UINT, data, 0)
 
 
 @pytest.mark.parametrize("data", [b"\x80", b"\xff\xff", b"\xff" * 11],

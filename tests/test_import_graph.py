@@ -221,3 +221,78 @@ def test_the_experiment_harness_never_loads_the_figure_table():
         "print(json.dumps(sorted(sys.modules)))\n")
     assert "repro.harness.experiment" in loaded
     assert "repro.harness.figures" not in loaded
+
+
+# ----------------------------------------------------------------- the specs
+
+#: Each executable spec under ``tests/``: its file, the definitions that make
+#: it up (``None``: the whole file) and the package names it may use, as
+#: ``module -> names`` (``"*"``: any name of the module).  A spec states what
+#: the paper or the format requires, so it names none of the code it checks:
+#: the CAESAR spec inherits only the kernel and the vocabulary (no recovery,
+#: predecessor or delivery code), the event spec names nothing of
+#: ``repro.sim.events``, and the wire spec no encode or decode function.
+SPECS = {
+    "caesar": ("spec_caesar.py", None, {
+        "repro.consensus.ballots": {"Ballot"},
+        "repro.consensus.command": {"Command", "CommandId"},
+        "repro.consensus.interface": {"DecisionKind"},
+        "repro.consensus.timestamps": {"LogicalTimestamp", "TimestampGenerator"},
+        "repro.core.caesar": {"PHASE_DONE", "PHASE_FAST", "PHASE_RETRY", "PHASE_SLOW",
+                              "LeaderState"},
+        "repro.core.config": {"CaesarConfig"},
+        "repro.core.history": {"CommandStatus"},
+        "repro.core.messages": "*",
+        "repro.runtime.kernel": {"BallotRegister", "ProtocolKernel", "QuorumTracker", "handles"},
+    }),
+    "events": ("test_sim_engine_differential.py", {"SpecEvent", "SpecQueue", "SpecSimulator"},
+               {"repro.sim.simulator": {"SimulationError"}}),
+    "wire": ("spec_wire.py", None, {
+        "repro.runtime.codec": {"UintCodec", "SintCodec", "BoolCodec", "StrCodec",
+                                "OptionalCodec", "TupleCodec", "SeqCodec", "FrozenSetCodec",
+                                "StructCodec"},
+        "repro.runtime.registry": {"TYPE_IDS", "MessageCodec"},
+    }),
+}
+
+
+def spec_violations(source: str, definitions, allowed) -> list:
+    """The package names a spec imports (or, for ``definitions`` of a larger
+    file, the imported names they use) that ``allowed`` does not list."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.update({alias.asname or alias.name: (node.module or "", alias.name)
+                             for alias in node.names})
+        elif isinstance(node, ast.Import):
+            imported.update({alias.asname or alias.name: (alias.name, "*")
+                             for alias in node.names})
+    if definitions is not None:
+        used = {node.id for definition in tree.body if getattr(definition, "name", None)
+                in definitions for node in ast.walk(definition) if isinstance(node, ast.Name)}
+        imported = {name: origin for name, origin in imported.items() if name in used}
+    return sorted(f"{module}.{name}" for module, name in imported.values()
+                  if module.startswith("repro")
+                  and allowed.get(module) != "*" and name not in allowed.get(module, ()))
+
+
+@pytest.mark.parametrize("spec", sorted(SPECS))
+def test_a_spec_names_only_the_vocabulary_it_is_allowed(spec):
+    path, definitions, allowed = SPECS[spec]
+    source = (pathlib.Path(__file__).parent / path).read_text(encoding="utf-8")
+    assert spec_violations(source, definitions, allowed) == []
+
+
+@pytest.mark.parametrize("spec, borrowed, named", [
+    ("caesar", "from repro.core.recovery import RecoveryManager",
+     "repro.core.recovery.RecoveryManager"),
+    ("events", "from repro.sim.events import EventQueue\nclass SpecQueue(EventQueue): pass",
+     "repro.sim.events.EventQueue"),
+    ("wire", "from repro.runtime.codec import encode_uvarint",
+     "repro.runtime.codec.encode_uvarint"),
+])
+def test_the_guard_names_product_code_a_spec_borrows(spec, borrowed, named):
+    path, definitions, allowed = SPECS[spec]
+    source = (pathlib.Path(__file__).parent / path).read_text(encoding="utf-8")
+    assert spec_violations(source + "\n" + borrowed + "\n", definitions, allowed) == [named]

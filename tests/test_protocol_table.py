@@ -70,12 +70,6 @@ class TestOneTable:
         finally:
             del PROTOCOLS["primarycopy"]
 
-    def test_compare_rows_follow_the_table(self, capsys):
-        assert main(["compare", "--conflicts", "0", "--clients", "1",
-                     "--duration", "300"]) == 0
-        header = capsys.readouterr().out.splitlines()[1]
-        assert [cell.strip() for cell in header.split("|")] == ["conflict", *PROTOCOLS]
-
     def test_chaos_matrix_defaults_to_the_whole_table(self, monkeypatch, capsys):
         seen = {}
 

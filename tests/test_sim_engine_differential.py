@@ -1,14 +1,23 @@
-"""The event engine against the engine it replaced: same events, same order.
+"""The event engine against a statement of the order it must fire events in.
 
-``tests/reference_simulator.py`` keeps the previous ``EventQueue`` and
-``Simulator``, whose every entry sits on the heap under a
-``(time, priority, seq)`` key.  The current engine keeps one never-cancelled
-entry in a slot in front of the heap, keys by ``(time, seq)``, counts steps
-once per run call, and receives network deliveries pushed straight onto its
-heap by ``Network.send``.  Hypothesis drives both with the same random
-schedules and asserts, after every phase, the same firing order, the same
-``now`` at each firing, the same ``now`` and ``steps_executed`` between
-phases, and the same pending times.
+The spec below is a sorted list of pending events and four rules:
+
+* events fire in ``(time, scheduling order)``;
+* a cancelled event never fires and is never counted in ``steps_executed``;
+* ``run(until)`` fires every event at or before ``until``, then sets the
+  clock to ``until`` if it is still behind;
+* ``run_until`` checks its predicate every ``check_every`` firings, stops at
+  its deadline (the clock moves to it while anything is left pending) and
+  refuses a deadline in the past.
+
+A network send is, in the spec, a push at the jitter-free one-way delay,
+floored at ``MIN_DELAY_MS``.  The product keeps one never-cancelled entry in
+a slot in front of its heap, keys by ``(time, seq)``, counts steps once per
+run call and lets ``Network.send`` push deliveries straight onto the heap;
+none of that may show.  Hypothesis drives both with the same random schedules
+and asserts, after every phase, the same firing order, the same ``now`` at
+each firing, the same ``now`` and ``steps_executed`` between phases, the same
+return value and the same pending times.
 
 A schedule is a tree: each scheduled event carries the operations it performs
 when it fires (nested pushes, zero-delay ones included, and cancels), so the
@@ -16,19 +25,124 @@ CPU-dispatch pattern - a delivery that pushes the next event - arises on its
 own.  The phases between them are ``run(until)`` (with ``until`` exactly at a
 pending time or one float either side of it), ``run()`` and ``run_until`` with
 a cadence and a deadline.
+
+:func:`pending_times` is the probe every test uses to read the product's
+pending entries, slot included.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+from typing import List
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.sim.events import EventQueue
 from repro.sim.network import MIN_DELAY_MS, Network
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import SimulationError, Simulator
 from repro.sim.topology import uniform_topology
-from tests import reference_simulator
+
+
+def pending_times(sim) -> List[float]:
+    """Sorted firing times of every live entry of a product ``Simulator``.
+
+    Reads the slot as well as the heap, and skips cancelled entries.
+    """
+    queue = sim._queue
+    entries = list(queue._heap)
+    if queue._slot is not None:
+        entries.append(queue._slot)
+    return sorted(entry[0] for entry in entries if entry[4] is None or not entry[4].cancelled)
+
+
+# ------------------------------------------------------------------ the spec
+
+class SpecEvent:
+    """A pending callback; ``seq`` is its place in scheduling order."""
+
+    def __init__(self, time: float, seq: int, callback, args: tuple) -> None:
+        self.time, self.seq, self.callback, self.args = time, seq, callback, args
+        self.cancelled = False
+
+    def cancel(self) -> None:
+        self.cancelled = True
+
+
+class SpecQueue:
+    """Pending events in a list sorted by ``(time, scheduling order)``."""
+
+    def __init__(self) -> None:
+        self.events: List[SpecEvent] = []
+        self.seq = 0
+
+    def push(self, time: float, callback, args: tuple = ()) -> SpecEvent:
+        event = SpecEvent(time, self.seq, callback, args)
+        self.seq += 1
+        bisect.insort(self.events, event, key=lambda pending: (pending.time, pending.seq))
+        return event
+
+    push_transient = push
+
+    def live(self) -> List[SpecEvent]:
+        self.events = [event for event in self.events if not event.cancelled]
+        return self.events
+
+    def pop(self):
+        return self.live().pop(0) if self.live() else None
+
+    def peek_time(self):
+        return self.live()[0].time if self.live() else None
+
+    def clear(self) -> None:
+        self.events = []
+
+
+class SpecSimulator:
+    """A clock, a :class:`SpecQueue` and the firing rules of the module docstring."""
+
+    def __init__(self) -> None:
+        self._queue = SpecQueue()
+        self.now = 0.0
+        self.steps_executed = 0
+
+    def schedule(self, delay: float, callback, args: tuple = ()) -> SpecEvent:
+        return self._queue.push(self.now + delay, callback, args)
+
+    def _fire_next(self, limit: float) -> bool:
+        """Fire the first live event if it is due at or before ``limit``."""
+        time = self._queue.peek_time()
+        if time is None or time > limit:
+            return False
+        event = self._queue.pop()
+        self.now = event.time
+        self.steps_executed += 1
+        event.callback(*event.args)
+        return True
+
+    def run(self, until=None) -> None:
+        while self._fire_next(math.inf if until is None else until):
+            pass
+        if until is not None:
+            self.now = max(self.now, until)
+
+    def run_until(self, predicate, deadline=None, check_every: int = 1) -> bool:
+        if deadline is not None and deadline < self.now:
+            raise SimulationError(f"deadline {deadline} < now {self.now}")
+        if predicate():
+            return True
+        fired = 0
+        while self._fire_next(math.inf if deadline is None else deadline):
+            fired += 1
+            if fired % check_every == 0 and predicate():
+                return True
+        if self._queue.peek_time() is not None:
+            self.now = deadline
+        return predicate()
+
+
+# ------------------------------------------------------------ the schedules
 
 #: Delays repeat on purpose: equal timestamps are where FIFO order matters.
 DELAYS = st.sampled_from([0.0, 0.0, 0.25, 1.0, 1.0, 2.5])
@@ -74,13 +188,13 @@ class _Recipient:
 class Side:
     """One engine, the schedule applied to it, and what it fired when."""
 
-    def __init__(self, reference: bool) -> None:
-        self.reference = reference
-        self.sim = reference_simulator.Simulator(seed=3) if reference else Simulator(seed=3)
+    def __init__(self, spec: bool) -> None:
+        self.spec = spec
+        self.sim = SpecSimulator() if spec else Simulator(seed=3)
         self.log = []
         self.handles = []
         self.then = []
-        if not reference:
+        if not spec:
             self.network = Network(self.sim, TOPOLOGY)
             for node_id in range(3):
                 self.network.register(_Recipient(node_id, self))
@@ -102,20 +216,15 @@ class Side:
             self.handles.append(sim.schedule(op[1], self.fire, args=(event_id,)))
         elif op[0] == "transient":
             sim._queue.push_transient(sim.now + op[1], self.fire, args=(event_id,))
-        elif not self.reference:
+        elif not self.spec:
             self.network.send(op[1], op[2], event_id)
         else:
-            # What the reference engine's Network.send pushed: a transient
-            # entry at the jitter-free one-way delay, floored.
-            nominal = TOPOLOGY.one_way(op[1], op[2])
-            delay = MIN_DELAY_MS if nominal < MIN_DELAY_MS else nominal
-            sim._queue.push_transient(sim.now + delay, self.fire, args=(event_id,))
+            delay = max(TOPOLOGY.one_way(op[1], op[2]), MIN_DELAY_MS)
+            sim._queue.push(sim.now + delay, self.fire, args=(event_id,))
 
     def pending(self) -> list:
-        if not self.reference:
-            return reference_simulator.pending_times(self.sim)
-        return sorted(entry[0] for entry in self.sim._queue._heap
-                      if entry[3] is None or not entry[3].cancelled)
+        return [event.time for event in self.sim._queue.live()] if self.spec \
+            else pending_times(self.sim)
 
     def phase(self, phase, until: float):
         """Run one phase; ``until`` is the bound a ``run_to`` phase uses."""
@@ -146,16 +255,16 @@ def _bound(side: Side, phase) -> float:
 
 
 def _check(program, phases) -> None:
-    new, reference = Side(reference=False), Side(reference=True)
+    new, spec = Side(spec=False), Side(spec=True)
     for op in program:
         new.apply(op)
-        reference.apply(op)
-    assert new.observed() == reference.observed()
+        spec.apply(op)
+    assert new.observed() == spec.observed()
     for step, phase in enumerate(list(phases) + [("run",)]):
-        until = _bound(reference, phase) if phase[0] == "run_to" else None
-        result = new.phase(phase, until), reference.phase(phase, until)
+        until = _bound(spec, phase) if phase[0] == "run_to" else None
+        result = new.phase(phase, until), spec.phase(phase, until)
         assert result[0] == result[1], (step, phase)
-        assert new.observed() == reference.observed(), (step, phase)
+        assert new.observed() == spec.observed(), (step, phase)
 
 
 class TestEngineDifferential:
@@ -176,6 +285,13 @@ class TestEngineDifferential:
              [("run_until", 2, 2, 1.0)])
     def test_same_firing_order_clock_and_steps(self, program, phases):
         _check(program, phases)
+
+    def test_both_refuse_a_past_deadline(self):
+        for sim in (Simulator(), SpecSimulator()):
+            sim.run(until=5.0)
+            with pytest.raises(SimulationError):
+                sim.run_until(lambda: False, deadline=4.0)
+            assert sim.now == 5.0
 
 
 #: ``("push" | "push_transient", time)``, ``("cancel", n)``, ``("pop",)``,
@@ -214,4 +330,4 @@ class TestQueueDifferential:
     @settings(max_examples=300, deadline=None, database=None)
     @given(st.lists(QUEUE_OPS, max_size=30))
     def test_pop_peek_and_clear_agree(self, ops):
-        assert _queue_trace(EventQueue(), ops) == _queue_trace(reference_simulator.EventQueue(), ops)
+        assert _queue_trace(EventQueue(), ops) == _queue_trace(SpecQueue(), ops)
