@@ -15,7 +15,6 @@ import pytest
 
 from repro.consensus.command import Command
 from repro.consensus.quorums import QuorumSystem, epaxos_fast_quorum_size
-from repro.core.config import CaesarConfig
 from repro.harness.cluster import ClusterConfig, build_cluster
 from repro.metrics.perf import PerfRecord, write_record
 from repro.sim.network import NetworkConfig
@@ -60,8 +59,7 @@ def test_caesar_slow_decision_is_four_delays():
     def run():
         cluster = build_cluster(ClusterConfig(
             protocol="caesar", seed=6,
-            protocol_options={"config": CaesarConfig(recovery_enabled=False,
-                                                     wait_condition_enabled=False)}))
+            protocol_options={"wait_condition": False}))
         # Two conflicting commands proposed simultaneously from the two farthest
         # sites force at least one of them onto the retry path.
         first = Command(command_id=(0, 0), key="hot", operation="put", value="a", origin=0)

@@ -213,16 +213,12 @@ class EPaxosReplica(ProtocolKernel):
     Args:
         node_id: replica index.
         sim / network / quorums / state_machine / cost_model: shared substrate.
-        recovery_enabled: whether to run the failure detector and explicit
-            prepare when a peer is suspected.
     """
 
     protocol_name = "epaxos"
 
     def __init__(self, node_id: int, sim: Clock, network, quorums: QuorumSystem,
-                 state_machine: StateMachine, cost_model: Optional[CostModel] = None,
-                 recovery_enabled: bool = True, heartbeat_every_ms: float = 100.0,
-                 suspect_after_ms: float = 600.0) -> None:
+                 state_machine: StateMachine, cost_model: Optional[CostModel] = None) -> None:
         super().__init__(node_id, sim, network, quorums, state_machine, cost_model)
         self.instances: Dict[InstanceId, Instance] = {}
         #: key -> (write instances, read instances); see ``_record_instance``.
@@ -234,10 +230,6 @@ class EPaxosReplica(ProtocolKernel):
         self._unexecuted_committed: Set[InstanceId] = set()
         self._command_instance: Dict[CommandId, InstanceId] = {}
         self.fast_quorum = epaxos_fast_quorum_size(quorums.n)
-        self.recovery_enabled = recovery_enabled
-        if recovery_enabled:
-            self.use_failure_detector(heartbeat_every_ms, suspect_after_ms,
-                                      self._on_suspect)
 
     # ----------------------------------------------------------- client path
 
@@ -624,10 +616,8 @@ class EPaxosReplica(ProtocolKernel):
 
     # recovery ---------------------------------------------------------------
 
-    def _on_suspect(self, peer: int) -> None:
+    def on_suspect(self, peer: int) -> None:
         """Recover instances led by a suspected replica via explicit prepare."""
-        if not self.recovery_enabled:
-            return
         alive_lower = sum(1 for node_id in self.network.node_ids
                           if node_id < self.node_id and node_id != peer)
         delay = 50.0 * (1 + alive_lower)

@@ -108,16 +108,13 @@ class MultiPaxosReplica(ProtocolKernel):
     Args:
         leader_id: index of the designated leader replica (defaults to 0; the
             Figure 7 experiments use the Ireland or Mumbai site).
-        recovery_enabled: run a failure detector and elect a new leader when
-            the current one is suspected.
     """
 
     protocol_name = "multipaxos"
 
     def __init__(self, node_id: int, sim: Clock, network, quorums: QuorumSystem,
                  state_machine: StateMachine, cost_model: Optional[CostModel] = None,
-                 leader_id: int = 0, recovery_enabled: bool = True,
-                 heartbeat_every_ms: float = 100.0, suspect_after_ms: float = 600.0) -> None:
+                 leader_id: int = 0) -> None:
         super().__init__(node_id, sim, network, quorums, state_machine, cost_model)
         self.leader_id = leader_id
         self.ballot = Ballot.initial(leader_id)
@@ -133,12 +130,8 @@ class MultiPaxosReplica(ProtocolKernel):
         #: highest slot known committed anywhere; execution lagging behind it
         #: is the catch-up trigger.
         self._max_committed = -1
-        self.recovery_enabled = recovery_enabled
         self._election_votes: Optional[QuorumTracker] = None
         self._electing = False
-        if recovery_enabled:
-            self.use_failure_detector(heartbeat_every_ms, suspect_after_ms,
-                                      self._on_suspect)
 
     @property
     def is_leader(self) -> bool:
@@ -239,9 +232,9 @@ class MultiPaxosReplica(ProtocolKernel):
 
     # --------------------------------------------------------------- election
 
-    def _on_suspect(self, peer: int) -> None:
+    def on_suspect(self, peer: int) -> None:
         """Trigger a leader election when the current leader is suspected."""
-        if peer != self.leader_id or not self.recovery_enabled:
+        if peer != self.leader_id:
             return
         live = [n for n in self.network.node_ids if n != peer]
         if self.node_id != min(live):

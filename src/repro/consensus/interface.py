@@ -184,9 +184,6 @@ class ConsensusReplica(Node):
         #: (see :mod:`repro.runtime.admission`); ``None`` keeps the submit
         #: path hook-free.
         self.admission = None
-        #: optional zero-argument hook fired after every local execution; the
-        #: cluster harness uses it to maintain an O(1) completion counter.
-        self.execution_listener: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------ client API
 
@@ -233,8 +230,6 @@ class ConsensusReplica(Node):
         value = self.state_machine.apply(command)
         self.execution_log.append(command)
         self.commands_executed += 1
-        if self.execution_listener is not None:
-            self.execution_listener()
         now = self.sim.now
         if self.admission is not None:
             self.admission.release(command_id, now)

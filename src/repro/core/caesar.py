@@ -31,7 +31,6 @@ from repro.consensus.command import Command, CommandId
 from repro.consensus.interface import DecisionKind
 from repro.consensus.quorums import QuorumSystem
 from repro.consensus.timestamps import LogicalTimestamp, TimestampGenerator
-from repro.core.config import CaesarConfig
 from repro.core.delivery import DeliveryManager
 from repro.core.history import CommandHistory, CommandStatus
 from repro.core.messages import (
@@ -57,6 +56,11 @@ PHASE_FAST = "fast_proposal"
 PHASE_SLOW = "slow_proposal"
 PHASE_RETRY = "retry"
 PHASE_DONE = "done"
+
+#: How long a command leader waits for a fast quorum of FASTPROPOSE replies
+#: before falling back to the slow proposal phase with a classic quorum
+#: (Section V-D).
+FAST_PROPOSAL_TIMEOUT_MS = 1500.0
 
 #: Shared instance for the (very common) empty predecessor set carried by
 #: wire messages, so the hot path does not allocate a fresh frozenset per
@@ -109,30 +113,27 @@ class CaesarReplica(ProtocolKernel):
         network: the substrate's transport factory.
         quorums: quorum sizes (classic and fast) for the cluster size.
         state_machine: local replicated state machine.
-        config: protocol configuration.
         cost_model: CPU cost model.
+        wait_condition: when ``False`` an acceptor immediately rejects a
+            proposal that would otherwise have to wait (the ablation of the
+            paper's key mechanism).
     """
 
     protocol_name = "caesar"
 
     def __init__(self, node_id: int, sim: Clock, network, quorums: QuorumSystem,
-                 state_machine: StateMachine, config: Optional[CaesarConfig] = None,
-                 cost_model: Optional[CostModel] = None) -> None:
+                 state_machine: StateMachine, cost_model: Optional[CostModel] = None,
+                 wait_condition: bool = True) -> None:
         super().__init__(node_id, sim, network, quorums, state_machine, cost_model)
-        self.config = config or CaesarConfig()
         self.timestamps = TimestampGenerator(node_id)
         self.history = CommandHistory()
         self.wait_manager = WaitManager(self.history, lambda: self.sim.now,
-                                        enabled=self.config.wait_condition_enabled)
+                                        enabled=wait_condition)
         self.delivery = DeliveryManager(self.history, self._execute_stable)
         self.leader_states: Dict[CommandId, LeaderState] = {}
         self.ballots = BallotRegister()
         self.wait_time_samples: List[float] = []
         self.recovery = RecoveryManager(self)
-        if self.config.recovery_enabled:
-            self.use_failure_detector(self.config.heartbeat_every_ms,
-                                      self.config.suspect_after_ms,
-                                      self.recovery.on_suspect)
 
     # ----------------------------------------------------------- client path
 
@@ -159,7 +160,7 @@ class CaesarReplica(ProtocolKernel):
         state = LeaderState(command, ballot, PHASE_FAST, timestamp, whitelist, votes,
                             self.sim.now, recovered=recovered)
         self.leader_states[command_id] = state
-        state.timer = self.set_timer(self.config.fast_proposal_timeout_ms,
+        state.timer = self.set_timer(FAST_PROPOSAL_TIMEOUT_MS,
                                      self._on_fast_proposal_timeout, command_id)
         proposal = FastPropose(command=command, ballot=ballot, timestamp=timestamp,
                                whitelist=whitelist)
@@ -233,7 +234,7 @@ class CaesarReplica(ProtocolKernel):
         if state.votes.count < self.quorums.classic:
             # Not even a classic quorum yet: keep waiting (the cluster may have
             # more than f slow/crashed nodes right now).
-            state.timer = self.set_timer(self.config.fast_proposal_timeout_ms,
+            state.timer = self.set_timer(FAST_PROPOSAL_TIMEOUT_MS,
                                          self._on_fast_proposal_timeout, command_id)
             return
         if self._merge_replies(state):
@@ -548,6 +549,10 @@ class CaesarReplica(ProtocolKernel):
 
     # ------------------------------------------------------------- recovery
 
+    def on_suspect(self, peer: int) -> None:
+        """Failure-detector hook (delegated to the manager)."""
+        self.recovery.on_suspect(peer)
+
     @handles(Recovery)
     def _on_recovery(self, src: int, message: Recovery) -> None:
         """Acceptor side of the recovery prepare (delegated to the manager)."""
@@ -578,7 +583,7 @@ class CaesarReplica(ProtocolKernel):
             if state.phase == PHASE_FAST:
                 if state.timer is not None:
                     state.timer.cancel()
-                state.timer = self.set_timer(self.config.fast_proposal_timeout_ms,
+                state.timer = self.set_timer(FAST_PROPOSAL_TIMEOUT_MS,
                                              self._on_fast_proposal_timeout, command_id)
 
     # ------------------------------------------------------------- telemetry

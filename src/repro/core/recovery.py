@@ -51,8 +51,6 @@ class RecoveryManager:
 
     def on_suspect(self, peer: int) -> None:
         """Failure-detector callback: schedule recovery of the peer's commands."""
-        if not self.replica.config.recovery_enabled:
-            return
         self._suspected.add(peer)
         delay = self._stagger_delay()
         self.replica.set_timer(delay, self._recover_commands_of, peer)

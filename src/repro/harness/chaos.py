@@ -35,7 +35,7 @@ from repro.core.invariants import (check_bucket_index, check_delivered_closed,
                                    check_execution_consistency, check_mask_width)
 from repro.harness.cluster import ClusterConfig, build_cluster
 from repro.harness.experiment import count_decisions
-from repro.harness.protocols import constructor_options, flags_to_fields
+from repro.harness.protocols import flags_to_fields
 from repro.metrics.collector import MetricsCollector
 from repro.sim.network import NetworkConfig
 from repro.workload.clients import build_pool
@@ -169,8 +169,7 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
     cluster_config = ClusterConfig(
         protocol=config.protocol, seed=config.seed,
         # Mild jitter, like the figure experiments, on the five EC2 sites.
-        network=NetworkConfig(jitter_ms=2.0),
-        protocol_options=constructor_options(config.protocol, config.recovery))
+        network=NetworkConfig(jitter_ms=2.0), recovery=config.recovery)
     cluster = build_cluster(cluster_config)
     sim = cluster.sim
     tape = HistoryTape(sim)

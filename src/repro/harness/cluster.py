@@ -44,6 +44,9 @@ class ClusterConfig:
             path (``"none"``, ``"inflight:K"``, ``"deadline:MS"``; see
             :mod:`repro.runtime.admission`).  ``None`` leaves the submit path
             hook-free.
+        recovery: run each replica's failure detector and the recovery it
+            triggers (CAESAR's RECOVERY phase, EPaxos' explicit prepare, the
+            Multi-Paxos election); M2Paxos and Mencius have neither.
         history_gc_ms: when set, run a cluster-level
             :class:`~repro.core.delivery.HistoryCompactor` every this many
             virtual ms, removing history entries for commands delivered by
@@ -51,8 +54,8 @@ class ClusterConfig:
             predecessor sets (and therefore message bytes), so it is only for
             long-running load studies, never figure reproduction.
         protocol_options: protocol-specific keyword arguments forwarded to the
-            replica constructor (e.g. ``{"config": CaesarConfig(...)}`` or
-            ``{"leader_id": 3}`` for Multi-Paxos).
+            replica constructor (e.g. ``{"wait_condition": False}`` for CAESAR
+            or ``{"leader_id": 3}`` for Multi-Paxos).
     """
 
     protocol: str = "caesar"
@@ -62,6 +65,7 @@ class ClusterConfig:
     cost_model: Optional[CostModel] = None
     batching: Optional[BatchingConfig] = None
     admission: Optional[str] = None
+    recovery: bool = False
     history_gc_ms: Optional[float] = None
     protocol_options: Dict[str, object] = field(default_factory=dict)
 
@@ -80,16 +84,6 @@ class Cluster:
         #: cluster-level history garbage collector (``None`` unless the config
         #: sets ``history_gc_ms``); built and armed by :func:`build_cluster`.
         self.compactor = None
-        #: total command executions across all replicas (including any a
-        #: replica performed before crashing); maintained in O(1) via the
-        #: replicas' execution listeners so completion predicates do not have
-        #: to rescan every replica's executed set after every event.
-        self.executions = 0
-        for replica in replicas:
-            replica.execution_listener = self._count_execution
-
-    def _count_execution(self) -> None:
-        self.executions += 1
 
     @property
     def size(self) -> int:
@@ -126,10 +120,9 @@ class Cluster:
     def run_until_executed(self, command_ids, deadline_ms: Optional[float] = None) -> bool:
         """Run until every live replica has executed every given command.
 
-        Uses the O(1) execution counter as a cheap gate in front of the exact
-        (per-replica, per-command) membership check, and evaluates the
-        predicate every :data:`EXECUTED_CHECK_EVERY` events rather than after
-        every event, so the hot loop never pays the full rescan.
+        The predicate is evaluated every :data:`EXECUTED_CHECK_EVERY` events
+        rather than after every event, so the hot loop never pays the
+        per-replica, per-command rescan.
 
         Args:
             command_ids: commands that must be executed everywhere.
@@ -140,16 +133,8 @@ class Cluster:
             queue drain or deadline expiry.
         """
         ids = list(command_ids)
-        need = len(set(ids))
-
-        def executed_everywhere() -> bool:
-            live = sum(1 for r in self.replicas if not r.crashed)
-            if self.executions < need * live:
-                return False
-            return self.all_executed(ids)
-
         deadline = None if deadline_ms is None else self.sim.now + deadline_ms
-        return self.sim.run_until(executed_everywhere, deadline=deadline,
+        return self.sim.run_until(lambda: self.all_executed(ids), deadline=deadline,
                                   check_every=EXECUTED_CHECK_EVERY)
 
     def check_consistency(self) -> List[tuple]:
@@ -178,7 +163,7 @@ def build_cluster(config: Optional[ClusterConfig] = None) -> Cluster:
     quorums = QuorumSystem.for_cluster(topology.size)
     replicas = [build_replica(config.protocol, node_id, sim, network, quorums,
                               config.protocol_options, cost_model=config.cost_model,
-                              admission=config.admission)
+                              admission=config.admission, recovery=config.recovery)
                 for node_id in range(topology.size)]
     if config.batching is not None:
         for replica in replicas:

@@ -15,7 +15,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.consensus.interface import DecisionKind
 from repro.harness.cluster import Cluster, ClusterConfig, build_cluster
-from repro.harness.protocols import constructor_options, flags_to_fields
+from repro.harness.protocols import flags_to_fields
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.stats import LatencySummary
 from repro.runtime.batching import BatchingConfig
@@ -141,11 +141,9 @@ def build_experiment_cluster(config: ExperimentConfig) -> Cluster:
     cluster_config = ClusterConfig(protocol=config.protocol, topology=config.topology,
                                    seed=config.seed, network=config.network,
                                    cost_model=config.cost_model, batching=config.batching,
-                                   admission=config.admission,
+                                   admission=config.admission, recovery=config.recovery,
                                    history_gc_ms=config.history_gc_ms,
-                                   protocol_options=constructor_options(
-                                       config.protocol, config.recovery,
-                                       config.protocol_options))
+                                   protocol_options=config.protocol_options)
     return build_cluster(cluster_config)
 
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.config import CaesarConfig
 from repro.harness.experiment import (
     ExperimentConfig,
     ExperimentResult,
@@ -449,8 +448,7 @@ def _ablation_cells(seed: int, *, conflict_rates: Sequence[float] = (0.10, 0.30,
         ExperimentConfig(protocol="caesar", conflict_rate=rate,
                          clients_per_site=clients_per_site, duration_ms=duration_ms,
                          warmup_ms=warmup_ms,
-                         protocol_options={"config": CaesarConfig(
-                             recovery_enabled=False, wait_condition_enabled=enabled)}),
+                         protocol_options={"wait_condition": enabled}),
         base_seed=seed)
         for label, enabled in WAIT_VARIANTS.items() for rate in conflict_rates]]
 

@@ -5,7 +5,10 @@ the CLI's ``--protocol`` choices and the chaos matrix default — and every
 replica, on either substrate, is constructed by
 :func:`build_replica`: the simulator's ``build_cluster`` and the TCP
 ``ReplicaServer.start`` both call it, so a baseline cannot end up configured
-differently from CAESAR without this module saying so.
+differently from CAESAR without this module saying so.  The recovery switch
+is not a constructor option: :func:`build_replica` hands it to the kernel,
+which runs the failure detector for every protocol with an ``on_suspect``
+hook.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from typing import Callable, Dict, Mapping, Optional
 
 from repro.consensus.interface import ConsensusReplica
 from repro.consensus.quorums import QuorumSystem
-from repro.core.config import CaesarConfig
 from repro.kvstore.store import KeyValueStore
 from repro.runtime.admission import admission_policy
 from repro.runtime.costs import CostModel
@@ -30,17 +32,9 @@ class Protocol:
         replica_class: the replica constructor, called as
             ``replica_class(node_id, clock, network, quorums, state_machine,
             cost_model=..., **options)``.
-        recovery_options: how the generic ``recovery`` on/off switch reaches
-            that constructor, as ``on -> options``; ``None`` for protocols
-            without recovery machinery.
     """
 
     replica_class: Callable[..., ConsensusReplica]
-    recovery_options: Optional[Callable[[bool], Dict[str, object]]] = None
-
-
-def _recovery_flag(on: bool) -> Dict[str, object]:
-    return {"recovery_enabled": on}
 
 
 def _in_module(module: str, name: str) -> Callable[..., ConsensusReplica]:
@@ -58,22 +52,17 @@ def _in_module(module: str, name: str) -> Callable[..., ConsensusReplica]:
 
 #: Every protocol, in display order (CLI choices, chaos matrix).
 PROTOCOLS: Dict[str, Protocol] = {
-    "caesar": Protocol(_in_module("repro.core.caesar", "CaesarReplica"),
-                       lambda on: {"config": CaesarConfig(recovery_enabled=on)}),
-    "epaxos": Protocol(_in_module("repro.baselines.epaxos", "EPaxosReplica"),
-                       _recovery_flag),
+    "caesar": Protocol(_in_module("repro.core.caesar", "CaesarReplica")),
+    "epaxos": Protocol(_in_module("repro.baselines.epaxos", "EPaxosReplica")),
     "m2paxos": Protocol(_in_module("repro.baselines.m2paxos", "M2PaxosReplica")),
     "mencius": Protocol(_in_module("repro.baselines.mencius", "MenciusReplica")),
-    "multipaxos": Protocol(_in_module("repro.baselines.multipaxos", "MultiPaxosReplica"),
-                           _recovery_flag),
+    "multipaxos": Protocol(_in_module("repro.baselines.multipaxos", "MultiPaxosReplica")),
 }
 
 
-def register_protocol(name: str, replica_class: Callable[..., ConsensusReplica],
-                      recovery_options: Optional[Callable[[bool], Dict[str, object]]] = None
-                      ) -> None:
+def register_protocol(name: str, replica_class: Callable[..., ConsensusReplica]) -> None:
     """Add a protocol to the table (the extension point for new protocols)."""
-    PROTOCOLS[name] = Protocol(replica_class, recovery_options)
+    PROTOCOLS[name] = Protocol(replica_class)
 
 
 def _protocol(name: str) -> Protocol:
@@ -95,23 +84,11 @@ def flags_to_fields(args, *same_name: str, **renamed: str) -> Dict[str, object]:
             if hasattr(args, flag)}
 
 
-def constructor_options(protocol: str, recovery: bool,
-                        overrides: Optional[Mapping[str, object]] = None) -> Dict[str, object]:
-    """Translate the generic ``recovery`` setting into constructor options.
-
-    ``overrides`` are explicit constructor options
-    (``ExperimentConfig.protocol_options``); they win over the translation.
-    """
-    translate = _protocol(protocol).recovery_options
-    options = translate(recovery) if translate is not None else {}
-    options.update(overrides or {})
-    return options
-
-
 def build_replica(protocol: str, node_id: int, clock, network, quorums: QuorumSystem,
                   options: Mapping[str, object],
                   cost_model: Optional[CostModel] = None,
-                  admission: Optional[str] = None) -> ConsensusReplica:
+                  admission: Optional[str] = None,
+                  recovery: bool = False) -> ConsensusReplica:
     """Construct one replica of ``protocol`` on either substrate.
 
     Args:
@@ -121,10 +98,13 @@ def build_replica(protocol: str, node_id: int, clock, network, quorums: QuorumSy
         options: protocol-specific constructor options.
         admission: admission-control spec for the submit path (see
             :mod:`repro.runtime.admission`); ``None`` leaves it hook-free.
+        recovery: run the failure detector and the recovery it triggers
+            (protocols without an ``on_suspect`` hook have neither).
     """
     replica = _protocol(protocol).replica_class(
         node_id, clock, network, quorums, KeyValueStore(), cost_model=cost_model,
         **options)
+    replica.recovery_on = recovery
     if admission is not None:
         replica.admission = admission_policy(admission)
     return replica

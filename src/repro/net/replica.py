@@ -36,7 +36,7 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.consensus.command import KeyBindingError
 from repro.consensus.quorums import QuorumSystem
 from repro.consensus.timestamps import TimestampRangeError
-from repro.harness.protocols import build_replica, constructor_options
+from repro.harness.protocols import build_replica
 from repro.net.clock import WallClock
 from repro.net.framing import FrameDecoder, FramingError, encode_frame
 from repro.net.transport import PeerNetwork, ReconnectPolicy
@@ -110,9 +110,9 @@ class ReplicaServer:
                                    reconnect=self._reconnect)
         self.replica = build_replica(
             config.protocol, config.node_id, self.clock, self.network,
-            QuorumSystem.for_cluster(len(config.peers)),
-            constructor_options(config.protocol, config.recovery),
-            cost_model=zero_cost_model(), admission=config.admission)
+            QuorumSystem.for_cluster(len(config.peers)), {},
+            cost_model=zero_cost_model(), admission=config.admission,
+            recovery=config.recovery)
         if self._server_socket is not None:
             self._server = await loop.create_server(
                 lambda: _AcceptedConnection(self), sock=self._server_socket)

@@ -9,9 +9,11 @@ hand-roll independently:
   ``@handles(MessageType)`` and collected per class; the kernel's uniform
   :meth:`ProtocolKernel.handle_message` performs the exact-type lookup, so no
   replica defines its own dispatch table;
-* **failure-detector scaffolding** — replicas declare their detector once
-  with :meth:`ProtocolKernel.use_failure_detector`; the kernel starts it,
-  feeds it heartbeats and counts every message as liveness evidence;
+* **failure detection** — when recovery is on (``recovery_on``, set by
+  :func:`~repro.harness.protocols.build_replica`) and the protocol defines an
+  ``on_suspect`` hook, the kernel runs one :class:`FailureDetector` at the
+  module's timings, feeds it heartbeats and counts every message as
+  liveness evidence;
 * **quorum trackers** (:class:`QuorumTracker`) — insertion-ordered vote
   collection with a threshold, replacing the per-protocol reply dicts and
   ack sets;
@@ -57,6 +59,11 @@ from repro.runtime.costs import CostModel
 from repro.runtime.registry import MessageCodec, register_message
 from repro.runtime.stats import ProtocolStats
 from repro.sim.failures import FailureDetector, Heartbeat
+
+#: Failure-detector timings, the same for every protocol: a heartbeat every
+#: ``HEARTBEAT_EVERY_MS`` and suspicion after ``SUSPECT_AFTER_MS`` of silence.
+HEARTBEAT_EVERY_MS = 100.0
+SUSPECT_AFTER_MS = 600.0
 
 #: Function attribute carrying the message classes a method handles.
 _HANDLES_ATTR = "_kernel_handles"
@@ -376,12 +383,17 @@ class ProtocolKernel(ConsensusReplica):
     """Base class for protocol replicas running on the runtime kernel.
 
     Subclasses mark message handlers with :func:`handles`; the kernel builds
-    the dispatch, owns the unified stats record, and runs the (optional)
-    failure detector declared via :meth:`use_failure_detector`.
+    the dispatch, owns the unified stats record, and runs the failure
+    detector when ``recovery_on`` is set and the protocol defines
+    :attr:`on_suspect`.
     """
 
     #: per-class map ``message class -> handler method name`` (built once).
     _handler_specs: Dict[Type, str] = {}
+
+    #: Protocol hook ``on_suspect(peer)``, called once per newly suspected
+    #: peer; a protocol with a recovery path defines it as a method.
+    on_suspect: Optional[Callable[[int], None]] = None
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -396,8 +408,9 @@ class ProtocolKernel(ConsensusReplica):
                  state_machine: StateMachine, cost_model: Optional[CostModel] = None) -> None:
         super().__init__(node_id, sim, network, quorums, state_machine, cost_model)
         self.stats = ProtocolStats()
+        #: The recovery switch; off unless the harness turns it on.
+        self.recovery_on = False
         self.failure_detector: Optional[FailureDetector] = None
-        self._fd_setup: Optional[Dict[str, object]] = None
         self.retransmit = RetransmitBuffer(self)
         self._catchup_timer = None
         self._catchup_attempts = 0
@@ -426,17 +439,13 @@ class ProtocolKernel(ConsensusReplica):
 
     # ----------------------------------------------------- failure detection
 
-    def use_failure_detector(self, heartbeat_every_ms: float, suspect_after_ms: float,
-                             on_suspect: Callable[[int], None]) -> None:
-        """Declare the failure detector :meth:`start` should run."""
-        self._fd_setup = dict(heartbeat_every_ms=heartbeat_every_ms,
-                              suspect_after_ms=suspect_after_ms, on_suspect=on_suspect)
-
     def start(self) -> None:
-        """Start background machinery (failure detector); call once per run."""
-        if self._fd_setup is not None and self.failure_detector is None:
+        """Start the failure detector when recovery is on and the protocol has
+        an :attr:`on_suspect` hook; call once per run."""
+        if self.recovery_on and self.on_suspect is not None and self.failure_detector is None:
             self.failure_detector = FailureDetector(
-                owner=self, peer_ids=self.network.node_ids, **self._fd_setup)
+                self, self.network.node_ids, HEARTBEAT_EVERY_MS, SUSPECT_AFTER_MS,
+                self.on_suspect)
             self.failure_detector.start()
 
     # --------------------------------------------------------------- catch-up

@@ -7,7 +7,7 @@ detector sufficient for leader election.  In the simulation:
   nodes at chosen virtual times — this drives the Figure 12 experiment.
 * :class:`FailureDetector` is a simple heartbeat-based eventually-accurate
   detector: every node broadcasts heartbeats, and a peer that has not been
-  heard from within ``suspect_after_ms`` is suspected.  Suspicion callbacks
+  heard from within ``silence_ms`` is suspected.  Suspicion callbacks
   let protocols trigger recovery (CAESAR's per-command RECOVERY phase,
   EPaxos' explicit-prepare, Multi-Paxos leader re-election).
 """
@@ -97,25 +97,25 @@ class FailureDetector:
 
     Each protocol node owns one detector instance.  The detector piggybacks
     on the owning node's timers and network; it emits heartbeats every
-    ``heartbeat_every_ms`` and declares a peer suspected when no heartbeat has
-    been received for ``suspect_after_ms``.
+    ``period_ms`` and declares a peer suspected when nothing has been heard
+    from it for ``silence_ms``.  A protocol replica's detector is built by
+    the runtime kernel, at the kernel's timings.
 
     Args:
         owner: the node this detector runs on (anything exposing ``node_id``,
             ``broadcast``, ``set_timer``, ``sim`` and ``crashed``).
         peer_ids: ids of all nodes in the cluster (including the owner).
-        heartbeat_every_ms: heartbeat period.
-        suspect_after_ms: silence threshold before suspecting a peer.
+        period_ms: heartbeat period.
+        silence_ms: silence threshold before suspecting a peer.
         on_suspect: callback invoked once per newly suspected peer.
     """
 
-    def __init__(self, owner, peer_ids: List[int], heartbeat_every_ms: float = 100.0,
-                 suspect_after_ms: float = 500.0,
+    def __init__(self, owner, peer_ids: List[int], period_ms: float, silence_ms: float,
                  on_suspect: Optional[Callable[[int], None]] = None) -> None:
         self.owner = owner
         self.peer_ids = [p for p in peer_ids if p != owner.node_id]
-        self.heartbeat_every_ms = heartbeat_every_ms
-        self.suspect_after_ms = suspect_after_ms
+        self.period_ms = period_ms
+        self.silence_ms = silence_ms
         self.on_suspect = on_suspect
         self.suspected: Set[int] = set()
         self._last_heard: Dict[int, float] = {}
@@ -157,13 +157,13 @@ class FailureDetector:
         self._sequence += 1
         self.owner.broadcast(Heartbeat(sender=self.owner.node_id, sequence=self._sequence),
                              include_self=False)
-        self.owner.set_timer(self.heartbeat_every_ms, self._emit_heartbeat)
+        self.owner.set_timer(self.period_ms, self._emit_heartbeat)
 
     def _schedule_check(self) -> None:
         if not self._running or self.owner.crashed:
             return
         self._check_peers()
-        self.owner.set_timer(self.heartbeat_every_ms, self._schedule_check)
+        self.owner.set_timer(self.period_ms, self._schedule_check)
 
     def _check_peers(self) -> None:
         now = self.owner.sim.now
@@ -171,7 +171,7 @@ class FailureDetector:
             if peer in self.suspected:
                 continue
             silence = now - self._last_heard.get(peer, now)
-            if silence >= self.suspect_after_ms:
+            if silence >= self.silence_ms:
                 self.suspected.add(peer)
                 if self.on_suspect is not None:
                     self.on_suspect(peer)

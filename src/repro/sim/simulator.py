@@ -181,7 +181,10 @@ class Simulator:
                     since_check = 0
                     if predicate():
                         return True
-            self._now = deadline
+            # The head was past the deadline; if it was a cancelled entry and
+            # nothing live is left, the run drained and the clock stays.
+            if queue.peek_time() is not None:
+                self._now = deadline
             return predicate()
         finally:
             self._steps += executed

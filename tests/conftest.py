@@ -10,7 +10,6 @@ import pytest
 from repro.consensus.command import Command
 from repro.consensus.quorums import QuorumSystem
 from repro.core.caesar import CaesarReplica
-from repro.core.config import CaesarConfig
 from repro.kvstore.store import KeyValueStore
 from repro.runtime.kernel import ProtocolKernel, RetransmitBuffer
 from repro.sim.network import Network, NetworkConfig
@@ -115,22 +114,22 @@ def make_cmd():
 
 
 def build_caesar_cluster(n: int = 5, seed: int = 1, recovery: bool = False,
-                         wait_condition: bool = True, topology=None,
-                         fast_timeout_ms: float = 400.0):
+                         wait_condition: bool = True, topology=None):
     """Build a CAESAR cluster directly (without the harness) for protocol tests.
 
-    Returns ``(sim, network, replicas)``.
+    ``recovery`` is the switch ``build_replica`` sets, and with it on every
+    replica's failure detector is started.  Returns ``(sim, network, replicas)``.
     """
     topology = topology or (ec2_five_sites() if n == 5 else uniform_topology(n, rtt_ms=40.0))
     sim = Simulator(seed=seed)
     network = Network(sim, topology)
     quorums = QuorumSystem.for_cluster(n)
-    config = CaesarConfig(recovery_enabled=recovery, wait_condition_enabled=wait_condition,
-                          fast_proposal_timeout_ms=fast_timeout_ms)
-    replicas = [CaesarReplica(i, sim, network, quorums, KeyValueStore(), config=config)
+    replicas = [CaesarReplica(i, sim, network, quorums, KeyValueStore(),
+                              wait_condition=wait_condition)
                 for i in range(n)]
     if recovery:
         for replica in replicas:
+            replica.recovery_on = True
             replica.start()
     return sim, network, replicas
 

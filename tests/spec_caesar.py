@@ -14,8 +14,12 @@ by set edits, then a repeated scan of the pending commands in timestamp order.
 :class:`SpecCaesarReplica` takes one thing from the product: the runtime
 kernel (send, broadcast, timers, retransmission, the failure detector, the
 ballot register, the CPU charge, stats, decision records).  It also uses the
-product's vocabulary: messages, ``CommandStatus``, ``LeaderState``, the phase
-names and ``CaesarConfig``.  ``tests/test_import_graph.py`` holds it to that.
+product's vocabulary: messages, ``CommandStatus``, ``LeaderState`` and the
+phase names.  ``tests/test_import_graph.py`` holds it to that.  Its timings,
+the fast-proposal timeout and the failure detector's heartbeat and
+suspicion, are stated here.  ``tests/test_caesar_differential.py`` catches a
+disagreement with the product's: the crash cell of ``TestSpecEndToEnd`` for
+the detector, ``TestLeaderRandomSchedules`` for the timeout.
 A restart is not part of the pseudocode, and the spec adds nothing to the
 kernel's ``on_restart`` (no spec run restarts a node;
 ``tests/test_retransmission.py::TestRestartRearms`` pins the product's).
@@ -80,7 +84,6 @@ from repro.consensus.command import Command, CommandId
 from repro.consensus.interface import DecisionKind
 from repro.consensus.timestamps import LogicalTimestamp, TimestampGenerator
 from repro.core.caesar import PHASE_DONE, PHASE_FAST, PHASE_RETRY, PHASE_SLOW, LeaderState
-from repro.core.config import CaesarConfig
 from repro.core.history import CommandStatus
 from repro.core.messages import (
     FastPropose,
@@ -100,6 +103,12 @@ ACCEPTED = CommandStatus.ACCEPTED
 #: Figure 5: the grace period between suspecting a node and recovering the
 #: commands it leads, once per node of lower id still trusted (the product's).
 RECOVERY_DELAY_MS = 50.0
+#: P5: how long a leader waits for a fast quorum (the product's).
+FAST_PROPOSAL_TIMEOUT_MS = 1500.0
+#: The failure detector Figure 5 starts from: a heartbeat every 100 ms, and a
+#: node suspected after 600 ms of silence (the product's).
+HEARTBEAT_EVERY_MS = 100.0
+SUSPECT_AFTER_MS = 600.0
 
 
 @dataclass
@@ -346,13 +355,12 @@ class SpecCaesarReplica(ProtocolKernel):
     protocol_name = "caesar"
 
     def __init__(self, node_id: int, sim, network, quorums, state_machine,
-                 config: Optional[CaesarConfig] = None, cost_model=None) -> None:
+                 cost_model=None, wait_condition: bool = True) -> None:
         super().__init__(node_id, sim, network, quorums, state_machine, cost_model)
-        self.config = config or CaesarConfig()
         self.timestamps = TimestampGenerator(node_id)
         self.history = SpecHistory()
         self.wait_manager = SpecWait(self.history, lambda: self.sim.now,
-                                     self.config.wait_condition_enabled)
+                                     wait_condition)
         self.delivery = SpecDelivery(self.history, self._execute_stable)
         self.leader_states: Dict[CommandId, LeaderState] = {}
         self.ballots = BallotRegister()
@@ -360,9 +368,13 @@ class SpecCaesarReplica(ProtocolKernel):
         #: Figure 5: the recoveries this node leads, and the nodes it suspects.
         self.recoveries: Dict[CommandId, SpecRecovery] = {}
         self.suspected: Set[int] = set()
-        if self.config.recovery_enabled:
-            self.use_failure_detector(self.config.heartbeat_every_ms,
-                                      self.config.suspect_after_ms, self.on_suspect)
+
+    def start(self) -> None:
+        """The kernel's failure detector, at the timings stated above."""
+        super().start()
+        if self.failure_detector is not None:
+            self.failure_detector.period_ms = HEARTBEAT_EVERY_MS
+            self.failure_detector.silence_ms = SUSPECT_AFTER_MS
 
     def _write(self, command: Command, timestamp: LogicalTimestamp,
                predecessors: Iterable[CommandId], status: CommandStatus, ballot: Ballot,
@@ -393,7 +405,7 @@ class SpecCaesarReplica(ProtocolKernel):
         state = LeaderState(command, ballot, PHASE_FAST, timestamp, whitelist, None,
                             self.sim.now, recovered=recovered)
         self.leader_states[command.command_id] = state
-        state.timer = self.set_timer(self.config.fast_proposal_timeout_ms,
+        state.timer = self.set_timer(FAST_PROPOSAL_TIMEOUT_MS,
                                      self._on_fast_proposal_timeout, command.command_id)
         self._round(state, PHASE_FAST, self.quorums.fast,
                     FastPropose(command=command, ballot=ballot, timestamp=timestamp,
@@ -457,7 +469,7 @@ class SpecCaesarReplica(ProtocolKernel):
         if state is None or state.phase != PHASE_FAST:
             return
         if state.votes.count < self.quorums.classic:
-            state.timer = self.set_timer(self.config.fast_proposal_timeout_ms,
+            state.timer = self.set_timer(FAST_PROPOSAL_TIMEOUT_MS,
                                          self._on_fast_proposal_timeout, command_id)
         elif self._merge_replies(state):
             self._start_slow_proposal(state)

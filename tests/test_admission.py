@@ -12,7 +12,6 @@ import pytest
 
 from repro.consensus.quorums import QuorumSystem
 from repro.core.caesar import CaesarReplica
-from repro.core.config import CaesarConfig
 from repro.harness.experiment import (ExperimentConfig, run_experiment,
                                       summarize_experiment)
 from repro.kvstore.store import KeyValueStore
@@ -149,9 +148,7 @@ def build_single_replica():
     sim = Simulator(seed=2)
     network = Network(sim, uniform_topology(3, rtt_ms=10.0))
     quorums = QuorumSystem.for_cluster(3)
-    config = CaesarConfig(recovery_enabled=False)
-    replicas = [CaesarReplica(i, sim, network, quorums, KeyValueStore(), config=config)
-                for i in range(3)]
+    replicas = [CaesarReplica(i, sim, network, quorums, KeyValueStore()) for i in range(3)]
     return sim, replicas
 
 

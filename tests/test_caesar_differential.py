@@ -44,7 +44,6 @@ from repro.consensus.interface import DecisionKind
 from repro.consensus.quorums import QuorumSystem
 from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.caesar import PHASE_FAST, PHASE_RETRY, PHASE_SLOW, CaesarReplica
-from repro.core.config import CaesarConfig
 from repro.core.delivery import DeliveryManager
 from repro.core.history import CommandStatus
 from repro.core.messages import (
@@ -87,9 +86,9 @@ class Probe:
     def __init__(self, replica_class, wait_enabled: bool = True) -> None:
         self.sim = Simulator(seed=1)
         network = Network(self.sim, uniform_topology(REPLICAS, rtt_ms=10.0))
-        config = CaesarConfig(wait_condition_enabled=wait_enabled, recovery_enabled=False)
         self.replica: CaesarReplica = replica_class(
-            0, self.sim, network, QuorumSystem.for_cluster(REPLICAS), KeyValueStore(), config)
+            0, self.sim, network, QuorumSystem.for_cluster(REPLICAS), KeyValueStore(),
+            wait_condition=wait_enabled)
         self.sent: List[Tuple[object, object]] = []
         self.replica.send = lambda dst, message: self.sent.append((dst, message))
         self.replica.broadcast = (
@@ -966,15 +965,14 @@ def _cell(pool: int, conflicts: float, **config) -> dict:
 
 
 #: Small cells: one hot key with the wait condition on and off, a ten-key pool,
-#: and an open-loop run that crashes node 4 mid-run, so recovery decides.
+#: and an open-loop run that crashes node 4 mid-run, so recovery decides.  Only
+#: the crash cell runs the failure detector.
 END_TO_END_CELLS = {
-    "pool-1-wait-on": _cell(1, 1.0, seed=7, protocol_options={"config": CaesarConfig()}),
-    "pool-1-wait-off": _cell(1, 1.0, seed=7, protocol_options={
-        "config": CaesarConfig(wait_condition_enabled=False)}),
-    "pool-10-conflicts-30": _cell(10, 0.3, seed=7, protocol_options={"config": CaesarConfig()}),
+    "pool-1-wait-on": _cell(1, 1.0, seed=7),
+    "pool-1-wait-off": _cell(1, 1.0, seed=7, protocol_options={"wait_condition": False}),
+    "pool-10-conflicts-30": _cell(10, 0.3, seed=7),
     "crash-node-4": dict(conflict_rate=0.3, seed=11, open_loop=True, arrival_rate_per_client=20.0,
-                         duration_ms=3000.0, recovery=True, crash_at_ms=1500.0,
-                         protocol_options={"config": CaesarConfig(recovery_enabled=True)}),
+                         duration_ms=3000.0, recovery=True, crash_at_ms=1500.0),
 }
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import repro.core.caesar as caesar
 from repro.consensus.interface import DecisionKind
 from repro.core.history import CommandStatus
 from tests.conftest import build_caesar_cluster, make_command
@@ -79,10 +80,10 @@ class TestLeaderCrashRecovery:
         ids = [c.command_id for c in commands]
         assert run_until_executed_on_live(sim, replicas, ids, deadline_ms=60000)
 
-    def test_two_crashes_still_make_progress_with_classic_quorum(self):
+    def test_two_crashes_still_make_progress_with_classic_quorum(self, monkeypatch):
         """With f=2 failures the fast quorum is unavailable but CQ=3 still decides."""
-        sim, network, replicas = build_caesar_cluster(recovery=True, seed=8,
-                                                      fast_timeout_ms=300.0)
+        monkeypatch.setattr(caesar, "FAST_PROPOSAL_TIMEOUT_MS", 300.0)
+        sim, network, replicas = build_caesar_cluster(recovery=True, seed=8)
         replicas[3].crash()
         replicas[4].crash()
         command = make_command(0, 0, key="x", origin=0)

@@ -17,6 +17,7 @@ keep the oracle honest:
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,8 +25,8 @@ import pytest
 from repro.baselines.multipaxos import MultiPaxosReplica
 from repro.chaos.checker import check_history
 from repro.chaos.history import HistoryTape
-from repro.chaos.nemesis import (CONFORMANCE_SCHEDULES, DuplicationFault, LossFault,
-                                 NemesisPlan, random_plan)
+from repro.chaos.nemesis import (CONFORMANCE_SCHEDULES, CrashFault, DuplicationFault,
+                                 LossFault, NemesisPlan, random_plan)
 from repro.consensus.command import Command, CommandResult
 from repro.consensus.quorums import QuorumSystem
 from repro.harness.chaos import ChaosConfig, run_chaos, run_conformance_matrix
@@ -38,6 +39,10 @@ from repro.sim.topology import ec2_five_sites
 PROTOCOLS = ("caesar", "epaxos", "m2paxos", "mencius", "multipaxos")
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "chaos_golden.json"
+RECOVERY_GOLDEN_PATH = Path(__file__).parent / "data" / "chaos_recovery_golden.json"
+
+#: The protocols with a recovery path (a failure detector and what it triggers).
+RECOVERY_PROTOCOLS = ("caesar", "epaxos", "multipaxos")
 
 #: ``repro chaos --matrix --quick --seed 7``: the windows and seed of the CI job.
 GOLDEN_CELL = dict(seed=7, fault_at_ms=500.0, fault_hold_ms=1000.0, settle_ms=800.0)
@@ -51,12 +56,22 @@ LOSS_AND_DUP = NemesisPlan("loss-and-dup", (
 
 GOLDEN_SCHEDULES = CONFORMANCE_SCHEDULES + (LOSS_AND_DUP.name,)
 
+#: No named schedule crashes node 0, Multi-Paxos' leader, so without this
+#: column no recovery cell would run an election.
+LEADER_CRASH = NemesisPlan("leader-crash", (
+    CrashFault(at_ms=500.0, node_id=0, restart_at_ms=1500.0),))
 
-def golden_cell(protocol: str, schedule: str) -> dict:
+RECOVERY_GOLDEN_SCHEDULES = CONFORMANCE_SCHEDULES + (LEADER_CRASH.name,)
+
+#: The hand-built columns, by name.
+HAND_BUILT_PLANS = {plan.name: plan for plan in (LOSS_AND_DUP, LEADER_CRASH)}
+
+
+def golden_cell(protocol: str, schedule: str, recovery: bool = False) -> dict:
     """Everything one quick chaos cell determines besides its verdict string."""
-    plan = LOSS_AND_DUP if schedule == LOSS_AND_DUP.name else None
+    plan = HAND_BUILT_PLANS.get(schedule)
     result = run_chaos(ChaosConfig(protocol=protocol, schedule=schedule, plan=plan,
-                                   **GOLDEN_CELL))
+                                   recovery=recovery, **GOLDEN_CELL))
     return {"verdict": result.verdict(), "events_executed": result.events_executed,
             "fault_stats": result.fault_stats,
             "taped": result.client_stats.total, "completed": result.client_stats.completed,
@@ -141,6 +156,24 @@ class TestFaultedPathGolden:
         for schedule in GOLDEN_SCHEDULES:
             assert golden_cell(protocol, schedule) == golden[schedule], (protocol, schedule)
 
+    @pytest.mark.parametrize("protocol", RECOVERY_PROTOCOLS)
+    def test_recovery_matrix_reproduces_golden(self, protocol):
+        """The same cells with ``recovery=True``, plus a crash of Multi-Paxos'
+        leader: the failure detector's heartbeats, CAESAR's and EPaxos'
+        recoveries and the Multi-Paxos election.
+
+        ``tests/data/chaos_recovery_golden.json`` was written from the commit
+        before the failure detector moved into the kernel, when each of the
+        three protocols still set its own detector timings (``PYTHONPATH=src
+        python tests/test_chaos_conformance.py --recovery``).
+        """
+        golden = json.loads(RECOVERY_GOLDEN_PATH.read_text(encoding="utf-8"))[protocol]
+        assert sorted(golden) == sorted(RECOVERY_GOLDEN_SCHEDULES)
+        assert any(cell["recoveries"] for cell in golden.values())
+        for schedule in RECOVERY_GOLDEN_SCHEDULES:
+            assert (golden_cell(protocol, schedule, recovery=True)
+                    == golden[schedule]), (protocol, schedule)
+
 
 class TestSafetyWithoutLiveness:
     """Negative control: without retransmission, loss costs the
@@ -187,8 +220,8 @@ class TestOracleHasTeeth:
         sim = Simulator(seed=1)
         network = Network(sim, ec2_five_sites(), NetworkConfig(jitter_ms=2.0))
         quorums = QuorumSystem.for_cluster(5)
-        replicas = [DirtyReadMultiPaxos(i, sim, network, quorums, KeyValueStore(),
-                                        recovery_enabled=False) for i in range(5)]
+        replicas = [DirtyReadMultiPaxos(i, sim, network, quorums, KeyValueStore())
+                    for i in range(5)]
         tape = HistoryTape(sim)
 
         def submit(origin, client, seq, value, delay):
@@ -218,8 +251,8 @@ class TestOracleHasTeeth:
         sim = Simulator(seed=1)
         network = Network(sim, ec2_five_sites(), NetworkConfig(jitter_ms=2.0))
         quorums = QuorumSystem.for_cluster(5)
-        replicas = [MultiPaxosReplica(i, sim, network, quorums, KeyValueStore(),
-                                      recovery_enabled=False) for i in range(5)]
+        replicas = [MultiPaxosReplica(i, sim, network, quorums, KeyValueStore())
+                    for i in range(5)]
         tape = HistoryTape(sim)
 
         def submit(origin, client, seq, value, delay):
@@ -243,6 +276,11 @@ class TestOracleHasTeeth:
 
 
 if __name__ == "__main__":
-    print(json.dumps({protocol: {schedule: golden_cell(protocol, schedule)
-                                 for schedule in GOLDEN_SCHEDULES}
-                      for protocol in PROTOCOLS}, indent=1, sort_keys=True))
+    if sys.argv[1:] == ["--recovery"]:
+        print(json.dumps({protocol: {schedule: golden_cell(protocol, schedule, recovery=True)
+                                     for schedule in RECOVERY_GOLDEN_SCHEDULES}
+                          for protocol in RECOVERY_PROTOCOLS}, indent=1, sort_keys=True))
+    else:
+        print(json.dumps({protocol: {schedule: golden_cell(protocol, schedule)
+                                     for schedule in GOLDEN_SCHEDULES}
+                          for protocol in PROTOCOLS}, indent=1, sort_keys=True))

@@ -13,15 +13,19 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
+from repro.consensus.quorums import QuorumSystem
 from repro.harness.chaos import ChaosConfig
 from repro.harness.cluster import ClusterConfig
 from repro.harness.experiment import ExperimentConfig
 from repro.harness.figures import FIGURES
 from repro.harness.overload import OverloadConfig
+from repro.harness.protocols import PROTOCOLS, build_replica
 from repro.net.client import LoadgenConfig
 from repro.net.cluster import ServeConfig
 from repro.net.replica import ReplicaConfig
-from repro.sim.network import NetworkConfig
+from repro.sim.network import Network, NetworkConfig
+from repro.sim.simulator import Simulator
+from repro.sim.topology import lan_topology
 
 SURFACE_FILE = pathlib.Path(__file__).parent / "data" / "cli_parser_surface.json"
 
@@ -75,6 +79,25 @@ def config_surface() -> dict:
     return surface
 
 
+def constructor_surface() -> dict:
+    """Per protocol of the table, its replica constructor's ``[parameter,
+    default]`` pairs, so a per-protocol knob shows up as a reviewed diff."""
+    surface = {}
+    for name in PROTOCOLS:
+        sim = Simulator(seed=1)
+        replica = build_replica(name, 0, sim, Network(sim, lan_topology(3)),
+                                QuorumSystem.for_cluster(3), {})
+        surface[f"protocol {name}"] = [
+            [p.name, "<required>" if p.default is p.empty else repr(p.default)]
+            for p in inspect.signature(type(replica)).parameters.values()]
+    return surface
+
+
+def surfaces() -> dict:
+    """Everything ``tests/data/cli_parser_surface.json`` pins."""
+    return parser_surface(build_parser()) | config_surface() | constructor_surface()
+
+
 class TestParser:
     def test_requires_a_command(self):
         with pytest.raises(SystemExit):
@@ -118,11 +141,12 @@ class TestParser:
 
     def test_parser_surface_matches_the_golden_capture(self):
         # tests/data/cli_parser_surface.json pins every flag of every
-        # subcommand and every field of every config, with its default: a
-        # setting is added, dropped or re-defaulted only by a reviewed diff
-        # of that file.  Regenerate it with ``python tests/test_cli.py``.
+        # subcommand, every field of every config and every parameter of
+        # every protocol's replica constructor, with its default: a setting
+        # is added, dropped or re-defaulted only by a reviewed diff of that
+        # file.  Regenerate it with ``python tests/test_cli.py``.
         golden = json.loads(SURFACE_FILE.read_text())
-        surface = parser_surface(build_parser()) | config_surface()
+        surface = surfaces()
         assert sorted(surface) == sorted(golden)
         for command, triples in golden.items():
             assert surface[command] == triples, command
@@ -411,7 +435,7 @@ class TestOverloadReportCommands:
 
 
 if __name__ == "__main__":
-    surface = parser_surface(build_parser()) | config_surface()
+    surface = surfaces()
     lines = ["{"]
     for index, (name, rows) in enumerate(sorted(surface.items())):
         lines.append(f" {json.dumps(name)}: [")

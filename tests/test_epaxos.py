@@ -33,10 +33,10 @@ def build_epaxos_cluster(n: int = 5, seed: int = 1, recovery: bool = False, topo
     sim = Simulator(seed=seed)
     network = Network(sim, topology)
     quorums = QuorumSystem.for_cluster(n)
-    replicas = [EPaxosReplica(i, sim, network, quorums, KeyValueStore(),
-                              recovery_enabled=recovery) for i in range(n)]
+    replicas = [EPaxosReplica(i, sim, network, quorums, KeyValueStore()) for i in range(n)]
     if recovery:
         for replica in replicas:
+            replica.recovery_on = True
             replica.start()
     return sim, network, replicas
 

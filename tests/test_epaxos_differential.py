@@ -44,8 +44,7 @@ class Probe:
         sim = Simulator(seed=1)
         network = Network(sim, uniform_topology(3, rtt_ms=10.0))
         self.replica: EPaxosReplica = replica_class(
-            0, sim, network, QuorumSystem.for_cluster(3), KeyValueStore(),
-            recovery_enabled=False)
+            0, sim, network, QuorumSystem.for_cluster(3), KeyValueStore())
         self.charges: List[float] = []
         consume_cpu = self.replica.consume_cpu
 

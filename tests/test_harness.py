@@ -174,13 +174,14 @@ class TestExperimentRunner:
         assert [client.replica.node_id for client in pool.clients] == [0, 0, 1, 1, 2, 2]
 
     def test_recovery_flag_propagates_to_caesar(self):
-        config = ExperimentConfig(protocol="caesar", recovery=True, topology=lan_topology(5))
-        cluster = build_experiment_cluster(config)
-        assert cluster.replicas[0].config.recovery_enabled
-        config_off = ExperimentConfig(protocol="caesar", recovery=False,
+        for recovery in (True, False):
+            config = ExperimentConfig(protocol="caesar", recovery=recovery,
                                       topology=lan_topology(5))
-        cluster_off = build_experiment_cluster(config_off)
-        assert not cluster_off.replicas[0].config.recovery_enabled
+            cluster = build_experiment_cluster(config)
+            cluster.start()
+            assert all(replica.recovery_on is recovery for replica in cluster.replicas)
+            assert all((replica.failure_detector is not None) is recovery
+                       for replica in cluster.replicas)
 
 
 class TestReporting:

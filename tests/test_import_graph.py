@@ -240,7 +240,6 @@ SPECS = {
         "repro.consensus.timestamps": {"LogicalTimestamp", "TimestampGenerator"},
         "repro.core.caesar": {"PHASE_DONE", "PHASE_FAST", "PHASE_RETRY", "PHASE_SLOW",
                               "LeaderState"},
-        "repro.core.config": {"CaesarConfig"},
         "repro.core.history": {"CommandStatus"},
         "repro.core.messages": "*",
         "repro.runtime.kernel": {"BallotRegister", "ProtocolKernel", "QuorumTracker", "handles"},

@@ -18,10 +18,11 @@ def build_multipaxos_cluster(n: int = 5, leader_id: int = 0, seed: int = 1,
     network = Network(sim, topology)
     quorums = QuorumSystem.for_cluster(n)
     replicas = [MultiPaxosReplica(i, sim, network, quorums, KeyValueStore(),
-                                  leader_id=leader_id, recovery_enabled=recovery)
+                                  leader_id=leader_id)
                 for i in range(n)]
     if recovery:
         for replica in replicas:
+            replica.recovery_on = True
             replica.start()
     return sim, network, replicas
 

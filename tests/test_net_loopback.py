@@ -20,7 +20,7 @@ import repro.net.transport as net_transport
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command
 from repro.consensus.timestamps import LogicalTimestamp
-from repro.core.config import CaesarConfig
+from repro.core.caesar import FAST_PROPOSAL_TIMEOUT_MS
 from repro.core.messages import Stable
 from repro.net.client import LoadgenConfig, RemoteReplica, fetch_stats, run_loadgen
 from repro.net.cluster import ServeConfig, serve_cluster
@@ -308,7 +308,7 @@ class TestStartedCluster:
         assert seen["links_up_when_start_returned"] == [True] * 6
         assert seen["links"] == {1: True, 2: True}
         assert seen["dropped"] == [0, 0, 0]
-        assert seen["first_command_ms"] < CaesarConfig().fast_proposal_timeout_ms / 3
+        assert seen["first_command_ms"] < FAST_PROPOSAL_TIMEOUT_MS / 3
 
     def test_no_task_per_accepted_connection_and_none_per_client(self):
         """Connections are ``asyncio.Protocol`` objects fed by the loop itself;
@@ -408,4 +408,4 @@ class TestLocalClusterReadiness:
         assert report.ok and report.completed == 6
         assert [stats["network"]["messages_dropped"]
                 for stats in report.per_replica.values()] == [0, 0, 0]
-        assert report.p99_latency_ms < CaesarConfig().fast_proposal_timeout_ms / 3
+        assert report.p99_latency_ms < FAST_PROPOSAL_TIMEOUT_MS / 3

@@ -22,7 +22,6 @@ from repro.baselines.multipaxos import MultiPaxosReplica
 from repro.consensus.command import Command
 from repro.consensus.quorums import QuorumSystem
 from repro.core.caesar import CaesarReplica
-from repro.core.config import CaesarConfig
 from repro.kvstore.store import KeyValueStore
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.simulator import Simulator
@@ -40,15 +39,11 @@ def build_cluster(protocol: str, seed: int):
     quorums = QuorumSystem.for_cluster(5)
     store = KeyValueStore
     if protocol == "caesar":
-        replicas = [CaesarReplica(i, sim, network, quorums, store(),
-                                  config=CaesarConfig(recovery_enabled=False))
-                    for i in range(5)]
+        replicas = [CaesarReplica(i, sim, network, quorums, store()) for i in range(5)]
     elif protocol == "epaxos":
-        replicas = [EPaxosReplica(i, sim, network, quorums, store(), recovery_enabled=False)
-                    for i in range(5)]
+        replicas = [EPaxosReplica(i, sim, network, quorums, store()) for i in range(5)]
     elif protocol == "multipaxos":
-        replicas = [MultiPaxosReplica(i, sim, network, quorums, store(),
-                                      recovery_enabled=False) for i in range(5)]
+        replicas = [MultiPaxosReplica(i, sim, network, quorums, store()) for i in range(5)]
     elif protocol == "mencius":
         replicas = [MenciusReplica(i, sim, network, quorums, store()) for i in range(5)]
     elif protocol == "m2paxos":
@@ -128,8 +123,8 @@ class TestCaesarProperties:
         sim = Simulator(seed=3)
         network = Network(sim, ec2_five_sites(), NetworkConfig(jitter_ms=2.0))
         quorums = QuorumSystem.for_cluster(5)
-        config = CaesarConfig(recovery_enabled=False, wait_condition_enabled=False)
-        replicas = [CaesarReplica(i, sim, network, quorums, KeyValueStore(), config=config)
+        replicas = [CaesarReplica(i, sim, network, quorums, KeyValueStore(),
+                                  wait_condition=False)
                     for i in range(5)]
         submitted = []
         for index, (origin, key_index, delay) in enumerate(steps):

@@ -1,8 +1,10 @@
 """The protocol table is the one source of "which protocols exist".
 
 Everything user-facing that enumerates protocols must derive from
-:data:`repro.harness.protocols.PROTOCOLS`, and both substrates must hand the
-replica constructor the same options for the same generic settings.
+:data:`repro.harness.protocols.PROTOCOLS`, and both substrates must build the
+same replica for the same settings.  Recovery is one switch: every path hands
+it to the kernel, never to a constructor, so no protocol option can turn a
+failure detector on behind it.
 """
 
 from __future__ import annotations
@@ -19,12 +21,20 @@ import pytest
 
 from repro import api
 from repro.cli import build_parser, main
+from repro.consensus.quorums import QuorumSystem
 from repro.harness import chaos as chaos_harness
+from repro.harness.cluster import build_cluster
 from repro.harness.experiment import ExperimentConfig, build_experiment_cluster
-from repro.harness.protocols import PROTOCOLS, constructor_options, register_protocol
+from repro.harness.protocols import PROTOCOLS, build_replica, register_protocol
+from repro.kvstore.store import KeyValueStore
 from repro.net.replica import ReplicaConfig, ReplicaServer
 from repro.runtime.registry import TYPE_IDS
+from repro.sim.network import Network
+from repro.sim.simulator import Simulator
 from repro.sim.topology import lan_topology
+
+#: The protocols with a recovery path (an ``on_suspect`` hook).
+DETECTING = ("caesar", "epaxos", "multipaxos")
 
 
 def start_tcp_replica(**settings) -> None:
@@ -83,7 +93,7 @@ class TestOneTable:
 
     def test_unknown_protocol_names_the_known_ones(self):
         with pytest.raises(ValueError, match="unknown protocol 'raft'.*caesar"):
-            constructor_options("raft", recovery=False)
+            build_replica("raft", 0, None, None, None, {})
 
 
 class TestWireTypeIds:
@@ -120,51 +130,66 @@ class TestWireTypeIds:
 
 
 @pytest.fixture
-def constructor_log(monkeypatch):
-    """Record the keyword options every replica constructor receives."""
+def built(monkeypatch):
+    """Record every replica the table builds, with the keyword options it got."""
     log = []
     for name, spec in list(PROTOCOLS.items()):
-        def recording(*args, _name=name, _real=spec.replica_class, **options):
+        def recording(*args, _real=spec.replica_class, **options):
             options.pop("cost_model")
-            log.append((_name, options))
-            return _real(*args, **options)
+            replica = _real(*args, **options)
+            log.append((replica, options))
+            return replica
 
         monkeypatch.setitem(PROTOCOLS, name,
                             dataclasses.replace(spec, replica_class=recording))
     return log
 
 
-class TestBothSubstratesBuildTheSameReplica:
+class TestOneRecoverySwitch:
     @pytest.mark.parametrize("recovery", [False, True])
     @pytest.mark.parametrize("protocol", list(PROTOCOLS))
-    def test_sim_chaos_and_tcp_pass_identical_constructor_options(
-            self, protocol, recovery, constructor_log, monkeypatch):
-        expected = constructor_options(protocol, recovery)
-
+    def test_sim_chaos_and_tcp_build_the_same_replica(self, protocol, recovery, built,
+                                                      monkeypatch):
+        """No constructor option on any substrate, the switch on every replica,
+        and a started replica runs a detector exactly when recovery is on and
+        the protocol has a recovery path."""
         build_experiment_cluster(ExperimentConfig(
-            protocol=protocol, recovery=recovery, topology=lan_topology(3)))
-        sim_options = [options for _, options in constructor_log]
-        assert sim_options == [expected] * 3
-        del constructor_log[:]
+            protocol=protocol, recovery=recovery, topology=lan_topology(3))).start()
 
         class Built(Exception):
             pass
 
-        def capture(cluster_config):
-            raise Built(cluster_config.protocol_options)
+        def build_and_start(cluster_config):
+            build_cluster(cluster_config).start()
+            raise Built
 
-        monkeypatch.setattr(chaos_harness, "build_cluster", capture)
-        with pytest.raises(Built) as built:
+        monkeypatch.setattr(chaos_harness, "build_cluster", build_and_start)
+        with pytest.raises(Built):
             chaos_harness.run_chaos(chaos_harness.ChaosConfig(
                 protocol=protocol, recovery=recovery))
-        assert built.value.args[0] == expected
 
         start_tcp_replica(protocol=protocol, recovery=recovery)
-        assert constructor_log == [(protocol, expected)]
+        assert len(built) == 3 + 5 + 1
+        detecting = recovery and protocol in DETECTING
+        for replica, options in built:
+            assert options == {}
+            assert replica.recovery_on is recovery
+            assert (replica.failure_detector is not None) is detecting
 
-    def test_explicit_protocol_options_win_over_recovery(self, constructor_log):
-        override = {"leader_id": 2, "recovery_enabled": False}
+    def test_protocol_options_leave_the_switch_alone(self, built):
+        """An options dict once carried a recovery flag of its own, on by
+        default, and silently replaced the switch."""
         build_experiment_cluster(ExperimentConfig(
-            protocol="multipaxos", recovery=True, topology=lan_topology(3),
-            protocol_options=override))
-        assert [options for _, options in constructor_log] == [override] * 3
+            protocol="caesar", topology=lan_topology(3),
+            protocol_options={"wait_condition": False})).start()
+        assert [options for _, options in built] == [{"wait_condition": False}] * 3
+        assert all(replica.failure_detector is None for replica, _ in built)
+
+    @pytest.mark.parametrize("protocol", list(PROTOCOLS))
+    def test_a_replica_built_without_the_harness_runs_no_detector(self, protocol):
+        sim = Simulator(seed=1)
+        replica = PROTOCOLS[protocol].replica_class(
+            0, sim, Network(sim, lan_topology(3)), QuorumSystem.for_cluster(3),
+            KeyValueStore())
+        replica.start()
+        assert replica.failure_detector is None

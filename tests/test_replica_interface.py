@@ -81,8 +81,7 @@ class TestEPaxosAttributes:
         sim = Simulator(seed=1)
         network = Network(sim, uniform_topology(5, rtt_ms=20.0))
         quorums = QuorumSystem.for_cluster(5)
-        return EPaxosReplica(0, sim, network, quorums, KeyValueStore(),
-                             recovery_enabled=False), sim
+        return EPaxosReplica(0, sim, network, quorums, KeyValueStore()), sim
 
     def test_first_command_has_no_dependencies_and_seq_one(self):
         replica, _ = self.build_replica()

@@ -6,11 +6,13 @@ in microseconds (no simulation involved).
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.timestamps import LogicalTimestamp
-from repro.core.config import CaesarConfig
+from repro.core.caesar import FAST_PROPOSAL_TIMEOUT_MS, CaesarReplica
 from repro.core.messages import FastPropose, FastProposeReply, Stable
 from repro.harness.experiment import ExperimentConfig, ExperimentResult
 from repro.metrics.collector import MetricsCollector
@@ -60,11 +62,10 @@ class TestFormatProtocolStats:
 
 
 class TestConfigs:
-    def test_caesar_config_defaults_match_paper_setup(self):
-        config = CaesarConfig()
-        assert config.wait_condition_enabled
-        assert config.recovery_enabled
-        assert config.fast_proposal_timeout_ms > 0
+    def test_caesar_defaults_match_paper_setup(self):
+        """The wait condition is on unless the ablation turns it off."""
+        assert inspect.signature(CaesarReplica).parameters["wait_condition"].default is True
+        assert FAST_PROPOSAL_TIMEOUT_MS > 0
 
     def test_experiment_config_default_topology_is_none(self):
         config = ExperimentConfig()

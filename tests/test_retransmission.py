@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.chaos.nemesis import DuplicationFault, Nemesis, NemesisPlan, random_plan
 from repro.consensus.command import Command
-from repro.core.config import CaesarConfig
 from repro.harness.chaos import ChaosConfig, run_chaos
 from repro.harness.cluster import ClusterConfig, build_cluster
 from repro.harness.experiment import ExperimentConfig, run_experiment
@@ -132,9 +131,7 @@ class TestRestartRearms:
     COMMAND = Command(command_id=(950, 0), key="k", operation="put", value="v", origin=4)
 
     def cluster(self):
-        cluster = build_cluster(ClusterConfig(
-            protocol="caesar", seed=3,
-            protocol_options={"config": CaesarConfig(recovery_enabled=False)}))
+        cluster = build_cluster(ClusterConfig(protocol="caesar", seed=3))
         cluster.start()
         return cluster
 

@@ -283,6 +283,9 @@ class TestEngineDifferential:
     @example([("send", 0, 1, [("transient", 0.0, [("send", 1, 1, [])])]),
               ("transient", 1.0, [("transient", 0.0, [])])],
              [("run_until", 2, 2, 1.0)])
+    # A cancelled head past the deadline with nothing live behind it: the run
+    # drained, so the clock stays where the last event left it.
+    @example([("timer", 1.0, []), ("cancel", 0)], [("run_until", 1, 1, 0.25)])
     def test_same_firing_order_clock_and_steps(self, program, phases):
         _check(program, phases)
 

@@ -19,10 +19,9 @@ class DetectorNode(Node):
         #: every received heartbeat as ``(sender, arrival time)``.
         self.heartbeats_seen = []
 
-    def attach_detector(self, peer_ids, heartbeat_every_ms=20.0, suspect_after_ms=100.0):
-        self.detector = FailureDetector(owner=self, peer_ids=peer_ids,
-                                        heartbeat_every_ms=heartbeat_every_ms,
-                                        suspect_after_ms=suspect_after_ms,
+    def attach_detector(self, peer_ids, period_ms=20.0, silence_ms=100.0):
+        self.detector = FailureDetector(owner=self, peer_ids=peer_ids, period_ms=period_ms,
+                                        silence_ms=silence_ms,
                                         on_suspect=self.suspected.append)
         self.detector.start()
 
@@ -141,7 +140,7 @@ class TestFailureDetector:
 
 
 class TestFailureDetectorTiming:
-    """Suspicion must fire after — and only after — ``suspect_after_ms`` of silence."""
+    """Suspicion must fire after — and only after — ``silence_ms`` of silence."""
 
     def test_no_suspicion_before_silence_threshold(self):
         # Heartbeats every 20ms, suspicion after 100ms of silence; the last

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.consensus.quorums import QuorumSystem
 from repro.core.caesar import CaesarReplica
-from repro.core.config import CaesarConfig
 from repro.harness.experiment import ExperimentConfig, attach_clients, build_experiment_cluster
 from repro.kvstore.store import KeyValueStore
 from repro.metrics.collector import MetricsCollector
@@ -125,9 +124,7 @@ def build_single_replica():
     sim = Simulator(seed=2)
     network = Network(sim, uniform_topology(3, rtt_ms=10.0))
     quorums = QuorumSystem.for_cluster(3)
-    config = CaesarConfig(recovery_enabled=False)
-    replicas = [CaesarReplica(i, sim, network, quorums, KeyValueStore(), config=config)
-                for i in range(3)]
+    replicas = [CaesarReplica(i, sim, network, quorums, KeyValueStore()) for i in range(3)]
     return sim, replicas
 
 
