@@ -47,9 +47,8 @@ class OverloadConfig:
         offered_loads: total offered load per point, in commands/second
             across the whole cluster; split evenly over the clients.
         substrate: ``"sim"`` (simulator) or ``"tcp"`` (real sockets).
-        clients_per_site: open-loop clients co-located with each replica
-            (sim) — TCP mode uses ``clients`` in total instead.
-        clients: total TCP clients (spread round-robin over the replicas).
+        clients: open-loop clients, per site on the simulator and in total
+            over TCP (spread round-robin over the replicas).
         replicas: TCP cluster size.
         conflict_rate: fraction of conflicting commands.
         duration_ms: measured injection window per point.
@@ -63,8 +62,7 @@ class OverloadConfig:
     protocol: str = "caesar"
     offered_loads: Sequence[float] = (200.0, 400.0, 800.0, 1600.0)
     substrate: str = "sim"
-    clients_per_site: int = 4
-    clients: int = 6
+    clients: int = 4
     replicas: int = 3
     conflict_rate: float = 0.02
     duration_ms: float = 4000.0
@@ -83,8 +81,6 @@ class OverloadConfig:
         kwargs = flags_to_fields(
             args, "protocol", "substrate", "seed", "clients", "replicas", "warmup_ms",
             "admission", "workers", duration="duration_ms", history_gc="history_gc_ms")
-        if "clients" in kwargs:
-            kwargs["clients_per_site"] = kwargs["clients"]
         loads = getattr(args, "offered", None)
         if loads:
             kwargs["offered_loads"] = tuple(float(load) for load in loads)
@@ -221,12 +217,12 @@ def _sim_points(config: OverloadConfig) -> List[LoadPoint]:
     """Run the sweep on the simulator substrate (one cell per load point)."""
     # Without a CPU cost the simulator has no knee to sweep past.
     cost_model = throughput_cost_model()
-    n_clients = ec2_five_sites().size * config.clients_per_site
+    n_clients = ec2_five_sites().size * config.clients
     cells = []
     for offered in config.offered_loads:
         experiment = ExperimentConfig(
             protocol=config.protocol, conflict_rate=config.conflict_rate,
-            clients_per_site=config.clients_per_site, open_loop=True,
+            clients_per_site=config.clients, open_loop=True,
             arrival_rate_per_client=offered / n_clients,
             duration_ms=config.duration_ms, warmup_ms=config.warmup_ms,
             admission=config.admission or "none", cost_model=cost_model,

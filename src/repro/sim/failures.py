@@ -15,10 +15,13 @@ detector sufficient for leader election.  In the simulation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from repro.runtime.codec import UINT
 from repro.runtime.registry import register_message
+
+if TYPE_CHECKING:
+    from repro.sim.node import Node
 
 
 @register_message(sender=UINT, sequence=UINT)
@@ -47,7 +50,7 @@ class CrashInjector:
         nodes: mapping ``node_id -> node`` for every node that can be crashed.
     """
 
-    def __init__(self, sim, nodes: Dict[int, "NodeHandle"]) -> None:
+    def __init__(self, sim, nodes: Dict[int, Node]) -> None:
         self.sim = sim
         self._nodes = nodes
         self.crashes_performed: List[int] = []
@@ -78,18 +81,6 @@ class CrashInjector:
         if not node.crashed:
             node.crash()
             self.crashes_performed.append(node_id)
-
-
-class NodeHandle:
-    """Duck-typed view of a node the injector needs (crash/restart/crashed)."""
-
-    crashed: bool
-
-    def crash(self) -> None:  # pragma: no cover - interface documentation only
-        raise NotImplementedError
-
-    def restart(self) -> None:  # pragma: no cover - interface documentation only
-        raise NotImplementedError
 
 
 class FailureDetector:

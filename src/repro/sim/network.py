@@ -13,11 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappush
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.runtime.transport import NetworkStats, SimulatorTransport
 from repro.sim.simulator import Simulator
 from repro.sim.topology import Topology
+
+if TYPE_CHECKING:
+    from repro.sim.node import Node
 
 #: Hard floor for any one-way delay.
 MIN_DELAY_MS = 0.01
@@ -56,7 +59,7 @@ class Network:
         self.topology = topology
         self.config = config or NetworkConfig()
         self.stats = NetworkStats()
-        self._nodes: Dict[int, "NodeLike"] = {}
+        self._nodes: Dict[int, Node] = {}
         self._rng = sim.rng.fork("network")
         #: cache of nominal per-pair one-way delays; topology latencies are
         #: immutable during a run, so the string-keyed RTT lookups are paid
@@ -66,14 +69,14 @@ class Network:
         self._gauss = self._rng.gauss
         self._node_ids_cache: Optional[list] = None
 
-    def register(self, node: "NodeLike") -> None:
+    def register(self, node: Node) -> None:
         """Attach a node so it can send and receive messages."""
         if node.node_id in self._nodes:
             raise ValueError(f"node {node.node_id} already registered")
         self._nodes[node.node_id] = node
         self._node_ids_cache = None
 
-    def create_transport(self, node: "NodeLike"):
+    def create_transport(self, node: Node):
         """Build the transport a node hosted on this network should use.
 
         The network is the transport factory (see
@@ -152,18 +155,3 @@ class Network:
             return
         self.stats.messages_delivered += 1
         node.receive(src, message)
-
-
-class NodeLike:
-    """Protocol (duck-typed) interface the network expects from nodes."""
-
-    node_id: int
-    crashed: bool
-    #: virtual time of the node's most recent crash (-1.0 if it never crashed);
-    #: deliveries compare it against the send time to drop in-flight messages
-    #: that span a crash.
-    last_crashed_at: float = -1.0
-
-    def receive(self, src: int, message: object) -> None:
-        """Accept an incoming message from ``src``."""
-        raise NotImplementedError

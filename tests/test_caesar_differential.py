@@ -952,11 +952,10 @@ class TestLeaderProbeTeeth:
 
 # ------------------------------------------------------------- end to end
 #
-# The spec registered as a protocol and run as a cluster next to the product:
+# A spec registered as a protocol and run as a cluster next to its product:
 # every handler, the timers, the failure detector, the kernel and the cost
-# charges at once, at figure scale.
-
-SPEC_PROTOCOL = "spec-caesar"
+# charges at once, at figure scale.  ``tests/test_epaxos_differential.py``
+# runs the EPaxos spec through the same two functions.
 
 
 def _cell(pool: int, conflicts: float, **config) -> dict:
@@ -964,21 +963,22 @@ def _cell(pool: int, conflicts: float, **config) -> dict:
                 workload=WorkloadConfig(conflict_rate=conflicts, shared_pool_size=pool), **config)
 
 
+#: An open-loop run that crashes node 4 mid-run with recovery on, so recovery decides.
+CRASH_CELL = dict(conflict_rate=0.3, seed=11, open_loop=True, arrival_rate_per_client=20.0,
+                  duration_ms=3000.0, recovery=True, crash_at_ms=1500.0)
 #: Small cells: one hot key with the wait condition on and off, a ten-key pool,
-#: and an open-loop run that crashes node 4 mid-run, so recovery decides.  Only
-#: the crash cell runs the failure detector.
+#: and the crash.  Only the crash cell runs the failure detector.
 END_TO_END_CELLS = {
     "pool-1-wait-on": _cell(1, 1.0, seed=7),
     "pool-1-wait-off": _cell(1, 1.0, seed=7, protocol_options={"wait_condition": False}),
     "pool-10-conflicts-30": _cell(10, 0.3, seed=7),
-    "crash-node-4": dict(conflict_rate=0.3, seed=11, open_loop=True, arrival_rate_per_client=20.0,
-                         duration_ms=3000.0, recovery=True, crash_at_ms=1500.0),
+    "crash-node-4": CRASH_CELL,
 }
 
 
 def run_cell(protocol: str, crash_at_ms: Optional[float] = None, **fields) -> tuple:
-    """One run: its latency samples, ``(fast, slow)`` decisions, every replica's
-    execution order and the recoveries completed."""
+    """One run: its latency samples, ``(fast, slow)`` decisions, and every
+    replica's execution order and stats (``graph_nodes_visited``, recoveries)."""
     config = ExperimentConfig(protocol=protocol, **{"clients_per_site": 2, "duration_ms": 2000.0,
                                                    "warmup_ms": 0.0, **fields})
     cluster = build_experiment_cluster(config)
@@ -994,31 +994,33 @@ def run_cell(protocol: str, crash_at_ms: Optional[float] = None, **fields) -> tu
     return (metrics.samples, count_decisions(cluster.replicas),
             [[command.command_id for command in replica.execution_log]
              for replica in cluster.replicas],
-            sum(replica.stats.recoveries_completed for replica in cluster.replicas))
+            [replica.stats for replica in cluster.replicas])
 
 
-def end_to_end(cells: Optional[dict] = None) -> dict:
-    """Run each cell on the product and on the spec, require the same run, and
-    return the product's."""
-    register_protocol(SPEC_PROTOCOL, SpecCaesarReplica)
+def end_to_end(product: str, spec_class, cells: dict) -> dict:
+    """Run each cell on the ``product`` protocol and on ``spec_class`` registered
+    as a protocol, require the same run, and return the product's."""
+    spec = f"spec-{product}"
+    register_protocol(spec, spec_class)
     try:
         runs = {}
-        for name, cell in (cells or END_TO_END_CELLS).items():
-            product, spec = (run_cell(protocol, **cell) for protocol in ("caesar", SPEC_PROTOCOL))
-            for position, (mine, theirs) in enumerate(zip(product, spec)):
-                assert mine == theirs, ("spec disagrees", name, position)
-            runs[name] = product
+        for name, cell in cells.items():
+            mine, theirs = (run_cell(protocol, **cell) for protocol in (product, spec))
+            for position, (ours, its) in enumerate(zip(mine, theirs)):
+                assert ours == its, ("spec disagrees", name, position)
+            runs[name] = mine
         return runs
     finally:
-        del PROTOCOLS[SPEC_PROTOCOL]
+        del PROTOCOLS[spec]
 
 
 class TestSpecEndToEnd:
     @pytest.mark.parametrize("name", sorted(END_TO_END_CELLS))
     def test_the_spec_as_a_protocol_runs_the_cell_as_the_product_does(self, name):
-        samples, decisions, orders, recoveries = end_to_end({name: END_TO_END_CELLS[name]})[name]
+        samples, decisions, orders, stats = end_to_end(
+            "caesar", SpecCaesarReplica, {name: END_TO_END_CELLS[name]})[name]
         assert len(samples) >= 40 and all(orders)
-        assert (recoveries > 0) is (name == "crash-node-4")
+        assert (sum(s.recoveries_completed for s in stats) > 0) is (name == "crash-node-4")
 
 
 def mutated(function, old: str, new: str):
@@ -1090,7 +1092,7 @@ SPEC_MUTANTS = {
     "wait-immediate-ok-always-end-to-end": (
         WaitManager.evaluate,
         "if bucket.keys[-1] >> 32 <= (timestamp.counter << 32 | timestamp.node_id):",
-        "if True:", end_to_end),
+        "if True:", lambda: end_to_end("caesar", SpecCaesarReplica, END_TO_END_CELLS)),
     # PR 7's bug: the recovering node's own tuple never counted.
     "recovery-without-the-local-vote": (
         RecoveryManager.start_recovery,

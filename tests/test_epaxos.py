@@ -6,18 +6,7 @@ import hashlib
 
 import pytest
 
-from repro.baselines.epaxos import (
-    Accept,
-    AcceptReply,
-    Commit,
-    EPaxosReplica,
-    InstanceStatus,
-    PreAccept,
-    PreAcceptReply,
-    Prepare,
-    PrepareReply,
-)
-from repro.consensus.ballots import Ballot
+from repro.baselines.epaxos import EPaxosReplica
 from repro.consensus.interface import DecisionKind
 from repro.consensus.quorums import QuorumSystem
 from repro.harness.experiment import ExperimentConfig, run_experiment
@@ -116,13 +105,6 @@ class TestSlowPath:
         assert [len(r._leader_states) for r in replicas] == [0] * 5
         assert sum(r.stats.fast_decisions + r.stats.slow_decisions for r in replicas) == 30
 
-    def test_graph_execution_visits_dependencies(self):
-        sim, _, replicas = build_epaxos_cluster(seed=5)
-        commands = [(i, make_command(i, k, key="hot", origin=i))
-                    for i in range(3) for k in range(3)]
-        assert submit_and_run(sim, replicas, commands, deadline_ms=120000)
-        assert sum(r.stats.graph_nodes_visited for r in replicas) > 0
-
 
 class TestModelledCostGolden:
     def test_seeded_run_charges_exactly_what_it_did(self):
@@ -166,96 +148,6 @@ class TestRecovery:
         # dropped every other survivor's recovery and leader round.
         survivors = [r for r in replicas if not r.crashed]
         assert [(len(r._leader_states), len(r._recoveries)) for r in survivors] == [(0, 0)] * 4
-
-    def test_unknown_instance_recovered_as_noop(self):
-        """If no live replica knows the command, recovery commits a no-op."""
-        sim, _, replicas = build_epaxos_cluster(recovery=True, seed=7)
-        command = make_command(0, 0, key="x", origin=0)
-        # Simulate replica 1 having heard only a rumor of the instance: it has a
-        # pre-accepted entry but nobody else does, then the leader crashes.
-        replicas[0].submit(command)
-        sim.run(until=sim.now + 3.0)  # only the closest site (Ohio) may have it
-        replicas[0].crash()
-        sim.run(until=sim.now + 5000.0)
-        # Either the command was recovered or a no-op replaced it; in both
-        # cases no live replica blocks forever on the instance.
-        for replica in replicas[1:]:
-            for instance in replica.instances.values():
-                assert instance.status in (InstanceStatus.COMMITTED, InstanceStatus.EXECUTED,
-                                           InstanceStatus.NOOP, InstanceStatus.PRE_ACCEPTED,
-                                           InstanceStatus.ACCEPTED)
-
-    def lone_replica(self, node_id: int):
-        """One replica of a cluster, fed by hand, with what it sends recorded."""
-        _, _, replicas = build_epaxos_cluster()
-        replica = replicas[node_id]
-        sent = []
-        replica.send = lambda dst, message: sent.append(message)
-        replica.broadcast = lambda message, include_self=True: sent.append(message)
-        return replica, sent
-
-    def recover_into_accept(self, replica, sent, command):
-        """Replica 1 knows instance (0, 0) pre-accepted and recovers it up to Accept."""
-        replica.handle_message(0, PreAccept(instance_id=(0, 0), command=command, seq=1,
-                                            deps=frozenset(), ballot=Ballot.initial(0)))
-        replica._recover_instances_of(0)
-        ballot = sent[-1].ballot
-        reply = PrepareReply(instance_id=(0, 0), ballot=ballot, known=True, command=command,
-                             seq=1, deps=frozenset(), status=InstanceStatus.PRE_ACCEPTED.value)
-        for src in (2, 3):
-            replica.handle_message(src, reply)
-        return reply
-
-    def test_a_recovery_is_forgotten_once_its_quorum_has_replied(self):
-        replica, sent = self.lone_replica(1)
-        command = make_command(0, 0, key="x", origin=0)
-        late_reply = self.recover_into_accept(replica, sent, command)
-        assert replica._recoveries == {}
-        assert [type(message) for message in sent[-2:]] == [Prepare, Accept]
-        count = len(sent)
-        replica.handle_message(4, late_reply)
-        assert len(sent) == count
-        # The Accept round commits and leaves nothing behind.
-        for src in (2, 3):
-            replica.handle_message(src, AcceptReply(instance_id=(0, 0), ballot=sent[-1].ballot))
-        assert type(sent[-1]) is Commit
-        assert (replica._leader_states, replica._recoveries) == ({}, {})
-        assert replica.has_executed(command.command_id)
-
-    def test_a_commit_learned_from_elsewhere_drops_the_local_round(self):
-        replica, sent = self.lone_replica(0)
-        command = make_command(0, 0, key="x", origin=0)
-        replica.propose(command)
-        assert list(replica._leader_states) == [(0, 0)]
-        replica.handle_message(2, Commit(instance_id=(0, 0), command=command, seq=1,
-                                         deps=frozenset()))
-        assert replica._leader_states == {}
-        assert replica.has_executed(command.command_id)
-        # The superseded PreAccept round's replies find no state: no second Commit.
-        for src in (1, 2):
-            replica.handle_message(src, PreAcceptReply(instance_id=(0, 0), seq=1,
-                                                       deps=frozenset(),
-                                                       ballot=Ballot.initial(0),
-                                                       changed=False))
-        assert [type(message) for message in sent] == [PreAccept]
-        assert replica.stats.fast_decisions == 0
-
-    def test_a_commit_adopted_in_recovery_drops_the_local_round(self):
-        """A second recovery finds the instance committed: the first one's Accept
-        round, still waiting for replies, is over."""
-        replica, sent = self.lone_replica(1)
-        command = make_command(0, 0, key="x", origin=0)
-        self.recover_into_accept(replica, sent, command)
-        assert list(replica._leader_states) == [(0, 0)]
-        replica._recover_instances_of(0)
-        committed = PrepareReply(instance_id=(0, 0), ballot=sent[-1].ballot, known=True,
-                                 command=command, seq=1, deps=frozenset(),
-                                 status=InstanceStatus.COMMITTED.value)
-        for src in (2, 3):
-            replica.handle_message(src, committed)
-        assert type(sent[-1]) is Commit
-        assert (replica._leader_states, replica._recoveries) == ({}, {})
-        assert replica.has_executed(command.command_id)
 
     def test_crash_of_follower_does_not_block(self):
         sim, _, replicas = build_epaxos_cluster(recovery=True, seed=8)

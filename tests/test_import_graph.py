@@ -229,9 +229,10 @@ def test_the_experiment_harness_never_loads_the_figure_table():
 #: it up (``None``: the whole file) and the package names it may use, as
 #: ``module -> names`` (``"*"``: any name of the module).  A spec states what
 #: the paper or the format requires, so it names none of the code it checks:
-#: the CAESAR spec inherits only the kernel and the vocabulary (no recovery,
-#: predecessor or delivery code), the event spec names nothing of
-#: ``repro.sim.events``, and the wire spec no encode or decode function.
+#: the CAESAR and EPaxos specs inherit only the kernel and the vocabulary (no
+#: recovery, predecessor, delivery, conflict-index or execution code), the
+#: event spec names nothing of ``repro.sim.events``, and the wire spec no
+#: encode or decode function.
 SPECS = {
     "caesar": ("spec_caesar.py", None, {
         "repro.consensus.ballots": {"Ballot"},
@@ -243,6 +244,15 @@ SPECS = {
         "repro.core.history": {"CommandStatus"},
         "repro.core.messages": "*",
         "repro.runtime.kernel": {"BallotRegister", "ProtocolKernel", "QuorumTracker", "handles"},
+    }),
+    "epaxos": ("spec_epaxos.py", None, {
+        "repro.baselines.epaxos": {"Accept", "AcceptReply", "Commit", "InstanceId",
+                                   "InstanceStatus", "Instance", "PreAccept", "PreAcceptReply",
+                                   "Prepare", "PrepareReply"},
+        "repro.consensus.ballots": {"Ballot"},
+        "repro.consensus.command": {"Command"},
+        "repro.consensus.interface": {"DecisionKind"},
+        "repro.runtime.kernel": {"ProtocolKernel", "QuorumTracker", "handles"},
     }),
     "events": ("test_sim_engine_differential.py", {"SpecEvent", "SpecQueue", "SpecSimulator"},
                {"repro.sim.simulator": {"SimulationError"}}),
@@ -286,6 +296,8 @@ def test_a_spec_names_only_the_vocabulary_it_is_allowed(spec):
 @pytest.mark.parametrize("spec, borrowed, named", [
     ("caesar", "from repro.core.recovery import RecoveryManager",
      "repro.core.recovery.RecoveryManager"),
+    ("epaxos", "from repro.baselines.epaxos import EPaxosReplica",
+     "repro.baselines.epaxos.EPaxosReplica"),
     ("events", "from repro.sim.events import EventQueue\nclass SpecQueue(EventQueue): pass",
      "repro.sim.events.EventQueue"),
     ("wire", "from repro.runtime.codec import encode_uvarint",

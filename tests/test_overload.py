@@ -41,7 +41,6 @@ class TestConfig:
         assert config.conflict_rate == pytest.approx(0.10)
         assert config.warmup_ms == 250.0
         assert config.clients == 5
-        assert config.clients_per_site == 5
         assert config.replicas == 4
         assert config.admission == "inflight:8"
 
