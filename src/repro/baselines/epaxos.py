@@ -669,6 +669,10 @@ class EPaxosReplica(ProtocolKernel):
         if committed:
             chosen = committed[0]
             self._adopt_commit(message.instance_id, chosen.command, chosen.seq, chosen.deps)
+        elif local is not None and local.status in (InstanceStatus.COMMITTED,
+                                                    InstanceStatus.EXECUTED):
+            # Committed here while the prepare gathered its quorum: final.
+            self._adopt_commit(message.instance_id, local.command, local.seq, local.deps)
         elif accepted or pre_accepted or (local is not None and local.command is not None):
             source = (accepted or pre_accepted)
             if source:

@@ -11,9 +11,10 @@ One :class:`CaesarReplica` instance plays both roles the paper describes:
 
 The phase structure, message names and decision rules follow the pseudocode
 of Figures 3-5 of the paper; the recovery phase lives in
-:mod:`repro.core.recovery`.  Dispatch, quorum tracking, ballot bookkeeping
-and the failure detector come from the runtime kernel
-(:mod:`repro.runtime.kernel`) — this module contains protocol logic only.
+:mod:`repro.core.recovery` and history collection (``history_gc``, which the
+paper does not have) in :mod:`repro.core.collection`.  Dispatch, quorum
+tracking, ballot bookkeeping and the failure detector come from the runtime
+kernel (:mod:`repro.runtime.kernel`) — this module contains protocol logic only.
 
 An acceptor handler looks its command up once and hands the entry it found
 (or ``None``) down to COMPUTEPREDECESSORS, UPDATE, WAIT and delivery; the wait
@@ -31,9 +32,11 @@ from repro.consensus.command import Command, CommandId
 from repro.consensus.interface import DecisionKind
 from repro.consensus.quorums import QuorumSystem
 from repro.consensus.timestamps import LogicalTimestamp, TimestampGenerator
+from repro.core.collection import REPORT_EVERY_MS, HistoryCollector
 from repro.core.delivery import DeliveryManager
 from repro.core.history import CommandHistory, CommandStatus
 from repro.core.messages import (
+    Delivered,
     FastPropose,
     FastProposeReply,
     Recovery,
@@ -134,6 +137,8 @@ class CaesarReplica(ProtocolKernel):
         self.ballots = BallotRegister()
         self.wait_time_samples: List[float] = []
         self.recovery = RecoveryManager(self)
+        self.collector: Optional[HistoryCollector] = None
+        self._report_timer = None
 
     # ----------------------------------------------------------- client path
 
@@ -283,6 +288,9 @@ class CaesarReplica(ProtocolKernel):
         if existing is not None and existing.status is CommandStatus.STABLE:
             # Already decided (e.g. a recovery finished first); nothing to do.
             return
+        if (existing is None and self.stats.commands_collected
+                and self.delivery.is_delivered(command_id)):
+            return  # collected: decided and delivered everywhere
         if (existing is not None and existing.status is CommandStatus.ACCEPTED
                 and not ballot > existing.ballot):
             # A retransmitted proposal at the same ballot must not downgrade
@@ -326,6 +334,9 @@ class CaesarReplica(ProtocolKernel):
         history = self.history
         existing = history.get(command_id)
         if existing is not None and existing.status is CommandStatus.STABLE:
+            return
+        if (existing is None and self.stats.commands_collected
+                and self.delivery.is_delivered(command_id)):
             return
         if (existing is not None and existing.status is CommandStatus.ACCEPTED
                 and not message.ballot > existing.ballot):
@@ -458,6 +469,9 @@ class CaesarReplica(ProtocolKernel):
         existing = history.get(command_id)
         if existing is not None and existing.status is CommandStatus.STABLE:
             return
+        if (existing is None and self.stats.commands_collected
+                and self.delivery.is_delivered(command_id)):
+            return
         self.ballots[command_id] = message.ballot
         self.timestamps.observe(message.timestamp)
         entry = history.update(command, message.timestamp,
@@ -495,6 +509,9 @@ class CaesarReplica(ProtocolKernel):
         history = self.history
         existing = history.get(command_id)
         if existing is not None and existing.status is CommandStatus.STABLE:
+            return
+        if (existing is None and self.stats.commands_collected
+                and self.delivery.is_delivered(command_id)):
             return
         ballot = message.ballot
         if self.ballots.get(command_id) is not ballot:
@@ -556,6 +573,10 @@ class CaesarReplica(ProtocolKernel):
     @handles(Recovery)
     def _on_recovery(self, src: int, message: Recovery) -> None:
         """Acceptor side of the recovery prepare (delegated to the manager)."""
+        command_id = message.command.command_id
+        if (self.stats.commands_collected and command_id not in self.history
+                and self.delivery.is_delivered(command_id)):
+            return  # collected: there is no tuple left to answer with
         self.recovery.on_recovery_message(src, message)
 
     @handles(RecoveryReply)
@@ -573,12 +594,36 @@ class CaesarReplica(ProtocolKernel):
         if self.wait_manager.parked:  # BREAKLOOP may have edited the entry
             self.wait_manager.notify_entry(self.history.get(command.command_id))
 
+    # ----------------------------------------------------- history collection
+
+    def _on_report_timer(self) -> None:
+        """Report deliveries to the peers and collect, every ``REPORT_EVERY_MS``."""
+        self.collector.report()
+        self._report_timer = self.set_timer(REPORT_EVERY_MS, self._on_report_timer)
+
+    @handles(Delivered)
+    def _on_delivered(self, src: int, message: Delivered) -> None:
+        """A peer's delivery report (ignored unless ``history_gc`` is on)."""
+        if self.collector is not None:
+            self.collector.on_report(src, message)
+
     # ------------------------------------------------------------- life cycle
 
+    def start(self) -> None:
+        """The kernel's failure detector, and history collection when it is on."""
+        super().start()
+        if self.history_gc and self.collector is None:
+            self.collector = HistoryCollector(self)
+            self._report_timer = self.set_timer(REPORT_EVERY_MS, self._on_report_timer)
+
     def on_restart(self) -> None:
-        """Re-arm what the crash silently killed, the kernel's timers and each
-        fast proposal's timeout (one that fired while down was skipped)."""
+        """Re-arm what the crash silently killed: the kernel's timers, each fast
+        proposal's timeout (one that fired while down was skipped) and the
+        delivery reports."""
         super().on_restart()
+        if self._report_timer is not None:
+            self._report_timer.cancel()
+            self._report_timer = self.set_timer(REPORT_EVERY_MS, self._on_report_timer)
         for command_id, state in self.leader_states.items():
             if state.phase == PHASE_FAST:
                 if state.timer is not None:

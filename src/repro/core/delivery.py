@@ -24,20 +24,17 @@ The delivered set is closed under predecessors (a command is delivered only
 once its mask is inside it, and masks of stable entries only lose bits), so
 BREAKLOOP has nothing to reconcile between a newly stable command and a
 predecessor delivered earlier on its key; it walks the rest of the mask —
-what is still undecided or undelivered — not the whole, never-collected past
+what is still undecided or undelivered — not the key's whole delivered past
 (:func:`repro.core.invariants.check_delivered_closed` checks the premise).
 
-:class:`HistoryCompactor` is the (opt-in) garbage collector: once a command
-has been delivered by *every* replica it can never influence another
-decision, so each replica's history entry for it is removed — long overload
-runs stop scanning dead entries.  This is a cluster-level oracle and is
-therefore driven from the harness, not from the protocol.
+A command collected from the history (:mod:`repro.core.collection`) keeps
+its bit in ``bucket.delivered``, so a mask naming it still finds it delivered.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.consensus.command import Command, CommandId
 from repro.core.history import LOOK_UP, CommandHistory, CommandStatus, HistoryEntry
@@ -262,88 +259,3 @@ class DeliveryManager:
             if entry is not None and entry.status is CommandStatus.STABLE:
                 self._file(command, entry, ready)
         return self._drain(ready)
-
-
-class HistoryCompactor:
-    """Cluster-level garbage collection of histories (opt-in).
-
-    Watches every replica's ``delivered_order`` through a cursor; once a
-    command has been delivered by all replicas it is removed from each
-    replica's :class:`~repro.core.history.CommandHistory` via the (previously
-    unused) ``remove`` path.  Removal at a replica is deferred while any
-    proposal is parked on the command's key there, so the incremental wait
-    bookkeeping never sees an entry vanish from under it.
-
-    Collection changes subsequent predecessor sets (collected commands no
-    longer appear), which is safe — a command delivered everywhere is ordered
-    before anything proposed later at every replica — but it does change
-    message bytes relative to a non-collected run.  It is therefore *off by
-    default* and only enabled explicitly (``--history-gc`` on long overload
-    runs), never for figure reproduction.
-    """
-
-    def __init__(self, replicas: Sequence[object], set_timer: Callable,
-                 interval_ms: float) -> None:
-        if interval_ms <= 0:
-            # A zero interval would re-arm the timer at the same virtual
-            # instant forever and the simulation would never advance.
-            raise ValueError(f"history GC interval must be > 0 ms, got {interval_ms}")
-        self._replicas = [r for r in replicas
-                          if hasattr(r, "history") and hasattr(r, "delivery")]
-        self._set_timer = set_timer
-        self.interval_ms = interval_ms
-        self._cursors = [0] * len(self._replicas)
-        self._seen: Dict[CommandId, int] = {}
-        self._deferred: List[CommandId] = []
-        self.commands_removed = 0
-
-    def start(self) -> None:
-        """Arm the periodic collection timer."""
-        self._set_timer(self.interval_ms, self._tick)
-
-    def _tick(self) -> None:
-        self.collect()
-        self._set_timer(self.interval_ms, self._tick)
-
-    def collect(self) -> int:
-        """Run one collection pass; returns how many commands were removed."""
-        full = len(self._replicas)
-        if full == 0:
-            return 0
-        ready: List[CommandId] = self._deferred
-        self._deferred = []
-        seen = self._seen
-        for i, replica in enumerate(self._replicas):
-            order = replica.delivery.delivered_order
-            cursor = min(self._cursors[i], len(order))
-            for command_id in order[cursor:]:
-                count = seen.get(command_id, 0) + 1
-                if count == full:
-                    seen.pop(command_id, None)
-                    ready.append(command_id)
-                else:
-                    seen[command_id] = count
-            self._cursors[i] = len(order)
-        removed = 0
-        for command_id in ready:
-            if self._remove_everywhere(command_id):
-                removed += 1
-            else:
-                self._deferred.append(command_id)
-        self.commands_removed += removed
-        return removed
-
-    def _remove_everywhere(self, command_id: CommandId) -> bool:
-        """Remove one command's entry at every replica, or defer entirely."""
-        entries = []
-        for replica in self._replicas:
-            entry = replica.history.get(command_id)
-            if entry is None:
-                continue
-            wait_manager = getattr(replica, "wait_manager", None)
-            if wait_manager is not None and wait_manager.has_parked(entry.command.key):
-                return False
-            entries.append((replica, entry))
-        for replica, _ in entries:
-            replica.history.remove(command_id)
-        return True

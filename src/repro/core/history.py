@@ -24,9 +24,9 @@ the decision path cheap:
   suffix.
 * **Bucket-relative translation.**  A predecessor set is its key's bucket
   less a handful of ids (the command itself, whatever is proposed later or
-  not yet seen here), and the history is never collected by default, so
-  translating one id at a time costs the length of the history on every
-  message.  The translations start from all the key has interned — the
+  not yet seen here), and on the simulator the history is not collected
+  by default, so translating one id at a time costs the length of the
+  history on every message.  The translations start from all the key has interned — the
   ``index_of`` dict itself, whose stored hashes the C-level set operations
   reuse (a ``.keys()`` view would hash every id again), and ``(1 <<
   len(id_of)) - 1`` — and loop in Python over only the ids that differ.
@@ -139,10 +139,14 @@ class _KeyBucket:
     the whole-bucket mask and strips the (usually tiny) ``>= timestamp``
     suffix instead of scanning the prefix.  ``delivered`` / ``waiters`` are
     the delivery manager's (``waiters`` is ``None`` until its first filing).
+    ``floor`` / ``write_floor`` are the highest timestamp, packed like a sort
+    key without its index, of every command / every write collected on the
+    key (-1 before the first): the wait condition's stand-in for the NACK
+    witnesses collection took away (:mod:`repro.core.collection`).
     """
 
     __slots__ = ("key", "keys", "entries", "all_mask", "write_mask",
-                 "index_of", "id_of", "delivered", "waiters")
+                 "index_of", "id_of", "delivered", "waiters", "floor", "write_floor")
 
     def __init__(self, key: str) -> None:
         self.key = key
@@ -154,6 +158,8 @@ class _KeyBucket:
         self.id_of: List[CommandId] = []
         self.delivered = 0
         self.waiters: Optional[Dict[int, list]] = None
+        self.floor = -1
+        self.write_floor = -1
 
     def insert(self, entry: HistoryEntry) -> None:
         timestamp = entry.timestamp
@@ -387,7 +393,7 @@ class CommandHistory:
         return entry
 
     def remove(self, command_id: CommandId) -> None:
-        """Forget a command (garbage collection once stable everywhere).
+        """Forget a command (history collection: every replica has delivered it).
 
         The bucket and its interner are kept, emptied or not, and the id is
         bound to it in ``_bucket_of``, so its bit stays valid in any surviving

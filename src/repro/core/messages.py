@@ -14,12 +14,12 @@ by the kernel and the byte-accurate codec behind the footprint benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional
+from typing import FrozenSet, Optional, Tuple
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command, CommandId
 from repro.consensus.timestamps import LogicalTimestamp
-from repro.runtime.codec import BOOL, OptionalCodec
+from repro.runtime.codec import BOOL, UINT, OptionalCodec, SeqCodec
 from repro.runtime.fields import (
     BALLOT,
     COMMAND,
@@ -153,3 +153,18 @@ class RecoveryReply:
     predecessors: FrozenSet[CommandId] = frozenset()
     status: Optional[str] = None
     forced: bool = False
+
+
+@register_message(position=UINT, ids=SeqCodec(COMMAND_ID), received=UINT)
+@dataclass(frozen=True, slots=True)
+class Delivered:
+    """Replica -> peer: the ids the sender delivered, for history collection.
+
+    ``ids`` are the sender's delivery order from index ``position`` on (a
+    bounded slice of it); ``received`` acknowledges the other direction: how
+    many of the receiver's delivered ids the sender has counted so far.
+    """
+
+    position: int
+    ids: Tuple[CommandId, ...]
+    received: int

@@ -143,14 +143,17 @@ class WaitManager:
         an accepted/stable status; candidates that have are *NACK witnesses*.
         The two partition the same candidate set, and the timestamp-sorted
         bucket means only entries past the binary-searched suffix start are
-        ever examined.
+        ever examined.  A collected conflicting command above ``timestamp``
+        (the key's floor) was such a witness: ``command``'s own bit stands
+        for it, which no entry ever clears.
         """
         bucket = self._history.bucket(command.key)
         if bucket is None:
             return 0, 0
         blocker_mask = 0
-        witness_mask = 0
         command_is_write = command.is_write
+        floor = bucket.floor if command_is_write else bucket.write_floor
+        witness_mask = self_bit if floor > (timestamp.counter << 32 | timestamp.node_id) else 0
         entries = bucket.entries
         for i in range(bucket.suffix_start(timestamp), len(entries)):
             entry = entries[i]
@@ -187,10 +190,13 @@ class WaitManager:
         else:
             self_bit = 1 << history.intern(command.command_id, command.key)
             bucket = history.bucket(command.key)
-            if not bucket.keys:
-                return True  # a bucket with no entries (all collected) is no bucket
-        if bucket.keys[-1] >> 32 <= (timestamp.counter << 32 | timestamp.node_id):
-            return True  # nothing on the key is later: the scan would find an empty suffix
+        keys = bucket.keys
+        stamp = timestamp.counter << 32 | timestamp.node_id
+        if not keys or keys[-1] >> 32 <= stamp:
+            # Nothing on the key is later: the scan would find an empty
+            # suffix, and only a collected command above it is a witness.
+            return bucket.floor <= stamp or (
+                not command.is_write and bucket.write_floor <= stamp)
         blocker_mask, witness_mask = self._scan_masks(command, timestamp, self_bit)
         if not blocker_mask:
             return not witness_mask
@@ -295,7 +301,7 @@ class WaitManager:
         return self.parked
 
     def has_parked(self, key: str) -> bool:
-        """Whether any proposal is parked on ``key`` (used by the history GC)."""
+        """Whether any proposal is parked on ``key`` (history collection waits)."""
         return key in self._parked_by_key
 
     def drop_command(self, command_id: CommandId, key: str) -> None:

@@ -13,7 +13,6 @@ from typing import Dict, List, Optional
 
 from repro.consensus.interface import ConsensusReplica, order_violations
 from repro.consensus.quorums import QuorumSystem
-from repro.core.delivery import HistoryCompactor
 from repro.harness.protocols import build_replica
 from repro.runtime.admission import aggregate_admission
 from repro.runtime.batching import BatchingConfig
@@ -47,12 +46,11 @@ class ClusterConfig:
         recovery: run each replica's failure detector and the recovery it
             triggers (CAESAR's RECOVERY phase, EPaxos' explicit prepare, the
             Multi-Paxos election); M2Paxos and Mencius have neither.
-        history_gc_ms: when set, run a cluster-level
-            :class:`~repro.core.delivery.HistoryCompactor` every this many
-            virtual ms, removing history entries for commands delivered by
-            every replica.  Off by default: collection changes subsequent
-            predecessor sets (and therefore message bytes), so it is only for
-            long-running load studies, never figure reproduction.
+        history_gc: each CAESAR replica forgets the commands every replica
+            has delivered, learned from its peers' delivery reports
+            (:mod:`repro.core.collection`).  Off by default on the simulator,
+            where collection would change the figures' message bytes; TCP
+            replicas always collect.
         protocol_options: protocol-specific keyword arguments forwarded to the
             replica constructor (e.g. ``{"wait_condition": False}`` for CAESAR
             or ``{"leader_id": 3}`` for Multi-Paxos).
@@ -66,7 +64,7 @@ class ClusterConfig:
     batching: Optional[BatchingConfig] = None
     admission: Optional[str] = None
     recovery: bool = False
-    history_gc_ms: Optional[float] = None
+    history_gc: bool = False
     protocol_options: Dict[str, object] = field(default_factory=dict)
 
 
@@ -81,9 +79,6 @@ class Cluster:
         self.topology = topology
         self.replicas = replicas
         self.crash_injector = CrashInjector(sim, {r.node_id: r for r in replicas})
-        #: cluster-level history garbage collector (``None`` unless the config
-        #: sets ``history_gc_ms``); built and armed by :func:`build_cluster`.
-        self.compactor = None
 
     @property
     def size(self) -> int:
@@ -163,18 +158,10 @@ def build_cluster(config: Optional[ClusterConfig] = None) -> Cluster:
     quorums = QuorumSystem.for_cluster(topology.size)
     replicas = [build_replica(config.protocol, node_id, sim, network, quorums,
                               config.protocol_options, cost_model=config.cost_model,
-                              admission=config.admission, recovery=config.recovery)
+                              admission=config.admission, recovery=config.recovery,
+                              history_gc=config.history_gc)
                 for node_id in range(topology.size)]
     if config.batching is not None:
         for replica in replicas:
             replica.enable_batching(config.batching)
-    cluster = Cluster(config, sim, network, topology, replicas)
-    if config.history_gc_ms is not None:
-        # The compactor is a cluster-level oracle (it needs every replica's
-        # delivered_order), so its timer lives on the simulator rather than on
-        # any one replica — a replica crash must not stop collection.
-        cluster.compactor = HistoryCompactor(
-            replicas, lambda delay, callback: sim.schedule(delay, callback),
-            interval_ms=config.history_gc_ms)
-        cluster.compactor.start()
-    return cluster
+    return Cluster(config, sim, network, topology, replicas)

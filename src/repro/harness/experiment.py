@@ -50,6 +50,8 @@ class ExperimentConfig:
         batching: when set, replicas batch outgoing messages with this policy
             (the paper's "batching enabled" runs in Figure 9).
         recovery: whether failure detectors / recovery machinery run.
+        history_gc: whether CAESAR replicas collect the commands every
+            replica has delivered (:mod:`repro.core.collection`).
         admission: admission-control spec installed on every replica
             (``"none"``, ``"inflight:K"``, ``"deadline:MS"``; ``None`` = no
             hook).  The overload driver uses it to bound tail latency past
@@ -74,7 +76,7 @@ class ExperimentConfig:
     batching: Optional[BatchingConfig] = None
     recovery: bool = False
     admission: Optional[str] = None
-    history_gc_ms: Optional[float] = None
+    history_gc: bool = False
     protocol_options: Dict[str, object] = field(default_factory=dict)
     workload: Optional[WorkloadConfig] = None
     drain_ms: float = 2000.0
@@ -91,7 +93,7 @@ class ExperimentConfig:
         figure experiments use.
         """
         kwargs = flags_to_fields(args, "protocol", "seed", "recovery", "admission",
-                                 clients="clients_per_site", history_gc="history_gc_ms")
+                                 "history_gc", clients="clients_per_site")
         conflicts = getattr(args, "conflicts", None)
         if isinstance(conflicts, (int, float)):
             kwargs["conflict_rate"] = conflicts / 100.0
@@ -142,7 +144,7 @@ def build_experiment_cluster(config: ExperimentConfig) -> Cluster:
                                    seed=config.seed, network=config.network,
                                    cost_model=config.cost_model, batching=config.batching,
                                    admission=config.admission, recovery=config.recovery,
-                                   history_gc_ms=config.history_gc_ms,
+                                   history_gc=config.history_gc,
                                    protocol_options=config.protocol_options)
     return build_cluster(cluster_config)
 

@@ -70,17 +70,16 @@ class OverloadConfig:
     seed: int = 1
     admission: Optional[str] = None
     workers: Workers = 1
-    #: periodic cluster-level history GC interval (sim substrate only);
-    #: ``None`` = no collection.  Long saturation runs accumulate history
-    #: entries forever without it.
-    history_gc_ms: Optional[float] = None
+    #: CAESAR history collection on the simulator (TCP replicas always
+    #: collect); long saturation runs accumulate history entries without it.
+    history_gc: bool = False
 
     @classmethod
     def from_args(cls, args, **overrides) -> "OverloadConfig":
         """Build a config from CLI args (single place flags become a config)."""
         kwargs = flags_to_fields(
             args, "protocol", "substrate", "seed", "clients", "replicas", "warmup_ms",
-            "admission", "workers", duration="duration_ms", history_gc="history_gc_ms")
+            "admission", "workers", "history_gc", duration="duration_ms")
         loads = getattr(args, "offered", None)
         if loads:
             kwargs["offered_loads"] = tuple(float(load) for load in loads)
@@ -226,7 +225,7 @@ def _sim_points(config: OverloadConfig) -> List[LoadPoint]:
             arrival_rate_per_client=offered / n_clients,
             duration_ms=config.duration_ms, warmup_ms=config.warmup_ms,
             admission=config.admission or "none", cost_model=cost_model,
-            history_gc_ms=config.history_gc_ms)
+            history_gc=config.history_gc)
         cells.append(sweep_cell(("overload", config.protocol,
                                  config.admission or "none", offered),
                                 experiment, base_seed=config.seed,

@@ -5,10 +5,10 @@ the CLI's ``--protocol`` choices and the chaos matrix default — and every
 replica, on either substrate, is constructed by
 :func:`build_replica`: the simulator's ``build_cluster`` and the TCP
 ``ReplicaServer.start`` both call it, so a baseline cannot end up configured
-differently from CAESAR without this module saying so.  The recovery switch
-is not a constructor option: :func:`build_replica` hands it to the kernel,
-which runs the failure detector for every protocol with an ``on_suspect``
-hook.
+differently from CAESAR without this module saying so.  The recovery and
+history-collection switches are not constructor options: :func:`build_replica`
+hands them to the kernel, which runs the failure detector for every protocol
+with an ``on_suspect`` hook; CAESAR is the one protocol that collects.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ def build_replica(protocol: str, node_id: int, clock, network, quorums: QuorumSy
                   options: Mapping[str, object],
                   cost_model: Optional[CostModel] = None,
                   admission: Optional[str] = None,
-                  recovery: bool = False) -> ConsensusReplica:
+                  recovery: bool = False,
+                  history_gc: bool = False) -> ConsensusReplica:
     """Construct one replica of ``protocol`` on either substrate.
 
     Args:
@@ -100,11 +101,14 @@ def build_replica(protocol: str, node_id: int, clock, network, quorums: QuorumSy
             :mod:`repro.runtime.admission`); ``None`` leaves it hook-free.
         recovery: run the failure detector and the recovery it triggers
             (protocols without an ``on_suspect`` hook have neither).
+        history_gc: collect the history entries of commands every replica
+            has delivered (:mod:`repro.core.collection`; CAESAR only).
     """
     replica = _protocol(protocol).replica_class(
         node_id, clock, network, quorums, KeyValueStore(), cost_model=cost_model,
         **options)
     replica.recovery_on = recovery
+    replica.history_gc = history_gc
     if admission is not None:
         replica.admission = admission_policy(admission)
     return replica

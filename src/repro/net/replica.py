@@ -16,6 +16,15 @@ mandatory :class:`~repro.net.wire.Hello` first frame:
 * **control** — :class:`~repro.net.wire.StatsRequest` frames are answered
   with a JSON statistics snapshot (also honoured on client connections).
 
+A ``Hello`` whose registry digest is not this process's
+(:data:`~repro.net.wire.REGISTRY_DIGEST`), or a first frame that does not
+decode as a ``Hello`` at all (an older peer's), is refused: the connection is
+closed and ``handshakes_refused`` in the stats snapshot counts it.
+
+The hosted replica always collects its history (``history_gc``): a served
+cluster runs for as long as it is left running, and without collection a hot
+key's predecessor sets grow until a frame passes ``MAX_FRAME_BYTES``.
+
 Every accepted connection is an :class:`asyncio.Protocol` object: the event
 loop hands it the bytes it read, and the frames in them are decoded and
 routed — a peer's message all the way into its kernel handler — inside that
@@ -40,8 +49,8 @@ from repro.harness.protocols import build_replica
 from repro.net.clock import WallClock
 from repro.net.framing import FrameDecoder, FramingError, encode_frame
 from repro.net.transport import PeerNetwork, ReconnectPolicy
-from repro.net.wire import (ROLE_CLIENT, ROLE_CONTROL, ROLE_NAMES, ROLE_REPLICA,
-                            ClientReply, ClientRequest, Hello, StatsReply,
+from repro.net.wire import (REGISTRY_DIGEST, ROLE_CLIENT, ROLE_CONTROL, ROLE_NAMES,
+                            ROLE_REPLICA, ClientReply, ClientRequest, Hello, StatsReply,
                             StatsRequest)
 from repro.runtime.costs import zero_cost_model
 from repro.runtime.registry import WIRE, WireDecodeError
@@ -97,6 +106,8 @@ class ReplicaServer:
         self._accepted: set = set()
         self._started = False
         self._closed = False
+        #: connections closed at their first frame (not a Hello of this registry).
+        self.handshakes_refused = 0
 
     async def start(self) -> None:
         """Build the replica and start listening + dialing (call once)."""
@@ -112,7 +123,7 @@ class ReplicaServer:
             config.protocol, config.node_id, self.clock, self.network,
             QuorumSystem.for_cluster(len(config.peers)), {},
             cost_model=zero_cost_model(), admission=config.admission,
-            recovery=config.recovery)
+            recovery=config.recovery, history_gc=True)
         if self._server_socket is not None:
             self._server = await loop.create_server(
                 lambda: _AcceptedConnection(self), sock=self._server_socket)
@@ -127,6 +138,9 @@ class ReplicaServer:
         """Check a connection's first frame; a violation closes it like bad framing."""
         if not isinstance(message, Hello):
             raise FramingError(f"first frame must be Hello, got {type(message).__name__}")
+        if message.digest != REGISTRY_DIGEST:
+            raise FramingError(f"hello from a process whose wire type table differs "
+                               f"(digest {message.digest}, ours {REGISTRY_DIGEST})")
         if message.role == ROLE_REPLICA and (message.sender == self.config.node_id
                                              or message.sender not in self.config.peers):
             # ``deliver_local`` tells a self-send from a peer's message by
@@ -179,6 +193,7 @@ class ReplicaServer:
                           | {"policy": replica.admission.describe()}
                           if replica.admission is not None else None),
             "links": replica.transport.links(),
+            "handshakes_refused": self.handshakes_refused,
             "network": {
                 "messages_sent": stats.messages_sent,
                 "messages_delivered": stats.messages_delivered,
@@ -246,6 +261,8 @@ class _AcceptedConnection(asyncio.Protocol):
                 else:
                     server._dispatch(self.hello, message, self.transport)
         except (FramingError, WireDecodeError, KeyBindingError, TimestampRangeError):
+            if self.hello is None:
+                server.handshakes_refused += 1
             self.transport.close()
 
     def connection_lost(self, exc: Optional[Exception]) -> None:

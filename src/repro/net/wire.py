@@ -8,7 +8,9 @@ the handful of envelope types the socket world additionally needs:
 * :class:`Hello` — the mandatory first frame on every connection, naming the
   sender and its role, so the receiving replica knows whether subsequent
   frames are peer protocol traffic (dispatched into the kernel with the
-  peer's id as ``src``) or client requests;
+  peer's id as ``src``) or client requests, and carrying the digest of the
+  sender's wire type table, so two processes that would misread each
+  other's frames never get past it;
 * :class:`ClientRequest` / :class:`ClientReply` — a client command and its
   result, reusing the shared :data:`~repro.runtime.fields.COMMAND` codec so
   a TCP client submits byte-for-byte the same command the simulator's
@@ -25,13 +27,14 @@ same accounting as every protocol message.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.consensus.command import Command
 from repro.runtime.codec import STRING, UINT, OptionalCodec
 from repro.runtime.fields import COMMAND, COMMAND_ID
-from repro.runtime.registry import register_message
+from repro.runtime.registry import TYPE_IDS, register_message
 
 #: Connection roles announced in :class:`Hello`.
 ROLE_REPLICA = 0
@@ -42,18 +45,27 @@ ROLE_NAMES = {ROLE_REPLICA: "replica", ROLE_CLIENT: "client",
               ROLE_CONTROL: "control"}
 
 
-@register_message(sender=UINT, role=UINT)
+#: CRC-32 of the wire type table (:data:`repro.runtime.registry.TYPE_IDS`) as
+#: UTF-8 text, one ``"<module.qualname> <id>\n"`` line per row in id order.
+REGISTRY_DIGEST = zlib.crc32("".join(
+    f"{name} {type_id}\n" for name, type_id in TYPE_IDS.items()).encode())
+
+
+@register_message(sender=UINT, role=UINT, digest=UINT)
 @dataclass(frozen=True, slots=True)
 class Hello:
     """Mandatory first frame on every connection: who is calling, and why.
 
     ``sender`` is the peer's replica id for :data:`ROLE_REPLICA` connections
     and a client/control id otherwise (ids are per-role namespaces; only
-    replica ids are routed).
+    replica ids are routed).  ``digest`` is the sender's
+    :data:`REGISTRY_DIGEST`; a replica refuses a connection whose digest is
+    not its own.
     """
 
     sender: int
     role: int
+    digest: int = REGISTRY_DIGEST
 
 
 @register_message(command=COMMAND)

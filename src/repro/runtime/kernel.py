@@ -410,6 +410,10 @@ class ProtocolKernel(ConsensusReplica):
         self.stats = ProtocolStats()
         #: The recovery switch; off unless the harness turns it on.
         self.recovery_on = False
+        #: The history-collection switch, set like ``recovery_on``; a protocol
+        #: that keeps a command history (CAESAR) forgets, while it is on, the
+        #: commands every replica has delivered.
+        self.history_gc = False
         self.failure_detector: Optional[FailureDetector] = None
         self.retransmit = RetransmitBuffer(self)
         self._catchup_timer = None

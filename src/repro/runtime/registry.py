@@ -97,6 +97,7 @@ TYPE_IDS: Dict[str, int] = {
     "repro.net.wire.ClientReply": 39,
     "repro.net.wire.StatsRequest": 40,
     "repro.net.wire.StatsReply": 41,
+    "repro.core.messages.Delivered": 42,
 }
 
 

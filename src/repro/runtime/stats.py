@@ -30,6 +30,7 @@ class ProtocolStats:
     nacks_sent: int = 0
     recoveries_started: int = 0
     recoveries_completed: int = 0
+    commands_collected: int = 0
     # EPaxos execution/recovery.
     graph_nodes_visited: int = 0
     recoveries: int = 0

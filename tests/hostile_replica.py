@@ -70,10 +70,11 @@ async def attack_then_commit(streams: Dict[str, bytes]) -> dict:
         finally:
             await remote.close()
         executed = cluster.servers[0].replica.commands_executed
+        refused = cluster.servers[0].stats_payload()["handshakes_refused"]
     finally:
         await cluster.stop()
     return {"received": received, "unhandled": unhandled, "imported": imported,
-            "result": result, "executed": executed}
+            "result": result, "executed": executed, "handshakes_refused": refused}
 
 
 if __name__ == "__main__":

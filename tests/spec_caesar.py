@@ -66,8 +66,10 @@ Where the product and the spec differ, and how the differentials treat it:
    (``tests/test_core_invariants.py``: ``TestMaskWidth``,
    ``TestBucketIndex``), indices kept across collection
    (``tests/test_core_history.py``, the collected-command scenarios of
-   ``tests/test_caesar_differential.py``) and the cost guards of the
-   blocker index (``tests/test_delivery_differential.py``).
+   ``tests/test_caesar_differential.py``), history collection itself, which
+   the spec never does (``tests/test_core_compaction.py`` holds a collecting
+   replica to this one's verdicts, timestamps and delivery order), and the
+   cost guards of the blocker index (``tests/test_delivery_differential.py``).
 
 The probes of ``tests/test_caesar_differential.py`` compare every field
 they read with ``==``, but for two: the sends of one handler call (4) and

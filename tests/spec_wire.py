@@ -18,7 +18,10 @@ format") states the same rules in prose.
 * seq: the count as a uint, then the elements in order;
 * frozenset: the count as a uint, then the elements in ascending order;
 * struct: its fields in declaration order;
-* message: its type id as a uint, then its fields as a struct.
+* message: its type id as a uint, then its fields as a struct;
+* registry digest (``Hello.digest``): the CRC-32 (the reflected polynomial
+  0xEDB88320, initial value and final xor 0xFFFFFFFF) of the type-id table as
+  UTF-8 text, one ``"<module.qualname> <id>\n"`` line per row in id order.
 
 It imports the codec classes only to tell the kinds apart, and nothing that
 encodes or decodes.
@@ -144,3 +147,15 @@ def decode(codec, data: bytes, offset: int) -> tuple:
             values[name], offset = decode(field, data, offset)
         return cls(**values), offset
     raise TypeError(f"no wire rule for {kind.__name__}")
+
+
+def registry_digest(type_ids) -> int:
+    """The digest a ``Hello`` carries: CRC-32 of the table, one line per row."""
+    text = "".join(f"{name} {type_id}\n"
+                   for name, type_id in sorted(type_ids.items(), key=lambda row: row[1]))
+    crc = 0xFFFFFFFF
+    for byte in text.encode("utf-8"):
+        crc ^= byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ (0xEDB88320 if crc & 1 else 0)
+    return crc ^ 0xFFFFFFFF

@@ -152,7 +152,8 @@ class Pair:
         agree(self.new, self.spec, before, (self.fed, message))
 
     def collect(self, command: Command) -> None:
-        """Garbage-collect ``command`` on both sides, as the history compactor would."""
+        """Remove ``command``'s entry on both sides: the history's half of collection
+        (the replica's floor and late-message rules: ``tests/test_core_compaction.py``)."""
         self.new.replica.history.remove(command.command_id)
         self.spec.replica.history.remove(command.command_id)
         agree(self.new, self.spec, len(self.new.sent), ("collect", command))
@@ -1070,7 +1071,7 @@ def leader_differential() -> None:
 SPEC_MUTANTS = {
     "wait-immediate-ok-always": (
         WaitManager.evaluate,
-        "if bucket.keys[-1] >> 32 <= (timestamp.counter << 32 | timestamp.node_id):",
+        "if not keys or keys[-1] >> 32 <= stamp:",
         "if True:", acceptor_differential),
     "immediate-answer-ok-on-nack": (
         CaesarReplica._on_fast_propose, "if verdict and not parked:",
@@ -1091,7 +1092,7 @@ SPEC_MUTANTS = {
         "CommandStatus.REJECTED, ballot, entry=entry)", acceptor_differential),
     "wait-immediate-ok-always-end-to-end": (
         WaitManager.evaluate,
-        "if bucket.keys[-1] >> 32 <= (timestamp.counter << 32 | timestamp.node_id):",
+        "if not keys or keys[-1] >> 32 <= stamp:",
         "if True:", lambda: end_to_end("caesar", SpecCaesarReplica, END_TO_END_CELLS)),
     # PR 7's bug: the recovering node's own tuple never counted.
     "recovery-without-the-local-vote": (

@@ -164,7 +164,6 @@ class TestParser:
         (["chaos", "--nemesis", "bogus"], "invalid choice: 'bogus'"),
         (["chaos", "--matrix", "--protocols", "bogus"], "invalid choice: 'bogus'"),
         (["run", "--admission", "bogus:1"], "unknown admission policy"),
-        (["run", "--history-gc", "0"], "must be > 0"),
         (["loadgen", "--endpoint", "junk"], "expected ID=HOST:PORT"),
         (["loadgen"], "--endpoint"),
         (["serve", "--node-id", "0"], "--peer"),
@@ -402,14 +401,15 @@ class TestOverloadReportCommands:
         assert "overload sweep" in out
         assert "offered/s" in out
 
-    def test_history_gc_flag_parses_and_runs(self, capsys):
-        args = build_parser().parse_args(["run", "--history-gc", "250"])
-        assert args.history_gc == 250.0
+    def test_history_gc_switch_parses_and_runs(self, capsys):
+        assert build_parser().parse_args(["run", "--history-gc"]).history_gc is True
+        assert build_parser().parse_args(["run"]).history_gc is False
         code = main(["run", "--protocol", "caesar", "--conflicts", "30",
-                     "--clients", "2", "--duration", "1200", "--history-gc", "200"])
+                     "--clients", "2", "--duration", "1200", "--history-gc"])
         assert code == 0
         output = capsys.readouterr().out
-        assert "history GC:" in output
+        assert "history entries:" in output
+        assert "commands collected" in output
         assert "consistency violations: 0" in output
 
     def test_overload_json_output(self, capsys):

@@ -24,10 +24,11 @@ from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command
 from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.messages import FastPropose, FastProposeReply, Stable
+from repro.net.wire import REGISTRY_DIGEST, Hello
 from repro.runtime.batching import MessageBatch
 from repro.runtime.codec import UINT, decode_uvarint, encode_uvarint
 from repro.runtime.fields import COMMAND_ID_SET
-from repro.runtime.registry import WIRE, MessageCodec
+from repro.runtime.registry import TYPE_IDS, WIRE, MessageCodec
 from repro.sim.failures import Heartbeat
 from tests import spec_wire
 from tests.test_runtime_codec import all_wire_types, message_strategy
@@ -106,6 +107,9 @@ _STABLE = st.builds(stable, predecessors=st.frozensets(_IDS, max_size=300))
                      whitelist=frozenset({(9, 9), (-9, 200)})))
 # batches: empty, and a batch of batches.
 @example(MessageBatch(messages=()))
+# the handshake, with the digest the table gives and without one an old peer sends.
+@example(Hello(sender=1, role=0))
+@example(Hello(sender=3, role=1, digest=0))
 @example(MessageBatch(messages=(
     MessageBatch(messages=(Heartbeat(sender=1, sequence=128), stable(predecessors=[(1, 1)]))),
     MessageBatch(messages=()),
@@ -152,3 +156,12 @@ def test_a_varint_that_ends_early_or_never_raises_what_the_function_raises(data)
         UINT.decode(data, 0)
     with pytest.raises(inline.type):
         decode_uvarint(data, 0)
+
+
+def test_hello_carries_the_digest_of_the_type_id_table():
+    """Two processes whose tables differ would misread each other's frames: the
+    digest the rules give the table is what every ``Hello`` announces, and a
+    table with one row moved has another."""
+    assert Hello(sender=1, role=0).digest == REGISTRY_DIGEST == spec_wire.registry_digest(TYPE_IDS)
+    moved = dict(TYPE_IDS, **{"repro.core.messages.Delivered": len(TYPE_IDS)})
+    assert spec_wire.registry_digest(moved) != REGISTRY_DIGEST

@@ -135,7 +135,7 @@ def drive(steps) -> DualStack:
             stack.update_both(command, timestamp, predecessors, status)
         else:
             # GC: remove only when present and the key has nothing parked,
-            # the same deferral rule HistoryCompactor applies.
+            # the same deferral rule history collection applies.
             if stack.optimized.get(command.command_id) is None:
                 continue
             if stack.opt_wait.has_parked(command.key):

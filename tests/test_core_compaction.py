@@ -1,168 +1,454 @@
-"""Tests for cluster-level history garbage collection (HistoryCompactor).
+"""History collection: replicas learn by message what every replica delivered.
 
-The compactor removes a command's history entry at every replica once the
-command has been delivered by *all* replicas — at that point it can never
-influence another decision.  These tests cover the unit-level contract
-(removal, deferral while parked, cursor incrementality) and the harness
-plumbing (``ClusterConfig.history_gc_ms`` / ``--history-gc``).
+``repro.core.collection`` lets a CAESAR replica forget a command once all
+replicas have reported delivering it.  These tests hold it to its rules and
+to the uncollected protocol:
+
+* a command every replica reported is removed, and one replica that reports
+  nothing pins it;
+* removal waits while a proposal is parked on the command's key;
+* a proposal below the key's collected floor gets the NACK the uncollected
+  history gives it, and a late message naming a collected command changes
+  nothing;
+* a report that is lost is sent again, and collection resumes after a crash
+  and restart;
+* a Hypothesis differential feeds a collecting replica and the never-collecting
+  spec the same messages: same verdicts, timestamps and delivery order;
+* CAESAR's nine quick chaos schedules pass with collection on, and over TCP a
+  hot key's history and ``Stable`` frames stay bounded.
 """
 
 from __future__ import annotations
 
-import pytest
+import asyncio
+import dataclasses
+from types import SimpleNamespace
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.harness.chaos as chaos
+from repro.chaos.nemesis import CONFORMANCE_SCHEDULES
 from repro.consensus.ballots import Ballot
-from repro.consensus.timestamps import LogicalTimestamp
-from repro.core.delivery import DeliveryManager, HistoryCompactor
-from repro.core.history import CommandHistory, CommandStatus
+from repro.core import collection
+from repro.core.caesar import CaesarReplica
+from repro.core.collection import HistoryCollector
+from repro.core.invariants import check_all
+from repro.core.messages import (
+    Delivered,
+    FastProposeReply,
+    Recovery,
+    RetryReply,
+    SlowProposeReply,
+)
 from repro.core.predecessors import WaitManager
 from repro.harness.cluster import ClusterConfig, build_cluster
-from tests.conftest import make_command
+from repro.harness.experiment import ExperimentConfig, run_experiment
+from repro.metrics.collector import MetricsCollector
+from repro.net.client import connect_pool
+from repro.net.clock import WallClock
+from repro.net.loopback import LoopbackCluster
+from repro.runtime.kernel import ProtocolKernel
+from repro.workload.generator import WorkloadConfig
+from tests.spec_caesar import SpecCaesarReplica
+from tests.test_caesar_differential import (
+    REPLICAS,
+    Probe,
+    command,
+    fast,
+    mutated,
+    random_schedule,
+    retry,
+    slow,
+    stable,
+    ts,
+)
 
-BALLOT = Ballot.initial(0)
-
-
-def ts(counter: int, node: int = 0) -> LogicalTimestamp:
-    return LogicalTimestamp(counter, node)
-
-
-class FakeReplica:
-    """Just enough replica surface for the compactor: history + delivery."""
-
-    def __init__(self) -> None:
-        self.history = CommandHistory()
-        self.delivery = DeliveryManager(self.history, lambda c: None)
-        self.wait_manager = WaitManager(self.history, lambda: 0.0)
-
-    def stable(self, command, timestamp, predecessors=()):
-        self.history.update(command, timestamp, set(predecessors),
-                            CommandStatus.STABLE, BALLOT)
-        self.delivery.on_stable(command)
-
-
-def make_timers():
-    """A ``set_timer`` stub recording (delay, callback) pairs."""
-    scheduled = []
-    return scheduled, lambda delay, callback: scheduled.append((delay, callback))
+PEERS = range(1, REPLICAS)
+A, B, C = command(0, 0), command(1, 0), command(2, 0)
 
 
-class TestCompactorUnit:
-    def test_removes_entries_delivered_everywhere(self):
-        replicas = [FakeReplica(), FakeReplica()]
-        command = make_command(0, 0, key="x")
-        for replica in replicas:
-            replica.stable(command, ts(1))
-        _, set_timer = make_timers()
-        compactor = HistoryCompactor(replicas, set_timer, interval_ms=100.0)
-        assert compactor.collect() == 1
-        assert all(replica.history.get(command.command_id) is None
-                   for replica in replicas)
-        assert compactor.commands_removed == 1
+class Collecting(Probe):
+    """Replica 0 of five with collection on; the test plays its peers' reports."""
 
-    def test_keeps_entries_not_delivered_everywhere(self):
-        replicas = [FakeReplica(), FakeReplica()]
-        command = make_command(0, 0, key="x")
-        replicas[0].stable(command, ts(1))  # second replica never delivers
-        _, set_timer = make_timers()
-        compactor = HistoryCompactor(replicas, set_timer, interval_ms=100.0)
-        assert compactor.collect() == 0
-        assert replicas[0].history.get(command.command_id) is not None
+    def __init__(self, wait_enabled: bool = True) -> None:
+        super().__init__(CaesarReplica, wait_enabled)
+        for peer in PEERS:   # the collector counts every replica on the network
+            self.replica.network.register(SimpleNamespace(node_id=peer))
+        self.replica.history_gc = True
+        self.replica.start()
+        self.reported = dict.fromkeys(PEERS, 0)
 
-    def test_collection_is_cursor_incremental(self):
-        replicas = [FakeReplica()]
-        _, set_timer = make_timers()
-        compactor = HistoryCompactor(replicas, set_timer, interval_ms=100.0)
-        first = make_command(0, 0, key="x")
-        replicas[0].stable(first, ts(1))
-        assert compactor.collect() == 1
-        # A second pass with no new deliveries removes nothing (the cursor
-        # advanced past the already-collected prefix).
-        assert compactor.collect() == 0
-        second = make_command(0, 1, key="x")
-        replicas[0].stable(second, ts(2))
-        assert compactor.collect() == 1
+    def report_from(self, *peers: int) -> None:
+        """Each peer reports delivering what this replica delivered; then one tick."""
+        order = self.replica.delivery.delivered_order
+        for peer in peers:
+            position = self.reported[peer]
+            self.feed(peer, Delivered(position=position, ids=tuple(order[position:]),
+                                      received=len(order)))
+            self.reported[peer] = len(order)
+        self.tick()
 
-    def test_removal_deferred_while_parked_on_key(self):
-        replica = FakeReplica()
-        command = make_command(0, 0, key="hot")
-        replica.stable(command, ts(1))
-        # Park a later proposal on the same key: its incremental wait state
-        # references bucket entries, so collection must hold off.
-        blocker = make_command(1, 0, key="hot")
-        replica.history.update(blocker, ts(5), set(), CommandStatus.FAST_PENDING, BALLOT)
-        outcomes = []
-        replica.wait_manager.evaluate(make_command(2, 0, key="hot"), ts(3),
-                                      lambda ok, waited: outcomes.append(ok))
-        assert replica.wait_manager.has_parked("hot")
-        _, set_timer = make_timers()
-        compactor = HistoryCompactor([replica], set_timer, interval_ms=100.0)
-        assert compactor.collect() == 0
-        assert replica.history.get(command.command_id) is not None
-        # Unpark (the blocker finalizes) and the deferred command collects.
-        entry = replica.history.update(blocker, ts(5), {command.command_id},
-                                       CommandStatus.STABLE, BALLOT)
-        replica.wait_manager.notify_entry(entry)
-        assert outcomes  # proposal resolved, key no longer parked
-        assert compactor.collect() == 1
-        assert replica.history.get(command.command_id) is None
+    def tick(self) -> None:
+        """Let the report timer fire once."""
+        self.sim.run(until=self.sim.now + collection.REPORT_EVERY_MS)
 
-    def test_start_arms_periodic_timer(self):
-        scheduled, set_timer = make_timers()
-        compactor = HistoryCompactor([FakeReplica()], set_timer, interval_ms=250.0)
-        compactor.start()
-        assert [delay for delay, _ in scheduled] == [250.0]
-        scheduled[0][1]()  # fire the tick: collects and re-arms
-        assert [delay for delay, _ in scheduled] == [250.0, 250.0]
+    def reports_to(self, peer: int) -> list:
+        return [message for dst, message in self.sent
+                if dst == peer and isinstance(message, Delivered)]
 
 
-class TestClusterPlumbing:
-    def _drive(self, history_gc_ms):
-        config = ClusterConfig(protocol="caesar", seed=11,
-                               history_gc_ms=history_gc_ms)
-        cluster = build_cluster(config)
-        # A conflict-heavy stream: three hot keys shared across all replicas.
-        commands = [make_command(i % cluster.size, i // cluster.size,
-                                 key=f"hot-{i % 3}", origin=i % cluster.size)
-                    for i in range(30)]
-        for command in commands:
-            cluster.replica(command.origin).submit(command)
-        cluster.run_until_executed([c.command_id for c in commands],
-                                   deadline_ms=30000)
-        return cluster, commands
 
-    def test_build_cluster_without_gc_has_no_compactor(self):
-        cluster, _ = self._drive(history_gc_ms=None)
-        assert cluster.compactor is None
-        assert all(len(r.history) > 0 for r in cluster.replicas)
+def verdicts(probe: Probe, cmd) -> list:
+    """``(ok, timestamp)`` of every proposal answer ``probe`` sent for ``cmd``."""
+    return [(answer.ok, answer.timestamp) for answer in probe.answers(cmd)]
 
-    def test_gc_collects_delivered_commands_and_preserves_outcomes(self):
-        plain, commands = self._drive(history_gc_ms=None)
-        collected, _ = self._drive(history_gc_ms=100.0)
-        assert collected.compactor is not None
-        assert collected.compactor.commands_removed > 0
-        # Every command still executed on every replica, in an order
-        # consistent with the non-collected run (same conflict ordering).
-        for replica in collected.replicas:
-            for command in commands:
-                assert replica.has_executed(command.command_id)
-        assert collected.check_consistency() == []
-        # Histories actually shrank relative to the uncollected run.
-        assert (sum(len(r.history) for r in collected.replicas)
-                < sum(len(r.history) for r in plain.replicas))
 
-    def test_experiment_config_plumbs_history_gc(self):
-        from repro.harness.experiment import ExperimentConfig, run_experiment
+def collected(probe: Collecting, *commands) -> bool:
+    return all(cmd.command_id not in probe.replica.history
+               and probe.replica.delivery.is_delivered(cmd.command_id) for cmd in commands)
 
-        result = run_experiment(ExperimentConfig(
-            protocol="caesar", conflict_rate=0.3, clients_per_site=2,
-            duration_ms=1500.0, warmup_ms=500.0, history_gc_ms=200.0))
-        assert result.cluster.compactor is not None
-        assert result.cluster.compactor.commands_removed > 0
-        assert result.consistency_violations == 0
 
-    @pytest.mark.parametrize("interval_ms", [0.0, -50.0])
-    def test_non_positive_interval_is_rejected_not_spun_on(self, interval_ms):
-        # Regression: a 0 ms interval re-armed the collection timer at the
-        # same virtual instant forever, so `repro run --history-gc 0` hung.
-        with pytest.raises(ValueError, match="history GC interval must be > 0"):
-            build_cluster(ClusterConfig(history_gc_ms=interval_ms))
+class TestRules:
+    def test_a_command_every_replica_reported_is_collected_and_a_silent_peer_pins_it(self):
+        probe = Collecting()
+        probe.feed(1, stable(A, ts(3, 1)))
+        probe.report_from(1, 2, 3)
+        assert A.command_id in probe.replica.history
+        probe.report_from(4)
+        assert collected(probe, A) and len(probe.replica.history) == 0
+        assert probe.replica.stats.commands_collected == 1
+
+    def test_removal_waits_while_a_proposal_is_parked_on_the_key(self):
+        probe = Collecting()
+        probe.feed(1, stable(A, ts(1, 1)))
+        probe.feed(2, fast(B, ts(9, 2)))          # pending, later: C must wait for it
+        probe.feed(3, fast(C, ts(5, 3)))
+        assert probe.replica.wait_manager.parked_count() == 1
+        probe.report_from(*PEERS)
+        assert A.command_id in probe.replica.history
+        probe.feed(2, stable(B, ts(9, 2), [A.command_id, C.command_id]))
+        assert verdicts(probe, C) == [(True, ts(5, 3))]
+        probe.tick()
+        assert collected(probe, A)
+
+    @pytest.mark.parametrize("operation, expected", [("put", False), ("get", True)])
+    def test_a_proposal_below_the_floor_gets_the_uncollected_verdict(self, operation, expected):
+        """A collected write above a proposal was its NACK witness; a collected
+        read is one only for a write."""
+        collecting, spec = Collecting(), Probe(SpecCaesarReplica)
+        late, later = command(2, 0, operation=operation), command(3, 0, operation=operation)
+        for probe in (collecting, spec):
+            probe.feed(1, stable(A, ts(5, 1)))
+            probe.feed(2, stable(B, ts(6, 2), [A.command_id]))
+        collecting.report_from(*PEERS)
+        assert collected(collecting, A, B)
+        for probe in (collecting, spec):
+            probe.feed(3, fast(late, ts(4, 3)))
+            probe.feed(4, fast(later, ts(8, 4)))
+        assert verdicts(collecting, late) == verdicts(spec, late)
+        assert [ok for ok, _ in verdicts(collecting, late)] == [False]
+        assert verdicts(collecting, later) == verdicts(spec, later) == [(True, ts(8, 4))]
+        # A read collected above a read: no witness for a read proposal.
+        reader, spec = Collecting(), Probe(SpecCaesarReplica)
+        for probe in (reader, spec):
+            probe.feed(1, stable(command(1, 0, operation="get"), ts(5, 1)))
+        reader.report_from(*PEERS)
+        for probe in (reader, spec):
+            probe.feed(3, fast(late, ts(4, 3)))
+        assert verdicts(reader, late) == verdicts(spec, late)
+        assert [ok for ok, _ in verdicts(reader, late)] == [expected]
+
+    def test_a_parked_proposal_below_the_floor_is_nacked_once_it_resolves(self):
+        collecting, spec = Collecting(), Probe(SpecCaesarReplica)
+        for probe in (collecting, spec):
+            probe.feed(1, stable(A, ts(7, 1)))
+        collecting.report_from(*PEERS)
+        for probe in (collecting, spec):
+            probe.feed(2, fast(B, ts(9, 2)))
+            probe.feed(3, fast(C, ts(5, 3)), advance_ms=3.0)   # waits for B
+            assert probe.answers(C) == []
+            probe.feed(2, stable(B, ts(9, 2), [A.command_id, C.command_id]), advance_ms=4.0)
+        assert verdicts(collecting, C) == verdicts(spec, C)
+        assert [ok for ok, _ in verdicts(collecting, C)] == [False]
+        assert collecting.replica.wait_time_samples == spec.replica.wait_time_samples == [4.0]
+
+    @pytest.mark.parametrize("late", [
+        lambda: stable(A, ts(3, 1)),
+        lambda: fast(A, ts(3, 1)),
+        lambda: slow(A, ts(3, 1)),
+        lambda: retry(A, ts(3, 1)),
+        lambda: fast(A, ts(11, 2), ballot=Ballot(1, 2)),
+        lambda: Recovery(command=A, ballot=Ballot(1, 2)),
+    ], ids=["stable", "fast-propose", "slow-propose", "retry", "fast-propose-higher-ballot",
+            "recovery"])
+    def test_a_late_message_naming_a_collected_command_changes_nothing(self, late):
+        probe = Collecting()
+        probe.feed(1, stable(A, ts(3, 1)))
+        probe.report_from(*PEERS)
+        assert collected(probe, A) and len(probe.replica.history) == 0
+        sent = len(probe.sent)
+        probe.feed(1, late())
+        assert len(probe.replica.history) == 0
+        assert probe.sent[sent:] == []
+        assert probe.replica.commands_executed == 1
+
+    def test_a_stable_naming_a_collected_predecessor_is_delivered_at_once(self):
+        probe = Collecting()
+        probe.feed(1, stable(A, ts(3, 1)))
+        probe.report_from(*PEERS)
+        probe.feed(2, stable(B, ts(5, 2), [A.command_id]))
+        assert probe.replica.delivery.delivered_order == [A.command_id, B.command_id]
+
+
+class TestReports:
+    def test_a_report_is_bounded_and_the_rest_follows(self, monkeypatch):
+        monkeypatch.setattr(collection, "REPORT_MAX_IDS", 2)
+        probe = Collecting()
+        for sequence, cmd in enumerate((A, B, C)):
+            probe.feed(1, stable(cmd, ts(3 + sequence, 1)))
+        probe.tick()
+        probe.feed(1, Delivered(position=0, ids=(), received=2))
+        probe.tick()
+        assert [(report.position, report.ids) for report in probe.reports_to(1)] == [
+            (0, (A.command_id, B.command_id)), (2, (C.command_id,))]
+
+    def test_a_report_that_is_never_acknowledged_is_sent_again(self):
+        probe = Collecting()
+        probe.feed(1, stable(A, ts(3, 1)))
+        probe.tick()
+        for peer in (2, 3, 4):
+            probe.feed(peer, Delivered(position=0, ids=(), received=1))
+        for _ in range(collection.RESEND_AFTER_REPORTS + 1):
+            probe.tick()
+        assert [(report.position, report.ids) for report in probe.reports_to(1)] == [
+            (0, (A.command_id,)), (0, (A.command_id,))]
+        assert all(len(probe.reports_to(peer)) == 1 for peer in (2, 3, 4))
+
+    def test_collection_resumes_after_a_dropped_report(self):
+        """Peer 4's first report is lost: its second is not counted past the gap,
+        and the resend from the position it left off collects both commands."""
+        probe = Collecting()
+        probe.feed(1, stable(A, ts(3, 1)))
+        probe.feed(1, stable(B, ts(4, 1), [A.command_id]))
+        probe.report_from(1, 2, 3)
+        probe.feed(4, Delivered(position=1, ids=(B.command_id,), received=0))
+        probe.tick()
+        assert not collected(probe, A) and not collected(probe, B)
+        probe.feed(4, Delivered(position=0, ids=(A.command_id, B.command_id), received=0))
+        probe.tick()
+        assert collected(probe, A, B)
+        # A report repeating what was counted is acknowledged again.
+        before = len(probe.reports_to(4))
+        probe.feed(4, Delivered(position=0, ids=(A.command_id, B.command_id), received=2))
+        probe.tick()
+        assert probe.reports_to(4)[before:] == [Delivered(position=2, ids=(), received=2)]
+
+    def test_collection_resumes_after_a_crash_and_restart(self):
+        """The report timer that fired while the replica was down is re-armed by
+        the restart: commands proposed afterwards are collected everywhere."""
+        cluster = build_cluster(ClusterConfig(protocol="caesar", seed=3, history_gc=True))
+        cluster.start()
+
+        def run(first: int, count: int) -> list:
+            commands = [command(node, first + sequence, key=f"k{sequence % 2}")
+                        for sequence in range(count) for node in (0, 1, 2)]
+            for cmd in commands:
+                cluster.replica(cmd.origin).submit(cmd)
+            assert cluster.run_until_executed([cmd.command_id for cmd in commands],
+                                              deadline_ms=20000)
+            cluster.run(3000.0)
+            return commands
+
+        run(0, 5)
+        cluster.replica(4).crash()
+        cluster.run(1000.0)
+        cluster.replica(4).restart()
+        after = run(100, 5)
+        for replica in cluster.replicas:
+            assert not any(cmd.command_id in replica.history for cmd in after), replica.node_id
+        assert check_all(cluster.replicas) == []
+
+
+# ------------------------------------------------- the never-collecting spec
+
+def replies(probe: Probe) -> list:
+    """What a leader learns from this acceptor: every verdict and timestamp, less
+    the predecessor sets (collected commands are missing from the product's)."""
+    return [(dst, type(message).__name__, message.command_id, message.ballot,
+             message.timestamp, getattr(message, "ok", None))
+            for dst, message in probe.sent
+            if isinstance(message, (FastProposeReply, SlowProposeReply, RetryReply))]
+
+
+def against_the_spec(seed: int, reports, wait_enabled: bool = True) -> int:
+    """Feed ``random_schedule(seed)`` to a collecting replica and to the spec,
+    every peer reporting after each step in ``reports``; both must send the
+    same replies and deliver in the same order.  Returns how many commands
+    were collected."""
+    collecting, spec = Collecting(wait_enabled), Probe(SpecCaesarReplica, wait_enabled)
+    for step, (src, message, advance) in enumerate(random_schedule(seed)):
+        for probe in (collecting, spec):
+            probe.feed(src, message, advance)
+        if step in reports:
+            collecting.report_from(*PEERS)
+            spec.sim.run(until=collecting.sim.now)
+        assert replies(collecting) == replies(spec), (seed, step, message)
+        assert (collecting.replica.delivery.delivered_order
+                == spec.replica.delivery.delivered_order), (seed, step)
+    return collecting.replica.stats.commands_collected
+
+
+class TestAgainstTheSpec:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**16), reports=st.sets(st.integers(0, 89), max_size=30),
+           wait_enabled=st.booleans())
+    def test_collecting_changes_no_verdict_timestamp_or_delivery(self, seed, reports,
+                                                                 wait_enabled):
+        against_the_spec(seed, reports, wait_enabled)
+
+    def test_seeded_streams_collect_and_agree(self):
+        """Forty fixed streams, every peer reporting after every tenth step: the
+        differential is only worth its examples if they collect entries that
+        later messages are answered against."""
+        assert sum(against_the_spec(seed, range(9, 90, 10)) for seed in range(40)) > 100
+
+
+# ----------------------------------------------------------- whole clusters
+
+def test_every_quick_chaos_schedule_passes_with_collection_on(monkeypatch):
+    clusters = []
+
+    def collecting_cluster(config):
+        cluster = build_cluster(dataclasses.replace(config, history_gc=True))
+        clusters.append(cluster)
+        return cluster
+
+    monkeypatch.setattr(chaos, "build_cluster", collecting_cluster)
+    results = chaos.run_conformance_matrix(["caesar"], list(CONFORMANCE_SCHEDULES), seed=7,
+                                           fault_at_ms=500.0, fault_hold_ms=1000.0,
+                                           settle_ms=800.0)
+    assert len(results) == len(CONFORMANCE_SCHEDULES) == 9
+    for result, cluster in zip(results, clusters):
+        name = result.plan.name
+        assert result.ok, (name, result.verdict(), result.internal_violations)
+        assert sum(r.stats.commands_collected for r in cluster.replicas) > 0, name
+        live = [replica for replica in cluster.replicas if not replica.crashed]
+        assert check_all(live) == [], name
+
+
+def test_an_experiment_with_collection_on_keeps_a_small_history():
+    config = dict(protocol="caesar", conflict_rate=1.0, clients_per_site=2,
+                  duration_ms=6000.0, warmup_ms=500.0, seed=5,
+                  workload=WorkloadConfig(conflict_rate=1.0, shared_pool_size=1))
+    plain = run_experiment(ExperimentConfig(**config))
+    collecting = run_experiment(ExperimentConfig(**config, history_gc=True))
+    assert collecting.consistency_violations == 0
+    assert collecting.metrics.count > 100
+    assert (max(len(replica.history) for replica in collecting.cluster.replicas)
+            < min(len(replica.history) for replica in plain.cluster.replicas) / 4)
+
+
+# -------------------------------------------------------------------- TCP
+
+#: Bounds for a 3-replica loopback cluster on one hot key.  Without collection
+#: 3,000 commands leave 3,000 live entries per replica and about 4,300 codec
+#: bytes per ``Stable``; with it, none and about 200.
+LIVE_HISTORY_BOUND = 600
+STABLE_BYTES_BOUND = 800
+
+
+async def _hot_key_over_tcp(commands: int, clients: int = 3) -> dict:
+    loop = asyncio.get_running_loop()
+    cluster = LoopbackCluster("caesar", replicas=3, seed=5)
+    await cluster.start()
+    connections = []
+    try:
+        clock = WallClock(seed=5, loop=loop)
+        pool, connections = await connect_pool(
+            cluster.peers, clients, WorkloadConfig(conflict_rate=1.0, shared_pool_size=1),
+            clock, MetricsCollector(warmup_ms=0.0), max_commands=commands // clients)
+        replicas = [server.replica for server in cluster.servers.values()]
+        deadline, live = loop.time() + 90.0, 0
+        pool.start_all()
+        while pool.total_completed < commands and loop.time() < deadline:
+            live = max(live, max(len(replica.history) for replica in replicas))
+            await asyncio.sleep(0.02)
+        return {"completed": pool.total_completed, "live": live,
+                "stats": [server.stats_payload() for server in cluster.servers.values()]}
+    finally:
+        for connection in connections:
+            await connection.close()
+        await cluster.stop()
+
+
+def test_a_hot_key_over_tcp_keeps_its_history_and_its_stable_frames_bounded():
+    outcome = asyncio.run(_hot_key_over_tcp(3000))
+    assert outcome["completed"] == 3000
+    assert outcome["live"] <= LIVE_HISTORY_BOUND
+    for stats in outcome["stats"]:
+        counters = stats["stats"]
+        stables = (counters.get("fast_decisions", 0) + counters.get("slow_decisions", 0)) * 3
+        per_stable = stats["network"]["per_type_codec_bytes"]["Stable"] / stables
+        assert per_stable <= STABLE_BYTES_BOUND, stats["node_id"]
+        assert counters["commands_collected"] >= stats["commands_executed"] - LIVE_HISTORY_BOUND
+
+
+# ------------------------------------------------------------------- teeth
+
+RULES, REPORTS, SPEC = TestRules(), TestReports(), TestAgainstTheSpec()
+
+#: Each rule taken out of the product, and a test above that must then fail:
+#: ``(owner, method, its source text, the replacement, the test)``.
+COLLECTION_MUTANTS = {
+    "no-floor-on-an-emptied-key": (
+        WaitManager, "evaluate", "return bucket.floor <= stamp or (", "return True or (",
+        lambda: RULES.test_a_proposal_below_the_floor_gets_the_uncollected_verdict("put", False)),
+    "no-floor-in-the-scan": (
+        WaitManager, "_scan_masks", "witness_mask = self_bit if", "witness_mask = 0 if",
+        RULES.test_a_parked_proposal_below_the_floor_is_nacked_once_it_resolves),
+    "no-floor-differential": (
+        WaitManager, "evaluate", "return bucket.floor <= stamp or (", "return True or (",
+        SPEC.test_seeded_streams_collect_and_agree),
+    "a-late-stable-re-creates-its-entry": (
+        CaesarReplica, "_on_stable", "self.stats.commands_collected", "False",
+        lambda: RULES.test_a_late_message_naming_a_collected_command_changes_nothing(
+            lambda: stable(A, ts(3, 1)))),
+    "a-late-proposal-is-answered": (
+        CaesarReplica, "_on_fast_propose", "self.stats.commands_collected", "False",
+        SPEC.test_seeded_streams_collect_and_agree),
+    "a-late-retry-is-answered": (
+        CaesarReplica, "_on_retry", "self.stats.commands_collected", "False",
+        lambda: RULES.test_a_late_message_naming_a_collected_command_changes_nothing(
+            lambda: retry(A, ts(3, 1)))),
+    "one-silent-peer-is-ignored": (
+        HistoryCollector, "_count", "if mask == everyone:",
+        "if mask.bit_count() + 1 >= everyone.bit_count():",
+        RULES.test_a_command_every_replica_reported_is_collected_and_a_silent_peer_pins_it),
+    "removal-ignores-parked-proposals": (
+        HistoryCollector, "_collect", "if wait_manager.parked and", "if False and",
+        RULES.test_removal_waits_while_a_proposal_is_parked_on_the_key),
+    "a-report-past-a-gap-is-counted": (
+        HistoryCollector, "on_report", "if start <= cursor.received < start + len(ids):",
+        "if cursor.received < start + len(ids):",
+        REPORTS.test_collection_resumes_after_a_dropped_report),
+    "an-unacknowledged-report-is-never-resent": (
+        HistoryCollector, "report", "cursor.sent, cursor.unacked_reports = cursor.acked, 0",
+        "cursor.unacked_reports = 0",
+        REPORTS.test_a_report_that_is_never_acknowledged_is_sent_again),
+}
+
+
+class TestTeeth:
+    @pytest.mark.parametrize("name", sorted(COLLECTION_MUTANTS))
+    def test_each_rule_is_needed(self, monkeypatch, name):
+        owner, method, old, new, test = COLLECTION_MUTANTS[name]
+        monkeypatch.setattr(owner, method, mutated(getattr(owner, method), old, new))
+        with pytest.raises(AssertionError):
+            test()
+
+    def test_collection_stops_after_a_restart_that_does_not_re_arm_the_reports(self,
+                                                                                monkeypatch):
+        monkeypatch.setattr(CaesarReplica, "on_restart", ProtocolKernel.on_restart)
+        with pytest.raises(AssertionError):
+            REPORTS.test_collection_resumes_after_a_crash_and_restart()

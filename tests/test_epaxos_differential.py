@@ -454,8 +454,6 @@ class TestScenarios:
         assert (pair.product.replica._leader_states, pair.product.replica._recoveries) == ({}, {})
         assert executed(pair.product) == [Z.command_id]
 
-    @pytest.mark.xfail(strict=True, reason="the late-recovery defect: the product re-accepts "
-                       "an instance committed during its Explicit Prepare (ROADMAP item 1)")
     def test_a_commit_during_explicit_prepare_is_final(self):
         pair = recovering()
         pair.feed(1, Commit(instance_id=ORPHAN, command=Z, seq=1, deps=frozenset()))

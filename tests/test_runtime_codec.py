@@ -154,12 +154,13 @@ WIRE_NAMES_BY_ID = """
     SlotPropose SlotAck SlotCommit SkipAnnounce
     ClientForward AcceptSlot AcceptSlotReply CommitSlot LeaderPrepare LeaderPrepareReply
     Hello ClientRequest ClientReply StatsRequest StatsReply
+    Delivered
 """.split()
 
 
 def test_every_row_of_the_type_id_table_is_registered_under_its_id():
-    """The table is the golden file: 42 ids, 0 ``MessageBatch`` … 41 ``StatsReply``."""
-    assert list(TYPE_IDS.values()) == list(range(42))
+    """The table is the golden file: 43 ids, 0 ``MessageBatch`` … 42 ``Delivered``."""
+    assert list(TYPE_IDS.values()) == list(range(43))
     # ``types()`` is in id order and the table is written in id order.
     assert [row(cls) for cls in all_wire_types()] == list(TYPE_IDS)
     assert [name.rpartition(".")[2] for name in TYPE_IDS] == WIRE_NAMES_BY_ID

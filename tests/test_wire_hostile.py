@@ -28,7 +28,7 @@ from repro.core.messages import Stable
 from repro.net.client import RemoteReplica
 from repro.net.framing import encode_frame
 from repro.net.loopback import LoopbackCluster
-from repro.net.wire import ROLE_CLIENT, ROLE_REPLICA, Hello, StatsReply
+from repro.net.wire import REGISTRY_DIGEST, ROLE_CLIENT, ROLE_REPLICA, Hello, StatsReply
 from repro.runtime.batching import MessageBatch
 from repro.runtime.registry import TYPE_IDS, WIRE, WireDecodeError
 from repro.sim.failures import Heartbeat
@@ -118,6 +118,16 @@ def _hostile_streams():
             encode_frame(WIRE.encode(Hello(sender=0, role=ROLE_REPLICA))),
         "replica-hello-from-outside-the-peer-map":
             encode_frame(WIRE.encode(Hello(sender=9, role=ROLE_REPLICA))),
+        # A process whose wire type table differs would misread the frames
+        # that follow: refused at the handshake, whatever its role, and so is
+        # an older peer's hello, which has no digest at all.
+        "replica-hello-with-another-registry":
+            encode_frame(WIRE.encode(Hello(sender=1, role=ROLE_REPLICA,
+                                           digest=REGISTRY_DIGEST ^ 1))),
+        "client-hello-with-another-registry":
+            encode_frame(WIRE.encode(Hello(sender=1, role=ROLE_CLIENT, digest=0))),
+        "hello-without-a-digest":
+            encode_frame(WIRE.encode(Hello(sender=1, role=ROLE_REPLICA, digest=0))[:-1]),
         # Well-formed CAESAR messages that name command (91, 0) on key "a" (as
         # a predecessor) and then on key "b": the history refuses the second
         # with a ``KeyBindingError``, which closes the link like bad framing.
@@ -139,6 +149,16 @@ def test_a_replica_survives_hostile_frames_and_still_commits():
     assert outcome["executed"] == 1
     # No connection task died with "Task exception was never retrieved".
     assert outcome["unhandled"] == []
+    # Every connection whose first frame was not this registry's Hello is
+    # counted where the stats endpoint reports it.
+    assert outcome["handshakes_refused"] == len(REFUSED_AT_THE_HANDSHAKE) == 6
+
+
+#: The streams whose first frame the replica refuses.
+REFUSED_AT_THE_HANDSHAKE = ("garbage-first-frame", "replica-hello-claiming-the-local-id",
+                            "replica-hello-from-outside-the-peer-map",
+                            "replica-hello-with-another-registry",
+                            "client-hello-with-another-registry", "hello-without-a-digest")
 
 
 def test_another_protocols_message_is_an_unknown_id_to_a_caesar_only_replica():
