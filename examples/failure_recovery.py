@@ -15,7 +15,8 @@ Run it with::
 
 from __future__ import annotations
 
-from repro.harness.experiment import ExperimentConfig, attach_clients, build_experiment_cluster
+from repro.harness.cluster import build_cluster
+from repro.harness.experiment import ExperimentConfig, attach_clients
 from repro.metrics.collector import MetricsCollector
 from repro.sim.failures import ScheduledCrash
 
@@ -27,7 +28,7 @@ CRASHED_SITE = "mumbai"
 def main() -> None:
     config = ExperimentConfig(protocol="caesar", conflict_rate=0.02, clients_per_site=10,
                               duration_ms=TOTAL_MS, warmup_ms=0.0, seed=33, recovery=True)
-    cluster = build_experiment_cluster(config)
+    cluster = build_cluster(config)
     metrics = MetricsCollector(warmup_ms=0.0)
     pool = attach_clients(cluster, config, metrics, reconnect_timeout_ms=2000.0)
 

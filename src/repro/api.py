@@ -22,11 +22,13 @@ The entry points:
   on either substrate, with optional admission control
   (:func:`admission_policy`).
 
-Each entry point has a config dataclass (``ExperimentConfig``,
-``ChaosConfig``, ``ServeConfig``, ``LoadgenConfig``, plus the underlying
-``ClusterConfig`` / ``NetworkConfig`` / ``WorkloadConfig``), and every config
-that maps onto CLI flags has a ``from_args`` classmethod — the CLI itself is
-just argparse + these constructors.
+Each entry point has a config dataclass (``ExperimentConfig``, which is a
+``ClusterConfig`` plus its clients and measurement window, ``ChaosConfig``,
+``ServeConfig``, ``LoadgenConfig``, ``OverloadConfig``, plus the underlying
+``ClusterConfig`` / ``NetworkConfig`` / ``WorkloadConfig``).  The configs are
+plain data and know nothing of argparse: each checks its own values when it
+is built, and the CLI builds them from its one flag table
+(:func:`repro.cli.build_config`).
 
 Importing this module imports nothing else.  A name's defining module is
 loaded the first time the name is used (``api.X`` or ``from repro.api import

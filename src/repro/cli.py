@@ -14,21 +14,25 @@ Installed as the ``repro`` console script::
     repro topology
 
 The CLI is a thin wrapper over :mod:`repro.api`: argument parsing lives here,
-every config is built through its ``from_args`` classmethod, and everything
-the CLI prints can also be produced programmatically (see ``examples/``).
-Each subcommand is one ``handler(args) -> (text, exit_code)`` attached to its
-subparser, so :func:`main` is parse → call → print.  Flags used by several
-subcommands are declared once in :data:`SHARED_FLAGS`; a subcommand picks the
-ones it takes (and their defaults) through :func:`shared_flags`.
+the configs are plain dataclasses, and everything the CLI prints can also be
+produced programmatically (see ``examples/``).  Each subcommand is one
+``handler(args) -> (text, exit_code)`` attached to its subparser, so
+:func:`main` is parse → call → print.  Every flag that sets a config field,
+and every flag used by several subcommands, is one row of :data:`FLAGS`: its
+``add_argument`` keywords, the field it sets and its conversion.  A subcommand
+picks the rows it takes (and their defaults) through :func:`flag_parent`, and
+:func:`build_config` builds any config from the parsed flags; what is left in
+a handler is the rule that belongs to that one subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import sys
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.chaos.nemesis import CONFORMANCE_SCHEDULES, NEMESIS_SCHEDULES
 from repro.harness.experiment import ExperimentConfig, run_experiment
@@ -37,6 +41,8 @@ from repro.harness.protocols import PROTOCOLS
 from repro.harness.sweep import key_string, matches_any, resolve_workers
 from repro.metrics.report import format_protocol_stats
 from repro.runtime.admission import admission_policy
+from repro.runtime.batching import BatchingConfig
+from repro.runtime.costs import throughput_cost_model
 from repro.sim.topology import EC2_SHORT_LABELS, EC2_SITES, ec2_five_sites
 
 #: A subcommand's outcome: the text to print and the process exit code.
@@ -74,56 +80,134 @@ def _positive_float(text: str) -> float:
 _PEER_ENTRY = dict(action="append", default=None, metavar="ID=HOST:PORT",
                    type=_validated(_peer_entry))
 
-#: Flags used by two or more subcommands, declared once: flag name ->
-#: ``add_argument`` keywords.  Defaults are per-subcommand (see shared_flags).
-SHARED_FLAGS = {
+
+@dataclasses.dataclass(frozen=True)
+class Flag:
+    """One row of :data:`FLAGS`.
+
+    Attributes:
+        options: ``add_argument`` keywords (a subcommand may set its own
+            default, see :func:`flag_parent`).
+        field: the config field the flag sets; ``None`` means the flag's own
+            dest.  A config without that field takes the flag under its dest
+            if it has a field of that name (``--clients`` sets
+            ``clients_per_site`` on the simulator and ``clients`` over TCP).
+        convert: the parsed value -> the field's value (``None``: as parsed).
+    """
+
+    options: Dict[str, object]
+    field: Optional[str] = None
+    convert: Optional[Callable[[object], object]] = None
+
+
+#: Every flag that sets a config field or is taken by several subcommands:
+#: flag name -> its row.  Defaults are per-subcommand (see flag_parent).
+FLAGS = {
     # The live table, not a copy: a protocol registered later is accepted too.
-    "protocol": dict(choices=PROTOCOLS),
-    "seed": dict(type=int),
-    "clients": dict(type=int, help="number of clients (per site on the simulator)"),
-    "conflicts": dict(type=float, help="percentage of conflicting commands (0-100)"),
-    "duration": dict(type=float,
-                     help="measured duration in ms (simulated; real over TCP)"),
-    "warmup-ms": dict(type=float, help="discard latency samples from the first MS "
-                                        "of a run (or of each load point)"),
-    "quick": dict(action="store_true",
-                  help="use scaled-down parameters (fast, coarser numbers)"),
-    "workers": dict(default=1, type=_validated(lambda text: resolve_workers(text, 1)),
-                    help="worker processes: a positive count, or 'auto' for one per "
-                         "CPU (default: 1, in-process; every value prints the same "
-                         "bytes)"),
-    "cells": dict(nargs="+", default=None, metavar="PATTERN",
-                  help="only run cells whose key matches one of these globs, e.g. "
-                       "'fig9/caesar/*' (unmatched cells report '-')"),
-    "json": dict(action="store_true", help="print the result as JSON"),
-    "replicas": dict(type=int, help="cluster size (single-host TCP clusters)"),
-    "recovery": dict(action="store_true",
-                     help="run failure detectors / recovery machinery"),
-    "admission": dict(default=None, metavar="SPEC", type=_validated(admission_policy),
-                      help="admission-control policy on every replica's submit "
-                           "path: 'none' (counting baseline), 'inflight:K', "
-                           "'deadline:MS' (default: no admission hook)"),
-    "history-gc": dict(action="store_true",
-                       help="CAESAR replicas forget the commands every replica has "
-                            "delivered, learned from each other's delivery reports "
-                            "(TCP replicas always do; off on the simulator, where it "
-                            "would change the figures' wire bytes)"),
+    "protocol": Flag(dict(choices=PROTOCOLS)),
+    "seed": Flag(dict(type=int)),
+    "clients": Flag(dict(type=int, help="number of clients (per site on the simulator)"),
+                    "clients_per_site"),
+    "conflicts": Flag(dict(type=float, help="percentage of conflicting commands (0-100)"),
+                      "conflict_rate", lambda percent: percent / 100.0),
+    "duration": Flag(dict(type=float,
+                          help="measured duration in ms (simulated; real over TCP)"),
+                     "duration_ms"),
+    "warmup-ms": Flag(dict(type=float, help="discard latency samples from the first MS "
+                                             "of a run (or of each load point)")),
+    "quick": Flag(dict(action="store_true",
+                       help="use scaled-down parameters (fast, coarser numbers)")),
+    "workers": Flag(dict(default=1, type=_validated(lambda text: resolve_workers(text, 1)),
+                         help="worker processes: a positive count, or 'auto' for one per "
+                              "CPU (default: 1, in-process; every value prints the same "
+                              "bytes)")),
+    "cells": Flag(dict(nargs="+", default=None, metavar="PATTERN",
+                       help="only run cells whose key matches one of these globs, e.g. "
+                            "'fig9/caesar/*' (unmatched cells report '-')")),
+    "json": Flag(dict(action="store_true", help="print the result as JSON")),
+    "replicas": Flag(dict(type=int, help="cluster size (single-host TCP clusters)")),
+    "recovery": Flag(dict(action="store_true",
+                          help="run failure detectors / recovery machinery")),
+    "admission": Flag(dict(default=None, metavar="SPEC", type=_validated(admission_policy),
+                           help="admission-control policy on every replica's submit "
+                                "path: 'none' (counting baseline), 'inflight:K', "
+                                "'deadline:MS' (default: no admission hook)")),
+    "history-gc": Flag(dict(action="store_true",
+                            help="CAESAR replicas forget the commands every replica has "
+                                 "delivered, learned from each other's delivery reports "
+                                 "(TCP replicas always do; off on the simulator, where "
+                                 "it would change the figures' wire bytes)")),
+    "throughput": Flag(dict(action="store_true",
+                            help="use the saturation CPU cost model (throughput study)"),
+                       "cost_model", lambda on: throughput_cost_model() if on else None),
+    "batching": Flag(dict(action="store_true", help="enable network message batching"),
+                     convert=lambda on: BatchingConfig() if on else None),
+    "nemesis": Flag(dict(default="minority-partition", metavar="NAME",
+                         choices=sorted(NEMESIS_SCHEDULES),
+                         help="named nemesis schedule (see --list-schedules)"),
+                    "schedule"),
+    "fault-at": Flag(dict(type=float, default=None,
+                          help="virtual ms at which the faults begin "
+                               "(default: 1000, or 500 with --quick)"),
+                     "fault_at_ms"),
+    "hold": Flag(dict(type=float, default=None,
+                      help="virtual ms until the schedule has fully healed "
+                           "(default: 2000, or 1000 with --quick)"),
+                 "fault_hold_ms"),
+    "host": Flag(dict(default="127.0.0.1", help="bind address for auto-allocated ports")),
+    "commands": Flag(dict(type=int, default=10, help="closed-loop commands per client"),
+                     "commands_per_client"),
+    "open-loop": Flag(dict(action="store_true",
+                           help="Poisson open-loop injection instead of closed loop")),
+    "rate": Flag(dict(type=float, default=50.0,
+                      help="open-loop rate per client (commands/s)"),
+                 "rate_per_client"),
+    "timeout": Flag(dict(type=float, default=60.0,
+                         help="overall wall-clock budget (seconds)"),
+                    "timeout_s"),
+    "substrate": Flag(dict(choices=["sim", "tcp"], default="sim",
+                           help="run on the simulator or over real sockets")),
 }
 
 
-def shared_flags(*flags: str, **defaults) -> argparse.ArgumentParser:
-    """Build a parent parser carrying a subcommand's share of SHARED_FLAGS.
+def flag_parent(*flags: str, **defaults) -> argparse.ArgumentParser:
+    """Build a parent parser carrying a subcommand's share of FLAGS.
 
     Positional names take the flag as declared; keyword names (``clients=10``)
     take it with that subcommand's default.
     """
     parent = argparse.ArgumentParser(add_help=False)
     for name in flags:
-        parent.add_argument(f"--{name}", **SHARED_FLAGS[name])
+        parent.add_argument(f"--{name}", **FLAGS[name].options)
     for name, default in defaults.items():
-        parent.add_argument("--" + name.replace("_", "-"),
-                            **dict(SHARED_FLAGS[name.replace("_", "-")], default=default))
+        name = name.replace("_", "-")
+        parent.add_argument(f"--{name}", **dict(FLAGS[name].options, default=default))
     return parent
+
+
+def build_config(config_class, args: argparse.Namespace, **overrides):
+    """Build ``config_class`` from the parsed flags, then ``overrides``.
+
+    Each flag of :data:`FLAGS` that ``args`` carries sets its field, if the
+    config has one, through its conversion; a flag whose value is or becomes
+    ``None`` sets nothing, so the dataclass default stands.  A ``ValueError``
+    from the config is reported as a usage error through ``args.fail``.
+    """
+    names = {spec.name for spec in dataclasses.fields(config_class)}
+    kwargs = {}
+    for dest, value in vars(args).items():
+        flag = FLAGS.get(dest.replace("_", "-"))
+        if flag is None or value is None:
+            continue
+        name = flag.field if flag.field in names else dest
+        if flag.convert is not None:
+            value = flag.convert(value)
+        if name in names and value is not None:
+            kwargs[name] = value
+    try:
+        return config_class(**(kwargs | overrides))
+    except ValueError as exc:
+        args.fail(str(exc))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,20 +227,16 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(handler=handler, fail=sub.error)
         return sub
 
-    run_parser = command(
+    command(
         "run", _run, "run one protocol on one workload",
-        shared_flags("admission", "history-gc", protocol="caesar", seed=1,
-                     clients=10, conflicts=0.0, duration=8000.0))
-    run_parser.add_argument("--batching", action="store_true",
-                            help="enable network message batching")
-    run_parser.add_argument("--throughput", action="store_true",
-                            help="use the saturation CPU cost model (throughput study)")
+        flag_parent("admission", "history-gc", "batching", "throughput", protocol="caesar",
+                    seed=1, clients=10, conflicts=0.0, duration=8000.0))
 
     figure_parser = command(
         "figure", _figure,
         "regenerate figures of the paper through the parallel sweep orchestrator; "
         "with no flags the printed table is the committed one",
-        shared_flags("quick", "workers", "cells"))
+        flag_parent("quick", "workers", "cells"))
     figure_parser.add_argument("figures", nargs="+", choices=[*FIGURES, "all"],
                                metavar="figure",
                                help="figures to regenerate (%(choices)s)")
@@ -174,17 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", _chaos,
         "run a protocol under a nemesis fault schedule and check the client "
         "history for linearizability",
-        shared_flags("recovery", "quick", protocol="caesar", seed=1,
-                     clients=2, conflicts=50.0))
-    chaos_parser.add_argument("--nemesis", default="minority-partition", metavar="NAME",
-                              choices=sorted(NEMESIS_SCHEDULES),
-                              help="named nemesis schedule (see --list-schedules)")
-    chaos_parser.add_argument("--fault-at", type=float, default=None,
-                              help="virtual ms at which the faults begin "
-                                   "(default: 1000, or 500 with --quick)")
-    chaos_parser.add_argument("--hold", type=float, default=None,
-                              help="virtual ms until the schedule has fully healed "
-                                   "(default: 2000, or 1000 with --quick)")
+        flag_parent("recovery", "quick", "nemesis", "fault-at", "hold", protocol="caesar",
+                    seed=1, clients=2, conflicts=50.0))
     chaos_parser.add_argument("--matrix", action="store_true",
                               help="run the protocols x schedules conformance matrix "
                                    "(exit code 1 when any cell fails)")
@@ -206,10 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser = command(
         "serve", _serve,
         "run replicas as real processes speaking the wire format over TCP",
-        shared_flags("recovery", "admission", protocol="caesar",
-                     seed=0, replicas=3))
-    serve_parser.add_argument("--host", default="127.0.0.1",
-                              help="bind address for auto-allocated ports")
+        flag_parent("recovery", "admission", "host", protocol="caesar", seed=0,
+                    replicas=3))
     serve_parser.add_argument("--peer", **_PEER_ENTRY,
                               help="explicit peer map entry (repeat per replica; "
                                    "required for multi-host mode)")
@@ -219,36 +288,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     loadgen_parser = command(
         "loadgen", _loadgen, "drive a live cluster with the seeded workload over TCP",
-        shared_flags("json", "admission", protocol="caesar", seed=0,
-                     clients=3, conflicts=2.0, duration=2000.0, warmup_ms=0.0))
+        flag_parent("json", "admission", "commands", "open-loop", "rate", "timeout",
+                    protocol="caesar", seed=0, clients=3, conflicts=2.0, duration=2000.0,
+                    warmup_ms=0.0))
     loadgen_parser.add_argument("--endpoint", **_PEER_ENTRY,
                                 help="replica endpoint (repeat per replica)")
     loadgen_parser.add_argument("--launch", type=int, default=None, metavar="N",
                                 help="launch an N-replica local cluster first, "
                                      "drive it, then tear it down")
-    loadgen_parser.add_argument("--commands", type=int, default=10,
-                                help="closed-loop commands per client")
-    loadgen_parser.add_argument("--open-loop", action="store_true",
-                                help="Poisson open-loop injection instead of "
-                                     "closed loop")
-    loadgen_parser.add_argument("--rate", type=float, default=50.0,
-                                help="open-loop rate per client (commands/s)")
-    loadgen_parser.add_argument("--timeout", type=float, default=60.0,
-                                help="overall wall-clock budget (seconds)")
 
     overload_parser = command(
         "overload", _overload,
         "sweep open-loop offered load past the saturation knee and report "
         "goodput + latency tail per point",
-        shared_flags("workers", "json", "admission", "history-gc",
-                     protocol="caesar", seed=1, clients=4, conflicts=2.0,
-                     duration=4000.0, warmup_ms=1000.0, replicas=3))
+        flag_parent("workers", "json", "admission", "history-gc", "substrate",
+                    protocol="caesar", seed=1, clients=4, conflicts=2.0,
+                    duration=4000.0, warmup_ms=1000.0, replicas=3))
     overload_parser.add_argument("--offered", type=_positive_float, nargs="+",
                                  default=None, metavar="RATE",
                                  help="total offered loads to sweep, in commands/s "
                                       "across the cluster (default: 200 400 800 1600)")
-    overload_parser.add_argument("--substrate", choices=["sim", "tcp"], default="sim",
-                                 help="run on the simulator or over real sockets")
 
     command("topology", lambda args: (ec2_five_sites().describe(), 0),
             "print the simulated five-site EC2 topology")
@@ -256,7 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args: argparse.Namespace) -> Outcome:
-    result = run_experiment(ExperimentConfig.from_args(args))
+    # Warm-up is a quarter of the run, capped at 2 s, as the figures use.
+    result = run_experiment(build_config(ExperimentConfig, args,
+                                         warmup_ms=min(2000.0, args.duration / 4)))
     lines = [f"protocol:           {args.protocol}",
              f"conflict rate:      {args.conflicts:.0f}%",
              f"commands completed: {result.metrics.count}",
@@ -326,11 +387,18 @@ def _chaos(args: argparse.Namespace) -> Outcome:
             lines.append(f"  {marker} {name:22s} {(builder.__doc__ or '').strip()}")
         return "\n".join(lines), 0
 
-    kwargs = ChaosConfig.kwargs_from_args(args)
+    windows = {}
+    if args.quick:  # scaled-down windows, for those the user did not set
+        windows["settle_ms"] = 800.0
+        if args.fault_at is None:
+            windows["fault_at_ms"] = 500.0
+        if args.hold is None:
+            windows["fault_hold_ms"] = 1000.0
+    config = build_config(ChaosConfig, args, **windows)
     if args.matrix:
         results = run_conformance_matrix(args.protocols or list(PROTOCOLS),
                                          args.schedules or list(CONFORMANCE_SCHEDULES),
-                                         **kwargs)
+                                         config)
         ok = all(result.ok for result in results)
         return format_matrix(results), 0 if ok else 1
 
@@ -340,9 +408,9 @@ def _chaos(args: argparse.Namespace) -> Outcome:
         failures = 0
         for index in range(args.random):
             rng = root.fork_cell(("chaos-random", args.seed, index))
-            plan = random_plan(rng, 5, kwargs["fault_at_ms"], kwargs["fault_hold_ms"],
+            plan = random_plan(rng, 5, config.fault_at_ms, config.fault_hold_ms,
                                include_lossy=args.include_lossy)
-            result = run_chaos(ChaosConfig(protocol=args.protocol, plan=plan, **kwargs))
+            result = run_chaos(dataclasses.replace(config, plan=plan))
             failures += 0 if result.ok else 1
             outputs.append(f"[{index}] {result.verdict():24s} "
                            f"{len(plan.faults)} faults, "
@@ -351,8 +419,18 @@ def _chaos(args: argparse.Namespace) -> Outcome:
         outputs.append(f"{args.random - failures}/{args.random} random schedules passed")
         return "\n".join(outputs), 0 if failures == 0 else 1
 
-    result = run_chaos(ChaosConfig.from_args(args))
+    result = run_chaos(config)
     return format_result(result), 0 if result.ok else 1
+
+
+def _peer_map(args: argparse.Namespace, entries):
+    """The map of ``--peer`` / ``--endpoint`` entries (``None`` when empty)."""
+    from repro.net.cluster import parse_peers
+
+    try:
+        return parse_peers(entries or [])
+    except ValueError as exc:  # a map that names a replica twice
+        args.fail(str(exc))
 
 
 def _serve(args: argparse.Namespace) -> Outcome:
@@ -360,10 +438,9 @@ def _serve(args: argparse.Namespace) -> Outcome:
     from repro.net.cluster import ServeConfig, serve_cluster
     from repro.net.replica import serve_replica
 
-    try:
-        config = ServeConfig.from_args(args)
-    except ValueError as exc:  # a --peer map that names a replica twice
-        args.fail(str(exc))
+    peers = _peer_map(args, args.peer)
+    config = build_config(ServeConfig, args,
+                          **({"peers": peers, "replicas": len(peers)} if peers else {}))
     if args.node_id is not None:
         # Multi-host mode: one replica in the foreground of this process.
         if config.peers is None:
@@ -400,22 +477,21 @@ def _serve(args: argparse.Namespace) -> Outcome:
 def _loadgen(args: argparse.Namespace) -> Outcome:
     """Run the loadgen subcommand; exit code 1 on missing decisions."""
     from repro.net.client import LoadgenConfig, run_loadgen
-    from repro.net.cluster import ServeConfig, parse_peers, serve_cluster
+    from repro.net.cluster import ServeConfig, serve_cluster
 
-    cluster = None
-    if args.launch is not None:
-        cluster = serve_cluster(ServeConfig.from_args(args, replicas=args.launch,
-                                                      peers=None))
-        endpoints = cluster.peers
-    else:
-        try:
-            endpoints = parse_peers(args.endpoint or [])
-        except ValueError as exc:  # an --endpoint map that names a replica twice
-            args.fail(str(exc))
+    endpoints = {}
+    if args.launch is None:
+        endpoints = _peer_map(args, args.endpoint)
         if not endpoints:
             args.fail("needs --endpoint entries or --launch N")
+    # Built, and so checked, before a cluster is launched.
+    config = build_config(LoadgenConfig, args, endpoints=endpoints)
+    cluster = None
+    if args.launch is not None:
+        cluster = serve_cluster(build_config(ServeConfig, args, replicas=args.launch))
+        config = dataclasses.replace(config, endpoints=cluster.peers)
     try:
-        report = run_loadgen(LoadgenConfig.from_args(args, endpoints))
+        report = run_loadgen(config)
     finally:
         if cluster is not None:
             cluster.stop()
@@ -427,7 +503,8 @@ def _overload(args: argparse.Namespace) -> Outcome:
     """Run the overload subcommand (offered-load sweep)."""
     from repro.harness.overload import OverloadConfig, run_overload_sweep
 
-    config = OverloadConfig.from_args(args)
+    config = build_config(OverloadConfig, args,
+                          **({"offered_loads": tuple(args.offered)} if args.offered else {}))
     result = run_overload_sweep(config)
     if not args.json:
         return result.table(), 0

@@ -23,7 +23,7 @@ executes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.chaos.checker import LinearizabilityReport, check_history
@@ -35,11 +35,10 @@ from repro.core.invariants import (check_bucket_index, check_delivered_closed,
                                    check_execution_consistency, check_mask_width)
 from repro.harness.cluster import ClusterConfig, build_cluster
 from repro.harness.experiment import count_decisions
-from repro.harness.protocols import flags_to_fields
 from repro.metrics.collector import MetricsCollector
 from repro.sim.network import NetworkConfig
 from repro.workload.clients import build_pool
-from repro.workload.generator import WorkloadConfig
+from repro.workload.generator import WorkloadConfig, check_load
 
 #: Client ids from this value upwards are progress probes, so their command
 #: ids can never collide with the workload clients'.
@@ -89,36 +88,8 @@ class ChaosConfig:
     settle_ms: float = 1500.0
     recovery: bool = False
 
-    @classmethod
-    def kwargs_from_args(cls, args) -> Dict[str, object]:
-        """Shared chaos settings from CLI args, as plain keyword arguments.
-
-        Used both by :meth:`from_args` and by the matrix / random-schedule
-        drivers, which fan the same settings out over many configs.
-        ``--quick`` only shrinks the windows the user did not set explicitly.
-        """
-        quick = getattr(args, "quick", False)
-        fault_at = getattr(args, "fault_at", None)
-        if fault_at is None:
-            fault_at = 500.0 if quick else 1000.0
-        hold = getattr(args, "hold", None)
-        if hold is None:
-            hold = 1000.0 if quick else 2000.0
-        kwargs = flags_to_fields(args, "seed", "recovery", clients="clients_per_site")
-        kwargs.update(fault_at_ms=fault_at, fault_hold_ms=hold)
-        if hasattr(args, "conflicts"):
-            kwargs["conflict_rate"] = args.conflicts / 100.0
-        if quick:
-            kwargs["settle_ms"] = 800.0
-        return kwargs
-
-    @classmethod
-    def from_args(cls, args, **overrides) -> "ChaosConfig":
-        """Build a config from CLI-style args; keyword ``overrides`` win."""
-        kwargs = cls.kwargs_from_args(args)
-        kwargs.update(flags_to_fields(args, "protocol", nemesis="schedule"))
-        kwargs.update(overrides)
-        return cls(**kwargs)
+    def __post_init__(self) -> None:
+        check_load(self.clients_per_site, self.conflict_rate)
 
 
 @dataclass
@@ -242,18 +213,14 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
 
 
 def run_conformance_matrix(protocols: Sequence[str], schedules: Sequence[str],
-                           seed: int = 1, **overrides) -> List[ChaosResult]:
+                           base: ChaosConfig) -> List[ChaosResult]:
     """Run every protocol under every named schedule (the conformance matrix).
 
-    ``overrides`` are applied to each cell's :class:`ChaosConfig`; every cell
-    runs with the same seed, so the whole matrix replays deterministically.
+    Each cell is ``base`` with its protocol and schedule; every cell runs
+    with the same seed, so the whole matrix replays deterministically.
     """
-    results = []
-    for protocol in protocols:
-        for schedule in schedules:
-            results.append(run_chaos(ChaosConfig(protocol=protocol, schedule=schedule,
-                                                 seed=seed, **overrides)))
-    return results
+    return [run_chaos(replace(base, protocol=protocol, schedule=schedule))
+            for protocol in protocols for schedule in schedules]
 
 
 def format_result(result: ChaosResult) -> str:

@@ -144,9 +144,10 @@ class Cluster:
         """Total number of command executions across live replicas."""
         return sum(r.commands_executed for r in self.replicas if not r.crashed)
 
-    def admission_snapshot(self):
+    def admission_snapshot(self) -> Optional[Dict[str, object]]:
         """Aggregated admission counters across all replicas (``None`` if unset)."""
-        return aggregate_admission(r.admission for r in self.replicas)
+        return aggregate_admission(r.admission.snapshot() for r in self.replicas
+                                   if r.admission is not None)
 
 
 def build_cluster(config: Optional[ClusterConfig] = None) -> Cluster:

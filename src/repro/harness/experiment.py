@@ -15,23 +15,25 @@ from typing import Dict, Optional, Tuple
 
 from repro.consensus.interface import DecisionKind
 from repro.harness.cluster import Cluster, ClusterConfig, build_cluster
-from repro.harness.protocols import flags_to_fields
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.stats import LatencySummary
-from repro.runtime.batching import BatchingConfig
-from repro.runtime.costs import CostModel, throughput_cost_model
 from repro.sim.network import NetworkConfig
 from repro.sim.topology import Topology
 from repro.workload.clients import ClientPool, build_pool
-from repro.workload.generator import WorkloadConfig
+from repro.workload.generator import WorkloadConfig, check_load
 
 
 @dataclass
-class ExperimentConfig:
-    """Description of one experiment run.
+class ExperimentConfig(ClusterConfig):
+    """Description of one experiment run: a cluster (every
+    :class:`~repro.harness.cluster.ClusterConfig` field), the clients that
+    drive it and the window that measures them.
 
     Attributes:
-        protocol: a name in :data:`repro.harness.protocols.PROTOCOLS`.
+        network: as in ``ClusterConfig``, but the default adds a few
+            milliseconds of gaussian jitter, mirroring real WAN variability
+            (without it, message arrival orders are unrealistically uniform
+            across acceptors and dependency disagreements almost never occur).
         conflict_rate: fraction of commands drawn from the shared key pool.
         clients_per_site: number of clients co-located with each replica.
         open_loop: ``False`` = closed-loop clients (latency experiments),
@@ -40,73 +42,24 @@ class ExperimentConfig:
             (commands per second).
         duration_ms: measured virtual time (after warm-up).
         warmup_ms: virtual time during which samples are discarded.
-        seed: simulation seed.
-        topology: latency topology (defaults to the paper's 5 EC2 sites).
-        network: network jitter configuration; the default adds a few
-            milliseconds of gaussian jitter, mirroring real WAN variability
-            (without it, message arrival orders are unrealistically uniform
-            across acceptors and dependency disagreements almost never occur).
-        cost_model: CPU cost model for replicas.
-        batching: when set, replicas batch outgoing messages with this policy
-            (the paper's "batching enabled" runs in Figure 9).
-        recovery: whether failure detectors / recovery machinery run.
-        history_gc: whether CAESAR replicas collect the commands every
-            replica has delivered (:mod:`repro.core.collection`).
-        admission: admission-control spec installed on every replica
-            (``"none"``, ``"inflight:K"``, ``"deadline:MS"``; ``None`` = no
-            hook).  The overload driver uses it to bound tail latency past
-            the saturation knee.
-        protocol_options: extra keyword arguments for the replica constructor.
-        workload: key-pool configuration (defaults mirror the paper).
+        shared_pool_size: keys in the shared pool (paper: 100).
         drain_ms: extra virtual time after the measurement window to let
             outstanding commands finish.
     """
 
-    protocol: str = "caesar"
+    network: NetworkConfig = field(default_factory=lambda: NetworkConfig(jitter_ms=3.0))
     conflict_rate: float = 0.0
     clients_per_site: int = 10
     open_loop: bool = False
     arrival_rate_per_client: float = 50.0
     duration_ms: float = 20000.0
     warmup_ms: float = 2000.0
-    seed: int = 1
-    topology: Optional[Topology] = None
-    network: NetworkConfig = field(default_factory=lambda: NetworkConfig(jitter_ms=3.0))
-    cost_model: Optional[CostModel] = None
-    batching: Optional[BatchingConfig] = None
-    recovery: bool = False
-    admission: Optional[str] = None
-    history_gc: bool = False
-    protocol_options: Dict[str, object] = field(default_factory=dict)
-    workload: Optional[WorkloadConfig] = None
+    shared_pool_size: int = 100
     drain_ms: float = 2000.0
 
-    @classmethod
-    def from_args(cls, args, **overrides) -> "ExperimentConfig":
-        """Build a config from CLI-style args; keyword ``overrides`` win.
-
-        Understands the shared CLI vocabulary (``--protocol``, ``--seed``,
-        ``--clients``, ``--conflicts`` as a 0-100 percentage, ``--duration``)
-        plus ``--throughput`` / ``--batching`` / ``--recovery``; this is the
-        single place those flags become an :class:`ExperimentConfig`.
-        Warm-up defaults to a quarter of the duration, capped at 2 s, as the
-        figure experiments use.
-        """
-        kwargs = flags_to_fields(args, "protocol", "seed", "recovery", "admission",
-                                 "history_gc", clients="clients_per_site")
-        conflicts = getattr(args, "conflicts", None)
-        if isinstance(conflicts, (int, float)):
-            kwargs["conflict_rate"] = conflicts / 100.0
-        duration = getattr(args, "duration", None)
-        if duration is not None:
-            kwargs["duration_ms"] = duration
-            kwargs["warmup_ms"] = min(2000.0, duration / 4)
-        if getattr(args, "throughput", False):
-            kwargs["cost_model"] = throughput_cost_model()
-        if getattr(args, "batching", False):
-            kwargs["batching"] = BatchingConfig()
-        kwargs.update(overrides)
-        return cls(**kwargs)
+    def __post_init__(self) -> None:
+        check_load(self.clients_per_site, self.conflict_rate, self.duration_ms,
+                   self.warmup_ms, self.arrival_rate_per_client if self.open_loop else None)
 
 
 @dataclass
@@ -138,15 +91,9 @@ class ExperimentResult:
         return summary.mean if summary is not None else None
 
 
-def build_experiment_cluster(config: ExperimentConfig) -> Cluster:
-    """Build (but do not run) the cluster an experiment will use."""
-    cluster_config = ClusterConfig(protocol=config.protocol, topology=config.topology,
-                                   seed=config.seed, network=config.network,
-                                   cost_model=config.cost_model, batching=config.batching,
-                                   admission=config.admission, recovery=config.recovery,
-                                   history_gc=config.history_gc,
-                                   protocol_options=config.protocol_options)
-    return build_cluster(cluster_config)
+#: An experiment's cluster is built from its ``ClusterConfig`` fields; the
+#: name stays because ``bench/worker.py`` calls it.
+build_experiment_cluster = build_cluster
 
 
 def attach_clients(cluster: Cluster, config: ExperimentConfig, metrics: MetricsCollector,
@@ -158,7 +105,8 @@ def attach_clients(cluster: Cluster, config: ExperimentConfig, metrics: MetricsC
     """
     return build_pool(
         [replica for replica in cluster.replicas for _ in range(config.clients_per_site)],
-        config.workload or WorkloadConfig(conflict_rate=config.conflict_rate),
+        WorkloadConfig(conflict_rate=config.conflict_rate,
+                       shared_pool_size=config.shared_pool_size),
         cluster.sim, metrics,
         open_loop_rate=config.arrival_rate_per_client if config.open_loop else None,
         failover=cluster.replicas, reconnect_timeout_ms=reconnect_timeout_ms)
@@ -179,7 +127,6 @@ def summarize_experiment(result: ExperimentResult) -> Dict[str, object]:
     only the aggregate numbers the figure drivers plot, so the cluster and
     its full execution history never cross the process boundary.
     """
-    admission = result.cluster.admission_snapshot()
     overall = result.overall_latency
     return {
         "throughput_per_second": result.throughput_per_second,
@@ -188,7 +135,7 @@ def summarize_experiment(result: ExperimentResult) -> Dict[str, object]:
         "p95_latency_ms": overall.p95 if overall is not None else None,
         "p99_latency_ms": overall.p99 if overall is not None else None,
         "p999_latency_ms": overall.p999 if overall is not None else None,
-        "admission": admission.as_dict() if admission is not None else None,
+        "admission": result.cluster.admission_snapshot(),
         "sample_count": overall.count if overall is not None else 0,
         "per_site_mean_latency_ms": {site: summary.mean
                                      for site, summary in result.per_site_latency.items()},
@@ -213,7 +160,7 @@ def count_decisions(replicas) -> Tuple[int, int]:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one experiment end to end and return its measurements."""
-    cluster = build_experiment_cluster(config)
+    cluster = build_cluster(config)
     metrics = MetricsCollector(warmup_ms=config.warmup_ms)
     pool = attach_clients(cluster, config, metrics)
     cluster.start()

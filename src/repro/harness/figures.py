@@ -27,12 +27,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.harness.experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    attach_clients,
-    build_experiment_cluster,
-)
+from repro.harness.cluster import build_cluster
+from repro.harness.experiment import ExperimentConfig, ExperimentResult, attach_clients
 from repro.harness.sweep import SweepCell, SweepResult, Workers, run_sweep, sweep_cell
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.perf import PerfRecord, write_record
@@ -386,7 +382,7 @@ def _run_crash_timeline(config: ExperimentConfig, crash_at_ms: float) -> Dict[st
     1-second buckets directly (the cluster never leaves the worker process).
     """
     total_ms = config.duration_ms
-    cluster = build_experiment_cluster(config)
+    cluster = build_cluster(config)
     metrics = MetricsCollector(warmup_ms=0.0)
     # A reconnect timeout makes the crash behave like the paper's client
     # re-connection.

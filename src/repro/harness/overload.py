@@ -26,12 +26,13 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.harness.experiment import ExperimentConfig, ExperimentResult, run_experiment
-from repro.harness.protocols import flags_to_fields
 from repro.harness.sweep import Workers, run_sweep, sweep_cell
 from repro.metrics.report import format_table
 from repro.metrics.stats import summarize_latencies
+from repro.runtime.admission import aggregate_admission
 from repro.runtime.costs import throughput_cost_model
 from repro.sim.topology import ec2_five_sites
+from repro.workload.generator import check_load
 
 #: Goodput below this fraction of offered load marks a point as saturated
 #: (the knee estimate is the first such point).
@@ -74,20 +75,9 @@ class OverloadConfig:
     #: collect); long saturation runs accumulate history entries without it.
     history_gc: bool = False
 
-    @classmethod
-    def from_args(cls, args, **overrides) -> "OverloadConfig":
-        """Build a config from CLI args (single place flags become a config)."""
-        kwargs = flags_to_fields(
-            args, "protocol", "substrate", "seed", "clients", "replicas", "warmup_ms",
-            "admission", "workers", "history_gc", duration="duration_ms")
-        loads = getattr(args, "offered", None)
-        if loads:
-            kwargs["offered_loads"] = tuple(float(load) for load in loads)
-        conflicts = getattr(args, "conflicts", None)
-        if isinstance(conflicts, (int, float)):
-            kwargs["conflict_rate"] = conflicts / 100.0
-        kwargs.update(overrides)
-        return cls(**kwargs)
+    def __post_init__(self) -> None:
+        check_load(self.clients, self.conflict_rate, self.duration_ms, self.warmup_ms,
+                   min(self.offered_loads, default=None))
 
 
 @dataclass(frozen=True)
@@ -184,7 +174,7 @@ def collect_overload_point(result: ExperimentResult) -> Dict[str, object]:
     """Reduce one sim experiment to :class:`LoadPoint`'s measured fields.
 
     Module-level so sweep workers can pickle it by reference.  Submitted /
-    rejected counts come from the cluster's admission snapshot (the driver
+    rejected counts come from the cluster's admission counters (the sweep
     always installs at least the counting ``"none"`` policy).
 
     Goodput and the latency tail are computed over completions inside the
@@ -198,9 +188,9 @@ def collect_overload_point(result: ExperimentResult) -> Dict[str, object]:
     in_window = [sample.latency_ms for sample in result.metrics.samples
                  if sample.completed_at <= window_end]
     summary = summarize_latencies(in_window) if in_window else None
-    snapshot = result.cluster.admission_snapshot()
-    admitted = snapshot.stats.admitted if snapshot is not None else len(in_window)
-    rejected = snapshot.stats.rejected if snapshot is not None else 0
+    admission = result.cluster.admission_snapshot()
+    admitted = admission["admitted"] if admission is not None else len(in_window)
+    rejected = admission["rejected"] if admission is not None else 0
     return {"submitted": admitted + rejected,
             "completed": len(in_window),
             "rejected": rejected,
@@ -209,7 +199,7 @@ def collect_overload_point(result: ExperimentResult) -> Dict[str, object]:
             "p50_latency_ms": summary.median if summary else None,
             "p99_latency_ms": summary.p99 if summary else None,
             "p999_latency_ms": summary.p999 if summary else None,
-            "admission": snapshot.as_dict() if snapshot is not None else None}
+            "admission": admission}
 
 
 def _sim_points(config: OverloadConfig) -> List[LoadPoint]:
@@ -261,15 +251,6 @@ def _tcp_points(config: OverloadConfig) -> List[LoadPoint]:
                 conflict_rate=config.conflict_rate, seed=config.seed + index))
         finally:
             cluster.stop()
-        admissions = [stats.get("admission") for stats in report.per_replica.values()
-                      if isinstance(stats, dict) and stats.get("admission")]
-        merged: Optional[Dict[str, object]] = None
-        if admissions:
-            merged = {"policy": admissions[0].get("policy")}
-            for key in ("admitted", "rejected", "rejected_inflight", "shed_deadline"):
-                merged[key] = sum(int(entry.get(key, 0)) for entry in admissions)
-            merged["max_inflight"] = max(int(entry.get("max_inflight", 0))
-                                         for entry in admissions)
         points.append(LoadPoint(offered_per_second=offered,
                                 submitted=report.submitted,
                                 completed=report.completed,
@@ -279,7 +260,9 @@ def _tcp_points(config: OverloadConfig) -> List[LoadPoint]:
                                 p50_latency_ms=report.p50_latency_ms,
                                 p99_latency_ms=report.p99_latency_ms,
                                 p999_latency_ms=report.p999_latency_ms,
-                                admission=merged))
+                                admission=aggregate_admission(
+                                    stats.get("admission")
+                                    for stats in report.per_replica.values())))
     return points
 
 

@@ -71,19 +71,6 @@ def _protocol(name: str) -> Protocol:
     return PROTOCOLS[name]
 
 
-def flags_to_fields(args, *same_name: str, **renamed: str) -> Dict[str, object]:
-    """Config keyword arguments for the CLI flags ``args`` actually carries.
-
-    Positional names are argparse dests that set the config field of the same
-    name; ``dest="field"`` keywords set a differently named field.  A flag the
-    namespace lacks is left out, so the dataclass default applies — every
-    ``from_args`` states its defaults once, in the dataclass.
-    """
-    renamed.update(zip(same_name, same_name))
-    return {field_name: getattr(args, flag) for flag, field_name in renamed.items()
-            if hasattr(args, flag)}
-
-
 def build_replica(protocol: str, node_id: int, clock, network, quorums: QuorumSystem,
                   options: Mapping[str, object],
                   cost_model: Optional[CostModel] = None,

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.consensus.command import Command, CommandResult
-from repro.harness.protocols import flags_to_fields
 from repro.metrics.collector import MetricsCollector
 from repro.net.clock import WallClock
 from repro.net.framing import FrameDecoder, FramingError, encode_frame
@@ -41,7 +40,7 @@ from repro.net.wire import (ROLE_CLIENT, ROLE_CONTROL, ClientReply,
                             ClientRequest, Hello, StatsReply, StatsRequest)
 from repro.runtime.registry import WIRE, WireDecodeError
 from repro.workload.clients import ClientPool, build_pool
-from repro.workload.generator import WorkloadConfig
+from repro.workload.generator import WorkloadConfig, check_load
 
 
 class RemoteReplica(asyncio.Protocol):
@@ -203,24 +202,9 @@ class LoadgenConfig:
     warmup_ms: float = 0.0
     timeout_s: float = 60.0
 
-    @classmethod
-    def from_args(cls, args, endpoints: Dict[int, Tuple[str, int]],
-                  **overrides) -> "LoadgenConfig":
-        """Build a config from CLI args (single place flags become a config).
-
-        ``endpoints`` comes from the caller because it is resolved outside
-        the flag vocabulary (``--endpoint`` entries or a ``--launch``-ed
-        cluster's live peer map).
-        """
-        kwargs = flags_to_fields(
-            args, "clients", "open_loop", "seed", "warmup_ms",
-            commands="commands_per_client", rate="rate_per_client",
-            duration="duration_ms", timeout="timeout_s")
-        kwargs["endpoints"] = endpoints
-        if hasattr(args, "conflicts"):
-            kwargs["conflict_rate"] = args.conflicts / 100.0
-        kwargs.update(overrides)
-        return cls(**kwargs)
+    def __post_init__(self) -> None:
+        check_load(self.clients, self.conflict_rate, self.duration_ms, self.warmup_ms,
+                   self.rate_per_client if self.open_loop else None)
 
 
 @dataclass

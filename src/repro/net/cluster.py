@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.harness.protocols import flags_to_fields
 from repro.net.client import fetch_stats
 from repro.net.replica import ReplicaConfig
 
@@ -50,17 +49,6 @@ class ServeConfig:
     peers: Optional[Dict[int, Tuple[str, int]]] = None
     recovery: bool = False
     admission: Optional[str] = None
-
-    @classmethod
-    def from_args(cls, args, **overrides) -> "ServeConfig":
-        """Build a config from CLI args (single place flags become a config)."""
-        kwargs = flags_to_fields(args, "protocol", "replicas", "seed", "host",
-                                 "recovery", "admission")
-        peers = parse_peers(getattr(args, "peer", None) or [])
-        if peers is not None:
-            kwargs.update(peers=peers, replicas=len(peers))
-        kwargs.update(overrides)
-        return cls(**kwargs)
 
     def replica_config(self, node_id: int,
                        peers: Dict[int, Tuple[str, int]]) -> ReplicaConfig:

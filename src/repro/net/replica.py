@@ -189,8 +189,7 @@ class ReplicaServer:
             "commands_executed": replica.commands_executed,
             "messages_handled": replica.messages_handled,
             "stats": dict(replica.stats.non_zero()),
-            "admission": (replica.admission.stats.as_dict()
-                          | {"policy": replica.admission.describe()}
+            "admission": (replica.admission.snapshot()
                           if replica.admission is not None else None),
             "links": replica.transport.links(),
             "handshakes_refused": self.handshakes_refused,

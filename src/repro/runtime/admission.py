@@ -29,7 +29,7 @@ multiprocess replica launcher unchanged.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple
 
 #: ``(client_id, sequence)`` — mirrors :data:`repro.consensus.command.CommandId`
@@ -49,13 +49,6 @@ class AdmissionStats:
     shed_deadline: int = 0
     #: highest simultaneous inflight count observed
     max_inflight: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """JSON-friendly snapshot (stats endpoints, overload load points)."""
-        return {"admitted": self.admitted, "rejected": self.rejected,
-                "rejected_inflight": self.rejected_inflight,
-                "shed_deadline": self.shed_deadline,
-                "max_inflight": self.max_inflight}
 
 
 class AdmissionPolicy:
@@ -112,6 +105,10 @@ class AdmissionPolicy:
     def describe(self) -> str:
         """The spec string that would rebuild this policy."""
         return self.name
+
+    def snapshot(self) -> Dict[str, object]:
+        """The counters and the spec, as a replica's stats endpoint sends them."""
+        return asdict(self.stats) | {"policy": self.describe()}
 
 
 class NoAdmission(AdmissionPolicy):
@@ -202,28 +199,21 @@ def admission_policy(spec: Optional[str]) -> Optional[AdmissionPolicy]:
         raise ValueError(f"bad admission policy parameter in {spec!r}: {exc}") from None
 
 
-@dataclass
-class AdmissionSnapshot:
-    """Aggregated admission counters across a cluster's replicas."""
+def aggregate_admission(per_replica) -> Optional[Dict[str, object]]:
+    """One cluster-wide admission dict from per-replica ones (``None`` if none set).
 
-    policy: str = ""
-    stats: AdmissionStats = field(default_factory=AdmissionStats)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"policy": self.policy, **self.stats.as_dict()}
-
-
-def aggregate_admission(policies) -> Optional[AdmissionSnapshot]:
-    """Sum the counters of several replicas' policies (``None`` if none set)."""
-    present = [policy for policy in policies if policy is not None]
+    Each entry is a replica's :meth:`AdmissionPolicy.snapshot` (``None`` for
+    a replica without a policy), taken in process on the simulator or read
+    off a TCP replica's stats endpoint.  Counters are summed,
+    ``max_inflight`` is the largest replica's, and the policy is the first
+    replica's (every replica runs the same spec).
+    """
+    present = [stats for stats in per_replica if stats]
     if not present:
         return None
-    snapshot = AdmissionSnapshot(policy=present[0].describe())
-    for policy in present:
-        snapshot.stats.admitted += policy.stats.admitted
-        snapshot.stats.rejected += policy.stats.rejected
-        snapshot.stats.rejected_inflight += policy.stats.rejected_inflight
-        snapshot.stats.shed_deadline += policy.stats.shed_deadline
-        snapshot.stats.max_inflight = max(snapshot.stats.max_inflight,
-                                          policy.stats.max_inflight)
-    return snapshot
+    merged: Dict[str, object] = {key: sum(stats[key] for stats in present)
+                                 for key in ("admitted", "rejected", "rejected_inflight",
+                                             "shed_deadline")}
+    merged["max_inflight"] = max(stats["max_inflight"] for stats in present)
+    merged["policy"] = present[0]["policy"]
+    return merged

@@ -5,24 +5,22 @@ delays but also by the CPU work each protocol performs per command: EPaxos
 pays for analysing its dependency graph before execution, CAESAR pays a much
 smaller cost for scanning predecessor sets, Multi-Paxos concentrates all work
 on the leader.  The :class:`CostModel` gives every simulated node a serial
-CPU whose per-message costs can be tuned per message type, which is what
-makes the simulated systems saturate at different throughputs.
+CPU that charges each message, each dependency a protocol scans and each
+client request, which is what makes the simulated systems saturate at
+different throughputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 
 @dataclass
 class CostModel:
-    """Per-message-type CPU costs, in milliseconds of simulated CPU time.
+    """CPU costs, in milliseconds of simulated CPU time.
 
     Attributes:
-        default_cost_ms: cost charged for any message type not listed in
-            ``per_type_ms``.
-        per_type_ms: overrides keyed by the message class name.
+        default_cost_ms: cost charged for processing any one message.
         per_dependency_ms: extra cost charged per element when a protocol
             explicitly accounts for dependency/predecessor processing (see
             :meth:`dependency_cost`).
@@ -32,7 +30,6 @@ class CostModel:
     """
 
     default_cost_ms: float = 0.015
-    per_type_ms: Dict[str, float] = field(default_factory=dict)
     per_dependency_ms: float = 0.002
     client_request_ms: float = 0.01
     self_message_factor: float = 0.4
@@ -44,8 +41,7 @@ class CostModel:
             message: the message being processed.
             local: ``True`` when the sender is the receiving node itself.
         """
-        type_name = type(message).__name__
-        cost = self.per_type_ms.get(type_name, self.default_cost_ms)
+        cost = self.default_cost_ms
         if local:
             cost *= self.self_message_factor
         return cost
@@ -56,20 +52,10 @@ class CostModel:
             return 0.0
         return self.per_dependency_ms * n_dependencies
 
-    def scaled(self, factor: float) -> "CostModel":
-        """Return a copy of this model with every cost multiplied by ``factor``."""
-        return CostModel(
-            default_cost_ms=self.default_cost_ms * factor,
-            per_type_ms={k: v * factor for k, v in self.per_type_ms.items()},
-            per_dependency_ms=self.per_dependency_ms * factor,
-            client_request_ms=self.client_request_ms * factor,
-            self_message_factor=self.self_message_factor,
-        )
-
 
 def zero_cost_model() -> CostModel:
     """A cost model where CPU time is free (pure network-latency studies)."""
-    return CostModel(default_cost_ms=0.0, per_type_ms={}, per_dependency_ms=0.0, client_request_ms=0.0)
+    return CostModel(default_cost_ms=0.0, per_dependency_ms=0.0, client_request_ms=0.0)
 
 
 def throughput_cost_model() -> CostModel:

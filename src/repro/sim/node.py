@@ -118,8 +118,8 @@ class Node:
             dispatch, payload = self._dispatch_batch, message.messages
         else:
             # message_cost inlined: this branch runs once per simulated
-            # message, and the model is three attribute reads.
-            cost = cost_model.per_type_ms.get(kind.__name__, cost_model.default_cost_ms)
+            # message, and the model is two attribute reads.
+            cost = cost_model.default_cost_ms
             if src == self.node_id:
                 cost *= cost_model.self_message_factor
             dispatch, payload = self._dispatch_one, message

@@ -10,6 +10,7 @@ fact that 10% of the accessed keys belong to the shared pool."
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.consensus.command import Command
 from repro.sim.random import DeterministicRandom
@@ -28,7 +29,6 @@ class WorkloadConfig:
             from different clients' private pools never collide.  Keeping the
             pool small lets ownership-based protocols (M2Paxos) amortize their
             per-key acquisition cost, as in the paper's steady-state runs.
-        payload_size: nominal command size in bytes (paper: 15).
         write_fraction: fraction of commands that are writes (the paper's
             benchmark only issues updates, hence the default of 1.0).
     """
@@ -36,7 +36,6 @@ class WorkloadConfig:
     conflict_rate: float = 0.0
     shared_pool_size: int = 100
     private_pool_size: int = 20
-    payload_size: int = 15
     write_fraction: float = 1.0
 
     def __post_init__(self) -> None:
@@ -44,6 +43,26 @@ class WorkloadConfig:
             raise ValueError("conflict_rate must be within [0, 1]")
         if self.shared_pool_size <= 0 or self.private_pool_size <= 0:
             raise ValueError("key pools must be non-empty")
+
+
+def check_load(clients: int, conflict_rate: float, duration_ms: Optional[float] = None,
+               warmup_ms: float = 0.0, rate: Optional[float] = None) -> None:
+    """Refuse a client load no run can measure (a ``ValueError`` naming it).
+
+    The checks every config that describes clients shares: ``rate`` is an
+    open-loop injection rate (``None`` for closed loop), ``duration_ms`` the
+    measured window (``None`` when the config has none).
+    """
+    if clients < 1:
+        raise ValueError(f"clients must be >= 1, got {clients}")
+    if not 0.0 <= conflict_rate <= 1.0:
+        raise ValueError(f"conflict_rate must be within [0, 1], got {conflict_rate:g}")
+    if duration_ms is not None and duration_ms <= 0:
+        raise ValueError(f"duration_ms must be > 0, got {duration_ms:g}")
+    if warmup_ms < 0:
+        raise ValueError(f"warmup_ms must be >= 0, got {warmup_ms:g}")
+    if rate is not None and rate <= 0:
+        raise ValueError(f"open-loop rate must be > 0, got {rate:g}")
 
 
 class ConflictWorkload:
@@ -85,7 +104,7 @@ class ConflictWorkload:
             operation = "get"
             value = None
         return Command(command_id=(self.client_id, sequence), key=key, operation=operation,
-                       value=value, origin=self.origin, payload_size=self.config.payload_size)
+                       value=value, origin=self.origin)
 
     @property
     def observed_conflict_rate(self) -> float:

@@ -8,6 +8,8 @@ integration (rejected callbacks, client bookkeeping, experiment snapshots).
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.consensus.quorums import QuorumSystem
@@ -95,7 +97,7 @@ class TestInflightLimit:
         assert policy.stats.rejected_inflight == 1
         assert policy.stats.shed_deadline == 0
         assert policy.stats.max_inflight == 1
-        assert policy.stats.as_dict()["rejected"] == 1
+        assert policy.snapshot()["rejected"] == 1
 
     def test_release_of_unknown_id_is_ignored(self):
         policy = InflightLimit(max_inflight=1)
@@ -135,12 +137,20 @@ class TestAggregation:
         first.try_admit((0, 1), now=1.0)  # rejected
         second.try_admit((1, 0), now=0.0)
         second.try_admit((1, 1), now=1.0)
-        snapshot = aggregate_admission([first, None, second])
-        assert snapshot.policy == "inflight:1"
-        assert snapshot.stats.admitted == 3
-        assert snapshot.stats.rejected == 1
-        assert snapshot.stats.max_inflight == 2
-        assert snapshot.as_dict()["policy"] == "inflight:1"
+        merged = aggregate_admission([first.snapshot(), None, second.snapshot()])
+        assert merged == {"admitted": 3, "rejected": 1, "rejected_inflight": 1,
+                          "shed_deadline": 0, "max_inflight": 2, "policy": "inflight:1"}
+
+    def test_two_replica_dicts_reduce_as_the_stats_endpoint_sends_them(self):
+        # The one reduction both substrates use: in process on the simulator,
+        # and on the JSON each TCP replica's stats endpoint answers with.
+        replicas = [{"admitted": 10, "rejected": 2, "rejected_inflight": 0,
+                     "shed_deadline": 2, "max_inflight": 7, "policy": "deadline:200"},
+                    {"admitted": 4, "rejected": 5, "rejected_inflight": 0,
+                     "shed_deadline": 5, "max_inflight": 9, "policy": "deadline:200"}]
+        merged = aggregate_admission(json.loads(json.dumps(stats)) for stats in replicas)
+        assert merged == {"admitted": 14, "rejected": 7, "rejected_inflight": 0,
+                          "shed_deadline": 7, "max_inflight": 9, "policy": "deadline:200"}
 
 
 def build_single_replica():
@@ -252,12 +262,11 @@ class TestExperimentIntegration:
         result = run_experiment(config)
         snapshot = result.cluster.admission_snapshot()
         assert snapshot is not None
-        assert snapshot.policy == "inflight:2"
-        assert snapshot.stats.admitted > 0
-        assert snapshot.stats.rejected > 0
+        assert snapshot["policy"] == "inflight:2"
+        assert snapshot["admitted"] > 0
+        assert snapshot["rejected"] > 0
         summary = summarize_experiment(result)
-        assert summary["admission"]["policy"] == "inflight:2"
-        assert summary["admission"]["rejected"] == snapshot.stats.rejected
+        assert summary["admission"] == snapshot
 
     def test_no_admission_means_no_snapshot(self):
         config = ExperimentConfig(protocol="caesar", clients_per_site=1,

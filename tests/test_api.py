@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import argparse
 
+import pytest
+
 from repro import api
+from repro.cli import build_config
 
 
 class TestFacadeSurface:
@@ -27,8 +30,8 @@ class TestFacadeSurface:
             assert protocol in api.PROTOCOLS
 
 
-class TestFromArgs:
-    """Every CLI-mapped config builds from an argparse namespace."""
+class TestBuildConfig:
+    """Every facade config builds from the CLI's flag table."""
 
     def _namespace(self, **extra):
         base = dict(protocol="caesar", seed=9, clients=4, conflicts=25.0,
@@ -36,8 +39,8 @@ class TestFromArgs:
         base.update(extra)
         return argparse.Namespace(**base)
 
-    def test_experiment_config_from_args(self):
-        config = api.ExperimentConfig.from_args(self._namespace())
+    def test_experiment_config_from_flags(self):
+        config = build_config(api.ExperimentConfig, self._namespace())
         assert config.protocol == "caesar"
         assert config.seed == 9
         assert config.clients_per_site == 4
@@ -45,23 +48,34 @@ class TestFromArgs:
         assert config.duration_ms == 4000.0
 
     def test_experiment_config_overrides_win(self):
-        config = api.ExperimentConfig.from_args(
-            self._namespace(), protocol="mencius", seed=1)
+        config = build_config(api.ExperimentConfig, self._namespace(),
+                              protocol="mencius", seed=1)
         assert config.protocol == "mencius"
         assert config.seed == 1
 
-    def test_chaos_config_from_args(self):
+    def test_chaos_config_from_flags(self):
         args = self._namespace(nemesis="minority-partition", fault_at=None,
                                hold=None, quick=True)
-        config = api.ChaosConfig.from_args(args)
+        config = build_config(api.ChaosConfig, args)
         assert config.schedule == "minority-partition"
         assert config.seed == 9
 
-    def test_serve_config_from_args(self):
+    def test_serve_config_from_flags(self):
         args = self._namespace(replicas=5, host="0.0.0.0", peer=None)
-        config = api.ServeConfig.from_args(args)
+        config = build_config(api.ServeConfig, args)
         assert config.replicas == 5
         assert config.host == "0.0.0.0"
+
+    def test_a_config_refuses_what_a_flag_would(self):
+        # The facade gets the same checks as the CLI: they live in the configs.
+        with pytest.raises(ValueError, match="conflict_rate"):
+            api.ExperimentConfig(conflict_rate=1.5)
+        with pytest.raises(ValueError, match="clients"):
+            api.ChaosConfig(clients_per_site=0)
+        with pytest.raises(ValueError, match="open-loop rate"):
+            api.LoadgenConfig(endpoints={}, open_loop=True, rate_per_client=0.0)
+        with pytest.raises(ValueError, match="warmup_ms"):
+            api.OverloadConfig(warmup_ms=-1.0)
 
     def test_run_experiment_smoke_through_facade(self):
         result = api.run_experiment(api.ExperimentConfig(

@@ -59,12 +59,8 @@ from repro.core.messages import (
 )
 from repro.core.predecessors import WaitManager
 from repro.core.recovery import RecoveryManager
-from repro.harness.experiment import (
-    ExperimentConfig,
-    attach_clients,
-    build_experiment_cluster,
-    count_decisions,
-)
+from repro.harness.cluster import build_cluster
+from repro.harness.experiment import ExperimentConfig, attach_clients, count_decisions
 from repro.harness.protocols import PROTOCOLS, register_protocol
 from repro.kvstore.store import KeyValueStore
 from repro.metrics.collector import MetricsCollector
@@ -72,7 +68,6 @@ from repro.sim.failures import ScheduledCrash
 from repro.sim.network import Network
 from repro.sim.simulator import Simulator
 from repro.sim.topology import uniform_topology
-from repro.workload.generator import WorkloadConfig
 from tests.spec_caesar import SpecCaesarReplica, comparable_predecessors
 from tests.test_sim_engine_differential import pending_times
 
@@ -960,8 +955,7 @@ class TestLeaderProbeTeeth:
 
 
 def _cell(pool: int, conflicts: float, **config) -> dict:
-    return dict(conflict_rate=conflicts,
-                workload=WorkloadConfig(conflict_rate=conflicts, shared_pool_size=pool), **config)
+    return dict(conflict_rate=conflicts, shared_pool_size=pool, **config)
 
 
 #: An open-loop run that crashes node 4 mid-run with recovery on, so recovery decides.
@@ -982,7 +976,7 @@ def run_cell(protocol: str, crash_at_ms: Optional[float] = None, **fields) -> tu
     replica's execution order and stats (``graph_nodes_visited``, recoveries)."""
     config = ExperimentConfig(protocol=protocol, **{"clients_per_site": 2, "duration_ms": 2000.0,
                                                    "warmup_ms": 0.0, **fields})
-    cluster = build_experiment_cluster(config)
+    cluster = build_cluster(config)
     metrics = MetricsCollector()
     pool = attach_clients(cluster, config, metrics)
     if crash_at_ms is not None:

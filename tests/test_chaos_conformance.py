@@ -96,7 +96,7 @@ class TestConformanceMatrix:
 
     def test_matrix_helper_covers_cross_product(self):
         results = run_conformance_matrix(["caesar"], ["minority-partition", "clock-skew"],
-                                         seed=3)
+                                         ChaosConfig(seed=3))
         assert [(r.config.protocol, r.plan.name) for r in results] == [
             ("caesar", "minority-partition"), ("caesar", "clock-skew")]
         assert all(r.ok for r in results)

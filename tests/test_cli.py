@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import inspect
+import io
 import json
 import pathlib
 import re
 import sys
+from unittest import mock
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_config, build_parser, main
 from repro.consensus.quorums import QuorumSystem
 from repro.harness.chaos import ChaosConfig
 from repro.harness.cluster import ClusterConfig
@@ -23,18 +26,22 @@ from repro.harness.protocols import PROTOCOLS, build_replica
 from repro.net.client import LoadgenConfig
 from repro.net.cluster import ServeConfig
 from repro.net.replica import ReplicaConfig
+from repro.runtime.costs import CostModel
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.simulator import Simulator
 from repro.sim.topology import lan_topology
+from repro.workload.generator import WorkloadConfig
 
 SURFACE_FILE = pathlib.Path(__file__).parent / "data" / "cli_parser_surface.json"
+CONFIGS_FILE = pathlib.Path(__file__).parent / "data" / "cli_configs.json"
 
 #: The committed figure tables and BENCH records.
 RESULTS_DIR = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
 
-#: Every config a CLI flag, a figure grid or the benchmark can fill in.
+#: Every config a CLI flag, a figure grid or the benchmark can fill in, and
+#: the two a user reaches through them.
 CONFIGS = (ExperimentConfig, ClusterConfig, ChaosConfig, ServeConfig, ReplicaConfig,
-           LoadgenConfig, OverloadConfig, NetworkConfig)
+           LoadgenConfig, OverloadConfig, NetworkConfig, WorkloadConfig, CostModel)
 
 #: ``sweep``'s parser surface at the parent of the commit that folded it into
 #: ``figure`` (``--out`` defaulted to ``benchmarks/results`` there).
@@ -96,6 +103,114 @@ def constructor_surface() -> dict:
 def surfaces() -> dict:
     """Everything ``tests/data/cli_parser_surface.json`` pins."""
     return parser_surface(build_parser()) | config_surface() | constructor_surface()
+
+
+#: Command lines whose built configs ``tests/data/cli_configs.json`` pins:
+#: each subcommand that builds a config, at its defaults and with the flags
+#: that set a field through a conversion or a subcommand rule.
+CONFIG_ARGVS = [
+    ["run"],
+    ["run", "--protocol", "epaxos", "--seed", "9", "--clients", "4", "--conflicts", "30",
+     "--duration", "3000", "--throughput", "--batching"],
+    ["run", "--duration", "1000", "--admission", "inflight:8", "--history-gc"],
+    ["chaos"],
+    ["chaos", "--quick", "--protocol", "epaxos", "--nemesis", "clock-skew", "--seed", "3"],
+    ["chaos", "--quick", "--fault-at", "700", "--recovery", "--clients", "3",
+     "--conflicts", "20"],
+    ["chaos", "--matrix", "--quick", "--seed", "7", "--protocols", "caesar", "mencius",
+     "--schedules", "minority-partition", "clock-skew"],
+    ["chaos", "--matrix", "--hold", "1500", "--recovery"],
+    ["chaos", "--random", "2", "--quick", "--seed", "5", "--include-lossy"],
+    ["serve"],
+    ["serve", "--replicas", "5", "--seed", "4", "--recovery", "--admission", "none",
+     "--host", "0.0.0.0"],
+    ["serve", "--peer", "0=127.0.0.1:7000", "--peer", "1=127.0.0.1:7001",
+     "--peer", "2=127.0.0.1:7002"],
+    ["serve", "--node-id", "1", "--admission", "deadline:200", "--peer", "0=10.0.0.1:7000",
+     "--peer", "1=10.0.0.2:7000"],
+    ["loadgen", "--launch", "3", "--clients", "3", "--commands", "5", "--seed", "4"],
+    ["loadgen", "--endpoint", "0=127.0.0.1:7000", "--endpoint", "1=127.0.0.1:7001",
+     "--protocol", "epaxos", "--open-loop", "--rate", "20", "--duration", "1500",
+     "--warmup-ms", "100", "--conflicts", "100", "--clients", "2", "--seed", "7",
+     "--admission", "inflight:4", "--timeout", "30"],
+    ["overload"],
+    ["overload", "--offered", "120", "--duration", "500", "--warmup-ms", "100",
+     "--clients", "2", "--json"],
+    ["overload", "--protocol", "m2paxos", "--offered", "100", "200", "--substrate", "tcp",
+     "--admission", "deadline:200", "--history-gc", "--workers", "2", "--conflicts", "10",
+     "--replicas", "5", "--seed", "3"],
+]
+
+
+def field_record(value):
+    """A built config as JSON: a dataclass is its class name and its fields."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {"<class>": type(value).__name__,
+                **{spec.name: field_record(getattr(value, spec.name))
+                   for spec in dataclasses.fields(value)}}
+    if isinstance(value, dict):
+        return {str(key): field_record(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [field_record(item) for item in value]
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    return repr(value)
+
+
+class _Stop(Exception):
+    """Ends a command at the entry point it would run."""
+
+
+def built_configs(argv) -> list:
+    """What ``repro <argv>`` hands its entry points, as field records.
+
+    Every entry point a subcommand calls is replaced by a recorder, so
+    nothing runs and no cluster is built: the recorder of the call that
+    would run the work ends the command.  A launched cluster answers with a
+    fixed peer map.
+    """
+    built = []
+
+    def stop(config):
+        built.append(field_record(config))
+        raise _Stop
+
+    def matrix(protocols, schedules, base):
+        cell = field_record(base)
+        del cell["protocol"], cell["schedule"]
+        built.append({"protocols": list(protocols), "schedules": list(schedules),
+                      "cell": cell})
+        raise _Stop
+
+    class Launched:
+        def __init__(self, config):
+            self.peers = {node: ("127.0.0.1", 7000 + node) for node in range(config.replicas)}
+
+        def stop(self):
+            pass
+
+    def serve(config):
+        if argv[0] == "serve":
+            stop(config)
+        built.append(field_record(config))
+        return Launched(config)
+
+    patches = {"repro.cli.run_experiment": stop,
+               "repro.harness.chaos.run_chaos": stop,
+               "repro.harness.chaos.run_conformance_matrix": matrix,
+               "repro.net.cluster.serve_cluster": serve,
+               "repro.net.replica.serve_replica": stop,
+               "repro.net.client.run_loadgen": stop,
+               "repro.harness.overload.run_overload_sweep": stop}
+    with contextlib.ExitStack() as stack:
+        for target, recorder in patches.items():
+            stack.enter_context(mock.patch(target, recorder))
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        try:
+            main(argv)
+        except _Stop:
+            pass
+    return built
 
 
 class TestParser:
@@ -193,6 +308,63 @@ class TestParser:
         error_line = capsys.readouterr().err.strip().splitlines()[-1]
         # argparse reports unknown flags from the top-level parser.
         assert re.match(rf"repro( {argv[0]})?: error: ", error_line)
+        assert complaint in error_line
+
+
+#: Fields the parent of the change that pinned ``tests/data/cli_configs.json``
+#: still had, deleted there because no product path set them.
+DELETED_FIELDS = {"CostModel": {"per_type_ms"}, "WorkloadConfig": {"payload_size"}}
+
+
+def as_built_now(record):
+    """A golden field record with the fields deleted since it was printed
+    gone, and ``ExperimentConfig.workload`` (always ``None`` from the CLI)
+    replaced by the flat ``shared_pool_size`` at its default."""
+    if isinstance(record, list):
+        return [as_built_now(item) for item in record]
+    if not isinstance(record, dict):
+        return record
+    deleted = DELETED_FIELDS.get(record.get("<class>"), set())
+    now = {key: as_built_now(value) for key, value in record.items() if key not in deleted}
+    if record.get("<class>") == "ExperimentConfig":
+        assert now.pop("workload") is None
+        now["shared_pool_size"] = 100
+    return now
+
+
+class TestBuiltConfigs:
+    """The flag table builds the configs the per-config ``from_args``
+    methods it replaced built (``tests/data/cli_configs.json``, printed at
+    their last commit with ``python tests/test_cli.py --configs``)."""
+
+    GOLDEN = json.loads(CONFIGS_FILE.read_text())
+
+    def test_the_golden_covers_every_listed_command_line(self):
+        assert [entry["argv"] for entry in self.GOLDEN] == CONFIG_ARGVS
+
+    @pytest.mark.parametrize("entry", GOLDEN, ids=lambda entry: " ".join(entry["argv"]))
+    def test_a_command_line_builds_its_golden_configs(self, entry):
+        assert built_configs(entry["argv"]) == as_built_now(entry["built"])
+
+    @pytest.mark.parametrize("argv, complaint", [
+        (["run", "--conflicts", "150", "--duration", "100"], "conflict_rate must be within"),
+        (["loadgen", "--endpoint", "0=127.0.0.1:1", "--conflicts", "150"],
+         "conflict_rate must be within"),
+        (["chaos", "--conflicts", "150", "--quick"], "conflict_rate must be within"),
+        (["run", "--duration", "-5"], "duration_ms must be > 0"),
+        (["overload", "--clients", "0", "--offered", "100"], "clients must be >= 1"),
+        (["run", "--clients", "-1", "--duration", "100"], "clients must be >= 1"),
+        (["chaos", "--clients", "0", "--quick"], "clients must be >= 1"),
+    ])
+    def test_a_bad_value_is_a_usage_error_before_anything_runs(self, argv, complaint,
+                                                              capsys):
+        # Every entry point is a recorder that ends the command without an
+        # exit, so SystemExit means none was reached: no cluster was built.
+        with pytest.raises(SystemExit) as exit_info:
+            built_configs(argv)
+        assert exit_info.value.code == 2
+        error_line = capsys.readouterr().err.strip().splitlines()[-1]
+        assert error_line.startswith(f"repro {argv[0]}: error: ")
         assert complaint in error_line
 
 
@@ -372,7 +544,7 @@ class TestServeLoadgenParser:
 
         args = build_parser().parse_args(["loadgen", "--warmup-ms", "250"])
         assert args.warmup_ms == 250.0
-        config = LoadgenConfig.from_args(args, endpoints={0: ("127.0.0.1", 7000)})
+        config = build_config(LoadgenConfig, args, endpoints={0: ("127.0.0.1", 7000)})
         assert config.warmup_ms == 250.0
 
     def test_loadgen_admission_flag_parses(self):
@@ -434,7 +606,13 @@ class TestOverloadReportCommands:
         assert payload["summary"]["points"] == 2
 
 
-if __name__ == "__main__":
+if __name__ == "__main__" and sys.argv[1:] == ["--configs"]:
+    # One argv per line, each built config a field per line.
+    text = json.dumps([{"argv": argv, "built": built_configs(argv)} for argv in CONFIG_ARGVS],
+                      indent=1)
+    print(re.sub(r'"argv": (\[[^\]]*\])',
+                 lambda match: '"argv": ' + json.dumps(json.loads(match.group(1))), text))
+elif __name__ == "__main__":
     surface = surfaces()
     lines = ["{"]
     for index, (name, rows) in enumerate(sorted(surface.items())):

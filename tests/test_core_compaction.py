@@ -325,9 +325,9 @@ def test_every_quick_chaos_schedule_passes_with_collection_on(monkeypatch):
         return cluster
 
     monkeypatch.setattr(chaos, "build_cluster", collecting_cluster)
-    results = chaos.run_conformance_matrix(["caesar"], list(CONFORMANCE_SCHEDULES), seed=7,
-                                           fault_at_ms=500.0, fault_hold_ms=1000.0,
-                                           settle_ms=800.0)
+    results = chaos.run_conformance_matrix(
+        ["caesar"], list(CONFORMANCE_SCHEDULES),
+        chaos.ChaosConfig(seed=7, fault_at_ms=500.0, fault_hold_ms=1000.0, settle_ms=800.0))
     assert len(results) == len(CONFORMANCE_SCHEDULES) == 9
     for result, cluster in zip(results, clusters):
         name = result.plan.name
@@ -339,8 +339,7 @@ def test_every_quick_chaos_schedule_passes_with_collection_on(monkeypatch):
 
 def test_an_experiment_with_collection_on_keeps_a_small_history():
     config = dict(protocol="caesar", conflict_rate=1.0, clients_per_site=2,
-                  duration_ms=6000.0, warmup_ms=500.0, seed=5,
-                  workload=WorkloadConfig(conflict_rate=1.0, shared_pool_size=1))
+                  duration_ms=6000.0, warmup_ms=500.0, seed=5, shared_pool_size=1)
     plain = run_experiment(ExperimentConfig(**config))
     collecting = run_experiment(ExperimentConfig(**config, history_gc=True))
     assert collecting.consistency_violations == 0

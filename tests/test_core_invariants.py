@@ -19,7 +19,8 @@ from repro.core.invariants import (
     check_mask_width,
     check_timestamp_order,
 )
-from repro.harness.experiment import ExperimentConfig, attach_clients, build_experiment_cluster
+from repro.harness.cluster import build_cluster
+from repro.harness.experiment import ExperimentConfig, attach_clients
 from repro.metrics.collector import MetricsCollector
 from repro.sim.network import NetworkConfig
 from tests.conftest import build_caesar_cluster, make_command
@@ -173,7 +174,7 @@ def run_ci_call_count_shape():
     config = ExperimentConfig(protocol="caesar", conflict_rate=0.0, clients_per_site=10,
                               duration_ms=2000.0, warmup_ms=500.0, drain_ms=1000.0, seed=7001,
                               network=NetworkConfig(jitter_ms=3.0))
-    cluster = build_experiment_cluster(config)
+    cluster = build_cluster(config)
     pool = attach_clients(cluster, config, MetricsCollector(warmup_ms=config.warmup_ms))
     cluster.start()
     pool.start_all()

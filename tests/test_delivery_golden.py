@@ -28,8 +28,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.experiment import (ExperimentConfig, attach_clients,
-                                      build_experiment_cluster)
+from repro.harness.cluster import build_cluster
+from repro.harness.experiment import ExperimentConfig, attach_clients
 from repro.metrics.collector import MetricsCollector
 from repro.sim.failures import ScheduledCrash
 from repro.sim.network import NetworkConfig
@@ -52,7 +52,7 @@ RUNS = {
 def run_digest(name: str) -> dict:
     """Drive one pinned run; its digest plus the counts that show it is not vacuous."""
     config, crash_at_ms = RUNS[name]
-    cluster = build_experiment_cluster(config)
+    cluster = build_cluster(config)
     pool = attach_clients(cluster, config, MetricsCollector(warmup_ms=config.warmup_ms))
     if crash_at_ms is not None:
         cluster.crash_injector.schedule(

@@ -9,7 +9,6 @@ from repro.harness.cluster import EXECUTED_CHECK_EVERY, ClusterConfig, build_clu
 from repro.harness.experiment import (
     ExperimentConfig,
     attach_clients,
-    build_experiment_cluster,
     per_site_latency_summaries,
     run_experiment,
 )
@@ -18,7 +17,6 @@ from repro.metrics.collector import MetricsCollector
 from repro.metrics.report import format_series, format_table
 from repro.sim.simulator import total_events_executed
 from repro.sim.topology import EC2_SITES, ec2_five_sites, lan_topology, uniform_topology
-from repro.workload.generator import WorkloadConfig
 
 
 class TestClusterBuilder:
@@ -119,9 +117,10 @@ class TestPerSiteLatency:
 
 class TestExperimentRunner:
     def run_small(self, protocol: str = "caesar", **overrides) -> object:
-        config = ExperimentConfig(protocol=protocol, conflict_rate=0.1, clients_per_site=2,
-                                  duration_ms=1500.0, warmup_ms=300.0, drain_ms=500.0,
-                                  seed=5, **overrides)
+        config = ExperimentConfig(**dict(protocol=protocol, conflict_rate=0.1,
+                                         clients_per_site=2, duration_ms=1500.0,
+                                         warmup_ms=300.0, drain_ms=500.0, seed=5)
+                                  | overrides)
         return run_experiment(config)
 
     def test_experiment_produces_samples_and_no_violations(self):
@@ -145,7 +144,7 @@ class TestExperimentRunner:
         assert result.metrics.count > 0
 
     def test_custom_workload_forwarded(self):
-        result = self.run_small(workload=WorkloadConfig(conflict_rate=1.0, shared_pool_size=5))
+        result = self.run_small(conflict_rate=1.0, shared_pool_size=5)
         keys = {sample.key for sample in result.metrics.samples}
         assert all(key.startswith("shared-") for key in keys)
 
@@ -157,7 +156,7 @@ class TestExperimentRunner:
 
     def test_attach_clients_counts(self):
         config = ExperimentConfig(clients_per_site=3, topology=lan_topology(3))
-        cluster = build_experiment_cluster(config)
+        cluster = build_cluster(config)
         metrics = MetricsCollector()
         pool = attach_clients(cluster, config, metrics)
         assert len(pool.clients) == 9
@@ -166,7 +165,7 @@ class TestExperimentRunner:
         """Figure 12 and the failure example used to patch these two
         attributes onto every client after the fact."""
         config = ExperimentConfig(clients_per_site=2, topology=lan_topology(3))
-        cluster = build_experiment_cluster(config)
+        cluster = build_cluster(config)
         pool = attach_clients(cluster, config, MetricsCollector(),
                               reconnect_timeout_ms=2000.0)
         assert [client.reconnect_timeout_ms for client in pool.clients] == [2000.0] * 6
@@ -177,7 +176,7 @@ class TestExperimentRunner:
         for recovery in (True, False):
             config = ExperimentConfig(protocol="caesar", recovery=recovery,
                                       topology=lan_topology(5))
-            cluster = build_experiment_cluster(config)
+            cluster = build_cluster(config)
             cluster.start()
             assert all(replica.recovery_on is recovery for replica in cluster.replicas)
             assert all((replica.failure_detector is not None) is recovery

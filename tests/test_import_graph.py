@@ -214,9 +214,10 @@ def test_the_experiment_harness_never_loads_the_figure_table():
         assert [module for module, _ in module_imports(package / "harness" / name)
                 if module == "repro.harness.figures"] == [], name
     loaded = in_fresh_interpreter(
-        "import argparse, json, sys\n"
+        "import json, sys\n"
         "from repro.harness.experiment import ExperimentConfig\n"
-        "config = ExperimentConfig.from_args(argparse.Namespace(throughput=True))\n"
+        "from repro.runtime.costs import throughput_cost_model\n"
+        "config = ExperimentConfig(cost_model=throughput_cost_model())\n"
         "assert config.cost_model.default_cost_ms == 0.5\n"
         "print(json.dumps(sorted(sys.modules)))\n")
     assert "repro.harness.experiment" in loaded

@@ -12,6 +12,7 @@ import argparse
 
 import pytest
 
+from repro.cli import build_config, build_parser
 from repro.harness.overload import (KNEE_GOODPUT_FRACTION, LoadPoint,
                                     OverloadConfig, OverloadResult,
                                     run_overload_sweep)
@@ -28,13 +29,14 @@ def make_point(offered: float, goodput: float, **overrides) -> LoadPoint:
 
 
 class TestConfig:
-    def test_from_args_maps_cli_flags(self):
-        args = argparse.Namespace(protocol="epaxos", substrate="tcp", seed=9,
-                                  clients=5, replicas=4, duration=1500.0,
-                                  admission="inflight:8", workers=2,
-                                  offered=["100", "400"], conflicts=10.0,
-                                  warmup_ms=250.0)
-        config = OverloadConfig.from_args(args)
+    def test_flags_map_onto_the_config(self):
+        args = build_parser().parse_args(
+            ["overload", "--protocol", "epaxos", "--substrate", "tcp", "--seed", "9",
+             "--clients", "5", "--replicas", "4", "--duration", "1500",
+             "--admission", "inflight:8", "--workers", "2", "--offered", "100", "400",
+             "--conflicts", "10", "--warmup-ms", "250"])
+        config = build_config(OverloadConfig, args,
+                              offered_loads=tuple(args.offered))
         assert config.protocol == "epaxos"
         assert config.substrate == "tcp"
         assert config.offered_loads == (100.0, 400.0)
@@ -44,8 +46,8 @@ class TestConfig:
         assert config.replicas == 4
         assert config.admission == "inflight:8"
 
-    def test_from_args_defaults_survive_missing_flags(self):
-        config = OverloadConfig.from_args(argparse.Namespace())
+    def test_defaults_survive_missing_flags(self):
+        config = build_config(OverloadConfig, argparse.Namespace())
         assert config.protocol == "caesar"
         assert config.substrate == "sim"
         assert config.offered_loads == (200.0, 400.0, 800.0, 1600.0)

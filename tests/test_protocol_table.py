@@ -24,7 +24,7 @@ from repro.cli import build_parser, main
 from repro.consensus.quorums import QuorumSystem
 from repro.harness import chaos as chaos_harness
 from repro.harness.cluster import build_cluster
-from repro.harness.experiment import ExperimentConfig, build_experiment_cluster
+from repro.harness.experiment import ExperimentConfig
 from repro.harness.protocols import PROTOCOLS, build_replica, register_protocol
 from repro.kvstore.store import KeyValueStore
 from repro.net.replica import ReplicaConfig, ReplicaServer
@@ -83,7 +83,7 @@ class TestOneTable:
     def test_chaos_matrix_defaults_to_the_whole_table(self, monkeypatch, capsys):
         seen = {}
 
-        def fake_matrix(protocols, schedules, **kwargs):
+        def fake_matrix(protocols, schedules, base):
             seen["protocols"] = list(protocols)
             return []
 
@@ -153,7 +153,7 @@ class TestOneRecoverySwitch:
         """No constructor option on any substrate, the switch on every replica,
         and a started replica runs a detector exactly when recovery is on and
         the protocol has a recovery path."""
-        build_experiment_cluster(ExperimentConfig(
+        build_cluster(ExperimentConfig(
             protocol=protocol, recovery=recovery, topology=lan_topology(3))).start()
 
         class Built(Exception):
@@ -179,7 +179,7 @@ class TestOneRecoverySwitch:
     def test_protocol_options_leave_the_switch_alone(self, built):
         """An options dict once carried a recovery flag of its own, on by
         default, and silently replaced the switch."""
-        build_experiment_cluster(ExperimentConfig(
+        build_cluster(ExperimentConfig(
             protocol="caesar", topology=lan_topology(3),
             protocol_options={"wait_condition": False})).start()
         assert [options for _, options in built] == [{"wait_condition": False}] * 3

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import asyncio
+import functools
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.consensus.quorums import QuorumSystem
 from repro.core.caesar import CaesarReplica
-from repro.harness.experiment import ExperimentConfig, attach_clients, build_experiment_cluster
+from repro.harness import experiment
+from repro.harness.cluster import build_cluster
+from repro.harness.experiment import ExperimentConfig, attach_clients
 from repro.kvstore.store import KeyValueStore
 from repro.metrics.collector import MetricsCollector
 from repro.net.clock import WallClock
@@ -84,11 +87,12 @@ class TestConflictWorkload:
 
     def test_commands_carry_origin_payload_and_a_value_only_on_puts(self):
         workload = ConflictWorkload(client_id=4, origin=2,
-                                    config=WorkloadConfig(payload_size=99, write_fraction=0.5),
+                                    config=WorkloadConfig(write_fraction=0.5),
                                     rng=DeterministicRandom(6))
         commands = [workload.next_command() for _ in range(50)]
         assert {command.origin for command in commands} == {2}
-        assert {command.payload_size for command in commands} == {99}
+        # The paper's 15-byte commands.
+        assert {command.payload_size for command in commands} == {15}
         assert {command.operation for command in commands} == {"put", "get"}
         for command in commands:
             sequence = command.command_id[1]
@@ -308,11 +312,17 @@ class TestBuildPool:
             loop.close()
 
     @pytest.mark.parametrize("open_loop", [False, True])
-    def test_attach_clients_placement_draws_the_same_streams_on_both_substrates(self, open_loop):
+    def test_attach_clients_placement_draws_the_same_streams_on_both_substrates(
+            self, open_loop, monkeypatch):
+        # An experiment sets the conflict rate; the reads are patched in so
+        # both operations' draws are compared.
+        monkeypatch.setattr(experiment, "WorkloadConfig",
+                            functools.partial(WorkloadConfig,
+                                              write_fraction=self.WORKLOAD.write_fraction))
         config = ExperimentConfig(clients_per_site=2, topology=lan_topology(3),
-                                  seed=self.SEED, workload=self.WORKLOAD,
+                                  seed=self.SEED, conflict_rate=self.WORKLOAD.conflict_rate,
                                   open_loop=open_loop, arrival_rate_per_client=50.0)
-        cluster = build_experiment_cluster(config)
+        cluster = build_cluster(config)
         simulated = _first_draws(attach_clients(cluster, config, MetricsCollector()))
         over_tcp = self._on_wall_clock([0, 0, 1, 1, 2, 2],
                                        open_loop_rate=50.0 if open_loop else None)
@@ -324,7 +334,7 @@ class TestBuildPool:
     @pytest.mark.parametrize("open_loop", [False, True])
     def test_round_robin_placement_draws_the_same_streams_on_both_substrates(self, open_loop):
         rate = 50.0 if open_loop else None
-        cluster = build_experiment_cluster(
+        cluster = build_cluster(
             ExperimentConfig(topology=lan_topology(3), seed=self.SEED))
         placement = [i % 3 for i in range(5)]
         simulated = _first_draws(build_pool([cluster.replicas[i] for i in placement],
