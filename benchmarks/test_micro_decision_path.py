@@ -141,7 +141,7 @@ def time_wait_notify(size: int) -> Dict[str, float]:
         manager = WaitManager(history, lambda: 0.0)
         for proposal in proposals:
             manager.evaluate(proposal, ts(0, 1), lambda ok, waited: None)
-        assert manager.parked_count() == PARKED
+        assert manager.parked == PARKED
         for command in commands[:notifies]:
             entry = history.update(command, history.get(command.command_id).timestamp,
                                    set(), CommandStatus.STABLE, BALLOT)
@@ -154,7 +154,7 @@ def time_wait_notify(size: int) -> Dict[str, float]:
         manager = SpecWait(history, lambda: 0.0)
         for proposal in proposals:
             manager.evaluate(proposal, ts(0, 1), lambda ok, waited: None)
-        assert manager.parked_count() == PARKED
+        assert manager.parked == PARKED
         for command in commands[:notifies]:
             history.update(command, history.get(command.command_id).timestamp,
                            set(), CommandStatus.STABLE, BALLOT)

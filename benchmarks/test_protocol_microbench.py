@@ -19,6 +19,7 @@ from repro.harness.cluster import ClusterConfig, build_cluster
 from repro.metrics.perf import PerfRecord, write_record
 from repro.sim.network import NetworkConfig
 from repro.sim.topology import ec2_five_sites
+from tests.conftest import run_until_executed
 
 
 def order_single_command(protocol: str, origin: int = 0, **options):
@@ -66,8 +67,8 @@ def test_caesar_slow_decision_is_four_delays():
         second = Command(command_id=(4, 0), key="hot", operation="put", value="b", origin=4)
         cluster.replica(0).submit(first)
         cluster.replica(4).submit(second)
-        cluster.run_until_executed([first.command_id, second.command_id],
-                                   deadline_ms=30000)
+        run_until_executed(cluster, [first.command_id, second.command_id],
+                           deadline_ms=30000)
         return cluster
 
     cluster = run()

@@ -22,7 +22,7 @@ histories into an explicit *inconclusive* verdict instead of a hang.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.chaos.history import HistoryTape, Operation
 from repro.kvstore.spec import RegisterState, apply_op
@@ -88,15 +88,6 @@ def check_history(tape: HistoryTape,
                   max_states_per_key: int = DEFAULT_MAX_STATES) -> LinearizabilityReport:
     """Check every operation recorded on ``tape``."""
     return _check_grouped(tape.per_key(), max_states_per_key)
-
-
-def check_operations(operations: Iterable[Operation],
-                     max_states_per_key: int = DEFAULT_MAX_STATES) -> LinearizabilityReport:
-    """Check a history given as a flat collection of operations."""
-    per_key: Dict[str, List[Operation]] = {}
-    for op in operations:
-        per_key.setdefault(op.key, []).append(op)
-    return _check_grouped(per_key, max_states_per_key)
 
 
 def _check_grouped(per_key: Dict[str, List[Operation]],

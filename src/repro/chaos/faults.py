@@ -196,15 +196,6 @@ class LinkFaults:
         for link in links:
             self._delay.pop(link, None)
 
-    @property
-    def held_messages(self) -> int:
-        """Messages currently parked on queue-blocked links."""
-        return sum(len(held) for held in self._held.values())
-
-    def is_blocked(self, src: int, dst: int) -> bool:
-        """Whether the directed link is currently cut."""
-        return (src, dst) in self._blocked
-
 
 def cross_links(src_nodes: Iterable[int], dst_nodes: Iterable[int]) -> List[Link]:
     """All directed links from ``src_nodes`` to ``dst_nodes`` (self-links excluded)."""

@@ -91,11 +91,6 @@ class HistoryTape:
         """Operations that received a response."""
         return [op for op in self.operations if not op.is_pending]
 
-    @property
-    def pending(self) -> List[Operation]:
-        """Operations still waiting for a response (possibly forever)."""
-        return [op for op in self.operations if op.is_pending]
-
     def per_key(self) -> Dict[str, List[Operation]]:
         """Operations grouped by key, preserving tape order within each key."""
         grouped: Dict[str, List[Operation]] = {}

@@ -53,6 +53,3 @@ class Ballot:
     def next_for(self, node_id: int) -> "Ballot":
         """The ballot a recovering node should use to supersede this one."""
         return Ballot(self.round + 1, node_id)
-
-    def __str__(self) -> str:
-        return f"b({self.round},{self.node_id})"

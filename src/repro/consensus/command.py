@@ -67,11 +67,6 @@ class Command:
         return f"Cmd({self.command_id[0]}.{self.command_id[1]} {self.operation} {self.key})"
 
 
-def commands_conflict(a: Command, b: Command) -> bool:
-    """Module-level convenience wrapper around :meth:`Command.conflicts_with`."""
-    return a.conflicts_with(b)
-
-
 @dataclass
 class CommandResult:
     """Outcome of executing a command on the replicated state machine.

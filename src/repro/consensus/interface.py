@@ -89,9 +89,6 @@ class ExecutionLog:
         self._positions[command.command_id] = len(self._entries)
         self._entries.append(command)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __iter__(self):
         return iter(self._entries)
 
@@ -102,11 +99,6 @@ class ExecutionLog:
     def contains(self, command_id: CommandId) -> bool:
         """Whether the command has been executed by this replica."""
         return command_id in self._positions
-
-    @property
-    def commands(self) -> List[Command]:
-        """The executed commands, oldest first (copy)."""
-        return list(self._entries)
 
     def conflicting_order_violations(self, other: "ExecutionLog") -> List[tuple]:
         """Pairs of conflicting commands ordered differently in ``self`` and ``other``.

@@ -66,14 +66,6 @@ class QuorumSystem:
             raise ValueError("consensus clusters need at least 3 nodes")
         return cls(n=n, classic=classic_quorum_size(n), fast=fast_quorum_size(n), f=max_failures(n))
 
-    def is_classic_quorum(self, count: int) -> bool:
-        """Whether ``count`` replies form a classic quorum."""
-        return count >= self.classic
-
-    def is_fast_quorum(self, count: int) -> bool:
-        """Whether ``count`` replies form a fast quorum."""
-        return count >= self.fast
-
     @property
     def recovery_majority(self) -> int:
         """``floor(CQ/2) + 1`` — the minimum overlap between a classic and a fast quorum.

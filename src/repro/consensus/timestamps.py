@@ -60,12 +60,6 @@ class LogicalTimestamp:
             return self.counter > other.counter
         return self.node_id >= other.node_id
 
-    def next_for(self, node_id: int) -> "LogicalTimestamp":
-        """The smallest timestamp owned by ``node_id`` strictly greater than self."""
-        if node_id > self.node_id:
-            return LogicalTimestamp(self.counter, node_id)
-        return LogicalTimestamp(self.counter + 1, node_id)
-
     def __str__(self) -> str:
         return f"<{self.counter},{self.node_id}>"
 
@@ -85,11 +79,6 @@ class TimestampGenerator:
         self.node_id = node_id
         #: The clock is ``<_counter, node_id>``; only the counter ever changes.
         self._counter = 0
-
-    @property
-    def current(self) -> LogicalTimestamp:
-        """The latest value of the clock (already used or observed)."""
-        return LogicalTimestamp(self._counter, self.node_id)
 
     def next_timestamp(self) -> LogicalTimestamp:
         """Return a fresh timestamp for a command proposed by this node."""

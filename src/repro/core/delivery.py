@@ -67,11 +67,6 @@ class DeliveryManager:
         self._filed = 0
         self.delivered_order: List[CommandId] = []
 
-    @property
-    def delivered_count(self) -> int:
-        """Number of commands executed by this replica so far."""
-        return len(self.delivered_order)
-
     def is_delivered(self, command_id: CommandId) -> bool:
         """Whether the command has been executed locally."""
         bucket = self._history.bucket_of(command_id)

@@ -408,38 +408,6 @@ class CommandHistory:
         """Iterate over every entry (order unspecified)."""
         return iter(self._entries.values())
 
-    def conflicting_with(self, command: Command) -> Iterator[HistoryEntry]:
-        """Entries for commands that conflict with ``command`` (excluding itself).
-
-        Yields in timestamp order (the bucket order); callers that care about
-        order get it for free, callers that do not are unaffected.
-        """
-        bucket = self._by_key.get(command.key)
-        if bucket is None:
-            return
-        command_id = command.command_id
-        for entry in bucket.entries:
-            if entry.command_id == command_id:
-                continue
-            if entry.command.conflicts_with(command):
-                yield entry
-
-    def predecessors_of(self, command_id: CommandId) -> FrozenSet[CommandId]:
-        """The GETPREDECESSORS accessor; empty set when the command is unknown.
-
-        Returns the entry's :attr:`~HistoryEntry.predecessors` view, an
-        immutable set decoded from its mask.
-        """
-        entry = self._entries.get(command_id)
-        if entry is None:
-            return _EMPTY_IDS
-        return entry.predecessors
-
-    def status_of(self, command_id: CommandId) -> Optional[CommandStatus]:
-        """Status of a command, or ``None`` if unknown."""
-        entry = self._entries.get(command_id)
-        return entry.status if entry is not None else None
-
     def stable_entries(self) -> Iterator[HistoryEntry]:
         """Entries currently marked stable."""
         for entry in self._entries.values():

@@ -5,8 +5,7 @@ These are the two auxiliary functions of Figure 3 in the paper:
 * :func:`compute_predecessor_mask` — the set of conflicting commands that
   must be ordered before a command proposed at a given timestamp, optionally
   constrained by a recovery whitelist.  Returns a bitmask on the command's
-  key (see :mod:`repro.core.history`); :func:`compute_predecessors` is the
-  id-set-returning wrapper kept for cold paths and tests.
+  key (see :mod:`repro.core.history`).
 * :class:`WaitManager` — the WAIT function.  In the paper WAIT blocks the
   acceptor thread; here :meth:`WaitManager.evaluate` answers in the call when
   it can — OK with no scan when nothing on the key is later than the
@@ -25,7 +24,7 @@ as ``entry``, and fetch it themselves only when it is not given.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 from repro.consensus.command import Command, CommandId
 from repro.consensus.timestamps import LogicalTimestamp
@@ -71,15 +70,6 @@ def compute_predecessor_mask(history: CommandHistory, command: Command,
         elif entry.status.survived_proposal and entry.timestamp < timestamp:
             mask |= bit
     return mask & ~self_bit
-
-
-def compute_predecessors(history: CommandHistory, command: Command,
-                         timestamp: LogicalTimestamp,
-                         whitelist: Optional[FrozenSet[CommandId]]) -> Set[CommandId]:
-    """Id-set wrapper around :func:`compute_predecessor_mask`."""
-    whitelist_mask = None if whitelist is None else history.mask_from_ids(whitelist, command.key)
-    mask = compute_predecessor_mask(history, command, timestamp, whitelist_mask)
-    return set(history.ids_from_mask(mask, command.key))
 
 
 class _ParkedProposal:
@@ -295,10 +285,6 @@ class WaitManager:
             self.total_waits += 1
             self.total_wait_ms += waited
             parked.on_resolved(not parked.witness_mask, waited, *parked.args)
-
-    def parked_count(self) -> int:
-        """Number of proposals currently delayed by the wait condition (:attr:`parked`)."""
-        return self.parked
 
     def has_parked(self, key: str) -> bool:
         """Whether any proposal is parked on ``key`` (history collection waits)."""

@@ -22,10 +22,6 @@ from repro.sim.network import Network, NetworkConfig
 from repro.sim.simulator import Simulator
 from repro.sim.topology import Topology, ec2_five_sites
 
-#: Executed events between two checks of :meth:`Cluster.run_until_executed`'s
-#: completion predicate; up to this many minus one extra events may run.
-EXECUTED_CHECK_EVERY = 32
-
 
 @dataclass
 class ClusterConfig:
@@ -111,26 +107,6 @@ class Cluster:
                 if not replica.has_executed(command_id):
                     return False
         return True
-
-    def run_until_executed(self, command_ids, deadline_ms: Optional[float] = None) -> bool:
-        """Run until every live replica has executed every given command.
-
-        The predicate is evaluated every :data:`EXECUTED_CHECK_EVERY` events
-        rather than after every event, so the hot loop never pays the
-        per-replica, per-command rescan.
-
-        Args:
-            command_ids: commands that must be executed everywhere.
-            deadline_ms: optional bound, relative to the current virtual time.
-
-        Returns:
-            ``True`` when all commands executed everywhere, ``False`` on
-            queue drain or deadline expiry.
-        """
-        ids = list(command_ids)
-        deadline = None if deadline_ms is None else self.sim.now + deadline_ms
-        return self.sim.run_until(lambda: self.all_executed(ids), deadline=deadline,
-                                  check_every=EXECUTED_CHECK_EVERY)
 
     def check_consistency(self) -> List[tuple]:
         """Cross-check execution logs of all live replicas.

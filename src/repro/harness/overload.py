@@ -128,13 +128,6 @@ class OverloadResult:
                 return point.offered_per_second
         return None
 
-    def point_at(self, offered: float) -> Optional[LoadPoint]:
-        """The measured point at one offered load (or ``None``)."""
-        for point in self.points:
-            if point.offered_per_second == offered:
-                return point
-        return None
-
     def table(self) -> str:
         """Render the saturation curve as a fixed-width table."""
         title = (f"overload sweep — {self.config.protocol} on "

@@ -38,9 +38,6 @@ class KeyValueStore(StateMachine):
         """Read a key directly (outside consensus), for tests and examples."""
         return self._data.get(key)
 
-    def __len__(self) -> int:
-        return len(self._data)
-
     def snapshot(self) -> dict:
         """Copy of the whole store."""
         return dict(self._data)

@@ -47,10 +47,6 @@ class LatencySummary:
     #: (and degenerates to the maximum for tiny inputs) instead of failing.
     p999: float = 0.0
 
-    def __str__(self) -> str:
-        return (f"n={self.count} mean={self.mean:.1f}ms median={self.median:.1f}ms "
-                f"p95={self.p95:.1f}ms p99={self.p99:.1f}ms p999={self.p999:.1f}ms")
-
 
 def summarize_latencies(values: Sequence[float]) -> LatencySummary:
     """Build a :class:`LatencySummary` from raw samples."""

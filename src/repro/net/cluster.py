@@ -194,9 +194,12 @@ class LocalCluster:
     def restart(self, node_id: int, wait_ready_s: float = 30.0) -> None:
         """Start a fresh (amnesiac) process for a killed replica.
 
-        The restarted replica has empty state; the kernel catch-up layer
-        replays decided commands from its peers, just as in the simulator's
-        crash/restart chaos schedules.
+        The restarted replica has empty state.  The kernel's catch-up layer
+        replays only the decided commands its peers still hold; TCP replicas
+        always collect their history, so the commands every replica had
+        delivered before the restart are gone from the peers, and the
+        restarted replica does not catch up: it stays behind them until a
+        state transfer (peer snapshot) exists.
         """
         self._spawn(node_id)
         if wait_ready_s > 0:

@@ -58,15 +58,6 @@ class FrameDecoder:
         #: or, once the header is in, the whole frame.
         self._tail_end = 0
 
-    @property
-    def buffered_bytes(self) -> int:
-        """Bytes received but not yet emitted as part of a complete frame.
-
-        The header of the incomplete frame no longer counts once it is whole.
-        """
-        buffered = self._tail_bytes
-        return buffered - HEADER.size if buffered >= HEADER.size else buffered
-
     def feed(self, data: bytes) -> Iterator[bytes]:
         """Add ``data`` to the stream and yield every completed payload.
 

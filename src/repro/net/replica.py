@@ -49,7 +49,7 @@ from repro.harness.protocols import build_replica
 from repro.net.clock import WallClock
 from repro.net.framing import FrameDecoder, FramingError, encode_frame
 from repro.net.transport import PeerNetwork, ReconnectPolicy
-from repro.net.wire import (REGISTRY_DIGEST, ROLE_CLIENT, ROLE_CONTROL, ROLE_NAMES,
+from repro.net.wire import (REGISTRY_DIGEST, ROLE_CLIENT, ROLE_NAMES,
                             ROLE_REPLICA, ClientReply, ClientRequest, Hello, StatsReply,
                             StatsRequest)
 from repro.runtime.costs import zero_cost_model
@@ -205,11 +205,6 @@ class ReplicaServer:
         if include_executed:
             payload["executed"] = [list(c.command_id) for c in replica.execution_log]
         return payload
-
-    @property
-    def port(self) -> int:
-        """The port the server is actually listening on (after :meth:`start`)."""
-        return self._server.sockets[0].getsockname()[1]
 
     def crash(self) -> None:
         """Mark the hosted replica crashed (in-process fault injection)."""

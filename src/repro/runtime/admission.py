@@ -71,11 +71,6 @@ class AdmissionPolicy:
         #: first entry is always the oldest admitted command still pending.
         self._inflight: "OrderedDict[CommandKey, float]" = OrderedDict()
 
-    @property
-    def inflight(self) -> int:
-        """Commands admitted here and not yet released."""
-        return len(self._inflight)
-
     def oldest_age_ms(self, now: float) -> float:
         """Age of the oldest inflight command (0 when the queue is empty)."""
         if not self._inflight:

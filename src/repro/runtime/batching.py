@@ -34,9 +34,6 @@ class MessageBatch:
 
     messages: Tuple[object, ...]
 
-    def __len__(self) -> int:
-        return len(self.messages)
-
 
 @dataclass
 class BatchingConfig:

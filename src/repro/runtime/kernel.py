@@ -138,10 +138,6 @@ class QuorumTracker:
         """Voter ids, in arrival order."""
         return list(self._votes)
 
-    def get(self, src: int) -> Optional[object]:
-        """The payload ``src`` voted with, or ``None``."""
-        return self._votes.get(src)
-
 
 class BallotRegister(dict):
     """Highest joined ballot per command (CAESAR-style ballot bookkeeping).
@@ -265,9 +261,6 @@ class RetransmitBuffer:
         #: jitter stream, forked per node; drawn from only on actual resends
         #: so loss-free runs consume no randomness from it.
         self._jitter = kernel.sim.rng.fork(f"retransmit-{kernel.node_id}")
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def track(self, key: object, message: object, *,
               tracker: Optional[QuorumTracker] = None,

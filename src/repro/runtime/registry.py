@@ -39,7 +39,7 @@ twice.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Type
+from typing import Callable, Dict, Optional, Tuple, Type
 
 from repro.runtime.codec import (Codec, SourceWriter, StructCodec, compile_codec,
                                  decode_uvarint, encode_uvarint)
@@ -148,14 +148,6 @@ class MessageRegistry:
         self._by_id[type_id] = cls
         self._codecs[cls] = codec
         return cls
-
-    def types(self) -> List[Type]:
-        """Every message class registered in this process, in type-id order."""
-        return [self._by_id[type_id] for type_id in sorted(self._by_id)]
-
-    def field_codecs(self, cls: Type) -> Dict[str, Codec]:
-        """The per-field codecs ``cls`` was registered with."""
-        return dict(self._codecs[cls].fields)
 
     def _compile(self, type_id: int) -> None:
         """Generate and install the codec functions of one registered type."""

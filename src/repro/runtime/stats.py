@@ -55,7 +55,3 @@ class ProtocolStats:
         """``(name, value)`` pairs of every counter that moved, in field order."""
         return [(spec.name, getattr(self, spec.name)) for spec in fields(self)
                 if getattr(self, spec.name)]
-
-    def as_dict(self):
-        """All counters as a plain dict (for JSON-able payloads)."""
-        return {spec.name: getattr(self, spec.name) for spec in fields(self)}

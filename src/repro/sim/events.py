@@ -21,7 +21,7 @@ heap.  :meth:`EventQueue.push_transient` keeps whichever of the slot entry and
 the new entry sorts first by ``(time, seq)`` and heaps the other, so a CPU
 dispatch that is the very next event never touches the heap.  Whoever takes
 the next event (the :class:`~repro.sim.simulator.Simulator` run loops,
-:meth:`EventQueue.pop`, :meth:`EventQueue.peek_time`) takes the smaller of
+:meth:`EventQueue.peek_time`) takes the smaller of
 the slot entry and the heap head.  That makes any transient entry safe to push
 straight onto the heap, which is what :meth:`repro.sim.network.Network.send`
 does with a delivery: the slot is an entry kept outside the heap, not a
@@ -105,29 +105,6 @@ class EventQueue:
         else:
             heapq.heappush(self._heap, entry)
 
-    def _take(self) -> Optional[tuple]:
-        """Remove and return the first entry, cancelled or not."""
-        heap = self._heap
-        slot = self._slot
-        if slot is not None and (not heap or slot < heap[0]):
-            self._slot = None
-            return slot
-        return heapq.heappop(heap) if heap else None
-
-    def pop(self) -> Optional[Event]:
-        """Return the next non-cancelled event, or ``None`` if the queue is empty.
-
-        Transient entries are wrapped in a fresh :class:`Event` so callers of
-        this (cold) method see one uniform type; the run loops bypass it.
-        """
-        while (entry := self._take()) is not None:
-            time, seq, callback, args, event = entry
-            if event is None:
-                return Event(time, seq, callback, args)
-            if not event.cancelled:
-                return event
-        return None
-
     def peek_time(self) -> Optional[float]:
         """Return the firing time of the next live event without removing it."""
         heap = self._heap
@@ -137,8 +114,3 @@ class EventQueue:
         if slot is not None and (not heap or slot < heap[0]):
             return slot[0]
         return heap[0][0] if heap else None
-
-    def clear(self) -> None:
-        """Drop all pending events."""
-        self._heap.clear()
-        self._slot = None

@@ -75,13 +75,6 @@ class CrashInjector:
 
             self.sim.schedule_at(plan.restart_at_ms, do_restart)
 
-    def crash_now(self, node_id: int) -> None:
-        """Crash a node immediately."""
-        node = self._nodes[node_id]
-        if not node.crashed:
-            node.crash()
-            self.crashes_performed.append(node_id)
-
 
 class FailureDetector:
     """Heartbeat-based eventually-accurate failure detector for one node.
@@ -111,20 +104,14 @@ class FailureDetector:
         self.suspected: Set[int] = set()
         self._last_heard: Dict[int, float] = {}
         self._sequence = 0
-        self._running = False
 
     def start(self) -> None:
         """Begin emitting heartbeats and checking peers."""
-        self._running = True
         now = self.owner.sim.now
         for peer in self.peer_ids:
             self._last_heard[peer] = now
         self._emit_heartbeat()
         self._schedule_check()
-
-    def stop(self) -> None:
-        """Stop the detector (no further suspicion callbacks)."""
-        self._running = False
 
     def observe_heartbeat(self, heartbeat: Heartbeat) -> None:
         """Record a heartbeat received from a peer."""
@@ -138,12 +125,8 @@ class FailureDetector:
         if sender in self._last_heard:
             self._last_heard[sender] = self.owner.sim.now
 
-    def is_suspected(self, node_id: int) -> bool:
-        """Whether ``node_id`` is currently suspected of having crashed."""
-        return node_id in self.suspected
-
     def _emit_heartbeat(self) -> None:
-        if not self._running or self.owner.crashed:
+        if self.owner.crashed:
             return
         self._sequence += 1
         self.owner.broadcast(Heartbeat(sender=self.owner.node_id, sequence=self._sequence),
@@ -151,7 +134,7 @@ class FailureDetector:
         self.owner.set_timer(self.period_ms, self._emit_heartbeat)
 
     def _schedule_check(self) -> None:
-        if not self._running or self.owner.crashed:
+        if self.owner.crashed:
             return
         self._check_peers()
         self.owner.set_timer(self.period_ms, self._schedule_check)

@@ -134,21 +134,6 @@ def ec2_five_sites(local_delivery_ms: float = 0.05) -> Topology:
     return Topology(sites=list(EC2_SITES), rtt_ms=dict(rtt), local_delivery_ms=local_delivery_ms)
 
 
-def uniform_topology(n: int, rtt_ms: float = 50.0, local_delivery_ms: float = 0.05) -> Topology:
-    """A synthetic topology where every pair of distinct sites has the same RTT."""
-    sites = [f"site{i}" for i in range(n)]
-    rtt = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            rtt[(sites[i], sites[j])] = rtt_ms
-    return Topology(sites=sites, rtt_ms=rtt, local_delivery_ms=local_delivery_ms)
-
-
-def lan_topology(n: int, rtt_ms: float = 0.5) -> Topology:
-    """A low-latency topology approximating a single data center."""
-    return uniform_topology(n, rtt_ms=rtt_ms, local_delivery_ms=0.01)
-
-
 def custom_topology(site_names: Sequence[str], rtt_matrix: Iterable[Iterable[float]],
                     local_delivery_ms: float = 0.05) -> Topology:
     """Build a topology from an explicit RTT matrix.

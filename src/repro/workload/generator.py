@@ -84,7 +84,6 @@ class ConflictWorkload:
         self._rng = rng
         self._sequence = 0
         self.generated = 0
-        self.conflicting_generated = 0
 
     def next_command(self) -> Command:
         """Generate the client's next command."""
@@ -92,7 +91,6 @@ class ConflictWorkload:
         self._sequence += 1
         self.generated += 1
         if self._rng.random() < self.config.conflict_rate:
-            self.conflicting_generated += 1
             key = f"shared-{self._rng.randint(0, self.config.shared_pool_size - 1)}"
         else:
             key = (f"private-{self.client_id}-"
@@ -105,10 +103,3 @@ class ConflictWorkload:
             value = None
         return Command(command_id=(self.client_id, sequence), key=key, operation=operation,
                        value=value, origin=self.origin)
-
-    @property
-    def observed_conflict_rate(self) -> float:
-        """Fraction of generated commands whose key came from the shared pool."""
-        if self.generated == 0:
-            return 0.0
-        return self.conflicting_generated / self.generated

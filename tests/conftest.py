@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import signal
+from typing import Optional
 
 import pytest
 
@@ -14,7 +15,7 @@ from repro.kvstore.store import KeyValueStore
 from repro.runtime.kernel import ProtocolKernel, RetransmitBuffer
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.simulator import Simulator
-from repro.sim.topology import ec2_five_sites, uniform_topology
+from repro.sim.topology import Topology, ec2_five_sites
 
 
 #: Default per-test wall-clock budget in seconds.  A simulator or protocol
@@ -98,6 +99,48 @@ def network(sim, topology) -> Network:
 def quorums() -> QuorumSystem:
     """Quorum sizes for the five-node cluster."""
     return QuorumSystem.for_cluster(5)
+
+
+def uniform_topology(n: int, rtt_ms: float = 50.0, local_delivery_ms: float = 0.05) -> Topology:
+    """A synthetic topology where every pair of distinct sites has the same RTT."""
+    sites = [f"site{i}" for i in range(n)]
+    rtt = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            rtt[(sites[i], sites[j])] = rtt_ms
+    return Topology(sites=sites, rtt_ms=rtt, local_delivery_ms=local_delivery_ms)
+
+
+def lan_topology(n: int, rtt_ms: float = 0.5) -> Topology:
+    """A low-latency topology approximating a single data center."""
+    return uniform_topology(n, rtt_ms=rtt_ms, local_delivery_ms=0.01)
+
+
+#: Executed events between two checks of :func:`run_until_executed`'s
+#: completion predicate; up to this many minus one extra events may run.
+EXECUTED_CHECK_EVERY = 32
+
+
+def run_until_executed(cluster, command_ids, deadline_ms: Optional[float] = None) -> bool:
+    """Run a simulated cluster until every live replica has executed every given command.
+
+    The predicate is evaluated every :data:`EXECUTED_CHECK_EVERY` events
+    rather than after every event, so the hot loop never pays the
+    per-replica, per-command rescan.
+
+    Args:
+        cluster: a :class:`~repro.harness.cluster.Cluster`.
+        command_ids: commands that must be executed everywhere.
+        deadline_ms: optional bound, relative to the current virtual time.
+
+    Returns:
+        ``True`` when all commands executed everywhere, ``False`` on
+        queue drain or deadline expiry.
+    """
+    ids = list(command_ids)
+    deadline = None if deadline_ms is None else cluster.sim.now + deadline_ms
+    return cluster.sim.run_until(lambda: cluster.all_executed(ids), deadline=deadline,
+                                 check_every=EXECUTED_CHECK_EVERY)
 
 
 def make_command(client: int, seq: int, key: str = "k", origin: int = 0,

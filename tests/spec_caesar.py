@@ -192,7 +192,7 @@ class SpecWait:
         self.now = now
         self.enabled = enabled
         #: ``(command, T, on_resolved, parked_at)``, in parking order.
-        self.parked: List[tuple] = []
+        self.queue: List[tuple] = []
         self.total_waits = 0
         self.total_wait_ms = 0.0
 
@@ -215,13 +215,13 @@ class SpecWait:
             return not rejected
         if not self.enabled:
             return False
-        self.parked.append((command, timestamp, on_resolved, self.now()))
+        self.queue.append((command, timestamp, on_resolved, self.now()))
         return None
 
     def rescan(self) -> None:
         """After every history write: answer each parked proposal no longer blocked."""
         still, resolved = [], []
-        for parked in self.parked:
+        for parked in self.queue:
             blocked, rejected = self.scan(parked[0], parked[1])
             if blocked:
                 still.append(parked)
@@ -229,7 +229,7 @@ class SpecWait:
                 resolved.append((parked, rejected))
         if not resolved:
             return
-        self.parked = still
+        self.queue = still
         now = self.now()
         for (_, _, on_resolved, parked_at), rejected in resolved:
             self.total_waits += 1
@@ -238,13 +238,15 @@ class SpecWait:
 
     def drop(self, command_id: CommandId) -> None:
         """Forget the parked proposals of a command a RETRY or STABLE overtook."""
-        self.parked = [p for p in self.parked if p[0].command_id != command_id]
+        self.queue = [p for p in self.queue if p[0].command_id != command_id]
 
-    def parked_count(self) -> int:
-        return len(self.parked)
+    @property
+    def parked(self) -> int:
+        """Number of parked proposals, as the product's ``WaitManager.parked``."""
+        return len(self.queue)
 
     def has_parked(self, key: str) -> bool:
-        return any(p[0].key == key for p in self.parked)
+        return any(p[0].key == key for p in self.queue)
 
 
 class SpecDelivery:

@@ -3,8 +3,8 @@
 Every message a TCP replica frames, and every byte the simulator's wire
 accounting counts, is the registry's compiled encoding.  This module says
 what those bytes must be, one rule per codec kind, over the codecs a message
-type is *declared* with (``MessageRegistry.field_codecs``) and the ids of
-``repro.runtime.registry.TYPE_IDS``; ``tests/test_codec_differential.py``
+type is *declared* with (the ``StructCodec`` the registry keeps for it) and
+the ids of ``repro.runtime.registry.TYPE_IDS``; ``tests/test_codec_differential.py``
 holds the compiled codec to it byte for byte.  EXPERIMENTS.md ("Wire
 format") states the same rules in prose.
 
@@ -28,6 +28,8 @@ encodes or decodes.
 """
 
 from __future__ import annotations
+
+import sys
 
 from repro.runtime.codec import (
     BoolCodec,
@@ -65,6 +67,13 @@ def _type_id(cls: type) -> int:
     return TYPE_IDS[f"{cls.__module__}.{cls.__qualname__}"]
 
 
+def _class_of(type_id: int) -> type:
+    """The (already imported) message class the table gives ``type_id``."""
+    name = next(name for name, row in TYPE_IDS.items() if row == type_id)
+    module, _, qualname = name.rpartition(".")
+    return getattr(sys.modules[module], qualname)
+
+
 def _encode(codec, value, out: bytearray) -> None:
     kind = type(codec)
     if kind is UintCodec:
@@ -91,7 +100,7 @@ def _encode(codec, value, out: bytearray) -> None:
     elif kind in (StructCodec, MessageCodec):
         if kind is MessageCodec:
             _uint(_type_id(type(value)), out)
-            fields = codec.registry.field_codecs(type(value)).items()
+            fields = codec.registry._codecs[type(value)].fields
         else:
             fields = codec.fields
         for name, field in fields:
@@ -138,8 +147,8 @@ def decode(codec, data: bytes, offset: int) -> tuple:
     if kind in (StructCodec, MessageCodec):
         if kind is MessageCodec:
             type_id, offset = _read_uint(data, offset)
-            cls = next(cls for cls in codec.registry.types() if _type_id(cls) == type_id)
-            fields = codec.registry.field_codecs(cls).items()
+            cls = _class_of(type_id)
+            fields = codec.registry._codecs[cls].fields
         else:
             cls, fields = codec.cls, codec.fields
         values = {}

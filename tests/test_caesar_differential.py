@@ -67,7 +67,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.sim.failures import ScheduledCrash
 from repro.sim.network import Network
 from repro.sim.simulator import Simulator
-from repro.sim.topology import uniform_topology
+from tests.conftest import uniform_topology
 from tests.spec_caesar import SpecCaesarReplica, comparable_predecessors
 from tests.test_sim_engine_differential import pending_times
 
@@ -108,9 +108,9 @@ class Probe:
         delivery = replica.delivery
         known = [entry.command_id for entry in replica.history.entries()] + NAMEABLE
         return (self.rows(), sorted(filter(delivery.is_delivered, set(known))),
-                dict(replica.ballots), replica.timestamps.current, delivery.delivered_order,
+                dict(replica.ballots), replica.timestamps._counter, delivery.delivered_order,
                 delivery.pending_count(), delivery.missing_predecessors(),
-                replica.wait_manager.parked_count(), replica.wait_manager.total_waits,
+                replica.wait_manager.parked, replica.wait_manager.total_waits,
                 replica.wait_manager.total_wait_ms, replica.wait_time_samples,
                 dataclasses.asdict(replica.stats), replica.commands_executed,
                 replica.cpu_busy_ms, replica.cpu_backlog_ms,
@@ -269,7 +269,7 @@ class TestRandomSchedules:
             pair = Pair()
             for src, message, advance in random_schedule(seed):
                 pair.feed(src, message, advance)
-                parked = max(parked, pair.new.replica.wait_manager.parked_count())
+                parked = max(parked, pair.new.replica.wait_manager.parked)
             kinds.update(type(message) for _, message in pair.new.sent)
             nacks += pair.new.replica.stats.nacks_sent
             waits += len(pair.new.replica.wait_time_samples)
@@ -396,7 +396,7 @@ class TestScenarios:
         """B is pending at a later timestamp and has not seen A: A must wait."""
         pair.feed(1, fast(B, ts(10, 1)))
         pair.feed(0, fast(A, ts(3, 0)), advance_ms=5.0)
-        assert pair.new.replica.wait_manager.parked_count() == 1
+        assert pair.new.replica.wait_manager.parked == 1
         assert pair.new.answers(A) == []
 
     def test_parked_proposal_is_answered_once_the_blocker_decides(self):
@@ -416,7 +416,7 @@ class TestScenarios:
         pair.feed(2, Recovery(command=A, ballot=Ballot(1, 2)))
         assert isinstance(pair.new.sent[-1][1], RecoveryReply)
         pair.feed(1, stable(B, ts(10, 1), [A.command_id]), advance_ms=30.0)
-        assert pair.new.replica.wait_manager.parked_count() == 0
+        assert pair.new.replica.wait_manager.parked == 0
         assert pair.new.answers(A) == []
         assert pair.new.replica.wait_time_samples == [30.0]
 
@@ -424,7 +424,7 @@ class TestScenarios:
         pair = Pair()
         self.park_a_behind_b(pair)
         pair.feed(0, retry(A, ts(12, 0), [B.command_id]))
-        assert pair.new.replica.wait_manager.parked_count() == 0
+        assert pair.new.replica.wait_manager.parked == 0
         assert isinstance(pair.new.sent[-1][1], RetryReply)
         pair.feed(1, stable(B, ts(10, 1)), advance_ms=30.0)
         assert pair.new.answers(A) == []
@@ -433,7 +433,7 @@ class TestScenarios:
         pair = Pair()
         self.park_a_behind_b(pair)
         pair.feed(0, stable(A, ts(12, 0), [B.command_id]))
-        assert pair.new.replica.wait_manager.parked_count() == 0
+        assert pair.new.replica.wait_manager.parked == 0
         pair.feed(1, stable(B, ts(10, 1)), advance_ms=30.0)
         assert pair.new.answers(A) == []
         assert pair.new.replica.delivery.delivered_order == [B.command_id, A.command_id]
@@ -447,7 +447,7 @@ class TestScenarios:
             pair = Pair()
             self.park_a_behind_b(pair)
             pair.feed(release.ballot.node_id, release, advance_ms=7.0)
-            assert pair.new.replica.wait_manager.parked_count() == 0, release
+            assert pair.new.replica.wait_manager.parked == 0, release
             assert [answer.ok for answer in pair.new.answers(A)] == [True], release
 
     def test_a_resent_proposal_whose_parked_first_copy_is_nacked_meanwhile(self):
@@ -462,7 +462,7 @@ class TestScenarios:
         pair.feed(1, fast(B, ts(12, 1)))                 # same ballot, answered at once
         pair.feed(3, stable(W, ts(6, 3)))                # a NACK witness for A and B
         pair.feed(0, fast(A, ts(5, 0)))                  # parked behind E and B
-        assert pair.new.replica.wait_manager.parked_count() == 2
+        assert pair.new.replica.wait_manager.parked == 2
         pair.feed(2, stable(E, ts(10, 2), [A.command_id, B.command_id]))
         pair.feed(0, fast(A, ts(14, 0)))
         assert [answer.ok for answer in pair.new.answers(A)] == [False, True]
@@ -481,7 +481,7 @@ class TestScenarios:
             command_id=other.command_id, ballot=Ballot.initial(3), timestamp=ts(4, 3),
             predecessors=frozenset(), ok=True)]
         assert pair.new.replica.history.get(other.command_id).status is CommandStatus.FAST_PENDING
-        assert pair.new.replica.wait_manager.parked_count() == 1
+        assert pair.new.replica.wait_manager.parked == 1
 
     def test_higher_ballot_recovery_with_a_whitelist(self):
         pair = Pair()
@@ -507,10 +507,10 @@ class TestScenarios:
         pair.feed(0, fast(A, ts(3, 0)))
         pair.feed(0, fast(read_one, ts(6, 0)))
         pair.feed(1, fast(read_two, ts(4, 1)))      # earlier than a pending read: no wait
-        assert pair.new.replica.wait_manager.parked_count() == 0
+        assert pair.new.replica.wait_manager.parked == 0
         assert pair.new.answers(read_two)[0].predecessors == {A.command_id}
         pair.feed(1, fast(B, ts(5, 1)), advance_ms=3.0)  # a write behind a later read waits
-        assert pair.new.replica.wait_manager.parked_count() == 1
+        assert pair.new.replica.wait_manager.parked == 1
         pair.feed(0, stable(read_one, ts(6, 0), [A.command_id, B.command_id]), advance_ms=3.0)
         assert [answer.ok for answer in pair.new.answers(B)] == [True]
 
@@ -520,7 +520,7 @@ class TestScenarios:
         pair.feed(0, fast(A, ts(3, 0)))
         (answer,) = pair.new.answers(A)
         assert not answer.ok and answer.timestamp > ts(10, 1)
-        assert pair.new.replica.wait_manager.parked_count() == 0
+        assert pair.new.replica.wait_manager.parked == 0
         assert pair.new.replica.history.get(A.command_id).status is CommandStatus.REJECTED
 
     def test_immediate_nack_behind_a_decided_later_command(self):
@@ -794,7 +794,7 @@ class TestLeaderScenarios:
         (decided,) = self.stables(pair)
         assert decided.timestamp == ts(1, 0) and decided.predecessors == frozenset()
         assert pair.new.replica.decisions[L0.command_id].kind is DecisionKind.FAST
-        assert pair.new.replica.leader_states == {} and len(pair.new.replica.retransmit) == 0
+        assert pair.new.replica.leader_states == {} and not pair.new.replica.retransmit._entries
 
     def test_the_highest_timestamp_and_the_union_of_predecessors_less_the_command_win(self):
         pair = self.submitted()

@@ -10,12 +10,19 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.chaos.checker import check_operations
+from repro.chaos.checker import check_history
 from repro.chaos.history import HistoryTape, Operation
 from repro.consensus.command import Command
 from repro.kvstore.spec import apply_op
 from repro.kvstore.store import KeyValueStore
 from repro.sim.simulator import Simulator
+
+
+def check_operations(operations, **budget):
+    """Check a flat list of operations through :func:`check_history`."""
+    tape = HistoryTape(Simulator(seed=0))
+    tape.operations.extend(operations)
+    return check_history(tape, **budget)
 
 
 def op(op_id: int, key: str, operation: str, value=None, output=None,
@@ -257,7 +264,7 @@ class TestBudgetAndTape:
         tape.respond(first, None)
         assert first.responded_at == 5.0
         assert tape.completed == [first]
-        assert tape.pending == []
+        assert not first.is_pending
         assert tape.per_key() == {"k": [first]}
 
     def test_tape_rejects_double_response(self):

@@ -29,8 +29,8 @@ from repro.net.replica import ReplicaConfig
 from repro.runtime.costs import CostModel
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.simulator import Simulator
-from repro.sim.topology import lan_topology
 from repro.workload.generator import WorkloadConfig
+from tests.conftest import lan_topology
 
 SURFACE_FILE = pathlib.Path(__file__).parent / "data" / "cli_parser_surface.json"
 CONFIGS_FILE = pathlib.Path(__file__).parent / "data" / "cli_configs.json"

@@ -29,9 +29,6 @@ class TestBallots:
         assert successor > current
         assert successor.node_id == 0
 
-    def test_str_format(self):
-        assert str(Ballot(2, 1)) == "b(2,1)"
-
     @given(st.integers(0, 100), st.integers(0, 9), st.integers(0, 9))
     def test_next_for_always_greater(self, round_, node_a, node_b):
         ballot = Ballot(round_, node_a)
@@ -65,13 +62,6 @@ class TestQuorumSizes:
     def test_cluster_too_small_rejected(self):
         with pytest.raises(ValueError):
             QuorumSystem.for_cluster(2)
-
-    def test_quorum_predicates(self):
-        quorums = QuorumSystem.for_cluster(5)
-        assert quorums.is_classic_quorum(3)
-        assert not quorums.is_classic_quorum(2)
-        assert quorums.is_fast_quorum(4)
-        assert not quorums.is_fast_quorum(3)
 
     def test_recovery_majority_is_half_classic_plus_one(self):
         assert QuorumSystem.for_cluster(5).recovery_majority == 2

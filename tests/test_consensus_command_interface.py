@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.consensus.command import Command, commands_conflict
+from repro.consensus.command import Command
 from repro.consensus.interface import Decision, DecisionKind, ExecutionLog
 from tests.conftest import make_command
 
@@ -27,11 +27,6 @@ class TestConflictRelation:
         b = make_command(1, 0, key="x", operation="put")
         assert a.conflicts_with(b)
         assert b.conflicts_with(a)
-
-    def test_module_level_helper_matches_method(self):
-        a = make_command(0, 0, key="x")
-        b = make_command(1, 0, key="x")
-        assert commands_conflict(a, b) == a.conflicts_with(b)
 
     def test_is_write(self):
         assert make_command(0, 0).is_write
@@ -93,7 +88,7 @@ class TestExecutionLog:
         log.append(second)
         assert log.position(first.command_id) == 0
         assert log.position(second.command_id) == 1
-        assert len(log) == 2
+        assert list(log) == [first, second]
         assert log.contains(first.command_id)
 
     def test_double_execution_rejected(self):
@@ -158,10 +153,3 @@ class TestExecutionLog:
         first, second = logs
         assert first.conflicting_order_violations(second) == _grouped_violations(first, second)
         assert second.conflicting_order_violations(first) == _grouped_violations(second, first)
-
-    def test_commands_copy_is_isolated(self):
-        log = ExecutionLog()
-        log.append(make_command(0, 0))
-        commands = log.commands
-        commands.clear()
-        assert len(log) == 1

@@ -27,22 +27,10 @@ class TestOrdering:
     def test_str_shows_counter_and_node(self):
         assert str(LogicalTimestamp(7, 3)) == "<7,3>"
 
-    def test_next_for_lower_node_increments_counter(self):
-        ts = LogicalTimestamp(4, 3)
-        nxt = ts.next_for(1)
-        assert nxt > ts
-        assert nxt.node_id == 1
-
-    def test_next_for_higher_node_keeps_counter(self):
-        ts = LogicalTimestamp(4, 1)
-        nxt = ts.next_for(3)
-        assert nxt > ts
-        assert nxt.counter == 4
-
 
 class TestGenerator:
-    def test_initial_value_is_zero(self):
-        assert TimestampGenerator(2).current == LogicalTimestamp(0, 2)
+    def test_first_timestamp_has_counter_one(self):
+        assert TimestampGenerator(2).next_timestamp() == LogicalTimestamp(1, 2)
 
     def test_next_timestamp_strictly_increases(self):
         gen = TimestampGenerator(1)
@@ -60,9 +48,8 @@ class TestGenerator:
         gen = TimestampGenerator(4)
         gen.next_timestamp()
         gen.next_timestamp()
-        before = gen.current
         gen.observe(LogicalTimestamp(0, 0))
-        assert gen.current == before
+        assert gen.next_timestamp() == LogicalTimestamp(3, 4)
 
     def test_suggestion_greater_than(self):
         gen = TimestampGenerator(2)
@@ -97,7 +84,7 @@ class TestProperties:
     @given(st.lists(st.integers(0, 100), min_size=1, max_size=50))
     def test_generator_monotonic_under_observations(self, counters):
         gen = TimestampGenerator(3)
-        previous = gen.current
+        previous = LogicalTimestamp(0, 3)
         for counter in counters:
             gen.observe(LogicalTimestamp(counter, 1))
             fresh = gen.next_timestamp()

@@ -50,6 +50,7 @@ from repro.net.clock import WallClock
 from repro.net.loopback import LoopbackCluster
 from repro.runtime.kernel import ProtocolKernel
 from repro.workload.generator import WorkloadConfig
+from tests.conftest import run_until_executed
 from tests.spec_caesar import SpecCaesarReplica
 from tests.test_caesar_differential import (
     REPLICAS,
@@ -124,7 +125,7 @@ class TestRules:
         probe.feed(1, stable(A, ts(1, 1)))
         probe.feed(2, fast(B, ts(9, 2)))          # pending, later: C must wait for it
         probe.feed(3, fast(C, ts(5, 3)))
-        assert probe.replica.wait_manager.parked_count() == 1
+        assert probe.replica.wait_manager.parked == 1
         probe.report_from(*PEERS)
         assert A.command_id in probe.replica.history
         probe.feed(2, stable(B, ts(9, 2), [A.command_id, C.command_id]))
@@ -255,8 +256,8 @@ class TestReports:
                         for sequence in range(count) for node in (0, 1, 2)]
             for cmd in commands:
                 cluster.replica(cmd.origin).submit(cmd)
-            assert cluster.run_until_executed([cmd.command_id for cmd in commands],
-                                              deadline_ms=20000)
+            assert run_until_executed(cluster, [cmd.command_id for cmd in commands],
+                                      deadline_ms=20000)
             cluster.run(3000.0)
             return commands
 

@@ -36,7 +36,7 @@ class TestBasicDelivery:
         delivered = harness.stable(command, ts(1))
         assert [c.command_id for c in delivered] == [command.command_id]
         assert harness.manager.is_delivered(command.command_id)
-        assert harness.manager.delivered_count == 1
+        assert len(harness.manager.delivered_order) == 1
 
     def test_command_waits_for_predecessor(self):
         harness = DeliveryHarness()

@@ -40,25 +40,13 @@ class TestUpdateAndLookup:
     def test_get_unknown_returns_none(self):
         assert CommandHistory().get((1, 2)) is None
 
-    def test_predecessors_of_unknown_is_empty(self):
-        assert CommandHistory().predecessors_of((1, 2)) == set()
-
-    def test_status_of(self):
-        history = CommandHistory()
-        command = make_command(0, 0)
-        history.update(command, ts(1), set(), CommandStatus.ACCEPTED, Ballot.initial(0))
-        assert history.status_of(command.command_id) is CommandStatus.ACCEPTED
-        assert history.status_of((9, 9)) is None
-
     def test_remove_cleans_key_index(self):
         history = CommandHistory()
         command = make_command(0, 0, key="x")
-        other = make_command(1, 0, key="x")
         history.update(command, ts(1), set(), CommandStatus.STABLE, Ballot.initial(0))
         history.remove(command.command_id)
         assert command.command_id not in history
-        assert list(history.conflicting_with(other)) == []
-
+        assert history.bucket("x").entries == []
 
     def test_remove_keeps_the_emptied_bucket_and_its_indices(self):
         """A key's interner outlives its entries: the collected id keeps its bit."""
@@ -194,28 +182,15 @@ class TestFirstKeyBinding:
 
 
 class TestConflictIndex:
-    def test_conflicting_with_same_key(self):
+    def test_a_key_bucket_holds_only_that_key(self):
         history = CommandHistory()
         first = make_command(0, 0, key="x")
         second = make_command(1, 0, key="x")
         unrelated = make_command(2, 0, key="y")
         for i, command in enumerate([first, second, unrelated]):
             history.update(command, ts(i), set(), CommandStatus.FAST_PENDING, Ballot.initial(0))
-        conflicting = {entry.command_id for entry in history.conflicting_with(first)}
-        assert conflicting == {second.command_id}
-
-    def test_conflicting_excludes_self(self):
-        history = CommandHistory()
-        command = make_command(0, 0, key="x")
-        history.update(command, ts(1), set(), CommandStatus.FAST_PENDING, Ballot.initial(0))
-        assert list(history.conflicting_with(command)) == []
-
-    def test_reads_do_not_conflict(self):
-        history = CommandHistory()
-        read_one = make_command(0, 0, key="x", operation="get")
-        read_two = make_command(1, 0, key="x", operation="get")
-        history.update(read_one, ts(1), set(), CommandStatus.FAST_PENDING, Ballot.initial(0))
-        assert list(history.conflicting_with(read_two)) == []
+        bucket = [entry.command_id for entry in history.bucket("x").entries]
+        assert bucket == [first.command_id, second.command_id]
 
     def test_stable_entries_iterator(self):
         history = CommandHistory()

@@ -7,12 +7,19 @@ import pytest
 from repro.consensus.ballots import Ballot
 from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.history import CommandHistory, CommandStatus
-from repro.core.predecessors import WaitManager, compute_predecessors
+from repro.core.predecessors import WaitManager, compute_predecessor_mask
 from tests.conftest import make_command
 
 
 def ts(counter: int, node: int = 0) -> LogicalTimestamp:
     return LogicalTimestamp(counter, node)
+
+
+def compute_predecessors(history, command, timestamp, whitelist):
+    """The ids :func:`compute_predecessor_mask` answers, whitelist given as ids."""
+    whitelist_mask = None if whitelist is None else history.mask_from_ids(whitelist, command.key)
+    mask = compute_predecessor_mask(history, command, timestamp, whitelist_mask)
+    return set(history.ids_from_mask(mask, command.key))
 
 
 BALLOT = Ballot.initial(0)
@@ -103,7 +110,7 @@ class TestWaitCondition:
         manager.evaluate(make_command(0, 0, key="x"), ts(3),
                          lambda ok, waited: outcomes.append((ok, waited)))
         assert outcomes == []
-        assert manager.parked_count() == 1
+        assert manager.parked == 1
 
     def test_parked_proposal_resolves_ok_when_included_in_predecessors(self):
         """If the later command eventually lists us as a predecessor, WAIT returns OK."""
@@ -117,7 +124,7 @@ class TestWaitCondition:
         history.update(later, ts(10), {early.command_id}, CommandStatus.STABLE, BALLOT)
         manager.notify_change("x")
         assert outcomes == [(True, 40.0)]
-        assert manager.parked_count() == 0
+        assert manager.parked == 0
         assert manager.total_waits == 1
         assert manager.total_wait_ms == pytest.approx(40.0)
 
@@ -176,9 +183,9 @@ class TestWaitCondition:
         later = make_command(9, 0, key="x")
         history.update(later, ts(10), set(), CommandStatus.FAST_PENDING, BALLOT)
         manager.evaluate(early, ts(3), lambda ok, waited: None)
-        assert manager.parked_count() == 1
+        assert manager.parked == 1
         manager.drop_command(early.command_id, "x")
-        assert manager.parked_count() == 0
+        assert manager.parked == 0
 
     def test_multiple_blockers_all_must_clear(self):
         history, clock, manager = self.make_manager()

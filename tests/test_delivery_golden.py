@@ -72,7 +72,7 @@ def run_digest(name: str) -> dict:
             digest.update(f"h {entry.command_id} {sorted(entry.predecessors)} "
                           f"{entry.timestamp.counter}.{entry.timestamp.node_id}\n".encode())
     return {"sha256": digest.hexdigest(),
-            "executed": [len(replica.execution_log) for replica in cluster.replicas],
+            "executed": [replica.commands_executed for replica in cluster.replicas],
             "pending": [replica.delivery.pending_count() for replica in cluster.replicas]}
 
 

@@ -13,8 +13,8 @@ from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.kvstore.store import KeyValueStore
 from repro.sim.network import Network
 from repro.sim.simulator import Simulator
-from repro.sim.topology import ec2_five_sites, uniform_topology
-from tests.conftest import make_command
+from repro.sim.topology import ec2_five_sites
+from tests.conftest import make_command, uniform_topology
 
 
 def build_epaxos_cluster(n: int = 5, seed: int = 1, recovery: bool = False, topology=None):

@@ -45,7 +45,7 @@ from repro.consensus.quorums import QuorumSystem
 from repro.kvstore.store import KeyValueStore
 from repro.sim.network import Network
 from repro.sim.simulator import Simulator
-from repro.sim.topology import uniform_topology
+from tests.conftest import uniform_topology
 from tests.spec_epaxos import Row, SpecEPaxosReplica
 from tests.test_caesar_differential import CRASH_CELL, _cell, _Peer, end_to_end
 from tests.test_sim_engine_differential import pending_times

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.consensus.command import Command
-from repro.harness.cluster import EXECUTED_CHECK_EVERY, ClusterConfig, build_cluster
+from repro.harness.cluster import ClusterConfig, build_cluster
 from repro.harness.experiment import (
     ExperimentConfig,
     attach_clients,
@@ -16,7 +16,8 @@ from repro.harness.protocols import PROTOCOLS
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.report import format_series, format_table
 from repro.sim.simulator import total_events_executed
-from repro.sim.topology import EC2_SITES, ec2_five_sites, lan_topology, uniform_topology
+from repro.sim.topology import EC2_SITES, ec2_five_sites
+from tests.conftest import EXECUTED_CHECK_EVERY, lan_topology, run_until_executed, uniform_topology
 
 
 class TestClusterBuilder:
@@ -66,7 +67,7 @@ class TestClusterBuilder:
 class TestRunUntilExecuted:
     def test_no_commands_is_done_without_running_an_event(self):
         cluster = build_cluster(ClusterConfig(topology=lan_topology(3)))
-        assert cluster.run_until_executed([]) is True
+        assert run_until_executed(cluster, []) is True
         assert cluster.sim.now == 0.0
 
     def test_overshoots_the_exact_stop_by_less_than_one_cadence(self):
@@ -81,13 +82,13 @@ class TestRunUntilExecuted:
 
         exact = events_to_execute(lambda cluster, ids: cluster.sim.run_until(
             lambda: cluster.all_executed(ids), check_every=1))
-        cadenced = events_to_execute(lambda cluster, ids: cluster.run_until_executed(ids))
+        cadenced = events_to_execute(lambda cluster, ids: run_until_executed(cluster, ids))
         assert exact <= cadenced < exact + EXECUTED_CHECK_EVERY
 
     def test_an_unknown_command_times_out_at_the_deadline(self):
         cluster = build_cluster(ClusterConfig(topology=lan_topology(3)))
         cluster.start()
-        assert cluster.run_until_executed([(9, 9)], deadline_ms=50.0) is False
+        assert run_until_executed(cluster, [(9, 9)], deadline_ms=50.0) is False
         assert cluster.sim.now <= 50.0
         assert not cluster.all_executed([(9, 9)])
 

@@ -178,21 +178,17 @@ def simulator_imports(path: pathlib.Path):
             if module == "repro.sim" or module.startswith("repro.sim.")]
 
 
-def test_below_the_harness_only_the_oracle_names_more_of_the_simulator():
-    """``runtime/``, the protocols and ``net/`` import the three modules a
-    replica runs on; ``net.loopback.run_sim_oracle`` *is* the simulator side
-    of the sim-vs-socket oracle and builds its topology."""
+def test_below_the_harness_only_the_modules_a_replica_runs_on_are_imported():
+    """``runtime/``, the protocols and ``net/`` import the three simulator
+    modules a replica runs on, and no other, with no exception."""
     package = pathlib.Path(repro.__file__).parent
     offenders = []
     for layer in ("runtime", "consensus", "core", "baselines", "workload", "kvstore",
                   "metrics", "net"):
         for path in sorted((package / layer).glob("*.py")):
-            for module, function in simulator_imports(path):
-                if module in SIM_MODULES_A_REPLICA_RUNS_ON:
-                    continue
-                if (layer, path.name, function) == ("net", "loopback.py", "run_sim_oracle"):
-                    continue
-                offenders.append(f"{layer}/{path.name}: {module}")
+            for module, _ in simulator_imports(path):
+                if module not in SIM_MODULES_A_REPLICA_RUNS_ON:
+                    offenders.append(f"{layer}/{path.name}: {module}")
     assert offenders == []
 
 

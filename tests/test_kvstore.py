@@ -49,7 +49,7 @@ class TestOperations:
         store = KeyValueStore()
         store.apply(make_command(0, 0, key="a"))
         store.apply(make_command(0, 1, key="b"))
-        assert len(store) == 2
+        assert len(store.snapshot()) == 2
 
     def test_snapshot_and_reset(self):
         store = KeyValueStore()
@@ -57,7 +57,7 @@ class TestOperations:
         snapshot = store.snapshot()
         assert snapshot == {"a": "v0.0"}
         store.reset()
-        assert len(store) == 0
+        assert store.snapshot() == {}
         assert store.applied_count == 0
         # Snapshot is a copy, unaffected by the reset.
         assert snapshot == {"a": "v0.0"}

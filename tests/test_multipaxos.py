@@ -7,8 +7,8 @@ from repro.consensus.quorums import QuorumSystem
 from repro.kvstore.store import KeyValueStore
 from repro.sim.network import Network
 from repro.sim.simulator import Simulator
-from repro.sim.topology import ec2_five_sites, uniform_topology
-from tests.conftest import make_command
+from repro.sim.topology import ec2_five_sites
+from tests.conftest import make_command, uniform_topology
 
 
 def build_multipaxos_cluster(n: int = 5, leader_id: int = 0, seed: int = 1,

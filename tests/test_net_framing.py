@@ -27,7 +27,7 @@ class TestFrameDecoder:
     def test_single_frame_roundtrip(self):
         decoder = FrameDecoder()
         assert list(decoder.feed(encode_frame(b"payload"))) == [b"payload"]
-        assert decoder.buffered_bytes == 0
+        assert list(decoder.feed(encode_frame(b"next"))) == [b"next"]
 
     def test_byte_at_a_time_delivery(self):
         """The pathological partial read: one byte per feed."""
@@ -48,9 +48,6 @@ class TestFrameDecoder:
         decoder = FrameDecoder()
         out = list(decoder.feed(stream[:7]))
         assert out == []
-        # The 4-byte header is consumed as soon as it is complete; the 3
-        # partial payload bytes stay buffered.
-        assert decoder.buffered_bytes == 3
         out = list(decoder.feed(stream[7:]))
         assert out == [b"0123456789", b"tail"]
 
@@ -70,20 +67,19 @@ class TestFrameDecoder:
 
 
 def spec_parse(stream: bytes):
-    """What a decoder fed ``stream`` so far has emitted and still buffers.
+    """What a decoder fed ``stream`` so far has emitted.
 
     The frame format read straight off the bytes: a 4-byte big-endian length,
-    then that many payload bytes.  The buffered count leaves out the header
-    of the incomplete frame once all four of its bytes are in.
+    then that many payload bytes.
     """
     payloads = []
     while len(stream) >= 4:
         end = 4 + int.from_bytes(stream[:4], "big")
         if len(stream) < end:
-            return payloads, len(stream) - 4
+            break
         payloads.append(stream[4:end])
         stream = stream[end:]
-    return payloads, len(stream)
+    return payloads
 
 
 class TestFrameDecoderAgainstTheSpec:
@@ -97,9 +93,7 @@ class TestFrameDecoderAgainstTheSpec:
         out = []
         for start, stop in zip(bounds, bounds[1:]):
             out.extend(decoder.feed(stream[start:stop]))
-            expected, buffered = spec_parse(stream[:stop])
-            assert out == expected
-            assert decoder.buffered_bytes == buffered
+            assert out == spec_parse(stream[:stop])
         assert out == payloads
 
     def test_a_consumer_that_stops_early_gets_the_rest_on_the_next_feed(self):
@@ -109,7 +103,6 @@ class TestFrameDecoderAgainstTheSpec:
             assert payload == b"one"
             break
         assert list(decoder.feed(b"\x00\x00\x01!")) == [b"two", b"three", b"!"]
-        assert decoder.buffered_bytes == 0
 
 
 def test_a_frame_fed_in_small_chunks_is_joined_once():
@@ -136,4 +129,3 @@ def test_a_frame_fed_in_small_chunks_is_joined_once():
         sys.setprofile(None)
     assert len(chunks) == 1025 and len(out) == 1 and len(out[0]) == size
     assert len(joins) == 1
-    assert decoder.buffered_bytes == 0

@@ -68,8 +68,6 @@ class TestResultShape:
         assert result.points[1].saturated
         assert result.knee_offered_per_second == 200.0
         assert result.peak_goodput == 160.0
-        assert result.point_at(400.0) is result.points[2]
-        assert result.point_at(999.0) is None
 
     def test_knee_is_none_when_never_saturated(self):
         result = OverloadResult(config=OverloadConfig(), points=[
@@ -137,13 +135,14 @@ class TestOverloadToSlo:
         # The unprotected sweep saturates: in-window goodput at 1200 offered/s
         # falls below the knee fraction and the tail blows up into seconds.
         assert baseline.knee_offered_per_second == 1200.0
-        overloaded = baseline.point_at(1200.0)
+        overloaded = baseline.points[1]
+        assert overloaded.offered_per_second == 1200.0
         assert overloaded.goodput_per_second < KNEE_GOODPUT_FRACTION * 1200.0
         assert overloaded.p99_latency_ms > 1000.0
 
         # With queue-deadline shedding the same offered load keeps a bounded
         # tail (an order of magnitude-ish lower) ...
-        protected = guarded.point_at(1200.0)
+        protected = guarded.points[1]
         assert protected.rejected > 0
         assert protected.p99_latency_ms < 500.0
         assert protected.p99_latency_ms < overloaded.p99_latency_ms / 2

@@ -31,7 +31,7 @@ from repro.net.replica import ReplicaConfig, ReplicaServer
 from repro.runtime.registry import TYPE_IDS
 from repro.sim.network import Network
 from repro.sim.simulator import Simulator
-from repro.sim.topology import lan_topology
+from tests.conftest import lan_topology
 
 #: The protocols with a recovery path (an ``on_suspect`` hook).
 DETECTING = ("caesar", "epaxos", "multipaxos")

@@ -16,6 +16,7 @@ import pytest
 from repro.baselines.m2paxos import M2PaxosReplica
 from repro.consensus.command import Command
 from test_properties_consistency import check_invariants, run_workload
+from tests.conftest import run_until_executed
 
 #: The Hypothesis falsifying example: replicas 0, 1 and 2 each submit a
 #: command for key-0 at t=0, producing a three-way ownership fight.
@@ -123,7 +124,7 @@ class TestPinnedM2PaxosPartitionHeal:
                                  c=command: r.submit(c))
 
         ids = [c.command_id for c in submitted]
-        finished = cluster.run_until_executed(ids, deadline_ms=300_000)
+        finished = run_until_executed(cluster, ids, deadline_ms=300_000)
         assert finished, "m2paxos did not converge after the partition healed"
         assert cluster.sim.steps_executed < self.MAX_EVENTS
         assert cluster.check_consistency() == []

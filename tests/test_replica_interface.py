@@ -12,8 +12,7 @@ from repro.harness.experiment import count_decisions
 from repro.kvstore.store import KeyValueStore
 from repro.sim.network import Network
 from repro.sim.simulator import Simulator
-from repro.sim.topology import uniform_topology
-from tests.conftest import build_caesar_cluster, make_command
+from tests.conftest import build_caesar_cluster, make_command, uniform_topology
 
 
 class TestConsensusReplicaBase:

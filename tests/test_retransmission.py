@@ -27,6 +27,7 @@ from repro.harness.cluster import ClusterConfig, build_cluster
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.runtime.kernel import RETRANSMIT_SCAN_EVERY_MS
 from repro.sim.random import DeterministicRandom
+from tests.conftest import run_until_executed
 
 PROTOCOLS = ("caesar", "epaxos", "m2paxos", "mencius", "multipaxos")
 
@@ -64,8 +65,8 @@ def _run_fixed_workload(protocol, plan=None, seed=5):
     cluster.start()
     for command in commands:
         cluster.replica(command.origin).submit(command)
-    done = cluster.run_until_executed([c.command_id for c in commands],
-                                      deadline_ms=30000.0)
+    done = run_until_executed(cluster, [c.command_id for c in commands],
+                              deadline_ms=30000.0)
     return cluster, commands, done
 
 
@@ -150,7 +151,7 @@ class TestRestartRearms:
         assert leader.stats.retransmissions_sent == 4
         # One wide-area round trip later the command is decided and executed
         # everywhere, not a backed-off deadline later.
-        assert cluster.run_until_executed([self.COMMAND.command_id], deadline_ms=1000.0)
+        assert run_until_executed(cluster, [self.COMMAND.command_id], deadline_ms=1000.0)
         assert leader.stats.fast_decisions == 1
 
     def test_a_fast_round_short_of_its_fast_quorum_times_out_into_the_slow_path(self):
@@ -164,6 +165,6 @@ class TestRestartRearms:
         leader.crash()                      # before even its own vote arrives
         sim.run(until=sim.now + 2000.0)     # past the 1.5 s proposal timeout
         leader.restart()
-        assert cluster.run_until_executed([self.COMMAND.command_id], deadline_ms=5000.0)
+        assert run_until_executed(cluster, [self.COMMAND.command_id], deadline_ms=5000.0)
         assert leader.stats.slow_proposals == 1 and leader.stats.slow_decisions == 1
         assert leader.leader_states == {}

@@ -94,15 +94,17 @@ def all_wire_types() -> list:
     "every type" import each module the table names instead of trusting
     whatever happens to be loaded at collection time.
     """
-    for name in TYPE_IDS:
-        importlib.import_module(name.rpartition(".")[0])
-    return WIRE.types()
+    types = []
+    for name, _ in sorted(TYPE_IDS.items(), key=lambda row: row[1]):
+        module, _, qualname = name.rpartition(".")
+        types.append(getattr(importlib.import_module(module), qualname))
+    return types
 
 
 def message_strategy(cls) -> st.SearchStrategy:
     """Strategy over fully populated instances of a registered message type."""
     return st.builds(cls, **{name: strategy_for(codec)
-                             for name, codec in WIRE.field_codecs(cls).items()})
+                             for name, codec in WIRE._codecs[cls].fields})
 
 
 @pytest.mark.parametrize("cls", all_wire_types(), ids=lambda cls: cls.__name__)
@@ -161,8 +163,8 @@ WIRE_NAMES_BY_ID = """
 def test_every_row_of_the_type_id_table_is_registered_under_its_id():
     """The table is the golden file: 43 ids, 0 ``MessageBatch`` … 42 ``Delivered``."""
     assert list(TYPE_IDS.values()) == list(range(43))
-    # ``types()`` is in id order and the table is written in id order.
-    assert [row(cls) for cls in all_wire_types()] == list(TYPE_IDS)
+    # The registry holds each class under the id its row gives.
+    assert [WIRE._by_id[type_id] for type_id in range(43)] == all_wire_types()
     assert [name.rpartition(".")[2] for name in TYPE_IDS] == WIRE_NAMES_BY_ID
     assert WIRE.encode(MessageBatch(messages=()))[0] == 0
     assert WIRE.encode(StatsReply(sender=1, payload=""))[0] == 41
@@ -187,7 +189,7 @@ def test_a_class_without_a_row_or_with_a_shared_id_is_refused_at_registration():
     # The process-wide registry refuses the same way, through the decorator.
     with pytest.raises(ValueError, match=r"Orphan has no row"):
         register_message(value=UintCodec())(Orphan)
-    assert Orphan not in WIRE.types()
+    assert Orphan not in WIRE._codecs
 
 
 # ------------------------------------------------ decoded values without __init__
@@ -205,7 +207,7 @@ def structs_in(value, codec):
 def structs_of(message):
     """``(value, class)`` for ``message`` and every struct nested in its fields."""
     yield message, type(message)
-    for name, codec in WIRE.field_codecs(type(message)).items():
+    for name, codec in WIRE._codecs[type(message)].fields:
         yield from structs_in(getattr(message, name), codec)
 
 
@@ -337,7 +339,7 @@ def test_importing_the_package_compiles_no_codec():
         "for name in TYPE_IDS: importlib.import_module(name.rpartition('.')[0])\n"
         "from repro.sim.failures import Heartbeat\n"
         "compiled = lambda: sorted(k for k in linecache.cache if k.startswith('<wire codec'))\n"
-        "assert len(WIRE.types()) == len(TYPE_IDS)\n"
+        "assert len(WIRE._by_id) == len(TYPE_IDS)\n"
         "print(compiled())\n"
         "WIRE.decode_one(WIRE.encode(Heartbeat(sender=1, sequence=2)))\n"
         "print(compiled())\n")

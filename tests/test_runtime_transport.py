@@ -10,7 +10,7 @@ from repro.runtime.transport import SimulatorTransport
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import Node
 from repro.sim.simulator import Simulator
-from repro.sim.topology import uniform_topology
+from tests.conftest import run_until_executed, uniform_topology
 
 
 def _delivery_order(result) -> list:
@@ -55,8 +55,8 @@ class TestBatchingDeterminism:
                         for origin in range(cluster.size) for n in range(4)]
             for command in commands:
                 cluster.replica(command.origin).submit(command)
-            done = cluster.run_until_executed([c.command_id for c in commands],
-                                              deadline_ms=60000)
+            done = run_until_executed(cluster, [c.command_id for c in commands],
+                                      deadline_ms=60000)
             assert done, f"batching {label}: workload did not complete"
             assert cluster.check_consistency() == []
             outcomes[label] = {c.command_id

@@ -10,7 +10,7 @@ from repro.runtime.costs import CostModel, throughput_cost_model
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.simulator import Simulator
-from repro.sim.topology import uniform_topology
+from tests.conftest import uniform_topology
 
 
 class TestBatchingConfig:

@@ -39,10 +39,9 @@ from typing import List
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.sim.events import EventQueue
 from repro.sim.network import MIN_DELAY_MS, Network
 from repro.sim.simulator import SimulationError, Simulator
-from repro.sim.topology import uniform_topology
+from tests.conftest import uniform_topology
 
 
 def pending_times(sim) -> List[float]:
@@ -94,9 +93,6 @@ class SpecQueue:
 
     def peek_time(self):
         return self.live()[0].time if self.live() else None
-
-    def clear(self) -> None:
-        self.events = []
 
 
 class SpecSimulator:
@@ -297,40 +293,44 @@ class TestEngineDifferential:
             assert sim.now == 5.0
 
 
-#: ``("push" | "push_transient", time)``, ``("cancel", n)``, ``("pop",)``,
-#: ``("peek",)`` or ``("clear",)``.
+#: ``("push" | "push_transient", time)``, ``("cancel", n)``, ``("step",)`` or
+#: ``("peek",)``.
 QUEUE_OPS = st.one_of(
     st.tuples(st.sampled_from(["push", "push_transient"]),
               st.sampled_from([0.0, 1.0, 1.0, 2.0, 3.0])),
     st.tuples(st.just("cancel"), st.integers(0, 20)),
-    st.tuples(st.sampled_from(["pop", "pop", "peek", "clear"])))
+    st.tuples(st.sampled_from(["step", "step", "peek"])))
 
 
-def _queue_trace(queue, ops) -> list:
-    """Apply ``ops`` to ``queue``; return what each pop and peek saw."""
-    handles, seen = [], []
+def _queue_trace(sim, ops) -> tuple:
+    """Apply ``ops`` to ``sim``'s queue, a ``step`` firing one event through
+    ``run_until``, then drain it with ``run``; return what each step fired and
+    each peek saw, and every ``(time, label)`` fired, in firing order."""
+    queue, handles, fired, seen = sim._queue, [], [], []
+
+    def record(label) -> None:
+        fired.append((sim.now, label))
+
     for label, op in enumerate(ops):
         if op[0] == "push":
-            handles.append(queue.push(op[1], print, args=(label,)))
+            handles.append(queue.push(op[1], record, args=(label,)))
         elif op[0] == "push_transient":
-            queue.push_transient(op[1], print, args=(label,))
+            queue.push_transient(op[1], record, args=(label,))
         elif op[0] == "cancel":
             if handles:
                 handles[op[1] % len(handles)].cancel()
-        elif op[0] == "pop":
-            event = queue.pop()
-            seen.append(None if event is None else (event.time, event.args))
-        elif op[0] == "peek":
-            seen.append(queue.peek_time())
+        elif op[0] == "step":
+            before = len(fired)
+            sim.run_until(lambda: len(fired) > before)
+            seen.append(fired[before] if len(fired) > before else None)
         else:
-            queue.clear()
-    while (event := queue.pop()) is not None:
-        seen.append((event.time, event.args))
-    return seen
+            seen.append(queue.peek_time())
+    sim.run()
+    return seen, fired, sim.steps_executed
 
 
 class TestQueueDifferential:
     @settings(max_examples=300, deadline=None, database=None)
     @given(st.lists(QUEUE_OPS, max_size=30))
-    def test_pop_peek_and_clear_agree(self, ops):
-        assert _queue_trace(EventQueue(), ops) == _queue_trace(SpecQueue(), ops)
+    def test_step_and_peek_agree(self, ops):
+        assert _queue_trace(Simulator(), ops) == _queue_trace(SpecSimulator(), ops)

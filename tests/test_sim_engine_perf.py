@@ -18,7 +18,6 @@ import time
 import pytest
 
 from repro.harness.experiment import ExperimentConfig, run_experiment
-from repro.sim.events import EventQueue
 from repro.sim.simulator import Simulator, total_events_executed
 
 
@@ -72,15 +71,15 @@ class TestDeterminism:
 
 class TestCancellation:
     def test_cancel_is_lazy_but_exact(self):
-        queue = EventQueue()
+        sim = Simulator()
         fired = []
-        keep = queue.push(1.0, lambda: fired.append("keep"))
-        drop = queue.push(1.0, lambda: fired.append("drop"))
+        keep = sim.schedule(1.0, fired.append, args=("keep",))
+        drop = sim.schedule(1.0, fired.append, args=("drop",))
         drop.cancel()
-        assert len(queue._heap) == 2  # lazy: the cancelled entry stays queued
-        while (event := queue.pop()) is not None:
-            event.callback(*event.args)
+        assert len(sim._queue._heap) == 2  # lazy: the cancelled entry stays queued
+        sim.run()
         assert fired == ["keep"]
+        assert sim.steps_executed == 1
         assert not keep.cancelled and drop.cancelled
 
     def test_cancelled_timer_never_fires_after_requeue(self):
@@ -107,14 +106,13 @@ class TestCancellation:
 class TestTieBreaking:
     def test_fifo_under_interleaved_pushes(self):
         """Cancellable and transient pushes at one instant fire in push order."""
-        queue = EventQueue()
+        sim = Simulator()
         fired = []
-        queue.push(3.0, fired.append, args=("first",))
-        queue.push_transient(3.0, fired.append, args=("second",))
-        queue.push(3.0, fired.append, args=("third",))
-        queue.push_transient(3.0, fired.append, args=("fourth",))
-        while (event := queue.pop()) is not None:
-            event.callback(*event.args)
+        sim.schedule(3.0, fired.append, args=("first",))
+        sim._queue.push_transient(3.0, fired.append, args=("second",))
+        sim.schedule(3.0, fired.append, args=("third",))
+        sim._queue.push_transient(3.0, fired.append, args=("fourth",))
+        sim.run()
         assert fired == ["first", "second", "third", "fourth"]
 
     def test_fifo_preserved_for_nested_same_time_scheduling(self):

@@ -1,43 +1,39 @@
-"""Unit tests for the event queue primitives."""
+"""Unit tests for the event queue primitives, fired by the simulator's run loop."""
 
 from __future__ import annotations
 
 from repro.sim.events import EventQueue
+from repro.sim.simulator import Simulator
 
 
 class TestEventOrdering:
     def test_events_ordered_by_time(self):
-        queue = EventQueue()
+        sim = Simulator()
         fired = []
-        queue.push(5.0, lambda: fired.append("b"))
-        queue.push(1.0, lambda: fired.append("a"))
-        queue.push(9.0, lambda: fired.append("c"))
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            event.callback()
+        sim.schedule(5.0, fired.append, args=("b",))
+        sim.schedule(1.0, fired.append, args=("a",))
+        sim.schedule(9.0, fired.append, args=("c",))
+        sim.run()
         assert fired == ["a", "b", "c"]
 
     def test_same_time_fifo(self):
-        queue = EventQueue()
+        sim = Simulator()
         fired = []
         for name in ["first", "second", "third"]:
-            queue.push(3.0, lambda n=name: fired.append(n))
-        while (event := queue.pop()) is not None:
-            event.callback()
+            sim.schedule(3.0, fired.append, args=(name,))
+        sim.run()
         assert fired == ["first", "second", "third"]
 
     def test_same_time_fifo_across_slot_and_heap(self):
         """Same-time entries fire in push order, wherever each one is kept."""
-        queue = EventQueue()
+        sim = Simulator()
+        queue = sim._queue
         fired = []
         queue.push_transient(3.0, fired.append, args=("first",))
         queue.push(3.0, fired.append, args=("second",))
         queue.push_transient(3.0, fired.append, args=("third",))
         queue.push_transient(1.0, fired.append, args=("earlier",))
-        while (event := queue.pop()) is not None:
-            event.callback(*event.args)
+        sim.run()
         assert fired == ["earlier", "first", "second", "third"]
 
     def test_transient_push_keeps_the_first_entry_in_the_slot(self):
@@ -65,20 +61,21 @@ class TestEventOrdering:
 
 
 class TestCancellation:
-    def test_cancelled_event_not_returned(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        event.cancel()
-        assert queue.pop() is None
+    def test_cancelled_event_never_fires(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, args=("cancelled",)).cancel()
+        sim.run()
+        assert fired == []
+        assert sim.steps_executed == 0
 
     def test_cancel_only_affects_target(self):
-        queue = EventQueue()
+        sim = Simulator()
         fired = []
-        keep = queue.push(1.0, lambda: fired.append("keep"))
-        drop = queue.push(2.0, lambda: fired.append("drop"))
+        keep = sim.schedule(1.0, fired.append, args=("keep",))
+        drop = sim.schedule(2.0, fired.append, args=("drop",))
         drop.cancel()
-        while (event := queue.pop()) is not None:
-            event.callback()
+        sim.run()
         assert fired == ["keep"]
         assert not keep.cancelled
 
@@ -88,12 +85,3 @@ class TestCancellation:
         queue.push(5.0, lambda: None)
         first.cancel()
         assert queue.peek_time() == 5.0
-
-    def test_clear_empties_queue(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        queue.push_transient(0.5, lambda: None)
-        queue.clear()
-        assert queue.pop() is None
-        assert queue.peek_time() is None

@@ -6,7 +6,7 @@ import pytest
 
 from repro.sim.network import MIN_DELAY_MS, Network, NetworkConfig
 from repro.sim.simulator import Simulator
-from repro.sim.topology import uniform_topology
+from tests.conftest import uniform_topology
 
 
 class RecordingNode:

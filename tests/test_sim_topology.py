@@ -4,14 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.topology import (
-    EC2_SITES,
-    Topology,
-    custom_topology,
-    ec2_five_sites,
-    lan_topology,
-    uniform_topology,
-)
+from repro.sim.topology import EC2_SITES, Topology, custom_topology, ec2_five_sites
+from tests.conftest import lan_topology, uniform_topology
 
 
 class TestEc2Topology:

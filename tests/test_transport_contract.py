@@ -24,7 +24,7 @@ from repro.runtime.batching import BatchingConfig
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.simulator import Simulator
-from repro.sim.topology import lan_topology
+from tests.conftest import lan_topology
 
 
 class RecordingNode(Node):
