@@ -10,8 +10,9 @@ rows, sorted scans, every parked proposal re-scanned after every write), the
 reference column below.
 
 Because both variants run interleaved in the same process on the same data,
-the reported speedups are meaningful even on noisy shared hosts (each
-sample is a best-of-``REPS`` minimum).  Every number here is wall-clock, so
+the reported speedups are meaningful even on noisy shared hosts: the two
+alternate rep by rep, so a burst of host load lands on both, and each sample
+is a best-of-``REPS`` minimum.  Every number here is wall-clock, so
 the per-size speedup table is printed (``pytest -s``), not written to a
 tracked file; the optimized-vs-reference ratios are asserted — the ratchet
 that reverting the bitsets trips.  (Delivery and the wire codec have no row
@@ -35,7 +36,7 @@ from tests.spec_caesar import SpecHistory, SpecWait, compute_predecessors
 BUCKET_SIZES = (64, 256, 1024)
 
 #: Best-of-N repetitions per sample (defends against scheduler noise).
-REPS = 3
+REPS = 5
 
 #: Parked proposals / finalized entries in the wait-path sample.
 PARKED = 8
@@ -59,16 +60,23 @@ def fill(history, commands, status=CommandStatus.FAST_PENDING) -> None:
         history.update(command, ts(offset + 1), set(), status, BALLOT)
 
 
-def best_of(fn: Callable[[], int]) -> tuple:
-    """Run ``fn`` (which returns an op count) REPS times; (ops, min seconds)."""
-    ops = 0
-    best = float("inf")
+def best_of(run_optimized: Callable[[], int],
+            run_reference: Callable[[], int]) -> Dict[str, float]:
+    """Ops/second of each variant, best of REPS runs taken alternately.
+
+    Each ``run_*`` returns its op count.  Timing all of one variant's reps
+    before the other's let a burst of load on a shared host fall on one
+    side only and swing the ratio; alternating spreads it over both.
+    """
+    best = {"optimized": (0, float("inf")), "reference": (0, float("inf"))}
     for _ in range(REPS):
-        started = time.perf_counter()
-        ops = fn()
-        elapsed = time.perf_counter() - started
-        best = min(best, elapsed)
-    return ops, best
+        for name, fn in (("optimized", run_optimized), ("reference", run_reference)):
+            started = time.perf_counter()
+            ops = fn()
+            elapsed = time.perf_counter() - started
+            if elapsed < best[name][1]:
+                best[name] = (ops, elapsed)
+    return {name: ops / seconds for name, (ops, seconds) in best.items()}
 
 
 # ----------------------------------------------------------- the three shapes
@@ -98,9 +106,7 @@ def time_compute_predecessors(size: int) -> Dict[str, float]:
             compute_predecessors(reference, probe, probe_ts)
         return iterations
 
-    ops, seconds = best_of(run_optimized)
-    ref_ops, ref_seconds = best_of(run_reference)
-    return {"optimized": ops / seconds, "reference": ref_ops / ref_seconds}
+    return best_of(run_optimized, run_reference)
 
 
 def time_history_update(size: int) -> Dict[str, float]:
@@ -117,9 +123,7 @@ def time_history_update(size: int) -> Dict[str, float]:
         fill(history, commands)
         return size
 
-    ops, seconds = best_of(run_optimized)
-    ref_ops, ref_seconds = best_of(run_reference)
-    return {"optimized": ops / seconds, "reference": ref_ops / ref_seconds}
+    return best_of(run_optimized, run_reference)
 
 
 def time_wait_notify(size: int) -> Dict[str, float]:
@@ -161,9 +165,7 @@ def time_wait_notify(size: int) -> Dict[str, float]:
             manager.rescan()
         return PARKED + notifies
 
-    ops, seconds = best_of(run_optimized)
-    ref_ops, ref_seconds = best_of(run_reference)
-    return {"optimized": ops / seconds, "reference": ref_ops / ref_seconds}
+    return best_of(run_optimized, run_reference)
 
 
 OPERATIONS = {

@@ -13,6 +13,7 @@ from repro.consensus.quorums import (
     fast_quorum_size,
     max_failures,
 )
+from repro.runtime.kernel import QuorumTracker
 
 
 class TestBallots:
@@ -62,6 +63,15 @@ class TestQuorumSizes:
     def test_cluster_too_small_rejected(self):
         with pytest.raises(ValueError):
             QuorumSystem.for_cluster(2)
+
+    def test_quorum_predicates(self):
+        """Vote collection meets a quorum at exactly the system's sizes."""
+        quorums = QuorumSystem.for_cluster(5)
+        for threshold in (quorums.classic, quorums.fast):
+            tracker = QuorumTracker(threshold)
+            votes = [tracker.vote(src) for src in range(threshold)]
+            assert votes == [False] * (threshold - 1) + [True]
+        assert (quorums.classic, quorums.fast) == (3, 4)
 
     def test_recovery_majority_is_half_classic_plus_one(self):
         assert QuorumSystem.for_cluster(5).recovery_majority == 2

@@ -29,6 +29,15 @@ class TestOrdering:
 
 
 class TestGenerator:
+    def test_initial_value_is_zero(self):
+        """A fresh clock reads ``<0, node>``: above ``<0, lower>``, below ``<0, higher>``."""
+        below = TimestampGenerator(2)
+        below.observe(LogicalTimestamp(0, 1))
+        assert below.next_timestamp() == LogicalTimestamp(1, 2)
+        above = TimestampGenerator(2)
+        above.observe(LogicalTimestamp(0, 3))
+        assert above.next_timestamp() == LogicalTimestamp(2, 2)
+
     def test_first_timestamp_has_counter_one(self):
         assert TimestampGenerator(2).next_timestamp() == LogicalTimestamp(1, 2)
 

@@ -8,6 +8,7 @@ from repro.consensus.ballots import Ballot
 from repro.consensus.command import KeyBindingError
 from repro.consensus.timestamps import LogicalTimestamp, TimestampRangeError
 from repro.core.history import CommandHistory, CommandStatus
+from repro.core.predecessors import compute_predecessor_mask
 from tests.conftest import make_command
 
 
@@ -39,6 +40,17 @@ class TestUpdateAndLookup:
 
     def test_get_unknown_returns_none(self):
         assert CommandHistory().get((1, 2)) is None
+
+    def test_predecessors_of_unknown_is_empty(self):
+        """GETPREDECESSORS of a command on a key the history has never seen."""
+        assert compute_predecessor_mask(CommandHistory(), make_command(1, 2), ts(1)) == 0
+
+    def test_status_of(self):
+        history = CommandHistory()
+        command = make_command(0, 0)
+        history.update(command, ts(1), set(), CommandStatus.ACCEPTED, Ballot.initial(0))
+        assert history.get(command.command_id).status is CommandStatus.ACCEPTED
+        assert history.get((9, 9)) is None
 
     def test_remove_cleans_key_index(self):
         history = CommandHistory()
@@ -181,7 +193,36 @@ class TestFirstKeyBinding:
         assert history.index_of(named) == entry.index
 
 
+def predecessor_ids(history: CommandHistory, command, timestamp) -> set:
+    """GETPREDECESSORS as ids: the product's mask, decoded on the command's key."""
+    mask = compute_predecessor_mask(history, command, timestamp)
+    return set(history.ids_from_mask(mask, command.key))
+
+
 class TestConflictIndex:
+    def test_conflicting_with_same_key(self):
+        history = CommandHistory()
+        first = make_command(0, 0, key="x")
+        second = make_command(1, 0, key="x")
+        unrelated = make_command(2, 0, key="y")
+        for i, command in enumerate([first, second, unrelated]):
+            history.update(command, ts(i), set(), CommandStatus.FAST_PENDING, Ballot.initial(0))
+        later = make_command(3, 0, key="x")
+        assert predecessor_ids(history, later, ts(9)) == {first.command_id, second.command_id}
+
+    def test_conflicting_excludes_self(self):
+        history = CommandHistory()
+        command = make_command(0, 0, key="x")
+        history.update(command, ts(1), set(), CommandStatus.FAST_PENDING, Ballot.initial(0))
+        assert predecessor_ids(history, command, ts(9)) == set()
+
+    def test_reads_do_not_conflict(self):
+        history = CommandHistory()
+        read_one = make_command(0, 0, key="x", operation="get")
+        read_two = make_command(1, 0, key="x", operation="get")
+        history.update(read_one, ts(1), set(), CommandStatus.FAST_PENDING, Ballot.initial(0))
+        assert predecessor_ids(history, read_two, ts(9)) == set()
+
     def test_a_key_bucket_holds_only_that_key(self):
         history = CommandHistory()
         first = make_command(0, 0, key="x")

@@ -61,7 +61,7 @@ class TestEventOrdering:
 
 
 class TestCancellation:
-    def test_cancelled_event_never_fires(self):
+    def test_cancelled_event_not_returned(self):
         sim = Simulator()
         fired = []
         sim.schedule(1.0, fired.append, args=("cancelled",)).cancel()

@@ -66,6 +66,17 @@ class TestCrashInjector:
         assert not nodes[0].crashed
         assert injector.restarts_performed == [0]
 
+    def test_crash_now(self):
+        """A crash planned for the current instant happens on the next step."""
+        sim = Simulator()
+        network = Network(sim, uniform_topology(1, rtt_ms=5.0))
+        nodes = {0: DetectorNode(0, sim, network)}
+        injector = CrashInjector(sim, nodes)
+        injector.schedule(ScheduledCrash(node_id=0, crash_at_ms=sim.now))
+        sim.run()
+        assert nodes[0].crashed
+        assert injector.crashes_performed == [0]
+
     def test_double_crash_recorded_once(self):
         sim = Simulator()
         network = Network(sim, uniform_topology(1, rtt_ms=5.0))
@@ -116,6 +127,15 @@ class TestFailureDetector:
         sim.run(until=50.0)
         detector.observe_any_message(1)
         assert 1 not in detector.suspected
+
+    def test_stop_prevents_further_suspicions(self):
+        """A crashed owner's detector stops: it neither checks nor suspects."""
+        sim, nodes = build_detector_cluster()
+        nodes[0].crash()
+        nodes[2].crash()
+        sim.run(until=500.0)
+        assert nodes[0].suspected == []
+        assert sorted(nodes[1].suspected) == [0, 2]
 
     def test_suspect_callback_fired_once_per_peer(self):
         sim, nodes = build_detector_cluster()
