@@ -37,7 +37,7 @@ from repro.consensus.interface import DecisionKind
 from repro.consensus.quorums import QuorumSystem, epaxos_fast_quorum_size
 from repro.kvstore.state_machine import StateMachine
 from repro.runtime.clock import Clock
-from repro.runtime.codec import BOOL, UINT
+from repro.runtime.codec import BOOL, UINT, value_type
 from repro.runtime.costs import CostModel
 from repro.runtime.fields import (
     BALLOT,
@@ -64,7 +64,7 @@ class InstanceStatus(enum.Enum):
     NOOP = "noop"
 
 
-@dataclass
+@dataclass(slots=True)
 class Instance:
     """A replica's knowledge about one EPaxos instance."""
 
@@ -98,7 +98,7 @@ class Instance:
 
 @register_message(instance_id=INSTANCE_ID, command=COMMAND, seq=UINT,
                   deps=INSTANCE_ID_SET, ballot=BALLOT)
-@dataclass(frozen=True, slots=True)
+@value_type
 class PreAccept:
     """Leader -> replicas: phase-1 proposal with locally computed attributes."""
 
@@ -111,7 +111,7 @@ class PreAccept:
 
 @register_message(instance_id=INSTANCE_ID, seq=UINT, deps=INSTANCE_ID_SET,
                   ballot=BALLOT, changed=BOOL)
-@dataclass(frozen=True, slots=True)
+@value_type
 class PreAcceptReply:
     """Replica -> leader: possibly augmented attributes."""
 
@@ -124,7 +124,7 @@ class PreAcceptReply:
 
 @register_message(instance_id=INSTANCE_ID, command=COMMAND, seq=UINT,
                   deps=INSTANCE_ID_SET, ballot=BALLOT)
-@dataclass(frozen=True, slots=True)
+@value_type
 class Accept:
     """Leader -> replicas: slow-path accept with unioned attributes."""
 
@@ -136,7 +136,7 @@ class Accept:
 
 
 @register_message(instance_id=INSTANCE_ID, ballot=BALLOT)
-@dataclass(frozen=True, slots=True)
+@value_type
 class AcceptReply:
     """Replica -> leader: slow-path acknowledgement."""
 
@@ -146,7 +146,7 @@ class AcceptReply:
 
 @register_message(instance_id=INSTANCE_ID, command=OPTIONAL_COMMAND, seq=UINT,
                   deps=INSTANCE_ID_SET)
-@dataclass(frozen=True, slots=True)
+@value_type
 class Commit:
     """Leader -> replicas: final attributes of a committed instance."""
 
@@ -157,7 +157,7 @@ class Commit:
 
 
 @register_message(instance_id=INSTANCE_ID, ballot=BALLOT)
-@dataclass(frozen=True, slots=True)
+@value_type
 class Prepare:
     """Recovery prepare for an instance whose leader is suspected."""
 
@@ -168,7 +168,7 @@ class Prepare:
 @register_message(instance_id=INSTANCE_ID, ballot=BALLOT, known=BOOL,
                   command=OPTIONAL_COMMAND, seq=UINT, deps=INSTANCE_ID_SET,
                   status=OPTIONAL_STRING)
-@dataclass(frozen=True, slots=True)
+@value_type
 class PrepareReply:
     """Reply to a recovery prepare with the replica's current instance state."""
 
@@ -239,7 +239,8 @@ class EPaxosReplica(ProtocolKernel):
         self._next_instance += 1
         deps = frozenset(self._interfering_instances(command, exclude=instance_id))
         seq = self._next_seq(deps)
-        self.consume_cpu(self.cost_model.dependency_cost(len(deps)))
+        # CostModel.dependency_cost, inlined: the same product, and 0.0 for none.
+        self.consume_cpu(self.cost_model.per_dependency_ms * len(deps))
         instance = Instance(instance_id=instance_id, command=command, seq=seq,
                             deps=deps, status=InstanceStatus.PRE_ACCEPTED,
                             ballot=Ballot.initial(self.node_id))
@@ -302,8 +303,10 @@ class EPaxosReplica(ProtocolKernel):
             self._command_instance.setdefault(command.command_id, instance_id)
 
     def _index_for(self, command: Command) -> Set[InstanceId]:
-        writes, reads = self._conflict_index.setdefault(command.key, (set(), set()))
-        return writes if command.is_write else reads
+        index = self._conflict_index.get(command.key)
+        if index is None:
+            index = self._conflict_index[command.key] = (set(), set())
+        return index[0] if command.is_write else index[1]
 
     # phase 1 -----------------------------------------------------------------
 
@@ -319,7 +322,7 @@ class EPaxosReplica(ProtocolKernel):
         deps = message.deps | self._interfering_instances(message.command,
                                                           exclude=message.instance_id)
         seq = max(message.seq, self._next_seq(deps))
-        self.consume_cpu(self.cost_model.dependency_cost(len(deps)))
+        self.consume_cpu(self.cost_model.per_dependency_ms * len(deps))
         changed = deps != message.deps or seq != message.seq
         instance = Instance(instance_id=message.instance_id, command=message.command,
                             seq=seq, deps=deps, status=InstanceStatus.PRE_ACCEPTED,
@@ -534,20 +537,36 @@ class EPaxosReplica(ProtocolKernel):
         cannot be executed yet.  ``root`` itself is not executed (the caller
         checks).
 
-        For a committed root whose dependencies are all executed the walk
-        would visit that one node, skip every dependency and pop a one-member
-        component, so the answer is returned without building the walk, with
-        the count and the CPU charge of one visited node: the virtual clock
-        cannot tell the two apart.
+        Two cases of a committed root are answered without building the walk,
+        with the count and the CPU charge of the one node the walk would
+        visit, so the virtual clock cannot tell them apart from it:
+
+        * every dependency is executed: the walk would visit the root, skip
+          every dependency and pop a one-member component;
+        * the first unexecuted dependency in sorted order is unknown or not
+          committed: the walk would visit the root, descend into that
+          dependency first and stop there, blocked.  (A root among its own
+          dependencies is committed, so it is never that blocker.)
+
+        CPU charges are ``CostModel.dependency_cost`` of the visited count,
+        inlined; a zero charge is still made.
         """
         instances = self.instances
         executed = self._executed
+        per_node_ms = self.cost_model.per_dependency_ms
         instance = instances.get(root)
-        if (instance is not None and instance.status is InstanceStatus.COMMITTED
-                and instance.deps <= executed):
-            self.stats.graph_nodes_visited += 1
-            self.consume_cpu(self.cost_model.dependency_cost(1))
-            return [root]
+        if instance is not None and instance.status is InstanceStatus.COMMITTED:
+            waiting = instance.deps - executed
+            if not waiting:
+                self.stats.graph_nodes_visited += 1
+                self.consume_cpu(per_node_ms)
+                return [root]
+            first = instances.get(min(waiting))
+            if first is None or first.status in (InstanceStatus.PRE_ACCEPTED,
+                                                 InstanceStatus.ACCEPTED):
+                self.stats.graph_nodes_visited += 1
+                self.consume_cpu(per_node_ms)
+                return None
         order: List[InstanceId] = []
         index: Dict[InstanceId, int] = {}
         lowlink: Dict[InstanceId, int] = {}
@@ -566,7 +585,7 @@ class EPaxosReplica(ProtocolKernel):
                 if instance is None or instance.status in (InstanceStatus.PRE_ACCEPTED,
                                                            InstanceStatus.ACCEPTED):
                     self.stats.graph_nodes_visited += visited_count
-                    self.consume_cpu(self.cost_model.dependency_cost(visited_count))
+                    self.consume_cpu(per_node_ms * visited_count)
                     return None
                 index[node] = counter
                 lowlink[node] = counter
@@ -611,7 +630,7 @@ class EPaxosReplica(ProtocolKernel):
                 work[-1][2] = node
 
         self.stats.graph_nodes_visited += visited_count
-        self.consume_cpu(self.cost_model.dependency_cost(visited_count))
+        self.consume_cpu(per_node_ms * visited_count)
         return order
 
     # recovery ---------------------------------------------------------------

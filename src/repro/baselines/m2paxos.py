@@ -20,7 +20,15 @@ from repro.consensus.interface import DecisionKind
 from repro.consensus.quorums import QuorumSystem
 from repro.kvstore.state_machine import StateMachine
 from repro.runtime.clock import Clock
-from repro.runtime.codec import BOOL, STRING, UINT, OptionalCodec, SeqCodec, TupleCodec
+from repro.runtime.codec import (
+    BOOL,
+    STRING,
+    UINT,
+    OptionalCodec,
+    SeqCodec,
+    TupleCodec,
+    value_type,
+)
 from repro.runtime.costs import CostModel
 from repro.runtime.fields import COMMAND
 from repro.runtime.kernel import ProtocolKernel, QuorumTracker, handles
@@ -49,7 +57,7 @@ NOOP_OPERATION = "__noop__"
 
 
 @register_message(key=STRING, epoch=UINT, requester=UINT, next_execute=UINT)
-@dataclass(frozen=True, slots=True)
+@value_type
 class AcquireOwnership:
     """Requester -> all: ask to become the owner of ``key`` at ``epoch``.
 
@@ -67,7 +75,7 @@ class AcquireOwnership:
                   current_owner=OptionalCodec(UINT), next_index=UINT,
                   accepted=SeqCodec(TupleCodec(UINT, UINT, COMMAND)),
                   decided=SeqCodec(TupleCodec(UINT, COMMAND)))
-@dataclass(frozen=True, slots=True)
+@value_type
 class AcquireReply:
     """Voter -> requester: grant or refuse the ownership request.
 
@@ -106,7 +114,7 @@ class AcquireReply:
 
 
 @register_message(command=COMMAND, hops=UINT)
-@dataclass(frozen=True, slots=True)
+@value_type
 class ForwardCommand:
     """Non-owner -> owner: please order this command on your key.
 
@@ -123,7 +131,7 @@ class ForwardCommand:
 
 
 @register_message(key=STRING, index=UINT, command=COMMAND, owner=UINT, epoch=UINT)
-@dataclass(frozen=True, slots=True)
+@value_type
 class AcceptCommand:
     """Owner -> all: accept ``command`` at per-key position ``index``."""
 
@@ -135,7 +143,7 @@ class AcceptCommand:
 
 
 @register_message(key=STRING, index=UINT, epoch=UINT)
-@dataclass(frozen=True, slots=True)
+@value_type
 class AcceptCommandReply:
     """Replica -> owner: acknowledgement of a per-key accept."""
 
@@ -146,7 +154,7 @@ class AcceptCommandReply:
 
 @register_message(key=STRING, index=UINT, epoch=UINT, current_epoch=UINT,
                   current_owner=OptionalCodec(UINT))
-@dataclass(frozen=True, slots=True)
+@value_type
 class AcceptNack:
     """Replica -> stale owner: the accept's epoch is obsolete.
 
@@ -165,7 +173,7 @@ class AcceptNack:
 
 
 @register_message(key=STRING, index=UINT, command=COMMAND, owner=UINT, epoch=UINT)
-@dataclass(frozen=True, slots=True)
+@value_type
 class DecideCommand:
     """Owner -> all: the command at ``(key, index)`` is decided."""
 

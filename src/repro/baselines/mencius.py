@@ -18,7 +18,6 @@ after hearing from everyone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Set
 
 from repro.consensus.command import Command
@@ -26,7 +25,7 @@ from repro.consensus.interface import DecisionKind
 from repro.consensus.quorums import QuorumSystem
 from repro.kvstore.state_machine import StateMachine
 from repro.runtime.clock import Clock
-from repro.runtime.codec import UINT, FrozenSetCodec
+from repro.runtime.codec import UINT, FrozenSetCodec, value_type
 from repro.runtime.costs import CostModel
 from repro.runtime.fields import COMMAND
 from repro.runtime.kernel import ProtocolKernel, QuorumTracker, handles
@@ -37,7 +36,7 @@ from repro.runtime.registry import register_message
 
 
 @register_message(slot=UINT, command=COMMAND)
-@dataclass(frozen=True, slots=True)
+@value_type
 class SlotPropose:
     """Slot owner -> all: order ``command`` at ``slot``."""
 
@@ -46,7 +45,7 @@ class SlotPropose:
 
 
 @register_message(slot=UINT, sender=UINT)
-@dataclass(frozen=True, slots=True)
+@value_type
 class SlotAck:
     """Peer -> slot owner: acknowledgement of a proposed slot."""
 
@@ -55,7 +54,7 @@ class SlotAck:
 
 
 @register_message(slot=UINT, command=COMMAND)
-@dataclass(frozen=True, slots=True)
+@value_type
 class SlotCommit:
     """Slot owner -> all: the slot is decided (execute once contiguous)."""
 
@@ -64,7 +63,7 @@ class SlotCommit:
 
 
 @register_message(sender=UINT, slots=FrozenSetCodec(UINT))
-@dataclass(frozen=True, slots=True)
+@value_type
 class SkipAnnounce:
     """Replica -> all: the listed owned slots will never be used (no-ops)."""
 

@@ -25,7 +25,7 @@ from repro.consensus.interface import DecisionKind
 from repro.consensus.quorums import QuorumSystem
 from repro.kvstore.state_machine import StateMachine
 from repro.runtime.clock import Clock
-from repro.runtime.codec import SINT, UINT, SeqCodec, TupleCodec
+from repro.runtime.codec import SINT, UINT, SeqCodec, TupleCodec, value_type
 from repro.runtime.costs import CostModel
 from repro.runtime.fields import BALLOT, COMMAND
 from repro.runtime.kernel import ProtocolKernel, QuorumTracker, handles
@@ -36,7 +36,7 @@ from repro.runtime.registry import register_message
 
 
 @register_message(command=COMMAND)
-@dataclass(frozen=True, slots=True)
+@value_type
 class ClientForward:
     """Non-leader replica -> leader: please order this client command."""
 
@@ -44,7 +44,7 @@ class ClientForward:
 
 
 @register_message(slot=UINT, command=COMMAND, ballot=BALLOT)
-@dataclass(frozen=True, slots=True)
+@value_type
 class AcceptSlot:
     """Leader -> replicas: accept ``command`` in log position ``slot``."""
 
@@ -54,7 +54,7 @@ class AcceptSlot:
 
 
 @register_message(slot=UINT, ballot=BALLOT)
-@dataclass(frozen=True, slots=True)
+@value_type
 class AcceptSlotReply:
     """Replica -> leader: acknowledgement of an accepted slot."""
 
@@ -63,7 +63,7 @@ class AcceptSlotReply:
 
 
 @register_message(slot=UINT, command=COMMAND)
-@dataclass(frozen=True, slots=True)
+@value_type
 class CommitSlot:
     """Leader -> replicas: ``slot`` is chosen; execute in log order."""
 
@@ -72,7 +72,7 @@ class CommitSlot:
 
 
 @register_message(ballot=BALLOT, from_slot=UINT)
-@dataclass(frozen=True, slots=True)
+@value_type
 class LeaderPrepare:
     """New leader -> replicas: prepare for take-over with a higher ballot."""
 
@@ -82,7 +82,7 @@ class LeaderPrepare:
 
 @register_message(ballot=BALLOT, accepted=SeqCodec(TupleCodec(UINT, COMMAND)),
                   highest_slot=SINT)
-@dataclass(frozen=True, slots=True)
+@value_type
 class LeaderPrepareReply:
     """Replica -> new leader: accepted-but-uncommitted slots plus its log frontier."""
 

@@ -9,11 +9,12 @@ complete the decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from repro.runtime.codec import value_type
 
-@dataclass(frozen=True, slots=True)
+
+@value_type
 class Ballot:
     """A ``(round, node_id)`` ballot, ordered lexicographically.
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro.runtime.codec import value_type
+
 #: Commands are globally identified by ``(client_id, sequence_number)``.
 CommandId = Tuple[int, int]
 
@@ -23,7 +25,7 @@ class KeyBindingError(ValueError):
                          f"named on key {named_key!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class Command:
     """A client operation to be ordered by consensus.
 

@@ -9,14 +9,14 @@ timestamp alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.runtime.codec import value_type
 
 
 class TimestampRangeError(ValueError):
     """A timestamp's node id does not fit in 32 bits (only a peer can send one)."""
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class LogicalTimestamp:
     """A ``<k, node_id>`` logical timestamp.
 

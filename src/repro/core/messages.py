@@ -13,13 +13,12 @@ by the kernel and the byte-accurate codec behind the footprint benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command, CommandId
 from repro.consensus.timestamps import LogicalTimestamp
-from repro.runtime.codec import BOOL, UINT, OptionalCodec, SeqCodec
+from repro.runtime.codec import BOOL, UINT, OptionalCodec, SeqCodec, value_type
 from repro.runtime.fields import (
     BALLOT,
     COMMAND,
@@ -35,7 +34,7 @@ from repro.runtime.registry import register_message
 
 @register_message(command=COMMAND, ballot=BALLOT, timestamp=TIMESTAMP,
                   whitelist=OptionalCodec(COMMAND_ID_SET))
-@dataclass(frozen=True, slots=True)
+@value_type
 class FastPropose:
     """Leader -> all: propose ``command`` at ``timestamp`` (fast proposal phase)."""
 
@@ -47,7 +46,7 @@ class FastPropose:
 
 @register_message(command_id=COMMAND_ID, ballot=BALLOT, timestamp=TIMESTAMP,
                   predecessors=COMMAND_ID_SET, ok=BOOL)
-@dataclass(frozen=True, slots=True)
+@value_type
 class FastProposeReply:
     """Acceptor -> leader: confirm (``ok=True``) or reject the fast proposal.
 
@@ -65,7 +64,7 @@ class FastProposeReply:
 
 @register_message(command=COMMAND, ballot=BALLOT, timestamp=TIMESTAMP,
                   predecessors=COMMAND_ID_SET)
-@dataclass(frozen=True, slots=True)
+@value_type
 class SlowPropose:
     """Leader -> all: proposal re-issued on a classic quorum after a fast-quorum timeout."""
 
@@ -77,7 +76,7 @@ class SlowPropose:
 
 @register_message(command_id=COMMAND_ID, ballot=BALLOT, timestamp=TIMESTAMP,
                   predecessors=COMMAND_ID_SET, ok=BOOL)
-@dataclass(frozen=True, slots=True)
+@value_type
 class SlowProposeReply:
     """Acceptor -> leader: confirm or reject a slow proposal."""
 
@@ -90,7 +89,7 @@ class SlowProposeReply:
 
 @register_message(command=COMMAND, ballot=BALLOT, timestamp=TIMESTAMP,
                   predecessors=COMMAND_ID_SET)
-@dataclass(frozen=True, slots=True)
+@value_type
 class Retry:
     """Leader -> all: ask acceptance of the retried timestamp (never rejected)."""
 
@@ -102,7 +101,7 @@ class Retry:
 
 @register_message(command_id=COMMAND_ID, ballot=BALLOT, timestamp=TIMESTAMP,
                   predecessors=COMMAND_ID_SET)
-@dataclass(frozen=True, slots=True)
+@value_type
 class RetryReply:
     """Acceptor -> leader: acknowledgement of a retry, with extra predecessors."""
 
@@ -114,7 +113,7 @@ class RetryReply:
 
 @register_message(command=COMMAND, ballot=BALLOT, timestamp=TIMESTAMP,
                   predecessors=COMMAND_ID_SET)
-@dataclass(frozen=True, slots=True)
+@value_type
 class Stable:
     """Leader -> all: the command's final timestamp and predecessor set."""
 
@@ -125,7 +124,7 @@ class Stable:
 
 
 @register_message(command=COMMAND, ballot=BALLOT)
-@dataclass(frozen=True, slots=True)
+@value_type
 class Recovery:
     """Recovering node -> all: Paxos-like prepare for a suspected command."""
 
@@ -136,7 +135,7 @@ class Recovery:
 @register_message(command_id=COMMAND_ID, ballot=BALLOT, known=BOOL,
                   entry_ballot=OPTIONAL_BALLOT, timestamp=OPTIONAL_TIMESTAMP,
                   predecessors=COMMAND_ID_SET, status=OPTIONAL_STRING, forced=BOOL)
-@dataclass(frozen=True, slots=True)
+@value_type
 class RecoveryReply:
     """Acceptor -> recovering node: the acceptor's current tuple for the command.
 
@@ -156,7 +155,7 @@ class RecoveryReply:
 
 
 @register_message(position=UINT, ids=SeqCodec(COMMAND_ID), received=UINT)
-@dataclass(frozen=True, slots=True)
+@value_type
 class Delivered:
     """Replica -> peer: the ids the sender delivered, for history collection.
 

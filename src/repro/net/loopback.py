@@ -27,8 +27,7 @@ LOOPBACK_RECONNECT = ReconnectPolicy(initial_ms=20.0, factor=1.5, max_ms=200.0,
 class LoopbackCluster:
     """N replica servers sharing one event loop over localhost TCP."""
 
-    def __init__(self, protocol: str, replicas: int = 3, seed: int = 0,
-                 recovery: bool = False) -> None:
+    def __init__(self, protocol: str, replicas: int = 3, seed: int = 0) -> None:
         sockets = []
         for _ in range(replicas):
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -38,8 +37,7 @@ class LoopbackCluster:
                       for i, sock in enumerate(sockets)}
         self.servers: Dict[int, ReplicaServer] = {
             i: ReplicaServer(
-                ReplicaConfig(node_id=i, peers=self.peers, protocol=protocol,
-                              seed=seed, recovery=recovery),
+                ReplicaConfig(node_id=i, peers=self.peers, protocol=protocol, seed=seed),
                 server_socket=sock, reconnect=LOOPBACK_RECONNECT)
             for i, sock in enumerate(sockets)}
 

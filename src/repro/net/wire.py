@@ -28,11 +28,10 @@ same accounting as every protocol message.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.consensus.command import Command
-from repro.runtime.codec import STRING, UINT, OptionalCodec
+from repro.runtime.codec import STRING, UINT, OptionalCodec, value_type
 from repro.runtime.fields import COMMAND, COMMAND_ID
 from repro.runtime.registry import TYPE_IDS, register_message
 
@@ -52,7 +51,7 @@ REGISTRY_DIGEST = zlib.crc32("".join(
 
 
 @register_message(sender=UINT, role=UINT, digest=UINT)
-@dataclass(frozen=True, slots=True)
+@value_type
 class Hello:
     """Mandatory first frame on every connection: who is calling, and why.
 
@@ -69,7 +68,7 @@ class Hello:
 
 
 @register_message(command=COMMAND)
-@dataclass(frozen=True, slots=True)
+@value_type
 class ClientRequest:
     """A client command submitted to the receiving replica for ordering."""
 
@@ -77,7 +76,7 @@ class ClientRequest:
 
 
 @register_message(command_id=COMMAND_ID, value=OptionalCodec(STRING), rejected=UINT)
-@dataclass(frozen=True, slots=True)
+@value_type
 class ClientReply:
     """The executed command's result, sent on the submitting connection.
 
@@ -91,7 +90,7 @@ class ClientReply:
 
 
 @register_message(sender=UINT, include_executed=UINT)
-@dataclass(frozen=True, slots=True)
+@value_type
 class StatsRequest:
     """Ask a replica for its statistics snapshot.
 
@@ -105,7 +104,7 @@ class StatsRequest:
 
 
 @register_message(sender=UINT, payload=STRING)
-@dataclass(frozen=True, slots=True)
+@value_type
 class StatsReply:
     """JSON-encoded statistics snapshot (see ``ReplicaServer.stats_payload``)."""
 

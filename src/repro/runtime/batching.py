@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.runtime.codec import SeqCodec
+from repro.runtime.codec import SeqCodec, value_type
 from repro.runtime.registry import MessageCodec, register_message
 
 
 @register_message(messages=SeqCodec(MessageCodec()))
-@dataclass(frozen=True, slots=True)
+@value_type
 class MessageBatch:
     """A group of protocol messages delivered as a single wire message.
 

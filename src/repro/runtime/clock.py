@@ -7,7 +7,9 @@ schedules callbacks with ``schedule(delay_ms, callback)``.  Two clocks exist:
 * :class:`~repro.sim.simulator.Simulator` — the discrete-event scheduler;
   ``now`` is virtual time and ``schedule`` pushes onto the event heap.  It
   satisfies the interface structurally (no base class on its hot path, and
-  nothing here imports it).
+  nothing here imports it), and its ``now`` is a plain attribute that only
+  its run loops write, not a property: it is read once or more per
+  simulated message.
 * :class:`~repro.net.clock.WallClock` — the asyncio-backed clock used by the
   real-socket transport; ``now`` is monotonic wall time relative to process
   start and ``schedule`` maps onto ``loop.call_later``.
@@ -39,7 +41,11 @@ class Clock(abc.ABC):
     @property
     @abc.abstractmethod
     def now(self) -> float:
-        """Current time in milliseconds (virtual or monotonic wall time)."""
+        """Current time in milliseconds (virtual or monotonic wall time).
+
+        Readers only read it.  The simulator keeps it as a plain attribute
+        (``Simulator.now``), written by its run loops alone.
+        """
 
     @abc.abstractmethod
     def schedule(self, delay: float, callback: Callable[..., None], args: Tuple = ()):

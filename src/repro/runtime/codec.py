@@ -132,14 +132,15 @@ class SourceWriter:
             self.line(f"else: {name}, o = _duv(data, o - 1)")
         return name
 
-    def compile(self, label: str) -> Dict[str, object]:
-        """Execute the module; its source stays readable through linecache."""
+    def compile(self, label: str, kind: str = "wire codec") -> Dict[str, object]:
+        """Execute the module; its source stays readable through linecache
+        under ``<KIND LABEL>``."""
         source = "\n".join(self._lines) + "\n"
-        filename = f"<wire codec {label}>"
+        filename = f"<{kind} {label}>"
         serial = 1
         while filename in linecache.cache:
             serial += 1
-            filename = f"<wire codec {label} #{serial}>"
+            filename = f"<{kind} {label} #{serial}>"
         exec(compile(source, filename, "exec"), self.namespace)
         # mtime None marks the entry as not backed by a file: checkcache()
         # leaves it alone.
@@ -169,6 +170,49 @@ def compile_codec(codec: "Codec", label: str,
         gen.line(f"return {codec.emit_decode(gen)}, o")
     namespace = gen.compile(label)
     return namespace["encode"], namespace["decode"]
+
+
+def value_type(cls: type) -> type:
+    """``@dataclass(frozen=True, slots=True)`` with a constructor that sets slots.
+
+    A frozen dataclass's own ``__init__`` stores every field through
+    ``object.__setattr__``.  The one generated here calls each field's slot
+    descriptor instead, as the decoders :class:`StructCodec` generates do,
+    and builds an object in a little over half the time; messages, commands,
+    timestamps and ballots are built once or more per simulated message.  The
+    dataclass is made with ``init=False``, so a class pays for generating one
+    constructor, not two.  The constructor takes the same arguments
+    (positional or keyword, with the declared defaults); equality, hashing,
+    ``repr``, ``dataclasses.replace`` and frozenness are the dataclass's own.
+    A field with a ``default_factory``, ``init=False`` or ``kw_only``, and a
+    ``__post_init__``, are refused: the generated constructor has no use for
+    them.
+
+    Its source reads back through ``linecache.getlines("<value type NAME>")``.
+    """
+    cls = dataclasses.dataclass(frozen=True, slots=True, init=False)(cls)
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"{cls.__name__} defines __post_init__, which a value type skips")
+    gen = SourceWriter()
+    specs = dataclasses.fields(cls)
+    params = []
+    for spec in specs:
+        if (not spec.init or spec.kw_only
+                or spec.default_factory is not dataclasses.MISSING):
+            raise TypeError(f"{cls.__name__}.{spec.name}: a value type field is a plain "
+                            "positional-or-keyword field, with or without a default")
+        params.append(spec.name if spec.default is dataclasses.MISSING
+                      else f"{spec.name}={gen.bind(spec.default)}")
+    with gen.block(f"def __init__({', '.join(['self', *params])}):"):
+        for spec in specs:
+            gen.line(f"{gen.bind(getattr(cls, spec.name).__set__)}(self, {spec.name})")
+        if not specs:
+            gen.line("pass")
+    init = gen.compile(cls.__qualname__, kind="value type")["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    return cls
 
 
 class Codec:

@@ -46,7 +46,6 @@ Protocol subclasses implement only their actual protocol logic: the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Type, ValuesView
 
 from repro.consensus.ballots import Ballot
@@ -54,7 +53,7 @@ from repro.consensus.interface import ConsensusReplica
 from repro.consensus.quorums import QuorumSystem
 from repro.kvstore.state_machine import StateMachine
 from repro.runtime.clock import Clock
-from repro.runtime.codec import STRING, UINT, SeqCodec
+from repro.runtime.codec import STRING, UINT, SeqCodec, value_type
 from repro.runtime.costs import CostModel
 from repro.runtime.registry import MessageCodec, register_message
 from repro.runtime.stats import ProtocolStats
@@ -197,7 +196,7 @@ CATCHUP_REPLY_LIMIT = 128
 
 
 @register_message(sender=UINT, cursor=UINT, want=SeqCodec(STRING))
-@dataclass(frozen=True, slots=True)
+@value_type
 class CatchUpRequest:
     """Ask peers to replay decided state this replica is missing.
 
@@ -212,7 +211,7 @@ class CatchUpRequest:
 
 
 @register_message(sender=UINT, messages=SeqCodec(MessageCodec()))
-@dataclass(frozen=True, slots=True)
+@value_type
 class CatchUpReply:
     """Replayed decided messages; each is re-dispatched through the normal
     handler path at the receiver (decided-message handlers are idempotent)."""

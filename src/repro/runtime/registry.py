@@ -4,7 +4,7 @@ Every protocol message type in the repository is registered here exactly
 once, with one :class:`~repro.runtime.codec.Codec` per field::
 
     @register_message(command=COMMAND, ballot=BALLOT, timestamp=TIMESTAMP)
-    @dataclass(frozen=True, slots=True)
+    @value_type
     class FastPropose:
         command: Command
         ballot: Ballot
@@ -221,11 +221,13 @@ def register_message(_registry: Optional[MessageRegistry] = None, **field_codecs
     Usage::
 
         @register_message(slot=UINT, command=COMMAND)
-        @dataclass(frozen=True, slots=True)
+        @value_type
         class SlotPropose: ...
 
     Field codecs must be passed in the class's field order (they become the
-    wire layout).
+    wire layout).  Any frozen slotted dataclass registers;
+    :func:`~repro.runtime.codec.value_type` is that dataclass with the
+    cheaper constructor, and every message class in the repository uses it.
     """
     registry = _registry or WIRE
 

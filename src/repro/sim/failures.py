@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
-from repro.runtime.codec import UINT
+from repro.runtime.codec import UINT, value_type
 from repro.runtime.registry import register_message
 
 if TYPE_CHECKING:
@@ -25,7 +25,7 @@ if TYPE_CHECKING:
 
 
 @register_message(sender=UINT, sequence=UINT)
-@dataclass(frozen=True, slots=True)
+@value_type
 class Heartbeat:
     """Periodic liveness message exchanged between nodes."""
 

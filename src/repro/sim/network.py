@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappush
+from math import cos, log, sin, sqrt, tau
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.runtime.transport import NetworkStats, SimulatorTransport
@@ -60,13 +61,14 @@ class Network:
         self.config = config or NetworkConfig()
         self.stats = NetworkStats()
         self._nodes: Dict[int, Node] = {}
-        self._rng = sim.rng.fork("network")
         #: cache of nominal per-pair one-way delays; topology latencies are
         #: immutable during a run, so the string-keyed RTT lookups are paid
         #: once per (src, dst) pair instead of once per message.
         self._nominal_delay: Dict[Tuple[int, int], float] = {}
-        # Bound sampler (skips a wrapper call per message on the jitter path).
-        self._gauss = self._rng.gauss
+        #: the jitter stream's :class:`random.Random` (the simulator seed's
+        #: ``"network"`` fork); :meth:`send` draws from it with ``gauss``'s
+        #: own arithmetic, written out.
+        self._jitter = sim.rng.fork("network").generator
         self._node_ids_cache: Optional[list] = None
 
     def register(self, node: Node) -> None:
@@ -123,14 +125,26 @@ class Network:
             nominal = self._nominal(src, dst)
         jitter = self.config.jitter_ms
         if jitter > 0 and src != dst:
-            nominal += self._gauss(0.0, jitter)
+            # random.Random.gauss(0.0, jitter), inlined on the generator's own
+            # gauss_next: the same two uniform draws, the same floats, and no
+            # dependence on how a later stdlib writes gauss.
+            generator = self._jitter
+            z = generator.gauss_next
+            generator.gauss_next = None
+            if z is None:
+                uniform = generator.random
+                x2pi = uniform() * tau
+                g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+                z = cos(x2pi) * g2rad
+                generator.gauss_next = sin(x2pi) * g2rad
+            nominal += z * jitter
         delay = MIN_DELAY_MS if nominal < MIN_DELAY_MS else nominal
         # The send time rides along so delivery can tell whether the
         # destination crashed while the message was in flight.  This path
-        # runs once per message, so it reads sim._now and pushes a transient
-        # (never cancelled) entry onto the heap itself: a delivery is rarely
-        # the next event, which is what the queue's slot is for.
-        now = self.sim._now
+        # runs once per message, so it pushes a transient (never cancelled)
+        # entry onto the heap itself: a delivery is rarely the next event,
+        # which is what the queue's slot is for.
+        now = self.sim.now
         queue = self._queue
         seq = queue._seq
         queue._seq = seq + 1

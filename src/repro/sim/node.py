@@ -123,7 +123,7 @@ class Node:
             if src == self.node_id:
                 cost *= cost_model.self_message_factor
             dispatch, payload = self._dispatch_one, message
-        now = self.sim._now
+        now = self.sim.now
         free_at = self._cpu_free_at
         finish = (now if now > free_at else free_at) + cost
         self._cpu_free_at = finish

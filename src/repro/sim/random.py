@@ -50,23 +50,24 @@ class DeterministicRandom:
     interpreter state.
 
     The sampling methods — ``uniform(low, high)``, ``expovariate(rate)``,
-    ``random()``, ``randint(low, high)``, ``choice(seq)``, ``shuffle(seq)``
-    and ``gauss(mu, sigma)`` — are bound directly from the underlying
-    :class:`random.Random` at construction time: hot paths (network jitter is
-    sampled once per message) pay a single bound-method call with no wrapper
-    frame, at the cost of the methods not being overridable per subclass.
+    ``random()``, ``randint(low, high)``, ``choice(seq)`` and
+    ``shuffle(seq)`` — are bound directly from the underlying
+    :class:`random.Random` at construction time: hot paths pay a single
+    bound-method call with no wrapper frame, at the cost of the methods not
+    being overridable per subclass.  The simulated network's per-message
+    jitter draw reads :attr:`generator` itself.
     """
 
     def __init__(self, seed: int = 0) -> None:
         self._seed = seed
-        self._rng = random.Random(seed)
-        self.uniform = self._rng.uniform
-        self.expovariate = self._rng.expovariate
-        self.random = self._rng.random
-        self.randint = self._rng.randint
-        self.choice = self._rng.choice
-        self.shuffle = self._rng.shuffle
-        self.gauss = self._rng.gauss
+        #: the underlying :class:`random.Random` every sampler draws from.
+        self.generator = random.Random(seed)
+        self.uniform = self.generator.uniform
+        self.expovariate = self.generator.expovariate
+        self.random = self.generator.random
+        self.randint = self.generator.randint
+        self.choice = self.generator.choice
+        self.shuffle = self.generator.shuffle
 
     @property
     def seed(self) -> int:

@@ -51,14 +51,11 @@ class Simulator:
 
     def __init__(self, seed: int = 0) -> None:
         self._queue = EventQueue()
-        self._now = 0.0
+        #: Current virtual time in milliseconds.  A plain attribute, read once
+        #: or more per simulated message; only the run loops write it.
+        self.now = 0.0
         self.rng = DeterministicRandom(seed)
         self._steps = 0
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in milliseconds."""
-        return self._now
 
     @property
     def steps_executed(self) -> int:
@@ -79,12 +76,12 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
-        return self._queue.push(self._now + delay, callback, args)
+        return self._queue.push(self.now + delay, callback, args)
 
     def schedule_at(self, time: float, callback: Callable[..., None], args: Tuple = ()) -> Event:
         """Schedule ``callback`` at absolute virtual time ``time``."""
-        if time < self._now:
-            raise SimulationError(f"cannot schedule at {time} < now {self._now}")
+        if time < self.now:
+            raise SimulationError(f"cannot schedule at {time} < now {self.now}")
         return self._queue.push(time, callback, args)
 
     def run(self, until: Optional[float] = None) -> None:
@@ -114,7 +111,7 @@ class Simulator:
                 time, _, callback, args, event = entry
                 if event is not None and event.cancelled:
                     continue
-                self._now = time
+                self.now = time
                 executed += 1
                 callback(*args)
         finally:
@@ -122,8 +119,8 @@ class Simulator:
             # them between runs, never from inside callbacks.
             self._steps += executed
             _TOTAL_EVENTS_EXECUTED += executed
-        if until is not None and until > self._now:
-            self._now = until
+        if until is not None and until > self.now:
+            self.now = until
 
     def run_until(self, predicate: Callable[[], bool], deadline: Optional[float] = None,
                   check_every: int = 1) -> bool:
@@ -148,8 +145,8 @@ class Simulator:
         global _TOTAL_EVENTS_EXECUTED
         if check_every < 1:
             raise ValueError("check_every must be >= 1")
-        if deadline is not None and deadline < self._now:
-            raise SimulationError(f"deadline {deadline} < now {self._now}")
+        if deadline is not None and deadline < self.now:
+            raise SimulationError(f"deadline {deadline} < now {self.now}")
         if predicate():
             return True
         queue = self._queue
@@ -173,7 +170,7 @@ class Simulator:
                 time, _, callback, args, event = entry
                 if event is not None and event.cancelled:
                     continue
-                self._now = time
+                self.now = time
                 executed += 1
                 callback(*args)
                 since_check += 1
@@ -184,7 +181,7 @@ class Simulator:
             # The head was past the deadline; if it was a cancelled entry and
             # nothing live is left, the run drained and the clock stays.
             if queue.peek_time() is not None:
-                self._now = deadline
+                self.now = deadline
             return predicate()
         finally:
             self._steps += executed

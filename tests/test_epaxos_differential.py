@@ -242,27 +242,36 @@ graph_strategy = st.lists(
 Node = Tuple[Optional[InstanceStatus], int, Sequence[InstanceId]]
 
 
-def build_graph(spec: bool, nodes: Dict[InstanceId, Node]) -> Probe:
-    """A replica that has recorded ``nodes`` the way the handlers would have."""
+def build_graph(spec: bool, nodes: Dict[InstanceId, Node], no_ops=()) -> Probe:
+    """A replica that has recorded ``nodes`` the way the handlers would have;
+    the ids in ``no_ops`` without a command, as a recovered no-op is."""
     probe = Probe(spec)
     for slot, (instance_id, (status, seq, deps)) in enumerate(sorted(nodes.items())):
         if status is not None:
-            probe.record(instance_id, Command(command_id=(5, slot), key=KEYS[slot % 2],
-                                              operation=OPERATIONS[slot % 3 == 0]),
-                         seq=seq, deps=deps, status=status)
+            command = None if instance_id in no_ops else Command(
+                command_id=(5, slot), key=KEYS[slot % 2], operation=OPERATIONS[slot % 3 == 0])
+            probe.record(instance_id, command, seq=seq, deps=deps, status=status)
     return probe
 
 
-def check_graph(nodes: Dict[InstanceId, Node]) -> Probe:
+def ask_root(nodes: Dict[InstanceId, Node], root: InstanceId,
+             no_ops=()) -> Tuple[Optional[List[InstanceId]], Probe]:
+    """``root`` asked once on both sides, which must agree: the order, and the
+    product's probe."""
+    product, spec = build_graph(False, nodes, no_ops), build_graph(True, nodes, no_ops)
+    order = product.execution_order(root)
+    assert order == spec.execution_order(root), ("spec disagrees", root)
+    agree(product, spec, 0, root)
+    return order, product
+
+
+def check_graph(nodes: Dict[InstanceId, Node], no_ops=()) -> Probe:
     """Each waiting root in turn, then a whole round of execution, on both sides."""
     roots = sorted(instance_id for instance_id, (status, _, _) in nodes.items()
                    if status is COMMITTED)
     for root in roots:
-        product, spec = build_graph(False, nodes), build_graph(True, nodes)
-        assert product.execution_order(root) == spec.execution_order(root), \
-            ("spec disagrees", root)
-        agree(product, spec, 0, root)
-    product, spec = build_graph(False, nodes), build_graph(True, nodes)
+        ask_root(nodes, root, no_ops)
+    product, spec = build_graph(False, nodes, no_ops), build_graph(True, nodes, no_ops)
     product.try_execute()
     spec.try_execute()
     agree(product, spec, 0, "try_execute")
@@ -331,6 +340,56 @@ class TestExecutionOrderDifferential:
         probe = check_graph({A: (COMMITTED, 3, [B]), B: (COMMITTED, 1, [C]),
                              C: (COMMITTED, 2, [A, D]), D: (ACCEPTED, 1, [])})
         assert probe.replica._executed == set()
+
+    # The walk's two shortcuts and the cases next to them.  ``_sorted_for`` is
+    # set once the root's dependencies were sorted for a walk, so it tells
+    # which way the product answered; the spec always walks.
+
+    def test_blocked_at_the_first_unexecuted_dependency_without_a_walk(self):
+        for blocker in (PRE_ACCEPTED, ACCEPTED, None):
+            nodes = {A: (EXECUTED, 1, []), B: (blocker, 2, []), C: (COMMITTED, 1, []),
+                     D: (COMMITTED, 3, [A, B, C])}
+            order, probe = ask_root(nodes, D)
+            assert order is None
+            assert probe.charges == [probe.replica.cost_model.dependency_cost(1)]
+            assert probe.replica.stats.graph_nodes_visited == 1
+            assert probe.replica.instances[D]._sorted_for is None
+            check_graph(nodes)
+
+    def test_a_committed_first_dependency_walks_on_to_a_later_blocker(self):
+        nodes = {A: (COMMITTED, 1, []), B: (ACCEPTED, 2, []), C: (COMMITTED, 3, [A, B])}
+        order, probe = ask_root(nodes, C)
+        assert order is None
+        assert probe.charges == [probe.replica.cost_model.dependency_cost(2)]
+        assert probe.replica.stats.graph_nodes_visited == 2
+        assert probe.replica.instances[C]._sorted_for is not None
+        assert check_graph(nodes).replica._executed == {A}
+
+    def test_a_no_op_first_dependency_is_walked_through(self):
+        for status in (COMMITTED, InstanceStatus.NOOP):
+            nodes = {A: (status, 1, []), B: (ACCEPTED, 1, []), C: (COMMITTED, 2, [A]),
+                     D: (COMMITTED, 3, [A, B])}
+            order, probe = ask_root(nodes, C, no_ops={A})
+            assert order == [A, C]
+            assert probe.charges == [probe.replica.cost_model.dependency_cost(2)]
+            order, blocked = ask_root(nodes, D, no_ops={A})
+            assert order is None
+            assert blocked.charges == [blocked.replica.cost_model.dependency_cost(2)]
+            assert blocked.replica.instances[D]._sorted_for is not None
+            assert executed(check_graph(nodes, no_ops={A})) == [(5, 2)]
+
+    def test_a_root_among_its_own_dependencies(self):
+        cost = Probe(spec=False).replica.cost_model.dependency_cost
+        for nodes, expected, visited in (
+                ({A: (EXECUTED, 1, []), B: (COMMITTED, 2, [A, B])}, [B], 1),
+                ({B: (COMMITTED, 2, [B, C]), C: (ACCEPTED, 1, [])}, None, 1),
+                ({B: (COMMITTED, 2, [A, B]), A: (PRE_ACCEPTED, 1, [])}, None, 1),
+                ({B: (COMMITTED, 2, [B, C]), C: (COMMITTED, 1, [B])}, [C, B], 2)):
+            order, probe = ask_root(nodes, B)
+            assert order == expected
+            assert probe.charges == [cost(visited)]
+            assert probe.replica.stats.graph_nodes_visited == visited
+            check_graph(nodes)
 
 
 # ------------------------------------------------------------ message scenarios

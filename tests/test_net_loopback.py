@@ -77,6 +77,13 @@ class ClusterRun:
                    violations=len(order_violations(replicas)))
 
 
+def with_recovery(cluster: LoopbackCluster) -> LoopbackCluster:
+    """Turn recovery on in every replica's config; a server reads it when it starts."""
+    for server in cluster.servers.values():
+        server.config.recovery = True
+    return cluster
+
+
 def run_loopback(protocol: str, replicas: int = 3, clients: int = 3,
                  commands_per_client: int = 8, conflict_rate: float = 0.3,
                  seed: int = 1, timeout_s: float = 30.0,
@@ -108,8 +115,9 @@ async def _run_loopback(protocol: str, replicas: int, clients: int,
                         kill_after_commands: int,
                         recovery: bool = False) -> ClusterRun:
     loop = asyncio.get_running_loop()
-    cluster = LoopbackCluster(protocol, replicas=replicas, seed=seed,
-                              recovery=recovery)
+    cluster = LoopbackCluster(protocol, replicas=replicas, seed=seed)
+    if recovery:
+        with_recovery(cluster)
     await cluster.start()
     clock = WallClock(seed=seed, loop=loop)
     hosted = [cluster.servers[i].replica for i in sorted(cluster.servers)]
@@ -282,7 +290,7 @@ class TestCrashRecoveryOverSockets:
 
 async def _loadgen_with_a_replica_killed(clients: int, commands_per_client: int):
     """Closed-loop ``repro loadgen`` against a cluster that loses replica 1 mid-run."""
-    cluster = LoopbackCluster("caesar", replicas=3, seed=2, recovery=True)
+    cluster = with_recovery(LoopbackCluster("caesar", replicas=3, seed=2))
     await cluster.start()
 
     async def kill_mid_run() -> None:

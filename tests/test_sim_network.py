@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.sim.network import MIN_DELAY_MS, Network, NetworkConfig
+from repro.sim.random import derive_seed
 from repro.sim.simulator import Simulator
 from tests.conftest import uniform_topology
 
@@ -76,7 +79,7 @@ class TestImpairments:
         network.send(0, 1, "jittered")
         sim.run()
         assert len(nodes[1].received) == 1
-        assert sim.now != pytest.approx(10.0) or True  # delay sampled, just ensure delivery
+        assert sim.now != 10.0  # the one-way delay plus a sampled, nonzero jitter
 
     def test_delay_never_below_floor(self):
         sim, network, nodes = build_network(rtt=0.0)
@@ -84,6 +87,26 @@ class TestImpairments:
         sim.run()
         assert nodes[1].received == [(0, "zero-latency")]
         assert sim.now == MIN_DELAY_MS
+
+    @pytest.mark.parametrize("seed, jitter", [(5, 3.0), (7001, 0.5), (123456, 40.0)])
+    def test_inline_jitter_is_random_gauss_on_the_forked_seed(self, seed, jitter):
+        """The network's own jitter draw is ``random.Random.gauss``, float for
+        float, on the ``"network"`` fork of the simulator seed; self-sends draw
+        nothing.  Every delivery is pushed at ``now`` = 0.0, so its time is its
+        delay."""
+        sim = Simulator(seed=seed)
+        network = Network(sim, uniform_topology(3, rtt_ms=40.0), NetworkConfig(jitter_ms=jitter))
+        reference = random.Random(derive_seed(seed, ("network",)))
+        expected = []
+        for draw in range(10_001):
+            network.send(2, 2, "self")  # between two draws, inside a pair
+            src, dst = (0, 1) if draw % 2 else (1, 2)
+            network.send(src, dst, draw)
+            expected.append(max(MIN_DELAY_MS, 20.0 + reference.gauss(0.0, jitter)))
+        delays = [entry[0] for entry in sorted(sim._queue._heap, key=lambda entry: entry[1])
+                  if entry[3][2] != "self"]
+        assert delays == expected
+        assert network._jitter.gauss_next == reference.gauss_next
 
     def test_jitter_cannot_push_delay_below_floor(self):
         sim, network, nodes = build_network(rtt=0.1, jitter_ms=5.0)
