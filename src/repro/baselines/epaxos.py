@@ -241,19 +241,15 @@ class EPaxosReplica(ProtocolKernel):
         seq = self._next_seq(deps)
         # CostModel.dependency_cost, inlined: the same product, and 0.0 for none.
         self.consume_cpu(self.cost_model.per_dependency_ms * len(deps))
-        instance = Instance(instance_id=instance_id, command=command, seq=seq,
-                            deps=deps, status=InstanceStatus.PRE_ACCEPTED,
-                            ballot=Ballot.initial(self.node_id))
+        instance = Instance(instance_id, command, seq, deps, InstanceStatus.PRE_ACCEPTED,
+                            Ballot.initial(self.node_id))
         self._record_instance(instance)
         self._command_instance[command.command_id] = instance_id
-        state = _LeaderState(instance_id=instance_id, command=command, phase="preaccept",
-                             seq=seq, deps=deps, original_seq=seq,
-                             original_deps=deps, ballot=instance.ballot,
-                             votes=QuorumTracker(self.fast_quorum, extra_votes=1),
-                             started_at=self.sim.now)
+        state = _LeaderState(instance_id, command, "preaccept", seq, deps, seq, deps,
+                             instance.ballot, QuorumTracker(self.fast_quorum, 1), False,
+                             self.sim.now)
         self._leader_states[instance_id] = state
-        pre_accept = PreAccept(instance_id=instance_id, command=command, seq=seq,
-                               deps=deps, ballot=instance.ballot)
+        pre_accept = PreAccept(instance_id, command, seq, deps, instance.ballot)
         self.broadcast(pre_accept, include_self=False)
         self.retransmit.track(("lead", instance_id), pre_accept,
                               tracker=state.votes,
@@ -324,13 +320,11 @@ class EPaxosReplica(ProtocolKernel):
         seq = max(message.seq, self._next_seq(deps))
         self.consume_cpu(self.cost_model.per_dependency_ms * len(deps))
         changed = deps != message.deps or seq != message.seq
-        instance = Instance(instance_id=message.instance_id, command=message.command,
-                            seq=seq, deps=deps, status=InstanceStatus.PRE_ACCEPTED,
-                            ballot=message.ballot)
+        instance = Instance(message.instance_id, message.command, seq, deps,
+                            InstanceStatus.PRE_ACCEPTED, message.ballot)
         self._record_instance(instance)
-        self.send(src, PreAcceptReply(instance_id=message.instance_id, seq=seq,
-                                      deps=deps, ballot=message.ballot,
-                                      changed=changed))
+        self.send(src, PreAcceptReply(message.instance_id, seq, deps, message.ballot,
+                                      changed))
 
     @handles(PreAcceptReply)
     def _on_pre_accept_reply(self, src: int, message: PreAcceptReply) -> None:
@@ -358,13 +352,13 @@ class EPaxosReplica(ProtocolKernel):
             state.deps = merged_deps
             state.phase = "accept"
             state.went_slow = True
-            state.votes = QuorumTracker(self.quorums.classic, extra_votes=1)
+            state.votes = QuorumTracker(self.quorums.classic, 1)
             instance = self.instances[state.instance_id]
             instance.seq = merged_seq
             instance.deps = merged_deps
             instance.status = InstanceStatus.ACCEPTED
-            accept = Accept(instance_id=state.instance_id, command=state.command,
-                            seq=merged_seq, deps=merged_deps, ballot=state.ballot)
+            accept = Accept(state.instance_id, state.command, merged_seq, merged_deps,
+                            state.ballot)
             self.broadcast(accept, include_self=False)
             # Supersede the PreAccept round: resends now carry the Accept.
             self.retransmit.track(("lead", state.instance_id), accept,
@@ -382,11 +376,10 @@ class EPaxosReplica(ProtocolKernel):
         if existing is not None and existing.status in (InstanceStatus.COMMITTED,
                                                         InstanceStatus.EXECUTED):
             return
-        instance = Instance(instance_id=message.instance_id, command=message.command,
-                            seq=message.seq, deps=message.deps,
-                            status=InstanceStatus.ACCEPTED, ballot=message.ballot)
+        instance = Instance(message.instance_id, message.command, message.seq, message.deps,
+                            InstanceStatus.ACCEPTED, message.ballot)
         self._record_instance(instance)
-        self.send(src, AcceptReply(instance_id=message.instance_id, ballot=message.ballot))
+        self.send(src, AcceptReply(message.instance_id, message.ballot))
 
     @handles(AcceptReply)
     def _on_accept_reply(self, src: int, message: AcceptReply) -> None:
@@ -420,8 +413,7 @@ class EPaxosReplica(ProtocolKernel):
         instance.status = InstanceStatus.COMMITTED
         self._unexecuted_committed.add(state.instance_id)
         self.retransmit.resolve(("lead", state.instance_id))
-        self.broadcast(Commit(instance_id=state.instance_id, command=state.command,
-                              seq=seq, deps=deps),
+        self.broadcast(Commit(state.instance_id, state.command, seq, deps),
                        include_self=False)
         self._try_execute()
 
@@ -430,10 +422,9 @@ class EPaxosReplica(ProtocolKernel):
         """Replica side of commit: record final attributes and try to execute."""
         instance = self.instances.get(message.instance_id)
         if instance is None:
-            instance = Instance(instance_id=message.instance_id, command=message.command,
-                                seq=message.seq, deps=message.deps,
-                                status=InstanceStatus.COMMITTED,
-                                ballot=Ballot.initial(message.instance_id[0]))
+            instance = Instance(message.instance_id, message.command, message.seq,
+                                message.deps, InstanceStatus.COMMITTED,
+                                Ballot.initial(message.instance_id[0]))
             self._record_instance(instance)
         else:
             if instance.status is InstanceStatus.EXECUTED:
@@ -460,11 +451,12 @@ class EPaxosReplica(ProtocolKernel):
         again (modelled CPU); only a round over nothing is skipped.
         """
         pending = self._unexecuted_committed
+        executed = self._executed
         progress = True
         while progress and pending:
             progress = False
             for instance_id in list(pending):
-                if instance_id in self._executed:
+                if instance_id in executed:
                     pending.discard(instance_id)
                     continue
                 component_order = self._execution_order(instance_id)
@@ -472,9 +464,9 @@ class EPaxosReplica(ProtocolKernel):
                     continue
                 for ready_id in component_order:
                     ready = self.instances[ready_id]
-                    if ready_id in self._executed:
+                    if ready_id in executed:
                         continue
-                    self._executed.add(ready_id)
+                    executed.add(ready_id)
                     pending.discard(ready_id)
                     ready.status = InstanceStatus.EXECUTED
                     if ready.command is not None:
@@ -556,12 +548,12 @@ class EPaxosReplica(ProtocolKernel):
         per_node_ms = self.cost_model.per_dependency_ms
         instance = instances.get(root)
         if instance is not None and instance.status is InstanceStatus.COMMITTED:
-            waiting = instance.deps - executed
-            if not waiting:
+            deps = instance.deps
+            if deps <= executed:  # a subset test builds no set of the waiting ones
                 self.stats.graph_nodes_visited += 1
                 self.consume_cpu(per_node_ms)
                 return [root]
-            first = instances.get(min(waiting))
+            first = instances.get(min(deps - executed))
             if first is None or first.status in (InstanceStatus.PRE_ACCEPTED,
                                                  InstanceStatus.ACCEPTED):
                 self.stats.graph_nodes_visited += 1

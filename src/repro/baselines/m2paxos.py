@@ -266,7 +266,7 @@ class M2PaxosReplica(ProtocolKernel):
             self._acquire_then_lead(command)
         else:
             self.stats.commands_forwarded += 1
-            self.send(owner, ForwardCommand(command=command))
+            self.send(owner, ForwardCommand(command))
 
     def _next_index_hint(self, key: str) -> int:
         """First per-key position this replica believes to be unused."""
@@ -295,8 +295,8 @@ class M2PaxosReplica(ProtocolKernel):
     def _lead_at(self, key: str, index: int, command: Command) -> None:
         """Run the accept round for ``command`` at an explicit position."""
         epoch = self.epochs.get(key, 0)
-        pending = _PendingAccept(key=key, index=index, command=command, epoch=epoch,
-                                 acks=QuorumTracker(self.quorums.classic, extra_votes=1))
+        pending = _PendingAccept(key, index, command, epoch,
+                                 QuorumTracker(self.quorums.classic, 1))
         self._pending_accepts[(key, index)] = pending
         # The owner's implicit self-ack must be visible to acquisition
         # recovery exactly like a remote voter's ack, otherwise a grant
@@ -307,8 +307,7 @@ class M2PaxosReplica(ProtocolKernel):
         acked = self._acked_index.get(key)
         if acked is None or index > acked:
             self._acked_index[key] = index
-        accept = AcceptCommand(key=key, index=index, command=command,
-                               owner=self.node_id, epoch=epoch)
+        accept = AcceptCommand(key, index, command, self.node_id, epoch)
         self.broadcast(accept, include_self=False)
         self.retransmit.track(("accept", key, index), accept,
                               tracker=pending.acks,
@@ -331,12 +330,10 @@ class M2PaxosReplica(ProtocolKernel):
         self.epochs[key] = epoch
         self.stats.acquisitions += 1
         pending = _PendingAcquire(
-            key=key, epoch=epoch, queued=[command],
-            grants=QuorumTracker(self.quorums.classic, extra_votes=1),
-            refusals=QuorumTracker(self.quorums.n - self.quorums.classic + 1))
+            key, epoch, QuorumTracker(self.quorums.classic, 1),
+            QuorumTracker(self.quorums.n - self.quorums.classic + 1), [command])
         self._pending_acquires[key] = pending
-        acquire = AcquireOwnership(key=key, epoch=epoch, requester=self.node_id,
-                                   next_execute=self._next_execute.get(key, 0))
+        acquire = AcquireOwnership(key, epoch, self.node_id, self._next_execute.get(key, 0))
         self.broadcast(acquire, include_self=False)
         self.retransmit.track(
             ("acquire", key), acquire, done=lambda p=pending: p.done,
@@ -372,13 +369,10 @@ class M2PaxosReplica(ProtocolKernel):
             decided = tuple((index, command)
                             for index, command in decided_bucket.items()
                             if index >= message.next_execute)
-            self.send(src, AcquireReply(key=key, epoch=message.epoch, granted=True,
-                                        current_owner=message.requester,
-                                        next_index=self._next_index_hint(key),
-                                        accepted=accepted, decided=decided))
+            self.send(src, AcquireReply(key, message.epoch, True, message.requester,
+                                        self._next_index_hint(key), accepted, decided))
         else:
-            self.send(src, AcquireReply(key=key, epoch=message.epoch, granted=False,
-                                        current_owner=self.owners.get(key)))
+            self.send(src, AcquireReply(key, message.epoch, False, self.owners.get(key)))
 
     @handles(AcquireReply)
     def _on_acquire_reply(self, src: int, message: AcquireReply) -> None:
@@ -413,7 +407,7 @@ class M2PaxosReplica(ProtocolKernel):
                     self._acquire_attempts.pop(key, None)
                     for command in pending.queued:
                         self.stats.commands_forwarded += 1
-                        self.send(owner, ForwardCommand(command=command))
+                        self.send(owner, ForwardCommand(command))
                 else:
                     self._schedule_acquire_retry(key, list(pending.queued))
                 return
@@ -435,7 +429,7 @@ class M2PaxosReplica(ProtocolKernel):
                 self._acquire_attempts.pop(key, None)
                 for command in pending.queued:
                     self.stats.commands_forwarded += 1
-                    self.send(owner, ForwardCommand(command=command))
+                    self.send(owner, ForwardCommand(command))
                 return
             # No owner known (symmetric contention): retry after a backoff
             # that is strictly longer for higher node ids, so exactly one
@@ -546,8 +540,7 @@ class M2PaxosReplica(ProtocolKernel):
             del self.owners[key]
             self._acquire_then_lead(message.command)
         else:
-            self.send(owner, ForwardCommand(command=message.command,
-                                            hops=message.hops + 1))
+            self.send(owner, ForwardCommand(message.command, message.hops + 1))
 
     # ordering ----------------------------------------------------------------
 
@@ -562,9 +555,8 @@ class M2PaxosReplica(ProtocolKernel):
         key = message.key
         current_epoch = self.epochs.get(key, 0)
         if message.epoch < current_epoch:
-            self.send(src, AcceptNack(key=key, index=message.index, epoch=message.epoch,
-                                      current_epoch=current_epoch,
-                                      current_owner=self.owners.get(key)))
+            self.send(src, AcceptNack(key, message.index, message.epoch, current_epoch,
+                                      self.owners.get(key)))
             return
         self.epochs[key] = message.epoch
         self.owners[key] = message.owner
@@ -575,8 +567,7 @@ class M2PaxosReplica(ProtocolKernel):
         stored = bucket.get(message.index)
         if stored is None or message.epoch >= stored[0]:
             bucket[message.index] = (message.epoch, message.command)
-        self.send(src, AcceptCommandReply(key=key, index=message.index,
-                                          epoch=message.epoch))
+        self.send(src, AcceptCommandReply(key, message.index, message.epoch))
 
     @handles(AcceptNack)
     def _on_accept_nack(self, src: int, message: AcceptNack) -> None:
@@ -638,9 +629,8 @@ class M2PaxosReplica(ProtocolKernel):
         pending.decided = True
         self.retransmit.resolve(("accept", message.key, message.index))
         self.record_decided(pending.command.command_id, DecisionKind.FAST)
-        self.broadcast(DecideCommand(key=pending.key, index=pending.index,
-                                     command=pending.command, owner=self.node_id,
-                                     epoch=pending.epoch))
+        self.broadcast(DecideCommand(pending.key, pending.index, pending.command,
+                                     self.node_id, pending.epoch))
 
     @handles(DecideCommand)
     def _on_decide(self, src: int, message: DecideCommand) -> None:

@@ -103,10 +103,10 @@ class MenciusReplica(ProtocolKernel):
         slot = self._allocate_slot()
         self.stats.slots_proposed += 1
         self._pending[slot] = command
-        self._acks[slot] = QuorumTracker(self.n, extra_votes=1)
+        self._acks[slot] = QuorumTracker(self.n, 1)
         self._used_own_slots.add(slot)
         self._max_seen_slot = max(self._max_seen_slot, slot)
-        proposal = SlotPropose(slot=slot, command=command)
+        proposal = SlotPropose(slot, command)
         self.broadcast(proposal, include_self=False)
         self.retransmit.track(("slot", slot), proposal,
                               tracker=self._acks[slot])
@@ -134,9 +134,9 @@ class MenciusReplica(ProtocolKernel):
             self._own_skipped.add(skipped)
             newly_skipped.add(skipped)
             self.stats.slots_skipped += 1
-        self.send(src, SlotAck(slot=message.slot, sender=self.node_id))
+        self.send(src, SlotAck(message.slot, self.node_id))
         if newly_skipped:
-            self.broadcast(SkipAnnounce(sender=self.node_id, slots=frozenset(newly_skipped)),
+            self.broadcast(SkipAnnounce(self.node_id, frozenset(newly_skipped)),
                            include_self=False)
         self._execute_ready()
 
@@ -153,7 +153,7 @@ class MenciusReplica(ProtocolKernel):
         self.retransmit.resolve(("slot", message.slot))
         self.stats.slots_committed += 1
         self.record_decided(command.command_id, DecisionKind.SLOW)
-        self.broadcast(SlotCommit(slot=message.slot, command=command))
+        self.broadcast(SlotCommit(message.slot, command))
 
     @handles(SlotCommit)
     def _on_commit(self, src: int, message: SlotCommit) -> None:

@@ -146,7 +146,7 @@ class MultiPaxosReplica(ProtocolKernel):
             self._lead(command)
         else:
             self.stats.commands_forwarded += 1
-            self.send(self.leader_id, ClientForward(command=command))
+            self.send(self.leader_id, ClientForward(command))
 
     def _lead(self, command: Command) -> None:
         """Assign the next log slot and run the accept round."""
@@ -156,11 +156,10 @@ class MultiPaxosReplica(ProtocolKernel):
         slot = self._next_slot
         self._next_slot += 1
         self.stats.slots_proposed += 1
-        state = _SlotState(slot=slot, command=command, ballot=self.ballot,
-                           votes=QuorumTracker(self.quorums.classic, extra_votes=1))
+        state = _SlotState(slot, command, self.ballot, QuorumTracker(self.quorums.classic, 1))
         self._slot_states[slot] = state
         self.log[slot] = command
-        accept = AcceptSlot(slot=slot, command=command, ballot=self.ballot)
+        accept = AcceptSlot(slot, command, self.ballot)
         self.broadcast(accept, include_self=False)
         self.retransmit.track(("slot", slot), accept,
                               tracker=state.votes, done=lambda s=state: s.committed)
@@ -184,7 +183,7 @@ class MultiPaxosReplica(ProtocolKernel):
         self.ballot = message.ballot
         self.leader_id = message.ballot.node_id
         self.log[message.slot] = message.command
-        self.send(src, AcceptSlotReply(slot=message.slot, ballot=message.ballot))
+        self.send(src, AcceptSlotReply(message.slot, message.ballot))
 
     @handles(AcceptSlotReply)
     def _on_accept_reply(self, src: int, message: AcceptSlotReply) -> None:
@@ -198,7 +197,7 @@ class MultiPaxosReplica(ProtocolKernel):
         self.retransmit.resolve(("slot", state.slot))
         self.stats.slots_committed += 1
         self.record_decided(state.command.command_id, DecisionKind.SLOW)
-        self.broadcast(CommitSlot(slot=state.slot, command=state.command))
+        self.broadcast(CommitSlot(state.slot, state.command))
 
     @handles(CommitSlot)
     def _on_commit(self, src: int, message: CommitSlot) -> None:

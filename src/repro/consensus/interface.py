@@ -195,13 +195,12 @@ class ConsensusReplica(Node):
             reason = self.admission.try_admit(command.command_id, self.sim.now)
             if reason is not None:
                 if callback is not None:
-                    callback(CommandResult(command_id=command.command_id, value=None,
-                                           executed_at=self.sim.now, rejected=True))
+                    callback(CommandResult(command.command_id, None, self.sim.now, True))
                 return
         if callback is not None:
             self._client_callbacks[command.command_id] = callback
-        self.decisions[command.command_id] = Decision(
-            command_id=command.command_id, proposer=self.node_id, submitted_at=self.sim.now)
+        self.decisions[command.command_id] = Decision(command.command_id, self.node_id,
+                                                      self.sim.now)
         self.consume_cpu(self.cost_model.client_request_ms)
         self.propose(command)
 
@@ -230,7 +229,7 @@ class ConsensusReplica(Node):
             decision.executed_at = now
         callback = self._client_callbacks.pop(command_id, None)
         if callback is not None:
-            callback(CommandResult(command_id=command_id, value=value, executed_at=now))
+            callback(CommandResult(command_id, value, now))
         return decision
 
     def has_executed(self, command_id: CommandId) -> bool:

@@ -163,12 +163,11 @@ class CaesarReplica(ProtocolKernel):
         command_id = command.command_id
         votes = QuorumTracker(self.quorums.fast)
         state = LeaderState(command, ballot, PHASE_FAST, timestamp, whitelist, votes,
-                            self.sim.now, recovered=recovered)
+                            self.sim.now, None, recovered)
         self.leader_states[command_id] = state
         state.timer = self.set_timer(FAST_PROPOSAL_TIMEOUT_MS,
                                      self._on_fast_proposal_timeout, command_id)
-        proposal = FastPropose(command=command, ballot=ballot, timestamp=timestamp,
-                               whitelist=whitelist)
+        proposal = FastPropose(command, ballot, timestamp, whitelist)
         self.broadcast(proposal)
         self.retransmit.track(command_id, proposal, tracker=votes)
 
@@ -179,9 +178,8 @@ class CaesarReplica(ProtocolKernel):
         state.votes = QuorumTracker(self.quorums.classic)
         state.phase_started_at = self.sim.now
         state.went_slow = True
-        proposal = SlowPropose(command=state.command, ballot=state.ballot,
-                               timestamp=state.timestamp,
-                               predecessors=_freeze(state.predecessors))
+        proposal = SlowPropose(state.command, state.ballot, state.timestamp,
+                               _freeze(state.predecessors))
         self.broadcast(proposal)
         self.retransmit.track(state.command.command_id, proposal, tracker=state.votes)
 
@@ -194,9 +192,8 @@ class CaesarReplica(ProtocolKernel):
         command_id = state.command.command_id
         self.record_phase_time(command_id, "propose", self.sim.now - state.phase_started_at)
         state.phase_started_at = self.sim.now
-        retry = Retry(command=state.command, ballot=state.ballot,
-                      timestamp=state.timestamp,
-                      predecessors=_freeze(state.predecessors))
+        retry = Retry(state.command, state.ballot, state.timestamp,
+                      _freeze(state.predecessors))
         self.broadcast(retry)
         self.retransmit.track(command_id, retry, tracker=state.votes)
 
@@ -227,9 +224,8 @@ class CaesarReplica(ProtocolKernel):
             self.stats.fast_decisions += 1
         else:
             self.stats.slow_decisions += 1
-        self.broadcast(Stable(command=state.command, ballot=state.ballot,
-                              timestamp=state.timestamp,
-                              predecessors=_freeze(state.predecessors)))
+        self.broadcast(Stable(state.command, state.ballot, state.timestamp,
+                              _freeze(state.predecessors)))
 
     def _on_fast_proposal_timeout(self, command_id: CommandId) -> None:
         """Fall back to the slow proposal phase when a fast quorum is unavailable."""
@@ -316,8 +312,8 @@ class CaesarReplica(ProtocolKernel):
             # Nothing was parked on the key, so nothing ran since the entry was
             # written: no re-validation needed.
             self.send(src, FastProposeReply(
-                command_id=command_id, ballot=ballot, timestamp=timestamp,
-                predecessors=history.ids_from_mask(predecessors, command.key), ok=True))
+                command_id, ballot, timestamp,
+                history.ids_from_mask(predecessors, command.key), True))
         elif verdict is not None:
             # The notify cascade may have answered an older copy of this
             # proposal (a NACK rewrites the entry REJECTED): _answer_proposal
@@ -405,8 +401,7 @@ class CaesarReplica(ProtocolKernel):
                 self.wait_manager.notify_entry(entry)
         reply_cls = FastProposeReply if fast else SlowProposeReply
         reply_ids = history.ids_from_mask(reply_pred, command.key)
-        self.send(leader, reply_cls(command_id=command_id, ballot=ballot, timestamp=reply_ts,
-                                    predecessors=reply_ids, ok=ok))
+        self.send(leader, reply_cls(command_id, ballot, reply_ts, reply_ids, ok))
 
     # ------------------------------------------------------- leader: replies
 
@@ -482,9 +477,8 @@ class CaesarReplica(ProtocolKernel):
         if self.wait_manager.parked:
             self.wait_manager.drop_command(command_id, command.key)
             self.wait_manager.notify_entry(entry)
-        self.send(src, RetryReply(command_id=command_id, ballot=message.ballot,
-                                  timestamp=message.timestamp,
-                                  predecessors=history.ids_from_mask(extra, command.key)))
+        self.send(src, RetryReply(command_id, message.ballot, message.timestamp,
+                                  history.ids_from_mask(extra, command.key)))
 
     @handles(RetryReply)
     def _on_retry_reply(self, src: int, message: RetryReply) -> None:

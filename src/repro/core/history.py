@@ -371,12 +371,16 @@ class CommandHistory:
         if bucket is None:
             bucket = self._by_key.get(key) or self._new_bucket(key)
         if entry is None:
-            index = bucket.index_of.get(command_id)
-            index = self._bind(command_id, bucket) if index is None else index
-            del self._bucket_of[command_id]   # bound through its entry from now on
-            entry = HistoryEntry(command=command, timestamp=timestamp,
-                                 pred_mask=mask, status=status, ballot=ballot,
-                                 forced=forced, index=index, bucket=bucket)
+            index_of = bucket.index_of
+            index = index_of.get(command_id)
+            if index is None:
+                # A brand-new id is interned straight onto its entry.
+                index = index_of[command_id] = len(bucket.id_of)
+                bucket.id_of.append(command_id)
+            else:
+                del self._bucket_of[command_id]   # bound through its entry from now on
+            entry = HistoryEntry(command, timestamp, mask, status, ballot, forced,
+                                 index, bucket)
             self._entries[command_id] = entry
             bucket.insert(entry)
         else:

@@ -9,13 +9,13 @@ exactly as the paper's plots do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.metrics.stats import LatencySummary, summarize_latencies, throughput_timeline
+from repro.runtime.codec import value_type
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class CommandSample:
     """One completed client command."""
 
@@ -46,9 +46,7 @@ class MetricsCollector:
         if completed_at < self.warmup_ms:
             self.discarded += 1
             return
-        self.samples.append(CommandSample(origin=origin, proposer=proposer,
-                                          latency_ms=latency_ms, completed_at=completed_at,
-                                          key=key))
+        self.samples.append(CommandSample(origin, proposer, latency_ms, completed_at, key))
 
     # ------------------------------------------------------------ aggregates
 

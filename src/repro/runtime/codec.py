@@ -184,6 +184,8 @@ def value_type(cls: type) -> type:
     constructor, not two.  The constructor takes the same arguments
     (positional or keyword, with the declared defaults); equality, hashing,
     ``repr``, ``dataclasses.replace`` and frozenness are the dataclass's own.
+    Hot paths call it positionally, because keyword arguments cost a dict
+    first: ``type.__call__`` packs them into one before ``__init__`` runs.
     A field with a ``default_factory``, ``init=False`` or ``kw_only``, and a
     ``__post_init__``, are refused: the generated constructor has no use for
     them.

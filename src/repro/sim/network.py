@@ -70,6 +70,10 @@ class Network:
         #: own arithmetic, written out.
         self._jitter = sim.rng.fork("network").generator
         self._node_ids_cache: Optional[list] = None
+        # Bound once, shadowing the method: :meth:`send` would otherwise build
+        # a bound method per message.  A class-level patch of ``_deliver``
+        # (``bench/trace.py``) is seen only by networks built after it.
+        self._deliver = self._deliver
 
     def register(self, node: Node) -> None:
         """Attach a node so it can send and receive messages."""

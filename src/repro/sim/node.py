@@ -58,6 +58,11 @@ class Node:
         # the simulator clock has an event queue (``None`` on a WallClock,
         # whose messages never enter ``receive``).
         self._dispatch_queue = getattr(sim, "_queue", None)
+        # Bound once, shadowing the methods: :meth:`receive` would otherwise
+        # build a bound method per message.  A class-level patch of either
+        # (``bench/trace.py``) is seen only by nodes built after it.
+        self._dispatch_one = self._dispatch_one
+        self._dispatch_batch = self._dispatch_batch
         # The network acts as the transport factory: the simulated Network
         # hands out SimulatorTransports, a socket-world peer map hands out
         # AsyncioTransports — so protocol constructors never name a backend.

@@ -134,9 +134,8 @@ class ClosedLoopClient:
 
         self.replica.submit(command, callback=on_result)
         if self.reconnect_timeout_ms is not None:
-            sequence = command.command_id[1]
-            self.sim.schedule(self.reconnect_timeout_ms,
-                              lambda: self._maybe_reconnect(sequence))
+            self.sim.schedule(self.reconnect_timeout_ms, self._maybe_reconnect,
+                              (command.command_id[1],))
 
     def _maybe_reconnect(self, sequence: int) -> None:
         """Re-target to a live replica when the outstanding command timed out."""

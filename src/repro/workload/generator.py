@@ -101,5 +101,4 @@ class ConflictWorkload:
         else:
             operation = "get"
             value = None
-        return Command(command_id=(self.client_id, sequence), key=key, operation=operation,
-                       value=value, origin=self.origin)
+        return Command((self.client_id, sequence), key, operation, value, self.origin)

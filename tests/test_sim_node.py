@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.harness.cluster import ClusterConfig, build_cluster
 from repro.runtime.costs import CostModel
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.simulator import Simulator
-from tests.conftest import uniform_topology
+from tests.conftest import make_command, run_until_executed, uniform_topology
 
 
 class EchoNode(Node):
@@ -161,3 +162,53 @@ class TestCostModel:
         assert model.dependency_cost(4) == pytest.approx(2.0)
         assert model.dependency_cost(0) == 0.0
         assert model.dependency_cost(-1) == 0.0
+
+
+class TestClassLevelPatches:
+    """``bench/trace.py`` wraps ``Network._deliver`` and ``Node._dispatch_one``
+    on the class.  A network and a node bind these callbacks once, when they
+    are built, so the wrapper sees every message of a cluster built after
+    the patch and none of one built before it."""
+
+    @staticmethod
+    def counting(monkeypatch, seen):
+        deliver, dispatch_one = Network._deliver, Node._dispatch_one
+
+        def counted_deliver(network, *args):
+            seen["deliver"] += 1
+            return deliver(network, *args)
+
+        def counted_dispatch_one(node, *args):
+            seen["dispatch"] += 1
+            return dispatch_one(node, *args)
+
+        monkeypatch.setattr(Network, "_deliver", counted_deliver)
+        monkeypatch.setattr(Node, "_dispatch_one", counted_dispatch_one)
+
+    @staticmethod
+    def run_commands(cluster):
+        commands = [make_command(client, 0, key=f"k{client % 2}", origin=client)
+                    for client in range(len(cluster.replicas))]
+        for command in commands:
+            cluster.replicas[command.origin].submit(command)
+        assert run_until_executed(cluster, [command.command_id for command in commands])
+
+    @pytest.mark.parametrize("protocol", ["caesar", "epaxos"])
+    def test_a_patch_made_before_the_build_sees_every_message(self, monkeypatch, protocol):
+        seen = {"deliver": 0, "dispatch": 0}
+        self.counting(monkeypatch, seen)
+        cluster = build_cluster(ClusterConfig(protocol=protocol, seed=3))
+        self.run_commands(cluster)
+        stats = cluster.network.stats
+        assert seen["deliver"] == (stats.messages_delivered + stats.messages_to_crashed
+                                   + stats.messages_dead_in_flight) > 0
+        assert seen["dispatch"] == sum(replica.messages_handled
+                                       for replica in cluster.replicas) > 0
+
+    def test_a_patch_made_after_the_build_is_not_seen(self, monkeypatch):
+        seen = {"deliver": 0, "dispatch": 0}
+        cluster = build_cluster(ClusterConfig(protocol="caesar", seed=3))
+        self.counting(monkeypatch, seen)
+        self.run_commands(cluster)
+        assert cluster.network.stats.messages_delivered > 0
+        assert seen == {"deliver": 0, "dispatch": 0}

@@ -2,8 +2,8 @@
 
 :func:`repro.runtime.codec.value_type` replaces a frozen slotted dataclass's
 ``__init__`` with one that sets each slot through its descriptor.  Every
-registered message class and ``Command``, ``LogicalTimestamp`` and ``Ballot``
-are built that way, and each is held here to a *twin*: the plain
+registered message class and ``Command``, ``LogicalTimestamp``, ``Ballot``
+and ``CommandSample`` are built that way, and each is held here to a *twin*: the plain
 ``@dataclass(frozen=True, slots=True)`` of the same name, fields and
 defaults.  Both are given the same arguments (positional, keyword, mixed,
 defaults left out, and the wrong ones) and must agree on the fields they
@@ -23,15 +23,24 @@ from hypothesis import given, settings, strategies as st
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command
 from repro.consensus.timestamps import LogicalTimestamp
+from repro.metrics.collector import CommandSample
 from repro.runtime.codec import value_type
 from repro.runtime.fields import BALLOT, COMMAND, TIMESTAMP
 from tests.test_runtime_codec import all_wire_types, message_strategy, strategy_for
 
 VALUE_TYPES = {Command: COMMAND, LogicalTimestamp: TIMESTAMP, Ballot: BALLOT}
-CLASSES = [*all_wire_types(), *VALUE_TYPES]
+_TIMES = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
+#: Value types no codec describes, each with a strategy of its own.
+UNREGISTERED = {
+    CommandSample: st.builds(CommandSample, st.integers(0, 8), st.integers(0, 8),
+                             _TIMES, _TIMES, st.text(max_size=12)),
+}
+CLASSES = [*all_wire_types(), *VALUE_TYPES, *UNREGISTERED]
 
 
 def instances_of(cls) -> st.SearchStrategy:
+    if cls in UNREGISTERED:
+        return UNREGISTERED[cls]
     codec = VALUE_TYPES.get(cls)
     return message_strategy(cls) if codec is None else strategy_for(codec)
 
