@@ -55,9 +55,14 @@ def make_commands(count: int, key: str = "hot") -> list:
 
 
 def fill(history, commands, status=CommandStatus.FAST_PENDING) -> None:
-    """Insert ``commands`` with timestamps 1..N on their shared key."""
+    """Insert ``commands`` with timestamps 1..N on their shared key, with no
+    predecessors (the product's history takes them as a mask, and each
+    command's entry: none yet)."""
     for offset, command in enumerate(commands):
-        history.update(command, ts(offset + 1), set(), status, BALLOT)
+        if isinstance(history, SpecHistory):
+            history.update(command, ts(offset + 1), set(), status, BALLOT)
+        else:
+            history.update(command, ts(offset + 1), 0, status, BALLOT, None)
 
 
 def best_of(run_optimized: Callable[[], int],
@@ -91,11 +96,10 @@ def time_compute_predecessors(size: int) -> Dict[str, float]:
 
     optimized = CommandHistory()
     fill(optimized, commands)
-    optimized.intern(probe.command_id, probe.key)
 
     def run_optimized() -> int:
         for _ in range(iterations):
-            compute_predecessor_mask(optimized, probe, probe_ts)
+            compute_predecessor_mask(optimized, probe, probe_ts, None)
         return iterations
 
     reference = SpecHistory()
@@ -144,11 +148,15 @@ def time_wait_notify(size: int) -> Dict[str, float]:
         fill(history, commands)
         manager = WaitManager(history, lambda: 0.0)
         for proposal in proposals:
-            manager.evaluate(proposal, ts(0, 1), lambda ok, waited: None)
+            # The proposal's own entry, written before WAIT runs, as a handler does.
+            entry = history.update(proposal, ts(0, 1), 0, CommandStatus.FAST_PENDING, BALLOT,
+                                   None)
+            manager.evaluate(proposal, ts(0, 1), lambda ok, waited: None, entry)
         assert manager.parked == PARKED
         for command in commands[:notifies]:
-            entry = history.update(command, history.get(command.command_id).timestamp,
-                                   set(), CommandStatus.STABLE, BALLOT)
+            entry = history.get(command.command_id)
+            entry = history.update(command, entry.timestamp, 0, CommandStatus.STABLE, BALLOT,
+                                   entry)
             manager.notify_entry(entry)
         return PARKED + notifies
 
@@ -157,6 +165,7 @@ def time_wait_notify(size: int) -> Dict[str, float]:
         fill(history, commands)
         manager = SpecWait(history, lambda: 0.0)
         for proposal in proposals:
+            history.update(proposal, ts(0, 1), set(), CommandStatus.FAST_PENDING, BALLOT)
             manager.evaluate(proposal, ts(0, 1), lambda ok, waited: None)
         assert manager.parked == PARKED
         for command in commands[:notifies]:

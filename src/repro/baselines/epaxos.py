@@ -28,7 +28,7 @@ the graph walk but is charged exactly what the walk charges for its one node.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.consensus.ballots import Ballot
@@ -193,7 +193,7 @@ class _LeaderState:
     original_seq: int
     original_deps: FrozenSet[InstanceId]
     ballot: Ballot
-    votes: QuorumTracker = field(default_factory=QuorumTracker.unreachable)
+    votes: QuorumTracker
     went_slow: bool = False
     started_at: float = 0.0
 
@@ -204,7 +204,7 @@ class _RecoveryState:
 
     instance_id: InstanceId
     ballot: Ballot
-    votes: QuorumTracker = field(default_factory=QuorumTracker.unreachable)
+    votes: QuorumTracker
 
 
 class EPaxosReplica(ProtocolKernel):

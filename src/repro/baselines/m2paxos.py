@@ -192,7 +192,7 @@ class _PendingAccept:
     index: int
     command: Command
     epoch: int
-    acks: QuorumTracker = field(default_factory=QuorumTracker.unreachable)
+    acks: QuorumTracker
     decided: bool = False
 
 
@@ -202,8 +202,8 @@ class _PendingAcquire:
 
     key: str
     epoch: int
-    grants: QuorumTracker = field(default_factory=QuorumTracker.unreachable)
-    refusals: QuorumTracker = field(default_factory=QuorumTracker.unreachable)
+    grants: QuorumTracker
+    refusals: QuorumTracker
     queued: List[Command] = field(default_factory=list)
     done: bool = False
     #: highest-epoch acked-but-undecided command reported per index.

@@ -16,7 +16,7 @@ about) is included so the protocol keeps making progress in crash tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.consensus.ballots import Ballot
@@ -98,7 +98,7 @@ class _SlotState:
     slot: int
     command: Command
     ballot: Ballot
-    votes: QuorumTracker = field(default_factory=QuorumTracker.unreachable)
+    votes: QuorumTracker
     committed: bool = False
 
 

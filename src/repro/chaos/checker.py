@@ -27,8 +27,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.chaos.history import HistoryTape, Operation
 from repro.kvstore.spec import RegisterState, apply_op
 
-#: Default per-key budget of explored search states.
-DEFAULT_MAX_STATES = 200_000
+#: Per-key budget of explored search states.
+MAX_STATES_PER_KEY = 200_000
 
 
 @dataclass
@@ -84,17 +84,11 @@ class LinearizabilityReport:
         return "NOT linearizable — " + "; ".join(parts)
 
 
-def check_history(tape: HistoryTape,
-                  max_states_per_key: int = DEFAULT_MAX_STATES) -> LinearizabilityReport:
-    """Check every operation recorded on ``tape``."""
-    return _check_grouped(tape.per_key(), max_states_per_key)
-
-
-def _check_grouped(per_key: Dict[str, List[Operation]],
-                   max_states_per_key: int) -> LinearizabilityReport:
+def check_history(tape: HistoryTape) -> LinearizabilityReport:
+    """Check every operation recorded on ``tape`` (each key within :data:`MAX_STATES_PER_KEY`)."""
     report = LinearizabilityReport()
-    for key, ops in per_key.items():
-        report.key_reports[key] = _check_key(key, ops, max_states_per_key)
+    for key, ops in tape.per_key().items():
+        report.key_reports[key] = _check_key(key, ops, MAX_STATES_PER_KEY)
     return report
 
 

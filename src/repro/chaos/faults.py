@@ -186,7 +186,7 @@ class LinkFaults:
             self._dup.pop(link, None)
 
     def set_delay_spike(self, links: Iterable[Link], extra_ms: float,
-                        jitter_ms: float = 0.0) -> None:
+                        jitter_ms: float) -> None:
         """Add ``extra_ms`` (+ uniform jitter) to each message on the given links."""
         for link in links:
             self._delay[link] = (extra_ms, jitter_ms)

@@ -418,15 +418,19 @@ def build_schedule(name: str, n: int, at_ms: float, hold_ms: float) -> NemesisPl
     return builder(n, at_ms, hold_ms)
 
 
+#: Faults in one :func:`random_plan`.
+RANDOM_PLAN_FAULTS = 3
+
+
 def random_plan(rng: DeterministicRandom, n: int, at_ms: float, hold_ms: float,
-                fault_count: int = 3, include_lossy: bool = False) -> NemesisPlan:
+                include_lossy: bool = False) -> NemesisPlan:
     """Generate a random fault schedule from a deterministic stream.
 
-    Each fault occupies a random sub-window of ``[at_ms, at_ms + hold_ms]``;
-    the plan is fully healed by the end of the window.  With
-    ``include_lossy`` the generator may also draw message loss and
-    crash/restart faults (recovered after the heal by the runtime
-    retransmission + catch-up layer).
+    Each of its :data:`RANDOM_PLAN_FAULTS` faults occupies a random
+    sub-window of ``[at_ms, at_ms + hold_ms]``; the plan is fully healed by
+    the end of the window.  With ``include_lossy`` the generator may also
+    draw message loss and crash/restart faults (recovered after the heal by
+    the runtime retransmission + catch-up layer).
 
     Fork ``rng`` per campaign cell (e.g. ``root.fork_cell(("chaos", seed,
     i))``) so every generated plan replays from its coordinates.
@@ -435,7 +439,7 @@ def random_plan(rng: DeterministicRandom, n: int, at_ms: float, hold_ms: float,
     if include_lossy:
         kinds += ["loss", "crash"]
     faults: List[Fault] = []
-    for _ in range(fault_count):
+    for _ in range(RANDOM_PLAN_FAULTS):
         start = at_ms + rng.uniform(0.0, hold_ms * 0.5)
         end = start + rng.uniform(hold_ms * 0.2, hold_ms * 0.5)
         end = min(end, at_ms + hold_ms)

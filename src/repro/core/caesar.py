@@ -17,8 +17,9 @@ tracking, ballot bookkeeping and the failure detector come from the runtime
 kernel (:mod:`repro.runtime.kernel`) — this module contains protocol logic only.
 
 An acceptor handler looks its command up once and hands the entry it found
-(or ``None``) down to COMPUTEPREDECESSORS, UPDATE, WAIT and delivery; the wait
-manager hears of a write only while something is parked.  A fast proposal
+(or ``None``) to COMPUTEPREDECESSORS and UPDATE, and the entry UPDATE wrote to
+WAIT and delivery; the wait manager hears of a write only while something is
+parked.  A fast proposal
 that passes WAIT at once is answered in the handler; ``_answer_proposal`` runs
 for every other outcome: a NACK, a slow proposal, a parked one once it resolves.
 """
@@ -296,12 +297,12 @@ class CaesarReplica(ProtocolKernel):
         self.timestamps.observe(timestamp)
         whitelist_mask = (None if message.whitelist is None
                           else history.mask_from_ids(message.whitelist, command.key))
-        predecessors = compute_predecessor_mask(history, command, timestamp,
-                                                whitelist_mask, existing)
+        predecessors = compute_predecessor_mask(history, command, timestamp, existing,
+                                                whitelist_mask)
         if predecessors:  # CostModel.dependency_cost of a non-empty set
             self.consume_cpu(self.cost_model.per_dependency_ms * predecessors.bit_count())
         entry = history.update(command, timestamp, predecessors, CommandStatus.FAST_PENDING,
-                               ballot, forced=message.whitelist is not None, entry=existing)
+                               ballot, existing, forced=message.whitelist is not None)
         parked = self.wait_manager.parked and self.wait_manager.has_parked(command.key)
         if parked:
             self.wait_manager.notify_entry(entry)
@@ -340,15 +341,14 @@ class CaesarReplica(ProtocolKernel):
             return
         self.ballots[command_id] = message.ballot
         self.timestamps.observe(message.timestamp)
-        predecessors = compute_predecessor_mask(history, command, message.timestamp,
-                                                entry=existing)
+        predecessors = compute_predecessor_mask(history, command, message.timestamp, existing)
         predecessors |= history.mask_from_ids(message.predecessors, command.key)
         self_index = existing.index if existing is not None else history.index_of(command_id)
         if self_index is not None:
             predecessors &= ~(1 << self_index)
         self.consume_cpu(self.cost_model.dependency_cost(predecessors.bit_count()))
         entry = history.update(command, message.timestamp, predecessors,
-                               CommandStatus.SLOW_PENDING, message.ballot, entry=existing)
+                               CommandStatus.SLOW_PENDING, message.ballot, existing)
         if self.wait_manager.parked:
             self.wait_manager.notify_entry(entry)
         proposal = (src, command, message.ballot, message.timestamp, predecessors, False)
@@ -387,16 +387,16 @@ class CaesarReplica(ProtocolKernel):
                          and entry.timestamp == timestamp and entry.pred_mask == reply_pred
                          and entry.status is status and entry.ballot == ballot)
             if not unchanged:
-                entry = history.update(command, timestamp, reply_pred, status, ballot,
-                                       forced=entry is not None and entry.forced, entry=entry)
+                entry = history.update(command, timestamp, reply_pred, status, ballot, entry,
+                                       forced=entry is not None and entry.forced)
                 if self.wait_manager.parked:
                     self.wait_manager.notify_entry(entry)
         else:
             self.stats.nacks_sent += 1
             reply_ts = self.timestamps.suggestion_greater_than(timestamp)
-            reply_pred = compute_predecessor_mask(history, command, reply_ts, entry=entry)
+            reply_pred = compute_predecessor_mask(history, command, reply_ts, entry)
             entry = history.update(command, reply_ts, reply_pred,
-                                   CommandStatus.REJECTED, ballot, entry=entry)
+                                   CommandStatus.REJECTED, ballot, entry)
             if self.wait_manager.parked:
                 self.wait_manager.notify_entry(entry)
         reply_cls = FastProposeReply if fast else SlowProposeReply
@@ -471,8 +471,8 @@ class CaesarReplica(ProtocolKernel):
         self.timestamps.observe(message.timestamp)
         entry = history.update(command, message.timestamp,
                                history.mask_from_ids(message.predecessors, command.key),
-                               CommandStatus.ACCEPTED, message.ballot, entry=existing)
-        extra = compute_predecessor_mask(history, command, message.timestamp, entry=entry)
+                               CommandStatus.ACCEPTED, message.ballot, existing)
+        extra = compute_predecessor_mask(history, command, message.timestamp, entry)
         self.consume_cpu(self.cost_model.dependency_cost(extra.bit_count()))
         if self.wait_manager.parked:
             self.wait_manager.drop_command(command_id, command.key)
@@ -519,7 +519,7 @@ class CaesarReplica(ProtocolKernel):
             if self_index is not None:
                 predecessors &= ~(1 << self_index)
         entry = history.update(command, message.timestamp, predecessors,
-                               CommandStatus.STABLE, ballot, entry=existing)
+                               CommandStatus.STABLE, ballot, existing)
         if self.wait_manager.parked:
             self.wait_manager.drop_command(command_id, command.key)
             self.wait_manager.notify_entry(entry)

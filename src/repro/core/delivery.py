@@ -17,8 +17,7 @@ the new command's bit, and a delivery re-tests only the commands filed under
 the delivered one — never every pending command.
 Nothing else can make a pending command deliverable: once an entry is STABLE
 only this class writes its ``pred_mask``.  :meth:`DeliveryManager.on_stable`
-is handed the entry the replica just wrote; it fetches the entry itself only
-for a caller without one.
+is handed the STABLE entry the replica just wrote.
 
 The delivered set is closed under predecessors (a command is delivered only
 once its mask is inside it, and masks of stable entries only lose bits), so
@@ -34,10 +33,10 @@ its bit in ``bucket.delivered``, so a mask naming it still finds it delivered.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 from repro.consensus.command import Command, CommandId
-from repro.core.history import LOOK_UP, CommandHistory, CommandStatus, HistoryEntry
+from repro.core.history import CommandHistory, CommandStatus, HistoryEntry
 
 
 #: A pending command as filed and queued: ``(ts_key, filing sequence, command,
@@ -156,28 +155,16 @@ class DeliveryManager:
 
     # -------------------------------------------------------------- main API
 
-    def on_stable(self, command: Command,
-                  entry: Optional[HistoryEntry] = LOOK_UP) -> List[Command]:
+    def on_stable(self, command: Command, entry: HistoryEntry) -> List[Command]:
         """Register a newly stable command and deliver everything now possible.
 
-        The caller has recorded the command as STABLE in the history first (one
-        that is not is held back until :meth:`retry_pending`) and passes the
-        entry it wrote when it holds it.  Returns the list of commands
-        delivered as a result (in order).
+        ``entry`` is the command's entry, which the caller has just written
+        as STABLE.  Returns the list of commands delivered as a result (in
+        order).
         """
         command_id = command.command_id
-        if entry is LOOK_UP:
-            entry = self._history.get(command_id)
-        if entry is None:
-            # A collected command has no entry, but its bit is still delivered.
-            if not self.is_delivered(command_id):
-                self._pending[command_id] = command
-            return []
         delivered = entry.bucket.delivered
         if (delivered >> entry.index) & 1:
-            return []
-        if entry.status is not CommandStatus.STABLE:
-            self._pending[command_id] = command
             return []
         if not self._pending and entry.pred_mask & ~delivered == 0:
             # Fast path for the overwhelmingly common case: nothing else is

@@ -34,7 +34,7 @@ the decision path cheap:
   a recovery whitelist), the per-id loop runs — the same result either way.
 
 Each fact about a command is kept once: a :class:`HistoryEntry` carries its
-index and bucket (whoever holds it passes it on as ``entry=``), and
+index and bucket (whoever holds it passes it on as ``entry``), and
 ``CommandHistory._bucket_of`` binds only the ids that have no entry.
 
 A key's indices are *never* recycled, and an emptied bucket is kept: an id
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command, CommandId, KeyBindingError
@@ -58,9 +58,6 @@ from repro.consensus.timestamps import LogicalTimestamp, TimestampRangeError
 
 #: Shared empty frozenset returned whenever a mask materializes to nothing.
 _EMPTY_IDS: FrozenSet[CommandId] = frozenset()
-
-#: Default of an ``entry`` argument: look the command up (``None`` is an answer: not there).
-LOOK_UP = object()
 
 
 class CommandStatus(enum.Enum):
@@ -255,10 +252,6 @@ class CommandHistory:
                 mask |= 1 << (self._bind(command_id, bucket) if index is None else index)
         return mask
 
-    def intern(self, command_id: CommandId, key: str) -> int:
-        """Index of a command id on ``key``, binding it to ``key`` on first sight."""
-        return self._mask_on(key, (command_id,)).bit_length() - 1
-
     def index_of(self, command_id: CommandId) -> Optional[int]:
         """Index of an already-bound id on its key, ``None`` if never seen."""
         bucket = self.bucket_of(command_id)
@@ -343,31 +336,25 @@ class CommandHistory:
         """The timestamp-sorted bucket for ``key`` (``None`` before an id is bound to it)."""
         return self._by_key.get(key)
 
-    def update(self, command: Command, timestamp: LogicalTimestamp,
-               predecessors: Union[int, Iterable[CommandId]], status: CommandStatus,
-               ballot: Ballot, forced: bool = False,
-               entry: Optional[HistoryEntry] = LOOK_UP) -> HistoryEntry:
+    def update(self, command: Command, timestamp: LogicalTimestamp, predecessors: int,
+               status: CommandStatus, ballot: Ballot, entry: Optional[HistoryEntry],
+               forced: bool = False) -> HistoryEntry:
         """Insert or update the entry for ``command`` (the UPDATE of Section V-A).
 
-        ``predecessors`` is either a bitmask on the command's key (the hot
-        path — stored as-is, no copy) or any iterable of command ids
-        (interned on the way in).  An existing entry is mutated in place
-        rather than replaced, so concurrent holders of the entry (e.g. the
-        delivery manager's loop breaking) always observe the node's latest
-        knowledge.  ``entry`` is what :meth:`get` returned to a caller that
-        has written nothing since.  An id bound to another key, or a node id
-        past the 32 bits of a sort key, raises first.
+        ``predecessors`` is a bitmask on the command's key, stored as-is (no
+        copy).  ``entry`` is what :meth:`get` returned to a caller that has
+        written nothing since (``None`` for a command without an entry).  An
+        existing entry is mutated in place rather than replaced, so
+        concurrent holders of the entry (e.g. the delivery manager's loop
+        breaking) always observe the node's latest knowledge.  An id bound to
+        another key, or a node id past the 32 bits of a sort key, raises first.
         """
         command_id, key = command.command_id, command.key
         if timestamp.node_id >> 32:
             raise TimestampRangeError(f"timestamp {timestamp} has a node id outside 0 .. 2**32 - 1")
-        if entry is LOOK_UP:
-            entry = self._entries.get(command_id)
         bucket = entry.bucket if entry is not None else self._bucket_of.get(command_id)
         if bucket is not None and bucket.key != key:
             raise KeyBindingError(command_id, bucket.key, key)
-        mask = (predecessors if isinstance(predecessors, int)
-                else self.mask_from_ids(predecessors, key))
         if bucket is None:
             bucket = self._by_key.get(key) or self._new_bucket(key)
         if entry is None:
@@ -379,7 +366,7 @@ class CommandHistory:
                 bucket.id_of.append(command_id)
             else:
                 del self._bucket_of[command_id]   # bound through its entry from now on
-            entry = HistoryEntry(command, timestamp, mask, status, ballot, forced,
+            entry = HistoryEntry(command, timestamp, predecessors, status, ballot, forced,
                                  index, bucket)
             self._entries[command_id] = entry
             bucket.insert(entry)
@@ -390,7 +377,7 @@ class CommandHistory:
                 entry.timestamp = timestamp
                 bucket.insert(entry)
             entry.command = command
-            entry.pred_mask = mask
+            entry.pred_mask = predecessors
             entry.status = status
             entry.ballot = ballot
             entry.forced = forced

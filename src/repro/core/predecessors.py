@@ -17,9 +17,9 @@ These are the two auxiliary functions of Figure 3 in the paper:
   the blocker mask empties, the manager reports OK or NACK to the callback
   the replica supplied.
 
-Neither looks a command up that its caller already has: both take the
-command's :class:`~repro.core.history.HistoryEntry` (its index and bucket)
-as ``entry``, and fetch it themselves only when it is not given.
+Neither looks a command up: both take the command's
+:class:`~repro.core.history.HistoryEntry` (its index and bucket) from the
+caller as ``entry``, the one the caller just read or wrote.
 """
 
 from __future__ import annotations
@@ -28,13 +28,12 @@ from typing import Callable, Dict, List, Optional
 
 from repro.consensus.command import Command, CommandId
 from repro.consensus.timestamps import LogicalTimestamp
-from repro.core.history import LOOK_UP, CommandHistory, HistoryEntry
+from repro.core.history import CommandHistory, HistoryEntry
 
 
 def compute_predecessor_mask(history: CommandHistory, command: Command,
-                             timestamp: LogicalTimestamp,
-                             whitelist_mask: Optional[int] = None,
-                             entry: Optional[HistoryEntry] = LOOK_UP) -> int:
+                             timestamp: LogicalTimestamp, entry: Optional[HistoryEntry],
+                             whitelist_mask: Optional[int] = None) -> int:
     """COMPUTEPREDECESSORS from Figure 3, as a bitmask on the command's key.
 
     With no whitelist, the predecessors of ``command`` at ``timestamp`` are
@@ -45,11 +44,9 @@ def compute_predecessor_mask(history: CommandHistory, command: Command,
     command), a conflicting command is a predecessor if it is in the
     whitelist, or if it has progressed past the proposal phases
     (slow-pending / accepted / stable) with a smaller timestamp.  ``entry`` is
-    the command's own entry when the caller holds it: only then is the command
-    in the bucket, with a bit of its own to leave out.
+    the command's own entry, ``None`` when it has none yet: only with one is
+    the command in the bucket, with a bit of its own to leave out.
     """
-    if entry is LOOK_UP:
-        entry = history.get(command.command_id)
     if entry is not None:
         bucket, self_bit = entry.bucket, 1 << entry.index
     else:
@@ -163,23 +160,16 @@ class WaitManager:
     # -------------------------------------------------------------- main API
 
     def evaluate(self, command: Command, timestamp: LogicalTimestamp,
-                 on_resolved: Callable[..., None], entry: Optional[HistoryEntry] = LOOK_UP,
+                 on_resolved: Callable[..., None], entry: HistoryEntry,
                  args: tuple = ()) -> Optional[bool]:
         """Run WAIT for ``command`` proposed at ``timestamp``: answer now, or park it.
 
-        Returns the OK/NACK outcome when WAIT terminates at once (``entry``, the
-        command's history entry, spares the lookups when the caller holds it);
+        ``entry`` is the command's history entry, which the caller has just
+        written.  Returns the OK/NACK outcome when WAIT terminates at once;
         ``None`` when the proposal was parked: ``on_resolved(ok, waited_ms, *args)``
         then runs once WAIT terminates, never from inside this call.
         """
-        history = self._history
-        if entry is LOOK_UP:
-            entry = history.get(command.command_id)
-        if entry is not None:
-            bucket, self_bit = entry.bucket, 1 << entry.index
-        else:
-            self_bit = 1 << history.intern(command.command_id, command.key)
-            bucket = history.bucket(command.key)
+        bucket, self_bit = entry.bucket, 1 << entry.index
         keys = bucket.keys
         stamp = timestamp.counter << 32 | timestamp.node_id
         if not keys or keys[-1] >> 32 <= stamp:

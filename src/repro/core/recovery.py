@@ -12,7 +12,7 @@ may already have been decided on the fast path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set
 
 from repro.consensus.ballots import Ballot
@@ -35,7 +35,7 @@ class RecoveryAttempt:
 
     command: Command
     ballot: Ballot
-    votes: QuorumTracker = field(default_factory=QuorumTracker.unreachable)
+    votes: QuorumTracker
     dispatched: bool = False
 
 

@@ -44,8 +44,7 @@ def format_table(title: str, headers: Sequence[str], rows: Iterable[Sequence[obj
     return "\n".join(lines)
 
 
-def format_protocol_stats(per_replica_stats: Sequence[ProtocolStats],
-                          title: str = "protocol counters") -> str:
+def format_protocol_stats(per_replica_stats: Sequence[ProtocolStats]) -> str:
     """Render cluster-wide protocol counters without protocol special-casing.
 
     Every replica carries the same unified
@@ -60,7 +59,7 @@ def format_protocol_stats(per_replica_stats: Sequence[ProtocolStats],
             totals[name] = totals.get(name, 0) + value
     if not totals:
         return ""
-    lines = [f"{title}:"]
+    lines = ["protocol counters:"]
     lines.extend(f"  {name.replace('_', ' '):<24} {value}"
                  for name, value in totals.items())
     return "\n".join(lines)

@@ -65,8 +65,8 @@ def summarize_latencies(values: Sequence[float]) -> LatencySummary:
 
 
 def throughput_timeline(completion_times_ms: Sequence[float], bucket_ms: float = 1000.0,
-                        start_ms: float = 0.0, end_ms: float | None = None,
-                        drop_partial: bool = False) -> List[Tuple[float, float]]:
+                        start_ms: float = 0.0,
+                        end_ms: float | None = None) -> List[Tuple[float, float]]:
     """Bucket completion timestamps into a throughput time series.
 
     The window ``[start_ms, end_ms]`` is split into ``ceil`` buckets of
@@ -82,8 +82,6 @@ def throughput_timeline(completion_times_ms: Sequence[float], bucket_ms: float =
         bucket_ms: bucket width.
         start_ms: timeline origin.
         end_ms: optional timeline end; defaults to the last completion.
-        drop_partial: drop a trailing bucket narrower than ``bucket_ms``
-            instead of scaling it.
 
     Returns:
         List of ``(bucket_start_ms, commands_per_second)`` pairs.
@@ -104,8 +102,6 @@ def throughput_timeline(completion_times_ms: Sequence[float], bucket_ms: float =
         bucket_start = start_ms + index * bucket_ms
         width = min(bucket_ms, end_ms - bucket_start)
         if index == n_buckets - 1 and width < bucket_ms:
-            if drop_partial:
-                break
             if width <= 0:
                 # Degenerate empty window (end == start): keep the nominal
                 # width rather than dividing by zero.

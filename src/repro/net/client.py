@@ -81,9 +81,8 @@ class RemoteReplica(asyncio.Protocol):
                 if isinstance(message, ClientReply):
                     callback = self._pending.pop(message.command_id, None)
                     if callback is not None:
-                        callback(CommandResult(command_id=message.command_id,
-                                               value=message.value,
-                                               rejected=bool(message.rejected)))
+                        callback(CommandResult(message.command_id, message.value, 0.0,
+                                               bool(message.rejected)))
         except (FramingError, WireDecodeError):
             self._transport.close()
 
@@ -149,13 +148,11 @@ async def connect_pool(endpoints: Dict[int, Tuple[str, int]], clients: int,
     return pool, shared + targets
 
 
-def fetch_stats(host: str, port: int, include_executed: bool = False,
-                timeout_s: float = 10.0) -> Dict[str, object]:
+def fetch_stats(host: str, port: int, timeout_s: float = 10.0) -> Dict[str, object]:
     """Fetch one replica's JSON statistics snapshot (blocking, no asyncio)."""
     with socket.create_connection((host, port), timeout=timeout_s) as sock:
         sock.sendall(encode_frame(WIRE.encode(Hello(sender=0, role=ROLE_CONTROL))))
-        sock.sendall(encode_frame(WIRE.encode(
-            StatsRequest(sender=0, include_executed=int(include_executed)))))
+        sock.sendall(encode_frame(WIRE.encode(StatsRequest(0))))
         decoder = FrameDecoder()
         while True:
             data = sock.recv(64 * 1024)

@@ -24,6 +24,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.net.client import fetch_stats
 from repro.net.replica import ReplicaConfig
 
+#: How long :meth:`LocalCluster.wait_ready` waits for a replica's links.
+READY_TIMEOUT_S = 30.0
+
 
 @dataclass
 class ServeConfig:
@@ -152,16 +155,16 @@ class LocalCluster:
         process = self.processes.get(node_id)
         return process is not None and process.is_alive()
 
-    def wait_ready(self, timeout_s: float = 30.0,
-                   node_ids: Optional[List[int]] = None) -> None:
+    def wait_ready(self, node_ids: Optional[List[int]] = None) -> None:
         """Block until every replica (or each of ``node_ids``) answers a stats
-        request and reports its link to every live peer up.
+        request and reports its link to every live peer up, for at most
+        :data:`READY_TIMEOUT_S`.
 
         A replica drops what it sends to a peer it has not dialed yet, so a
         client let in before the mesh is up pays a retransmission timeout
         for its first command.
         """
-        deadline = time.monotonic() + timeout_s
+        deadline = time.monotonic() + READY_TIMEOUT_S
         for node_id in node_ids or self.node_ids:
             host, port = self.peers[node_id]
             while True:
@@ -182,7 +185,7 @@ class LocalCluster:
                         f"replica {node_id} on {host}:{port} is "
                         + ("not accepting connections" if links is None
                            else f"not linked to every live peer ({links})")
-                        + f" after {timeout_s:.0f}s")
+                        + f" after {READY_TIMEOUT_S:.0f}s")
                 time.sleep(0.05)
 
     def kill(self, node_id: int) -> None:
@@ -191,7 +194,7 @@ class LocalCluster:
         process.kill()
         process.join(timeout=10.0)
 
-    def restart(self, node_id: int, wait_ready_s: float = 30.0) -> None:
+    def restart(self, node_id: int) -> None:
         """Start a fresh (amnesiac) process for a killed replica.
 
         The restarted replica has empty state.  The kernel's catch-up layer
@@ -202,18 +205,16 @@ class LocalCluster:
         state transfer (peer snapshot) exists.
         """
         self._spawn(node_id)
-        if wait_ready_s > 0:
-            # The live peers' re-dials count too: until they land, what the
-            # peers send to the restarted replica is dropped.
-            self.wait_ready(timeout_s=wait_ready_s,
-                            node_ids=[peer for peer in self.node_ids if self._alive(peer)])
+        # The live peers' re-dials count too: until they land, what the
+        # peers send to the restarted replica is dropped.
+        self.wait_ready(node_ids=[peer for peer in self.node_ids if self._alive(peer)])
 
-    def stop(self, timeout_s: float = 10.0) -> None:
-        """Terminate every replica process (idempotent)."""
+    def stop(self) -> None:
+        """Terminate every replica process (idempotent), killing any still up after 10 s."""
         for process in self.processes.values():
             if process.is_alive():
                 process.terminate()
-        deadline = time.monotonic() + timeout_s
+        deadline = time.monotonic() + 10.0
         for process in self.processes.values():
             process.join(timeout=max(0.1, deadline - time.monotonic()))
             if process.is_alive():
@@ -239,10 +240,9 @@ def build_local_cluster(config: ServeConfig) -> LocalCluster:
     return LocalCluster(config=config, peers=peers, replica_configs=replica_configs)
 
 
-def serve_cluster(config: Optional[ServeConfig] = None,
-                  wait_ready_s: float = 30.0) -> LocalCluster:
+def serve_cluster(config: Optional[ServeConfig] = None) -> LocalCluster:
     """Launch a local cluster and wait until every replica is reachable."""
     cluster = build_local_cluster(config or ServeConfig())
     cluster.start()
-    cluster.wait_ready(timeout_s=wait_ready_s)
+    cluster.wait_ready()
     return cluster

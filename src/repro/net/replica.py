@@ -40,7 +40,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.consensus.command import KeyBindingError
 from repro.consensus.quorums import QuorumSystem
@@ -153,8 +153,7 @@ class ReplicaServer:
         """Route one decoded frame according to the connection's role."""
         if isinstance(message, StatsRequest):
             reply = StatsReply(sender=self.config.node_id,
-                               payload=json.dumps(self.stats_payload(
-                                   include_executed=bool(message.include_executed))))
+                               payload=json.dumps(self.stats_payload()))
             writer.write(encode_frame(WIRE.encode(reply)))
             return
         if hello.role == ROLE_REPLICA:
@@ -172,17 +171,16 @@ class ReplicaServer:
         def on_executed(result) -> None:
             if writer.is_closing():
                 return
-            reply = ClientReply(command_id=command.command_id, value=result.value,
-                                rejected=int(result.rejected))
+            reply = ClientReply(command.command_id, result.value, int(result.rejected))
             writer.write(encode_frame(WIRE.encode(reply)))
 
         self.replica.submit(command, callback=on_executed)
 
-    def stats_payload(self, include_executed: bool = False) -> Dict[str, object]:
+    def stats_payload(self) -> Dict[str, object]:
         """Statistics snapshot mirroring the simulator harness report shapes."""
         replica = self.replica
         stats = self.network.stats
-        payload: Dict[str, object] = {
+        return {
             "node_id": self.config.node_id,
             "protocol": self.config.protocol,
             "uptime_ms": self.clock.now,
@@ -202,9 +200,6 @@ class ReplicaServer:
                 "per_type_codec_bytes": dict(stats.per_type_codec_bytes),
             },
         }
-        if include_executed:
-            payload["executed"] = [list(c.command_id) for c in replica.execution_log]
-        return payload
 
     def crash(self) -> None:
         """Mark the hosted replica crashed (in-process fault injection)."""
@@ -264,13 +259,10 @@ class _AcceptedConnection(asyncio.Protocol):
 
 
 async def serve_replica(config: ReplicaConfig,
-                        ready: Optional[Callable[[ReplicaServer], None]] = None,
                         stop_event: Optional[asyncio.Event] = None) -> None:
     """Run one replica until ``stop_event`` is set (or forever)."""
     server = ReplicaServer(config)
     await server.start()
-    if ready is not None:
-        ready(server)
     try:
         if stop_event is None:
             await asyncio.Event().wait()

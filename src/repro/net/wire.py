@@ -89,18 +89,12 @@ class ClientReply:
     rejected: int = 0
 
 
-@register_message(sender=UINT, include_executed=UINT)
+@register_message(sender=UINT)
 @value_type
 class StatsRequest:
-    """Ask a replica for its statistics snapshot.
-
-    ``include_executed`` (0/1) additionally requests the full executed
-    command-id list — used by the loopback oracle tests and the loadgen
-    full-replication check; large, so off by default.
-    """
+    """Ask a replica for its statistics snapshot."""
 
     sender: int
-    include_executed: int = 0
 
 
 @register_message(sender=UINT, payload=STRING)

@@ -13,9 +13,8 @@ frozenset emits a loop around whatever its element emits), so
 :func:`compile_codec` turns a whole codec tree into one flat function per
 direction: fields in locals, single-byte varints inlined, no per-field method
 call.  The registry (:mod:`repro.runtime.registry`) compiles one such pair
-per message type, on that type's first use; ``Codec.encode`` / ``Codec.decode``
-on a standalone codec compile the same emitters the same way, so each layout
-has exactly one definition.
+per message type, on that type's first use; :func:`compile_codec` is the one
+compile path, so each layout has exactly one definition.
 
 Every generated module is registered with :mod:`linecache` under a
 ``<wire codec NAME>`` filename, so a traceback out of generated code shows
@@ -32,10 +31,7 @@ import dataclasses
 import linecache
 from contextlib import contextmanager
 from types import MemberDescriptorType
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
-
-#: Decoder result: (value, next_offset).
-Decoded = Tuple[object, int]
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 #: Longest varint accepted: 10 bytes carry 70 bits.  No field in the
 #: repository comes close, and without a cap a hostile frame of ``0xff``
@@ -85,7 +81,7 @@ class SourceWriter:
         self._depth = 0
         self._locals = 0
         #: globals of the generated module: the varint slow paths plus every
-        #: object (class, slot setter, registry, opaque codec) an emitter bound.
+        #: object (class, slot setter, registry) an emitter bound.
         self.namespace: Dict[str, object] = {"_uv": encode_uvarint, "_duv": decode_uvarint}
         self._bound: Dict[int, str] = {}
 
@@ -148,24 +144,19 @@ class SourceWriter:
         return self.namespace
 
 
-def compile_codec(codec: "Codec", label: str,
-                  prefix: Optional[bytes] = None) -> Tuple[Callable, Callable]:
+def compile_codec(codec: "Codec", label: str, prefix: bytes) -> Tuple[Callable, Callable]:
     """Compile ``codec``'s emitters into an ``(encode, decode)`` pair.
 
-    Without ``prefix`` the pair has the field signature: ``encode(value,
-    out)`` appends, ``decode(data, offset)`` returns ``(value, next_offset)``.
-    With ``prefix`` (a message's type-id bytes) the encoder is the whole
-    message's: ``encode(value) -> bytes``, starting with ``prefix``; the
-    decoder is the same either way and starts *after* the prefix.
+    ``encode(value) -> bytes`` returns ``prefix`` (a message's type-id bytes)
+    followed by the value's encoding; ``decode(data, offset)`` starts *after*
+    the prefix and returns ``(value, next_offset)``.
     """
     gen = SourceWriter()
-    with gen.block("def encode(v, out):" if prefix is None else "def encode(v):"):
-        if prefix is not None:
-            gen.line(f"out = bytearray({prefix!r})")
+    with gen.block("def encode(v):"):
+        gen.line(f"out = bytearray({prefix!r})")
         gen.line("ap = out.append")
         codec.emit_encode(gen, "v")
-        if prefix is not None:
-            gen.line("return bytes(out)")
+        gen.line("return bytes(out)")
     with gen.block("def decode(data, o):"):
         gen.line(f"return {codec.emit_decode(gen)}, o")
     namespace = gen.compile(label)
@@ -220,41 +211,17 @@ def value_type(cls: type) -> type:
 class Codec:
     """Base interface: emit the statements that encode and decode a value.
 
-    Subclasses define :meth:`emit_encode` / :meth:`emit_decode`.  A subclass
-    that defines plain ``encode`` / ``decode`` methods instead still works:
-    generated code calls it as an opaque field codec.
+    Every subclass defines :meth:`emit_encode` / :meth:`emit_decode`;
+    :func:`compile_codec` turns them into functions.
     """
 
     def emit_encode(self, gen: SourceWriter, value: str) -> None:
         """Emit statements appending the local ``value``'s encoding to ``out``."""
-        if type(self).encode is Codec.encode:
-            raise NotImplementedError(
-                f"{type(self).__name__} defines neither emit_encode nor encode")
-        gen.line(f"{gen.bind(self)}.encode({value}, out)")
+        raise NotImplementedError(f"{type(self).__name__} defines no emit_encode")
 
     def emit_decode(self, gen: SourceWriter) -> str:
         """Emit statements reading one value at ``o``; returns the local holding it."""
-        if type(self).decode is Codec.decode:
-            raise NotImplementedError(
-                f"{type(self).__name__} defines neither emit_decode nor decode")
-        result = gen.var()
-        gen.line(f"{result}, o = {gen.bind(self)}.decode(data, o)")
-        return result
-
-    def _compile(self) -> None:
-        # The compiled pair shadows these methods on the instance, so the
-        # second call goes straight to generated code.
-        self.encode, self.decode = compile_codec(self, type(self).__name__)
-
-    def encode(self, value: object, out: bytearray) -> None:
-        """Append ``value``'s encoding to ``out`` (compiles on first use)."""
-        self._compile()
-        self.encode(value, out)
-
-    def decode(self, data: bytes, offset: int) -> Decoded:
-        """Read one value from ``data`` at ``offset`` (compiles on first use)."""
-        self._compile()
-        return self.decode(data, offset)
+        raise NotImplementedError(f"{type(self).__name__} defines no emit_decode")
 
 
 class UintCodec(Codec):

@@ -99,17 +99,6 @@ class QuorumTracker:
         self.extra_votes = extra_votes
         self._votes: Dict[int, object] = {}
 
-    @classmethod
-    def unreachable(cls) -> "QuorumTracker":
-        """A tracker that can never become quorate.
-
-        Used as the dataclass default for vote-collecting state: a
-        construction site that forgets to pass a real tracker then stalls
-        loudly (nothing ever reaches quorum) instead of silently treating
-        zero votes as a quorum.
-        """
-        return cls(threshold=float("inf"))
-
     def vote(self, src: int, payload: object = True) -> bool:
         """Record ``src``'s vote (replacing any earlier one); True once quorate."""
         self._votes[src] = payload

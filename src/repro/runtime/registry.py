@@ -39,7 +39,7 @@ twice.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple, Type
+from typing import Callable, Dict, Tuple, Type
 
 from repro.runtime.codec import (Codec, SourceWriter, StructCodec, compile_codec,
                                  decode_uvarint, encode_uvarint)
@@ -215,7 +215,7 @@ class MessageRegistry:
 WIRE = MessageRegistry(TYPE_IDS)
 
 
-def register_message(_registry: Optional[MessageRegistry] = None, **field_codecs: Codec):
+def register_message(**field_codecs: Codec):
     """Class decorator registering a message type with :data:`WIRE`.
 
     Usage::
@@ -228,20 +228,22 @@ def register_message(_registry: Optional[MessageRegistry] = None, **field_codecs
     wire layout).  Any frozen slotted dataclass registers;
     :func:`~repro.runtime.codec.value_type` is that dataclass with the
     cheaper constructor, and every message class in the repository uses it.
+    A class its module does not import with the package (a test's) registers
+    with a :class:`MessageRegistry` of its own, through
+    :meth:`MessageRegistry.register`.
     """
-    registry = _registry or WIRE
 
     def decorate(cls: Type) -> Type:
-        return registry.register(cls, field_codecs)
+        return WIRE.register(cls, field_codecs)
 
     return decorate
 
 
 class MessageCodec(Codec):
-    """Codec for a field holding any *registered* message (used by batches)."""
+    """Codec for a field holding any message registered with :data:`WIRE` (batches)."""
 
-    def __init__(self, registry: Optional[MessageRegistry] = None) -> None:
-        self.registry = registry or WIRE
+    #: The registry the nested messages are encoded and decoded through.
+    registry = WIRE
 
     def emit_encode(self, gen: SourceWriter, value: str) -> None:
         gen.line(f"out += {gen.bind(self.registry)}.encode({value})")

@@ -112,7 +112,7 @@ EC2_SITES = ["virginia", "ohio", "frankfurt", "ireland", "mumbai"]
 EC2_SHORT_LABELS = {"virginia": "VA", "ohio": "OH", "frankfurt": "DE", "ireland": "IE", "mumbai": "IN"}
 
 
-def ec2_five_sites(local_delivery_ms: float = 0.05) -> Topology:
+def ec2_five_sites() -> Topology:
     """The five-site EC2 topology from Section VI of the paper.
 
     The Mumbai RTTs are quoted verbatim from the paper; the EU/US pairs are
@@ -131,7 +131,7 @@ def ec2_five_sites(local_delivery_ms: float = 0.05) -> Topology:
         ("frankfurt", "mumbai"): 112.0,
         ("ireland", "mumbai"): 122.0,
     }
-    return Topology(sites=list(EC2_SITES), rtt_ms=dict(rtt), local_delivery_ms=local_delivery_ms)
+    return Topology(sites=list(EC2_SITES), rtt_ms=dict(rtt))
 
 
 def custom_topology(site_names: Sequence[str], rtt_matrix: Iterable[Iterable[float]],

@@ -8,9 +8,12 @@ from typing import Optional
 
 import pytest
 
+from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command
 from repro.consensus.quorums import QuorumSystem
 from repro.core.caesar import CaesarReplica
+from repro.core.history import CommandStatus
+from repro.core.predecessors import compute_predecessor_mask
 from repro.kvstore.store import KeyValueStore
 from repro.runtime.kernel import ProtocolKernel, RetransmitBuffer
 from repro.sim.network import Network, NetworkConfig
@@ -148,6 +151,32 @@ def make_command(client: int, seq: int, key: str = "k", origin: int = 0,
     """Convenience constructor for test commands."""
     return Command(command_id=(client, seq), key=key, operation=operation,
                    value=f"v{client}.{seq}", origin=origin)
+
+
+def write_entry(history, command, timestamp, predecessors, status, ballot, forced=False):
+    """Write ``command``'s history entry as a CAESAR handler does.
+
+    ``predecessors`` (command ids) is translated to a bitmask on the command's
+    key, and ``CommandHistory.update`` gets the entry the command has now.
+    """
+    mask = history.mask_from_ids(predecessors, command.key)
+    return history.update(command, timestamp, mask, status, ballot,
+                          history.get(command.command_id), forced)
+
+
+def evaluate_wait(manager, history, command, timestamp, on_resolved, args=()):
+    """``WaitManager.evaluate`` as a proposal handler runs it, on the command's entry.
+
+    A command without an entry gets the one the fast-proposal handler writes
+    first: FAST_PENDING at ``timestamp``, with the predecessors
+    COMPUTEPREDECESSORS gives there.
+    """
+    entry = history.get(command.command_id)
+    if entry is None:
+        mask = compute_predecessor_mask(history, command, timestamp, None)
+        entry = history.update(command, timestamp, mask, CommandStatus.FAST_PENDING,
+                               Ballot.initial(command.origin), None)
+    return manager.evaluate(command, timestamp, on_resolved, entry, args)
 
 
 @pytest.fixture

@@ -167,17 +167,12 @@ ALLOWED: Dict[str, str] = {
     "net/transport.py::AsyncioTransport.drop_unsent": _CONTRACT,
     "runtime/codec.py::Codec.emit_encode": "codec base class: every kind overrides it",
     "runtime/codec.py::Codec.emit_decode": "codec base class: every kind overrides it",
-    "runtime/codec.py::Codec._compile": "codec base class: compiles a standalone codec",
-    "runtime/codec.py::Codec.encode": "codec base class: standalone encode",
-    "runtime/codec.py::Codec.decode": "codec base class: standalone decode",
     "runtime/registry.py::MessageCodec.emit_encode": "codec contract for a nested message",
     "runtime/registry.py::MessageCodec.emit_decode": "codec contract for a nested message",
-    "runtime/kernel.py::QuorumTracker.unreachable": "dataclass default factory",
     "consensus/timestamps.py::LogicalTimestamp.__le__":
         "total order: a type with < but not <= is a trap",
     "consensus/timestamps.py::LogicalTimestamp.__ge__":
         "total order: a type with < but not <= is a trap",
-    "core/history.py::CommandHistory.intern": "WaitManager.evaluate's path for a missing entry",
     "sim/events.py::EventQueue.peek_time": "Simulator.run_until at a deadline with events left",
 }
 

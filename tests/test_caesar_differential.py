@@ -1080,10 +1080,10 @@ SPEC_MUTANTS = {
         acceptor_differential),
     "nack-write-not-told-to-wait": (
         CaesarReplica._answer_proposal,
-        "CommandStatus.REJECTED, ballot, entry=entry)\n"
+        "CommandStatus.REJECTED, ballot, entry)\n"
         "        if self.wait_manager.parked:\n"
         "            self.wait_manager.notify_entry(entry)",
-        "CommandStatus.REJECTED, ballot, entry=entry)", acceptor_differential),
+        "CommandStatus.REJECTED, ballot, entry)", acceptor_differential),
     "wait-immediate-ok-always-end-to-end": (
         WaitManager.evaluate,
         "if not keys or keys[-1] >> 32 <= stamp:",

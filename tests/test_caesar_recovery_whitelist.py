@@ -14,7 +14,7 @@ from repro.core.history import CommandStatus
 from repro.core.messages import Recovery, RecoveryReply, Stable
 from repro.core.recovery import RecoveryAttempt
 from repro.runtime.kernel import QuorumTracker
-from tests.conftest import build_caesar_cluster, make_command
+from tests.conftest import build_caesar_cluster, make_command, write_entry
 
 
 def ts(counter: int, node: int = 0) -> LogicalTimestamp:
@@ -190,8 +190,8 @@ class TestRecoveryMessageSide:
         harness = RecoveryHarness()
         acceptor = harness.replicas[2]
         command = harness.command
-        acceptor.history.update(command, ts(4), {(6, 6)}, CommandStatus.FAST_PENDING,
-                                Ballot.initial(0))
+        write_entry(acceptor.history, command, ts(4), {(6, 6)}, CommandStatus.FAST_PENDING,
+                    Ballot.initial(0))
         sent = []
         acceptor.send = lambda dst, msg: sent.append((dst, msg))
         acceptor.recovery.on_recovery_message(1, Recovery(command=command,

@@ -4,7 +4,7 @@
   proposal: over random buckets, :meth:`WaitManager.evaluate`'s answer for
   the bucket's last entry is OK, and for every entry it equals what WAIT as
   ``tests/spec_caesar.py`` states it answers on the same rows, with the wait
-  condition on and off, with the entry handed in and with the entry looked up.
+  condition on and off.
 * :class:`Ballot`'s comparisons are written out: they must order ballots as
   ``(round, node_id)`` tuples do, and leave ``==`` / ``hash`` as the dataclass
   made them (a ballot is a dict value and a wire field).
@@ -30,6 +30,7 @@ from repro.core.history import CommandHistory, CommandStatus
 from repro.core.predecessors import WaitManager
 from repro.runtime.kernel import BallotRegister
 from tests import spec_caesar as spec
+from tests.conftest import evaluate_wait, write_entry
 
 BALLOT = Ballot.initial(0)
 STATUSES = tuple(CommandStatus)
@@ -56,9 +57,10 @@ def build(rows, enabled: bool = True):
     for slot, (counter, status, _, named) in enumerate(rows):
         predecessors = {commands[other].command_id for other in range(len(rows))
                         if named >> other & 1 and other != slot}
-        for target in (history, spec_history):
-            target.update(commands[slot], LogicalTimestamp(counter, slot), predecessors,
-                          status, BALLOT)
+        write_entry(history, commands[slot], LogicalTimestamp(counter, slot), predecessors,
+                    status, BALLOT)
+        spec_history.update(commands[slot], LogicalTimestamp(counter, slot), predecessors,
+                            status, BALLOT)
     return history, WaitManager(history, lambda: 0.0, enabled=enabled), commands, spec_history
 
 
@@ -79,19 +81,14 @@ class TestWaitShortcut:
         assert manager.parked == 0
 
     @settings(max_examples=400, deadline=None, database=None)
-    @given(rows=bucket_strategy, slot=st.integers(0, SLOTS - 1), enabled=st.booleans(),
-           handed=st.booleans())
-    def test_every_entry_is_answered_as_the_full_scan_answers(self, rows, slot, enabled,
-                                                              handed):
+    @given(rows=bucket_strategy, slot=st.integers(0, SLOTS - 1), enabled=st.booleans())
+    def test_every_entry_is_answered_as_the_full_scan_answers(self, rows, slot, enabled):
         history, manager, commands, spec_history = build(rows, enabled)
         entry = history.get(commands[slot % len(rows)].command_id)
         expected = spec_answer(spec_history, entry.command, entry.timestamp, enabled)
         outcomes = []
         callback = lambda ok, waited: outcomes.append(ok)  # noqa: E731
-        if handed:
-            answer = manager.evaluate(entry.command, entry.timestamp, callback, entry)
-        else:
-            answer = manager.evaluate(entry.command, entry.timestamp, callback)
+        answer = manager.evaluate(entry.command, entry.timestamp, callback, entry)
         assert answer is expected
         assert outcomes == []  # a callback is for after a park, never for the call itself
         assert manager.parked == (1 if expected is None else 0)
@@ -105,25 +102,26 @@ class TestWaitShortcut:
         newcomer = Command(command_id=(99, 0), key="k", operation="get" if read else "put",
                            origin=0)
         timestamp = LogicalTimestamp(counter, SLOTS)
-        answer = manager.evaluate(newcomer, timestamp, lambda ok, waited: None)
-        # WAIT interned the id on the way, as it always has.
+        answer = evaluate_wait(manager, history, newcomer, timestamp, lambda ok, waited: None)
+        # The proposal's entry took the key's next index.
         index = history.index_of(newcomer.command_id)
         assert index == len(rows)
         assert answer is spec_answer(spec_history, newcomer, timestamp, enabled)
 
     def test_a_bucket_without_entries_is_no_bucket(self):
         """A key whose entries were all collected, or whose ids were only ever
-        named as predecessors, has a bucket with nothing in it: OK at once."""
+        named as predecessors, has a bucket with nothing in it before a
+        proposal's own entry: OK at once."""
         history = CommandHistory()
         manager = WaitManager(history, lambda: 0.0)
         gone = command_for(0, False)
-        history.update(gone, LogicalTimestamp(5, 0), set(), CommandStatus.STABLE, BALLOT)
+        write_entry(history, gone, LogicalTimestamp(5, 0), set(), CommandStatus.STABLE, BALLOT)
         history.remove(gone.command_id)
         history.mask_from_ids({(7, 0)}, "named-only")
         for newcomer in (command_for(1, False),
                          Command(command_id=(8, 0), key="named-only", origin=0)):
             assert not history.bucket(newcomer.key).entries
-            assert manager.evaluate(newcomer, LogicalTimestamp(1, 1), None) is True
+            assert evaluate_wait(manager, history, newcomer, LogicalTimestamp(1, 1), None) is True
         assert manager.parked == 0
 
     def test_a_later_pending_conflict_is_not_skipped(self):
@@ -144,9 +142,10 @@ class TestWaitShortcut:
         history, spec_history = CommandHistory(), spec.SpecHistory()
         first, second = command_for(0, False), command_for(1, False)
         tie = LogicalTimestamp(5, 0)
-        for target in (history, spec_history):
-            target.update(first, tie, set(), CommandStatus.STABLE, BALLOT)
-            target.update(second, tie, set(), CommandStatus.FAST_PENDING, BALLOT)
+        write_entry(history, first, tie, set(), CommandStatus.STABLE, BALLOT)
+        write_entry(history, second, tie, set(), CommandStatus.FAST_PENDING, BALLOT)
+        spec_history.update(first, tie, set(), CommandStatus.STABLE, BALLOT)
+        spec_history.update(second, tie, set(), CommandStatus.FAST_PENDING, BALLOT)
         manager = WaitManager(history, lambda: 0.0)
         for command in (first, second):
             assert spec_answer(spec_history, command, tie, True) is True

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from repro.chaos import checker
 from repro.chaos.checker import check_history
 from repro.chaos.history import HistoryTape, Operation
 from repro.consensus.command import Command
@@ -18,11 +19,11 @@ from repro.kvstore.store import KeyValueStore
 from repro.sim.simulator import Simulator
 
 
-def check_operations(operations, **budget):
+def check_operations(operations):
     """Check a flat list of operations through :func:`check_history`."""
     tape = HistoryTape(Simulator(seed=0))
     tape.operations.extend(operations)
-    return check_history(tape, **budget)
+    return check_history(tape)
 
 
 def op(op_id: int, key: str, operation: str, value=None, output=None,
@@ -246,11 +247,12 @@ class TestCheckerRejects:
 
 
 class TestBudgetAndTape:
-    def test_exhausted_budget_reports_inconclusive_not_ok(self):
+    def test_exhausted_budget_reports_inconclusive_not_ok(self, monkeypatch):
         history = [
             op(0, "k", "put", value="a", output=None, invoked_at=0, responded_at=1),
         ]
-        report = check_operations(history, max_states_per_key=0)
+        monkeypatch.setattr(checker, "MAX_STATES_PER_KEY", 0)
+        report = check_operations(history)
         assert not report.ok
         assert report.inconclusive
         assert not report.violations

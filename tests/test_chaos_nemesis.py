@@ -127,7 +127,7 @@ class TestLinkFaults:
     def test_delay_spike_postpones_delivery(self):
         sim, network, nodes = build_nodes(rtt=20.0)
         faults = install_faults(sim, network, nodes)
-        faults.set_delay_spike([(0, 1)], extra_ms=50.0)
+        faults.set_delay_spike([(0, 1)], extra_ms=50.0, jitter_ms=0.0)
         nodes[0].send(1, "late")
         sim.run(until=200.0)
         assert payloads(nodes[1]) == ["late"]
@@ -149,7 +149,7 @@ class TestLinkFaults:
         while it is waiting out its extra delay."""
         sim, network, nodes = build_nodes()
         faults = install_faults(sim, network, nodes)
-        faults.set_delay_spike([(0, 1)], extra_ms=50.0)
+        faults.set_delay_spike([(0, 1)], extra_ms=50.0, jitter_ms=0.0)
         nodes[0].send(1, "tunneled?")
         sim.schedule(10.0, lambda: faults.block([(0, 1)]))
         sim.run(until=200.0)

@@ -26,7 +26,7 @@ from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.messages import FastPropose, FastProposeReply, Stable
 from repro.net.wire import REGISTRY_DIGEST, Hello
 from repro.runtime.batching import MessageBatch
-from repro.runtime.codec import UINT, decode_uvarint, encode_uvarint
+from repro.runtime.codec import UINT, compile_codec, decode_uvarint, encode_uvarint
 from repro.runtime.fields import COMMAND_ID_SET
 from repro.runtime.registry import TYPE_IDS, WIRE, MessageCodec
 from repro.sim.failures import Heartbeat
@@ -34,7 +34,9 @@ from tests import spec_wire
 from tests.test_runtime_codec import all_wire_types, message_strategy
 
 ALL_TYPES = all_wire_types()
-MESSAGE = MessageCodec(WIRE)
+MESSAGE = MessageCodec()
+#: The pair ``compile_codec`` gives a bare varint codec, with no prefix.
+UINT_ENCODE, UINT_DECODE = compile_codec(UINT, "UINT", b"")
 
 
 def assert_same_wire(message) -> None:
@@ -121,22 +123,21 @@ def test_boundary_messages_match_the_wire_spec(message):
 @settings(max_examples=60, deadline=None)
 @given(ids=st.frozensets(_IDS, max_size=150))
 def test_a_standalone_codec_compiles_the_same_layout(ids):
-    """``Codec.encode`` / ``.decode`` outside any message: same emitters, same bytes."""
-    compiled_out = bytearray(b"\xaa")
-    COMMAND_ID_SET.encode(ids, compiled_out)
-    assert compiled_out == b"\xaa" + spec_wire.encode(COMMAND_ID_SET, ids)
-    assert COMMAND_ID_SET.decode(bytes(compiled_out), 1) == (ids, len(compiled_out))
+    """``compile_codec`` on a codec outside any message: same emitters, same bytes."""
+    encode, decode = compile_codec(COMMAND_ID_SET, "COMMAND_ID_SET", b"\xaa")
+    compiled = encode(ids)
+    assert compiled == b"\xaa" + spec_wire.encode(COMMAND_ID_SET, ids)
+    assert decode(compiled, 1) == (ids, len(compiled))
 
 
 @pytest.mark.parametrize("value", [0, 127, 128, 16383, 16384, 2**70 - 1])
 def test_inline_varints_are_the_function_s_bytes_on_every_width_boundary(value):
     """One and two bytes are written and read inline by generated code; from
     three up it calls ``encode_uvarint`` / ``decode_uvarint``."""
-    compiled_out, function_out = bytearray(), bytearray()
-    UINT.encode(value, compiled_out)
+    compiled, function_out = UINT_ENCODE(value), bytearray()
     encode_uvarint(value, function_out)
-    assert compiled_out == function_out == spec_wire.encode(UINT, value)
-    assert UINT.decode(bytes(compiled_out) + b"\x7f", 0) == (value, len(compiled_out))
+    assert compiled == function_out == spec_wire.encode(UINT, value)
+    assert UINT_DECODE(compiled + b"\x7f", 0) == (value, len(compiled))
 
 
 @pytest.mark.parametrize("data", [
@@ -146,14 +147,14 @@ def test_inline_varints_are_the_function_s_bytes_on_every_width_boundary(value):
     b"\x81\x80\x80\x01",
 ], ids=lambda data: data.hex())
 def test_a_non_canonical_varint_decodes_exactly_as_the_function_does(data):
-    assert UINT.decode(data, 0) == decode_uvarint(data, 0) == spec_wire.decode(UINT, data, 0)
+    assert UINT_DECODE(data, 0) == decode_uvarint(data, 0) == spec_wire.decode(UINT, data, 0)
 
 
 @pytest.mark.parametrize("data", [b"\x80", b"\xff\xff", b"\xff" * 11],
                          ids=lambda data: data.hex()[:8])
 def test_a_varint_that_ends_early_or_never_raises_what_the_function_raises(data):
     with pytest.raises((IndexError, ValueError)) as inline:
-        UINT.decode(data, 0)
+        UINT_DECODE(data, 0)
     with pytest.raises(inline.type):
         decode_uvarint(data, 0)
 

@@ -1,11 +1,15 @@
-"""Unit tests for ballots and quorum-size arithmetic."""
+"""Unit tests for ballots, quorum-size arithmetic and the vote-collecting records."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.baselines.epaxos import _LeaderState, _RecoveryState
+from repro.baselines.m2paxos import _PendingAccept, _PendingAcquire
+from repro.baselines.multipaxos import _SlotState
 from repro.consensus.ballots import Ballot
+from repro.consensus.command import Command
 from repro.consensus.quorums import (
     QuorumSystem,
     classic_quorum_size,
@@ -13,6 +17,7 @@ from repro.consensus.quorums import (
     fast_quorum_size,
     max_failures,
 )
+from repro.core.recovery import RecoveryAttempt
 from repro.runtime.kernel import QuorumTracker
 
 
@@ -98,3 +103,34 @@ class TestQuorumSizes:
         cq = classic_quorum_size(n)
         worst_overlap = fq + cq - n
         assert worst_overlap >= cq // 2 + 1
+
+
+COMMAND = Command(command_id=(1, 0), key="k", operation="put", value="v", origin=0)
+
+#: Every vote-collecting state record: its class, the fields it is built with
+#: besides its trackers, and each tracker field.
+STATE_RECORDS = [
+    (_PendingAccept, {"key": "k", "index": 0, "command": COMMAND, "epoch": 1}, ("acks",)),
+    (_PendingAcquire, {"key": "k", "epoch": 1}, ("grants", "refusals")),
+    (_LeaderState, {"instance_id": (0, 1), "command": COMMAND, "phase": "preaccept", "seq": 1,
+                    "deps": frozenset(), "original_seq": 1, "original_deps": frozenset(),
+                    "ballot": Ballot.initial(0)}, ("votes",)),
+    (_RecoveryState, {"instance_id": (0, 1), "ballot": Ballot(1, 2)}, ("votes",)),
+    (_SlotState, {"slot": 0, "command": COMMAND, "ballot": Ballot.initial(0)}, ("votes",)),
+    (RecoveryAttempt, {"command": COMMAND, "ballot": Ballot(1, 2)}, ("votes",)),
+]
+
+
+@pytest.mark.parametrize("record, fields, trackers, tracker", [
+    pytest.param(record, fields, trackers, tracker, id=f"{record.__name__}.{tracker}")
+    for record, fields, trackers in STATE_RECORDS for tracker in trackers])
+def test_a_state_record_built_without_its_tracker_is_refused(record, fields, trackers,
+                                                             tracker):
+    """A tracker has no default: a construction site that forgets one fails
+    at once, instead of getting a tracker that never reaches quorum and
+    stalling the command it was for."""
+    given = {name: QuorumTracker(3, 1) for name in trackers}
+    assert getattr(record(**fields, **given), tracker) is given[tracker]
+    del given[tracker]
+    with pytest.raises(TypeError, match=f"'{tracker}'"):
+        record(**fields, **given)

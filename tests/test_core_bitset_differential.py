@@ -31,6 +31,7 @@ from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.history import CommandHistory, CommandStatus
 from repro.core.predecessors import WaitManager
 from tests import spec_caesar as spec
+from tests.conftest import evaluate_wait, write_entry
 from tests.test_core_predecessors import compute_predecessors
 
 BALLOT = Ballot.initial(0)
@@ -81,7 +82,7 @@ class DualStack:
         return opt
 
     def update_both(self, command, timestamp, predecessors, status):
-        entry = self.optimized.update(command, timestamp, predecessors, status, BALLOT)
+        entry = write_entry(self.optimized, command, timestamp, predecessors, status, BALLOT)
         self.spec.update(command, timestamp, predecessors, status, BALLOT)
         self.opt_wait.notify_entry(entry)
         self.spec_wait.rescan()
@@ -115,12 +116,14 @@ def drive(steps) -> DualStack:
             stack.update_both(command, timestamp, predecessors,
                               CommandStatus.FAST_PENDING)
             # Both answer in the call when they can and call back after a park.
-            for wait, outcomes in ((stack.opt_wait, stack.opt_outcomes),
-                                   (stack.spec_wait, stack.spec_outcomes)):
-                verdict = wait.evaluate(
-                    command, timestamp,
-                    lambda ok, waited, c=command, outcomes=outcomes: outcomes.append(
-                        (c.command_id, ok, waited)))
+            def recorder(outcomes, c=command):
+                return lambda ok, waited: outcomes.append((c.command_id, ok, waited))
+
+            verdicts = (evaluate_wait(stack.opt_wait, stack.optimized, command, timestamp,
+                                      recorder(stack.opt_outcomes)),
+                        stack.spec_wait.evaluate(command, timestamp,
+                                                 recorder(stack.spec_outcomes)))
+            for outcomes, verdict in zip((stack.opt_outcomes, stack.spec_outcomes), verdicts):
                 if verdict is not None:
                     outcomes.append((command.command_id, verdict, 0.0))
         elif kind == 1:
@@ -278,7 +281,8 @@ class TestBucketRelativeTranslation:
                                       if keyed.bucket(name) is not None}
             if kind < 2:
                 timestamp = LogicalTimestamp(counter, slot)
-                entry = keyed.update(command, timestamp, mask, CommandStatus.FAST_PENDING, BALLOT)
+                entry = keyed.update(command, timestamp, mask, CommandStatus.FAST_PENDING, BALLOT,
+                                     keyed.get(command.command_id))
                 first_seen.setdefault(command.command_id, None)
                 assert entry.predecessors == ids
         # The interning-order contract: a key's indices are the node-wide
@@ -296,7 +300,7 @@ class TestBucketRelativeTranslation:
         for seq in range(258):
             command = Command(command_id=(0, seq), key="k", operation="put", value="v", origin=0)
             history.update(command, LogicalTimestamp(seq + 1, 0), 0,
-                           CommandStatus.FAST_PENDING, BALLOT)
+                           CommandStatus.FAST_PENDING, BALLOT, None)
         ids = frozenset((0, seq) for seq in range(256))
         history.per_id = 0
         mask = history.mask_from_ids(ids, "k")

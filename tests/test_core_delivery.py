@@ -6,7 +6,7 @@ from repro.consensus.ballots import Ballot
 from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.delivery import DeliveryManager
 from repro.core.history import CommandHistory, CommandStatus
-from tests.conftest import make_command
+from tests.conftest import make_command, write_entry
 
 
 def ts(counter: int, node: int = 0) -> LogicalTimestamp:
@@ -25,8 +25,9 @@ class DeliveryHarness:
         self.manager = DeliveryManager(self.history, lambda c: self.executed.append(c.command_id))
 
     def stable(self, command, timestamp, predecessors=()):
-        self.history.update(command, timestamp, set(predecessors), CommandStatus.STABLE, BALLOT)
-        return self.manager.on_stable(command)
+        entry = write_entry(self.history, command, timestamp, set(predecessors),
+                            CommandStatus.STABLE, BALLOT)
+        return self.manager.on_stable(command, entry)
 
 
 class TestBasicDelivery:
@@ -73,18 +74,19 @@ class TestBasicDelivery:
         manager = DeliveryManager(history, lambda c: seen.append(
             (c.command_id, manager.is_delivered(c.command_id), list(manager.delivered_order))))
         command = make_command(0, 0, key="x")
-        history.update(command, ts(1), set(), CommandStatus.STABLE, BALLOT)
-        manager.on_stable(command)
+        manager.on_stable(command, write_entry(history, command, ts(1), set(),
+                                               CommandStatus.STABLE, BALLOT))
         assert seen == [(command.command_id, True, [command.command_id])]
 
-    def test_stable_again_after_collection_is_not_delivered_twice(self):
-        """A collected command has no entry, but its bit is still in the delivered set."""
+    def test_a_collected_command_still_counts_as_delivered(self):
+        """A collected command has no entry, but its bit is still in the delivered
+        set: what the STABLE handler asks before it writes an entry again."""
         harness = DeliveryHarness()
         command = make_command(0, 0, key="x")
         assert harness.stable(command, ts(1)) == [command]
         harness.history.remove(command.command_id)
-        for entry in ((), (None,)):  # looked up here, or handed in as "not there"
-            assert harness.manager.on_stable(command, *entry) == []
+        assert harness.history.get(command.command_id) is None
+        assert harness.manager.is_delivered(command.command_id)
         assert harness.manager.pending_count() == 0
         assert harness.executed == [command.command_id]
 

@@ -9,7 +9,7 @@ from repro.consensus.command import KeyBindingError
 from repro.consensus.timestamps import LogicalTimestamp, TimestampRangeError
 from repro.core.history import CommandHistory, CommandStatus
 from repro.core.predecessors import compute_predecessor_mask
-from tests.conftest import make_command
+from tests.conftest import make_command, write_entry
 
 
 def ts(counter: int, node: int = 0) -> LogicalTimestamp:
@@ -20,7 +20,7 @@ class TestUpdateAndLookup:
     def test_update_inserts_entry(self):
         history = CommandHistory()
         command = make_command(0, 0, key="x")
-        history.update(command, ts(1), set(), CommandStatus.FAST_PENDING, Ballot.initial(0))
+        write_entry(history, command, ts(1), set(), CommandStatus.FAST_PENDING, Ballot.initial(0))
         entry = history.get(command.command_id)
         assert entry is not None
         assert entry.status is CommandStatus.FAST_PENDING
@@ -30,8 +30,8 @@ class TestUpdateAndLookup:
     def test_update_replaces_existing_entry(self):
         history = CommandHistory()
         command = make_command(0, 0, key="x")
-        history.update(command, ts(1), set(), CommandStatus.FAST_PENDING, Ballot.initial(0))
-        history.update(command, ts(5), {(9, 9)}, CommandStatus.STABLE, Ballot.initial(0))
+        write_entry(history, command, ts(1), set(), CommandStatus.FAST_PENDING, Ballot.initial(0))
+        write_entry(history, command, ts(5), {(9, 9)}, CommandStatus.STABLE, Ballot.initial(0))
         assert len(history) == 1
         entry = history.get(command.command_id)
         assert entry.status is CommandStatus.STABLE
@@ -43,19 +43,19 @@ class TestUpdateAndLookup:
 
     def test_predecessors_of_unknown_is_empty(self):
         """GETPREDECESSORS of a command on a key the history has never seen."""
-        assert compute_predecessor_mask(CommandHistory(), make_command(1, 2), ts(1)) == 0
+        assert compute_predecessor_mask(CommandHistory(), make_command(1, 2), ts(1), None) == 0
 
     def test_status_of(self):
         history = CommandHistory()
         command = make_command(0, 0)
-        history.update(command, ts(1), set(), CommandStatus.ACCEPTED, Ballot.initial(0))
+        write_entry(history, command, ts(1), set(), CommandStatus.ACCEPTED, Ballot.initial(0))
         assert history.get(command.command_id).status is CommandStatus.ACCEPTED
         assert history.get((9, 9)) is None
 
     def test_remove_cleans_key_index(self):
         history = CommandHistory()
         command = make_command(0, 0, key="x")
-        history.update(command, ts(1), set(), CommandStatus.STABLE, Ballot.initial(0))
+        write_entry(history, command, ts(1), set(), CommandStatus.STABLE, Ballot.initial(0))
         history.remove(command.command_id)
         assert command.command_id not in history
         assert history.bucket("x").entries == []
@@ -64,7 +64,7 @@ class TestUpdateAndLookup:
         """A key's interner outlives its entries: the collected id keeps its bit."""
         history = CommandHistory()
         command = make_command(0, 0, key="x")
-        entry = history.update(command, ts(1), set(), CommandStatus.STABLE, Ballot.initial(0))
+        entry = write_entry(history, command, ts(1), set(), CommandStatus.STABLE, Ballot.initial(0))
         history.remove(command.command_id)
         bucket = history.bucket("x")
         assert bucket is entry.bucket and bucket.entries == [] and bucket.all_mask == 0
@@ -78,11 +78,11 @@ class TestUpdateAndLookup:
     def test_an_id_named_before_its_entry_is_bound_through_the_entry_once_it_has_one(self):
         history = CommandHistory()
         named = make_command(0, 0, key="x")
-        history.update(make_command(1, 0, key="x"), ts(2), {named.command_id},
+        write_entry(history, make_command(1, 0, key="x"), ts(2), {named.command_id},
                        CommandStatus.STABLE, Ballot.initial(0))
         bucket = history.bucket("x")
         assert history._bucket_of == {named.command_id: bucket}
-        entry = history.update(named, ts(1), set(), CommandStatus.STABLE, Ballot.initial(0))
+        entry = write_entry(history, named, ts(1), set(), CommandStatus.STABLE, Ballot.initial(0))
         assert history._bucket_of == {}
         assert (history.bucket_of(named.command_id), history.index_of(named.command_id)) == (
             bucket, entry.index) == (bucket, 0)
@@ -93,12 +93,12 @@ class TestSortKeys:
         history = CommandHistory()
         command = make_command(0, 0, key="x")
         with pytest.raises(TimestampRangeError, match=r"<1,4294967296> has a node id outside"):
-            history.update(command, ts(1, 1 << 32), {(5, 5)}, CommandStatus.STABLE,
-                           Ballot.initial(0))
+            history.update(command, ts(1, 1 << 32), 0, CommandStatus.STABLE,
+                           Ballot.initial(0), None)
         assert len(history) == 0 and history.bucket("x") is None
-        assert history.index_of((5, 5)) is None and history._bucket_of == {}
-        entry = history.update(command, ts(1, (1 << 32) - 1), set(), CommandStatus.STABLE,
-                               Ballot.initial(0))
+        assert history.index_of(command.command_id) is None and history._bucket_of == {}
+        entry = history.update(command, ts(1, (1 << 32) - 1), 0, CommandStatus.STABLE,
+                               Ballot.initial(0), None)
         # Counter 1, node id 2**32 - 1, index 0: (1 << 32 | 2**32 - 1) << 32 | 0.
         assert history.bucket("x").keys == [(1 << 65) - (1 << 32)]
         assert entry.bucket.entries == [entry]
@@ -108,7 +108,7 @@ class TestSortKeys:
         history = CommandHistory()
         stamps = [ts(2, 0), ts(1, (1 << 32) - 1), ts(1 << 40, 3), ts(1, 0), ts(2, 1)]
         for seq, timestamp in enumerate(stamps):
-            history.update(make_command(seq, 0, key="x"), timestamp, set(),
+            write_entry(history, make_command(seq, 0, key="x"), timestamp, set(),
                            CommandStatus.FAST_PENDING, Ballot.initial(0))
         bucket = history.bucket("x")
         assert [entry.timestamp for entry in bucket.entries] == sorted(stamps)
@@ -126,37 +126,34 @@ class TestFirstKeyBinding:
         history = CommandHistory()
         ballot = Ballot.initial(0)
         named = make_command(0, 0, key="a")
-        history.update(make_command(1, 0, key="a"), ts(2), {named.command_id},
+        write_entry(history, make_command(1, 0, key="a"), ts(2), {named.command_id},
                        CommandStatus.STABLE, ballot)
         bucket = history.bucket("a")
         before = (list(bucket.id_of), bucket.all_mask, bucket.delivered, len(history))
         with pytest.raises(KeyBindingError,
                            match=r"command \(0, 0\) is bound to key 'a', named on key 'b'"):
-            history.update(make_command(0, 0, key="b"), ts(1), {(5, 5)},
-                           CommandStatus.STABLE, ballot)
-        # Not even the new predecessor was bound, nor a bucket made for "b".
+            history.update(make_command(0, 0, key="b"), ts(1), 0, CommandStatus.STABLE,
+                           ballot, None)
+        # No entry written, nor a bucket made for "b".
         assert history.get(named.command_id) is None and history.bucket("b") is None
-        assert history.index_of((5, 5)) is None
         assert (list(bucket.id_of), bucket.all_mask, bucket.delivered, len(history)) == before
         # Naming it as a predecessor on another key: checked before any id is bound.
         with pytest.raises(KeyBindingError, match="named on key 'c'"):
             history.mask_from_ids([(7, 7), named.command_id], "c")
-        with pytest.raises(KeyBindingError):
-            history.intern(named.command_id, "c")
         assert history.bucket("c") is None and history.index_of((7, 7)) is None
         # On its own key the command arrives at the index it was named with.
         index = history.index_of(named.command_id)
-        entry = history.update(named, ts(1), set(), CommandStatus.STABLE, ballot)
+        entry = write_entry(history, named, ts(1), set(), CommandStatus.STABLE, ballot)
         assert (entry.bucket, entry.index) == (bucket, index)
 
     def test_a_command_with_an_entry_is_refused_on_another_key(self):
         history = CommandHistory()
         ballot = Ballot.initial(0)
         command = make_command(0, 0, key="a")
-        entry = history.update(command, ts(1), set(), CommandStatus.FAST_PENDING, ballot)
+        entry = write_entry(history, command, ts(1), set(), CommandStatus.FAST_PENDING, ballot)
         with pytest.raises(KeyBindingError, match="bound to key 'a', named on key 'b'"):
-            history.update(make_command(0, 0, key="b"), ts(3), set(), CommandStatus.STABLE,
-                           ballot, entry=entry)
+            history.update(make_command(0, 0, key="b"), ts(3), 0, CommandStatus.STABLE,
+                           ballot, entry)
         assert (entry.command, entry.timestamp, entry.status) == (
             command, ts(1), CommandStatus.FAST_PENDING)
         assert history.bucket("b") is None
@@ -169,7 +166,7 @@ class TestFirstKeyBinding:
         history = CommandHistory()
         ballot = Ballot.initial(0)
         command = make_command(0, 0, key="a")
-        entry = history.update(command, ts(1), set(), CommandStatus.STABLE, ballot)
+        entry = write_entry(history, command, ts(1), set(), CommandStatus.STABLE, ballot)
         assert history._bucket_of == {}
         if collected:
             history.remove(command.command_id)
@@ -178,11 +175,10 @@ class TestFirstKeyBinding:
         named = command.command_id
         attempts = [
             lambda: history.mask_from_ids([(7, 7), named], "b"),
-            lambda: history.intern(named, "b"),
-            lambda: history.update(make_command(1, 0, key="b"), ts(2), {(7, 7), named},
-                                   CommandStatus.STABLE, ballot),
-            lambda: history.update(make_command(0, 0, key="b"), ts(2), set(),
-                                   CommandStatus.STABLE, ballot),
+            lambda: write_entry(history, make_command(1, 0, key="b"), ts(2), {(7, 7), named},
+                                CommandStatus.STABLE, ballot),
+            lambda: write_entry(history, make_command(0, 0, key="b"), ts(2), set(),
+                                CommandStatus.STABLE, ballot),
         ]
         for attempt in attempts:
             with pytest.raises(KeyBindingError,
@@ -195,7 +191,7 @@ class TestFirstKeyBinding:
 
 def predecessor_ids(history: CommandHistory, command, timestamp) -> set:
     """GETPREDECESSORS as ids: the product's mask, decoded on the command's key."""
-    mask = compute_predecessor_mask(history, command, timestamp)
+    mask = compute_predecessor_mask(history, command, timestamp, history.get(command.command_id))
     return set(history.ids_from_mask(mask, command.key))
 
 
@@ -206,21 +202,22 @@ class TestConflictIndex:
         second = make_command(1, 0, key="x")
         unrelated = make_command(2, 0, key="y")
         for i, command in enumerate([first, second, unrelated]):
-            history.update(command, ts(i), set(), CommandStatus.FAST_PENDING, Ballot.initial(0))
+            write_entry(history, command, ts(i), set(), CommandStatus.FAST_PENDING,
+                        Ballot.initial(0))
         later = make_command(3, 0, key="x")
         assert predecessor_ids(history, later, ts(9)) == {first.command_id, second.command_id}
 
     def test_conflicting_excludes_self(self):
         history = CommandHistory()
         command = make_command(0, 0, key="x")
-        history.update(command, ts(1), set(), CommandStatus.FAST_PENDING, Ballot.initial(0))
+        write_entry(history, command, ts(1), set(), CommandStatus.FAST_PENDING, Ballot.initial(0))
         assert predecessor_ids(history, command, ts(9)) == set()
 
     def test_reads_do_not_conflict(self):
         history = CommandHistory()
         read_one = make_command(0, 0, key="x", operation="get")
         read_two = make_command(1, 0, key="x", operation="get")
-        history.update(read_one, ts(1), set(), CommandStatus.FAST_PENDING, Ballot.initial(0))
+        write_entry(history, read_one, ts(1), set(), CommandStatus.FAST_PENDING, Ballot.initial(0))
         assert predecessor_ids(history, read_two, ts(9)) == set()
 
     def test_a_key_bucket_holds_only_that_key(self):
@@ -229,7 +226,8 @@ class TestConflictIndex:
         second = make_command(1, 0, key="x")
         unrelated = make_command(2, 0, key="y")
         for i, command in enumerate([first, second, unrelated]):
-            history.update(command, ts(i), set(), CommandStatus.FAST_PENDING, Ballot.initial(0))
+            write_entry(history, command, ts(i), set(), CommandStatus.FAST_PENDING,
+                        Ballot.initial(0))
         bucket = [entry.command_id for entry in history.bucket("x").entries]
         assert bucket == [first.command_id, second.command_id]
 
@@ -237,8 +235,8 @@ class TestConflictIndex:
         history = CommandHistory()
         stable = make_command(0, 0, key="a")
         pending = make_command(1, 0, key="b")
-        history.update(stable, ts(1), set(), CommandStatus.STABLE, Ballot.initial(0))
-        history.update(pending, ts(2), set(), CommandStatus.FAST_PENDING, Ballot.initial(0))
+        write_entry(history, stable, ts(1), set(), CommandStatus.STABLE, Ballot.initial(0))
+        write_entry(history, pending, ts(2), set(), CommandStatus.FAST_PENDING, Ballot.initial(0))
         assert {e.command_id for e in history.stable_entries()} == {stable.command_id}
 
 

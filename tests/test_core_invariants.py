@@ -23,7 +23,7 @@ from repro.harness.cluster import build_cluster
 from repro.harness.experiment import ExperimentConfig, attach_clients
 from repro.metrics.collector import MetricsCollector
 from repro.sim.network import NetworkConfig
-from tests.conftest import build_caesar_cluster, make_command
+from tests.conftest import build_caesar_cluster, make_command, write_entry
 
 
 def run_conflicting_workload(n_commands_per_node: int = 4, seed: int = 1,
@@ -62,10 +62,10 @@ class TestCheckersDetectViolations:
         """Two replicas holding different stable timestamps for one command."""
         _, _, replicas = build_caesar_cluster()
         command = make_command(0, 0, key="x")
-        replicas[0].history.update(command, LogicalTimestamp(1, 0), set(),
-                                   CommandStatus.STABLE, Ballot.initial(0))
-        replicas[1].history.update(command, LogicalTimestamp(9, 0), set(),
-                                   CommandStatus.STABLE, Ballot.initial(0))
+        write_entry(replicas[0].history, command, LogicalTimestamp(1, 0), set(),
+                    CommandStatus.STABLE, Ballot.initial(0))
+        write_entry(replicas[1].history, command, LogicalTimestamp(9, 0), set(),
+                    CommandStatus.STABLE, Ballot.initial(0))
         violations = check_agreement(replicas)
         assert len(violations) == 1
         assert "stable at" in violations[0]
@@ -76,10 +76,10 @@ class TestCheckersDetectViolations:
         replica = replicas[0]
         early = make_command(0, 0, key="x")
         late = make_command(1, 0, key="x")
-        replica.history.update(early, LogicalTimestamp(1, 0), set(),
-                               CommandStatus.STABLE, Ballot.initial(0))
-        replica.history.update(late, LogicalTimestamp(5, 1), set(),
-                               CommandStatus.STABLE, Ballot.initial(1))
+        write_entry(replica.history, early, LogicalTimestamp(1, 0), set(),
+                    CommandStatus.STABLE, Ballot.initial(0))
+        write_entry(replica.history, late, LogicalTimestamp(5, 1), set(),
+                    CommandStatus.STABLE, Ballot.initial(1))
         violations = check_graph_invariant([replica])
         assert len(violations) == 1
         assert "missing from predecessors" in violations[0]
@@ -89,10 +89,10 @@ class TestCheckersDetectViolations:
         replica = replicas[0]
         early = make_command(0, 0, key="x")
         late = make_command(1, 0, key="x")
-        replica.history.update(early, LogicalTimestamp(1, 0), set(),
-                               CommandStatus.STABLE, Ballot.initial(0))
-        replica.history.update(late, LogicalTimestamp(5, 1), {early.command_id},
-                               CommandStatus.STABLE, Ballot.initial(1))
+        write_entry(replica.history, early, LogicalTimestamp(1, 0), set(),
+                    CommandStatus.STABLE, Ballot.initial(0))
+        write_entry(replica.history, late, LogicalTimestamp(5, 1), {early.command_id},
+                    CommandStatus.STABLE, Ballot.initial(1))
         # Execute them in the wrong order directly.
         replica.execution_log.append(late)
         replica.execution_log.append(early)
@@ -116,10 +116,10 @@ class TestCheckersDetectViolations:
         replica = replicas[0]
         early = make_command(0, 0, key="x")
         late = make_command(1, 0, key="x")
-        replica.history.update(early, LogicalTimestamp(7, 0), set(),
-                               CommandStatus.STABLE, Ballot.initial(0))
-        replica.history.update(late, LogicalTimestamp(2, 1), set(),
-                               CommandStatus.STABLE, Ballot.initial(1))
+        write_entry(replica.history, early, LogicalTimestamp(7, 0), set(),
+                    CommandStatus.STABLE, Ballot.initial(0))
+        write_entry(replica.history, late, LogicalTimestamp(2, 1), set(),
+                    CommandStatus.STABLE, Ballot.initial(1))
         replica.execution_log.append(early)
         replica.execution_log.append(late)
         violations = check_timestamp_order([replica])
@@ -131,9 +131,9 @@ class TestCheckersDetectViolations:
         replica = replicas[0]
         blocker = make_command(0, 0, key="x")
         waiting = make_command(1, 0, key="x")
-        entry = replica.history.update(waiting, LogicalTimestamp(5, 1), {blocker.command_id},
-                                       CommandStatus.STABLE, Ballot.initial(1))
-        assert replica.delivery.on_stable(waiting) == []
+        entry = write_entry(replica.history, waiting, LogicalTimestamp(5, 1), {blocker.command_id},
+                            CommandStatus.STABLE, Ballot.initial(1))
+        assert replica.delivery.on_stable(waiting, entry) == []
         assert check_delivery_quiescent(replicas) == []  # legitimately blocked
         entry.pred_mask = 0  # what a mis-filed index entry amounts to
         violations = check_all(replicas)
@@ -150,8 +150,8 @@ class TestCheckersDetectViolations:
         delivered = replica.history.get((0, 0))
         assert replica.delivery.is_delivered(delivered.command_id)
         late = make_command(7, 0, key="hot-0")
-        late_entry = replica.history.update(late, LogicalTimestamp(99, 0), set(),
-                                            CommandStatus.ACCEPTED, Ballot.initial(0))
+        late_entry = write_entry(replica.history, late, LogicalTimestamp(99, 0), set(),
+                                 CommandStatus.ACCEPTED, Ballot.initial(0))
         delivered.pred_mask |= 1 << late_entry.index
         violations = check_all(replicas)
         assert len(violations) == 1
@@ -161,10 +161,10 @@ class TestCheckersDetectViolations:
     def test_crashed_replicas_are_skipped(self):
         _, _, replicas = build_caesar_cluster()
         command = make_command(0, 0, key="x")
-        replicas[0].history.update(command, LogicalTimestamp(1, 0), set(),
-                                   CommandStatus.STABLE, Ballot.initial(0))
-        replicas[1].history.update(command, LogicalTimestamp(9, 0), set(),
-                                   CommandStatus.STABLE, Ballot.initial(0))
+        write_entry(replicas[0].history, command, LogicalTimestamp(1, 0), set(),
+                    CommandStatus.STABLE, Ballot.initial(0))
+        write_entry(replicas[1].history, command, LogicalTimestamp(9, 0), set(),
+                    CommandStatus.STABLE, Ballot.initial(0))
         replicas[1].crashed = True
         assert check_agreement(replicas) == []
 

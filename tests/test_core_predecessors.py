@@ -8,7 +8,7 @@ from repro.consensus.ballots import Ballot
 from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.history import CommandHistory, CommandStatus
 from repro.core.predecessors import WaitManager, compute_predecessor_mask
-from tests.conftest import make_command
+from tests.conftest import evaluate_wait, make_command, write_entry
 
 
 def ts(counter: int, node: int = 0) -> LogicalTimestamp:
@@ -18,7 +18,8 @@ def ts(counter: int, node: int = 0) -> LogicalTimestamp:
 def compute_predecessors(history, command, timestamp, whitelist):
     """The ids :func:`compute_predecessor_mask` answers, whitelist given as ids."""
     whitelist_mask = None if whitelist is None else history.mask_from_ids(whitelist, command.key)
-    mask = compute_predecessor_mask(history, command, timestamp, whitelist_mask)
+    mask = compute_predecessor_mask(history, command, timestamp,
+                                    history.get(command.command_id), whitelist_mask)
     return set(history.ids_from_mask(mask, command.key))
 
 
@@ -29,21 +30,21 @@ class TestComputePredecessors:
     def test_earlier_conflicting_commands_are_predecessors(self):
         history = CommandHistory()
         old = make_command(0, 0, key="x")
-        history.update(old, ts(1), set(), CommandStatus.FAST_PENDING, BALLOT)
+        write_entry(history, old, ts(1), set(), CommandStatus.FAST_PENDING, BALLOT)
         new = make_command(1, 0, key="x")
         assert compute_predecessors(history, new, ts(5), None) == {old.command_id}
 
     def test_later_conflicting_commands_excluded(self):
         history = CommandHistory()
         future = make_command(0, 0, key="x")
-        history.update(future, ts(9), set(), CommandStatus.FAST_PENDING, BALLOT)
+        write_entry(history, future, ts(9), set(), CommandStatus.FAST_PENDING, BALLOT)
         new = make_command(1, 0, key="x")
         assert compute_predecessors(history, new, ts(5), None) == set()
 
     def test_non_conflicting_commands_excluded(self):
         history = CommandHistory()
         other = make_command(0, 0, key="y")
-        history.update(other, ts(1), set(), CommandStatus.FAST_PENDING, BALLOT)
+        write_entry(history, other, ts(1), set(), CommandStatus.FAST_PENDING, BALLOT)
         new = make_command(1, 0, key="x")
         assert compute_predecessors(history, new, ts(5), None) == set()
 
@@ -51,7 +52,7 @@ class TestComputePredecessors:
         """A whitelisted command is a predecessor even if only fast-pending."""
         history = CommandHistory()
         pending = make_command(0, 0, key="x")
-        history.update(pending, ts(1), set(), CommandStatus.FAST_PENDING, BALLOT)
+        write_entry(history, pending, ts(1), set(), CommandStatus.FAST_PENDING, BALLOT)
         new = make_command(1, 0, key="x")
         whitelist = frozenset({pending.command_id})
         assert compute_predecessors(history, new, ts(5), whitelist) == {pending.command_id}
@@ -60,7 +61,7 @@ class TestComputePredecessors:
         """With a whitelist, a fast-pending command outside it is not a predecessor."""
         history = CommandHistory()
         pending = make_command(0, 0, key="x")
-        history.update(pending, ts(1), set(), CommandStatus.FAST_PENDING, BALLOT)
+        write_entry(history, pending, ts(1), set(), CommandStatus.FAST_PENDING, BALLOT)
         new = make_command(1, 0, key="x")
         assert compute_predecessors(history, new, ts(5), frozenset()) == set()
 
@@ -68,7 +69,7 @@ class TestComputePredecessors:
         """With a whitelist, accepted/stable earlier commands stay predecessors."""
         history = CommandHistory()
         stable = make_command(0, 0, key="x")
-        history.update(stable, ts(1), set(), CommandStatus.STABLE, BALLOT)
+        write_entry(history, stable, ts(1), set(), CommandStatus.STABLE, BALLOT)
         new = make_command(1, 0, key="x")
         assert compute_predecessors(history, new, ts(5), frozenset()) == {stable.command_id}
 
@@ -81,10 +82,10 @@ class ManualClock:
         return self.value
 
 
-def run_wait(manager: WaitManager, command, timestamp, outcomes: list) -> None:
+def run_wait(history, manager: WaitManager, command, timestamp, outcomes: list) -> None:
     """WAIT as a handler drives it: the answer in the call, or a callback later."""
-    verdict = manager.evaluate(command, timestamp,
-                               lambda ok, waited: outcomes.append((ok, waited)))
+    verdict = evaluate_wait(manager, history, command, timestamp,
+                            lambda ok, waited: outcomes.append((ok, waited)))
     if verdict is not None:
         outcomes.append((verdict, 0.0))
 
@@ -98,17 +99,17 @@ class TestWaitCondition:
     def test_no_conflicts_resolves_ok_immediately(self):
         history, clock, manager = self.make_manager()
         outcomes = []
-        run_wait(manager, make_command(0, 0, key="x"), ts(3), outcomes)
+        run_wait(history, manager, make_command(0, 0, key="x"), ts(3), outcomes)
         assert outcomes == [(True, 0.0)]
 
     def test_pending_higher_timestamp_conflict_parks_proposal(self):
         """Out-of-order reception (Figure 2a): the earlier command must wait."""
         history, clock, manager = self.make_manager()
         later = make_command(9, 0, key="x")
-        history.update(later, ts(10), set(), CommandStatus.FAST_PENDING, BALLOT)
+        write_entry(history, later, ts(10), set(), CommandStatus.FAST_PENDING, BALLOT)
         outcomes = []
-        manager.evaluate(make_command(0, 0, key="x"), ts(3),
-                         lambda ok, waited: outcomes.append((ok, waited)))
+        evaluate_wait(manager, history, make_command(0, 0, key="x"), ts(3),
+                      lambda ok, waited: outcomes.append((ok, waited)))
         assert outcomes == []
         assert manager.parked == 1
 
@@ -117,11 +118,12 @@ class TestWaitCondition:
         history, clock, manager = self.make_manager()
         early = make_command(0, 0, key="x")
         later = make_command(9, 0, key="x")
-        history.update(later, ts(10), set(), CommandStatus.FAST_PENDING, BALLOT)
+        write_entry(history, later, ts(10), set(), CommandStatus.FAST_PENDING, BALLOT)
         outcomes = []
-        manager.evaluate(early, ts(3), lambda ok, waited: outcomes.append((ok, waited)))
+        evaluate_wait(manager, history, early, ts(3),
+                      lambda ok, waited: outcomes.append((ok, waited)))
         clock.value = 40.0
-        history.update(later, ts(10), {early.command_id}, CommandStatus.STABLE, BALLOT)
+        write_entry(history, later, ts(10), {early.command_id}, CommandStatus.STABLE, BALLOT)
         manager.notify_change("x")
         assert outcomes == [(True, 40.0)]
         assert manager.parked == 0
@@ -133,10 +135,11 @@ class TestWaitCondition:
         history, clock, manager = self.make_manager()
         early = make_command(0, 0, key="x")
         later = make_command(9, 0, key="x")
-        history.update(later, ts(10), set(), CommandStatus.FAST_PENDING, BALLOT)
+        write_entry(history, later, ts(10), set(), CommandStatus.FAST_PENDING, BALLOT)
         outcomes = []
-        manager.evaluate(early, ts(3), lambda ok, waited: outcomes.append((ok, waited)))
-        history.update(later, ts(10), set(), CommandStatus.STABLE, BALLOT)
+        evaluate_wait(manager, history, early, ts(3),
+                      lambda ok, waited: outcomes.append((ok, waited)))
+        write_entry(history, later, ts(10), set(), CommandStatus.STABLE, BALLOT)
         manager.notify_change("x")
         assert outcomes == [(False, 0.0)]
 
@@ -144,36 +147,36 @@ class TestWaitCondition:
         history, clock, manager = self.make_manager()
         early = make_command(0, 0, key="x")
         later = make_command(9, 0, key="x")
-        history.update(later, ts(10), set(), CommandStatus.STABLE, BALLOT)
+        write_entry(history, later, ts(10), set(), CommandStatus.STABLE, BALLOT)
         outcomes = []
-        run_wait(manager, early, ts(3), outcomes)
+        run_wait(history, manager, early, ts(3), outcomes)
         assert outcomes == [(False, 0.0)]
 
     def test_lower_timestamp_conflict_does_not_block(self):
         """Only conflicts with *greater* timestamps can block or reject a proposal."""
         history, clock, manager = self.make_manager()
         older = make_command(9, 0, key="x")
-        history.update(older, ts(1), set(), CommandStatus.FAST_PENDING, BALLOT)
+        write_entry(history, older, ts(1), set(), CommandStatus.FAST_PENDING, BALLOT)
         outcomes = []
-        run_wait(manager, make_command(0, 0, key="x"), ts(3), outcomes)
+        run_wait(history, manager, make_command(0, 0, key="x"), ts(3), outcomes)
         assert outcomes == [(True, 0.0)]
 
     def test_disabled_wait_condition_rejects_instead_of_parking(self):
         """Ablation mode: proposals that would wait are rejected immediately."""
         history, clock, manager = self.make_manager(enabled=False)
         later = make_command(9, 0, key="x")
-        history.update(later, ts(10), set(), CommandStatus.FAST_PENDING, BALLOT)
+        write_entry(history, later, ts(10), set(), CommandStatus.FAST_PENDING, BALLOT)
         outcomes = []
-        run_wait(manager, make_command(0, 0, key="x"), ts(3), outcomes)
+        run_wait(history, manager, make_command(0, 0, key="x"), ts(3), outcomes)
         assert outcomes == [(False, 0.0)]
 
     def test_notify_change_on_other_key_is_noop(self):
         history, clock, manager = self.make_manager()
         later = make_command(9, 0, key="x")
-        history.update(later, ts(10), set(), CommandStatus.FAST_PENDING, BALLOT)
+        write_entry(history, later, ts(10), set(), CommandStatus.FAST_PENDING, BALLOT)
         outcomes = []
-        manager.evaluate(make_command(0, 0, key="x"), ts(3),
-                         lambda ok, waited: outcomes.append((ok, waited)))
+        evaluate_wait(manager, history, make_command(0, 0, key="x"), ts(3),
+                      lambda ok, waited: outcomes.append((ok, waited)))
         manager.notify_change("unrelated")
         assert outcomes == []
 
@@ -181,8 +184,8 @@ class TestWaitCondition:
         history, clock, manager = self.make_manager()
         early = make_command(0, 0, key="x")
         later = make_command(9, 0, key="x")
-        history.update(later, ts(10), set(), CommandStatus.FAST_PENDING, BALLOT)
-        manager.evaluate(early, ts(3), lambda ok, waited: None)
+        write_entry(history, later, ts(10), set(), CommandStatus.FAST_PENDING, BALLOT)
+        evaluate_wait(manager, history, early, ts(3), lambda ok, waited: None)
         assert manager.parked == 1
         manager.drop_command(early.command_id, "x")
         assert manager.parked == 0
@@ -192,13 +195,14 @@ class TestWaitCondition:
         early = make_command(0, 0, key="x")
         blocker_one = make_command(8, 0, key="x")
         blocker_two = make_command(9, 0, key="x")
-        history.update(blocker_one, ts(10), set(), CommandStatus.FAST_PENDING, BALLOT)
-        history.update(blocker_two, ts(11), set(), CommandStatus.FAST_PENDING, BALLOT)
+        write_entry(history, blocker_one, ts(10), set(), CommandStatus.FAST_PENDING, BALLOT)
+        write_entry(history, blocker_two, ts(11), set(), CommandStatus.FAST_PENDING, BALLOT)
         outcomes = []
-        manager.evaluate(early, ts(3), lambda ok, waited: outcomes.append((ok, waited)))
-        history.update(blocker_one, ts(10), {early.command_id}, CommandStatus.STABLE, BALLOT)
+        evaluate_wait(manager, history, early, ts(3),
+                      lambda ok, waited: outcomes.append((ok, waited)))
+        write_entry(history, blocker_one, ts(10), {early.command_id}, CommandStatus.STABLE, BALLOT)
         manager.notify_change("x")
         assert outcomes == []
-        history.update(blocker_two, ts(11), {early.command_id}, CommandStatus.STABLE, BALLOT)
+        write_entry(history, blocker_two, ts(11), {early.command_id}, CommandStatus.STABLE, BALLOT)
         manager.notify_change("x")
         assert outcomes == [(True, 0.0)]

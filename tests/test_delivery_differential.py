@@ -31,6 +31,7 @@ from repro.consensus.command import Command, CommandId
 from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.delivery import DeliveryManager
 from repro.core.history import CommandHistory, CommandStatus
+from tests.conftest import write_entry
 from tests.spec_caesar import SpecDelivery, SpecHistory, comparable_predecessors
 
 BALLOT = Ballot.initial(0)
@@ -47,6 +48,21 @@ SLOTS = 15
 def command_for(slot: int) -> Command:
     return Command(command_id=(slot, 0), key=KEYS[slot % len(KEYS)], operation="put",
                    value=f"v{slot}", origin=0)
+
+
+def write(history, command, timestamp, predecessors, status=CommandStatus.STABLE):
+    """A row as each side's handler writes it: the product's through
+    ``write_entry`` (a mask, and the entry it has), the spec's as it is."""
+    if isinstance(history, SpecHistory):
+        return history.update(command, timestamp, predecessors, status, BALLOT)
+    return write_entry(history, command, timestamp, predecessors, status, BALLOT)
+
+
+def on_stable(manager, command, entry) -> list:
+    """Announce a STABLE row to each side's delivery; the product's takes its entry."""
+    if isinstance(manager, SpecDelivery):
+        return manager.on_stable(command)
+    return manager.on_stable(command, entry)
 
 
 class Side:
@@ -132,12 +148,12 @@ def drive_deliveries(events) -> None:
             if known is None or known.status is not CommandStatus.STABLE:
                 # As the replica does: once STABLE, an entry is never
                 # updated again (a repeat only re-announces it).
-                known = side.history.update(
-                    command, LogicalTimestamp(counter, node), predecessors,
-                    CommandStatus.STABLE if stable else CommandStatus.ACCEPTED, BALLOT)
+                known = write(side.history, command, LogicalTimestamp(counter, node),
+                              predecessors,
+                              CommandStatus.STABLE if stable else CommandStatus.ACCEPTED)
             if known.status is not CommandStatus.STABLE:
                 return None
-            return [c.command_id for c in side.manager.on_stable(command)]
+            return [c.command_id for c in on_stable(side.manager, command, known)]
 
         delivered = announce(indexed), announce(spec)
         assert delivered[0] == delivered[1], ("spec disagrees", events, delivered)
@@ -203,14 +219,13 @@ def lookups_for_one_unrelated_event(manager_and_history, depth: int) -> int:
     blocker = Command(command_id=(99, 0), key="a", operation="put", value="b", origin=0)
     for seq in range(depth):
         command = Command(command_id=(0, seq), key="a", operation="put", value="w", origin=0)
-        history.update(command, LogicalTimestamp(seq + 2, 0), {blocker.command_id},
-                       CommandStatus.STABLE, BALLOT)
-        assert manager.on_stable(command) == []
+        entry = write(history, command, LogicalTimestamp(seq + 2, 0), {blocker.command_id})
+        assert on_stable(manager, command, entry) == []
     assert manager.pending_count() == depth
     unrelated = Command(command_id=(1, 0), key="b", operation="put", value="u", origin=0)
-    history.update(unrelated, LogicalTimestamp(1, 1), set(), CommandStatus.STABLE, BALLOT)
+    entry = write(history, unrelated, LogicalTimestamp(1, 1), set())
     history.lookups = 0
-    assert manager.on_stable(unrelated) == [unrelated]
+    assert on_stable(manager, unrelated, entry) == [unrelated]
     return history.lookups
 
 
@@ -224,18 +239,16 @@ def lookups_for_one_event_behind_delivered(manager_and_history, depth: int) -> i
     delivered: set = set()
     for seq in range(depth):
         command = Command(command_id=(0, seq), key="a", operation="put", value="w", origin=0)
-        history.update(command, LogicalTimestamp(seq + 1, 0), set(delivered),
-                       CommandStatus.STABLE, BALLOT)
-        assert manager.on_stable(command) == [command]
+        entry = write(history, command, LogicalTimestamp(seq + 1, 0), set(delivered))
+        assert on_stable(manager, command, entry) == [command]
         delivered.add(command.command_id)
     held = Command(command_id=(1, 0), key="b", operation="put", value="h", origin=0)
-    history.update(held, LogicalTimestamp(1, 1), {(99, 0)}, CommandStatus.STABLE, BALLOT)
-    assert manager.on_stable(held) == []
+    entry = write(history, held, LogicalTimestamp(1, 1), {(99, 0)})
+    assert on_stable(manager, held, entry) == []
     late = Command(command_id=(2, 0), key="a", operation="put", value="l", origin=0)
-    history.update(late, LogicalTimestamp(depth + 1, 2), delivered,
-                   CommandStatus.STABLE, BALLOT)
+    entry = write(history, late, LogicalTimestamp(depth + 1, 2), delivered)
     history.lookups = 0
-    assert manager.on_stable(late) == [late]
+    assert on_stable(manager, late, entry) == [late]
     return history.lookups
 
 

@@ -7,7 +7,8 @@ built once or more per simulated message or command is therefore built
 with positional arguments; cold paths (recovery, catch-up supply, configs)
 keep their keywords.  This AST scan holds the line: every ``@handles``
 method of CAESAR and the baselines, and the per-command functions named
-below, may build none of the records in :data:`RECORDS` with a keyword.
+below (the TCP replica's and client's reply paths among them), may build
+none of the records in :data:`RECORDS` with a keyword.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ PER_COMMAND = {
     "workload/generator.py": ("ConflictWorkload.next_command",),
     "workload/clients.py": ("ClosedLoopClient._submit_next", "OpenLoopClient._inject"),
     "metrics/collector.py": ("MetricsCollector.record_command",),
+    "net/client.py": ("RemoteReplica.data_received",),
+    "net/replica.py": ("ReplicaServer._submit",),
 }
 
 #: Handlers that run only on a recovery or an election, not per command.
@@ -157,6 +160,25 @@ def test_a_keyword_construction_put_back_is_caught(original, keyword):
     source = read("baselines/epaxos.py")
     assert original in source
     found = violations(source.replace(original, keyword), "baselines/epaxos.py")
+    assert len(found) == 1 and "with keywords" in found[0]
+
+
+@pytest.mark.parametrize("path, original, keyword", [
+    ("net/client.py",
+     "CommandResult(message.command_id, message.value, 0.0,\n"
+     "                                               bool(message.rejected))",
+     "CommandResult(command_id=message.command_id, value=message.value,\n"
+     "                                               rejected=bool(message.rejected))"),
+    ("net/replica.py",
+     "ClientReply(command.command_id, result.value, int(result.rejected))",
+     "ClientReply(command_id=command.command_id, value=result.value,\n"
+     "                                rejected=int(result.rejected))"),
+])
+def test_a_keyword_tcp_reply_is_caught(path, original, keyword):
+    """The reply each TCP command ends with, once on the replica and once on the client."""
+    source = read(path)
+    assert original in source
+    found = violations(source.replace(original, keyword), path)
     assert len(found) == 1 and "with keywords" in found[0]
 
 

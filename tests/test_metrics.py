@@ -117,12 +117,6 @@ class TestThroughputTimeline:
         series = throughput_timeline([2500.0], bucket_ms=1000.0, end_ms=2500.0)
         assert series[-1][1] == pytest.approx(2.0)  # 1 command over 500ms
 
-    def test_drop_partial_omits_the_trailing_sliver(self):
-        completions = [100.0, 2100.0]
-        series = throughput_timeline(completions, bucket_ms=1000.0, end_ms=2500.0,
-                                     drop_partial=True)
-        assert [start for start, _ in series] == [0.0, 1000.0]
-
     def test_full_buckets_unaffected_by_scaling(self):
         completions = [500.0, 1500.0]
         series = throughput_timeline(completions, bucket_ms=1000.0, end_ms=2000.0)

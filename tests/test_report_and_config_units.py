@@ -50,8 +50,8 @@ class TestFormatProtocolStats:
     def test_sums_the_replicas_and_prints_only_what_moved(self):
         stats = [ProtocolStats(fast_decisions=3, nacks_sent=1),
                  ProtocolStats(fast_decisions=2, retries=4)]
-        assert format_protocol_stats(stats, title="counters").splitlines() == [
-            "counters:",
+        assert format_protocol_stats(stats).splitlines() == [
+            "protocol counters:",
             f"  {'fast decisions':<24} 5",
             f"  {'nacks sent':<24} 1",
             f"  {'retries':<24} 4"]

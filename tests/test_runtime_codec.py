@@ -41,6 +41,7 @@ from repro.runtime.codec import (
     StructCodec,
     TupleCodec,
     UintCodec,
+    compile_codec,
     decode_uvarint,
     encode_uvarint,
 )
@@ -358,33 +359,21 @@ def test_traceback_from_generated_code_shows_the_generated_line():
     assert frame.line in "".join(traceback.format_exception(caught.value))
 
 
-def test_codec_defining_only_encode_and_decode_works_inside_a_message():
-    """A third-party codec without emitters is called as an opaque field codec."""
-
-    class FixedWidth(Codec):
-        def encode(self, value, out):
-            out += value.to_bytes(4, "big")
-
-        def decode(self, data, offset):
-            return int.from_bytes(data[offset:offset + 4], "big"), offset + 4
-
-    @dataclasses.dataclass(frozen=True, slots=True)
-    class Reading:
-        sensor: int
-        samples: tuple
-
-    registry = MessageRegistry({row(Reading): 0})
-    registry.register(Reading, {"sensor": UintCodec(), "samples": SeqCodec(FixedWidth())})
-    reading = Reading(sensor=300, samples=(1, 2**31, 7))
-    encoded = registry.encode(reading)
-    assert encoded == b"\x00\xac\x02\x03" + b"".join(s.to_bytes(4, "big") for s in reading.samples)
-    assert registry.decode_one(encoded) == reading
+def test_a_codec_without_emitters_is_refused_when_compiled():
+    """Every codec emits its layout; one that defines no emitters cannot compile."""
 
     class Nothing(Codec):
         pass
 
-    with pytest.raises(NotImplementedError):
-        Nothing().encode(1, bytearray())
+    with pytest.raises(NotImplementedError, match="emit_encode"):
+        compile_codec(Nothing(), "Nothing", b"")
+
+    class EncodeOnly(Codec):
+        def emit_encode(self, gen, value):
+            gen.line(f"ap({value})")
+
+    with pytest.raises(NotImplementedError, match="emit_decode"):
+        compile_codec(EncodeOnly(), "EncodeOnly", b"")
 
 
 def test_varints_stop_at_ten_bytes_in_both_directions():

@@ -8,6 +8,14 @@ from repro.sim.topology import EC2_SITES, Topology, custom_topology, ec2_five_si
 from tests.conftest import lan_topology, uniform_topology
 
 
+def ec2_with_self_delay(local_delivery_ms: float) -> Topology:
+    """The paper's EC2 topology with another self-delivery delay."""
+    ec2 = ec2_five_sites()
+    return Topology(sites=ec2.sites,
+                    rtt_ms={pair: rtt for pair, rtt in ec2.rtt_ms.items() if pair[0] != pair[1]},
+                    local_delivery_ms=local_delivery_ms)
+
+
 class TestEc2Topology:
     def test_five_sites_in_paper_order(self):
         topology = ec2_five_sites()
@@ -41,7 +49,7 @@ class TestEc2Topology:
         assert topology.one_way(0, 4) == pytest.approx(topology.rtt(0, 4) / 2)
 
     def test_self_delay_is_local(self):
-        topology = ec2_five_sites(local_delivery_ms=0.1)
+        topology = ec2_with_self_delay(0.1)
         assert topology.one_way(2, 2) == pytest.approx(0.1)
 
     def test_quorum_latency_counts_self(self):
@@ -58,7 +66,7 @@ class TestEc2Topology:
         # Regression: the origin's own vote needs no network round trip, so a
         # quorum of one costs exactly 0 ms — not the self-RTT
         # (2 x local_delivery_ms) the old code charged.
-        topology = ec2_five_sites(local_delivery_ms=5.0)
+        topology = ec2_with_self_delay(5.0)
         for origin in range(topology.size):
             assert topology.quorum_latency(origin, 1) == 0.0
 
@@ -142,7 +150,7 @@ class TestTopologyConstruction:
 
 #: Every topology constructor, each built with a non-default self-delay.
 TOPOLOGY_FACTORIES = {
-    "ec2": lambda: ec2_five_sites(local_delivery_ms=0.2),
+    "ec2": lambda: ec2_with_self_delay(0.2),
     "uniform": lambda: uniform_topology(4, rtt_ms=40.0, local_delivery_ms=0.2),
     "lan": lambda: lan_topology(3),
     "custom": lambda: custom_topology(["a", "b", "c"],
