@@ -34,7 +34,7 @@ SLICE = {
 
 @pytest.mark.parametrize("key", SLICE)
 def test_slice_reproduces_the_committed_record(key, committed_series):
-    result = run_figure(key, cell_filter=SLICE[key])
+    result = run_figure(key, workers=1, cell_filter=SLICE[key])
     ran = {(label, x): y for label, points in result.record.series.items()
            for x, y in points.items() if y is not None}
     assert ran, f"no cell of figure {key} matched {SLICE[key]}"

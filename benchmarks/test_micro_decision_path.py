@@ -146,12 +146,12 @@ def time_wait_notify(size: int) -> Dict[str, float]:
     def run_optimized() -> int:
         history = CommandHistory()
         fill(history, commands)
-        manager = WaitManager(history, lambda: 0.0)
+        manager = WaitManager(history, lambda: 0.0, True)
         for proposal in proposals:
             # The proposal's own entry, written before WAIT runs, as a handler does.
             entry = history.update(proposal, ts(0, 1), 0, CommandStatus.FAST_PENDING, BALLOT,
                                    None)
-            manager.evaluate(proposal, ts(0, 1), lambda ok, waited: None, entry)
+            manager.evaluate(proposal, ts(0, 1), lambda ok, waited: None, entry, ())
         assert manager.parked == PARKED
         for command in commands[:notifies]:
             entry = history.get(command.command_id)

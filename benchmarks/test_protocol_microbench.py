@@ -17,23 +17,18 @@ from repro.consensus.command import Command
 from repro.consensus.quorums import QuorumSystem, epaxos_fast_quorum_size
 from repro.harness.cluster import ClusterConfig, build_cluster
 from repro.metrics.perf import PerfRecord, write_record
-from repro.sim.network import NetworkConfig
+from repro.runtime.registry import WIRE
+from repro.sim.network import Network
 from repro.sim.topology import ec2_five_sites
-from tests.conftest import run_until_executed
+from tests.conftest import ignore, run_until_executed
 
 
 def order_single_command(protocol: str, origin: int = 0, **options):
-    """Build a cluster, order one command from ``origin``, return (latency, cluster).
-
-    Wire accounting is enabled so the cluster also reports codec-measured
-    bytes for every message it sent (virtual-time behavior is unaffected).
-    """
-    cluster = build_cluster(ClusterConfig(protocol=protocol, seed=5,
-                                          network=NetworkConfig(wire_accounting=True),
-                                          protocol_options=options))
+    """Build a cluster, order one command from ``origin``, return (latency, cluster)."""
+    cluster = build_cluster(ClusterConfig(protocol=protocol, seed=5, protocol_options=options))
     command = Command(command_id=(origin, 0), key="bench", operation="put", value="v",
                       origin=origin)
-    cluster.replica(origin).submit(command)
+    cluster.replica(origin).submit(command, ignore)
     # check_every=1: stop on the exact event so message counts stay comparable.
     cluster.sim.run_until(lambda: cluster.all_executed([command.command_id]),
                           deadline=cluster.sim.now + 30000, check_every=1)
@@ -65,8 +60,8 @@ def test_caesar_slow_decision_is_four_delays():
         # sites force at least one of them onto the retry path.
         first = Command(command_id=(0, 0), key="hot", operation="put", value="a", origin=0)
         second = Command(command_id=(4, 0), key="hot", operation="put", value="b", origin=4)
-        cluster.replica(0).submit(first)
-        cluster.replica(4).submit(second)
+        cluster.replica(0).submit(first, ignore)
+        cluster.replica(4).submit(second, ignore)
         run_until_executed(cluster, [first.command_id, second.command_id],
                            deadline_ms=30000)
         return cluster
@@ -87,6 +82,29 @@ def test_epaxos_fast_path_cheaper_quorum_than_caesar():
     assert epaxos_latency < caesar_latency
 
 
+def codec_bytes_of_one_command(protocol: str):
+    """Order one command under ``protocol``; return the cluster and the bytes
+    of every message it handed to the simulated network, as the codec encodes it.
+
+    ``Network.send`` is patched on the class before the cluster is built,
+    because each transport binds its network's ``send`` when it is
+    constructed; a batch is measured as its envelope.
+    """
+    sizes = []
+    send = Network.send
+
+    def measured_send(network, src, dst, message):
+        sizes.append(len(WIRE.encode(message)))
+        send(network, src, dst, message)
+
+    Network.send = measured_send
+    try:
+        _, cluster = order_single_command(protocol)
+    finally:
+        Network.send = send
+    return cluster, sum(sizes)
+
+
 def message_footprint():
     """Messages and codec-measured bytes to order a single command, per protocol.
 
@@ -99,9 +117,8 @@ def message_footprint():
     counts = {}
     events = 0
     for protocol in ("caesar", "epaxos", "multipaxos", "mencius", "m2paxos"):
-        _, cluster = order_single_command(protocol)
-        stats = cluster.network.stats
-        counts[protocol] = (stats.messages_sent, stats.codec_bytes_sent)
+        cluster, wire_bytes = codec_bytes_of_one_command(protocol)
+        counts[protocol] = (cluster.network.stats.messages_sent, wire_bytes)
         events += cluster.sim.steps_executed
 
     table = "\n".join(

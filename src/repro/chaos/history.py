@@ -69,7 +69,7 @@ class HistoryTape:
         self.operations: List[Operation] = []
 
     def invoke(self, client_id: int, key: str, operation: str,
-               value: Optional[str] = None) -> Operation:
+               value: Optional[str]) -> Operation:
         """Record an invocation at the current virtual time and return its record."""
         op = Operation(op_id=len(self.operations), client_id=client_id, key=key,
                        operation=operation, value=value, invoked_at=self.sim.now)

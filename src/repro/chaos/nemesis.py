@@ -298,10 +298,12 @@ class Nemesis:
 #
 # Every builder has the signature ``(n, at_ms, hold_ms) -> NemesisPlan``:
 # the fault begins at ``at_ms`` and the fabric is fully healed by
-# ``at_ms + hold_ms``.  ``flaky-links`` and ``crash-restart`` lose messages;
+# ``at_ms + hold_ms``.  ``flaky-links`` and the two crashes lose messages;
 # the runtime retransmission + catch-up layer recovers them after the heal,
-# so every protocol can (and must) survive the whole library — that is the
-# conformance matrix.
+# so every protocol can (and must) survive the whole library.  The
+# conformance matrix is the library without ``leader-crash``, which crashes
+# node 0 where ``crash-restart`` crashes node n-1: node 0 is Multi-Paxos'
+# leader, so with ``--recovery`` it runs Multi-Paxos' election.
 
 
 def _minority_partition(n: int, at_ms: float, hold_ms: float) -> NemesisPlan:
@@ -373,6 +375,12 @@ def _crash_restart(n: int, at_ms: float, hold_ms: float) -> NemesisPlan:
         CrashFault(at_ms=at_ms, node_id=n - 1, restart_at_ms=at_ms + hold_ms),))
 
 
+def _leader_crash(n: int, at_ms: float, hold_ms: float) -> NemesisPlan:
+    """Crash node 0, Multi-Paxos' leader, restart it at the heal (lossy)."""
+    return NemesisPlan("leader-crash", (
+        CrashFault(at_ms=at_ms, node_id=0, restart_at_ms=at_ms + hold_ms),))
+
+
 def _flaky_links(n: int, at_ms: float, hold_ms: float) -> NemesisPlan:
     """Probabilistic message loss on every link (lossy)."""
     return NemesisPlan("flaky-links", (
@@ -389,6 +397,7 @@ NEMESIS_SCHEDULES: Dict[str, Callable[[int, float, float], NemesisPlan]] = {
     "slow-node": _slow_node,
     "clock-skew": _clock_skew,
     "crash-restart": _crash_restart,
+    "leader-crash": _leader_crash,
     "flaky-links": _flaky_links,
 }
 
@@ -423,7 +432,7 @@ RANDOM_PLAN_FAULTS = 3
 
 
 def random_plan(rng: DeterministicRandom, n: int, at_ms: float, hold_ms: float,
-                include_lossy: bool = False) -> NemesisPlan:
+                include_lossy: bool) -> NemesisPlan:
     """Generate a random fault schedule from a deterministic stream.
 
     Each of its :data:`RANDOM_PLAN_FAULTS` faults occupies a random

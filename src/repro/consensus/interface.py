@@ -164,7 +164,7 @@ class ConsensusReplica(Node):
     protocol_name = "abstract"
 
     def __init__(self, node_id: int, sim: Clock, network, quorums: QuorumSystem,
-                 state_machine: StateMachine, cost_model: Optional[CostModel] = None) -> None:
+                 state_machine: StateMachine, cost_model: Optional[CostModel]) -> None:
         super().__init__(node_id, sim, network, cost_model)
         self.quorums = quorums
         self.state_machine = state_machine
@@ -179,8 +179,7 @@ class ConsensusReplica(Node):
 
     # ------------------------------------------------------------ client API
 
-    def submit(self, command: Command,
-               callback: Optional[Callable[[CommandResult], None]] = None) -> None:
+    def submit(self, command: Command, callback: Callable[[CommandResult], None]) -> None:
         """Entry point for a client co-located with this replica.
 
         The replica becomes the command's leader, tracks a :class:`Decision`
@@ -194,11 +193,9 @@ class ConsensusReplica(Node):
         if self.admission is not None:
             reason = self.admission.try_admit(command.command_id, self.sim.now)
             if reason is not None:
-                if callback is not None:
-                    callback(CommandResult(command.command_id, None, self.sim.now, True))
+                callback(CommandResult(command.command_id, None, self.sim.now, True))
                 return
-        if callback is not None:
-            self._client_callbacks[command.command_id] = callback
+        self._client_callbacks[command.command_id] = callback
         self.decisions[command.command_id] = Decision(command.command_id, self.node_id,
                                                       self.sim.now)
         self.consume_cpu(self.cost_model.client_request_ms)

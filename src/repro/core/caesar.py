@@ -91,8 +91,8 @@ class LeaderState:
     def __init__(self, command: Command, ballot: Ballot, phase: str,
                  timestamp: LogicalTimestamp, whitelist: Optional[FrozenSet[CommandId]],
                  votes: Optional[QuorumTracker], now: float,
-                 predecessors: Optional[Set[CommandId]] = None,
-                 recovered: bool = False) -> None:
+                 predecessors: Optional[Set[CommandId]],
+                 recovered: bool) -> None:
         self.command = command
         self.ballot = ballot
         self.phase = phase

@@ -78,7 +78,7 @@ class _ParkedProposal:
 
     def __init__(self, command: Command, bit: int, timestamp: LogicalTimestamp,
                  on_resolved: Callable[..., None], parked_at: float,
-                 blocker_mask: int, witness_mask: int, args: tuple = ()) -> None:
+                 blocker_mask: int, witness_mask: int, args: tuple) -> None:
         self.command = command
         self.command_id = command.command_id
         self.is_write = command.is_write
@@ -108,7 +108,7 @@ class WaitManager:
     """
 
     def __init__(self, history: CommandHistory, now: Callable[[], float],
-                 enabled: bool = True) -> None:
+                 enabled: bool) -> None:
         self._history = history
         self._now = now
         self._enabled = enabled
@@ -161,7 +161,7 @@ class WaitManager:
 
     def evaluate(self, command: Command, timestamp: LogicalTimestamp,
                  on_resolved: Callable[..., None], entry: HistoryEntry,
-                 args: tuple = ()) -> Optional[bool]:
+                 args: tuple) -> Optional[bool]:
         """Run WAIT for ``command`` proposed at ``timestamp``: answer now, or park it.
 
         ``entry`` is the command's history entry, which the caller has just

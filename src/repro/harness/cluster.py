@@ -126,9 +126,8 @@ class Cluster:
                                    if r.admission is not None)
 
 
-def build_cluster(config: Optional[ClusterConfig] = None) -> Cluster:
+def build_cluster(config: ClusterConfig) -> Cluster:
     """Construct a cluster for the configured protocol on the configured topology."""
-    config = config or ClusterConfig()
     topology = config.topology or ec2_five_sites()
     sim = Simulator(seed=config.seed)
     network = Network(sim, topology, config.network)

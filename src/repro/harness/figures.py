@@ -544,7 +544,7 @@ class FigureResult:
         return write_record(self.record, self.table, results_dir)
 
 
-def run_figure(key: str, *, workers: Workers = 1, cell_filter: Optional[Sequence[str]] = None,
+def run_figure(key: str, *, workers: Workers, cell_filter: Optional[Sequence[str]],
                **grid_params) -> FigureResult:
     """Run figure ``key``'s grid, with ``grid_params`` over its defaults, and reduce it.
 

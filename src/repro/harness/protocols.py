@@ -73,10 +73,10 @@ def _protocol(name: str) -> Protocol:
 
 def build_replica(protocol: str, node_id: int, clock, network, quorums: QuorumSystem,
                   options: Mapping[str, object],
-                  cost_model: Optional[CostModel] = None,
-                  admission: Optional[str] = None,
-                  recovery: bool = False,
-                  history_gc: bool = False) -> ConsensusReplica:
+                  cost_model: Optional[CostModel],
+                  admission: Optional[str],
+                  recovery: bool,
+                  history_gc: bool) -> ConsensusReplica:
     """Construct one replica of ``protocol`` on either substrate.
 
     Args:

@@ -91,7 +91,7 @@ class SweepCell:
 
 
 def sweep_cell(key: Sequence[object], config: ExperimentConfig,
-               base_seed: Optional[int] = None,
+               base_seed: int,
                runner: Callable = run_experiment,
                collect: Optional[Callable] = summarize_experiment,
                options: Optional[Mapping[str, object]] = None) -> SweepCell:
@@ -103,9 +103,7 @@ def sweep_cell(key: Sequence[object], config: ExperimentConfig,
     never perturbs its neighbours.
     """
     key = tuple(key)
-    if base_seed is not None:
-        derived = DeterministicRandom(base_seed).fork_cell(key)
-        config = replace(config, seed=derived.seed)
+    config = replace(config, seed=DeterministicRandom(base_seed).fork_cell(key).seed)
     return SweepCell(key=key, config=config, runner=runner, collect=collect,
                      options=dict(options or {}))
 
@@ -175,7 +173,7 @@ def _mp_context():
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def run_sweep(cells: Sequence[SweepCell], workers: Workers = 1,
+def run_sweep(cells: Sequence[SweepCell], workers: Workers,
               cell_filter: Optional[Sequence[str]] = None) -> SweepResult:
     """Execute every cell and aggregate the payloads in cell order.
 

@@ -23,7 +23,7 @@ RegisterState = Optional[str]
 
 
 def apply_op(state: RegisterState, operation: str,
-             value: Optional[str] = None) -> Tuple[RegisterState, Optional[str]]:
+             value: Optional[str]) -> Tuple[RegisterState, Optional[str]]:
     """Apply one operation to a key's register.
 
     Args:

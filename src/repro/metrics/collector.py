@@ -55,7 +55,7 @@ class MetricsCollector:
         """Number of recorded (post-warm-up) samples."""
         return len(self.samples)
 
-    def latencies(self, origin: Optional[int] = None) -> List[float]:
+    def latencies(self, origin: Optional[int]) -> List[float]:
         """Latency samples, optionally filtered by origin replica."""
         return [sample.latency_ms for sample in self.samples
                 if origin is None or sample.origin == origin]
@@ -83,8 +83,8 @@ class MetricsCollector:
             raise ValueError("duration_ms must be positive")
         return self.count * 1000.0 / duration_ms
 
-    def timeline(self, bucket_ms: float = 1000.0, start_ms: float = 0.0,
-                 end_ms: Optional[float] = None) -> List[tuple]:
+    def timeline(self, bucket_ms: float, end_ms: Optional[float],
+                 start_ms: float = 0.0) -> List[tuple]:
         """Throughput time series of the recorded samples."""
         completions = [sample.completed_at for sample in self.samples]
         return throughput_timeline(completions, bucket_ms=bucket_ms, start_ms=start_ms,

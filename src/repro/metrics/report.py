@@ -66,7 +66,7 @@ def format_protocol_stats(per_replica_stats: Sequence[ProtocolStats]) -> str:
 
 
 def format_series(title: str, series: Dict[str, Dict[object, Optional[float]]],
-                  x_label: str = "x") -> str:
+                  x_label: str) -> str:
     """Render a dict-of-dicts ``{series_name: {x: y}}`` as a table keyed by x."""
     xs: List[object] = []
     for values in series.values():

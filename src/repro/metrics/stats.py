@@ -64,9 +64,9 @@ def summarize_latencies(values: Sequence[float]) -> LatencySummary:
     )
 
 
-def throughput_timeline(completion_times_ms: Sequence[float], bucket_ms: float = 1000.0,
-                        start_ms: float = 0.0,
-                        end_ms: float | None = None) -> List[Tuple[float, float]]:
+def throughput_timeline(completion_times_ms: Sequence[float], bucket_ms: float,
+                        start_ms: float,
+                        end_ms: float | None) -> List[Tuple[float, float]]:
     """Bucket completion timestamps into a throughput time series.
 
     The window ``[start_ms, end_ms]`` is split into ``ceil`` buckets of

@@ -52,7 +52,7 @@ class RemoteReplica(asyncio.Protocol):
         client_id: id announced in the connection's Hello frame.
     """
 
-    def __init__(self, node_id: int, host: str, port: int, client_id: int = 0) -> None:
+    def __init__(self, node_id: int, host: str, port: int, client_id: int) -> None:
         self.node_id = node_id
         self.host = host
         self.port = port
@@ -93,14 +93,13 @@ class RemoteReplica(asyncio.Protocol):
         self._pending.clear()
 
     def submit(self, command: Command,
-               callback: Optional[Callable[[CommandResult], None]] = None) -> None:
+               callback: Callable[[CommandResult], None]) -> None:
         """Send a command for ordering; ``callback`` fires on its reply."""
         transport = self._transport
         if transport is None or transport.is_closing():
             self.crashed = True
             return
-        if callback is not None:
-            self._pending[command.command_id] = callback
+        self._pending[command.command_id] = callback
         transport.write(encode_frame(WIRE.encode(ClientRequest(command=command))))
 
     @property
@@ -123,7 +122,7 @@ RECONNECT_TIMEOUT_MS = 3000.0
 
 async def connect_pool(endpoints: Dict[int, Tuple[str, int]], clients: int,
                        workload: WorkloadConfig, clock: WallClock, metrics: MetricsCollector,
-                       *, failover: bool = False,
+                       *, failover: bool,
                        **pool_options) -> Tuple[ClientPool, List[RemoteReplica]]:
     """Dial one connection per client, round-robin over ``endpoints``, and build the pool.
 

@@ -15,7 +15,7 @@ values are process-local and never cross the wire.
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 from repro.runtime.clock import Clock
 from repro.sim.random import DeterministicRandom
@@ -53,13 +53,12 @@ class WallClock(Clock):
             forks (retransmission jitter, workload streams) derive from it
             with exactly the same labels as in the simulator, so stochastic
             *choices* stay reproducible even though timing is real.
-        loop: event loop to schedule on (default: the running loop; building
-            a clock with neither raises ``RuntimeError``).
+        loop: event loop to schedule on.
     """
 
-    def __init__(self, seed: int = 0, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
+    def __init__(self, seed: int, loop: asyncio.AbstractEventLoop) -> None:
         #: the event loop every call is scheduled on.
-        self.loop = loop or asyncio.get_running_loop()
+        self.loop = loop
         self._t0 = self.loop.time()
         self.rng = DeterministicRandom(seed)
 
@@ -86,7 +85,3 @@ class WallClock(Clock):
             handle = self.loop.call_later(delay / 1000.0, callback, *args)
         return ScheduledCall(handle)
 
-    def schedule_at(self, time: float, callback: Callable[..., None],
-                    args: Tuple = ()) -> ScheduledCall:
-        """Schedule ``callback`` at an absolute clock reading (ms since start)."""
-        return self.schedule(max(0.0, time - self.now), callback, args)

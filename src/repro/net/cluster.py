@@ -240,9 +240,9 @@ def build_local_cluster(config: ServeConfig) -> LocalCluster:
     return LocalCluster(config=config, peers=peers, replica_configs=replica_configs)
 
 
-def serve_cluster(config: Optional[ServeConfig] = None) -> LocalCluster:
+def serve_cluster(config: ServeConfig) -> LocalCluster:
     """Launch a local cluster and wait until every replica is reachable."""
-    cluster = build_local_cluster(config or ServeConfig())
+    cluster = build_local_cluster(config)
     cluster.start()
     cluster.wait_ready()
     return cluster

@@ -27,7 +27,7 @@ LOOPBACK_RECONNECT = ReconnectPolicy(initial_ms=20.0, factor=1.5, max_ms=200.0,
 class LoopbackCluster:
     """N replica servers sharing one event loop over localhost TCP."""
 
-    def __init__(self, protocol: str, replicas: int = 3, seed: int = 0) -> None:
+    def __init__(self, protocol: str, replicas: int, seed: int) -> None:
         sockets = []
         for _ in range(replicas):
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

@@ -91,11 +91,11 @@ class ReplicaServer:
             in-process loopback harness to bind port 0 before peer maps are
             exchanged); when omitted the server binds the address from the
             peer map.
-        reconnect: outbound dial/backoff policy override.
+        reconnect: outbound dial/backoff policy.
     """
 
     def __init__(self, config: ReplicaConfig, *, server_socket=None,
-                 reconnect: Optional[ReconnectPolicy] = None) -> None:
+                 reconnect: ReconnectPolicy = ReconnectPolicy()) -> None:
         self.config = config
         self._server_socket = server_socket
         self._reconnect = reconnect

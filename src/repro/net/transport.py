@@ -66,7 +66,7 @@ class PeerNetwork:
 
     def __init__(self, clock: WallClock, local_id: int,
                  peers: Dict[int, Tuple[str, int]],
-                 reconnect: Optional[ReconnectPolicy] = None) -> None:
+                 reconnect: ReconnectPolicy) -> None:
         if local_id not in peers:
             raise ValueError(f"local replica {local_id} missing from peer map {sorted(peers)}")
         self.clock = clock
@@ -74,7 +74,7 @@ class PeerNetwork:
         self.peers = dict(peers)
         #: all replica ids in the peer map, ascending (fixed at construction).
         self.node_ids: List[int] = sorted(self.peers)
-        self.reconnect = reconnect or ReconnectPolicy()
+        self.reconnect = reconnect
         self.stats = NetworkStats()
         self._nodes: Dict[int, object] = {}
         #: self-sends not yet delivered, in send order; the first one into an
@@ -223,10 +223,6 @@ class AsyncioTransport(Transport):
         self._started = False
         self._closed = False
 
-    @property
-    def node_ids(self) -> List[int]:
-        return self.network.node_ids
-
     def start(self) -> None:
         """Dial every remote peer (idempotent)."""
         if self._started or self._closed:
@@ -274,8 +270,8 @@ class AsyncioTransport(Transport):
         """Count ``copies`` transmissions of one encoded message.
 
         The socket backend encodes every message anyway, so real codec bytes
-        are always accounted, self-copies included — the counters the footprint
-        benchmark reads from simulator runs with wire_accounting enabled.
+        are always accounted, self-copies included (``bench/worker.py`` and
+        the serve soak read these counters).
         """
         stats = self.network.stats
         stats.messages_sent += copies

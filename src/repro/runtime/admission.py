@@ -120,7 +120,7 @@ class InflightLimit(AdmissionPolicy):
 
     name = "inflight"
 
-    def __init__(self, max_inflight: int = 64) -> None:
+    def __init__(self, max_inflight: int) -> None:
         super().__init__()
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
@@ -141,7 +141,7 @@ class QueueDeadline(AdmissionPolicy):
 
     name = "deadline"
 
-    def __init__(self, deadline_ms: float = 500.0) -> None:
+    def __init__(self, deadline_ms: float) -> None:
         super().__init__()
         if deadline_ms <= 0:
             raise ValueError("deadline_ms must be positive")
@@ -171,7 +171,7 @@ def admission_policy(spec: Optional[str]) -> Optional[AdmissionPolicy]:
     ``None`` and ``""`` mean "no admission hook at all" (zero overhead on
     the submit path); ``"none"`` installs the counting no-op baseline;
     ``"inflight:K"`` and ``"deadline:MS"`` build the bounded policies with
-    their parameter (``inflight`` / ``deadline`` alone use the defaults).
+    their parameter; a bounded policy named without its bound is refused.
     """
     if spec is None or spec == "":
         return None
@@ -185,7 +185,7 @@ def admission_policy(spec: Optional[str]) -> Optional[AdmissionPolicy]:
             raise ValueError(f"admission policy 'none' takes no parameter, got {spec!r}")
         return NoAdmission()
     if not parameter:
-        return POLICIES[name]()
+        raise ValueError(f"admission policy {spec!r} names no bound; write '{name}:N'")
     try:
         if name == InflightLimit.name:
             return InflightLimit(max_inflight=int(parameter))

@@ -17,7 +17,7 @@ inside it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.runtime.codec import SeqCodec, value_type
 from repro.runtime.registry import MessageCodec, register_message
@@ -81,10 +81,6 @@ class BatchBuffer:
     def has_pending(self, dst: int) -> bool:
         """Whether any messages are waiting for ``dst``."""
         return bool(self._pending.get(dst))
-
-    def destinations(self) -> List[int]:
-        """Destinations that currently have buffered messages."""
-        return [dst for dst, bucket in self._pending.items() if bucket]
 
     def drain(self, dst: int) -> MessageBatch:
         """Remove and return the batch for ``dst``."""

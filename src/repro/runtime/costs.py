@@ -14,6 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Multiplier on the cost of a message a node sends to itself (no real
+#: serialization or deserialization happens for those).
+SELF_MESSAGE_FACTOR = 0.4
+
 
 @dataclass
 class CostModel:
@@ -25,16 +29,13 @@ class CostModel:
             explicitly accounts for dependency/predecessor processing (see
             :meth:`dependency_cost`).
         client_request_ms: cost of accepting a client request.
-        self_message_factor: multiplier applied to messages a node sends to
-            itself (no real serialization/deserialization happens for those).
     """
 
     default_cost_ms: float = 0.015
     per_dependency_ms: float = 0.002
     client_request_ms: float = 0.01
-    self_message_factor: float = 0.4
 
-    def message_cost(self, message: object, local: bool = False) -> float:
+    def message_cost(self, message: object, local: bool) -> float:
         """CPU time needed to process ``message`` on the receiving node.
 
         Args:
@@ -43,7 +44,7 @@ class CostModel:
         """
         cost = self.default_cost_ms
         if local:
-            cost *= self.self_message_factor
+            cost *= SELF_MESSAGE_FACTOR
         return cost
 
     def dependency_cost(self, n_dependencies: int) -> float:

@@ -386,7 +386,7 @@ class ProtocolKernel(ConsensusReplica):
         cls._handler_specs = specs
 
     def __init__(self, node_id: int, sim: Clock, network, quorums: QuorumSystem,
-                 state_machine: StateMachine, cost_model: Optional[CostModel] = None) -> None:
+                 state_machine: StateMachine, cost_model: Optional[CostModel]) -> None:
         super().__init__(node_id, sim, network, quorums, state_machine, cost_model)
         self.stats = ProtocolStats()
         #: The recovery switch; off unless the harness turns it on.

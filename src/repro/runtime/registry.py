@@ -206,10 +206,6 @@ class MessageRegistry:
                 f"of a {len(data)}-byte payload")
         return message
 
-    def wire_size(self, message: object) -> int:
-        """Size in bytes of the message's canonical wire form."""
-        return len(self.encode(message))
-
 
 #: The process-wide registry every protocol registers its messages with.
 WIRE = MessageRegistry(TYPE_IDS)

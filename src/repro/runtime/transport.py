@@ -18,23 +18,25 @@ every message.  Two backends implement the contract:
 Lifecycle contract
 ------------------
 
-Every transport moves through the same three phases, verified for both
-backends by one conformance suite (``tests/test_transport_contract.py``):
+Every transport moves through the same phases, verified for both backends by
+one conformance suite (``tests/test_transport_contract.py``):
 
 1. **construction** — the transport is bound to its owning replica; no I/O
-   happens yet, but :attr:`Transport.node_ids` and timers must already work
-   (protocols arm timers from their constructors).
+   happens yet, but timers must already work (protocols arm timers from
+   their constructors).  Peers are the network's ``node_ids``.
 2. **started** — after :meth:`Transport.start`, ``send`` / ``broadcast``
    deliver (or begin attempting to deliver) messages.  ``start`` is
    idempotent.  Calling ``send`` before ``start`` must not raise: the
    simulator backend is always live, the socket backend queues or drops
    until its connections establish — exactly the semantics of a real
    datacenter boot.
-3. **closed** — after :meth:`Transport.close`, no further delivery is
-   attempted and all transport-owned resources (connections, pending
-   timers it manages internally) are released.  ``close`` is idempotent;
-   ``send`` after ``close`` is a silent no-op (a crashed process cannot
-   observe its own lost sends).
+3. **closed** (socket backend) — after :meth:`Transport.close`, no further
+   delivery is attempted and the connections are released.  ``close`` is
+   idempotent; ``send`` after ``close`` is a silent no-op (a crashed process
+   cannot observe its own lost sends).  The simulator backend is never
+   closed: a crashed simulated node is gated in front of its transport
+   (``Node.send``) and discards its buffered batches with
+   :meth:`Transport.drop_unsent`.
 
 Timer service
 -------------
@@ -53,25 +55,21 @@ Wire accounting
 ---------------
 
 The only byte counts are the codec's and, on TCP, framed socket bytes; no
-layer carries a size estimate.  When the network's
-:attr:`~repro.sim.network.NetworkConfig.wire_accounting` flag is set, every
-transmitted message (or batch envelope) is measured through the message
-registry's codec and accumulated into the ``codec_bytes_sent`` /
-``per_type_codec_bytes`` counters of the network's :class:`NetworkStats` —
-what the message-footprint benchmark reports.  The flag defaults to off so
-the measurement never taxes the simulation hot path.  The socket backend
-encodes every message anyway, so it always accounts codec bytes, plus
+layer carries a size estimate.  The socket backend encodes every message
+anyway, so it accounts codec bytes into the ``codec_bytes_sent`` /
+``per_type_codec_bytes`` counters of its :class:`NetworkStats`, plus
 ``bytes_sent``: the frames its sockets took (no self-send, no dropped frame).
+The simulator backend encodes nothing; a measurement that wants the bytes a
+simulated run would put on the wire encodes what ``Network.send`` is handed.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.runtime.batching import BatchBuffer, BatchingConfig
-from repro.runtime.registry import WIRE
 
 
 @dataclass
@@ -88,7 +86,7 @@ class NetworkStats:
     messages_dead_in_flight: int = 0
     #: framed bytes written to sockets (TCP only; the simulator has no frames).
     bytes_sent: int = 0
-    #: codec-measured bytes (filled only with ``wire_accounting`` enabled).
+    #: codec-measured bytes (TCP only: the simulator encodes nothing).
     codec_bytes_sent: int = 0
     per_type_codec_bytes: Dict[str, int] = field(default_factory=dict)
 
@@ -98,14 +96,8 @@ class Transport(abc.ABC):
 
     See the module docstring for the full lifecycle contract.  Implementations
     must deliver ``send`` asynchronously (never re-entrantly into the
-    caller's handler) and may coalesce messages (batching); ``flush_all``
-    forces out anything buffered.
+    caller's handler) and may coalesce messages (batching).
     """
-
-    @property
-    @abc.abstractmethod
-    def node_ids(self) -> List[int]:
-        """Ids of every reachable peer (including the local node)."""
 
     def start(self) -> None:
         """Begin delivering messages (idempotent; no-op for always-live backends)."""
@@ -134,14 +126,14 @@ class Transport(abc.ABC):
         raise NotImplementedError(
             f"{type(self).__name__} does not support outgoing batching")
 
-    def flush_all(self) -> None:
-        """Transmit anything held back by batching (no-op without batching)."""
-
     def drop_unsent(self) -> None:
         """Forget anything held back by batching: the owning process crashed."""
 
     def close(self) -> None:
-        """Release transport-owned resources (idempotent; sends become no-ops)."""
+        """Release the connections (idempotent; sends become no-ops).
+
+        Only the socket backend holds any; the simulator backend is never closed.
+        """
 
 
 class SimulatorTransport(Transport):
@@ -163,8 +155,6 @@ class SimulatorTransport(Transport):
         self.batching: Optional[BatchingConfig] = None
         self._buffer: Optional[BatchBuffer] = None
         self._flush_scheduled: Dict[int, bool] = {}
-        self.measure_wire = bool(getattr(network.config, "wire_accounting", False))
-        self._closed = False
         #: fault-filter seam: when installed (chaos runs only), every outgoing
         #: wire message is offered to the filter first, which may absorb it
         #: (partition/drop), duplicate it or delay it.  ``None`` costs one
@@ -174,10 +164,6 @@ class SimulatorTransport(Transport):
         #: (both immutable for the node's lifetime).
         self._node_id = node.node_id
         self._network_send = network.send
-
-    @property
-    def node_ids(self) -> List[int]:
-        return self.network.node_ids
 
     def configure_batching(self, config: BatchingConfig) -> None:
         """Turn on (or replace) the per-destination batching policy."""
@@ -201,8 +187,6 @@ class SimulatorTransport(Transport):
 
     def send(self, dst: int, message: object) -> None:
         """Send or buffer one message (self-sends are never delayed)."""
-        if self._closed:
-            return
         if self._buffer is None or dst == self._node_id:
             self._transmit(dst, message)
         elif self._buffer.add(dst, message):
@@ -217,20 +201,6 @@ class SimulatorTransport(Transport):
         for dst in self.network.node_ids:
             if include_self or dst != local:
                 self.send(dst, message)
-
-    def flush_all(self) -> None:
-        """Flush every destination's buffered batch immediately."""
-        if self._buffer is None:
-            return
-        for dst in self._buffer.destinations():
-            self._flush_destination(dst)
-
-    def close(self) -> None:
-        """Flush pending batches, then stop delivering."""
-        if self._closed:
-            return
-        self.flush_all()
-        self._closed = True
 
     def drop_unsent(self) -> None:
         """Discard buffered batches and their flush flags (the node crashed).
@@ -251,19 +221,8 @@ class SimulatorTransport(Transport):
         self._transmit(dst, self._buffer.drain(dst))
 
     def _transmit(self, dst: int, message: object) -> None:
-        """Hand one wire message to the network, measuring it when enabled."""
+        """Hand one wire message to the network, past the fault filter if installed."""
         faults = self._fault_filter
         if faults is not None and faults.intercept(self._node_id, dst, message):
             return
-        if self.measure_wire:
-            self._record_wire(message)
         self._network_send(self._node_id, dst, message)
-
-    def _record_wire(self, message: object) -> None:
-        """Accumulate the codec-measured size of one transmitted message."""
-        stats = self.network.stats
-        encoded = WIRE.wire_size(message)
-        stats.codec_bytes_sent += encoded
-        type_name = type(message).__name__
-        per_type = stats.per_type_codec_bytes
-        per_type[type_name] = per_type.get(type_name, 0) + encoded

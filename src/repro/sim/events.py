@@ -76,7 +76,7 @@ class EventQueue:
         self._seq = 0
         self._slot: Optional[tuple] = None
 
-    def push(self, time: float, callback: Callable[..., None], args: Tuple = ()) -> Event:
+    def push(self, time: float, callback: Callable[..., None], args: Tuple) -> Event:
         """Schedule ``callback`` at ``time`` and return a cancellable handle."""
         seq = self._seq
         self._seq = seq + 1
@@ -85,7 +85,7 @@ class EventQueue:
         return event
 
     def push_transient(self, time: float, callback: Callable[..., None],
-                       args: Tuple = ()) -> None:
+                       args: Tuple) -> None:
         """Schedule a callback that can never be cancelled, with no handle.
 
         The new entry takes the slot when the slot is empty or when it sorts

@@ -95,7 +95,7 @@ class FailureDetector:
     """
 
     def __init__(self, owner, peer_ids: List[int], period_ms: float, silence_ms: float,
-                 on_suspect: Optional[Callable[[int], None]] = None) -> None:
+                 on_suspect: Callable[[int], None]) -> None:
         self.owner = owner
         self.peer_ids = [p for p in peer_ids if p != owner.node_id]
         self.period_ms = period_ms
@@ -147,5 +147,4 @@ class FailureDetector:
             silence = now - self._last_heard.get(peer, now)
             if silence >= self.silence_ms:
                 self.suspected.add(peer)
-                if self.on_suspect is not None:
-                    self.on_suspect(peer)
+                self.on_suspect(peer)

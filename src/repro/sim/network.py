@@ -34,15 +34,9 @@ class NetworkConfig:
     Attributes:
         jitter_ms: standard deviation of gaussian jitter added to each one-way
             delay (a sampled delay is clamped at :data:`MIN_DELAY_MS`).
-        wire_accounting: when ``True`` the transports also measure every
-            transmitted message through the registry codec and accumulate
-            the byte counts into
-            :class:`~repro.runtime.transport.NetworkStats` (off by default:
-            the measurement is pure accounting but costs wall-clock time).
     """
 
     jitter_ms: float = 0.0
-    wire_accounting: bool = False
 
 
 class Network:
@@ -54,11 +48,11 @@ class Network:
         config: jitter configuration.
     """
 
-    def __init__(self, sim: Simulator, topology: Topology, config: Optional[NetworkConfig] = None) -> None:
+    def __init__(self, sim: Simulator, topology: Topology, config: NetworkConfig) -> None:
         self.sim = sim
         self._queue = sim._queue
         self.topology = topology
-        self.config = config or NetworkConfig()
+        self.config = config
         self.stats = NetworkStats()
         self._nodes: Dict[int, Node] = {}
         #: cache of nominal per-pair one-way delays; topology latencies are

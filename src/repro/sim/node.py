@@ -5,7 +5,7 @@ A :class:`Node` is one replica of a protocol.  It provides:
 * message sending/broadcast through the one
   :class:`~repro.runtime.transport.Transport` its network hands it — every
   message leaves through ``transport.send`` / ``transport.broadcast``, which is
-  where batching, the fault filter and wire accounting are decided;
+  where batching and the fault filter are decided;
 * a serial CPU: incoming messages are processed one at a time, each charging
   the cost given by the node's :class:`~repro.runtime.costs.CostModel`, so that a
   node under load builds a queue and saturates (this is what bounds
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.runtime import costs
 from repro.runtime.batching import BatchingConfig, MessageBatch
 from repro.runtime.clock import Clock
 from repro.runtime.costs import CostModel
@@ -38,7 +39,7 @@ class Node:
     """
 
     def __init__(self, node_id: int, sim: Clock, network,
-                 cost_model: Optional[CostModel] = None) -> None:
+                 cost_model: Optional[CostModel]) -> None:
         self.node_id = node_id
         self.sim = sim
         self.network = network
@@ -123,10 +124,10 @@ class Node:
             dispatch, payload = self._dispatch_batch, message.messages
         else:
             # message_cost inlined: this branch runs once per simulated
-            # message, and the model is two attribute reads.
+            # message, and the model is one attribute read.
             cost = cost_model.default_cost_ms
             if src == self.node_id:
-                cost *= cost_model.self_message_factor
+                cost *= costs.SELF_MESSAGE_FACTOR
             dispatch, payload = self._dispatch_one, message
         now = self.sim.now
         free_at = self._cpu_free_at

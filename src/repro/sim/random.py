@@ -58,7 +58,7 @@ class DeterministicRandom:
     jitter draw reads :attr:`generator` itself.
     """
 
-    def __init__(self, seed: int = 0) -> None:
+    def __init__(self, seed: int) -> None:
         self._seed = seed
         #: the underlying :class:`random.Random` every sampler draws from.
         self.generator = random.Random(seed)

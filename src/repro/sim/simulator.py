@@ -16,8 +16,7 @@ iteration takes the smaller of the slot entry and the heap head (see
 from __future__ import annotations
 
 from heapq import heappop
-from math import inf
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 from repro.sim.events import Event, EventQueue
 from repro.sim.random import DeterministicRandom
@@ -49,7 +48,7 @@ class Simulator:
             the network for jitter and loss and by workloads for arrivals.
     """
 
-    def __init__(self, seed: int = 0) -> None:
+    def __init__(self, seed: int) -> None:
         self._queue = EventQueue()
         #: Current virtual time in milliseconds.  A plain attribute, read once
         #: or more per simulated message; only the run loops write it.
@@ -84,26 +83,25 @@ class Simulator:
             raise SimulationError(f"cannot schedule at {time} < now {self.now}")
         return self._queue.push(time, callback, args)
 
-    def run(self, until: Optional[float] = None) -> None:
+    def run(self, until: float) -> None:
         """Run until the queue drains or virtual time reaches ``until``.
 
-        When ``until`` is given the clock is advanced to exactly ``until`` at
-        the end of the run, even if the last event fired earlier.
+        The clock is advanced to exactly ``until`` at the end of the run, even
+        if the last event fired earlier.
         """
         global _TOTAL_EVENTS_EXECUTED
         queue = self._queue
         heap = queue._heap
-        limit = inf if until is None else until
         executed = 0
         try:
             while True:
                 entry = queue._slot
                 if entry is not None and (not heap or entry < heap[0]):
-                    if entry[0] > limit:
+                    if entry[0] > until:
                         break
                     queue._slot = None
                 elif heap:
-                    if heap[0][0] > limit:
+                    if heap[0][0] > until:
                         break
                     entry = heappop(heap)
                 else:
@@ -119,10 +117,10 @@ class Simulator:
             # them between runs, never from inside callbacks.
             self._steps += executed
             _TOTAL_EVENTS_EXECUTED += executed
-        if until is not None and until > self.now:
+        if until > self.now:
             self.now = until
 
-    def run_until(self, predicate: Callable[[], bool], deadline: Optional[float] = None,
+    def run_until(self, predicate: Callable[[], bool], deadline: float,
                   check_every: int = 1) -> bool:
         """Run until ``predicate()`` is true.
 
@@ -130,8 +128,8 @@ class Simulator:
             predicate: completion condition.  With ``check_every == 1``
                 (default) it is evaluated after every event; larger cadences
                 amortize expensive predicates over many events.
-            deadline: optional absolute virtual-time bound, not before ``now``
-                (a past deadline raises :class:`SimulationError`).
+            deadline: absolute virtual-time bound, not before ``now`` (a
+                past deadline raises :class:`SimulationError`).
             check_every: evaluate the predicate every N executed events.  With
                 a cadence above 1 up to ``check_every - 1`` extra events may
                 run after the predicate first becomes true; the event
@@ -145,24 +143,23 @@ class Simulator:
         global _TOTAL_EVENTS_EXECUTED
         if check_every < 1:
             raise ValueError("check_every must be >= 1")
-        if deadline is not None and deadline < self.now:
+        if deadline < self.now:
             raise SimulationError(f"deadline {deadline} < now {self.now}")
         if predicate():
             return True
         queue = self._queue
         heap = queue._heap
-        limit = inf if deadline is None else deadline
         executed = 0
         since_check = 0
         try:
             while True:
                 entry = queue._slot
                 if entry is not None and (not heap or entry < heap[0]):
-                    if entry[0] > limit:
+                    if entry[0] > deadline:
                         break
                     queue._slot = None
                 elif heap:
-                    if heap[0][0] > limit:
+                    if heap[0][0] > deadline:
                         break
                     entry = heappop(heap)
                 else:

@@ -67,7 +67,7 @@ class ClosedLoopClient:
                  sim: Clock, metrics: MetricsCollector,
                  reconnect_timeout_ms: Optional[float] = None,
                  fallback_replicas: Optional[List[ConsensusReplica]] = None,
-                 history=None, max_commands: Optional[int] = None) -> None:
+                 history=None, *, max_commands: Optional[int]) -> None:
         self.client_id = client_id
         self.replica = replica
         self.workload = workload
@@ -171,9 +171,9 @@ class OpenLoopClient:
 
     def __init__(self, client_id: int, replica: ConsensusReplica, workload: ConflictWorkload,
                  sim: Clock, metrics: MetricsCollector, rate_per_second: float,
-                 rng: DeterministicRandom, stop_after_ms: Optional[float] = None,
-                 fallback_replicas: Optional[List[ConsensusReplica]] = None,
-                 history=None) -> None:
+                 rng: DeterministicRandom, stop_after_ms: Optional[float],
+                 fallback_replicas: Optional[List[ConsensusReplica]],
+                 history) -> None:
         self.client_id = client_id
         self.replica = replica
         self.workload = workload
@@ -284,8 +284,8 @@ class ClientPool:
 def build_pool(targets: Sequence[ConsensusReplica], workload: WorkloadConfig, clock: Clock,
                metrics: MetricsCollector, *, label: str = "client",
                open_loop_rate: Optional[float] = None, stop_after_ms: Optional[float] = None,
-               failover: Sequence[ConsensusReplica] = (),
-               reconnect_timeout_ms: Optional[float] = None, history=None,
+               failover: Sequence[ConsensusReplica],
+               reconnect_timeout_ms: Optional[float], history=None,
                max_commands: Optional[int] = None) -> ClientPool:
     """Build the seeded pool: client ``i`` submits to ``targets[i]``.
 

@@ -16,6 +16,18 @@ from repro.consensus.command import Command
 from repro.sim.random import DeterministicRandom
 
 
+#: Keys in each client's private pool; keys from different clients' private
+#: pools never collide.  Keeping the pool small lets ownership-based protocols
+#: (M2Paxos) amortize their per-key acquisition cost, as in the paper's
+#: steady-state runs.
+PRIVATE_POOL_SIZE = 20
+
+#: Fraction of commands that are writes (the paper's benchmark only issues
+#: updates).  Every command draws against it, so the key draws do not depend on
+#: its value.
+WRITE_FRACTION = 1.0
+
+
 @dataclass
 class WorkloadConfig:
     """Parameters of the conflict-controlled workload.
@@ -25,24 +37,16 @@ class WorkloadConfig:
             pool (0.0 – 1.0), i.e. the paper's "percentage of conflicting
             commands".
         shared_pool_size: number of keys in the shared pool (paper: 100).
-        private_pool_size: number of keys in each client's private pool; keys
-            from different clients' private pools never collide.  Keeping the
-            pool small lets ownership-based protocols (M2Paxos) amortize their
-            per-key acquisition cost, as in the paper's steady-state runs.
-        write_fraction: fraction of commands that are writes (the paper's
-            benchmark only issues updates, hence the default of 1.0).
     """
 
     conflict_rate: float = 0.0
     shared_pool_size: int = 100
-    private_pool_size: int = 20
-    write_fraction: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.conflict_rate <= 1.0:
             raise ValueError("conflict_rate must be within [0, 1]")
-        if self.shared_pool_size <= 0 or self.private_pool_size <= 0:
-            raise ValueError("key pools must be non-empty")
+        if self.shared_pool_size <= 0:
+            raise ValueError("the shared key pool must be non-empty")
 
 
 def check_load(clients: int, conflict_rate: float, duration_ms: Optional[float] = None,
@@ -93,9 +97,8 @@ class ConflictWorkload:
         if self._rng.random() < self.config.conflict_rate:
             key = f"shared-{self._rng.randint(0, self.config.shared_pool_size - 1)}"
         else:
-            key = (f"private-{self.client_id}-"
-                   f"{self._rng.randint(0, self.config.private_pool_size - 1)}")
-        if self._rng.random() < self.config.write_fraction:
+            key = f"private-{self.client_id}-{self._rng.randint(0, PRIVATE_POOL_SIZE - 1)}"
+        if self._rng.random() < WRITE_FRACTION:
             operation = "put"
             value = f"v{self.client_id}.{sequence}"
         else:

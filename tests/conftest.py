@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import signal
+from math import inf
 from typing import Optional
 
 import pytest
@@ -141,9 +142,22 @@ def run_until_executed(cluster, command_ids, deadline_ms: Optional[float] = None
         queue drain or deadline expiry.
     """
     ids = list(command_ids)
-    deadline = None if deadline_ms is None else cluster.sim.now + deadline_ms
+    deadline = inf if deadline_ms is None else cluster.sim.now + deadline_ms
     return cluster.sim.run_until(lambda: cluster.all_executed(ids), deadline=deadline,
                                  check_every=EXECUTED_CHECK_EVERY)
+
+
+def drain(sim: Simulator) -> None:
+    """Run every queued event, leaving the clock at the last one's time.
+
+    ``Simulator.run`` always ends at its ``until``; a test that reads the
+    clock after the queue empties runs to an unreachable predicate instead.
+    """
+    sim.run_until(lambda: False, deadline=inf)
+
+
+def ignore(result) -> None:
+    """The client callback of a test that reads replicas, not replies."""
 
 
 def make_command(client: int, seq: int, key: str = "k", origin: int = 0,
@@ -194,7 +208,7 @@ def build_caesar_cluster(n: int = 5, seed: int = 1, recovery: bool = False,
     """
     topology = topology or (ec2_five_sites() if n == 5 else uniform_topology(n, rtt_ms=40.0))
     sim = Simulator(seed=seed)
-    network = Network(sim, topology)
+    network = Network(sim, topology, NetworkConfig())
     quorums = QuorumSystem.for_cluster(n)
     replicas = [CaesarReplica(i, sim, network, quorums, KeyValueStore(),
                               wait_condition=wait_condition)

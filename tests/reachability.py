@@ -94,14 +94,6 @@ ALLOWED: Dict[str, str] = {
     "baselines/m2paxos.py::M2PaxosReplica.catchup_supply": _SAFETY,
     "baselines/m2paxos.py::M2PaxosReplica._on_accept_nack": _SAFETY,
     "baselines/m2paxos.py::M2PaxosReplica._reroute_preempted": _SAFETY,
-    "baselines/multipaxos.py::MultiPaxosReplica.on_suspect":
-        "leader election on a suspected leader; no named schedule crashes the leader",
-    "baselines/multipaxos.py::MultiPaxosReplica._start_election":
-        "leader election on a suspected leader; no named schedule crashes the leader",
-    "baselines/multipaxos.py::MultiPaxosReplica._on_leader_prepare":
-        "leader election on a suspected leader; no named schedule crashes the leader",
-    "baselines/multipaxos.py::MultiPaxosReplica._on_leader_prepare_reply":
-        "leader election on a suspected leader; no named schedule crashes the leader",
     "net/replica.py::ReplicaServer.crash": "in-process crash of a TCP replica (fault injection)",
     "net/cluster.py::LocalCluster.kill": "process crash of a served replica; serve-mode restart",
     "net/cluster.py::LocalCluster.restart": "amnesiac restart of a served replica",
@@ -128,11 +120,6 @@ ALLOWED: Dict[str, str] = {
     "consensus/interface.py::ExecutionLog.position": "read by core/invariants",
     "sim/topology.py::Topology.quorum_latency":
         "analytic quorum latency, waiting for the fidelity table to use it",
-    # The message-footprint record (benchmarks/test_protocol_microbench.py).
-    "runtime/transport.py::SimulatorTransport._record_wire":
-        "wire accounting of the message-footprint record",
-    "runtime/registry.py::MessageRegistry.wire_size":
-        "wire accounting of the message-footprint record",
     # The public api surface.
     "api.py::__dir__": "public api: names for dir() and completion",
     "harness/protocols.py::register_protocol": "public api: plug in a protocol",
@@ -148,22 +135,14 @@ ALLOWED: Dict[str, str] = {
     "runtime/admission.py::AdmissionPolicy._check": _CONTRACT,
     "runtime/clock.py::Clock.now": _CONTRACT,
     "runtime/clock.py::Clock.schedule": _CONTRACT,
-    "net/clock.py::WallClock.schedule_at": "Clock contract, as Simulator.schedule_at",
     "net/clock.py::ScheduledCall.cancelled": "timer handle contract, as Event.cancelled",
-    "runtime/transport.py::Transport.node_ids": _CONTRACT,
     "runtime/transport.py::Transport.start": _CONTRACT,
     "runtime/transport.py::Transport.send": _CONTRACT,
     "runtime/transport.py::Transport.broadcast": _CONTRACT,
     "runtime/transport.py::Transport.set_timer": _CONTRACT,
     "runtime/transport.py::Transport.configure_batching": _CONTRACT,
-    "runtime/transport.py::Transport.flush_all": _CONTRACT,
     "runtime/transport.py::Transport.drop_unsent": _CONTRACT,
     "runtime/transport.py::Transport.close": _CONTRACT,
-    "runtime/transport.py::SimulatorTransport.node_ids": _CONTRACT,
-    "runtime/transport.py::SimulatorTransport.flush_all": _CONTRACT,
-    "runtime/transport.py::SimulatorTransport.close": _CONTRACT,
-    "runtime/batching.py::BatchBuffer.destinations": "SimulatorTransport.flush_all's iteration",
-    "net/transport.py::AsyncioTransport.node_ids": _CONTRACT,
     "net/transport.py::AsyncioTransport.drop_unsent": _CONTRACT,
     "runtime/codec.py::Codec.emit_encode": "codec base class: every kind overrides it",
     "runtime/codec.py::Codec.emit_decode": "codec base class: every kind overrides it",
@@ -208,6 +187,8 @@ def invocations(out_dir: Path) -> List[Tuple[str, List[str]]]:
                                            "--seed", "7")),
         ("chaos --random --include-lossy", _cli("chaos", "--random", "6", "--include-lossy",
                                                 "--quick", "--recovery")),
+        ("chaos multipaxos leader-crash", _cli("chaos", "--protocol", "multipaxos", "--nemesis",
+                                               "leader-crash", "--recovery", "--quick")),
         ("overload sim", _cli("overload", "--offered", "300", "900", "--duration", "2000",
                               "--admission", "deadline:300", "--history-gc")),
         ("overload tcp", _cli("overload", "--substrate", "tcp", "--offered", "100", "300",

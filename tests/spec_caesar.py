@@ -407,7 +407,7 @@ class SpecCaesarReplica(ProtocolKernel):
                              recovered: bool = False) -> None:
         """P2: FASTPROPOSE to every node, with a timeout for the fast quorum."""
         state = LeaderState(command, ballot, PHASE_FAST, timestamp, whitelist, None,
-                            self.sim.now, recovered=recovered)
+                            self.sim.now, None, recovered)
         self.leader_states[command.command_id] = state
         state.timer = self.set_timer(FAST_PROPOSAL_TIMEOUT_MS,
                                      self._on_fast_proposal_timeout, command.command_id)

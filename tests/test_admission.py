@@ -21,7 +21,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.runtime.admission import (AdmissionPolicy, InflightLimit, NoAdmission,
                                      QueueDeadline, admission_policy,
                                      aggregate_admission)
-from repro.sim.network import Network
+from repro.sim.network import Network, NetworkConfig
 from repro.sim.random import DeterministicRandom
 from repro.sim.simulator import Simulator
 from repro.workload.clients import ClientPool, ClosedLoopClient, OpenLoopClient
@@ -51,9 +51,10 @@ class TestSpecParsing:
         assert policy.deadline_ms == 250.0
         assert policy.describe() == "deadline:250"
 
-    def test_bare_names_use_defaults(self):
-        assert admission_policy("inflight").limit == 64
-        assert admission_policy("deadline").deadline_ms == 500.0
+    @pytest.mark.parametrize("spec", ["inflight", "deadline", "inflight:", "Deadline"])
+    def test_a_bounded_policy_without_its_bound_is_refused(self, spec):
+        with pytest.raises(ValueError, match="names no bound"):
+            admission_policy(spec)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown admission policy"):
@@ -156,7 +157,7 @@ class TestAggregation:
 def build_single_replica():
     """One-node CAESAR 'cluster' (same shape as tests/test_workload.py)."""
     sim = Simulator(seed=2)
-    network = Network(sim, uniform_topology(3, rtt_ms=10.0))
+    network = Network(sim, uniform_topology(3, rtt_ms=10.0), NetworkConfig())
     quorums = QuorumSystem.for_cluster(3)
     replicas = [CaesarReplica(i, sim, network, quorums, KeyValueStore()) for i in range(3)]
     return sim, replicas
@@ -227,7 +228,7 @@ class TestSubmitPathIntegration:
         pool = ClientPool()
         for i in range(4):
             workload = ConflictWorkload(i, 0, WorkloadConfig(), DeterministicRandom(i))
-            pool.add(ClosedLoopClient(i, replicas[0], workload, sim, metrics))
+            pool.add(ClosedLoopClient(i, replicas[0], workload, sim, metrics, max_commands=None))
         pool.start_all()
         sim.run(until=500.0)
         pool.stop_all()
@@ -241,7 +242,8 @@ class TestSubmitPathIntegration:
         metrics = MetricsCollector()
         workload = ConflictWorkload(0, 0, WorkloadConfig(), DeterministicRandom(1))
         client = OpenLoopClient(0, replicas[0], workload, sim, metrics,
-                                rate_per_second=500.0, rng=DeterministicRandom(5))
+                                rate_per_second=500.0, rng=DeterministicRandom(5),
+                                stop_after_ms=None, fallback_replicas=None, history=None)
         client.start()
         sim.run(until=1000.0)
         client.stop()

@@ -65,9 +65,9 @@ from repro.harness.protocols import PROTOCOLS, register_protocol
 from repro.kvstore.store import KeyValueStore
 from repro.metrics.collector import MetricsCollector
 from repro.sim.failures import ScheduledCrash
-from repro.sim.network import Network
+from repro.sim.network import Network, NetworkConfig
 from repro.sim.simulator import Simulator
-from tests.conftest import uniform_topology
+from tests.conftest import ignore, uniform_topology
 from tests.spec_caesar import SpecCaesarReplica, comparable_predecessors
 from tests.test_sim_engine_differential import pending_times
 
@@ -80,7 +80,7 @@ class Probe:
 
     def __init__(self, replica_class, wait_enabled: bool = True) -> None:
         self.sim = Simulator(seed=1)
-        network = Network(self.sim, uniform_topology(REPLICAS, rtt_ms=10.0))
+        network = Network(self.sim, uniform_topology(REPLICAS, rtt_ms=10.0), NetworkConfig())
         self.replica: CaesarReplica = replica_class(
             0, self.sim, network, QuorumSystem.for_cluster(REPLICAS), KeyValueStore(),
             wait_condition=wait_enabled)
@@ -629,7 +629,7 @@ class LeaderPair:
         agree(self.new, self.spec, before, (self.steps, label))
 
     def submit(self, cmd: Command) -> None:
-        self.act(lambda probe: probe.replica.submit(cmd), ("submit", cmd.command_id))
+        self.act(lambda probe: probe.replica.submit(cmd, ignore), ("submit", cmd.command_id))
 
     def feed(self, src: int, message: object) -> None:
         self.act(lambda probe: probe.replica.handle_message(src, message), (src, message))

@@ -13,13 +13,13 @@ import pytest
 from repro.consensus.command import Command
 from repro.consensus.interface import DecisionKind
 from repro.core.history import CommandStatus
-from tests.conftest import build_caesar_cluster, make_command
+from tests.conftest import build_caesar_cluster, ignore, make_command
 
 
 def submit_and_run(sim, replicas, commands, deadline_ms=30000):
     """Submit (replica_index, command) pairs and run until all are executed everywhere."""
     for origin, command in commands:
-        replicas[origin].submit(command)
+        replicas[origin].submit(command, ignore)
     ids = [c.command_id for _, c in commands]
     done = sim.run_until(
         lambda: all(r.has_executed(cid) for r in replicas if not r.crashed for cid in ids),
@@ -159,7 +159,7 @@ class TestSlowPath:
         commands = [(i, make_command(i, k, key="hot", origin=i))
                     for i in range(5) for k in range(6)]
         for origin, command in commands:
-            replicas2[origin].submit(command)
+            replicas2[origin].submit(command, ignore)
         ids = [c.command_id for _, c in commands]
         assert sim2.run_until(
             lambda: all(r.has_executed(cid) for r in replicas2 for cid in ids),
@@ -173,7 +173,7 @@ class TestSlowPath:
         commands = [(i, make_command(i, k, key="hot" if k < 4 else f"own-{i}-{k}", origin=i))
                     for i in range(5) for k in range(6)]
         for origin, command in commands:
-            replicas[origin].submit(command)
+            replicas[origin].submit(command, ignore)
         ids = [c.command_id for _, c in commands]
         assert sim.run_until(
             lambda: all(r.has_executed(cid) for r in replicas for cid in ids),
@@ -187,7 +187,7 @@ class TestSlowPath:
         commands = [(i, make_command(i, k, key=f"hot-{k % 2}", origin=i))
                     for i in range(5) for k in range(6)]
         for origin, command in commands:
-            replicas[origin].submit(command)
+            replicas[origin].submit(command, ignore)
         ids = [c.command_id for _, c in commands]
         assert sim.run_until(
             lambda: all(r.has_executed(cid) for r in replicas for cid in ids),
@@ -204,7 +204,7 @@ class TestSlowPath:
             commands = [(i, make_command(i, k, key=f"hot-{k % 3}", origin=i))
                         for i in range(5) for k in range(8)]
             for origin, command in commands:
-                replicas[origin].submit(command)
+                replicas[origin].submit(command, ignore)
             ids = [c.command_id for _, c in commands]
             assert sim.run_until(
                 lambda: all(r.has_executed(cid) for r in replicas for cid in ids),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import repro.core.caesar as caesar
 from repro.consensus.interface import DecisionKind
 from repro.core.history import CommandStatus
-from tests.conftest import build_caesar_cluster, make_command
+from tests.conftest import build_caesar_cluster, ignore, make_command
 
 
 def run_until_executed_on_live(sim, replicas, command_ids, deadline_ms=60000):
@@ -21,7 +21,7 @@ class TestLeaderCrashRecovery:
         """The leader crashes right after broadcasting FASTPROPOSE; a peer finishes it."""
         sim, network, replicas = build_caesar_cluster(recovery=True, seed=3)
         command = make_command(0, 0, key="x", origin=0)
-        replicas[0].submit(command)
+        replicas[0].submit(command, ignore)
         # Let the FASTPROPOSE reach the other nodes, then crash the leader
         # before it can send STABLE (well under one round trip to the quorum).
         sim.run(until=sim.now + 40.0)
@@ -36,7 +36,7 @@ class TestLeaderCrashRecovery:
         """Crash after STABLE was sent: peers just deliver normally, no recovery needed."""
         sim, network, replicas = build_caesar_cluster(recovery=True, seed=4)
         command = make_command(0, 0, key="x", origin=0)
-        replicas[0].submit(command)
+        replicas[0].submit(command, ignore)
         # Run past the full fast decision (fast quorum RTT is 90 ms from Virginia).
         sim.run(until=sim.now + 400.0)
         replicas[0].crash()
@@ -47,12 +47,12 @@ class TestLeaderCrashRecovery:
         sim, network, replicas = build_caesar_cluster(recovery=True, seed=5)
         early = [(i, make_command(i, 0, key="hot", origin=i)) for i in range(5)]
         for origin, command in early:
-            replicas[origin].submit(command)
+            replicas[origin].submit(command, ignore)
         sim.run(until=sim.now + 60.0)
         replicas[0].crash()
         late = [(i, make_command(i, 1, key="hot", origin=i)) for i in range(1, 5)]
         for origin, command in late:
-            replicas[origin].submit(command)
+            replicas[origin].submit(command, ignore)
         all_ids = [c.command_id for _, c in early + late]
         assert run_until_executed_on_live(sim, replicas, all_ids, deadline_ms=120000)
         live = [r for r in replicas if not r.crashed]
@@ -65,7 +65,7 @@ class TestLeaderCrashRecovery:
         sim, network, replicas = build_caesar_cluster(recovery=True, seed=6)
         commands = [make_command(0, k, key=f"k{k}", origin=0) for k in range(5)]
         for command in commands:
-            replicas[0].submit(command)
+            replicas[0].submit(command, ignore)
         sim.run(until=sim.now + 50.0)
         replicas[0].crash()
         ids = [c.command_id for c in commands]
@@ -76,7 +76,7 @@ class TestLeaderCrashRecovery:
         replicas[4].crash()
         commands = [make_command(0, k, key="x", origin=0) for k in range(3)]
         for command in commands:
-            replicas[0].submit(command)
+            replicas[0].submit(command, ignore)
         ids = [c.command_id for c in commands]
         assert run_until_executed_on_live(sim, replicas, ids, deadline_ms=60000)
 
@@ -87,7 +87,7 @@ class TestLeaderCrashRecovery:
         replicas[3].crash()
         replicas[4].crash()
         command = make_command(0, 0, key="x", origin=0)
-        replicas[0].submit(command)
+        replicas[0].submit(command, ignore)
         assert run_until_executed_on_live(sim, replicas, [command.command_id],
                                           deadline_ms=60000)
         decision = replicas[0].decisions[command.command_id]
@@ -100,7 +100,7 @@ class TestRecoveryMessageHandling:
     def test_recovery_reply_carries_local_state(self):
         sim, network, replicas = build_caesar_cluster(recovery=True, seed=9)
         command = make_command(0, 0, key="x", origin=0)
-        replicas[0].submit(command)
+        replicas[0].submit(command, ignore)
         sim.run(until=sim.now + 70.0)  # FASTPROPOSE received at the EU/US sites
         entry = replicas[2].history.get(command.command_id)
         assert entry is not None
@@ -112,7 +112,7 @@ class TestRecoveryMessageHandling:
 
         sim, network, replicas = build_caesar_cluster(recovery=True, seed=10)
         command = make_command(0, 0, key="x", origin=0)
-        replicas[0].submit(command)
+        replicas[0].submit(command, ignore)
         sim.run(until=sim.now + 400.0)
         # Replica 1 already processed ballot (0, 0); an equal-ballot recovery is ignored.
         before = replicas[1].ballots[command.command_id]

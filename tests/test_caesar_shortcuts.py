@@ -77,7 +77,7 @@ class TestWaitShortcut:
         history, manager, _, spec_history = build(rows)
         last = history.bucket("k").entries[-1]
         assert spec_answer(spec_history, last.command, last.timestamp, True) is True
-        assert manager.evaluate(last.command, last.timestamp, None, last) is True
+        assert manager.evaluate(last.command, last.timestamp, None, last, ()) is True
         assert manager.parked == 0
 
     @settings(max_examples=400, deadline=None, database=None)
@@ -88,7 +88,7 @@ class TestWaitShortcut:
         expected = spec_answer(spec_history, entry.command, entry.timestamp, enabled)
         outcomes = []
         callback = lambda ok, waited: outcomes.append(ok)  # noqa: E731
-        answer = manager.evaluate(entry.command, entry.timestamp, callback, entry)
+        answer = manager.evaluate(entry.command, entry.timestamp, callback, entry, ())
         assert answer is expected
         assert outcomes == []  # a callback is for after a park, never for the call itself
         assert manager.parked == (1 if expected is None else 0)
@@ -113,7 +113,7 @@ class TestWaitShortcut:
         named as predecessors, has a bucket with nothing in it before a
         proposal's own entry: OK at once."""
         history = CommandHistory()
-        manager = WaitManager(history, lambda: 0.0)
+        manager = WaitManager(history, lambda: 0.0, True)
         gone = command_for(0, False)
         write_entry(history, gone, LogicalTimestamp(5, 0), set(), CommandStatus.STABLE, BALLOT)
         history.remove(gone.command_id)
@@ -131,11 +131,11 @@ class TestWaitShortcut:
         history, manager, commands, _ = build(rows)
         early = history.get(commands[0].command_id)
         assert manager.evaluate(early.command, early.timestamp, lambda ok, waited: None,
-                                early) is None
+                                early, ()) is None
         assert manager.parked == 1
         history, manager, commands, _ = build([rows[0], (9, CommandStatus.STABLE, False, 0)])
         early = history.get(commands[0].command_id)
-        assert manager.evaluate(early.command, early.timestamp, None, early) is False
+        assert manager.evaluate(early.command, early.timestamp, None, early, ()) is False
 
     def test_an_equal_timestamp_is_not_later(self):
         """The suffix is strictly greater: a tie (never issued) neither blocks nor rejects."""
@@ -146,10 +146,10 @@ class TestWaitShortcut:
         write_entry(history, second, tie, set(), CommandStatus.FAST_PENDING, BALLOT)
         spec_history.update(first, tie, set(), CommandStatus.STABLE, BALLOT)
         spec_history.update(second, tie, set(), CommandStatus.FAST_PENDING, BALLOT)
-        manager = WaitManager(history, lambda: 0.0)
+        manager = WaitManager(history, lambda: 0.0, True)
         for command in (first, second):
             assert spec_answer(spec_history, command, tie, True) is True
-            assert manager.evaluate(command, tie, None, history.get(command.command_id)) is True
+            assert manager.evaluate(command, tie, None, history.get(command.command_id), ()) is True
 
 
 GRID = [Ballot(round_, node) for round_ in range(3) for node in range(3)]

@@ -273,7 +273,7 @@ class TestBudgetAndTape:
         import pytest
 
         tape = HistoryTape(Simulator(seed=1))
-        taped = tape.invoke(0, "k", "get")
+        taped = tape.invoke(0, "k", "get", None)
         tape.respond(taped, None)
         with pytest.raises(ValueError, match="already responded"):
             tape.respond(taped, None)

@@ -25,8 +25,8 @@ import pytest
 from repro.baselines.multipaxos import MultiPaxosReplica
 from repro.chaos.checker import check_history
 from repro.chaos.history import HistoryTape
-from repro.chaos.nemesis import (CONFORMANCE_SCHEDULES, CrashFault, DuplicationFault,
-                                 LossFault, NemesisPlan, random_plan)
+from repro.chaos.nemesis import (CONFORMANCE_SCHEDULES, DuplicationFault, LossFault,
+                                 NemesisPlan, random_plan)
 from repro.consensus.command import Command, CommandResult
 from repro.consensus.quorums import QuorumSystem
 from repro.harness.chaos import ChaosConfig, run_chaos, run_conformance_matrix
@@ -35,6 +35,7 @@ from repro.sim.network import Network, NetworkConfig
 from repro.sim.random import DeterministicRandom
 from repro.sim.simulator import Simulator
 from repro.sim.topology import ec2_five_sites
+from tests.conftest import ignore
 
 PROTOCOLS = ("caesar", "epaxos", "m2paxos", "mencius", "multipaxos")
 
@@ -56,20 +57,14 @@ LOSS_AND_DUP = NemesisPlan("loss-and-dup", (
 
 GOLDEN_SCHEDULES = CONFORMANCE_SCHEDULES + (LOSS_AND_DUP.name,)
 
-#: No named schedule crashes node 0, Multi-Paxos' leader, so without this
-#: column no recovery cell would run an election.
-LEADER_CRASH = NemesisPlan("leader-crash", (
-    CrashFault(at_ms=500.0, node_id=0, restart_at_ms=1500.0),))
-
-RECOVERY_GOLDEN_SCHEDULES = CONFORMANCE_SCHEDULES + (LEADER_CRASH.name,)
-
-#: The hand-built columns, by name.
-HAND_BUILT_PLANS = {plan.name: plan for plan in (LOSS_AND_DUP, LEADER_CRASH)}
+#: No conformance schedule crashes node 0, Multi-Paxos' leader, so without
+#: the named ``leader-crash`` column no recovery cell would run an election.
+RECOVERY_GOLDEN_SCHEDULES = CONFORMANCE_SCHEDULES + ("leader-crash",)
 
 
 def golden_cell(protocol: str, schedule: str, recovery: bool = False) -> dict:
     """Everything one quick chaos cell determines besides its verdict string."""
-    plan = HAND_BUILT_PLANS.get(schedule)
+    plan = LOSS_AND_DUP if schedule == LOSS_AND_DUP.name else None
     result = run_chaos(ChaosConfig(protocol=protocol, schedule=schedule, plan=plan,
                                    recovery=recovery, **GOLDEN_CELL))
     return {"verdict": result.verdict(), "events_executed": result.events_executed,
@@ -109,11 +104,19 @@ class TestConformanceMatrix:
         assert first.client_stats == second.client_stats
         assert first.verdict() == second.verdict()
 
+    @pytest.mark.parametrize("recovery, elections", [(True, 1), (False, 0)])
+    def test_the_leader_crash_runs_multipaxos_election_only_with_recovery(
+            self, recovery, elections):
+        result = run_chaos(ChaosConfig(protocol="multipaxos", schedule="leader-crash",
+                                       recovery=recovery, **GOLDEN_CELL))
+        assert result.ok, result.verdict()
+        assert result.recoveries == elections
+
     def test_random_loss_free_schedules_pass_on_caesar(self):
         root = DeterministicRandom(21)
         for index in range(3):
             plan = random_plan(root.fork_cell(("conformance-random", index)),
-                               5, 1000.0, 2000.0)
+                               5, 1000.0, 2000.0, False)
             result = run_chaos(ChaosConfig(protocol="caesar", plan=plan, seed=21))
             assert result.ok, f"random plan {index}: {result.verdict()}"
 
@@ -203,14 +206,13 @@ class TestSafetyWithoutLiveness:
 class DirtyReadMultiPaxos(MultiPaxosReplica):
     """Deliberately broken: answers clients from local state *before* consensus."""
 
-    def submit(self, command, callback=None):
-        if callback is not None:
-            previous = self.state_machine._data.get(command.key)
-            self.state_machine._data[command.key] = command.value or ""
-            result = CommandResult(command_id=command.command_id, value=previous,
-                                   executed_at=self.sim.now)
-            self.sim.schedule(0.1, lambda: callback(result))
-        super().submit(command)
+    def submit(self, command, callback):
+        previous = self.state_machine._data.get(command.key)
+        self.state_machine._data[command.key] = command.value or ""
+        result = CommandResult(command_id=command.command_id, value=previous,
+                               executed_at=self.sim.now)
+        self.sim.schedule(0.1, lambda: callback(result))
+        super().submit(command, ignore)
 
 
 class TestOracleHasTeeth:

@@ -15,6 +15,7 @@ from repro.chaos.nemesis import (
     CONFORMANCE_SCHEDULES,
     NEMESIS_SCHEDULES,
     ClockSkewFault,
+    CrashFault,
     DelaySpikeFault,
     Nemesis,
     NemesisPlan,
@@ -44,7 +45,7 @@ class RecorderNode(Node):
 def build_nodes(n: int = 3, rtt: float = 20.0, seed: int = 1):
     sim = Simulator(seed=seed)
     network = Network(sim, uniform_topology(n, rtt_ms=rtt), NetworkConfig())
-    nodes = [RecorderNode(i, sim, network) for i in range(n)]
+    nodes = [RecorderNode(i, sim, network, cost_model=None) for i in range(n)]
     return sim, network, nodes
 
 
@@ -226,13 +227,16 @@ class TestNemesis:
         with pytest.raises(ValueError, match="unknown nemesis schedule"):
             build_schedule("nope", 5, 0.0, 1.0)
 
-    def test_conformance_set_covers_whole_library(self):
+    def test_conformance_set_is_the_library_but_the_leader_crash(self):
         # Since the runtime retransmission + catch-up layer, every named
-        # schedule — the lossy pair included — is a conformance obligation.
-        assert set(CONFORMANCE_SCHEDULES) == set(NEMESIS_SCHEDULES)
+        # schedule — the lossy ones included — is survivable; the matrix
+        # leaves out only the column that exists for Multi-Paxos' election.
+        assert set(NEMESIS_SCHEDULES) - set(CONFORMANCE_SCHEDULES) == {"leader-crash"}
+        assert build_schedule("leader-crash", 5, 500.0, 1000.0).faults == (
+            CrashFault(at_ms=500.0, node_id=0, restart_at_ms=1500.0),)
 
     def test_only_the_known_pair_of_schedules_is_lossy(self):
-        from repro.chaos.nemesis import CrashFault, LossFault
+        from repro.chaos.nemesis import LossFault
 
         lossy = set()
         for name in CONFORMANCE_SCHEDULES:
@@ -281,11 +285,11 @@ class TestNemesis:
 
     def test_random_plan_is_deterministic_per_coordinates(self):
         root = DeterministicRandom(9)
-        plan_a = random_plan(root.fork_cell(("chaos", 9, 0)), 5, 100.0, 1000.0)
+        plan_a = random_plan(root.fork_cell(("chaos", 9, 0)), 5, 100.0, 1000.0, False)
         plan_b = random_plan(DeterministicRandom(9).fork_cell(("chaos", 9, 0)),
-                             5, 100.0, 1000.0)
+                             5, 100.0, 1000.0, False)
         assert plan_a == plan_b
-        plan_c = random_plan(root.fork_cell(("chaos", 9, 1)), 5, 100.0, 1000.0)
+        plan_c = random_plan(root.fork_cell(("chaos", 9, 1)), 5, 100.0, 1000.0, False)
         assert plan_c != plan_a
 
     def test_random_plan_heals_within_window(self):

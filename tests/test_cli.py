@@ -92,8 +92,9 @@ def constructor_surface() -> dict:
     surface = {}
     for name in PROTOCOLS:
         sim = Simulator(seed=1)
-        replica = build_replica(name, 0, sim, Network(sim, lan_topology(3)),
-                                QuorumSystem.for_cluster(3), {})
+        replica = build_replica(name, 0, sim, Network(sim, lan_topology(3), NetworkConfig()),
+                                QuorumSystem.for_cluster(3), {}, cost_model=None,
+                                admission=None, recovery=False, history_gc=False)
         surface[f"protocol {name}"] = [
             [p.name, "<required>" if p.default is p.empty else repr(p.default)]
             for p in inspect.signature(type(replica)).parameters.values()]
@@ -313,7 +314,8 @@ class TestParser:
 
 #: Fields the parent of the change that pinned ``tests/data/cli_configs.json``
 #: still had, deleted there because no product path set them.
-DELETED_FIELDS = {"CostModel": {"per_type_ms"}, "WorkloadConfig": {"payload_size"}}
+DELETED_FIELDS = {"CostModel": {"per_type_ms", "self_message_factor"},
+                  "NetworkConfig": {"wire_accounting"}, "WorkloadConfig": {"payload_size"}}
 
 
 def as_built_now(record):

@@ -60,7 +60,7 @@ class DualStack:
         self.opt_outcomes = []
         self.spec_outcomes = []
         self.clock = 0.0
-        self.opt_wait = WaitManager(self.optimized, lambda: self.clock)
+        self.opt_wait = WaitManager(self.optimized, lambda: self.clock, True)
         self.spec_wait = spec.SpecWait(self.spec, lambda: self.clock)
         self.commands = {}
 

@@ -50,7 +50,7 @@ from repro.net.clock import WallClock
 from repro.net.loopback import LoopbackCluster
 from repro.runtime.kernel import ProtocolKernel
 from repro.workload.generator import WorkloadConfig
-from tests.conftest import run_until_executed
+from tests.conftest import ignore, run_until_executed
 from tests.spec_caesar import SpecCaesarReplica
 from tests.test_caesar_differential import (
     REPLICAS,
@@ -255,7 +255,7 @@ class TestReports:
             commands = [command(node, first + sequence, key=f"k{sequence % 2}")
                         for sequence in range(count) for node in (0, 1, 2)]
             for cmd in commands:
-                cluster.replica(cmd.origin).submit(cmd)
+                cluster.replica(cmd.origin).submit(cmd, ignore)
             assert run_until_executed(cluster, [cmd.command_id for cmd in commands],
                                       deadline_ms=20000)
             cluster.run(3000.0)
@@ -367,7 +367,8 @@ async def _hot_key_over_tcp(commands: int, clients: int = 3) -> dict:
         clock = WallClock(seed=5, loop=loop)
         pool, connections = await connect_pool(
             cluster.peers, clients, WorkloadConfig(conflict_rate=1.0, shared_pool_size=1),
-            clock, MetricsCollector(warmup_ms=0.0), max_commands=commands // clients)
+            clock, MetricsCollector(warmup_ms=0.0), failover=False,
+            reconnect_timeout_ms=None, max_commands=commands // clients)
         replicas = [server.replica for server in cluster.servers.values()]
         deadline, live = loop.time() + 90.0, 0
         pool.start_all()

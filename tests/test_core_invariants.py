@@ -23,7 +23,7 @@ from repro.harness.cluster import build_cluster
 from repro.harness.experiment import ExperimentConfig, attach_clients
 from repro.metrics.collector import MetricsCollector
 from repro.sim.network import NetworkConfig
-from tests.conftest import build_caesar_cluster, make_command, write_entry
+from tests.conftest import build_caesar_cluster, ignore, make_command, write_entry
 
 
 def run_conflicting_workload(n_commands_per_node: int = 4, seed: int = 1,
@@ -32,7 +32,7 @@ def run_conflicting_workload(n_commands_per_node: int = 4, seed: int = 1,
     commands = [(i, make_command(i, k, key=f"hot-{k % 2}", origin=i))
                 for i in range(5) for k in range(n_commands_per_node)]
     for origin, command in commands:
-        replicas[origin].submit(command)
+        replicas[origin].submit(command, ignore)
     ids = [c.command_id for _, c in commands]
     finished = sim.run_until(
         lambda: all(r.has_executed(cid) for r in replicas for cid in ids),

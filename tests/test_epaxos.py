@@ -11,16 +11,16 @@ from repro.consensus.interface import DecisionKind
 from repro.consensus.quorums import QuorumSystem
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.kvstore.store import KeyValueStore
-from repro.sim.network import Network
+from repro.sim.network import Network, NetworkConfig
 from repro.sim.simulator import Simulator
 from repro.sim.topology import ec2_five_sites
-from tests.conftest import make_command, uniform_topology
+from tests.conftest import ignore, make_command, uniform_topology
 
 
 def build_epaxos_cluster(n: int = 5, seed: int = 1, recovery: bool = False, topology=None):
     topology = topology or (ec2_five_sites() if n == 5 else uniform_topology(n, rtt_ms=40.0))
     sim = Simulator(seed=seed)
-    network = Network(sim, topology)
+    network = Network(sim, topology, NetworkConfig())
     quorums = QuorumSystem.for_cluster(n)
     replicas = [EPaxosReplica(i, sim, network, quorums, KeyValueStore()) for i in range(n)]
     if recovery:
@@ -32,7 +32,7 @@ def build_epaxos_cluster(n: int = 5, seed: int = 1, recovery: bool = False, topo
 
 def submit_and_run(sim, replicas, commands, deadline_ms=60000):
     for origin, command in commands:
-        replicas[origin].submit(command)
+        replicas[origin].submit(command, ignore)
     ids = [c.command_id for _, c in commands]
     return sim.run_until(
         lambda: all(r.has_executed(cid) for r in replicas if not r.crashed for cid in ids),
@@ -135,7 +135,7 @@ class TestRecovery:
     def test_instance_recovered_after_leader_crash(self):
         sim, _, replicas = build_epaxos_cluster(recovery=True, seed=6)
         command = make_command(0, 0, key="x", origin=0)
-        replicas[0].submit(command)
+        replicas[0].submit(command, ignore)
         sim.run(until=sim.now + 40.0)  # PreAccepts delivered, commit not yet sent
         replicas[0].crash()
         done = sim.run_until(

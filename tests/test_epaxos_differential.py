@@ -43,9 +43,9 @@ from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command
 from repro.consensus.quorums import QuorumSystem
 from repro.kvstore.store import KeyValueStore
-from repro.sim.network import Network
+from repro.sim.network import Network, NetworkConfig
 from repro.sim.simulator import Simulator
-from tests.conftest import uniform_topology
+from tests.conftest import ignore, uniform_topology
 from tests.spec_epaxos import Row, SpecEPaxosReplica
 from tests.test_caesar_differential import CRASH_CELL, _cell, _Peer, end_to_end
 from tests.test_sim_engine_differential import pending_times
@@ -67,7 +67,7 @@ class Probe:
     def __init__(self, spec: bool) -> None:
         self.spec = spec
         self.sim = Simulator(seed=1)
-        network = Network(self.sim, uniform_topology(REPLICAS, rtt_ms=10.0))
+        network = Network(self.sim, uniform_topology(REPLICAS, rtt_ms=10.0), NetworkConfig())
         replica_class = SpecEPaxosReplica if spec else EPaxosReplica
         self.replica = replica_class(0, self.sim, network, QuorumSystem.for_cluster(REPLICAS),
                                      KeyValueStore())
@@ -451,7 +451,7 @@ def prepare_reply(status: InstanceStatus, deps=(), ballot: Ballot = FIRST) -> Pr
 class TestScenarios:
     def test_fast_path_on_identical_replies(self):
         pair = Pair()
-        pair.act(lambda probe: probe.replica.submit(X), "submit")
+        pair.act(lambda probe: probe.replica.submit(X, ignore), "submit")
         pair.feed(1, pre_accept_reply())
         pair.feed(2, pre_accept_reply())
         assert pair.product.replica.stats.fast_decisions == 1
@@ -459,7 +459,7 @@ class TestScenarios:
 
     def test_one_changed_reply_takes_the_slow_path_with_the_union(self):
         pair = Pair()
-        pair.act(lambda probe: probe.replica.submit(X), "submit")
+        pair.act(lambda probe: probe.replica.submit(X, ignore), "submit")
         pair.feed(1, pre_accept_reply(seq=2, deps=[FOREIGN], changed=True))
         pair.feed(2, pre_accept_reply())
         for src in (1, 2):
@@ -471,7 +471,7 @@ class TestScenarios:
 
     def test_a_commit_from_elsewhere_ends_the_local_round(self):
         pair = Pair()
-        pair.act(lambda probe: probe.replica.submit(X), "submit")
+        pair.act(lambda probe: probe.replica.submit(X, ignore), "submit")
         pair.feed(2, Commit(instance_id=LED, command=X, seq=1, deps=frozenset()))
         for src in (1, 2):  # the superseded round's replies: no second Commit
             pair.feed(src, pre_accept_reply())
@@ -480,7 +480,7 @@ class TestScenarios:
 
     def test_an_acceptor_adds_what_it_knows(self):
         pair = Pair()
-        pair.act(lambda probe: probe.replica.submit(X), "submit")
+        pair.act(lambda probe: probe.replica.submit(X, ignore), "submit")
         pair.feed(1, PreAccept(instance_id=FOREIGN, command=Y, seq=1, deps=frozenset(),
                                ballot=Ballot.initial(1)))
         pair.feed(2, PreAccept(instance_id=(2, 0), command=Command(command_id=(4, 0), key="y"),

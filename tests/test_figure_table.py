@@ -47,7 +47,7 @@ def test_the_listed_cells_are_the_cells_that_run(key, cells, capsys):
     listed = [line.split()[1] for line in capsys.readouterr().out.splitlines()
               if line.startswith("  * ")]
     assert listed
-    result = run_figure(key, cell_filter=cells, **FIGURES[key].quick)
+    result = run_figure(key, workers=1, cell_filter=cells, **FIGURES[key].quick)
     ran = [key_string(outcome.key) for sweep in result.sweeps for outcome in sweep.outcomes]
     assert ran == listed
     # The record counts the events of every sweep of the row.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import inf
+
 import pytest
 
 from repro.consensus.command import Command
@@ -22,7 +24,7 @@ from tests.conftest import EXECUTED_CHECK_EVERY, lan_topology, run_until_execute
 
 class TestClusterBuilder:
     def test_default_cluster_is_five_site_caesar(self):
-        cluster = build_cluster()
+        cluster = build_cluster(ClusterConfig())
         assert cluster.size == 5
         assert cluster.replicas[0].protocol_name == "caesar"
         assert cluster.topology.sites[0] == "virginia"
@@ -42,16 +44,16 @@ class TestClusterBuilder:
         assert cluster.size == 7
 
     def test_replica_at_site_lookup(self):
-        cluster = build_cluster()
+        cluster = build_cluster(ClusterConfig())
         assert cluster.replica_at("mumbai").node_id == 4
 
     def test_replica_at_names_the_replica_at_the_sites_node_index(self):
-        cluster = build_cluster()
+        cluster = build_cluster(ClusterConfig())
         assert [cluster.replica_at(site).node_id for site in EC2_SITES] == [0, 1, 2, 3, 4]
 
     def test_replica_at_unknown_site_raises(self):
         with pytest.raises(ValueError):
-            build_cluster().replica_at("nowhere")
+            build_cluster(ClusterConfig()).replica_at("nowhere")
 
     def test_protocol_options_forwarded(self):
         cluster = build_cluster(ClusterConfig(protocol="multipaxos",
@@ -59,7 +61,7 @@ class TestClusterBuilder:
         assert cluster.replicas[0].leader_id == 2
 
     def test_check_consistency_empty_on_fresh_cluster(self):
-        cluster = build_cluster()
+        cluster = build_cluster(ClusterConfig())
         assert cluster.check_consistency() == []
         assert cluster.total_executed() == 0
 
@@ -81,7 +83,7 @@ class TestRunUntilExecuted:
             return total_events_executed() - before
 
         exact = events_to_execute(lambda cluster, ids: cluster.sim.run_until(
-            lambda: cluster.all_executed(ids), check_every=1))
+            lambda: cluster.all_executed(ids), check_every=1, deadline=inf))
         cadenced = events_to_execute(lambda cluster, ids: run_until_executed(cluster, ids))
         assert exact <= cadenced < exact + EXECUTED_CHECK_EVERY
 

@@ -8,16 +8,16 @@ from repro.baselines.m2paxos import M2PaxosReplica
 from repro.baselines.mencius import MenciusReplica
 from repro.consensus.quorums import QuorumSystem
 from repro.kvstore.store import KeyValueStore
-from repro.sim.network import Network
+from repro.sim.network import Network, NetworkConfig
 from repro.sim.simulator import Simulator
 from repro.sim.topology import ec2_five_sites
-from tests.conftest import make_command, uniform_topology
+from tests.conftest import ignore, make_command, uniform_topology
 
 
 def build_cluster(cls, n: int = 5, seed: int = 1):
     topology = ec2_five_sites() if n == 5 else uniform_topology(n, rtt_ms=40.0)
     sim = Simulator(seed=seed)
-    network = Network(sim, topology)
+    network = Network(sim, topology, NetworkConfig())
     quorums = QuorumSystem.for_cluster(n)
     replicas = [cls(i, sim, network, quorums, KeyValueStore()) for i in range(n)]
     return sim, network, replicas
@@ -25,7 +25,7 @@ def build_cluster(cls, n: int = 5, seed: int = 1):
 
 def submit_and_run(sim, replicas, commands, deadline_ms=60000):
     for origin, command in commands:
-        replicas[origin].submit(command)
+        replicas[origin].submit(command, ignore)
     ids = [c.command_id for _, c in commands]
     return sim.run_until(
         lambda: all(r.has_executed(cid) for r in replicas for cid in ids),
@@ -144,8 +144,8 @@ class TestM2Paxos:
         sim, _, replicas = build_cluster(M2PaxosReplica)
         first = make_command(0, 0, key="contested", origin=0)
         second = make_command(4, 0, key="contested", origin=4)
-        replicas[0].submit(first)
-        replicas[4].submit(second)
+        replicas[0].submit(first, ignore)
+        replicas[4].submit(second, ignore)
         assert sim.run_until(
             lambda: all(r.has_executed(first.command_id) and r.has_executed(second.command_id)
                         for r in replicas),

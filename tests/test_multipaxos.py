@@ -5,17 +5,17 @@ from __future__ import annotations
 from repro.baselines.multipaxos import MultiPaxosReplica
 from repro.consensus.quorums import QuorumSystem
 from repro.kvstore.store import KeyValueStore
-from repro.sim.network import Network
+from repro.sim.network import Network, NetworkConfig
 from repro.sim.simulator import Simulator
 from repro.sim.topology import ec2_five_sites
-from tests.conftest import make_command, uniform_topology
+from tests.conftest import ignore, make_command, uniform_topology
 
 
 def build_multipaxos_cluster(n: int = 5, leader_id: int = 0, seed: int = 1,
                              recovery: bool = False):
     topology = ec2_five_sites() if n == 5 else uniform_topology(n, rtt_ms=40.0)
     sim = Simulator(seed=seed)
-    network = Network(sim, topology)
+    network = Network(sim, topology, NetworkConfig())
     quorums = QuorumSystem.for_cluster(n)
     replicas = [MultiPaxosReplica(i, sim, network, quorums, KeyValueStore(),
                                   leader_id=leader_id)
@@ -29,7 +29,7 @@ def build_multipaxos_cluster(n: int = 5, leader_id: int = 0, seed: int = 1,
 
 def submit_and_run(sim, replicas, commands, deadline_ms=60000):
     for origin, command in commands:
-        replicas[origin].submit(command)
+        replicas[origin].submit(command, ignore)
     ids = [c.command_id for _, c in commands]
     return sim.run_until(
         lambda: all(r.has_executed(cid) for r in replicas if not r.crashed for cid in ids),
@@ -96,7 +96,7 @@ class TestLeaderFailover:
     def test_new_leader_elected_after_crash(self):
         sim, _, replicas = build_multipaxos_cluster(recovery=True, leader_id=0, seed=2)
         first = make_command(1, 0, key="a", origin=1)
-        replicas[1].submit(first)
+        replicas[1].submit(first, ignore)
         assert sim.run_until(lambda: replicas[1].has_executed(first.command_id),
                              deadline=30000)
         replicas[0].crash()
@@ -105,7 +105,7 @@ class TestLeaderFailover:
         live = [r for r in replicas if not r.crashed]
         assert any(r.is_leader for r in live)
         second = make_command(2, 0, key="b", origin=2)
-        replicas[2].submit(second)
+        replicas[2].submit(second, ignore)
         assert sim.run_until(
             lambda: all(r.has_executed(second.command_id) for r in live), deadline=30000)
 
@@ -113,7 +113,7 @@ class TestLeaderFailover:
         sim, _, replicas = build_multipaxos_cluster(recovery=True, leader_id=0, seed=3)
         replicas[4].crash()
         command = make_command(1, 0, key="a", origin=1)
-        replicas[1].submit(command)
+        replicas[1].submit(command, ignore)
         assert sim.run_until(
             lambda: all(r.has_executed(command.command_id)
                         for r in replicas if not r.crashed),

@@ -201,7 +201,8 @@ def run_sim_oracle(protocol: str, replicas: int = 3, clients: int = 3,
                                           seed=seed))
     pool = build_pool([cluster.replicas[i % replicas] for i in range(clients)],
                       WorkloadConfig(conflict_rate=conflict_rate), cluster.sim,
-                      MetricsCollector(warmup_ms=0.0), max_commands=commands_per_client)
+                      MetricsCollector(warmup_ms=0.0), max_commands=commands_per_client,
+                      failover=(), reconnect_timeout_ms=None)
 
     expected = clients * commands_per_client
     cluster.start()

@@ -1,27 +1,40 @@
-"""Every defaulted parameter in ``src/repro`` is one a product path passes.
+"""Every setting in ``src/repro`` is one a product path sets.
 
-A keyword exists only if a product path — the CLI, a figure row, ``bench/``
+A setting exists only if a product path — the CLI, a figure row, ``bench/``
 or an example — sets it; a test reaches other behaviour by patching inside
 the test (ROADMAP, the north star's *Settings* rule).  This check holds the
-keyword half of that rule from the sources alone, with :mod:`ast` and no
-imports:
+rule from the sources alone, with :mod:`ast` and no imports, in three
+directions:
 
-* every ``def`` under ``src/repro`` is read, and each of its parameters with
-  a default (positional or keyword-only);
-* every call in ``src/``, ``bench/`` and ``examples/`` is read, and matched to
-  the definitions by the called name — ``f(...)`` and ``obj.f(...)`` for a
-  function or method ``f``; ``C(...)``, ``mod.C(...)`` and a subclass's
-  ``super().__init__(...)`` for ``C.__init__``;
-* a parameter counts as passed when one matching call names it as a keyword,
-  fills its position (``self`` and ``cls`` discounted on a method call), or
-  unpacks ``*args`` / ``**kwargs`` there, which may carry it.
+* **unpassed** — a defaulted parameter (positional or keyword-only) of a
+  ``def`` under ``src/repro`` that no product call passes: only tests can
+  reach another value;
+* **overridden** — a defaulted parameter that every product call passes:
+  the default, and any fallback it guards, only tests can reach;
+* **unset** — a field of a config class pinned in
+  ``tests/data/cli_parser_surface.json`` that no product path sets: no
+  construction of the class (or a subclass) names it, no
+  ``dataclasses.replace`` or ``cli.build_config`` call does, and no
+  ``cli.FLAGS`` row maps a flag onto it.
 
-Matching by name over-approximates the callers, so a miss is real: no call of
-that name anywhere on a product path passes the parameter.  A function that
-product code calls under another name — a figure grid through its row, a
-replica constructor through the protocol table, a callback — is on
-:data:`ALLOWED` with the reason, as is the rare keyword kept for a caller
-outside the repository.  Run it as a script to list what it finds::
+Product calls are every call in ``src/``, ``bench/`` and ``examples/``,
+matched to the definitions by the called name — ``f(...)`` and
+``obj.f(...)`` for a function or method ``f``; ``C(...)``, ``mod.C(...)``
+and a subclass's ``super().__init__(...)`` for ``C.__init__``.  A call
+passes a parameter when it names it as a keyword, fills its position
+(``self`` and ``cls`` discounted on a method call), or unpacks ``*args`` /
+``**kwargs`` there, which may carry it; a config field is also set by a
+string key a ``**`` unpack carries (a dict literal in the unpacked
+expression, or a key stored into the unpacked name in that module).
+
+Matching by name over-approximates the callers: an *unpassed* finding is
+real, since no call of that name anywhere on a product path passes the
+parameter, and an *overridden* one is real unless product code also reaches
+the function another way — a figure grid through its row
+(``inspect.signature.bind``), a replica constructor through the protocol
+table, a callback handed to another function.  Those functions, and the
+rare keyword or field kept for a caller outside the repository, are on
+:data:`ALLOWED` with the reason.  Run it as a script to list what it finds::
 
     python tests/test_product_keywords.py
 """
@@ -30,20 +43,23 @@ from __future__ import annotations
 
 import ast
 import functools
+import json
 import sys
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 CALLER_DIRS = ("src", "bench", "examples")
+SURFACE = ROOT / "tests" / "data" / "cli_parser_surface.json"
 
 _GRID = "figure grid: its keyword defaults are the figure, set by the row's --quick overrides"
 _REPLICA = "replica constructor: build_replica passes cost_model and a figure row's options"
 _BOUND = "binds the enclosing loop's value at definition; the callback's caller passes one argument"
 
-#: Functions whose unpassed defaulted parameters stay, each with the reason.
-#: Keys are ``<path under src/repro>::<qualified name>``.
+#: Functions whose unpassed or overridden defaulted parameters stay, and
+#: config fields no product path sets that stay, each with the reason.  Keys
+#: are ``<path under src/repro>::<qualified name>`` and ``<Config>.<field>``.
 ALLOWED: Dict[str, str] = {
     "harness/figures.py::_fig6_cells": _GRID,
     "harness/figures.py::_fig7_cells": _GRID,
@@ -66,6 +82,11 @@ ALLOWED: Dict[str, str] = {
     "workload/clients.py::OpenLoopClient._inject.on_result": _BOUND,
     "cli.py::main": "entry point: argv=None reads the process's command line",
     "sim/topology.py::custom_topology": "public api: a topology from an RTT matrix",
+    "net/client.py::fetch_stats":
+        "callback: the loadgen's drain hands it to asyncio.to_thread with host and port only",
+    "ExperimentConfig.shared_pool_size":
+        "the shared pool's size; ROADMAP item 16(d) gives it a product path",
+    "ClusterConfig.topology": "public api: a custom_topology cluster",
 }
 
 
@@ -135,12 +156,37 @@ def calls(trees: Dict[str, ast.Module]) -> Dict[str, List[ast.Call]]:
 
 
 @functools.lru_cache(maxsize=None)
+def product_trees() -> Dict[str, ast.Module]:
+    """Every Python file a product path runs (``src/``, ``bench/``,
+    ``examples/``), each parsed once."""
+    return {file.relative_to(ROOT).as_posix(): ast.parse(file.read_text(encoding="utf-8"))
+            for folder in CALLER_DIRS for file in sorted((ROOT / folder).rglob("*.py"))}
+
+
+@functools.lru_cache(maxsize=None)
 def product_missing() -> Dict[str, List[str]]:
-    """:func:`unpassed` over the repository: every Python file a product path
-    runs (``src/``, ``bench/``, ``examples/``), each parsed once."""
-    trees = {file.relative_to(ROOT).as_posix(): ast.parse(file.read_text(encoding="utf-8"))
-             for folder in CALLER_DIRS for file in sorted((ROOT / folder).rglob("*.py"))}
+    """:func:`unpassed` over the repository."""
+    trees = product_trees()
     return unpassed(definitions(trees), calls(trees))
+
+
+@functools.lru_cache(maxsize=None)
+def product_overridden() -> Dict[str, List[str]]:
+    """:func:`overridden` over the repository."""
+    trees = product_trees()
+    return overridden(definitions(trees), calls(trees))
+
+
+def pinned_configs() -> List[str]:
+    """The config classes ``tests/data/cli_parser_surface.json`` pins (its
+    capitalised keys; the others are subcommands and protocol tables)."""
+    return sorted(name for name in json.loads(SURFACE.read_text()) if name[:1].isupper())
+
+
+@functools.lru_cache(maxsize=None)
+def product_unset() -> List[str]:
+    """:func:`unset_fields` over the repository's pinned configs."""
+    return unset_fields(product_trees(), pinned_configs())
 
 
 def _passes(call: ast.Call, name: str, position: int) -> bool:
@@ -153,10 +199,9 @@ def _passes(call: ast.Call, name: str, position: int) -> bool:
             or len(call.args) > position)
 
 
-def unpassed(definitions_: List[Definition],
-             calls_: Dict[str, List[ast.Call]]) -> Dict[str, List[str]]:
-    """``path::qualname -> [parameter, ...]`` for every defaulted parameter no call passes."""
-    missing: Dict[str, List[str]] = {}
+def _defaulted(definitions_: List[Definition], calls_: Dict[str, List[ast.Call]]):
+    """Each defaulted parameter with the calls that may reach its function:
+    ``(path::qualname, parameter, [call, ...], position or -1 if keyword-only)``."""
     for path, qualname, node, is_method in definitions_:
         args = node.args
         positional = args.posonlyargs + args.args
@@ -166,15 +211,123 @@ def unpassed(definitions_: List[Definition],
         # (or by construction, for ``__init__``), not passed by the call.
         skip = 1 if is_method and not is_static else 0
         called_as = qualname.split(".")[-2] if node.name == "__init__" else node.name
-        candidates = calls_.get(called_as, ())
-        defaulted = [(param.arg, index - skip)
-                     for index, param in enumerate(positional)
-                     if index >= len(positional) - len(args.defaults)]
-        defaulted += [(param.arg, -1) for param, default in zip(args.kwonlyargs, args.kw_defaults)
-                      if default is not None]
-        for name, position in defaulted:
-            if not any(_passes(call, name, position) for call in candidates):
-                missing.setdefault(f"{path}::{qualname}", []).append(name)
+        candidates = calls_.get(called_as, [])
+        for index, param in enumerate(positional):
+            if index >= len(positional) - len(args.defaults):
+                yield f"{path}::{qualname}", param.arg, candidates, index - skip
+        for param, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield f"{path}::{qualname}", param.arg, candidates, -1
+
+
+def unpassed(definitions_: List[Definition],
+             calls_: Dict[str, List[ast.Call]]) -> Dict[str, List[str]]:
+    """``path::qualname -> [parameter, ...]`` for every defaulted parameter no call passes."""
+    missing: Dict[str, List[str]] = {}
+    for function, name, candidates, position in _defaulted(definitions_, calls_):
+        if not any(_passes(call, name, position) for call in candidates):
+            missing.setdefault(function, []).append(name)
+    return missing
+
+
+def overridden(definitions_: List[Definition],
+               calls_: Dict[str, List[ast.Call]]) -> Dict[str, List[str]]:
+    """``path::qualname -> [parameter, ...]`` for every defaulted parameter
+    that every call passes (a function nothing calls by name has none)."""
+    found: Dict[str, List[str]] = {}
+    for function, name, candidates, position in _defaulted(definitions_, calls_):
+        if candidates and all(_passes(call, name, position) for call in candidates):
+            found.setdefault(function, []).append(name)
+    return found
+
+
+def _fields(cls: ast.ClassDef) -> List[str]:
+    """The dataclass fields ``cls`` declares itself (annotated, not ``ClassVar``)."""
+    return [statement.target.id for statement in cls.body
+            if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)
+            and "ClassVar" not in ast.unparse(statement.annotation)]
+
+
+def _unpacked_keys(expression: ast.AST, module: ast.Module) -> Set[str]:
+    """The string keys a ``**expression`` unpack may carry: those of the dict
+    literals inside it and, for a bare name, every key stored into that name
+    (``name["key"] = ...`` or ``name = {"key": ...}``) anywhere in ``module``."""
+    sources, keys = [expression], set()
+    if isinstance(expression, ast.Name):
+        for node in ast.walk(module):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) \
+                    and isinstance(node.value, ast.Name) and node.value.id == expression.id \
+                    and isinstance(node.slice, ast.Constant):
+                keys.add(node.slice.value)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == expression.id
+                    for target in node.targets):
+                sources.append(node.value)
+    for source in sources:
+        for node in ast.walk(source):
+            if isinstance(node, ast.Dict):
+                keys |= {key.value for key in node.keys
+                         if isinstance(key, ast.Constant) and isinstance(key.value, str)}
+    return keys
+
+
+def unset_fields(trees: Dict[str, ast.Module], configs: List[str]) -> List[str]:
+    """``Config.field`` for every field of ``configs`` no call in ``trees`` sets.
+
+    A field is set by a keyword (or a key a ``**`` unpack carries) of a
+    construction of its class or a subclass, of a ``replace`` or a
+    ``build_config`` call, by the position of a construction, or by a
+    ``FLAGS`` row (its key, dashes read as underscores, or its ``field``).
+    """
+    classes: Dict[str, Tuple[ast.ClassDef, List[str]]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                classes.setdefault(node.name, (node, list(_base_names(node))))
+
+    def all_fields(name: str) -> List[str]:
+        node, bases = classes[name]
+        inherited = [field for base in bases if base in classes for field in all_fields(base)]
+        return inherited + [field for field in _fields(node) if field not in inherited]
+
+    def family(name: str) -> List[str]:
+        return [name] + [sub for sub, (_, bases) in classes.items() if name in bases
+                         for sub in family(sub)]
+
+    def named(call: ast.Call, module: ast.Module) -> Set[str]:
+        keys = {keyword.arg for keyword in call.keywords if keyword.arg}
+        for keyword in call.keywords:
+            if keyword.arg is None:
+                keys |= _unpacked_keys(keyword.value, module)
+        return keys
+
+    calls_by_module = {path: calls({path: tree}) for path, tree in trees.items()}
+    anywhere: Set[str] = set()
+    for path, found in calls_by_module.items():
+        for call in found.get("replace", []) + found.get("build_config", []):
+            anywhere |= named(call, trees[path])
+        for call in found.get("Flag", []):
+            if len(call.args) > 1 and isinstance(call.args[1], ast.Constant):
+                anywhere.add(call.args[1].value)
+            anywhere |= {keyword.value.value for keyword in call.keywords
+                         if keyword.arg == "field" and isinstance(keyword.value, ast.Constant)}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "FLAGS"
+                    for target in node.targets) and isinstance(node.value, ast.Dict):
+                anywhere |= {key.value.replace("-", "_") for key in node.value.keys
+                             if isinstance(key, ast.Constant)}
+    missing = []
+    for config in configs:
+        set_here = set(anywhere)
+        for cls in family(config):
+            for path, found in calls_by_module.items():
+                for call in found.get(cls, []):
+                    set_here |= named(call, trees[path])
+                    set_here |= set(all_fields(cls)[:len(call.args)])
+        missing += [f"{config}.{field}" for field in _fields(classes[config][0])
+                    if field not in set_here]
     return missing
 
 
@@ -187,22 +340,38 @@ def test_every_defaulted_parameter_is_passed_by_a_product_path():
         + "\n".join(f"  {name}: {', '.join(params)}" for name, params in sorted(offenders.items())))
 
 
-def test_every_allowed_row_still_excuses_a_parameter():
-    stale = sorted(set(ALLOWED) - set(product_missing()))
+def test_no_default_is_overridden_by_every_product_call():
+    offenders = {name: params for name, params in product_overridden().items()
+                 if name not in ALLOWED}
+    assert not offenders, (
+        "defaulted parameters every call in src/, bench/ and examples/ passes (remove the "
+        "default and any fallback it guards, or give ALLOWED the way product code reaches "
+        "the function that name matching misses):\n"
+        + "\n".join(f"  {name}: {', '.join(params)}" for name, params in sorted(offenders.items())))
+
+
+def test_every_pinned_config_field_is_set_by_a_product_path():
+    offenders = [field for field in product_unset() if field not in ALLOWED]
+    assert not offenders, (
+        "config fields no product path sets (make each a module constant a test patches, "
+        f"or give ALLOWED a reason): {offenders}")
+
+
+def test_every_allowed_row_still_excuses_something():
+    found = set(product_missing()) | set(product_overridden()) | set(product_unset())
+    stale = sorted(set(ALLOWED) - found)
     assert not stale, f"ALLOWED rows that excuse nothing any more: {stale}"
+
+
+def test_the_pinned_configs_are_the_ten_a_user_sets():
+    assert pinned_configs() == [
+        "ChaosConfig", "ClusterConfig", "CostModel", "ExperimentConfig", "LoadgenConfig",
+        "NetworkConfig", "OverloadConfig", "ReplicaConfig", "ServeConfig", "WorkloadConfig"]
 
 
 def _scan(definition_source: str, caller_source: str) -> Dict[str, List[str]]:
     """:func:`unpassed` over one module's functions, called from it and from ``caller_source``."""
-    tree = ast.parse(definition_source)
-    found: List[Definition] = []
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            found.append(("m.py", node.name, node, False))
-        elif isinstance(node, ast.ClassDef):
-            found += [("m.py", f"{node.name}.{item.name}", item, True)
-                      for item in node.body if isinstance(item, ast.FunctionDef)]
-    return unpassed(found, calls({"m.py": tree, "caller.py": ast.parse(caller_source)}))
+    return unpassed(*_parsed(definition_source, caller_source))
 
 
 DEFINITIONS = '''
@@ -249,8 +418,79 @@ def test_a_keyword_only_parameter_is_not_filled_by_position():
     assert missing == {"m.py::report": ["title"]}
 
 
+def test_a_default_every_caller_overrides_is_found():
+    found = overridden(*_parsed(DEFINITIONS, "timeline(t, 500.0)\nreport(s, title='x')\n"
+                                             "Cluster(c, 1.0).stop()\nCluster(c, 2.0)\n"
+                                             "Local(c, None)\n"))
+    assert found == {"m.py::timeline": ["bucket_ms"], "m.py::report": ["title"],
+                     "m.py::Cluster.__init__": ["wait_s"], "m.py::Local.__init__": ["extra"]}
+
+
+def test_one_call_that_leaves_a_default_keeps_it():
+    found = overridden(*_parsed(DEFINITIONS, "report(s, title='x')\nreport(s)\n"
+                                             "Cluster(c, 1.0)\nCluster(*args)\n"))
+    assert found == {"m.py::Cluster.__init__": ["wait_s"]}
+
+
+CONFIGS = '''
+class NetConfig:
+    jitter_ms: float = 0.0
+    wire_accounting: bool = False
+class ClusterConfig:
+    seed: int = 1
+    network: NetConfig = None
+    batching: bool = False
+class ExperimentConfig(ClusterConfig):
+    warmup_ms: float = 0.0
+    settle_ms: float = 0.0
+    _CACHE: ClassVar[dict] = {}
+'''
+
+
+def _unset(callers: str) -> List[str]:
+    trees = {"src/repro/c.py": ast.parse(CONFIGS), "bench/b.py": ast.parse(callers)}
+    return unset_fields(trees, ["NetConfig", "ClusterConfig", "ExperimentConfig"])
+
+
+def test_a_field_no_product_path_sets_is_found():
+    assert _unset("ExperimentConfig(seed=2, network=NetConfig(3.0))\n") == [
+        "NetConfig.wire_accounting", "ClusterConfig.batching",
+        "ExperimentConfig.warmup_ms", "ExperimentConfig.settle_ms"]
+
+
+def test_position_replace_unpacked_keys_and_flags_each_set_a_field():
+    assert _unset("NetConfig(1.0, True)\nClusterConfig(2)\n"
+                  "replace(config, network=None)\n"
+                  "windows = {}\nwindows['settle_ms'] = 8.0\n"
+                  "build_config(ExperimentConfig, args, **windows)\n"
+                  "FLAGS = {'warmup-ms': Flag({}), 'batch': Flag({}, 'batching')}\n") == []
+
+
+def test_an_unpacked_name_carries_only_the_keys_stored_into_it():
+    assert _unset("options = {'seed': 'batching'}\nClusterConfig(**options)\n"
+                  "NetConfig(**{'jitter_ms': 1.0} if fast else {})\n"
+                  "ExperimentConfig(**other)\n") == [
+        "NetConfig.wire_accounting", "ClusterConfig.network", "ClusterConfig.batching",
+        "ExperimentConfig.warmup_ms", "ExperimentConfig.settle_ms"]
+
+
+def _parsed(definition_source: str, caller_source: str):
+    """The definitions and calls :func:`_scan` hands :func:`unpassed`."""
+    tree = ast.parse(definition_source)
+    found: List[Definition] = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found.append(("m.py", node.name, node, False))
+        elif isinstance(node, ast.ClassDef):
+            found += [("m.py", f"{node.name}.{item.name}", item, True)
+                      for item in node.body if isinstance(item, ast.FunctionDef)]
+    return found, calls({"m.py": tree, "caller.py": ast.parse(caller_source)})
+
+
 if __name__ == "__main__":
-    for function, params in sorted(product_missing().items()):
-        mark = "ok  " if function in ALLOWED else "FAIL"
-        print(f"{mark} {function}: {', '.join(params)}")
+    for kind, findings in (("unpassed", product_missing()), ("overridden", product_overridden()),
+                           ("unset", {field: [] for field in product_unset()})):
+        for name, params in sorted(findings.items()):
+            mark = "ok  " if name in ALLOWED else "FAIL"
+            print(f"{mark} {kind:10s} {name}{': ' if params else ''}{', '.join(params)}")
     sys.exit(0)

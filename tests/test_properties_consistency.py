@@ -26,6 +26,7 @@ from repro.kvstore.store import KeyValueStore
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.simulator import Simulator
 from repro.sim.topology import ec2_five_sites
+from tests.conftest import ignore
 
 #: A workload step: (origin replica, key index, delay before submission in ms).
 workload_steps = st.lists(
@@ -80,7 +81,7 @@ def run_workload(protocol: str, steps, seed: int = 1):
         command = Command(command_id=(origin, index), key=f"key-{key_index}",
                           operation="put", value=f"v{index}", origin=origin)
         submitted.append(command)
-        sim.schedule(delay, lambda replica=replicas[origin], c=command: replica.submit(c))
+        sim.schedule(delay, lambda replica=replicas[origin], c=command: replica.submit(c, ignore))
     ids = [c.command_id for c in submitted]
     finished = sim.run_until(executed_everywhere(replicas, ids),
                              deadline=300000, check_every=8)
@@ -131,7 +132,8 @@ class TestCaesarProperties:
             command = Command(command_id=(origin, index), key=f"key-{key_index}",
                               operation="put", value=f"v{index}", origin=origin)
             submitted.append(command)
-            sim.schedule(delay, lambda replica=replicas[origin], c=command: replica.submit(c))
+            sim.schedule(delay,
+                         lambda replica=replicas[origin], c=command: replica.submit(c, ignore))
         ids = [c.command_id for c in submitted]
         finished = sim.run_until(executed_everywhere(replicas, ids),
                                  deadline=300000, check_every=8)

@@ -29,7 +29,7 @@ from repro.harness.protocols import PROTOCOLS, build_replica, register_protocol
 from repro.kvstore.store import KeyValueStore
 from repro.net.replica import ReplicaConfig, ReplicaServer
 from repro.runtime.registry import TYPE_IDS
-from repro.sim.network import Network
+from repro.sim.network import Network, NetworkConfig
 from repro.sim.simulator import Simulator
 from tests.conftest import lan_topology
 
@@ -93,7 +93,7 @@ class TestOneTable:
 
     def test_unknown_protocol_names_the_known_ones(self):
         with pytest.raises(ValueError, match="unknown protocol 'raft'.*caesar"):
-            build_replica("raft", 0, None, None, None, {})
+            build_replica("raft", 0, None, None, None, {}, None, None, False, False)
 
 
 class TestWireTypeIds:
@@ -189,7 +189,7 @@ class TestOneRecoverySwitch:
     def test_a_replica_built_without_the_harness_runs_no_detector(self, protocol):
         sim = Simulator(seed=1)
         replica = PROTOCOLS[protocol].replica_class(
-            0, sim, Network(sim, lan_topology(3)), QuorumSystem.for_cluster(3),
+            0, sim, Network(sim, lan_topology(3), NetworkConfig()), QuorumSystem.for_cluster(3),
             KeyValueStore())
         replica.start()
         assert replica.failure_detector is None

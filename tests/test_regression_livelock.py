@@ -16,7 +16,7 @@ import pytest
 from repro.baselines.m2paxos import M2PaxosReplica
 from repro.consensus.command import Command
 from test_properties_consistency import check_invariants, run_workload
-from tests.conftest import run_until_executed
+from tests.conftest import ignore, run_until_executed
 
 #: The Hypothesis falsifying example: replicas 0, 1 and 2 each submit a
 #: command for key-0 at t=0, producing a three-way ownership fight.
@@ -121,7 +121,7 @@ class TestPinnedM2PaxosPartitionHeal:
                               value=f"v{index}", origin=origin)
             submitted.append(command)
             cluster.sim.schedule(delay, lambda r=cluster.replicas[origin],
-                                 c=command: r.submit(c))
+                                 c=command: r.submit(c, ignore))
 
         ids = [c.command_id for c in submitted]
         finished = run_until_executed(cluster, ids, deadline_ms=300_000)

@@ -10,9 +10,9 @@ from repro.consensus.interface import DecisionKind
 from repro.consensus.quorums import QuorumSystem
 from repro.harness.experiment import count_decisions
 from repro.kvstore.store import KeyValueStore
-from repro.sim.network import Network
+from repro.sim.network import Network, NetworkConfig
 from repro.sim.simulator import Simulator
-from tests.conftest import build_caesar_cluster, make_command, uniform_topology
+from tests.conftest import build_caesar_cluster, ignore, make_command, uniform_topology
 
 
 class TestConsensusReplicaBase:
@@ -26,7 +26,7 @@ class TestConsensusReplicaBase:
     def test_decision_recorded_on_submit(self):
         _, _, replicas = build_caesar_cluster()
         command = make_command(0, 0, key="x", origin=0)
-        replicas[0].submit(command)
+        replicas[0].submit(command, ignore)
         decision = replicas[0].decisions[command.command_id]
         assert decision.proposer == 0
         assert decision.submitted_at == pytest.approx(0.0, abs=1.0)
@@ -35,7 +35,7 @@ class TestConsensusReplicaBase:
     def test_record_decided_only_once(self):
         _, _, replicas = build_caesar_cluster()
         command = make_command(0, 0, key="x", origin=0)
-        replicas[0].submit(command)
+        replicas[0].submit(command, ignore)
         replicas[0].record_decided(command.command_id, DecisionKind.FAST)
         first_time = replicas[0].decisions[command.command_id].decided_at
         replicas[0].record_decided(command.command_id, DecisionKind.SLOW)
@@ -46,14 +46,14 @@ class TestConsensusReplicaBase:
     def test_record_phase_time_accumulates(self):
         _, _, replicas = build_caesar_cluster()
         command = make_command(0, 0, key="x", origin=0)
-        replicas[0].submit(command)
+        replicas[0].submit(command, ignore)
         replicas[0].record_phase_time(command.command_id, "propose", 10.0)
         replicas[0].record_phase_time(command.command_id, "propose", 5.0)
         assert replicas[0].decisions[command.command_id].phase_times["propose"] == 15.0
 
     def test_count_decisions_empty_without_decisions(self):
         _, _, replicas = build_caesar_cluster()
-        replicas[0].submit(make_command(0, 0, key="x", origin=0))
+        replicas[0].submit(make_command(0, 0, key="x", origin=0), ignore)
         # A submitted but undecided command is not counted.
         assert count_decisions(replicas[:1]) == (0, 0)
 
@@ -61,7 +61,7 @@ class TestConsensusReplicaBase:
         sim, _, replicas = caesar_cluster()
         commands = [make_command(0, k, key=f"k{k}", origin=0) for k in range(4)]
         for command in commands:
-            replicas[0].submit(command)
+            replicas[0].submit(command, ignore)
         sim.run_until(lambda: all(replicas[0].has_executed(c.command_id) for c in commands),
                       deadline=30000)
         # Non-conflicting commands from one proposer all take the fast path.
@@ -78,7 +78,7 @@ class TestConsensusReplicaBase:
 class TestEPaxosAttributes:
     def build_replica(self):
         sim = Simulator(seed=1)
-        network = Network(sim, uniform_topology(5, rtt_ms=20.0))
+        network = Network(sim, uniform_topology(5, rtt_ms=20.0), NetworkConfig())
         quorums = QuorumSystem.for_cluster(5)
         return EPaxosReplica(0, sim, network, quorums, KeyValueStore()), sim
 

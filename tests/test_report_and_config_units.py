@@ -17,6 +17,7 @@ from repro.core.messages import FastPropose, FastProposeReply, Stable
 from repro.harness.experiment import ExperimentConfig, ExperimentResult
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.report import format_protocol_stats, format_series, format_table
+from repro.runtime import costs
 from repro.runtime.batching import BatchingConfig
 from repro.runtime.costs import CostModel, zero_cost_model
 from repro.runtime.stats import ProtocolStats
@@ -40,7 +41,7 @@ class TestFormatTable:
 
     def test_format_series_preserves_first_seen_x_order(self):
         series = {"a": {"z": 1.0, "y": 2.0}, "b": {"x": 3.0}}
-        lines = format_series("T", series).splitlines()
+        lines = format_series("T", series, "x").splitlines()
         data_lines = lines[3:]
         first_column = [line.split("|")[0].strip() for line in data_lines]
         assert first_column == ["z", "y", "x"]
@@ -75,11 +76,12 @@ class TestConfigs:
 
     def test_zero_cost_model_is_free(self):
         model = zero_cost_model()
-        assert model.message_cost("anything") == 0.0
+        assert model.message_cost("anything", local=False) == 0.0
         assert model.dependency_cost(100) == 0.0
 
-    def test_self_message_discount_applied(self):
-        model = CostModel(default_cost_ms=1.0, self_message_factor=0.5)
+    def test_self_message_discount_applied(self, monkeypatch):
+        monkeypatch.setattr(costs, "SELF_MESSAGE_FACTOR", 0.5)
+        model = CostModel(default_cost_ms=1.0)
         assert model.message_cost("m", local=True) == pytest.approx(0.5)
         assert model.message_cost("m", local=False) == pytest.approx(1.0)
 

@@ -27,7 +27,7 @@ from repro.harness.cluster import ClusterConfig, build_cluster
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.runtime.kernel import RETRANSMIT_SCAN_EVERY_MS
 from repro.sim.random import DeterministicRandom
-from tests.conftest import run_until_executed
+from tests.conftest import ignore, run_until_executed
 
 PROTOCOLS = ("caesar", "epaxos", "m2paxos", "mencius", "multipaxos")
 
@@ -64,7 +64,7 @@ def _run_fixed_workload(protocol, plan=None, seed=5):
                 for origin in range(cluster.size) for i in range(2)]
     cluster.start()
     for command in commands:
-        cluster.replica(command.origin).submit(command)
+        cluster.replica(command.origin).submit(command, ignore)
     done = run_until_executed(cluster, [c.command_id for c in commands],
                               deadline_ms=30000.0)
     return cluster, commands, done
@@ -140,7 +140,7 @@ class TestRestartRearms:
         """The leader's own vote, counted before the crash, is no progress to wait out."""
         cluster = self.cluster()
         sim, leader = cluster.sim, cluster.replica(4)
-        leader.submit(self.COMMAND)
+        leader.submit(self.COMMAND, ignore)
         sim.run(until=sim.now + 1.0)        # the leader has voted for itself; no peer has
         assert leader.leader_states[self.COMMAND.command_id].votes.count == 1
         leader.crash()
@@ -161,7 +161,7 @@ class TestRestartRearms:
         cluster = self.cluster()
         sim, leader = cluster.sim, cluster.replica(4)
         cluster.replica(3).crash()
-        leader.submit(self.COMMAND)
+        leader.submit(self.COMMAND, ignore)
         leader.crash()                      # before even its own vote arrives
         sim.run(until=sim.now + 2000.0)     # past the 1.5 s proposal timeout
         leader.restart()

@@ -117,7 +117,7 @@ def test_encode_decode_roundtrip_and_stable_size(cls, data):
     assert WIRE.decode_one(encoded) == message
     # Canonical: the same value always produces the same bytes (and size).
     assert WIRE.encode(message) == encoded
-    assert WIRE.wire_size(message) == len(encoded)
+    assert len(WIRE.encode(message)) == len(encoded)
 
 
 def test_every_protocol_message_universe_is_registered():
@@ -314,8 +314,8 @@ def test_batch_encoding_nests_registered_messages():
     decoded = WIRE.decode_one(encoded)
     assert decoded == batch
     # The envelope costs bytes beyond its payload.
-    inner_total = sum(WIRE.wire_size(inner) for inner in batch.messages)
-    assert WIRE.wire_size(batch) > inner_total
+    inner_total = sum(len(WIRE.encode(inner)) for inner in batch.messages)
+    assert len(WIRE.encode(batch)) > inner_total
 
 
 def test_unregistered_type_is_rejected():

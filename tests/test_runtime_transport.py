@@ -10,7 +10,7 @@ from repro.runtime.transport import SimulatorTransport
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import Node
 from repro.sim.simulator import Simulator
-from tests.conftest import run_until_executed, uniform_topology
+from tests.conftest import drain, ignore, run_until_executed, uniform_topology
 
 
 def _delivery_order(result) -> list:
@@ -54,7 +54,7 @@ class TestBatchingDeterminism:
                                 operation="put", value=str(n), origin=origin)
                         for origin in range(cluster.size) for n in range(4)]
             for command in commands:
-                cluster.replica(command.origin).submit(command)
+                cluster.replica(command.origin).submit(command, ignore)
             done = run_until_executed(cluster, [c.command_id for c in commands],
                                       deadline_ms=60000)
             assert done, f"batching {label}: workload did not complete"
@@ -73,66 +73,19 @@ class _Probe(Node):
         self.seen.append(message)
 
 
-class TestWireAccounting:
-    def build(self, wire_accounting: bool):
-        sim = Simulator(seed=3)
-        network = Network(sim, uniform_topology(2, rtt_ms=10.0),
-                          NetworkConfig(wire_accounting=wire_accounting))
-        sender = _Probe(0, sim, network)
-        receiver = _Probe(1, sim, network)
-        return sim, network, sender, receiver
-
-    def test_codec_bytes_recorded_when_enabled(self):
-        from repro.sim.failures import Heartbeat
-
-        sim, network, sender, _ = self.build(wire_accounting=True)
-        message = Heartbeat(sender=0, sequence=1)
-        sender.send(1, message)
-        sim.run()
-        from repro.runtime.registry import WIRE
-        assert network.stats.codec_bytes_sent == WIRE.wire_size(message)
-        assert network.stats.per_type_codec_bytes == {"Heartbeat": WIRE.wire_size(message)}
-
-    def test_accounting_off_by_default(self):
-        from repro.sim.failures import Heartbeat
-
-        sim, network, sender, _ = self.build(wire_accounting=False)
-        sender.send(1, Heartbeat(sender=0, sequence=1))
-        sim.run()
-        assert network.stats.codec_bytes_sent == 0
-        assert network.stats.per_type_codec_bytes == {}
-
-    def test_batched_wire_bytes_measure_the_envelope(self):
-        from repro.sim.failures import Heartbeat
-
-        sim, network, sender, receiver = self.build(wire_accounting=True)
-        sender.enable_batching(BatchingConfig(window_ms=5.0, max_messages=10))
-        messages = [Heartbeat(sender=0, sequence=n) for n in range(3)]
-        for message in messages:
-            sender.send(1, message)
-        sim.run()
-        assert receiver.seen == messages
-        from repro.runtime.registry import WIRE
-        inner_total = sum(WIRE.wire_size(m) for m in messages)
-        # One batch on the wire: envelope bytes exceed the payload sum.
-        assert network.stats.codec_bytes_sent > inner_total
-        assert set(network.stats.per_type_codec_bytes) == {"MessageBatch"}
-
-
 class TestTransportSeam:
     def test_node_owns_a_simulator_transport(self):
         sim = Simulator(seed=1)
-        network = Network(sim, uniform_topology(2, rtt_ms=10.0))
-        node = _Probe(0, sim, network)
+        network = Network(sim, uniform_topology(2, rtt_ms=10.0), NetworkConfig())
+        node = _Probe(0, sim, network, cost_model=None)
         assert isinstance(node.transport, SimulatorTransport)
-        assert node.transport.node_ids == [0]
 
     def test_transport_broadcast_respects_include_self(self):
         sim = Simulator(seed=1)
-        network = Network(sim, uniform_topology(3, rtt_ms=10.0))
-        nodes = [_Probe(i, sim, network) for i in range(3)]
+        network = Network(sim, uniform_topology(3, rtt_ms=10.0), NetworkConfig())
+        nodes = [_Probe(i, sim, network, cost_model=None) for i in range(3)]
         nodes[0].transport.broadcast("hello", include_self=False)
-        sim.run()
+        drain(sim)
         assert nodes[0].seen == []
         assert nodes[1].seen == ["hello"]
         assert nodes[2].seen == ["hello"]
@@ -153,8 +106,8 @@ class TestTransportSeam:
         assert list(tracker2.payloads()) == ["y"]
 
     def test_kernel_rejects_unknown_message_types(self):
-        from repro.harness.cluster import build_cluster
+        from repro.harness.cluster import ClusterConfig, build_cluster
 
-        cluster = build_cluster()
+        cluster = build_cluster(ClusterConfig())
         with pytest.raises(TypeError):
             cluster.replicas[0].handle_message(1, object())

@@ -39,9 +39,9 @@ from typing import List
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.sim.network import MIN_DELAY_MS, Network
+from repro.sim.network import MIN_DELAY_MS, Network, NetworkConfig
 from repro.sim.simulator import SimulationError, Simulator
-from tests.conftest import uniform_topology
+from tests.conftest import drain, uniform_topology
 
 
 def pending_times(sim) -> List[float]:
@@ -191,7 +191,7 @@ class Side:
         self.handles = []
         self.then = []
         if not spec:
-            self.network = Network(self.sim, TOPOLOGY)
+            self.network = Network(self.sim, TOPOLOGY, NetworkConfig())
             for node_id in range(3):
                 self.network.register(_Recipient(node_id, self))
 
@@ -230,10 +230,10 @@ class Side:
         if phase[0] == "run_to":
             return sim.run(until=until)
         if phase[0] == "run":
-            return sim.run()
+            return drain(sim)
         _, more, check_every, delta = phase
         target = len(self.log) + more
-        deadline = None if delta is None else sim.now + delta
+        deadline = math.inf if delta is None else sim.now + delta
         return sim.run_until(lambda: len(self.log) >= target, deadline=deadline,
                              check_every=check_every)
 
@@ -286,7 +286,7 @@ class TestEngineDifferential:
         _check(program, phases)
 
     def test_both_refuse_a_past_deadline(self):
-        for sim in (Simulator(), SpecSimulator()):
+        for sim in (Simulator(seed=0), SpecSimulator()):
             sim.run(until=5.0)
             with pytest.raises(SimulationError):
                 sim.run_until(lambda: False, deadline=4.0)
@@ -321,11 +321,11 @@ def _queue_trace(sim, ops) -> tuple:
                 handles[op[1] % len(handles)].cancel()
         elif op[0] == "step":
             before = len(fired)
-            sim.run_until(lambda: len(fired) > before)
+            sim.run_until(lambda: len(fired) > before, deadline=math.inf)
             seen.append(fired[before] if len(fired) > before else None)
         else:
             seen.append(queue.peek_time())
-    sim.run()
+    drain(sim)
     return seen, fired, sim.steps_executed
 
 
@@ -333,4 +333,4 @@ class TestQueueDifferential:
     @settings(max_examples=300, deadline=None, database=None)
     @given(st.lists(QUEUE_OPS, max_size=30))
     def test_step_and_peek_agree(self, ops):
-        assert _queue_trace(Simulator(), ops) == _queue_trace(SpecSimulator(), ops)
+        assert _queue_trace(Simulator(seed=0), ops) == _queue_trace(SpecSimulator(), ops)

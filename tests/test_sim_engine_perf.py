@@ -14,11 +14,13 @@ Covers the guarantees the engine rewrite must preserve:
 from __future__ import annotations
 
 import time
+from math import inf
 
 import pytest
 
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.sim.simulator import Simulator, total_events_executed
+from tests.conftest import drain
 
 
 class TestDeterminism:
@@ -34,7 +36,7 @@ class TestDeterminism:
 
         for i in range(8):
             sim.schedule(sim.rng.uniform(0.0, 5.0), emit, args=(i * 1000,))
-        sim.run()
+        drain(sim)
         return trace
 
     def test_same_seed_identical_interleaving(self):
@@ -71,34 +73,34 @@ class TestDeterminism:
 
 class TestCancellation:
     def test_cancel_is_lazy_but_exact(self):
-        sim = Simulator()
+        sim = Simulator(seed=0)
         fired = []
         keep = sim.schedule(1.0, fired.append, args=("keep",))
         drop = sim.schedule(1.0, fired.append, args=("drop",))
         drop.cancel()
         assert len(sim._queue._heap) == 2  # lazy: the cancelled entry stays queued
-        sim.run()
+        drain(sim)
         assert fired == ["keep"]
         assert sim.steps_executed == 1
         assert not keep.cancelled and drop.cancelled
 
     def test_cancelled_timer_never_fires_after_requeue(self):
-        sim = Simulator()
+        sim = Simulator(seed=0)
         fired = []
         handle = sim.schedule(5.0, lambda: fired.append("a"))
         sim.schedule(1.0, handle.cancel)
         sim.schedule(5.0, lambda: fired.append("b"))
-        sim.run()
+        drain(sim)
         assert fired == ["b"]
 
     def test_cancel_mid_run_of_simultaneous_event(self):
         """An event may cancel a later event scheduled for the same instant."""
-        sim = Simulator()
+        sim = Simulator(seed=0)
         fired = []
         victims = []
         sim.schedule(2.0, lambda: victims[0].cancel())
         victims.append(sim.schedule(2.0, lambda: fired.append("victim")))
-        sim.run()
+        drain(sim)
         assert fired == []
         assert sim.steps_executed == 1
 
@@ -106,17 +108,17 @@ class TestCancellation:
 class TestTieBreaking:
     def test_fifo_under_interleaved_pushes(self):
         """Cancellable and transient pushes at one instant fire in push order."""
-        sim = Simulator()
+        sim = Simulator(seed=0)
         fired = []
         sim.schedule(3.0, fired.append, args=("first",))
         sim._queue.push_transient(3.0, fired.append, args=("second",))
         sim.schedule(3.0, fired.append, args=("third",))
         sim._queue.push_transient(3.0, fired.append, args=("fourth",))
-        sim.run()
+        drain(sim)
         assert fired == ["first", "second", "third", "fourth"]
 
     def test_fifo_preserved_for_nested_same_time_scheduling(self):
-        sim = Simulator()
+        sim = Simulator(seed=0)
         fired = []
 
         def outer():
@@ -125,7 +127,7 @@ class TestTieBreaking:
 
         sim.schedule(1.0, outer)
         sim.schedule(1.0, lambda: fired.append("sibling"))
-        sim.run()
+        drain(sim)
         # The nested zero-delay event was pushed after the sibling, so FIFO
         # ordering at t=1.0 delivers the sibling first.
         assert fired == ["outer", "sibling", "nested"]
@@ -133,7 +135,7 @@ class TestTieBreaking:
 
 class TestRunUntilCadence:
     def _counting_sim(self):
-        sim = Simulator()
+        sim = Simulator(seed=0)
         counter = []
         for i in range(50):
             sim.schedule(float(i + 1), lambda i=i: counter.append(i))
@@ -141,12 +143,12 @@ class TestRunUntilCadence:
 
     def test_cadence_one_stops_exactly(self):
         sim, counter = self._counting_sim()
-        assert sim.run_until(lambda: len(counter) >= 10)
+        assert sim.run_until(lambda: len(counter) >= 10, deadline=inf)
         assert len(counter) == 10
 
     def test_larger_cadence_same_order_bounded_overshoot(self):
         sim, counter = self._counting_sim()
-        assert sim.run_until(lambda: len(counter) >= 10, check_every=8)
+        assert sim.run_until(lambda: len(counter) >= 10, check_every=8, deadline=inf)
         assert 10 <= len(counter) <= 17  # at most check_every - 1 extra events
         assert counter == list(range(len(counter)))  # ordering unchanged
 
@@ -158,7 +160,7 @@ class TestRunUntilCadence:
     def test_invalid_cadence_rejected(self):
         sim, _ = self._counting_sim()
         with pytest.raises(ValueError):
-            sim.run_until(lambda: True, check_every=0)
+            sim.run_until(lambda: True, check_every=0, deadline=inf)
 
 
 class TestEngineThroughput:
@@ -183,7 +185,7 @@ class TestEngineThroughput:
         for _ in range(4):
             sim.schedule(0.01, tick)
         start = time.perf_counter()
-        sim.run()
+        sim.run(until=inf)
         wall = time.perf_counter() - start
         rate = state["count"] / wall
         assert rate > 120_000, f"raw event loop regressed to {rate:,.0f} events/s"

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from repro.sim.failures import CrashInjector, FailureDetector, Heartbeat, ScheduledCrash
-from repro.sim.network import Network
+from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import Node
 from repro.sim.simulator import Simulator
-from tests.conftest import uniform_topology
+from tests.conftest import drain, uniform_topology
 
 
 class DetectorNode(Node):
@@ -34,8 +34,8 @@ class DetectorNode(Node):
 
 def build_detector_cluster(n: int = 3):
     sim = Simulator(seed=1)
-    network = Network(sim, uniform_topology(n, rtt_ms=10.0))
-    nodes = [DetectorNode(i, sim, network) for i in range(n)]
+    network = Network(sim, uniform_topology(n, rtt_ms=10.0), NetworkConfig())
+    nodes = [DetectorNode(i, sim, network, cost_model=None) for i in range(n)]
     for node in nodes:
         node.attach_detector(list(range(n)))
     return sim, nodes
@@ -43,9 +43,9 @@ def build_detector_cluster(n: int = 3):
 
 class TestCrashInjector:
     def test_scheduled_crash_happens_at_time(self):
-        sim = Simulator()
-        network = Network(sim, uniform_topology(2, rtt_ms=5.0))
-        nodes = {i: DetectorNode(i, sim, network) for i in range(2)}
+        sim = Simulator(seed=0)
+        network = Network(sim, uniform_topology(2, rtt_ms=5.0), NetworkConfig())
+        nodes = {i: DetectorNode(i, sim, network, cost_model=None) for i in range(2)}
         injector = CrashInjector(sim, nodes)
         injector.schedule(ScheduledCrash(node_id=1, crash_at_ms=50.0))
         sim.run(until=40.0)
@@ -55,9 +55,9 @@ class TestCrashInjector:
         assert injector.crashes_performed == [1]
 
     def test_scheduled_restart(self):
-        sim = Simulator()
-        network = Network(sim, uniform_topology(1, rtt_ms=5.0))
-        nodes = {0: DetectorNode(0, sim, network)}
+        sim = Simulator(seed=0)
+        network = Network(sim, uniform_topology(1, rtt_ms=5.0), NetworkConfig())
+        nodes = {0: DetectorNode(0, sim, network, cost_model=None)}
         injector = CrashInjector(sim, nodes)
         injector.schedule(ScheduledCrash(node_id=0, crash_at_ms=10.0, restart_at_ms=30.0))
         sim.run(until=20.0)
@@ -68,19 +68,19 @@ class TestCrashInjector:
 
     def test_crash_now(self):
         """A crash planned for the current instant happens on the next step."""
-        sim = Simulator()
-        network = Network(sim, uniform_topology(1, rtt_ms=5.0))
-        nodes = {0: DetectorNode(0, sim, network)}
+        sim = Simulator(seed=0)
+        network = Network(sim, uniform_topology(1, rtt_ms=5.0), NetworkConfig())
+        nodes = {0: DetectorNode(0, sim, network, cost_model=None)}
         injector = CrashInjector(sim, nodes)
         injector.schedule(ScheduledCrash(node_id=0, crash_at_ms=sim.now))
-        sim.run()
+        drain(sim)
         assert nodes[0].crashed
         assert injector.crashes_performed == [0]
 
     def test_double_crash_recorded_once(self):
-        sim = Simulator()
-        network = Network(sim, uniform_topology(1, rtt_ms=5.0))
-        nodes = {0: DetectorNode(0, sim, network)}
+        sim = Simulator(seed=0)
+        network = Network(sim, uniform_topology(1, rtt_ms=5.0), NetworkConfig())
+        nodes = {0: DetectorNode(0, sim, network, cost_model=None)}
         injector = CrashInjector(sim, nodes)
         injector.schedule(ScheduledCrash(node_id=0, crash_at_ms=10.0))
         injector.schedule(ScheduledCrash(node_id=0, crash_at_ms=20.0))

@@ -9,7 +9,7 @@ import pytest
 from repro.sim.network import MIN_DELAY_MS, Network, NetworkConfig
 from repro.sim.random import derive_seed
 from repro.sim.simulator import Simulator
-from tests.conftest import uniform_topology
+from tests.conftest import drain, uniform_topology
 
 
 class RecordingNode:
@@ -38,14 +38,14 @@ class TestDelivery:
     def test_message_delivered_after_one_way_delay(self):
         sim, network, nodes = build_network(rtt=20.0)
         network.send(0, 1, "hello")
-        sim.run()
+        drain(sim)
         assert nodes[1].received == [(0, "hello")]
         assert sim.now == pytest.approx(10.0)
 
     def test_self_message_uses_local_delay(self):
         sim, network, nodes = build_network()
         network.send(2, 2, "loopback")
-        sim.run()
+        drain(sim)
         assert nodes[2].received == [(2, "loopback")]
         assert sim.now < 1.0
 
@@ -60,7 +60,7 @@ class TestDelivery:
             network.send(0, dst, "m")
         assert network.stats.messages_sent == 3
         assert network.stats.messages_delivered == 0
-        sim.run()
+        drain(sim)
         assert network.stats.messages_sent == 3
         assert network.stats.messages_delivered == 3
 
@@ -68,7 +68,7 @@ class TestDelivery:
         sim, network, nodes = build_network()
         nodes[1].crashed = True
         network.send(0, 1, "to-dead-node")
-        sim.run()
+        drain(sim)
         assert nodes[1].received == []
         assert network.stats.messages_to_crashed == 1
 
@@ -77,14 +77,14 @@ class TestImpairments:
     def test_jitter_changes_delay_but_not_order_stats(self):
         sim, network, nodes = build_network(rtt=20.0, jitter_ms=2.0)
         network.send(0, 1, "jittered")
-        sim.run()
+        drain(sim)
         assert len(nodes[1].received) == 1
         assert sim.now != 10.0  # the one-way delay plus a sampled, nonzero jitter
 
     def test_delay_never_below_floor(self):
         sim, network, nodes = build_network(rtt=0.0)
         network.send(0, 1, "zero-latency")
-        sim.run()
+        drain(sim)
         assert nodes[1].received == [(0, "zero-latency")]
         assert sim.now == MIN_DELAY_MS
 
@@ -114,7 +114,7 @@ class TestImpairments:
         nodes[1].receive = lambda src, message: samples.append(sim.now)
         for _ in range(200):
             network.send(0, 1, "jittered")
-        sim.run()
+        drain(sim)
         assert len(samples) == 200
         assert min(samples) == MIN_DELAY_MS
         assert max(samples) > MIN_DELAY_MS

@@ -6,10 +6,10 @@ import pytest
 
 from repro.harness.cluster import ClusterConfig, build_cluster
 from repro.runtime.costs import CostModel
-from repro.sim.network import Network
+from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import Node
 from repro.sim.simulator import Simulator
-from tests.conftest import make_command, run_until_executed, uniform_topology
+from tests.conftest import drain, ignore, make_command, run_until_executed, uniform_topology
 
 
 class EchoNode(Node):
@@ -27,7 +27,7 @@ class EchoNode(Node):
 
 def build_pair(cost: float = 0.0):
     sim = Simulator(seed=1)
-    network = Network(sim, uniform_topology(2, rtt_ms=10.0))
+    network = Network(sim, uniform_topology(2, rtt_ms=10.0), NetworkConfig())
     cost_model = CostModel(default_cost_ms=cost)
     a = EchoNode(0, sim, network, cost_model)
     b = EchoNode(1, sim, network, cost_model)
@@ -38,7 +38,7 @@ class TestMessaging:
     def test_request_reply_round_trip(self):
         sim, a, b = build_pair()
         a.send(1, "ping")
-        sim.run()
+        drain(sim)
         assert b.handled[0][1] == "ping"
         assert a.handled[0][1] == "pong"
         assert sim.now == pytest.approx(10.0, abs=0.5)
@@ -46,14 +46,14 @@ class TestMessaging:
     def test_broadcast_includes_self_by_default(self):
         sim, a, b = build_pair()
         a.broadcast("hello")
-        sim.run()
+        drain(sim)
         assert any(m == "hello" for _, m, _ in a.handled)
         assert any(m == "hello" for _, m, _ in b.handled)
 
     def test_broadcast_can_exclude_self(self):
         sim, a, b = build_pair()
         a.broadcast("hello", include_self=False)
-        sim.run()
+        drain(sim)
         assert not any(m == "hello" for _, m, _ in a.handled)
         assert [m for _, m, _ in b.handled] == ["hello"]
 
@@ -61,7 +61,7 @@ class TestMessaging:
         sim, a, b = build_pair()
         a.send(1, "one")
         a.send(1, "two")
-        sim.run()
+        drain(sim)
         assert b.messages_handled == 2
 
 
@@ -70,7 +70,7 @@ class TestCpuModel:
         sim, a, b = build_pair(cost=5.0)
         a.send(1, "first")
         a.send(1, "second")
-        sim.run()
+        drain(sim)
         first_time = b.handled[0][2]
         second_time = b.handled[1][2]
         assert second_time - first_time == pytest.approx(5.0)
@@ -94,7 +94,7 @@ class TestTimers:
         sim, a, _ = build_pair()
         fired = []
         a.set_timer(12.0, lambda: fired.append(sim.now))
-        sim.run()
+        drain(sim)
         assert fired == [12.0]
 
     def test_cancelled_timer_does_not_fire(self):
@@ -102,7 +102,7 @@ class TestTimers:
         fired = []
         timer = a.set_timer(12.0, lambda: fired.append(1))
         timer.cancel()
-        sim.run()
+        drain(sim)
         assert fired == []
         assert timer.cancelled
 
@@ -112,14 +112,14 @@ class TestCrashSemantics:
         sim, a, b = build_pair()
         b.crash()
         a.send(1, "ping")
-        sim.run()
+        drain(sim)
         assert b.handled == []
 
     def test_crashed_node_stops_sending(self):
         sim, a, b = build_pair()
         a.crash()
         a.send(1, "ping")
-        sim.run()
+        drain(sim)
         assert b.handled == []
 
     def test_crashed_node_timers_suppressed(self):
@@ -127,7 +127,7 @@ class TestCrashSemantics:
         fired = []
         a.set_timer(5.0, lambda: fired.append(1))
         a.crash()
-        sim.run()
+        drain(sim)
         assert fired == []
 
     def test_restart_allows_receiving_again(self):
@@ -135,7 +135,7 @@ class TestCrashSemantics:
         b.crash()
         b.restart()
         a.send(1, "ping")
-        sim.run()
+        drain(sim)
         assert [m for _, m, _ in b.handled] == ["ping"]
 
     def test_crash_hooks_invoked(self):
@@ -148,9 +148,9 @@ class TestCrashSemantics:
             def on_restart(self):
                 events.append("restart")
 
-        sim = Simulator()
-        network = Network(sim, uniform_topology(1, rtt_ms=1.0))
-        node = HookNode(0, sim, network)
+        sim = Simulator(seed=0)
+        network = Network(sim, uniform_topology(1, rtt_ms=1.0), NetworkConfig())
+        node = HookNode(0, sim, network, cost_model=None)
         node.crash()
         node.restart()
         assert events == ["crash", "restart"]
@@ -190,7 +190,7 @@ class TestClassLevelPatches:
         commands = [make_command(client, 0, key=f"k{client % 2}", origin=client)
                     for client in range(len(cluster.replicas))]
         for command in commands:
-            cluster.replicas[command.origin].submit(command)
+            cluster.replicas[command.origin].submit(command, ignore)
         assert run_until_executed(cluster, [command.command_id for command in commands])
 
     @pytest.mark.parametrize("protocol", ["caesar", "epaxos"])

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import ast
 import asyncio
-import functools
 from pathlib import Path
 
 import pytest
@@ -12,15 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.consensus.quorums import QuorumSystem
 from repro.core.caesar import CaesarReplica
-from repro.harness import experiment
 from repro.harness.cluster import build_cluster
 from repro.harness.experiment import ExperimentConfig, attach_clients
 from repro.kvstore.store import KeyValueStore
 from repro.metrics.collector import MetricsCollector
 from repro.net.clock import WallClock
-from repro.sim.network import Network
+from repro.sim.network import Network, NetworkConfig
 from repro.sim.random import DeterministicRandom
 from repro.sim.simulator import Simulator
+from repro.workload import generator
 from repro.workload.clients import ClientPool, ClosedLoopClient, OpenLoopClient, build_pool
 from repro.workload.generator import ConflictWorkload, WorkloadConfig
 from tests.conftest import lan_topology, uniform_topology
@@ -36,8 +35,6 @@ class TestWorkloadConfig:
     def test_empty_pools_rejected(self):
         with pytest.raises(ValueError):
             WorkloadConfig(shared_pool_size=0)
-        with pytest.raises(ValueError):
-            WorkloadConfig(private_pool_size=0)
 
 
 class TestConflictWorkload:
@@ -79,9 +76,9 @@ class TestConflictWorkload:
         assert [first.next_command() for _ in range(20)] == \
                [second.next_command() for _ in range(20)]
 
-    def test_commands_carry_origin_payload_and_a_value_only_on_puts(self):
-        workload = ConflictWorkload(client_id=4, origin=2,
-                                    config=WorkloadConfig(write_fraction=0.5),
+    def test_commands_carry_origin_payload_and_a_value_only_on_puts(self, monkeypatch):
+        monkeypatch.setattr(generator, "WRITE_FRACTION", 0.5)
+        workload = ConflictWorkload(client_id=4, origin=2, config=WorkloadConfig(),
                                     rng=DeterministicRandom(6))
         commands = [workload.next_command() for _ in range(50)]
         assert {command.origin for command in commands} == {2}
@@ -93,16 +90,17 @@ class TestConflictWorkload:
             expected = f"v4.{sequence}" if command.operation == "put" else None
             assert command.value == expected
 
-    def test_keys_stay_within_the_configured_pools(self):
-        config = WorkloadConfig(conflict_rate=0.5, shared_pool_size=3, private_pool_size=2)
+    def test_keys_stay_within_the_configured_pools(self, monkeypatch):
+        monkeypatch.setattr(generator, "PRIVATE_POOL_SIZE", 2)
+        config = WorkloadConfig(conflict_rate=0.5, shared_pool_size=3)
         workload = ConflictWorkload(client_id=5, origin=0, config=config,
                                     rng=DeterministicRandom(2))
         keys = {workload.next_command().key for _ in range(400)}
         assert keys == {"shared-0", "shared-1", "shared-2", "private-5-0", "private-5-1"}
 
-    def test_write_fraction_zero_generates_reads(self):
-        workload = ConflictWorkload(client_id=0, origin=0,
-                                    config=WorkloadConfig(write_fraction=0.0),
+    def test_write_fraction_zero_generates_reads(self, monkeypatch):
+        monkeypatch.setattr(generator, "WRITE_FRACTION", 0.0)
+        workload = ConflictWorkload(client_id=0, origin=0, config=WorkloadConfig(),
                                     rng=DeterministicRandom(1))
         assert all(workload.next_command().operation == "get" for _ in range(20))
 
@@ -120,7 +118,7 @@ class TestConflictWorkload:
 def build_single_replica():
     """One-node CAESAR 'cluster' used to exercise clients cheaply."""
     sim = Simulator(seed=2)
-    network = Network(sim, uniform_topology(3, rtt_ms=10.0))
+    network = Network(sim, uniform_topology(3, rtt_ms=10.0), NetworkConfig())
     quorums = QuorumSystem.for_cluster(3)
     replicas = [CaesarReplica(i, sim, network, quorums, KeyValueStore()) for i in range(3)]
     return sim, replicas
@@ -131,7 +129,7 @@ class TestClosedLoopClient:
         sim, replicas = build_single_replica()
         metrics = MetricsCollector()
         workload = ConflictWorkload(0, 0, WorkloadConfig(), DeterministicRandom(1))
-        client = ClosedLoopClient(0, replicas[0], workload, sim, metrics)
+        client = ClosedLoopClient(0, replicas[0], workload, sim, metrics, max_commands=None)
         client.start()
         sim.run(until=500.0)
         client.stop()
@@ -144,7 +142,7 @@ class TestClosedLoopClient:
         sim, replicas = build_single_replica()
         metrics = MetricsCollector()
         workload = ConflictWorkload(0, 1, WorkloadConfig(), DeterministicRandom(1))
-        client = ClosedLoopClient(0, replicas[1], workload, sim, metrics)
+        client = ClosedLoopClient(0, replicas[1], workload, sim, metrics, max_commands=None)
         client.start()
         sim.run(until=300.0)
         client.stop()
@@ -159,7 +157,7 @@ class TestClosedLoopClient:
         workload = ConflictWorkload(0, 0, WorkloadConfig(), DeterministicRandom(1))
         client = ClosedLoopClient(0, replicas[0], workload, sim, metrics,
                                   reconnect_timeout_ms=100.0,
-                                  fallback_replicas=[replicas[1], replicas[2]])
+                                  fallback_replicas=[replicas[1], replicas[2]], max_commands=None)
         client.start()
         sim.run(until=200.0)
         replicas[0].crash()
@@ -175,7 +173,8 @@ class TestOpenLoopClient:
         metrics = MetricsCollector()
         workload = ConflictWorkload(0, 0, WorkloadConfig(), DeterministicRandom(1))
         client = OpenLoopClient(0, replicas[0], workload, sim, metrics,
-                                rate_per_second=100.0, rng=DeterministicRandom(5))
+                                rate_per_second=100.0, rng=DeterministicRandom(5),
+                                stop_after_ms=None, fallback_replicas=None, history=None)
         client.start()
         sim.run(until=2000.0)
         client.stop()
@@ -188,7 +187,7 @@ class TestOpenLoopClient:
         workload = ConflictWorkload(0, 0, WorkloadConfig(), DeterministicRandom(1))
         client = OpenLoopClient(0, replicas[0], workload, sim, metrics,
                                 rate_per_second=100.0, rng=DeterministicRandom(5),
-                                stop_after_ms=500.0)
+                                stop_after_ms=500.0, fallback_replicas=None, history=None)
         client.start()
         sim.run(until=3000.0)
         assert client.submitted <= 80
@@ -198,7 +197,8 @@ class TestOpenLoopClient:
         metrics = MetricsCollector()
         workload = ConflictWorkload(0, 0, WorkloadConfig(), DeterministicRandom(1))
         client = OpenLoopClient(0, replicas[0], workload, sim, metrics,
-                                rate_per_second=50.0, rng=DeterministicRandom(5))
+                                rate_per_second=50.0, rng=DeterministicRandom(5),
+                                stop_after_ms=None, fallback_replicas=None, history=None)
         client.start()
         sim.run(until=1000.0)
         client.stop()
@@ -215,7 +215,8 @@ class TestOpenLoopClient:
         workload = ConflictWorkload(0, 0, WorkloadConfig(), DeterministicRandom(1))
         client = OpenLoopClient(0, replicas[0], workload, sim, metrics,
                                 rate_per_second=100.0, rng=DeterministicRandom(5),
-                                fallback_replicas=[replicas[1], replicas[2]])
+                                fallback_replicas=[replicas[1], replicas[2]], stop_after_ms=None,
+                                history=None)
         client.start()
         sim.run(until=300.0)
         replicas[0].crash()
@@ -236,7 +237,8 @@ class TestOpenLoopClient:
         workload = ConflictWorkload(0, 0, WorkloadConfig(), DeterministicRandom(1))
         client = OpenLoopClient(0, replicas[0], workload, sim, metrics,
                                 rate_per_second=100.0, rng=DeterministicRandom(5),
-                                fallback_replicas=[replicas[1], replicas[2]])
+                                fallback_replicas=[replicas[1], replicas[2]], stop_after_ms=None,
+                                history=None)
         client.start()
         sim.run(until=300.0)
         replicas[0].crash()
@@ -258,7 +260,7 @@ class TestClientPool:
         pool = ClientPool()
         for i in range(3):
             workload = ConflictWorkload(i, 0, WorkloadConfig(), DeterministicRandom(i))
-            pool.add(ClosedLoopClient(i, replicas[0], workload, sim, metrics))
+            pool.add(ClosedLoopClient(i, replicas[0], workload, sim, metrics, max_commands=None))
         pool.start_all()
         sim.run(until=300.0)
         pool.stop_all()
@@ -292,7 +294,12 @@ class TestBuildPool:
     """One seed is one workload, whichever substrate the pool is built on."""
 
     SEED = 11
-    WORKLOAD = WorkloadConfig(conflict_rate=0.3, write_fraction=0.7)
+    WORKLOAD = WorkloadConfig(conflict_rate=0.3)
+
+    @pytest.fixture(autouse=True)
+    def _reads_too(self, monkeypatch):
+        # Reads are patched in so both operations' draws are compared.
+        monkeypatch.setattr(generator, "WRITE_FRACTION", 0.7)
 
     def _on_wall_clock(self, placement, **options) -> list:
         loop = asyncio.new_event_loop()
@@ -301,18 +308,13 @@ class TestBuildPool:
             stubs = {node_id: _StubTarget(node_id) for node_id in set(placement)}
             return _first_draws(build_pool([stubs[node_id] for node_id in placement],
                                            self.WORKLOAD, clock, MetricsCollector(),
-                                           **options))
+                                           **options, failover=(), reconnect_timeout_ms=None))
         finally:
             loop.close()
 
     @pytest.mark.parametrize("open_loop", [False, True])
     def test_attach_clients_placement_draws_the_same_streams_on_both_substrates(
-            self, open_loop, monkeypatch):
-        # An experiment sets the conflict rate; the reads are patched in so
-        # both operations' draws are compared.
-        monkeypatch.setattr(experiment, "WorkloadConfig",
-                            functools.partial(WorkloadConfig,
-                                              write_fraction=self.WORKLOAD.write_fraction))
+            self, open_loop):
         config = ExperimentConfig(clients_per_site=2, topology=lan_topology(3),
                                   seed=self.SEED, conflict_rate=self.WORKLOAD.conflict_rate,
                                   open_loop=open_loop, arrival_rate_per_client=50.0)
@@ -333,7 +335,8 @@ class TestBuildPool:
         placement = [i % 3 for i in range(5)]
         simulated = _first_draws(build_pool([cluster.replicas[i] for i in placement],
                                             self.WORKLOAD, cluster.sim, MetricsCollector(),
-                                            open_loop_rate=rate))
+                                            open_loop_rate=rate, failover=(),
+                                            reconnect_timeout_ms=None))
         assert simulated == self._on_wall_clock(placement, open_loop_rate=rate)
 
     def test_the_label_selects_the_streams(self):
