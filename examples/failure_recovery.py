@@ -45,7 +45,7 @@ def main() -> None:
     print(f"CAESAR, 50 closed-loop clients, crash of {CRASHED_SITE} at "
           f"t={CRASH_AT_MS / 1000:.0f}s\n")
     print("time  throughput (commands/second)")
-    for start, rate in metrics.timeline(bucket_ms=1000.0, end_ms=TOTAL_MS - 1):
+    for start, rate in metrics.timeline(end_ms=TOTAL_MS - 1):
         marker = "  <- crash" if start == CRASH_AT_MS else ""
         print(f"{start / 1000.0:3.0f}s  {rate:7.1f} {'#' * int(rate / 20)}{marker}")
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.consensus.ballots import Ballot
-from repro.consensus.command import Command, CommandId
+from repro.consensus.command import Command
 from repro.consensus.interface import DecisionKind
 from repro.consensus.quorums import QuorumSystem, epaxos_fast_quorum_size
 from repro.kvstore.state_machine import StateMachine
@@ -195,7 +195,6 @@ class _LeaderState:
     ballot: Ballot
     votes: QuorumTracker
     went_slow: bool = False
-    started_at: float = 0.0
 
 
 @dataclass
@@ -221,14 +220,14 @@ class EPaxosReplica(ProtocolKernel):
                  state_machine: StateMachine, cost_model: Optional[CostModel] = None) -> None:
         super().__init__(node_id, sim, network, quorums, state_machine, cost_model)
         self.instances: Dict[InstanceId, Instance] = {}
-        #: key -> (write instances, read instances); see ``_record_instance``.
-        self._conflict_index: Dict[str, Tuple[Set[InstanceId], Set[InstanceId]]] = {}
+        #: key -> instances recorded with a write / with a read; see ``_record_instance``.
+        self._writes_on: Dict[str, Set[InstanceId]] = {}
+        self._reads_on: Dict[str, Set[InstanceId]] = {}
         self._leader_states: Dict[InstanceId, _LeaderState] = {}
         self._recoveries: Dict[InstanceId, _RecoveryState] = {}
         self._next_instance = 0
         self._executed: Set[InstanceId] = set()
         self._unexecuted_committed: Set[InstanceId] = set()
-        self._command_instance: Dict[CommandId, InstanceId] = {}
         self.fast_quorum = epaxos_fast_quorum_size(quorums.n)
 
     # ----------------------------------------------------------- client path
@@ -244,10 +243,8 @@ class EPaxosReplica(ProtocolKernel):
         instance = Instance(instance_id, command, seq, deps, InstanceStatus.PRE_ACCEPTED,
                             Ballot.initial(self.node_id))
         self._record_instance(instance)
-        self._command_instance[command.command_id] = instance_id
         state = _LeaderState(instance_id, command, "preaccept", seq, deps, seq, deps,
-                             instance.ballot, QuorumTracker(self.fast_quorum, 1), False,
-                             self.sim.now)
+                             instance.ballot, QuorumTracker(self.fast_quorum, 1), False)
         self._leader_states[instance_id] = state
         pre_accept = PreAccept(instance_id, command, seq, deps, instance.ballot)
         self.broadcast(pre_accept, include_self=False)
@@ -258,16 +255,18 @@ class EPaxosReplica(ProtocolKernel):
     # --------------------------------------------------------------- helpers
 
     def _interfering_instances(self, command: Command, exclude: InstanceId) -> Set[InstanceId]:
-        """Instances known locally whose command conflicts with ``command``.
+        """Instances known locally whose command conflicts with ``command``,
+        ``exclude`` left out.
 
-        :meth:`Command.conflicts_with` as one set copy: a ``get`` interferes
-        with its key's writes, anything else with its writes and reads.
+        :meth:`Command.conflicts_with` over the per-key index: a ``get``
+        interferes with its key's writes, a ``put`` with its writes and reads.
         """
-        index = self._conflict_index.get(command.key)
-        if index is None:
-            return set()
-        writes, reads = index
-        result = writes | reads if command.is_write else writes.copy()
+        key = command.key
+        result = set(self._writes_on.get(key, ()))
+        if command.is_write:
+            reads = self._reads_on.get(key)
+            if reads:
+                result |= reads
         result.discard(exclude)
         return result
 
@@ -283,9 +282,10 @@ class EPaxosReplica(ProtocolKernel):
     def _record_instance(self, instance: Instance) -> None:
         """Store an instance and index it for conflict lookups.
 
-        ``_conflict_index[key]`` holds the instances recorded with a write on
-        ``key`` and those recorded with a read; an instance recorded without
-        a command (a recovery no-op) is in neither, and an id recorded again
+        ``_writes_on[key]`` holds the instances recorded with a write on
+        ``key`` and ``_reads_on[key]`` those recorded with a read, each set
+        made when its first instance arrives; an instance recorded without a
+        command (a recovery no-op) is in neither, and an id recorded again
         first leaves the set its old command put it in.
         """
         instance_id = instance.instance_id
@@ -296,13 +296,13 @@ class EPaxosReplica(ProtocolKernel):
         command = instance.command
         if command is not None:
             self._index_for(command).add(instance_id)
-            self._command_instance.setdefault(command.command_id, instance_id)
 
     def _index_for(self, command: Command) -> Set[InstanceId]:
-        index = self._conflict_index.get(command.key)
-        if index is None:
-            index = self._conflict_index[command.key] = (set(), set())
-        return index[0] if command.is_write else index[1]
+        index = self._writes_on if command.is_write else self._reads_on
+        instances = index.get(command.key)
+        if instances is None:
+            instances = index[command.key] = set()
+        return instances
 
     # phase 1 -----------------------------------------------------------------
 
@@ -404,9 +404,7 @@ class EPaxosReplica(ProtocolKernel):
         else:
             self.stats.slow_decisions += 1
             kind = DecisionKind.SLOW
-        command_id = state.command.command_id
-        self.record_decided(command_id, kind)
-        self.record_phase_time(command_id, "propose", self.sim.now - state.started_at)
+        self.record_decided(state.command.command_id, kind)
         instance = self.instances[state.instance_id]
         instance.seq = seq
         instance.deps = deps
@@ -698,7 +696,7 @@ class EPaxosReplica(ProtocolKernel):
                                  phase="accept", seq=seq, deps=deps, original_seq=seq,
                                  original_deps=deps, ballot=recovery.ballot,
                                  votes=QuorumTracker(self.quorums.classic, extra_votes=1),
-                                 went_slow=True, started_at=self.sim.now)
+                                 went_slow=True)
             self._leader_states[message.instance_id] = state
             instance = Instance(instance_id=message.instance_id, command=command, seq=seq,
                                 deps=deps, status=InstanceStatus.ACCEPTED,

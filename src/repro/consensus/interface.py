@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.consensus.command import Command, CommandId, CommandResult
@@ -45,8 +45,9 @@ class Decision:
         executed_at: virtual time at which the proposer executed the command
             and answered the client.
         kind: fast path, slow path, or completed by recovery.
-        phase_times: per-phase durations in ms (keys such as ``"propose"``,
-            ``"retry"``, ``"deliver"``, ``"wait"``), used by Figure 11.
+        propose_ms / retry_ms / deliver_ms: ms CAESAR's proposer spent proposing,
+            retrying, and from learning the order to executing, which Figure 11
+            sums; the other protocols leave them at 0.
     """
 
     command_id: CommandId
@@ -55,7 +56,9 @@ class Decision:
     decided_at: Optional[float] = None
     executed_at: Optional[float] = None
     kind: Optional[DecisionKind] = None
-    phase_times: Dict[str, float] = field(default_factory=dict)
+    propose_ms: float = 0.0
+    retry_ms: float = 0.0
+    deliver_ms: float = 0.0
 
     @property
     def latency_ms(self) -> Optional[float]:
@@ -241,12 +244,6 @@ class ConsensusReplica(Node):
         if decision is not None and decision.decided_at is None:
             decision.decided_at = self.sim.now
             decision.kind = kind
-
-    def record_phase_time(self, command_id: CommandId, phase: str, duration_ms: float) -> None:
-        """Accumulate per-phase latency for Figure 11-style breakdowns."""
-        decision = self.decisions.get(command_id)
-        if decision is not None:
-            decision.phase_times[phase] = decision.phase_times.get(phase, 0.0) + duration_ms
 
     def completed_decisions(self) -> List[Decision]:
         """All decisions for commands proposed here that have been executed."""

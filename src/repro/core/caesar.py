@@ -85,8 +85,7 @@ class LeaderState:
     """
 
     __slots__ = ("command", "ballot", "phase", "timestamp", "whitelist", "votes",
-                 "predecessors", "timer", "started_at", "phase_started_at",
-                 "went_slow", "recovered")
+                 "predecessors", "timer", "phase_started_at", "went_slow", "recovered")
 
     def __init__(self, command: Command, ballot: Ballot, phase: str,
                  timestamp: LogicalTimestamp, whitelist: Optional[FrozenSet[CommandId]],
@@ -102,7 +101,6 @@ class LeaderState:
         self.predecessors: Set[CommandId] = set() if predecessors is None else predecessors
         #: the pending proposal timeout: the clock's cancellable handle.
         self.timer: Optional[object] = None
-        self.started_at = now
         self.phase_started_at = now
         self.went_slow = False
         self.recovered = recovered
@@ -191,8 +189,11 @@ class CaesarReplica(ProtocolKernel):
         state.votes = QuorumTracker(self.quorums.classic)
         state.went_slow = True
         command_id = state.command.command_id
-        self.record_phase_time(command_id, "propose", self.sim.now - state.phase_started_at)
-        state.phase_started_at = self.sim.now
+        now = self.sim.now
+        decision = self.decisions.get(command_id)
+        if decision is not None:
+            decision.propose_ms += now - state.phase_started_at
+        state.phase_started_at = now
         retry = Retry(state.command, state.ballot, state.timestamp,
                       _freeze(state.predecessors))
         self.broadcast(retry)
@@ -208,11 +209,12 @@ class CaesarReplica(ProtocolKernel):
         else:
             kind = DecisionKind.FAST
         decision = self.decisions.get(command_id)
-        if decision is not None:  # record_phase_time + record_decided: one lookup, one clock read
+        if decision is not None:  # the phase's time + record_decided: one lookup, one clock read
             now = self.sim.now
-            phase = "retry" if state.phase == PHASE_RETRY else "propose"
-            decision.phase_times[phase] = (decision.phase_times.get(phase, 0.0)
-                                           + (now - state.phase_started_at))
+            if state.phase == PHASE_RETRY:
+                decision.retry_ms += now - state.phase_started_at
+            else:
+                decision.propose_ms += now - state.phase_started_at
             if decision.decided_at is None:
                 decision.decided_at = now
                 decision.kind = kind
@@ -582,9 +584,7 @@ class CaesarReplica(ProtocolKernel):
         """Callback from the delivery manager: apply the command locally."""
         decision = self.execute_command(command)
         if decision is not None and decision.decided_at is not None:
-            phase_times = decision.phase_times
-            phase_times["deliver"] = (phase_times.get("deliver", 0.0)
-                                      + (self.sim.now - decision.decided_at))
+            decision.deliver_ms += self.sim.now - decision.decided_at
         if self.wait_manager.parked:  # BREAKLOOP may have edited the entry
             self.wait_manager.notify_entry(self.history.get(command.command_id))
 

@@ -321,11 +321,13 @@ def _fig10_reduce(sweep: SweepResult, *, conflict_rates: Sequence[float],
 
 def _collect_caesar_breakdown(result: ExperimentResult) -> Dict[str, object]:
     """Per-cell collector for Figure 11 (runs inside the sweep worker)."""
-    totals = {"propose": 0.0, "retry": 0.0, "deliver": 0.0}
+    propose = retry = deliver = 0.0
     for replica in result.cluster.replicas:
         for decision in replica.completed_decisions():
-            for phase in totals:
-                totals[phase] += decision.phase_times.get(phase, 0.0)
+            propose += decision.propose_ms
+            retry += decision.retry_ms
+            deliver += decision.deliver_ms
+    totals = {"propose": propose, "retry": retry, "deliver": deliver}
     wait_ms = {EC2_SHORT_LABELS[EC2_SITES[replica.node_id]]: replica.average_wait_ms()
                for replica in result.cluster.replicas}
     return {"phase_totals": totals, "wait_ms_by_site": wait_ms}
@@ -397,7 +399,7 @@ def _run_crash_timeline(config: ExperimentConfig, crash_at_ms: float) -> Dict[st
     cluster.run(1000.0)
     # ``total_ms`` is a whole number of buckets, so every reported bucket
     # spans a full second (the timeline scales a partial tail by its width).
-    timeline = metrics.timeline(bucket_ms=1000.0, start_ms=0.0, end_ms=total_ms)
+    timeline = metrics.timeline(end_ms=total_ms)
     return {"timeline": timeline}
 
 

@@ -53,8 +53,6 @@ class CrashInjector:
     def __init__(self, sim, nodes: Dict[int, Node]) -> None:
         self.sim = sim
         self._nodes = nodes
-        self.crashes_performed: List[int] = []
-        self.restarts_performed: List[int] = []
 
     def schedule(self, plan: ScheduledCrash) -> None:
         """Arrange for the node in ``plan`` to crash (and maybe restart)."""
@@ -63,7 +61,6 @@ class CrashInjector:
         def do_crash() -> None:
             if not node.crashed:
                 node.crash()
-                self.crashes_performed.append(plan.node_id)
 
         self.sim.schedule_at(plan.crash_at_ms, do_crash)
         if plan.restart_at_ms is not None:
@@ -71,7 +68,6 @@ class CrashInjector:
             def do_restart() -> None:
                 if node.crashed:
                     node.restart()
-                    self.restarts_performed.append(plan.node_id)
 
             self.sim.schedule_at(plan.restart_at_ms, do_restart)
 

@@ -427,8 +427,9 @@ class SpecCaesarReplica(ProtocolKernel):
     def _start_retry(self, state: LeaderState) -> None:
         """R1-R2: RETRY at the highest timestamp any reply held."""
         self.stats.retries += 1
-        self.record_phase_time(state.command.command_id, "propose",
-                               self.sim.now - state.phase_started_at)
+        decision = self.decisions.get(state.command.command_id)
+        if decision is not None:
+            decision.propose_ms += self.sim.now - state.phase_started_at
         state.phase_started_at, state.went_slow = self.sim.now, True
         self._round(state, PHASE_RETRY, self.quorums.classic,
                     Retry(command=state.command, ballot=state.ballot, timestamp=state.timestamp,
@@ -439,8 +440,12 @@ class SpecCaesarReplica(ProtocolKernel):
         command_id = state.command.command_id
         kind = (DecisionKind.RECOVERED if state.recovered
                 else DecisionKind.SLOW if state.went_slow else DecisionKind.FAST)
-        self.record_phase_time(command_id, "retry" if state.phase == PHASE_RETRY else "propose",
-                               self.sim.now - state.phase_started_at)
+        decision = self.decisions.get(command_id)
+        if decision is not None:
+            if state.phase == PHASE_RETRY:
+                decision.retry_ms += self.sim.now - state.phase_started_at
+            else:
+                decision.propose_ms += self.sim.now - state.phase_started_at
         self.record_decided(command_id, kind)
         if state.timer is not None:
             state.timer.cancel()
@@ -641,8 +646,7 @@ class SpecCaesarReplica(ProtocolKernel):
         """Delivery (Figure 3, line 17): execute; BREAKLOOP may have edited rows."""
         decision = self.execute_command(command)
         if decision is not None and decision.decided_at is not None:
-            self.record_phase_time(command.command_id, "deliver",
-                                   self.sim.now - decision.decided_at)
+            decision.deliver_ms += self.sim.now - decision.decided_at
         self.wait_manager.rescan()
 
     # ------------------------------------------------------- recovery

@@ -137,7 +137,6 @@ class LeaderRound:
     deps: FrozenSet[InstanceId]
     ballot: Ballot
     votes: QuorumTracker
-    started_at: float
 
 
 @dataclass
@@ -200,7 +199,7 @@ class SpecEPaxosReplica(ProtocolKernel):
         ballot = Ballot.initial(self.node_id)
         self.rows[instance_id] = Row(command, seq, deps, PRE_ACCEPTED, ballot)
         state = LeaderRound(command, "preaccept", seq, deps, ballot,
-                            QuorumTracker(self.fast_quorum, extra_votes=1), self.sim.now)
+                            QuorumTracker(self.fast_quorum, extra_votes=1))
         self.rounds[instance_id] = state
         message = PreAccept(instance_id=instance_id, command=command, seq=seq, deps=deps,
                             ballot=ballot)
@@ -288,9 +287,8 @@ class SpecEPaxosReplica(ProtocolKernel):
             self.stats.fast_decisions += 1
         else:
             self.stats.slow_decisions += 1
-        command_id = state.command.command_id
-        self.record_decided(command_id, DecisionKind.FAST if fast else DecisionKind.SLOW)
-        self.record_phase_time(command_id, "propose", self.sim.now - state.started_at)
+        self.record_decided(state.command.command_id,
+                            DecisionKind.FAST if fast else DecisionKind.SLOW)
         row = self.rows[instance_id]
         row.seq, row.deps, row.status = state.seq, state.deps, COMMITTED
         self.waiting.add(instance_id)
@@ -452,7 +450,7 @@ class SpecEPaxosReplica(ProtocolKernel):
             return
         state = self.rounds[instance_id] = LeaderRound(
             command, "accept", seq, deps, prepare.ballot,
-            QuorumTracker(self.quorums.classic, extra_votes=1), self.sim.now)
+            QuorumTracker(self.quorums.classic, extra_votes=1))
         self.rows[instance_id] = Row(command, seq, deps, ACCEPTED, prepare.ballot)
         self._send_accept(instance_id, state)
 

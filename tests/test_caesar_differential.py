@@ -601,10 +601,10 @@ class LeaderProbe(Probe):
                                               list(state.votes.payloads())),
             sorted(state.predecessors),
             None if state.timer is None else (state.timer.time, state.timer.cancelled),
-            state.started_at, state.phase_started_at, state.went_slow, state.recovered)
+            state.phase_started_at, state.went_slow, state.recovered)
             for command_id, state in replica.leader_states.items()}
         decisions = {command_id: (decision.kind, decision.decided_at, decision.executed_at,
-                                  decision.phase_times)
+                                  decision.propose_ms, decision.retry_ms, decision.deliver_ms)
                      for command_id, decision in replica.decisions.items()}
         rounds = [(key, entry.message, entry.tracker.voters(),
                    entry.deadline, entry.timeout, entry.attempts, entry.last_count)
@@ -868,7 +868,7 @@ class TestLeaderScenarios:
         pair.deliver_own(stable_at)
         decision = pair.new.replica.decisions[L0.command_id]
         assert decision.executed_at == decision.decided_at + 12.5
-        assert decision.phase_times["deliver"] == 12.5
+        assert decision.deliver_ms == 12.5
 
     def test_recovery_built_states_resume_each_phase(self):
         for status in ("accepted", "slow-pending", "stable", "fast-pending", "rejected"):

@@ -131,7 +131,7 @@ class Probe:
                                       replica._recoveries)
             done, waiting = replica._executed, replica._unexecuted_committed
         decisions = {command_id: (decision.kind, decision.decided_at, decision.executed_at,
-                                  decision.phase_times)
+                                  decision.propose_ms, decision.retry_ms, decision.deliver_ms)
                      for command_id, decision in replica.decisions.items()}
         resends = [(key, entry.message, entry.tracker.voters(), entry.deadline, entry.attempts)
                    for key, entry in replica.retransmit._entries.items()]
@@ -139,7 +139,7 @@ class Probe:
                        for iid, row in rows.items()),
                 sorted(done), list(waiting),
                 {iid: (state.command, state.phase, state.seq, sorted(state.deps), state.ballot,
-                       state.votes.threshold, list(state.votes.payloads()), state.started_at)
+                       state.votes.threshold, list(state.votes.payloads()))
                  for iid, state in rounds.items()},
                 {iid: (state.ballot, list(state.votes.payloads()))
                  for iid, state in prepares.items()},

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.metrics.collector import MetricsCollector
+from repro.metrics.collector import TIMELINE_BUCKET_MS, MetricsCollector
 from repro.metrics.stats import (
     percentile,
     summarize_latencies,
@@ -176,5 +176,9 @@ class TestCollector:
         collector = MetricsCollector()
         collector.record_command(origin=0, proposer=0, latency_ms=1.0, completed_at=100.0,
                                  key="k")
-        series = collector.timeline(bucket_ms=1000.0, end_ms=1000.0)
-        assert series[0][1] == pytest.approx(1.0)
+        collector.record_command(origin=0, proposer=0, latency_ms=1.0, completed_at=1500.0,
+                                 key="k")
+        series = collector.timeline(end_ms=2000.0)
+        assert series == throughput_timeline([100.0, 1500.0], bucket_ms=TIMELINE_BUCKET_MS,
+                                             start_ms=0.0, end_ms=2000.0)
+        assert series == [(0.0, 1.0), (1000.0, 1.0)]

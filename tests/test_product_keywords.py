@@ -4,7 +4,7 @@ A setting exists only if a product path — the CLI, a figure row, ``bench/``
 or an example — sets it; a test reaches other behaviour by patching inside
 the test (ROADMAP, the north star's *Settings* rule).  This check holds the
 rule from the sources alone, with :mod:`ast` and no imports, in three
-directions:
+directions, and holds a fourth, state no product path reads:
 
 * **unpassed** — a defaulted parameter (positional or keyword-only) of a
   ``def`` under ``src/repro`` that no product call passes: only tests can
@@ -15,7 +15,12 @@ directions:
   ``tests/data/cli_parser_surface.json`` that no product path sets: no
   construction of the class (or a subclass) names it, no
   ``dataclasses.replace`` or ``cli.build_config`` call does, and no
-  ``cli.FLAGS`` row maps a flag onto it.
+  ``cli.FLAGS`` row maps a flag onto it;
+* **write-only** — an instance attribute a ``src/repro`` method initialises
+  to ``{}``, ``set()`` or ``[]`` that ``src/`` only mutates (a subscript
+  store or delete, or a call of one of :data:`MUTATORS` on it) and no code
+  in ``src/``, ``bench/`` or ``examples/`` reads: it grows with the run and
+  serves no reader.
 
 Product calls are every call in ``src/``, ``bench/`` and ``examples/``,
 matched to the definitions by the called name — ``f(...)`` and
@@ -29,12 +34,13 @@ expression, or a key stored into the unpacked name in that module).
 
 Matching by name over-approximates the callers: an *unpassed* finding is
 real, since no call of that name anywhere on a product path passes the
-parameter, and an *overridden* one is real unless product code also reaches
+parameter, a *write-only* one is real, since no attribute of that name is
+read anywhere on a product path, and an *overridden* one is real unless product code also reaches
 the function another way — a figure grid through its row
 (``inspect.signature.bind``), a replica constructor through the protocol
 table, a callback handed to another function.  Those functions, and the
-rare keyword or field kept for a caller outside the repository, are on
-:data:`ALLOWED` with the reason.  Run it as a script to list what it finds::
+rare keyword, field or container kept for a reader outside the repository,
+are on :data:`ALLOWED` with the reason.  Run it as a script to list what it finds::
 
     python tests/test_product_keywords.py
 """
@@ -57,9 +63,10 @@ _GRID = "figure grid: its keyword defaults are the figure, set by the row's --qu
 _REPLICA = "replica constructor: build_replica passes cost_model and a figure row's options"
 _BOUND = "binds the enclosing loop's value at definition; the callback's caller passes one argument"
 
-#: Functions whose unpassed or overridden defaulted parameters stay, and
-#: config fields no product path sets that stay, each with the reason.  Keys
-#: are ``<path under src/repro>::<qualified name>`` and ``<Config>.<field>``.
+#: Functions whose unpassed or overridden defaulted parameters stay, config
+#: fields no product path sets and write-only containers that stay, each with
+#: the reason.  Keys are ``<path under src/repro>::<qualified name>`` (a
+#: container's is ``Class.attribute``) and ``<Config>.<field>``.
 ALLOWED: Dict[str, str] = {
     "harness/figures.py::_fig6_cells": _GRID,
     "harness/figures.py::_fig7_cells": _GRID,
@@ -331,6 +338,65 @@ def unset_fields(trees: Dict[str, ast.Module], configs: List[str]) -> List[str]:
     return missing
 
 
+#: The method calls that only change a container.
+MUTATORS = frozenset({"add", "append", "setdefault", "update", "discard"})
+
+
+def _is_empty_container(node: ast.AST) -> bool:
+    return ((isinstance(node, ast.Dict) and not node.keys)
+            or (isinstance(node, ast.List) and not node.elts)
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "set" and not node.args and not node.keywords))
+
+
+def write_only(trees: Dict[str, ast.Module]) -> List[str]:
+    """``path::Class.attribute`` for every instance attribute a ``src/repro``
+    method initialises to an empty ``{}``, ``set()`` or ``[]`` that no code in
+    ``trees`` reads: every load of an attribute of that name, on any object,
+    is a subscript store or delete, or a :data:`MUTATORS` call."""
+    prefix = PACKAGE.relative_to(ROOT).as_posix() + "/"
+    initialised: Dict[str, List[str]] = {}
+    for path, tree in trees.items():
+        if not path.startswith(prefix):
+            continue
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(method):
+                    targets = (node.targets if isinstance(node, ast.Assign)
+                               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+                    for target in targets:
+                        if (isinstance(target, ast.Attribute)
+                                and isinstance(target.value, ast.Name)
+                                and target.value.id == "self"
+                                and _is_empty_container(node.value)):
+                            initialised.setdefault(target.attr, []).append(
+                                f"{path[len(prefix):]}::{cls.name}.{target.attr}")
+    read: Set[str] = set()
+    for tree in trees.values():
+        mutated: Set[int] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                mutated.add(id(node.value))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in MUTATORS):
+                mutated.add(id(node.func.value))
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                 and node.attr in initialised and id(node) not in mutated}
+    return sorted(found for attr, names in initialised.items() if attr not in read
+                  for found in names)
+
+
+@functools.lru_cache(maxsize=None)
+def product_write_only() -> List[str]:
+    """:func:`write_only` over the repository."""
+    return write_only(product_trees())
+
+
 def test_every_defaulted_parameter_is_passed_by_a_product_path():
     offenders = {name: params for name, params in product_missing().items()
                  if name not in ALLOWED}
@@ -357,8 +423,16 @@ def test_every_pinned_config_field_is_set_by_a_product_path():
         f"or give ALLOWED a reason): {offenders}")
 
 
+def test_no_instance_container_is_only_written():
+    offenders = [name for name in product_write_only() if name not in ALLOWED]
+    assert not offenders, (
+        "containers src/ only writes and nothing in src/, bench/ or examples/ reads "
+        f"(delete them, or give ALLOWED the reader): {offenders}")
+
+
 def test_every_allowed_row_still_excuses_something():
-    found = set(product_missing()) | set(product_overridden()) | set(product_unset())
+    found = (set(product_missing()) | set(product_overridden()) | set(product_unset())
+             | set(product_write_only()))
     stale = sorted(set(ALLOWED) - found)
     assert not stale, f"ALLOWED rows that excuse nothing any more: {stale}"
 
@@ -474,6 +548,45 @@ def test_an_unpacked_name_carries_only_the_keys_stored_into_it():
         "ExperimentConfig.warmup_ms", "ExperimentConfig.settle_ms"]
 
 
+CONTAINERS = '''
+class Replica:
+    def __init__(self):
+        self.log = []
+        self.index: dict = {}
+        self.seen = set()
+        self.peers = {}
+        self.pending = []
+        self.size = 0
+        self.names = ["a"]
+    def on(self, key, value):
+        self.log.append(value)
+        self.index[key] = value
+        self.index.setdefault(key, []).append(value)
+        del self.index[key]
+        self.seen.add(key)
+        self.seen.discard(key)
+        self.peers.update({key: value})
+        self.pending.append(value)
+        for item in self.pending:
+            self.size += 1
+        self.names.append(value)
+'''
+
+
+def _write_only(callers: str) -> List[str]:
+    return write_only({"src/repro/m.py": ast.parse(CONTAINERS), "bench/b.py": ast.parse(callers)})
+
+
+def test_a_container_src_only_mutates_is_found():
+    assert _write_only("") == ["m.py::Replica.index", "m.py::Replica.log",
+                               "m.py::Replica.peers", "m.py::Replica.seen"]
+
+
+def test_a_read_anywhere_on_a_product_path_keeps_a_container():
+    assert _write_only("print(replica.log)\nreplica.seen.pop()\n"
+                       "n = len(other.index)\nviews = r.peers.items()\n") == []
+
+
 def _parsed(definition_source: str, caller_source: str):
     """The definitions and calls :func:`_scan` hands :func:`unpassed`."""
     tree = ast.parse(definition_source)
@@ -489,7 +602,8 @@ def _parsed(definition_source: str, caller_source: str):
 
 if __name__ == "__main__":
     for kind, findings in (("unpassed", product_missing()), ("overridden", product_overridden()),
-                           ("unset", {field: [] for field in product_unset()})):
+                           ("unset", {field: [] for field in product_unset()}),
+                           ("write-only", {name: [] for name in product_write_only()})):
         for name, params in sorted(findings.items()):
             mark = "ok  " if name in ALLOWED else "FAIL"
             print(f"{mark} {kind:10s} {name}{': ' if params else ''}{', '.join(params)}")

@@ -8,7 +8,7 @@ from repro.baselines.epaxos import EPaxosReplica, InstanceStatus, PreAccept
 from repro.consensus.ballots import Ballot
 from repro.consensus.interface import DecisionKind
 from repro.consensus.quorums import QuorumSystem
-from repro.harness.experiment import count_decisions
+from repro.harness.experiment import ExperimentConfig, count_decisions, run_experiment
 from repro.kvstore.store import KeyValueStore
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.simulator import Simulator
@@ -43,13 +43,17 @@ class TestConsensusReplicaBase:
         assert decision.decided_at == first_time
         assert decision.kind is DecisionKind.FAST
 
-    def test_record_phase_time_accumulates(self):
-        _, _, replicas = build_caesar_cluster()
+    def test_phase_times_start_at_zero_and_a_fast_decision_fills_propose_and_deliver(self):
+        sim, _, replicas = build_caesar_cluster()
         command = make_command(0, 0, key="x", origin=0)
         replicas[0].submit(command, ignore)
-        replicas[0].record_phase_time(command.command_id, "propose", 10.0)
-        replicas[0].record_phase_time(command.command_id, "propose", 5.0)
-        assert replicas[0].decisions[command.command_id].phase_times["propose"] == 15.0
+        decision = replicas[0].decisions[command.command_id]
+        assert (decision.propose_ms, decision.retry_ms, decision.deliver_ms) == (0.0, 0.0, 0.0)
+        sim.run_until(lambda: replicas[0].has_executed(command.command_id), deadline=30000)
+        assert decision.kind is DecisionKind.FAST
+        assert decision.propose_ms == decision.decided_at - decision.submitted_at
+        assert decision.retry_ms == 0.0
+        assert decision.deliver_ms == decision.executed_at - decision.decided_at
 
     def test_count_decisions_empty_without_decisions(self):
         _, _, replicas = build_caesar_cluster()
@@ -130,3 +134,27 @@ class TestEPaxosAttributes:
         reply = sent[-1][1]
         assert not reply.changed
         assert reply.seq == 1
+
+    def test_a_get_and_the_puts_on_its_key_depend_on_each_other(self):
+        replica, _ = self.build_replica()
+        replica.propose(make_command(0, 0, key="x"))
+        replica.propose(make_command(0, 1, key="x", operation="get"))
+        replica.propose(make_command(0, 2, key="x", operation="get"))
+        replica.propose(make_command(0, 3, key="x"))
+        replica.propose(make_command(0, 4, key="y"))
+        deps = {seq: replica.instances[(0, seq)].deps for seq in range(5)}
+        # A get depends on the key's puts, not on another get; a put on both.
+        assert deps[1] == deps[2] == {(0, 0)}
+        assert deps[3] == {(0, 0), (0, 1), (0, 2)}
+        assert deps[4] == set()
+        assert replica._reads_on == {"x": {(0, 1), (0, 2)}}
+        assert replica._writes_on == {"x": {(0, 0), (0, 3)}, "y": {(0, 4)}}
+
+    def test_a_write_only_run_makes_no_read_set(self):
+        result = run_experiment(ExperimentConfig(protocol="epaxos", conflict_rate=0.3,
+                                                 clients_per_site=2, duration_ms=1000.0,
+                                                 warmup_ms=0.0))
+        assert result.metrics.count > 0
+        for replica in result.cluster.replicas:
+            assert replica._writes_on
+            assert replica._reads_on == {}

@@ -52,7 +52,6 @@ class TestCrashInjector:
         assert not nodes[1].crashed
         sim.run(until=60.0)
         assert nodes[1].crashed
-        assert injector.crashes_performed == [1]
 
     def test_scheduled_restart(self):
         sim = Simulator(seed=0)
@@ -64,7 +63,6 @@ class TestCrashInjector:
         assert nodes[0].crashed
         sim.run(until=40.0)
         assert not nodes[0].crashed
-        assert injector.restarts_performed == [0]
 
     def test_crash_now(self):
         """A crash planned for the current instant happens on the next step."""
@@ -75,17 +73,19 @@ class TestCrashInjector:
         injector.schedule(ScheduledCrash(node_id=0, crash_at_ms=sim.now))
         drain(sim)
         assert nodes[0].crashed
-        assert injector.crashes_performed == [0]
 
     def test_double_crash_recorded_once(self):
         sim = Simulator(seed=0)
         network = Network(sim, uniform_topology(1, rtt_ms=5.0), NetworkConfig())
         nodes = {0: DetectorNode(0, sim, network, cost_model=None)}
         injector = CrashInjector(sim, nodes)
+        crashed_at = []
+        crash = nodes[0].crash
+        nodes[0].crash = lambda: (crashed_at.append(sim.now), crash())
         injector.schedule(ScheduledCrash(node_id=0, crash_at_ms=10.0))
         injector.schedule(ScheduledCrash(node_id=0, crash_at_ms=20.0))
         sim.run(until=30.0)
-        assert injector.crashes_performed == [0]
+        assert crashed_at == [10.0]
 
 
 class TestFailureDetector:
