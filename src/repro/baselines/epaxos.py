@@ -18,18 +18,22 @@ replica can lead commands; a command's *attributes* are a dependency set
   the CPU cost the paper blames for EPaxos' degradation under high conflict
   rates; it is charged to the replica's simulated CPU here.
 
-The replica keeps what it knows instead of re-deriving it: a per-key index of
-write and read instances answers a conflict lookup with one set copy, a
-dependency set is one frozenset shared by the instance and the messages that
-carry it, and a committed instance whose dependencies are all executed skips
-the graph walk but is charged exactly what the walk charges for its one node.
+The replica keeps what it knows instead of re-deriving it, each fact at the
+size of its contents: a per-key index of write and read instances, each a
+sorted list, answers a conflict lookup with one copy; a dependency set is the
+strictly ascending tuple the wire carries, shared by the instance and the
+messages that carry it; and a committed instance whose dependencies are all
+executed skips the graph walk but is charged exactly what the walk charges
+for its one node.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from itertools import filterfalse
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command
@@ -43,7 +47,7 @@ from repro.runtime.fields import (
     BALLOT,
     COMMAND,
     INSTANCE_ID,
-    INSTANCE_ID_SET,
+    INSTANCE_ID_SEQ,
     OPTIONAL_COMMAND,
     OPTIONAL_STRING,
 )
@@ -52,6 +56,13 @@ from repro.runtime.registry import register_message
 
 #: An EPaxos instance is identified by ``(leader_replica, instance_number)``.
 InstanceId = Tuple[int, int]
+#: A dependency set: its instance ids in strictly ascending order.
+Deps = Tuple[InstanceId, ...]
+
+
+def _union(*id_groups: Iterable[InstanceId]) -> Deps:
+    """Every id of the groups, once each, in ascending order."""
+    return tuple(sorted(set().union(*id_groups)))
 
 
 class InstanceStatus(enum.Enum):
@@ -71,33 +82,21 @@ class Instance:
     instance_id: InstanceId
     command: Optional[Command]
     seq: int
-    deps: FrozenSet[InstanceId]
+    deps: Deps
     status: InstanceStatus
     ballot: Ballot
-    _sorted_deps: Optional[List[InstanceId]] = None
-    _sorted_for: Optional[FrozenSet[InstanceId]] = None
 
-    def deps_sorted(self) -> List[InstanceId]:
-        """Sorted view of ``deps``, cached until the set is reassigned.
-
-        ``deps`` is only ever replaced wholesale (it is the frozenset of the
-        message it came from or went out in), so identity of the set object is
-        a sound cache key.  The execution graph
-        walk re-visits blocked instances many times; sorting their dependency
-        lists once instead of per visit is a large constant-factor win.
-        """
-        deps = self.deps
-        if self._sorted_for is not deps:
-            self._sorted_deps = sorted(deps)
-            self._sorted_for = deps
-        return self._sorted_deps
+    def deps_sorted(self) -> Deps:
+        """The dependencies in the order a graph walk visits them: ``deps``
+        itself, which is kept ascending."""
+        return self.deps
 
 
 # --------------------------------------------------------------------- wire
 
 
 @register_message(instance_id=INSTANCE_ID, command=COMMAND, seq=UINT,
-                  deps=INSTANCE_ID_SET, ballot=BALLOT)
+                  deps=INSTANCE_ID_SEQ, ballot=BALLOT)
 @value_type
 class PreAccept:
     """Leader -> replicas: phase-1 proposal with locally computed attributes."""
@@ -105,11 +104,11 @@ class PreAccept:
     instance_id: InstanceId
     command: Command
     seq: int
-    deps: FrozenSet[InstanceId]
+    deps: Deps
     ballot: Ballot
 
 
-@register_message(instance_id=INSTANCE_ID, seq=UINT, deps=INSTANCE_ID_SET,
+@register_message(instance_id=INSTANCE_ID, seq=UINT, deps=INSTANCE_ID_SEQ,
                   ballot=BALLOT, changed=BOOL)
 @value_type
 class PreAcceptReply:
@@ -117,13 +116,13 @@ class PreAcceptReply:
 
     instance_id: InstanceId
     seq: int
-    deps: FrozenSet[InstanceId]
+    deps: Deps
     ballot: Ballot
     changed: bool
 
 
 @register_message(instance_id=INSTANCE_ID, command=COMMAND, seq=UINT,
-                  deps=INSTANCE_ID_SET, ballot=BALLOT)
+                  deps=INSTANCE_ID_SEQ, ballot=BALLOT)
 @value_type
 class Accept:
     """Leader -> replicas: slow-path accept with unioned attributes."""
@@ -131,7 +130,7 @@ class Accept:
     instance_id: InstanceId
     command: Command
     seq: int
-    deps: FrozenSet[InstanceId]
+    deps: Deps
     ballot: Ballot
 
 
@@ -145,7 +144,7 @@ class AcceptReply:
 
 
 @register_message(instance_id=INSTANCE_ID, command=OPTIONAL_COMMAND, seq=UINT,
-                  deps=INSTANCE_ID_SET)
+                  deps=INSTANCE_ID_SEQ)
 @value_type
 class Commit:
     """Leader -> replicas: final attributes of a committed instance."""
@@ -153,7 +152,7 @@ class Commit:
     instance_id: InstanceId
     command: Optional[Command]
     seq: int
-    deps: FrozenSet[InstanceId]
+    deps: Deps
 
 
 @register_message(instance_id=INSTANCE_ID, ballot=BALLOT)
@@ -166,7 +165,7 @@ class Prepare:
 
 
 @register_message(instance_id=INSTANCE_ID, ballot=BALLOT, known=BOOL,
-                  command=OPTIONAL_COMMAND, seq=UINT, deps=INSTANCE_ID_SET,
+                  command=OPTIONAL_COMMAND, seq=UINT, deps=INSTANCE_ID_SEQ,
                   status=OPTIONAL_STRING)
 @value_type
 class PrepareReply:
@@ -177,11 +176,11 @@ class PrepareReply:
     known: bool
     command: Optional[Command] = None
     seq: int = 0
-    deps: FrozenSet[InstanceId] = frozenset()
+    deps: Deps = ()
     status: Optional[str] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _LeaderState:
     """Book-keeping the command leader keeps for an in-flight instance."""
 
@@ -189,9 +188,9 @@ class _LeaderState:
     command: Command
     phase: str  # "preaccept" | "accept" | "done"
     seq: int
-    deps: FrozenSet[InstanceId]
+    deps: Deps
     original_seq: int
-    original_deps: FrozenSet[InstanceId]
+    original_deps: Deps
     ballot: Ballot
     votes: QuorumTracker
     went_slow: bool = False
@@ -220,13 +219,15 @@ class EPaxosReplica(ProtocolKernel):
                  state_machine: StateMachine, cost_model: Optional[CostModel] = None) -> None:
         super().__init__(node_id, sim, network, quorums, state_machine, cost_model)
         self.instances: Dict[InstanceId, Instance] = {}
-        #: key -> instances recorded with a write / with a read; see ``_record_instance``.
-        self._writes_on: Dict[str, Set[InstanceId]] = {}
-        self._reads_on: Dict[str, Set[InstanceId]] = {}
+        #: key -> instances recorded with a write / with a read, each list in
+        #: ascending order; see ``_record_instance``.
+        self._writes_on: Dict[str, List[InstanceId]] = {}
+        self._reads_on: Dict[str, List[InstanceId]] = {}
         self._leader_states: Dict[InstanceId, _LeaderState] = {}
         self._recoveries: Dict[InstanceId, _RecoveryState] = {}
         self._next_instance = 0
-        self._executed: Set[InstanceId] = set()
+        #: A dict used as a set: its table is a fraction of a set's at this size.
+        self._executed: Dict[InstanceId, None] = {}
         self._unexecuted_committed: Set[InstanceId] = set()
         self.fast_quorum = epaxos_fast_quorum_size(quorums.n)
 
@@ -236,7 +237,7 @@ class EPaxosReplica(ProtocolKernel):
         """Lead a new instance for ``command`` (phase 1, PreAccept)."""
         instance_id = (self.node_id, self._next_instance)
         self._next_instance += 1
-        deps = frozenset(self._interfering_instances(command, exclude=instance_id))
+        deps = self._interfering_instances(command, exclude=instance_id)
         seq = self._next_seq(deps)
         # CostModel.dependency_cost, inlined: the same product, and 0.0 for none.
         self.consume_cpu(self.cost_model.per_dependency_ms * len(deps))
@@ -254,23 +255,26 @@ class EPaxosReplica(ProtocolKernel):
 
     # --------------------------------------------------------------- helpers
 
-    def _interfering_instances(self, command: Command, exclude: InstanceId) -> Set[InstanceId]:
+    def _interfering_instances(self, command: Command, exclude: InstanceId) -> Deps:
         """Instances known locally whose command conflicts with ``command``,
-        ``exclude`` left out.
+        ``exclude`` left out, in ascending order.
 
         :meth:`Command.conflicts_with` over the per-key index: a ``get``
         interferes with its key's writes, a ``put`` with its writes and reads.
+        An id is in one of a key's two lists at most, so the merge repeats none.
         """
         key = command.key
-        result = set(self._writes_on.get(key, ()))
+        ids = self._writes_on.get(key, ())
         if command.is_write:
             reads = self._reads_on.get(key)
             if reads:
-                result |= reads
-        result.discard(exclude)
-        return result
+                ids = sorted([*ids, *reads])
+        position = bisect_left(ids, exclude)
+        if position < len(ids) and ids[position] == exclude:
+            return (*ids[:position], *ids[position + 1:])
+        return tuple(ids)
 
-    def _next_seq(self, deps: FrozenSet[InstanceId]) -> int:
+    def _next_seq(self, deps: Deps) -> int:
         """1 + the maximum sequence number among the dependencies."""
         max_seq = 0
         for dep in deps:
@@ -283,25 +287,26 @@ class EPaxosReplica(ProtocolKernel):
         """Store an instance and index it for conflict lookups.
 
         ``_writes_on[key]`` holds the instances recorded with a write on
-        ``key`` and ``_reads_on[key]`` those recorded with a read, each set
-        made when its first instance arrives; an instance recorded without a
-        command (a recovery no-op) is in neither, and an id recorded again
-        first leaves the set its old command put it in.
+        ``key`` and ``_reads_on[key]`` those recorded with a read, each an
+        ascending list made when its first instance arrives; an instance
+        recorded without a command (a recovery no-op) is in neither, and an id
+        recorded again first leaves the list its old command put it in.
         """
         instance_id = instance.instance_id
         previous = self.instances.get(instance_id)
         if previous is not None and previous.command is not None:
-            self._index_for(previous.command).discard(instance_id)
+            ids = self._index_for(previous.command)
+            del ids[bisect_left(ids, instance_id)]
         self.instances[instance_id] = instance
         command = instance.command
         if command is not None:
-            self._index_for(command).add(instance_id)
+            insort(self._index_for(command), instance_id)
 
-    def _index_for(self, command: Command) -> Set[InstanceId]:
+    def _index_for(self, command: Command) -> List[InstanceId]:
         index = self._writes_on if command.is_write else self._reads_on
         instances = index.get(command.key)
         if instances is None:
-            instances = index[command.key] = set()
+            instances = index[command.key] = []
         return instances
 
     # phase 1 -----------------------------------------------------------------
@@ -315,8 +320,10 @@ class EPaxosReplica(ProtocolKernel):
             return
         if existing is not None and existing.ballot > message.ballot:
             return
-        deps = message.deps | self._interfering_instances(message.command,
-                                                          exclude=message.instance_id)
+        deps = message.deps
+        interfering = self._interfering_instances(message.command, exclude=message.instance_id)
+        if interfering != deps:  # else the reply shares the proposal's tuple
+            deps = _union(deps, interfering)
         seq = max(message.seq, self._next_seq(deps))
         self.consume_cpu(self.cost_model.per_dependency_ms * len(deps))
         changed = deps != message.deps or seq != message.seq
@@ -344,7 +351,7 @@ class EPaxosReplica(ProtocolKernel):
         if unchanged:
             self._commit_instance(state, state.original_seq, state.original_deps, fast=True)
         else:
-            merged_deps = state.original_deps.union(*[reply.deps for reply in replies])
+            merged_deps = _union(state.original_deps, *[reply.deps for reply in replies])
             merged_seq = state.original_seq
             for reply in replies:
                 merged_seq = max(merged_seq, reply.seq)
@@ -393,7 +400,7 @@ class EPaxosReplica(ProtocolKernel):
 
     # commit & execution ------------------------------------------------------
 
-    def _commit_instance(self, state: _LeaderState, seq: int, deps: FrozenSet[InstanceId],
+    def _commit_instance(self, state: _LeaderState, seq: int, deps: Deps,
                          fast: bool) -> None:
         """Finalize an instance at the leader and broadcast the commit."""
         state.phase = "done"  # for the retransmit entry, which keeps its own reference
@@ -464,7 +471,7 @@ class EPaxosReplica(ProtocolKernel):
                     ready = self.instances[ready_id]
                     if ready_id in executed:
                         continue
-                    executed.add(ready_id)
+                    executed[ready_id] = None
                     pending.discard(ready_id)
                     ready.status = InstanceStatus.EXECUTED
                     if ready.command is not None:
@@ -533,10 +540,13 @@ class EPaxosReplica(ProtocolKernel):
 
         * every dependency is executed: the walk would visit the root, skip
           every dependency and pop a one-member component;
-        * the first unexecuted dependency in sorted order is unknown or not
-          committed: the walk would visit the root, descend into that
+        * the first unexecuted dependency (``deps`` is ascending) is unknown
+          or not committed: the walk would visit the root, descend into that
           dependency first and stop there, blocked.  (A root among its own
           dependencies is committed, so it is never that blocker.)
+
+        One pass over ``deps`` answers both: it stops at the first unexecuted
+        dependency, or runs out when there is none.
 
         CPU charges are ``CostModel.dependency_cost`` of the visited count,
         inlined; a zero charge is still made.
@@ -546,12 +556,12 @@ class EPaxosReplica(ProtocolKernel):
         per_node_ms = self.cost_model.per_dependency_ms
         instance = instances.get(root)
         if instance is not None and instance.status is InstanceStatus.COMMITTED:
-            deps = instance.deps
-            if deps <= executed:  # a subset test builds no set of the waiting ones
+            first_id = next(filterfalse(executed.__contains__, instance.deps), None)
+            if first_id is None:
                 self.stats.graph_nodes_visited += 1
                 self.consume_cpu(per_node_ms)
                 return [root]
-            first = instances.get(min(deps - executed))
+            first = instances.get(first_id)
             if first is None or first.status in (InstanceStatus.PRE_ACCEPTED,
                                                  InstanceStatus.ACCEPTED):
                 self.stats.graph_nodes_visited += 1
@@ -687,7 +697,7 @@ class EPaxosReplica(ProtocolKernel):
             if source:
                 command = source[0].command
                 seq = max(r.seq for r in source)
-                deps = frozenset().union(*[r.deps for r in source])
+                deps = _union(*[r.deps for r in source])
             else:
                 command = local.command
                 seq = local.seq
@@ -707,10 +717,10 @@ class EPaxosReplica(ProtocolKernel):
                            include_self=False)
         else:
             # Nobody knows the command: commit a no-op so execution is never blocked.
-            self._adopt_commit(message.instance_id, None, 0, frozenset())
+            self._adopt_commit(message.instance_id, None, 0, ())
 
     def _adopt_commit(self, instance_id: InstanceId, command: Optional[Command], seq: int,
-                      deps: FrozenSet[InstanceId]) -> None:
+                      deps: Deps) -> None:
         """Record and re-broadcast a commit learned during recovery."""
         instance = self.instances.get(instance_id)
         if instance is None:

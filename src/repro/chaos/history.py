@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 from repro.runtime.clock import Clock
 
 
-@dataclass
+@dataclass(slots=True)
 class Operation:
     """One client operation: an invocation and (maybe) a response.
 
@@ -71,8 +71,7 @@ class HistoryTape:
     def invoke(self, client_id: int, key: str, operation: str,
                value: Optional[str]) -> Operation:
         """Record an invocation at the current virtual time and return its record."""
-        op = Operation(op_id=len(self.operations), client_id=client_id, key=key,
-                       operation=operation, value=value, invoked_at=self.sim.now)
+        op = Operation(len(self.operations), client_id, key, operation, value, self.sim.now)
         self.operations.append(op)
         return op
 

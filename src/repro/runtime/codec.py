@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import linecache
+import operator
 from contextlib import contextmanager
 from types import MemberDescriptorType
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
@@ -363,6 +364,30 @@ class FrozenSetCodec(_CollectionCodec):
 
     wire_order = "sorted({})"
     collection = "frozenset"
+
+
+def _require_ascending(items: Sequence) -> None:
+    if any(map(operator.ge, items, items[1:])):
+        raise ValueError("sequence is not strictly ascending")
+
+
+class SortedSeqCodec(_CollectionCodec):
+    """A set kept as a strictly ascending tuple: the bytes a :class:`FrozenSetCodec`
+    writes for the same elements.
+
+    Encoding takes the sequence as it is and decoding rebuilds a tuple, so
+    neither sorts; a sequence out of order or with a repeat raises
+    ``ValueError`` both ways.
+    """
+
+    def emit_encode(self, gen: SourceWriter, value: str) -> None:
+        gen.line(f"{gen.bind(_require_ascending)}({value})")
+        super().emit_encode(gen, value)
+
+    def emit_decode(self, gen: SourceWriter) -> str:
+        result = super().emit_decode(gen)
+        gen.line(f"{gen.bind(_require_ascending)}({result})")
+        return result
 
 
 class StructCodec(Codec):

@@ -20,6 +20,7 @@ from repro.runtime.codec import (
     UINT,
     FrozenSetCodec,
     OptionalCodec,
+    SortedSeqCodec,
     StructCodec,
 )
 
@@ -27,9 +28,10 @@ from repro.runtime.codec import (
 COMMAND_ID = ID_PAIR
 INSTANCE_ID = ID_PAIR
 
-#: Sets of ids, canonically sorted on the wire.
+#: Sets of ids, canonically sorted on the wire.  An instance id set is held as
+#: the strictly ascending tuple it travels as: the same bytes, no sort.
 COMMAND_ID_SET = FrozenSetCodec(COMMAND_ID)
-INSTANCE_ID_SET = FrozenSetCodec(INSTANCE_ID)
+INSTANCE_ID_SEQ = SortedSeqCodec(INSTANCE_ID)
 
 BALLOT = StructCodec(Ballot, [("round", UINT), ("node_id", UINT)])
 
@@ -56,7 +58,7 @@ __all__ = [
     "COMMAND_ID",
     "COMMAND_ID_SET",
     "INSTANCE_ID",
-    "INSTANCE_ID_SET",
+    "INSTANCE_ID_SEQ",
     "OPTIONAL_BALLOT",
     "OPTIONAL_COMMAND",
     "OPTIONAL_STRING",

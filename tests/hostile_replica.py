@@ -1,4 +1,5 @@
-"""Attack one live CAESAR replica with byte streams, then commit a command.
+"""Attack one live replica (CAESAR unless told otherwise) with byte streams, then
+commit a command.
 
 A fixture, not a test module: ``tests/test_wire_hostile.py`` calls
 :func:`attack_then_commit` in the pytest process, where every protocol module
@@ -36,8 +37,8 @@ def _repro_modules() -> set:
     return {name for name in sys.modules if name.startswith("repro.")}
 
 
-async def attack_then_commit(streams: Dict[str, bytes]) -> dict:
-    """Send each stream to replica 0 on a connection of its own.
+async def attack_then_commit(streams: Dict[str, bytes], protocol: str = "caesar") -> dict:
+    """Send each stream to replica 0 of a ``protocol`` cluster on a connection of its own.
 
     Returns what each connection read back before the replica closed it, the
     contexts the loop's exception handler saw, the ``repro.*`` modules the
@@ -46,7 +47,7 @@ async def attack_then_commit(streams: Dict[str, bytes]) -> dict:
     loop = asyncio.get_running_loop()
     unhandled = []
     loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
-    cluster = LoopbackCluster("caesar", replicas=3, seed=5)
+    cluster = LoopbackCluster(protocol, replicas=3, seed=5)
     await cluster.start()
     try:
         host, port = cluster.peers[0]

@@ -27,7 +27,10 @@ the figures should run is ROADMAP item 1's decision.
 kernel (send, broadcast, timers, retransmission, the failure detector, the
 CPU charge, stats, decision records).  It also uses the product's
 vocabulary: the EPaxos messages, ``InstanceId`` and ``InstanceStatus``.
-``tests/test_import_graph.py`` holds it to that.
+``tests/test_import_graph.py`` holds it to that.  A row's ``deps`` is a
+frozenset; a message carries the same ids as a strictly ascending tuple, the
+form its wire codec takes, so :func:`on_wire` writes one and ``frozenset``
+reads one.
 
 Rules the pseudocode leaves open, kept here because the product keeps them:
 
@@ -37,6 +40,8 @@ Rules the pseudocode leaves open, kept here because the product keeps them:
 * the fast quorum is ``F + floor((F + 1) / 2)`` replicas counting the leader
   (``N = 2F + 1``); the leader decides as soon as that many have pre-accepted,
   fast if every reply carries its own ``seq`` and ``deps``;
+* a catch-up request names the uncommitted dependencies of the waiting
+  instances, each instance's in increasing id order, and at most 32 of them;
 * the order in which a replica tries its committed instances for execution
   is open in the paper; the spec keeps their ids in a set and tries them in
   the order Python iterates it, the product's.  Executing one instance can
@@ -114,6 +119,11 @@ EXECUTED = InstanceStatus.EXECUTED
 RECOVERY_DELAY_MS = 50.0
 #: What a catch-up request names at most (the product's).
 CATCHUP_WANT_LIMIT = 32
+
+
+def on_wire(deps: FrozenSet[InstanceId]) -> tuple:
+    """A dependency set as a message carries it: its ids in ascending order."""
+    return tuple(sorted(deps))
 
 
 @dataclass
@@ -201,8 +211,8 @@ class SpecEPaxosReplica(ProtocolKernel):
         state = LeaderRound(command, "preaccept", seq, deps, ballot,
                             QuorumTracker(self.fast_quorum, extra_votes=1))
         self.rounds[instance_id] = state
-        message = PreAccept(instance_id=instance_id, command=command, seq=seq, deps=deps,
-                            ballot=ballot)
+        message = PreAccept(instance_id=instance_id, command=command, seq=seq,
+                            deps=on_wire(deps), ballot=ballot)
         self.broadcast(message, include_self=False)
         self.retransmit.track(("lead", instance_id), message, tracker=state.votes,
                               done=lambda s=state: s.phase == "done")
@@ -216,13 +226,14 @@ class SpecEPaxosReplica(ProtocolKernel):
                                 or row.ballot > message.ballot):
             return
         interfering = self.interfering(message.command, instance_id)
-        deps = message.deps | interfering
+        proposed = frozenset(message.deps)
+        deps = proposed | interfering
         seq = max(message.seq, self.next_seq(interfering))
         self.consume_cpu(self.cost_model.dependency_cost(len(deps)))
         self.rows[instance_id] = Row(message.command, seq, deps, PRE_ACCEPTED, message.ballot)
-        self.send(src, PreAcceptReply(instance_id=instance_id, seq=seq, deps=deps,
+        self.send(src, PreAcceptReply(instance_id=instance_id, seq=seq, deps=on_wire(deps),
                                       ballot=message.ballot,
-                                      changed=deps != message.deps or seq != message.seq))
+                                      changed=deps != proposed or seq != message.seq))
 
     @handles(PreAcceptReply)
     def _on_pre_accept_reply(self, src: int, message: PreAcceptReply) -> None:
@@ -234,7 +245,8 @@ class SpecEPaxosReplica(ProtocolKernel):
         if not state.votes.vote(src, message):
             return
         replies = list(state.votes.payloads())
-        if all(reply.deps == state.deps and reply.seq == state.seq for reply in replies):
+        if all(frozenset(reply.deps) == state.deps and reply.seq == state.seq
+               for reply in replies):
             self._commit(message.instance_id, state, fast=True)
             return
         state.deps = state.deps.union(*[reply.deps for reply in replies])
@@ -252,7 +264,7 @@ class SpecEPaxosReplica(ProtocolKernel):
     def _send_accept(self, instance_id: InstanceId, state: LeaderRound) -> Accept:
         """Line 17 (``recalled``): Accept to the others; line 16's row is written."""
         message = Accept(instance_id=instance_id, command=state.command, seq=state.seq,
-                         deps=state.deps, ballot=state.ballot)
+                         deps=on_wire(state.deps), ballot=state.ballot)
         self.broadcast(message, include_self=False)
         return message
 
@@ -263,8 +275,8 @@ class SpecEPaxosReplica(ProtocolKernel):
         if row is not None and (row.ballot > message.ballot
                                 or row.status in (COMMITTED, EXECUTED)):
             return
-        self.rows[message.instance_id] = Row(message.command, message.seq, message.deps,
-                                             ACCEPTED, message.ballot)
+        self.rows[message.instance_id] = Row(message.command, message.seq,
+                                             frozenset(message.deps), ACCEPTED, message.ballot)
         self.send(src, AcceptReply(instance_id=message.instance_id, ballot=message.ballot))
 
     @handles(AcceptReply)
@@ -294,7 +306,7 @@ class SpecEPaxosReplica(ProtocolKernel):
         self.waiting.add(instance_id)
         self.retransmit.resolve(("lead", instance_id))
         self.broadcast(Commit(instance_id=instance_id, command=state.command, seq=state.seq,
-                              deps=state.deps), include_self=False)
+                              deps=on_wire(state.deps)), include_self=False)
         self.try_execute()
 
     @handles(Commit)
@@ -304,13 +316,13 @@ class SpecEPaxosReplica(ProtocolKernel):
         instance_id = message.instance_id
         row = self.rows.get(instance_id)
         if row is None:
-            self.rows[instance_id] = Row(message.command, message.seq, message.deps,
+            self.rows[instance_id] = Row(message.command, message.seq, frozenset(message.deps),
                                          COMMITTED, Ballot.initial(instance_id[0]))
         elif row.status is EXECUTED:
             return
         else:
             row.command = row.command or message.command
-            row.seq, row.deps, row.status = message.seq, message.deps, COMMITTED
+            row.seq, row.deps, row.status = message.seq, frozenset(message.deps), COMMITTED
         self.waiting.add(instance_id)
         self.rounds.pop(instance_id, None)
         self.retransmit.resolve(("lead", instance_id))
@@ -414,7 +426,7 @@ class SpecEPaxosReplica(ProtocolKernel):
         row.ballot = message.ballot
         self.send(src, PrepareReply(instance_id=message.instance_id, ballot=message.ballot,
                                     known=True, command=row.command, seq=row.seq,
-                                    deps=row.deps, status=row.status.value))
+                                    deps=on_wire(row.deps), status=row.status.value))
 
     @handles(PrepareReply)
     def _on_prepare_reply(self, src: int, message: PrepareReply) -> None:
@@ -432,7 +444,7 @@ class SpecEPaxosReplica(ProtocolKernel):
         row = self.rows.get(instance_id)
         if committed:
             self._commit_recovered(instance_id, committed[0].command, committed[0].seq,
-                                   committed[0].deps)
+                                   frozenset(committed[0].deps))
             return
         if row is not None and row.status in (COMMITTED, EXECUTED):
             self._commit_recovered(instance_id, row.command, row.seq, row.deps)
@@ -467,8 +479,8 @@ class SpecEPaxosReplica(ProtocolKernel):
         if row.status is COMMITTED:
             self.waiting.add(instance_id)
         self.rounds.pop(instance_id, None)
-        self.broadcast(Commit(instance_id=instance_id, command=command, seq=seq, deps=deps),
-                       include_self=False)
+        self.broadcast(Commit(instance_id=instance_id, command=command, seq=seq,
+                              deps=on_wire(deps)), include_self=False)
         self.try_execute()
 
     # ----------------------------------------------------- catch-up
@@ -477,7 +489,7 @@ class SpecEPaxosReplica(ProtocolKernel):
         """The dependencies of waiting instances not committed here, by name."""
         want: Set[str] = set()
         for instance_id in self.waiting:
-            for dep in self.rows[instance_id].deps:
+            for dep in sorted(self.rows[instance_id].deps):
                 row = self.rows.get(dep)
                 if row is None or row.status in (PRE_ACCEPTED, ACCEPTED):
                     want.add(f"{dep[0]}:{dep[1]}")
@@ -496,5 +508,6 @@ class SpecEPaxosReplica(ProtocolKernel):
                 continue
             if row is not None and row.status in (COMMITTED, EXECUTED):
                 supplies.append(Commit(instance_id=(int(leader), int(number)),
-                                       command=row.command, seq=row.seq, deps=row.deps))
+                                       command=row.command, seq=row.seq,
+                                       deps=on_wire(row.deps)))
         return supplies

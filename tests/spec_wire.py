@@ -17,6 +17,9 @@ format") states the same rules in prose.
 * tuple: its elements in order, no count;
 * seq: the count as a uint, then the elements in order;
 * frozenset: the count as a uint, then the elements in ascending order;
+* sorted seq: a frozenset's bytes, held as a tuple: the count as a uint, then
+  the elements, each greater than the one before; a tuple out of that order,
+  or bytes that are, is refused both ways;
 * struct: its fields in declaration order;
 * message: its type id as a uint, then its fields as a struct;
 * registry digest (``Hello.digest``): the CRC-32 (the reflected polynomial
@@ -37,6 +40,7 @@ from repro.runtime.codec import (
     OptionalCodec,
     SeqCodec,
     SintCodec,
+    SortedSeqCodec,
     StrCodec,
     StructCodec,
     TupleCodec,
@@ -61,6 +65,12 @@ def _read_uint(data: bytes, offset: int) -> tuple:
         if byte < 0x80:
             return value, offset
         shift += 7
+
+
+def _ascending(items) -> None:
+    for before, after in zip(items, items[1:]):
+        if not before < after:
+            raise ValueError(f"{before} is not below {after}")
 
 
 def _type_id(cls: type) -> int:
@@ -93,7 +103,9 @@ def _encode(codec, value, out: bytearray) -> None:
     elif kind is TupleCodec:
         for element, item in zip(codec.elements, value, strict=True):
             _encode(element, item, out)
-    elif kind in (SeqCodec, FrozenSetCodec):
+    elif kind in (SeqCodec, FrozenSetCodec, SortedSeqCodec):
+        if kind is SortedSeqCodec:
+            _ascending(value)
         _uint(len(value), out)
         for item in sorted(value) if kind is FrozenSetCodec else value:
             _encode(codec.element, item, out)
@@ -133,7 +145,7 @@ def decode(codec, data: bytes, offset: int) -> tuple:
         if data[offset] == 0:
             return None, offset + 1
         return decode(codec.inner, data, offset + 1)
-    if kind in (TupleCodec, SeqCodec, FrozenSetCodec):
+    if kind in (TupleCodec, SeqCodec, FrozenSetCodec, SortedSeqCodec):
         if kind is TupleCodec:
             elements = codec.elements
         else:
@@ -143,6 +155,8 @@ def decode(codec, data: bytes, offset: int) -> tuple:
         for element in elements:
             item, offset = decode(element, data, offset)
             items.append(item)
+        if kind is SortedSeqCodec:
+            _ascending(items)
         return (frozenset if kind is FrozenSetCodec else tuple)(items), offset
     if kind in (StructCodec, MessageCodec):
         if kind is MessageCodec:

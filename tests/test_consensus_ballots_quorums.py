@@ -113,7 +113,7 @@ STATE_RECORDS = [
     (_PendingAccept, {"key": "k", "index": 0, "command": COMMAND, "epoch": 1}, ("acks",)),
     (_PendingAcquire, {"key": "k", "epoch": 1}, ("grants", "refusals")),
     (_LeaderState, {"instance_id": (0, 1), "command": COMMAND, "phase": "preaccept", "seq": 1,
-                    "deps": frozenset(), "original_seq": 1, "original_deps": frozenset(),
+                    "deps": (), "original_seq": 1, "original_deps": (),
                     "ballot": Ballot.initial(0)}, ("votes",)),
     (_RecoveryState, {"instance_id": (0, 1), "ballot": Ballot(1, 2)}, ("votes",)),
     (_SlotState, {"slot": 0, "command": COMMAND, "ballot": Ballot.initial(0)}, ("votes",)),

@@ -22,13 +22,15 @@ figure cell, which is why "same answer, cheaper to charge" is not enough.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.epaxos import (
+    Accept,
     AcceptReply,
     Commit,
     EPaxosReplica,
@@ -97,18 +99,21 @@ class Probe:
             replica.rows[instance_id] = Row(command, seq, frozenset(deps), status, ballot)
             waiting = replica.waiting
         else:
-            replica._record_instance(Instance(instance_id, command, seq, frozenset(deps),
+            replica._record_instance(Instance(instance_id, command, seq, tuple(sorted(deps)),
                                               status, ballot))
             waiting = replica._unexecuted_committed
             if status is EXECUTED:
-                replica._executed.add(instance_id)
+                replica._executed[instance_id] = None
         if status is COMMITTED:
             waiting.add(instance_id)
 
     def interfering(self, command: Command, exclude: InstanceId) -> set:
+        """The ids as a set; the product's must come strictly ascending."""
         if self.spec:
             return self.replica.interfering(command, exclude)
-        return self.replica._interfering_instances(command, exclude)
+        ids = self.replica._interfering_instances(command, exclude)
+        assert_ascending(ids)
+        return set(ids)
 
     def execution_order(self, root: InstanceId) -> Optional[List[InstanceId]]:
         if self.spec:
@@ -146,6 +151,11 @@ class Probe:
                 self.charges, dataclasses.asdict(replica.stats), replica.cpu_busy_ms,
                 replica.cpu_backlog_ms, executed(self), decisions, resends,
                 pending_times(self.sim))
+
+
+def assert_ascending(ids: Sequence[InstanceId]) -> None:
+    """``ids`` is a tuple with each id greater than the one before (so none repeats)."""
+    assert isinstance(ids, tuple) and all(a < b for a, b in zip(ids, ids[1:])), ids
 
 
 def executed(probe: Probe) -> list:
@@ -207,12 +217,15 @@ class TestConflictLookupDifferential:
         drive_stream(steps)
 
     def test_lookup_result_is_a_private_copy(self):
+        """The answer is a tuple of its own: what the index records later is not in it."""
         probe = Probe(spec=False)
         probe.record(IDS[0], Command(command_id=(1, 0), key="alpha", operation="put"))
-        for operation in OPERATIONS:
-            lookup = Command(command_id=(2, 0), key="alpha", operation=operation)
-            probe.interfering(lookup, (7, 0)).clear()
-            assert probe.interfering(lookup, (7, 0)) == {IDS[0]}
+        lookups = [Command(command_id=(2, 0), key="alpha", operation=operation)
+                   for operation in OPERATIONS]
+        answers = [probe.replica._interfering_instances(lookup, (7, 0)) for lookup in lookups]
+        probe.record(IDS[1], Command(command_id=(1, 1), key="alpha", operation="put"))
+        probe.record(IDS[2], Command(command_id=(1, 2), key="alpha", operation="get"))
+        assert answers == [(IDS[0],), (IDS[0],)]
 
     def test_an_id_recorded_again_moves_with_its_command(self):
         steps = [
@@ -226,6 +239,115 @@ class TestConflictLookupDifferential:
             (True, 0, "beta", "put", False, 99),
         ]
         drive_stream(steps)
+
+
+# ------------------------------------------------------------ representations
+
+#: One handler-level step: (kind, slot in ``PEER_IDS``, key, operation,
+#: dependency mask over ``IDS``).  A PreAccept for an id already recorded
+#: re-records it, with the step's command, which is on another key or of
+#: another kind more often than not.  Replica 0's proposals take ``(0, n)``,
+#: so the messages name the other leaders' ids.
+STEP_KINDS = ("propose", "pre_accept", "accept", "commit", "no-op")
+THREE_KEYS = (*KEYS, "gamma")
+PEER_IDS = [instance_id for instance_id in IDS if instance_id[0] != 0]
+handler_steps = st.lists(
+    st.tuples(st.sampled_from(STEP_KINDS), st.integers(0, len(PEER_IDS) - 1),
+              st.sampled_from(THREE_KEYS), st.sampled_from(OPERATIONS),
+              st.integers(0, 2 ** len(IDS) - 1)),
+    min_size=1, max_size=40)
+
+
+def apply_step(probe: Probe, number: int, step) -> None:
+    kind, slot, key, operation, mask = step
+    replica, instance_id = probe.replica, PEER_IDS[slot]
+    command = Command(command_id=(9, number), key=key, operation=operation)
+    deps = tuple(other for bit, other in enumerate(IDS) if mask >> bit & 1)
+    ballot = Ballot.initial(instance_id[0])
+    if kind == "propose":
+        replica.propose(command)
+    elif kind == "pre_accept":
+        replica.handle_message(1, PreAccept(instance_id, command, 1, deps, ballot))
+    elif kind == "accept":
+        replica.handle_message(1, Accept(instance_id, command, 1, deps, ballot))
+    elif kind == "commit":
+        replica.handle_message(1, Commit(instance_id, command, 1, deps))
+    else:  # what Explicit Prepare commits when no reply knows the command
+        replica._adopt_commit(instance_id, None, 0, ())
+
+
+def check_representation(replica: EPaxosReplica) -> None:
+    """The index and every stored dependency set against the instances, read as sets."""
+    commands = {instance_id: instance.command
+                for instance_id, instance in replica.instances.items()}
+    for instance in replica.instances.values():
+        assert_ascending(instance.deps)
+    for state in replica._leader_states.values():
+        assert_ascending(state.deps)
+        assert_ascending(state.original_deps)
+    indexed = []
+    for is_write, index in ((True, replica._writes_on), (False, replica._reads_on)):
+        for key, ids in index.items():
+            assert isinstance(ids, list)
+            assert_ascending(tuple(ids))
+            for instance_id in ids:
+                command = commands[instance_id]
+                assert command is not None
+                assert (command.key, command.is_write) == (key, is_write)
+            indexed.extend(ids)
+    # Every instance with a command is in one list, once; one without is in none.
+    assert sorted(indexed) == sorted(instance_id for instance_id, command in commands.items()
+                                     if command is not None)
+    for key in THREE_KEYS:
+        for operation in OPERATIONS:
+            lookup = Command(command_id=(2, 0), key=key, operation=operation)
+            for exclude in (IDS[0], (7, 7)):
+                ids = replica._interfering_instances(lookup, exclude)
+                assert_ascending(ids)
+                assert set(ids) == {instance_id for instance_id, command in commands.items()
+                                    if instance_id != exclude and command is not None
+                                    and command.conflicts_with(lookup)}
+
+
+class TestRepresentations:
+    """The sorted-list index, the ascending dependency tuples and the executed
+    map, driven through the handlers, against a set-based reading of the
+    instances table."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(steps=handler_steps)
+    def test_random_handler_sequences_keep_every_representation(self, steps):
+        probe = Probe(spec=False)
+        for number, step in enumerate(steps):
+            apply_step(probe, number, step)
+            check_representation(probe.replica)
+        executed_ids = probe.replica._executed
+        assert all(probe.replica.instances[instance_id].status is EXECUTED
+                   for instance_id in executed_ids)
+
+    def test_an_id_re_recorded_on_each_key_and_kind_and_a_no_op(self):
+        steps = [("pre_accept", 1, key, operation, 0b1)
+                 for key in THREE_KEYS for operation in OPERATIONS]
+        steps += [("accept", 1, "beta", "get", 0b101), ("no-op", 3, "alpha", "put", 0),
+                  ("pre_accept", 2, "alpha", "put", 0b10)]
+        probe = Probe(spec=False)
+        for number, step in enumerate(steps):
+            apply_step(probe, number, step)
+            check_representation(probe.replica)
+        replica = probe.replica
+        assert replica.instances[PEER_IDS[3]].command is None
+        assert replica._reads_on == {"alpha": [], "beta": [PEER_IDS[1]], "gamma": []}
+        assert replica._writes_on == {"alpha": [PEER_IDS[2]], "beta": [], "gamma": []}
+        assert replica.instances[PEER_IDS[2]].deps == (IDS[1],)
+
+    def test_an_acceptor_that_knows_the_same_instances_keeps_the_proposal_s_tuple(self):
+        probe = Probe(spec=False)
+        probe.record(IDS[0], Command(command_id=(1, 0), key="x", operation="put"))
+        deps = (IDS[0],)
+        command = Command(command_id=(1, 5), key="x")
+        probe.replica.handle_message(1, PreAccept(IDS[5], command, 1, deps, Ballot.initial(1)))
+        assert probe.sent[-1][1].deps is deps
+        assert probe.replica.instances[IDS[5]].deps is deps
 
 
 # ------------------------------------------------------------ execution order
@@ -259,10 +381,32 @@ def ask_root(nodes: Dict[InstanceId, Node], root: InstanceId,
     """``root`` asked once on both sides, which must agree: the order, and the
     product's probe."""
     product, spec = build_graph(False, nodes, no_ops), build_graph(True, nodes, no_ops)
-    order = product.execution_order(root)
+    with sorted_for_a_walk() as product.walked:
+        order = product.execution_order(root)
     assert order == spec.execution_order(root), ("spec disagrees", root)
     agree(product, spec, 0, root)
     return order, product
+
+
+@contextlib.contextmanager
+def sorted_for_a_walk() -> Iterator[List[InstanceId]]:
+    """The ids whose dependencies a Tarjan walk asked for, in the order it asked.
+
+    The walk reads a node's dependencies through ``Instance.deps_sorted``; the
+    two shortcuts read ``deps`` directly.  So the root's id in the list tells
+    that the product walked, where its charges and counts cannot."""
+    asked: List[InstanceId] = []
+    deps_sorted = Instance.deps_sorted
+
+    def recording(instance: Instance):
+        asked.append(instance.instance_id)
+        return deps_sorted(instance)
+
+    Instance.deps_sorted = recording
+    try:
+        yield asked
+    finally:
+        Instance.deps_sorted = deps_sorted
 
 
 def check_graph(nodes: Dict[InstanceId, Node], no_ops=()) -> Probe:
@@ -316,7 +460,7 @@ class TestExecutionOrderDifferential:
         for blocker in (PRE_ACCEPTED, ACCEPTED, None):
             probe = check_graph({A: (blocker, 1, []), B: (COMMITTED, 2, [A]),
                                  C: (COMMITTED, 3, [B])})
-            assert probe.replica._executed == set()
+            assert not probe.replica._executed
             assert probe.replica.stats.graph_nodes_visited > 0  # the walk is charged
 
     def test_accepted_root_is_not_executable(self):
@@ -339,11 +483,11 @@ class TestExecutionOrderDifferential:
     def test_three_cycle_behind_an_uncommitted_instance(self):
         probe = check_graph({A: (COMMITTED, 3, [B]), B: (COMMITTED, 1, [C]),
                              C: (COMMITTED, 2, [A, D]), D: (ACCEPTED, 1, [])})
-        assert probe.replica._executed == set()
+        assert not probe.replica._executed
 
-    # The walk's two shortcuts and the cases next to them.  ``_sorted_for`` is
-    # set once the root's dependencies were sorted for a walk, so it tells
-    # which way the product answered; the spec always walks.
+    # The walk's two shortcuts and the cases next to them.  ``walked`` names the
+    # ids a walk read the dependencies of, so it tells which way the product
+    # answered; the spec always walks.
 
     def test_blocked_at_the_first_unexecuted_dependency_without_a_walk(self):
         for blocker in (PRE_ACCEPTED, ACCEPTED, None):
@@ -353,7 +497,7 @@ class TestExecutionOrderDifferential:
             assert order is None
             assert probe.charges == [probe.replica.cost_model.dependency_cost(1)]
             assert probe.replica.stats.graph_nodes_visited == 1
-            assert probe.replica.instances[D]._sorted_for is None
+            assert probe.walked == []
             check_graph(nodes)
 
     def test_a_committed_first_dependency_walks_on_to_a_later_blocker(self):
@@ -362,8 +506,8 @@ class TestExecutionOrderDifferential:
         assert order is None
         assert probe.charges == [probe.replica.cost_model.dependency_cost(2)]
         assert probe.replica.stats.graph_nodes_visited == 2
-        assert probe.replica.instances[C]._sorted_for is not None
-        assert check_graph(nodes).replica._executed == {A}
+        assert probe.walked[0] == C
+        assert list(check_graph(nodes).replica._executed) == [A]
 
     def test_a_no_op_first_dependency_is_walked_through(self):
         for status in (COMMITTED, InstanceStatus.NOOP):
@@ -375,7 +519,7 @@ class TestExecutionOrderDifferential:
             order, blocked = ask_root(nodes, D, no_ops={A})
             assert order is None
             assert blocked.charges == [blocked.replica.cost_model.dependency_cost(2)]
-            assert blocked.replica.instances[D]._sorted_for is not None
+            assert blocked.walked[0] == D
             assert executed(check_graph(nodes, no_ops={A})) == [(5, 2)]
 
     def test_a_root_among_its_own_dependencies(self):
@@ -420,7 +564,7 @@ ORPHAN = (4, 0)   # an instance of replica 4, which crashes
 
 
 def pre_accept_reply(seq: int = 1, deps=(), changed: bool = False) -> PreAcceptReply:
-    return PreAcceptReply(instance_id=LED, seq=seq, deps=frozenset(deps),
+    return PreAcceptReply(instance_id=LED, seq=seq, deps=tuple(deps),
                           ballot=Ballot.initial(0), changed=changed)
 
 
@@ -437,7 +581,7 @@ def suspect_4(pair: Pair) -> None:
 def recovering() -> Pair:
     """Replica 4 pre-accepted ``Z`` here, then fell silent; replica 0 prepares."""
     pair = Pair()
-    pair.feed(4, PreAccept(instance_id=ORPHAN, command=Z, seq=1, deps=frozenset(),
+    pair.feed(4, PreAccept(instance_id=ORPHAN, command=Z, seq=1, deps=(),
                            ballot=Ballot.initial(4)))
     suspect_4(pair)
     return pair
@@ -445,7 +589,7 @@ def recovering() -> Pair:
 
 def prepare_reply(status: InstanceStatus, deps=(), ballot: Ballot = FIRST) -> PrepareReply:
     return PrepareReply(instance_id=ORPHAN, ballot=ballot, known=True, command=Z, seq=1,
-                        deps=frozenset(deps), status=status.value)
+                        deps=tuple(deps), status=status.value)
 
 
 class TestScenarios:
@@ -465,14 +609,14 @@ class TestScenarios:
         for src in (1, 2):
             pair.feed(src, AcceptReply(instance_id=LED, ballot=Ballot.initial(0)))
         assert pair.product.replica.stats.slow_decisions == 1
-        assert pair.product.replica.instances[LED].deps == {FOREIGN}
-        pair.feed(1, Commit(instance_id=FOREIGN, command=Y, seq=1, deps=frozenset()))
+        assert pair.product.replica.instances[LED].deps == (FOREIGN,)
+        pair.feed(1, Commit(instance_id=FOREIGN, command=Y, seq=1, deps=()))
         assert executed(pair.product) == [Y.command_id, X.command_id]
 
     def test_a_commit_from_elsewhere_ends_the_local_round(self):
         pair = Pair()
         pair.act(lambda probe: probe.replica.submit(X, ignore), "submit")
-        pair.feed(2, Commit(instance_id=LED, command=X, seq=1, deps=frozenset()))
+        pair.feed(2, Commit(instance_id=LED, command=X, seq=1, deps=()))
         for src in (1, 2):  # the superseded round's replies: no second Commit
             pair.feed(src, pre_accept_reply())
         assert executed(pair.product) == [X.command_id]
@@ -481,11 +625,11 @@ class TestScenarios:
     def test_an_acceptor_adds_what_it_knows(self):
         pair = Pair()
         pair.act(lambda probe: probe.replica.submit(X, ignore), "submit")
-        pair.feed(1, PreAccept(instance_id=FOREIGN, command=Y, seq=1, deps=frozenset(),
+        pair.feed(1, PreAccept(instance_id=FOREIGN, command=Y, seq=1, deps=(),
                                ballot=Ballot.initial(1)))
         pair.feed(2, PreAccept(instance_id=(2, 0), command=Command(command_id=(4, 0), key="y"),
-                               seq=1, deps=frozenset(), ballot=Ballot.initial(2)))
-        assert pair.product.sent[-2][1].deps == {LED}
+                               seq=1, deps=(), ballot=Ballot.initial(2)))
+        assert pair.product.sent[-2][1].deps == (LED,)
 
     def test_explicit_prepare_accepts_the_union_and_forgets_late_replies(self):
         pair = recovering()
@@ -494,7 +638,7 @@ class TestScenarios:
         pair.feed(3, prepare_reply(PRE_ACCEPTED))  # after the quorum: ignored
         for src in (1, 2):
             pair.feed(src, AcceptReply(instance_id=ORPHAN, ballot=FIRST))
-        assert pair.product.replica.instances[ORPHAN].deps == {FOREIGN}
+        assert pair.product.replica.instances[ORPHAN].deps == (FOREIGN,)
         assert (pair.product.replica._leader_states, pair.product.replica._recoveries) == ({}, {})
 
     def test_explicit_prepare_commits_a_committed_reply(self):
@@ -515,7 +659,7 @@ class TestScenarios:
 
     def test_a_commit_during_explicit_prepare_is_final(self):
         pair = recovering()
-        pair.feed(1, Commit(instance_id=ORPHAN, command=Z, seq=1, deps=frozenset()))
+        pair.feed(1, Commit(instance_id=ORPHAN, command=Z, seq=1, deps=()))
         for src in (2, 3):
             pair.feed(src, prepare_reply(PRE_ACCEPTED))
 

@@ -26,7 +26,7 @@ PACKAGE = pathlib.Path(repro.__file__).parent
 #: Every registered message, and the per-message / per-command records.
 RECORDS = frozenset({qualname.rpartition(".")[2] for qualname in TYPE_IDS} | {
     "Command", "CommandResult", "CommandSample", "Decision", "HistoryEntry",
-    "Instance", "LeaderState", "_LeaderState", "QuorumTracker", "_PendingAccept",
+    "Instance", "LeaderState", "_LeaderState", "Operation", "QuorumTracker", "_PendingAccept",
     "_PendingAcquire", "_SlotState",
 })
 
@@ -45,6 +45,7 @@ PER_COMMAND = {
                              "M2PaxosReplica._acquire_then_lead"),
     "baselines/mencius.py": ("MenciusReplica.propose",),
     "baselines/multipaxos.py": ("MultiPaxosReplica.propose", "MultiPaxosReplica._lead"),
+    "chaos/history.py": ("HistoryTape.invoke",),
     "consensus/interface.py": ("ConsensusReplica.submit", "ConsensusReplica.execute_command"),
     "workload/generator.py": ("ConflictWorkload.next_command",),
     "workload/clients.py": ("ClosedLoopClient._submit_next", "OpenLoopClient._inject"),
@@ -189,3 +190,14 @@ def test_an_aliased_record_class_is_caught():
     found = violations(source.replace(original, "reply_cls(command_id, ballot, reply_ts, "
                                                 "reply_ids, ok=ok)"), "core/caesar.py")
     assert [entry.split(": ", 1)[1] for entry in found] == ["reply_cls(...) with keywords"]
+
+
+def test_a_keyword_tape_record_is_caught():
+    """The chaos tape builds one ``Operation`` per command it records."""
+    source = read("chaos/history.py")
+    original = "Operation(len(self.operations), client_id, key, operation, value, self.sim.now)"
+    assert original in source
+    found = violations(source.replace(original, original.replace("self.sim.now",
+                                                                 "invoked_at=self.sim.now")),
+                       "chaos/history.py")
+    assert [entry.split(": ", 1)[1] for entry in found] == ["Operation(...) with keywords"]

@@ -256,7 +256,7 @@ SPECS = {
     "wire": ("spec_wire.py", None, {
         "repro.runtime.codec": {"UintCodec", "SintCodec", "BoolCodec", "StrCodec",
                                 "OptionalCodec", "TupleCodec", "SeqCodec", "FrozenSetCodec",
-                                "StructCodec"},
+                                "SortedSeqCodec", "StructCodec"},
         "repro.runtime.registry": {"TYPE_IDS", "MessageCodec"},
     }),
 }

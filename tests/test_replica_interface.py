@@ -90,7 +90,7 @@ class TestEPaxosAttributes:
         replica, _ = self.build_replica()
         replica.propose(make_command(0, 0, key="x", origin=0))
         instance = replica.instances[(0, 0)]
-        assert instance.deps == set()
+        assert instance.deps == ()
         assert instance.seq == 1
         assert instance.status is InstanceStatus.PRE_ACCEPTED
 
@@ -107,7 +107,7 @@ class TestEPaxosAttributes:
         replica.propose(make_command(0, 0, key="x", origin=0))
         replica.propose(make_command(0, 1, key="y", origin=0))
         second = replica.instances[(0, 1)]
-        assert second.deps == set()
+        assert second.deps == ()
         assert second.seq == 1
 
     def test_pre_accept_reply_reports_changed_attributes(self):
@@ -118,7 +118,7 @@ class TestEPaxosAttributes:
         replica.send = lambda dst, msg: sent.append((dst, msg))
         remote = make_command(1, 0, key="x", origin=1)
         replica._on_pre_accept(1, PreAccept(instance_id=(1, 0), command=remote, seq=1,
-                                            deps=frozenset(), ballot=Ballot.initial(1)))
+                                            deps=(), ballot=Ballot.initial(1)))
         reply = sent[-1][1]
         assert reply.changed
         assert (0, 0) in set(reply.deps)
@@ -130,7 +130,7 @@ class TestEPaxosAttributes:
         replica.send = lambda dst, msg: sent.append((dst, msg))
         remote = make_command(1, 0, key="fresh", origin=1)
         replica._on_pre_accept(1, PreAccept(instance_id=(1, 0), command=remote, seq=1,
-                                            deps=frozenset(), ballot=Ballot.initial(1)))
+                                            deps=(), ballot=Ballot.initial(1)))
         reply = sent[-1][1]
         assert not reply.changed
         assert reply.seq == 1
@@ -144,11 +144,11 @@ class TestEPaxosAttributes:
         replica.propose(make_command(0, 4, key="y"))
         deps = {seq: replica.instances[(0, seq)].deps for seq in range(5)}
         # A get depends on the key's puts, not on another get; a put on both.
-        assert deps[1] == deps[2] == {(0, 0)}
-        assert deps[3] == {(0, 0), (0, 1), (0, 2)}
-        assert deps[4] == set()
-        assert replica._reads_on == {"x": {(0, 1), (0, 2)}}
-        assert replica._writes_on == {"x": {(0, 0), (0, 3)}, "y": {(0, 4)}}
+        assert deps[1] == deps[2] == ((0, 0),)
+        assert deps[3] == ((0, 0), (0, 1), (0, 2))
+        assert deps[4] == ()
+        assert replica._reads_on == {"x": [(0, 1), (0, 2)]}
+        assert replica._writes_on == {"x": [(0, 0), (0, 3)], "y": [(0, 4)]}
 
     def test_a_write_only_run_makes_no_read_set(self):
         result = run_experiment(ExperimentConfig(protocol="epaxos", conflict_rate=0.3,

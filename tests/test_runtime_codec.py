@@ -37,6 +37,7 @@ from repro.runtime.codec import (
     OptionalCodec,
     SeqCodec,
     SintCodec,
+    SortedSeqCodec,
     StrCodec,
     StructCodec,
     TupleCodec,
@@ -75,6 +76,8 @@ def strategy_for(codec) -> st.SearchStrategy:
         return st.lists(strategy_for(codec.element), max_size=4).map(tuple)
     if isinstance(codec, FrozenSetCodec):
         return st.frozensets(strategy_for(codec.element), max_size=4)
+    if isinstance(codec, SortedSeqCodec):
+        return st.frozensets(strategy_for(codec.element), max_size=4).map(sorted).map(tuple)
     if isinstance(codec, StructCodec):
         return st.builds(codec.cls,
                          **{name: strategy_for(field) for name, field in codec.fields})

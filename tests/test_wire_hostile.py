@@ -20,7 +20,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines.epaxos import PreAccept
+from repro.baselines.epaxos import Commit, PreAccept
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command
 from repro.consensus.timestamps import LogicalTimestamp
@@ -86,6 +86,46 @@ def test_batches_nested_past_the_recursion_limit_raise_wire_decode_error():
     payload = envelope * (sys.getrecursionlimit() * 2) + WIRE.encode(Heartbeat(0, 0))
     with pytest.raises(WireDecodeError, match="RecursionError"):
         WIRE.decode_one(payload)
+
+
+def _epaxos_commit(deps) -> bytes:
+    """An EPaxos ``Commit`` payload carrying ``deps`` in the order given.
+
+    The encoder refuses such a tuple, so the bytes are a well-formed commit's
+    with its two dependencies' bytes rewritten in place."""
+    command = Command(command_id=(93, 0), key="d", operation="put", value="v", origin=1)
+    payload = WIRE.encode(Commit((1, 5), command, 2, ((1, 1), (2, 2))))
+    listed = b"\x02" + b"".join(bytes((2 * leader, 2 * number)) for leader, number in deps)
+    assert payload.count(b"\x02\x02\x02\x04\x04") == 1
+    return payload.replace(b"\x02\x02\x02\x04\x04", listed)
+
+
+#: Dependencies a ``Commit`` may not carry: out of order, and one id twice.
+BAD_DEPS = {"out-of-order": ((2, 2), (1, 1)), "repeated": ((1, 1), (1, 1))}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DEPS))
+def test_an_epaxos_commit_with_disordered_dependencies_is_refused(name):
+    """A dependency set travels strictly ascending, and the replica keeps the
+    tuple it decodes: any other order is malformed, not re-sorted."""
+    assert WIRE.decode_one(_epaxos_commit(((1, 1), (2, 2)))).deps == ((1, 1), (2, 2))
+    with pytest.raises(WireDecodeError, match="not strictly ascending"):
+        WIRE.decode_one(_epaxos_commit(BAD_DEPS[name]))
+    command = Command(command_id=(93, 0), key="d", operation="put", value="v", origin=1)
+    with pytest.raises(ValueError, match="not strictly ascending"):
+        WIRE.encode(Commit((1, 5), command, 2, BAD_DEPS[name]))
+
+
+def test_an_epaxos_replica_drops_a_link_that_sends_disordered_dependencies():
+    hello = encode_frame(WIRE.encode(Hello(sender=1, role=ROLE_REPLICA)))
+    streams = {name: hello + encode_frame(_epaxos_commit(deps))
+               for name, deps in BAD_DEPS.items()}
+    outcome = asyncio.run(attack_then_commit(streams, protocol="epaxos"))
+    assert outcome["received"] == dict.fromkeys(streams, b"")
+    assert outcome["result"].command_id == (7, 0) and not outcome["result"].rejected
+    assert outcome["executed"] == 1
+    assert outcome["unhandled"] == []
+    assert outcome["handshakes_refused"] == 0
 
 
 # --------------------------------------------------------- against a live replica
@@ -169,7 +209,7 @@ def test_another_protocols_message_is_an_unknown_id_to_a_caesar_only_replica():
     bytes would decode; hence the fresh interpreter.)"""
     pre_accept = PreAccept(instance_id=(1, 0), command=Command(
         command_id=(1, 0), key="k", operation="put", value="v", origin=1),
-        seq=1, deps=frozenset({(2, 3)}), ballot=Ballot(0, 1))
+        seq=1, deps=((2, 3),), ballot=Ballot(0, 1))
     payload = WIRE.encode(pre_accept)
     assert payload[0] == TYPE_IDS["repro.baselines.epaxos.PreAccept"] == 13
     streams = _hostile_streams()
