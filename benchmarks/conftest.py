@@ -1,9 +1,9 @@
 """Shared helpers for the figure suite.
 
 The modules here check the committed figures; none of them writes one.  Each
-``test_fig*.py`` module (and ``test_ablation_wait.py``) asserts the shape of
-one figure on its committed ``BENCH_<stem>.json`` record — a read of a file,
-not a run — and names the PAPER.md line that shape comes from.
+test of ``test_figure_shapes.py`` asserts the shape of one figure on its
+committed ``BENCH_<stem>.json`` record — a read of a file, not a run — and
+names the PAPER.md line that shape comes from.
 ``test_figure_slice.py`` re-runs a few sweep cells in memory and compares
 them with the same records.  The records themselves are regenerated by one
 command, ``repro figure all --out benchmarks/results`` (CI's record gate and

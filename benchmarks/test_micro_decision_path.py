@@ -27,9 +27,9 @@ from typing import Callable, Dict
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command
-from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.history import CommandHistory, CommandStatus
 from repro.core.predecessors import WaitManager, compute_predecessor_mask
+from tests.conftest import ts
 from tests.spec_caesar import SpecHistory, SpecWait, compute_predecessors
 
 #: Per-key bucket sizes the operations are timed at.
@@ -43,10 +43,6 @@ PARKED = 8
 NOTIFIES = 64
 
 BALLOT = Ballot.initial(0)
-
-
-def ts(counter: int, node: int = 0) -> LogicalTimestamp:
-    return LogicalTimestamp(counter, node)
 
 
 def make_commands(count: int, key: str = "hot") -> list:

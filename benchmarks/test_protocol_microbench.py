@@ -14,7 +14,6 @@ import pathlib
 import pytest
 
 from repro.consensus.command import Command
-from repro.consensus.quorums import QuorumSystem, epaxos_fast_quorum_size
 from repro.harness.cluster import ClusterConfig, build_cluster
 from repro.metrics.perf import PerfRecord, write_record
 from repro.runtime.registry import WIRE
@@ -34,12 +33,6 @@ def order_single_command(protocol: str, origin: int = 0, **options):
                           deadline=cluster.sim.now + 30000, check_every=1)
     latency = cluster.replica(origin).decisions[command.command_id].latency_ms
     return latency, cluster
-
-
-def test_quorum_sizes_for_paper_deployment():
-    quorums = QuorumSystem.for_cluster(5)
-    assert (quorums.classic, quorums.fast, quorums.f) == (3, 4, 2)
-    assert epaxos_fast_quorum_size(5) == 3
 
 
 def test_caesar_fast_decision_is_two_delays():

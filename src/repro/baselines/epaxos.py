@@ -294,13 +294,18 @@ class EPaxosReplica(ProtocolKernel):
         """
         instance_id = instance.instance_id
         previous = self.instances.get(instance_id)
-        if previous is not None and previous.command is not None:
-            ids = self._index_for(previous.command)
-            del ids[bisect_left(ids, instance_id)]
         self.instances[instance_id] = instance
-        command = instance.command
-        if command is not None:
-            insort(self._index_for(command), instance_id)
+        self._reindex(instance_id, None if previous is None else previous.command,
+                      instance.command)
+
+    def _reindex(self, instance_id: InstanceId, old: Optional[Command],
+                 new: Optional[Command]) -> None:
+        """Move ``instance_id`` from the list ``old`` put it in to ``new``'s."""
+        if old is not None:
+            ids = self._index_for(old)
+            del ids[bisect_left(ids, instance_id)]
+        if new is not None:
+            insort(self._index_for(new), instance_id)
 
     def _index_for(self, command: Command) -> List[InstanceId]:
         index = self._writes_on if command.is_write else self._reads_on
@@ -434,7 +439,9 @@ class EPaxosReplica(ProtocolKernel):
         else:
             if instance.status is InstanceStatus.EXECUTED:
                 return
-            instance.command = instance.command or message.command
+            if instance.command != message.command:  # final, a recovery's no-op too
+                self._reindex(message.instance_id, instance.command, message.command)
+                instance.command = message.command
             instance.seq = message.seq
             instance.deps = message.deps
             instance.status = InstanceStatus.COMMITTED
@@ -729,7 +736,9 @@ class EPaxosReplica(ProtocolKernel):
                                 ballot=Ballot.initial(instance_id[0]))
             self._record_instance(instance)
         else:
-            instance.command = instance.command or command
+            if instance.command != command:  # final, a no-op too
+                self._reindex(instance_id, instance.command, command)
+                instance.command = command
             instance.seq = seq
             instance.deps = deps
             if instance.status is not InstanceStatus.EXECUTED:

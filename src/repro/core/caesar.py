@@ -26,7 +26,7 @@ for every other outcome: a NACK, a slow proposal, a parked one once it resolves.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, Optional, Set
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command, CommandId
@@ -134,7 +134,6 @@ class CaesarReplica(ProtocolKernel):
         self.delivery = DeliveryManager(self.history, self._execute_stable)
         self.leader_states: Dict[CommandId, LeaderState] = {}
         self.ballots = BallotRegister()
-        self.wait_time_samples: List[float] = []
         self.recovery = RecoveryManager(self)
         self.collector: Optional[HistoryCollector] = None
         self._report_timer = None
@@ -369,8 +368,6 @@ class CaesarReplica(ProtocolKernel):
         at the send below.
         """
         command_id = command.command_id
-        if waited_ms > 0:
-            self.wait_time_samples.append(waited_ms)
         if not self.ballots.allows(command_id, ballot):
             # A higher ballot took over while this proposal was parked.
             return
@@ -629,6 +626,5 @@ class CaesarReplica(ProtocolKernel):
 
     def average_wait_ms(self) -> float:
         """Mean time proposals spent parked in the wait condition on this node."""
-        if not self.wait_time_samples:
-            return 0.0
-        return sum(self.wait_time_samples) / len(self.wait_time_samples)
+        waits = self.wait_manager.total_waits
+        return self.wait_manager.total_wait_ms / waits if waits else 0.0

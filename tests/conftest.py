@@ -12,6 +12,7 @@ import pytest
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command
 from repro.consensus.quorums import QuorumSystem
+from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.caesar import CaesarReplica
 from repro.core.history import CommandStatus
 from repro.core.predecessors import compute_predecessor_mask
@@ -82,36 +83,15 @@ def disable_retransmission(monkeypatch):
 
 
 @pytest.fixture
-def sim() -> Simulator:
-    """A fresh simulator with a fixed seed."""
-    return Simulator(seed=42)
-
-
-@pytest.fixture
 def topology():
     """The paper's five-site EC2 topology."""
     return ec2_five_sites()
 
 
-@pytest.fixture
-def network(sim, topology) -> Network:
-    """A network over the EC2 topology with no jitter or loss."""
-    return Network(sim, topology, NetworkConfig())
-
-
-@pytest.fixture
-def quorums() -> QuorumSystem:
-    """Quorum sizes for the five-node cluster."""
-    return QuorumSystem.for_cluster(5)
-
-
 def uniform_topology(n: int, rtt_ms: float = 50.0, local_delivery_ms: float = 0.05) -> Topology:
     """A synthetic topology where every pair of distinct sites has the same RTT."""
     sites = [f"site{i}" for i in range(n)]
-    rtt = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            rtt[(sites[i], sites[j])] = rtt_ms
+    rtt = {(sites[i], sites[j]): rtt_ms for i in range(n) for j in range(i + 1, n)}
     return Topology(sites=sites, rtt_ms=rtt, local_delivery_ms=local_delivery_ms)
 
 
@@ -193,26 +173,20 @@ def evaluate_wait(manager, history, command, timestamp, on_resolved, args=()):
     return manager.evaluate(command, timestamp, on_resolved, entry, args)
 
 
-@pytest.fixture
-def make_cmd():
-    """Fixture exposing the command factory to tests."""
-    return make_command
+def build_replicas(cls=CaesarReplica, n: int = 5, seed: int = 1, recovery: bool = False,
+                   topology=None, jitter_ms: float = 0.0, **options):
+    """Build a cluster of ``cls`` replicas directly (without the harness).
 
-
-def build_caesar_cluster(n: int = 5, seed: int = 1, recovery: bool = False,
-                         wait_condition: bool = True, topology=None):
-    """Build a CAESAR cluster directly (without the harness) for protocol tests.
-
-    ``recovery`` is the switch ``build_replica`` sets, and with it on every
-    replica's failure detector is started.  Returns ``(sim, network, replicas)``.
+    The paper's five EC2 sites for five replicas, else equal 40 ms RTTs;
+    ``options`` go to every replica's constructor.  ``recovery`` is the switch
+    ``build_replica`` sets, and with it on every replica's failure detector is
+    started.  Returns ``(sim, network, replicas)``.
     """
     topology = topology or (ec2_five_sites() if n == 5 else uniform_topology(n, rtt_ms=40.0))
     sim = Simulator(seed=seed)
-    network = Network(sim, topology, NetworkConfig())
+    network = Network(sim, topology, NetworkConfig(jitter_ms=jitter_ms))
     quorums = QuorumSystem.for_cluster(n)
-    replicas = [CaesarReplica(i, sim, network, quorums, KeyValueStore(),
-                              wait_condition=wait_condition)
-                for i in range(n)]
+    replicas = [cls(i, sim, network, quorums, KeyValueStore(), **options) for i in range(n)]
     if recovery:
         for replica in replicas:
             replica.recovery_on = True
@@ -220,7 +194,29 @@ def build_caesar_cluster(n: int = 5, seed: int = 1, recovery: bool = False,
     return sim, network, replicas
 
 
+def submit_and_run(sim, replicas, commands, deadline_ms: float = 30000.0) -> bool:
+    """Submit ``(replica index, command)`` pairs and run until every live
+    replica has executed them all (``False`` at the deadline)."""
+    for origin, command in commands:
+        replicas[origin].submit(command, ignore)
+    ids = [command.command_id for _, command in commands]
+    return sim.run_until(
+        lambda: all(r.has_executed(cid) for r in replicas if not r.crashed for cid in ids),
+        deadline=deadline_ms)
+
+
+def order_violations(replicas) -> list:
+    """Conflicting command pairs two live replicas executed in different orders."""
+    live = [replica for replica in replicas if not replica.crashed]
+    return [pair for i, first in enumerate(live) for second in live[i + 1:]
+            for pair in first.execution_log.conflicting_order_violations(second.execution_log)]
+
+
+def ts(counter: int, node: int = 0) -> LogicalTimestamp:
+    return LogicalTimestamp(counter, node)
+
+
 @pytest.fixture
 def caesar_cluster():
     """Factory fixture for CAESAR clusters."""
-    return build_caesar_cluster
+    return build_replicas

@@ -24,7 +24,6 @@ temporary directory.
 
 from __future__ import annotations
 
-import ast
 import os
 import signal
 import socket
@@ -35,7 +34,11 @@ import time
 from pathlib import Path
 from typing import Dict, List, Set, Tuple
 
-ROOT = Path(__file__).resolve().parent.parent
+if __name__ == "__main__":  # run as a script: put the repository root on the path
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests import source_index  # noqa: E402
+
+ROOT = source_index.ROOT
 SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 PROTOCOLS = ("caesar", "epaxos", "multipaxos", "mencius", "m2paxos")
@@ -291,23 +294,9 @@ def functions() -> Dict[Tuple[str, int], Tuple[str, int]]:
 
     The first line is the first decorator's, as in ``co_firstlineno``.
     """
-    found = {}
-
-    def visit(node: ast.AST, path: str, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                found[(path, first)] = (prefix + child.name, child.end_lineno)
-                visit(child, path, f"{prefix}{child.name}.")
-            elif isinstance(child, ast.ClassDef):
-                visit(child, path, f"{prefix}{child.name}.")
-            else:
-                visit(child, path, prefix)
-
-    for file in sorted(PACKAGE.rglob("*.py")):
-        path = file.relative_to(PACKAGE).as_posix()
-        visit(ast.parse(file.read_text(encoding="utf-8")), path, "")
-    return found
+    return {(function.path, min([node.lineno] + [d.lineno for d in node.decorator_list])):
+            (function.qualname, node.end_lineno)
+            for function in source_index.functions() for node in [function.node]}
 
 
 def reached(record_dir: Path) -> Set[Tuple[str, int]]:

@@ -368,7 +368,6 @@ class SpecCaesarReplica(ProtocolKernel):
         self.delivery = SpecDelivery(self.history, self._execute_stable)
         self.leader_states: Dict[CommandId, LeaderState] = {}
         self.ballots = BallotRegister()
-        self.wait_time_samples: List[float] = []
         #: Figure 5: the recoveries this node leads, and the nodes it suspects.
         self.recoveries: Dict[CommandId, SpecRecovery] = {}
         self.suspected: Set[int] = set()
@@ -591,8 +590,6 @@ class SpecCaesarReplica(ProtocolKernel):
         """P15-P20 / P35-P39: OK with the row pending at ``T``, or NACK with the row
         rejected at a suggested greater timestamp and the predecessors there."""
         command_id = command.command_id
-        if waited_ms > 0:
-            self.wait_time_samples.append(waited_ms)
         row = self.history.get(command_id)
         if (not self.ballots.allows(command_id, ballot)
                 or (row is not None and row.status in (ACCEPTED, STABLE))):

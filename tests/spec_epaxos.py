@@ -321,7 +321,7 @@ class SpecEPaxosReplica(ProtocolKernel):
         elif row.status is EXECUTED:
             return
         else:
-            row.command = row.command or message.command
+            row.command = message.command
             row.seq, row.deps, row.status = message.seq, frozenset(message.deps), COMMITTED
         self.waiting.add(instance_id)
         self.rounds.pop(instance_id, None)
@@ -474,7 +474,7 @@ class SpecEPaxosReplica(ProtocolKernel):
             row = self.rows[instance_id] = Row(command, seq, deps, COMMITTED,
                                                Ballot.initial(instance_id[0]))
         elif row.status is not EXECUTED:
-            row.command = row.command or command
+            row.command = command
             row.seq, row.deps, row.status = seq, deps, COMMITTED
         if row.status is COMMITTED:
             self.waiting.add(instance_id)

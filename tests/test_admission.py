@@ -12,21 +12,15 @@ import json
 
 import pytest
 
-from repro.consensus.quorums import QuorumSystem
-from repro.core.caesar import CaesarReplica
 from repro.harness.experiment import (ExperimentConfig, run_experiment,
                                       summarize_experiment)
-from repro.kvstore.store import KeyValueStore
-from repro.metrics.collector import MetricsCollector
 from repro.runtime.admission import (AdmissionPolicy, InflightLimit, NoAdmission,
                                      QueueDeadline, admission_policy,
                                      aggregate_admission)
-from repro.sim.network import Network, NetworkConfig
 from repro.sim.random import DeterministicRandom
-from repro.sim.simulator import Simulator
 from repro.workload.clients import ClientPool, ClosedLoopClient, OpenLoopClient
 from repro.workload.generator import ConflictWorkload, WorkloadConfig
-from tests.conftest import uniform_topology
+from tests.test_workload import one_client
 
 
 class TestSpecParsing:
@@ -154,15 +148,6 @@ class TestAggregation:
                           "shed_deadline": 7, "max_inflight": 9, "policy": "deadline:200"}
 
 
-def build_single_replica():
-    """One-node CAESAR 'cluster' (same shape as tests/test_workload.py)."""
-    sim = Simulator(seed=2)
-    network = Network(sim, uniform_topology(3, rtt_ms=10.0), NetworkConfig())
-    quorums = QuorumSystem.for_cluster(3)
-    replicas = [CaesarReplica(i, sim, network, quorums, KeyValueStore()) for i in range(3)]
-    return sim, replicas
-
-
 class _RejectAll(AdmissionPolicy):
     """Test stub: sheds every submission."""
 
@@ -174,9 +159,8 @@ class _RejectAll(AdmissionPolicy):
 
 class TestSubmitPathIntegration:
     def test_shed_submission_fires_callback_with_rejected_result(self):
-        sim, replicas = build_single_replica()
+        sim, replicas, _, workload = one_client()
         replicas[0].admission = InflightLimit(max_inflight=1)
-        workload = ConflictWorkload(0, 0, WorkloadConfig(), DeterministicRandom(1))
         results = []
         # Two back-to-back submissions: the first occupies the single
         # inflight slot, the second must be rejected synchronously.
@@ -192,9 +176,8 @@ class TestSubmitPathIntegration:
         assert replicas[0].admission.stats.rejected == 1
 
     def test_execution_releases_the_inflight_slot(self):
-        sim, replicas = build_single_replica()
+        sim, replicas, _, workload = one_client()
         replicas[0].admission = InflightLimit(max_inflight=1)
-        workload = ConflictWorkload(0, 0, WorkloadConfig(), DeterministicRandom(1))
         replicas[0].submit(workload.next_command(), callback=lambda result: None)
         sim.run(until=500.0)
         replicas[0].submit(workload.next_command(), callback=lambda result: None)
@@ -205,10 +188,8 @@ class TestSubmitPathIntegration:
         # A closed-loop client whose every command is shed must still
         # terminate: rejections consume loop slots instead of hanging the
         # client waiting for completions that will never come.
-        sim, replicas = build_single_replica()
+        sim, replicas, metrics, workload = one_client()
         replicas[0].admission = _RejectAll()
-        metrics = MetricsCollector()
-        workload = ConflictWorkload(0, 0, WorkloadConfig(), DeterministicRandom(1))
         client = ClosedLoopClient(0, replicas[0], workload, sim, metrics,
                                   max_commands=5)
         client.start()
@@ -222,9 +203,8 @@ class TestSubmitPathIntegration:
         # client used to resubmit synchronously inside the rejection
         # callback — same virtual instant, unbounded recursion.  The client
         # must back off and virtual time must keep advancing.
-        sim, replicas = build_single_replica()
+        sim, replicas, metrics, _ = one_client()
         replicas[0].admission = InflightLimit(max_inflight=1)
-        metrics = MetricsCollector()
         pool = ClientPool()
         for i in range(4):
             workload = ConflictWorkload(i, 0, WorkloadConfig(), DeterministicRandom(i))
@@ -237,10 +217,8 @@ class TestSubmitPathIntegration:
         assert pool.total_completed > 0
 
     def test_open_loop_counts_rejections_without_sampling_them(self):
-        sim, replicas = build_single_replica()
+        sim, replicas, metrics, workload = one_client()
         replicas[0].admission = InflightLimit(max_inflight=1)
-        metrics = MetricsCollector()
-        workload = ConflictWorkload(0, 0, WorkloadConfig(), DeterministicRandom(1))
         client = OpenLoopClient(0, replicas[0], workload, sim, metrics,
                                 rate_per_second=500.0, rng=DeterministicRandom(5),
                                 stop_after_ms=None, fallback_replicas=None, history=None)

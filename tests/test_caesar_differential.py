@@ -7,7 +7,7 @@ same messages at the same virtual times.  After every message both must have
 sent the same messages (type, destination, every field; within one handler
 call as a multiset) and hold the same history rows (timestamp, predecessor
 ids, status, ballot, forced), delivered set, ballot register, logical clock,
-``delivered_order``, ``wait_time_samples`` and ``stats``.  Everything is
+``delivered_order``, the wait counters and ``stats``.  Everything is
 compared as command ids; the spec's docstring lists where the two may
 legitimately differ and how these comparisons allow for it.
 
@@ -22,17 +22,14 @@ forgets one case fails a test that says which.
 The leader probe does the same for the leader's side: replica 0 submits
 commands, starts recoveries and is fed seeded reply schedules.
 ``TestSpecEndToEnd`` registers the spec as a protocol and runs it as a
-cluster next to the product.  ``TestSpecTeeth`` and ``TestLeaderProbeTeeth``
-put known mistakes into the product and require the differentials to
-notice.
+cluster next to the product.  The rows of ``tests/mutants.py`` put known
+mistakes into the product and require these differentials to notice.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import random
-import textwrap
 from collections import Counter
 from typing import List, Optional, Sequence, Tuple
 
@@ -44,7 +41,6 @@ from repro.consensus.interface import DecisionKind
 from repro.consensus.quorums import QuorumSystem
 from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.caesar import PHASE_FAST, PHASE_RETRY, PHASE_SLOW, CaesarReplica
-from repro.core.delivery import DeliveryManager
 from repro.core.history import CommandStatus
 from repro.core.messages import (
     FastPropose,
@@ -57,8 +53,6 @@ from repro.core.messages import (
     SlowProposeReply,
     Stable,
 )
-from repro.core.predecessors import WaitManager
-from repro.core.recovery import RecoveryManager
 from repro.harness.cluster import build_cluster
 from repro.harness.experiment import ExperimentConfig, attach_clients, count_decisions
 from repro.harness.protocols import PROTOCOLS, register_protocol
@@ -67,7 +61,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.sim.failures import ScheduledCrash
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.simulator import Simulator
-from tests.conftest import ignore, uniform_topology
+from tests.conftest import ignore, ts, uniform_topology
 from tests.spec_caesar import SpecCaesarReplica, comparable_predecessors
 from tests.test_sim_engine_differential import pending_times
 
@@ -111,7 +105,7 @@ class Probe:
                 dict(replica.ballots), replica.timestamps._counter, delivery.delivered_order,
                 delivery.pending_count(), delivery.missing_predecessors(),
                 replica.wait_manager.parked, replica.wait_manager.total_waits,
-                replica.wait_manager.total_wait_ms, replica.wait_time_samples,
+                replica.wait_manager.total_wait_ms,
                 dataclasses.asdict(replica.stats), replica.commands_executed,
                 replica.cpu_busy_ms, replica.cpu_backlog_ms,
                 [command.command_id for command in replica.execution_log])
@@ -121,6 +115,11 @@ class Probe:
         return [message for _, message in self.sent
                 if isinstance(message, (FastProposeReply, SlowProposeReply))
                 and message.command_id == command.command_id]
+
+
+def waits(probe: Probe) -> tuple:
+    """How many parked proposals resolved on ``probe``, and their total wait in ms."""
+    return probe.replica.wait_manager.total_waits, probe.replica.wait_manager.total_wait_ms
 
 
 def agree(new: Probe, spec: Probe, sent_before: int, label: object) -> None:
@@ -159,10 +158,6 @@ class Pair:
         self.new.sim.run(until=self.new.sim.now + advance_ms)
         self.spec.sim.run(until=self.spec.sim.now + advance_ms)
         agree(self.new, self.spec, before, ("settle", advance_ms))
-
-
-def ts(counter: int, node: int = 0) -> LogicalTimestamp:
-    return LogicalTimestamp(counter, node)
 
 
 def command(client: int, sequence: int, key: str = "x", operation: str = "put") -> Command:
@@ -272,7 +267,7 @@ class TestRandomSchedules:
                 parked = max(parked, pair.new.replica.wait_manager.parked)
             kinds.update(type(message) for _, message in pair.new.sent)
             nacks += pair.new.replica.stats.nacks_sent
-            waits += len(pair.new.replica.wait_time_samples)
+            waits += pair.new.replica.wait_manager.total_waits
             delivered += len(pair.new.replica.delivery.delivered_order)
         assert kinds >= {FastProposeReply, SlowProposeReply, RetryReply, RecoveryReply}
         assert parked >= 2 and nacks > 50 and waits > 20 and delivered > 100
@@ -407,7 +402,7 @@ class TestScenarios:
                       advance_ms=30.0)
             (answer,) = pair.new.answers(A)
             assert answer.ok is ok
-            assert pair.new.replica.wait_time_samples == [30.0]
+            assert waits(pair.new) == (1, 30.0)
             assert pair.new.replica.stats.nacks_sent == (0 if ok else 1)
 
     def test_parked_proposal_overtaken_by_a_higher_ballot_sends_no_answer(self):
@@ -418,7 +413,7 @@ class TestScenarios:
         pair.feed(1, stable(B, ts(10, 1), [A.command_id]), advance_ms=30.0)
         assert pair.new.replica.wait_manager.parked == 0
         assert pair.new.answers(A) == []
-        assert pair.new.replica.wait_time_samples == [30.0]
+        assert waits(pair.new) == (1, 30.0)
 
     def test_parked_proposal_overtaken_by_retry_sends_no_answer(self):
         pair = Pair()
@@ -916,36 +911,6 @@ class TestLeaderScenarios:
         assert isinstance(proposal, FastPropose) and proposal.whitelist == {(0, 0)}
 
 
-def _first_timestamp_wins(state) -> bool:
-    """``_merge_replies`` with the timestamp of the first reply kept."""
-    replies = list(state.votes.payloads())
-    if replies:
-        state.timestamp = replies[0].timestamp
-    for reply in replies:
-        state.predecessors.update(reply.predecessors)
-    state.predecessors.discard(state.command.command_id)
-    return all(reply.ok for reply in replies)
-
-
-def _own_id_kept(state) -> bool:
-    """``_merge_replies`` without ``predecessors.discard(own id)``."""
-    replies = list(state.votes.payloads())
-    if replies:
-        state.timestamp = max([reply.timestamp for reply in replies] + [state.timestamp])
-    for reply in replies:
-        state.predecessors.update(reply.predecessors)
-    return all(reply.ok for reply in replies)
-
-
-class TestLeaderProbeTeeth:
-    @pytest.mark.parametrize("mutant", [_first_timestamp_wins, _own_id_kept])
-    def test_a_broken_reply_merge_is_caught(self, monkeypatch, mutant):
-        monkeypatch.setattr(CaesarReplica, "_merge_replies", staticmethod(mutant))
-        with pytest.raises(AssertionError):
-            for seed in range(60):
-                drive_leader(seed)
-
-
 # ------------------------------------------------------------- end to end
 #
 # A spec registered as a protocol and run as a cluster next to its product:
@@ -1018,16 +983,6 @@ class TestSpecEndToEnd:
         assert (sum(s.recoveries_completed for s in stats) > 0) is (name == "crash-node-4")
 
 
-def mutated(function, old: str, new: str):
-    """``function`` recompiled from its source (dedented to the left margin) with
-    ``old`` replaced by ``new``."""
-    source = textwrap.dedent(inspect.getsource(function))
-    assert source.count(old) == 1, (function, old)
-    namespace = dict(function.__globals__)
-    exec(compile(source.replace(old, new), inspect.getsourcefile(function), "exec"), namespace)
-    return namespace[function.__name__]
-
-
 def acceptor_differential() -> None:
     """Every acceptor scenario, then every seeded schedule (wait condition on and
     off), against the spec."""
@@ -1058,55 +1013,3 @@ def leader_differential() -> None:
             getattr(scenarios, name)()
     for seed in range(60):
         drive_leader(seed)
-
-
-#: Known mistakes in the acceptor, WAIT, delivery and recovery: (product
-#: function, source text, its replacement, the differential that must catch it).
-SPEC_MUTANTS = {
-    "wait-immediate-ok-always": (
-        WaitManager.evaluate,
-        "if not keys or keys[-1] >> 32 <= stamp:",
-        "if True:", acceptor_differential),
-    "immediate-answer-ok-on-nack": (
-        CaesarReplica._on_fast_propose, "if verdict and not parked:",
-        "if verdict is not None and not parked:", acceptor_differential),
-    "breakloop-skips-every-delivered": (
-        DeliveryManager._break_loop,
-        "mask & ~(bucket.delivered\n                         & bucket.prefix_mask("
-        "entry.timestamp, writes_only=False))",
-        "mask & ~bucket.delivered", delivery_examples),
-    "6g-shortcut-with-a-parked-proposal": (
-        CaesarReplica._on_fast_propose, "if verdict and not parked:", "if verdict:",
-        acceptor_differential),
-    "nack-write-not-told-to-wait": (
-        CaesarReplica._answer_proposal,
-        "CommandStatus.REJECTED, ballot, entry)\n"
-        "        if self.wait_manager.parked:\n"
-        "            self.wait_manager.notify_entry(entry)",
-        "CommandStatus.REJECTED, ballot, entry)", acceptor_differential),
-    "wait-immediate-ok-always-end-to-end": (
-        WaitManager.evaluate,
-        "if not keys or keys[-1] >> 32 <= stamp:",
-        "if True:", lambda: end_to_end("caesar", SpecCaesarReplica, END_TO_END_CELLS)),
-    # PR 7's bug: the recovering node's own tuple never counted.
-    "recovery-without-the-local-vote": (
-        RecoveryManager.start_recovery,
-        "self.on_recovery_reply(self.replica.node_id, self._local_reply(command_id, ballot))",
-        "pass", leader_differential),
-    "recovery-whitelist-at-the-majority": (
-        RecoveryManager._resume_fast_pending, "< majority", "<= majority", leader_differential),
-    "recovery-accepted-before-stable": (
-        RecoveryManager._dispatch, "if stable:", "if stable and not accepted:",
-        leader_differential),
-}
-
-
-class TestSpecTeeth:
-    @pytest.mark.parametrize("name", sorted(SPEC_MUTANTS))
-    def test_a_broken_acceptor_wait_or_delivery_is_caught(self, monkeypatch, name):
-        function, old, new, differential = SPEC_MUTANTS[name]
-        owner = next(cls for cls in (WaitManager, CaesarReplica, DeliveryManager, RecoveryManager)
-                     if cls.__dict__.get(function.__name__) is function)
-        monkeypatch.setattr(owner, function.__name__, mutated(function, old, new))
-        with pytest.raises(AssertionError, match="spec disagrees"):
-            differential()

@@ -13,18 +13,7 @@ import pytest
 from repro.consensus.command import Command
 from repro.consensus.interface import DecisionKind
 from repro.core.history import CommandStatus
-from tests.conftest import build_caesar_cluster, ignore, make_command
-
-
-def submit_and_run(sim, replicas, commands, deadline_ms=30000):
-    """Submit (replica_index, command) pairs and run until all are executed everywhere."""
-    for origin, command in commands:
-        replicas[origin].submit(command, ignore)
-    ids = [c.command_id for _, c in commands]
-    done = sim.run_until(
-        lambda: all(r.has_executed(cid) for r in replicas if not r.crashed for cid in ids),
-        deadline=deadline_ms)
-    return done
+from tests.conftest import build_replicas, ignore, make_command, order_violations, submit_and_run
 
 
 class TestFastPath:
@@ -84,10 +73,7 @@ class TestConflictingCommands:
             for k in range(4):
                 commands.append((i, make_command(i, k, key=f"hot-{k % 2}", origin=i)))
         assert submit_and_run(sim, replicas, commands)
-        for i in range(5):
-            for j in range(i + 1, 5):
-                assert replicas[i].execution_log.conflicting_order_violations(
-                    replicas[j].execution_log) == []
+        assert order_violations(replicas) == []
 
     def test_state_machines_converge(self, caesar_cluster):
         sim, _, replicas = caesar_cluster()
@@ -143,10 +129,7 @@ class TestConflictingCommands:
                     for i in range(5) for k in range(10)]
         assert submit_and_run(sim, replicas, commands, deadline_ms=120000)
         assert all(r.commands_executed == 50 for r in replicas)
-        violations = sum(
-            len(replicas[i].execution_log.conflicting_order_violations(replicas[j].execution_log))
-            for i in range(5) for j in range(i + 1, 5))
-        assert violations == 0
+        assert order_violations(replicas) == []
 
 
 class TestSlowPath:
@@ -155,7 +138,7 @@ class TestSlowPath:
         sim, network, replicas = caesar_cluster()
         # Force heavy contention from every site on one key at the same instant,
         # with the wait condition disabled rejections become much more likely.
-        sim2, network2, replicas2 = build_caesar_cluster(wait_condition=False)
+        sim2, network2, replicas2 = build_replicas(wait_condition=False)
         commands = [(i, make_command(i, k, key="hot", origin=i))
                     for i in range(5) for k in range(6)]
         for origin, command in commands:
@@ -169,46 +152,28 @@ class TestSlowPath:
 
     def test_decided_commands_leave_no_leader_state(self):
         """Fast or retried, a leader forgets a command once its STABLE is out."""
-        sim, _, replicas = build_caesar_cluster(wait_condition=False)
+        sim, _, replicas = build_replicas(wait_condition=False)
         commands = [(i, make_command(i, k, key="hot" if k < 4 else f"own-{i}-{k}", origin=i))
                     for i in range(5) for k in range(6)]
-        for origin, command in commands:
-            replicas[origin].submit(command, ignore)
-        ids = [c.command_id for _, c in commands]
-        assert sim.run_until(
-            lambda: all(r.has_executed(cid) for r in replicas for cid in ids),
-            deadline=120000)
+        assert submit_and_run(sim, replicas, commands, deadline_ms=120000)
         assert sum(r.stats.retries for r in replicas) > 0
         assert sum(r.stats.fast_decisions for r in replicas) > 0
         assert [len(r.leader_states) for r in replicas] == [0] * 5
 
     def test_slow_decisions_preserve_consistency(self):
-        sim, _, replicas = build_caesar_cluster(wait_condition=False)
+        sim, _, replicas = build_replicas(wait_condition=False)
         commands = [(i, make_command(i, k, key=f"hot-{k % 2}", origin=i))
                     for i in range(5) for k in range(6)]
-        for origin, command in commands:
-            replicas[origin].submit(command, ignore)
-        ids = [c.command_id for _, c in commands]
-        assert sim.run_until(
-            lambda: all(r.has_executed(cid) for r in replicas for cid in ids),
-            deadline=120000)
-        violations = sum(
-            len(replicas[i].execution_log.conflicting_order_violations(replicas[j].execution_log))
-            for i in range(5) for j in range(i + 1, 5))
-        assert violations == 0
+        assert submit_and_run(sim, replicas, commands, deadline_ms=120000)
+        assert order_violations(replicas) == []
 
     def test_wait_condition_reduces_slow_decisions(self):
         """The paper's key claim: the wait condition avoids slow decisions under conflicts."""
         def run(wait_condition: bool) -> float:
-            sim, _, replicas = build_caesar_cluster(wait_condition=wait_condition, seed=7)
+            sim, _, replicas = build_replicas(wait_condition=wait_condition, seed=7)
             commands = [(i, make_command(i, k, key=f"hot-{k % 3}", origin=i))
                         for i in range(5) for k in range(8)]
-            for origin, command in commands:
-                replicas[origin].submit(command, ignore)
-            ids = [c.command_id for _, c in commands]
-            assert sim.run_until(
-                lambda: all(r.has_executed(cid) for r in replicas for cid in ids),
-                deadline=200000)
+            assert submit_and_run(sim, replicas, commands, deadline_ms=200000)
             slow = sum(r.stats.slow_decisions for r in replicas)
             fast = sum(r.stats.fast_decisions for r in replicas)
             return slow / (slow + fast)
@@ -222,15 +187,15 @@ class TestSlowPath:
         commands = [(i, make_command(i, k, key="contended", origin=i))
                     for i in range(5) for k in range(6)]
         assert submit_and_run(sim, replicas, commands, deadline_ms=120000)
-        total_samples = sum(len(r.wait_time_samples) for r in replicas)
-        assert total_samples > 0
-        assert all(sample >= 0 for r in replicas for sample in r.wait_time_samples)
+        assert sum(r.wait_manager.total_waits for r in replicas) > 0
+        assert all(r.wait_manager.total_wait_ms >= 0 for r in replicas)
+        assert any(r.average_wait_ms() > 0 for r in replicas)
 
 
 class TestBallotFiltering:
-    def test_stale_ballot_messages_ignored(self, caesar_cluster, make_cmd):
+    def test_stale_ballot_messages_ignored(self, caesar_cluster):
         sim, _, replicas = caesar_cluster()
-        command = make_cmd(0, 0, key="x", origin=0)
+        command = make_command(0, 0, key="x", origin=0)
         assert submit_and_run(sim, replicas, [(0, command)])
         # Pretend a higher ballot exists for this command on replica 1.
         from repro.consensus.ballots import Ballot

@@ -5,7 +5,7 @@ from __future__ import annotations
 import repro.core.caesar as caesar
 from repro.consensus.interface import DecisionKind
 from repro.core.history import CommandStatus
-from tests.conftest import build_caesar_cluster, ignore, make_command
+from tests.conftest import build_replicas, ignore, make_command, order_violations
 
 
 def run_until_executed_on_live(sim, replicas, command_ids, deadline_ms=60000):
@@ -19,7 +19,7 @@ def run_until_executed_on_live(sim, replicas, command_ids, deadline_ms=60000):
 class TestLeaderCrashRecovery:
     def test_command_recovered_after_leader_crash_post_propose(self):
         """The leader crashes right after broadcasting FASTPROPOSE; a peer finishes it."""
-        sim, network, replicas = build_caesar_cluster(recovery=True, seed=3)
+        sim, network, replicas = build_replicas(recovery=True, seed=3)
         command = make_command(0, 0, key="x", origin=0)
         replicas[0].submit(command, ignore)
         # Let the FASTPROPOSE reach the other nodes, then crash the leader
@@ -34,7 +34,7 @@ class TestLeaderCrashRecovery:
 
     def test_command_recovered_when_leader_crashes_before_any_propose_is_lost(self):
         """Crash after STABLE was sent: peers just deliver normally, no recovery needed."""
-        sim, network, replicas = build_caesar_cluster(recovery=True, seed=4)
+        sim, network, replicas = build_replicas(recovery=True, seed=4)
         command = make_command(0, 0, key="x", origin=0)
         replicas[0].submit(command, ignore)
         # Run past the full fast decision (fast quorum RTT is 90 ms from Virginia).
@@ -44,7 +44,7 @@ class TestLeaderCrashRecovery:
 
     def test_recovery_preserves_conflicting_order(self):
         """Commands decided before/after a crash never violate consistency."""
-        sim, network, replicas = build_caesar_cluster(recovery=True, seed=5)
+        sim, network, replicas = build_replicas(recovery=True, seed=5)
         early = [(i, make_command(i, 0, key="hot", origin=i)) for i in range(5)]
         for origin, command in early:
             replicas[origin].submit(command, ignore)
@@ -55,14 +55,10 @@ class TestLeaderCrashRecovery:
             replicas[origin].submit(command, ignore)
         all_ids = [c.command_id for _, c in early + late]
         assert run_until_executed_on_live(sim, replicas, all_ids, deadline_ms=120000)
-        live = [r for r in replicas if not r.crashed]
-        for i, first in enumerate(live):
-            for second in live[i + 1:]:
-                assert first.execution_log.conflicting_order_violations(
-                    second.execution_log) == []
+        assert order_violations(replicas) == []
 
     def test_multiple_pending_commands_recovered(self):
-        sim, network, replicas = build_caesar_cluster(recovery=True, seed=6)
+        sim, network, replicas = build_replicas(recovery=True, seed=6)
         commands = [make_command(0, k, key=f"k{k}", origin=0) for k in range(5)]
         for command in commands:
             replicas[0].submit(command, ignore)
@@ -72,7 +68,7 @@ class TestLeaderCrashRecovery:
         assert run_until_executed_on_live(sim, replicas, ids, deadline_ms=120000)
 
     def test_crash_of_non_leader_does_not_block_decisions(self):
-        sim, network, replicas = build_caesar_cluster(recovery=True, seed=7)
+        sim, network, replicas = build_replicas(recovery=True, seed=7)
         replicas[4].crash()
         commands = [make_command(0, k, key="x", origin=0) for k in range(3)]
         for command in commands:
@@ -83,7 +79,7 @@ class TestLeaderCrashRecovery:
     def test_two_crashes_still_make_progress_with_classic_quorum(self, monkeypatch):
         """With f=2 failures the fast quorum is unavailable but CQ=3 still decides."""
         monkeypatch.setattr(caesar, "FAST_PROPOSAL_TIMEOUT_MS", 300.0)
-        sim, network, replicas = build_caesar_cluster(recovery=True, seed=8)
+        sim, network, replicas = build_replicas(recovery=True, seed=8)
         replicas[3].crash()
         replicas[4].crash()
         command = make_command(0, 0, key="x", origin=0)
@@ -98,7 +94,7 @@ class TestLeaderCrashRecovery:
 
 class TestRecoveryMessageHandling:
     def test_recovery_reply_carries_local_state(self):
-        sim, network, replicas = build_caesar_cluster(recovery=True, seed=9)
+        sim, network, replicas = build_replicas(recovery=True, seed=9)
         command = make_command(0, 0, key="x", origin=0)
         replicas[0].submit(command, ignore)
         sim.run(until=sim.now + 70.0)  # FASTPROPOSE received at the EU/US sites
@@ -110,7 +106,7 @@ class TestRecoveryMessageHandling:
         from repro.consensus.ballots import Ballot
         from repro.core.messages import Recovery
 
-        sim, network, replicas = build_caesar_cluster(recovery=True, seed=10)
+        sim, network, replicas = build_replicas(recovery=True, seed=10)
         command = make_command(0, 0, key="x", origin=0)
         replicas[0].submit(command, ignore)
         sim.run(until=sim.now + 400.0)
@@ -121,7 +117,7 @@ class TestRecoveryMessageHandling:
         assert replicas[1].ballots[command.command_id] == before
 
     def test_suspected_node_recovery_is_staggered(self):
-        sim, network, replicas = build_caesar_cluster(recovery=True, seed=11)
+        sim, network, replicas = build_replicas(recovery=True, seed=11)
         delays = [replicas[i].recovery._stagger_delay() for i in range(1, 5)]
         assert delays == sorted(delays)
         assert len(set(delays)) == len(delays)

@@ -9,16 +9,11 @@ decided on the fast path.
 from __future__ import annotations
 
 from repro.consensus.ballots import Ballot
-from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.history import CommandStatus
 from repro.core.messages import Recovery, RecoveryReply, Stable
 from repro.core.recovery import RecoveryAttempt
 from repro.runtime.kernel import QuorumTracker
-from tests.conftest import build_caesar_cluster, make_command, write_entry
-
-
-def ts(counter: int, node: int = 0) -> LogicalTimestamp:
-    return LogicalTimestamp(counter, node)
+from tests.conftest import build_replicas, make_command, ts, write_entry
 
 
 def make_reply(command_id, ballot, status, timestamp, predecessors=(), forced=False,
@@ -33,7 +28,7 @@ class RecoveryHarness:
     """A replica whose recovery manager is driven with synthetic replies."""
 
     def __init__(self):
-        _, _, self.replicas = build_caesar_cluster(recovery=False, seed=2)
+        _, _, self.replicas = build_replicas(recovery=False, seed=2)
         self.replica = self.replicas[1]
         self.manager = self.replica.recovery
         self.command = make_command(0, 0, key="x", origin=0)
@@ -73,8 +68,7 @@ class TestDispatchCases:
         reply = make_reply(harness.command.command_id, harness.ballot, CommandStatus.ACCEPTED,
                            ts(7), predecessors={(8, 8)})
         state = harness.dispatch([reply])
-        assert state is not None
-        assert state.phase == "retry"
+        assert state is not None and state.phase == "retry"
         assert state.timestamp == ts(7)
 
     def test_rejected_reply_restarts_fast_proposal_with_fresh_timestamp(self):
@@ -82,8 +76,7 @@ class TestDispatchCases:
         reply = make_reply(harness.command.command_id, harness.ballot, CommandStatus.REJECTED,
                            ts(3))
         state = harness.dispatch([reply])
-        assert state is not None
-        assert state.phase == "fast_proposal"
+        assert state is not None and state.phase == "fast_proposal"
         assert state.whitelist is None
         assert state.timestamp.node_id == harness.replica.node_id
 
@@ -92,16 +85,14 @@ class TestDispatchCases:
         reply = make_reply(harness.command.command_id, harness.ballot,
                            CommandStatus.SLOW_PENDING, ts(4), predecessors={(7, 7)})
         state = harness.dispatch([reply])
-        assert state is not None
-        assert state.phase == "slow_proposal"
+        assert state is not None and state.phase == "slow_proposal"
 
     def test_all_unknown_restarts_from_scratch(self):
         harness = RecoveryHarness()
         unknown = RecoveryReply(command_id=harness.command.command_id, ballot=harness.ballot,
                                 known=False)
         state = harness.dispatch([unknown, unknown])
-        assert state is not None
-        assert state.phase == "fast_proposal"
+        assert state is not None and state.phase == "fast_proposal"
         assert state.whitelist is None
 
     def test_higher_status_wins_over_fast_pending(self):

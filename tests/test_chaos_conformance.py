@@ -28,14 +28,11 @@ from repro.chaos.history import HistoryTape
 from repro.chaos.nemesis import (CONFORMANCE_SCHEDULES, DuplicationFault, LossFault,
                                  NemesisPlan, random_plan)
 from repro.consensus.command import Command, CommandResult
-from repro.consensus.quorums import QuorumSystem
+from repro.harness import chaos
 from repro.harness.chaos import ChaosConfig, run_chaos, run_conformance_matrix
-from repro.kvstore.store import KeyValueStore
-from repro.sim.network import Network, NetworkConfig
+from repro.harness.cluster import build_cluster
 from repro.sim.random import DeterministicRandom
-from repro.sim.simulator import Simulator
-from repro.sim.topology import ec2_five_sites
-from tests.conftest import ignore
+from tests.conftest import build_replicas, ignore
 
 PROTOCOLS = ("caesar", "epaxos", "m2paxos", "mencius", "multipaxos")
 
@@ -215,34 +212,50 @@ class DirtyReadMultiPaxos(MultiPaxosReplica):
         super().submit(command, ignore)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 22: a restarted replica never "
+                   "catches up on what it missed, and the verdict does not look")
+def test_live_replicas_executed_the_same_commands_after_a_drain(monkeypatch):
+    """CAESAR's quick crash-restart cell passes the verdict (order,
+    linearizability, fresh-key probes), yet after a 60 s drain the restarted
+    replica still lacks commands every other replica executed."""
+    clusters = []
+    monkeypatch.setattr(chaos, "build_cluster",
+                        lambda config: clusters.append(build_cluster(config)) or clusters[-1])
+    assert run_chaos(ChaosConfig(protocol="caesar", schedule="crash-restart", **GOLDEN_CELL)).ok
+    (cluster,) = clusters
+    cluster.run(60000.0)
+    executed = [{command.command_id for command in replica.execution_log}
+                for replica in cluster.replicas if not replica.crashed]
+    assert all(ids == executed[0] for ids in executed)
+
+
+def hot_key_history(cls):
+    """Two sites' clients hammer one key on a cluster of ``cls``: the tape's verdict."""
+    sim, _, replicas = build_replicas(cls, jitter_ms=2.0)
+    tape = HistoryTape(sim)
+
+    def submit(origin, client, seq, value, delay):
+        command = Command(command_id=(client, seq), key="hot", operation="put",
+                          value=value, origin=origin)
+
+        def fire():
+            taped = tape.invoke(client, "hot", "put", value)
+            replicas[origin].submit(
+                command, callback=lambda r, taped=taped: tape.respond(taped, r.value))
+
+        sim.schedule(delay, fire)
+
+    for i in range(4):
+        submit(0, 100, i, f"a{i}", i * 30.0)
+        submit(3, 101, i, f"b{i}", i * 30.0 + 5.0)
+    sim.run(until=5000.0)
+    return check_history(tape)
+
+
 class TestOracleHasTeeth:
     def test_dirty_read_mutation_is_flagged(self):
-        """Two sites' clients hammer one key on the broken protocol: their
-        locally-invented responses cannot be linearized."""
-        sim = Simulator(seed=1)
-        network = Network(sim, ec2_five_sites(), NetworkConfig(jitter_ms=2.0))
-        quorums = QuorumSystem.for_cluster(5)
-        replicas = [DirtyReadMultiPaxos(i, sim, network, quorums, KeyValueStore())
-                    for i in range(5)]
-        tape = HistoryTape(sim)
-
-        def submit(origin, client, seq, value, delay):
-            command = Command(command_id=(client, seq), key="hot", operation="put",
-                              value=value, origin=origin)
-
-            def fire():
-                taped = tape.invoke(client, "hot", "put", value)
-                replicas[origin].submit(
-                    command, callback=lambda r, taped=taped: tape.respond(taped, r.value))
-
-            sim.schedule(delay, fire)
-
-        for i in range(4):
-            submit(0, 100, i, f"a{i}", i * 30.0)
-            submit(3, 101, i, f"b{i}", i * 30.0 + 5.0)
-        sim.run(until=5000.0)
-
-        report = check_history(tape)
+        """On the broken protocol the locally-invented responses cannot be linearized."""
+        report = hot_key_history(DirtyReadMultiPaxos)
         assert not report.ok
         assert report.violations
         assert "hot" in report.describe()
@@ -250,30 +263,7 @@ class TestOracleHasTeeth:
     def test_honest_multipaxos_same_workload_passes(self):
         """The same workload on the unbroken protocol is linearizable —
         the flag above is the mutation's fault, not the harness's."""
-        sim = Simulator(seed=1)
-        network = Network(sim, ec2_five_sites(), NetworkConfig(jitter_ms=2.0))
-        quorums = QuorumSystem.for_cluster(5)
-        replicas = [MultiPaxosReplica(i, sim, network, quorums, KeyValueStore())
-                    for i in range(5)]
-        tape = HistoryTape(sim)
-
-        def submit(origin, client, seq, value, delay):
-            command = Command(command_id=(client, seq), key="hot", operation="put",
-                              value=value, origin=origin)
-
-            def fire():
-                taped = tape.invoke(client, "hot", "put", value)
-                replicas[origin].submit(
-                    command, callback=lambda r, taped=taped: tape.respond(taped, r.value))
-
-            sim.schedule(delay, fire)
-
-        for i in range(4):
-            submit(0, 100, i, f"a{i}", i * 30.0)
-            submit(3, 101, i, f"b{i}", i * 30.0 + 5.0)
-        sim.run(until=5000.0)
-
-        report = check_history(tape)
+        report = hot_key_history(MultiPaxosReplica)
         assert report.ok, report.describe()
 
 

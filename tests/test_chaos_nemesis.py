@@ -56,6 +56,12 @@ def install_faults(sim, network, nodes) -> LinkFaults:
     return faults
 
 
+def faulted_nodes():
+    """:func:`build_nodes` with the link-fault filter installed on every node."""
+    sim, network, nodes = build_nodes()
+    return sim, network, nodes, install_faults(sim, network, nodes)
+
+
 def payloads(node) -> list:
     return [message for _, message, _ in node.handled]
 
@@ -67,8 +73,7 @@ def held(faults: LinkFaults) -> int:
 
 class TestLinkFaults:
     def test_queue_block_holds_and_releases_in_order(self):
-        sim, network, nodes = build_nodes()
-        faults = install_faults(sim, network, nodes)
+        sim, network, nodes, faults = faulted_nodes()
         faults.block([(0, 1)])
         nodes[0].send(1, "m1")
         nodes[0].send(1, "m2")
@@ -82,8 +87,7 @@ class TestLinkFaults:
         assert faults.stats.messages_released == 2
 
     def test_drop_block_loses_messages_for_good(self):
-        sim, network, nodes = build_nodes()
-        faults = install_faults(sim, network, nodes)
+        sim, network, nodes, faults = faulted_nodes()
         faults.block([(0, 1)], mode="drop")
         nodes[0].send(1, "gone")
         faults.unblock([(0, 1)])
@@ -93,8 +97,7 @@ class TestLinkFaults:
         assert faults.stats.messages_released == 0
 
     def test_block_is_per_direction(self):
-        sim, network, nodes = build_nodes()
-        faults = install_faults(sim, network, nodes)
+        sim, network, nodes, faults = faulted_nodes()
         faults.block(cross_links([0], [1]))
         nodes[0].send(1, "blocked")
         nodes[1].send(0, "free")
@@ -107,8 +110,7 @@ class TestLinkFaults:
         assert set(links) == {(0, 2), (1, 2), (2, 0), (2, 1)}
 
     def test_certain_loss_drops_everything(self):
-        sim, network, nodes = build_nodes()
-        faults = install_faults(sim, network, nodes)
+        sim, network, nodes, faults = faulted_nodes()
         faults.set_loss([(0, 1)], 1.0)
         for i in range(5):
             nodes[0].send(1, f"m{i}")
@@ -117,8 +119,7 @@ class TestLinkFaults:
         assert faults.stats.messages_dropped_by_loss == 5
 
     def test_certain_duplication_delivers_twice(self):
-        sim, network, nodes = build_nodes()
-        faults = install_faults(sim, network, nodes)
+        sim, network, nodes, faults = faulted_nodes()
         faults.set_duplication([(0, 1)], 1.0)
         nodes[0].send(1, "twin")
         sim.run(until=100.0)
@@ -126,8 +127,7 @@ class TestLinkFaults:
         assert faults.stats.messages_duplicated == 1
 
     def test_delay_spike_postpones_delivery(self):
-        sim, network, nodes = build_nodes(rtt=20.0)
-        faults = install_faults(sim, network, nodes)
+        sim, network, nodes, faults = faulted_nodes()
         faults.set_delay_spike([(0, 1)], extra_ms=50.0, jitter_ms=0.0)
         nodes[0].send(1, "late")
         sim.run(until=200.0)
@@ -137,8 +137,7 @@ class TestLinkFaults:
         assert when >= 60.0
 
     def test_self_sends_never_intercepted(self):
-        sim, network, nodes = build_nodes()
-        faults = install_faults(sim, network, nodes)
+        sim, network, nodes, faults = faulted_nodes()
         faults.block(cross_links([0], [0, 1, 2]))
         faults.set_loss(cross_links([0], [0, 1, 2]), 1.0)
         nodes[0].send(0, "to-myself")
@@ -148,8 +147,7 @@ class TestLinkFaults:
     def test_delayed_message_respects_block_installed_meanwhile(self):
         """A spiking message must not tunnel through a partition that starts
         while it is waiting out its extra delay."""
-        sim, network, nodes = build_nodes()
-        faults = install_faults(sim, network, nodes)
+        sim, network, nodes, faults = faulted_nodes()
         faults.set_delay_spike([(0, 1)], extra_ms=50.0, jitter_ms=0.0)
         nodes[0].send(1, "tunneled?")
         sim.schedule(10.0, lambda: faults.block([(0, 1)]))

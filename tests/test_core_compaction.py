@@ -32,7 +32,6 @@ from repro.chaos.nemesis import CONFORMANCE_SCHEDULES
 from repro.consensus.ballots import Ballot
 from repro.core import collection
 from repro.core.caesar import CaesarReplica
-from repro.core.collection import HistoryCollector
 from repro.core.invariants import check_all
 from repro.core.messages import (
     Delivered,
@@ -41,14 +40,12 @@ from repro.core.messages import (
     RetryReply,
     SlowProposeReply,
 )
-from repro.core.predecessors import WaitManager
 from repro.harness.cluster import ClusterConfig, build_cluster
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.metrics.collector import MetricsCollector
 from repro.net.client import connect_pool
 from repro.net.clock import WallClock
 from repro.net.loopback import LoopbackCluster
-from repro.runtime.kernel import ProtocolKernel
 from repro.workload.generator import WorkloadConfig
 from tests.conftest import ignore, run_until_executed
 from tests.spec_caesar import SpecCaesarReplica
@@ -57,12 +54,12 @@ from tests.test_caesar_differential import (
     Probe,
     command,
     fast,
-    mutated,
     random_schedule,
     retry,
     slow,
     stable,
     ts,
+    waits,
 )
 
 PEERS = range(1, REPLICAS)
@@ -172,7 +169,7 @@ class TestRules:
             probe.feed(2, stable(B, ts(9, 2), [A.command_id, C.command_id]), advance_ms=4.0)
         assert verdicts(collecting, C) == verdicts(spec, C)
         assert [ok for ok, _ in verdicts(collecting, C)] == [False]
-        assert collecting.replica.wait_time_samples == spec.replica.wait_time_samples == [4.0]
+        assert waits(collecting) == waits(spec) == (1, 4.0)
 
     @pytest.mark.parametrize("late", [
         lambda: stable(A, ts(3, 1)),
@@ -393,63 +390,3 @@ def test_a_hot_key_over_tcp_keeps_its_history_and_its_stable_frames_bounded():
         per_stable = stats["network"]["per_type_codec_bytes"]["Stable"] / stables
         assert per_stable <= STABLE_BYTES_BOUND, stats["node_id"]
         assert counters["commands_collected"] >= stats["commands_executed"] - LIVE_HISTORY_BOUND
-
-
-# ------------------------------------------------------------------- teeth
-
-RULES, REPORTS, SPEC = TestRules(), TestReports(), TestAgainstTheSpec()
-
-#: Each rule taken out of the product, and a test above that must then fail:
-#: ``(owner, method, its source text, the replacement, the test)``.
-COLLECTION_MUTANTS = {
-    "no-floor-on-an-emptied-key": (
-        WaitManager, "evaluate", "return bucket.floor <= stamp or (", "return True or (",
-        lambda: RULES.test_a_proposal_below_the_floor_gets_the_uncollected_verdict("put", False)),
-    "no-floor-in-the-scan": (
-        WaitManager, "_scan_masks", "witness_mask = self_bit if", "witness_mask = 0 if",
-        RULES.test_a_parked_proposal_below_the_floor_is_nacked_once_it_resolves),
-    "no-floor-differential": (
-        WaitManager, "evaluate", "return bucket.floor <= stamp or (", "return True or (",
-        SPEC.test_seeded_streams_collect_and_agree),
-    "a-late-stable-re-creates-its-entry": (
-        CaesarReplica, "_on_stable", "self.stats.commands_collected", "False",
-        lambda: RULES.test_a_late_message_naming_a_collected_command_changes_nothing(
-            lambda: stable(A, ts(3, 1)))),
-    "a-late-proposal-is-answered": (
-        CaesarReplica, "_on_fast_propose", "self.stats.commands_collected", "False",
-        SPEC.test_seeded_streams_collect_and_agree),
-    "a-late-retry-is-answered": (
-        CaesarReplica, "_on_retry", "self.stats.commands_collected", "False",
-        lambda: RULES.test_a_late_message_naming_a_collected_command_changes_nothing(
-            lambda: retry(A, ts(3, 1)))),
-    "one-silent-peer-is-ignored": (
-        HistoryCollector, "_count", "if mask == everyone:",
-        "if mask.bit_count() + 1 >= everyone.bit_count():",
-        RULES.test_a_command_every_replica_reported_is_collected_and_a_silent_peer_pins_it),
-    "removal-ignores-parked-proposals": (
-        HistoryCollector, "_collect", "if wait_manager.parked and", "if False and",
-        RULES.test_removal_waits_while_a_proposal_is_parked_on_the_key),
-    "a-report-past-a-gap-is-counted": (
-        HistoryCollector, "on_report", "if start <= cursor.received < start + len(ids):",
-        "if cursor.received < start + len(ids):",
-        REPORTS.test_collection_resumes_after_a_dropped_report),
-    "an-unacknowledged-report-is-never-resent": (
-        HistoryCollector, "report", "cursor.sent, cursor.unacked_reports = cursor.acked, 0",
-        "cursor.unacked_reports = 0",
-        REPORTS.test_a_report_that_is_never_acknowledged_is_sent_again),
-}
-
-
-class TestTeeth:
-    @pytest.mark.parametrize("name", sorted(COLLECTION_MUTANTS))
-    def test_each_rule_is_needed(self, monkeypatch, name):
-        owner, method, old, new, test = COLLECTION_MUTANTS[name]
-        monkeypatch.setattr(owner, method, mutated(getattr(owner, method), old, new))
-        with pytest.raises(AssertionError):
-            test()
-
-    def test_collection_stops_after_a_restart_that_does_not_re_arm_the_reports(self,
-                                                                                monkeypatch):
-        monkeypatch.setattr(CaesarReplica, "on_restart", ProtocolKernel.on_restart)
-        with pytest.raises(AssertionError):
-            REPORTS.test_collection_resumes_after_a_crash_and_restart()

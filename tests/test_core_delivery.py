@@ -3,14 +3,9 @@
 from __future__ import annotations
 
 from repro.consensus.ballots import Ballot
-from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.delivery import DeliveryManager
 from repro.core.history import CommandHistory, CommandStatus
-from tests.conftest import make_command, write_entry
-
-
-def ts(counter: int, node: int = 0) -> LogicalTimestamp:
-    return LogicalTimestamp(counter, node)
+from tests.conftest import make_command, ts, write_entry
 
 
 BALLOT = Ballot.initial(0)

@@ -6,14 +6,10 @@ import pytest
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import KeyBindingError
-from repro.consensus.timestamps import LogicalTimestamp, TimestampRangeError
+from repro.consensus.timestamps import TimestampRangeError
 from repro.core.history import CommandHistory, CommandStatus
 from repro.core.predecessors import compute_predecessor_mask
-from tests.conftest import make_command, write_entry
-
-
-def ts(counter: int, node: int = 0) -> LogicalTimestamp:
-    return LogicalTimestamp(counter, node)
+from tests.conftest import make_command, ts, write_entry
 
 
 class TestUpdateAndLookup:

@@ -23,12 +23,12 @@ from repro.harness.cluster import build_cluster
 from repro.harness.experiment import ExperimentConfig, attach_clients
 from repro.metrics.collector import MetricsCollector
 from repro.sim.network import NetworkConfig
-from tests.conftest import build_caesar_cluster, ignore, make_command, write_entry
+from tests.conftest import build_replicas, ignore, make_command, write_entry
 
 
 def run_conflicting_workload(n_commands_per_node: int = 4, seed: int = 1,
                              wait_condition: bool = True):
-    sim, _, replicas = build_caesar_cluster(seed=seed, wait_condition=wait_condition)
+    sim, _, replicas = build_replicas(seed=seed, wait_condition=wait_condition)
     commands = [(i, make_command(i, k, key=f"hot-{k % 2}", origin=i))
                 for i in range(5) for k in range(n_commands_per_node)]
     for origin, command in commands:
@@ -57,10 +57,24 @@ class TestCheckersOnHealthyRuns:
         assert check_all(replicas) == []
 
 
+def two_stable_commands(early_at: int, late_at: int, late_names_early: bool = False):
+    """Replica 0 of a CAESAR cluster holding two STABLE commands on key x,
+    ``early`` (node 0) and ``late`` (node 1), at the given timestamp counters."""
+    _, _, replicas = build_replicas()
+    replica = replicas[0]
+    early, late = make_command(0, 0, key="x"), make_command(1, 0, key="x")
+    write_entry(replica.history, early, LogicalTimestamp(early_at, 0), set(),
+                CommandStatus.STABLE, Ballot.initial(0))
+    write_entry(replica.history, late, LogicalTimestamp(late_at, 1),
+                {early.command_id} if late_names_early else set(),
+                CommandStatus.STABLE, Ballot.initial(1))
+    return replica, early, late
+
+
 class TestCheckersDetectViolations:
     def test_agreement_violation_detected(self):
         """Two replicas holding different stable timestamps for one command."""
-        _, _, replicas = build_caesar_cluster()
+        _, _, replicas = build_replicas()
         command = make_command(0, 0, key="x")
         write_entry(replicas[0].history, command, LogicalTimestamp(1, 0), set(),
                     CommandStatus.STABLE, Ballot.initial(0))
@@ -72,27 +86,13 @@ class TestCheckersDetectViolations:
 
     def test_graph_invariant_violation_detected(self):
         """A stable later command missing its earlier conflicting predecessor."""
-        _, _, replicas = build_caesar_cluster()
-        replica = replicas[0]
-        early = make_command(0, 0, key="x")
-        late = make_command(1, 0, key="x")
-        write_entry(replica.history, early, LogicalTimestamp(1, 0), set(),
-                    CommandStatus.STABLE, Ballot.initial(0))
-        write_entry(replica.history, late, LogicalTimestamp(5, 1), set(),
-                    CommandStatus.STABLE, Ballot.initial(1))
+        replica, _, _ = two_stable_commands(1, 5)
         violations = check_graph_invariant([replica])
         assert len(violations) == 1
         assert "missing from predecessors" in violations[0]
 
     def test_graph_invariant_execution_order_violation_detected(self):
-        _, _, replicas = build_caesar_cluster()
-        replica = replicas[0]
-        early = make_command(0, 0, key="x")
-        late = make_command(1, 0, key="x")
-        write_entry(replica.history, early, LogicalTimestamp(1, 0), set(),
-                    CommandStatus.STABLE, Ballot.initial(0))
-        write_entry(replica.history, late, LogicalTimestamp(5, 1), {early.command_id},
-                    CommandStatus.STABLE, Ballot.initial(1))
+        replica, early, late = two_stable_commands(1, 5, late_names_early=True)
         # Execute them in the wrong order directly.
         replica.execution_log.append(late)
         replica.execution_log.append(early)
@@ -100,7 +100,7 @@ class TestCheckersDetectViolations:
         assert any("before" in violation for violation in violations)
 
     def test_execution_consistency_violation_detected(self):
-        _, _, replicas = build_caesar_cluster()
+        _, _, replicas = build_replicas()
         first = make_command(0, 0, key="x")
         second = make_command(1, 0, key="x")
         replicas[0].execution_log.append(first)
@@ -112,14 +112,7 @@ class TestCheckersDetectViolations:
         assert "disagree" in violations[0]
 
     def test_timestamp_order_violation_detected(self):
-        _, _, replicas = build_caesar_cluster()
-        replica = replicas[0]
-        early = make_command(0, 0, key="x")
-        late = make_command(1, 0, key="x")
-        write_entry(replica.history, early, LogicalTimestamp(7, 0), set(),
-                    CommandStatus.STABLE, Ballot.initial(0))
-        write_entry(replica.history, late, LogicalTimestamp(2, 1), set(),
-                    CommandStatus.STABLE, Ballot.initial(1))
+        replica, early, late = two_stable_commands(7, 2)
         replica.execution_log.append(early)
         replica.execution_log.append(late)
         violations = check_timestamp_order([replica])
@@ -127,7 +120,7 @@ class TestCheckersDetectViolations:
 
     def test_lost_delivery_wakeup_detected(self):
         """A stable command whose last blocker went away without waking it."""
-        _, _, replicas = build_caesar_cluster()
+        _, _, replicas = build_replicas()
         replica = replicas[0]
         blocker = make_command(0, 0, key="x")
         waiting = make_command(1, 0, key="x")
@@ -159,7 +152,7 @@ class TestCheckersDetectViolations:
         assert violations[0].endswith("lists undelivered predecessors [(7, 0)]")
 
     def test_crashed_replicas_are_skipped(self):
-        _, _, replicas = build_caesar_cluster()
+        _, _, replicas = build_replicas()
         command = make_command(0, 0, key="x")
         write_entry(replicas[0].history, command, LogicalTimestamp(1, 0), set(),
                     CommandStatus.STABLE, Ballot.initial(0))

@@ -5,14 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.consensus.ballots import Ballot
-from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.history import CommandHistory, CommandStatus
 from repro.core.predecessors import WaitManager, compute_predecessor_mask
-from tests.conftest import evaluate_wait, make_command, write_entry
-
-
-def ts(counter: int, node: int = 0) -> LogicalTimestamp:
-    return LogicalTimestamp(counter, node)
+from tests.conftest import evaluate_wait, make_command, ts, write_entry
 
 
 def compute_predecessors(history, command, timestamp, whitelist):
@@ -27,51 +22,28 @@ BALLOT = Ballot.initial(0)
 
 
 class TestComputePredecessors:
-    def test_earlier_conflicting_commands_are_predecessors(self):
+    @pytest.mark.parametrize("key, counter, status, whitelist, included", [
+        ("x", 1, CommandStatus.FAST_PENDING, None, True),
+        ("x", 9, CommandStatus.FAST_PENDING, None, False),
+        ("y", 1, CommandStatus.FAST_PENDING, None, False),
+        ("x", 1, CommandStatus.FAST_PENDING, "it", True),
+        ("x", 1, CommandStatus.FAST_PENDING, "none", False),
+        ("x", 1, CommandStatus.STABLE, "none", True),
+    ], ids=["earlier-conflicting-included", "later-conflicting-excluded",
+            "non-conflicting-excluded", "whitelist-forces-a-fast-pending-one",
+            "whitelist-excludes-a-fast-pending-one-it-omits",
+            "whitelist-keeps-a-decided-one"])
+    def test_one_command_already_in_the_history(self, key, counter, status, whitelist,
+                                                included):
+        """Whether a command in the history is a predecessor of ``x`` at 5: an
+        earlier conflicting one is; with a whitelist, a fast-pending one only if
+        listed, a decided one always."""
         history = CommandHistory()
-        old = make_command(0, 0, key="x")
-        write_entry(history, old, ts(1), set(), CommandStatus.FAST_PENDING, BALLOT)
-        new = make_command(1, 0, key="x")
-        assert compute_predecessors(history, new, ts(5), None) == {old.command_id}
-
-    def test_later_conflicting_commands_excluded(self):
-        history = CommandHistory()
-        future = make_command(0, 0, key="x")
-        write_entry(history, future, ts(9), set(), CommandStatus.FAST_PENDING, BALLOT)
-        new = make_command(1, 0, key="x")
-        assert compute_predecessors(history, new, ts(5), None) == set()
-
-    def test_non_conflicting_commands_excluded(self):
-        history = CommandHistory()
-        other = make_command(0, 0, key="y")
-        write_entry(history, other, ts(1), set(), CommandStatus.FAST_PENDING, BALLOT)
-        new = make_command(1, 0, key="x")
-        assert compute_predecessors(history, new, ts(5), None) == set()
-
-    def test_whitelist_forces_membership(self):
-        """A whitelisted command is a predecessor even if only fast-pending."""
-        history = CommandHistory()
-        pending = make_command(0, 0, key="x")
-        write_entry(history, pending, ts(1), set(), CommandStatus.FAST_PENDING, BALLOT)
-        new = make_command(1, 0, key="x")
-        whitelist = frozenset({pending.command_id})
-        assert compute_predecessors(history, new, ts(5), whitelist) == {pending.command_id}
-
-    def test_whitelist_excludes_fast_pending_not_listed(self):
-        """With a whitelist, a fast-pending command outside it is not a predecessor."""
-        history = CommandHistory()
-        pending = make_command(0, 0, key="x")
-        write_entry(history, pending, ts(1), set(), CommandStatus.FAST_PENDING, BALLOT)
-        new = make_command(1, 0, key="x")
-        assert compute_predecessors(history, new, ts(5), frozenset()) == set()
-
-    def test_whitelist_keeps_decided_commands(self):
-        """With a whitelist, accepted/stable earlier commands stay predecessors."""
-        history = CommandHistory()
-        stable = make_command(0, 0, key="x")
-        write_entry(history, stable, ts(1), set(), CommandStatus.STABLE, BALLOT)
-        new = make_command(1, 0, key="x")
-        assert compute_predecessors(history, new, ts(5), frozenset()) == {stable.command_id}
+        old = make_command(0, 0, key=key)
+        write_entry(history, old, ts(counter), set(), status, BALLOT)
+        listed = {"it": frozenset({old.command_id}), "none": frozenset(), None: None}[whitelist]
+        found = compute_predecessors(history, make_command(1, 0, key="x"), ts(5), listed)
+        assert found == ({old.command_id} if included else set())
 
 
 class ManualClock:
@@ -102,26 +74,26 @@ class TestWaitCondition:
         run_wait(history, manager, make_command(0, 0, key="x"), ts(3), outcomes)
         assert outcomes == [(True, 0.0)]
 
+    def early_behind_later(self, status=CommandStatus.FAST_PENDING, enabled: bool = True):
+        """``later`` on key x at timestamp 10 with ``status``; ``early`` not yet proposed."""
+        history, clock, manager = self.make_manager(enabled)
+        early, later = make_command(0, 0, key="x"), make_command(9, 0, key="x")
+        write_entry(history, later, ts(10), set(), status, BALLOT)
+        return history, clock, manager, early, later
+
     def test_pending_higher_timestamp_conflict_parks_proposal(self):
         """Out-of-order reception (Figure 2a): the earlier command must wait."""
-        history, clock, manager = self.make_manager()
-        later = make_command(9, 0, key="x")
-        write_entry(history, later, ts(10), set(), CommandStatus.FAST_PENDING, BALLOT)
+        history, _, manager, early, _ = self.early_behind_later()
         outcomes = []
-        evaluate_wait(manager, history, make_command(0, 0, key="x"), ts(3),
-                      lambda ok, waited: outcomes.append((ok, waited)))
+        run_wait(history, manager, early, ts(3), outcomes)
         assert outcomes == []
         assert manager.parked == 1
 
     def test_parked_proposal_resolves_ok_when_included_in_predecessors(self):
         """If the later command eventually lists us as a predecessor, WAIT returns OK."""
-        history, clock, manager = self.make_manager()
-        early = make_command(0, 0, key="x")
-        later = make_command(9, 0, key="x")
-        write_entry(history, later, ts(10), set(), CommandStatus.FAST_PENDING, BALLOT)
+        history, clock, manager, early, later = self.early_behind_later()
         outcomes = []
-        evaluate_wait(manager, history, early, ts(3),
-                      lambda ok, waited: outcomes.append((ok, waited)))
+        run_wait(history, manager, early, ts(3), outcomes)
         clock.value = 40.0
         write_entry(history, later, ts(10), {early.command_id}, CommandStatus.STABLE, BALLOT)
         manager.notify_change("x")
@@ -132,22 +104,15 @@ class TestWaitCondition:
 
     def test_parked_proposal_resolves_nack_when_excluded(self):
         """Figure 2b: the later command decides without us; WAIT returns NACK."""
-        history, clock, manager = self.make_manager()
-        early = make_command(0, 0, key="x")
-        later = make_command(9, 0, key="x")
-        write_entry(history, later, ts(10), set(), CommandStatus.FAST_PENDING, BALLOT)
+        history, _, manager, early, later = self.early_behind_later()
         outcomes = []
-        evaluate_wait(manager, history, early, ts(3),
-                      lambda ok, waited: outcomes.append((ok, waited)))
+        run_wait(history, manager, early, ts(3), outcomes)
         write_entry(history, later, ts(10), set(), CommandStatus.STABLE, BALLOT)
         manager.notify_change("x")
         assert outcomes == [(False, 0.0)]
 
     def test_immediate_nack_when_conflict_already_stable(self):
-        history, clock, manager = self.make_manager()
-        early = make_command(0, 0, key="x")
-        later = make_command(9, 0, key="x")
-        write_entry(history, later, ts(10), set(), CommandStatus.STABLE, BALLOT)
+        history, _, manager, early, _ = self.early_behind_later(CommandStatus.STABLE)
         outcomes = []
         run_wait(history, manager, early, ts(3), outcomes)
         assert outcomes == [(False, 0.0)]
@@ -163,29 +128,21 @@ class TestWaitCondition:
 
     def test_disabled_wait_condition_rejects_instead_of_parking(self):
         """Ablation mode: proposals that would wait are rejected immediately."""
-        history, clock, manager = self.make_manager(enabled=False)
-        later = make_command(9, 0, key="x")
-        write_entry(history, later, ts(10), set(), CommandStatus.FAST_PENDING, BALLOT)
+        history, _, manager, early, _ = self.early_behind_later(enabled=False)
         outcomes = []
-        run_wait(history, manager, make_command(0, 0, key="x"), ts(3), outcomes)
+        run_wait(history, manager, early, ts(3), outcomes)
         assert outcomes == [(False, 0.0)]
 
     def test_notify_change_on_other_key_is_noop(self):
-        history, clock, manager = self.make_manager()
-        later = make_command(9, 0, key="x")
-        write_entry(history, later, ts(10), set(), CommandStatus.FAST_PENDING, BALLOT)
+        history, _, manager, early, _ = self.early_behind_later()
         outcomes = []
-        evaluate_wait(manager, history, make_command(0, 0, key="x"), ts(3),
-                      lambda ok, waited: outcomes.append((ok, waited)))
+        run_wait(history, manager, early, ts(3), outcomes)
         manager.notify_change("unrelated")
         assert outcomes == []
 
     def test_drop_command_removes_parked_proposal(self):
-        history, clock, manager = self.make_manager()
-        early = make_command(0, 0, key="x")
-        later = make_command(9, 0, key="x")
-        write_entry(history, later, ts(10), set(), CommandStatus.FAST_PENDING, BALLOT)
-        evaluate_wait(manager, history, early, ts(3), lambda ok, waited: None)
+        history, _, manager, early, _ = self.early_behind_later()
+        run_wait(history, manager, early, ts(3), [])
         assert manager.parked == 1
         manager.drop_command(early.command_id, "x")
         assert manager.parked == 0

@@ -8,40 +8,13 @@ import pytest
 
 from repro.baselines.epaxos import EPaxosReplica
 from repro.consensus.interface import DecisionKind
-from repro.consensus.quorums import QuorumSystem
 from repro.harness.experiment import ExperimentConfig, run_experiment
-from repro.kvstore.store import KeyValueStore
-from repro.sim.network import Network, NetworkConfig
-from repro.sim.simulator import Simulator
-from repro.sim.topology import ec2_five_sites
-from tests.conftest import ignore, make_command, uniform_topology
-
-
-def build_epaxos_cluster(n: int = 5, seed: int = 1, recovery: bool = False, topology=None):
-    topology = topology or (ec2_five_sites() if n == 5 else uniform_topology(n, rtt_ms=40.0))
-    sim = Simulator(seed=seed)
-    network = Network(sim, topology, NetworkConfig())
-    quorums = QuorumSystem.for_cluster(n)
-    replicas = [EPaxosReplica(i, sim, network, quorums, KeyValueStore()) for i in range(n)]
-    if recovery:
-        for replica in replicas:
-            replica.recovery_on = True
-            replica.start()
-    return sim, network, replicas
-
-
-def submit_and_run(sim, replicas, commands, deadline_ms=60000):
-    for origin, command in commands:
-        replicas[origin].submit(command, ignore)
-    ids = [c.command_id for _, c in commands]
-    return sim.run_until(
-        lambda: all(r.has_executed(cid) for r in replicas if not r.crashed for cid in ids),
-        deadline=deadline_ms)
+from tests.conftest import build_replicas, ignore, make_command, order_violations, submit_and_run
 
 
 class TestFastPath:
     def test_non_conflicting_command_commits_fast(self):
-        sim, _, replicas = build_epaxos_cluster()
+        sim, _, replicas = build_replicas(EPaxosReplica)
         command = make_command(0, 0, key="a", origin=0)
         assert submit_and_run(sim, replicas, [(0, command)])
         assert replicas[0].stats.fast_decisions == 1
@@ -51,7 +24,7 @@ class TestFastPath:
     @pytest.mark.parametrize("origin", range(5))
     def test_fast_path_uses_smaller_quorum_than_caesar(self, topology, origin):
         """EPaxos' fast decision needs only the fast quorum of 3 nearest replicas."""
-        sim, _, replicas = build_epaxos_cluster()
+        sim, _, replicas = build_replicas(EPaxosReplica)
         command = make_command(0, 0, key="a", origin=origin)
         assert submit_and_run(sim, replicas, [(origin, command)])
         latency = replicas[origin].decisions[command.command_id].latency_ms
@@ -59,7 +32,7 @@ class TestFastPath:
         assert bound <= latency <= bound + 0.25
 
     def test_all_replicas_execute(self):
-        sim, _, replicas = build_epaxos_cluster()
+        sim, _, replicas = build_replicas(EPaxosReplica)
         commands = [(i, make_command(i, 0, key=f"k{i}", origin=i)) for i in range(5)]
         assert submit_and_run(sim, replicas, commands)
         assert all(r.commands_executed == 5 for r in replicas)
@@ -68,7 +41,7 @@ class TestFastPath:
 class TestSlowPath:
     def test_dependency_disagreement_forces_slow_path(self):
         """Concurrent conflicting commands from distant sites take the slow path."""
-        sim, _, replicas = build_epaxos_cluster(seed=2)
+        sim, _, replicas = build_replicas(EPaxosReplica, seed=2)
         commands = [(i, make_command(i, k, key="hot", origin=i))
                     for i in range(5) for k in range(6)]
         assert submit_and_run(sim, replicas, commands, deadline_ms=120000)
@@ -76,17 +49,14 @@ class TestSlowPath:
         assert slow > 0
 
     def test_conflicting_order_consistent_across_replicas(self):
-        sim, _, replicas = build_epaxos_cluster(seed=3)
+        sim, _, replicas = build_replicas(EPaxosReplica, seed=3)
         commands = [(i, make_command(i, k, key=f"hot-{k % 2}", origin=i))
                     for i in range(5) for k in range(5)]
         assert submit_and_run(sim, replicas, commands, deadline_ms=120000)
-        for i in range(5):
-            for j in range(i + 1, 5):
-                assert replicas[i].execution_log.conflicting_order_violations(
-                    replicas[j].execution_log) == []
+        assert order_violations(replicas) == []
 
     def test_state_machines_converge(self):
-        sim, _, replicas = build_epaxos_cluster(seed=4)
+        sim, _, replicas = build_replicas(EPaxosReplica, seed=4)
         commands = [(i, make_command(i, k, key=f"hot-{k % 3}", origin=i))
                     for i in range(5) for k in range(4)]
         assert submit_and_run(sim, replicas, commands, deadline_ms=120000)
@@ -95,7 +65,7 @@ class TestSlowPath:
 
     def test_decided_instances_leave_no_leader_state(self):
         """Fast or slow, a leader forgets an instance once its Commit is out."""
-        sim, _, replicas = build_epaxos_cluster(seed=2)
+        sim, _, replicas = build_replicas(EPaxosReplica, seed=2)
         commands = [(i, make_command(i, k, key="hot" if k < 4 else f"own-{i}-{k}", origin=i))
                     for i in range(5) for k in range(6)]
         assert submit_and_run(sim, replicas, commands, deadline_ms=120000)
@@ -133,7 +103,7 @@ class TestModelledCostGolden:
 
 class TestRecovery:
     def test_instance_recovered_after_leader_crash(self):
-        sim, _, replicas = build_epaxos_cluster(recovery=True, seed=6)
+        sim, _, replicas = build_replicas(EPaxosReplica, recovery=True, seed=6)
         command = make_command(0, 0, key="x", origin=0)
         replicas[0].submit(command, ignore)
         sim.run(until=sim.now + 40.0)  # PreAccepts delivered, commit not yet sent
@@ -150,7 +120,7 @@ class TestRecovery:
         assert [(len(r._leader_states), len(r._recoveries)) for r in survivors] == [(0, 0)] * 4
 
     def test_crash_of_follower_does_not_block(self):
-        sim, _, replicas = build_epaxos_cluster(recovery=True, seed=8)
+        sim, _, replicas = build_replicas(EPaxosReplica, recovery=True, seed=8)
         replicas[4].crash()
         commands = [(0, make_command(0, k, key="x", origin=0)) for k in range(3)]
         assert submit_and_run(sim, replicas, commands, deadline_ms=60000)

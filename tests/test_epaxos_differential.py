@@ -340,6 +340,22 @@ class TestRepresentations:
         assert replica._writes_on == {"alpha": [PEER_IDS[2]], "beta": [], "gamma": []}
         assert replica.instances[PEER_IDS[2]].deps == (IDS[1],)
 
+    @pytest.mark.parametrize("learned", ["adopted", "received"])
+    def test_a_command_committed_as_a_no_op_is_not_executed(self, learned):
+        """A replica outside the Explicit Prepare quorum accepted a ``get``; the
+        quorum knew no command and committed a no-op, which is final here too."""
+        probe = Probe(spec=False)
+        replica, orphan = probe.replica, PEER_IDS[1]
+        apply_step(probe, 0, ("accept", 1, "beta", "get", 0))
+        if learned == "adopted":
+            replica._adopt_commit(orphan, None, 0, ())
+        else:
+            replica.handle_message(2, Commit(orphan, None, 0, ()))
+        check_representation(replica)
+        assert replica.instances[orphan].command is None
+        assert replica.instances[orphan].status is EXECUTED
+        assert replica.commands_executed == 0
+
     def test_an_acceptor_that_knows_the_same_instances_keeps_the_proposal_s_tuple(self):
         probe = Probe(spec=False)
         probe.record(IDS[0], Command(command_id=(1, 0), key="x", operation="put"))

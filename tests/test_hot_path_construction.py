@@ -8,20 +8,18 @@ with positional arguments; cold paths (recovery, catch-up supply, configs)
 keep their keywords.  This AST scan holds the line: every ``@handles``
 method of CAESAR and the baselines, and the per-command functions named
 below (the TCP replica's and client's reply paths among them), may build
-none of the records in :data:`RECORDS` with a keyword.
+none of the records in :data:`RECORDS` with a keyword.  The cases that put a
+keyword construction back are rows of ``tests/mutants.py``.
 """
 
 from __future__ import annotations
 
 import ast
-import pathlib
 
 import pytest
 
-import repro
 from repro.runtime.registry import TYPE_IDS
-
-PACKAGE = pathlib.Path(repro.__file__).parent
+from tests import source_index
 
 #: Every registered message, and the per-message / per-command records.
 RECORDS = frozenset({qualname.rpartition(".")[2] for qualname in TYPE_IDS} | {
@@ -62,13 +60,6 @@ COLD_HANDLERS = {
 }
 
 
-def methods(tree: ast.Module):
-    """``Class.method -> FunctionDef`` for every method of every top-level class."""
-    return {f"{cls.name}.{node.name}": node
-            for cls in tree.body if isinstance(cls, ast.ClassDef)
-            for node in cls.body if isinstance(node, ast.FunctionDef)}
-
-
 def is_handler(function: ast.FunctionDef) -> bool:
     return any(isinstance(decorator, ast.Call) and isinstance(decorator.func, ast.Name)
                and decorator.func.id == "handles" for decorator in function.decorator_list)
@@ -101,9 +92,9 @@ def keyword_constructions(function: ast.FunctionDef) -> list:
     return found
 
 
-def scanned(source: str, path: str) -> dict:
+def scanned(path: str) -> dict:
     """The functions of one file the guard scans, by ``Class.method``."""
-    table = methods(ast.parse(source))
+    table = source_index.methods(path)
     cold = COLD_HANDLERS.get(path, ())
     chosen = {name: function for name, function in table.items()
               if path in HANDLER_FILES and is_handler(function) and name not in cold}
@@ -111,27 +102,19 @@ def scanned(source: str, path: str) -> dict:
     return chosen
 
 
-def violations(source: str, path: str) -> list:
-    return [f"{path}:{line} {name}: {record}(...) with keywords"
-            for name, function in sorted(scanned(source, path).items())
-            for line, record in keyword_constructions(function)]
-
-
-def read(path: str) -> str:
-    return (PACKAGE / path).read_text(encoding="utf-8")
-
-
 ALL_FILES = sorted(set(HANDLER_FILES) | set(PER_COMMAND))
 
 
 @pytest.mark.parametrize("path", ALL_FILES)
 def test_no_record_is_built_with_keywords_on_the_per_message_path(path):
-    assert violations(read(path), path) == []
+    assert [f"{path}:{line} {name}: {record}(...) with keywords"
+            for name, function in sorted(scanned(path).items())
+            for line, record in keyword_constructions(function)] == []
 
 
 def test_every_named_function_exists_and_every_cold_handler_is_a_handler():
     for path in ALL_FILES:
-        table = methods(ast.parse(read(path)))
+        table = source_index.methods(path)
         missing = [name for name in PER_COMMAND.get(path, ()) if name not in table]
         assert missing == [], path
         for name in COLD_HANDLERS.get(path, ()):
@@ -141,63 +124,8 @@ def test_every_named_function_exists_and_every_cold_handler_is_a_handler():
 def test_the_scan_covers_every_handler_it_should():
     """Each protocol file contributes its handlers, so a decorator the scan
     stopped recognising would show up here rather than pass silently."""
-    counts = {path: sum(is_handler(function)
-                        for function in methods(ast.parse(read(path))).values())
+    counts = {path: sum(map(is_handler, source_index.methods(path).values()))
               for path in HANDLER_FILES}
     assert counts == {"core/caesar.py": 10, "baselines/epaxos.py": 7,
                       "baselines/m2paxos.py": 7, "baselines/mencius.py": 4,
                       "baselines/multipaxos.py": 6}
-
-
-@pytest.mark.parametrize("original, keyword", [
-    # A reply built in a handler.
-    ("self.send(src, AcceptReply(message.instance_id, message.ballot))",
-     "self.send(src, AcceptReply(instance_id=message.instance_id, ballot=message.ballot))"),
-    # A row built in a per-command function, and a keyword tacked on at the end.
-    ("self.broadcast(Commit(state.instance_id, state.command, seq, deps),",
-     "self.broadcast(Commit(state.instance_id, state.command, seq=seq, deps=deps),"),
-])
-def test_a_keyword_construction_put_back_is_caught(original, keyword):
-    source = read("baselines/epaxos.py")
-    assert original in source
-    found = violations(source.replace(original, keyword), "baselines/epaxos.py")
-    assert len(found) == 1 and "with keywords" in found[0]
-
-
-@pytest.mark.parametrize("path, original, keyword", [
-    ("net/client.py",
-     "CommandResult(message.command_id, message.value, 0.0,\n"
-     "                                               bool(message.rejected))",
-     "CommandResult(command_id=message.command_id, value=message.value,\n"
-     "                                               rejected=bool(message.rejected))"),
-    ("net/replica.py",
-     "ClientReply(command.command_id, result.value, int(result.rejected))",
-     "ClientReply(command_id=command.command_id, value=result.value,\n"
-     "                                rejected=int(result.rejected))"),
-])
-def test_a_keyword_tcp_reply_is_caught(path, original, keyword):
-    """The reply each TCP command ends with, once on the replica and once on the client."""
-    source = read(path)
-    assert original in source
-    found = violations(source.replace(original, keyword), path)
-    assert len(found) == 1 and "with keywords" in found[0]
-
-
-def test_an_aliased_record_class_is_caught():
-    source = read("core/caesar.py")
-    original = "reply_cls(command_id, ballot, reply_ts, reply_ids, ok)"
-    assert original in source
-    found = violations(source.replace(original, "reply_cls(command_id, ballot, reply_ts, "
-                                                "reply_ids, ok=ok)"), "core/caesar.py")
-    assert [entry.split(": ", 1)[1] for entry in found] == ["reply_cls(...) with keywords"]
-
-
-def test_a_keyword_tape_record_is_caught():
-    """The chaos tape builds one ``Operation`` per command it records."""
-    source = read("chaos/history.py")
-    original = "Operation(len(self.operations), client_id, key, operation, value, self.sim.now)"
-    assert original in source
-    found = violations(source.replace(original, original.replace("self.sim.now",
-                                                                 "invoked_at=self.sim.now")),
-                       "chaos/history.py")
-    assert [entry.split(": ", 1)[1] for entry in found] == ["Operation(...) with keywords"]

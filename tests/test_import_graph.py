@@ -18,8 +18,8 @@ import sys
 
 import pytest
 
-import repro
 from repro.harness.protocols import PROTOCOLS
+from tests import source_index
 
 #: What a simulator run of one protocol has no use for: the socket substrate
 #: and everything asyncio drags in, a database, the process pools of the
@@ -151,51 +151,28 @@ def test_the_cli_loads_no_database():
     assert loaded is False
 
 
-def module_imports(path: pathlib.Path):
-    """Every module ``path`` imports, at any nesting, with its function."""
-    found = []
-
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Import):
-                modules = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom):
-                modules = [child.module or ""]
-            else:
-                inner = child.name if isinstance(child, (ast.FunctionDef,
-                                                         ast.AsyncFunctionDef)) else function
-                visit(child, inner)
-                continue
-            found.extend((module, function) for module in modules)
-
-    visit(ast.parse(path.read_text(encoding="utf-8")), None)
-    return found
-
-
-def simulator_imports(path: pathlib.Path):
-    """Every ``repro.sim`` module ``path`` imports, with its function."""
-    return [(module, function) for module, function in module_imports(path)
+def simulator_imports(path: str):
+    """Every ``repro.sim`` module the file at ``path`` under ``src/repro`` imports,
+    with its function."""
+    return [(module, function) for module, function in source_index.imports(path)
             if module == "repro.sim" or module.startswith("repro.sim.")]
 
 
 def test_below_the_harness_only_the_modules_a_replica_runs_on_are_imported():
     """``runtime/``, the protocols and ``net/`` import the three simulator
     modules a replica runs on, and no other, with no exception."""
-    package = pathlib.Path(repro.__file__).parent
-    offenders = []
-    for layer in ("runtime", "consensus", "core", "baselines", "workload", "kvstore",
-                  "metrics", "net"):
-        for path in sorted((package / layer).glob("*.py")):
-            for module, _ in simulator_imports(path):
-                if module not in SIM_MODULES_A_REPLICA_RUNS_ON:
-                    offenders.append(f"{layer}/{path.name}: {module}")
+    offenders = [f"{path}: {module}"
+                 for layer in ("runtime", "consensus", "core", "baselines", "workload",
+                               "kvstore", "metrics", "net")
+                 for path in source_index.package_paths(layer)
+                 for module, _ in simulator_imports(path)
+                 if module not in SIM_MODULES_A_REPLICA_RUNS_ON]
     assert offenders == []
 
 
 def test_no_module_under_src_imports_sqlite3():
-    package = pathlib.Path(repro.__file__).parent
-    offenders = [str(path.relative_to(package)) for path in sorted(package.rglob("*.py"))
-                 for module, _ in module_imports(path)
+    offenders = [path for path in source_index.package_paths()
+                 for module, _ in source_index.imports(path)
                  if module == "sqlite3" or module.startswith("sqlite3.")]
     assert offenders == []
 
@@ -205,9 +182,8 @@ def test_the_experiment_harness_never_loads_the_figure_table():
     an experiment (``repro run --throughput``, ``repro overload``) needs no
     figure: no import of ``repro.harness.figures`` at any nesting, and none
     at run time."""
-    package = pathlib.Path(repro.__file__).parent
     for name in ("experiment.py", "overload.py"):
-        assert [module for module, _ in module_imports(package / "harness" / name)
+        assert [module for module, _ in source_index.imports(f"harness/{name}")
                 if module == "repro.harness.figures"] == [], name
     loaded = in_fresh_interpreter(
         "import json, sys\n"

@@ -6,35 +6,13 @@ import pytest
 
 from repro.baselines.m2paxos import M2PaxosReplica
 from repro.baselines.mencius import MenciusReplica
-from repro.consensus.quorums import QuorumSystem
-from repro.kvstore.store import KeyValueStore
-from repro.sim.network import Network, NetworkConfig
-from repro.sim.simulator import Simulator
 from repro.sim.topology import ec2_five_sites
-from tests.conftest import ignore, make_command, uniform_topology
-
-
-def build_cluster(cls, n: int = 5, seed: int = 1):
-    topology = ec2_five_sites() if n == 5 else uniform_topology(n, rtt_ms=40.0)
-    sim = Simulator(seed=seed)
-    network = Network(sim, topology, NetworkConfig())
-    quorums = QuorumSystem.for_cluster(n)
-    replicas = [cls(i, sim, network, quorums, KeyValueStore()) for i in range(n)]
-    return sim, network, replicas
-
-
-def submit_and_run(sim, replicas, commands, deadline_ms=60000):
-    for origin, command in commands:
-        replicas[origin].submit(command, ignore)
-    ids = [c.command_id for _, c in commands]
-    return sim.run_until(
-        lambda: all(r.has_executed(cid) for r in replicas for cid in ids),
-        deadline=deadline_ms)
+from tests.conftest import build_replicas, ignore, make_command, order_violations, submit_and_run
 
 
 class TestMencius:
     def test_single_command_delivered_everywhere(self):
-        sim, _, replicas = build_cluster(MenciusReplica)
+        sim, _, replicas = build_replicas(MenciusReplica)
         command = make_command(0, 0, key="a", origin=0)
         assert submit_and_run(sim, replicas, [(0, command)])
         assert all(r.commands_executed == 1 for r in replicas)
@@ -42,7 +20,7 @@ class TestMencius:
     def test_latency_governed_by_slowest_peer(self):
         """A Mencius leader must hear from every node, so latency tracks the farthest RTT."""
         topology = ec2_five_sites()
-        sim, _, replicas = build_cluster(MenciusReplica)
+        sim, _, replicas = build_replicas(MenciusReplica)
         virginia = topology.index_of("virginia")
         command = make_command(0, 0, key="a", origin=virginia)
         assert submit_and_run(sim, replicas, [(virginia, command)])
@@ -51,7 +29,7 @@ class TestMencius:
         assert latency == pytest.approx(farthest, rel=0.15)
 
     def test_total_order_identical_on_all_replicas(self):
-        sim, _, replicas = build_cluster(MenciusReplica)
+        sim, _, replicas = build_replicas(MenciusReplica)
         commands = [(i, make_command(i, k, key=f"k{k}", origin=i))
                     for i in range(5) for k in range(4)]
         assert submit_and_run(sim, replicas, commands)
@@ -61,7 +39,7 @@ class TestMencius:
 
     def test_skips_fill_unused_slots(self):
         """An idle replica's slots are skipped so others can still deliver."""
-        sim, _, replicas = build_cluster(MenciusReplica)
+        sim, _, replicas = build_replicas(MenciusReplica)
         # Only replica 0 and 1 propose; slots owned by 2, 3, 4 must be skipped.
         commands = [(0, make_command(0, k, key=f"a{k}", origin=0)) for k in range(5)]
         commands += [(1, make_command(1, k, key=f"b{k}", origin=1)) for k in range(5)]
@@ -69,33 +47,30 @@ class TestMencius:
         assert sum(r.stats.slots_skipped for r in replicas) > 0
 
     def test_conflicting_commands_consistent(self):
-        sim, _, replicas = build_cluster(MenciusReplica)
+        sim, _, replicas = build_replicas(MenciusReplica)
         commands = [(i, make_command(i, k, key="hot", origin=i))
                     for i in range(5) for k in range(3)]
         assert submit_and_run(sim, replicas, commands)
-        for i in range(5):
-            for j in range(i + 1, 5):
-                assert replicas[i].execution_log.conflicting_order_violations(
-                    replicas[j].execution_log) == []
+        assert order_violations(replicas) == []
 
 
 class TestM2Paxos:
     def test_first_access_acquires_ownership(self):
-        sim, _, replicas = build_cluster(M2PaxosReplica)
+        sim, _, replicas = build_replicas(M2PaxosReplica)
         command = make_command(0, 0, key="mine", origin=0)
         assert submit_and_run(sim, replicas, [(0, command)])
         assert replicas[0].stats.acquisitions == 1
         assert replicas[0].owners["mine"] == 0
 
     def test_owner_orders_without_new_acquisition(self):
-        sim, _, replicas = build_cluster(M2PaxosReplica)
+        sim, _, replicas = build_replicas(M2PaxosReplica)
         commands = [(0, make_command(0, k, key="mine", origin=0)) for k in range(4)]
         assert submit_and_run(sim, replicas, commands)
         assert replicas[0].stats.acquisitions == 1
         assert replicas[0].stats.local_decisions == 4
 
     def test_non_owner_forwards_to_owner(self):
-        sim, _, replicas = build_cluster(M2PaxosReplica)
+        sim, _, replicas = build_replicas(M2PaxosReplica)
         first = make_command(0, 0, key="shared", origin=0)
         assert submit_and_run(sim, replicas, [(0, first)])
         second = make_command(1, 0, key="shared", origin=1)
@@ -106,7 +81,7 @@ class TestM2Paxos:
 
     def test_forwarded_commands_cost_more_latency(self):
         """The forwarding hop is what degrades M2Paxos under conflicts (Figure 6)."""
-        sim, _, replicas = build_cluster(M2PaxosReplica)
+        sim, _, replicas = build_replicas(M2PaxosReplica)
         local = make_command(0, 0, key="shared", origin=0)
         assert submit_and_run(sim, replicas, [(0, local)])
         remote = make_command(4, 0, key="shared", origin=4)
@@ -116,23 +91,20 @@ class TestM2Paxos:
         assert remote_latency > local_latency
 
     def test_per_key_order_consistent_across_replicas(self):
-        sim, _, replicas = build_cluster(M2PaxosReplica)
+        sim, _, replicas = build_replicas(M2PaxosReplica)
         commands = [(i, make_command(i, k, key="hot", origin=i))
                     for i in range(5) for k in range(3)]
         assert submit_and_run(sim, replicas, commands)
-        for i in range(5):
-            for j in range(i + 1, 5):
-                assert replicas[i].execution_log.conflicting_order_violations(
-                    replicas[j].execution_log) == []
+        assert order_violations(replicas) == []
 
     def test_different_keys_independent(self):
-        sim, _, replicas = build_cluster(M2PaxosReplica)
+        sim, _, replicas = build_replicas(M2PaxosReplica)
         commands = [(i, make_command(i, 0, key=f"key-{i}", origin=i)) for i in range(5)]
         assert submit_and_run(sim, replicas, commands)
         assert all(r.commands_executed == 5 for r in replicas)
 
     def test_state_machines_converge(self):
-        sim, _, replicas = build_cluster(M2PaxosReplica)
+        sim, _, replicas = build_replicas(M2PaxosReplica)
         commands = [(i, make_command(i, k, key=f"hot-{k % 2}", origin=i))
                     for i in range(5) for k in range(3)]
         assert submit_and_run(sim, replicas, commands)
@@ -141,7 +113,7 @@ class TestM2Paxos:
 
     def test_concurrent_acquisition_single_winner(self):
         """Two replicas racing for an unowned key converge on one owner."""
-        sim, _, replicas = build_cluster(M2PaxosReplica)
+        sim, _, replicas = build_replicas(M2PaxosReplica)
         first = make_command(0, 0, key="contested", origin=0)
         second = make_command(4, 0, key="contested", origin=4)
         replicas[0].submit(first, ignore)

@@ -3,56 +3,27 @@
 from __future__ import annotations
 
 from repro.baselines.multipaxos import MultiPaxosReplica
-from repro.consensus.quorums import QuorumSystem
-from repro.kvstore.store import KeyValueStore
-from repro.sim.network import Network, NetworkConfig
-from repro.sim.simulator import Simulator
 from repro.sim.topology import ec2_five_sites
-from tests.conftest import ignore, make_command, uniform_topology
-
-
-def build_multipaxos_cluster(n: int = 5, leader_id: int = 0, seed: int = 1,
-                             recovery: bool = False):
-    topology = ec2_five_sites() if n == 5 else uniform_topology(n, rtt_ms=40.0)
-    sim = Simulator(seed=seed)
-    network = Network(sim, topology, NetworkConfig())
-    quorums = QuorumSystem.for_cluster(n)
-    replicas = [MultiPaxosReplica(i, sim, network, quorums, KeyValueStore(),
-                                  leader_id=leader_id)
-                for i in range(n)]
-    if recovery:
-        for replica in replicas:
-            replica.recovery_on = True
-            replica.start()
-    return sim, network, replicas
-
-
-def submit_and_run(sim, replicas, commands, deadline_ms=60000):
-    for origin, command in commands:
-        replicas[origin].submit(command, ignore)
-    ids = [c.command_id for _, c in commands]
-    return sim.run_until(
-        lambda: all(r.has_executed(cid) for r in replicas if not r.crashed for cid in ids),
-        deadline=deadline_ms)
+from tests.conftest import build_replicas, ignore, make_command, submit_and_run
 
 
 class TestOrdering:
     def test_leader_orders_local_command(self):
-        sim, _, replicas = build_multipaxos_cluster()
+        sim, _, replicas = build_replicas(MultiPaxosReplica, leader_id=0)
         command = make_command(0, 0, key="a", origin=0)
         assert submit_and_run(sim, replicas, [(0, command)])
         assert replicas[0].stats.slots_proposed == 1
         assert replicas[0].stats.slots_committed == 1
 
     def test_non_leader_forwards_to_leader(self):
-        sim, _, replicas = build_multipaxos_cluster(leader_id=3)
+        sim, _, replicas = build_replicas(MultiPaxosReplica, leader_id=3)
         command = make_command(2, 0, key="a", origin=2)
         assert submit_and_run(sim, replicas, [(2, command)])
         assert replicas[2].stats.commands_forwarded == 1
         assert replicas[3].stats.slots_proposed == 1
 
     def test_total_order_identical_on_all_replicas(self):
-        sim, _, replicas = build_multipaxos_cluster()
+        sim, _, replicas = build_replicas(MultiPaxosReplica, leader_id=0)
         commands = [(i, make_command(i, k, key=f"k{k}", origin=i))
                     for i in range(5) for k in range(4)]
         assert submit_and_run(sim, replicas, commands)
@@ -67,7 +38,7 @@ class TestOrdering:
         mumbai = topology.index_of("mumbai")
 
         def leader_latency(leader_id: int, origin: int) -> float:
-            sim, _, replicas = build_multipaxos_cluster(leader_id=leader_id)
+            sim, _, replicas = build_replicas(MultiPaxosReplica, leader_id=leader_id)
             command = make_command(origin, 0, key="a", origin=origin)
             assert submit_and_run(sim, replicas, [(origin, command)])
             return replicas[origin].decisions[command.command_id].latency_ms
@@ -78,13 +49,13 @@ class TestOrdering:
 
     def test_conflict_rate_does_not_matter(self):
         """Multi-Paxos orders everything; same-key and different-key commands behave alike."""
-        sim, _, replicas = build_multipaxos_cluster()
+        sim, _, replicas = build_replicas(MultiPaxosReplica, leader_id=0)
         same_key = [(i, make_command(i, 0, key="hot", origin=i)) for i in range(5)]
         assert submit_and_run(sim, replicas, same_key)
         assert all(r.commands_executed == 5 for r in replicas)
 
     def test_state_machines_converge(self):
-        sim, _, replicas = build_multipaxos_cluster()
+        sim, _, replicas = build_replicas(MultiPaxosReplica, leader_id=0)
         commands = [(i, make_command(i, k, key=f"hot-{k % 2}", origin=i))
                     for i in range(5) for k in range(3)]
         assert submit_and_run(sim, replicas, commands)
@@ -94,7 +65,7 @@ class TestOrdering:
 
 class TestLeaderFailover:
     def test_new_leader_elected_after_crash(self):
-        sim, _, replicas = build_multipaxos_cluster(recovery=True, leader_id=0, seed=2)
+        sim, _, replicas = build_replicas(MultiPaxosReplica, recovery=True, leader_id=0, seed=2)
         first = make_command(1, 0, key="a", origin=1)
         replicas[1].submit(first, ignore)
         assert sim.run_until(lambda: replicas[1].has_executed(first.command_id),
@@ -110,7 +81,7 @@ class TestLeaderFailover:
             lambda: all(r.has_executed(second.command_id) for r in live), deadline=30000)
 
     def test_follower_crash_does_not_stop_progress(self):
-        sim, _, replicas = build_multipaxos_cluster(recovery=True, leader_id=0, seed=3)
+        sim, _, replicas = build_replicas(MultiPaxosReplica, recovery=True, leader_id=0, seed=3)
         replicas[4].crash()
         command = make_command(1, 0, key="a", origin=1)
         replicas[1].submit(command, ignore)

@@ -48,16 +48,16 @@ are on :data:`ALLOWED` with the reason.  Run it as a script to list what it find
 from __future__ import annotations
 
 import ast
-import functools
 import json
 import sys
 from pathlib import Path
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "repro"
-CALLER_DIRS = ("src", "bench", "examples")
-SURFACE = ROOT / "tests" / "data" / "cli_parser_surface.json"
+if __name__ == "__main__":  # run as a script: put the repository root on the path
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests import source_index  # noqa: E402
+
+SURFACE = source_index.ROOT / "tests" / "data" / "cli_parser_surface.json"
 
 _GRID = "figure grid: its keyword defaults are the figure, set by the row's --quick overrides"
 _REPLICA = "replica constructor: build_replica passes cost_model and a figure row's options"
@@ -98,90 +98,19 @@ ALLOWED: Dict[str, str] = {
 
 
 Definition = Tuple[str, str, ast.FunctionDef, bool]
+Calls = Dict[str, List[Tuple[str, ast.Call]]]
 
 
-def definitions(trees: Dict[str, ast.Module]) -> List[Definition]:
-    """Every function of the ``src/repro`` modules in ``trees``: ``(path under
-    src/repro, qualname, node, is_method)``."""
-    found: List[Definition] = []
-
-    def visit(node: ast.AST, path: str, prefix: str, in_class: bool) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found.append((path, prefix + child.name, child, in_class))
-                visit(child, path, f"{prefix}{child.name}.", False)
-            elif isinstance(child, ast.ClassDef):
-                visit(child, path, f"{prefix}{child.name}.", True)
-            else:
-                visit(child, path, prefix, in_class)
-
-    prefix = PACKAGE.relative_to(ROOT).as_posix() + "/"
-    for path, tree in trees.items():
-        if path.startswith(prefix):
-            visit(tree, path[len(prefix):], "", False)
-    return found
-
-
-def _base_names(cls: ast.ClassDef) -> Iterator[str]:
-    for base in cls.bases:
-        if isinstance(base, ast.Name):
-            yield base.id
-        elif isinstance(base, ast.Attribute):
-            yield base.attr
-
-
-def calls(trees: Dict[str, ast.Module]) -> Dict[str, List[ast.Call]]:
-    """Every call in ``trees`` (``path -> module``), by the name it calls.
-
-    ``super().__init__(...)`` is filed under each base class of the class it
-    sits in, as ``Base(...)`` is.
-    """
-    found: Dict[str, List[ast.Call]] = {}
-
-    def visit(node: ast.AST, bases: Tuple[str, ...]) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                visit(child, tuple(_base_names(child)))
-                continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                if (isinstance(func, ast.Attribute) and func.attr == "__init__"
-                        and isinstance(func.value, ast.Call)
-                        and isinstance(func.value.func, ast.Name)
-                        and func.value.func.id == "super"):
-                    for base in bases:
-                        found.setdefault(base, []).append(child)
-                elif isinstance(func, ast.Name):
-                    found.setdefault(func.id, []).append(child)
-                elif isinstance(func, ast.Attribute):
-                    found.setdefault(func.attr, []).append(child)
-            visit(child, bases)
-
-    for tree in trees.values():
-        visit(tree, ())
-    return found
-
-
-@functools.lru_cache(maxsize=None)
-def product_trees() -> Dict[str, ast.Module]:
-    """Every Python file a product path runs (``src/``, ``bench/``,
-    ``examples/``), each parsed once."""
-    return {file.relative_to(ROOT).as_posix(): ast.parse(file.read_text(encoding="utf-8"))
-            for folder in CALLER_DIRS for file in sorted((ROOT / folder).rglob("*.py"))}
-
-
-@functools.lru_cache(maxsize=None)
+@source_index.cached
 def product_missing() -> Dict[str, List[str]]:
     """:func:`unpassed` over the repository."""
-    trees = product_trees()
-    return unpassed(definitions(trees), calls(trees))
+    return unpassed(source_index.functions(), source_index.calls())
 
 
-@functools.lru_cache(maxsize=None)
+@source_index.cached
 def product_overridden() -> Dict[str, List[str]]:
     """:func:`overridden` over the repository."""
-    trees = product_trees()
-    return overridden(definitions(trees), calls(trees))
+    return overridden(source_index.functions(), source_index.calls())
 
 
 def pinned_configs() -> List[str]:
@@ -190,10 +119,10 @@ def pinned_configs() -> List[str]:
     return sorted(name for name in json.loads(SURFACE.read_text()) if name[:1].isupper())
 
 
-@functools.lru_cache(maxsize=None)
+@source_index.cached
 def product_unset() -> List[str]:
     """:func:`unset_fields` over the repository's pinned configs."""
-    return unset_fields(product_trees(), pinned_configs())
+    return unset_fields(source_index.trees(), pinned_configs())
 
 
 def _passes(call: ast.Call, name: str, position: int) -> bool:
@@ -206,7 +135,7 @@ def _passes(call: ast.Call, name: str, position: int) -> bool:
             or len(call.args) > position)
 
 
-def _defaulted(definitions_: List[Definition], calls_: Dict[str, List[ast.Call]]):
+def _defaulted(definitions_: List[Definition], calls_: Calls):
     """Each defaulted parameter with the calls that may reach its function:
     ``(path::qualname, parameter, [call, ...], position or -1 if keyword-only)``."""
     for path, qualname, node, is_method in definitions_:
@@ -218,7 +147,7 @@ def _defaulted(definitions_: List[Definition], calls_: Dict[str, List[ast.Call]]
         # (or by construction, for ``__init__``), not passed by the call.
         skip = 1 if is_method and not is_static else 0
         called_as = qualname.split(".")[-2] if node.name == "__init__" else node.name
-        candidates = calls_.get(called_as, [])
+        candidates = [call for _, call in calls_.get(called_as, [])]
         for index, param in enumerate(positional):
             if index >= len(positional) - len(args.defaults):
                 yield f"{path}::{qualname}", param.arg, candidates, index - skip
@@ -227,8 +156,7 @@ def _defaulted(definitions_: List[Definition], calls_: Dict[str, List[ast.Call]]
                 yield f"{path}::{qualname}", param.arg, candidates, -1
 
 
-def unpassed(definitions_: List[Definition],
-             calls_: Dict[str, List[ast.Call]]) -> Dict[str, List[str]]:
+def unpassed(definitions_: List[Definition], calls_: Calls) -> Dict[str, List[str]]:
     """``path::qualname -> [parameter, ...]`` for every defaulted parameter no call passes."""
     missing: Dict[str, List[str]] = {}
     for function, name, candidates, position in _defaulted(definitions_, calls_):
@@ -237,8 +165,7 @@ def unpassed(definitions_: List[Definition],
     return missing
 
 
-def overridden(definitions_: List[Definition],
-               calls_: Dict[str, List[ast.Call]]) -> Dict[str, List[str]]:
+def overridden(definitions_: List[Definition], calls_: Calls) -> Dict[str, List[str]]:
     """``path::qualname -> [parameter, ...]`` for every defaulted parameter
     that every call passes (a function nothing calls by name has none)."""
     found: Dict[str, List[str]] = {}
@@ -290,7 +217,7 @@ def unset_fields(trees: Dict[str, ast.Module], configs: List[str]) -> List[str]:
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
-                classes.setdefault(node.name, (node, list(_base_names(node))))
+                classes.setdefault(node.name, (node, list(source_index.base_names(node))))
 
     def all_fields(name: str) -> List[str]:
         node, bases = classes[name]
@@ -308,16 +235,15 @@ def unset_fields(trees: Dict[str, ast.Module], configs: List[str]) -> List[str]:
                 keys |= _unpacked_keys(keyword.value, module)
         return keys
 
-    calls_by_module = {path: calls({path: tree}) for path, tree in trees.items()}
+    found = source_index.calls_in(trees)
     anywhere: Set[str] = set()
-    for path, found in calls_by_module.items():
-        for call in found.get("replace", []) + found.get("build_config", []):
-            anywhere |= named(call, trees[path])
-        for call in found.get("Flag", []):
-            if len(call.args) > 1 and isinstance(call.args[1], ast.Constant):
-                anywhere.add(call.args[1].value)
-            anywhere |= {keyword.value.value for keyword in call.keywords
-                         if keyword.arg == "field" and isinstance(keyword.value, ast.Constant)}
+    for path, call in found.get("replace", []) + found.get("build_config", []):
+        anywhere |= named(call, trees[path])
+    for _, call in found.get("Flag", []):
+        if len(call.args) > 1 and isinstance(call.args[1], ast.Constant):
+            anywhere.add(call.args[1].value)
+        anywhere |= {keyword.value.value for keyword in call.keywords
+                     if keyword.arg == "field" and isinstance(keyword.value, ast.Constant)}
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Assign) and any(
@@ -329,10 +255,9 @@ def unset_fields(trees: Dict[str, ast.Module], configs: List[str]) -> List[str]:
     for config in configs:
         set_here = set(anywhere)
         for cls in family(config):
-            for path, found in calls_by_module.items():
-                for call in found.get(cls, []):
-                    set_here |= named(call, trees[path])
-                    set_here |= set(all_fields(cls)[:len(call.args)])
+            for path, call in found.get(cls, []):
+                set_here |= named(call, trees[path])
+                set_here |= set(all_fields(cls)[:len(call.args)])
         missing += [f"{config}.{field}" for field in _fields(classes[config][0])
                     if field not in set_here]
     return missing
@@ -354,7 +279,7 @@ def write_only(trees: Dict[str, ast.Module]) -> List[str]:
     method initialises to an empty ``{}``, ``set()`` or ``[]`` that no code in
     ``trees`` reads: every load of an attribute of that name, on any object,
     is a subscript store or delete, or a :data:`MUTATORS` call."""
-    prefix = PACKAGE.relative_to(ROOT).as_posix() + "/"
+    prefix = source_index.PACKAGE_PREFIX
     initialised: Dict[str, List[str]] = {}
     for path, tree in trees.items():
         if not path.startswith(prefix):
@@ -391,10 +316,10 @@ def write_only(trees: Dict[str, ast.Module]) -> List[str]:
                   for found in names)
 
 
-@functools.lru_cache(maxsize=None)
+@source_index.cached
 def product_write_only() -> List[str]:
     """:func:`write_only` over the repository."""
-    return write_only(product_trees())
+    return write_only(source_index.trees())
 
 
 def test_every_defaulted_parameter_is_passed_by_a_product_path():
@@ -590,14 +515,8 @@ def test_a_read_anywhere_on_a_product_path_keeps_a_container():
 def _parsed(definition_source: str, caller_source: str):
     """The definitions and calls :func:`_scan` hands :func:`unpassed`."""
     tree = ast.parse(definition_source)
-    found: List[Definition] = []
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            found.append(("m.py", node.name, node, False))
-        elif isinstance(node, ast.ClassDef):
-            found += [("m.py", f"{node.name}.{item.name}", item, True)
-                      for item in node.body if isinstance(item, ast.FunctionDef)]
-    return found, calls({"m.py": tree, "caller.py": ast.parse(caller_source)})
+    return (source_index.functions_in("m.py", tree),
+            source_index.calls_in({"m.py": tree, "caller.py": ast.parse(caller_source)}))
 
 
 if __name__ == "__main__":

@@ -20,13 +20,8 @@ from repro.baselines.m2paxos import M2PaxosReplica
 from repro.baselines.mencius import MenciusReplica
 from repro.baselines.multipaxos import MultiPaxosReplica
 from repro.consensus.command import Command
-from repro.consensus.quorums import QuorumSystem
 from repro.core.caesar import CaesarReplica
-from repro.kvstore.store import KeyValueStore
-from repro.sim.network import Network, NetworkConfig
-from repro.sim.simulator import Simulator
-from repro.sim.topology import ec2_five_sites
-from tests.conftest import ignore
+from tests.conftest import build_replicas, ignore, order_violations
 
 #: A workload step: (origin replica, key index, delay before submission in ms).
 workload_steps = st.lists(
@@ -34,24 +29,9 @@ workload_steps = st.lists(
     min_size=1, max_size=25)
 
 
-def build_cluster(protocol: str, seed: int):
-    sim = Simulator(seed=seed)
-    network = Network(sim, ec2_five_sites(), NetworkConfig(jitter_ms=2.0))
-    quorums = QuorumSystem.for_cluster(5)
-    store = KeyValueStore
-    if protocol == "caesar":
-        replicas = [CaesarReplica(i, sim, network, quorums, store()) for i in range(5)]
-    elif protocol == "epaxos":
-        replicas = [EPaxosReplica(i, sim, network, quorums, store()) for i in range(5)]
-    elif protocol == "multipaxos":
-        replicas = [MultiPaxosReplica(i, sim, network, quorums, store()) for i in range(5)]
-    elif protocol == "mencius":
-        replicas = [MenciusReplica(i, sim, network, quorums, store()) for i in range(5)]
-    elif protocol == "m2paxos":
-        replicas = [M2PaxosReplica(i, sim, network, quorums, store()) for i in range(5)]
-    else:  # pragma: no cover - defensive
-        raise ValueError(protocol)
-    return sim, replicas
+REPLICA_CLASSES = {"caesar": CaesarReplica, "epaxos": EPaxosReplica,
+                   "multipaxos": MultiPaxosReplica, "mencius": MenciusReplica,
+                   "m2paxos": M2PaxosReplica}
 
 
 def executed_everywhere(replicas, ids):
@@ -73,9 +53,10 @@ def executed_everywhere(replicas, ids):
     return predicate
 
 
-def run_workload(protocol: str, steps, seed: int = 1):
+def run_workload(protocol: str, steps, seed: int = 1, **options):
     """Submit the generated workload and run until every command is executed everywhere."""
-    sim, replicas = build_cluster(protocol, seed)
+    sim, _, replicas = build_replicas(REPLICA_CLASSES[protocol], seed=seed, jitter_ms=2.0,
+                                      **options)
     submitted = []
     for index, (origin, key_index, delay) in enumerate(steps):
         command = Command(command_id=(origin, index), key=f"key-{key_index}",
@@ -98,10 +79,7 @@ def check_invariants(replicas, submitted, finished):
         # Exactly once.
         assert len(executed_ids) == len(set(executed_ids)) == len(submitted_ids)
     # Consistency: conflicting commands ordered identically, state machines converge.
-    for i, first in enumerate(replicas):
-        for second in replicas[i + 1:]:
-            assert first.execution_log.conflicting_order_violations(
-                second.execution_log) == []
+    assert order_violations(replicas) == []
     snapshots = [r.state_machine.snapshot() for r in replicas]
     assert all(snapshot == snapshots[0] for snapshot in snapshots)
 
@@ -121,22 +99,7 @@ class TestCaesarProperties:
     @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_wait_condition_disabled_still_consistent(self, steps):
         """The ablation (immediate NACK instead of waiting) must stay correct."""
-        sim = Simulator(seed=3)
-        network = Network(sim, ec2_five_sites(), NetworkConfig(jitter_ms=2.0))
-        quorums = QuorumSystem.for_cluster(5)
-        replicas = [CaesarReplica(i, sim, network, quorums, KeyValueStore(),
-                                  wait_condition=False)
-                    for i in range(5)]
-        submitted = []
-        for index, (origin, key_index, delay) in enumerate(steps):
-            command = Command(command_id=(origin, index), key=f"key-{key_index}",
-                              operation="put", value=f"v{index}", origin=origin)
-            submitted.append(command)
-            sim.schedule(delay,
-                         lambda replica=replicas[origin], c=command: replica.submit(c, ignore))
-        ids = [c.command_id for c in submitted]
-        finished = sim.run_until(executed_everywhere(replicas, ids),
-                                 deadline=300000, check_every=8)
+        replicas, submitted, finished = run_workload("caesar", steps, 3, wait_condition=False)
         check_invariants(replicas, submitted, finished)
 
 

@@ -12,19 +12,19 @@ from repro.harness.experiment import ExperimentConfig, count_decisions, run_expe
 from repro.kvstore.store import KeyValueStore
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.simulator import Simulator
-from tests.conftest import build_caesar_cluster, ignore, make_command, uniform_topology
+from tests.conftest import build_replicas, ignore, make_command, uniform_topology
 
 
 class TestConsensusReplicaBase:
     def test_submit_on_crashed_replica_is_dropped(self):
-        _, _, replicas = build_caesar_cluster()
+        _, _, replicas = build_replicas()
         replicas[0].crash()
         command = make_command(0, 0, key="x", origin=0)
         replicas[0].submit(command, callback=lambda r: pytest.fail("must not complete"))
         assert command.command_id not in replicas[0].decisions
 
     def test_decision_recorded_on_submit(self):
-        _, _, replicas = build_caesar_cluster()
+        _, _, replicas = build_replicas()
         command = make_command(0, 0, key="x", origin=0)
         replicas[0].submit(command, ignore)
         decision = replicas[0].decisions[command.command_id]
@@ -33,7 +33,7 @@ class TestConsensusReplicaBase:
         assert decision.kind is None
 
     def test_record_decided_only_once(self):
-        _, _, replicas = build_caesar_cluster()
+        _, _, replicas = build_replicas()
         command = make_command(0, 0, key="x", origin=0)
         replicas[0].submit(command, ignore)
         replicas[0].record_decided(command.command_id, DecisionKind.FAST)
@@ -44,7 +44,7 @@ class TestConsensusReplicaBase:
         assert decision.kind is DecisionKind.FAST
 
     def test_phase_times_start_at_zero_and_a_fast_decision_fills_propose_and_deliver(self):
-        sim, _, replicas = build_caesar_cluster()
+        sim, _, replicas = build_replicas()
         command = make_command(0, 0, key="x", origin=0)
         replicas[0].submit(command, ignore)
         decision = replicas[0].decisions[command.command_id]
@@ -56,7 +56,7 @@ class TestConsensusReplicaBase:
         assert decision.deliver_ms == decision.executed_at - decision.decided_at
 
     def test_count_decisions_empty_without_decisions(self):
-        _, _, replicas = build_caesar_cluster()
+        _, _, replicas = build_replicas()
         replicas[0].submit(make_command(0, 0, key="x", origin=0), ignore)
         # A submitted but undecided command is not counted.
         assert count_decisions(replicas[:1]) == (0, 0)
@@ -72,7 +72,7 @@ class TestConsensusReplicaBase:
         assert count_decisions(replicas[:1]) == (4, 0)
 
     def test_execute_command_twice_rejected(self):
-        _, _, replicas = build_caesar_cluster()
+        _, _, replicas = build_replicas()
         command = make_command(0, 0, key="x", origin=0)
         replicas[0].execute_command(command)
         with pytest.raises(ValueError):

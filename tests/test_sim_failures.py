@@ -41,6 +41,21 @@ def build_detector_cluster(n: int = 3):
     return sim, nodes
 
 
+def node_2_crashed_at_100_ms():
+    """:func:`build_detector_cluster` run to 100 ms, then node 2 crashed."""
+    sim, nodes = build_detector_cluster()
+    sim.run(until=100.0)
+    nodes[2].crash()
+    return sim, nodes
+
+
+def one_node_injector():
+    """Node 0 alone on a 5 ms network and a crash injector over it."""
+    sim = Simulator(seed=0)
+    network = Network(sim, uniform_topology(1, rtt_ms=5.0), NetworkConfig())
+    nodes = {0: DetectorNode(0, sim, network, cost_model=None)}
+    return sim, nodes, CrashInjector(sim, nodes)
+
 class TestCrashInjector:
     def test_scheduled_crash_happens_at_time(self):
         sim = Simulator(seed=0)
@@ -54,10 +69,7 @@ class TestCrashInjector:
         assert nodes[1].crashed
 
     def test_scheduled_restart(self):
-        sim = Simulator(seed=0)
-        network = Network(sim, uniform_topology(1, rtt_ms=5.0), NetworkConfig())
-        nodes = {0: DetectorNode(0, sim, network, cost_model=None)}
-        injector = CrashInjector(sim, nodes)
+        sim, nodes, injector = one_node_injector()
         injector.schedule(ScheduledCrash(node_id=0, crash_at_ms=10.0, restart_at_ms=30.0))
         sim.run(until=20.0)
         assert nodes[0].crashed
@@ -66,19 +78,13 @@ class TestCrashInjector:
 
     def test_crash_now(self):
         """A crash planned for the current instant happens on the next step."""
-        sim = Simulator(seed=0)
-        network = Network(sim, uniform_topology(1, rtt_ms=5.0), NetworkConfig())
-        nodes = {0: DetectorNode(0, sim, network, cost_model=None)}
-        injector = CrashInjector(sim, nodes)
+        sim, nodes, injector = one_node_injector()
         injector.schedule(ScheduledCrash(node_id=0, crash_at_ms=sim.now))
         drain(sim)
         assert nodes[0].crashed
 
     def test_double_crash_recorded_once(self):
-        sim = Simulator(seed=0)
-        network = Network(sim, uniform_topology(1, rtt_ms=5.0), NetworkConfig())
-        nodes = {0: DetectorNode(0, sim, network, cost_model=None)}
-        injector = CrashInjector(sim, nodes)
+        sim, nodes, injector = one_node_injector()
         crashed_at = []
         crash = nodes[0].crash
         nodes[0].crash = lambda: (crashed_at.append(sim.now), crash())
@@ -95,9 +101,7 @@ class TestFailureDetector:
         assert all(node.suspected == [] for node in nodes)
 
     def test_crashed_peer_eventually_suspected(self):
-        sim, nodes = build_detector_cluster()
-        sim.run(until=100.0)
-        nodes[2].crash()
+        sim, nodes = node_2_crashed_at_100_ms()
         sim.run(until=500.0)
         assert 2 in nodes[0].suspected
         assert 2 in nodes[1].suspected
@@ -110,9 +114,7 @@ class TestFailureDetector:
         assert 0 not in nodes[1].suspected
 
     def test_suspicion_cleared_when_heartbeat_resumes(self):
-        sim, nodes = build_detector_cluster()
-        sim.run(until=100.0)
-        nodes[2].crash()
+        sim, nodes = node_2_crashed_at_100_ms()
         sim.run(until=400.0)
         assert 2 in nodes[0].detector.suspected
         nodes[2].restart()
@@ -138,9 +140,7 @@ class TestFailureDetector:
         assert sorted(nodes[1].suspected) == [0, 2]
 
     def test_suspect_callback_fired_once_per_peer(self):
-        sim, nodes = build_detector_cluster()
-        sim.run(until=100.0)
-        nodes[2].crash()
+        sim, nodes = node_2_crashed_at_100_ms()
         sim.run(until=1000.0)
         assert nodes[0].suspected.count(2) == 1
 
@@ -151,16 +151,12 @@ class TestFailureDetectorTiming:
     def test_no_suspicion_before_silence_threshold(self):
         # Heartbeats every 20ms, suspicion after 100ms of silence; the last
         # heartbeat from node 2 lands around t=105 (sent at 100, 5ms one-way).
-        sim, nodes = build_detector_cluster()
-        sim.run(until=100.0)
-        nodes[2].crash()
+        sim, nodes = node_2_crashed_at_100_ms()
         sim.run(until=195.0)
         assert 2 not in nodes[0].detector.suspected
 
     def test_suspicion_fires_after_silence_threshold(self):
-        sim, nodes = build_detector_cluster()
-        sim.run(until=100.0)
-        nodes[2].crash()
+        sim, nodes = node_2_crashed_at_100_ms()
         sim.run(until=260.0)
         assert 2 in nodes[0].detector.suspected
         assert 2 in nodes[1].detector.suspected
@@ -173,9 +169,7 @@ class TestFailureDetectorTiming:
         assert 2 not in detector.suspected
 
     def test_crashed_node_emits_no_heartbeats(self):
-        sim, nodes = build_detector_cluster()
-        sim.run(until=100.0)
-        nodes[2].crash()
+        sim, nodes = node_2_crashed_at_100_ms()
         # Allow anything already in flight at the crash instant to land.
         sim.run(until=120.0)
         seen_before = sum(1 for sender, _ in nodes[0].heartbeats_seen if sender == 2)
@@ -189,9 +183,7 @@ class TestFailureDetectorTiming:
 
     def test_restarted_detector_recovers_full_cycle(self):
         """Crash -> suspicion -> restart -> heartbeats resume -> unsuspected."""
-        sim, nodes = build_detector_cluster()
-        sim.run(until=100.0)
-        nodes[2].crash()
+        sim, nodes = node_2_crashed_at_100_ms()
         sim.run(until=400.0)
         assert 2 in nodes[0].detector.suspected
         nodes[2].restart()

@@ -4,25 +4,20 @@ from __future__ import annotations
 
 import ast
 import asyncio
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.consensus.quorums import QuorumSystem
-from repro.core.caesar import CaesarReplica
 from repro.harness.cluster import build_cluster
 from repro.harness.experiment import ExperimentConfig, attach_clients
-from repro.kvstore.store import KeyValueStore
 from repro.metrics.collector import MetricsCollector
 from repro.net.clock import WallClock
-from repro.sim.network import Network, NetworkConfig
 from repro.sim.random import DeterministicRandom
-from repro.sim.simulator import Simulator
 from repro.workload import generator
 from repro.workload.clients import ClientPool, ClosedLoopClient, OpenLoopClient, build_pool
 from repro.workload.generator import ConflictWorkload, WorkloadConfig
-from tests.conftest import lan_topology, uniform_topology
+from tests import source_index
+from tests.conftest import build_replicas, lan_topology, uniform_topology
 
 
 class TestWorkloadConfig:
@@ -115,20 +110,16 @@ class TestConflictWorkload:
             assert command.key.startswith("shared-") or command.key.startswith("private-3-")
 
 
-def build_single_replica():
-    """One-node CAESAR 'cluster' used to exercise clients cheaply."""
-    sim = Simulator(seed=2)
-    network = Network(sim, uniform_topology(3, rtt_ms=10.0), NetworkConfig())
-    quorums = QuorumSystem.for_cluster(3)
-    replicas = [CaesarReplica(i, sim, network, quorums, KeyValueStore()) for i in range(3)]
-    return sim, replicas
+def one_client(origin: int = 0):
+    """Three CAESAR replicas 10 ms apart, a collector and client 0's workload at ``origin``."""
+    sim, _, replicas = build_replicas(n=3, seed=2, topology=uniform_topology(3, rtt_ms=10.0))
+    workload = ConflictWorkload(0, origin, WorkloadConfig(), DeterministicRandom(1))
+    return sim, replicas, MetricsCollector(), workload
 
 
 class TestClosedLoopClient:
     def test_keeps_one_outstanding_command(self):
-        sim, replicas = build_single_replica()
-        metrics = MetricsCollector()
-        workload = ConflictWorkload(0, 0, WorkloadConfig(), DeterministicRandom(1))
+        sim, replicas, metrics, workload = one_client()
         client = ClosedLoopClient(0, replicas[0], workload, sim, metrics, max_commands=None)
         client.start()
         sim.run(until=500.0)
@@ -139,9 +130,7 @@ class TestClosedLoopClient:
         assert workload.generated <= client.completed + 1
 
     def test_latency_samples_recorded(self):
-        sim, replicas = build_single_replica()
-        metrics = MetricsCollector()
-        workload = ConflictWorkload(0, 1, WorkloadConfig(), DeterministicRandom(1))
+        sim, replicas, metrics, workload = one_client(1)
         client = ClosedLoopClient(0, replicas[1], workload, sim, metrics, max_commands=None)
         client.start()
         sim.run(until=300.0)
@@ -152,9 +141,7 @@ class TestClosedLoopClient:
         assert all(sample.origin == 1 for sample in metrics.samples)
 
     def test_reconnects_to_fallback_after_crash(self):
-        sim, replicas = build_single_replica()
-        metrics = MetricsCollector()
-        workload = ConflictWorkload(0, 0, WorkloadConfig(), DeterministicRandom(1))
+        sim, replicas, metrics, workload = one_client()
         client = ClosedLoopClient(0, replicas[0], workload, sim, metrics,
                                   reconnect_timeout_ms=100.0,
                                   fallback_replicas=[replicas[1], replicas[2]], max_commands=None)
@@ -169,9 +156,7 @@ class TestClosedLoopClient:
 
 class TestOpenLoopClient:
     def test_injects_at_configured_rate(self):
-        sim, replicas = build_single_replica()
-        metrics = MetricsCollector()
-        workload = ConflictWorkload(0, 0, WorkloadConfig(), DeterministicRandom(1))
+        sim, replicas, metrics, workload = one_client()
         client = OpenLoopClient(0, replicas[0], workload, sim, metrics,
                                 rate_per_second=100.0, rng=DeterministicRandom(5),
                                 stop_after_ms=None, fallback_replicas=None, history=None)
@@ -182,9 +167,7 @@ class TestOpenLoopClient:
         assert 120 <= client.submitted <= 300
 
     def test_stop_after_ms_bounds_injection(self):
-        sim, replicas = build_single_replica()
-        metrics = MetricsCollector()
-        workload = ConflictWorkload(0, 0, WorkloadConfig(), DeterministicRandom(1))
+        sim, replicas, metrics, workload = one_client()
         client = OpenLoopClient(0, replicas[0], workload, sim, metrics,
                                 rate_per_second=100.0, rng=DeterministicRandom(5),
                                 stop_after_ms=500.0, fallback_replicas=None, history=None)
@@ -193,9 +176,7 @@ class TestOpenLoopClient:
         assert client.submitted <= 80
 
     def test_completions_tracked(self):
-        sim, replicas = build_single_replica()
-        metrics = MetricsCollector()
-        workload = ConflictWorkload(0, 0, WorkloadConfig(), DeterministicRandom(1))
+        sim, replicas, metrics, workload = one_client()
         client = OpenLoopClient(0, replicas[0], workload, sim, metrics,
                                 rate_per_second=50.0, rng=DeterministicRandom(5),
                                 stop_after_ms=None, fallback_replicas=None, history=None)
@@ -210,9 +191,7 @@ class TestOpenLoopClient:
         # Regression: open-loop clients used to keep injecting into a dead
         # replica forever, silently zeroing throughput for the rest of the
         # run instead of reconnecting like the closed-loop clients do.
-        sim, replicas = build_single_replica()
-        metrics = MetricsCollector()
-        workload = ConflictWorkload(0, 0, WorkloadConfig(), DeterministicRandom(1))
+        sim, replicas, metrics, workload = one_client()
         client = OpenLoopClient(0, replicas[0], workload, sim, metrics,
                                 rate_per_second=100.0, rng=DeterministicRandom(5),
                                 fallback_replicas=[replicas[1], replicas[2]], stop_after_ms=None,
@@ -232,9 +211,7 @@ class TestOpenLoopClient:
         # Regression: after a failover the workload kept stamping commands
         # with the dead replica's id, so per-origin latency was attributed to
         # a node that never proposed them.
-        sim, replicas = build_single_replica()
-        metrics = MetricsCollector()
-        workload = ConflictWorkload(0, 0, WorkloadConfig(), DeterministicRandom(1))
+        sim, replicas, metrics, workload = one_client()
         client = OpenLoopClient(0, replicas[0], workload, sim, metrics,
                                 rate_per_second=100.0, rng=DeterministicRandom(5),
                                 fallback_replicas=[replicas[1], replicas[2]], stop_after_ms=None,
@@ -255,7 +232,7 @@ class TestOpenLoopClient:
 
 class TestClientPool:
     def test_start_stop_all_and_totals(self):
-        sim, replicas = build_single_replica()
+        sim, _, replicas = build_replicas(n=3, seed=2, topology=uniform_topology(3, rtt_ms=10.0))
         metrics = MetricsCollector()
         pool = ClientPool()
         for i in range(3):
@@ -348,26 +325,19 @@ class TestBuildPool:
 class TestOneConstructionSite:
     """Clients are constructed in ``build_pool`` only."""
 
-    SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
-
-    def _calls(self):
-        for path in sorted(self.SRC.rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Call):
-                    yield path.relative_to(self.SRC).as_posix(), node
-
     def test_client_constructors_are_called_only_in_the_clients_module(self):
-        sites = sorted((path, call.func.id) for path, call in self._calls()
-                       if isinstance(call.func, ast.Name)
-                       and call.func.id in ("ClosedLoopClient", "OpenLoopClient"))
-        assert sites == [("workload/clients.py", "ClosedLoopClient"),
-                         ("workload/clients.py", "OpenLoopClient")]
+        calls = source_index.calls()
+        sites = sorted((path, call.func.id) for name in ("ClosedLoopClient", "OpenLoopClient")
+                       for path, call in calls.get(name, ()) if isinstance(call.func, ast.Name)
+                       and path.startswith(source_index.PACKAGE_PREFIX))
+        assert sites == [("src/repro/workload/clients.py", "ClosedLoopClient"),
+                         ("src/repro/workload/clients.py", "OpenLoopClient")]
 
     def test_client_streams_are_forked_in_one_place(self):
-        forks = sorted((path, ast.unparse(call.args[0])) for path, call in self._calls()
-                       if isinstance(call.func, ast.Attribute) and call.func.attr == "fork"
-                       and call.args)
+        forks = sorted((path, ast.unparse(call.args[0]))
+                       for path, call in source_index.calls().get("fork", ())
+                       if isinstance(call.func, ast.Attribute) and call.args
+                       and path.startswith(source_index.PACKAGE_PREFIX))
         assert [fork for fork in forks if "client" in fork[1] or "arrivals" in fork[1]] == [
-            ("workload/clients.py", "'arrivals'"),
-            ("workload/clients.py", "f'{label}-{client_id}'")]
+            ("src/repro/workload/clients.py", "'arrivals'"),
+            ("src/repro/workload/clients.py", "f'{label}-{client_id}'")]
