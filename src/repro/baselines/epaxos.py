@@ -439,7 +439,7 @@ class EPaxosReplica(ProtocolKernel):
         else:
             if instance.status is InstanceStatus.EXECUTED:
                 return
-            if instance.command != message.command:  # final, a recovery's no-op too
+            if instance.command is not message.command:  # final, a recovery's no-op too
                 self._reindex(message.instance_id, instance.command, message.command)
                 instance.command = message.command
             instance.seq = message.seq
@@ -736,7 +736,7 @@ class EPaxosReplica(ProtocolKernel):
                                 ballot=Ballot.initial(instance_id[0]))
             self._record_instance(instance)
         else:
-            if instance.command != command:  # final, a no-op too
+            if instance.command is not command:  # final, a no-op too
                 self._reindex(instance_id, instance.command, command)
                 instance.command = command
             instance.seq = seq

@@ -625,6 +625,8 @@ class CaesarReplica(ProtocolKernel):
     # ------------------------------------------------------------- telemetry
 
     def average_wait_ms(self) -> float:
-        """Mean time proposals spent parked in the wait condition on this node."""
+        """Mean time proposals spent parked in the wait condition on this node,
+        over every parked proposal that resolved: one resolved at the virtual
+        instant it parked counts as a 0 ms wait."""
         waits = self.wait_manager.total_waits
         return self.wait_manager.total_wait_ms / waits if waits else 0.0

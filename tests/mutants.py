@@ -1,18 +1,19 @@
 """The mutation table: known mistakes the suite must catch, and its runner.
 
 Each row plants one mistake in a file under ``src/repro`` (an exact snippet,
-once in the file, and its replacement) and names the test that must then fail
-with an ``AssertionError`` (carrying ``match``, if given), as pytest names it,
-or a test module's function that runs a whole differential.  A row is applied
-by when its code runs: ``CALL`` recompiles the top-level function or method
-holding the snippet and patches it onto its class or module (a killer that
-imported a module-level function by name would not see it); ``STATIC`` hands
-the AST checks the mutated text through ``tests/source_index.py``; ``IMPORT``
-(generated codecs, ``value_type`` constructors) rewrites the file in a
-temporary copy of ``src/`` and ``tests/`` and runs the killer in a fresh
-interpreter there.  Tier-1 runs every row (``tests/test_mutants.py``).  As a
-script it prints each row as ``killed``, ``SURVIVED`` or ``stale`` (snippet
-not in its file exactly once) and exits 1 unless every row is killed::
+once in the file, and its replacement) and names the tests that must then fail
+with an ``AssertionError`` (carrying ``match``, if given), as pytest node ids;
+the runner hands them to pytest, so a row runs exactly what ``pytest <ids>``
+runs.  A row is applied by when its code runs: ``CALL`` recompiles the
+top-level function or method holding the snippet and patches it onto its
+class or module (a killer that imported a module-level function by name would
+not see it); ``STATIC`` hands the AST checks the mutated text through
+``tests/source_index.py``; ``IMPORT`` (generated codecs, ``value_type``
+constructors) rewrites the file in a temporary copy of the package and runs
+the killer in a fresh interpreter that imports it from there.  Tier-1 runs every row
+(``tests/test_mutants.py``).  As a script it prints each row as ``killed``,
+``SURVIVED`` or ``stale`` (snippet not in its file exactly once, or killer
+naming no test) and exits 1 unless every row is killed::
 
     PYTHONPATH=src python tests/mutants.py [row ...]
 """
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import ast
 import contextlib
-import functools
 import importlib
 import io
 import os
@@ -30,10 +30,11 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
+from typing import Dict, Iterator, List, NamedTuple
 
 import hypothesis
-from hypothesis import Phase
+import pytest
+from hypothesis import HealthCheck, Phase
 
 if __name__ == "__main__":  # run as a script: put the repository root on the path
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -49,15 +50,20 @@ class Mutant(NamedTuple):
     path: str       # under src/repro
     old: str        # the exact text, once in the file
     new: str
-    killer: str     # ``tests/<file>.py::[Class::]name[case id]``
+    killer: str     # pytest node ids, space-separated: ``tests/<file>.py[::Class][::name[id]]``
     how: str = CALL
     match: str = ""  # text the killer's AssertionError must carry
 
 
 SPEC = "spec disagrees"
 CAESAR_SPEC = "tests/test_caesar_differential.py::"
-ACCEPTOR = CAESAR_SPEC + "acceptor_differential"
-LEADER = CAESAR_SPEC + "leader_differential"
+#: Every acceptor scenario, then every seeded schedule (wait condition on and off).
+ACCEPTOR = " ".join(CAESAR_SPEC + name for name in (
+    "TestScenarios", "TestRandomSchedules::test_seeded_schedule_agrees",
+    "TestRandomSchedules::test_seeded_schedule_agrees_with_the_wait_condition_off"))
+#: Every leader scenario, then every seeded leader schedule.
+LEADER = " ".join(CAESAR_SPEC + name for name in (
+    "TestLeaderScenarios", "TestLeaderRandomSchedules::test_seeded_leader_schedule_agrees"))
 EPAXOS_SPEC = "tests/test_epaxos_differential.py::"
 COMPACTION = "tests/test_core_compaction.py::"
 HOT_PATH = ("tests/test_hot_path_construction.py::"
@@ -110,7 +116,8 @@ MUTANTS: Dict[str, Mutant] = {
         "core/delivery.py",
         "mask & ~(bucket.delivered\n"
         "                             & bucket.prefix_mask(entry.timestamp, writes_only=False))",
-        "mask & ~bucket.delivered", CAESAR_SPEC + "delivery_examples", match=SPEC),
+        "mask & ~bucket.delivered",
+        "tests/test_delivery_differential.py::TestIndexedDeliveryMatchesSpec", match=SPEC),
     # PR 7's bug: the recovering node's own tuple never counted.
     "recovery-without-the-local-vote": Mutant(
         "core/recovery.py",
@@ -192,12 +199,13 @@ MUTANTS: Dict[str, Mutant] = {
         EPAXOS_SPEC + "TestScenarios::test_a_commit_during_explicit_prepare_is_final",
         match=SPEC),
     "epaxos-received-no-op-keeps-the-command": Mutant(
-        "baselines/epaxos.py", "if instance.command != message.command:",
+        "baselines/epaxos.py", "if instance.command is not message.command:",
         "if instance.command is None:",
         EPAXOS_SPEC + "TestRepresentations::test_a_command_committed_as_a_no_op_is_not_"
         "executed[received]"),
     "epaxos-adopted-no-op-keeps-the-command": Mutant(
-        "baselines/epaxos.py", "if instance.command != command:", "if instance.command is None:",
+        "baselines/epaxos.py", "if instance.command is not command:",
+        "if instance.command is None:",
         EPAXOS_SPEC + "TestRepresentations::test_a_command_committed_as_a_no_op_is_not_"
         "executed[adopted]"),
 
@@ -299,93 +307,72 @@ MUTANTS: Dict[str, Mutant] = {
 
 # ------------------------------------------------------------------ killers
 
-def _case_id(value: object, name: str, index: int, ids) -> str:
-    """The id pytest gives one parameter value."""
-    if callable(ids) and ids(value) is not None:
-        return str(ids(value))
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return str(value)
-    return f"{name}{index}"
+#: How the runner calls pytest on a row's killer: stop at the first failure
+#: without formatting it, and leave out the plugins that hold process-wide
+#: state the calling session owns (output capture, cache, fault handler, the
+#: unraisable- and thread-exception hooks, which also run five full garbage
+#: collections per session) or that cost time per session (pytest-benchmark
+#: asks git for the commit).
+PYTEST_ARGS = ("-x", "-q", "-s", "--tb=no", *(f"-pno:{plugin}" for plugin in (
+    "cacheprovider", "faulthandler", "unraisableexception", "threadexception", "benchmark")))
+#: Seconds a killer may run before its row fails (a mutant may make it loop).
+KILLER_TIMEOUT_S = 300.0
 
 
-def _cases(mark) -> Iterator[Tuple[str, dict]]:
-    """``(id, keyword arguments)`` of each case of one ``parametrize`` mark."""
-    names, values = mark.args[0], mark.args[1]
-    names = [name.strip() for name in names.split(",")] if isinstance(names, str) else names
-    ids = mark.kwargs.get("ids")
-    for index, value in enumerate(values):
-        row = tuple(value) if len(names) > 1 else (value,)
-        label = ids[index] if isinstance(ids, (list, tuple)) else "-".join(
-            _case_id(item, name, index, ids) for name, item in zip(names, row))
-        yield label, dict(zip(names, row))
+class _Verdict:
+    """A pytest plugin that notes how many tests the killer collected and the
+    first exception a test's call raised.  A Hypothesis killer runs
+    derandomized and stops at its first failure: a kill needs no minimal
+    example, and shrinking one takes seconds."""
 
+    def __init__(self) -> None:
+        self.collected = 0
+        self.failure: BaseException | None = None
 
-def killer_calls(node_id: str) -> List[Callable[[], None]]:
-    """The calls pytest makes for ``node_id``: one case when it ends in
-    ``[id]``, else every case of a parametrized test (a plain function: one)."""
-    path, *names = node_id.split("::")
-    name, _, wanted = names[-1].partition("[")
-    owner = importlib.import_module(path[:-len(".py")].replace("/", "."))
-    for class_name in names[:-1]:
-        owner = getattr(owner, class_name)()
-    function = getattr(owner, name)
-    cases = [("", {})]
-    for mark in getattr(function, "pytestmark", []):
-        if mark.name == "parametrize":
-            cases = [(f"{label}-{more}" if label else more, {**kwargs, **extra})
-                     for label, kwargs in cases for more, extra in _cases(mark)]
-    chosen = [kwargs for label, kwargs in cases if not wanted or label == wanted[:-1]]
-    assert chosen, f"{node_id} names no test"
-    return [functools.partial(function, **kwargs) for kwargs in chosen]
+    def pytest_collection_finish(self, session) -> None:
+        self.collected = len(session.items)
 
-
-def _in_a_thread(call: Callable[[], None]) -> None:
-    """``call()`` on a thread of its own, re-raising what it raised: Hypothesis
-    fails a ``@given`` method called on a second object in one thread, and
-    pytest calls it on its own instance."""
-    raised: List[BaseException] = []
-
-    def run() -> None:
+    @pytest.hookimpl(wrapper=True)
+    def pytest_runtest_call(self, item):
+        function = getattr(item.obj, "__func__", item.obj)
+        current = getattr(function, "_hypothesis_internal_use_settings", None)
+        if current is None:
+            return (yield)
+        # The calling session may have run this method on another instance.
+        function._hypothesis_internal_use_settings = hypothesis.settings(
+            current, phases=[Phase.explicit, Phase.generate], derandomize=True, database=None,
+            report_multiple_bugs=False,
+            suppress_health_check=[*current.suppress_health_check, HealthCheck.differing_executors])
         try:
-            call()
-        except BaseException as error:  # handed to the caller
-            raised.append(error)
+            return (yield)
+        finally:
+            function._hypothesis_internal_use_settings = current
 
-    thread = threading.Thread(target=run, name="mutant-killer")
-    thread.start()
-    thread.join()
-    if raised:
-        raise raised[0]
-
-
-@contextlib.contextmanager
-def _first_failure(call: functools.partial) -> Iterator[None]:
-    """A Hypothesis killer runs derandomized and stops at its first failure: a
-    kill needs no minimal example, and shrinking one takes seconds."""
-    function = getattr(call.func, "__func__", call.func)
-    current = getattr(function, "_hypothesis_internal_use_settings", None)
-    if current is None:
-        yield
-        return
-    function._hypothesis_internal_use_settings = hypothesis.settings(
-        current, phases=[Phase.explicit, Phase.generate], derandomize=True, database=None,
-        report_multiple_bugs=False)
-    try:
-        yield
-    finally:
-        function._hypothesis_internal_use_settings = current
+    @pytest.hookimpl(tryfirst=True)  # before the runner's, which ends the hook
+    def pytest_runtest_makereport(self, item, call) -> None:
+        if call.when == "call" and call.excinfo is not None and self.failure is None:
+            self.failure = call.excinfo.value
 
 
 def run_killer(row: Mutant) -> str:
-    """Run the row's killer on the code as it is now: killed or survived."""
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            for call in killer_calls(row.killer):
-                with _first_failure(call):
-                    _in_a_thread(call)
-    except AssertionError as error:
-        return KILLED if row.match in str(error) else SURVIVED
-    return SURVIVED
+    """Run the row's killer through pytest on the code as it is now: killed,
+    survived, or stale when it names no test.  pytest runs on a thread of its
+    own: Hypothesis fails a ``@given`` method one thread calls on two
+    instances, and the calling session runs each killer on its own instance."""
+    verdict = _Verdict()
+    thread = threading.Thread(
+        target=pytest.main, args=([*PYTEST_ARGS, "--rootdir", str(ROOT),
+                                   *(str(ROOT / node_id) for node_id in row.killer.split())],),
+        kwargs={"plugins": [verdict]}, name="mutant-killer", daemon=True)
+    with contextlib.redirect_stdout(io.StringIO()):
+        thread.start()
+        thread.join(KILLER_TIMEOUT_S)
+    if thread.is_alive():
+        raise TimeoutError(f"{row.killer} ran past {KILLER_TIMEOUT_S:.0f} s")
+    if not verdict.collected:
+        return STALE
+    failure = verdict.failure
+    return KILLED if isinstance(failure, AssertionError) and row.match in str(failure) else SURVIVED
 
 
 # ------------------------------------------------------------------ applying
@@ -426,14 +413,13 @@ def _patched(row: Mutant, text: str) -> Iterator[None]:
 
 
 def _in_a_copy(name: str, mutated: str) -> str:
-    """Run the row's killer in a fresh interpreter on a copy of the tree that carries it."""
+    """Run the row's killer in a fresh interpreter that imports ``repro`` from
+    a temporary copy of the package carrying it."""
     with tempfile.TemporaryDirectory(prefix="repro-mutant-") as tmp:
-        for folder in ("src", "tests"):
-            shutil.copytree(ROOT / folder, Path(tmp) / folder,
-                            ignore=shutil.ignore_patterns("__pycache__"))
-        (Path(tmp) / "src" / "repro" / MUTANTS[name].path).write_text(mutated, encoding="utf-8")
-        done = subprocess.run([sys.executable, "tests/mutants.py", "--as-is", name], cwd=tmp,
-                              env=dict(os.environ, PYTHONPATH=str(Path(tmp) / "src")),
+        shutil.copytree(PACKAGE, Path(tmp) / "repro", ignore=shutil.ignore_patterns("__pycache__"))
+        (Path(tmp) / "repro" / MUTANTS[name].path).write_text(mutated, encoding="utf-8")
+        done = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--as-is", name],
+                              cwd=ROOT, env=dict(os.environ, PYTHONPATH=tmp),
                               capture_output=True, text=True, timeout=600)
     if done.returncode:
         raise RuntimeError(f"{name}: the copy's run exited {done.returncode}:\n{done.stderr}")

@@ -41,19 +41,26 @@ def substituted(path: str, text: str) -> Iterator[None]:
             cache.cache_clear()
 
 
+@functools.lru_cache(maxsize=None)
+def _on_disk() -> Dict[str, str]:
+    return {file.relative_to(ROOT).as_posix(): file.read_text(encoding="utf-8")
+            for folder in PRODUCT_DIRS for file in sorted((ROOT / folder).rglob("*.py"))}
+
+
+#: One parse per distinct text: a substitution re-parses only its own file.
+_parse = functools.lru_cache(maxsize=None)(ast.parse)
+
+
 @cached
 def texts() -> Dict[str, str]:
     """``path -> source`` of every Python file on a product path."""
-    found = {file.relative_to(ROOT).as_posix(): file.read_text(encoding="utf-8")
-             for folder in PRODUCT_DIRS for file in sorted((ROOT / folder).rglob("*.py"))}
-    found.update(_substitutes)
-    return found
+    return {**_on_disk(), **_substitutes}
 
 
 @cached
 def trees() -> Dict[str, ast.Module]:
     """``path -> module`` of every Python file on a product path, each parsed once."""
-    return {path: ast.parse(text) for path, text in texts().items()}
+    return {path: _parse(text) for path, text in texts().items()}
 
 
 class Function(NamedTuple):

@@ -282,6 +282,17 @@ class TestEngineDifferential:
     # A cancelled head past the deadline with nothing live behind it: the run
     # drained, so the clock stays where the last event left it.
     @example([("timer", 1.0, []), ("cancel", 0)], [("run_until", 1, 1, 0.25)])
+    # A delivery that, as it fires, pushes a transient at the instant of a
+    # second delivery queued before it: that delivery was pushed first, so it
+    # fires first.
+    @example([("send", 0, 0, [("transient", 0.0, [])]), ("send", 0, 0, [])],
+             [("run_to", 0, 0.0)])
+    # A transient push and a later timer at the same instant: the transient first.
+    @example([("transient", 0.25, []), ("timer", 0.25, [])], [("run_to", 0, 0.0)])
+    # A transient in the slot past a ``run_until`` deadline stays pending.
+    @example([("cancel", 0)], [("apply", ("transient", 0.25, [])), ("run_until", 1, 1, 0.0)])
+    # A drain skips a cancelled timer without counting it as a step.
+    @example([("timer", 0.0, []), ("cancel", 0)], [])
     def test_same_firing_order_clock_and_steps(self, program, phases):
         _check(program, phases)
 
