@@ -147,7 +147,7 @@ def time_wait_notify(size: int) -> Dict[str, float]:
             # The proposal's own entry, written before WAIT runs, as a handler does.
             entry = history.update(proposal, ts(0, 1), 0, CommandStatus.FAST_PENDING, BALLOT,
                                    None)
-            manager.evaluate(proposal, ts(0, 1), lambda ok, waited: None, entry, ())
+            manager.evaluate(proposal, ts(0, 1), lambda ok: None, entry, ())
         assert manager.parked == PARKED
         for command in commands[:notifies]:
             entry = history.get(command.command_id)
@@ -162,7 +162,7 @@ def time_wait_notify(size: int) -> Dict[str, float]:
         manager = SpecWait(history, lambda: 0.0)
         for proposal in proposals:
             history.update(proposal, ts(0, 1), set(), CommandStatus.FAST_PENDING, BALLOT)
-            manager.evaluate(proposal, ts(0, 1), lambda ok, waited: None)
+            manager.evaluate(proposal, ts(0, 1), lambda ok: None)
         assert manager.parked == PARKED
         for command in commands[:notifies]:
             history.update(command, history.get(command.command_id).timestamp,

@@ -88,12 +88,13 @@ def check_history(tape: HistoryTape) -> LinearizabilityReport:
     """Check every operation recorded on ``tape`` (each key within :data:`MAX_STATES_PER_KEY`)."""
     report = LinearizabilityReport()
     for key, ops in tape.per_key().items():
-        report.key_reports[key] = _check_key(key, ops, MAX_STATES_PER_KEY)
+        report.key_reports[key] = _check_key(key, ops)
     return report
 
 
-def _check_key(key: str, ops: Sequence[Operation], max_states: int) -> KeyReport:
-    """Search for a valid linearization of one key's operations."""
+def _check_key(key: str, ops: Sequence[Operation]) -> KeyReport:
+    """Search for a valid linearization of one key's operations, exploring at
+    most :data:`MAX_STATES_PER_KEY` states."""
     ops = sorted(ops, key=lambda op: (op.invoked_at, op.op_id))
     pending_ids = frozenset(op.op_id for op in ops if op.is_pending)
     report = KeyReport(key=key, ok=False, ops_total=len(ops),
@@ -164,10 +165,10 @@ def _check_key(key: str, ops: Sequence[Operation], max_states: int) -> KeyReport
                 continue
             seen.add(config)
             states += 1
-            if states > max_states:
+            if states > MAX_STATES_PER_KEY:
                 report.inconclusive = True
                 report.states_explored = states
-                report.witness = f"state budget ({max_states}) exhausted"
+                report.witness = f"state budget ({MAX_STATES_PER_KEY}) exhausted"
                 return report
             depth = len(by_id) - len(next_rem)
             if depth > best_depth:

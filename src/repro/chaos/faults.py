@@ -7,11 +7,11 @@ The transport offers it every outgoing wire message — unicast or broadcast,
 there is one way out of a replica — and the filter either lets the message
 through untouched or applies the faults configured for that directed link:
 
-* **blocking** — the link is cut.  In ``"queue"`` mode (the default used by
-  the partition primitives) messages are held and released in order when the
-  link heals, modelling a TCP connection that stalls and then catches up; in
-  ``"drop"`` mode they are lost outright, modelling UDP through a dead route.
-* **loss** — each message is independently dropped with a probability;
+* **blocking** — the link is cut: messages are held and released in order
+  when the link heals, modelling a TCP connection that stalls and then
+  catches up;
+* **loss** — each message is independently dropped with a probability (a
+  dead route is loss at probability 1);
 * **duplication** — each message is independently delivered twice;
 * **delay spikes** — each message is delayed by an extra base + uniform
   jitter before entering the network (large jitter also reorders).
@@ -31,7 +31,7 @@ always talk to itself).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.sim.network import Network
 from repro.sim.random import DeterministicRandom
@@ -47,7 +47,6 @@ class FaultStats:
 
     messages_held: int = 0
     messages_released: int = 0
-    messages_dropped_on_block: int = 0
     messages_dropped_by_loss: int = 0
     messages_duplicated: int = 0
     messages_delayed: int = 0
@@ -69,9 +68,9 @@ class LinkFaults:
         self.network = network
         self.stats = FaultStats()
         self._rng = rng
-        #: directed link -> blocking mode ("queue" | "drop").
-        self._blocked: Dict[Link, str] = {}
-        #: messages held on queue-blocked links, in send order.
+        #: the cut directed links.
+        self._blocked: Set[Link] = set()
+        #: messages held on blocked links, in send order.
         self._held: Dict[Link, List[object]] = {}
         self._loss: Dict[Link, float] = {}
         self._dup: Dict[Link, float] = {}
@@ -90,12 +89,8 @@ class LinkFaults:
         if src == dst:
             return False
         link = (src, dst)
-        mode = self._blocked.get(link)
-        if mode is not None:
-            if mode == "queue":
-                self._hold(link, message)
-            else:
-                self.stats.messages_dropped_on_block += 1
+        if link in self._blocked:
+            self._hold(link, message)
             return True
         loss = self._loss.get(link)
         if loss is not None and self._rng.random() < loss:
@@ -124,7 +119,7 @@ class LinkFaults:
         self.sim.schedule(extra, self._forward, args=(link[0], link[1], message))
 
     def _hold(self, link: Link, message: object) -> None:
-        """Park one message on a queue-blocked link."""
+        """Park one message on a blocked link."""
         self._held.setdefault(link, []).append(message)
         self.stats.messages_held += 1
         per_link = self.stats.per_link_held
@@ -132,28 +127,21 @@ class LinkFaults:
 
     def _forward(self, src: int, dst: int, message: object) -> None:
         """Enter the network after a delay spike, honouring blocks installed since."""
-        mode = self._blocked.get((src, dst))
-        if mode is not None:
-            if mode == "queue":
-                self._hold((src, dst), message)
-            else:
-                self.stats.messages_dropped_on_block += 1
+        if (src, dst) in self._blocked:
+            self._hold((src, dst), message)
             return
         self.network.send(src, dst, message)
 
     # ---------------------------------------------------------- fault control
 
-    def block(self, links: Iterable[Link], mode: str = "queue") -> None:
-        """Cut the given directed links (``"queue"`` holds traffic, ``"drop"`` loses it)."""
-        if mode not in ("queue", "drop"):
-            raise ValueError(f"unknown blocking mode {mode!r}")
-        for link in links:
-            self._blocked[link] = mode
+    def block(self, links: Iterable[Link]) -> None:
+        """Cut the given directed links, holding their traffic until they heal."""
+        self._blocked.update(links)
 
     def unblock(self, links: Iterable[Link]) -> None:
         """Heal the given links, releasing any held messages in send order."""
         for link in links:
-            self._blocked.pop(link, None)
+            self._blocked.discard(link)
             held = self._held.pop(link, None)
             if held:
                 src, dst = link

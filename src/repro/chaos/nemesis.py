@@ -15,15 +15,14 @@ come from three places:
 
 Fault primitives and their liveness footprint:
 
-* ``PartitionFault`` / ``AsymmetricPartitionFault`` in ``"queue"`` mode hold
-  messages and release them on heal (a stalled TCP connection); every
-  protocol in the repository tolerates them.  ``"drop"`` mode loses the
-  messages instead; the runtime retransmission + catch-up layer
-  (:mod:`repro.runtime.kernel`) recovers the lost quorum traffic after the
-  heal, so drop-mode faults cost latency, not liveness.
-* ``LossFault`` drops messages probabilistically — recovered the same way.
-* ``DuplicationFault``, ``DelaySpikeFault``, ``ClockSkewFault`` are
-  loss-free: safe for every protocol.
+* ``PartitionFault`` / ``AsymmetricPartitionFault`` hold messages and
+  release them on heal (a stalled TCP connection); every protocol in the
+  repository tolerates them.
+* ``LossFault`` drops messages probabilistically on every link; the runtime
+  retransmission + catch-up layer (:mod:`repro.runtime.kernel`) recovers the
+  lost quorum traffic after the heal, so loss costs latency, not liveness.
+* ``DuplicationFault`` (every link), ``DelaySpikeFault``, ``ClockSkewFault``
+  are loss-free: safe for every protocol.
 * ``CrashFault`` reuses the :class:`~repro.sim.failures.CrashInjector`
   machinery from Figure 12; messages addressed to (or in flight towards) a
   crashed node are lost.
@@ -48,7 +47,6 @@ class PartitionFault:
     at_ms: float
     heal_at_ms: float
     groups: Tuple[NodeGroup, ...]
-    mode: str = "queue"
 
 
 @dataclass(frozen=True)
@@ -59,29 +57,24 @@ class AsymmetricPartitionFault:
     heal_at_ms: float
     src_nodes: NodeGroup
     dst_nodes: NodeGroup
-    mode: str = "queue"
 
 
 @dataclass(frozen=True)
 class LossFault:
-    """Drop each message on the selected links with ``probability``."""
+    """Drop each message on every link with ``probability``."""
 
     at_ms: float
     until_ms: float
     probability: float
-    src_nodes: Optional[NodeGroup] = None
-    dst_nodes: Optional[NodeGroup] = None
 
 
 @dataclass(frozen=True)
 class DuplicationFault:
-    """Deliver each message on the selected links twice with ``probability``."""
+    """Deliver each message on every link twice with ``probability``."""
 
     at_ms: float
     until_ms: float
     probability: float
-    src_nodes: Optional[NodeGroup] = None
-    dst_nodes: Optional[NodeGroup] = None
 
 
 @dataclass(frozen=True)
@@ -179,6 +172,7 @@ class Nemesis:
             if install is not None:
                 install(self.faults)
         self._all_nodes: Tuple[int, ...] = tuple(cluster.network.node_ids)
+        self._all_links = cross_links(self._all_nodes, self._all_nodes)
         for fault in plan.faults:
             self._schedule(fault)
 
@@ -187,10 +181,6 @@ class Nemesis:
     def _note(self, text: str) -> None:
         self.log.append((self.cluster.sim.now, text))
 
-    def _links_of(self, src_nodes: Optional[NodeGroup],
-                  dst_nodes: Optional[NodeGroup]) -> List[Tuple[int, int]]:
-        return cross_links(src_nodes or self._all_nodes, dst_nodes or self._all_nodes)
-
     def _schedule(self, fault: Fault) -> None:
         sim = self.cluster.sim
         if isinstance(fault, PartitionFault):
@@ -198,24 +188,24 @@ class Nemesis:
             for i, group_a in enumerate(fault.groups):
                 for group_b in fault.groups[i + 1:]:
                     links.extend(symmetric_links(group_a, group_b))
-            sim.schedule_at(fault.at_ms, self._apply_block, args=(links, fault.mode,
-                                                                  f"partition {fault.groups}"))
+            sim.schedule_at(fault.at_ms, self._apply_block,
+                            args=(links, f"partition {fault.groups}"))
             sim.schedule_at(fault.heal_at_ms, self._heal_block,
                             args=(links, f"heal partition {fault.groups}"))
         elif isinstance(fault, AsymmetricPartitionFault):
             links = cross_links(fault.src_nodes, fault.dst_nodes)
             label = f"one-way cut {fault.src_nodes}->{fault.dst_nodes}"
-            sim.schedule_at(fault.at_ms, self._apply_block, args=(links, fault.mode, label))
+            sim.schedule_at(fault.at_ms, self._apply_block, args=(links, label))
             sim.schedule_at(fault.heal_at_ms, self._heal_block, args=(links, f"heal {label}"))
         elif isinstance(fault, LossFault):
-            links = self._links_of(fault.src_nodes, fault.dst_nodes)
+            links = self._all_links
             sim.schedule_at(fault.at_ms, self._apply_simple,
                             args=(self.faults.set_loss, (links, fault.probability),
                                   f"loss p={fault.probability} on {len(links)} links"))
             sim.schedule_at(fault.until_ms, self._apply_simple,
                             args=(self.faults.clear_loss, (links,), "loss cleared"))
         elif isinstance(fault, DuplicationFault):
-            links = self._links_of(fault.src_nodes, fault.dst_nodes)
+            links = self._all_links
             sim.schedule_at(fault.at_ms, self._apply_simple,
                             args=(self.faults.set_duplication, (links, fault.probability),
                                   f"duplication p={fault.probability} on {len(links)} links"))
@@ -223,7 +213,8 @@ class Nemesis:
                             args=(self.faults.clear_duplication, (links,),
                                   "duplication cleared"))
         elif isinstance(fault, DelaySpikeFault):
-            links = self._links_of(fault.src_nodes, fault.dst_nodes)
+            links = cross_links(fault.src_nodes or self._all_nodes,
+                                fault.dst_nodes or self._all_nodes)
             sim.schedule_at(fault.at_ms, self._apply_simple,
                             args=(self.faults.set_delay_spike,
                                   (links, fault.extra_ms, fault.jitter_ms),
@@ -248,9 +239,9 @@ class Nemesis:
 
     # ---------------------------------------------------------------- actions
 
-    def _apply_block(self, links, mode: str, label: str) -> None:
-        self.faults.block(links, mode=mode)
-        self._note(f"{label} [{mode}, {len(links)} links]")
+    def _apply_block(self, links, label: str) -> None:
+        self.faults.block(links)
+        self._note(f"{label} [queue, {len(links)} links]")
 
     def _heal_block(self, links, label: str) -> None:
         self.faults.unblock(links)
@@ -275,10 +266,9 @@ class Nemesis:
         state the probe must tolerate).
         """
         self.faults.unblock_all()
-        nodes = self._all_nodes
-        self.faults.clear_loss(cross_links(nodes, nodes))
-        self.faults.clear_duplication(cross_links(nodes, nodes))
-        self.faults.clear_delay_spike(cross_links(nodes, nodes))
+        self.faults.clear_loss(self._all_links)
+        self.faults.clear_duplication(self._all_links)
+        self.faults.clear_delay_spike(self._all_links)
         for replica in self.cluster.replicas:
             replica.timer_scale = 1.0
 

@@ -41,7 +41,6 @@ from repro.harness.protocols import PROTOCOLS
 from repro.harness.sweep import key_string, matches_any, resolve_workers
 from repro.metrics.report import format_protocol_stats
 from repro.runtime.admission import admission_policy
-from repro.runtime.batching import BatchingConfig
 from repro.runtime.costs import throughput_cost_model
 from repro.sim.topology import EC2_SHORT_LABELS, EC2_SITES, ec2_five_sites
 
@@ -140,8 +139,7 @@ FLAGS = {
     "throughput": Flag(dict(action="store_true",
                             help="use the saturation CPU cost model (throughput study)"),
                        "cost_model", lambda on: throughput_cost_model() if on else None),
-    "batching": Flag(dict(action="store_true", help="enable network message batching"),
-                     convert=lambda on: BatchingConfig() if on else None),
+    "batching": Flag(dict(action="store_true", help="enable network message batching")),
     "nemesis": Flag(dict(default="minority-partition", metavar="NAME",
                          choices=sorted(NEMESIS_SCHEDULES),
                          help="named nemesis schedule (see --list-schedules)"),

@@ -320,7 +320,7 @@ class CaesarReplica(ProtocolKernel):
             # The notify cascade may have answered an older copy of this
             # proposal (a NACK rewrites the entry REJECTED): _answer_proposal
             # writes the entry back before answering.
-            self._answer_proposal(verdict, 0.0, *proposal)
+            self._answer_proposal(verdict, *proposal)
 
     @handles(SlowPropose)
     def _on_slow_propose(self, src: int, message: SlowPropose) -> None:
@@ -356,11 +356,10 @@ class CaesarReplica(ProtocolKernel):
         verdict = self.wait_manager.evaluate(command, message.timestamp, self._answer_proposal,
                                              entry, proposal)
         if verdict is not None:
-            self._answer_proposal(verdict, 0.0, *proposal)
+            self._answer_proposal(verdict, *proposal)
 
-    def _answer_proposal(self, ok: bool, waited_ms: float, leader: int, command: Command,
-                         ballot: Ballot, timestamp: LogicalTimestamp, predecessors: int,
-                         fast: bool) -> None:
+    def _answer_proposal(self, ok: bool, leader: int, command: Command, ballot: Ballot,
+                         timestamp: LogicalTimestamp, predecessors: int, fast: bool) -> None:
         """Send the OK/NACK answer for a parked, rejected or slow proposal.
 
         ``predecessors`` is the interned bitmask computed when the proposal

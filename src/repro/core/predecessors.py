@@ -103,8 +103,9 @@ class WaitManager:
     against each proposal parked on its key; :meth:`notify_change`
     (compatibility API) rebuilds every parked proposal's masks from the
     bucket.  Both resolve the proposals whose blocker mask emptied, in
-    parking order: the callback receives ``(ok, waited_ms, *args)``, the OK/NACK
-    outcome of WAIT and how long the proposal was parked (Figure 11(b)).
+    parking order: the callback receives ``(ok, *args)``, the OK/NACK outcome
+    of WAIT.  How long each proposal was parked adds to :attr:`total_wait_ms`
+    (Figure 11(b)).
     """
 
     def __init__(self, history: CommandHistory, now: Callable[[], float],
@@ -166,8 +167,8 @@ class WaitManager:
 
         ``entry`` is the command's history entry, which the caller has just
         written.  Returns the OK/NACK outcome when WAIT terminates at once;
-        ``None`` when the proposal was parked: ``on_resolved(ok, waited_ms, *args)``
-        then runs once WAIT terminates, never from inside this call.
+        ``None`` when the proposal was parked: ``on_resolved(ok, *args)`` then
+        runs once WAIT terminates, never from inside this call.
         """
         bucket, self_bit = entry.bucket, 1 << entry.index
         keys = bucket.keys
@@ -271,10 +272,9 @@ class WaitManager:
         self.parked -= len(resolved)
         now = self._now()
         for parked in resolved:
-            waited = now - parked.parked_at
             self.total_waits += 1
-            self.total_wait_ms += waited
-            parked.on_resolved(not parked.witness_mask, waited, *parked.args)
+            self.total_wait_ms += now - parked.parked_at
+            parked.on_resolved(not parked.witness_mask, *parked.args)
 
     def has_parked(self, key: str) -> bool:
         """Whether any proposal is parked on ``key`` (history collection waits)."""

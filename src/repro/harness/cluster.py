@@ -15,7 +15,6 @@ from repro.consensus.interface import ConsensusReplica, order_violations
 from repro.consensus.quorums import QuorumSystem
 from repro.harness.protocols import build_replica
 from repro.runtime.admission import aggregate_admission
-from repro.runtime.batching import BatchingConfig
 from repro.runtime.costs import CostModel
 from repro.sim.failures import CrashInjector
 from repro.sim.network import Network, NetworkConfig
@@ -33,8 +32,9 @@ class ClusterConfig:
         seed: simulation seed.
         network: jitter configuration.
         cost_model: per-message CPU cost model.
-        batching: when set, every replica batches its outgoing messages with
-            this policy (the paper's "batching enabled" configuration).
+        batching: every replica batches its outgoing messages
+            (:mod:`repro.runtime.batching`; the paper's "batching enabled"
+            configuration).
         admission: admission-control spec installed on every replica's submit
             path (``"none"``, ``"inflight:K"``, ``"deadline:MS"``; see
             :mod:`repro.runtime.admission`).  ``None`` leaves the submit path
@@ -57,7 +57,7 @@ class ClusterConfig:
     seed: int = 1
     network: NetworkConfig = field(default_factory=NetworkConfig)
     cost_model: Optional[CostModel] = None
-    batching: Optional[BatchingConfig] = None
+    batching: bool = False
     admission: Optional[str] = None
     recovery: bool = False
     history_gc: bool = False
@@ -131,13 +131,11 @@ def build_cluster(config: ClusterConfig) -> Cluster:
     topology = config.topology or ec2_five_sites()
     sim = Simulator(seed=config.seed)
     network = Network(sim, topology, config.network)
+    network.batching = config.batching
     quorums = QuorumSystem.for_cluster(topology.size)
     replicas = [build_replica(config.protocol, node_id, sim, network, quorums,
                               config.protocol_options, cost_model=config.cost_model,
                               admission=config.admission, recovery=config.recovery,
                               history_gc=config.history_gc)
                 for node_id in range(topology.size)]
-    if config.batching is not None:
-        for replica in replicas:
-            replica.enable_batching(config.batching)
     return Cluster(config, sim, network, topology, replicas)

@@ -33,7 +33,6 @@ from repro.harness.sweep import SweepCell, SweepResult, Workers, run_sweep, swee
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.perf import PerfRecord, write_record
 from repro.metrics.report import format_series
-from repro.runtime.batching import BatchingConfig
 from repro.runtime.costs import throughput_cost_model
 from repro.sim.failures import ScheduledCrash
 from repro.sim.topology import EC2_SHORT_LABELS, EC2_SITES
@@ -197,7 +196,7 @@ def _throughput_key(protocol: str, rate: float) -> tuple:
 
 
 def _throughput_cells(seed: int, protocols: Sequence[str],
-                      batching: Optional[BatchingConfig], conflict_rates: Sequence[float],
+                      batching: bool, conflict_rates: Sequence[float],
                       clients_per_site: int, duration_ms: float,
                       warmup_ms: float) -> List[SweepCell]:
     """The throughput sweep shared by Figures 9 and 9b.
@@ -241,7 +240,7 @@ def _fig9_cells(seed: int, *, conflict_rates: Sequence[float] = CONFLICT_RATES_T
                 clients_per_site: int = 60, duration_ms: float = 4000.0,
                 warmup_ms: float = 1500.0) -> Grid:
     """Figure 9 (no batching): peak throughput while varying the conflict rate."""
-    return [_throughput_cells(seed, THROUGHPUT_PROTOCOLS, None, conflict_rates,
+    return [_throughput_cells(seed, THROUGHPUT_PROTOCOLS, False, conflict_rates,
                               clients_per_site, duration_ms, warmup_ms)]
 
 
@@ -259,10 +258,9 @@ def _fig9b_cells(seed: int, *, conflict_rates: Sequence[float] = (0.0, 0.10, 0.3
     Both sweeps use Figure 9's cell keys, so a cell and its batched twin
     share a seed.
     """
-    batching = BatchingConfig(window_ms=2.0, max_messages=32, marginal_cost_factor=0.25)
     shared = (conflict_rates, clients_per_site, duration_ms, warmup_ms)
-    return [_throughput_cells(seed, BATCHING_PROTOCOLS, None, *shared),
-            _throughput_cells(seed, BATCHING_PROTOCOLS, batching, *shared)]
+    return [_throughput_cells(seed, BATCHING_PROTOCOLS, False, *shared),
+            _throughput_cells(seed, BATCHING_PROTOCOLS, True, *shared)]
 
 
 def _fig9b_reduce(without: SweepResult, with_batching: SweepResult, *,

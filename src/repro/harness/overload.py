@@ -46,7 +46,9 @@ class OverloadConfig:
     Attributes:
         protocol: protocol name.
         offered_loads: total offered load per point, in commands/second
-            across the whole cluster; split evenly over the clients.
+            across the whole cluster; split evenly over the clients.  Kept
+            in ascending order, which the knee and the heaviest point's tail
+            read.
         substrate: ``"sim"`` (simulator) or ``"tcp"`` (real sockets).
         clients: open-loop clients, per site on the simulator and in total
             over TCP (spread round-robin over the replicas).
@@ -76,6 +78,7 @@ class OverloadConfig:
     history_gc: bool = False
 
     def __post_init__(self) -> None:
+        self.offered_loads = tuple(sorted(self.offered_loads))
         check_load(self.clients, self.conflict_rate, self.duration_ms, self.warmup_ms,
                    min(self.offered_loads, default=None))
 

@@ -14,9 +14,6 @@ from typing import Dict, List, Optional
 from repro.metrics.stats import LatencySummary, summarize_latencies, throughput_timeline
 from repro.runtime.codec import value_type
 
-#: A :meth:`MetricsCollector.timeline` bucket: one second, as Figure 12 plots it.
-TIMELINE_BUCKET_MS = 1000.0
-
 
 @value_type
 class CommandSample:
@@ -86,9 +83,7 @@ class MetricsCollector:
             raise ValueError("duration_ms must be positive")
         return self.count * 1000.0 / duration_ms
 
-    def timeline(self, end_ms: Optional[float]) -> List[tuple]:
+    def timeline(self, end_ms: float) -> List[tuple]:
         """Throughput time series of the recorded samples, per
-        :data:`TIMELINE_BUCKET_MS` from time 0."""
-        completions = [sample.completed_at for sample in self.samples]
-        return throughput_timeline(completions, bucket_ms=TIMELINE_BUCKET_MS, start_ms=0.0,
-                                   end_ms=end_ms)
+        :data:`~repro.metrics.stats.TIMELINE_BUCKET_MS` from time 0."""
+        return throughput_timeline([sample.completed_at for sample in self.samples], end_ms)

@@ -6,6 +6,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+#: A throughput timeline's bucket: one second, as Figure 12 plots it.
+TIMELINE_BUCKET_MS = 1000.0
+
 
 def percentile(values: Sequence[float], fraction: float) -> float:
     """Linear-interpolation percentile of ``values`` at ``fraction`` in [0, 1].
@@ -64,46 +67,40 @@ def summarize_latencies(values: Sequence[float]) -> LatencySummary:
     )
 
 
-def throughput_timeline(completion_times_ms: Sequence[float], bucket_ms: float,
-                        start_ms: float,
-                        end_ms: float | None) -> List[Tuple[float, float]]:
+def throughput_timeline(completion_times_ms: Sequence[float],
+                        end_ms: float) -> List[Tuple[float, float]]:
     """Bucket completion timestamps into a throughput time series.
 
-    The window ``[start_ms, end_ms]`` is split into ``ceil`` buckets of
-    ``bucket_ms``; the final bucket may cover less than a full ``bucket_ms``
-    and its rate is scaled by the width it actually spans, so a timeline
-    whose window is not a multiple of the bucket size reports honest
+    The window ``[0, end_ms]`` is split into ``ceil`` buckets of
+    :data:`TIMELINE_BUCKET_MS`; the final bucket may cover less than a full
+    bucket and its rate is scaled by the width it actually spans, so a
+    timeline whose window is not a multiple of the bucket size reports honest
     commands-per-second at the edge instead of diluting (or inflating) the
     last bucket's count by the nominal width.  Samples landing exactly on
     ``end_ms`` count toward the final bucket.
 
     Args:
         completion_times_ms: virtual times at which commands completed.
-        bucket_ms: bucket width.
-        start_ms: timeline origin.
-        end_ms: optional timeline end; defaults to the last completion.
+        end_ms: timeline end.
 
     Returns:
         List of ``(bucket_start_ms, commands_per_second)`` pairs.
     """
-    if bucket_ms <= 0:
-        raise ValueError("bucket_ms must be positive")
-    if end_ms is None:
-        end_ms = max(completion_times_ms, default=start_ms)
-    n_buckets = max(1, math.ceil((end_ms - start_ms) / bucket_ms))
+    bucket_ms = TIMELINE_BUCKET_MS
+    n_buckets = max(1, math.ceil(end_ms / bucket_ms))
     buckets: Dict[int, int] = {}
     for completion in completion_times_ms:
-        if completion < start_ms or completion > end_ms:
+        if completion > end_ms:
             continue
-        index = min(int((completion - start_ms) // bucket_ms), n_buckets - 1)
+        index = min(int(completion // bucket_ms), n_buckets - 1)
         buckets[index] = buckets.get(index, 0) + 1
     series = []
     for index in range(n_buckets):
-        bucket_start = start_ms + index * bucket_ms
+        bucket_start = index * bucket_ms
         width = min(bucket_ms, end_ms - bucket_start)
         if index == n_buckets - 1 and width < bucket_ms:
             if width <= 0:
-                # Degenerate empty window (end == start): keep the nominal
+                # Degenerate empty window (end == 0): keep the nominal
                 # width rather than dividing by zero.
                 width = bucket_ms
         else:

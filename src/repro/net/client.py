@@ -122,13 +122,12 @@ RECONNECT_TIMEOUT_MS = 3000.0
 
 async def connect_pool(endpoints: Dict[int, Tuple[str, int]], clients: int,
                        workload: WorkloadConfig, clock: WallClock, metrics: MetricsCollector,
-                       *, failover: bool,
                        **pool_options) -> Tuple[ClientPool, List[RemoteReplica]]:
     """Dial one connection per client, round-robin over ``endpoints``, and build the pool.
 
-    With ``failover`` and more than one endpoint, a client whose connection
-    died moves to one shared connection per replica (command ids are globally
-    unique, so a shared connection routes each reply to the right callback).
+    With more than one endpoint, a client whose connection died moves to one
+    shared connection per replica (command ids are globally unique, so a
+    shared connection routes each reply to the right callback).
     ``pool_options`` go to :func:`~repro.workload.clients.build_pool`.
     Returns the pool and every connection opened, for the caller to close.
     """
@@ -140,7 +139,7 @@ async def connect_pool(endpoints: Dict[int, Tuple[str, int]], clients: int,
         return remote
 
     shared = ([await dial(replica_id, clients + replica_id) for replica_id in replica_ids]
-              if failover and len(replica_ids) > 1 else [])
+              if len(replica_ids) > 1 else [])
     targets = [await dial(replica_ids[client_id % len(replica_ids)], client_id)
                for client_id in range(clients)]
     pool = build_pool(targets, workload, clock, metrics, failover=shared, **pool_options)
@@ -271,7 +270,7 @@ async def _loadgen(config: LoadgenConfig) -> LoadgenReport:
     # Either loop leaves a dead replica when the endpoint map names another.
     pool, remotes = await connect_pool(
         config.endpoints, config.clients, WorkloadConfig(conflict_rate=config.conflict_rate),
-        clock, metrics, failover=True,
+        clock, metrics,
         open_loop_rate=config.rate_per_client if config.open_loop else None,
         stop_after_ms=config.duration_ms, max_commands=config.commands_per_client,
         reconnect_timeout_ms=RECONNECT_TIMEOUT_MS)

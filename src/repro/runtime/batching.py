@@ -8,15 +8,15 @@ throughput at the price of a small added latency.
 
 Batching is decided in the transport
 (:class:`~repro.runtime.transport.SimulatorTransport`): outgoing messages are
-buffered per destination and flushed either when the window expires or when
-the batch reaches its maximum size.  The receiver charges one full message
-cost for the batch itself plus a discounted marginal cost for every message
-inside it.
+buffered per destination and flushed either when :data:`WINDOW_MS` expires or
+when the batch reaches :data:`MAX_MESSAGES`.  The receiver charges one full
+message cost for the batch itself plus :data:`MARGINAL_COST_FACTOR` of a
+message's cost for every message inside it.  Figure 9b runs with this one
+policy; a test that needs another patches the constants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from repro.runtime.codec import SeqCodec, value_type
@@ -35,37 +35,19 @@ class MessageBatch:
     messages: Tuple[object, ...]
 
 
-@dataclass
-class BatchingConfig:
-    """Parameters of the per-destination batching policy.
-
-    Attributes:
-        window_ms: how long a message may wait for companions before the
-            batch is flushed.
-        max_messages: flush immediately once this many messages accumulate.
-        marginal_cost_factor: fraction of the normal per-message CPU cost
-            charged for each message inside a batch (the batch envelope itself
-            is charged at full cost).
-    """
-
-    window_ms: float = 2.0
-    max_messages: int = 32
-    marginal_cost_factor: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.window_ms < 0:
-            raise ValueError("window_ms must be non-negative")
-        if self.max_messages < 1:
-            raise ValueError("max_messages must be at least 1")
-        if not 0.0 <= self.marginal_cost_factor <= 1.0:
-            raise ValueError("marginal_cost_factor must be within [0, 1]")
+#: How long a message may wait for companions before its batch is flushed.
+WINDOW_MS = 2.0
+#: A batch is flushed at once when it holds this many messages.
+MAX_MESSAGES = 32
+#: Fraction of the normal per-message CPU cost charged for each message inside
+#: a batch (the batch envelope itself is charged at full cost).
+MARGINAL_COST_FACTOR = 0.25
 
 
 class BatchBuffer:
     """Per-destination outgoing buffer used by a node with batching enabled."""
 
-    def __init__(self, config: BatchingConfig) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self._pending: dict = {}
 
     def add(self, dst: int, message: object) -> bool:
@@ -76,7 +58,7 @@ class BatchBuffer:
         """
         bucket = self._pending.setdefault(dst, [])
         bucket.append(message)
-        return len(bucket) >= self.config.max_messages
+        return len(bucket) >= MAX_MESSAGES
 
     def has_pending(self, dst: int) -> bool:
         """Whether any messages are waiting for ``dst``."""

@@ -35,11 +35,10 @@ class CostModel:
     per_dependency_ms: float = 0.002
     client_request_ms: float = 0.01
 
-    def message_cost(self, message: object, local: bool) -> float:
-        """CPU time needed to process ``message`` on the receiving node.
+    def message_cost(self, local: bool) -> float:
+        """CPU time needed to process one message on the receiving node.
 
         Args:
-            message: the message being processed.
             local: ``True`` when the sender is the receiving node itself.
         """
         cost = self.default_cost_ms

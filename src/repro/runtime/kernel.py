@@ -11,9 +11,8 @@ hand-roll independently:
   replica defines its own dispatch table;
 * **failure detection** — when recovery is on (``recovery_on``, set by
   :func:`~repro.harness.protocols.build_replica`) and the protocol defines an
-  ``on_suspect`` hook, the kernel runs one :class:`FailureDetector` at the
-  module's timings, feeds it heartbeats and counts every message as
-  liveness evidence;
+  ``on_suspect`` hook, the kernel runs one :class:`FailureDetector`, feeds
+  it heartbeats and counts every message as liveness evidence;
 * **quorum trackers** (:class:`QuorumTracker`) — insertion-ordered vote
   collection with a threshold, replacing the per-protocol reply dicts and
   ack sets;
@@ -58,11 +57,6 @@ from repro.runtime.costs import CostModel
 from repro.runtime.registry import MessageCodec, register_message
 from repro.runtime.stats import ProtocolStats
 from repro.sim.failures import FailureDetector, Heartbeat
-
-#: Failure-detector timings, the same for every protocol: a heartbeat every
-#: ``HEARTBEAT_EVERY_MS`` and suspicion after ``SUSPECT_AFTER_MS`` of silence.
-HEARTBEAT_EVERY_MS = 100.0
-SUSPECT_AFTER_MS = 600.0
 
 #: Function attribute carrying the message classes a method handles.
 _HANDLES_ATTR = "_kernel_handles"
@@ -428,9 +422,8 @@ class ProtocolKernel(ConsensusReplica):
         """Start the failure detector when recovery is on and the protocol has
         an :attr:`on_suspect` hook; call once per run."""
         if self.recovery_on and self.on_suspect is not None and self.failure_detector is None:
-            self.failure_detector = FailureDetector(
-                self, self.network.node_ids, HEARTBEAT_EVERY_MS, SUSPECT_AFTER_MS,
-                self.on_suspect)
+            self.failure_detector = FailureDetector(self, self.network.node_ids,
+                                                    self.on_suspect)
             self.failure_detector.start()
 
     # --------------------------------------------------------------- catch-up

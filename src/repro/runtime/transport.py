@@ -69,7 +69,8 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.runtime.batching import BatchBuffer, BatchingConfig
+from repro.runtime import batching
+from repro.runtime.batching import BatchBuffer
 
 
 @dataclass
@@ -117,15 +118,6 @@ class Transport(abc.ABC):
         Returns the clock's cancellable handle (``cancel()`` / ``cancelled``).
         """
 
-    def configure_batching(self, config: BatchingConfig) -> None:
-        """Install (or replace) an outgoing batching policy.
-
-        Optional capability: backends without batching raise
-        ``NotImplementedError``.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support outgoing batching")
-
     def drop_unsent(self) -> None:
         """Forget anything held back by batching: the owning process crashed."""
 
@@ -139,21 +131,22 @@ class Transport(abc.ABC):
 class SimulatorTransport(Transport):
     """Transport backend over the simulated network.
 
-    Owns the per-destination batch buffer: messages to the same destination
-    within the batching window leave as one wire message.  Self-addressed
-    messages bypass batching (they never cross a real wire).
+    When the network batches, owns the per-destination batch buffer:
+    messages to the same destination within the batching window leave as one
+    wire message.  Self-addressed messages bypass batching (they never cross
+    a real wire).
 
     Args:
         node: the owning node (supplies ``node_id`` and the simulator clock).
-        network: the shared simulated network.
+        network: the shared simulated network; its ``batching`` switch, read
+            here, decides whether this transport batches.
     """
 
     def __init__(self, node, network) -> None:
         self.node = node
         self.network = network
-        #: batching policy; ``None`` (until :meth:`configure_batching`) sends eagerly.
-        self.batching: Optional[BatchingConfig] = None
-        self._buffer: Optional[BatchBuffer] = None
+        #: the batch buffer; ``None`` sends eagerly.
+        self._buffer: Optional[BatchBuffer] = BatchBuffer() if network.batching else None
         self._flush_scheduled: Dict[int, bool] = {}
         #: fault-filter seam: when installed (chaos runs only), every outgoing
         #: wire message is offered to the filter first, which may absorb it
@@ -164,11 +157,6 @@ class SimulatorTransport(Transport):
         #: (both immutable for the node's lifetime).
         self._node_id = node.node_id
         self._network_send = network.send
-
-    def configure_batching(self, config: BatchingConfig) -> None:
-        """Turn on (or replace) the per-destination batching policy."""
-        self.batching = config
-        self._buffer = BatchBuffer(config)
 
     def install_fault_filter(self, faults) -> None:
         """Install (or remove, with ``None``) the nemesis link-fault filter.
@@ -193,7 +181,7 @@ class SimulatorTransport(Transport):
             self._flush_destination(dst)
         elif not self._flush_scheduled.get(dst):
             self._flush_scheduled[dst] = True
-            self.node.set_timer(self.batching.window_ms, self._flush_destination, dst)
+            self.node.set_timer(batching.WINDOW_MS, self._flush_destination, dst)
 
     def broadcast(self, message: object, include_self: bool = True) -> None:
         """Send ``message`` to every registered node."""
@@ -210,7 +198,7 @@ class SimulatorTransport(Transport):
         never arm another, and would resurrect the pre-crash messages.
         """
         if self._buffer is not None:
-            self._buffer = BatchBuffer(self.batching)
+            self._buffer = BatchBuffer()
         self._flush_scheduled.clear()
 
     def _flush_destination(self, dst: int) -> None:

@@ -6,8 +6,9 @@ detector sufficient for leader election.  In the simulation:
 * :class:`CrashInjector` schedules crashes (and optional restarts) of chosen
   nodes at chosen virtual times — this drives the Figure 12 experiment.
 * :class:`FailureDetector` is a simple heartbeat-based eventually-accurate
-  detector: every node broadcasts heartbeats, and a peer that has not been
-  heard from within ``silence_ms`` is suspected.  Suspicion callbacks
+  detector: every node broadcasts heartbeats every
+  :data:`HEARTBEAT_EVERY_MS`, and a peer that has not been heard from for
+  :data:`SUSPECT_AFTER_MS` is suspected.  Suspicion callbacks
   let protocols trigger recovery (CAESAR's per-command RECOVERY phase,
   EPaxos' explicit-prepare, Multi-Paxos leader re-election).
 """
@@ -22,6 +23,11 @@ from repro.runtime.registry import register_message
 
 if TYPE_CHECKING:
     from repro.sim.node import Node
+
+#: Failure-detector timings, the same for every protocol: a heartbeat every
+#: ``HEARTBEAT_EVERY_MS`` and suspicion after ``SUSPECT_AFTER_MS`` of silence.
+HEARTBEAT_EVERY_MS = 100.0
+SUSPECT_AFTER_MS = 600.0
 
 
 @register_message(sender=UINT, sequence=UINT)
@@ -77,25 +83,20 @@ class FailureDetector:
 
     Each protocol node owns one detector instance.  The detector piggybacks
     on the owning node's timers and network; it emits heartbeats every
-    ``period_ms`` and declares a peer suspected when nothing has been heard
-    from it for ``silence_ms``.  A protocol replica's detector is built by
-    the runtime kernel, at the kernel's timings.
+    :data:`HEARTBEAT_EVERY_MS` and declares a peer suspected when nothing
+    has been heard from it for :data:`SUSPECT_AFTER_MS`.  A protocol
+    replica's detector is built by the runtime kernel.
 
     Args:
         owner: the node this detector runs on (anything exposing ``node_id``,
             ``broadcast``, ``set_timer``, ``sim`` and ``crashed``).
         peer_ids: ids of all nodes in the cluster (including the owner).
-        period_ms: heartbeat period.
-        silence_ms: silence threshold before suspecting a peer.
         on_suspect: callback invoked once per newly suspected peer.
     """
 
-    def __init__(self, owner, peer_ids: List[int], period_ms: float, silence_ms: float,
-                 on_suspect: Callable[[int], None]) -> None:
+    def __init__(self, owner, peer_ids: List[int], on_suspect: Callable[[int], None]) -> None:
         self.owner = owner
         self.peer_ids = [p for p in peer_ids if p != owner.node_id]
-        self.period_ms = period_ms
-        self.silence_ms = silence_ms
         self.on_suspect = on_suspect
         self.suspected: Set[int] = set()
         self._last_heard: Dict[int, float] = {}
@@ -127,13 +128,13 @@ class FailureDetector:
         self._sequence += 1
         self.owner.broadcast(Heartbeat(sender=self.owner.node_id, sequence=self._sequence),
                              include_self=False)
-        self.owner.set_timer(self.period_ms, self._emit_heartbeat)
+        self.owner.set_timer(HEARTBEAT_EVERY_MS, self._emit_heartbeat)
 
     def _schedule_check(self) -> None:
         if self.owner.crashed:
             return
         self._check_peers()
-        self.owner.set_timer(self.period_ms, self._schedule_check)
+        self.owner.set_timer(HEARTBEAT_EVERY_MS, self._schedule_check)
 
     def _check_peers(self) -> None:
         now = self.owner.sim.now
@@ -141,6 +142,6 @@ class FailureDetector:
             if peer in self.suspected:
                 continue
             silence = now - self._last_heard.get(peer, now)
-            if silence >= self.silence_ms:
+            if silence >= SUSPECT_AFTER_MS:
                 self.suspected.add(peer)
                 self.on_suspect(peer)

@@ -54,6 +54,10 @@ class Network:
         self.topology = topology
         self.config = config
         self.stats = NetworkStats()
+        #: whether the transports this network hands out batch their outgoing
+        #: messages (:mod:`repro.runtime.batching`); ``build_cluster`` sets it
+        #: before any node is built.
+        self.batching = False
         self._nodes: Dict[int, Node] = {}
         #: cache of nominal per-pair one-way delays; topology latencies are
         #: immutable during a run, so the string-keyed RTT lookups are paid

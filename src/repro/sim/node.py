@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.runtime import costs
-from repro.runtime.batching import BatchingConfig, MessageBatch
+from repro.runtime import batching, costs
+from repro.runtime.batching import MessageBatch
 from repro.runtime.clock import Clock
 from repro.runtime.costs import CostModel
 
@@ -70,11 +70,6 @@ class Node:
         self.transport = network.create_transport(self)
         network.register(self)
 
-    @property
-    def batching(self) -> Optional[BatchingConfig]:
-        """The transport's batching policy (``None`` when batching is off)."""
-        return getattr(self.transport, "batching", None)
-
     # ------------------------------------------------------------------ I/O
 
     def send(self, dst: int, message: object) -> None:
@@ -87,10 +82,6 @@ class Node:
         if self.crashed:
             return
         self.transport.send(dst, message)
-
-    def enable_batching(self, config: BatchingConfig) -> None:
-        """Turn on per-destination batching for this node's outgoing messages."""
-        self.transport.configure_batching(config)
 
     def broadcast(self, message: object, include_self: bool = True) -> None:
         """Send a message to every node in the cluster."""
@@ -108,19 +99,17 @@ class Node:
         per burst).  The message is queued behind any CPU work already in
         progress, then dispatched to :meth:`handle_message`.
         Message batches are unpacked here: the envelope costs one full
-        message, each inner message a discounted marginal cost.
+        message, each inner message :data:`~repro.runtime.batching.MARGINAL_COST_FACTOR`
+        of one.
         """
         if self.crashed:
             return
         cost_model = self.cost_model
         kind = type(message)
         if kind is MessageBatch:
-            local = src == self.node_id
-            factor = (self.batching.marginal_cost_factor
-                      if self.batching is not None else 1.0)
-            cost = cost_model.message_cost(message, local=local)
-            cost += sum(cost_model.message_cost(inner, local=local) * factor
-                        for inner in message.messages)
+            envelope = cost_model.message_cost(local=src == self.node_id)
+            inner = envelope * batching.MARGINAL_COST_FACTOR
+            cost = envelope + sum(inner for _ in message.messages)
             dispatch, payload = self._dispatch_batch, message.messages
         else:
             # message_cost inlined: this branch runs once per simulated

@@ -69,6 +69,7 @@ COMPACTION = "tests/test_core_compaction.py::"
 HOT_PATH = ("tests/test_hot_path_construction.py::"
             "test_no_record_is_built_with_keywords_on_the_per_message_path")
 KEYWORDS = "tests/test_product_keywords.py::"
+SINGLE_VALUED = KEYWORDS + "test_no_setting_takes_one_value_on_every_product_path"
 ENGINE = ("tests/test_sim_engine_differential.py::TestEngineDifferential::"
           "test_same_firing_order_clock_and_steps")
 WIRE = "tests/test_codec_differential.py::test_every_registered_type_matches_the_wire_spec"
@@ -302,6 +303,20 @@ MUTANTS: Dict[str, Mutant] = {
         "runtime/admission.py", "def __init__(self, max_inflight: int) -> None:",
         "def __init__(self, max_inflight: int = 64) -> None:",
         KEYWORDS + "test_no_default_is_overridden_by_every_product_call", STATIC),
+    # --- Settings every product path gives one value, put back.
+    "partition-mode-field-restored": Mutant(
+        "chaos/nemesis.py", "    groups: Tuple[NodeGroup, ...]\n",
+        '    groups: Tuple[NodeGroup, ...]\n    mode: str = "queue"\n', SINGLE_VALUED, STATIC),
+    "detector-period-parameter-restored": Mutant(
+        "sim/failures.py", "on_suspect: Callable[[int], None]) -> None:",
+        "on_suspect: Callable[[int], None],\n"
+        "                 period_ms: float = HEARTBEAT_EVERY_MS) -> None:", SINGLE_VALUED, STATIC),
+    "checker-budget-passed-as-a-constant": Mutant(
+        "chaos/checker.py", "_check_key(key, ops)\n    return report\n\n\n"
+        "def _check_key(key: str, ops: Sequence[Operation]) -> KeyReport:",
+        "_check_key(key, ops, MAX_STATES_PER_KEY)\n    return report\n\n\n"
+        "def _check_key(key: str, ops: Sequence[Operation], max_states: int) -> KeyReport:",
+        SINGLE_VALUED, STATIC),
 }
 
 

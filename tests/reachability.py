@@ -143,7 +143,6 @@ ALLOWED: Dict[str, str] = {
     "runtime/transport.py::Transport.send": _CONTRACT,
     "runtime/transport.py::Transport.broadcast": _CONTRACT,
     "runtime/transport.py::Transport.set_timer": _CONTRACT,
-    "runtime/transport.py::Transport.configure_batching": _CONTRACT,
     "runtime/transport.py::Transport.drop_unsent": _CONTRACT,
     "runtime/transport.py::Transport.close": _CONTRACT,
     "net/transport.py::AsyncioTransport.drop_unsent": _CONTRACT,

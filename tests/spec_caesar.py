@@ -15,11 +15,11 @@ by set edits, then a repeated scan of the pending commands in timestamp order.
 kernel (send, broadcast, timers, retransmission, the failure detector, the
 ballot register, the CPU charge, stats, decision records).  It also uses the
 product's vocabulary: messages, ``CommandStatus``, ``LeaderState`` and the
-phase names.  ``tests/test_import_graph.py`` holds it to that.  Its timings,
-the fast-proposal timeout and the failure detector's heartbeat and
-suspicion, are stated here.  ``tests/test_caesar_differential.py`` catches a
-disagreement with the product's: the crash cell of ``TestSpecEndToEnd`` for
-the detector, ``TestLeaderRandomSchedules`` for the timeout.
+phase names.  ``tests/test_import_graph.py`` holds it to that.  Its
+fast-proposal timeout is stated here, and ``TestLeaderRandomSchedules`` in
+``tests/test_caesar_differential.py`` catches a disagreement with the
+product's; the failure detector's heartbeat and suspicion are the kernel's
+detector's, and the crash cell of ``TestSpecEndToEnd`` runs them.
 A restart is not part of the pseudocode, and the spec adds nothing to the
 kernel's ``on_restart`` (no spec run restarts a node;
 ``tests/test_retransmission.py::TestRestartRearms`` pins the product's).
@@ -107,10 +107,6 @@ ACCEPTED = CommandStatus.ACCEPTED
 RECOVERY_DELAY_MS = 50.0
 #: P5: how long a leader waits for a fast quorum (the product's).
 FAST_PROPOSAL_TIMEOUT_MS = 1500.0
-#: The failure detector Figure 5 starts from: a heartbeat every 100 ms, and a
-#: node suspected after 600 ms of silence (the product's).
-HEARTBEAT_EVERY_MS = 100.0
-SUSPECT_AFTER_MS = 600.0
 
 
 @dataclass
@@ -208,8 +204,8 @@ class SpecWait:
         return blocked, rejected
 
     def evaluate(self, command: Command, timestamp: LogicalTimestamp,
-                 on_resolved: Callable[[bool, float], None]) -> Optional[bool]:
-        """OK / NACK now, or ``None``: parked, ``on_resolved(ok, waited_ms)`` later."""
+                 on_resolved: Callable[[bool], None]) -> Optional[bool]:
+        """OK / NACK now, or ``None``: parked, ``on_resolved(ok)`` later."""
         blocked, rejected = self.scan(command, timestamp)
         if not blocked:
             return not rejected
@@ -234,7 +230,7 @@ class SpecWait:
         for (_, _, on_resolved, parked_at), rejected in resolved:
             self.total_waits += 1
             self.total_wait_ms += now - parked_at
-            on_resolved(not rejected, now - parked_at)
+            on_resolved(not rejected)
 
     def drop(self, command_id: CommandId) -> None:
         """Forget the parked proposals of a command a RETRY or STABLE overtook."""
@@ -371,13 +367,6 @@ class SpecCaesarReplica(ProtocolKernel):
         #: Figure 5: the recoveries this node leads, and the nodes it suspects.
         self.recoveries: Dict[CommandId, SpecRecovery] = {}
         self.suspected: Set[int] = set()
-
-    def start(self) -> None:
-        """The kernel's failure detector, at the timings stated above."""
-        super().start()
-        if self.failure_detector is not None:
-            self.failure_detector.period_ms = HEARTBEAT_EVERY_MS
-            self.failure_detector.silence_ms = SUSPECT_AFTER_MS
 
     def _write(self, command: Command, timestamp: LogicalTimestamp,
                predecessors: Iterable[CommandId], status: CommandStatus, ballot: Ballot,
@@ -576,15 +565,14 @@ class SpecCaesarReplica(ProtocolKernel):
     def _wait(self, leader: int, command: Command, ballot: Ballot,
               timestamp: LogicalTimestamp, predecessors: Set[CommandId], fast: bool) -> None:
         """P14 / P34: WAIT, answered now or once it terminates."""
-        def answer(ok: bool, waited_ms: float) -> None:
-            self._answer_proposal(ok, waited_ms, leader, command, ballot, timestamp,
-                                  predecessors, fast)
+        def answer(ok: bool) -> None:
+            self._answer_proposal(ok, leader, command, ballot, timestamp, predecessors, fast)
 
         verdict = self.wait_manager.evaluate(command, timestamp, answer)
         if verdict is not None:
-            answer(verdict, 0.0)
+            answer(verdict)
 
-    def _answer_proposal(self, ok: bool, waited_ms: float, leader: int, command: Command,
+    def _answer_proposal(self, ok: bool, leader: int, command: Command,
                          ballot: Ballot, timestamp: LogicalTimestamp,
                          predecessors: Set[CommandId], fast: bool) -> None:
         """P15-P20 / P35-P39: OK with the row pending at ``T``, or NACK with the row

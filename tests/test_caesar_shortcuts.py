@@ -67,7 +67,7 @@ def build(rows, enabled: bool = True):
 def spec_answer(spec_history, command: Command, timestamp: LogicalTimestamp, enabled: bool):
     """WAIT's outcome as the spec states it (``None``: the proposal waits)."""
     wait = spec.SpecWait(spec_history, lambda: 0.0, enabled)
-    return wait.evaluate(command, timestamp, lambda ok, waited: None)
+    return wait.evaluate(command, timestamp, lambda ok: None)
 
 
 class TestWaitShortcut:
@@ -87,8 +87,7 @@ class TestWaitShortcut:
         entry = history.get(commands[slot % len(rows)].command_id)
         expected = spec_answer(spec_history, entry.command, entry.timestamp, enabled)
         outcomes = []
-        callback = lambda ok, waited: outcomes.append(ok)  # noqa: E731
-        answer = manager.evaluate(entry.command, entry.timestamp, callback, entry, ())
+        answer = manager.evaluate(entry.command, entry.timestamp, outcomes.append, entry, ())
         assert answer is expected
         assert outcomes == []  # a callback is for after a park, never for the call itself
         assert manager.parked == (1 if expected is None else 0)
@@ -102,7 +101,7 @@ class TestWaitShortcut:
         newcomer = Command(command_id=(99, 0), key="k", operation="get" if read else "put",
                            origin=0)
         timestamp = LogicalTimestamp(counter, SLOTS)
-        answer = evaluate_wait(manager, history, newcomer, timestamp, lambda ok, waited: None)
+        answer = evaluate_wait(manager, history, newcomer, timestamp, lambda ok: None)
         # The proposal's entry took the key's next index.
         index = history.index_of(newcomer.command_id)
         assert index == len(rows)
@@ -130,7 +129,7 @@ class TestWaitShortcut:
                 (9, CommandStatus.FAST_PENDING, False, 0)]
         history, manager, commands, _ = build(rows)
         early = history.get(commands[0].command_id)
-        assert manager.evaluate(early.command, early.timestamp, lambda ok, waited: None,
+        assert manager.evaluate(early.command, early.timestamp, lambda ok: None,
                                 early, ()) is None
         assert manager.parked == 1
         history, manager, commands, _ = build([rows[0], (9, CommandStatus.STABLE, False, 0)])

@@ -67,7 +67,7 @@ def payloads(node) -> list:
 
 
 def held(faults: LinkFaults) -> int:
-    """Messages parked on queue-blocked links."""
+    """Messages parked on blocked links."""
     return sum(len(messages) for messages in faults._held.values())
 
 
@@ -85,16 +85,6 @@ class TestLinkFaults:
         assert payloads(nodes[1]) == ["m1", "m2"]
         assert faults.stats.messages_held == 2
         assert faults.stats.messages_released == 2
-
-    def test_drop_block_loses_messages_for_good(self):
-        sim, network, nodes, faults = faulted_nodes()
-        faults.block([(0, 1)], mode="drop")
-        nodes[0].send(1, "gone")
-        faults.unblock([(0, 1)])
-        sim.run(until=200.0)
-        assert payloads(nodes[1]) == []
-        assert faults.stats.messages_dropped_on_block == 1
-        assert faults.stats.messages_released == 0
 
     def test_block_is_per_direction(self):
         sim, network, nodes, faults = faulted_nodes()
@@ -240,8 +230,7 @@ class TestNemesis:
         for name in CONFORMANCE_SCHEDULES:
             plan = build_schedule(name, 5, 0.0, 1000.0)
             for fault in plan.faults:
-                if (isinstance(fault, (LossFault, CrashFault))
-                        or getattr(fault, "mode", "queue") != "queue"):
+                if isinstance(fault, (LossFault, CrashFault)):
                     lossy.add(name)
         assert lossy == {"crash-restart", "flaky-links"}
 

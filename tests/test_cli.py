@@ -607,6 +607,24 @@ class TestOverloadReportCommands:
         assert all(point["completed"] > 0 for point in payload["points"])
         assert payload["summary"]["points"] == 2
 
+    def test_overload_reads_its_knee_and_tail_whatever_the_order_of_offered(self, capsys):
+        # Both points saturate (1600/s delivers ~410/s, 200/s ~165/s): the
+        # knee is the lighter one and the tail the heavier one's, as if the
+        # loads had been given ascending.
+        code = main(["overload", "--offered", "1600", "200", "--duration", "1500",
+                     "--warmup-ms", "500", "--json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        points = payload["points"]
+        assert [point["offered_per_second"] for point in points] == [200.0, 1600.0]
+        assert all(point["goodput_per_second"] < 0.9 * point["offered_per_second"]
+                   for point in points)
+        summary = payload["summary"]
+        assert summary["knee_offered_per_second"] == 200.0
+        assert summary["max_offered_per_second"] == 1600.0
+        assert summary["p99_latency_ms"] == points[-1]["p99_latency_ms"]
+        assert summary["goodput_per_second"] == points[-1]["goodput_per_second"]
+
 
 if __name__ == "__main__" and sys.argv[1:] == ["--configs"]:
     # One argv per line, each built config a field per line.

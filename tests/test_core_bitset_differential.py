@@ -89,6 +89,8 @@ class DualStack:
 
     def check_agreement(self) -> None:
         assert self.opt_outcomes == self.spec_outcomes
+        assert self.opt_wait.total_waits == self.spec_wait.total_waits
+        assert self.opt_wait.total_wait_ms == self.spec_wait.total_wait_ms
         assert self.opt_wait.parked == self.spec_wait.parked
         for key in KEYS:
             assert self.opt_wait.has_parked(key) == self.spec_wait.has_parked(key)
@@ -117,7 +119,7 @@ def drive(steps) -> DualStack:
                               CommandStatus.FAST_PENDING)
             # Both answer in the call when they can and call back after a park.
             def recorder(outcomes, c=command):
-                return lambda ok, waited: outcomes.append((c.command_id, ok, waited))
+                return lambda ok: outcomes.append((c.command_id, ok))
 
             verdicts = (evaluate_wait(stack.opt_wait, stack.optimized, command, timestamp,
                                       recorder(stack.opt_outcomes)),
@@ -125,7 +127,7 @@ def drive(steps) -> DualStack:
                                                  recorder(stack.spec_outcomes)))
             for outcomes, verdict in zip((stack.opt_outcomes, stack.spec_outcomes), verdicts):
                 if verdict is not None:
-                    outcomes.append((command.command_id, verdict, 0.0))
+                    outcomes.append((command.command_id, verdict))
         elif kind == 1:
             # Status bump / retry of a command both histories already hold.
             if stack.optimized.get(command.command_id) is None:
@@ -168,9 +170,10 @@ class TestBitsetDifferential:
             (1, 2, 20, 3),   # slot 2 -> STABLE, blocker mask empties -> OK
         ]
         stack = drive(steps)
-        ok, waited = next((ok, waited) for cid, ok, waited in stack.opt_outcomes
-                          if cid == (4, 0))
-        assert ok is True and waited > 0  # parked, then released OK
+        ok = next(ok for cid, ok in stack.opt_outcomes if cid == (4, 0))
+        # parked, then released OK
+        assert ok is True and stack.opt_wait.total_waits == 1
+        assert stack.opt_wait.total_wait_ms > 0
 
     def test_late_proposal_behind_stable_suffix_nacks(self):
         # A conflicting command stabilized *before* the proposal existed does
@@ -182,9 +185,8 @@ class TestBitsetDifferential:
             (0, 4, 5, 0),    # write alpha @5 arrives late
         ]
         stack = drive(steps)
-        ok, waited = next((ok, waited) for cid, ok, waited in stack.opt_outcomes
-                          if cid == (4, 0))
-        assert ok is False and waited == 0  # immediate NACK
+        ok = next(ok for cid, ok in stack.opt_outcomes if cid == (4, 0))
+        assert ok is False and stack.opt_wait.total_waits == 0  # immediate NACK
 
     def test_gc_after_delivery_agrees(self):
         steps = [

@@ -364,7 +364,7 @@ async def _hot_key_over_tcp(commands: int, clients: int = 3) -> dict:
         clock = WallClock(seed=5, loop=loop)
         pool, connections = await connect_pool(
             cluster.peers, clients, WorkloadConfig(conflict_rate=1.0, shared_pool_size=1),
-            clock, MetricsCollector(warmup_ms=0.0), failover=False,
+            clock, MetricsCollector(warmup_ms=0.0),
             reconnect_timeout_ms=None, max_commands=commands // clients)
         replicas = [server.replica for server in cluster.servers.values()]
         deadline, live = loop.time() + 90.0, 0

@@ -55,11 +55,12 @@ class ManualClock:
 
 
 def run_wait(history, manager: WaitManager, command, timestamp, outcomes: list) -> None:
-    """WAIT as a handler drives it: the answer in the call, or a callback later."""
+    """WAIT as a handler drives it: the answer in the call, or a callback later,
+    each with the wait the manager has summed by then (one proposal per test)."""
     verdict = evaluate_wait(manager, history, command, timestamp,
-                            lambda ok, waited: outcomes.append((ok, waited)))
+                            lambda ok: outcomes.append((ok, manager.total_wait_ms)))
     if verdict is not None:
-        outcomes.append((verdict, 0.0))
+        outcomes.append((verdict, manager.total_wait_ms))
 
 
 class TestWaitCondition:
@@ -156,7 +157,7 @@ class TestWaitCondition:
         write_entry(history, blocker_two, ts(11), set(), CommandStatus.FAST_PENDING, BALLOT)
         outcomes = []
         evaluate_wait(manager, history, early, ts(3),
-                      lambda ok, waited: outcomes.append((ok, waited)))
+                      lambda ok: outcomes.append((ok, manager.total_wait_ms)))
         write_entry(history, blocker_one, ts(10), {early.command_id}, CommandStatus.STABLE, BALLOT)
         manager.notify_change("x")
         assert outcomes == []

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.metrics.collector import TIMELINE_BUCKET_MS, MetricsCollector
+from repro.metrics.collector import MetricsCollector
 from repro.metrics.stats import (
     percentile,
     summarize_latencies,
@@ -86,21 +86,16 @@ class TestSummaries:
 class TestThroughputTimeline:
     def test_buckets_counted_per_second(self):
         completions = [100.0, 200.0, 900.0, 1100.0, 1900.0]
-        series = throughput_timeline(completions, bucket_ms=1000.0, start_ms=0.0, end_ms=2000.0)
+        series = throughput_timeline(completions, end_ms=2000.0)
         assert series[0] == (0.0, 3.0)
         assert series[1] == (1000.0, 2.0)
 
     def test_empty_input(self):
-        series = throughput_timeline([], bucket_ms=1000.0, start_ms=0.0, end_ms=2000.0)
+        series = throughput_timeline([], end_ms=2000.0)
         assert all(rate == 0.0 for _, rate in series)
 
-    def test_bad_bucket_rejected(self):
-        with pytest.raises(ValueError):
-            throughput_timeline([1.0], bucket_ms=0.0, start_ms=0.0, end_ms=None)
-
     def test_out_of_window_samples_ignored(self):
-        series = throughput_timeline([50.0, 5000.0], bucket_ms=1000.0, start_ms=0.0,
-                                     end_ms=2000.0)
+        series = throughput_timeline([50.0, 5000.0], end_ms=2000.0)
         assert sum(rate for _, rate in series) == pytest.approx(1.0)
 
     def test_partial_last_bucket_scaled_by_actual_width(self):
@@ -109,17 +104,17 @@ class TestThroughputTimeline:
         # actually spans — dividing by the nominal 1000ms used to dilute the
         # edge of every timeline whose window was not a bucket multiple.
         completions = [2100.0, 2200.0, 2400.0]
-        series = throughput_timeline(completions, bucket_ms=1000.0, start_ms=0.0, end_ms=2500.0)
+        series = throughput_timeline(completions, end_ms=2500.0)
         assert [start for start, _ in series] == [0.0, 1000.0, 2000.0]
         assert series[-1][1] == pytest.approx(6.0)
 
     def test_sample_on_window_end_counts_in_final_bucket(self):
-        series = throughput_timeline([2500.0], bucket_ms=1000.0, start_ms=0.0, end_ms=2500.0)
+        series = throughput_timeline([2500.0], end_ms=2500.0)
         assert series[-1][1] == pytest.approx(2.0)  # 1 command over 500ms
 
     def test_full_buckets_unaffected_by_scaling(self):
         completions = [500.0, 1500.0]
-        series = throughput_timeline(completions, bucket_ms=1000.0, start_ms=0.0, end_ms=2000.0)
+        series = throughput_timeline(completions, end_ms=2000.0)
         assert series == [(0.0, 1.0), (1000.0, 1.0)]
 
 
@@ -179,6 +174,5 @@ class TestCollector:
         collector.record_command(origin=0, proposer=0, latency_ms=1.0, completed_at=1500.0,
                                  key="k")
         series = collector.timeline(end_ms=2000.0)
-        assert series == throughput_timeline([100.0, 1500.0], bucket_ms=TIMELINE_BUCKET_MS,
-                                             start_ms=0.0, end_ms=2000.0)
+        assert series == throughput_timeline([100.0, 1500.0], end_ms=2000.0)
         assert series == [(0.0, 1.0), (1000.0, 1.0)]

@@ -135,7 +135,7 @@ async def _run_loopback(protocol: str, replicas: int, clients: int,
     try:
         pool, connections = await connect_pool(
             cluster.peers, clients, WorkloadConfig(conflict_rate=conflict_rate), clock,
-            metrics, failover=failover, max_commands=commands_per_client,
+            metrics, max_commands=commands_per_client,
             reconnect_timeout_ms=RECONNECT_TIMEOUT_MS if failover else None)
 
         expected = clients * commands_per_client

@@ -3,14 +3,22 @@
 A setting exists only if a product path — the CLI, a figure row, ``bench/``
 or an example — sets it; a test reaches other behaviour by patching inside
 the test (ROADMAP, the north star's *Settings* rule).  This check holds the
-rule from the sources alone, with :mod:`ast` and no imports, in three
-directions, and holds a fourth, state no product path reads:
+rule from the sources alone, with :mod:`ast` and no imports, in four
+directions, and holds a fifth, state no product path reads:
 
 * **unpassed** — a defaulted parameter (positional or keyword-only) of a
   ``def`` under ``src/repro`` that no product call passes: only tests can
   reach another value;
 * **overridden** — a defaulted parameter that every product call passes:
   the default, and any fallback it guards, only tests can reach;
+* **single-valued** — a setting no product path varies: a parameter of a
+  ``def`` under ``src/repro`` that every product call fills with one and the
+  same literal or module constant (an upper-case name), an omitted default
+  counting as its value; or a field of any ``@dataclass`` under
+  ``src/repro`` that no code assigns after construction (an attribute store
+  of that name anywhere, or a ``replace``, ``build_config`` or ``FLAGS``
+  row) and that every product construction leaves at its default or sets to
+  that same value.  With one value in use, the value is a constant;
 * **unset** — a field of a config class pinned in
   ``tests/data/cli_parser_surface.json`` that no product path sets: no
   construction of the class (or a subclass) names it, no
@@ -35,8 +43,8 @@ expression, or a key stored into the unpacked name in that module).
 Matching by name over-approximates the callers: an *unpassed* finding is
 real, since no call of that name anywhere on a product path passes the
 parameter, a *write-only* one is real, since no attribute of that name is
-read anywhere on a product path, and an *overridden* one is real unless product code also reaches
-the function another way — a figure grid through its row
+read anywhere on a product path, and an *overridden* or *single-valued* one is real unless
+product code also reaches the function another way — a figure grid through its row
 (``inspect.signature.bind``), a replica constructor through the protocol
 table, a callback handed to another function.  Those functions, and the
 rare keyword, field or container kept for a reader outside the repository,
@@ -63,9 +71,9 @@ _GRID = "figure grid: its keyword defaults are the figure, set by the row's --qu
 _REPLICA = "replica constructor: build_replica passes cost_model and a figure row's options"
 _BOUND = "binds the enclosing loop's value at definition; the callback's caller passes one argument"
 
-#: Functions whose unpassed or overridden defaulted parameters stay, config
-#: fields no product path sets and write-only containers that stay, each with
-#: the reason.  Keys are ``<path under src/repro>::<qualified name>`` (a
+#: Functions whose unpassed, overridden or single-valued parameters stay,
+#: config fields no product path sets or varies and write-only containers
+#: that stay, each with the reason.  Keys are ``<path under src/repro>::<qualified name>`` (a
 #: container's is ``Class.attribute``) and ``<Config>.<field>``.
 ALLOWED: Dict[str, str] = {
     "harness/figures.py::_fig6_cells": _GRID,
@@ -91,6 +99,11 @@ ALLOWED: Dict[str, str] = {
     "sim/topology.py::custom_topology": "public api: a topology from an RTT matrix",
     "net/client.py::fetch_stats":
         "callback: the loadgen's drain hands it to asyncio.to_thread with host and port only",
+    "runtime/registry.py::MessageRegistry.__init__":
+        "the wire's one registry is built from TYPE_IDS; tests build registries with "
+        "their own id tables",
+    "chaos/nemesis.py::random_plan":
+        "schedule builders take the cluster size, as build_schedule does",
     "ExperimentConfig.shared_pool_size":
         "the shared pool's size; ROADMAP item 16(d) gives it a product path",
     "ClusterConfig.topology": "public api: a custom_topology cluster",
@@ -135,9 +148,10 @@ def _passes(call: ast.Call, name: str, position: int) -> bool:
             or len(call.args) > position)
 
 
-def _defaulted(definitions_: List[Definition], calls_: Calls):
-    """Each defaulted parameter with the calls that may reach its function:
-    ``(path::qualname, parameter, [call, ...], position or -1 if keyword-only)``."""
+def _parameters(definitions_: List[Definition], calls_: Calls):
+    """Each parameter with its default and the calls that may reach its function:
+    ``(path::qualname, parameter, default or None, [call, ...], position or -1
+    if keyword-only)``."""
     for path, qualname, node, is_method in definitions_:
         args = node.args
         positional = args.posonlyargs + args.args
@@ -148,12 +162,20 @@ def _defaulted(definitions_: List[Definition], calls_: Calls):
         skip = 1 if is_method and not is_static else 0
         called_as = qualname.split(".")[-2] if node.name == "__init__" else node.name
         candidates = [call for _, call in calls_.get(called_as, [])]
-        for index, param in enumerate(positional):
-            if index >= len(positional) - len(args.defaults):
-                yield f"{path}::{qualname}", param.arg, candidates, index - skip
+        defaults = [None] * (len(positional) - len(args.defaults)) + list(args.defaults)
+        for index, (param, default) in enumerate(zip(positional, defaults)):
+            if index >= skip:
+                yield f"{path}::{qualname}", param.arg, default, candidates, index - skip
         for param, default in zip(args.kwonlyargs, args.kw_defaults):
-            if default is not None:
-                yield f"{path}::{qualname}", param.arg, candidates, -1
+            yield f"{path}::{qualname}", param.arg, default, candidates, -1
+
+
+def _defaulted(definitions_: List[Definition], calls_: Calls):
+    """Each defaulted parameter with the calls that may reach its function:
+    ``(path::qualname, parameter, [call, ...], position or -1 if keyword-only)``."""
+    for function, name, default, candidates, position in _parameters(definitions_, calls_):
+        if default is not None:
+            yield function, name, candidates, position
 
 
 def unpassed(definitions_: List[Definition], calls_: Calls) -> Dict[str, List[str]]:
@@ -205,40 +227,48 @@ def _unpacked_keys(expression: ast.AST, module: ast.Module) -> Set[str]:
     return keys
 
 
-def unset_fields(trees: Dict[str, ast.Module], configs: List[str]) -> List[str]:
-    """``Config.field`` for every field of ``configs`` no call in ``trees`` sets.
+Classes = Dict[str, Tuple[ast.ClassDef, List[str]]]
 
-    A field is set by a keyword (or a key a ``**`` unpack carries) of a
-    construction of its class or a subclass, of a ``replace`` or a
-    ``build_config`` call, by the position of a construction, or by a
-    ``FLAGS`` row (its key, dashes read as underscores, or its ``field``).
-    """
-    classes: Dict[str, Tuple[ast.ClassDef, List[str]]] = {}
+
+def _classes(trees: Dict[str, ast.Module]) -> Classes:
+    """``name -> (class node, base names)`` for every class in ``trees`` (the first of a name)."""
+    classes: Classes = {}
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 classes.setdefault(node.name, (node, list(source_index.base_names(node))))
+    return classes
 
-    def all_fields(name: str) -> List[str]:
-        node, bases = classes[name]
-        inherited = [field for base in bases if base in classes for field in all_fields(base)]
-        return inherited + [field for field in _fields(node) if field not in inherited]
 
-    def family(name: str) -> List[str]:
-        return [name] + [sub for sub, (_, bases) in classes.items() if name in bases
-                         for sub in family(sub)]
+def _all_fields(classes: Classes, name: str) -> List[str]:
+    """The fields of class ``name`` in constructor order, inherited ones first."""
+    node, bases = classes[name]
+    inherited = [field for base in bases if base in classes
+                 for field in _all_fields(classes, base)]
+    return inherited + [field for field in _fields(node) if field not in inherited]
 
-    def named(call: ast.Call, module: ast.Module) -> Set[str]:
-        keys = {keyword.arg for keyword in call.keywords if keyword.arg}
-        for keyword in call.keywords:
-            if keyword.arg is None:
-                keys |= _unpacked_keys(keyword.value, module)
-        return keys
 
-    found = source_index.calls_in(trees)
+def _family(classes: Classes, name: str) -> List[str]:
+    """Class ``name`` and every subclass of it, transitively."""
+    return [name] + [sub for sub, (_, bases) in classes.items() if name in bases
+                     for sub in _family(classes, sub)]
+
+
+def _named(call: ast.Call, module: ast.Module) -> Set[str]:
+    """The keywords ``call`` names, and the keys its ``**`` unpacks may carry."""
+    keys = {keyword.arg for keyword in call.keywords if keyword.arg}
+    for keyword in call.keywords:
+        if keyword.arg is None:
+            keys |= _unpacked_keys(keyword.value, module)
+    return keys
+
+
+def _set_by_any_config(trees: Dict[str, ast.Module], found: Calls) -> Set[str]:
+    """The field names a ``replace`` or ``build_config`` call, or a ``FLAGS``
+    row (its key, dashes read as underscores, or its ``field``), sets on any config."""
     anywhere: Set[str] = set()
     for path, call in found.get("replace", []) + found.get("build_config", []):
-        anywhere |= named(call, trees[path])
+        anywhere |= _named(call, trees[path])
     for _, call in found.get("Flag", []):
         if len(call.args) > 1 and isinstance(call.args[1], ast.Constant):
             anywhere.add(call.args[1].value)
@@ -251,16 +281,174 @@ def unset_fields(trees: Dict[str, ast.Module], configs: List[str]) -> List[str]:
                     for target in node.targets) and isinstance(node.value, ast.Dict):
                 anywhere |= {key.value.replace("-", "_") for key in node.value.keys
                              if isinstance(key, ast.Constant)}
+    return anywhere
+
+
+def unset_fields(trees: Dict[str, ast.Module], configs: List[str]) -> List[str]:
+    """``Config.field`` for every field of ``configs`` no call in ``trees`` sets.
+
+    A field is set by a keyword (or a key a ``**`` unpack carries) of a
+    construction of its class or a subclass, of a ``replace`` or a
+    ``build_config`` call, by the position of a construction, or by a
+    ``FLAGS`` row (its key, dashes read as underscores, or its ``field``).
+    """
+    classes = _classes(trees)
+    found = source_index.calls_in(trees)
+    anywhere = _set_by_any_config(trees, found)
     missing = []
     for config in configs:
         set_here = set(anywhere)
-        for cls in family(config):
+        for cls in _family(classes, config):
             for path, call in found.get(cls, []):
-                set_here |= named(call, trees[path])
-                set_here |= set(all_fields(cls)[:len(call.args)])
+                set_here |= _named(call, trees[path])
+                set_here |= set(_all_fields(classes, cls)[:len(call.args)])
         missing += [f"{config}.{field}" for field in _fields(classes[config][0])
                     if field not in set_here]
     return missing
+
+
+#: A value no product path varies: ``("literal", repr)`` or ``("constant", NAME)``.
+Value = Tuple[str, str]
+#: Stands for a value the check cannot name (a variable, a call, an unpack).
+VARIES: Value = ("varies", "")
+
+
+def _value(node: ast.AST) -> Value:
+    """What ``node`` passes: a literal, a module constant (an upper-case name,
+    bare or as ``module.NAME``), or :data:`VARIES`."""
+    try:
+        value = ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else "")
+        return ("constant", name) if name.isupper() else VARIES
+    return ("literal", f"{type(value).__name__}:{value!r}")
+
+
+def _one_value(values: List[Value]) -> bool:
+    """Whether ``values`` (one per product path) are one and the same literal or constant."""
+    return bool(values) and VARIES not in values and len(set(values)) == 1
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    """Whether ``cls`` is decorated ``@dataclass`` (a ``value_type`` record is
+    data built per message or command, its wire fields filled by the sender)."""
+    for decorator in cls.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if (target.id if isinstance(target, ast.Name)
+                else target.attr if isinstance(target, ast.Attribute) else "") == "dataclass":
+            return True
+    return False
+
+
+def _default(statement: ast.AnnAssign) -> Value | None:
+    """A field's default: ``None`` if it has none, :data:`VARIES` for a
+    ``default_factory`` (a fresh object per construction)."""
+    value = statement.value
+    if value is None:
+        return None
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name) \
+            and value.func.id == "field":
+        for keyword in value.keywords:
+            if keyword.arg == "default":
+                return _value(keyword.value)
+        return None if not value.keywords else VARIES
+    return _value(value)
+
+
+def _assigned_attributes(trees: Dict[str, ast.Module]) -> Set[str]:
+    """Every attribute name code stores into (``x.name = ...``, ``x.name += ...``,
+    ``setattr(x, "name", ...)``), on any object."""
+    stored: Set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                stored.add(node.attr)
+            elif (isinstance(node, ast.Call) and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)
+                  and ((isinstance(node.func, ast.Name) and node.func.id == "setattr")
+                       or (isinstance(node.func, ast.Attribute)
+                           and node.func.attr == "__setattr__"))):
+                stored.add(node.args[1].value)
+    return stored
+
+
+def _constructed(call: ast.Call, module: ast.Module, order: List[str]) -> Dict[str, Value]:
+    """The value a construction passes each field it sets (``order``: the
+    class's fields in constructor order); the fields a ``*`` argument or a
+    ``**`` unpack may carry vary."""
+    values = {}
+    for keyword in call.keywords:
+        if keyword.arg is None:
+            values.update((key, VARIES) for key in _unpacked_keys(keyword.value, module))
+        else:
+            values[keyword.arg] = _value(keyword.value)
+    for field, arg in zip(order, call.args):
+        if isinstance(arg, ast.Starred):
+            values.update((later, VARIES) for later in order[order.index(field):])
+            break
+        values[field] = _value(arg)
+    return values
+
+
+def single_valued_fields(trees: Dict[str, ast.Module]) -> List[str]:
+    """``Class.field`` for every field of a dataclass under ``src/repro`` that
+    no code assigns after construction, that no ``replace``, ``build_config``
+    or ``FLAGS`` row sets, and that every construction of the class (or a
+    subclass) in ``trees`` leaves at its default or sets to that same literal
+    or module constant (a ``default_factory`` varies)."""
+    classes = _classes(trees)
+    found = source_index.calls_in(trees)
+    varied = _set_by_any_config(trees, found) | _assigned_attributes(trees)
+    results = []
+    for path, tree in trees.items():
+        if not path.startswith(source_index.PACKAGE_PREFIX):
+            continue
+        for cls in ast.walk(tree):
+            # Constructions are matched by name: a class whose name an
+            # earlier class took has none.
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+                    and classes[cls.name][0] is cls):
+                continue
+            constructions = [_constructed(call, trees[call_path], _all_fields(classes, name))
+                             for name in _family(classes, cls.name)
+                             for call_path, call in found.get(name, [])]
+            for statement in cls.body:
+                if not (isinstance(statement, ast.AnnAssign)
+                        and isinstance(statement.target, ast.Name)
+                        and "ClassVar" not in ast.unparse(statement.annotation)):
+                    continue
+                field, default = statement.target.id, _default(statement)
+                values = [passed.get(field, default) for passed in constructions]
+                if field not in varied and None not in values and _one_value(values):
+                    results.append(f"{cls.name}.{field}")
+    return results
+
+
+def _filled(call: ast.Call, name: str, position: int, default: ast.AST | None) -> Value:
+    """The value ``call`` gives parameter ``name`` (at ``position``, -1 if
+    keyword-only; an omitted one takes ``default``)."""
+    keywords = {keyword.arg: keyword.value for keyword in call.keywords}
+    if name in keywords:
+        return _value(keywords[name])
+    if None in keywords or any(isinstance(arg, ast.Starred)
+                               for arg in call.args[:position + 1]):
+        return VARIES
+    if 0 <= position < len(call.args):
+        return _value(call.args[position])
+    return VARIES if default is None else _value(default)
+
+
+def single_valued_parameters(definitions_: List[Definition], calls_: Calls) -> Dict[str, List[str]]:
+    """``path::qualname -> [parameter, ...]`` for every parameter that every
+    call by name fills with one and the same literal or module constant, an
+    omitted default counting as its value (``*`` and ``**`` unpacks may carry
+    anything; a function nothing calls by name has none)."""
+    found: Dict[str, List[str]] = {}
+    for function, name, default, candidates, position in _parameters(definitions_, calls_):
+        if _one_value([_filled(call, name, position, default) for call in candidates]):
+            found.setdefault(function, []).append(name)
+    return found
 
 
 #: The method calls that only change a container.
@@ -317,6 +505,15 @@ def write_only(trees: Dict[str, ast.Module]) -> List[str]:
 
 
 @source_index.cached
+def product_single_valued() -> Dict[str, List[str]]:
+    """:func:`single_valued_parameters` and :func:`single_valued_fields` over
+    the repository (a field's entry is ``Class.field`` with no parameters)."""
+    fields = single_valued_fields(source_index.trees())
+    return {**single_valued_parameters(source_index.functions(), source_index.calls()),
+            **{field: [] for field in fields}}
+
+
+@source_index.cached
 def product_write_only() -> List[str]:
     """:func:`write_only` over the repository."""
     return write_only(source_index.trees())
@@ -355,9 +552,19 @@ def test_no_instance_container_is_only_written():
         f"(delete them, or give ALLOWED the reader): {offenders}")
 
 
+def test_no_setting_takes_one_value_on_every_product_path():
+    offenders = {name: params for name, params in product_single_valued().items()
+                 if name not in ALLOWED}
+    assert not offenders, (
+        "settings every product path gives one and the same value (make each a module "
+        "constant a test patches, or give ALLOWED a reason):\n"
+        + "\n".join(f"  {name}{': ' if params else ''}{', '.join(params)}"
+                    for name, params in sorted(offenders.items())))
+
+
 def test_every_allowed_row_still_excuses_something():
     found = (set(product_missing()) | set(product_overridden()) | set(product_unset())
-             | set(product_write_only()))
+             | set(product_write_only()) | set(product_single_valued()))
     stale = sorted(set(ALLOWED) - found)
     assert not stale, f"ALLOWED rows that excuse nothing any more: {stale}"
 
@@ -429,6 +636,59 @@ def test_one_call_that_leaves_a_default_keeps_it():
     found = overridden(*_parsed(DEFINITIONS, "report(s, title='x')\nreport(s)\n"
                                              "Cluster(c, 1.0)\nCluster(*args)\n"))
     assert found == {"m.py::Cluster.__init__": ["wait_s"]}
+
+
+def test_a_parameter_every_call_fills_with_one_value_is_found():
+    found = single_valued_parameters(*_parsed(
+        DEFINITIONS, "timeline(t, 1000.0)\ntimeline(u)\nreport(s, title=TITLE)\n"
+                     "report(s, title=text.TITLE)\nCluster(c).stop(timeout_s=2.0)\n"
+                     "Cluster(c).stop(3.0)\nCluster.ports(4)\nLocal(c)\n"))
+    assert found == {"m.py::timeline": ["bucket_ms", "drop_partial"],
+                     "m.py::report": ["title"], "m.py::Cluster.ports": ["count"],
+                     "m.py::Local.__init__": ["extra"]}
+
+
+def test_a_variable_an_unpack_or_a_second_value_varies_a_parameter():
+    assert single_valued_parameters(*_parsed(
+        DEFINITIONS, "timeline(t, 1000, True)\ntimeline(t, *rest)\nreport(s, **options)\n"
+                     "Cluster(c).stop(timeout_s=LIMIT)\nCluster(c).stop()\n"
+                     "Cluster.ports(n)\nLocal(c, 1)\nLocal(d, 2)\n")) == {}
+
+
+FIELDS = '''
+@dataclass
+class Policy:
+    window_ms: float = 2.0
+    size: int = 32
+    factor: float = field(default=0.25)
+    history: list = field(default_factory=list)
+    name: str = "p"
+@dataclass(frozen=True)
+class Fault:
+    at_ms: float
+    mode: str = "queue"
+class Plain:
+    level: int = 1
+'''
+
+
+def _single_valued_fields(callers: str) -> List[str]:
+    return single_valued_fields({"src/repro/c.py": ast.parse(FIELDS),
+                                 "bench/b.py": ast.parse(callers)})
+
+
+def test_a_field_every_construction_leaves_at_one_value_is_found():
+    assert _single_valued_fields("Policy()\nPolicy(window_ms=2.0, size=32)\n"
+                                 "Policy(2.0, 32, name=label)\nFault(1.0)\n"
+                                 "Fault(at_ms=2.0)\nPlain(level=1)\n") == [
+        "Policy.window_ms", "Policy.size", "Policy.factor", "Fault.mode"]
+
+
+def test_a_store_a_replace_or_an_unpacked_key_varies_a_field():
+    assert _single_valued_fields("Policy(name=label)\npolicy.size = 64\n"
+                                 "replace(policy, factor=0.5)\n"
+                                 "object.__setattr__(fault, 'mode', 'drop')\n"
+                                 "Policy(**{'window_ms': w})\nFault(1.0)\nFault(2.0)\n") == []
 
 
 CONFIGS = '''
@@ -522,7 +782,8 @@ def _parsed(definition_source: str, caller_source: str):
 if __name__ == "__main__":
     for kind, findings in (("unpassed", product_missing()), ("overridden", product_overridden()),
                            ("unset", {field: [] for field in product_unset()}),
-                           ("write-only", {name: [] for name in product_write_only()})):
+                           ("write-only", {name: [] for name in product_write_only()}),
+                           ("single-valued", product_single_valued())):
         for name, params in sorted(findings.items()):
             mark = "ok  " if name in ALLOWED else "FAIL"
             print(f"{mark} {kind:10s} {name}{': ' if params else ''}{', '.join(params)}")

@@ -18,7 +18,6 @@ from repro.harness.experiment import ExperimentConfig, ExperimentResult
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.report import format_protocol_stats, format_series, format_table
 from repro.runtime import costs
-from repro.runtime.batching import BatchingConfig
 from repro.runtime.costs import CostModel, zero_cost_model
 from repro.runtime.stats import ProtocolStats
 from tests.conftest import make_command
@@ -76,20 +75,14 @@ class TestConfigs:
 
     def test_zero_cost_model_is_free(self):
         model = zero_cost_model()
-        assert model.message_cost("anything", local=False) == 0.0
+        assert model.message_cost(local=False) == 0.0
         assert model.dependency_cost(100) == 0.0
 
     def test_self_message_discount_applied(self, monkeypatch):
         monkeypatch.setattr(costs, "SELF_MESSAGE_FACTOR", 0.5)
         model = CostModel(default_cost_ms=1.0)
-        assert model.message_cost("m", local=True) == pytest.approx(0.5)
-        assert model.message_cost("m", local=False) == pytest.approx(1.0)
-
-    def test_batching_config_defaults_sane(self):
-        config = BatchingConfig()
-        assert config.window_ms > 0
-        assert config.max_messages > 1
-        assert 0 < config.marginal_cost_factor < 1
+        assert model.message_cost(local=True) == pytest.approx(0.5)
+        assert model.message_cost(local=False) == pytest.approx(1.0)
 
 
 class TestMessages:

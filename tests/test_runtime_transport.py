@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.experiment import ExperimentConfig, run_experiment
-from repro.runtime.batching import BatchingConfig
 from repro.runtime.transport import SimulatorTransport
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import Node
@@ -27,9 +26,8 @@ class TestBatchingDeterminism:
 
     def test_same_seed_same_delivery_order_with_batching(self):
         """Batching on: two same-seed runs deliver byte-identically."""
-        batching = BatchingConfig(window_ms=2.0, max_messages=16)
-        first = run_experiment(ExperimentConfig(batching=batching, **self.CONFIG))
-        second = run_experiment(ExperimentConfig(batching=batching, **self.CONFIG))
+        first = run_experiment(ExperimentConfig(batching=True, **self.CONFIG))
+        second = run_experiment(ExperimentConfig(batching=True, **self.CONFIG))
         assert _delivery_order(first) == _delivery_order(second)
 
     def test_same_seed_same_delivery_order_without_batching(self):
@@ -46,8 +44,7 @@ class TestBatchingDeterminism:
         from repro.harness.cluster import ClusterConfig, build_cluster
 
         outcomes = {}
-        for label, batching in (("off", None),
-                                ("on", BatchingConfig(window_ms=2.0, max_messages=16))):
+        for label, batching in (("off", False), ("on", True)):
             cluster = build_cluster(ClusterConfig(protocol="caesar", seed=21,
                                                   batching=batching))
             commands = [Command(command_id=(origin, n), key=f"k{n % 3}",

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.experiment import ExperimentConfig, run_experiment
-from repro.runtime.batching import BatchBuffer, BatchingConfig
+from repro.runtime import batching
+from repro.runtime.batching import BatchBuffer
 from repro.runtime.costs import CostModel, throughput_cost_model
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import Node
@@ -13,32 +14,30 @@ from repro.sim.simulator import Simulator
 from tests.conftest import drain, uniform_topology
 
 
-class TestBatchingConfig:
-    def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError):
-            BatchingConfig(window_ms=-1.0)
-        with pytest.raises(ValueError):
-            BatchingConfig(max_messages=0)
-        with pytest.raises(ValueError):
-            BatchingConfig(marginal_cost_factor=1.5)
+def set_policy(monkeypatch, window_ms=batching.WINDOW_MS, max_messages=batching.MAX_MESSAGES):
+    """Patch the batching constants for one test."""
+    monkeypatch.setattr(batching, "WINDOW_MS", window_ms)
+    monkeypatch.setattr(batching, "MAX_MESSAGES", max_messages)
 
 
 class TestBatchBuffer:
-    def test_add_and_drain(self):
-        buffer = BatchBuffer(BatchingConfig(max_messages=3))
+    def test_add_and_drain(self, monkeypatch):
+        set_policy(monkeypatch, max_messages=3)
+        buffer = BatchBuffer()
         assert not buffer.add(1, "a")
         assert not buffer.add(1, "b")
         assert buffer.has_pending(1)
         assert buffer.drain(1).messages == ("a", "b")
         assert not buffer.has_pending(1)
 
-    def test_full_signal_at_max(self):
-        buffer = BatchBuffer(BatchingConfig(max_messages=2))
+    def test_full_signal_at_max(self, monkeypatch):
+        set_policy(monkeypatch, max_messages=2)
+        buffer = BatchBuffer()
         assert not buffer.add(1, "a")
         assert buffer.add(1, "b")
 
     def test_destinations_tracked_independently(self):
-        buffer = BatchBuffer(BatchingConfig())
+        buffer = BatchBuffer()
         buffer.add(1, "a")
         buffer.add(2, "b")
         assert buffer.has_pending(1) and buffer.has_pending(2)
@@ -58,12 +57,17 @@ class CountingNode(Node):
 
 
 class TestNodeBatching:
-    def build(self, window_ms=5.0, max_messages=10):
+    @pytest.fixture(autouse=True)
+    def _policy(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+
+    def build(self, window_ms=5.0, max_messages=10, cost_model=None):
+        set_policy(self.monkeypatch, window_ms, max_messages)
         sim = Simulator(seed=1)
         network = Network(sim, uniform_topology(2, rtt_ms=10.0), NetworkConfig())
-        sender = CountingNode(0, sim, network, cost_model=None)
-        receiver = CountingNode(1, sim, network, cost_model=None)
-        sender.enable_batching(BatchingConfig(window_ms=window_ms, max_messages=max_messages))
+        network.batching = True
+        sender = CountingNode(0, sim, network, cost_model)
+        receiver = CountingNode(1, sim, network, cost_model)
         return sim, network, sender, receiver
 
     def test_messages_within_window_coalesce(self):
@@ -110,14 +114,7 @@ class TestNodeBatching:
         assert not sender.transport._buffer.has_pending(1)
 
     def test_batched_cpu_cost_is_discounted(self):
-        sim = Simulator(seed=1)
-        network = Network(sim, uniform_topology(2, rtt_ms=10.0), NetworkConfig())
-        cost_model = CostModel(default_cost_ms=1.0)
-        sender = CountingNode(0, sim, network, cost_model)
-        receiver = CountingNode(1, sim, network, cost_model)
-        sender.enable_batching(BatchingConfig(window_ms=5.0, max_messages=10,
-                                              marginal_cost_factor=0.25))
-        receiver.enable_batching(BatchingConfig(marginal_cost_factor=0.25))
+        sim, network, sender, receiver = self.build(cost_model=CostModel(default_cost_ms=1.0))
         for i in range(4):
             sender.send(1, f"m{i}")
         drain(sim)
@@ -129,7 +126,7 @@ class TestBatchingEndToEnd:
     def test_caesar_correct_with_batching_enabled(self):
         result = run_experiment(ExperimentConfig(
             protocol="caesar", conflict_rate=0.2, clients_per_site=3, duration_ms=2000.0,
-            warmup_ms=500.0, seed=8, batching=BatchingConfig(window_ms=2.0)))
+            warmup_ms=500.0, seed=8, batching=True))
         assert result.metrics.count > 0
         assert result.consistency_violations == 0
 
@@ -138,7 +135,6 @@ class TestBatchingEndToEnd:
                       duration_ms=3000.0, warmup_ms=1000.0, seed=9,
                       cost_model=throughput_cost_model())
         without = run_experiment(ExperimentConfig(**common))
-        with_batching = run_experiment(ExperimentConfig(
-            batching=BatchingConfig(window_ms=2.0, marginal_cost_factor=0.25), **common))
+        with_batching = run_experiment(ExperimentConfig(batching=True, **common))
         assert (with_batching.throughput_per_second
                 > without.throughput_per_second * 1.1)

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.sim import failures
 from repro.sim.failures import CrashInjector, FailureDetector, Heartbeat, ScheduledCrash
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import Node
 from repro.sim.simulator import Simulator
 from tests.conftest import drain, uniform_topology
+
+
+@pytest.fixture(autouse=True)
+def fast_detector(monkeypatch):
+    """Heartbeats every 20 ms and suspicion after 100 ms of silence."""
+    monkeypatch.setattr(failures, "HEARTBEAT_EVERY_MS", 20.0)
+    monkeypatch.setattr(failures, "SUSPECT_AFTER_MS", 100.0)
 
 
 class DetectorNode(Node):
@@ -19,9 +29,8 @@ class DetectorNode(Node):
         #: every received heartbeat as ``(sender, arrival time)``.
         self.heartbeats_seen = []
 
-    def attach_detector(self, peer_ids, period_ms=20.0, silence_ms=100.0):
-        self.detector = FailureDetector(owner=self, peer_ids=peer_ids, period_ms=period_ms,
-                                        silence_ms=silence_ms,
+    def attach_detector(self, peer_ids):
+        self.detector = FailureDetector(owner=self, peer_ids=peer_ids,
                                         on_suspect=self.suspected.append)
         self.detector.start()
 
@@ -146,7 +155,7 @@ class TestFailureDetector:
 
 
 class TestFailureDetectorTiming:
-    """Suspicion must fire after — and only after — ``silence_ms`` of silence."""
+    """Suspicion must fire after — and only after — ``SUSPECT_AFTER_MS`` of silence."""
 
     def test_no_suspicion_before_silence_threshold(self):
         # Heartbeats every 20ms, suspicion after 100ms of silence; the last

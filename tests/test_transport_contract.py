@@ -20,7 +20,6 @@ import pytest
 from repro.net.clock import WallClock
 from repro.net.transport import PeerNetwork, ReconnectPolicy
 from repro.net.wire import Hello
-from repro.runtime.batching import BatchingConfig
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import Node
 from repro.sim.simulator import Simulator
@@ -224,12 +223,12 @@ class AbsorbingFilter:
 
 
 class TestOnePathOutOfASimulatedReplica:
-    """A filter or a batching policy that arrives *after* traffic has flowed
-    governs the very next ``node.send`` and ``node.broadcast``.
+    """A fault filter that arrives *after* traffic has flowed governs the
+    very next ``node.send`` and ``node.broadcast``.
 
-    These are the state changes at which any shortcut around
-    ``Transport.send`` cached by the node would go stale; with one path out
-    of a replica the invariant is structural, and this pins it.
+    This is the state change at which any shortcut around ``Transport.send``
+    cached by the node would go stale; with one path out of a replica the
+    invariant is structural, and this pins it.
     """
 
     def warmed_up(self):
@@ -254,21 +253,6 @@ class TestOnePathOutOfASimulatedReplica:
                                   (0, 1, "fan-out"), (0, 2, "fan-out")]
         assert sender.handled == [(0, "fan-out")]
         assert backend.nodes[1].handled == backend.nodes[2].handled == []
-
-    def test_batching_enabled_after_traffic(self):
-        backend = self.warmed_up()
-        sender = backend.nodes[0]
-        sender.enable_batching(BatchingConfig(window_ms=5.0))
-        before = backend.network.stats.messages_sent
-        sender.send(1, "unicast")
-        sender.broadcast("fan-out")
-        # Only the self-addressed copy went out; the rest wait for the window.
-        assert backend.network.stats.messages_sent == before + 1
-        backend.advance(50.0)
-        # One batch per remote destination.
-        assert backend.network.stats.messages_sent == before + 3
-        assert backend.nodes[1].handled == [(0, "unicast"), (0, "fan-out")]
-        assert backend.nodes[2].handled == [(0, "fan-out")]
 
 
 class TestAsyncioSpecifics:
@@ -309,14 +293,6 @@ class TestAsyncioSpecifics:
 
             with pytest.raises(ValueError):
                 backend.network.register(Foreign())
-        finally:
-            backend.close()
-
-    def test_batching_is_rejected(self):
-        backend = AsyncioBackend()
-        try:
-            with pytest.raises(NotImplementedError):
-                backend.nodes[0].enable_batching(BatchingConfig())
         finally:
             backend.close()
 
