@@ -77,8 +77,9 @@ class CommandResult:
         command_id: the command this result belongs to.
         value: value returned by the operation (previous/read value).
         executed_at: virtual time (ms) at which the origin replica executed it.
-        rejected: the replica's admission policy shed this command instead of
-            ordering it; ``value`` is ``None`` and nothing was executed.
+        rejected: the replica did not order this command, because its
+            admission policy shed it or because the replica had already
+            executed its id; ``value`` is ``None`` and nothing was executed.
     """
 
     command_id: CommandId

@@ -187,11 +187,17 @@ class ConsensusReplica(Node):
 
         The replica becomes the command's leader, tracks a :class:`Decision`
         record for it, and will invoke ``callback`` once the command has been
-        executed locally.  When an admission policy is installed and sheds
-        the command, ``callback`` fires immediately with a rejected result
-        and the protocol never sees the command.
+        executed locally.  When the command id was already executed here (a
+        client that reuses ids), or an admission policy is installed and
+        sheds the command, ``callback`` fires immediately with a rejected
+        result and the protocol never sees the command: an executed command
+        never executes again, so proposing it would leave the client waiting
+        for an answer that never comes.
         """
         if self.crashed:
+            return
+        if self.has_executed(command.command_id):
+            callback(CommandResult(command.command_id, None, self.sim.now, True))
             return
         if self.admission is not None:
             reason = self.admission.try_admit(command.command_id, self.sim.now)

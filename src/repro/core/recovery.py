@@ -13,7 +13,7 @@ may already have been decided on the fast path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Set
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command, CommandId
@@ -22,7 +22,7 @@ from repro.core.messages import Recovery, RecoveryReply
 from repro.runtime.kernel import QuorumTracker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.caesar import CaesarReplica
+    from repro.core.caesar import CaesarReplica, LeaderState
 
 #: Grace period between suspecting a node and starting recovery of its pending
 #: commands, staggered per node to avoid dueling recoveries.
@@ -148,19 +148,18 @@ class RecoveryManager:
         slow_pending = [r for r in recovery_set if r.status == CommandStatus.SLOW_PENDING.value]
         fast_pending = [r for r in recovery_set if r.status == CommandStatus.FAST_PENDING.value]
 
+        from repro.core.caesar import PHASE_FAST, PHASE_RETRY
+
         if stable:
-            chosen = stable[0]
-            self._resume_stable(attempt, chosen)
+            self._resume(attempt, stable[0], PHASE_RETRY, replica._start_stable)
         elif accepted:
-            chosen = accepted[0]
-            self._resume_retry(attempt, chosen)
+            self._resume(attempt, accepted[0], PHASE_FAST, replica._start_retry)
         elif rejected:
             timestamp = replica.timestamps.next_timestamp()
             replica._start_fast_proposal(command, attempt.ballot, timestamp, whitelist=None,
                                          recovered=True)
         elif slow_pending:
-            chosen = slow_pending[0]
-            self._resume_slow_proposal(attempt, chosen)
+            self._resume(attempt, slow_pending[0], PHASE_FAST, replica._start_slow_proposal)
         elif fast_pending:
             self._resume_fast_pending(attempt, fast_pending)
         else:  # pragma: no cover - statuses above are exhaustive
@@ -169,35 +168,17 @@ class RecoveryManager:
                                          recovered=True)
         replica.stats.recoveries_completed += 1
 
-    def _resume_stable(self, attempt: RecoveryAttempt, reply: RecoveryReply) -> None:
-        """A quorum member already knows the decision: re-broadcast STABLE."""
-        from repro.core.caesar import PHASE_RETRY, LeaderState  # local import avoids a cycle
+    def _resume(self, attempt: RecoveryAttempt, reply: RecoveryReply, phase: str,
+                start: Callable[["LeaderState"], None]) -> None:
+        """Lead the command again from the surviving tuple ``reply``: a stable
+        one re-broadcasts STABLE, an accepted one finishes through a retry
+        phase, a slow-pending one re-runs the slow proposal phase."""
+        from repro.core.caesar import LeaderState  # local import avoids a cycle
 
-        replica = self.replica
-        state = LeaderState(attempt.command, attempt.ballot, PHASE_RETRY, reply.timestamp, None,
-                            None, replica.sim.now, set(reply.predecessors), recovered=True)
-        replica.leader_states[attempt.command.command_id] = state
-        replica._start_stable(state)
-
-    def _resume_retry(self, attempt: RecoveryAttempt, reply: RecoveryReply) -> None:
-        """An accepted tuple survives: finish through a retry phase."""
-        from repro.core.caesar import PHASE_FAST, LeaderState
-
-        replica = self.replica
-        state = LeaderState(attempt.command, attempt.ballot, PHASE_FAST, reply.timestamp, None,
-                            None, replica.sim.now, set(reply.predecessors), recovered=True)
-        replica.leader_states[attempt.command.command_id] = state
-        replica._start_retry(state)
-
-    def _resume_slow_proposal(self, attempt: RecoveryAttempt, reply: RecoveryReply) -> None:
-        """A slow-pending tuple survives: re-run the slow proposal phase."""
-        from repro.core.caesar import PHASE_FAST, LeaderState
-
-        replica = self.replica
-        state = LeaderState(attempt.command, attempt.ballot, PHASE_FAST, reply.timestamp, None,
-                            None, replica.sim.now, set(reply.predecessors), recovered=True)
-        replica.leader_states[attempt.command.command_id] = state
-        replica._start_slow_proposal(state)
+        state = LeaderState(attempt.command, attempt.ballot, phase, reply.timestamp, None,
+                            None, self.replica.sim.now, set(reply.predecessors), recovered=True)
+        self.replica.leader_states[attempt.command.command_id] = state
+        start(state)
 
     def _resume_fast_pending(self, attempt: RecoveryAttempt,
                              fast_pending: List[RecoveryReply]) -> None:

@@ -8,11 +8,14 @@ the per-key linearizability checker.  The verdict combines three oracles:
 * **linearizability** — the client-observable history must be linearizable
   against the key-value store's sequential spec (pending operations may take
   effect late or never);
-* **internal consistency** — live replicas' execution logs must agree on
-  the order of conflicting commands (the Generalized Consensus invariant the
-  repository already checks elsewhere), and no CAESAR replica may sit on a
-  stable command that is deliverable (a lost wake-up in delivery) or hold a
-  delivered command that lists an undelivered predecessor;
+* **internal consistency** — every checker of :mod:`repro.core.invariants`:
+  live replicas' execution logs must agree on the order of conflicting
+  commands (the Generalized Consensus invariant the repository already
+  checks elsewhere), and each CAESAR replica must also hold the paper's
+  Agreement and graph invariants, execute conflicting commands in timestamp
+  order, sit on no stable command that is deliverable (a lost wake-up in
+  delivery) and hold no delivered command that lists an undelivered
+  predecessor;
 * **progress after heal** — once the fabric is healed, fresh probe commands
   submitted at every healthy replica must complete within a deadline.
 
@@ -30,9 +33,7 @@ from repro.chaos.checker import LinearizabilityReport, check_history
 from repro.chaos.history import HistoryTape, TapedClientStats
 from repro.chaos.nemesis import Nemesis, NemesisPlan, build_schedule
 from repro.consensus.command import Command
-from repro.core.invariants import (check_bucket_index, check_delivered_closed,
-                                   check_delivery_quiescent,
-                                   check_execution_consistency, check_mask_width)
+from repro.core.invariants import check_all
 from repro.harness.cluster import ClusterConfig, build_cluster
 from repro.harness.experiment import count_decisions
 from repro.metrics.collector import MetricsCollector
@@ -191,11 +192,7 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
 
     # ------------------------------------------------------------- verdicts
     report = check_history(tape)
-    internal = (check_execution_consistency(cluster.replicas)
-                + check_delivery_quiescent(cluster.replicas)
-                + check_delivered_closed(cluster.replicas)
-                + check_mask_width(cluster.replicas)
-                + check_bucket_index(cluster.replicas))
+    internal = check_all(cluster.replicas)
 
     fast, slow = count_decisions(cluster.replicas)
     recoveries = sum(replica.stats.recoveries + replica.stats.recoveries_completed

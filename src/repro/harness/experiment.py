@@ -17,6 +17,7 @@ from repro.consensus.interface import DecisionKind
 from repro.harness.cluster import Cluster, ClusterConfig, build_cluster
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.stats import LatencySummary
+from repro.sim.failures import ScheduledCrash
 from repro.sim.network import NetworkConfig
 from repro.sim.topology import Topology
 from repro.workload.clients import ClientPool, build_pool
@@ -45,6 +46,10 @@ class ExperimentConfig(ClusterConfig):
         shared_pool_size: keys in the shared pool (paper: 100).
         drain_ms: extra virtual time after the measurement window to let
             outstanding commands finish.
+        crash_at_ms: crash the last replica (Mumbai on the paper's sites) at
+            this virtual time, as Figure 12 does; its clients then give up on
+            a command after :data:`CRASH_RECONNECT_TIMEOUT_MS` and move to a
+            live replica.  ``None`` crashes nothing.
     """
 
     network: NetworkConfig = field(default_factory=lambda: NetworkConfig(jitter_ms=3.0))
@@ -56,6 +61,7 @@ class ExperimentConfig(ClusterConfig):
     warmup_ms: float = 2000.0
     shared_pool_size: int = 100
     drain_ms: float = 2000.0
+    crash_at_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
         check_load(self.clients_per_site, self.conflict_rate, self.duration_ms,
@@ -69,7 +75,7 @@ class ExperimentResult:
     config: ExperimentConfig
     cluster: Cluster
     metrics: MetricsCollector
-    measured_duration_ms: float
+    pool: ClientPool
     per_site_latency: Dict[str, LatencySummary]
     overall_latency: Optional[LatencySummary]
     throughput_per_second: float
@@ -95,13 +101,17 @@ class ExperimentResult:
 #: name stays because ``bench/worker.py`` calls it.
 build_experiment_cluster = build_cluster
 
+#: How long a closed-loop client waits on a command before it moves to a live
+#: replica, in a run that crashes one (the paper's client re-connection).
+CRASH_RECONNECT_TIMEOUT_MS = 2000.0
 
-def attach_clients(cluster: Cluster, config: ExperimentConfig, metrics: MetricsCollector,
-                   reconnect_timeout_ms: Optional[float] = None) -> ClientPool:
+
+def attach_clients(cluster: Cluster, config: ExperimentConfig,
+                   metrics: MetricsCollector) -> ClientPool:
     """Create the configured clients at every site of the cluster.
 
     Any replica of the cluster is a failover candidate; closed-loop clients
-    only ever use one when ``reconnect_timeout_ms`` is given (Figure 12).
+    only ever use one when the config schedules a crash.
     """
     return build_pool(
         [replica for replica in cluster.replicas for _ in range(config.clients_per_site)],
@@ -109,7 +119,8 @@ def attach_clients(cluster: Cluster, config: ExperimentConfig, metrics: MetricsC
                        shared_pool_size=config.shared_pool_size),
         cluster.sim, metrics,
         open_loop_rate=config.arrival_rate_per_client if config.open_loop else None,
-        failover=cluster.replicas, reconnect_timeout_ms=reconnect_timeout_ms)
+        failover=cluster.replicas,
+        reconnect_timeout_ms=None if config.crash_at_ms is None else CRASH_RECONNECT_TIMEOUT_MS)
 
 
 def per_site_latency_summaries(topology: Topology,
@@ -131,18 +142,9 @@ def summarize_experiment(result: ExperimentResult) -> Dict[str, object]:
     return {
         "throughput_per_second": result.throughput_per_second,
         "mean_latency_ms": overall.mean if overall is not None else None,
-        "p50_latency_ms": overall.median if overall is not None else None,
-        "p95_latency_ms": overall.p95 if overall is not None else None,
-        "p99_latency_ms": overall.p99 if overall is not None else None,
-        "p999_latency_ms": overall.p999 if overall is not None else None,
-        "admission": result.cluster.admission_snapshot(),
-        "sample_count": overall.count if overall is not None else 0,
         "per_site_mean_latency_ms": {site: summary.mean
                                      for site, summary in result.per_site_latency.items()},
-        "fast_decisions": result.fast_decisions,
-        "slow_decisions": result.slow_decisions,
         "slow_path_ratio": result.slow_path_ratio,
-        "consistency_violations": result.consistency_violations,
     }
 
 
@@ -163,6 +165,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     cluster = build_cluster(config)
     metrics = MetricsCollector(warmup_ms=config.warmup_ms)
     pool = attach_clients(cluster, config, metrics)
+    if config.crash_at_ms is not None:
+        cluster.crash_injector.schedule(ScheduledCrash(node_id=cluster.size - 1,
+                                                       crash_at_ms=config.crash_at_ms))
     cluster.start()
     pool.start_all()
     total_ms = config.warmup_ms + config.duration_ms
@@ -177,7 +182,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         config=config,
         cluster=cluster,
         metrics=metrics,
-        measured_duration_ms=config.duration_ms,
+        pool=pool,
         per_site_latency=per_site,
         overall_latency=metrics.summary(),
         throughput_per_second=metrics.throughput(config.duration_ms),

@@ -27,14 +27,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.harness.cluster import build_cluster
-from repro.harness.experiment import ExperimentConfig, ExperimentResult, attach_clients
+from repro.harness.experiment import ExperimentConfig, ExperimentResult
 from repro.harness.sweep import SweepCell, SweepResult, Workers, run_sweep, sweep_cell
-from repro.metrics.collector import MetricsCollector
 from repro.metrics.perf import PerfRecord, write_record
 from repro.metrics.report import format_series
 from repro.runtime.costs import throughput_cost_model
-from repro.sim.failures import ScheduledCrash
 from repro.sim.topology import EC2_SHORT_LABELS, EC2_SITES
 
 #: Conflict percentages used across the paper's x-axes.
@@ -373,44 +370,31 @@ def _fig11_reduce(sweep: SweepResult, *, conflict_rates: Sequence[float],
 CRASH_PROTOCOLS = ("caesar", "epaxos")
 
 
-def _run_crash_timeline(config: ExperimentConfig, crash_at_ms: float) -> Dict[str, object]:
-    """Sweep runner for Figure 12: one run with a mid-experiment crash.
+def _collect_timeline(result: ExperimentResult) -> Dict[str, object]:
+    """Per-cell collector for Figure 12: throughput in 1-second buckets.
 
-    Clients of the crashed replica time out and reconnect to the remaining
-    replicas, and the protocols' recovery machinery finalizes the commands
-    the crashed leader left behind.  Returns the throughput timeline in
-    1-second buckets directly (the cluster never leaves the worker process).
+    The measured window is a whole number of buckets, so every reported
+    bucket spans a full second (the timeline scales a partial tail by its
+    width).
     """
-    total_ms = config.duration_ms
-    cluster = build_cluster(config)
-    metrics = MetricsCollector(warmup_ms=0.0)
-    # A reconnect timeout makes the crash behave like the paper's client
-    # re-connection.
-    pool = attach_clients(cluster, config, metrics, reconnect_timeout_ms=2000.0)
-    crashed_node = cluster.size - 1
-    cluster.crash_injector.schedule(ScheduledCrash(node_id=crashed_node,
-                                                   crash_at_ms=crash_at_ms))
-    cluster.start()
-    pool.start_all()
-    cluster.run(total_ms)
-    pool.stop_all()
-    cluster.run(1000.0)
-    # ``total_ms`` is a whole number of buckets, so every reported bucket
-    # spans a full second (the timeline scales a partial tail by its width).
-    timeline = metrics.timeline(end_ms=total_ms)
-    return {"timeline": timeline}
+    return {"timeline": result.metrics.timeline(end_ms=result.config.duration_ms)}
 
 
 def _fig12_cells(seed: int, *, clients_per_site: int = 20, crash_at_ms: float = 8000.0,
                  total_ms: float = 20000.0) -> Grid:
-    """Figure 12: cluster throughput over time with one replica crashing mid-run."""
+    """Figure 12: cluster throughput over time with one replica crashing mid-run.
+
+    Clients of the crashed replica time out and reconnect to the remaining
+    replicas, and the protocols' recovery machinery finalizes the commands
+    the crashed leader left behind.
+    """
     return [[sweep_cell(
         ("fig12", protocol),
         ExperimentConfig(protocol=protocol, conflict_rate=0.02,
                          clients_per_site=clients_per_site, duration_ms=total_ms,
-                         warmup_ms=0.0, recovery=True),
-        base_seed=seed, runner=_run_crash_timeline, collect=None,
-        options={"crash_at_ms": crash_at_ms})
+                         warmup_ms=0.0, drain_ms=1000.0, recovery=True,
+                         crash_at_ms=crash_at_ms),
+        base_seed=seed, collect=_collect_timeline)
         for protocol in CRASH_PROTOCOLS]]
 
 

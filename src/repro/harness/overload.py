@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.harness.experiment import ExperimentConfig, ExperimentResult, run_experiment
+from repro.harness.experiment import ExperimentConfig, ExperimentResult
 from repro.harness.sweep import Workers, run_sweep, sweep_cell
 from repro.metrics.report import format_table
 from repro.metrics.stats import summarize_latencies
@@ -215,7 +215,6 @@ def _sim_points(config: OverloadConfig) -> List[LoadPoint]:
         cells.append(sweep_cell(("overload", config.protocol,
                                  config.admission or "none", offered),
                                 experiment, base_seed=config.seed,
-                                runner=run_experiment,
                                 collect=collect_overload_point))
     sweep = run_sweep(cells, workers=config.workers)
     points = []

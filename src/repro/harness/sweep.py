@@ -15,9 +15,10 @@ order.  Consequently ``run_sweep(cells, workers=4)`` and
 ``run_sweep(cells, workers=1)`` produce byte-identical figure tables and
 BENCH series, which the test suite enforces.
 
-Worker failures are loud, never hangs: an exception inside a cell, or a
-worker process dying outright, aborts the sweep with a :class:`SweepError`
-naming the failing cell.
+Worker failures are loud, never hangs: an exception inside a cell, a run
+whose live replicas executed two conflicting commands in different orders,
+or a worker process dying outright, aborts the sweep with a
+:class:`SweepError` naming the failing cell.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, process
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fnmatch import fnmatchcase
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.harness.experiment import (
     ExperimentConfig,
+    ExperimentResult,
     run_experiment,
     summarize_experiment,
 )
@@ -46,7 +48,8 @@ CellKey = Tuple[object, ...]
 
 
 class SweepError(RuntimeError):
-    """A sweep cell failed (raised an exception or its worker died)."""
+    """A sweep cell failed (raised an exception, broke the order of its
+    conflicting commands, or its worker died)."""
 
 
 def key_string(key: Sequence[object]) -> str:
@@ -71,30 +74,23 @@ class SweepCell:
 
     Attributes:
         key: the cell's coordinates; also names it in errors and filters.
-        config: the experiment to run (already carrying the cell's seed —
-            use :func:`sweep_cell` to derive it from a base seed).
-        runner: top-level callable executing the cell (must be picklable by
-            reference for worker dispatch); receives ``config`` plus
-            ``options`` as keyword arguments.
-        collect: reduces the runner's result to a small picklable payload
-            inside the worker, so the full simulator state never crosses the
-            process boundary.  ``None`` means the runner already returned
-            the payload.
-        options: extra keyword arguments for ``runner``.
+        config: the experiment :func:`run_experiment` runs (already carrying
+            the cell's seed — use :func:`sweep_cell` to derive it from a base
+            seed).
+        collect: reduces the :class:`ExperimentResult` to a small picklable
+            payload inside the worker, so the full simulator state never
+            crosses the process boundary (a top-level function, picklable by
+            reference for worker dispatch).
     """
 
     key: CellKey
     config: ExperimentConfig
-    runner: Callable = run_experiment
-    collect: Optional[Callable] = summarize_experiment
-    options: Mapping[str, object] = field(default_factory=dict)
+    collect: Callable[[ExperimentResult], object] = summarize_experiment
 
 
-def sweep_cell(key: Sequence[object], config: ExperimentConfig,
-               base_seed: int,
-               runner: Callable = run_experiment,
-               collect: Optional[Callable] = summarize_experiment,
-               options: Optional[Mapping[str, object]] = None) -> SweepCell:
+def sweep_cell(key: Sequence[object], config: ExperimentConfig, base_seed: int,
+               collect: Callable[[ExperimentResult], object] = summarize_experiment
+               ) -> SweepCell:
     """Build a cell whose RNG stream is forked from ``base_seed``.
 
     The cell's seed is ``DeterministicRandom(base_seed).fork_cell(key)``:
@@ -104,8 +100,7 @@ def sweep_cell(key: Sequence[object], config: ExperimentConfig,
     """
     key = tuple(key)
     config = replace(config, seed=DeterministicRandom(base_seed).fork_cell(key).seed)
-    return SweepCell(key=key, config=config, runner=runner, collect=collect,
-                     options=dict(options or {}))
+    return SweepCell(key=key, config=config, collect=collect)
 
 
 @dataclass
@@ -158,11 +153,14 @@ def resolve_workers(workers: Workers, cell_count: int) -> int:
 
 
 def _execute_cell(cell: SweepCell) -> CellOutcome:
-    """Run one cell and reduce it to its payload (runs inside the worker)."""
+    """Run one cell, check its order and reduce it to its payload (runs
+    inside the worker)."""
     events_before = total_events_executed()
-    result = cell.runner(cell.config, **cell.options)
-    payload = cell.collect(result) if cell.collect is not None else result
-    return CellOutcome(key=cell.key, payload=payload,
+    result = run_experiment(cell.config)
+    if result.consistency_violations:
+        raise SweepError(f"{result.consistency_violations} order violations: live replicas "
+                         f"executed conflicting commands in different orders")
+    return CellOutcome(key=cell.key, payload=cell.collect(result),
                        events_executed=total_events_executed() - events_before)
 
 
@@ -188,7 +186,8 @@ def run_sweep(cells: Sequence[SweepCell], workers: Workers,
         A :class:`SweepResult` whose outcome order matches ``cells``.
 
     Raises:
-        SweepError: a cell raised, or its worker process died.
+        SweepError: a cell raised, its live replicas executed conflicting
+            commands in different orders, or its worker process died.
     """
     selected = list(cells)
     skipped = 0

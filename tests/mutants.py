@@ -136,6 +136,19 @@ MUTANTS: Dict[str, Mutant] = {
     "recovery-accepted-before-stable": Mutant(
         "core/recovery.py", "if stable:", "if stable and not accepted:", LEADER, match=SPEC),
 
+    # --- Loud answers: an order violation fails its sweep, a reused id is rejected.
+    "sweep-ignores-order-violations": Mutant(
+        "harness/sweep.py", "if result.consistency_violations:", "if False:",
+        "tests/test_sweep.py::TestSweepFailures::test_an_order_violation_fails_the_sweep_with_"
+        "the_cell_name"),
+    "an-executed-id-is-proposed-again": Mutant(
+        "consensus/interface.py",
+        "        if self.has_executed(command.command_id):\n"
+        "            callback(CommandResult(command.command_id, None, self.sim.now, True))\n"
+        "            return\n", "",
+        "tests/test_replica_interface.py::TestConsensusReplicaBase::test_an_executed_id_"
+        "submitted_again_is_rejected_at_once"),
+
     # --- History collection's rules.
     "no-floor-on-an-emptied-key": Mutant(
         "core/predecessors.py", "return bucket.floor <= stamp or (", "return True or (",

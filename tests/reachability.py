@@ -87,8 +87,6 @@ _CONTRACT = "member of an interface contract every implementation must provide"
 #: ``<path under src/repro>::<qualified name>``.
 ALLOWED: Dict[str, str] = {
     # Recovery and fault paths.
-    "core/recovery.py::RecoveryManager._resume_stable": _SAFETY,
-    "core/recovery.py::RecoveryManager._resume_slow_proposal": _SAFETY,
     "runtime/kernel.py::ProtocolKernel.catchup_need": _SAFETY,
     "runtime/kernel.py::ProtocolKernel.catchup_supply": _SAFETY,
     "baselines/epaxos.py::EPaxosReplica.catchup_need": _SAFETY,
@@ -113,14 +111,6 @@ ALLOWED: Dict[str, str] = {
     # Seams the benchmark's tracer binds by name.
     "core/delivery.py::DeliveryManager.retry_pending": "bench/trace.py span seam",
     "core/predecessors.py::WaitManager.notify_change": "bench/trace.py span seam",
-    # Oracles waiting for a product path.
-    "core/invariants.py::check_agreement": "run-time invariant oracle, not yet on a product path",
-    "core/invariants.py::check_graph_invariant":
-        "run-time invariant oracle, not yet on a product path",
-    "core/invariants.py::check_timestamp_order":
-        "run-time invariant oracle, not yet on a product path",
-    "core/invariants.py::check_all": "run-time invariant oracle, not yet on a product path",
-    "consensus/interface.py::ExecutionLog.position": "read by core/invariants",
     "sim/topology.py::Topology.quorum_latency":
         "analytic quorum latency, waiting for the fidelity table to use it",
     # The public api surface.

@@ -320,8 +320,10 @@ DELETED_FIELDS = {"CostModel": {"per_type_ms", "self_message_factor"},
 
 def as_built_now(record):
     """A golden field record with the fields deleted since it was printed
-    gone, and ``ExperimentConfig.workload`` (always ``None`` from the CLI)
-    replaced by the flat ``shared_pool_size`` at its default."""
+    gone, ``ExperimentConfig.workload`` (always ``None`` from the CLI)
+    replaced by the flat ``shared_pool_size`` at its default, and the field
+    added since, ``ExperimentConfig.crash_at_ms``, at its default (no flag
+    sets it)."""
     if isinstance(record, list):
         return [as_built_now(item) for item in record]
     if not isinstance(record, dict):
@@ -331,6 +333,7 @@ def as_built_now(record):
     if record.get("<class>") == "ExperimentConfig":
         assert now.pop("workload") is None
         now["shared_pool_size"] = 100
+        now["crash_at_ms"] = None
     return now
 
 

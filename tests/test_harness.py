@@ -165,12 +165,12 @@ class TestExperimentRunner:
         assert len(pool.clients) == 9
 
     def test_attach_clients_reconnect_timeout_reaches_every_client(self):
-        """Figure 12 and the failure example used to patch these two
-        attributes onto every client after the fact."""
-        config = ExperimentConfig(clients_per_site=2, topology=lan_topology(3))
+        """A config that schedules a crash (Figure 12, the failure example)
+        gives every closed-loop client the reconnect timeout."""
+        config = ExperimentConfig(clients_per_site=2, topology=lan_topology(3),
+                                  crash_at_ms=1000.0)
         cluster = build_cluster(config)
-        pool = attach_clients(cluster, config, MetricsCollector(),
-                              reconnect_timeout_ms=2000.0)
+        pool = attach_clients(cluster, config, MetricsCollector())
         assert [client.reconnect_timeout_ms for client in pool.clients] == [2000.0] * 6
         assert all(client.fallback_replicas == cluster.replicas for client in pool.clients)
         assert [client.replica.node_id for client in pool.clients] == [0, 0, 1, 1, 2, 2]

@@ -8,11 +8,13 @@ from repro.baselines.epaxos import EPaxosReplica, InstanceStatus, PreAccept
 from repro.consensus.ballots import Ballot
 from repro.consensus.interface import DecisionKind
 from repro.consensus.quorums import QuorumSystem
+from repro.core.caesar import CaesarReplica
 from repro.harness.experiment import ExperimentConfig, count_decisions, run_experiment
 from repro.kvstore.store import KeyValueStore
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.simulator import Simulator
-from tests.conftest import build_replicas, ignore, make_command, uniform_topology
+from tests.conftest import (build_replicas, drain, ignore, make_command, submit_and_run,
+                            uniform_topology)
 
 
 class TestConsensusReplicaBase:
@@ -54,6 +56,21 @@ class TestConsensusReplicaBase:
         assert decision.propose_ms == decision.decided_at - decision.submitted_at
         assert decision.retry_ms == 0.0
         assert decision.deliver_ms == decision.executed_at - decision.decided_at
+
+    @pytest.mark.parametrize("cls", [CaesarReplica, EPaxosReplica],
+                             ids=["caesar", "epaxos"])
+    def test_an_executed_id_submitted_again_is_rejected_at_once(self, cls):
+        # A client that reuses an id (a second serve-mode session counts from
+        # 0 again) gets an answer, not silence.
+        sim, _, replicas = build_replicas(cls)
+        command = make_command(0, 0, key="x", origin=0)
+        assert submit_and_run(sim, replicas, [(0, command)])
+        executed, answers = replicas[0].commands_executed, []
+        replicas[0].submit(command, answers.append)
+        assert [(result.command_id, result.value, result.executed_at, result.rejected)
+                for result in answers] == [(command.command_id, None, sim.now, True)]
+        drain(sim)
+        assert len(answers) == 1 and replicas[0].commands_executed == executed
 
     def test_count_decisions_empty_without_decisions(self):
         _, _, replicas = build_replicas()

@@ -114,7 +114,7 @@ class TestMessages:
 class TestExperimentResultHelpers:
     def build_result(self, fast: int, slow: int) -> ExperimentResult:
         return ExperimentResult(config=ExperimentConfig(), cluster=None,
-                                metrics=MetricsCollector(), measured_duration_ms=1000.0,
+                                metrics=MetricsCollector(), pool=None,
                                 per_site_latency={}, overall_latency=None,
                                 throughput_per_second=0.0, fast_decisions=fast,
                                 slow_decisions=slow, consistency_violations=0)

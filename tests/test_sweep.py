@@ -4,9 +4,10 @@ The two load-bearing properties:
 
 * **Determinism** — a sweep fanned out across worker processes produces
   byte-identical BENCH JSON and figure tables to a serial in-process run.
-* **Failure visibility** — a cell that raises, or a worker process that
-  dies outright, fails the sweep with a :class:`SweepError` naming the
-  cell instead of hanging the suite.
+* **Failure visibility** — a cell that raises, whose replicas executed
+  conflicting commands in different orders, or whose worker process dies
+  outright, fails the sweep with a :class:`SweepError` naming the cell
+  instead of hanging the suite.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import re
 
 import pytest
 
+from repro.harness.cluster import Cluster
 from repro.harness.experiment import ExperimentConfig
 from repro.harness.figures import run_figure
 from repro.harness.sweep import (
@@ -52,14 +54,14 @@ def tiny_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**defaults)
 
 
-# -- runners for the failure tests; top-level so worker processes can
+# -- collectors for the failure tests; top-level so worker processes can
 # unpickle them by reference.
 
-def raising_runner(config):
+def raising_collector(result):
     raise ValueError("injected cell failure")
 
 
-def dying_runner(config):
+def dying_collector(result):
     os._exit(13)
 
 
@@ -171,7 +173,7 @@ class TestSweepFailures:
     @pytest.mark.deadline(60)
     def test_raising_cell_fails_sweep_with_cell_name(self):
         cells = [SweepCell(key=("t", "ok"), config=tiny_config()),
-                 SweepCell(key=("t", "bad"), config=tiny_config(), runner=raising_runner)]
+                 SweepCell(key=("t", "bad"), config=tiny_config(), collect=raising_collector)]
         with pytest.raises(SweepError, match="t/bad"):
             run_sweep(cells, workers=2)
 
@@ -179,15 +181,30 @@ class TestSweepFailures:
                         "dispatch test-module runners to workers")
     @pytest.mark.deadline(60)
     def test_dead_worker_fails_sweep_instead_of_hanging(self):
-        cells = [SweepCell(key=("t", "dies"), config=tiny_config(), runner=dying_runner),
+        cells = [SweepCell(key=("t", "dies"), config=tiny_config(), collect=dying_collector),
                  SweepCell(key=("t", "ok"), config=tiny_config())]
         with pytest.raises(SweepError, match="worker process died"):
             run_sweep(cells, workers=2)
 
     def test_serial_failure_also_named(self):
-        cells = [SweepCell(key=("t", "bad"), config=tiny_config(), runner=raising_runner)]
+        cells = [SweepCell(key=("t", "bad"), config=tiny_config(), collect=raising_collector)]
         with pytest.raises(SweepError, match="t/bad.*injected cell failure"):
             run_sweep(cells, workers=1)
+
+    def test_an_order_violation_fails_the_sweep_with_the_cell_name(self, monkeypatch):
+        # The cluster reports one pair of conflicting commands that two live
+        # replicas executed in different orders.
+        monkeypatch.setattr(Cluster, "check_consistency",
+                            lambda cluster: [(0, 1, (0, 0), (1, 0))])
+        cells = [SweepCell(key=("t", "disordered"), config=tiny_config())]
+        # A plain assert, not pytest.raises: a mutation killer must fail with
+        # an AssertionError (tests/mutants.py).
+        try:
+            run_sweep(cells, workers=1)
+            message = "the sweep passed"
+        except SweepError as error:
+            message = str(error)
+        assert "'t/disordered' failed: 1 order violations" in message
 
 
 class TestPerfRecord:
