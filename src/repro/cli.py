@@ -31,6 +31,7 @@ import argparse
 import dataclasses
 import json
 import pathlib
+import signal
 import sys
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -341,7 +342,9 @@ def _run(args: argparse.Namespace) -> Outcome:
     counters = format_protocol_stats([replica.stats for replica in result.cluster.replicas])
     if counters:
         lines.append(counters)
-    return "\n".join(lines), 0
+    # Replicas that executed conflicting commands in different orders: a
+    # wrong answer, whatever else the run printed.
+    return "\n".join(lines), 1 if result.consistency_violations else 0
 
 
 def _figure(args: argparse.Namespace) -> Outcome:
@@ -458,6 +461,9 @@ def _serve(args: argparse.Namespace) -> Outcome:
         return "", 0
 
     cluster = serve_cluster(config)
+    # A plain ``kill`` stops the cluster as Ctrl-C does: the replica
+    # processes go with this one instead of being left running.
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         print(f"{config.protocol} cluster up — {len(cluster.peers)} replicas:")
         for node_id, (host, port) in sorted(cluster.peers.items()):
@@ -469,7 +475,13 @@ def _serve(args: argparse.Namespace) -> Outcome:
         pass
     finally:
         cluster.stop()
+        signal.signal(signal.SIGTERM, previous)
     return "", 0
+
+
+def _interrupt(signum: int, frame) -> None:
+    """SIGTERM handler of ``serve``'s cluster mode: stop as on Ctrl-C."""
+    raise KeyboardInterrupt
 
 
 def _loadgen(args: argparse.Namespace) -> Outcome:

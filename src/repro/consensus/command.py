@@ -69,6 +69,12 @@ class Command:
         return f"Cmd({self.command_id[0]}.{self.command_id[1]} {self.operation} {self.key})"
 
 
+#: Why a :class:`CommandResult` is ``rejected`` (0: it is not): the replica's
+#: admission policy shed the command, or the replica had already executed its id.
+SHED = 1
+ALREADY_EXECUTED = 2
+
+
 @dataclass
 class CommandResult:
     """Outcome of executing a command on the replicated state machine.
@@ -77,12 +83,12 @@ class CommandResult:
         command_id: the command this result belongs to.
         value: value returned by the operation (previous/read value).
         executed_at: virtual time (ms) at which the origin replica executed it.
-        rejected: the replica did not order this command, because its
-            admission policy shed it or because the replica had already
-            executed its id; ``value`` is ``None`` and nothing was executed.
+        rejected: 0, or why the replica did not order this command
+            (:data:`SHED`, :data:`ALREADY_EXECUTED`); when non-zero ``value``
+            is ``None`` and nothing was executed.
     """
 
     command_id: CommandId
     value: Optional[str]
     executed_at: float = 0.0
-    rejected: bool = False
+    rejected: int = 0

@@ -15,9 +15,11 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.consensus.command import Command, CommandId, CommandResult
+from repro.consensus.command import (ALREADY_EXECUTED, SHED, Command, CommandId,
+                                     CommandResult)
 from repro.consensus.quorums import QuorumSystem
 from repro.kvstore.state_machine import StateMachine
 from repro.runtime.clock import Clock
@@ -37,9 +39,10 @@ class DecisionKind(enum.Enum):
 class Decision:
     """Per-command record kept by the replica that proposed the command.
 
+    The command's id is the record's key in ``ConsensusReplica.decisions``,
+    and its proposer is the replica that holds it; neither is repeated here.
+
     Attributes:
-        command_id: the command being tracked.
-        proposer: replica the client submitted the command to.
         submitted_at: virtual time of the client submission.
         decided_at: virtual time at which the proposer learned the final order.
         executed_at: virtual time at which the proposer executed the command
@@ -50,8 +53,6 @@ class Decision:
             sums; the other protocols leave them at 0.
     """
 
-    command_id: CommandId
-    proposer: int
     submitted_at: float
     decided_at: Optional[float] = None
     executed_at: Optional[float] = None
@@ -79,76 +80,112 @@ class ExecutionLog:
     The correctness checks compare logs of different replicas: conflicting
     commands must appear in the same relative order everywhere (Generalized
     Consensus consistency), while commuting commands may be permuted.
+
+    The order is kept once, in the list; the index beside it holds only which
+    ids were executed (a dict with no values, so no position is stored per
+    command).  The positions a cold check needs are built by
+    :meth:`positions` when it asks.
     """
 
     def __init__(self) -> None:
         self._entries: List[Command] = []
-        self._positions: Dict[CommandId, int] = {}
+        self._executed: Dict[CommandId, None] = {}
 
     def append(self, command: Command) -> None:
         """Record that ``command`` was executed (exactly once per command)."""
-        if command.command_id in self._positions:
+        if command.command_id in self._executed:
             raise ValueError(f"command {command.command_id} executed twice")
-        self._positions[command.command_id] = len(self._entries)
+        self._executed[command.command_id] = None
         self._entries.append(command)
 
     def __iter__(self):
         return iter(self._entries)
 
-    def position(self, command_id: CommandId) -> Optional[int]:
-        """Index of a command in this log, or ``None`` if not executed here."""
-        return self._positions.get(command_id)
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def ids(self, start: int, stop: int) -> List[CommandId]:
+        """Ids of the commands executed at positions ``start`` .. ``stop - 1``."""
+        return [command.command_id for command in self._entries[start:stop]]
+
+    def positions(self) -> Dict[CommandId, int]:
+        """Index in this log of every command executed here, built on each call."""
+        return {command.command_id: i for i, command in enumerate(self._entries)}
 
     def contains(self, command_id: CommandId) -> bool:
         """Whether the command has been executed by this replica."""
-        return command_id in self._positions
+        return command_id in self._executed
+
+    def per_key(self) -> Dict[str, List[Command]]:
+        """This log's commands grouped by key, each group in execution order."""
+        per_key: Dict[str, List[Command]] = defaultdict(list)
+        for c in self._entries:
+            per_key[c.key].append(c)
+        return per_key
 
     def conflicting_order_violations(self, other: "ExecutionLog") -> List[tuple]:
-        """Pairs of conflicting commands ordered differently in ``self`` and ``other``.
+        """Pairs of conflicting commands ordered differently in ``self`` and ``other``."""
+        return _order_violations(self, self.per_key(), other.per_key(), other.positions)
 
-        Conflicts only exist between commands on the same key, so the check
-        compares each key's command sequence in both logs: an equal one, the
-        overwhelmingly common case, costs one list comparison.  Only the other
-        keys group their common commands with their positions in the other
-        log, and only a non-monotone group takes the exact pairwise comparison
-        (which also accounts for commuting reads).
-        """
-        mine, theirs = defaultdict(list), defaultdict(list)
-        for log, per_key in ((self, mine), (other, theirs)):
-            for c in log._entries:
-                per_key[c.key].append(c)
-        differing = {key for key, commands in mine.items() if theirs.get(key) != commands}
-        violations: List[tuple] = []
-        other_positions = other._positions
-        by_key: Dict[str, List[tuple]] = {}
-        for c in self._entries if differing else ():
-            position = other_positions.get(c.command_id) if c.key in differing else None
-            if position is not None:
-                by_key.setdefault(c.key, []).append((c, position))
-        for group in by_key.values():
-            if len(group) < 2:
-                continue
-            positions = [position for _, position in group]
-            if all(positions[i] < positions[i + 1] for i in range(len(positions) - 1)):
-                continue
-            for i, (first, first_pos) in enumerate(group):
-                for second, second_pos in group[i + 1:]:
-                    if first_pos > second_pos and first.conflicts_with(second):
-                        violations.append((first.command_id, second.command_id))
-        return violations
+
+def _order_violations(log: ExecutionLog, mine: Dict[str, List[Command]],
+                      theirs: Dict[str, List[Command]],
+                      other_positions: Callable[[], Dict[CommandId, int]]) -> List[tuple]:
+    """The conflicting pairs ``log`` orders unlike the other log.
+
+    Conflicts only exist between commands on the same key, so the check
+    compares each key's command sequence in both logs (``mine`` / ``theirs``,
+    from :meth:`ExecutionLog.per_key`): an equal one, the overwhelmingly
+    common case, costs one list comparison.  Only when a key differs are the
+    other log's positions asked for; the differing keys group their common
+    commands with those positions, and only a non-monotone group takes the
+    exact pairwise comparison (which also accounts for commuting reads).
+    """
+    differing = {key for key, commands in mine.items() if theirs.get(key) != commands}
+    if not differing:
+        return []
+    positions = other_positions()
+    by_key: Dict[str, List[tuple]] = {}
+    for c in log._entries:
+        position = positions.get(c.command_id) if c.key in differing else None
+        if position is not None:
+            by_key.setdefault(c.key, []).append((c, position))
+    violations: List[tuple] = []
+    for group in by_key.values():
+        if len(group) < 2:
+            continue
+        ordered = [position for _, position in group]
+        if all(ordered[i] < ordered[i + 1] for i in range(len(ordered) - 1)):
+            continue
+        for i, (first, first_pos) in enumerate(group):
+            for second, second_pos in group[i + 1:]:
+                if first_pos > second_pos and first.conflicts_with(second):
+                    violations.append((first.command_id, second.command_id))
+    return violations
 
 
 def order_violations(replicas: Sequence["ConsensusReplica"]) -> List[tuple]:
     """Conflicting pairs that two live replicas executed in opposite orders.
 
     One ``(node a, node b, command id, command id)`` per pair; empty when the
-    run satisfies Generalized Consensus consistency.
+    run satisfies Generalized Consensus consistency.  Each live log is grouped
+    by key once, and its positions are built once, by the first pair that
+    differs from it, for the whole check.
     """
     live = [replica for replica in replicas if not replica.crashed]
-    return [(first.node_id, second.node_id, *pair)
-            for i, first in enumerate(live) for second in live[i + 1:]
-            for pair in first.execution_log.conflicting_order_violations(
-                second.execution_log)]
+    logs = [replica.execution_log for replica in live]
+    per_key = [log.per_key() for log in logs]
+    positions: Dict[int, Dict[CommandId, int]] = {}
+
+    def positions_of(j: int) -> Dict[CommandId, int]:
+        if j not in positions:
+            positions[j] = logs[j].positions()
+        return positions[j]
+
+    return [(live[i].node_id, live[j].node_id, *pair)
+            for i in range(len(live)) for j in range(i + 1, len(live))
+            for pair in _order_violations(logs[i], per_key[i], per_key[j],
+                                          partial(positions_of, j))]
 
 
 class ConsensusReplica(Node):
@@ -197,16 +234,15 @@ class ConsensusReplica(Node):
         if self.crashed:
             return
         if self.has_executed(command.command_id):
-            callback(CommandResult(command.command_id, None, self.sim.now, True))
+            callback(CommandResult(command.command_id, None, self.sim.now, ALREADY_EXECUTED))
             return
         if self.admission is not None:
             reason = self.admission.try_admit(command.command_id, self.sim.now)
             if reason is not None:
-                callback(CommandResult(command.command_id, None, self.sim.now, True))
+                callback(CommandResult(command.command_id, None, self.sim.now, SHED))
                 return
         self._client_callbacks[command.command_id] = callback
-        self.decisions[command.command_id] = Decision(command.command_id, self.node_id,
-                                                      self.sim.now)
+        self.decisions[command.command_id] = Decision(self.sim.now)
         self.consume_cpu(self.cost_model.client_request_ms)
         self.propose(command)
 

@@ -382,7 +382,8 @@ class CaesarReplica(ProtocolKernel):
             # A proposal that never parked finds the entry exactly as its
             # handler stored it one call earlier: nothing to write or re-announce.
             unchanged = (entry is not None and entry.command is command
-                         and entry.timestamp == timestamp and entry.pred_mask == reply_pred
+                         and entry.stamp == timestamp.counter << 32 | timestamp.node_id
+                         and entry.pred_mask == reply_pred
                          and entry.status is status and entry.ballot == ballot)
             if not unchanged:
                 entry = history.update(command, timestamp, reply_pred, status, ballot, entry,

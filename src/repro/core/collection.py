@@ -9,7 +9,8 @@ from the replicas themselves:
 
 * **Reports.**  Every :data:`REPORT_EVERY_MS` a replica sends each peer a
   :class:`~repro.core.messages.Delivered` report: the ids it delivered, as a
-  slice of its delivery order starting at ``position`` and at most
+  slice of its delivery order (its execution log: CAESAR executes a
+  command exactly when it delivers it) starting at ``position`` and at most
   :data:`REPORT_MAX_IDS` long, and ``received``, how many of that peer's
   delivered ids it has counted.  The receiver counts a report's ids only from
   where its count of the sender stands, so a repeat is harmless.
@@ -105,10 +106,10 @@ class HistoryCollector:
     def report(self) -> None:
         """Count this replica's new deliveries, report them to every peer, collect."""
         replica = self.replica
-        order = replica.delivery.delivered_order
-        if self._own < len(order):
-            self._count(replica.node_id, order[self._own:])
-            self._own = len(order)
+        log = replica.execution_log
+        if self._own < len(log):
+            self._count(replica.node_id, log.ids(self._own, len(log)))
+            self._own = len(log)
         for peer, cursor in self._peers.items():
             if cursor.acked < cursor.sent:
                 cursor.unacked_reports += 1
@@ -116,7 +117,7 @@ class HistoryCollector:
                     cursor.sent, cursor.unacked_reports = cursor.acked, 0
             else:
                 cursor.unacked_reports = 0
-            ids = order[cursor.sent:cursor.sent + REPORT_MAX_IDS]
+            ids = log.ids(cursor.sent, cursor.sent + REPORT_MAX_IDS)
             if ids or cursor.received != cursor.received_told:
                 replica.send(peer, Delivered(position=cursor.sent, ids=tuple(ids),
                                              received=cursor.received))
@@ -162,8 +163,7 @@ class HistoryCollector:
             if wait_manager.parked and wait_manager.has_parked(entry.command.key):
                 held.append(command_id)
                 continue
-            bucket, timestamp = entry.bucket, entry.timestamp
-            stamp = timestamp.counter << 32 | timestamp.node_id
+            bucket, stamp = entry.bucket, entry.stamp
             if stamp > bucket.floor:
                 bucket.floor = stamp
             if entry.command.is_write and stamp > bucket.write_floor:

@@ -39,10 +39,10 @@ from repro.consensus.command import Command, CommandId
 from repro.core.history import CommandHistory, CommandStatus, HistoryEntry
 
 
-#: A pending command as filed and queued: ``(ts_key, filing sequence, command,
+#: A pending command as filed and queued: ``(stamp, filing sequence, command,
 #: entry)``.  A round delivers in timestamp order; equal timestamps (which the
 #: protocol never issues) fall back to the order the commands became pending in.
-_Waiter = Tuple[Tuple[int, int], int, Command, HistoryEntry]
+_Waiter = Tuple[int, int, Command, HistoryEntry]
 _ROUND_ORDER = itemgetter(0, 1)
 
 
@@ -64,7 +64,6 @@ class DeliveryManager:
         # since have released one, so readers re-test.  A list is popped when
         # its blocker is delivered: all are empty whenever ``_pending`` is.
         self._filed = 0
-        self.delivered_order: List[CommandId] = []
 
     def is_delivered(self, command_id: CommandId) -> bool:
         """Whether the command has been executed locally."""
@@ -115,18 +114,17 @@ class DeliveryManager:
         bucket = entry.bucket
         get, id_of = self._history.get, bucket.id_of
         my_bit = 1 << entry.index
-        my_key = entry.ts_key()
+        my_stamp = entry.stamp
         mask = entry.pred_mask
         remove = 0
-        remaining = mask & ~(bucket.delivered
-                             & bucket.prefix_mask(entry.timestamp, writes_only=False))
+        remaining = mask & ~(bucket.delivered & bucket.prefix_mask(my_stamp, writes_only=False))
         while remaining:
             low = remaining & -remaining
             remaining ^= low
             pred_entry = get(id_of[low.bit_length() - 1])
             if pred_entry is None or pred_entry.status is not CommandStatus.STABLE:
                 continue
-            if pred_entry.ts_key() < my_key:
+            if pred_entry.stamp < my_stamp:
                 pred_entry.pred_mask &= ~my_bit
             else:
                 remove |= low
@@ -141,7 +139,7 @@ class DeliveryManager:
     def _file(self, command: Command, entry: HistoryEntry, ready: List[_Waiter]) -> None:
         """Queue a pending command in ``ready``, or file it under every blocker."""
         self._filed += 1
-        waiter = (entry.ts_key(), self._filed, command, entry)
+        waiter = (entry.stamp, self._filed, command, entry)
         blocked = entry.pred_mask & ~entry.bucket.delivered
         if not blocked:
             ready.append(waiter)
@@ -181,11 +179,11 @@ class DeliveryManager:
         # last reconciled it).  No other mask is edited, so these and the new
         # command are the only candidates for the first round.
         bit = 1 << entry.index
-        my_key = entry.ts_key()
+        my_stamp = entry.stamp
         ready: List[_Waiter] = []
         for waiter in (entry.bucket.waiters or {}).get(entry.index, ()):
             other = waiter[3]
-            if my_key < waiter[0]:
+            if my_stamp < waiter[0]:
                 entry.pred_mask &= ~(1 << other.index)
             else:
                 other.pred_mask &= ~bit
@@ -196,7 +194,6 @@ class DeliveryManager:
 
     def _deliver(self, command: Command, entry: HistoryEntry) -> None:
         entry.bucket.delivered |= 1 << entry.index
-        self.delivered_order.append(command.command_id)
         self._execute(command)
 
     def _drain(self, ready: List[_Waiter]) -> List[Command]:

@@ -21,7 +21,11 @@ the decision path cheap:
   sorted by timestamp, so the predecessor computation takes the ``<
   timestamp`` prefix by binary search (as a precomputed bucket mask minus a
   usually-empty suffix) and the wait condition scans only the ``> timestamp``
-  suffix.
+  suffix.  An entry holds its timestamp as one int, its *stamp* ``counter <<
+  32 | node_id``: ordered as the timestamps, compared and bisected without a
+  tuple or a method call, and the key the bucket is sorted by (the stamp of a
+  :class:`~repro.consensus.timestamps.LogicalTimestamp` ``t`` is ``t.counter
+  << 32 | t.node_id``, which :meth:`CommandHistory.update` range-checks).
 * **Bucket-relative translation.**  A predecessor set is its key's bucket
   less a handful of ids (the command itself, whatever is proposed later or
   not yet seen here), and on the simulator the history is not collected
@@ -34,8 +38,11 @@ the decision path cheap:
   a recovery whitelist), the per-id loop runs — the same result either way.
 
 Each fact about a command is kept once: a :class:`HistoryEntry` carries its
-index and bucket (whoever holds it passes it on as ``entry``), and
-``CommandHistory._bucket_of`` binds only the ids that have no entry.
+stamp, index and bucket (whoever holds it passes it on as ``entry``), and
+``CommandHistory._bucket_of`` binds only the ids that have no entry.  The one
+fact held twice is an id's index, on its entry and in its key's ``index_of``:
+that dict's stored hashes are what the translations' set operations reuse,
+where a list of the key's ids would be hashed again on every message.
 
 A key's indices are *never* recycled, and an emptied bucket is kept: an id
 :meth:`CommandHistory.remove` collects goes back into ``_bucket_of``, so a
@@ -49,8 +56,9 @@ indices — on one key, first-seen order.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from bisect import bisect_left, bisect_right, insort_right
+from operator import attrgetter
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command, CommandId, KeyBindingError
@@ -58,6 +66,8 @@ from repro.consensus.timestamps import LogicalTimestamp, TimestampRangeError
 
 #: Shared empty frozenset returned whenever a mask materializes to nothing.
 _EMPTY_IDS: FrozenSet[CommandId] = frozenset()
+#: What a bucket's entries are bisected by.
+_STAMP = attrgetter("stamp")
 
 
 class CommandStatus(enum.Enum):
@@ -87,17 +97,19 @@ class HistoryEntry:
     interner, a plain attribute every reader and writer touches directly; the
     :attr:`predecessors` view decodes it to a ``frozenset`` of ids on every
     read, for cold-path readers such as recovery, catch-up supply and the
-    invariant checks.
+    invariant checks.  ``stamp`` is the timestamp, packed (module docstring);
+    the :attr:`timestamp` view decodes it the same way.  Only
+    :meth:`CommandHistory.update` writes ``stamp``: it re-files the entry.
     """
 
-    __slots__ = ("command", "timestamp", "status", "ballot", "forced",
+    __slots__ = ("command", "stamp", "status", "ballot", "forced",
                  "index", "bucket", "pred_mask")
 
-    def __init__(self, command: Command, timestamp: LogicalTimestamp,
+    def __init__(self, command: Command, stamp: int,
                  pred_mask: int, status: CommandStatus, ballot: Ballot, forced: bool,
                  index: int, bucket: "_KeyBucket") -> None:
         self.command = command
-        self.timestamp = timestamp
+        self.stamp = stamp
         self.status = status
         self.ballot = ballot
         self.forced = forced
@@ -118,36 +130,35 @@ class HistoryEntry:
         mask, id_of = self.pred_mask, self.bucket.id_of
         return frozenset(id_of[i] for i in range(mask.bit_length()) if mask >> i & 1)
 
-    def ts_key(self) -> Tuple[int, int]:
-        """Sort key equivalent to the timestamp's total order."""
-        timestamp = self.timestamp
-        return (timestamp.counter, timestamp.node_id)
+    @property
+    def timestamp(self) -> LogicalTimestamp:
+        """The timestamp (decoded from the stamp on each read)."""
+        stamp = self.stamp
+        return LogicalTimestamp(stamp >> 32, stamp & 0xFFFFFFFF)
 
 
 class _KeyBucket:
     """One key: its interner, and its entries sorted by timestamp.
 
     The interner ``index_of`` / ``id_of`` holds every id bound to the key,
-    with an entry or not.  ``keys[i]`` is ``entries[i]``'s timestamp and index
-    packed into one int, ``(counter << 32 | node_id) << 32 | index``: ordered
-    as the timestamps, unique (removal needs no equality scan), and bisected
-    without a tuple per insert.  ``all_mask`` / ``write_mask`` are the bitmask
-    of every entry / every *writing* entry — the predecessor computation takes
-    the whole-bucket mask and strips the (usually tiny) ``>= timestamp``
-    suffix instead of scanning the prefix.  ``delivered`` / ``waiters`` are
-    the delivery manager's (``waiters`` is ``None`` until its first filing).
-    ``floor`` / ``write_floor`` are the highest timestamp, packed like a sort
-    key without its index, of every command / every write collected on the
-    key (-1 before the first): the wait condition's stand-in for the NACK
-    witnesses collection took away (:mod:`repro.core.collection`).
+    with an entry or not.  ``entries`` are sorted by their stamps; equal
+    stamps, which the protocol never issues, stay in the order they were
+    filed in.  ``all_mask`` / ``write_mask`` are the bitmask of every entry /
+    every *writing* entry — the predecessor computation takes the
+    whole-bucket mask and strips the (usually tiny) ``>= timestamp`` suffix
+    instead of scanning the prefix.  ``delivered`` / ``waiters`` are the
+    delivery manager's (``waiters`` is ``None`` until its first filing).
+    ``floor`` / ``write_floor`` are the highest stamp of every command / every
+    write collected on the key (-1 before the first): the wait condition's
+    stand-in for the NACK witnesses collection took away
+    (:mod:`repro.core.collection`).
     """
 
-    __slots__ = ("key", "keys", "entries", "all_mask", "write_mask",
+    __slots__ = ("key", "entries", "all_mask", "write_mask",
                  "index_of", "id_of", "delivered", "waiters", "floor", "write_floor")
 
     def __init__(self, key: str) -> None:
         self.key = key
-        self.keys: List[int] = []
         self.entries: List[HistoryEntry] = []
         self.all_mask = 0
         self.write_mask = 0
@@ -159,45 +170,41 @@ class _KeyBucket:
         self.write_floor = -1
 
     def insert(self, entry: HistoryEntry) -> None:
-        timestamp = entry.timestamp
-        key = (timestamp.counter << 32 | timestamp.node_id) << 32 | entry.index
-        position = bisect_left(self.keys, key)
-        self.keys.insert(position, key)
-        self.entries.insert(position, entry)
+        insort_right(self.entries, entry, key=_STAMP)
         bit = 1 << entry.index
         self.all_mask |= bit
         if entry.command.is_write:
             self.write_mask |= bit
 
-    def discard(self, entry: HistoryEntry, timestamp: LogicalTimestamp) -> None:
-        """Remove ``entry``, which is currently filed under ``timestamp``."""
-        key = (timestamp.counter << 32 | timestamp.node_id) << 32 | entry.index
-        position = bisect_left(self.keys, key)
-        if position < len(self.keys) and self.keys[position] == key:
-            del self.keys[position]
-            del self.entries[position]
-            bit = 1 << entry.index
-            self.all_mask &= ~bit
-            self.write_mask &= ~bit
+    def discard(self, entry: HistoryEntry) -> None:
+        """Remove ``entry``, which is filed under its current stamp."""
+        entries, stamp = self.entries, entry.stamp
+        position = bisect_left(entries, stamp, key=_STAMP)
+        # Equal stamps, which the protocol never issues, are told apart by identity.
+        while position < len(entries) and entries[position].stamp == stamp:
+            if entries[position] is entry:
+                del entries[position]
+                bit = 1 << entry.index
+                self.all_mask &= ~bit
+                self.write_mask &= ~bit
+                return
+            position += 1
 
-    def suffix_start(self, timestamp: LogicalTimestamp) -> int:
-        """Index of the first entry with a timestamp strictly greater."""
-        return bisect_left(self.keys, ((timestamp.counter << 32 | timestamp.node_id) + 1) << 32)
+    def suffix_start(self, stamp: int) -> int:
+        """Index of the first entry with a stamp strictly greater than ``stamp``."""
+        return bisect_right(self.entries, stamp, key=_STAMP)
 
-    def prefix_mask(self, timestamp: LogicalTimestamp, writes_only: bool) -> int:
-        """Bitmask of entries with a timestamp strictly smaller.
+    def prefix_mask(self, stamp: int, writes_only: bool) -> int:
+        """Bitmask of entries with a stamp strictly smaller than ``stamp``.
 
-        Computed as the whole-bucket mask minus the ``>= timestamp`` suffix;
-        at propose time new timestamps are usually the largest in the bucket,
-        so the suffix loop rarely runs.
+        Computed as the whole-bucket mask minus the ``>= stamp`` suffix; at
+        propose time new timestamps are usually the largest in the bucket, so
+        the suffix loop rarely runs.
         """
         mask = self.write_mask if writes_only else self.all_mask
-        keys = self.keys
-        position = bisect_left(keys, (timestamp.counter << 32 | timestamp.node_id) << 32)
-        if position < len(keys):
-            entries = self.entries
-            for i in range(position, len(keys)):
-                mask &= ~(1 << entries[i].index)
+        entries = self.entries
+        for i in range(bisect_left(entries, stamp, key=_STAMP), len(entries)):
+            mask &= ~(1 << entries[i].index)
         return mask
 
 
@@ -352,6 +359,7 @@ class CommandHistory:
         command_id, key = command.command_id, command.key
         if timestamp.node_id >> 32:
             raise TimestampRangeError(f"timestamp {timestamp} has a node id outside 0 .. 2**32 - 1")
+        stamp = timestamp.counter << 32 | timestamp.node_id
         bucket = entry.bucket if entry is not None else self._bucket_of.get(command_id)
         if bucket is not None and bucket.key != key:
             raise KeyBindingError(command_id, bucket.key, key)
@@ -366,15 +374,14 @@ class CommandHistory:
                 bucket.id_of.append(command_id)
             else:
                 del self._bucket_of[command_id]   # bound through its entry from now on
-            entry = HistoryEntry(command, timestamp, predecessors, status, ballot, forced,
+            entry = HistoryEntry(command, stamp, predecessors, status, ballot, forced,
                                  index, bucket)
             self._entries[command_id] = entry
             bucket.insert(entry)
         else:
-            # Usually the very object (a Stable carries the proposal's).
-            if entry.timestamp is not timestamp and entry.timestamp != timestamp:
-                bucket.discard(entry, entry.timestamp)
-                entry.timestamp = timestamp
+            if entry.stamp != stamp:
+                bucket.discard(entry)
+                entry.stamp = stamp
                 bucket.insert(entry)
             entry.command = command
             entry.pred_mask = predecessors
@@ -392,7 +399,7 @@ class CommandHistory:
         """
         entry = self._entries.pop(command_id, None)
         if entry is not None:
-            entry.bucket.discard(entry, entry.timestamp)
+            entry.bucket.discard(entry)
             self._bucket_of[command_id] = entry.bucket
 
     def entries(self) -> Iterator[HistoryEntry]:

@@ -23,7 +23,7 @@ simulations can check them continuously:
   BREAKLOOP skip the delivered part of a new command's predecessor set).
 * :func:`check_mask_width` — every bitmask is drawn from its key's interner,
   so no mask is wider than the number of ids seen on that key.
-* :func:`check_bucket_index` — sort keys, interner, entries and masks of
+* :func:`check_bucket_index` — the order, interner, entries and masks of
   every key bucket agree, and ``_bucket_of`` binds only ids without an entry.
 
 Each checker returns a list of human-readable violation descriptions; an
@@ -73,14 +73,15 @@ def check_graph_invariant(replicas: Sequence[CaesarReplica]) -> List[str]:
         if replica.crashed or getattr(replica, "delivery", None) is None:
             continue
         stable_entries = list(replica.history.stable_entries())
+        positions = replica.execution_log.positions()
         for i, first in enumerate(stable_entries):
             for second in stable_entries[i + 1:]:
                 if not first.command.conflicts_with(second.command):
                     continue
                 earlier, later = ((first, second) if first.timestamp < second.timestamp
                                   else (second, first))
-                pos_earlier = replica.execution_log.position(earlier.command_id)
-                pos_later = replica.execution_log.position(later.command_id)
+                pos_earlier = positions.get(earlier.command_id)
+                pos_later = positions.get(later.command_id)
                 if pos_earlier is None or pos_later is None:
                     # Not executed yet on this replica; the predecessor edge
                     # must still be present so delivery happens in order.
@@ -215,8 +216,8 @@ def check_mask_width(replicas: Sequence) -> List[str]:
 
 def check_bucket_index(replicas: Sequence) -> List[str]:
     """Every key bucket agrees with its entries, and ``_bucket_of`` holds exactly
-    the bound ids that have no entry.  Sort keys are packed here again, not by
-    the code under check.  Replicas without a delivery manager are skipped.
+    the bound ids that have no entry.  Replicas without a delivery manager are
+    skipped.
     """
     violations: List[str] = []
     for replica in replicas:
@@ -224,14 +225,11 @@ def check_bucket_index(replicas: Sequence) -> List[str]:
             continue
         history, without_entry = replica.history, {}
         for key, bucket in history._by_key.items():
-            keys, entries, id_of = bucket.keys, bucket.entries, bucket.id_of
+            entries, id_of = bucket.entries, bucket.id_of
             bits = {1 << e.index: e.command.is_write for e in entries}
             failed = [what for what, holds in (
-                ("sort keys are not its entries' packed keys", keys == [
-                    (e.timestamp.counter << 32 | e.timestamp.node_id) << 32 | e.index
-                    for e in entries]),
-                ("sort keys are not strictly increasing",
-                 all(a < b for a, b in zip(keys, keys[1:]))),
+                ("entries are not in timestamp order",
+                 all(a.timestamp <= b.timestamp for a, b in zip(entries, entries[1:]))),
                 ("id_of and index_of are not inverse", len(id_of) == len(bucket.index_of)
                  and bucket.index_of == {command_id: i for i, command_id in enumerate(id_of)}),
                 ("an entry is not the one its index names", all(

@@ -53,8 +53,9 @@ def compute_predecessor_mask(history: CommandHistory, command: Command,
         bucket, self_bit = history.bucket(command.key), 0
         if bucket is None:
             return 0
+    stamp = timestamp.counter << 32 | timestamp.node_id
     if whitelist_mask is None:
-        mask = bucket.prefix_mask(timestamp, writes_only=not command.is_write)
+        mask = bucket.prefix_mask(stamp, writes_only=not command.is_write)
         return mask & ~self_bit
     command_is_write = command.is_write
     mask = 0
@@ -64,7 +65,7 @@ def compute_predecessor_mask(history: CommandHistory, command: Command,
         bit = 1 << entry.index
         if bit & whitelist_mask:
             mask |= bit
-        elif entry.status.survived_proposal and entry.timestamp < timestamp:
+        elif entry.status.survived_proposal and entry.stamp < stamp:
             mask |= bit
     return mask & ~self_bit
 
@@ -72,20 +73,17 @@ def compute_predecessor_mask(history: CommandHistory, command: Command,
 class _ParkedProposal:
     """A proposal whose reply is delayed by the wait condition."""
 
-    __slots__ = ("command", "command_id", "is_write", "bit", "ts_counter",
-                 "ts_node", "timestamp", "on_resolved", "args", "parked_at",
-                 "blocker_mask", "witness_mask")
+    __slots__ = ("command", "command_id", "is_write", "bit", "stamp",
+                 "on_resolved", "args", "parked_at", "blocker_mask", "witness_mask")
 
-    def __init__(self, command: Command, bit: int, timestamp: LogicalTimestamp,
+    def __init__(self, command: Command, bit: int, stamp: int,
                  on_resolved: Callable[..., None], parked_at: float,
                  blocker_mask: int, witness_mask: int, args: tuple) -> None:
         self.command = command
         self.command_id = command.command_id
         self.is_write = command.is_write
         self.bit = bit
-        self.ts_counter = timestamp.counter
-        self.ts_node = timestamp.node_id
-        self.timestamp = timestamp
+        self.stamp = stamp
         self.on_resolved = on_resolved
         self.args = args
         self.parked_at = parked_at
@@ -121,10 +119,9 @@ class WaitManager:
 
     # ------------------------------------------------------------ predicates
 
-    def _scan_masks(self, command: Command, timestamp: LogicalTimestamp,
-                    self_bit: int) -> tuple:
-        """One pass over the ``> timestamp`` bucket suffix: the blocker and
-        NACK-witness masks.
+    def _scan_masks(self, command: Command, stamp: int, self_bit: int) -> tuple:
+        """One pass over the bucket suffix past ``stamp`` (the proposal's
+        timestamp, packed): the blocker and NACK-witness masks.
 
         A conflicting command *blocks* when it has a greater timestamp, does
         not list ``command`` among its predecessors, and has not yet reached
@@ -141,9 +138,9 @@ class WaitManager:
         blocker_mask = 0
         command_is_write = command.is_write
         floor = bucket.floor if command_is_write else bucket.write_floor
-        witness_mask = self_bit if floor > (timestamp.counter << 32 | timestamp.node_id) else 0
+        witness_mask = self_bit if floor > stamp else 0
         entries = bucket.entries
-        for i in range(bucket.suffix_start(timestamp), len(entries)):
+        for i in range(bucket.suffix_start(stamp), len(entries)):
             entry = entries[i]
             if not (command_is_write or entry.command.is_write):
                 continue
@@ -171,20 +168,20 @@ class WaitManager:
         runs once WAIT terminates, never from inside this call.
         """
         bucket, self_bit = entry.bucket, 1 << entry.index
-        keys = bucket.keys
+        entries = bucket.entries
         stamp = timestamp.counter << 32 | timestamp.node_id
-        if not keys or keys[-1] >> 32 <= stamp:
+        if not entries or entries[-1].stamp <= stamp:
             # Nothing on the key is later: the scan would find an empty
             # suffix, and only a collected command above it is a witness.
             return bucket.floor <= stamp or (
                 not command.is_write and bucket.write_floor <= stamp)
-        blocker_mask, witness_mask = self._scan_masks(command, timestamp, self_bit)
+        blocker_mask, witness_mask = self._scan_masks(command, stamp, self_bit)
         if not blocker_mask:
             return not witness_mask
         if not self._enabled:
             # Ablation mode: a proposal that would have waited is rejected outright.
             return False
-        parked = _ParkedProposal(command, self_bit, timestamp, on_resolved, self._now(),
+        parked = _ParkedProposal(command, self_bit, stamp, on_resolved, self._now(),
                                  blocker_mask, witness_mask, args)
         self._parked_by_key.setdefault(command.key, []).append(parked)
         self.parked += 1
@@ -201,8 +198,7 @@ class WaitManager:
         if not parked_list:
             return
         bit = 1 << entry.index
-        entry_counter = entry.timestamp.counter
-        entry_node = entry.timestamp.node_id
+        entry_stamp = entry.stamp
         entry_is_write = entry.command.is_write
         pred_mask = entry.pred_mask
         finalizing = entry.status.is_finalizing
@@ -211,7 +207,7 @@ class WaitManager:
             if parked.bit == bit:
                 continue
             blocks = ((entry_is_write or parked.is_write)
-                      and (entry_counter, entry_node) > (parked.ts_counter, parked.ts_node)
+                      and entry_stamp > parked.stamp
                       and not (pred_mask & parked.bit))
             if blocks:
                 if finalizing:
@@ -246,7 +242,7 @@ class WaitManager:
         resolved: Optional[List[_ParkedProposal]] = None
         for parked in parked_list:
             blocker_mask, witness_mask = self._scan_masks(
-                parked.command, parked.timestamp, parked.bit)
+                parked.command, parked.stamp, parked.bit)
             parked.blocker_mask = blocker_mask
             parked.witness_mask = witness_mask
             if not blocker_mask:

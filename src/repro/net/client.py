@@ -32,7 +32,7 @@ import socket
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.consensus.command import Command, CommandResult
+from repro.consensus.command import ALREADY_EXECUTED, Command, CommandResult
 from repro.metrics.collector import MetricsCollector
 from repro.net.clock import WallClock
 from repro.net.framing import FrameDecoder, FramingError, encode_frame
@@ -63,6 +63,8 @@ class RemoteReplica(asyncio.Protocol):
         self._transport: Optional[asyncio.Transport] = None
         self._decoder = FrameDecoder()
         self._pending: Dict[Tuple[int, int], Callable[[CommandResult], None]] = {}
+        #: replies rejecting an id the replica had already executed
+        self.already_executed = 0
 
     async def connect(self) -> None:
         """Dial the replica and start dispatching replies."""
@@ -81,8 +83,10 @@ class RemoteReplica(asyncio.Protocol):
                 if isinstance(message, ClientReply):
                     callback = self._pending.pop(message.command_id, None)
                     if callback is not None:
+                        if message.rejected == ALREADY_EXECUTED:
+                            self.already_executed += 1
                         callback(CommandResult(message.command_id, message.value, 0.0,
-                                               bool(message.rejected)))
+                                               message.rejected))
         except (FramingError, WireDecodeError):
             self._transport.close()
 
@@ -208,12 +212,14 @@ class LoadgenReport:
 
     ``throughput_per_second`` counts *completed* commands only, so with an
     admission policy installed it is the run's goodput; ``rejected`` counts
-    commands the policy shed.
+    the commands a replica did not order, of which ``already_executed`` named
+    an id the cluster had executed before; a session with any fails.
     """
 
     submitted: int
     completed: int
     rejected: int
+    already_executed: int
     wall_seconds: float
     mean_latency_ms: Optional[float]
     p50_latency_ms: Optional[float]
@@ -235,6 +241,7 @@ class LoadgenReport:
         if self.mean_latency_ms is not None:
             lines.append(f"latency:    mean {self.mean_latency_ms:.1f} ms, "
                          f"p99 {self.p99_latency_ms:.1f} ms")
+        lines.append(f"rejected:   {self.rejected} ({self.already_executed} already executed)")
         for node_id, stats in sorted(self.per_replica.items()):
             lines.append(f"replica {node_id}:  executed "
                          f"{stats.get('commands_executed', 'n/a')}, "
@@ -246,7 +253,7 @@ class LoadgenReport:
     def as_dict(self) -> Dict[str, object]:
         """JSON-friendly view (CLI output / CI artifacts)."""
         return {"submitted": self.submitted, "completed": self.completed,
-                "rejected": self.rejected,
+                "rejected": self.rejected, "already_executed": self.already_executed,
                 "wall_seconds": self.wall_seconds,
                 "mean_latency_ms": self.mean_latency_ms,
                 "p50_latency_ms": self.p50_latency_ms,
@@ -301,6 +308,12 @@ async def _loadgen(config: LoadgenConfig) -> LoadgenReport:
                  else pool.total_completed + pool.total_rejected)
     completed = pool.total_completed
     rejected = pool.total_rejected
+    already_executed = sum(remote.already_executed for remote in remotes)
+    if already_executed:
+        # Ids are (client, sequence from 0), whatever the seed: a second
+        # session against one cluster names the first one's.
+        failures.append(f"{already_executed} commands named ids the cluster had already "
+                        "executed")
     for remote in remotes:
         await remote.close()
 
@@ -309,7 +322,7 @@ async def _loadgen(config: LoadgenConfig) -> LoadgenReport:
     summary = metrics.summary()
     return LoadgenReport(
         submitted=submitted, completed=completed, rejected=rejected,
-        wall_seconds=wall_seconds,
+        already_executed=already_executed, wall_seconds=wall_seconds,
         mean_latency_ms=summary.mean if summary else None,
         p50_latency_ms=summary.median if summary else None,
         p99_latency_ms=summary.p99 if summary else None,

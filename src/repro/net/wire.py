@@ -80,8 +80,9 @@ class ClientRequest:
 class ClientReply:
     """The executed command's result, sent on the submitting connection.
 
-    ``rejected`` (0/1) marks replies produced by the replica's admission
-    policy shedding the command instead of ordering it.
+    ``rejected`` is the result's: 0, or why the replica did not order the
+    command (``consensus.command.SHED`` by its admission policy,
+    ``ALREADY_EXECUTED`` for an id it had executed before).
     """
 
     command_id: Tuple[int, int]

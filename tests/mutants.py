@@ -96,10 +96,11 @@ _OPTIONAL = ('gen.line(f"if {value} is None: ap(0)")\n'
 MUTANTS: Dict[str, Mutant] = {
     # --- CAESAR's acceptor, WAIT, BREAKLOOP and recovery, against the spec.
     "wait-immediate-ok-always": Mutant(
-        "core/predecessors.py", "if not keys or keys[-1] >> 32 <= stamp:", "if True:", ACCEPTOR,
-        match=SPEC),
+        "core/predecessors.py", "if not entries or entries[-1].stamp <= stamp:",
+        "if True:", ACCEPTOR, match=SPEC),
     "wait-immediate-ok-always-end-to-end": Mutant(
-        "core/predecessors.py", "if not keys or keys[-1] >> 32 <= stamp:", "if True:",
+        "core/predecessors.py", "if not entries or entries[-1].stamp <= stamp:",
+        "if True:",
         CAESAR_SPEC + "TestSpecEndToEnd::test_the_spec_as_a_protocol_runs_the_cell_as_the_"
         "product_does", match=SPEC),
     "immediate-answer-ok-on-nack": Mutant(
@@ -115,8 +116,7 @@ MUTANTS: Dict[str, Mutant] = {
         "CommandStatus.REJECTED, ballot, entry)", ACCEPTOR, match=SPEC),
     "breakloop-skips-every-delivered": Mutant(
         "core/delivery.py",
-        "mask & ~(bucket.delivered\n"
-        "                             & bucket.prefix_mask(entry.timestamp, writes_only=False))",
+        "mask & ~(bucket.delivered & bucket.prefix_mask(my_stamp, writes_only=False))",
         "mask & ~bucket.delivered",
         "tests/test_delivery_differential.py::TestIndexedDeliveryMatchesSpec", match=SPEC),
     # PR 7's bug: the recovering node's own tuple never counted.
@@ -136,7 +136,8 @@ MUTANTS: Dict[str, Mutant] = {
     "recovery-accepted-before-stable": Mutant(
         "core/recovery.py", "if stable:", "if stable and not accepted:", LEADER, match=SPEC),
 
-    # --- Loud answers: an order violation fails its sweep, a reused id is rejected.
+    # --- Loud answers: an order violation fails its sweep and `repro run`, a reused
+    # id is rejected and fails its loadgen session, a kill stops serve's cluster.
     "sweep-ignores-order-violations": Mutant(
         "harness/sweep.py", "if result.consistency_violations:", "if False:",
         "tests/test_sweep.py::TestSweepFailures::test_an_order_violation_fails_the_sweep_with_"
@@ -144,10 +145,39 @@ MUTANTS: Dict[str, Mutant] = {
     "an-executed-id-is-proposed-again": Mutant(
         "consensus/interface.py",
         "        if self.has_executed(command.command_id):\n"
-        "            callback(CommandResult(command.command_id, None, self.sim.now, True))\n"
+        "            callback(CommandResult(command.command_id, None, self.sim.now,"
+        " ALREADY_EXECUTED))\n"
         "            return\n", "",
         "tests/test_replica_interface.py::TestConsensusReplicaBase::test_an_executed_id_"
         "submitted_again_is_rejected_at_once"),
+    "run-exits-0-on-a-violation": Mutant(
+        "cli.py", 'return "\\n".join(lines), 1 if result.consistency_violations else 0',
+        'return "\\n".join(lines), 0',
+        "tests/test_cli.py::TestCommands::test_run_exits_1_on_a_consistency_violation"),
+    "loadgen-passes-a-reused-id-session": Mutant(
+        "net/client.py", "if message.rejected == ALREADY_EXECUTED:", "if False:",
+        "tests/test_net_loopback.py::TestReusedIds::test_a_second_session_with_the_same_seed_"
+        "fails"),
+    "serve-ignores-sigterm": Mutant(
+        "cli.py", "previous = signal.signal(signal.SIGTERM, _interrupt)",
+        "previous = signal.getsignal(signal.SIGTERM)",
+        "tests/test_cli.py::TestServeSignals::test_sigterm_stops_every_process_the_cluster_"
+        "started", IMPORT),
+
+    # --- Each per-command fact kept once: what stands in for the copies that went.
+    "order-check-builds-positions-per-pair": Mutant(
+        "consensus/interface.py", "if j not in positions:", "if True:",
+        "tests/test_core_invariants.py::TestCheckersDetectViolations::test_execution_"
+        "consistency_builds_each_logs_positions_once", IMPORT),
+    "a-moved-timestamp-is-not-re-filed": Mutant(
+        "core/history.py", "                bucket.discard(entry)\n"
+        "                entry.stamp = stamp\n"
+        "                bucket.insert(entry)\n", "                entry.stamp = stamp\n",
+        ACCEPTOR, match=SPEC),
+    "an-equal-stamp-hides-the-entry-to-remove": Mutant(
+        "core/history.py", "            position += 1\n", "            return\n",
+        "tests/test_core_history.py::TestSortKeys::test_equal_stamps_are_told_apart_by_"
+        "identity"),
 
     # --- History collection's rules.
     "no-floor-on-an-emptied-key": Mutant(
@@ -284,9 +314,9 @@ MUTANTS: Dict[str, Mutant] = {
         HOT_PATH + "[baselines/epaxos.py]", STATIC),
     "keyword-tcp-reply-on-the-client": Mutant(
         "net/client.py", "CommandResult(message.command_id, message.value, 0.0,\n"
-        "                                               bool(message.rejected))",
+        "                                               message.rejected)",
         "CommandResult(command_id=message.command_id, value=message.value,\n"
-        "                                               rejected=bool(message.rejected))",
+        "                                               rejected=message.rejected)",
         HOT_PATH + "[net/client.py]", STATIC),
     "keyword-tcp-reply-on-the-replica": Mutant(
         "net/replica.py", "ClientReply(command.command_id, result.value, int(result.rejected))",

@@ -226,10 +226,11 @@ def _wait_listening(ports: List[int], timeout_s: float = 30.0) -> None:
                 time.sleep(0.1)
 
 
-def _interrupt(processes: List[subprocess.Popen]) -> None:
-    """Stop served replicas the way a user does (Ctrl-C), so their records are dumped."""
+def _interrupt(processes: List[subprocess.Popen], sig: int = signal.SIGINT) -> None:
+    """Stop served replicas the way a user does (Ctrl-C, or ``kill``'s SIGTERM),
+    so their records are dumped."""
     for process in processes:
-        process.send_signal(signal.SIGINT)
+        process.send_signal(sig)
     for process in processes:
         try:
             process.wait(timeout=60)
@@ -252,7 +253,8 @@ def serve_runs(env: Dict[str, str]) -> None:
         _checked(_cli("loadgen", *endpoints, "--clients", "2", "--commands", "5",
                       "--timeout", "60"), env)
     finally:
-        _interrupt([launcher])
+        # The launcher stops its cluster on a SIGTERM as on Ctrl-C.
+        _interrupt([launcher], signal.SIGTERM)
 
     ports = _free_ports(3)
     peers = [arg for node, port in enumerate(ports)

@@ -7,7 +7,7 @@ same messages at the same virtual times.  After every message both must have
 sent the same messages (type, destination, every field; within one handler
 call as a multiset) and hold the same history rows (timestamp, predecessor
 ids, status, ballot, forced), delivered set, ballot register, logical clock,
-``delivered_order``, the wait counters and ``stats``.  Everything is
+execution order, the wait counters and ``stats``.  Everything is
 compared as command ids; the spec's docstring lists where the two may
 legitimately differ and how these comparisons allow for it.
 
@@ -88,6 +88,10 @@ class Probe:
             self.sim.run(until=self.sim.now + advance_ms)
         self.replica.handle_message(src, message)
 
+    def delivered(self) -> list:
+        """Ids in the order this replica delivered them: its execution order."""
+        return [command.command_id for command in self.replica.execution_log]
+
     def rows(self) -> list:
         history, delivered = self.replica.history, self.replica.delivery.is_delivered
         return sorted((entry.command_id, entry.command, entry.timestamp,
@@ -102,13 +106,12 @@ class Probe:
         delivery = replica.delivery
         known = [entry.command_id for entry in replica.history.entries()] + NAMEABLE
         return (self.rows(), sorted(filter(delivery.is_delivered, set(known))),
-                dict(replica.ballots), replica.timestamps._counter, delivery.delivered_order,
+                dict(replica.ballots), replica.timestamps._counter,
                 delivery.pending_count(), delivery.missing_predecessors(),
                 replica.wait_manager.parked, replica.wait_manager.total_waits,
                 replica.wait_manager.total_wait_ms,
                 dataclasses.asdict(replica.stats), replica.commands_executed,
-                replica.cpu_busy_ms, replica.cpu_backlog_ms,
-                [command.command_id for command in replica.execution_log])
+                replica.cpu_busy_ms, replica.cpu_backlog_ms, self.delivered())
 
     def answers(self, command: Command) -> list:
         """The proposal answers sent for ``command``, oldest first."""
@@ -269,7 +272,7 @@ class TestRandomSchedules:
             kinds.update(type(message) for _, message in pair.new.sent)
             nacks += pair.new.replica.stats.nacks_sent
             waits += pair.new.replica.wait_manager.total_waits
-            delivered += len(pair.new.replica.delivery.delivered_order)
+            delivered += len(pair.new.delivered())
         assert kinds >= {FastProposeReply, SlowProposeReply, RetryReply, RecoveryReply}
         assert parked >= 2 and nacks > 50 and waits > 20 and delivered > 100
 
@@ -315,7 +318,7 @@ class TestScenarios:
         assert pair.new.replica.delivery.pending_count() == 1
         pair.feed(0, fast(A, ts(3, 0)))
         pair.feed(0, stable(A, ts(3, 0)))
-        assert pair.new.replica.delivery.delivered_order == [A.command_id, B.command_id]
+        assert pair.new.delivered() == [A.command_id, B.command_id]
         # The late proposal of a decided command is not answered.
         pair.feed(1, fast(B, ts(5, 1)))
         assert pair.new.answers(B) == []
@@ -328,7 +331,7 @@ class TestScenarios:
         assert entry.predecessors == {B.command_id}
         assert not entry.pred_mask >> entry.index & 1
         pair.feed(1, stable(B, ts(2, 1)))
-        assert pair.new.replica.delivery.delivered_order == [B.command_id, A.command_id]
+        assert pair.new.delivered() == [B.command_id, A.command_id]
 
     def test_a_collected_predecessor_keeps_its_bit_and_stays_delivered(self):
         """GC empties a key's bucket; a late message naming the collected command
@@ -342,7 +345,7 @@ class TestScenarios:
         # A stable command naming the collected one is delivered at once...
         pair.feed(1, stable(B, ts(5, 1), [A.command_id]))
         assert history.index_of(A.command_id) == bit
-        assert pair.new.replica.delivery.delivered_order == [A.command_id, B.command_id]
+        assert pair.new.delivered() == [A.command_id, B.command_id]
         # ...and a retransmitted Stable of the collected command is not executed twice.
         pair.feed(0, stable(A, ts(3, 0)))
         assert history.get(A.command_id).index == bit
@@ -378,7 +381,7 @@ class TestScenarios:
         pair.feed(0, stable(d, ts(13, 0), named))
         assert history.index_of(A.command_id) == bit
         assert history.get(d.command_id).predecessors == set(named)
-        assert pair.new.replica.delivery.delivered_order == [
+        assert pair.new.delivered() == [
             cmd.command_id for cmd in (A, B, C, e, g, d)]
 
     def test_slow_propose_whose_predecessor_set_names_the_command_itself(self):
@@ -432,7 +435,7 @@ class TestScenarios:
         assert pair.new.replica.wait_manager.parked == 0
         pair.feed(1, stable(B, ts(10, 1)), advance_ms=30.0)
         assert pair.new.answers(A) == []
-        assert pair.new.replica.delivery.delivered_order == [B.command_id, A.command_id]
+        assert pair.new.delivered() == [B.command_id, A.command_id]
 
     def test_a_write_announced_while_something_is_parked_reaches_the_wait_manager(self):
         """Each kind of write on the blocker must release (or keep) the parked proposal."""

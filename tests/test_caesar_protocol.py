@@ -109,6 +109,7 @@ class TestConflictingCommands:
         assert submit_and_run(sim, replicas, commands)
         for replica in replicas:
             stable = list(replica.history.stable_entries())
+            positions = replica.execution_log.positions()
             for first in stable:
                 for second in stable:
                     if first is second:
@@ -118,8 +119,8 @@ class TestConflictingCommands:
                     if first.timestamp < second.timestamp:
                         # BREAKLOOP may have pruned the edge only if already delivered
                         # in order; the delivery order itself is checked elsewhere.
-                        pos_first = replica.execution_log.position(first.command_id)
-                        pos_second = replica.execution_log.position(second.command_id)
+                        pos_first = positions.get(first.command_id)
+                        pos_second = positions.get(second.command_id)
                         assert pos_first is not None and pos_second is not None
                         assert pos_first < pos_second
 

@@ -8,17 +8,22 @@ import dataclasses
 import inspect
 import io
 import json
+import os
 import pathlib
 import re
+import signal
+import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
 
+import repro
 from repro.cli import build_config, build_parser, main
 from repro.consensus.quorums import QuorumSystem
 from repro.harness.chaos import ChaosConfig
-from repro.harness.cluster import ClusterConfig
+from repro.harness.cluster import Cluster, ClusterConfig
 from repro.harness.experiment import ExperimentConfig
 from repro.harness.figures import FIGURES
 from repro.harness.overload import OverloadConfig
@@ -389,6 +394,25 @@ class TestCommands:
         assert "mean latency" in output
         assert "consistency violations: 0" in output
 
+    def test_run_exits_1_on_a_consistency_violation(self, capsys, monkeypatch):
+        """``consistency violations: N`` with N > 0 is a wrong answer, not a report."""
+        monkeypatch.setattr(Cluster, "check_consistency",
+                            lambda cluster: [(0, 1, (0, 0), (1, 0))])
+        code = main(["run", "--protocol", "caesar", "--clients", "2", "--duration", "1000"])
+        assert "consistency violations: 1" in capsys.readouterr().out
+        assert code == 1
+
+    def test_a_collecting_run_keeps_its_reading(self, capsys):
+        """A fixed ``--history-gc`` run's counts, as the layout that kept a
+        position per executed id, a copy of the delivery order and a timestamp
+        object per history entry printed them."""
+        assert main(["run", "--protocol", "caesar", "--history-gc", "--conflicts", "30",
+                     "--duration", "3000", "--seed", "3"]) == 0
+        output = capsys.readouterr().out
+        assert "commands completed: 1473\n" in output
+        assert "history entries:    0 live after collection\n" in output
+        assert re.search(r"commands collected +9005\n", output)
+
     def test_run_command_with_batching_and_throughput_model(self, capsys):
         code = main(["run", "--protocol", "epaxos", "--clients", "2", "--duration", "1200",
                      "--batching", "--throughput"])
@@ -438,6 +462,59 @@ class TestCommands:
             # last digits (the table rounds them away); records are committed
             # from 3.11.
             assert (tmp_path / name).read_bytes() == (RESULTS_DIR / name).read_bytes()
+
+
+def _process_states() -> dict:
+    """``pid -> (state, parent pid)`` of every process, read off ``/proc``."""
+    states = {}
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat", encoding="ascii", errors="replace") as stat:
+                    fields = stat.read().rsplit(")", 1)[1].split()
+            except OSError:
+                continue   # gone while listed
+            states[int(entry)] = (fields[0], int(fields[1]))
+    return states
+
+
+def _running(pids) -> list:
+    """Those of ``pids`` still running (a zombie has exited)."""
+    states = _process_states()
+    return sorted(pid for pid in pids if pid in states and states[pid][0] != "Z")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads the process table off /proc")
+class TestServeSignals:
+    def test_sigterm_stops_every_process_the_cluster_started(self):
+        """A plain ``kill`` of ``repro serve --replicas 3`` used to end it at once
+        and leave its replica processes running, reparented away."""
+        # The interpreter imports the package this test imported.
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parent.parent))
+        serve = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--protocol", "caesar",
+             "--replicas", "3"], stdout=subprocess.PIPE, text=True, env=env)
+        children = []
+        try:
+            for line in serve.stdout:
+                if "cluster up" in line:
+                    break
+            children = [pid for pid, (_, parent) in _process_states().items()
+                        if parent == serve.pid]
+            assert len(children) >= 3   # the replicas, and multiprocessing's helpers
+            serve.send_signal(signal.SIGTERM)
+            assert serve.wait(timeout=60) == 0
+            deadline = time.monotonic() + 10.0
+            while _running(children) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _running(children) == []
+        finally:
+            if serve.poll() is None:
+                serve.kill()
+                serve.wait()
+            for pid in _running(children):
+                os.kill(pid, signal.SIGKILL)
+            serve.stdout.close()
 
 
 class TestChaosCommand:

@@ -45,13 +45,12 @@ class TestConflictRelation:
 
 class TestDecision:
     def test_latency_none_until_executed(self):
-        decision = Decision(command_id=(0, 0), proposer=1, submitted_at=10.0)
+        decision = Decision(submitted_at=10.0)
         assert decision.latency_ms is None
         assert not decision.is_complete
 
     def test_latency_computed_from_execution(self):
-        decision = Decision(command_id=(0, 0), proposer=1, submitted_at=10.0,
-                            executed_at=95.0, kind=DecisionKind.FAST)
+        decision = Decision(submitted_at=10.0, executed_at=95.0, kind=DecisionKind.FAST)
         assert decision.latency_ms == pytest.approx(85.0)
         assert decision.is_complete
 
@@ -60,7 +59,7 @@ def _grouped_violations(log: ExecutionLog, other: ExecutionLog) -> list:
     """``ExecutionLog.conflicting_order_violations`` as it was before it compared
     per-key sequences first: every common command grouped with its position."""
     violations = []
-    other_positions = other._positions
+    other_positions = other.positions()
     by_key = {}
     for c in log._entries:
         position = other_positions.get(c.command_id)
@@ -79,6 +78,14 @@ def _grouped_violations(log: ExecutionLog, other: ExecutionLog) -> list:
     return violations
 
 
+def _list_violations(log: list, other: list) -> set:
+    """Every conflicting pair ``log`` orders unlike ``other``, by brute force."""
+    return {(first.command_id, second.command_id)
+            for i, first in enumerate(log) for second in log[i + 1:]
+            if first in other and second in other and first.conflicts_with(second)
+            and other.index(first) > other.index(second)}
+
+
 class TestExecutionLog:
     def test_append_and_position(self):
         log = ExecutionLog()
@@ -86,8 +93,7 @@ class TestExecutionLog:
         second = make_command(0, 1, key="b")
         log.append(first)
         log.append(second)
-        assert log.position(first.command_id) == 0
-        assert log.position(second.command_id) == 1
+        assert log.positions() == {first.command_id: 0, second.command_id: 1}
         assert list(log) == [first, second]
         assert log.contains(first.command_id)
 
@@ -97,6 +103,35 @@ class TestExecutionLog:
         log.append(command)
         with pytest.raises(ValueError):
             log.append(command)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_the_log_agrees_with_a_list_of_its_commands(self, data):
+        """Positions, membership, slices and violations read as a plain list
+        of the executed commands gives them; a second append of an id raises
+        and changes nothing."""
+        pool = [Command(command_id=(client, seq), key=data.draw(st.sampled_from("ab")),
+                        operation=data.draw(st.sampled_from(("put", "get"))))
+                for client in range(3) for seq in range(3)]
+        lists, logs = [], []
+        for _ in range(2):
+            executed, log = [], ExecutionLog()
+            for command in data.draw(st.lists(st.sampled_from(pool), max_size=12)):
+                if command.command_id in {c.command_id for c in executed}:
+                    with pytest.raises(ValueError, match="executed twice"):
+                        log.append(command)
+                else:
+                    log.append(command)
+                    executed.append(command)
+            assert list(log) == executed and len(log) == len(executed)
+            assert log.positions() == {c.command_id: i for i, c in enumerate(executed)}
+            assert all(log.contains(c.command_id) == (c in executed) for c in pool)
+            start, stop = data.draw(st.integers(0, 13)), data.draw(st.integers(0, 13))
+            assert log.ids(start, stop) == [c.command_id for c in executed[start:stop]]
+            lists.append(executed)
+            logs.append(log)
+        assert set(logs[0].conflicting_order_violations(logs[1])) == _list_violations(*lists)
+        assert set(logs[1].conflicting_order_violations(logs[0])) == _list_violations(*lists[::-1])
 
     def test_no_violation_when_orders_agree(self):
         log_a, log_b = ExecutionLog(), ExecutionLog()

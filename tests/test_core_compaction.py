@@ -79,7 +79,7 @@ class Collecting(Probe):
 
     def report_from(self, *peers: int) -> None:
         """Each peer reports delivering what this replica delivered; then one tick."""
-        order = self.replica.delivery.delivered_order
+        order = self.delivered()
         for peer in peers:
             position = self.reported[peer]
             self.feed(peer, Delivered(position=position, ids=tuple(order[position:]),
@@ -196,7 +196,7 @@ class TestRules:
         probe.feed(1, stable(A, ts(3, 1)))
         probe.report_from(*PEERS)
         probe.feed(2, stable(B, ts(5, 2), [A.command_id]))
-        assert probe.replica.delivery.delivered_order == [A.command_id, B.command_id]
+        assert probe.delivered() == [A.command_id, B.command_id]
 
 
 class TestReports:
@@ -292,8 +292,7 @@ def against_the_spec(seed: int, reports, wait_enabled: bool = True) -> int:
             collecting.report_from(*PEERS)
             spec.sim.run(until=collecting.sim.now)
         assert replies(collecting) == replies(spec), (seed, step, message)
-        assert (collecting.replica.delivery.delivered_order
-                == spec.replica.delivery.delivered_order), (seed, step)
+        assert collecting.delivered() == spec.delivered(), (seed, step)
     return collecting.replica.stats.commands_collected
 
 

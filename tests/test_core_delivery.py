@@ -32,7 +32,7 @@ class TestBasicDelivery:
         delivered = harness.stable(command, ts(1))
         assert [c.command_id for c in delivered] == [command.command_id]
         assert harness.manager.is_delivered(command.command_id)
-        assert len(harness.manager.delivered_order) == 1
+        assert harness.executed == [command.command_id]
 
     def test_command_waits_for_predecessor(self):
         harness = DeliveryHarness()
@@ -67,11 +67,11 @@ class TestBasicDelivery:
         history = CommandHistory()
         seen = []
         manager = DeliveryManager(history, lambda c: seen.append(
-            (c.command_id, manager.is_delivered(c.command_id), list(manager.delivered_order))))
+            (c.command_id, manager.is_delivered(c.command_id))))
         command = make_command(0, 0, key="x")
         manager.on_stable(command, write_entry(history, command, ts(1), set(),
                                                CommandStatus.STABLE, BALLOT))
-        assert seen == [(command.command_id, True, [command.command_id])]
+        assert seen == [(command.command_id, True)]
 
     def test_a_collected_command_still_counts_as_delivered(self):
         """A collected command has no entry, but its bit is still in the delivered

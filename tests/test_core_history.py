@@ -95,12 +95,12 @@ class TestSortKeys:
         assert history.index_of(command.command_id) is None and history._bucket_of == {}
         entry = history.update(command, ts(1, (1 << 32) - 1), 0, CommandStatus.STABLE,
                                Ballot.initial(0), None)
-        # Counter 1, node id 2**32 - 1, index 0: (1 << 32 | 2**32 - 1) << 32 | 0.
-        assert history.bucket("x").keys == [(1 << 65) - (1 << 32)]
+        # Counter 1, node id 2**32 - 1: 1 << 32 | 2**32 - 1.
+        assert entry.stamp == (1 << 33) - 1 and entry.timestamp == ts(1, (1 << 32) - 1)
         assert entry.bucket.entries == [entry]
 
     def test_packed_keys_order_entries_as_their_timestamps(self):
-        """Counter first, then node id, then the index, whatever the magnitudes."""
+        """Counter first, then node id, whatever the magnitudes."""
         history = CommandHistory()
         stamps = [ts(2, 0), ts(1, (1 << 32) - 1), ts(1 << 40, 3), ts(1, 0), ts(2, 1)]
         for seq, timestamp in enumerate(stamps):
@@ -108,11 +108,34 @@ class TestSortKeys:
                            CommandStatus.FAST_PENDING, Ballot.initial(0))
         bucket = history.bucket("x")
         assert [entry.timestamp for entry in bucket.entries] == sorted(stamps)
-        assert bucket.keys == sorted(bucket.keys)
+        keys = [entry.stamp for entry in bucket.entries]
+        assert keys == sorted(keys)
         # The prefix / suffix searches split at a timestamp, never inside one.
-        assert bucket.suffix_start(ts(2, 0)) == 3 and bucket.suffix_start(ts(1, 5)) == 1
-        assert history.ids_from_mask(bucket.prefix_mask(ts(2, 1), writes_only=False), "x") == {
-            (0, 0), (1, 0), (3, 0)}
+        assert bucket.suffix_start(stamp(ts(2, 0))) == 3
+        assert bucket.suffix_start(stamp(ts(1, 5))) == 1
+        assert history.ids_from_mask(bucket.prefix_mask(stamp(ts(2, 1)), writes_only=False),
+                                     "x") == {(0, 0), (1, 0), (3, 0)}
+
+    def test_equal_stamps_are_told_apart_by_identity(self):
+        """The protocol never issues one timestamp twice; a bucket holding it
+        twice still moves and removes the entry it is asked to."""
+        history = CommandHistory()
+        first, second, third = (write_entry(history, make_command(seq, 0, key="x"), ts(1),
+                                            set(), CommandStatus.FAST_PENDING, Ballot.initial(0))
+                                for seq in range(3))
+        bucket = history.bucket("x")
+        assert bucket.entries == [first, second, third]   # in the order they were filed
+        history.update(second.command, ts(5), 0, CommandStatus.SLOW_PENDING, Ballot.initial(0),
+                       second)
+        assert bucket.entries == [first, third, second]
+        history.remove(third.command_id)
+        assert bucket.entries == [first, second]
+        assert bucket.all_mask == 1 << first.index | 1 << second.index
+
+
+def stamp(timestamp) -> int:
+    """A timestamp packed as a history entry holds it."""
+    return timestamp.counter << 32 | timestamp.node_id
 
 
 class TestFirstKeyBinding:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.consensus.ballots import Ballot
+from repro.consensus.interface import ExecutionLog
 from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.history import CommandStatus
 from repro.core.invariants import (
@@ -110,6 +111,33 @@ class TestCheckersDetectViolations:
         violations = check_execution_consistency(replicas)
         assert len(violations) == 1
         assert "disagree" in violations[0]
+
+    def test_execution_consistency_builds_each_logs_positions_once(self, monkeypatch):
+        """Positions are not stored per command; a check builds a log's once,
+        however many pairs it disagrees in, and none for a log nobody differs from."""
+        built = []
+        positions = ExecutionLog.positions
+        monkeypatch.setattr(ExecutionLog, "positions",
+                            lambda log: built.append(log) or positions(log))
+        _, _, replicas = build_replicas()
+        first = make_command(0, 0, key="x")
+        second = make_command(1, 0, key="x")
+        for replica in replicas[:-1]:
+            replica.execution_log.append(first)
+            replica.execution_log.append(second)
+        replicas[-1].execution_log.append(second)
+        replicas[-1].execution_log.append(first)
+        assert len(check_execution_consistency(replicas)) == len(replicas) - 1
+        assert built == [replicas[-1].execution_log]
+
+    def test_graph_invariant_builds_positions_once_per_replica(self, monkeypatch):
+        built = []
+        positions = ExecutionLog.positions
+        monkeypatch.setattr(ExecutionLog, "positions",
+                            lambda log: built.append(log) or positions(log))
+        replicas = run_conflicting_workload(n_commands_per_node=2)
+        assert check_graph_invariant(replicas) == []
+        assert built == [replica.execution_log for replica in replicas]
 
     def test_timestamp_order_violation_detected(self):
         replica, early, late = two_stable_commands(7, 2)
@@ -234,17 +262,17 @@ class TestBucketIndex:
             "node 1: _bucket_of is not the bound ids without an entry: [(0, 0)]"]
 
     @pytest.mark.parametrize("corrupt, violation", [
-        (lambda bucket: setattr(bucket, "keys", [key >> 32 for key in bucket.keys]),
-         "sort keys are not its entries' packed keys"),
-        (lambda bucket: bucket.keys.insert(1, bucket.keys[0]),
-         "sort keys are not strictly increasing"),
+        (lambda bucket: bucket.entries.reverse(),
+         "entries are not in timestamp order"),
+        (lambda bucket: setattr(bucket.entries[0], "stamp", bucket.entries[-1].stamp + 1),
+         "entries are not in timestamp order"),
         (lambda bucket: bucket.index_of.update({(9, 9): 0}),
          "id_of and index_of are not inverse"),
         (lambda bucket: setattr(bucket.entries[0], "index", bucket.entries[1].index),
          "an entry is not the one its index names"),
         (lambda bucket: setattr(bucket, "write_mask", bucket.all_mask << 1),
          "all_mask / write_mask are not its entries' bits"),
-    ], ids=["index-not-packed", "equal-keys", "interner", "entry-index", "write-mask"])
+    ], ids=["out-of-order", "stamp-moved-in-place", "interner", "entry-index", "write-mask"])
     def test_each_bucket_fact_is_checked(self, corrupt, violation):
         replicas = run_conflicting_workload(n_commands_per_node=2)
         corrupt(replicas[4].history.bucket("hot-1"))

@@ -75,7 +75,7 @@ class Side:
 
     def observable(self) -> tuple:
         delivered = self.manager.is_delivered
-        return (self.executed, self.manager.delivered_order, self.manager.pending_count(),
+        return (self.executed, self.manager.pending_count(),
                 self.manager.missing_predecessors(),
                 {entry.command_id: comparable_predecessors(self.history, entry,
                                                            delivered(entry.command_id))

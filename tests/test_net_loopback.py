@@ -314,6 +314,33 @@ async def _loadgen_with_a_replica_killed(clients: int, commands_per_client: int)
     return report
 
 
+async def _two_sessions(seed: int) -> list:
+    """Two ``repro loadgen`` sessions with one seed against one cluster."""
+    cluster = LoopbackCluster("caesar", replicas=3, seed=seed)
+    await cluster.start()
+    try:
+        return [await net_client._loadgen(LoadgenConfig(
+            endpoints=cluster.peers, clients=3, commands_per_client=10, seed=seed,
+            timeout_s=30.0)) for _ in range(2)]
+    finally:
+        await cluster.stop()
+
+
+class TestReusedIds:
+    def test_a_second_session_with_the_same_seed_fails(self):
+        """Its ids are the first session's: every command is rejected as already
+        executed, and the session used to report ``result: ok``."""
+        first, second = asyncio.run(_two_sessions(seed=1))
+        assert first.ok and (first.completed, first.rejected, first.already_executed) == (
+            30, 0, 0)
+        assert (second.completed, second.rejected, second.already_executed) == (0, 30, 30)
+        assert second.failures == ["30 commands named ids the cluster had already executed"]
+        assert not second.ok
+        described = second.describe()
+        assert "rejected:   30 (30 already executed)" in described
+        assert "result:     FAILED" in described
+
+
 @pytest.mark.slow
 class TestLoadgenFailover:
     def test_a_closed_loop_client_leaves_a_dead_replica(self, monkeypatch):

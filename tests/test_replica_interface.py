@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines.epaxos import EPaxosReplica, InstanceStatus, PreAccept
 from repro.consensus.ballots import Ballot
+from repro.consensus.command import ALREADY_EXECUTED
 from repro.consensus.interface import DecisionKind
 from repro.consensus.quorums import QuorumSystem
 from repro.core.caesar import CaesarReplica
@@ -30,7 +31,8 @@ class TestConsensusReplicaBase:
         command = make_command(0, 0, key="x", origin=0)
         replicas[0].submit(command, ignore)
         decision = replicas[0].decisions[command.command_id]
-        assert decision.proposer == 0
+        # The proposer is the replica holding the record; no other holds one.
+        assert not any(command.command_id in replica.decisions for replica in replicas[1:])
         assert decision.submitted_at == pytest.approx(0.0, abs=1.0)
         assert decision.kind is None
 
@@ -68,7 +70,7 @@ class TestConsensusReplicaBase:
         executed, answers = replicas[0].commands_executed, []
         replicas[0].submit(command, answers.append)
         assert [(result.command_id, result.value, result.executed_at, result.rejected)
-                for result in answers] == [(command.command_id, None, sim.now, True)]
+                for result in answers] == [(command.command_id, None, sim.now, ALREADY_EXECUTED)]
         drain(sim)
         assert len(answers) == 1 and replicas[0].commands_executed == executed
 
