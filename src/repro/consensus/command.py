@@ -70,9 +70,11 @@ class Command:
 
 
 #: Why a :class:`CommandResult` is ``rejected`` (0: it is not): the replica's
-#: admission policy shed the command, or the replica had already executed its id.
+#: admission policy shed the command, the replica had already executed its id,
+#: or a command with its id was still in flight there (submitted, not executed).
 SHED = 1
 ALREADY_EXECUTED = 2
+IN_FLIGHT = 3
 
 
 @dataclass
@@ -84,7 +86,7 @@ class CommandResult:
         value: value returned by the operation (previous/read value).
         executed_at: virtual time (ms) at which the origin replica executed it.
         rejected: 0, or why the replica did not order this command
-            (:data:`SHED`, :data:`ALREADY_EXECUTED`); when non-zero ``value``
+            (:data:`SHED`, :data:`ALREADY_EXECUTED`, :data:`IN_FLIGHT`); when non-zero ``value``
             is ``None`` and nothing was executed.
     """
 

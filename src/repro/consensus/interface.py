@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.consensus.command import (ALREADY_EXECUTED, SHED, Command, CommandId,
+from repro.consensus.command import (ALREADY_EXECUTED, IN_FLIGHT, SHED, Command, CommandId,
                                      CommandResult)
 from repro.consensus.quorums import QuorumSystem
 from repro.kvstore.state_machine import StateMachine
@@ -81,21 +81,16 @@ class ExecutionLog:
     commands must appear in the same relative order everywhere (Generalized
     Consensus consistency), while commuting commands may be permuted.
 
-    The order is kept once, in the list; the index beside it holds only which
-    ids were executed (a dict with no values, so no position is stored per
-    command).  The positions a cold check needs are built by
-    :meth:`positions` when it asks.
+    The log is the order and nothing else: whether a command was executed is
+    its replica's fact (:meth:`ConsensusReplica.has_executed`), and the
+    positions a cold check needs are built by :meth:`positions` when it asks.
     """
 
     def __init__(self) -> None:
         self._entries: List[Command] = []
-        self._executed: Dict[CommandId, None] = {}
 
     def append(self, command: Command) -> None:
-        """Record that ``command`` was executed (exactly once per command)."""
-        if command.command_id in self._executed:
-            raise ValueError(f"command {command.command_id} executed twice")
-        self._executed[command.command_id] = None
+        """Record that ``command`` was executed (its replica executes each once)."""
         self._entries.append(command)
 
     def __iter__(self):
@@ -111,10 +106,6 @@ class ExecutionLog:
     def positions(self) -> Dict[CommandId, int]:
         """Index in this log of every command executed here, built on each call."""
         return {command.command_id: i for i, command in enumerate(self._entries)}
-
-    def contains(self, command_id: CommandId) -> bool:
-        """Whether the command has been executed by this replica."""
-        return command_id in self._executed
 
     def per_key(self) -> Dict[str, List[Command]]:
         """This log's commands grouped by key, each group in execution order."""
@@ -209,6 +200,10 @@ class ConsensusReplica(Node):
         self.quorums = quorums
         self.state_machine = state_machine
         self.execution_log = ExecutionLog()
+        #: Every id executed here, for :meth:`has_executed` and the
+        #: executed-twice guard; ``None`` for a protocol that keeps that fact
+        #: itself (CAESAR: its delivered bits) and overrides both.
+        self._executed_ids: Optional[Dict[CommandId, None]] = {}
         self.decisions: Dict[CommandId, Decision] = {}
         self._client_callbacks: Dict[CommandId, Callable[[CommandResult], None]] = {}
         self.commands_executed = 0
@@ -224,17 +219,21 @@ class ConsensusReplica(Node):
 
         The replica becomes the command's leader, tracks a :class:`Decision`
         record for it, and will invoke ``callback`` once the command has been
-        executed locally.  When the command id was already executed here (a
-        client that reuses ids), or an admission policy is installed and
-        sheds the command, ``callback`` fires immediately with a rejected
-        result and the protocol never sees the command: an executed command
-        never executes again, so proposing it would leave the client waiting
-        for an answer that never comes.
+        executed locally.  When the command id was already executed here or is
+        still in flight here (a client that reuses ids), or an admission
+        policy is installed and sheds the command, ``callback`` fires
+        immediately with a rejected result and the protocol never sees the
+        command: an executed command never executes again, so proposing it
+        would leave the client waiting for an answer that never comes, and an
+        id holds one callback, so a second one would silence the first.
         """
         if self.crashed:
             return
         if self.has_executed(command.command_id):
             callback(CommandResult(command.command_id, None, self.sim.now, ALREADY_EXECUTED))
+            return
+        if command.command_id in self._client_callbacks:
+            callback(CommandResult(command.command_id, None, self.sim.now, IN_FLIGHT))
             return
         if self.admission is not None:
             reason = self.admission.try_admit(command.command_id, self.sim.now)
@@ -253,13 +252,20 @@ class ConsensusReplica(Node):
     # -------------------------------------------------------------- execution
 
     def execute_command(self, command: Command) -> Optional[Decision]:
-        """Apply a decided command to the local state machine, exactly once.
+        """Apply a decided command to the local state machine, exactly once:
+        the executed-id index refuses a second execution (CAESAR's delivery
+        refuses it before calling here).
 
         Returns the command's :class:`Decision` when it was proposed here
         (``None`` elsewhere), so a caller timing the delivery need not look
         it up again.
         """
         command_id = command.command_id
+        executed = self._executed_ids
+        if executed is not None:
+            if command_id in executed:
+                raise ValueError(f"command {command_id} executed twice")
+            executed[command_id] = None
         value = self.state_machine.apply(command)
         self.execution_log.append(command)
         self.commands_executed += 1
@@ -276,7 +282,7 @@ class ConsensusReplica(Node):
 
     def has_executed(self, command_id: CommandId) -> bool:
         """Whether this replica has already executed the command."""
-        return self.execution_log.contains(command_id)
+        return command_id in self._executed_ids
 
     # ------------------------------------------------------------- reporting
 

@@ -13,8 +13,15 @@ The phase structure, message names and decision rules follow the pseudocode
 of Figures 3-5 of the paper; the recovery phase lives in
 :mod:`repro.core.recovery` and history collection (``history_gc``, which the
 paper does not have) in :mod:`repro.core.collection`.  Dispatch, quorum
-tracking, ballot bookkeeping and the failure detector come from the runtime
-kernel (:mod:`repro.runtime.kernel`) — this module contains protocol logic only.
+tracking and the failure detector come from the runtime kernel
+(:mod:`repro.runtime.kernel`) — this module contains protocol logic only.
+
+A command's ballot is kept once.  The promise an acceptor made for a command
+(the highest ballot it joined, Section V-A's ``ballot``) is its history
+entry's ballot; ``promises`` holds an id only where the promise is above that
+(a recovery prepare, a ``Stable`` below the promise) or there is no entry, so
+it stays empty in a run without failures.  The executed bit is kept once too:
+it is the command's bit in its key's ``delivered`` mask (:meth:`has_executed`).
 
 An acceptor handler looks its command up once and hands the entry it found
 (or ``None``) to COMPUTEPREDECESSORS and UPDATE, and the entry UPDATE wrote to
@@ -35,7 +42,7 @@ from repro.consensus.quorums import QuorumSystem
 from repro.consensus.timestamps import LogicalTimestamp, TimestampGenerator
 from repro.core.collection import REPORT_EVERY_MS, HistoryCollector
 from repro.core.delivery import DeliveryManager
-from repro.core.history import CommandHistory, CommandStatus
+from repro.core.history import CommandHistory, CommandStatus, HistoryEntry
 from repro.core.messages import (
     Delivered,
     FastPropose,
@@ -53,7 +60,7 @@ from repro.core.recovery import RecoveryManager
 from repro.kvstore.state_machine import StateMachine
 from repro.runtime.clock import Clock
 from repro.runtime.costs import CostModel
-from repro.runtime.kernel import BallotRegister, ProtocolKernel, QuorumTracker, handles
+from repro.runtime.kernel import ProtocolKernel, QuorumTracker, handles
 
 #: Leader-side phases a command can be in.
 PHASE_FAST = "fast_proposal"
@@ -133,7 +140,12 @@ class CaesarReplica(ProtocolKernel):
                                         enabled=wait_condition)
         self.delivery = DeliveryManager(self.history, self._execute_stable)
         self.leader_states: Dict[CommandId, LeaderState] = {}
-        self.ballots = BallotRegister()
+        # The executed bit is the delivered bit: delivery raises on one already
+        # set, and has_executed reads it.
+        self._executed_ids = None
+        #: The promises above their command's entry's ballot, or of a command
+        #: without an entry (module docstring); :meth:`promised` reads either.
+        self.promises: Dict[CommandId, Ballot] = {}
         self.recovery = RecoveryManager(self)
         self.collector: Optional[HistoryCollector] = None
         self._report_timer = None
@@ -143,9 +155,30 @@ class CaesarReplica(ProtocolKernel):
     def propose(self, command: Command) -> None:
         """Become the leader of ``command`` and start its fast proposal phase."""
         timestamp = self.timestamps.next_timestamp()
-        ballot = Ballot.initial(self.node_id)
-        self.ballots.setdefault(command.command_id, ballot)
-        self._start_fast_proposal(command, ballot, timestamp, whitelist=None)
+        self._start_fast_proposal(command, Ballot.initial(self.node_id), timestamp,
+                                  whitelist=None)
+
+    # ------------------------------------------------------------- ballots
+
+    def promised(self, command_id: CommandId) -> Optional[Ballot]:
+        """The highest ballot this replica joined for a command (``None``: none yet)."""
+        ballot = self.promises.get(command_id)
+        if ballot is None:
+            entry = self.history.get(command_id)
+            ballot = entry.ballot if entry is not None else None
+        return ballot
+
+    def _joinable(self, command_id: CommandId, ballot: Ballot,
+                  entry: Optional[HistoryEntry]) -> bool:
+        """Whether ``ballot`` is at least the command's promise; ``entry`` is its
+        entry, which the caller has just looked up (``None``: it has none)."""
+        promised = self.promises.get(command_id) if self.promises else None
+        if promised is None:
+            if entry is None:
+                return True
+            promised = entry.ballot
+        # Identity first: round-0 ballots are one instance per leader.
+        return promised is ballot or ballot >= promised
 
     # ------------------------------------------------------- leader: phases
 
@@ -279,10 +312,10 @@ class CaesarReplica(ProtocolKernel):
         """Acceptor side of the fast proposal phase (Figure 4, lines P11-P20)."""
         command, ballot, timestamp = message.command, message.ballot, message.timestamp
         command_id = command.command_id
-        if not self.ballots.allows(command_id, ballot):
-            return
         history = self.history
         existing = history.get(command_id)
+        if not self._joinable(command_id, ballot, existing):
+            return
         if existing is not None and existing.status is CommandStatus.STABLE:
             # Already decided (e.g. a recovery finished first); nothing to do.
             return
@@ -294,7 +327,6 @@ class CaesarReplica(ProtocolKernel):
             # A retransmitted proposal at the same ballot must not downgrade
             # the entry a later retry already promoted to ACCEPTED.
             return
-        self.ballots[command_id] = ballot
         self.timestamps.observe(timestamp)
         whitelist_mask = (None if message.whitelist is None
                           else history.mask_from_ids(message.whitelist, command.key))
@@ -304,6 +336,8 @@ class CaesarReplica(ProtocolKernel):
             self.consume_cpu(self.cost_model.per_dependency_ms * predecessors.bit_count())
         entry = history.update(command, timestamp, predecessors, CommandStatus.FAST_PENDING,
                                ballot, existing, forced=message.whitelist is not None)
+        if self.promises:  # the entry holds the promise now
+            self.promises.pop(command_id, None)
         parked = self.wait_manager.parked and self.wait_manager.has_parked(command.key)
         if parked:
             self.wait_manager.notify_entry(entry)
@@ -327,10 +361,10 @@ class CaesarReplica(ProtocolKernel):
         """Acceptor side of the slow proposal phase (Figure 4, lines P31-P39)."""
         command = message.command
         command_id = command.command_id
-        if not self.ballots.allows(command_id, message.ballot):
-            return
         history = self.history
         existing = history.get(command_id)
+        if not self._joinable(command_id, message.ballot, existing):
+            return
         if existing is not None and existing.status is CommandStatus.STABLE:
             return
         if (existing is None and self.stats.commands_collected
@@ -340,7 +374,6 @@ class CaesarReplica(ProtocolKernel):
                 and not message.ballot > existing.ballot):
             # See _on_fast_propose: never downgrade ACCEPTED on a resend.
             return
-        self.ballots[command_id] = message.ballot
         self.timestamps.observe(message.timestamp)
         predecessors = compute_predecessor_mask(history, command, message.timestamp, existing)
         predecessors |= history.mask_from_ids(message.predecessors, command.key)
@@ -350,6 +383,8 @@ class CaesarReplica(ProtocolKernel):
         self.consume_cpu(self.cost_model.dependency_cost(predecessors.bit_count()))
         entry = history.update(command, message.timestamp, predecessors,
                                CommandStatus.SLOW_PENDING, message.ballot, existing)
+        if self.promises:
+            self.promises.pop(command_id, None)
         if self.wait_manager.parked:
             self.wait_manager.notify_entry(entry)
         proposal = (src, command, message.ballot, message.timestamp, predecessors, False)
@@ -367,11 +402,11 @@ class CaesarReplica(ProtocolKernel):
         at the send below.
         """
         command_id = command.command_id
-        if not self.ballots.allows(command_id, ballot):
-            # A higher ballot took over while this proposal was parked.
-            return
         history = self.history
         entry = history.get(command_id)
+        if not self._joinable(command_id, ballot, entry):
+            # A higher ballot took over while this proposal was parked.
+            return
         if entry is not None and entry.status in (CommandStatus.ACCEPTED, CommandStatus.STABLE):
             # A retry or stable overtook the parked proposal; the leader no
             # longer needs this answer.
@@ -398,6 +433,8 @@ class CaesarReplica(ProtocolKernel):
                                    CommandStatus.REJECTED, ballot, entry)
             if self.wait_manager.parked:
                 self.wait_manager.notify_entry(entry)
+        if self.promises:
+            self.promises.pop(command_id, None)
         reply_cls = FastProposeReply if fast else SlowProposeReply
         reply_ids = history.ids_from_mask(reply_pred, command.key)
         self.send(leader, reply_cls(command_id, ballot, reply_ts, reply_ids, ok))
@@ -457,20 +494,21 @@ class CaesarReplica(ProtocolKernel):
         """Acceptor side of the retry phase (Figure 4, lines R5-R8): never rejects."""
         command = message.command
         command_id = command.command_id
-        if not self.ballots.allows(command_id, message.ballot):
-            return
         history = self.history
         existing = history.get(command_id)
+        if not self._joinable(command_id, message.ballot, existing):
+            return
         if existing is not None and existing.status is CommandStatus.STABLE:
             return
         if (existing is None and self.stats.commands_collected
                 and self.delivery.is_delivered(command_id)):
             return
-        self.ballots[command_id] = message.ballot
         self.timestamps.observe(message.timestamp)
         entry = history.update(command, message.timestamp,
                                history.mask_from_ids(message.predecessors, command.key),
                                CommandStatus.ACCEPTED, message.ballot, existing)
+        if self.promises:
+            self.promises.pop(command_id, None)
         extra = compute_predecessor_mask(history, command, message.timestamp, entry)
         self.consume_cpu(self.cost_model.dependency_cost(extra.bit_count()))
         if self.wait_manager.parked:
@@ -507,8 +545,9 @@ class CaesarReplica(ProtocolKernel):
                 and self.delivery.is_delivered(command_id)):
             return
         ballot = message.ballot
-        if self.ballots.get(command_id) is not ballot:
-            self.ballots.observe(command_id, ballot)
+        promised = self.promises.get(command_id) if self.promises else None
+        if promised is None and existing is not None:
+            promised = existing.ballot
         self.timestamps.observe(message.timestamp)
         predecessors = 0
         if message.predecessors:
@@ -519,6 +558,11 @@ class CaesarReplica(ProtocolKernel):
                 predecessors &= ~(1 << self_index)
         entry = history.update(command, message.timestamp, predecessors,
                                CommandStatus.STABLE, ballot, existing)
+        # A decision is written at its own ballot; a promise above it stays.
+        if promised is not None and promised is not ballot and not ballot >= promised:
+            self.promises[command_id] = promised
+        elif self.promises:
+            self.promises.pop(command_id, None)
         if self.wait_manager.parked:
             self.wait_manager.drop_command(command_id, command.key)
             self.wait_manager.notify_entry(entry)
@@ -576,6 +620,11 @@ class CaesarReplica(ProtocolKernel):
     def _on_recovery_reply(self, src: int, message: RecoveryReply) -> None:
         """Recovering-leader side of recovery replies (delegated to the manager)."""
         self.recovery.on_recovery_reply(src, message)
+
+    def has_executed(self, command_id: CommandId) -> bool:
+        """Whether the command was executed here: its delivered bit, which a
+        collected command keeps."""
+        return self.delivery.is_delivered(command_id)
 
     def _execute_stable(self, command: Command) -> None:
         """Callback from the delivery manager: apply the command locally."""

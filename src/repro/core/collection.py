@@ -25,7 +25,9 @@ from the replicas themselves:
   partitioned, slow — pins every id it has not reported.
 * **Collection.**  A collectable command's entry goes through
   :meth:`~repro.core.history.CommandHistory.remove` (its id stays bound, its
-  bit stays delivered), under three rules, each needed for the answers to stay
+  bit stays delivered) and a promise held for it above its entry's ballot goes
+  too (``CaesarReplica.promises``: no ballot state outlives the entry), under
+  three rules, each needed for the answers to stay
   the ones the uncollected history gives:
 
   1. removal waits while a proposal is parked on the command's key — the wait
@@ -169,5 +171,6 @@ class HistoryCollector:
             if entry.command.is_write and stamp > bucket.write_floor:
                 bucket.write_floor = stamp
             history.remove(command_id)
+            replica.promises.pop(command_id, None)
             replica.stats.commands_collected += 1
         self._collectable = held

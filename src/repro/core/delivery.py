@@ -193,7 +193,12 @@ class DeliveryManager:
         return self._drain(ready)
 
     def _deliver(self, command: Command, entry: HistoryEntry) -> None:
-        entry.bucket.delivered |= 1 << entry.index
+        """Mark the command delivered and execute it.  The delivered bit is also
+        CAESAR's executed bit, so one already set means a second execution."""
+        bucket, bit = entry.bucket, 1 << entry.index
+        if bucket.delivered & bit:
+            raise ValueError(f"command {command.command_id} executed twice")
+        bucket.delivered |= bit
         self._execute(command)
 
     def _drain(self, ready: List[_Waiter]) -> List[Command]:

@@ -25,6 +25,9 @@ simulations can check them continuously:
   so no mask is wider than the number of ids seen on that key.
 * :func:`check_bucket_index` — the order, interner, entries and masks of
   every key bucket agree, and ``_bucket_of`` binds only ids without an entry.
+* :func:`check_promises` — a replica's table of promises holds an id only
+  above its entry's ballot, or for a command it has no entry for and did not
+  collect.
 
 Each checker returns a list of human-readable violation descriptions; an
 empty list means the invariant holds.  Every checker but
@@ -247,6 +250,23 @@ def check_bucket_index(replicas: Sequence) -> List[str]:
     return violations
 
 
+def check_promises(replicas: Sequence) -> List[str]:
+    """Each promise in a replica's table is above its command's entry's ballot,
+    and none outlives a collected command.  Replicas without the table are skipped.
+    """
+    violations: List[str] = []
+    for replica in replicas:
+        for command_id, ballot in getattr(replica, "promises", {}).items():
+            entry = replica.history.get(command_id)
+            if entry is not None and not ballot > entry.ballot:
+                violations.append(f"node {replica.node_id}: promise {ballot} of {command_id} "
+                                  f"is not above its entry's ballot {entry.ballot}")
+            elif entry is None and replica.delivery.is_delivered(command_id):
+                violations.append(f"node {replica.node_id}: {command_id} was collected "
+                                  f"but its promise {ballot} was kept")
+    return violations
+
+
 def check_all(replicas: Sequence) -> List[str]:
     """Run every invariant checker and concatenate the violations."""
     violations: List[str] = []
@@ -258,4 +278,5 @@ def check_all(replicas: Sequence) -> List[str]:
     violations.extend(check_delivered_closed(replicas))
     violations.extend(check_mask_width(replicas))
     violations.extend(check_bucket_index(replicas))
+    violations.extend(check_promises(replicas))
     return violations

@@ -67,7 +67,7 @@ class RecoveryManager:
         for entry in list(self.replica.history.entries()):
             if entry.status is CommandStatus.STABLE:
                 continue
-            leader = self.replica.ballots.get(entry.command_id, entry.ballot).node_id
+            leader = self.replica.promises.get(entry.command_id, entry.ballot).node_id
             if leader == peer:
                 pending.append(entry.command)
         for command in pending:
@@ -81,17 +81,17 @@ class RecoveryManager:
         entry = self.replica.history.get(command_id)
         if entry is not None and entry.status is CommandStatus.STABLE:
             return
-        current = self.replica.ballots.get(command_id, Ballot.initial(command.origin))
+        current = self.replica.promised(command_id) or Ballot.initial(command.origin)
         ballot = current.next_for(self.replica.node_id)
-        self.replica.ballots[command_id] = ballot
+        self.replica.promises[command_id] = ballot   # above the entry's ballot, if any
         self._attempts[command_id] = RecoveryAttempt(
             command=command, ballot=ballot,
             votes=QuorumTracker(self.replica.quorums.classic))
         self.replica.stats.recoveries_started += 1
         self.replica.broadcast(Recovery(command=command, ballot=ballot))
-        # Cast the local vote explicitly: the ballot register was bumped above,
-        # so the self-delivered broadcast fails the acceptor's ``ballot <=
-        # current`` freshness check and would never be answered.  Without the
+        # Cast the local vote explicitly: the promise was raised above, so the
+        # self-delivered broadcast fails the acceptor's ``ballot <= current``
+        # freshness check and would never be answered.  Without the
         # self vote a classic quorum is unreachable whenever only
         # ``classic - 1`` peers are live (e.g. 3 replicas, one dead).
         self.on_recovery_reply(self.replica.node_id, self._local_reply(command_id, ballot))
@@ -109,10 +109,10 @@ class RecoveryManager:
     def on_recovery_message(self, src: int, message: Recovery) -> None:
         """Acceptor side (Figure 5, lines 28-33): answer with the local tuple."""
         command_id = message.command.command_id
-        current = self.replica.ballots.get(command_id)
+        current = self.replica.promised(command_id)
         if current is not None and message.ballot <= current:
             return
-        self.replica.ballots[command_id] = message.ballot
+        self.replica.promises[command_id] = message.ballot
         self.replica.send(src, self._local_reply(command_id, message.ballot))
 
     # ------------------------------------------------------------ dispatching

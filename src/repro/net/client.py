@@ -32,7 +32,7 @@ import socket
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.consensus.command import ALREADY_EXECUTED, Command, CommandResult
+from repro.consensus.command import ALREADY_EXECUTED, IN_FLIGHT, Command, CommandResult
 from repro.metrics.collector import MetricsCollector
 from repro.net.clock import WallClock
 from repro.net.framing import FrameDecoder, FramingError, encode_frame
@@ -63,7 +63,8 @@ class RemoteReplica(asyncio.Protocol):
         self._transport: Optional[asyncio.Transport] = None
         self._decoder = FrameDecoder()
         self._pending: Dict[Tuple[int, int], Callable[[CommandResult], None]] = {}
-        #: replies rejecting an id the replica had already executed
+        #: replies rejecting an id the replica had already executed, or
+        #: still had in flight (another session named it too)
         self.already_executed = 0
 
     async def connect(self) -> None:
@@ -83,7 +84,7 @@ class RemoteReplica(asyncio.Protocol):
                 if isinstance(message, ClientReply):
                     callback = self._pending.pop(message.command_id, None)
                     if callback is not None:
-                        if message.rejected == ALREADY_EXECUTED:
+                        if message.rejected in (ALREADY_EXECUTED, IN_FLIGHT):
                             self.already_executed += 1
                         callback(CommandResult(message.command_id, message.value, 0.0,
                                                message.rejected))
@@ -213,7 +214,8 @@ class LoadgenReport:
     ``throughput_per_second`` counts *completed* commands only, so with an
     admission policy installed it is the run's goodput; ``rejected`` counts
     the commands a replica did not order, of which ``already_executed`` named
-    an id the cluster had executed before; a session with any fails.
+    an id the cluster had executed before or was still ordering; a session
+    with any fails.
     """
 
     submitted: int
@@ -241,7 +243,7 @@ class LoadgenReport:
         if self.mean_latency_ms is not None:
             lines.append(f"latency:    mean {self.mean_latency_ms:.1f} ms, "
                          f"p99 {self.p99_latency_ms:.1f} ms")
-        lines.append(f"rejected:   {self.rejected} ({self.already_executed} already executed)")
+        lines.append(f"rejected:   {self.rejected} ({self.already_executed} reused ids)")
         for node_id, stats in sorted(self.per_replica.items()):
             lines.append(f"replica {node_id}:  executed "
                          f"{stats.get('commands_executed', 'n/a')}, "
@@ -313,7 +315,7 @@ async def _loadgen(config: LoadgenConfig) -> LoadgenReport:
         # Ids are (client, sequence from 0), whatever the seed: a second
         # session against one cluster names the first one's.
         failures.append(f"{already_executed} commands named ids the cluster had already "
-                        "executed")
+                        "executed or still had in flight")
     for remote in remotes:
         await remote.close()
 

@@ -82,7 +82,8 @@ class ClientReply:
 
     ``rejected`` is the result's: 0, or why the replica did not order the
     command (``consensus.command.SHED`` by its admission policy,
-    ``ALREADY_EXECUTED`` for an id it had executed before).
+    ``ALREADY_EXECUTED`` for an id it had executed before, ``IN_FLIGHT`` for
+    an id it was still ordering).
     """
 
     command_id: Tuple[int, int]

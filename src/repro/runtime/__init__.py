@@ -12,8 +12,8 @@ The :mod:`repro.runtime` package is the common substrate the five protocols
   types (commands, ballots, logical timestamps);
 * :mod:`repro.runtime.kernel` — :class:`~repro.runtime.kernel.ProtocolKernel`,
   the replica base class providing declarative message dispatch
-  (:func:`~repro.runtime.kernel.handles`), quorum trackers, ballot registers
-  and failure-detector scaffolding;
+  (:func:`~repro.runtime.kernel.handles`), quorum trackers and
+  failure-detector scaffolding;
 * :mod:`repro.runtime.transport` — the :class:`~repro.runtime.transport.Transport`
   interface decoupling replicas from the simulated network, with the
   simulator-backed transport (including transport-level batching) as the

@@ -16,8 +16,6 @@ hand-roll independently:
 * **quorum trackers** (:class:`QuorumTracker`) — insertion-ordered vote
   collection with a threshold, replacing the per-protocol reply dicts and
   ack sets;
-* **ballot registers** (:class:`BallotRegister`) — highest-joined-ballot
-  bookkeeping per command;
 * **unified statistics** — every replica carries one
   :class:`~repro.runtime.stats.ProtocolStats` record;
 * **retransmission** (:class:`RetransmitBuffer`) — quorum-pending broadcasts
@@ -47,7 +45,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple, Type, ValuesView
 
-from repro.consensus.ballots import Ballot
 from repro.consensus.interface import ConsensusReplica
 from repro.consensus.quorums import QuorumSystem
 from repro.kvstore.state_machine import StateMachine
@@ -119,26 +116,6 @@ class QuorumTracker:
     def voters(self) -> List[int]:
         """Voter ids, in arrival order."""
         return list(self._votes)
-
-
-class BallotRegister(dict):
-    """Highest joined ballot per command (CAESAR-style ballot bookkeeping).
-
-    A plain ``dict`` of ``key -> Ballot`` (so reads and writes on the message
-    hot path stay native-speed) extended with the two ballot decision rules.
-    """
-
-    def allows(self, key, ballot: Ballot) -> bool:
-        """Whether a message at ``ballot`` may be processed for ``key``."""
-        current = self.get(key)
-        # Usually the very object: round-0 ballots are one instance per leader.
-        return current is None or current is ballot or ballot >= current
-
-    def observe(self, key, ballot: Ballot) -> None:
-        """Adopt ``ballot`` if it is at least as high as the current one."""
-        current = self.get(key)
-        if current is not ballot and (current is None or ballot >= current):
-            self[key] = ballot
 
 
 # Tuning of the retransmission and catch-up layer.  The values are

@@ -150,12 +150,19 @@ MUTANTS: Dict[str, Mutant] = {
         "            return\n", "",
         "tests/test_replica_interface.py::TestConsensusReplicaBase::test_an_executed_id_"
         "submitted_again_is_rejected_at_once"),
+    "an-id-in-flight-is-proposed-again": Mutant(
+        "consensus/interface.py",
+        "        if command.command_id in self._client_callbacks:\n"
+        "            callback(CommandResult(command.command_id, None, self.sim.now, IN_FLIGHT))\n"
+        "            return\n", "",
+        "tests/test_replica_interface.py::TestConsensusReplicaBase::test_an_id_still_in_flight_"
+        "submitted_again_is_rejected_at_once"),
     "run-exits-0-on-a-violation": Mutant(
         "cli.py", 'return "\\n".join(lines), 1 if result.consistency_violations else 0',
         'return "\\n".join(lines), 0',
         "tests/test_cli.py::TestCommands::test_run_exits_1_on_a_consistency_violation"),
     "loadgen-passes-a-reused-id-session": Mutant(
-        "net/client.py", "if message.rejected == ALREADY_EXECUTED:", "if False:",
+        "net/client.py", "if message.rejected in (ALREADY_EXECUTED, IN_FLIGHT):", "if False:",
         "tests/test_net_loopback.py::TestReusedIds::test_a_second_session_with_the_same_seed_"
         "fails"),
     "serve-ignores-sigterm": Mutant(
@@ -169,6 +176,14 @@ MUTANTS: Dict[str, Mutant] = {
         "consensus/interface.py", "if j not in positions:", "if True:",
         "tests/test_core_invariants.py::TestCheckersDetectViolations::test_execution_"
         "consistency_builds_each_logs_positions_once", IMPORT),
+    "a-lower-stable-forgets-the-promise": Mutant(
+        "core/caesar.py", "self.promises[command_id] = promised", "pass",
+        CAESAR_SPEC + "TestPromises::test_random_messages_leave_the_promise_the_spec_register_"
+        "holds", match=SPEC),
+    "a-delivered-command-executes-again": Mutant(
+        "core/delivery.py", "if bucket.delivered & bit:", "if False:",
+        "tests/test_replica_interface.py::TestConsensusReplicaBase::test_a_second_execution_"
+        "raises[caesar]"),
     "a-moved-timestamp-is-not-re-filed": Mutant(
         "core/history.py", "                bucket.discard(entry)\n"
         "                entry.stamp = stamp\n"
@@ -201,8 +216,8 @@ MUTANTS: Dict[str, Mutant] = {
         "False):\n            return  # collected: decided and delivered everywhere",
         COMPACTION + "TestAgainstTheSpec::test_seeded_streams_collect_and_agree"),
     "a-late-retry-is-answered": Mutant(
-        "core/caesar.py", _COLLECTED + "        self.ballots[command_id] = message.ballot",
-        "False):\n            return\n        self.ballots[command_id] = message.ballot",
+        "core/caesar.py", _COLLECTED + "        self.timestamps.observe(message.timestamp)",
+        "False):\n            return\n        self.timestamps.observe(message.timestamp)",
         COMPACTION + "TestRules::test_a_late_message_naming_a_collected_command_changes_"
         "nothing[retry]"),
     "one-silent-peer-is-ignored": Mutant(
@@ -210,6 +225,9 @@ MUTANTS: Dict[str, Mutant] = {
         "if mask.bit_count() + 1 >= everyone.bit_count():",
         COMPACTION + "TestRules::test_a_command_every_replica_reported_is_collected_and_a_"
         "silent_peer_pins_it"),
+    "collection-keeps-a-promise": Mutant(
+        "core/collection.py", "replica.promises.pop(command_id, None)", "pass",
+        COMPACTION + "TestRules::test_a_collected_command_takes_its_promise_with_it"),
     "removal-ignores-parked-proposals": Mutant(
         "core/collection.py", "if wait_manager.parked and", "if False and",
         COMPACTION + "TestRules::test_removal_waits_while_a_proposal_is_parked_on_the_key"),

@@ -13,7 +13,8 @@ by set edits, then a repeated scan of the pending commands in timestamp order.
 
 :class:`SpecCaesarReplica` takes one thing from the product: the runtime
 kernel (send, broadcast, timers, retransmission, the failure detector, the
-ballot register, the CPU charge, stats, decision records).  It also uses the
+CPU charge, stats, decision records).  Its ballots are its own: a plain
+register, the highest ballot joined per command (:class:`BallotRegister`).  It also uses the
 product's vocabulary: messages, ``CommandStatus``, ``LeaderState`` and the
 phase names.  ``tests/test_import_graph.py`` holds it to that.  Its
 fast-proposal timeout is stated here, and ``TestLeaderRandomSchedules`` in
@@ -60,7 +61,16 @@ Where the product and the spec differ, and how the differentials treat it:
 4. *Sends within one handler call* are compared as a multiset.
 5. *Identity.*  The product reuses message objects (a reply echoes the
    proposal's timestamp); everything is compared by equality.
-6. *What only the product has*: the first-key binding of ids
+6. *Where a command's ballot is kept.*  The product keeps the ballot a
+   replica promised a command on the command's history entry, plus a table
+   of the promises above it (a recovery prepare, a ``Stable`` below the
+   promise); the spec keeps :class:`BallotRegister`.  P1 writes the leader's
+   round-0 ballot here and nothing in the product, where no promise at all
+   allows every ballot as round 0 does.  The differentials compare
+   :meth:`SpecCaesarReplica.promised` with the product's, an absent promise
+   read as the command's round-0 ballot and collected commands left out (the
+   product forgets a collected command's promise with its entry).
+7. *What only the product has*: the first-key binding of ids
    (``tests/test_core_history.py::TestFirstKeyBinding``,
    ``tests/test_wire_hostile.py``), per-key masks and buckets
    (``tests/test_core_invariants.py``: ``TestMaskWidth``,
@@ -72,8 +82,8 @@ Where the product and the spec differ, and how the differentials treat it:
    cost guards of the blocker index (``tests/test_delivery_differential.py``).
 
 The probes of ``tests/test_caesar_differential.py`` compare every field
-they read with ``==``, but for two: the sends of one handler call (4) and
-the predecessors of a delivered row (2).
+they read with ``==``, but for three: the sends of one handler call (4),
+the predecessors of a delivered row (2) and the promises (6).
 """
 
 from __future__ import annotations
@@ -98,7 +108,7 @@ from repro.core.messages import (
     SlowProposeReply,
     Stable,
 )
-from repro.runtime.kernel import BallotRegister, ProtocolKernel, QuorumTracker, handles
+from repro.runtime.kernel import ProtocolKernel, QuorumTracker, handles
 
 STABLE = CommandStatus.STABLE
 ACCEPTED = CommandStatus.ACCEPTED
@@ -339,6 +349,20 @@ def comparable_predecessors(history, row, delivered: bool) -> List[CommandId]:
     return sorted(kept)
 
 
+class BallotRegister(dict):
+    """The highest ballot joined per command: a plain dict with the two rules."""
+
+    def allows(self, command_id: CommandId, ballot: Ballot) -> bool:
+        """Whether a message at ``ballot`` may be processed for the command."""
+        current = self.get(command_id)
+        return current is None or ballot >= current
+
+    def observe(self, command_id: CommandId, ballot: Ballot) -> None:
+        """Adopt ``ballot`` if it is at least the one joined (STABLE)."""
+        if self.allows(command_id, ballot):
+            self[command_id] = ballot
+
+
 @dataclass
 class SpecRecovery:
     """A recovery this node leads: the command, its ballot, the RECOVERYR tuples."""
@@ -367,6 +391,10 @@ class SpecCaesarReplica(ProtocolKernel):
         #: Figure 5: the recoveries this node leads, and the nodes it suspects.
         self.recoveries: Dict[CommandId, SpecRecovery] = {}
         self.suspected: Set[int] = set()
+
+    def promised(self, command_id: CommandId) -> Optional[Ballot]:
+        """The highest ballot joined for the command (``None``: none yet)."""
+        return self.ballots.get(command_id)
 
     def _write(self, command: Command, timestamp: LogicalTimestamp,
                predecessors: Iterable[CommandId], status: CommandStatus, ballot: Ballot,

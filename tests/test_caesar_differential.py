@@ -34,6 +34,7 @@ from collections import Counter
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.consensus.ballots import Ballot
 from repro.consensus.command import Command
@@ -42,6 +43,7 @@ from repro.consensus.quorums import QuorumSystem
 from repro.consensus.timestamps import LogicalTimestamp
 from repro.core.caesar import PHASE_FAST, PHASE_RETRY, PHASE_SLOW, CaesarReplica
 from repro.core.history import CommandStatus
+from repro.core.invariants import check_promises
 from repro.core.messages import (
     FastPropose,
     FastProposeReply,
@@ -54,7 +56,8 @@ from repro.core.messages import (
     Stable,
 )
 from repro.harness.cluster import build_cluster
-from repro.harness.experiment import ExperimentConfig, attach_clients, count_decisions
+from repro.harness.experiment import (ExperimentConfig, attach_clients, count_decisions,
+                                      run_experiment)
 from repro.harness.protocols import PROTOCOLS, register_protocol
 from repro.kvstore.store import KeyValueStore
 from repro.metrics.collector import MetricsCollector
@@ -106,12 +109,26 @@ class Probe:
         delivery = replica.delivery
         known = [entry.command_id for entry in replica.history.entries()] + NAMEABLE
         return (self.rows(), sorted(filter(delivery.is_delivered, set(known))),
-                dict(replica.ballots), replica.timestamps._counter,
+                self.promises(known + list(ORIGINS)), replica.timestamps._counter,
                 delivery.pending_count(), delivery.missing_predecessors(),
                 replica.wait_manager.parked, replica.wait_manager.total_waits,
                 replica.wait_manager.total_wait_ms,
                 dataclasses.asdict(replica.stats), replica.commands_executed,
                 replica.cpu_busy_ms, replica.cpu_backlog_ms, self.delivered())
+
+    def promises(self, ids) -> dict:
+        """Each id's promise, an absent one read as its command's round-0 ballot,
+        collected ids left out (difference 6 of the spec's docstring)."""
+        replica = self.replica
+        history, delivered = replica.history, replica.delivery.is_delivered
+        view = {}
+        for command_id in set(ids):
+            if history.get(command_id) is None and delivered(command_id):
+                continue
+            promised = replica.promised(command_id)
+            view[command_id] = (Ballot.initial(ORIGINS.get(command_id, command_id[0]))
+                                if promised is None else promised)
+        return view
 
     def answers(self, command: Command) -> list:
         """The proposal answers sent for ``command``, oldest first."""
@@ -535,6 +552,69 @@ class TestScenarios:
         assert isinstance(pair.new.sent[-1][1], SlowProposeReply)
 
 
+# ------------------------------------------------------------------- promises
+
+#: What a promise step sends: (kind, which of A / B / C, ballot round, ballot
+#: node, timestamp counter, which of the three its predecessor set names).
+PROMISE_STEPS = st.lists(st.tuples(
+    st.sampled_from(("fast", "slow", "retry", "stable", "recovery")), st.integers(0, 2),
+    st.integers(0, 2), st.integers(0, REPLICAS - 1), st.integers(1, 9),
+    st.sets(st.integers(0, 2), max_size=2)), min_size=1, max_size=24)
+
+
+def promise_message(kind: str, cmd: Command, ballot: Ballot, counter: int, named) -> object:
+    timestamp = ts(counter, cmd.origin)
+    if kind == "fast":
+        return fast(cmd, timestamp, ballot)
+    if kind == "recovery":
+        return Recovery(command=cmd, ballot=ballot)
+    build = {"slow": slow, "retry": retry, "stable": stable}[kind]
+    return build(cmd, timestamp, named, ballot)
+
+
+class TestPromises:
+    """The product keeps a command's promise on its entry, and in a table only
+    above it; the spec keeps a plain register."""
+
+    @given(steps=PROMISE_STEPS)
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_random_messages_leave_the_promise_the_spec_register_holds(self, steps):
+        pair = Pair()
+        trio = (A, B, C)
+        for kind, which, round_, node, counter, named in steps:
+            message = promise_message(kind, trio[which], Ballot(round_, node), counter,
+                                      [trio[i].command_id for i in named])
+            pair.feed(node, message)
+            for cmd in trio:
+                mine = pair.new.replica.promised(cmd.command_id)
+                theirs = pair.spec.replica.ballots.get(cmd.command_id)
+                initial = Ballot.initial(cmd.origin)
+                assert (mine or initial) == (theirs or initial), (
+                    "spec disagrees", cmd.command_id, message, mine, theirs)
+        assert check_promises([pair.new.replica]) == []
+
+    def test_a_stable_below_a_recovery_prepare_keeps_the_prepare(self):
+        pair = Pair()
+        pair.feed(2, Recovery(command=A, ballot=Ballot(2, 2)))
+        pair.feed(0, stable(A, ts(3, 0)))
+        entry = pair.new.replica.history.get(A.command_id)
+        assert entry.ballot == Ballot.initial(0)
+        assert pair.new.replica.promises == {A.command_id: Ballot(2, 2)}
+        # A recovery at the same ballot is not answered again; a higher one is.
+        pair.feed(3, Recovery(command=A, ballot=Ballot(2, 2)))
+        pair.feed(3, Recovery(command=A, ballot=Ballot(2, 3)))
+        assert [dst for dst, message in pair.new.sent
+                if isinstance(message, RecoveryReply)] == [2, 3]
+
+    def test_a_run_without_failures_keeps_no_table(self):
+        """Every promise is its entry's ballot: the table stays empty."""
+        result = run_experiment(ExperimentConfig(
+            protocol="caesar", conflict_rate=0.3, clients_per_site=2, duration_ms=2000.0,
+            seed=5))
+        assert result.metrics.count > 50
+        assert [replica.promises for replica in result.cluster.replicas] == [{}] * 5
+
+
 # ----------------------------------------------------------------- leader probe
 #
 # The leader half: ``CaesarReplica`` against the spec's P1-P10, P21-P30, R1-R4
@@ -575,6 +655,8 @@ class _Detector:
 LED = [Command(command_id=(6, n), key=KEYS[n % 2], operation="put", value=f"l{n}", origin=0)
        for n in range(6)]
 LED_BY_ID = {cmd.command_id: cmd for cmd in LED}
+#: The origin of every command a probe is fed or leads, by id.
+ORIGINS = {cmd.command_id: cmd.origin for cmd in COMMANDS + LED}
 #: What a reply's predecessor set may name on each key.
 LEADER_NAMEABLE_ON = {key: NAMEABLE_ON[key] + [cmd.command_id for cmd in LED if cmd.key == key]
                       for key in KEYS}

@@ -200,7 +200,7 @@ class TestBallotFiltering:
         assert submit_and_run(sim, replicas, [(0, command)])
         # Pretend a higher ballot exists for this command on replica 1.
         from repro.consensus.ballots import Ballot
-        replicas[1].ballots[command.command_id] = Ballot(5, 1)
+        replicas[1].promises[command.command_id] = Ballot(5, 1)
         entry_before = replicas[1].history.get(command.command_id)
         from repro.core.messages import FastPropose
         from repro.consensus.timestamps import LogicalTimestamp

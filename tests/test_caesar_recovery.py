@@ -111,10 +111,10 @@ class TestRecoveryMessageHandling:
         replicas[0].submit(command, ignore)
         sim.run(until=sim.now + 400.0)
         # Replica 1 already processed ballot (0, 0); an equal-ballot recovery is ignored.
-        before = replicas[1].ballots[command.command_id]
+        before = replicas[1].promised(command.command_id)
         replicas[1].recovery.on_recovery_message(2, Recovery(command=command,
                                                              ballot=Ballot(0, 0)))
-        assert replicas[1].ballots[command.command_id] == before
+        assert replicas[1].promised(command.command_id) == before == Ballot(0, 0)
 
     def test_suspected_node_recovery_is_staggered(self):
         sim, network, replicas = build_replicas(recovery=True, seed=11)

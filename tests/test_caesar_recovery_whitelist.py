@@ -37,7 +37,7 @@ class RecoveryHarness:
             command=self.command, ballot=self.ballot,
             votes=QuorumTracker(self.replica.quorums.classic))
         self.manager._attempts[self.command.command_id] = self.attempt
-        self.replica.ballots[self.command.command_id] = self.ballot
+        self.replica.promises[self.command.command_id] = self.ballot
 
     def dispatch(self, replies):
         for src, reply in enumerate(replies, start=2):
@@ -192,7 +192,7 @@ class TestRecoveryMessageSide:
         assert reply.known
         assert reply.timestamp == ts(4)
         assert reply.predecessors == frozenset({(6, 6)})
-        assert acceptor.ballots[command.command_id] == Ballot(3, 1)
+        assert acceptor.promised(command.command_id) == Ballot(3, 1)
 
     def test_acceptor_answers_nop_when_command_unknown(self):
         harness = RecoveryHarness()

@@ -8,7 +8,8 @@
 * :class:`Ballot`'s comparisons are written out: they must order ballots as
   ``(round, node_id)`` tuples do, and leave ``==`` / ``hash`` as the dataclass
   made them (a ballot is a dict value and a wire field).
-* :class:`BallotRegister` tries identity before it compares, and
+* a replica's promise check (``CaesarReplica._joinable``) tries identity
+  before it compares, and
   :meth:`TimestampGenerator.observe` compares fields: an *equal* ballot that is
   another object (anything decoded from a socket) is treated like the same
   one, and a timestamp equal to the clock still moves the clock past it.
@@ -28,9 +29,8 @@ from repro.consensus.command import Command
 from repro.consensus.timestamps import LogicalTimestamp, TimestampGenerator
 from repro.core.history import CommandHistory, CommandStatus
 from repro.core.predecessors import WaitManager
-from repro.runtime.kernel import BallotRegister
 from tests import spec_caesar as spec
-from tests.conftest import evaluate_wait, write_entry
+from tests.conftest import build_replicas, evaluate_wait, write_entry
 
 BALLOT = Ballot.initial(0)
 STATUSES = tuple(CommandStatus)
@@ -193,29 +193,25 @@ class TestBallotComparisons:
             raise AssertionError("a ballot compared with something that is not one")
 
 
-class TestBallotRegister:
+class TestPromise:
     def test_a_resend_at_the_joined_ballot_is_allowed(self):
-        """``>=``, not ``>``: also for an equal ballot that is another object."""
-        register = BallotRegister()
+        """``>=``, not ``>``: also for an equal ballot that is another object,
+        whether the entry holds the promise or the table above it does."""
+        replica = build_replicas(n=3)[2][0]
+        command = Command(command_id=(1, 0), key="x", operation="put", value="v", origin=1)
         joined = Ballot(1, 2)
-        register["c"] = joined
-        assert register.allows("c", joined)
-        assert register.allows("c", Ballot(1, 2))
-        assert register.allows("c", Ballot(1, 3)) and register.allows("c", Ballot(2, 0))
-        assert not register.allows("c", Ballot(1, 1)) and not register.allows("c", Ballot(0, 4))
-        assert register.allows("never seen", Ballot(0, 0))
-
-    def test_observe_adopts_equal_and_higher_ballots_only(self):
-        register = BallotRegister()
-        register.observe("c", Ballot(1, 2))
-        assert register["c"] == Ballot(1, 2)
-        twin = Ballot(1, 2)
-        register.observe("c", twin)
-        assert register["c"] is twin
-        register.observe("c", Ballot(0, 4))
-        assert register["c"] is twin
-        register.observe("c", Ballot(1, 3))
-        assert register["c"] == Ballot(1, 3)
+        entry = write_entry(replica.history, command, LogicalTimestamp(3, 1), (),
+                            CommandStatus.FAST_PENDING, joined)
+        for held_by in ("entry", "table"):
+            if held_by == "table":
+                entry.ballot = Ballot.initial(1)
+                replica.promises[command.command_id] = joined
+            assert replica.promised(command.command_id) is joined
+            for ballot in (joined, Ballot(1, 2), Ballot(1, 3), Ballot(2, 0)):
+                assert replica._joinable(command.command_id, ballot, entry), (held_by, ballot)
+            for ballot in (Ballot(1, 1), Ballot(0, 4)):
+                assert not replica._joinable(command.command_id, ballot, entry), (held_by, ballot)
+        assert replica._joinable((9, 9), Ballot(0, 0), None)
 
 
 class TestObserve:

@@ -95,21 +95,13 @@ class TestExecutionLog:
         log.append(second)
         assert log.positions() == {first.command_id: 0, second.command_id: 1}
         assert list(log) == [first, second]
-        assert log.contains(first.command_id)
-
-    def test_double_execution_rejected(self):
-        log = ExecutionLog()
-        command = make_command(0, 0)
-        log.append(command)
-        with pytest.raises(ValueError):
-            log.append(command)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_the_log_agrees_with_a_list_of_its_commands(self, data):
-        """Positions, membership, slices and violations read as a plain list
-        of the executed commands gives them; a second append of an id raises
-        and changes nothing."""
+        """Positions, slices and violations read as a plain list of the executed
+        commands gives them.  A replica appends each id once (its own guard:
+        ``tests/test_replica_interface.py``), so a drawn repeat is skipped."""
         pool = [Command(command_id=(client, seq), key=data.draw(st.sampled_from("ab")),
                         operation=data.draw(st.sampled_from(("put", "get"))))
                 for client in range(3) for seq in range(3)]
@@ -117,15 +109,11 @@ class TestExecutionLog:
         for _ in range(2):
             executed, log = [], ExecutionLog()
             for command in data.draw(st.lists(st.sampled_from(pool), max_size=12)):
-                if command.command_id in {c.command_id for c in executed}:
-                    with pytest.raises(ValueError, match="executed twice"):
-                        log.append(command)
-                else:
+                if command.command_id not in {c.command_id for c in executed}:
                     log.append(command)
                     executed.append(command)
             assert list(log) == executed and len(log) == len(executed)
             assert log.positions() == {c.command_id: i for i, c in enumerate(executed)}
-            assert all(log.contains(c.command_id) == (c in executed) for c in pool)
             start, stop = data.draw(st.integers(0, 13)), data.draw(st.integers(0, 13))
             assert log.ids(start, stop) == [c.command_id for c in executed[start:stop]]
             lists.append(executed)

@@ -191,6 +191,18 @@ class TestRules:
         assert probe.sent[sent:] == []
         assert probe.replica.commands_executed == 1
 
+    def test_a_collected_command_takes_its_promise_with_it(self):
+        """A recovery prepare above a stable entry's ballot is a promise of its
+        own; collecting the entry forgets it (the parent's register kept every id)."""
+        probe = Collecting()
+        probe.feed(1, stable(A, ts(3, 1)))
+        probe.feed(2, Recovery(command=A, ballot=Ballot(1, 2)))
+        assert probe.replica.promises == {A.command_id: Ballot(1, 2)}
+        probe.report_from(*PEERS)
+        assert collected(probe, A)
+        assert probe.replica.promises == {}
+        assert probe.replica.promised(A.command_id) is None
+
     def test_a_stable_naming_a_collected_predecessor_is_delivered_at_once(self):
         probe = Collecting()
         probe.feed(1, stable(A, ts(3, 1)))
@@ -343,6 +355,16 @@ def test_an_experiment_with_collection_on_keeps_a_small_history():
     assert collecting.metrics.count > 100
     assert (max(len(replica.history) for replica in collecting.cluster.replicas)
             < min(len(replica.history) for replica in plain.cluster.replicas) / 4)
+    assert all(promises_of_collected(replica) == [] for replica in collecting.cluster.replicas)
+
+
+def promises_of_collected(replica) -> list:
+    """The promises ``replica`` still holds for commands it executed and collected."""
+    collected_ids = [command.command_id for command in replica.execution_log
+                     if command.command_id not in replica.history]
+    assert collected_ids, "nothing was collected"
+    return [(command_id, replica.promised(command_id)) for command_id in collected_ids
+            if replica.promised(command_id) is not None]
 
 
 # -------------------------------------------------------------------- TCP
@@ -372,6 +394,7 @@ async def _hot_key_over_tcp(commands: int, clients: int = 3) -> dict:
             live = max(live, max(len(replica.history) for replica in replicas))
             await asyncio.sleep(0.02)
         return {"completed": pool.total_completed, "live": live,
+                "promises": [promises_of_collected(replica) for replica in replicas],
                 "stats": [server.stats_payload() for server in cluster.servers.values()]}
     finally:
         for connection in connections:
@@ -383,6 +406,7 @@ def test_a_hot_key_over_tcp_keeps_its_history_and_its_stable_frames_bounded():
     outcome = asyncio.run(_hot_key_over_tcp(3000))
     assert outcome["completed"] == 3000
     assert outcome["live"] <= LIVE_HISTORY_BOUND
+    assert outcome["promises"] == [[], [], []]
     for stats in outcome["stats"]:
         counters = stats["stats"]
         stables = (counters.get("fast_decisions", 0) + counters.get("slow_decisions", 0)) * 3

@@ -18,6 +18,7 @@ from repro.core.invariants import (
     check_execution_consistency,
     check_graph_invariant,
     check_mask_width,
+    check_promises,
     check_timestamp_order,
 )
 from repro.harness.cluster import build_cluster
@@ -84,6 +85,23 @@ class TestCheckersDetectViolations:
         violations = check_agreement(replicas)
         assert len(violations) == 1
         assert "stable at" in violations[0]
+
+    def test_a_promise_not_above_its_entry_or_kept_past_collection_is_detected(self):
+        _, _, replicas = build_replicas()
+        replica = replicas[0]
+        command = make_command(0, 0, key="x")
+        write_entry(replica.history, command, LogicalTimestamp(1, 0), set(),
+                    CommandStatus.STABLE, Ballot(1, 1))
+        replica.promises[command.command_id] = Ballot(2, 0)
+        assert check_promises(replicas) == []
+        replica.promises[command.command_id] = Ballot(1, 1)
+        assert check_promises(replicas) == [
+            "node 0: promise Ballot(round=1, node_id=1) of (0, 0) is not above its "
+            "entry's ballot Ballot(round=1, node_id=1)"]
+        replica.delivery.on_stable(command, replica.history.get(command.command_id))
+        replica.history.remove(command.command_id)
+        assert check_promises(replicas) == [
+            "node 0: (0, 0) was collected but its promise Ballot(round=1, node_id=1) was kept"]
 
     def test_graph_invariant_violation_detected(self):
         """A stable later command missing its earlier conflicting predecessor."""

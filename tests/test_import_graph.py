@@ -216,7 +216,7 @@ SPECS = {
                               "LeaderState"},
         "repro.core.history": {"CommandStatus"},
         "repro.core.messages": "*",
-        "repro.runtime.kernel": {"BallotRegister", "ProtocolKernel", "QuorumTracker", "handles"},
+        "repro.runtime.kernel": {"ProtocolKernel", "QuorumTracker", "handles"},
     }),
     "epaxos": ("spec_epaxos.py", None, {
         "repro.baselines.epaxos": {"Accept", "AcceptReply", "Commit", "InstanceId",

@@ -326,6 +326,18 @@ async def _two_sessions(seed: int) -> list:
         await cluster.stop()
 
 
+async def _concurrent_sessions(seed: int) -> list:
+    """Two ``repro loadgen`` sessions with one seed against one cluster, at once."""
+    cluster = LoopbackCluster("caesar", replicas=3, seed=seed)
+    await cluster.start()
+    try:
+        return await asyncio.gather(*(net_client._loadgen(LoadgenConfig(
+            endpoints=cluster.peers, clients=3, commands_per_client=10, seed=seed,
+            timeout_s=10.0)) for _ in range(2)))
+    finally:
+        await cluster.stop()
+
+
 class TestReusedIds:
     def test_a_second_session_with_the_same_seed_fails(self):
         """Its ids are the first session's: every command is rejected as already
@@ -334,11 +346,24 @@ class TestReusedIds:
         assert first.ok and (first.completed, first.rejected, first.already_executed) == (
             30, 0, 0)
         assert (second.completed, second.rejected, second.already_executed) == (0, 30, 30)
-        assert second.failures == ["30 commands named ids the cluster had already executed"]
+        assert second.failures == ["30 commands named ids the cluster had already executed "
+                                   "or still had in flight"]
         assert not second.ok
         described = second.describe()
-        assert "rejected:   30 (30 already executed)" in described
+        assert "rejected:   30 (30 reused ids)" in described
         assert "result:     FAILED" in described
+
+    def test_concurrent_sessions_with_the_same_seed_are_answered_and_fail(self):
+        """An id the other session still has in flight is rejected at once: every
+        command is answered (the first caller of an id used to wait out its
+        timeout), and a session that met a reused id fails."""
+        sessions = asyncio.run(_concurrent_sessions(seed=2))
+        for report in sessions:
+            assert report.completed + report.rejected == 30
+            assert not [failure for failure in report.failures if "timeout" in failure]
+            assert report.ok == (report.already_executed == 0)
+        assert sum(report.already_executed for report in sessions) > 0
+        assert sum(report.completed for report in sessions) == 30
 
 
 @pytest.mark.slow

@@ -6,11 +6,12 @@ import pytest
 
 from repro.baselines.epaxos import EPaxosReplica, InstanceStatus, PreAccept
 from repro.consensus.ballots import Ballot
-from repro.consensus.command import ALREADY_EXECUTED
+from repro.consensus.command import ALREADY_EXECUTED, IN_FLIGHT
 from repro.consensus.interface import DecisionKind
 from repro.consensus.quorums import QuorumSystem
 from repro.core.caesar import CaesarReplica
 from repro.harness.experiment import ExperimentConfig, count_decisions, run_experiment
+from repro.harness.protocols import PROTOCOLS
 from repro.kvstore.store import KeyValueStore
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.simulator import Simulator
@@ -90,12 +91,43 @@ class TestConsensusReplicaBase:
         # Non-conflicting commands from one proposer all take the fast path.
         assert count_decisions(replicas[:1]) == (4, 0)
 
-    def test_execute_command_twice_rejected(self):
-        _, _, replicas = build_replicas()
+    @pytest.mark.parametrize("protocol", list(PROTOCOLS))
+    def test_a_second_execution_raises(self, protocol):
+        """CAESAR executes through delivery, and its delivered bit is the guard;
+        the baselines' index is."""
+        sim, _, replicas = build_replicas(PROTOCOLS[protocol].replica_class)
         command = make_command(0, 0, key="x", origin=0)
-        replicas[0].execute_command(command)
-        with pytest.raises(ValueError):
-            replicas[0].execute_command(command)
+        assert submit_and_run(sim, replicas, [(0, command)])
+        replica = replicas[0]
+        if protocol == "caesar":
+            entry = replica.history.get(command.command_id)
+            again = lambda: replica.delivery._deliver(command, entry)  # noqa: E731
+        else:
+            again = lambda: replica.execute_command(command)  # noqa: E731
+        errors = []
+        try:
+            again()
+        except ValueError as error:
+            errors.append(str(error))
+        assert errors == [f"command {command.command_id} executed twice"]
+        assert replica.commands_executed == 1
+
+    @pytest.mark.parametrize("protocol", list(PROTOCOLS))
+    def test_an_id_still_in_flight_submitted_again_is_rejected_at_once(self, protocol):
+        """The first caller is answered once the command executes, the second at
+        once; an id holds one callback, so a second one used to silence the
+        first (and EPaxos proposed the command twice and executed it twice)."""
+        sim, _, replicas = build_replicas(PROTOCOLS[protocol].replica_class, seed=3)
+        command = make_command(0, 0, key="x", origin=0)
+        first, second = [], []
+        replicas[0].submit(command, first.append)
+        replicas[0].submit(command, second.append)
+        assert [(result.value, result.rejected) for result in second] == [(None, IN_FLIGHT)]
+        sim.run(until=sim.now + 3000.0)
+        assert [(result.command_id, result.rejected) for result in first] == [
+            (command.command_id, 0)]
+        assert len(second) == 1
+        assert all(replica.commands_executed == 1 for replica in replicas)
 
 
 class TestEPaxosAttributes:
